@@ -67,15 +67,6 @@ impl Aligner {
         &self.config
     }
 
-    /// Toggle every aligner-side bit-parallel kernel at once: the
-    /// packed-rank occ on the FM-index and the banded Smith–Waterman in
-    /// seed extension. Off is the scalar-twin benchmark configuration;
-    /// alignments are identical either way.
-    pub fn set_kernels(&mut self, on: bool) {
-        self.index.set_kernels(on);
-        self.config.single.banded_sw = on;
-    }
-
     /// Align pairs serially (single thread). Deterministic.
     pub fn align_pairs(&self, pairs: &[ReadPair]) -> Vec<(SamRecord, SamRecord)> {
         self.align_pairs_threaded(pairs, 1)

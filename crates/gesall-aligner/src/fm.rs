@@ -12,8 +12,8 @@
 //! counts whole words with XOR-splat + popcount
 //! ([`count_code_in_word`]) from a checkpoint aligned to a word
 //! boundary, instead of the historical byte-at-a-time scan (which
-//! survives as [`FmIndex::occ_scalar`], the proptest oracle and the
-//! `kernels=false` twin path for bench-smoke). The sampled suffix array
+//! survives as [`FmIndex::occ_scalar`], the reference the tests and the
+//! microbench compare against). The sampled suffix array
 //! is a row-sorted vec probed by a branchless binary search, replacing
 //! the old `HashMap`.
 
@@ -59,9 +59,6 @@ pub struct FmIndex {
     /// rows whose text position is a multiple of [`SA_SAMPLE`].
     sampled: Vec<(u32, u32)>,
     text_len: usize,
-    /// Bit-parallel rank on (default). Off, `occ` runs the scalar
-    /// symbol-at-a-time oracle — the bench-smoke twin path.
-    kernels: bool,
 }
 
 impl FmIndex {
@@ -126,19 +123,12 @@ impl FmIndex {
             checkpoints,
             sampled,
             text_len: text.len(),
-            kernels: true,
         }
     }
 
     /// Length of the indexed text (without sentinel).
     pub fn text_len(&self) -> usize {
         self.text_len
-    }
-
-    /// Toggle the bit-parallel rank kernel (on by default). Off, `occ`
-    /// runs the scalar oracle — the knob bench-smoke's twin run uses.
-    pub fn set_kernels(&mut self, on: bool) {
-        self.kernels = on;
     }
 
     /// Heap size of the index in bytes, capacity-accurate (the
@@ -165,7 +155,7 @@ impl FmIndex {
     }
 
     /// Number of occurrences of `c` in `bwt[0..i)`, plus the whole words
-    /// popcounted answering it (0 on the scalar path). `c` is a nonzero
+    /// popcounted answering it. `c` is a nonzero
     /// alphabet code; the sentinel's rank is just "is its row before
     /// `i`" and is handled by the callers that can see it (`lf_words`).
     /// Public (hidden) so the proptests can pin it to the oracle.
@@ -173,9 +163,6 @@ impl FmIndex {
     #[inline]
     pub fn occ_words(&self, c: u8, i: usize) -> (u64, u32) {
         debug_assert!((1..=4).contains(&c));
-        if !self.kernels {
-            return (self.occ_scalar(c, i), 0);
-        }
         let c2 = (c - 1) as u64;
         let cp = i / OCC_SAMPLE;
         let mut count = self.checkpoints[cp][c2 as usize] as u64;
@@ -200,9 +187,10 @@ impl FmIndex {
         (count, touched)
     }
 
-    /// Scalar rank oracle: symbol-at-a-time scan from the checkpoint,
-    /// exactly the pre-kernel behaviour. Public (hidden) for the
-    /// proptests pinning [`FmIndex::occ_words`] to it.
+    /// Scalar rank reference: symbol-at-a-time scan from the checkpoint.
+    /// Nothing on the search path calls it; public (hidden) for the
+    /// proptests pinning [`FmIndex::occ_words`] to it and for
+    /// `gesall-microbench`.
     #[doc(hidden)]
     #[inline]
     pub fn occ_scalar(&self, c: u8, i: usize) -> u64 {
@@ -429,16 +417,31 @@ mod tests {
     }
 
     #[test]
-    fn scalar_twin_is_byte_identical() {
+    fn search_matches_backward_search_over_scalar_rank() {
+        // The whole backward search, not just single rank queries: the
+        // interval `search` returns equals the textbook recurrence run
+        // on the symbol-at-a-time reference rank.
         let text = pseudo_dna(2000, 41);
-        let mut scalar = FmIndex::build(&text);
-        scalar.set_kernels(false);
-        let fast = FmIndex::build(&text);
+        let fm = FmIndex::build(&text);
+        let reference = |pat: &[u8]| -> Option<(u64, u64)> {
+            let (mut l, mut r) = (0u64, fm.bwt.len() as u64);
+            for &b in pat.iter().rev() {
+                let c = code(b).unwrap();
+                l = fm.c_table[c as usize] + fm.occ_scalar(c, l as usize);
+                r = fm.c_table[c as usize] + fm.occ_scalar(c, r as usize);
+                if l >= r {
+                    return None;
+                }
+            }
+            Some((l, r))
+        };
         for (start, len) in [(0usize, 12usize), (700, 18), (1988, 12), (5, 9)] {
             let pat = &text[start..start + len];
-            assert_eq!(fast.search(pat), scalar.search(pat));
-            assert_eq!(fast.locate(pat, 1000), scalar.locate(pat, 1000));
+            assert!(fm.search(pat).is_some());
+            assert_eq!(fm.search(pat), reference(pat));
         }
+        let absent = b"ACGTACGTACGTACGTACGTACGTACGTACGTACGT";
+        assert_eq!(fm.search(absent), reference(absent));
     }
 
     #[test]

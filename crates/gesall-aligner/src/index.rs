@@ -44,13 +44,6 @@ impl ReferenceIndex {
         &self.fm
     }
 
-    /// Toggle the packed-rank kernel on the underlying FM-index (off =
-    /// the symbol-at-a-time scalar twin, for benchmarking; results are
-    /// identical either way).
-    pub fn set_kernels(&mut self, on: bool) {
-        self.fm.set_kernels(on);
-    }
-
     /// Total concatenated length.
     pub fn text_len(&self) -> usize {
         self.text.len()

@@ -1,5 +1,5 @@
 //! Process-wide activity counters for the bit-parallel map-phase
-//! kernels (DESIGN.md §5).
+//! kernels (DESIGN.md §13).
 //!
 //! The kernels are exact — proptests pin each to its scalar oracle — so
 //! these counters exist to prove the fast paths actually ran and to

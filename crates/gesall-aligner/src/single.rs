@@ -22,12 +22,6 @@ pub struct SingleConfig {
     /// Keep at most this many candidates per strand pass.
     pub max_candidates: usize,
     pub scoring: Scoring,
-    /// Run seed extension through the banded Smith–Waterman kernel
-    /// (DESIGN.md §5). The band is centered on the seed diagonal with
-    /// `window_margin` diagonals of slack each side and falls back to
-    /// the full DP whenever it can't prove its answer, so turning this
-    /// off changes speed, not results.
-    pub banded_sw: bool,
 }
 
 impl Default for SingleConfig {
@@ -40,7 +34,6 @@ impl Default for SingleConfig {
             min_score: 30,
             max_candidates: 16,
             scoring: Scoring::default(),
-            banded_sw: true,
         }
     }
 }
@@ -138,17 +131,17 @@ fn collect_strand_candidates(
         else {
             continue;
         };
-        // Expected diagonal of the read inside the window: the read
-        // should start `anchor - gstart` columns in (≈ window_margin,
-        // less when the window was clamped at a chromosome edge).
+        // Seed extension runs the banded Smith–Waterman kernel. The band
+        // is centered on the read's expected diagonal inside the window
+        // — the read should start `anchor - gstart` columns in
+        // (≈ window_margin, less when the window was clamped at a
+        // chromosome edge) — with `window_margin` diagonals of slack
+        // each side; the kernel falls back to the full DP whenever the
+        // band can't prove its answer, so the result is the full DP's.
         let aln = sw::with_workspace(|ws| {
-            if cfg.banded_sw {
-                let off = (anchor - gstart as i64) as isize;
-                let band = Band::around_offset(off, cfg.window_margin);
-                sw::local_align_banded(s, window, &cfg.scoring, band, ws)
-            } else {
-                sw::local_align_with(s, window, &cfg.scoring, ws)
-            }
+            let off = (anchor - gstart as i64) as isize;
+            let band = Band::around_offset(off, cfg.window_margin);
+            sw::local_align_banded(s, window, &cfg.scoring, band, ws)
         });
         let Some(aln) = aln else {
             continue;
@@ -313,43 +306,61 @@ mod tests {
     }
 
     #[test]
-    fn banded_candidates_match_scalar_twin() {
-        // The full scalar twin (banded SW off, packed rank off) must
-        // produce identical candidates for a mix of read shapes.
-        let (mut idx, chr1, chr2) = build_index();
-        let mut reads: Vec<Vec<u8>> = vec![
-            chr1[5000..5100].to_vec(),
-            reverse_complement(&chr2[7000..7100]),
-            pseudo_dna(100, 999_999),
-        ];
+    fn banded_extension_matches_full_dp_on_production_windows() {
+        // Reads of every shape, each drawn from a known chr1 locus: on
+        // the window and band `extend_candidates` builds for an anchor
+        // at that locus, the banded kernel must return what the full DP
+        // returns, and that alignment must be the read's best candidate.
+        let (idx, chr1, _) = build_index();
+        let mut reads: Vec<(usize, Vec<u8>)> = vec![(5000, chr1[5000..5100].to_vec())];
         let mut erry = chr1[9000..9100].to_vec();
         erry[20] = match erry[20] {
             b'A' => b'C',
             _ => b'A',
         };
-        reads.push(erry);
+        reads.push((9000, erry));
         let mut indel = chr1[3000..3096].to_vec();
         indel.splice(48..48, [b'A', b'C', b'G', b'T']);
-        reads.push(indel);
+        reads.push((3000, indel));
         let mut deleted = chr1[11000..11104].to_vec();
         deleted.drain(50..54);
-        reads.push(deleted);
+        reads.push((11000, deleted));
+        // Clamped at the chromosome's left edge: the band offset shrinks.
+        reads.push((4, chr1[4..104].to_vec()));
 
-        let banded_cfg = SingleConfig::default();
-        let scalar_cfg = SingleConfig {
-            banded_sw: false,
-            ..SingleConfig::default()
-        };
-        let with_kernels: Vec<Vec<Candidate>> = reads
+        let cfg = SingleConfig::default();
+        for (origin, read) in &reads {
+            let anchor = *origin as i64; // chr1 sits at global offset 0
+            let (window, gstart, _) = idx
+                .window_within_chromosome(
+                    *origin,
+                    anchor - cfg.window_margin as i64,
+                    anchor + read.len() as i64 + cfg.window_margin as i64,
+                )
+                .unwrap();
+            let band = Band::around_offset((anchor - gstart as i64) as isize, cfg.window_margin);
+            let banded = sw::with_workspace(|ws| {
+                sw::local_align_banded(read, window, &cfg.scoring, band, ws)
+            })
+            .expect("read aligns at its origin");
+            let full = sw::local_align(read, window, &cfg.scoring).unwrap();
+            assert_eq!(banded, full, "origin {origin}");
+            let best = &find_candidates(&idx, &cfg, read)[0];
+            assert_eq!(
+                (best.pos, best.score, &best.cigar),
+                ((gstart + full.ref_start) as i64 + 1, full.score, &full.cigar),
+                "origin {origin}"
+            );
+        }
+
+        // Off-origin shapes still resolve: reverse strand, and a random
+        // read that aligns nowhere well.
+        let (_, _, chr2) = build_index();
+        let rev = find_candidates(&idx, &cfg, &reverse_complement(&chr2[7000..7100]));
+        assert!(rev[0].reverse && rev[0].chrom == 1 && rev[0].pos == 7001);
+        assert!(find_candidates(&idx, &cfg, &pseudo_dna(100, 999_999))
             .iter()
-            .map(|r| find_candidates(&idx, &banded_cfg, r))
-            .collect();
-        idx.set_kernels(false);
-        let scalar: Vec<Vec<Candidate>> = reads
-            .iter()
-            .map(|r| find_candidates(&idx, &scalar_cfg, r))
-            .collect();
-        assert_eq!(with_kernels, scalar);
+            .all(|c| c.score < 60));
     }
 
     #[test]

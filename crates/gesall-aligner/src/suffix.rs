@@ -3,7 +3,7 @@
 //! O(n log² n) worst case — far from SA-IS, but the synthetic genomes in
 //! this workspace are ≤ tens of megabases, where doubling with
 //! `sort_unstable` is perfectly serviceable and trivially correct
-//! (see DESIGN.md §6 for the substitution note).
+//! (see DESIGN.md §18 for the substitution note).
 
 /// Build the suffix array of `text`. The text must not contain the byte
 /// value 0 (reserved as an implicit terminal sentinel smaller than every

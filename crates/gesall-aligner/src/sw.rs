@@ -13,7 +13,7 @@
 //! (where out-of-band neighbors were clamped to −∞ and the full DP might
 //! have done better), the extension silently re-runs through the full DP
 //! — so callers always see the full-DP answer for every path the band
-//! can't prove (DESIGN.md §5).
+//! can't prove (DESIGN.md §13).
 
 use crate::kernels;
 use gesall_formats::sam::cigar::{Cigar, CigarOp};

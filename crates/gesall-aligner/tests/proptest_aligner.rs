@@ -107,8 +107,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Bit-parallel kernel oracles (DESIGN.md §5): every kernel is pinned to
-// its scalar twin on arbitrary inputs, including the band's forced
+// Bit-parallel kernel oracles (DESIGN.md §13): every kernel is pinned to
+// its scalar reference on arbitrary inputs, including the band's forced
 // fallbacks.
 
 fn mutate(seq: &mut [u8], positions: &[usize]) {

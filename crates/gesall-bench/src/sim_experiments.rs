@@ -1,6 +1,6 @@
 //! Model-driven reproductions of the paper-scale timing experiments
 //! (Tables 2, 4–7; Figures 5, 6b, 7, 10). See `gesall-sim` for the
-//! component models and DESIGN.md §6 for the shape-not-seconds claim.
+//! component models and DESIGN.md §18 for the shape-not-seconds claim.
 
 use crate::report::{bar, hms, Table};
 use gesall_sim::bwa_model::{

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 /// Bytes copied per shuffled record the tiny pipeline measured **before**
 /// the zero-copy record path landed (owned-Vec segments, per-record map
 /// clones, copying pipes and DFS reads). The gate requires at least a 2×
-/// reduction against this — see DESIGN.md §3⅞.
+/// reduction against this — see DESIGN.md §6.
 pub const OLD_PATH_BYTES_PER_RECORD: f64 = 4012.50;
 
 /// The same metric measured on the zero-copy path (the recorded
@@ -74,13 +74,6 @@ pub const JOBSVC_CONCURRENCY_SLOWDOWN: f64 = 1.8;
 /// scheduler still overshoots by the whole second job's wall.
 pub const JOBSVC_CONCURRENCY_GRACE_MS: f64 = 100.0;
 
-/// Required Map-phase speedup of the kernel run over its scalar twin
-/// (same pipeline, every bit-parallel kernel switched off via config).
-/// The twin runs on a fresh platform so the DAG cache cannot serve it;
-/// outputs must be byte-identical — the kernels are exact, so the only
-/// thing allowed to change is time.
-pub const KERNEL_MAP_SPEEDUP: f64 = 1.3;
-
 /// Allowed wall-clock for the warm DAG re-run as a fraction of the cold
 /// pipeline wall. A warm re-run answers every stage from the
 /// content-addressed cache — no alignment, no shuffle, no calling — so
@@ -90,7 +83,7 @@ pub const KERNEL_MAP_SPEEDUP: f64 = 1.3;
 pub const DAG_WARM_RERUN_MAX_RATIO: f64 = 0.5;
 
 /// Required fraction of shuffle-fetch bytes served by the reducer's own
-/// node in the locality probe's affinity-hinted run. The probe topology
+/// node in the locality probe. The probe topology
 /// (2 nodes, replication 2, pinned shuffle placement) keeps a replica of
 /// every segment block on the reducer's node, so nearly every byte
 /// should be local; requiring a majority catches a hint that is
@@ -410,20 +403,17 @@ fn gray_failure_probe() -> Result<GrayFailureProbe, String> {
     })
 }
 
-/// What the shuffle-locality probe measured on its affinity-hinted run.
+/// What the shuffle-locality probe measured.
 struct ShuffleLocalityProbe {
     local_bytes: u64,
     remote_bytes: u64,
     prefetched: u64,
 }
 
-/// Run the same small job twice on twin 2-node replication-2 transit
-/// DFSes — once with the reducer's exec node threaded into the fetch
-/// path as a read-affinity hint (the default), once with the hint
-/// switched off — and require byte-identical reduce output. Pinned
-/// shuffle placement plus full replication puts a copy of every segment
-/// block on the reducer's node, so the hinted run must serve most fetch
-/// bytes from the co-located replica.
+/// Run a small job on a 2-node replication-2 transit DFS. Pinned shuffle
+/// placement plus full replication puts a copy of every segment block on
+/// the reducer's node, so the read-affinity hint reducers pass must
+/// serve most fetch bytes from the co-located replica.
 fn shuffle_locality_probe() -> Result<ShuffleLocalityProbe, String> {
     use gesall_mapreduce::counters::keys;
     use gesall_mapreduce::{
@@ -451,56 +441,35 @@ fn shuffle_locality_probe() -> Result<ShuffleLocalityProbe, String> {
         }
     }
 
-    let splits = || -> Vec<InputSplit<u64, u64>> {
-        (0..8)
-            .map(|s| {
-                let records: Vec<(u64, u64)> =
-                    (0..50).map(|i| ((s * 50 + i) as u64, i as u64)).collect();
-                InputSplit::new(format!("s{s}"), records)
-            })
-            .collect()
-    };
-    let cfg = |locality: bool| JobConfig {
+    let splits: Vec<InputSplit<u64, u64>> = (0..8)
+        .map(|s| {
+            let records: Vec<(u64, u64)> =
+                (0..50).map(|i| ((s * 50 + i) as u64, i as u64)).collect();
+            InputSplit::new(format!("s{s}"), records)
+        })
+        .collect();
+    let cfg = JobConfig {
         name: "locality-probe".into(),
         n_reducers: 2,
         io_sort_bytes: 2048,
         retry_backoff_ms: 1.0,
         speculative: false,
-        shuffle_locality: locality,
         ..JobConfig::default()
     };
-    let run = |locality: bool| {
-        let dfs = Dfs::new(DfsConfig {
-            n_nodes: 2,
-            block_size: 1 << 20,
-            replication: 2,
-            ..DfsConfig::default()
-        });
-        let engine =
-            MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_shuffle_dfs(dfs);
-        engine
-            .run_job(cfg(locality), &ModKey, &Sum, &HashPartitioner, splits())
-            .map_err(|e| format!("shuffle-locality probe: run failed: {e}"))
-    };
-    let hinted = run(true)?;
-    let blind = run(false)?;
-
-    let sorted = |res: &gesall_mapreduce::JobResult<u64, u64>| -> Vec<(u64, u64)> {
-        let mut all: Vec<(u64, u64)> = res.outputs.iter().flatten().cloned().collect();
-        all.sort_unstable();
-        all
-    };
-    if sorted(&hinted) != sorted(&blind) {
-        return Err(
-            "shuffle-locality gate: affinity-hinted run's reduce output differs from the \
-             no-affinity twin — replica selection changed bytes, not just placement"
-                .into(),
-        );
-    }
+    let dfs = Dfs::new(DfsConfig {
+        n_nodes: 2,
+        block_size: 1 << 20,
+        replication: 2,
+        ..DfsConfig::default()
+    });
+    let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_shuffle_dfs(dfs);
+    let res = engine
+        .run_job(cfg, &ModKey, &Sum, &HashPartitioner, splits)
+        .map_err(|e| format!("shuffle-locality probe: run failed: {e}"))?;
     Ok(ShuffleLocalityProbe {
-        local_bytes: hinted.counters.get(keys::SHUFFLE_FETCH_BYTES_LOCAL),
-        remote_bytes: hinted.counters.get(keys::SHUFFLE_FETCH_BYTES_REMOTE),
-        prefetched: hinted.counters.get(keys::SHUFFLE_FETCH_PREFETCHED),
+        local_bytes: res.counters.get(keys::SHUFFLE_FETCH_BYTES_LOCAL),
+        remote_bytes: res.counters.get(keys::SHUFFLE_FETCH_BYTES_REMOTE),
+        prefetched: res.counters.get(keys::SHUFFLE_FETCH_PREFETCHED),
     })
 }
 
@@ -604,7 +573,6 @@ fn shuffle_codec_probe() -> Result<ShuffleCodecProbe, String> {
             name: format!("codec-probe-{}", codec.name()),
             n_reducers: 2,
             io_sort_bytes: 16 * 1024,
-            compress_min_bytes: 1,
             retry_backoff_ms: 1.0,
             speculative: false,
             shuffle_codec: Some(codec),
@@ -643,7 +611,7 @@ fn streaming_merge_peak(n_runs: usize, merge_factor: usize) -> u64 {
             let mut pairs: Vec<(u64, u64)> =
                 (0..512u64).map(|i| ((i * 131 + r * 17) % 1024, i)).collect();
             pairs.sort_unstable();
-            Segment::from_pairs(&pairs, true)
+            Segment::from_pairs(&pairs, gesall_formats::Codec::Lz)
         })
         .collect();
     let bag = Counters::new();
@@ -779,8 +747,8 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
     // Spill-overlap metric: time the background encoder pool spent
     // sorting spills, over the wall-clock of the map waves it overlapped
     // with. Any positive value proves spills ran off the map thread; at
-    // real scales it approaches the fraction of map time the sync path
-    // would have serialized.
+    // real scales it approaches the fraction of map time sorting on the
+    // map thread would have serialized.
     let pool_busy_nanos = agg
         .get(gesall_mapreduce::counters::keys::SPILL_POOL_BUSY_NANOS)
         .copied()
@@ -805,15 +773,10 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         0.0
     };
 
-    // DFS-transit shuffle accounting: with `shuffle_via_dfs` on (the
-    // default) every shuffled byte must travel through the DFS and none
-    // as an in-memory segment handoff.
+    // DFS-transit shuffle accounting: every shuffled byte travels
+    // through the DFS.
     let shuffle_dfs_bytes = agg
         .get(gesall_mapreduce::counters::keys::SHUFFLE_BYTES_DFS)
-        .copied()
-        .unwrap_or(0);
-    let shuffle_memory_bytes = agg
-        .get(gesall_mapreduce::counters::keys::SHUFFLE_BYTES_MEMORY)
         .copied()
         .unwrap_or(0);
     let reduce_peak_resident = agg
@@ -830,20 +793,17 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
     // Job-service probe: the same two jobs serial vs concurrent under
     // two tenants, with a forced elastic borrow + reclaim in between.
     let jobsvc = jobsvc_probe()?;
-    // Shuffle-locality probe: affinity-hinted vs hint-off twins on a
-    // pinned replication-2 topology where every segment has a
-    // co-located replica.
+    // Shuffle-locality probe: a pinned replication-2 topology where
+    // every segment has a co-located replica.
     let locality = shuffle_locality_probe()?;
     // Shuffle-codec probe: the genomic Seq codec vs the Lz baseline on
     // the same simulated-read shuffle.
     let codec = shuffle_codec_probe()?;
 
-    // Kernel twin: the identical cold pipeline with every bit-parallel
-    // kernel (packed rank, banded SW, radix spill sort) switched off via
-    // config, on a *fresh* platform — the DAG cache lives on the
-    // platform's DFS, so a fresh DFS keeps the twin cache-cold and its
-    // Map phase honestly re-executed. Output must match the kernel run
-    // byte for byte; the only permitted difference is time.
+    // Kernel engagement: the bit-parallel kernels (packed rank, banded
+    // SW, radix spill sort) report activity counters. Their exactness
+    // is pinned by per-kernel proptests and their speed is tracked by
+    // the benchmark of record; here they only have to have run.
     let phase_map_nanos = agg
         .get(gesall_telemetry::Phase::Map.counter_key())
         .copied()
@@ -868,48 +828,6 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         .get(gesall_telemetry::kernel_keys::SORT_COMPARISON_FALLBACKS)
         .copied()
         .unwrap_or(0);
-    let mut scalar_aligner = Aligner::new(ReferenceIndex::build(&chroms), AlignerConfig::default());
-    scalar_aligner.set_kernels(false);
-    let scalar_platform = GesallPlatform::new(
-        Dfs::new(DfsConfig {
-            n_nodes: 4,
-            block_size: 64 * 1024,
-            replication: 1,
-            ..DfsConfig::default()
-        }),
-        MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192)),
-        PlatformConfig {
-            n_round1_partitions: scale.n_partitions,
-            n_reducers: scale.n_partitions,
-            io_sort_bytes,
-            merge_factor,
-            kernels: false,
-            ..PlatformConfig::default()
-        },
-    );
-    let scalar_out = scalar_platform
-        .run_pipeline(&scalar_aligner, pairs)
-        .map_err(|e| format!("smoke scalar twin failed: {e:?}"))?;
-    if scalar_out.records != out.records || scalar_out.variants != out.variants {
-        return Err(
-            "kernel gate: scalar twin's pipeline output differs from the kernel run — \
-             a bit-parallel kernel changed results, not just time"
-                .into(),
-        );
-    }
-    let phase_map_scalar_nanos: u64 = scalar_out
-        .rounds
-        .iter()
-        .flat_map(|r| r.counters.iter())
-        .filter(|(k, _)| k.as_str() == gesall_telemetry::Phase::Map.counter_key())
-        .map(|(_, v)| *v)
-        .sum();
-    let kernel_map_speedup = if phase_map_nanos > 0 {
-        phase_map_scalar_nanos as f64 / phase_map_nanos as f64
-    } else {
-        0.0
-    };
-
     let mut record = BenchRecord::new("smoke").with_counters(agg.into_iter().collect());
     record.wall_ms = wall_ms;
     record.workload = vec![
@@ -995,14 +913,6 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         ),
         ("phase_map_nanos".into(), phase_map_nanos.to_string()),
         (
-            "phase_map_scalar_nanos".into(),
-            phase_map_scalar_nanos.to_string(),
-        ),
-        (
-            "kernel_map_speedup".into(),
-            format!("{kernel_map_speedup:.2}"),
-        ),
-        (
             "kernel_occ_words_popcounted".into(),
             kernel_occ_words.to_string(),
         ),
@@ -1052,32 +962,23 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
             (REGRESSION_HEADROOM - 1.0) * 100.0
         ));
     }
-    // Overlap gate: async spill is on by default, and the starved sort
-    // buffer guarantees spills, so the encoder pool must have done real
-    // background work. Zero busy time means spills fell back to the
-    // synchronous path — the overlap is broken, not just slow.
+    // Overlap gate: the starved sort buffer guarantees spills, so the
+    // encoder pool must have done real background work.
     if spill_overlap <= 0.0 {
         return Err(format!(
             "spill-overlap gate: encoder pool recorded no busy time \
              ({pool_busy_nanos} ns over {map_wave_ms:.1} ms of map waves) — \
-             spills are running synchronously on the map thread"
+             spill sorts are not being accounted to the pool"
         ));
     }
-    // DFS-transit gate: shuffle_via_dfs defaults on and the platform
-    // attaches its DFS, so every shuffled byte must have traveled
-    // through the DFS with zero in-memory segment handoffs.
+    // DFS-transit gate: the platform attaches its DFS, so the shuffled
+    // bytes must show up on the transit counter.
     if shuffle_dfs_bytes == 0 {
         return Err(
             "dfs-transit gate: no shuffle bytes traveled through the DFS — \
              the transit path is not wired"
                 .into(),
         );
-    }
-    if shuffle_memory_bytes > 0 {
-        return Err(format!(
-            "dfs-transit gate: {shuffle_memory_bytes} shuffle bytes were handed \
-             over in memory despite shuffle_via_dfs being on"
-        ));
     }
     // Peak-resident flatness gate: the streaming reduce merge's memory
     // bound is merge_factor × run size, so doubling the run count at a
@@ -1184,10 +1085,8 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
     }
     // Kernel gates: the banded SW must have answered real extensions
     // inside the band (a zeroed counter means the fast path silently
-    // fell back everywhere), the packed rank and radix sort must have
-    // engaged, and the kernel run's Map phase must beat the scalar twin
-    // by the required factor. Output equality was already enforced when
-    // the twin finished.
+    // fell back everywhere), and the packed rank and radix sort must
+    // have engaged.
     if kernel_banded_hits == 0 {
         return Err(
             "kernel gate: banded Smith-Waterman recorded zero in-band hits — \
@@ -1198,24 +1097,16 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
     if kernel_occ_words == 0 {
         return Err(
             "kernel gate: packed-BWT rank popcounted zero words — \
-             occ is running the scalar path despite kernels being on"
+             the rank kernel is not reporting"
                 .into(),
         );
     }
     if kernel_radix_passes + kernel_comparison_fallbacks == 0 {
         return Err(
             "kernel gate: the radix spill sort never engaged — \
-             spills are using the comparison sort despite kernels being on"
+             spill batches are not reaching the sort kernel"
                 .into(),
         );
-    }
-    if kernel_map_speedup < KERNEL_MAP_SPEEDUP {
-        return Err(format!(
-            "kernel gate: Map phase with kernels on took {phase_map_nanos} ns vs \
-             {phase_map_scalar_nanos} ns scalar ({kernel_map_speedup:.2}x, need \
-             {KERNEL_MAP_SPEEDUP}x) — the bit-parallel kernels are not paying for \
-             themselves"
-        ));
     }
     // DAG-cache gates: the warm re-run must have been answered from the
     // stage cache (every stage a hit) and must cost a small fraction of
@@ -1258,9 +1149,8 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         pool_busy_nanos as f64 / 1e6
     ));
     text.push_str(&format!(
-        "Shuffle transit: {shuffle_dfs_bytes} wire bytes through the DFS, \
-         {shuffle_memory_bytes} in-memory handoffs; reduce merge peaked at \
-         {reduce_peak_resident} resident bytes (flatness probe: {peak_n} B @ 8 \
+        "Shuffle transit: {shuffle_dfs_bytes} wire bytes through the DFS; \
+         reduce merge peaked at {reduce_peak_resident} resident bytes (flatness probe: {peak_n} B @ 8 \
          runs vs {peak_2n} B @ 16 runs, fan-in 4)\n"
     ));
     text.push_str(&format!(
@@ -1293,12 +1183,11 @@ pub fn run_smoke(out_dir: Option<&Path>) -> Result<SmokeOutcome, String> {
         dag_critical_path_ms
     ));
     text.push_str(&format!(
-        "Kernels: Map phase {:.1} ms vs {:.1} ms scalar twin ({kernel_map_speedup:.2}x); \
+        "Kernels: Map phase {:.1} ms; \
          {kernel_occ_words} occ words popcounted, {kernel_banded_hits} banded SW hits \
          / {kernel_full_fallbacks} full fallbacks, {kernel_radix_passes} radix passes \
          / {kernel_comparison_fallbacks} comparison fallbacks\n",
-        phase_map_nanos as f64 / 1e6,
-        phase_map_scalar_nanos as f64 / 1e6
+        phase_map_nanos as f64 / 1e6
     ));
 
     // Task timeline across the whole run, from the attempt spans.
@@ -1378,7 +1267,7 @@ mod tests {
             .find(|(k, _)| k == "spill_overlap")
             .map(|(_, v)| v.parse().unwrap())
             .expect("spill_overlap field in bench record");
-        assert!(overlap > 0.0, "async spill must overlap map work");
+        assert!(overlap > 0.0, "spill sorts must overlap map work");
         let field = |k: &str| -> u64 {
             outcome
                 .record
@@ -1390,7 +1279,7 @@ mod tests {
         };
         assert!(
             field("shuffle_dfs_bytes") > 0,
-            "shuffle must travel through the DFS by default"
+            "shuffle must travel through the DFS"
         );
         assert!(field("reduce_peak_resident_bytes") > 0);
         assert!(outcome.report.contains("Shuffle transit"));
@@ -1441,8 +1330,7 @@ mod tests {
         assert!(field("dag_critical_path_nanos") > 0);
         assert!(field("warm_rerun_wall_nanos") > 0);
         assert!(outcome.report.contains("Stage DAG"));
-        // Kernel probe: the bit-parallel kernels ran, beat the scalar
-        // twin, and the twin's output matched (enforced inside run_smoke).
+        // Kernel probe: the bit-parallel kernels ran.
         assert!(
             field("kernel_sw_banded_hits") > 0,
             "banded SW must answer extensions inside the band"
@@ -1451,10 +1339,7 @@ mod tests {
             field("kernel_occ_words_popcounted") > 0,
             "packed rank must popcount words"
         );
-        assert!(
-            field("phase_map_scalar_nanos") >= field("phase_map_nanos"),
-            "scalar twin cannot be faster than the kernel run"
-        );
+        assert!(field("phase_map_nanos") > 0);
         assert!(outcome.report.contains("Kernels:"));
         // The record on disk round-trips through the JSON parser.
         let path = outcome.bench_path.expect("bench path written");

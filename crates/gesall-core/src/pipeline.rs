@@ -190,38 +190,10 @@ pub struct PlatformConfig {
     pub caller: CallerChoice,
     /// Round-5 partitioning scheme for the HaplotypeCaller.
     pub hc_partitioning: HcPartitioning,
-    /// Sort buffer / merge factor / compression for the MR jobs.
+    /// Sort buffer and reduce-side merge fan-in for the MR jobs (the
+    /// paper's `io.sort.mb` and merge factor).
     pub io_sort_bytes: usize,
     pub merge_factor: usize,
-    pub compress_map_output: bool,
-    /// Smallest raw partition payload worth compressing.
-    pub compress_min_bytes: usize,
-    /// Overlap spill sorting with the map loop via the engine's
-    /// background encoder pool (byte-identical output either way).
-    pub async_spill: bool,
-    /// Enable the bit-parallel map-phase kernels (DESIGN.md §5) in the
-    /// MR jobs this platform launches — today that is the radix spill
-    /// sort. Off is the scalar-twin benchmark configuration; results
-    /// are byte-identical either way. The aligner-side kernels (packed
-    /// rank, banded SW) live on the `Aligner` the caller passes in —
-    /// flip them with [`gesall_aligner::Aligner::set_kernels`].
-    pub kernels: bool,
-    /// Ship map outputs through the DFS (one indexed file per map task,
-    /// pinned to the mapper's node) and let reducers range-read their
-    /// partitions, instead of handing in-memory segment references.
-    /// With replication > 1 this also turns node-loss map re-runs into
-    /// replica re-fetches.
-    pub shuffle_via_dfs: bool,
-    /// Force every MR job's compressed map-output partitions onto one
-    /// codec. `None` (the default) lets each job pick per key-type via
-    /// [`Wire::codec_hint`](gesall_formats::wire::Wire::codec_hint) —
-    /// alignment-record rounds get the genomic `Seq` codec, everything
-    /// else LZ. Benchmarks pin it for twin runs.
-    pub shuffle_codec: Option<gesall_formats::Codec>,
-    /// Hand reducers their exec node as a DFS replica-selection
-    /// affinity, so shuffle fetches prefer the co-located replica of a
-    /// pinned map output. Off is the locality twin's baseline.
-    pub shuffle_locality: bool,
     pub seed: u64,
     pub read_group: ReadGroup,
     pub hc: HaplotypeCallerConfig,
@@ -242,13 +214,6 @@ impl Default for PlatformConfig {
             hc_partitioning: HcPartitioning::Chromosome,
             io_sort_bytes: 8 * 1024 * 1024,
             merge_factor: 10,
-            compress_map_output: true,
-            compress_min_bytes: gesall_mapreduce::shuffle::COMPRESS_MIN_BYTES,
-            async_spill: true,
-            kernels: true,
-            shuffle_via_dfs: true,
-            shuffle_codec: None,
-            shuffle_locality: true,
             seed: 0x6765_7361_6c6c_0001,
             read_group: ReadGroup::new("rg1", "sample1"),
             hc: HaplotypeCallerConfig::default(),
@@ -276,8 +241,7 @@ pub struct PipelineOutput {
     /// Variant calls from round 5.
     pub variants: Vec<VariantRecord>,
     pub rounds: Vec<RoundSummary>,
-    /// Per-stage DAG execution report, in topological order. Empty for
-    /// the sequential oracle driver.
+    /// Per-stage DAG execution report, in topological order.
     pub stages: Vec<StageReport>,
 }
 
@@ -391,9 +355,7 @@ pub struct GesallPlatform {
 
 impl GesallPlatform {
     pub fn new(dfs: Dfs, engine: MapReduceEngine, config: PlatformConfig) -> GesallPlatform {
-        // The platform's DFS doubles as the shuffle transit store for
-        // jobs with `shuffle_via_dfs` on (the per-job flag comes from
-        // `PlatformConfig` in `job_config`).
+        // The platform's DFS doubles as the shuffle transit store.
         engine.set_shuffle_dfs(dfs.clone());
         // Crash sweep: shuffle-transit files are deleted by the engine
         // when a job finishes, so any still present at platform startup
@@ -437,13 +399,6 @@ impl GesallPlatform {
             n_reducers,
             io_sort_bytes: self.config.io_sort_bytes,
             merge_factor: self.config.merge_factor,
-            compress_map_output: self.config.compress_map_output,
-            compress_min_bytes: self.config.compress_min_bytes,
-            async_spill: self.config.async_spill,
-            radix_sort: self.config.kernels,
-            shuffle_via_dfs: self.config.shuffle_via_dfs,
-            shuffle_codec: self.config.shuffle_codec,
-            shuffle_locality: self.config.shuffle_locality,
             parent_span: parent,
             slot_lease: opts.slot_lease.clone(),
             shuffle_namespace: opts.namespace.clone(),
@@ -656,11 +611,11 @@ impl GesallPlatform {
         Ok(self.finish_run(cx, pipeline_span, &pipeline_name, records, variants, stage_reports))
     }
 
-    /// The legacy hand-sequenced driver, kept as the DAG executor's test
-    /// oracle: the same stage bodies in fixed order, with no graph, no
-    /// cache, and no stage spans. Production callers go through
-    /// [`GesallPlatform::run_pipeline_with`].
-    pub fn run_pipeline_sequential(
+    /// The hand-sequenced driver, the DAG executor's test reference: the
+    /// same stage bodies in fixed order, with no graph, no cache, and no
+    /// stage spans.
+    #[cfg(test)]
+    fn run_pipeline_sequential(
         &self,
         aligner: &Aligner,
         pairs: Vec<ReadPair>,
@@ -1495,5 +1450,105 @@ mod tests {
         assert!(Partitioning::Any.satisfied_by(&Partitioning::ByRange));
         assert!(Partitioning::ByRange.satisfied_by(&Partitioning::ByRange));
         assert!(!Partitioning::ByReadName.satisfied_by(&Partitioning::ByRange));
+    }
+
+    #[test]
+    fn config_structs_state_every_field() {
+        // Exhaustive destructuring (no `..`): adding a field to either
+        // config breaks this test, so every new knob gets argued for
+        // where the field counts are asserted.
+        let JobConfig {
+            name: _,
+            n_reducers: _,
+            io_sort_bytes: _,
+            merge_factor: _,
+            map_vcores: _,
+            map_memory_mb: _,
+            reduce_vcores: _,
+            reduce_memory_mb: _,
+            max_attempts: _,
+            retry_backoff_ms: _,
+            speculative: _,
+            speculative_multiplier: _,
+            speculative_min_runtime_ms: _,
+            parent_span: _,
+            slot_lease: _,
+            shuffle_namespace: _,
+            shuffle_codec: _,
+        } = JobConfig::default();
+        let PlatformConfig {
+            n_round1_partitions: _,
+            n_reducers: _,
+            bwa_threads_per_mapper: _,
+            markdup_opt: _,
+            recalibrate: _,
+            known_sites: _,
+            caller: _,
+            hc_partitioning: _,
+            io_sort_bytes: _,
+            merge_factor: _,
+            seed: _,
+            read_group: _,
+            hc: _,
+            ug: _,
+            recal: _,
+        } = PlatformConfig::default();
+    }
+
+    #[test]
+    fn dag_executor_matches_sequential_reference() {
+        use gesall_aligner::{AlignerConfig, ReferenceIndex};
+        use gesall_datagen::donor::DonorConfig;
+        use gesall_datagen::reads::ReadSimConfig;
+        use gesall_datagen::{DonorGenome, GenomeConfig, ReadSimulator, ReferenceGenome};
+        use gesall_dfs::DfsConfig;
+        use gesall_mapreduce::ClusterResources;
+
+        let genome = ReferenceGenome::generate(&GenomeConfig::tiny());
+        let donor = DonorGenome::generate(&genome, &DonorConfig::default());
+        let sim_cfg = ReadSimConfig {
+            n_pairs: 600,
+            duplicate_rate: 0.05,
+            ..ReadSimConfig::default()
+        };
+        let (pairs, _) = ReadSimulator::new(&genome, &donor, sim_cfg).simulate();
+        let chroms: Vec<(String, Vec<u8>)> = genome
+            .chromosomes
+            .iter()
+            .map(|c| (c.name.clone(), c.seq.clone()))
+            .collect();
+        let aligner = Aligner::new(ReferenceIndex::build(&chroms), AlignerConfig::default());
+        let platform = || {
+            GesallPlatform::new(
+                Dfs::new(DfsConfig {
+                    n_nodes: 4,
+                    block_size: 64 * 1024,
+                    replication: 1,
+                    ..DfsConfig::default()
+                }),
+                MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192)),
+                PlatformConfig {
+                    recalibrate: true,
+                    ..PlatformConfig::default()
+                },
+            )
+        };
+
+        let seq = platform()
+            .run_pipeline_sequential(&aligner, pairs.clone(), &RunOptions::default())
+            .unwrap();
+        assert!(seq.stages.is_empty(), "the reference does not report stages");
+
+        let dag = platform().run_pipeline(&aligner, pairs).unwrap();
+        assert_eq!(dag.stages.len(), 8, "recalibrating DAG has eight stages");
+        assert_eq!(dag.records, seq.records);
+        assert_eq!(dag.variants, seq.variants);
+        assert_eq!(
+            dag.rounds.iter().map(|r| r.name.clone()).collect::<Vec<_>>(),
+            seq.rounds.iter().map(|r| r.name.clone()).collect::<Vec<_>>(),
+            "both drivers execute the same rounds in the same order"
+        );
+        // The stage report renders with critical-path attribution.
+        assert!(dag.dag_report().contains("round4a-recal-table"));
     }
 }

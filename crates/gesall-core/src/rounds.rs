@@ -72,7 +72,8 @@ impl Mapper for Round1Align<'_> {
     type OutValue = Vec<u8>;
 
     fn map(&self, label: &String, fastq_bytes: &SharedBytes, ctx: &mut MapContext<'_, String, Vec<u8>>) {
-        let harness = StreamingHarness::new(self.counters.clone());
+        let pipes = Counters::new();
+        let harness = StreamingHarness::new(pipes.clone());
         let bwa = crate::programs::BwaMemProgram {
             aligner: self.aligner,
             threads: self.threads_per_mapper.max(1),
@@ -80,6 +81,15 @@ impl Mapper for Round1Align<'_> {
         let bam_bytes = harness
             .run_pipeline(&[&bwa, &crate::programs::SamToBamProgram], fastq_bytes)
             .expect("alignment streaming pipeline failed");
+        // The wrapper timers stay on the pipeline-cumulative bag. The
+        // pipe copies go on the attempt's own bag, so a byte count read
+        // off the job counters covers committed attempts only — a
+        // speculative attempt that loses its race copied for nothing.
+        for key in [keys::DATA_TRANSFORM_NANOS, keys::EXTERNAL_PROGRAM_NANOS] {
+            self.counters.add(key, pipes.get(key));
+        }
+        ctx.counters()
+            .add(keys::WRAPPER_BYTES_COPIED, pipes.get(keys::WRAPPER_BYTES_COPIED));
         ctx.emit(label.clone(), bam_bytes);
     }
 }

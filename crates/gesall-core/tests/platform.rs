@@ -562,32 +562,48 @@ fn dag_cache_serves_warm_rerun_and_invalidation_is_surgical() {
 }
 
 #[test]
-fn dag_executor_matches_sequential_oracle() {
-    use gesall_core::pipeline::RunOptions;
+fn copy_accounting_ignores_discarded_speculative_attempts() {
+    // bench-smoke gates on bytes copied per shuffled record and calls the
+    // count deterministic. Speculation fires on wall-clock, so the count
+    // may cover committed attempts only: map task 0's first attempt is
+    // stretched in every round until its backup has won, then runs its
+    // body in full and is discarded — and no copy gauge may move.
+    use gesall_mapreduce::counters::keys;
+    use gesall_mapreduce::{FaultPlan, TaskKind};
 
     let w = build_world(600);
-    let config = PlatformConfig {
-        recalibrate: true,
-        ..PlatformConfig::default()
+    let run = |plan: FaultPlan| {
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 4,
+            block_size: 64 * 1024,
+            replication: 1,
+            ..DfsConfig::default()
+        });
+        let engine =
+            MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192)).with_fault_plan(plan);
+        let p = GesallPlatform::new(dfs, engine, PlatformConfig::default());
+        let out = p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
+        let sum = |key: &str| -> u64 {
+            out.rounds
+                .iter()
+                .flat_map(|r| r.counters.iter())
+                .filter(|(k, _)| k == key)
+                .map(|(_, v)| *v)
+                .sum()
+        };
+        let dfs_copied = p
+            .dfs
+            .metrics()
+            .counter(gesall_dfs::metrics_keys::BYTES_COPIED)
+            .get();
+        (
+            [sum(keys::WRAPPER_BYTES_COPIED), sum(keys::BYTES_COPIED), dfs_copied],
+            sum(keys::SPECULATIVE_WASTED),
+        )
     };
-
-    let seq = platform(config.clone())
-        .run_pipeline_sequential(&w.aligner, w.pairs.clone(), &RunOptions::default())
-        .unwrap();
-    assert!(seq.stages.is_empty(), "the oracle does not report stages");
-
-    let dag = platform(config)
-        .run_pipeline(&w.aligner, w.pairs.clone())
-        .unwrap();
-    assert_eq!(dag.stages.len(), 8, "recalibrating DAG has eight stages");
-    assert_eq!(dag.records, seq.records);
-    assert_eq!(dag.variants, seq.variants);
-    assert_eq!(
-        dag.rounds.iter().map(|r| r.name.clone()).collect::<Vec<_>>(),
-        seq.rounds.iter().map(|r| r.name.clone()).collect::<Vec<_>>(),
-        "both drivers execute the same rounds in the same order"
-    );
-    // The stage report renders with critical-path attribution.
-    let report = dag.dag_report();
-    assert!(report.contains("round4a-recal-table"));
+    let (clean, _) = run(FaultPlan::default());
+    let (raced, raced_wasted) = run(FaultPlan::seeded(1).slow_down(TaskKind::Map, 0, 0, 10_000));
+    assert!(raced_wasted >= 1, "the stretched attempts must lose to backups");
+    assert!(clean[0] > 0, "round 1's pipes copy bytes");
+    assert_eq!(raced, clean, "[pipes, engine, dfs] bytes copied");
 }

@@ -1,5 +1,5 @@
 //! Shared, sliceable byte buffers — the zero-copy currency of the
-//! record path (DESIGN.md §3⅞).
+//! record path (DESIGN.md §6).
 //!
 //! A [`SharedBytes`] is a `[start, end)` window into an `Arc<[u8]>`
 //! backing allocation. `clone` and [`SharedBytes::slice`] are O(1) and

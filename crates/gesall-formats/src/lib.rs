@@ -28,7 +28,7 @@
 //!
 //! The container is *structurally* equivalent to BAM (variable-length
 //! compressed chunks with virtual offsets) but deliberately not
-//! byte-compatible with htslib; see `DESIGN.md` §6.
+//! byte-compatible with htslib; see `DESIGN.md` §18.
 
 pub mod bam;
 pub mod bytes;

@@ -30,9 +30,10 @@ pub mod keys {
     /// Nanoseconds spent inside wrapped external programs.
     pub const EXTERNAL_PROGRAM_NANOS: &str = "wrapper.external.nanos";
     /// Payload bytes memcpy'd inside the streaming pipes (writer buffer
-    /// fills, chunk churn, reader copy-outs). Kept under the `wrapper.`
-    /// prefix because, like the wrapper timers, the bag it accumulates on
-    /// is pipeline-cumulative rather than per-job.
+    /// fills, chunk churn, reader copy-outs). The wrapped-aligner mapper
+    /// charges it through [`MapContext::counters`](crate::MapContext::counters),
+    /// so — unlike the pipeline-cumulative wrapper timers — it is a
+    /// per-job counter covering committed attempts only.
     pub const WRAPPER_BYTES_COPIED: &str = "wrapper.bytes.copied";
     /// Task attempts that panicked and were retried (or aborted the job).
     pub const FAILED_ATTEMPTS: &str = "fault.failed.attempts";
@@ -70,14 +71,9 @@ pub mod keys {
     /// Encoder workers the pool grew in response to sustained
     /// submit-wait pressure (autoscaling events).
     pub const SPILL_POOL_WORKERS_GROWN: &str = "spill.pool.workers.grown";
-    /// Shuffle wire bytes a reducer fetched out of a DFS-transit map
-    /// output (frames sliced from stored blocks). Disjoint from
-    /// [`SHUFFLE_BYTES_MEMORY`]: with `shuffle_via_dfs` on, every
-    /// shuffled byte should land here and the memory key should stay 0.
+    /// Shuffle wire bytes reducers fetched out of DFS-transit map
+    /// outputs (frames sliced from stored blocks) — every shuffled byte.
     pub const SHUFFLE_BYTES_DFS: &str = "shuffle.bytes.dfs";
-    /// Shuffle wire bytes handed to a reducer as an in-memory refcount
-    /// bump (the pre-DFS path, kept for `shuffle_via_dfs = false`).
-    pub const SHUFFLE_BYTES_MEMORY: &str = "shuffle.bytes.memory";
     /// Payload bytes memcpy'd while assembling a map output's transit
     /// file for the DFS (the one deliberate durability copy of the
     /// DFS-transit shuffle). Tracked apart from [`BYTES_COPIED`] so the
@@ -121,7 +117,7 @@ pub mod keys {
     /// Scheduler worker-loop iterations triggered by the wait timing out
     /// with nothing to do (the old busy-poll, now counted).
     pub const SCHED_IDLE_TIMEOUTS: &str = "sched.idle.timeouts";
-    /// Bit-parallel kernel telemetry (DESIGN.md §5): packed-rank words
+    /// Bit-parallel kernel telemetry (DESIGN.md §13): packed-rank words
     /// popcounted, banded-SW hits/fallbacks, radix passes. Re-exported so
     /// engine code reads kernel counters from the same keys module as
     /// everything else.

@@ -47,7 +47,7 @@ pub use runtime::{
     AttemptOutcome, InputSplit, JobConfig, JobResult, MapReduceEngine, TaskEvent, TaskKind,
 };
 pub use shipping::ShipError;
-pub use shuffle::{CodecPolicy, Segment};
+pub use shuffle::Segment;
 pub use spillpool::SpillPool;
 pub use task::{HashPartitioner, MapContext, Mapper, Partitioner, ReduceContext, Reducer};
 

@@ -16,10 +16,10 @@ use crate::error::{panic_message, GesallError};
 use crate::fault::{FaultPlan, NodeDeath};
 use crate::lease::{LeasePermit, SlotLease};
 use crate::shipping;
-use crate::shuffle::{reduce_merge_streamed, Segment, SortSpillBuffer, COMPRESS_MIN_BYTES};
+use crate::shuffle::{reduce_merge_streamed, Segment, SortSpillBuffer};
 use crate::spillpool::SpillPool;
 use crate::task::{MapContext, Mapper, Partitioner, ReduceContext, Reducer};
-use gesall_dfs::{Dfs, PinnedPlacement, ReadAffinity, SweepReason};
+use gesall_dfs::{Dfs, DfsConfig, PinnedPlacement, ReadAffinity, SweepReason};
 use gesall_formats::wire::Wire;
 use gesall_formats::Codec;
 use gesall_telemetry::{Phase, Recorder, Span, SpanId, SpanKind};
@@ -34,21 +34,22 @@ use std::time::{Duration, Instant};
 type TaskOutputs<K, V> = Vec<Mutex<Option<Vec<(K, V)>>>>;
 
 /// A committed map task's decision on whether its outputs survive a
-/// node death — wired by the DFS-transit shuffle so reducers re-fetch
-/// from replicas instead of the engine re-running the map.
+/// node death: reducers re-fetch from a surviving replica instead of
+/// the engine re-running the map.
 type SurvivalCheck<'a> = Option<&'a (dyn Fn(usize) -> bool + Sync)>;
 
-/// Where a committed map task's shuffle output lives.
-enum MapOutput {
-    /// In-memory segments handed to reducers as refcount bumps — the
-    /// pre-DFS path, kept for `shuffle_via_dfs = false` and engines
-    /// without an attached DFS.
-    Memory(Vec<Segment>),
-    /// Persisted to the DFS as one indexed file pinned to the mapper's
-    /// node; each reducer range-reads its partition's frame. `metas`
-    /// keeps the per-partition shape for shuffle-matrix recording
-    /// without touching the file again.
-    Dfs { path: String, metas: Vec<SegMeta> },
+/// How many map-output partition fetches may run ahead of the reduce
+/// merge (the bounded prefetch pipeline): the fetch of segment *n+1*
+/// always overlaps the merge draining segment *n*.
+const SHUFFLE_PREFETCH: usize = 2;
+
+/// A committed map task's shuffle output: one indexed DFS file pinned to
+/// the mapper's node; each reducer range-reads its partition's frame.
+/// `metas` keeps the per-partition shape for shuffle-matrix recording
+/// without touching the file again.
+struct MapOutput {
+    path: String,
+    metas: Vec<SegMeta>,
 }
 
 /// Per-partition shape of a shipped map output.
@@ -72,27 +73,6 @@ pub struct JobConfig {
     pub io_sort_bytes: usize,
     /// Reduce-side merge fan-in.
     pub merge_factor: usize,
-    /// Compress map output (the paper's Snappy setting).
-    pub compress_map_output: bool,
-    /// Smallest raw partition payload worth compressing; below it the
-    /// segment travels raw even with compression on (default
-    /// [`COMPRESS_MIN_BYTES`]).
-    pub compress_min_bytes: usize,
-    /// Sort spills on the engine's background encoder pool so the mapper
-    /// keeps buffering while previous spills process; the map task's
-    /// finish becomes a drain-and-merge barrier. Output is byte-identical
-    /// to the synchronous path.
-    pub async_spill: bool,
-    /// Sort spill batches with the radix kernel
-    /// ([`Wire::sort_prefix`](gesall_formats::wire::Wire::sort_prefix)-keyed
-    /// LSD radix, DESIGN.md §5) instead of the comparison sort. Output
-    /// is identical either way; off = the scalar-twin benchmark config.
-    pub radix_sort: bool,
-    /// `mapreduce.job.reduce.slowstart.completedmaps` — fraction of maps
-    /// that must finish before reducers are scheduled. The in-process
-    /// engine always barriers maps before reduces; the value is recorded
-    /// in the result for the cost model (gesall-sim) to consume.
-    pub slowstart_completed_maps: f64,
     pub map_vcores: usize,
     pub map_memory_mb: usize,
     pub reduce_vcores: usize,
@@ -106,14 +86,6 @@ pub struct JobConfig {
     /// Launch backup attempts for stragglers
     /// (`mapreduce.map.speculative` analogue).
     pub speculative: bool,
-    /// Ship committed map outputs through the DFS (one indexed file per
-    /// map task, pinned to the mapper's node) instead of handing
-    /// reducers in-memory segment references. Needs a DFS attached via
-    /// [`MapReduceEngine::with_shuffle_dfs`]; without one the engine
-    /// silently stays on the in-memory path. With replication > 1 a
-    /// node death no longer forces re-running committed maps — reducers
-    /// re-fetch the shipped output from a surviving replica.
-    pub shuffle_via_dfs: bool,
     /// An attempt is a straggler once it has run this multiple of the
     /// median completed-attempt runtime.
     pub speculative_multiplier: f64,
@@ -136,24 +108,14 @@ pub struct JobConfig {
     /// `/{name}/shuffle-{run}/…`. The job service sets `/{tenant}/{job}`
     /// here so every tenant's transit sits under one sweepable prefix.
     pub shuffle_namespace: Option<String>,
-    /// Codec compressed map-output partitions travel under. `None` (the
-    /// default) defers to the key-type's
+    /// Codec map-output partitions of at least
+    /// [`COMPRESS_MIN_BYTES`](crate::shuffle::COMPRESS_MIN_BYTES) travel
+    /// under (the paper's Snappy setting). `None` (the default) defers
+    /// to the key-type's
     /// [`Wire::codec_hint`](gesall_formats::wire::Wire::codec_hint)
     /// (value type first, then key type), falling back to [`Codec::Lz`];
-    /// benchmarks set it to force twin runs onto a specific codec.
+    /// `Some(Codec::Raw)` turns compression off.
     pub shuffle_codec: Option<Codec>,
-    /// Pass the reducer's exec node to the DFS as a replica-selection
-    /// affinity so shuffle fetches prefer the co-located replica (map
-    /// outputs are pinned to their mapper's node, so with replication
-    /// above 1 a reducer scheduled there reads locally). Off = every
-    /// fetch uses the DFS's default replica order — the locality
-    /// twin's baseline.
-    pub shuffle_locality: bool,
-    /// How many map-output partition fetches may run ahead of the
-    /// reduce merge (the bounded prefetch pipeline). 0 behaves as 1:
-    /// the fetch of segment *n+1* always overlaps the merge draining
-    /// segment *n*.
-    pub shuffle_prefetch: usize,
 }
 
 impl Default for JobConfig {
@@ -163,18 +125,12 @@ impl Default for JobConfig {
             n_reducers: 1,
             io_sort_bytes: 64 * 1024 * 1024,
             merge_factor: 10,
-            compress_map_output: true,
-            compress_min_bytes: COMPRESS_MIN_BYTES,
-            async_spill: true,
-            radix_sort: true,
-            slowstart_completed_maps: 0.05,
             map_vcores: 1,
             map_memory_mb: 1024,
             reduce_vcores: 1,
             reduce_memory_mb: 1024,
             max_attempts: 4,
             retry_backoff_ms: 10.0,
-            shuffle_via_dfs: true,
             speculative: true,
             speculative_multiplier: 1.5,
             speculative_min_runtime_ms: 25.0,
@@ -182,8 +138,6 @@ impl Default for JobConfig {
             slot_lease: None,
             shuffle_namespace: None,
             shuffle_codec: None,
-            shuffle_locality: true,
-            shuffle_prefetch: 2,
         }
     }
 }
@@ -303,10 +257,11 @@ pub struct MapReduceEngine {
     node_death_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
     /// Span recorder; inert by default ([`Recorder::disabled`]).
     recorder: Recorder,
-    /// Engine-wide spill-encoder pool, spawned on first async-spill job.
+    /// Engine-wide spill-encoder pool, spawned on the first shuffling job.
     spill_pool: Mutex<Option<Arc<SpillPool>>>,
-    /// DFS used as shuffle transit when [`JobConfig::shuffle_via_dfs`]
-    /// is on; `None` keeps the in-memory handoff path.
+    /// DFS the shuffle transits through: attached by the owner
+    /// ([`MapReduceEngine::with_shuffle_dfs`]), else a private in-memory
+    /// one created on the first shuffling job.
     shuffle_dfs: Mutex<Option<Dfs>>,
     /// Monotone id source for shuffle directories and attempt files, so
     /// retried/speculative attempts and repeated jobs never collide on
@@ -352,8 +307,7 @@ impl MapReduceEngine {
             .clone()
     }
 
-    /// Route shuffle through `dfs` for jobs with
-    /// [`JobConfig::shuffle_via_dfs`] set (builder form).
+    /// Route shuffle transit through `dfs` (builder form).
     pub fn with_shuffle_dfs(self, dfs: Dfs) -> MapReduceEngine {
         self.set_shuffle_dfs(dfs);
         self
@@ -362,6 +316,23 @@ impl MapReduceEngine {
     /// Attach (or replace) the shuffle-transit DFS on an existing engine.
     pub fn set_shuffle_dfs(&self, dfs: Dfs) {
         *self.shuffle_dfs.lock() = Some(dfs);
+    }
+
+    /// The transit DFS. An engine nobody attached one to gets a private
+    /// in-memory DFS with one datanode per cluster node and replication
+    /// 1, so a map output lives only on its mapper's node and node loss
+    /// re-runs the map, as on a cluster without replicated transit.
+    fn shuffle_dfs(&self) -> Dfs {
+        self.shuffle_dfs
+            .lock()
+            .get_or_insert_with(|| {
+                Dfs::new(DfsConfig {
+                    n_nodes: self.cluster.n_nodes(),
+                    replication: 1,
+                    ..DfsConfig::default()
+                })
+            })
+            .clone()
     }
 
     /// A single-node engine with `slots` concurrent tasks.
@@ -439,25 +410,20 @@ impl MapReduceEngine {
         let n_reducers = config.n_reducers.max(1);
 
         // ---- Map wave -------------------------------------------------
-        let shuffle_dfs = if config.shuffle_via_dfs {
-            self.shuffle_dfs.lock().clone()
-        } else {
-            None
-        };
+        let dfs = self.shuffle_dfs();
+        let n_dfs_nodes = dfs.config().n_nodes;
         // Arm the plan's storage-layer gray failures on the transit DFS,
         // once per engine (flaky-read budgets are consumable).
-        if let Some(dfs) = &shuffle_dfs {
-            let faults = self.fault_plan.dfs_faults();
-            if !faults.is_empty() && !self.dfs_faults_armed.swap(true, Ordering::SeqCst) {
-                for c in &faults.corrupt_blocks {
-                    dfs.inject_corrupt_on_write(&c.path_contains, c.block, c.replica);
-                }
-                for &(node, n) in &faults.flaky_reads {
-                    dfs.inject_flaky_reads(node, n);
-                }
-                for &(node, ms) in &faults.slow_nodes {
-                    dfs.inject_slow_node(node, ms);
-                }
+        let faults = self.fault_plan.dfs_faults();
+        if !faults.is_empty() && !self.dfs_faults_armed.swap(true, Ordering::SeqCst) {
+            for c in &faults.corrupt_blocks {
+                dfs.inject_corrupt_on_write(&c.path_contains, c.block, c.replica);
+            }
+            for &(node, n) in &faults.flaky_reads {
+                dfs.inject_flaky_reads(node, n);
+            }
+            for &(node, ms) in &faults.slow_nodes {
+                dfs.inject_slow_node(node, ms);
             }
         }
         // Per-run shuffle directory: the id makes repeated jobs on one
@@ -475,10 +441,8 @@ impl MapReduceEngine {
         // every error path — losing attempts leave orphans at unique
         // paths, so a retention prefix sweep is the only correct
         // cleanup (charged to `dfs.retention.swept.completed`).
-        let cleanup_shuffle = |dfs: &Option<Dfs>| {
-            if let Some(dfs) = dfs {
-                dfs.sweep_prefix(&shuffle_base, SweepReason::Completed);
-            }
+        let cleanup_shuffle = || {
+            dfs.sweep_prefix(&shuffle_base, SweepReason::Completed);
         };
         let map_outputs: Vec<Mutex<Option<MapOutput>>> =
             (0..n_maps).map(|_| Mutex::new(None)).collect();
@@ -487,41 +451,35 @@ impl MapReduceEngine {
         // before/after delta around the map wave is this job's share.
         // (Per-attempt bags can't carry it: a discarded speculative
         // attempt's bag is dropped, but its encoder time was real.)
-        let pool = config.async_spill.then(|| self.spill_pool());
-        let pool_busy0 = pool.as_ref().map_or(0, |p| p.busy_nanos());
-        let pool_waits0 = pool.as_ref().map_or(0, |p| p.submit_waits());
-        let pool_grown0 = pool.as_ref().map_or(0, |p| p.workers_grown());
+        let pool = self.spill_pool();
+        let pool_busy0 = pool.busy_nanos();
+        let pool_waits0 = pool.submit_waits();
+        let pool_grown0 = pool.workers_grown();
 
-        // With DFS transit, a committed map whose home node dies may
-        // still be readable from a replica: probe actual datanode
-        // storage, excluding every engine-dead node's co-located
-        // datanode (the DFS may not have been told about the death yet
-        // — the failure hook runs after eviction decisions).
-        let survival;
-        let survives: SurvivalCheck = match &shuffle_dfs {
-            Some(dfs) => {
-                let dfs = dfs.clone();
-                let slots = &map_outputs;
-                survival = move |task: usize| -> bool {
-                    let slot = slots[task].lock();
-                    let Some(MapOutput::Dfs { path, .. }) = &*slot else {
-                        return false;
-                    };
-                    let n = dfs.config().n_nodes;
-                    let mut excluded: Vec<usize> =
-                        self.dead_nodes.lock().iter().map(|d| d % n).collect();
-                    excluded.sort_unstable();
-                    excluded.dedup();
-                    dfs.file_available_excluding(path, &excluded)
-                };
-                Some(&survival)
-            }
-            None => None,
+        // A committed map whose home node dies may still be readable
+        // from a replica: probe actual datanode storage, excluding every
+        // engine-dead node's co-located datanode (the DFS may not have
+        // been told about the death yet — the failure hook runs after
+        // eviction decisions).
+        let survives = |task: usize| -> bool {
+            let slot = map_outputs[task].lock();
+            let Some(out) = &*slot else {
+                return false;
+            };
+            let mut excluded: Vec<usize> = self
+                .dead_nodes
+                .lock()
+                .iter()
+                .map(|d| d % n_dfs_nodes)
+                .collect();
+            excluded.sort_unstable();
+            excluded.dedup();
+            dfs.file_available_excluding(&out.path, &excluded)
         };
 
-        // Which codec compressed map-output partitions travel under:
-        // the job override wins, else the key-type's hint (value type
-        // first — it dominates the bytes), else the LZ default.
+        // Which codec map-output partitions travel under: the job
+        // override wins, else the key-type's hint (value type first — it
+        // dominates the bytes), else the LZ default.
         let shuffle_codec = config.shuffle_codec.unwrap_or_else(|| {
             <M::OutValue as Wire>::codec_hint()
                 .or_else(<M::OutKey as Wire>::codec_hint)
@@ -537,7 +495,7 @@ impl MapReduceEngine {
             job_span.id,
             &prefs,
             &map_outputs,
-            survives,
+            Some(&survives),
             |task_id, exec_node, bag| {
                 let t_task = Instant::now();
                 let split = &splits[task_id];
@@ -546,89 +504,73 @@ impl MapReduceEngine {
                     config.io_sort_bytes,
                     n_reducers,
                     partitioner,
-                    config.compress_map_output,
+                    shuffle_codec,
+                    pool.clone(),
                     bag.clone(),
-                )
-                .with_min_compress_bytes(config.compress_min_bytes)
-                .with_codec(shuffle_codec)
-                .with_radix(config.radix_sort);
-                if let Some(pool) = &pool {
-                    buf = buf.with_pool(pool.clone());
-                }
+                );
                 {
                     let mut sink = |k: M::OutKey, v: M::OutValue| buf.emit(k, v);
-                    let mut ctx = MapContext { sink: &mut sink };
+                    let mut ctx = MapContext {
+                        sink: &mut sink,
+                        counters: bag,
+                    };
                     for (k, v) in &split.records {
                         mapper.map(k, v, &mut ctx);
                     }
                     mapper.finish(&mut ctx);
                 }
                 let segments = buf.finish();
-                // Map phase = task body minus the timed sub-phases. With
-                // async spill the sort overlaps the map loop, so only the
-                // merge and the drain wait are subtracted — SortSpill
-                // nanos (recorded by the encoders) no longer come out of
-                // this task's wall-clock.
-                let accounted = if config.async_spill {
-                    bag.get(Phase::MapMerge.counter_key())
-                        + bag.get(keys::SPILL_POOL_DRAIN_WAIT_NANOS)
-                } else {
-                    bag.get(Phase::SortSpill.counter_key())
-                        + bag.get(Phase::MapMerge.counter_key())
-                };
+                // Map phase = task body minus the timed sub-phases. The
+                // spill sort overlaps the map loop on the encoder pool,
+                // so only the merge and the drain wait are subtracted —
+                // SortSpill nanos (recorded by the encoders) don't come
+                // out of this task's wall-clock.
+                let accounted = bag.get(Phase::MapMerge.counter_key())
+                    + bag.get(keys::SPILL_POOL_DRAIN_WAIT_NANOS);
                 let total = t_task.elapsed().as_nanos() as u64;
                 bag.add(Phase::Map.counter_key(), total.saturating_sub(accounted));
-                match &shuffle_dfs {
-                    Some(dfs) => {
-                        let metas = segments
-                            .iter()
-                            .map(|s| SegMeta {
-                                wire_len: s.wire_len(),
-                                compressed: s.is_compressed(),
-                                records: s.records,
-                            })
-                            .collect();
-                        // Attempt-unique path: a speculative or retried
-                        // attempt of the same task must never collide
-                        // with (or clobber) another attempt's file.
-                        let uid = self.shuffle_seq.fetch_add(1, Ordering::Relaxed);
-                        let path = format!("{shuffle_base}/map-{task_id:05}-a{uid}.segs");
-                        let t_ship = Instant::now();
-                        let pin = PinnedPlacement(exec_node % dfs.config().n_nodes);
-                        if let Err(e) =
-                            shipping::store_map_output_with_policy(dfs, &path, &segments, &pin, bag)
-                        {
-                            // A panic here is an attempt failure → retry.
-                            panic!("shipping map output {path} to DFS: {e}");
-                        }
-                        // Persisting the output is the map-side half of
-                        // the shuffle, not map compute.
-                        bag.add(
-                            Phase::Shuffle.counter_key(),
-                            t_ship.elapsed().as_nanos() as u64,
-                        );
-                        MapOutput::Dfs { path, metas }
-                    }
-                    None => MapOutput::Memory(segments),
+                let metas = segments
+                    .iter()
+                    .map(|s| SegMeta {
+                        wire_len: s.wire_len(),
+                        compressed: s.is_compressed(),
+                        records: s.records,
+                    })
+                    .collect();
+                // Attempt-unique path: a speculative or retried attempt
+                // of the same task must never collide with (or clobber)
+                // another attempt's file.
+                let uid = self.shuffle_seq.fetch_add(1, Ordering::Relaxed);
+                let path = format!("{shuffle_base}/map-{task_id:05}-a{uid}.segs");
+                let t_ship = Instant::now();
+                let pin = PinnedPlacement(exec_node % n_dfs_nodes);
+                if let Err(e) = shipping::store_map_output(&dfs, &path, &segments, &pin, bag) {
+                    // A panic here is an attempt failure → retry.
+                    panic!("shipping map output {path} to DFS: {e}");
                 }
+                // Persisting the output is the map-side half of the
+                // shuffle, not map compute.
+                bag.add(
+                    Phase::Shuffle.counter_key(),
+                    t_ship.elapsed().as_nanos() as u64,
+                );
+                MapOutput { path, metas }
             },
         );
-        if let Some(p) = &pool {
-            counters.add(
-                keys::SPILL_POOL_BUSY_NANOS,
-                p.busy_nanos().saturating_sub(pool_busy0),
-            );
-            counters.add(
-                keys::SPILL_POOL_SUBMIT_WAITS,
-                p.submit_waits().saturating_sub(pool_waits0),
-            );
-            counters.add(
-                keys::SPILL_POOL_WORKERS_GROWN,
-                p.workers_grown().saturating_sub(pool_grown0),
-            );
-        }
+        counters.add(
+            keys::SPILL_POOL_BUSY_NANOS,
+            pool.busy_nanos().saturating_sub(pool_busy0),
+        );
+        counters.add(
+            keys::SPILL_POOL_SUBMIT_WAITS,
+            pool.submit_waits().saturating_sub(pool_waits0),
+        );
+        counters.add(
+            keys::SPILL_POOL_WORKERS_GROWN,
+            pool.workers_grown().saturating_sub(pool_grown0),
+        );
         if let Err(e) = map_wave {
-            cleanup_shuffle(&shuffle_dfs);
+            cleanup_shuffle();
             return Err(e);
         }
 
@@ -644,7 +586,7 @@ impl MapReduceEngine {
         let map_outputs = match collected {
             Ok(v) => v,
             Err(e) => {
-                cleanup_shuffle(&shuffle_dfs);
+                cleanup_shuffle();
                 return Err(e);
             }
         };
@@ -653,19 +595,9 @@ impl MapReduceEngine {
         // speculative reduce attempts cannot double-count a cell.
         if self.recorder.is_enabled() {
             for (m, out) in map_outputs.iter().enumerate() {
-                match out {
-                    MapOutput::Memory(per_map) => {
-                        for (r, seg) in per_map.iter().enumerate() {
-                            self.recorder
-                                .shuffle_cell(m, r, seg.wire_len() as u64, seg.is_compressed());
-                        }
-                    }
-                    MapOutput::Dfs { metas, .. } => {
-                        for (r, meta) in metas.iter().enumerate() {
-                            self.recorder
-                                .shuffle_cell(m, r, meta.wire_len as u64, meta.compressed);
-                        }
-                    }
+                for (r, meta) in out.metas.iter().enumerate() {
+                    self.recorder
+                        .shuffle_cell(m, r, meta.wire_len as u64, meta.compressed);
                 }
             }
         }
@@ -688,77 +620,54 @@ impl MapReduceEngine {
                 // Locality hint: the reducer's exec node, mapped onto
                 // the DFS node space exactly as map outputs were
                 // pinned, so a fetch prefers the co-located replica.
-                let affinity = match &shuffle_dfs {
-                    Some(dfs) if config.shuffle_locality => {
-                        ReadAffinity::node(exec_node % dfs.config().n_nodes)
-                    }
-                    _ => ReadAffinity::NONE,
-                };
+                let affinity = ReadAffinity::node(exec_node % n_dfs_nodes);
                 // The merge must know its nonempty-run count before
                 // fetching anything — the shipped metas carry it.
                 let n_runs = map_outputs
                     .iter()
-                    .filter(|out| match out {
-                        MapOutput::Memory(per_map) => per_map[partition].records > 0,
-                        MapOutput::Dfs { metas, .. } => metas[partition].records > 0,
-                    })
+                    .filter(|out| out.metas[partition].records > 0)
                     .count();
                 let outputs: &[MapOutput] = &map_outputs;
-                let dfs_ref = shuffle_dfs.as_ref();
-                let depth = config.shuffle_prefetch.max(1);
+                let dfs = &dfs;
                 // Pull this partition from every map output: a DFS range
                 // read per shipped file (only this reducer's frame
-                // travels), or — on the in-memory path — a zero-copy
-                // refcount bump on the map task's output backing. The
-                // fetcher thread runs up to `depth` segments ahead of
-                // the merge; only the time the merge *waits* on it is
-                // charged as shuffle — overlapped fetch time is the
-                // latency the pipeline hides.
+                // travels). The fetcher thread runs up to
+                // `SHUFFLE_PREFETCH` segments ahead of the merge; only
+                // the time the merge *waits* on it is charged as shuffle
+                // — overlapped fetch time is the latency the pipeline
+                // hides.
                 let grouped = std::thread::scope(|scope| {
-                    let (tx, rx) =
-                        std::sync::mpsc::sync_channel::<Result<Segment, String>>(depth);
+                    let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Segment, String>>(
+                        SHUFFLE_PREFETCH,
+                    );
                     scope.spawn(move || {
                         for out in outputs {
-                            let res = match out {
-                                MapOutput::Memory(per_map) => {
-                                    let seg = per_map[partition].clone();
-                                    bag.add(keys::SHUFFLE_BYTES_MEMORY, seg.wire_len() as u64);
-                                    Ok(seg)
-                                }
-                                MapOutput::Dfs { path, .. } => {
-                                    // The DFS already retries transient
-                                    // replica failures internally; this
-                                    // outer loop covers whole-op failures
-                                    // that outlive its budget (e.g. a
-                                    // deadline expiry). Non-retryable
-                                    // errors — corrupt beyond repair,
-                                    // missing file — surface immediately:
-                                    // that's an attempt failure, and the
-                                    // scheduler's re-run (or reship probe)
-                                    // is the right recovery.
-                                    let dfs = dfs_ref.expect("Dfs output implies a DFS");
-                                    let mut tries = 0usize;
-                                    loop {
-                                        match shipping::fetch_partition_at(
-                                            dfs, path, partition, affinity, bag,
-                                        ) {
-                                            Ok(seg) => {
-                                                bag.add(
-                                                    keys::SHUFFLE_BYTES_DFS,
-                                                    seg.wire_len() as u64,
-                                                );
-                                                break Ok(seg);
-                                            }
-                                            Err(e) if e.is_retryable() && tries < 2 => {
-                                                tries += 1;
-                                                bag.add(keys::SHUFFLE_FETCH_RETRIES, 1);
-                                            }
-                                            Err(e) => {
-                                                break Err(format!(
-                                                    "fetching partition {partition} of {path}: {e}"
-                                                ));
-                                            }
-                                        }
+                            // The DFS already retries transient replica
+                            // failures internally; this outer loop covers
+                            // whole-op failures that outlive its budget
+                            // (e.g. a deadline expiry). Non-retryable
+                            // errors — corrupt beyond repair, missing
+                            // file — surface immediately: that's an
+                            // attempt failure, and the scheduler's re-run
+                            // (or reship probe) is the right recovery.
+                            let mut tries = 0usize;
+                            let res = loop {
+                                match shipping::fetch_partition(
+                                    dfs, &out.path, partition, affinity, bag,
+                                ) {
+                                    Ok(seg) => {
+                                        bag.add(keys::SHUFFLE_BYTES_DFS, seg.wire_len() as u64);
+                                        break Ok(seg);
+                                    }
+                                    Err(e) if e.is_retryable() && tries < 2 => {
+                                        tries += 1;
+                                        bag.add(keys::SHUFFLE_FETCH_RETRIES, 1);
+                                    }
+                                    Err(e) => {
+                                        break Err(format!(
+                                            "fetching partition {partition} of {}: {e}",
+                                            out.path
+                                        ));
                                     }
                                 }
                             };
@@ -812,7 +721,7 @@ impl MapReduceEngine {
             },
         );
         if let Err(e) = reduce_wave {
-            cleanup_shuffle(&shuffle_dfs);
+            cleanup_shuffle();
             return Err(e);
         }
 
@@ -826,7 +735,7 @@ impl MapReduceEngine {
             .collect();
         // Shuffle transit is consumed; free the run's DFS files whether
         // the job succeeded or not.
-        cleanup_shuffle(&shuffle_dfs);
+        cleanup_shuffle();
         let outputs = collected?;
         let mut events = events.into_inner();
         sort_events(&mut events);
@@ -888,7 +797,10 @@ impl MapReduceEngine {
                 let mut out = Vec::new();
                 {
                     let mut sink = |k, v| out.push((k, v));
-                    let mut ctx = MapContext { sink: &mut sink };
+                    let mut ctx = MapContext {
+                        sink: &mut sink,
+                        counters: bag,
+                    };
                     for (k, v) in &split.records {
                         mapper.map(k, v, &mut ctx);
                     }
@@ -1078,6 +990,29 @@ struct PendingTask {
     not_before: Option<Instant>,
 }
 
+/// The placement decision: the index in `pending` of the task a free
+/// slot on `node` should take. A ready task that prefers `node` (or has
+/// no preference) always wins; a task preferring another node is taken
+/// only with `allow_steal` — the worker has already sat out one idle
+/// beat (delay scheduling).
+fn pick_pending(
+    pending: &[PendingTask],
+    tasks: &[TaskState],
+    node: usize,
+    allow_steal: bool,
+    now: Instant,
+) -> Option<usize> {
+    let ready = |p: &PendingTask| p.not_before.is_none_or(|nb| nb <= now);
+    let local = pending.iter().position(|p| {
+        ready(p) && tasks[p.task].preferred.is_none_or(|pref| pref == node)
+    });
+    match local {
+        Some(pos) => Some(pos),
+        None if allow_steal => pending.iter().position(ready),
+        None => None,
+    }
+}
+
 struct TaskState {
     preferred: Option<usize>,
     failures: usize,
@@ -1138,8 +1073,8 @@ struct WaveCtx<'a, T> {
     done: &'a [AtomicBool],
     outputs: &'a [Mutex<Option<T>>],
     /// Probe whether a committed task's output survives a node death
-    /// (DFS-transit shuffle); `None` means outputs live only on their
-    /// home node.
+    /// (the transit DFS may hold a replica); `None` means outputs live
+    /// only on their home node.
     survives: SurvivalCheck<'a>,
 }
 
@@ -1236,18 +1171,7 @@ impl<T> WaveCtx<'_, T> {
             return Acquired::Exit;
         }
         let now = Instant::now();
-        let ready = |p: &PendingTask| p.not_before.is_none_or(|nb| nb <= now);
-
-        let local_pos = st.pending.iter().position(|p| {
-            ready(p)
-                && (st.tasks[p.task].preferred == Some(node) || st.tasks[p.task].preferred.is_none())
-        });
-        let pos = match local_pos {
-            Some(p) => Some(p),
-            None if allow_steal => st.pending.iter().position(ready),
-            None => None,
-        };
-        if let Some(pos) = pos {
+        if let Some(pos) = pick_pending(&st.pending, &st.tasks, node, allow_steal, now) {
             let task = st.pending.remove(pos).task;
             let ts = &mut st.tasks[task];
             let attempt = ts.next_attempt;
@@ -1501,8 +1425,8 @@ impl<T> WaveCtx<'_, T> {
                 fired.push(death.node);
                 // Completed map outputs on the dead node's disk are gone:
                 // evict and re-run, as Hadoop re-runs map tasks whose
-                // shuffle output was on a lost slave. With DFS-transit
-                // shuffle the output may survive on a replica — probe
+                // shuffle output was on a lost slave. A shuffling job's
+                // output may survive on a transit-DFS replica — probe
                 // every committed task (a later death can take the last
                 // replica of a task whose home died earlier), keep the
                 // survivors, and only re-run the rest.
@@ -1513,7 +1437,7 @@ impl<T> WaveCtx<'_, T> {
                     let homed_here = st.tasks[task].home == Some(death.node);
                     let survives_death = match self.survives {
                         Some(check) => check(task),
-                        // In-memory shuffle: output lives only on its home.
+                        // Map-only job: output lives only on its home.
                         None => !homed_here,
                     };
                     if survives_death {
@@ -1692,6 +1616,49 @@ mod tests {
 
     #[test]
     fn locality_preference_honored_when_slots_free() {
+        // The placement decision itself, no threads: four tasks, task i
+        // preferring node i, every slot free (a single wave).
+        let tasks: Vec<TaskState> = (0..4)
+            .map(|t| TaskState {
+                preferred: Some(t),
+                failures: 0,
+                next_attempt: 0,
+                backup_launched: false,
+                home: None,
+            })
+            .collect();
+        let pending = |ids: &[usize]| -> Vec<PendingTask> {
+            ids.iter()
+                .map(|&task| PendingTask {
+                    task,
+                    not_before: None,
+                })
+                .collect()
+        };
+        let now = Instant::now();
+        let all = pending(&[0, 1, 2, 3]);
+        for node in 0..4 {
+            // A free slot takes its node's own task, wherever it queues,
+            // and stealing permission doesn't change that.
+            for allow_steal in [false, true] {
+                let pos = pick_pending(&all, &tasks, node, allow_steal, now);
+                assert_eq!(pos.map(|p| all[p].task), Some(node));
+            }
+        }
+        // With its local task gone a slot waits out one beat rather than
+        // take a remote task, then steals the head of the queue.
+        let remote_only = pending(&[1, 2, 3]);
+        assert_eq!(pick_pending(&remote_only, &tasks, 0, false, now), None);
+        assert_eq!(pick_pending(&remote_only, &tasks, 0, true, now), Some(0));
+        // A task still inside its retry backoff is nobody's to take.
+        let backing_off = vec![PendingTask {
+            task: 0,
+            not_before: Some(now + Duration::from_secs(60)),
+        }];
+        assert_eq!(pick_pending(&backing_off, &tasks, 0, true, now), None);
+
+        // End to end, whatever the thread timing: an attempt is flagged
+        // data-local exactly when it ran on its split's preferred node.
         let engine = MapReduceEngine::new(ClusterResources::uniform(4, 2, 4096));
         struct Nop;
         impl Mapper for Nop {
@@ -1709,12 +1676,10 @@ mod tests {
         let res = engine
             .run_map_only(JobConfig::default(), &Nop, splits)
             .unwrap();
-        let local = res.events.iter().filter(|e| e.data_local).count();
-        assert!(
-            local >= 3,
-            "most tasks should run data-local: {:?}",
-            res.events
-        );
+        assert_eq!(res.events.len(), 4);
+        for e in &res.events {
+            assert_eq!(e.data_local, e.node == e.task_id, "{e:?}");
+        }
     }
 
     #[test]
@@ -1765,41 +1730,22 @@ mod tests {
     }
 
     #[test]
-    fn async_spill_outputs_match_sync() {
-        // Flipping async_spill must not change job output — the drain
-        // barrier keeps the merged segments byte-identical — but the
-        // async run must actually route spills through the encoder pool.
-        let run = |async_spill: bool| {
-            let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096));
-            let cfg = JobConfig {
-                n_reducers: 3,
-                io_sort_bytes: 512, // force many spills per task
-                async_spill,
-                ..JobConfig::default()
-            };
-            let res = engine
-                .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(5, 40))
-                .unwrap();
-            if async_spill {
-                assert!(
-                    res.counters.get(keys::SPILL_POOL_JOBS) > 0,
-                    "async run must submit spills to the pool"
-                );
-                assert_eq!(
-                    res.counters.get(keys::SPILL_POOL_JOBS),
-                    res.counters.get(keys::MAP_SPILLS)
-                );
-                assert!(res.counters.get(keys::SPILL_POOL_BUSY_NANOS) > 0);
-            } else {
-                assert_eq!(res.counters.get(keys::SPILL_POOL_JOBS), 0);
-            }
-            let mut outs = res.outputs;
-            for o in &mut outs {
-                o.sort();
-            }
-            outs
+    fn spills_run_on_the_encoder_pool() {
+        let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096));
+        let cfg = JobConfig {
+            n_reducers: 3,
+            io_sort_bytes: 512, // force many spills per task
+            ..JobConfig::default()
         };
-        assert_eq!(run(true), run(false));
+        let res = engine
+            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(5, 40))
+            .unwrap();
+        assert!(res.counters.get(keys::MAP_SPILLS) > 5);
+        assert_eq!(
+            res.counters.get(keys::SPILL_POOL_JOBS),
+            res.counters.get(keys::MAP_SPILLS)
+        );
+        assert!(res.counters.get(keys::SPILL_POOL_BUSY_NANOS) > 0);
     }
 
     #[test]
@@ -1826,9 +1772,8 @@ mod tests {
     }
 
     #[test]
-    fn dfs_transit_shuffle_matches_memory_path_and_cleans_up() {
-        use gesall_dfs::DfsConfig;
-        let run = |dfs: Option<Dfs>, via_dfs: bool| {
+    fn private_transit_dfs_matches_attached_and_cleans_up() {
+        let run = |dfs: Option<Dfs>| {
             let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096));
             if let Some(dfs) = dfs {
                 engine.set_shuffle_dfs(dfs);
@@ -1836,7 +1781,6 @@ mod tests {
             let cfg = JobConfig {
                 n_reducers: 4,
                 io_sort_bytes: 512,
-                shuffle_via_dfs: via_dfs,
                 ..JobConfig::default()
             };
             let res = engine
@@ -1846,57 +1790,94 @@ mod tests {
             for o in &mut outs {
                 o.sort();
             }
+            // The run's shuffle files are swept once reducers consumed
+            // them, on whichever DFS carried them.
+            let left = engine.shuffle_dfs().list("");
+            assert!(left.is_empty(), "transit files must be cleaned up: {left:?}");
             (outs, res.counters)
         };
-        let dfs = Dfs::new(DfsConfig {
+        let attached = Dfs::new(DfsConfig {
             n_nodes: 3,
             block_size: 1 << 20,
             replication: 2,
             ..DfsConfig::default()
         });
-        let (dfs_outs, dfs_counters) = run(Some(dfs.clone()), true);
-        let (mem_outs, mem_counters) = run(None, false);
-        assert_eq!(dfs_outs, mem_outs, "transit layer must not change results");
-        // DFS transit carries every shuffled byte; nothing is handed
-        // over as an in-memory segment reference, and vice versa.
-        assert!(dfs_counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
-        assert_eq!(dfs_counters.get(keys::SHUFFLE_BYTES_MEMORY), 0);
-        assert!(mem_counters.get(keys::SHUFFLE_BYTES_MEMORY) > 0);
-        assert_eq!(mem_counters.get(keys::SHUFFLE_BYTES_DFS), 0);
+        let (attached_outs, attached_counters) = run(Some(attached));
+        let (private_outs, private_counters) = run(None);
+        assert_eq!(attached_outs, private_outs, "the transit DFS must not change results");
+        assert!(private_counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
         assert_eq!(
-            dfs_counters.get(keys::SHUFFLE_BYTES_DFS),
-            mem_counters.get(keys::SHUFFLE_BYTES_MEMORY),
-            "both paths move the same wire bytes"
+            private_counters.get(keys::SHUFFLE_BYTES_DFS),
+            private_counters.get(keys::SHUFFLE_BYTES),
+            "every shuffled byte travels through the DFS"
         );
-        // The run's shuffle files are swept once reducers consumed them.
-        assert!(
-            dfs.list("/job/").is_empty(),
-            "shuffle transit files must be cleaned up: {:?}",
-            dfs.list("/job/")
+        assert_eq!(
+            attached_counters.get(keys::SHUFFLE_BYTES_DFS),
+            private_counters.get(keys::SHUFFLE_BYTES_DFS),
+            "both move the same wire bytes"
         );
     }
 
     #[test]
-    fn shuffle_via_dfs_flag_off_keeps_memory_path_despite_attached_dfs() {
-        use gesall_dfs::DfsConfig;
-        let dfs = Dfs::new(DfsConfig {
-            n_nodes: 2,
-            block_size: 1 << 20,
-            replication: 1,
-            ..DfsConfig::default()
-        });
+    fn private_transit_dfs_reruns_maps_lost_with_their_node() {
+        // No DFS attached: transit is unreplicated, so committed map
+        // output homed on a node that dies is gone and the map re-runs.
+        // (Output equality under this plan is asserted by
+        // tests/fault_tolerance.rs; here, what only the crate can see.)
+        // Stretch every first attempt so all six slots (two on the doomed
+        // node) are mid-flight together: the first six commits then land
+        // together, two of them homed on node 1.
+        let mut plan = FaultPlan::seeded(4).kill_node_after_maps(1, 6);
+        for t in 0..12 {
+            plan = plan.slow_down(TaskKind::Map, t, 0, 40);
+        }
         let engine =
-            MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_shuffle_dfs(dfs);
+            MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)).with_fault_plan(plan);
         let cfg = JobConfig {
-            n_reducers: 2,
-            shuffle_via_dfs: false,
+            n_reducers: 3,
+            io_sort_bytes: 4096,
+            retry_backoff_ms: 1.0,
+            speculative: false,
             ..JobConfig::default()
         };
         let res = engine
-            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(3, 20))
+            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
+            .expect("two surviving nodes must finish the job");
+        assert_eq!(engine.dead_nodes(), vec![1]);
+        assert!(res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS) >= 1);
+        assert_eq!(res.counters.get(keys::MAPS_RESHIPPED_FROM_DFS), 0);
+        assert!(res.counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
+        assert!(engine.shuffle_dfs().list("").is_empty());
+    }
+
+    #[test]
+    fn attempt_bag_charges_skip_discarded_speculative_attempts() {
+        // What a mapper charges on `ctx.counters()` reaches the job
+        // counters once per task, even when a slowed original attempt
+        // loses to its backup and is discarded after running in full.
+        struct Charge;
+        impl Mapper for Charge {
+            type InKey = u64;
+            type InValue = String;
+            type OutKey = String;
+            type OutValue = u64;
+            fn map(&self, _k: &u64, line: &String, ctx: &mut MapContext<'_, String, u64>) {
+                ctx.counters().add("test.charged", 1);
+                ctx.emit(line.clone(), 1);
+            }
+        }
+        let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096))
+            .with_fault_plan(FaultPlan::seeded(3).slow_down(TaskKind::Map, 0, 0, 2_000));
+        let cfg = JobConfig {
+            n_reducers: 2,
+            speculative_min_runtime_ms: 10.0,
+            ..JobConfig::default()
+        };
+        let res = engine
+            .run_job(cfg, &Charge, &Sum, &HashPartitioner, word_splits(6, 10))
             .unwrap();
-        assert_eq!(res.counters.get(keys::SHUFFLE_BYTES_DFS), 0);
-        assert!(res.counters.get(keys::SHUFFLE_BYTES_MEMORY) > 0);
+        assert!(res.counters.get(keys::SPECULATIVE_WASTED) >= 1);
+        assert_eq!(res.counters.get("test.charged"), 6 * 10);
     }
 
     #[test]

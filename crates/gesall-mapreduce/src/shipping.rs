@@ -18,7 +18,7 @@ use crate::counters::{keys, Counters};
 use crate::shuffle::{read_frame, write_frame, Segment, FRAME_HEADER_BYTES};
 use gesall_dfs::{Dfs, DfsError, ReadAffinity};
 use gesall_formats::wire::{put_u64, Cursor};
-use gesall_formats::{Codec, FormatError, SharedBytes};
+use gesall_formats::{FormatError, SharedBytes};
 use std::fmt;
 
 /// Errors on the map-output shipping path.
@@ -73,21 +73,16 @@ impl From<FormatError> for ShipError {
     }
 }
 
-/// Canonical DFS path of a map task's shuffle output.
-pub fn map_output_path(job: &str, map_task: usize) -> String {
-    format!("{job}/shuffle/map-{map_task:05}.segs")
-}
-
 /// Persist a map task's merged segments (one per reduce partition) as a
 /// single DFS file: `[n u64]` and `n` frame-end offsets (relative to
 /// the frame area), then the `n` frames. The frame write is the one
 /// payload memcpy of the shipping path — the deliberate durability copy
 /// of DFS transit, counted under `shuffle.ship.bytes.copied` (not the
 /// zero-copy gauge `mem.bytes.copied`); compressed payloads are written
-/// as-is, never re-encoded. Blocks are placed by `policy` — the engine pins a map
-/// output to its mapper's node so locality (and node-loss semantics)
-/// match the in-memory shuffle it replaces.
-pub fn store_map_output_with_policy(
+/// as-is, never re-encoded. Blocks are placed by `policy` — the engine
+/// pins a map output to its mapper's node, so a reducer scheduled there
+/// reads it locally and an unreplicated output dies with its node.
+pub fn store_map_output(
     dfs: &Dfs,
     path: &str,
     segments: &[Segment],
@@ -112,16 +107,6 @@ pub fn store_map_output_with_policy(
     }
     dfs.write_shared_with_policy(path, SharedBytes::from_vec(out), policy)?;
     Ok(())
-}
-
-/// [`store_map_output_with_policy`] with the DFS's default placement.
-pub fn store_map_output(
-    dfs: &Dfs,
-    path: &str,
-    segments: &[Segment],
-    counters: &Counters,
-) -> Result<(), ShipError> {
-    store_map_output_with_policy(dfs, path, segments, &gesall_dfs::DefaultPlacement, counters)
 }
 
 /// Decode the index header of a stored map output: frame count and the
@@ -153,56 +138,16 @@ fn read_index(
     Ok(ranges)
 }
 
-/// Fetch every segment of a stored map output. Payloads are zero-copy
-/// windows of the DFS block — mmap-backed when the store persists
-/// blocks — and keep their codec tags, so compressed segments stay
-/// compressed until the reduce-side merge decodes them.
-pub fn fetch_map_output(dfs: &Dfs, path: &str) -> Result<Vec<Segment>, ShipError> {
-    let bytes = dfs.read_file_shared(path)?;
-    let buf: &[u8] = &bytes;
-    let n = Cursor::new(buf).get_u64()? as usize;
-    let mut cur = Cursor::new(&buf[8..]);
-    let base = 8 * (1 + n);
-    let mut offset = base;
-    let mut segments = Vec::with_capacity(n);
-    for _ in 0..n {
-        let indexed_end = base + cur.get_u64()? as usize;
-        let (seg, next) = read_frame(&bytes, offset)?;
-        if next != indexed_end {
-            return Err(FormatError::Bam(format!(
-                "frame ends at {next} but index says {indexed_end}"
-            ))
-            .into());
-        }
-        segments.push(seg);
-        offset = next;
-    }
-    if offset != buf.len() {
-        return Err(FormatError::Bam(format!(
-            "{} trailing bytes after {n} segment frames",
-            buf.len() - offset
-        ))
-        .into());
-    }
-    Ok(segments)
-}
-
 /// Fetch just partition `r` of a stored map output — what one reducer
 /// pulls from one map task. The index header resolves the frame's byte
 /// range and only that range is read: inside one block this is a
 /// zero-copy mapped window, and the other R−1 partitions are never
-/// touched.
-pub fn fetch_partition(dfs: &Dfs, path: &str, r: usize) -> Result<Segment, ShipError> {
-    fetch_partition_at(dfs, path, r, ReadAffinity::NONE, &Counters::new())
-}
-
-/// [`fetch_partition`] with a [`ReadAffinity`] hint: every read on the
-/// fetch (index header and partition frame) prefers the replica on the
-/// reducer's own node, and the bytes served are split onto
-/// [`keys::SHUFFLE_FETCH_BYTES_LOCAL`] /
+/// touched. Every read on the fetch (index header and partition frame)
+/// prefers the replica `affinity` names — the reducer's own node — and
+/// the bytes served are split onto [`keys::SHUFFLE_FETCH_BYTES_LOCAL`] /
 /// [`keys::SHUFFLE_FETCH_BYTES_REMOTE`] by whether the serving replica
 /// was that node — the locality half of the shuffle byte matrix.
-pub fn fetch_partition_at(
+pub fn fetch_partition(
     dfs: &Dfs,
     path: &str,
     r: usize,
@@ -239,54 +184,18 @@ pub fn fetch_partition_at(
     fetched
 }
 
-/// Bring a fetched segment to the codec the consumer speaks. When the
-/// codecs already match this is a pure refcount bump (`same_backing`
-/// holds); a mismatch transcodes the payload, counting the copies under
-/// `mem.bytes.copied`.
-pub fn adapt_codec(seg: &Segment, want: Codec, counters: &Counters) -> Result<Segment, ShipError> {
-    if seg.codec == want {
-        return Ok(seg.clone());
-    }
-    // Registry dispatch both ways — decode under the segment's codec,
-    // re-encode under `want` — so any pair of registered codecs
-    // transcodes without this function enumerating them.
-    let raw: std::borrow::Cow<'_, [u8]> = if seg.codec.is_compressed() {
-        let v = seg.codec.decode(&seg.data)?;
-        counters.add(keys::BYTES_COPIED, v.len() as u64);
-        std::borrow::Cow::Owned(v)
-    } else {
-        std::borrow::Cow::Borrowed(&seg.data)
-    };
-    let data = if want.is_compressed() {
-        let mut data = Vec::new();
-        want.encode_append(&raw, &mut data);
-        counters.add(keys::BYTES_COPIED, (raw.len() + data.len()) as u64);
-        data
-    } else {
-        // `raw` is Owned here: a raw source with `want == Raw` returned
-        // early above, so reaching this arm means the source decoded.
-        raw.into_owned()
-    };
-    Ok(Segment {
-        data: SharedBytes::from_vec(data),
-        raw_len: seg.raw_len,
-        records: seg.records,
-        codec: want,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shuffle::CodecPolicy;
-    use gesall_dfs::DfsConfig;
+    use gesall_dfs::{DefaultPlacement, DfsConfig};
+    use gesall_formats::Codec;
 
     fn segments() -> Vec<Segment> {
         vec![
-            Segment::from_pairs(&[(1u64, 10u64), (2, 20)], false),
-            Segment::from_pairs_with(
+            Segment::from_pairs(&[(1u64, 10u64), (2, 20)], Codec::Raw),
+            Segment::from_pairs(
                 &(0..400u64).map(|i| (i % 13, i)).collect::<Vec<_>>(),
-                CodecPolicy::new(true, 16),
+                Codec::Lz,
             ),
             Segment::empty(),
         ]
@@ -302,15 +211,23 @@ mod tests {
         })
     }
 
+    fn store(dfs: &Dfs, path: &str, segs: &[Segment]) {
+        store_map_output(dfs, path, segs, &DefaultPlacement, &Counters::new()).unwrap();
+    }
+
+    fn fetch(dfs: &Dfs, path: &str, r: usize) -> Result<Segment, ShipError> {
+        fetch_partition(dfs, path, r, ReadAffinity::NONE, &Counters::new())
+    }
+
     #[test]
     fn store_and_fetch_roundtrip_by_reference() {
         let dfs = dfs(None);
-        let counters = Counters::new();
         let segs = segments();
         assert!(segs[1].is_compressed());
-        store_map_output(&dfs, "job/shuffle/map-00000.segs", &segs, &counters).unwrap();
-        let fetched = fetch_map_output(&dfs, "job/shuffle/map-00000.segs").unwrap();
-        assert_eq!(fetched.len(), 3);
+        store(&dfs, "job/shuffle/map-00000.segs", &segs);
+        let fetched: Vec<Segment> = (0..segs.len())
+            .map(|r| fetch(&dfs, "job/shuffle/map-00000.segs", r).unwrap())
+            .collect();
         for (orig, got) in segs.iter().zip(&fetched) {
             assert_eq!(orig.codec, got.codec);
             assert_eq!(orig.records, got.records);
@@ -320,9 +237,10 @@ mod tests {
         // Every fetched payload windows the SAME block: the compressed
         // segment travelled by reference, not by copy.
         assert!(fetched[0].data.same_backing(&fetched[1].data));
-        let p1 = fetch_partition(&dfs, "job/shuffle/map-00000.segs", 1).unwrap();
-        assert!(p1.data.same_backing(&fetched[1].data));
-        assert_eq!(p1.to_pairs::<u64, u64>(), segs[1].to_pairs::<u64, u64>());
+        assert_eq!(
+            fetched[1].to_pairs::<u64, u64>(),
+            segs[1].to_pairs::<u64, u64>()
+        );
     }
 
     #[test]
@@ -334,11 +252,10 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let dfs = dfs(Some(dir.clone()));
-        let counters = Counters::new();
         let segs = segments();
-        store_map_output(&dfs, "j/shuffle/map-00000.segs", &segs, &counters).unwrap();
-        let a = fetch_partition(&dfs, "j/shuffle/map-00000.segs", 1).unwrap();
-        let b = fetch_partition(&dfs, "j/shuffle/map-00000.segs", 1).unwrap();
+        store(&dfs, "j/shuffle/map-00000.segs", &segs);
+        let a = fetch(&dfs, "j/shuffle/map-00000.segs", 1).unwrap();
+        let b = fetch(&dfs, "j/shuffle/map-00000.segs", 1).unwrap();
         // Two fetches share the one file mapping — refcount bumps on the
         // mmap'd block, no payload copies.
         assert!(a.data.same_backing(&b.data));
@@ -347,58 +264,6 @@ mod tests {
         }
         assert_eq!(a.to_pairs::<u64, u64>(), segs[1].to_pairs::<u64, u64>());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn adapt_codec_matches_by_reference_and_transcode_mismatches() {
-        let counters = Counters::new();
-        let segs = segments();
-        let compressed = &segs[1];
-        // Same codec: refcount bump, zero copies counted.
-        let same = adapt_codec(compressed, Codec::Lz, &counters).unwrap();
-        assert!(same.data.same_backing(&compressed.data));
-        assert_eq!(counters.get(keys::BYTES_COPIED), 0);
-        // Mismatch: transcoded, copies counted, contents preserved.
-        let raw = adapt_codec(compressed, Codec::Raw, &counters).unwrap();
-        assert_eq!(raw.codec, Codec::Raw);
-        assert!(!raw.data.same_backing(&compressed.data));
-        assert!(counters.get(keys::BYTES_COPIED) > 0);
-        assert_eq!(
-            raw.to_pairs::<u64, u64>(),
-            compressed.to_pairs::<u64, u64>()
-        );
-        let back = adapt_codec(&raw, Codec::Lz, &counters).unwrap();
-        assert_eq!(back.codec, Codec::Lz);
-        assert_eq!(back.to_pairs::<u64, u64>(), raw.to_pairs::<u64, u64>());
-    }
-
-    // Iterates the codec registry rather than naming codecs, so a newly
-    // registered codec is covered (and its same-codec fast path pinned)
-    // the day it lands.
-    #[test]
-    fn adapt_codec_transcodes_between_every_registered_pair() {
-        let segs = segments();
-        let compressed = &segs[1];
-        let want_pairs = compressed.to_pairs::<u64, u64>();
-        for &from in Codec::registry() {
-            let counters = Counters::new();
-            let src = adapt_codec(compressed, from, &counters).unwrap();
-            for &to in Codec::registry() {
-                let counters = Counters::new();
-                let got = adapt_codec(&src, to, &counters).unwrap();
-                assert_eq!(got.codec, to);
-                if from == to {
-                    assert!(
-                        got.data.same_backing(&src.data),
-                        "{from:?} -> {to:?} must be a refcount bump"
-                    );
-                    assert_eq!(counters.get(keys::BYTES_COPIED), 0);
-                } else {
-                    assert!(counters.get(keys::BYTES_COPIED) > 0);
-                }
-                assert_eq!(got.to_pairs::<u64, u64>(), want_pairs);
-            }
-        }
     }
 
     #[test]
@@ -412,32 +277,31 @@ mod tests {
             replication: 1,
             ..DfsConfig::default()
         });
-        let counters = Counters::new();
         let segs: Vec<Segment> = (0..5)
             .map(|p| {
                 Segment::from_pairs(
                     &(0..60u64).map(|i| (i, i * 10 + p)).collect::<Vec<_>>(),
-                    false,
+                    Codec::Raw,
                 )
             })
             .collect();
-        store_map_output(&dfs, "j/shuffle/map-00000.segs", &segs, &counters).unwrap();
+        store(&dfs, "j/shuffle/map-00000.segs", &segs);
         assert!(
             dfs.stat("j/shuffle/map-00000.segs").unwrap().blocks.len() > 1,
             "test needs a multi-block file"
         );
         for (p, s) in segs.iter().enumerate() {
-            let got = fetch_partition(&dfs, "j/shuffle/map-00000.segs", p).unwrap();
+            let got = fetch(&dfs, "j/shuffle/map-00000.segs", p).unwrap();
             assert_eq!(got.records, s.records);
             assert_eq!(got.to_pairs::<u64, u64>(), s.to_pairs::<u64, u64>());
         }
         // And pinned placement keeps the whole output on one node.
-        store_map_output_with_policy(
+        store_map_output(
             &dfs,
             "j/shuffle/map-00001.segs",
             &segs,
             &gesall_dfs::PinnedPlacement(2),
-            &counters,
+            &Counters::new(),
         )
         .unwrap();
         let info = dfs.stat("j/shuffle/map-00001.segs").unwrap();
@@ -447,11 +311,10 @@ mod tests {
     #[test]
     fn fetch_errors_on_bad_partition_and_corrupt_file() {
         let dfs = dfs(None);
-        let counters = Counters::new();
-        store_map_output(&dfs, "j/m0", &segments(), &counters).unwrap();
-        assert!(fetch_partition(&dfs, "j/m0", 3).is_err());
+        store(&dfs, "j/m0", &segments());
+        assert!(fetch(&dfs, "j/m0", 3).is_err());
         dfs.write_file("j/corrupt", &[9u8; 4]).unwrap();
-        assert!(fetch_map_output(&dfs, "j/corrupt").is_err());
-        assert!(fetch_map_output(&dfs, "j/missing").is_err());
+        assert!(fetch(&dfs, "j/corrupt", 0).is_err());
+        assert!(fetch(&dfs, "j/missing", 0).is_err());
     }
 }

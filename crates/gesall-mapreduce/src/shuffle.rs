@@ -4,13 +4,12 @@
 //! (`io.sort.mb`). A full buffer is sorted by (partition, key) and
 //! spilled; when the map function finishes, all spills are merged into a
 //! single sorted, partitioned output (the *map-side merge* whose disk
-//! contention dominates Fig. 5(b) at large partition sizes). With a
-//! [`SpillPool`] attached, the sort-and-bucket work of each spill runs on
-//! a background encoder while the mapper keeps buffering, and
-//! [`SortSpillBuffer::finish`] becomes a drain-and-merge barrier — the
-//! merged output is byte-identical to the synchronous path because spills
-//! land in submission order and the final encode still happens in one
-//! place.
+//! contention dominates Fig. 5(b) at large partition sizes). The
+//! sort-and-bucket work of each spill runs on a [`SpillPool`] encoder
+//! while the mapper keeps buffering, and [`SortSpillBuffer::finish`] is
+//! the drain-and-merge barrier — the merged output does not depend on
+//! encoder count or timing because spills land in submission order and
+//! the final encode happens in one place.
 //!
 //! Reduce side: each reducer fetches its partition's segment from every
 //! map output and runs a **multipass merge** bounded by `merge_factor`
@@ -24,76 +23,18 @@ use gesall_formats::wire::{put_u64, Cursor, Wire};
 use gesall_formats::{Codec, FormatError, SharedBytes};
 use gesall_telemetry::{kernel_keys, Phase};
 use parking_lot::{Condvar, Mutex};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default compression threshold: payloads smaller than this stay
-/// uncompressed even when the job asks for compression — the codec
-/// container + dictionary warm-up costs more than it saves on tiny
-/// segments. Jobs can override it via
-/// [`JobConfig::compress_min_bytes`](crate::runtime::JobConfig).
+/// Compression threshold: a partition payload smaller than this travels
+/// raw whatever codec the job asks for — the codec container +
+/// dictionary warm-up costs more than it saves on tiny segments.
 pub const COMPRESS_MIN_BYTES: usize = 1024;
 
 /// Free-list cap for [`SpillArena`]: holding more released scratch
 /// buffers than this drops them (counted under [`keys::SPILL_EVICTED`])
 /// instead of growing the list without bound.
 pub const SPILL_ARENA_MAX_FREE: usize = 8;
-
-/// How a job picks the codec for each map-output partition: compression
-/// on/off, the minimum payload size worth compressing, and which
-/// registered codec compressed payloads travel under (per key-type —
-/// genomic record streams hint [`Codec::Seq`] via
-/// [`Wire::codec_hint`], everything else defaults to LZ).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CodecPolicy {
-    /// Compress at all?
-    pub compress: bool,
-    /// Smallest raw payload the codec is applied to.
-    pub min_bytes: usize,
-    /// The compressed codec applied when a payload qualifies.
-    pub codec: Codec,
-}
-
-impl CodecPolicy {
-    pub fn new(compress: bool, min_bytes: usize) -> CodecPolicy {
-        CodecPolicy {
-            compress,
-            // A floor of 1 keeps empty partitions raw, so zero-length
-            // segments never carry a codec container.
-            min_bytes: min_bytes.max(1),
-            codec: Codec::Lz,
-        }
-    }
-
-    /// Use `codec` for qualifying payloads instead of the LZ default.
-    /// `Codec::Raw` here is a configuration error; it is coerced to
-    /// "compression off".
-    pub fn with_codec(mut self, codec: Codec) -> CodecPolicy {
-        if codec.is_compressed() {
-            self.codec = codec;
-        } else {
-            self.compress = false;
-        }
-        self
-    }
-
-    /// The codec a payload of `raw_len` bytes travels under.
-    pub fn choose(&self, raw_len: usize) -> Codec {
-        if self.compress && raw_len >= self.min_bytes {
-            self.codec
-        } else {
-            Codec::Raw
-        }
-    }
-}
-
-impl Default for CodecPolicy {
-    fn default() -> CodecPolicy {
-        CodecPolicy::new(false, COMPRESS_MIN_BYTES)
-    }
-}
 
 /// One sorted run of encoded (key, value) records.
 ///
@@ -126,16 +67,11 @@ impl Segment {
         }
     }
 
-    /// Serialize a sorted run of typed pairs under the default
-    /// [`COMPRESS_MIN_BYTES`] threshold.
-    pub fn from_pairs<K: Wire, V: Wire>(pairs: &[(K, V)], use_compression: bool) -> Segment {
-        Segment::from_pairs_with(pairs, CodecPolicy::new(use_compression, COMPRESS_MIN_BYTES))
-    }
-
-    /// Serialize a sorted run of typed pairs. The encode buffer is
-    /// pre-sized from [`Wire::encoded_len`]; the policy picks the codec
-    /// from the raw payload size.
-    pub fn from_pairs_with<K: Wire, V: Wire>(pairs: &[(K, V)], policy: CodecPolicy) -> Segment {
+    /// Serialize a sorted run of typed pairs under exactly `codec` (an
+    /// empty run stays raw, so zero-length segments never carry a codec
+    /// container). The encode buffer is pre-sized from
+    /// [`Wire::encoded_len`].
+    pub fn from_pairs<K: Wire, V: Wire>(pairs: &[(K, V)], codec: Codec) -> Segment {
         let raw_len: usize = pairs
             .iter()
             .map(|(k, v)| k.encoded_len() + v.encoded_len())
@@ -146,7 +82,7 @@ impl Segment {
             v.encode(&mut raw);
         }
         debug_assert_eq!(raw.len(), raw_len, "encoded_len must be exact");
-        let codec = policy.choose(raw_len);
+        let codec = if raw_len == 0 { Codec::Raw } else { codec };
         let data = if codec.is_compressed() {
             let mut data = Vec::new();
             codec.encode_append(&raw, &mut data);
@@ -244,7 +180,7 @@ pub fn read_frame(bytes: &SharedBytes, offset: usize) -> gesall_formats::Result<
 }
 
 /// A tournament (loser) tree over keyed leaves, the k-way merge kernel
-/// (DESIGN.md §5): internal nodes remember the *loser* of their match,
+/// (DESIGN.md §13): internal nodes remember the *loser* of their match,
 /// so replacing the winner and finding the next one replays only the
 /// leaf-to-root path — `log₂ k` comparisons per record, against the
 /// binary heap's pop **and** push (each `log k`, plus the tuple moves).
@@ -325,7 +261,7 @@ impl<K: Ord> LoserTree<K> {
 
 /// Stable k-way merge of sorted runs by key (ties broken by run order,
 /// then intra-run order — deterministic). Runs on the [`LoserTree`]
-/// kernel; [`merge_runs_heap`] is the binary-heap twin it is pinned to.
+/// kernel.
 pub fn merge_runs<K: Wire + Ord + Clone, V: Wire>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
     let total: usize = runs.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
@@ -359,37 +295,6 @@ pub fn merge_runs<K: Wire + Ord + Clone, V: Wire>(runs: Vec<Vec<(K, V)>>) -> Vec
             .replace_winner(i, next)
             .expect("winner leaf holds a key");
         out.push((k, v));
-    }
-    out
-}
-
-/// The binary-heap twin of [`merge_runs`], retained as its order oracle
-/// (and as the merge under [`reduce_merge_materialized`], keeping that
-/// oracle fully independent of the loser-tree kernel).
-pub fn merge_runs_heap<K: Wire + Ord + Clone, V: Wire>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    // Heap of (key, run_idx) → pop smallest; stability from run_idx order.
-    let mut iters: Vec<std::vec::IntoIter<(K, V)>> =
-        runs.into_iter().map(|r| r.into_iter()).collect();
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::new();
-    let mut heads: Vec<Option<V>> = Vec::with_capacity(iters.len());
-    for (i, it) in iters.iter_mut().enumerate() {
-        match it.next() {
-            Some((k, v)) => {
-                heap.push(Reverse((k, i)));
-                heads.push(Some(v));
-            }
-            None => heads.push(None),
-        }
-    }
-    while let Some(Reverse((k, i))) = heap.pop() {
-        let v = heads[i].take().expect("head value present for popped run");
-        out.push((k, v));
-        if let Some((nk, nv)) = iters[i].next() {
-            heap.push(Reverse((nk, i)));
-            heads[i] = Some(nv);
-        }
     }
     out
 }
@@ -454,7 +359,7 @@ impl SpillArena {
 const RADIX_MIN_RUN: usize = 64;
 
 /// LSD radix sort of one partition's run, stable, keyed on
-/// [`Wire::sort_prefix`] (DESIGN.md §5). The permutation is computed
+/// [`Wire::sort_prefix`] (DESIGN.md §13). The permutation is computed
 /// over 16-byte `(prefix, index)` items — the typed pairs move exactly
 /// once, at the end — and constant prefix bytes skip their pass
 /// entirely. Because `sort_prefix` is order-consistent
@@ -529,19 +434,15 @@ fn radix_sort_run<K: Wire + Ord, V: Wire>(run: &mut Vec<(K, V)>) -> (u64, u64) {
 }
 
 /// Sort a spill batch by (partition, key) and bucket it into one sorted
-/// run per partition — the unit of work a spill encoder executes. The
-/// radix path buckets by partition with a stable counting scatter, then
-/// radix-sorts each run ([`radix_sort_run`]); pass/fallback activity
-/// lands on the `kernel.sort.*` counters.
+/// run per partition — the unit of work a spill encoder executes:
+/// bucket by partition with a stable counting scatter, then radix-sort
+/// each run ([`radix_sort_run`]); pass/fallback activity lands on the
+/// `kernel.sort.*` counters.
 fn sort_and_bucket<K: Wire + Ord, V: Wire>(
     batch: Vec<(usize, K, V)>,
     n_partitions: usize,
-    radix: bool,
     counters: &Counters,
 ) -> Vec<Vec<(K, V)>> {
-    if !radix {
-        return sort_and_bucket_comparison(batch, n_partitions);
-    }
     let mut counts = vec![0usize; n_partitions];
     for (p, _, _) in &batch {
         counts[*p] += 1;
@@ -566,26 +467,12 @@ fn sort_and_bucket<K: Wire + Ord, V: Wire>(
     runs
 }
 
-/// The comparison-sort twin of [`sort_and_bucket`] — the oracle the
-/// radix path is pinned to (identical runs for any batch, proptested).
-fn sort_and_bucket_comparison<K: Wire + Ord, V: Wire>(
-    mut batch: Vec<(usize, K, V)>,
-    n_partitions: usize,
-) -> Vec<Vec<(K, V)>> {
-    batch.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-    let mut runs: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
-    for (p, k, v) in batch {
-        runs[p].push((k, v));
-    }
-    runs
-}
-
 /// One spill's output: a sorted run per reduce partition.
 type SpillRuns<K, V> = Vec<Vec<(K, V)>>;
 
 /// Sequence-ordered slots the spill encoders fill: slot `i` holds the
 /// runs of the `i`-th submitted spill, so the drain barrier hands the
-/// merge the same spill order the synchronous path would have produced.
+/// merge the spills in emission order however the encoders interleave.
 struct SpillSlots<K, V> {
     filled: Mutex<Vec<Option<SpillRuns<K, V>>>>,
     done: Condvar,
@@ -596,17 +483,15 @@ pub struct SortSpillBuffer<'a, K: Wire + Ord + Clone, V: Wire> {
     io_sort_bytes: usize,
     n_partitions: usize,
     partitioner: &'a dyn Partitioner<K>,
-    policy: CodecPolicy,
+    /// Codec partitions of at least [`COMPRESS_MIN_BYTES`] travel under
+    /// ([`Codec::Raw`] = compression off).
+    codec: Codec,
     current: Vec<(usize, K, V)>,
     current_bytes: usize,
-    /// Each spill holds one sorted run per partition (synchronous path).
-    spills: Vec<Vec<Vec<(K, V)>>>,
-    /// When set, spills sort on these background encoders instead.
-    pool: Option<Arc<SpillPool>>,
+    /// Background encoders the spills sort on.
+    pool: Arc<SpillPool>,
     slots: Arc<SpillSlots<K, V>>,
     counters: Counters,
-    /// Radix-sort spill batches (default); off = comparison-sort twin.
-    radix: bool,
 }
 
 impl<'a, K, V> SortSpillBuffer<'a, K, V>
@@ -618,54 +503,24 @@ where
         io_sort_bytes: usize,
         n_partitions: usize,
         partitioner: &'a dyn Partitioner<K>,
-        use_compression: bool,
+        codec: Codec,
+        pool: Arc<SpillPool>,
         counters: Counters,
     ) -> Self {
         SortSpillBuffer {
             io_sort_bytes: io_sort_bytes.max(1),
             n_partitions: n_partitions.max(1),
             partitioner,
-            policy: CodecPolicy::new(use_compression, COMPRESS_MIN_BYTES),
+            codec,
             current: Vec::new(),
             current_bytes: 0,
-            spills: Vec::new(),
-            pool: None,
+            pool,
             slots: Arc::new(SpillSlots {
                 filled: Mutex::new(Vec::new()),
                 done: Condvar::new(),
             }),
             counters,
-            radix: true,
         }
-    }
-
-    /// Choose the spill-sort kernel: radix on [`Wire::sort_prefix`]
-    /// (default) or the comparison-sort twin. Output is identical either
-    /// way; only speed changes.
-    pub fn with_radix(mut self, radix: bool) -> Self {
-        self.radix = radix;
-        self
-    }
-
-    /// Run spills on `pool`'s background encoders; the mapper keeps
-    /// buffering while previous spills sort, and
-    /// [`SortSpillBuffer::finish`] drains before merging.
-    pub fn with_pool(mut self, pool: Arc<SpillPool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Override the compression threshold (the `JobConfig` knob).
-    pub fn with_min_compress_bytes(mut self, min_bytes: usize) -> Self {
-        self.policy = CodecPolicy::new(self.policy.compress, min_bytes).with_codec(self.policy.codec);
-        self
-    }
-
-    /// Use `codec` for qualifying partitions instead of the LZ default
-    /// (the per-key-type [`Wire::codec_hint`] or the job override).
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.policy = self.policy.with_codec(codec);
-        self
     }
 
     /// Buffer one record by move; spill when full. Sizing comes from
@@ -690,56 +545,42 @@ where
         let batch = std::mem::take(&mut self.current);
         self.current_bytes = 0;
         self.counters.add(keys::MAP_SPILLS, 1);
-        match &self.pool {
-            Some(pool) => {
-                // Reserve the next sequence slot, then hand the sort to
-                // an encoder. The partition index was computed at emit
-                // time, so the job captures only owned data.
-                let idx = {
-                    let mut slots = self.slots.filled.lock();
-                    slots.push(None);
-                    slots.len() - 1
-                };
-                self.counters.add(keys::SPILL_POOL_JOBS, 1);
-                let n = self.n_partitions;
-                let radix = self.radix;
-                let slots = self.slots.clone();
-                let counters = self.counters.clone();
-                pool.submit(Box::new(move || {
-                    let t0 = Instant::now();
-                    let runs = sort_and_bucket(batch, n, radix, &counters);
-                    counters.add(Phase::SortSpill.counter_key(), t0.elapsed().as_nanos() as u64);
-                    let mut filled = slots.filled.lock();
-                    filled[idx] = Some(runs);
-                    slots.done.notify_all();
-                }));
-            }
-            None => {
-                let t0 = Instant::now();
-                let runs =
-                    sort_and_bucket(batch, self.n_partitions, self.radix, &self.counters);
-                self.spills.push(runs);
-                self.counters
-                    .add(Phase::SortSpill.counter_key(), t0.elapsed().as_nanos() as u64);
-            }
-        }
+        // Reserve the next sequence slot, then hand the sort to an
+        // encoder. The partition index was computed at emit time, so the
+        // job captures only owned data.
+        let idx = {
+            let mut slots = self.slots.filled.lock();
+            slots.push(None);
+            slots.len() - 1
+        };
+        self.counters.add(keys::SPILL_POOL_JOBS, 1);
+        let n = self.n_partitions;
+        let slots = self.slots.clone();
+        let counters = self.counters.clone();
+        self.pool.submit(Box::new(move || {
+            let t0 = Instant::now();
+            let runs = sort_and_bucket(batch, n, &counters);
+            counters.add(Phase::SortSpill.counter_key(), t0.elapsed().as_nanos() as u64);
+            let mut filled = slots.filled.lock();
+            filled[idx] = Some(runs);
+            slots.done.notify_all();
+        }));
     }
 
     /// Finish the map task: merge all spills into one sorted segment per
-    /// partition. With a pool attached this is the drain-and-merge
-    /// barrier — it waits for outstanding background spills (the wait is
-    /// counted under [`keys::SPILL_POOL_DRAIN_WAIT_NANOS`]) and then
-    /// merges them in submission order, producing output byte-identical
-    /// to the synchronous path.
+    /// partition. This is the drain-and-merge barrier — it waits for
+    /// outstanding background spills (the wait is counted under
+    /// [`keys::SPILL_POOL_DRAIN_WAIT_NANOS`]) and then merges them in
+    /// submission order.
     pub fn finish(mut self) -> Vec<Segment> {
         self.spill();
-        let spills: Vec<Vec<Vec<(K, V)>>> = if self.pool.is_some() {
+        let spills: Vec<SpillRuns<K, V>> = {
             let t0 = Instant::now();
             let mut filled = self.slots.filled.lock();
             while filled.iter().any(|s| s.is_none()) {
                 self.slots.done.wait(&mut filled);
             }
-            let drained: Vec<_> = filled
+            let drained = filled
                 .drain(..)
                 .map(|s| s.expect("drain barrier saw all slots filled"))
                 .collect();
@@ -749,8 +590,6 @@ where
                 t0.elapsed().as_nanos() as u64,
             );
             drained
-        } else {
-            std::mem::take(&mut self.spills)
         };
         let t0 = Instant::now();
         let n_spills = spills.len();
@@ -787,7 +626,11 @@ where
                 .map(|(k, v)| k.encoded_len() + v.encoded_len())
                 .sum();
             let start = backing.len();
-            let codec = self.policy.choose(raw_len);
+            let codec = if raw_len >= COMPRESS_MIN_BYTES {
+                self.codec
+            } else {
+                Codec::Raw
+            };
             if codec.is_compressed() {
                 let mut scratch = arena.acquire(raw_len);
                 for (k, v) in &merged {
@@ -964,8 +807,8 @@ impl<K: Wire + Ord + Clone, V: Wire> RunCursor<K, V> {
 /// [`merge_runs`] (ties break by cursor index, then intra-run order).
 /// At most one head record per cursor is typed-resident at any moment.
 /// Runs on the [`LoserTree`] kernel; the byte-identity proptest against
-/// [`reduce_merge_materialized`] (whose merge is the heap twin) pins the
-/// order down.
+/// the materializing heap-merge reference (`tests/proptest_engine.rs`)
+/// pins the order down.
 fn merge_streams<K: Wire + Ord + Clone, V: Wire>(
     mut cursors: Vec<RunCursor<K, V>>,
     arena: &mut SpillArena,
@@ -1017,15 +860,13 @@ fn merge_streams<K: Wire + Ord + Clone, V: Wire>(
 /// Runs are consumed through lazy [`RunCursor`]s that decode one record
 /// at a time from the segment's (possibly mmap-backed) byte window, so
 /// at most `merge_factor` run heads — plus the output run an
-/// intermediate pass is writing — are in flight at once; the old path
-/// materialized every run as typed pairs up front, making reducer peak
-/// memory linear in input size. Intermediate passes re-encode their
-/// merged run through the [`SpillArena`] (raw wire encoding, counted
-/// under [`keys::REDUCE_MERGE_BYTES`] exactly as before) and queue it as
+/// intermediate pass is writing — are in flight at once, and reducer
+/// peak memory does not grow with input size. Intermediate passes
+/// re-encode their merged run through the [`SpillArena`] (raw wire
+/// encoding, counted under [`keys::REDUCE_MERGE_BYTES`]) and queue it as
 /// storage-layer bytes. The decoded-side peak lands on
 /// [`keys::REDUCE_PEAK_RESIDENT`]; see [`ResidentGauge`] for what
-/// counts. Output is byte-identical to [`reduce_merge_materialized`],
-/// which the equivalence proptest pins down.
+/// counts.
 pub fn reduce_merge<K: Wire + Ord + Clone, V: Wire>(
     segments: Vec<Segment>,
     merge_factor: usize,
@@ -1102,9 +943,7 @@ pub fn reduce_merge_streamed<K: Wire + Ord + Clone, V: Wire>(
     let mut arena = SpillArena::new(counters.clone());
     let mut gauge = ResidentGauge::default();
     // Intermediate passes: merge `merge_factor` runs at a time,
-    // re-encoding the merged run into an arena buffer
-    // (REDUCE_MERGE_BYTES counts the same encoded length as the
-    // materializing oracle).
+    // re-encoding the merged run into an arena buffer.
     while pending + rewritten.len() > merge_factor {
         let take = merge_factor.min(pending + rewritten.len());
         let cursors: Vec<RunCursor<K, V>> = (0..take)
@@ -1169,85 +1008,56 @@ pub fn reduce_merge_streamed<K: Wire + Ord + Clone, V: Wire>(
     out
 }
 
-/// The pre-streaming reduce merge: decode every segment into typed
-/// pairs up front, then multipass-merge the materialized runs. Retained
-/// as the equivalence oracle for [`reduce_merge`] — the streaming path
-/// must produce byte-identical grouped output (same keys, same value
-/// order) for any segment set, codec mix, and `merge_factor`.
-pub fn reduce_merge_materialized<K: Wire + Ord + Clone, V: Wire>(
-    segments: Vec<Segment>,
-    merge_factor: usize,
-    counters: &Counters,
-) -> Vec<(K, Vec<V>)> {
-    let merge_factor = merge_factor.max(2);
-    let mut runs: std::collections::VecDeque<Vec<(K, V)>> = segments
-        .iter()
-        .filter(|s| s.records > 0)
-        .map(|s| s.to_pairs())
-        .collect();
-    while runs.len() > merge_factor {
-        let take = merge_factor.min(runs.len());
-        let batch: Vec<Vec<(K, V)>> = (0..take).map(|_| runs.pop_front().unwrap()).collect();
-        let merged = merge_runs_heap(batch);
-        counters.add(keys::REDUCE_MERGE_PASSES, 1);
-        runs.push_back(merged);
-    }
-    let merged = merge_runs_heap(runs.into_iter().collect());
-    let mut out: Vec<(K, Vec<V>)> = Vec::new();
-    for (k, v) in merged {
-        match out.last_mut() {
-            Some((lk, vs)) if *lk == k => vs.push(v),
-            _ => out.push((k, vec![v])),
-        }
-    }
-    counters.add(keys::REDUCE_INPUT_GROUPS, out.len() as u64);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::task::HashPartitioner;
+
+    fn pool(workers: usize) -> Arc<SpillPool> {
+        Arc::new(SpillPool::new(workers, 2))
+    }
+
+    /// Reference for [`sort_and_bucket`]: one stable comparison sort by
+    /// (partition, key), then a split into per-partition runs.
+    fn sort_and_bucket_comparison<K: Wire + Ord, V: Wire>(
+        mut batch: Vec<(usize, K, V)>,
+        n_partitions: usize,
+    ) -> Vec<Vec<(K, V)>> {
+        batch.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        let mut runs: Vec<Vec<(K, V)>> = (0..n_partitions).map(|_| Vec::new()).collect();
+        for (p, k, v) in batch {
+            runs[p].push((k, v));
+        }
+        runs
+    }
 
     #[test]
     fn segment_roundtrip_compressed_and_raw() {
         let pairs: Vec<(String, u64)> = (0..500)
             .map(|i| (format!("key{:04}", i % 50), i))
             .collect();
-        for comp in [false, true] {
-            let seg = Segment::from_pairs(&pairs, comp);
+        for codec in [Codec::Raw, Codec::Lz] {
+            let seg = Segment::from_pairs(&pairs, codec);
             assert_eq!(seg.records, 500);
-            assert_eq!(seg.is_compressed(), comp);
+            assert_eq!(seg.codec, codec);
             let back: Vec<(String, u64)> = seg.to_pairs();
             assert_eq!(back, pairs);
-            if comp {
+            if codec.is_compressed() {
                 assert!(seg.wire_len() < seg.raw_len, "repetitive keys compress");
             }
         }
-    }
-
-    #[test]
-    fn codec_policy_threshold_is_a_knob() {
-        let pairs: Vec<(String, u64)> = (0..20).map(|i| (format!("k{i:02}"), i)).collect();
-        // Under the default 1 KiB threshold this payload stays raw …
-        let seg = Segment::from_pairs(&pairs, true);
-        assert_eq!(seg.codec, Codec::Raw);
-        // … but a per-job threshold of 1 byte compresses it.
-        let seg = Segment::from_pairs_with(&pairs, CodecPolicy::new(true, 1));
-        assert_eq!(seg.codec, Codec::Lz);
-        assert_eq!(seg.to_pairs::<String, u64>(), pairs);
-        // Empty payloads never carry a codec container, even at min 0.
-        let seg = Segment::from_pairs_with::<String, u64>(&[], CodecPolicy::new(true, 0));
+        // Empty payloads never carry a codec container.
+        let seg = Segment::from_pairs::<String, u64>(&[], Codec::Lz);
         assert_eq!(seg.codec, Codec::Raw);
         assert_eq!(seg.wire_len(), 0);
     }
 
     #[test]
     fn frame_roundtrip_is_zero_copy() {
-        let a = Segment::from_pairs(&[(1u64, 10u64), (2, 20)], false);
-        let b = Segment::from_pairs_with(
+        let a = Segment::from_pairs(&[(1u64, 10u64), (2, 20)], Codec::Raw);
+        let b = Segment::from_pairs(
             &(0..300u64).map(|i| (i % 9, i)).collect::<Vec<_>>(),
-            CodecPolicy::new(true, 16),
+            Codec::Lz,
         );
         assert!(b.is_compressed());
         let mut wire = Vec::new();
@@ -1271,7 +1081,7 @@ mod tests {
 
     #[test]
     fn frame_rejects_truncation_and_bad_tags() {
-        let seg = Segment::from_pairs(&[(7u64, 8u64)], false);
+        let seg = Segment::from_pairs(&[(7u64, 8u64)], Codec::Raw);
         let mut wire = Vec::new();
         write_frame(&seg, &mut wire);
         // Bad codec tag.
@@ -1309,34 +1119,7 @@ mod tests {
     }
 
     #[test]
-    fn loser_tree_merge_matches_heap_oracle() {
-        // Deterministic pseudo-random runs, duplicate-heavy keys, varied
-        // run counts (1, power-of-two, odd): loser tree == heap, always.
-        let mut x = 42u64;
-        let mut rand = move || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            x >> 33
-        };
-        for n_runs in [1usize, 2, 3, 7, 8, 13] {
-            let runs: Vec<Vec<(u64, u64)>> = (0..n_runs)
-                .map(|r| {
-                    let len = (rand() % 40) as usize;
-                    let mut run: Vec<(u64, u64)> =
-                        (0..len).map(|i| (rand() % 10, (r * 1000 + i) as u64)).collect();
-                    run.sort_by_key(|&(k, _)| k);
-                    run
-                })
-                .collect();
-            assert_eq!(
-                merge_runs(runs.clone()),
-                merge_runs_heap(runs),
-                "n_runs={n_runs}"
-            );
-        }
-    }
-
-    #[test]
-    fn radix_sort_matches_comparison_twin() {
+    fn radix_sort_matches_comparison_reference() {
         let mut x = 99u64;
         let mut rand = move || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -1352,7 +1135,7 @@ mod tests {
                 (p, k, i)
             })
             .collect();
-        let fast = sort_and_bucket(batch.clone(), 3, true, &counters);
+        let fast = sort_and_bucket(batch.clone(), 3, &counters);
         let slow = sort_and_bucket_comparison(batch, 3);
         assert_eq!(fast, slow);
         assert!(counters.get(kernel_keys::SORT_COMPARISON_FALLBACKS) > 0);
@@ -1362,7 +1145,7 @@ mod tests {
         let batch: Vec<(usize, u64, u64)> = (0..500)
             .map(|i| ((rand() % 2) as usize, rand() % 100_000, i))
             .collect();
-        let fast = sort_and_bucket(batch.clone(), 2, true, &counters);
+        let fast = sort_and_bucket(batch.clone(), 2, &counters);
         let slow = sort_and_bucket_comparison(batch, 2);
         assert_eq!(fast, slow);
         assert!(counters.get(kernel_keys::SORT_RADIX_PASSES) > 0);
@@ -1397,7 +1180,7 @@ mod tests {
         let counters = Counters::new();
         let p = HashPartitioner;
         let mut buf: SortSpillBuffer<'_, u64, u64> =
-            SortSpillBuffer::new(256, 2, &p, false, counters.clone());
+            SortSpillBuffer::new(256, 2, &p, Codec::Raw, pool(2), counters.clone());
         for i in 0..200u64 {
             buf.emit(i % 37, i);
         }
@@ -1420,7 +1203,7 @@ mod tests {
         let counters = Counters::new();
         let p = crate::task::FnPartitioner::new(|k: &u64, n| (*k as usize) % n);
         let mut buf: SortSpillBuffer<'_, u64, String> =
-            SortSpillBuffer::new(1 << 20, 3, &p, false, counters);
+            SortSpillBuffer::new(1 << 20, 3, &p, Codec::Raw, pool(2), counters);
         for i in 0..60u64 {
             buf.emit(i, format!("v{i}"));
         }
@@ -1435,8 +1218,8 @@ mod tests {
     #[test]
     fn reduce_merge_groups_by_key() {
         let counters = Counters::new();
-        let seg1 = Segment::from_pairs(&[(1u64, 10u64), (2, 20)], false);
-        let seg2 = Segment::from_pairs(&[(1u64, 11u64), (3, 30)], false);
+        let seg1 = Segment::from_pairs(&[(1u64, 10u64), (2, 20)], Codec::Raw);
+        let seg2 = Segment::from_pairs(&[(1u64, 11u64), (3, 30)], Codec::Raw);
         let grouped = reduce_merge::<u64, u64>(vec![seg1, seg2], 10, &counters);
         assert_eq!(
             grouped,
@@ -1453,7 +1236,7 @@ mod tests {
     fn reduce_merge_multipass_when_many_segments() {
         let counters = Counters::new();
         let segments: Vec<Segment> = (0..20u64)
-            .map(|s| Segment::from_pairs(&[(s, s * 100), (s + 100, s)], false))
+            .map(|s| Segment::from_pairs(&[(s, s * 100), (s + 100, s)], Codec::Raw))
             .collect();
         let grouped = reduce_merge::<u64, u64>(segments, 4, &counters);
         assert_eq!(grouped.len(), 40);
@@ -1474,7 +1257,7 @@ mod tests {
     fn fewer_segments_than_factor_means_no_extra_pass() {
         let counters = Counters::new();
         let segments: Vec<Segment> = (0..5u64)
-            .map(|s| Segment::from_pairs(&[(s, s)], false))
+            .map(|s| Segment::from_pairs(&[(s, s)], Codec::Raw))
             .collect();
         let _ = reduce_merge::<u64, u64>(segments, 10, &counters);
         assert_eq!(counters.get(keys::REDUCE_MERGE_PASSES), 0);
@@ -1488,7 +1271,7 @@ mod tests {
         let counters = Counters::new();
         let p = crate::task::FnPartitioner::new(|k: &u64, n| (*k as usize) % n);
         let mut buf: SortSpillBuffer<'_, u64, u64> =
-            SortSpillBuffer::new(256, 4, &p, false, counters);
+            SortSpillBuffer::new(256, 4, &p, Codec::Raw, pool(2), counters);
         for i in 0..300u64 {
             buf.emit(i, i * 7);
         }
@@ -1542,15 +1325,15 @@ mod tests {
         // and off: grouped output must be identical either way.
         let p = HashPartitioner;
         let mut outputs = Vec::new();
-        for comp in [false, true] {
+        for codec in [Codec::Raw, Codec::Lz] {
             let counters = Counters::new();
             let mut buf: SortSpillBuffer<'_, String, u64> =
-                SortSpillBuffer::new(512, 3, &p, comp, counters.clone());
+                SortSpillBuffer::new(512, 3, &p, codec, pool(2), counters.clone());
             for i in 0..400u64 {
                 buf.emit(format!("key{:03}", i % 40), i);
             }
             let segs = buf.finish();
-            if comp {
+            if codec.is_compressed() {
                 assert!(
                     segs.iter().any(|s| s.is_compressed()),
                     "repetitive keys above the threshold must compress"
@@ -1571,29 +1354,46 @@ mod tests {
     }
 
     #[test]
-    fn async_spill_is_byte_identical_to_sync() {
-        // The determinism contract of the overlapped pipeline: with the
-        // same emit stream, the async path's merged segments must be
-        // byte-for-byte the sync path's, codec on or off.
+    fn partitions_below_the_compression_threshold_travel_raw() {
+        // Partition 0 gets 8 tiny records (well under COMPRESS_MIN_BYTES),
+        // partition 1 gets a few KiB: only the latter earns the codec.
+        let p = crate::task::FnPartitioner::new(|k: &u64, _| usize::from(*k >= 8));
+        let mut buf: SortSpillBuffer<'_, u64, u64> =
+            SortSpillBuffer::new(1 << 20, 2, &p, Codec::Lz, pool(1), Counters::new());
+        for i in 0..400u64 {
+            buf.emit(i, i % 3);
+        }
+        let segs = buf.finish();
+        assert!(segs[0].raw_len < COMPRESS_MIN_BYTES && segs[1].raw_len >= COMPRESS_MIN_BYTES);
+        assert_eq!(segs[0].codec, Codec::Raw);
+        assert_eq!(segs[1].codec, Codec::Lz);
+    }
+
+    #[test]
+    fn spill_pool_output_equals_straight_line_reference() {
+        // The determinism contract of the overlapped pipeline: whatever
+        // the encoder count, the merged segments are exactly a stable
+        // sort by (partition, key) of the emitted records — spill
+        // boundaries, pool interleaving and the radix kernel must all be
+        // invisible in the bytes.
         let p = HashPartitioner;
-        for comp in [false, true] {
-            let sync_segs = {
+        let records: Vec<(String, u64)> =
+            (0..600u64).map(|i| (format!("key{:03}", i % 53), i)).collect();
+        let reference = sort_and_bucket_comparison(
+            records
+                .iter()
+                .map(|(k, v)| (Partitioner::partition(&p, k, 3), k.clone(), *v))
+                .collect(),
+            3,
+        );
+        for codec in [Codec::Raw, Codec::Lz] {
+            for workers in [1, 3] {
+                let pool = pool(workers);
                 let counters = Counters::new();
                 let mut buf: SortSpillBuffer<'_, String, u64> =
-                    SortSpillBuffer::new(512, 3, &p, comp, counters);
-                for i in 0..600u64 {
-                    buf.emit(format!("key{:03}", i % 53), i);
-                }
-                buf.finish()
-            };
-            let async_segs = {
-                let pool = Arc::new(SpillPool::new(3, 2));
-                let counters = Counters::new();
-                let mut buf: SortSpillBuffer<'_, String, u64> =
-                    SortSpillBuffer::new(512, 3, &p, comp, counters.clone())
-                        .with_pool(pool.clone());
-                for i in 0..600u64 {
-                    buf.emit(format!("key{:03}", i % 53), i);
+                    SortSpillBuffer::new(512, 3, &p, codec, pool.clone(), counters.clone());
+                for (k, v) in records.iter().cloned() {
+                    buf.emit(k, v);
                 }
                 let segs = buf.finish();
                 assert!(
@@ -1605,14 +1405,12 @@ mod tests {
                     counters.get(keys::MAP_SPILLS)
                 );
                 assert_eq!(pool.jobs_run(), counters.get(keys::SPILL_POOL_JOBS));
-                segs
-            };
-            assert_eq!(sync_segs.len(), async_segs.len());
-            for (s, a) in sync_segs.iter().zip(&async_segs) {
-                assert_eq!(s.codec, a.codec);
-                assert_eq!(s.records, a.records);
-                assert_eq!(s.raw_len, a.raw_len);
-                assert_eq!(&s.data[..], &a.data[..], "merged payloads must match");
+                let got: Vec<Vec<(String, u64)>> = segs.iter().map(|s| s.to_pairs()).collect();
+                assert_eq!(got, reference, "codec {codec:?}, {workers} encoder(s)");
+                for (seg, run) in segs.iter().zip(&reference) {
+                    let want = Segment::from_pairs(run, seg.codec);
+                    assert_eq!(&seg.data[..], &want.data[..], "payload bytes must match");
+                }
             }
         }
     }

@@ -1,5 +1,5 @@
 //! The spill-encoder pool: background workers that sort spill batches
-//! while the mapper keeps buffering (DESIGN.md §3 15/16).
+//! while the mapper keeps buffering (DESIGN.md §7).
 //!
 //! Hadoop's map task overlaps `io.sort.mb` spills with user map code via
 //! `SpillThread`; synchronously sorting every full buffer on the map
@@ -8,10 +8,10 @@
 //! workers fed through a **bounded** queue: submission blocks when the
 //! queue is full, so a mapper that out-produces the encoders backpressures
 //! instead of buffering unboundedly. A map task's
-//! [`finish`](crate::shuffle::SortSpillBuffer::finish) becomes a
+//! [`finish`](crate::shuffle::SortSpillBuffer::finish) is the
 //! drain-and-merge barrier that waits for its outstanding spills before
 //! merging — the determinism contract (spills land in submission order)
-//! is preserved, which the async-vs-sync byte-identity test pins down.
+//! is pinned down by the straight-line-reference test in `shuffle`.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;

@@ -1,5 +1,6 @@
 //! Mapper / Reducer traits and their emit contexts.
 
+use crate::counters::Counters;
 use gesall_formats::wire::Wire;
 
 /// A map function over typed records. `map` is called once per input
@@ -54,11 +55,20 @@ pub trait Reducer: Send + Sync {
 /// Sink for map output.
 pub struct MapContext<'a, K, V> {
     pub(crate) sink: &'a mut dyn FnMut(K, V),
+    pub(crate) counters: &'a Counters,
 }
 
 impl<K, V> MapContext<'_, K, V> {
     pub fn emit(&mut self, key: K, value: V) {
         (self.sink)(key, value);
+    }
+
+    /// The running attempt's counter bag. It merges into the job's
+    /// counters only if this attempt commits, so what a mapper charges
+    /// here is never inflated by a retried or discarded speculative
+    /// attempt — unlike a bag the mapper owns.
+    pub fn counters(&self) -> &Counters {
+        self.counters
     }
 }
 

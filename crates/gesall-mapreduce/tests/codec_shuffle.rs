@@ -78,7 +78,6 @@ fn run_with(codec: Codec) -> JobResult<u64, SamRecord> {
         name: format!("codec-twin-{}", codec.name()),
         n_reducers: 3,
         io_sort_bytes: 64 * 1024,
-        compress_min_bytes: 1,
         shuffle_codec: Some(codec),
         speculative: false,
         ..JobConfig::default()
@@ -102,8 +101,8 @@ fn reduce_output_is_identical_across_every_shuffle_codec() {
     assert_eq!(lz.outputs, seq.outputs, "Lz vs Seq reduce output diverged");
     assert!(raw.outputs.iter().flatten().count() > 0);
 
-    // The codec override actually took: Raw ships everything
-    // uncompressed, the others compress every qualifying segment.
+    // The codec override actually took: `Some(Raw)` is compression off,
+    // the others compress every partition above COMPRESS_MIN_BYTES.
     assert_eq!(raw.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED), 0);
     assert!(lz.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED) > 0);
     assert!(seq.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED) > 0);
@@ -149,7 +148,6 @@ fn sam_records_hint_the_seq_codec_by_default() {
     let cfg = JobConfig {
         name: "codec-hint".into(),
         n_reducers: 2,
-        compress_min_bytes: 1,
         speculative: false,
         ..JobConfig::default()
     };

@@ -3,16 +3,108 @@
 //! buffer size, and compression — only then can the platform claim
 //! "same program, parallel execution".
 
+use gesall_formats::wire::Wire;
 use gesall_formats::{Codec, SharedBytes};
 use gesall_mapreduce::shuffle::{
-    merge_runs, merge_runs_heap, read_frame, reduce_merge, reduce_merge_materialized, write_frame,
-    CodecPolicy, Segment,
+    merge_runs, read_frame, reduce_merge, write_frame, Segment, SortSpillBuffer,
+    COMPRESS_MIN_BYTES,
 };
 use gesall_mapreduce::{
-    ClusterResources, HashPartitioner, InputSplit, JobConfig, MapContext, MapReduceEngine, Mapper,
-    ReduceContext, Reducer,
+    ClusterResources, Counters, HashPartitioner, InputSplit, JobConfig, MapContext,
+    MapReduceEngine, Mapper, Partitioner, ReduceContext, Reducer, SpillPool,
 };
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
+
+// ---------------------------------------------------------------------
+// Reference implementations the engine's kernels are pinned to. They
+// live here, not in the crate: nothing but these tests may call them.
+
+/// Binary-heap k-way merge: the order reference for [`merge_runs`]
+/// (stable — ties broken by run order, then intra-run order).
+fn merge_runs_heap<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
+    let total: usize = runs.iter().map(Vec::len).sum();
+    let mut out = Vec::with_capacity(total);
+    let mut iters: Vec<std::vec::IntoIter<(K, V)>> =
+        runs.into_iter().map(|r| r.into_iter()).collect();
+    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::new();
+    let mut heads: Vec<Option<V>> = Vec::with_capacity(iters.len());
+    for (i, it) in iters.iter_mut().enumerate() {
+        match it.next() {
+            Some((k, v)) => {
+                heap.push(Reverse((k, i)));
+                heads.push(Some(v));
+            }
+            None => heads.push(None),
+        }
+    }
+    while let Some(Reverse((k, i))) = heap.pop() {
+        let v = heads[i].take().expect("head value present for popped run");
+        out.push((k, v));
+        if let Some((nk, nv)) = iters[i].next() {
+            heap.push(Reverse((nk, i)));
+            heads[i] = Some(nv);
+        }
+    }
+    out
+}
+
+/// Materializing reduce merge: decode every segment into typed pairs up
+/// front, then multipass-merge with the heap reference. The streaming
+/// [`reduce_merge`] must produce byte-identical grouped output (same
+/// keys, same value order) for any segment set, codec mix, and
+/// `merge_factor`.
+fn reduce_merge_materialized<K: Wire + Ord + Clone, V: Wire>(
+    segments: Vec<Segment>,
+    merge_factor: usize,
+) -> Vec<(K, Vec<V>)> {
+    let merge_factor = merge_factor.max(2);
+    let mut runs: VecDeque<Vec<(K, V)>> = segments
+        .iter()
+        .filter(|s| s.records > 0)
+        .map(|s| s.to_pairs())
+        .collect();
+    while runs.len() > merge_factor {
+        let batch: Vec<Vec<(K, V)>> = (0..merge_factor)
+            .map(|_| runs.pop_front().unwrap())
+            .collect();
+        runs.push_back(merge_runs_heap(batch));
+    }
+    let mut out: Vec<(K, Vec<V>)> = Vec::new();
+    for (k, v) in merge_runs_heap(runs.into_iter().collect()) {
+        match out.last_mut() {
+            Some((lk, vs)) if *lk == k => vs.push(v),
+            _ => out.push((k, vec![v])),
+        }
+    }
+    out
+}
+
+/// The `pick`-th registered codec (wrapping) — tests iterate the registry
+/// rather than naming codecs, so a new entry is covered the day it lands.
+fn pick_codec(pick: u8) -> Codec {
+    Codec::registry()[pick as usize % Codec::registry().len()]
+}
+
+/// What a map task's sort-spill-merge must produce, in a straight line:
+/// partition every emitted record, then one stable sort by key per
+/// partition.
+fn partition_and_sort<K: Ord + Clone, V: Clone>(
+    records: &[(K, V)],
+    n_partitions: usize,
+    partitioner: &dyn Partitioner<K>,
+) -> Vec<Vec<(K, V)>> {
+    let mut parts: Vec<Vec<(K, V)>> = vec![Vec::new(); n_partitions];
+    for (k, v) in records {
+        parts[partitioner.partition(k, n_partitions)].push((k.clone(), v.clone()));
+    }
+    for part in &mut parts {
+        part.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+    parts
+}
 
 struct KeyMod(u64);
 impl Mapper for KeyMod {
@@ -44,7 +136,7 @@ fn run(
     slots: usize,
     reducers: usize,
     sort_bytes: usize,
-    compress: bool,
+    shuffle_codec: Option<Codec>,
 ) -> Vec<(u64, u64)> {
     let engine = MapReduceEngine::new(ClusterResources::uniform(nodes, slots, 1 << 20));
     let per = records.len().div_ceil(n_splits.max(1)).max(1);
@@ -56,7 +148,7 @@ fn run(
     let cfg = JobConfig {
         n_reducers: reducers,
         io_sort_bytes: sort_bytes,
-        compress_map_output: compress,
+        shuffle_codec,
         ..JobConfig::default()
     };
     let res = engine
@@ -72,7 +164,7 @@ proptest! {
 
     #[test]
     fn output_invariant_under_execution_shape(
-        records in proptest::collection::vec((0u64..1000, 0u64..1_000_000), 1..300),
+        records in proptest::collection::vec((0u64..1000, 0u64..1_000_000), 1..600),
         n_splits in 1usize..8,
         nodes in 1usize..5,
         slots in 1usize..4,
@@ -80,8 +172,11 @@ proptest! {
         sort_shift in 6u32..16,
         compress in any::<bool>(),
     ) {
-        let baseline = run(&records, 1, 1, 1, 1, 1 << 20, false);
-        let varied = run(&records, n_splits, nodes, slots, reducers, 1usize << sort_shift, compress);
+        // Compression off is `Some(Raw)`; on is the default hint chain
+        // (Lz for u64 pairs).
+        let codec = (!compress).then_some(Codec::Raw);
+        let baseline = run(&records, 1, 1, 1, 1, 1 << 20, Some(Codec::Raw));
+        let varied = run(&records, n_splits, nodes, slots, reducers, 1usize << sort_shift, codec);
         prop_assert_eq!(baseline, varied);
     }
 
@@ -156,10 +251,10 @@ proptest! {
     #[test]
     fn segment_roundtrip_any_pairs(
         pairs in proptest::collection::vec(("[a-z]{0,12}", any::<u64>()), 0..200),
-        compress in any::<bool>(),
+        codec_pick in any::<u8>(),
     ) {
         let pairs: Vec<(String, u64)> = pairs;
-        let seg = Segment::from_pairs(&pairs, compress);
+        let seg = Segment::from_pairs(&pairs, pick_codec(codec_pick));
         prop_assert_eq!(seg.records, pairs.len() as u64);
         let back: Vec<(String, u64)> = seg.to_pairs();
         prop_assert_eq!(back, pairs);
@@ -168,7 +263,7 @@ proptest! {
     #[test]
     fn zero_copy_decode_equals_owned_decode(
         pairs in proptest::collection::vec(("[a-z]{0,12}", any::<u64>()), 0..200),
-        compress in any::<bool>(),
+        codec_pick in any::<u8>(),
         window in 0usize..64,
     ) {
         // Decoding through a SharedBytes window (the zero-copy fetch
@@ -176,7 +271,7 @@ proptest! {
         // detached owned buffer (the old path) — even when the segment
         // sits mid-backing rather than at offset zero.
         let pairs: Vec<(String, u64)> = pairs;
-        let seg = Segment::from_pairs(&pairs, compress);
+        let seg = Segment::from_pairs(&pairs, pick_codec(codec_pick));
         // Re-home the segment inside a larger backing, offset by
         // `window` junk bytes, as `SortSpillBuffer::finish` does.
         let mut backing = vec![0xAAu8; window];
@@ -202,21 +297,15 @@ proptest! {
     #[test]
     fn frame_roundtrip_any_offset_and_codec(
         pairs in proptest::collection::vec(("[a-z]{0,12}", any::<u64>()), 0..200),
-        compress in any::<bool>(),
         codec_pick in any::<u8>(),
-        min_shift in 0u32..12,
         prefix in 0usize..64,
     ) {
-        // A segment framed mid-buffer (arbitrary junk prefix, arbitrary
-        // codec threshold, any *registered* codec — not a hard-coded
-        // Raw/Lz pair) must read back as a zero-copy window of the
-        // enclosing buffer with codec, counts, and payload intact.
+        // A segment framed mid-buffer (arbitrary junk prefix, any
+        // *registered* codec — not a hard-coded Raw/Lz pair) must read
+        // back as a zero-copy window of the enclosing buffer with codec,
+        // counts, and payload intact.
         let pairs: Vec<(String, u64)> = pairs;
-        let codec = Codec::registry()[codec_pick as usize % Codec::registry().len()];
-        let seg = Segment::from_pairs_with(
-            &pairs,
-            CodecPolicy::new(compress, 1usize << min_shift).with_codec(codec),
-        );
+        let seg = Segment::from_pairs(&pairs, pick_codec(codec_pick));
         let mut buf = vec![0xAAu8; prefix];
         write_frame(&seg, &mut buf);
         write_frame(&Segment::empty(), &mut buf); // trailing neighbour
@@ -246,12 +335,9 @@ proptest! {
         // same segment produces.
         let mut pairs: Vec<(u64, u64)> = pairs;
         pairs.sort_unstable();
-        let codec = Codec::registry()[codec_pick as usize % Codec::registry().len()];
-        let seg = Segment::from_pairs_with(
-            &pairs,
-            CodecPolicy::new(codec.is_compressed(), 1).with_codec(codec),
-        );
-        let want_codec = if codec.is_compressed() && !pairs.is_empty() { codec } else { Codec::Raw };
+        let codec = pick_codec(codec_pick);
+        let seg = Segment::from_pairs(&pairs, codec);
+        let want_codec = if pairs.is_empty() { Codec::Raw } else { codec };
         prop_assert_eq!(seg.codec, want_codec);
         let mut buf = vec![0x11u8; prefix];
         write_frame(&seg, &mut buf);
@@ -262,10 +348,10 @@ proptest! {
             data: SharedBytes::from_vec(fetched.data.to_vec()),
             ..fetched.clone()
         };
-        let c1 = gesall_mapreduce::Counters::new();
-        let c2 = gesall_mapreduce::Counters::new();
-        let by_ref = gesall_mapreduce::shuffle::reduce_merge::<u64, u64>(vec![fetched], 4, &c1);
-        let by_copy = gesall_mapreduce::shuffle::reduce_merge::<u64, u64>(vec![owned], 4, &c2);
+        let c1 = Counters::new();
+        let c2 = Counters::new();
+        let by_ref = reduce_merge::<u64, u64>(vec![fetched], 4, &c1);
+        let by_copy = reduce_merge::<u64, u64>(vec![owned], 4, &c2);
         prop_assert_eq!(by_ref, by_copy);
         prop_assert_eq!(c1.get("shuffle.records"), pairs.len() as u64);
     }
@@ -276,9 +362,7 @@ proptest! {
             proptest::collection::vec(("[a-z]{0,12}", any::<u64>()), 0..60),
             1..5,
         ),
-        compress in any::<bool>(),
         codec_pick in any::<u8>(),
-        min_shift in 0u32..10,
         block_shift in 7u32..11,
         block_frac in 0u32..1000,
         replica_frac in 0u32..1000,
@@ -290,19 +374,14 @@ proptest! {
         // verify-on-read quarantines the rot, serves from the survivor,
         // and repairs, so the codec layer above never sees a damaged
         // byte.
-        use gesall_dfs::{metrics_keys, Dfs, DfsConfig};
+        use gesall_dfs::{metrics_keys, DefaultPlacement, Dfs, DfsConfig, ReadAffinity};
         use gesall_mapreduce::shipping;
 
         let pairs: Vec<Vec<(String, u64)>> = partitions;
-        let codec = Codec::registry()[codec_pick as usize % Codec::registry().len()];
+        let codec = pick_codec(codec_pick);
         let segments: Vec<Segment> = pairs
             .iter()
-            .map(|p| {
-                Segment::from_pairs_with(
-                    p,
-                    CodecPolicy::new(compress, 1usize << min_shift).with_codec(codec),
-                )
-            })
+            .map(|p| Segment::from_pairs(p, codec))
             .collect();
         let dfs = Dfs::new(DfsConfig {
             n_nodes: 4,
@@ -310,9 +389,9 @@ proptest! {
             replication: 2,
             ..DfsConfig::default()
         });
-        let counters = gesall_mapreduce::Counters::new();
+        let counters = Counters::new();
         let path = "/job/shuffle-0/map-00000.segs";
-        shipping::store_map_output(&dfs, path, &segments, &counters)
+        shipping::store_map_output(&dfs, path, &segments, &DefaultPlacement, &counters)
             .expect("store must succeed");
         let info = dfs.stat(path).expect("stored file must stat");
         let n_blocks = info.blocks.len();
@@ -323,7 +402,7 @@ proptest! {
         dfs.corrupt_block(path, block, replica).expect("corruption must land");
 
         for (r, expected) in pairs.iter().enumerate() {
-            let seg = shipping::fetch_partition(&dfs, path, r)
+            let seg = shipping::fetch_partition(&dfs, path, r, ReadAffinity::NONE, &counters)
                 .expect("fetch must survive one corrupt replica");
             prop_assert_eq!(seg.codec, segments[r].codec, "codec tag must round-trip");
             let back: Vec<(String, u64)> = seg.to_pairs();
@@ -344,8 +423,6 @@ proptest! {
             proptest::collection::vec((0u64..200, any::<u64>()), 0..80),
             0..12,
         ),
-        codec_bits in any::<u16>(),
-        min_shift in 0u32..10,
         merge_factor in 2usize..=16,
     ) {
         // The streaming reduce merge (lazy run cursors, merge_factor-
@@ -353,32 +430,25 @@ proptest! {
         // materializing oracle on any mix of run sizes, codecs, and
         // fan-ins — including empty runs, singleton runs, duplicate
         // keys across runs, and run counts forcing multipass merges.
-        // Every registered codec rotates through the mix, so a new
-        // registry entry is exercised here without editing the test.
+        // Every registered codec (Raw included) rotates through the
+        // mix, so a new registry entry is exercised here without editing
+        // the test.
         let segments: Vec<Segment> = runs
             .into_iter()
             .enumerate()
             .map(|(i, mut pairs)| {
                 pairs.sort_unstable();
-                let compress = (codec_bits >> (i % 16)) & 1 == 1;
-                let codec = Codec::registry()[i % Codec::registry().len()];
-                Segment::from_pairs_with(
-                    &pairs,
-                    CodecPolicy::new(compress, 1usize << min_shift).with_codec(codec),
-                )
+                Segment::from_pairs(&pairs, pick_codec(i as u8))
             })
             .collect();
         let total_records: u64 = segments.iter().map(|s| s.records).sum();
-        let c_stream = gesall_mapreduce::Counters::new();
-        let c_oracle = gesall_mapreduce::Counters::new();
+        let c_stream = Counters::new();
         let streaming =
             reduce_merge::<u64, u64>(segments.clone(), merge_factor, &c_stream);
-        let materialized =
-            reduce_merge_materialized::<u64, u64>(segments, merge_factor, &c_oracle);
+        let materialized = reduce_merge_materialized::<u64, u64>(segments, merge_factor);
         prop_assert_eq!(streaming, materialized);
         // The streaming path keeps the shuffle accounting intact.
         prop_assert_eq!(c_stream.get("shuffle.records"), total_records);
-        let _ = &c_oracle;
         // The streaming path reports its residency peak whenever it
         // actually held records.
         if total_records > 0 {
@@ -388,9 +458,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Bit-parallel spill kernels (DESIGN.md §5): the radix spill sort and
-// the loser-tree merge, each pinned to its comparison twin on arbitrary
-// inputs.
+// Spill kernels: the loser-tree merge pinned to the heap reference, and
+// the whole map-side sort-spill-merge (radix spill sort on the encoder
+// pool, multi-spill merge) pinned to a straight-line partition-and-sort.
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -399,11 +469,12 @@ proptest! {
     fn loser_tree_merge_matches_heap(
         runs in proptest::collection::vec(
             proptest::collection::vec((0u64..64, any::<u64>()), 0..40),
-            0..12,
+            0..14,
         ),
     ) {
         // Narrow key range forces heavy duplication, so the stable
-        // tie-break (lower run index first) is exercised constantly.
+        // tie-break (lower run index first) is exercised constantly;
+        // run counts cover 1, powers of two and odd counts past 8.
         let sorted: Vec<Vec<(u64, u64)>> = runs
             .into_iter()
             .map(|mut r| { r.sort_by_key(|a| a.0); r })
@@ -441,60 +512,61 @@ proptest! {
     }
 
     #[test]
-    fn radix_spill_sort_matches_comparison_twin(
+    fn sort_spill_merge_equals_partition_and_sort(
         records in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..400),
         n_partitions in 1usize..6,
         io_sort_bytes in 64usize..4096,
+        workers in 1usize..4,
     ) {
-        // The same emission stream through both spill-sort kernels must
-        // produce identical segments, spill pattern and all.
+        // Any emission stream, spill pattern and encoder count: the
+        // segments are the stable per-partition sort of what was emitted.
         let p = HashPartitioner;
-        let run = |radix: bool| -> Vec<Vec<(u64, u64)>> {
-            let counters = gesall_mapreduce::Counters::new();
-            let mut buf = gesall_mapreduce::shuffle::SortSpillBuffer::new(
-                io_sort_bytes,
-                n_partitions,
-                &p,
-                false,
-                counters,
-            )
-            .with_radix(radix);
-            for &(k, v) in &records {
-                buf.emit(k, v);
-            }
-            buf.finish().iter().map(|s| s.to_pairs::<u64, u64>()).collect()
-        };
-        prop_assert_eq!(run(true), run(false));
+        let mut buf = SortSpillBuffer::new(
+            io_sort_bytes,
+            n_partitions,
+            &p,
+            Codec::Raw,
+            Arc::new(SpillPool::new(workers, 2)),
+            Counters::new(),
+        );
+        for &(k, v) in &records {
+            buf.emit(k, v);
+        }
+        let got: Vec<Vec<(u64, u64)>> = buf.finish().iter().map(|s| s.to_pairs()).collect();
+        prop_assert_eq!(got, partition_and_sort(&records, n_partitions, &p));
     }
 
     #[test]
-    fn radix_spill_sort_matches_comparison_twin_on_strings(
+    fn sort_spill_merge_equals_partition_and_sort_on_strings(
         records in proptest::collection::vec((0u32..200, any::<u64>()), 0..300),
         n_partitions in 1usize..5,
     ) {
-        // String keys with a long shared prefix: every sort prefix ties,
-        // so the radix path must lean entirely on its comparison
-        // fallback and still match the twin record for record.
+        // String keys with a long shared prefix: every radix sort prefix
+        // ties, so the spill sort leans entirely on its comparison
+        // fallback and must still match record for record. Payloads are
+        // large enough that partitions cross COMPRESS_MIN_BYTES and
+        // travel compressed.
         let p = HashPartitioner;
         let keyed: Vec<(String, u64)> = records
             .into_iter()
             .map(|(k, v)| (format!("sample-0001-read-{k:06}"), v))
             .collect();
-        let run = |radix: bool| -> Vec<Vec<(String, u64)>> {
-            let counters = gesall_mapreduce::Counters::new();
-            let mut buf = gesall_mapreduce::shuffle::SortSpillBuffer::new(
-                512,
-                n_partitions,
-                &p,
-                false,
-                counters,
-            )
-            .with_radix(radix);
-            for (k, v) in keyed.iter().cloned() {
-                buf.emit(k, v);
-            }
-            buf.finish().iter().map(|s| s.to_pairs::<String, u64>()).collect()
-        };
-        prop_assert_eq!(run(true), run(false));
+        let mut buf = SortSpillBuffer::new(
+            512,
+            n_partitions,
+            &p,
+            Codec::Lz,
+            Arc::new(SpillPool::new(2, 2)),
+            Counters::new(),
+        );
+        for (k, v) in keyed.iter().cloned() {
+            buf.emit(k, v);
+        }
+        let segs = buf.finish();
+        for s in &segs {
+            prop_assert_eq!(s.is_compressed(), s.raw_len >= COMPRESS_MIN_BYTES);
+        }
+        let got: Vec<Vec<(String, u64)>> = segs.iter().map(|s| s.to_pairs()).collect();
+        prop_assert_eq!(got, partition_and_sort(&keyed, n_partitions, &p));
     }
 }

@@ -1,11 +1,11 @@
-//! Kernel microbenches: each bit-parallel map-phase kernel (DESIGN.md
-//! §5) timed head-to-head against the scalar twin it is pinned to —
+//! Kernel microbenches: the aligner's bit-parallel map-phase kernels
+//! timed head-to-head against the reference each is pinned to —
 //! packed-BWT rank vs the symbol-at-a-time scan, banded Smith–Waterman
-//! vs the full DP, radix spill sort vs the comparison sort.
+//! vs the full DP.
 //!
-//! Hand-rolled harness (no criterion: this is a `bin`, and the paired
-//! run must share inputs exactly): warm up, sample each side N times,
-//! report the median ns/op and the speedup. A `BENCH_micro.json` record
+//! Hand-rolled harness (the paired run must share inputs exactly): warm
+//! up, sample each side N times, report the median ns/op and the
+//! speedup. A `BENCH_micro.json` record
 //! is appended under the output dir (first CLI arg, default `.`), next
 //! to bench-smoke's record, so CI archives both.
 
@@ -17,9 +17,6 @@ use gesall_datagen::{DonorGenome, GenomeConfig, ReadSimulator, ReferenceGenome};
 use gesall_formats::sam::SamRecord;
 use gesall_formats::wire::Wire;
 use gesall_formats::Codec;
-use gesall_mapreduce::shuffle::SortSpillBuffer;
-use gesall_mapreduce::task::HashPartitioner;
-use gesall_mapreduce::Counters;
 use gesall_telemetry::BenchRecord;
 use std::hint::black_box;
 use std::path::Path;
@@ -133,31 +130,6 @@ fn bench_sw() -> Pair {
     }
 }
 
-/// The spill path end to end — emit 20k u64 records through the
-/// sort-spill buffer and drain it — with the radix kernel vs the
-/// comparison sort. Keys are shuffled so every radix byte pass works.
-fn bench_spill_sort() -> Pair {
-    let records: Vec<(u64, u64)> = (0..20_000u64)
-        .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i))
-        .collect();
-    let p = HashPartitioner;
-    let run = |radix: bool| {
-        time_ns(9, 5, || {
-            let mut buf =
-                SortSpillBuffer::new(64 * 1024, 4, &p, false, Counters::new()).with_radix(radix);
-            for &(k, v) in &records {
-                buf.emit(k, v);
-            }
-            black_box(buf.finish());
-        })
-    };
-    Pair {
-        name: "spill_sort_20k_u64",
-        kernel_ns: run(true),
-        scalar_ns: run(false),
-    }
-}
-
 struct CodecRow {
     name: &'static str,
     compress_ns_per_byte: f64,
@@ -226,10 +198,10 @@ fn bench_codecs() -> Vec<CodecRow> {
 fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".into());
     let t0 = Instant::now();
-    let pairs = [bench_occ(), bench_sw(), bench_spill_sort()];
+    let pairs = [bench_occ(), bench_sw()];
     let codec_rows = bench_codecs();
 
-    println!("== bench-micro: bit-parallel kernels vs scalar twins ==\n");
+    println!("== bench-micro: bit-parallel kernels vs scalar references ==\n");
     println!(
         "{:<28} {:>14} {:>14} {:>9}",
         "kernel", "kernel ns/op", "scalar ns/op", "speedup"

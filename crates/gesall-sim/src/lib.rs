@@ -13,7 +13,7 @@
 //!
 //! The reproduction claim is **shape**, not absolute seconds: who wins,
 //! by roughly what factor, where crossovers and saturation points fall
-//! (see DESIGN.md §6). Every model component cites the paper observation
+//! (see DESIGN.md §18). Every model component cites the paper observation
 //! it encodes.
 //!
 //! * [`spec`] — cluster and workload parameters (Table 3, §4.1);

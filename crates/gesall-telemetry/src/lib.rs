@@ -12,10 +12,10 @@
 //!   map-merge, shuffle, reduce-merge, reduce.
 //! * [`mem`] — memory-path metrics: payload **bytes actually copied**
 //!   on the record path and spill-arena allocator behaviour, the gauge
-//!   the zero-copy refactor (DESIGN.md §3⅞) is measured by.
+//!   the zero-copy refactor (DESIGN.md §6) is measured by.
 //! * [`kernel`] — bit-parallel kernel metrics: packed-BWT rank words
 //!   popcounted, banded-SW hits vs full-DP fallbacks, radix sort passes
-//!   (DESIGN.md §5) — proof in the counters that the fast paths ran.
+//!   (DESIGN.md §13) — proof in the counters that the fast paths ran.
 //! * [`span`] — **span-based structured tracing** of job → wave →
 //!   task-attempt → phase lifecycles: parent ids, start/end timestamps,
 //!   attached metrics, an in-memory event log, and an optional JSONL

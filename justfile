@@ -14,9 +14,10 @@ smoke:
 bench-smoke:
     cargo run --release --offline -p gesall-bench --bin experiments -- smoke .
 
-# Kernel microbenches: each bit-parallel map-phase kernel (packed rank,
-# banded SW, radix spill sort) timed against its scalar twin; appends a
-# record to BENCH_micro.json next to bench-smoke's.
+# Kernel microbenches: the aligner's bit-parallel kernels (packed rank,
+# banded SW) timed against their scalar references, plus the shuffle
+# codec table; appends a record to BENCH_micro.json next to
+# bench-smoke's.
 bench-micro:
     cargo run --release --offline -p gesall-microbench -- .
 
@@ -35,3 +36,28 @@ lint:
 # Format (requires rustfmt).
 fmt:
     cargo fmt --all
+
+# Non-test Rust lines per crate and the public field count of every
+# `*Config` struct — the numbers a simplification PR quotes before/after.
+# A file counts up to its first `#[cfg(test)]`; tests/ and examples/
+# directories are not counted.
+loc:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    printf '%-22s %8s\n' crate 'src LoC'
+    total=0
+    for d in crates/* vendor/* .; do
+        [ -d "$d/src" ] || continue
+        n=$(find "$d/src" -name '*.rs' -print0 \
+            | xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}')
+        printf '%-22s %8d\n' "$(basename "$(cd "$d" && pwd)")" "$n"
+        total=$((total + n))
+    done
+    printf '%-22s %8d\n\n' total "$total"
+    printf '%-22s %8s\n' 'config struct' 'pub fields'
+    grep -rn --include='*.rs' -E '^pub struct [A-Za-z]*Config\b' crates src \
+        | while IFS=: read -r file line decl; do
+            name=$(echo "$decl" | sed -E 's/^pub struct ([A-Za-z]+).*/\1/')
+            n=$(awk -v start="$line" 'NR>start && /^}/{exit} NR>start && /^    pub [a-z0-9_]+:/{n++} END{print n+0}' "$file")
+            printf '%-22s %8d\n' "$name" "$n"
+        done

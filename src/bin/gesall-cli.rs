@@ -283,7 +283,7 @@ fn cmd_pipeline(opts: &Opts) -> Result<(), AnyError> {
     );
     println!("\nPer-phase breakdown (ms, summed across tasks):");
     print!("{}", out.phase_table());
-    // Kernel activity (DESIGN.md §5): proof the bit-parallel fast paths
+    // Kernel activity (DESIGN.md §13): proof the bit-parallel fast paths
     // ran, and how much of the extension load the band answered.
     let mut kernel_sums: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     for r in &out.rounds {
