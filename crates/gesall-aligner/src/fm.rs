@@ -12,10 +12,9 @@
 //! counts whole words with XOR-splat + popcount
 //! ([`count_code_in_word`]) from a checkpoint aligned to a word
 //! boundary, instead of the historical byte-at-a-time scan (which
-//! survives as [`FmIndex::occ_scalar`], the reference the tests and the
-//! microbench compare against). The sampled suffix array
-//! is a row-sorted vec probed by a branchless binary search, replacing
-//! the old `HashMap`.
+//! survives as [`FmIndex::occ_scalar`], the reference the tests
+//! compare against). The sampled suffix array is a row-sorted vec
+//! probed by a branchless binary search, replacing the old `HashMap`.
 
 use crate::kernels;
 use crate::suffix::{bwt_from_sa, suffix_array};
@@ -189,8 +188,7 @@ impl FmIndex {
 
     /// Scalar rank reference: symbol-at-a-time scan from the checkpoint.
     /// Nothing on the search path calls it; public (hidden) for the
-    /// proptests pinning [`FmIndex::occ_words`] to it and for
-    /// `gesall-microbench`.
+    /// proptests pinning [`FmIndex::occ_words`] to it.
     #[doc(hidden)]
     #[inline]
     pub fn occ_scalar(&self, c: u8, i: usize) -> u64 {

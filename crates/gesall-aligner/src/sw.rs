@@ -403,9 +403,9 @@ pub fn local_align_with(
 /// the slack — shows up as real score riding the edge even when the
 /// *banded* optimum stays interior). Residual caveat: an alignment
 /// wholly outside the band (a repeat elsewhere in the window, unseen by
-/// every band cell) cannot be detected here; the bench-smoke
-/// byte-identity gate is the backstop for that case. Kernel counters
-/// record which way each call went.
+/// every band cell) cannot be detected here; the benchmark's
+/// committed output digests are the backstop for that case. Kernel
+/// counters record which way each call went.
 pub fn local_align_banded(
     query: &[u8],
     window: &[u8],

@@ -7,12 +7,6 @@
 //!
 //! ids: table2 table4 fig5a fig5b fig5c table5 table6 fig6a fig6b fig7
 //!      table7 fig10 table8 fig11 table9_10
-//!
-//! `experiments -- smoke [out_dir]` runs the tiny traced end-to-end
-//! pipeline, prints the per-phase breakdown / Gantt / straggler /
-//! shuffle-matrix reports, and appends a record to `BENCH_smoke.json`
-//! in `out_dir` (default `.`). Exits nonzero if any phase timing is
-//! missing — the telemetry CI gate.
 
 use gesall_bench::real_experiments::{self, ExperimentWorld, Scale};
 use gesall_bench::sim_experiments as sim;
@@ -69,30 +63,13 @@ const SIM_IDS: &[&str] = &[
 ];
 const REAL_IDS: &[&str] = &["fig6a", "table8", "fig11", "table9_10", "substrate"];
 
-fn run_smoke(out_dir: &str) -> ! {
-    eprintln!("[smoke] running tiny traced pipeline (records land in {out_dir})...");
-    match gesall_bench::smoke::run_smoke(Some(std::path::Path::new(out_dir))) {
-        Ok(outcome) => {
-            println!("{}", outcome.report);
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("[smoke] FAILED: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
-        eprintln!("usage: experiments <id|all|sim|real|smoke> ...");
+        eprintln!("usage: experiments <id|all|sim|real> ...");
         eprintln!("sim ids:  {SIM_IDS:?}");
         eprintln!("real ids: {REAL_IDS:?}");
         std::process::exit(2);
-    }
-    if args[0] == "smoke" {
-        run_smoke(args.get(1).map(String::as_str).unwrap_or("."));
     }
     let mut reals: Vec<&str> = Vec::new();
     for arg in &args {

@@ -12,9 +12,8 @@
 //!   Fig. 11, Tables 9/10, Fig. 6a) executed for real at mini scale on
 //!   synthetic genomes through the full platform stack.
 //!
-//! Plus [`smoke`] — the tiny traced end-to-end run behind
-//! `just bench-smoke`, which emits `BENCH_smoke.json` and fails if any
-//! of the six phase timings is missing.
+//! Measured performance of the real engine is not this crate's job:
+//! that is `benchmark/`, the benchmark of record.
 //!
 //! Run everything with `cargo run -p gesall-bench --release --bin
 //! experiments -- all`.
@@ -22,4 +21,3 @@
 pub mod real_experiments;
 pub mod report;
 pub mod sim_experiments;
-pub mod smoke;

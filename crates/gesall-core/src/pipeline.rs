@@ -1462,10 +1462,6 @@ mod tests {
             n_reducers: _,
             io_sort_bytes: _,
             merge_factor: _,
-            map_vcores: _,
-            map_memory_mb: _,
-            reduce_vcores: _,
-            reduce_memory_mb: _,
             max_attempts: _,
             retry_backoff_ms: _,
             speculative: _,

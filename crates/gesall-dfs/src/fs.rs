@@ -135,15 +135,6 @@ pub struct DfsConfig {
     /// (the default) keeps blocks heap-resident, sharing the writer's
     /// backing allocation.
     pub block_store_dir: Option<PathBuf>,
-    /// Replicas smaller than this are appended to a shared per-node
-    /// **extent file** (`<dir>/node-<n>/extent-<seq>.ext`) instead of
-    /// getting a `.blk` inode of their own, and are served as mapped
-    /// windows into the extent. Workloads that scatter many tiny files
-    /// (a shuffle directory of per-map partition files) stop costing
-    /// one inode per block. `0` (the default) disables packing; only
-    /// meaningful with `block_store_dir` set. Counted under
-    /// [`metrics_keys::BLOCKS_PACKED`].
-    pub pack_threshold: usize,
     /// How many times a failed block read is re-attempted when the
     /// failure is transient ([`DfsError::is_retryable`]). Each retry
     /// sleeps an exponentially growing, seed-jittered backoff.
@@ -173,7 +164,6 @@ impl Default for DfsConfig {
             block_size: 128 * 1024 * 1024,
             replication: 1,
             block_store_dir: None,
-            pack_threshold: 0,
             read_retries: 3,
             retry_backoff_ms: 1,
             read_deadline_ms: 10_000,
@@ -182,37 +172,6 @@ impl Default for DfsConfig {
         }
     }
 }
-
-/// An extent file keeps itself on disk for as long as any packed block
-/// (or the node's open-extent slot) references it; the last reference
-/// unlinks it. Existing mappings of an unlinked extent stay readable
-/// until they drop.
-pub struct ExtentFile {
-    path: PathBuf,
-}
-
-impl Drop for ExtentFile {
-    fn drop(&mut self) {
-        std::fs::remove_file(&self.path).ok();
-    }
-}
-
-/// Per-node packing state: the extent currently accepting appends.
-#[derive(Default)]
-struct ExtentState {
-    open: Option<OpenExtent>,
-    next_seq: u64,
-}
-
-struct OpenExtent {
-    file: Arc<ExtentFile>,
-    len: usize,
-}
-
-/// Roll to a fresh extent file once the open one reaches this size, so
-/// a single extent never grows without bound and fully-deleted extents
-/// can actually be reclaimed.
-const EXTENT_ROLL_BYTES: usize = 1 << 20;
 
 /// How a stored replica holds its payload. Either way,
 /// [`Dfs::read_block`] serves a zero-copy window — the variants differ
@@ -224,14 +183,6 @@ pub enum BlockBacking {
     /// Persisted to the node's block store and served via `mmap`
     /// (heap-read fallback off-unix); dropping the last reader unmaps.
     Mapped { bytes: SharedBytes, path: PathBuf },
-    /// A small replica packed into a shared extent file: `bytes` is a
-    /// mapped window onto the replica's range of the extent, and the
-    /// `Arc` keeps the extent file alive until its last packed block is
-    /// dropped.
-    Packed {
-        bytes: SharedBytes,
-        extent: Arc<ExtentFile>,
-    },
 }
 
 impl BlockBacking {
@@ -239,7 +190,6 @@ impl BlockBacking {
         match self {
             BlockBacking::Resident(b) => b,
             BlockBacking::Mapped { bytes, .. } => bytes,
-            BlockBacking::Packed { bytes, .. } => bytes,
         }
     }
 
@@ -248,10 +198,7 @@ impl BlockBacking {
     }
 
     /// Remove the on-disk file behind a mapped replica (the mapping
-    /// itself stays valid for existing readers until they drop). Packed
-    /// replicas share their extent file with siblings; dropping the
-    /// backing releases its `Arc` and the extent unlinks itself with
-    /// the last reference.
+    /// itself stays valid for existing readers until they drop).
     fn unlink(&self) {
         if let BlockBacking::Mapped { path, .. } = self {
             std::fs::remove_file(path).ok();
@@ -261,9 +208,6 @@ impl BlockBacking {
 
 struct DataNode {
     blocks: RwLock<HashMap<u64, BlockBacking>>,
-    /// The extent file currently accepting small-block appends
-    /// (see [`DfsConfig::pack_threshold`]).
-    extent: parking_lot::Mutex<ExtentState>,
 }
 
 struct NameNode {
@@ -334,8 +278,8 @@ struct DfsInner {
 }
 
 // Lock acquisition order, where two must be held at once:
-// `locator` → `namenode.files` → `node_index` → `datanodes[n].blocks`
-// → `datanodes[n].extent`. Every multi-lock path below follows it.
+// `locator` → `namenode.files` → `node_index` → `datanodes[n].blocks`.
+// Every multi-lock path below follows it.
 
 /// Counter names the DFS maintains on its [`MetricsRegistry`].
 pub mod metrics_keys {
@@ -364,10 +308,6 @@ pub mod metrics_keys {
     /// Replicas persisted to the block store and served from a file
     /// mapping (only moves when `DfsConfig::block_store_dir` is set).
     pub const BLOCKS_MAPPED: &str = "dfs.blocks.mapped";
-    /// Replicas below [`DfsConfig::pack_threshold`] appended to a
-    /// shared per-node extent file instead of receiving their own
-    /// `.blk` inode (a subset of [`BLOCKS_MAPPED`]).
-    pub const BLOCKS_PACKED: &str = "dfs.blocks.packed";
     /// Replicas whose payload failed checksum verification — each one
     /// is quarantined (dropped from storage and metadata) on detection.
     pub const BLOCKS_CORRUPT_DETECTED: &str = "dfs.blocks.corrupt.detected";
@@ -449,7 +389,6 @@ impl Dfs {
         let datanodes = (0..config.n_nodes)
             .map(|_| DataNode {
                 blocks: RwLock::new(HashMap::new()),
-                extent: parking_lot::Mutex::new(ExtentState::default()),
             })
             .collect();
         let metrics = MetricsRegistry::new();
@@ -488,31 +427,19 @@ impl Dfs {
         &self.inner.metrics
     }
 
-    /// Write a file with the default (spreading) placement.
-    pub fn write_file(&self, path: &str, data: &[u8]) -> Result<FileInfo, DfsError> {
-        self.write_file_with_policy(path, data, &DefaultPlacement)
-    }
-
-    /// Write a file, choosing replica homes with `policy`. This is the
-    /// entry point the logical-partition uploader uses.
+    /// Write a borrowed payload with the default (spreading) placement.
     ///
-    /// The borrowed payload is materialized **once** into a shared
-    /// backing (the only copy this path charges to `mem.bytes.copied`);
-    /// the stored blocks are zero-copy windows into it. Callers that
-    /// already own their bytes skip even that copy with
-    /// [`Dfs::write_file_shared`].
-    pub fn write_file_with_policy(
-        &self,
-        path: &str,
-        data: &[u8],
-        policy: &dyn BlockPlacementPolicy,
-    ) -> Result<FileInfo, DfsError> {
+    /// The payload is materialized **once** into a shared backing (the
+    /// only copy this path charges to `mem.bytes.copied`); the stored
+    /// blocks are zero-copy windows into it. Callers that already own
+    /// their bytes skip even that copy with [`Dfs::write_file_shared`].
+    pub fn write_file(&self, path: &str, data: &[u8]) -> Result<FileInfo, DfsError> {
         let shared = SharedBytes::copy_from_slice(data);
         self.inner
             .metrics
             .counter(metrics_keys::BYTES_COPIED)
             .add(shared.len() as u64);
-        self.write_shared_with_policy(path, shared, policy)
+        self.write_file_shared(path, shared)
     }
 
     /// Write an owned payload with the default placement, copying
@@ -523,7 +450,9 @@ impl Dfs {
 
     /// Zero-copy write: slice `data` into block-sized windows and hand
     /// each window to its replica homes. No payload byte is copied —
-    /// all replicas of a block share one backing with the caller.
+    /// all replicas of a block share one backing with the caller. This
+    /// is the entry point the logical-partition uploader and the
+    /// shuffle's pinned map outputs use.
     pub fn write_shared_with_policy(
         &self,
         path: &str,
@@ -612,11 +541,10 @@ impl Dfs {
 
     /// Store one replica on `node`: heap-resident sharing the writer's
     /// backing, or — with a block store configured — persisted to the
-    /// node's directory and re-served through a file mapping. Replicas
-    /// under the pack threshold append to the node's shared extent file
-    /// rather than taking an inode each. With a block store, the
-    /// block's checksum is also appended to the node's `checksums.crc`
-    /// log, persisting integrity metadata alongside blocks and extents.
+    /// node's directory and re-served through a file mapping. With a
+    /// block store, the block's checksum is also appended to the node's
+    /// `checksums.crc` log, persisting integrity metadata alongside the
+    /// blocks.
     fn store_replica(
         &self,
         node: usize,
@@ -630,66 +558,16 @@ impl Dfs {
                 let node_dir = dir.join(format!("node-{node}"));
                 std::fs::create_dir_all(&node_dir).map_err(io)?;
                 append_checksum_record(&node_dir, id, checksum).map_err(io)?;
-                if !chunk.is_empty() && chunk.len() < self.inner.config.pack_threshold {
-                    self.pack_replica(node, &node_dir, chunk).map_err(io)?
-                } else {
-                    let path = node_dir.join(format!("block-{id}.blk"));
-                    std::fs::write(&path, chunk.as_slice()).map_err(io)?;
-                    let bytes = SharedBytes::map_file(&path).map_err(io)?;
-                    self.inner.metrics.counter(metrics_keys::BLOCKS_MAPPED).add(1);
-                    BlockBacking::Mapped { bytes, path }
-                }
+                let path = node_dir.join(format!("block-{id}.blk"));
+                std::fs::write(&path, chunk.as_slice()).map_err(io)?;
+                let bytes = SharedBytes::map_file(&path).map_err(io)?;
+                self.inner.metrics.counter(metrics_keys::BLOCKS_MAPPED).add(1);
+                BlockBacking::Mapped { bytes, path }
             }
             None => BlockBacking::Resident(chunk.clone()),
         };
         self.inner.datanodes[node].blocks.write().insert(id, backing);
         Ok(())
-    }
-
-    /// Append a small replica to `node`'s open extent file (rolling to
-    /// a fresh extent at [`EXTENT_ROLL_BYTES`]) and serve it as a
-    /// mapped window onto its range.
-    fn pack_replica(
-        &self,
-        node: usize,
-        node_dir: &std::path::Path,
-        chunk: &SharedBytes,
-    ) -> std::io::Result<BlockBacking> {
-        use std::io::Write;
-        let mut state = self.inner.datanodes[node].extent.lock();
-        let roll = match &state.open {
-            Some(e) => e.len >= EXTENT_ROLL_BYTES,
-            None => true,
-        };
-        if roll {
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            let path = node_dir.join(format!("extent-{seq}.ext"));
-            std::fs::File::create(&path)?;
-            state.open = Some(OpenExtent {
-                file: Arc::new(ExtentFile { path }),
-                len: 0,
-            });
-        }
-        let open = state.open.as_mut().expect("open extent after roll");
-        let offset = open.len;
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&open.file.path)?;
-        f.write_all(chunk.as_slice())?;
-        drop(f);
-        open.len += chunk.len();
-        // Map the extent at its current length; the window only covers
-        // bytes already flushed, so later appends don't disturb it.
-        let mapping = SharedBytes::map_file(&open.file.path)?;
-        let bytes = mapping.slice(offset..offset + chunk.len());
-        let m = &self.inner.metrics;
-        m.counter(metrics_keys::BLOCKS_MAPPED).add(1);
-        m.counter(metrics_keys::BLOCKS_PACKED).add(1);
-        Ok(BlockBacking::Packed {
-            bytes,
-            extent: open.file.clone(),
-        })
     }
 
     /// Read one block from any live replica. Zero-copy: the returned
@@ -888,6 +766,10 @@ impl Dfs {
             std::thread::sleep(Duration::from_millis(ms));
         }
         if self.take_flaky_failure(node) {
+            // The failed read still cost its service time: a limping
+            // node that also flakes builds latency history from its
+            // first read, not once its flake budget is spent.
+            self.inner.read_lat[node].record(start.elapsed().as_micros() as u64);
             return ReplicaRead::Transient(format!(
                 "transient read failure on node {node} (block {})",
                 block.id
@@ -982,22 +864,6 @@ impl Dfs {
             .collect();
         let effective = self.inner.config.replication.min(live.len());
         (live, effective)
-    }
-
-    /// Read an entire file back into a fresh owned buffer (one counted
-    /// copy). Prefer [`Dfs::read_file_shared`] where a borrowless view
-    /// suffices.
-    pub fn read_file(&self, path: &str) -> Result<Vec<u8>, DfsError> {
-        let info = self.stat(path)?;
-        let mut out = Vec::with_capacity(info.len);
-        for b in &info.blocks {
-            out.extend_from_slice(&self.read_block(b)?);
-        }
-        self.inner
-            .metrics
-            .counter(metrics_keys::BYTES_COPIED)
-            .add(out.len() as u64);
-        Ok(out)
     }
 
     /// Read a whole file as shared bytes. A file that fits in one block
@@ -1236,18 +1102,12 @@ impl Dfs {
     /// policy — the engine calls it with [`SweepReason::Completed`] when
     /// a job's shuffle transit is consumed, and the job service calls it
     /// with [`SweepReason::Cancelled`] / [`SweepReason::Ttl`] when a
-    /// tenant's job namespace is retired. Returns the files swept;
-    /// pinned files are skipped, not failed — see
-    /// [`Dfs::sweep_prefix_report`] for the skip count.
-    pub fn sweep_prefix(&self, prefix: &str, reason: SweepReason) -> usize {
-        self.sweep_prefix_report(prefix, reason).swept
-    }
-
-    /// [`Dfs::sweep_prefix`] with full accounting: how many files were
-    /// removed and how many a live pin protected. Skips are counted
-    /// under [`metrics_keys::RETENTION_PIN_SKIPS`] so a retirement loop
-    /// can tell "namespace empty" from "namespace still referenced".
-    pub fn sweep_prefix_report(&self, prefix: &str, reason: SweepReason) -> SweepReport {
+    /// tenant's job namespace is retired. Pinned files are skipped, not
+    /// failed: the report says how many files were removed and how many
+    /// a live pin protected (also counted under
+    /// [`metrics_keys::RETENTION_PIN_SKIPS`]), so a retirement loop can
+    /// tell "namespace empty" from "namespace still referenced".
+    pub fn sweep_prefix(&self, prefix: &str, reason: SweepReason) -> SweepReport {
         let report = self.delete_all(&self.list(prefix));
         if report.swept > 0 {
             self.inner
@@ -1358,15 +1218,12 @@ impl Dfs {
     }
 
     /// Drop a node's replica map, unlinking any persisted block files.
-    /// The node's open extent is released too, so extent files with no
-    /// surviving packed blocks unlink themselves.
     fn wipe_node_storage(&self, node: usize) {
         let mut blocks = self.inner.datanodes[node].blocks.write();
         for backing in blocks.values() {
             backing.unlink();
         }
         blocks.clear();
-        self.inner.datanodes[node].extent.lock().open = None;
     }
 
     /// Declare a node dead: drop its replicas, scrub it from the
@@ -1706,7 +1563,7 @@ fn is_shuffle_transit_path(path: &str) -> bool {
 }
 
 /// Append one `block-id checksum` record to the node's integrity log,
-/// persisting checksums alongside the blocks and extents they cover.
+/// persisting checksums alongside the blocks they cover.
 fn append_checksum_record(node_dir: &std::path::Path, id: u64, checksum: u64) -> std::io::Result<()> {
     use std::io::Write;
     let mut f = std::fs::OpenOptions::new()
@@ -1766,6 +1623,12 @@ mod tests {
         (0..n).map(|i| (i % 251) as u8).collect()
     }
 
+    /// Write `data` with both replicas' homes starting at `node`.
+    fn write_pinned(dfs: &Dfs, path: &str, data: &[u8], node: usize) -> FileInfo {
+        dfs.write_shared_with_policy(path, SharedBytes::copy_from_slice(data), &PinnedPlacement(node))
+            .unwrap()
+    }
+
     #[test]
     fn write_read_roundtrip() {
         let dfs = small_dfs();
@@ -1773,7 +1636,7 @@ mod tests {
         let info = dfs.write_file("/a", &data).unwrap();
         assert_eq!(info.len, 10_000);
         assert_eq!(info.blocks.len(), 10); // 10 × 1 KiB blocks (last partial? 10000/1024 → 9 full + 1 partial = 10)
-        assert_eq!(dfs.read_file("/a").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/a").unwrap(), data);
     }
 
     #[test]
@@ -1789,7 +1652,7 @@ mod tests {
         let dfs = small_dfs();
         let info = dfs.write_file("/empty", &[]).unwrap();
         assert!(info.blocks.is_empty());
-        assert_eq!(dfs.read_file("/empty").unwrap(), Vec::<u8>::new());
+        assert_eq!(dfs.read_file_shared("/empty").unwrap(), Vec::<u8>::new());
     }
 
     #[test]
@@ -1806,7 +1669,7 @@ mod tests {
     fn missing_file_errors() {
         let dfs = small_dfs();
         assert!(matches!(
-            dfs.read_file("/nope"),
+            dfs.read_file_shared("/nope"),
             Err(DfsError::FileNotFound(_))
         ));
         assert!(dfs.delete("/nope").is_err());
@@ -1839,7 +1702,11 @@ mod tests {
     fn logical_partition_placement_single_home() {
         let dfs = small_dfs();
         let info = dfs
-            .write_file_with_policy("/part-00001", &payload(8 * 1024), &LogicalPartitionPlacement)
+            .write_shared_with_policy(
+                "/part-00001",
+                SharedBytes::from_vec(payload(8 * 1024)),
+                &LogicalPartitionPlacement,
+            )
             .unwrap();
         let home = info.single_home();
         assert!(home.is_some(), "all blocks must share one home");
@@ -1857,15 +1724,13 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(4000);
-        let info = dfs
-            .write_file_with_policy("/r", &data, &PinnedPlacement(0))
-            .unwrap();
+        let info = write_pinned(&dfs, "/r", &data, 0);
         assert!(info.blocks.iter().all(|b| b.nodes.len() == 2));
         dfs.kill_node(0);
-        assert_eq!(dfs.read_file("/r").unwrap(), data, "replica should serve");
+        assert_eq!(dfs.read_file_shared("/r").unwrap(), data, "replica should serve");
         dfs.kill_node(1);
         assert!(matches!(
-            dfs.read_file("/r"),
+            dfs.read_file_shared("/r"),
             Err(DfsError::BlockMissing(_))
         ));
     }
@@ -1879,9 +1744,7 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(2000); // 4 blocks, replicas on nodes {0, 1}
-        let info = dfs
-            .write_file_with_policy("/r", &data, &PinnedPlacement(0))
-            .unwrap();
+        let info = write_pinned(&dfs, "/r", &data, 0);
         let report = dfs.fail_node(0);
         assert_eq!(report.node, 0);
         assert!(report.blocks_lost.is_empty(), "replicas survive on node 1");
@@ -1889,7 +1752,7 @@ mod tests {
         // Metadata no longer lists the dead node.
         let info = dfs.stat("/r").unwrap();
         assert!(info.blocks.iter().all(|b| b.nodes == vec![1]));
-        assert_eq!(dfs.read_file("/r").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/r").unwrap(), data);
         assert_eq!(dfs.dead_nodes(), vec![0]);
         assert!(dfs.is_node_dead(0) && !dfs.is_node_dead(1));
         // Failing the same node again reports no further damage.
@@ -1905,13 +1768,11 @@ mod tests {
             replication: 1,
             ..DfsConfig::default()
         });
-        let info = dfs
-            .write_file_with_policy("/r", &payload(1500), &PinnedPlacement(2))
-            .unwrap();
+        let info = write_pinned(&dfs, "/r", &payload(1500), 2);
         let report = dfs.fail_node(2);
         assert_eq!(report.blocks_lost.len(), info.blocks.len());
         assert!(report.under_replicated.is_empty());
-        assert!(matches!(dfs.read_file("/r"), Err(DfsError::BlockMissing(_))));
+        assert!(matches!(dfs.read_file_shared("/r"), Err(DfsError::BlockMissing(_))));
     }
 
     #[test]
@@ -1923,8 +1784,7 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(4000);
-        dfs.write_file_with_policy("/r", &data, &PinnedPlacement(0))
-            .unwrap();
+        write_pinned(&dfs, "/r", &data, 0);
         let report = dfs.fail_node(0);
         assert!(!report.under_replicated.is_empty());
         let created = dfs.re_replicate();
@@ -1934,7 +1794,7 @@ mod tests {
         assert!(info.blocks.iter().all(|b| !b.nodes.contains(&0)));
         // The restored replication survives losing the other original home.
         dfs.fail_node(1);
-        assert_eq!(dfs.read_file("/r").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/r").unwrap(), data);
         // Nothing left to do: only one live node remains, so effective
         // replication caps at 1 and a second sweep creates nothing.
         assert_eq!(dfs.re_replicate(), 0);
@@ -1944,15 +1804,13 @@ mod tests {
     fn writes_avoid_dead_nodes() {
         let dfs = small_dfs();
         dfs.fail_node(2);
-        let info = dfs
-            .write_file_with_policy("/pinned", &payload(3000), &PinnedPlacement(2))
-            .unwrap();
+        let info = write_pinned(&dfs, "/pinned", &payload(3000), 2);
         assert!(
             info.blocks.iter().all(|b| !b.nodes.contains(&2)),
             "placement must be remapped off the dead node: {:?}",
             info.blocks
         );
-        assert_eq!(dfs.read_file("/pinned").unwrap(), payload(3000));
+        assert_eq!(dfs.read_file_shared("/pinned").unwrap(), payload(3000));
         // Spreading writes also skip the dead node.
         let info = dfs.write_file("/spread", &payload(8 * 1024)).unwrap();
         assert!(info.blocks.iter().all(|b| !b.nodes.contains(&2)));
@@ -1996,12 +1854,11 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(1500); // 3 blocks × 2 replicas
-        dfs.write_file_with_policy("/m", &data, &PinnedPlacement(0))
-            .unwrap();
+        write_pinned(&dfs, "/m", &data, 0);
         let get = |k: &str| dfs.metrics().counter(k).get();
         assert_eq!(get(metrics_keys::BLOCKS_WRITTEN), 6);
         assert_eq!(get(metrics_keys::BYTES_WRITTEN), 3000);
-        dfs.read_file("/m").unwrap();
+        dfs.read_file_shared("/m").unwrap();
         assert_eq!(get(metrics_keys::BLOCKS_READ), 3);
         assert_eq!(get(metrics_keys::BYTES_READ), 1500);
         dfs.fail_node(0);
@@ -2023,7 +1880,7 @@ mod tests {
             assert!(dfs.read_block(b).unwrap().same_backing(&data));
         }
         assert_eq!(dfs.metrics().counter(metrics_keys::BYTES_COPIED).get(), 0);
-        assert_eq!(dfs.read_file("/z").unwrap(), data.to_vec());
+        assert_eq!(dfs.read_file_shared("/z").unwrap(), data);
     }
 
     #[test]
@@ -2080,8 +1937,8 @@ mod tests {
         (dfs, dir)
     }
 
-    /// Block-payload files (`.blk` + `.ext`) across all node dirs; the
-    /// per-node `checksums.crc` integrity log is not payload.
+    /// Block-payload files (`.blk`) across all node dirs; the per-node
+    /// `checksums.crc` integrity log is not payload.
     fn blk_files(dir: &PathBuf) -> usize {
         let mut n = 0;
         for node in std::fs::read_dir(dir).unwrap().flatten() {
@@ -2089,12 +1946,7 @@ mod tests {
                 n += std::fs::read_dir(node.path())
                     .unwrap()
                     .flatten()
-                    .filter(|e| {
-                        matches!(
-                            e.path().extension().and_then(|x| x.to_str()),
-                            Some("blk") | Some("ext")
-                        )
-                    })
+                    .filter(|e| e.path().extension().and_then(|x| x.to_str()) == Some("blk"))
                     .count();
             }
         }
@@ -2112,7 +1964,7 @@ mod tests {
             dfs.metrics().counter(metrics_keys::BLOCKS_MAPPED).get(),
             3
         );
-        assert_eq!(dfs.read_file("/p").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/p").unwrap(), data);
         // Two reads of the same block share the block file's mapping —
         // a refcount bump, not a re-read.
         let b0 = &dfs.stat("/p").unwrap().blocks[0];
@@ -2181,8 +2033,7 @@ mod tests {
             replication: 2,
             ..DfsConfig::default()
         });
-        dfs.write_file_with_policy("/f", &payload(1500), &PinnedPlacement(0))
-            .unwrap();
+        write_pinned(&dfs, "/f", &payload(1500), 0);
         assert!(dfs.file_available_excluding("/f", &[]));
         // Replicas live on nodes 0 and 1: losing either alone is fine,
         // losing both is not.
@@ -2199,75 +2050,6 @@ mod tests {
     }
 
     #[test]
-    fn small_blocks_pack_into_extents() {
-        let dir = store_dir("pack");
-        let dfs = Dfs::new(DfsConfig {
-            n_nodes: 2,
-            block_size: 1024,
-            replication: 1,
-            block_store_dir: Some(dir.clone()),
-            pack_threshold: 512,
-            ..DfsConfig::default()
-        });
-        // 12 files of 300 B each: all under the threshold.
-        let mut datas = Vec::new();
-        for i in 0..12 {
-            let d: Vec<u8> = (0..300).map(|j| ((i * 7 + j) % 251) as u8).collect();
-            dfs.write_file(&format!("/small-{i}"), &d).unwrap();
-            datas.push(d);
-        }
-        assert_eq!(
-            dfs.metrics().counter(metrics_keys::BLOCKS_PACKED).get(),
-            12
-        );
-        // Far fewer inodes than blocks: one open extent per node.
-        let files = blk_files(&dir);
-        assert!(files <= 2, "12 packed blocks should share ≤2 extents, got {files}");
-        // Packed blocks read back correctly, as mapped windows.
-        for (i, d) in datas.iter().enumerate() {
-            let path = format!("/small-{i}");
-            assert_eq!(&dfs.read_file(&path).unwrap(), d);
-            let shared = dfs.read_file_shared(&path).unwrap();
-            assert!(shared.is_mapped(), "packed block must serve from the extent mapping");
-        }
-        // Blocks at or above the threshold still get their own inode.
-        dfs.write_file("/big", &payload(600)).unwrap();
-        assert_eq!(
-            dfs.metrics().counter(metrics_keys::BLOCKS_PACKED).get(),
-            12
-        );
-        assert_eq!(blk_files(&dir), files + 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn packed_extents_roll_and_survive_failover() {
-        let dir = store_dir("pack-roll");
-        let dfs = Dfs::new(DfsConfig {
-            n_nodes: 2,
-            block_size: 400 * 1024,
-            replication: 2,
-            block_store_dir: Some(dir.clone()),
-            pack_threshold: 512 * 1024,
-            ..DfsConfig::default()
-        });
-        // Four ~400 KiB packed blocks per node: the fourth append finds
-        // the open extent past the 1 MiB roll point, forcing a second
-        // extent per node.
-        let data = payload(4 * 400 * 1024 - 17);
-        dfs.write_file_with_policy("/p", &data, &PinnedPlacement(0))
-            .unwrap();
-        assert_eq!(dfs.metrics().counter(metrics_keys::BLOCKS_PACKED).get(), 8);
-        assert!(blk_files(&dir) >= 4, "each node rolls to a second extent");
-        assert_eq!(dfs.read_file("/p").unwrap(), data);
-        // A failed node's packed replicas recover from the surviving
-        // node's extents.
-        dfs.fail_node(0);
-        assert_eq!(dfs.read_file("/p").unwrap(), data);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn corrupt_replica_is_quarantined_and_repaired_on_read() {
         let dfs = Dfs::new(DfsConfig {
             n_nodes: 3,
@@ -2276,12 +2058,11 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(1500); // 3 blocks × 2 replicas
-        dfs.write_file_with_policy("/c", &data, &PinnedPlacement(0))
-            .unwrap();
+        write_pinned(&dfs, "/c", &data, 0);
         // Rot the primary replica of block 1.
         dfs.corrupt_block("/c", 1, 0).unwrap();
         // Reads never see the damage...
-        assert_eq!(dfs.read_file("/c").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/c").unwrap(), data);
         let get = |k: &str| dfs.metrics().counter(k).get();
         // ...and the replica was quarantined and re-created elsewhere.
         assert_eq!(get(metrics_keys::BLOCKS_CORRUPT_DETECTED), 1);
@@ -2289,7 +2070,7 @@ mod tests {
         let info = dfs.stat("/c").unwrap();
         assert!(info.blocks.iter().all(|b| b.nodes.len() == 2));
         // The repaired replica verifies: a second full read is clean.
-        assert_eq!(dfs.read_file("/c").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/c").unwrap(), data);
         assert_eq!(get(metrics_keys::BLOCKS_CORRUPT_DETECTED), 1);
     }
 
@@ -2302,12 +2083,10 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(800);
-        let info = dfs
-            .write_file_with_policy("/s", &data, &PinnedPlacement(0))
-            .unwrap();
+        let info = write_pinned(&dfs, "/s", &data, 0);
         let stale = info.blocks[0].clone();
         dfs.corrupt_block("/s", 0, 0).unwrap();
-        dfs.read_file("/s").unwrap(); // detect + repair; homes moved
+        dfs.read_file_shared("/s").unwrap(); // detect + repair; homes moved
         // A reader holding pre-repair metadata must still be served —
         // the read path re-resolves replica homes through the locator.
         assert_eq!(dfs.read_block(&stale).unwrap().as_slice(), &data[..]);
@@ -2321,11 +2100,10 @@ mod tests {
             replication: 2,
             ..DfsConfig::default()
         });
-        dfs.write_file_with_policy("/c", &payload(600), &PinnedPlacement(0))
-            .unwrap();
+        write_pinned(&dfs, "/c", &payload(600), 0);
         dfs.corrupt_block("/c", 0, 0).unwrap();
         dfs.corrupt_block("/c", 0, 1).unwrap();
-        let err = dfs.read_file("/c").unwrap_err();
+        let err = dfs.read_file_shared("/c").unwrap_err();
         assert!(matches!(err, DfsError::Corrupt(_)), "got {err}");
         assert!(!err.is_retryable());
         assert_eq!(
@@ -2350,10 +2128,10 @@ mod tests {
         let info = dfs.write_file("/f", &data).unwrap();
         let home = info.blocks[0].nodes[0];
         dfs.inject_flaky_reads(home, 2);
-        assert_eq!(dfs.read_file("/f").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/f").unwrap(), data);
         assert_eq!(dfs.metrics().counter(metrics_keys::READS_RETRIED).get(), 2);
         // Once the injected failures are consumed, reads are clean.
-        assert_eq!(dfs.read_file("/f").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/f").unwrap(), data);
         assert_eq!(dfs.metrics().counter(metrics_keys::READS_RETRIED).get(), 2);
     }
 
@@ -2397,17 +2175,15 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(900);
-        let info = dfs
-            .write_file_with_policy("/h", &data, &PinnedPlacement(0))
-            .unwrap();
+        let info = write_pinned(&dfs, "/h", &data, 0);
         dfs.inject_slow_node(0, 20);
         // First read is just slow — it seeds node 0's latency history.
-        assert_eq!(dfs.read_file("/h").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/h").unwrap(), data);
         assert_eq!(dfs.metrics().counter(metrics_keys::READS_HEDGED).get(), 0);
         // Subsequent reads see a suspect primary and hedge to node 1,
         // which answers within the budget and wins.
         for _ in 0..3 {
-            assert_eq!(dfs.read_file("/h").unwrap(), data);
+            assert_eq!(dfs.read_file_shared("/h").unwrap(), data);
         }
         let hedged = dfs.metrics().counter(metrics_keys::READS_HEDGED).get();
         let wins = dfs.metrics().counter(metrics_keys::READS_HEDGE_WINS).get();
@@ -2425,9 +2201,7 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(800);
-        let info = dfs
-            .write_file_with_policy("/aff", &data, &PinnedPlacement(0))
-            .unwrap();
+        let info = write_pinned(&dfs, "/aff", &data, 0);
         let homes = info.blocks[0].nodes.clone();
         assert_eq!(homes.len(), 2);
         // Affinity on either replica home: all bytes served locally.
@@ -2459,9 +2233,7 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(700);
-        let info = dfs
-            .write_file_with_policy("/q", &data, &PinnedPlacement(0))
-            .unwrap();
+        let info = write_pinned(&dfs, "/q", &data, 0);
         let homes = info.blocks[0].nodes.clone();
         // Corrupt the replica on the reader's own node: the read must
         // detect it, quarantine, and serve the survivor — correct bytes,
@@ -2490,8 +2262,7 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(900);
-        dfs.write_file_with_policy("/ha", &data, &PinnedPlacement(0))
-            .unwrap();
+        write_pinned(&dfs, "/ha", &data, 0);
         dfs.inject_slow_node(0, 20);
         // Seed node 0's latency history (affinity pointed straight at
         // the slow node, so this read is served slowly by it).
@@ -2532,12 +2303,10 @@ mod tests {
         });
         dfs.inject_corrupt_on_write("map-00001", 0, 0);
         let data = payload(400);
-        dfs.write_file_with_policy("/j/map-00000.segs", &data, &PinnedPlacement(0))
-            .unwrap();
-        dfs.write_file_with_policy("/j/map-00001.segs", &data, &PinnedPlacement(1))
-            .unwrap();
+        write_pinned(&dfs, "/j/map-00000.segs", &data, 0);
+        write_pinned(&dfs, "/j/map-00001.segs", &data, 1);
         // Non-matching file is untouched end to end.
-        assert_eq!(dfs.read_file("/j/map-00000.segs").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/j/map-00000.segs").unwrap(), data);
         assert_eq!(
             dfs.metrics()
                 .counter(metrics_keys::BLOCKS_CORRUPT_DETECTED)
@@ -2545,7 +2314,7 @@ mod tests {
             0
         );
         // Matching file was damaged on write, detected and healed on read.
-        assert_eq!(dfs.read_file("/j/map-00001.segs").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/j/map-00001.segs").unwrap(), data);
         let get = |k: &str| dfs.metrics().counter(k).get();
         assert_eq!(get(metrics_keys::BLOCKS_CORRUPT_DETECTED), 1);
         assert_eq!(get(metrics_keys::BLOCKS_CORRUPT_REPAIRED), 1);
@@ -2560,10 +2329,8 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(2000); // 4 blocks on nodes {0, 1}
-        dfs.write_file_with_policy("/r", &data, &PinnedPlacement(0))
-            .unwrap();
-        dfs.write_file_with_policy("/other", &payload(512), &PinnedPlacement(2))
-            .unwrap();
+        write_pinned(&dfs, "/r", &data, 0);
+        write_pinned(&dfs, "/other", &payload(512), 2);
         let report = dfs.fail_node(0);
         assert_eq!(report.under_replicated.len(), 4);
         let created = dfs.re_replicate_blocks(&report.under_replicated);
@@ -2574,7 +2341,7 @@ mod tests {
         let info = dfs.stat("/r").unwrap();
         assert!(info.blocks.iter().all(|b| b.nodes.len() == 2));
         assert!(info.blocks.iter().all(|b| !b.nodes.contains(&0)));
-        assert_eq!(dfs.read_file("/r").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/r").unwrap(), data);
         // A follow-up full sweep finds nothing left to do.
         assert_eq!(dfs.re_replicate(), 0);
     }
@@ -2605,8 +2372,7 @@ mod tests {
             ..DfsConfig::default()
         });
         let data = payload(600);
-        dfs.write_file_with_policy("/v", &data, &PinnedPlacement(0))
-            .unwrap();
+        write_pinned(&dfs, "/v", &data, 0);
         // Rot node 1's replica, then lose node 0: the sweep must not
         // propagate the rotten copy. It quarantines it instead, so the
         // block has lost its last (honest) replica.
@@ -2619,20 +2385,19 @@ mod tests {
                 .get(),
             1
         );
-        assert!(matches!(dfs.read_file("/v"), Err(DfsError::BlockMissing(_))));
+        assert!(matches!(dfs.read_file_shared("/v"), Err(DfsError::BlockMissing(_))));
     }
 
     #[test]
     fn failure_recovery_with_persisted_store() {
         let (dfs, dir) = persisted_dfs("recover", 2);
         let data = payload(2500);
-        dfs.write_file_with_policy("/p", &data, &PinnedPlacement(0))
-            .unwrap();
+        write_pinned(&dfs, "/p", &data, 0);
         let report = dfs.fail_node(0);
         assert!(report.blocks_lost.is_empty());
         let created = dfs.re_replicate();
         assert_eq!(created, report.under_replicated.len());
-        assert_eq!(dfs.read_file("/p").unwrap(), data);
+        assert_eq!(dfs.read_file_shared("/p").unwrap(), data);
         // Every surviving replica is persisted somewhere on disk.
         assert_eq!(blk_files(&dir), 3 * 2);
         std::fs::remove_dir_all(&dir).ok();
@@ -2663,7 +2428,7 @@ mod tests {
         dfs.write_file("/t/job/y", &payload(50)).unwrap();
         dfs.write_file("/t/job/z", &payload(50)).unwrap();
         dfs.pin("/t/job/y").unwrap();
-        let report = dfs.sweep_prefix_report("/t/job", SweepReason::Ttl);
+        let report = dfs.sweep_prefix("/t/job", SweepReason::Ttl);
         assert_eq!(report, SweepReport { swept: 2, pinned_skipped: 1 });
         assert!(dfs.exists("/t/job/y"), "pinned file must survive the sweep");
         assert!(dfs.any_pinned("/t/job"));
@@ -2679,7 +2444,7 @@ mod tests {
         );
         dfs.unpin("/t/job/y");
         assert!(!dfs.any_pinned("/t/job"));
-        let report = dfs.sweep_prefix_report("/t/job", SweepReason::Ttl);
+        let report = dfs.sweep_prefix("/t/job", SweepReason::Ttl);
         assert_eq!(report, SweepReport { swept: 1, pinned_skipped: 0 });
     }
 

@@ -3,6 +3,7 @@
 //! integrity holds under arbitrary corruption.
 
 use gesall_dfs::{metrics_keys, Dfs, DfsConfig, LogicalPartitionPlacement};
+use gesall_formats::SharedBytes;
 use proptest::prelude::*;
 
 proptest! {
@@ -24,7 +25,7 @@ proptest! {
         for b in &info.blocks {
             prop_assert_eq!(b.nodes.len(), replication.min(n_nodes));
         }
-        prop_assert_eq!(dfs.read_file("/f").unwrap(), data);
+        prop_assert_eq!(dfs.read_file_shared("/f").unwrap(), data);
     }
 
     #[test]
@@ -37,10 +38,10 @@ proptest! {
         let dfs = Dfs::new(DfsConfig { n_nodes, block_size, replication: 1, ..DfsConfig::default() });
         let path = format!("/part-{path_salt}");
         let info = dfs
-            .write_file_with_policy(&path, &data, &LogicalPartitionPlacement)
+            .write_shared_with_policy(&path, SharedBytes::from_vec(data.clone()), &LogicalPartitionPlacement)
             .unwrap();
         prop_assert!(info.single_home().is_some());
-        prop_assert_eq!(dfs.read_file(&path).unwrap(), data);
+        prop_assert_eq!(dfs.read_file_shared(&path).unwrap(), data);
     }
 
     #[test]
@@ -87,7 +88,7 @@ proptest! {
             let got = dfs.read_file_range_shared("/f", offset, len).unwrap();
             prop_assert_eq!(got.as_slice(), &data[offset..offset + len]);
         }
-        prop_assert_eq!(dfs.read_file("/f").unwrap(), data.clone());
+        prop_assert_eq!(dfs.read_file_shared("/f").unwrap(), data.clone());
         // Whatever was detected got repaired (a survivor always exists).
         let detected = dfs.metrics().counter(metrics_keys::BLOCKS_CORRUPT_DETECTED).get();
         let repaired = dfs.metrics().counter(metrics_keys::BLOCKS_CORRUPT_REPAIRED).get();

@@ -48,7 +48,7 @@ use std::time::{Duration, Instant};
 use gesall_core::{GesallPlatform, RunOptions};
 use gesall_dfs::{Dfs, SweepReason};
 use gesall_mapreduce::lease::SlotLease;
-use gesall_mapreduce::{GesallError, JobConfig};
+use gesall_mapreduce::{GesallError, JobConfig, TASK_MEMORY_MB, TASK_VCORES};
 use gesall_telemetry::MetricsRegistry;
 use parking_lot::{Condvar, Mutex};
 
@@ -102,7 +102,8 @@ impl TenantConfig {
 pub struct JobSvcConfig {
     pub tenants: Vec<TenantConfig>,
     /// Container slots the scheduler divides among tenants. Defaults to
-    /// the platform cluster's `total_slots(1 vcore, 1 GiB)`.
+    /// the platform cluster's slot count for the engine's task
+    /// container (1 vcore, 1 GiB).
     pub total_slots: Option<usize>,
     /// How long a finished job's DFS namespace is retained for
     /// inspection before the TTL sweep deletes it. Dropping the
@@ -474,7 +475,7 @@ impl JobService {
         let platform = Arc::new(platform);
         let total_slots = config
             .total_slots
-            .unwrap_or_else(|| platform.engine.cluster().total_slots(1, 1024))
+            .unwrap_or_else(|| platform.engine.cluster().total_slots(TASK_VCORES, TASK_MEMORY_MB))
             .max(1);
         let mut rt = BTreeMap::new();
         for t in &config.tenants {
@@ -781,7 +782,7 @@ impl Svc {
     /// released. Everything unpinned under the prefix is swept
     /// immediately either way.
     fn sweep_or_defer(&self, st: &mut SvcState, namespace: String, reason: SweepReason) {
-        let report = self.platform.dfs.sweep_prefix_report(&namespace, reason);
+        let report = self.platform.dfs.sweep_prefix(&namespace, reason);
         if report.pinned_skipped > 0 {
             st.retired.push(Retirement {
                 namespace,

@@ -4,6 +4,12 @@
 //! knob the paper tunes throughout §4 (e.g. "each mapper needs 13 GB so
 //! we can run 16 concurrent mappers per node").
 
+/// The container every map and reduce task runs in: 1 vcore, 1 GiB.
+/// What a node offers ([`ClusterResources::uniform`]) is therefore the
+/// one place that decides how many tasks it runs at once.
+pub const TASK_VCORES: usize = 1;
+pub const TASK_MEMORY_MB: usize = 1024;
+
 /// Resources of one worker node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeResources {

@@ -60,7 +60,7 @@ pub mod keys {
     /// Spill batches handed to the background encoder pool.
     pub const SPILL_POOL_JOBS: &str = "spill.pool.jobs";
     /// Nanoseconds the spill-encoder pool spent executing jobs — divided
-    /// by map wall-clock this is the bench-smoke overlap metric.
+    /// by map wall-clock this is the spill-overlap ratio.
     pub const SPILL_POOL_BUSY_NANOS: &str = "spill.pool.busy.nanos";
     /// Spill submissions that blocked on the pool's bounded queue
     /// (backpressure events).

@@ -38,7 +38,7 @@ pub mod spillpool;
 pub mod streaming;
 pub mod task;
 
-pub use cluster::{ClusterResources, NodeResources};
+pub use cluster::{ClusterResources, NodeResources, TASK_MEMORY_MB, TASK_VCORES};
 pub use counters::Counters;
 pub use error::GesallError;
 pub use fault::{FaultPlan, NodeDeath};

@@ -10,7 +10,7 @@
 //! lost mid-job (the failure model behind the paper's production-cluster
 //! observations).
 
-use crate::cluster::ClusterResources;
+use crate::cluster::{ClusterResources, TASK_MEMORY_MB, TASK_VCORES};
 use crate::counters::{keys, Counters};
 use crate::error::{panic_message, GesallError};
 use crate::fault::{FaultPlan, NodeDeath};
@@ -73,10 +73,6 @@ pub struct JobConfig {
     pub io_sort_bytes: usize,
     /// Reduce-side merge fan-in.
     pub merge_factor: usize,
-    pub map_vcores: usize,
-    pub map_memory_mb: usize,
-    pub reduce_vcores: usize,
-    pub reduce_memory_mb: usize,
     /// Maximum attempts per task (`mapreduce.map.maxattempts` analogue).
     /// A task whose attempts all fail aborts the job.
     pub max_attempts: usize,
@@ -125,10 +121,6 @@ impl Default for JobConfig {
             n_reducers: 1,
             io_sort_bytes: 64 * 1024 * 1024,
             merge_factor: 10,
-            map_vcores: 1,
-            map_memory_mb: 1024,
-            reduce_vcores: 1,
-            reduce_memory_mb: 1024,
             max_attempts: 4,
             retry_backoff_ms: 10.0,
             speculative: true,
@@ -916,18 +908,13 @@ impl MapReduceEngine {
             wave.notify_deaths(&fired);
         }
 
-        let (task_vcores, task_memory_mb) = match kind {
-            TaskKind::Map => (config.map_vcores, config.map_memory_mb),
-            TaskKind::Reduce => (config.reduce_vcores, config.reduce_memory_mb),
-        };
-
         let scope_result = crossbeam::thread::scope(|s| {
             let mut first_live_worker = true;
             for node in 0..self.cluster.n_nodes() {
                 if self.is_dead(node) {
                     continue;
                 }
-                let slots = self.cluster.slots_on(node, task_vcores, task_memory_mb);
+                let slots = self.cluster.slots_on(node, TASK_VCORES, TASK_MEMORY_MB);
                 let slots = slots.max(if first_live_worker { 1 } else { 0 });
                 if slots > 0 {
                     first_live_worker = false;
@@ -1524,8 +1511,6 @@ mod tests {
         let cfg = JobConfig {
             n_reducers: 4,
             io_sort_bytes: 512, // force spills
-            map_memory_mb: 1024,
-            reduce_memory_mb: 1024,
             ..JobConfig::default()
         };
         let res = engine
@@ -1680,6 +1665,40 @@ mod tests {
         for e in &res.events {
             assert_eq!(e.data_local, e.node == e.task_id, "{e:?}");
         }
+    }
+
+    #[test]
+    fn reducers_fetch_most_shuffle_bytes_from_their_own_node() {
+        // 2 nodes, replication 2: every segment block has a replica on
+        // the reducer's node, so the read-affinity hint must serve the
+        // majority of fetch bytes locally. A dropped or inverted hint
+        // lands at zero — without a matching affinity every byte counts
+        // as remote.
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 2,
+            block_size: 1 << 20,
+            replication: 2,
+            ..DfsConfig::default()
+        });
+        let engine =
+            MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_shuffle_dfs(dfs);
+        let cfg = JobConfig {
+            n_reducers: 2,
+            io_sort_bytes: 2048,
+            speculative: false,
+            ..JobConfig::default()
+        };
+        let res = engine
+            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(8, 50))
+            .unwrap();
+        let local = res.counters.get(keys::SHUFFLE_FETCH_BYTES_LOCAL);
+        let remote = res.counters.get(keys::SHUFFLE_FETCH_BYTES_REMOTE);
+        assert!(local + remote > 0, "the transit fetch path must be measured");
+        assert!(
+            local > remote,
+            "only {local} of {} fetch bytes were served by the reducer's own node",
+            local + remote
+        );
     }
 
     #[test]

@@ -34,8 +34,8 @@ struct PoolShared {
     /// Submitters wait here when the queue is at capacity (backpressure).
     not_full: Condvar,
     queue_cap: usize,
-    /// Nanoseconds workers spent executing jobs — the numerator of the
-    /// bench-smoke spill-overlap metric.
+    /// Nanoseconds workers spent executing jobs — over the map waves'
+    /// wall clock, the spill-overlap ratio.
     busy_nanos: AtomicU64,
     /// Submissions that had to wait on a full queue.
     submit_waits: AtomicU64,

@@ -66,6 +66,10 @@ fn sam_splits(n_splits: usize, per_split: usize) -> Vec<InputSplit<u64, SamRecor
         .collect()
 }
 
+/// Maximum wire bytes through the transit DFS for the Seq-codec shuffle
+/// as a fraction of its Lz twin's, at byte-identical reduce output.
+const SEQ_VS_LZ_MAX_RATIO: f64 = 0.8;
+
 fn run_with(codec: Codec) -> JobResult<u64, SamRecord> {
     let dfs = Dfs::new(DfsConfig {
         n_nodes: 3,
@@ -108,12 +112,13 @@ fn reduce_output_is_identical_across_every_shuffle_codec() {
     assert!(seq.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED) > 0);
 
     // And the wire bytes order as the codecs' strength predicts on
-    // genomic payloads: Seq (2-bit bases + grouped literals) beats
-    // general LZ, which beats shipping raw.
+    // genomic payloads: general LZ beats shipping raw, and Seq (2-bit
+    // bases + grouped literals) has to pay for itself — at most
+    // SEQ_VS_LZ_MAX_RATIO of the Lz twin's wire bytes, not merely fewer.
     let b = |r: &JobResult<u64, SamRecord>| r.counters.get(keys::SHUFFLE_BYTES_DFS);
     assert!(
-        b(&seq) < b(&lz) && b(&lz) < b(&raw),
-        "expected seq < lz < raw, got seq={} lz={} raw={}",
+        b(&seq) as f64 <= b(&lz) as f64 * SEQ_VS_LZ_MAX_RATIO && b(&lz) < b(&raw),
+        "expected seq <= {SEQ_VS_LZ_MAX_RATIO} x lz and lz < raw, got seq={} lz={} raw={}",
         b(&seq),
         b(&lz),
         b(&raw)

@@ -85,6 +85,18 @@ fn transit_dfs() -> Dfs {
     })
 }
 
+/// Every task slot on one compute node. Map outputs are pinned to the
+/// writer's node and reducers prefer the replica on their own, so with a
+/// single compute node every shuffle fetch has DFS node 0 as its
+/// first-choice replica (node 1 holds the second copy, node 2 hosts
+/// repairs). Limping node 0 therefore puts the slow replica in front of
+/// every read: the first one seeds its latency history and every later
+/// one sees a suspect primary — wherever the scheduler happens to place
+/// the reducers.
+fn one_compute_node() -> ClusterResources {
+    ClusterResources::uniform(1, 6, 6 * 1024)
+}
+
 /// The reference output, computed without the engine: the word count of
 /// the splits. (A reference *job* would run beside the other tests'
 /// faulty jobs and perturb the wall-clock latencies hedging keys on.)
@@ -145,18 +157,18 @@ fn corrupted_replica_never_reaches_a_reducer() {
 
 #[test]
 fn flaky_and_slow_nodes_still_complete_with_retries_and_hedges() {
-    // Every node's first six replica reads flake with a transient error
-    // and node 2 limps at 15 ms per read. The job must complete with
-    // exact output, the DFS retry loop must have fired (the budgets
-    // guarantee some read finds both its replicas flaking at once), and
-    // node 2's latency histogram must have pushed reads into hedging.
+    // Both replica homes' first six reads flake with a transient error
+    // and node 0 — every fetch's first choice — limps at 15 ms per read.
+    // The job must complete with exact output, the DFS retry loop must
+    // have fired (the first read to get past node 0's flake finds node 1
+    // flaking too), and node 0's latency histogram must have pushed
+    // reads into hedging.
     let dfs = transit_dfs();
     let plan = FaultPlan::seeded(0xF1A)
         .flaky_read(0, 6)
         .flaky_read(1, 6)
-        .flaky_read(2, 6)
-        .slow_node(2, 15);
-    let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096))
+        .slow_node(0, 15);
+    let engine = MapReduceEngine::new(one_compute_node())
         .with_shuffle_dfs(dfs.clone())
         .with_fault_plan(plan);
     let res = engine
@@ -185,14 +197,15 @@ fn acceptance_corrupt_slow_and_flaky_job_matches_fault_free_run() {
     // The PR's acceptance scenario: one corrupt_block + one slow_node +
     // flaky_read injections in a single seeded plan. The job completes
     // with byte-identical reduce output, corruption is detected and
-    // fully repaired, and hedged reads fired against the slow node.
+    // fully repaired, and hedged reads fired against the slow node —
+    // which is also the one holding the corrupt replica.
     let dfs = transit_dfs();
     let plan = FaultPlan::seeded(0xACCE97)
         .corrupt_block("map-00000", 0, 0)
         .flaky_read(0, 6)
         .flaky_read(1, 6)
-        .slow_node(2, 15);
-    let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096))
+        .slow_node(0, 15);
+    let engine = MapReduceEngine::new(one_compute_node())
         .with_shuffle_dfs(dfs.clone())
         .with_fault_plan(plan);
     let res = engine

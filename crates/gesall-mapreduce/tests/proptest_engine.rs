@@ -457,6 +457,37 @@ proptest! {
     }
 }
 
+/// Allowed growth of the streaming reduce-merge's peak resident bytes
+/// when the number of input runs doubles at a fixed `merge_factor`. The
+/// bound is `merge_factor` × run size, independent of run count, so the
+/// ratio should be ~1.0; the slack absorbs head-record jitter.
+const PEAK_RESIDENT_FLATNESS: f64 = 1.25;
+
+#[test]
+fn streaming_merge_peak_resident_is_flat_in_run_count() {
+    // Deterministic: same runs, same peak.
+    let peak = |n_runs: u64, merge_factor: usize| -> u64 {
+        let segments: Vec<Segment> = (0..n_runs)
+            .map(|r| {
+                let mut pairs: Vec<(u64, u64)> =
+                    (0..512u64).map(|i| ((i * 131 + r * 17) % 1024, i)).collect();
+                pairs.sort_unstable();
+                Segment::from_pairs(&pairs, Codec::Lz)
+            })
+            .collect();
+        let bag = Counters::new();
+        let _ = reduce_merge::<u64, u64>(segments, merge_factor, &bag);
+        bag.get("mem.reduce.peak_resident")
+    };
+    let (peak_n, peak_2n) = (peak(8, 4), peak(16, 4));
+    assert!(peak_n > 0);
+    assert!(
+        peak_2n as f64 <= peak_n as f64 * PEAK_RESIDENT_FLATNESS,
+        "doubling input runs moved the streaming merge's peak from {peak_n} to {peak_2n} bytes \
+         (> {PEAK_RESIDENT_FLATNESS}x) — the merge is no longer memory-bounded"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Spill kernels: the loser-tree merge pinned to the heap reference, and
 // the whole map-side sort-spill-merge (radix spill sort on the encoder

@@ -2,10 +2,11 @@
 //!
 //! The workspace's vendored `serde` is an API stub (the build
 //! environment has no crates registry), so machine-readable output —
-//! JSONL span sinks, `BENCH_*.json` records — is assembled through this
-//! module instead. Objects preserve insertion order on write; numbers
-//! are `f64` (adequate for timings and counters; counters above 2⁵³
-//! would lose precision, which no mini-scale run approaches).
+//! JSONL span sinks, the benchmark's result files — is assembled
+//! through this module instead. Objects preserve insertion order on
+//! write; numbers are `f64` (adequate for timings and counters;
+//! counters above 2⁵³ would lose precision, which no mini-scale run
+//! approaches).
 
 use std::fmt::Write as _;
 

@@ -5,8 +5,9 @@
 //! The kernels are exact — each is pinned to its scalar oracle by
 //! proptests — so these counters exist to prove the fast path actually
 //! ran (a config regression that silently falls back to the scalar path
-//! shows up as a zeroed counter in bench-smoke, not as an unexplained
-//! Map-phase slowdown) and to size the work the bit-tricks did.
+//! shows up as a zeroed counter in the traced platform test, not as an
+//! unexplained Map-phase slowdown) and to size the work the bit-tricks
+//! did.
 
 /// Well-known kernel counter names.
 pub mod keys {
@@ -29,7 +30,7 @@ pub mod keys {
 }
 
 /// Kernel activity pulled out of a counter snapshot — the numbers the
-/// CLI report and the bench-smoke gates consume.
+/// CLI report prints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     pub occ_words_popcounted: u64,

@@ -27,15 +27,11 @@
 //! * [`json`] — a dependency-free JSON value type, writer, and parser
 //!   (the vendored serde is an API stub, so machine-readable output is
 //!   hand-assembled).
-//! * [`bench`] — the `BENCH_*.json` emitter: every experiment run
-//!   appends a record (workload, config, phase timings, counters) so
-//!   the perf trajectory of the repo is machine-checkable.
 //!
 //! The crate is deliberately leaf-level: it depends on nothing else in
 //! the workspace, so every layer (`gesall-dfs`, `gesall-mapreduce`,
 //! `gesall-core`, the binaries) can instrument itself against it.
 
-pub mod bench;
 pub mod json;
 pub mod kernel;
 pub mod mem;
@@ -44,10 +40,9 @@ pub mod phase;
 pub mod report;
 pub mod span;
 
-pub use bench::BenchRecord;
 pub use json::Json;
 pub use kernel::{keys as kernel_keys, KernelStats};
-pub use mem::{keys as mem_keys, MemStats};
+pub use mem::keys as mem_keys;
 pub use metrics::{Counters, Histogram, MetricsRegistry};
 pub use phase::Phase;
 pub use report::{DurationStats, GanttRow, PhaseRow};

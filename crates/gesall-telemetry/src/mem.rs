@@ -9,8 +9,9 @@
 //! decompress, decode, block concatenation), and the zero-copy paths —
 //! shared-slice segment fetch, ownership-transfer pipe chunks,
 //! single-block DFS reads — add nothing. A refactor that silently
-//! reintroduces a copy shows up as a per-record regression in the
-//! bench-smoke gate instead of as an unexplained phase slowdown.
+//! reintroduces a copy shows up as a per-record regression
+//! (`platform::bytes_copied_per_shuffled_record_stays_on_the_zero_copy_budget`)
+//! instead of as an unexplained phase slowdown.
 
 /// Well-known memory-path counter names.
 pub mod keys {
@@ -32,86 +33,4 @@ pub mod keys {
     /// aggregated value is the sum of per-reducer peaks — flat in input
     /// size at a fixed reducer count and `merge_factor`.
     pub const REDUCE_PEAK_RESIDENT: &str = "mem.reduce.peak_resident";
-}
-
-/// Derived memory-path statistics from a counter snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MemStats {
-    /// Total payload bytes copied.
-    pub bytes_copied: u64,
-    /// Spill-scratch buffers handed out.
-    pub spill_allocs: u64,
-    /// ... of which were recycled.
-    pub spill_reused: u64,
-    /// Released buffers dropped at a full free-list.
-    pub spill_evicted: u64,
-}
-
-impl MemStats {
-    /// Pull the memory-path counters out of a snapshot.
-    pub fn from_snapshot(snapshot: &[(String, u64)]) -> MemStats {
-        let get = |name: &str| {
-            snapshot
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        MemStats {
-            bytes_copied: get(keys::BYTES_COPIED),
-            spill_allocs: get(keys::SPILL_ALLOCS),
-            spill_reused: get(keys::SPILL_REUSED),
-            spill_evicted: get(keys::SPILL_EVICTED),
-        }
-    }
-
-    /// Bytes copied per `records` (e.g. shuffled records) — the gate
-    /// metric. Zero when no records moved.
-    pub fn bytes_copied_per_record(&self, records: u64) -> f64 {
-        if records == 0 {
-            0.0
-        } else {
-            self.bytes_copied as f64 / records as f64
-        }
-    }
-
-    /// Fraction of spill-scratch acquisitions served by recycling.
-    pub fn reuse_ratio(&self) -> f64 {
-        if self.spill_allocs == 0 {
-            0.0
-        } else {
-            self.spill_reused as f64 / self.spill_allocs as f64
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_from_snapshot() {
-        let snap = vec![
-            ("mem.bytes.copied".to_string(), 1000u64),
-            ("mem.spill.allocs".to_string(), 10),
-            ("mem.spill.reused".to_string(), 8),
-            ("mem.spill.evicted".to_string(), 2),
-            ("unrelated".to_string(), 7),
-        ];
-        let m = MemStats::from_snapshot(&snap);
-        assert_eq!(m.bytes_copied, 1000);
-        assert_eq!(m.spill_allocs, 10);
-        assert_eq!(m.spill_reused, 8);
-        assert_eq!(m.spill_evicted, 2);
-        assert_eq!(m.bytes_copied_per_record(500), 2.0);
-        assert_eq!(m.reuse_ratio(), 0.8);
-    }
-
-    #[test]
-    fn empty_snapshot_is_zero() {
-        let m = MemStats::from_snapshot(&[]);
-        assert_eq!(m, MemStats::default());
-        assert_eq!(m.bytes_copied_per_record(0), 0.0);
-        assert_eq!(m.reuse_ratio(), 0.0);
-    }
 }

@@ -386,30 +386,6 @@ pub fn shuffle_matrix(cells: &[ShuffleCell]) -> String {
     out
 }
 
-/// One-line summary of the shuffle fetch path, from the
-/// `shuffle.fetch.*` counters: the local/remote byte split the
-/// locality-aware replica selection produced, and how many partition
-/// fetches the bounded prefetch had already completed when the merge
-/// asked. The matrix above says who moved bytes to whom; this says how
-/// far those bytes travelled and whether the fetch pipeline hid them
-/// behind the merge.
-pub fn shuffle_fetch_summary(local_bytes: u64, remote_bytes: u64, prefetched: u64) -> String {
-    let total = local_bytes + remote_bytes;
-    if total == 0 && prefetched == 0 {
-        return "(no shuffle fetch traffic recorded)\n".to_string();
-    }
-    let pct = if total > 0 {
-        100.0 * local_bytes as f64 / total as f64
-    } else {
-        0.0
-    };
-    format!(
-        "shuffle fetch: {local_bytes} B local / {remote_bytes} B remote \
-         ({pct:.1}% served by the co-located replica); \
-         {prefetched} fetches already resident when the merge asked\n"
-    )
-}
-
 // ---------------------------------------------------------------------
 // Shared table renderer
 // ---------------------------------------------------------------------
@@ -561,23 +537,6 @@ mod tests {
         assert!(r.contains("reduce"));
         assert!(!r.contains("empty"));
         assert!(r.contains("skew"));
-    }
-
-    #[test]
-    fn shuffle_fetch_summary_splits_and_degrades() {
-        let s = shuffle_fetch_summary(750, 250, 3);
-        assert!(s.contains("750 B local"), "{s}");
-        assert!(s.contains("250 B remote"), "{s}");
-        assert!(s.contains("75.0%"), "{s}");
-        assert!(s.contains("3 fetches"), "{s}");
-        // All-remote (no affinity) still renders a meaningful split.
-        let r = shuffle_fetch_summary(0, 100, 0);
-        assert!(r.contains("0.0%"), "{r}");
-        // Nothing recorded at all — the placeholder, not a 0/0 percent.
-        assert_eq!(
-            shuffle_fetch_summary(0, 0, 0),
-            "(no shuffle fetch traffic recorded)\n"
-        );
     }
 
     #[test]

@@ -7,19 +7,22 @@ smoke:
     cargo test -q --offline --workspace
     cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Tiny traced end-to-end experiment: prints the per-phase breakdown,
-# task Gantt, straggler stats, and shuffle matrix; appends a record to
-# BENCH_smoke.json (plus smoke_trace.jsonl). Fails if any of the six
-# phase timings is missing.
-bench-smoke:
-    cargo run --release --offline -p gesall-bench --bin experiments -- smoke .
+# The benchmark of record (benchmark/README.md): all four workloads,
+# untraced, each in its own process; every end-to-end metric and the
+# output digests land in benchmark/out/results.json. Exits nonzero if
+# any workload reports `correct: false`.
+bench:
+    benchmark/run.sh run
 
-# Kernel microbenches: the aligner's bit-parallel kernels (packed rank,
-# banded SW) timed against their scalar references, plus the shuffle
-# codec table; appends a record to BENCH_micro.json next to
-# bench-smoke's.
-bench-micro:
-    cargo run --release --offline -p gesall-microbench -- .
+# One traced run per workload: the per-layer ledger (phases, kernels,
+# codecs, DFS, jobsvc) plus a Chrome trace per workload in benchmark/out/.
+bench-trace:
+    benchmark/run.sh trace
+
+# Apply BENCHMARK.json's bounds to two result sets (A = before, B =
+# after); exits 1 on a regression.
+bench-diff A B:
+    benchmark/run.sh compare {{A}} {{B}}
 
 # Fast inner-loop check.
 check:

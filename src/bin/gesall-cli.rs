@@ -5,7 +5,7 @@
 //! gesall-cli align     --reference REF.fa --r1 R1.fastq --r2 R2.fastq --out OUT.bam
 //! gesall-cli pipeline  --reference REF.fa --r1 R1.fastq --r2 R2.fastq --out-dir DIR
 //!                      [--partitions N] [--nodes N] [--caller hc|ug] [--recalibrate]
-//!                      [--trace] [--dag] [--bench-json DIR]
+//!                      [--trace] [--dag]
 //!                      (`run` is an alias for `pipeline`)
 //! gesall-cli call      --reference REF.fa --bam IN.bam --out OUT.vcf [--caller hc|ug]
 //! gesall-cli diff      --serial A.bam --parallel B.bam
@@ -263,10 +263,7 @@ fn cmd_pipeline(opts: &Opts) -> Result<(), AnyError> {
         },
     );
     eprintln!("running the five-round pipeline on {} pairs...", pairs.len());
-    let t0 = std::time::Instant::now();
-    let n_pairs = pairs.len();
     let out = platform.run_pipeline(&aligner, pairs)?;
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let bam_path = out_dir.join("aligned.sorted.bam");
     std::fs::write(
         &bam_path,
@@ -316,38 +313,6 @@ fn cmd_pipeline(opts: &Opts) -> Result<(), AnyError> {
             out.cache_hits()
         );
         print!("{}", out.dag_report());
-    }
-    // --bench-json DIR appends a machine-readable record of this run to
-    // DIR/BENCH_pipeline.json (phase timings + counters).
-    if let Some(dir) = opts.get("bench-json") {
-        let dir = PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)?;
-        let mut agg: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-        for r in &out.rounds {
-            for (k, v) in &r.counters {
-                let slot = agg.entry(k.clone()).or_insert(0);
-                // wrapper.* counters are pipeline-cumulative; the rest
-                // are per-round.
-                if k.starts_with("wrapper.") {
-                    *slot = (*slot).max(*v);
-                } else {
-                    *slot += *v;
-                }
-            }
-        }
-        let mut record = gesall::telemetry::BenchRecord::new("pipeline")
-            .with_counters(agg.into_iter().collect());
-        record.wall_ms = wall_ms;
-        record.workload = vec![
-            ("n_pairs".into(), n_pairs.to_string()),
-            ("n_rounds".into(), out.rounds.len().to_string()),
-        ];
-        record.config = vec![
-            ("nodes".into(), nodes.to_string()),
-            ("partitions".into(), partitions.to_string()),
-        ];
-        let path = record.append_to_dir(&dir)?;
-        println!("bench record appended to {}", path.display());
     }
     Ok(())
 }
