@@ -82,8 +82,10 @@ pub struct JobConfig {
     /// Launch backup attempts for stragglers
     /// (`mapreduce.map.speculative` analogue).
     pub speculative: bool,
-    /// An attempt is a straggler once it has run this multiple of the
-    /// median completed-attempt runtime.
+    /// An attempt is a straggler once more than half of its wave has
+    /// committed and it has run this multiple of the median
+    /// completed-attempt runtime. The default, 2, is the break-even
+    /// point: the overrun equals what the backup costs.
     pub speculative_multiplier: f64,
     /// ... but never before it has run at least this long (keeps
     /// micro-tasks from being pointlessly backed up).
@@ -124,7 +126,7 @@ impl Default for JobConfig {
             max_attempts: 4,
             retry_backoff_ms: 10.0,
             speculative: true,
-            speculative_multiplier: 1.5,
+            speculative_multiplier: 2.0,
             speculative_min_runtime_ms: 25.0,
             parent_span: SpanId::NONE,
             slot_lease: None,
@@ -1178,7 +1180,15 @@ impl<T> WaveCtx<'_, T> {
             });
         }
 
-        if allow_steal && self.config.speculative && !st.completed_ms.is_empty() {
+        // A backup cannot be killed mid-body and the wave joins every
+        // attempt it started, so one that loses its race costs a whole
+        // task of slot time and wall clock. So it takes more than one
+        // early finisher to call a task slow: most of the wave must
+        // have committed (tasks differ in size), and the original must
+        // have overrun the typical runtime by what the backup itself
+        // would cost.
+        let quorum = st.completed_ms.len() * 2 > st.tasks.len();
+        if allow_steal && self.config.speculative && quorum {
             let mut sorted = st.completed_ms.clone();
             sorted.sort_by(f64::total_cmp);
             let median = sorted[sorted.len() / 2];
@@ -1897,6 +1907,20 @@ mod tests {
             .unwrap();
         assert!(res.counters.get(keys::SPECULATIVE_WASTED) >= 1);
         assert_eq!(res.counters.get("test.charged"), 6 * 10);
+    }
+
+    #[test]
+    fn one_early_finisher_does_not_make_the_other_task_a_straggler() {
+        // Two tasks, one far longer than the other (chromosome-sized
+        // partitions look like this): with half the wave committed the
+        // idle slot must not re-run the long task — the backup could
+        // not be killed, and the wave would wait for it.
+        let engine = MapReduceEngine::new(ClusterResources::uniform(2, 1, 4096))
+            .with_fault_plan(FaultPlan::seeded(3).slow_down(TaskKind::Map, 0, 0, 300));
+        let res = engine
+            .run_job(JobConfig::default(), &Tokenize, &Sum, &HashPartitioner, word_splits(2, 10))
+            .unwrap();
+        assert_eq!(res.counters.get(keys::SPECULATIVE_LAUNCHED), 0);
     }
 
     #[test]
