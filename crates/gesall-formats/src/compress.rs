@@ -148,6 +148,46 @@ pub(crate) fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
+/// Largest payload a decoder will produce. Container headers and token
+/// lengths are untrusted bytes: a header promising more than this is a
+/// typed error before anything is allocated, and every token is checked
+/// against the header, so no input makes a decoder produce more.
+/// Shuffle segments and BAM chunks are orders of magnitude smaller.
+pub const MAX_DECODED_LEN: usize = 1 << 30;
+
+/// Output bytes reserved up front per encoded byte. Real containers
+/// expand 1.4–4×; a header that promises more gets its buffer by
+/// ordinary `Vec` growth as tokens actually deliver the bytes.
+const RESERVE_PER_ENCODED_BYTE: usize = 8;
+
+/// A varint length field (token length, count, distance).
+pub(crate) fn get_len(data: &[u8], pos: &mut usize) -> Result<usize> {
+    usize::try_from(get_varint(data, pos)?)
+        .map_err(|_| FormatError::Compress("length field exceeds the address space".into()))
+}
+
+/// A container's raw-length header, refused above [`MAX_DECODED_LEN`].
+pub(crate) fn get_raw_len(data: &[u8], pos: &mut usize) -> Result<usize> {
+    let n = get_len(data, pos)?;
+    if n > MAX_DECODED_LEN {
+        return Err(FormatError::Compress(format!(
+            "container promises {n} bytes, over the {MAX_DECODED_LEN}-byte decode cap"
+        )));
+    }
+    Ok(n)
+}
+
+/// Capacity to reserve for `raw_len` decoded bytes given `encoded_len`
+/// bytes of input: never more than the input can justify.
+pub(crate) fn decode_reserve(raw_len: usize, encoded_len: usize) -> usize {
+    raw_len.min(encoded_len.saturating_mul(RESERVE_PER_ENCODED_BYTE))
+}
+
+/// `data[pos..pos + n]`; `None` when the range overflows or leaves `data`.
+pub(crate) fn take(data: &[u8], pos: usize, n: usize) -> Option<&[u8]> {
+    data.get(pos..pos.checked_add(n)?)
+}
+
 /// Compress `input`. The output always begins with a method byte followed
 /// by a varint of the uncompressed length.
 pub fn compress(input: &[u8]) -> Vec<u8> {
@@ -161,22 +201,26 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// every partition of a map output compresses into one shared output
 /// vector instead of a fresh allocation per segment.
 pub fn compress_append(input: &[u8], out: &mut Vec<u8>) {
-    let lz = compress_lz(input);
-    if lz.len() < input.len() {
-        out.reserve(lz.len() + 10);
-        out.push(METHOD_LZ);
-        put_varint(out, input.len() as u64);
-        out.extend_from_slice(&lz);
-    } else {
-        out.reserve(input.len() + 10);
-        out.push(METHOD_STORE);
-        put_varint(out, input.len() as u64);
+    let start = out.len();
+    out.reserve(input.len() / 2 + 16);
+    out.push(METHOD_LZ);
+    put_varint(out, input.len() as u64);
+    let body = out.len();
+    // The LZ stream goes straight into `out`; when it fails to shrink
+    // the input it is rolled back and the raw bytes stored instead.
+    compress_lz(input, out);
+    if out.len() - body >= input.len() {
+        out.truncate(body);
+        out[start] = METHOD_STORE;
         out.extend_from_slice(input);
     }
 }
 
-fn compress_lz(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+/// Append the LZ token stream of `input` to `dest`.
+fn compress_lz(input: &[u8], dest: &mut Vec<u8>) {
+    // Owned for the duration of the scan: pushes through a `&mut Vec`
+    // reload its pointer and length every time, ~20 % on this loop.
+    let mut out = std::mem::take(dest);
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
     let mut i = 0usize;
     let mut literal_start = 0usize;
@@ -224,7 +268,7 @@ fn compress_lz(input: &[u8]) -> Vec<u8> {
         }
     }
     flush_literals(&mut out, literal_start, input.len());
-    out
+    *dest = out;
 }
 
 /// Decompress a buffer produced by [`compress`].
@@ -234,12 +278,10 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     }
     let method = data[0];
     let mut pos = 1usize;
-    let raw_len = get_varint(data, &mut pos)? as usize;
+    let raw_len = get_raw_len(data, &mut pos)?;
     match method {
         METHOD_STORE => {
-            let payload = data
-                .get(pos..)
-                .ok_or_else(|| FormatError::Compress("truncated store block".into()))?;
+            let payload = &data[pos..];
             if payload.len() != raw_len {
                 return Err(FormatError::Compress(format!(
                     "store block length mismatch: header {raw_len}, payload {}",
@@ -249,22 +291,27 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
             Ok(payload.to_vec())
         }
         METHOD_LZ => {
-            let mut out = Vec::with_capacity(raw_len);
+            let mut out = Vec::with_capacity(decode_reserve(raw_len, data.len()));
+            // Every token is held to the header before it writes, so
+            // `out` never outgrows `raw_len`.
+            let overflow = || FormatError::Compress("lz tokens overflow raw length".into());
             while pos < data.len() {
                 let tag = data[pos];
                 pos += 1;
                 match tag {
                     TAG_LITERALS => {
-                        let n = get_varint(data, &mut pos)? as usize;
-                        let lits = data.get(pos..pos + n).ok_or_else(|| {
-                            FormatError::Compress("truncated literal run".into())
-                        })?;
+                        let n = get_len(data, &mut pos)?;
+                        let lits = take(data, pos, n)
+                            .ok_or_else(|| FormatError::Compress("truncated literal run".into()))?;
+                        if n > raw_len - out.len() {
+                            return Err(overflow());
+                        }
                         out.extend_from_slice(lits);
                         pos += n;
                     }
                     TAG_COPY => {
-                        let len = get_varint(data, &mut pos)? as usize;
-                        let dist = get_varint(data, &mut pos)? as usize;
+                        let len = get_len(data, &mut pos)?;
+                        let dist = get_len(data, &mut pos)?;
                         if dist == 0 || dist > out.len() {
                             return Err(FormatError::Compress(format!(
                                 "copy distance {dist} out of range (output {} bytes)",
@@ -273,6 +320,9 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
                         }
                         if len > MAX_MATCH {
                             return Err(FormatError::Compress("copy too long".into()));
+                        }
+                        if len > raw_len - out.len() {
+                            return Err(overflow());
                         }
                         // Overlapping copies are legal (dist < len): copy
                         // byte by byte.
@@ -407,6 +457,129 @@ mod tests {
             assert!(decompress(&c[..cut]).is_err() || decompress(&c[..cut]).unwrap() != data);
         }
         assert!(decompress(&[]).is_err());
+    }
+
+    /// Forged `Codec::Lz` containers, by name. Each must decode to a
+    /// typed error without reserving what its lengths claim.
+    fn hostile_lz_containers() -> Vec<(&'static str, Vec<u8>)> {
+        let container = |method: u8, raw_len: u64, body: &[u8]| {
+            let mut c = vec![method];
+            put_varint(&mut c, raw_len);
+            c.extend_from_slice(body);
+            c
+        };
+        let token = |tag: u8, fields: &[u64], tail: &[u8]| {
+            let mut t = vec![tag];
+            for &f in fields {
+                put_varint(&mut t, f);
+            }
+            t.extend_from_slice(tail);
+            t
+        };
+        let over_cap = MAX_DECODED_LEN as u64 + 1;
+        // LZ's run token is the overlapping copy: eight literals, then
+        // copies that would repeat them 4 MiB past the 64-byte header.
+        let mut copy_bomb = token(TAG_LITERALS, &[8], b"ACGTACGT");
+        for _ in 0..64 {
+            copy_bomb.extend(token(TAG_COPY, &[MAX_MATCH as u64, 8], &[]));
+        }
+        vec![
+            (
+                "header bomb",
+                container(METHOD_LZ, 1 << 62, &token(TAG_LITERALS, &[1], b"x")),
+            ),
+            (
+                "header bomb, just over the cap",
+                container(METHOD_LZ, over_cap, &[]),
+            ),
+            (
+                "header bomb, store arm",
+                container(METHOD_STORE, 1 << 62, b"xyz"),
+            ),
+            (
+                "header wider than the address space",
+                container(METHOD_LZ, u64::MAX, &[]),
+            ),
+            ("RUN bomb", container(METHOD_LZ, 64, &copy_bomb)),
+            ("RUN bomb, one copy past MAX_MATCH", {
+                let mut body = token(TAG_LITERALS, &[1], b"x");
+                body.extend(token(TAG_COPY, &[1 << 62, 1], &[]));
+                container(METHOD_LZ, 64, &body)
+            }),
+            (
+                "LIT length past the blob",
+                container(METHOD_LZ, 64, &token(TAG_LITERALS, &[64], b"short")),
+            ),
+            (
+                "LIT length wraps the offset",
+                container(METHOD_LZ, 64, &token(TAG_LITERALS, &[u64::MAX], b"x")),
+            ),
+            (
+                "LIT run past the header",
+                container(METHOD_LZ, 2, &token(TAG_LITERALS, &[5], b"hello")),
+            ),
+        ]
+    }
+
+    /// The named hostile inputs of every codec. `Raw` has none to
+    /// forge: it decodes any bytes to themselves, checked below.
+    fn hostile_containers(codec: Codec) -> Vec<(&'static str, Vec<u8>)> {
+        match codec {
+            Codec::Raw => Vec::new(),
+            Codec::Lz => hostile_lz_containers(),
+            Codec::Seq => crate::seq_codec::hostile_containers(),
+        }
+    }
+
+    #[test]
+    fn length_bombs_are_typed_errors_for_every_registry_codec() {
+        for &codec in Codec::registry() {
+            let cases = hostile_containers(codec);
+            if codec.is_compressed() {
+                for required in ["header bomb", "RUN bomb", "LIT length past the blob"] {
+                    assert!(
+                        cases.iter().any(|(name, _)| *name == required),
+                        "{} has no {required:?} case",
+                        codec.name()
+                    );
+                }
+            }
+            for (name, bytes) in cases {
+                assert!(
+                    matches!(codec.decode(&bytes), Err(FormatError::Compress(_))),
+                    "{}: {name} must be a typed error",
+                    codec.name()
+                );
+            }
+        }
+        // What a decoder reserves follows the input, not the header.
+        assert_eq!(
+            decode_reserve(MAX_DECODED_LEN, 12),
+            12 * RESERVE_PER_ENCODED_BYTE
+        );
+        assert_eq!(decode_reserve(100, usize::MAX), 100);
+    }
+
+    #[test]
+    fn a_valid_container_cut_at_any_offset_is_an_error_for_every_registry_codec() {
+        let mut data = b"read7\x63\x96\x01ACGTTGCAACGTACGTACGTTGCAACGT".repeat(12);
+        data.extend_from_slice(&[37; 40]);
+        for &codec in Codec::registry() {
+            let mut enc = Vec::new();
+            codec.encode_append(&data, &mut enc);
+            assert_eq!(codec.decode(&enc).unwrap(), data);
+            for cut in 0..enc.len() {
+                match codec.decode(&enc[..cut]) {
+                    // Raw has no framing to violate: the prefix is the payload.
+                    Ok(prefix) => assert!(!codec.is_compressed() && prefix == enc[..cut]),
+                    Err(e) => assert!(
+                        matches!(e, FormatError::Compress(_)),
+                        "{}: cut {cut}",
+                        codec.name()
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

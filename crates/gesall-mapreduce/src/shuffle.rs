@@ -639,7 +639,7 @@ where
                 }
                 codec.encode_append(&scratch, &mut backing);
                 arena.release(scratch);
-                // Raw encode into scratch + the compressor's write.
+                // Raw encode into scratch + the codec's one write to backing.
                 let copied = raw_len + (backing.len() - start);
                 self.counters.add(keys::BYTES_COPIED, copied as u64);
             } else {
