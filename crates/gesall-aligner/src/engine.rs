@@ -370,6 +370,35 @@ mod tests {
     }
 
     #[test]
+    fn output_and_work_against_the_parent_kernels() {
+        // The count gate, no clock: on simulated reads the SAM is what
+        // the parent's kernels produce — its Smith–Waterman run in place
+        // of ours, and every row of the sampled SA answering as its — for
+        // well under the parent's DP cells, because two extensions in
+        // five or more are reads copied from the reference.
+        use crate::{fm, sw};
+        let (genome, pairs, aligner) = build_world(2000);
+        let text: Vec<u8> = genome.chromosomes.iter().flat_map(|c| c.seq.iter().copied()).collect();
+        fm::reference::assert_same_sampled_rows(aligner.index().fm(), &text);
+
+        let (ours, work) = sw::reference::measure(false, || aligner.align_pairs(&pairs));
+        let (parents, parent_work) = sw::reference::measure(true, || aligner.align_pairs(&pairs));
+        assert_eq!(ours, parents);
+        assert_eq!(work.extensions, 0, "the reference ran in our measurement");
+        assert!(parent_work.extensions >= 2 * 2000, "{parent_work:?}");
+        assert!(
+            parent_work.exact * 10 >= parent_work.extensions * 4,
+            "exact-diagonal share under 40 %: {parent_work:?}"
+        );
+        assert!(
+            work.cells * 10 <= parent_work.cells * 6,
+            "{} cells filled, the parent's kernels {}",
+            work.cells,
+            parent_work.cells
+        );
+    }
+
+    #[test]
     fn threaded_output_identical_to_serial() {
         let (_, pairs, aligner) = build_world(150);
         let a = aligner.align_pairs(&pairs);

@@ -13,8 +13,11 @@
 //! ([`count_code_in_word`]) from a checkpoint aligned to a word
 //! boundary, instead of the historical byte-at-a-time scan (which
 //! survives as [`FmIndex::occ_scalar`], the reference the tests
-//! compare against). The sampled suffix array is a row-sorted vec
-//! probed by a branchless binary search, replacing the old `HashMap`.
+//! compare against). The sampled suffix array is a bit per BWT row
+//! (is this row sampled?) with a running rank per 64-row word, over a
+//! plain vec of the sampled positions in row order: each LF step of
+//! `locate_row` pays one word load and a bit test, and the one hit per
+//! walk a popcount — no search.
 
 use crate::kernels;
 use crate::suffix::{bwt_from_sa, suffix_array};
@@ -54,9 +57,13 @@ pub struct FmIndex {
     /// `bwt[0..k*OCC_SAMPLE)`, sentinel slot counted in bucket 0 (the
     /// `A` adjustment happens at query time).
     checkpoints: Vec<[u32; 4]>,
-    /// Sampled suffix array: `(row, text position)` sorted by row, for
-    /// rows whose text position is a multiple of [`SA_SAMPLE`].
-    sampled: Vec<(u32, u32)>,
+    /// Bit `r` set ⟺ BWT row `r` holds a text position that is a
+    /// multiple of [`SA_SAMPLE`]; 64 rows per word.
+    sampled_rows: Vec<u64>,
+    /// `sampled_rank[w]` = set bits in `sampled_rows[..w]`.
+    sampled_rank: Vec<u32>,
+    /// The sampled text positions, in row order.
+    sampled: Vec<u32>,
     text_len: usize,
 }
 
@@ -102,24 +109,32 @@ impl FmIndex {
         }
 
         // Sampled SA over the extended text: row 0 is the sentinel suffix
-        // (text position = text_len); row r+1 corresponds to sa[r]. Rows
-        // are pushed in increasing order, so the vec is already sorted.
-        let mut sampled = Vec::new();
+        // (text position = text_len); row r+1 corresponds to sa[r].
         let n = text.len() as u32;
-        if n.is_multiple_of(SA_SAMPLE) {
-            sampled.push((0u32, n));
-        }
-        for (r, &pos) in sa.iter().enumerate() {
+        let mut sampled_rows = vec![0u64; m.div_ceil(64)];
+        let mut sampled = Vec::with_capacity(text.len() / SA_SAMPLE as usize + 1);
+        for (row, pos) in std::iter::once(n).chain(sa.iter().copied()).enumerate() {
             if pos % SA_SAMPLE == 0 {
-                sampled.push((r as u32 + 1, pos));
+                sampled_rows[row / 64] |= 1 << (row % 64);
+                sampled.push(pos);
             }
         }
+        let sampled_rank = sampled_rows
+            .iter()
+            .scan(0u32, |before, word| {
+                let rank = *before;
+                *before += word.count_ones();
+                Some(rank)
+            })
+            .collect();
 
         FmIndex {
             bwt,
             sentinel_row,
             c_table,
             checkpoints,
+            sampled_rows,
+            sampled_rank,
             sampled,
             text_len: text.len(),
         }
@@ -133,14 +148,14 @@ impl FmIndex {
     /// Heap size of the index in bytes, capacity-accurate (the
     /// per-mapper index-load cost model, Fig. 5a, shouldn't be
     /// flattered by ignoring allocator reality): packed BWT words at
-    /// `capacity`, checkpoint rows at `capacity`, and the sorted-vec SA
-    /// at `capacity × entry size` — which, unlike the old `HashMap`
-    /// estimate, has no hidden bucket/control-byte overhead to ignore.
+    /// `capacity`, checkpoint rows at `capacity`, and the sampled SA —
+    /// row bitmap, per-word rank and positions — each at `capacity`.
     pub fn heap_bytes(&self) -> usize {
         self.bwt.words().len().max(self.bwt.len().div_ceil(32)) * 8
             + self.bwt.n_positions().len() * 4
             + self.checkpoints.capacity() * std::mem::size_of::<[u32; 4]>()
-            + self.sampled.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.sampled_rows.capacity() * 8
+            + (self.sampled_rank.capacity() + self.sampled.capacity()) * 4
     }
 
     /// Alphabet code of the BWT symbol at `row`.
@@ -253,24 +268,16 @@ impl FmIndex {
         self.search(pattern).map(|(l, r)| r - l).unwrap_or(0)
     }
 
-    /// Text position sampled for `row`, if any: branchless binary search
-    /// over the row-sorted vec (the comparison feeds a conditional move,
-    /// not a branch — no misprediction on random probe rows).
+    /// Text position sampled for `row`, if any: the row's bit, then its
+    /// rank among the set bits as the index into `sampled`.
     #[inline]
-    fn sampled_pos(&self, row: u32) -> Option<u32> {
-        if self.sampled.is_empty() {
-            return None;
-        }
-        let mut lo = 0usize;
-        let mut size = self.sampled.len();
-        while size > 1 {
-            let half = size / 2;
-            let mid = lo + half;
-            lo = if self.sampled[mid].0 <= row { mid } else { lo };
-            size -= half;
-        }
-        let (r, pos) = self.sampled[lo];
-        (r == row).then_some(pos)
+    fn sampled_pos(&self, row: usize) -> Option<u32> {
+        let word = self.sampled_rows[row / 64];
+        let bit = 1u64 << (row % 64);
+        (word & bit != 0).then(|| {
+            let rank = self.sampled_rank[row / 64] + (word & (bit - 1)).count_ones();
+            self.sampled[rank as usize]
+        })
     }
 
     /// Text position of the suffix at BWT `row`, via LF-walking to a
@@ -279,7 +286,7 @@ impl FmIndex {
         let mut steps = 0u64;
         let mut words = 0u64;
         let pos = loop {
-            if let Some(pos) = self.sampled_pos(row as u32) {
+            if let Some(pos) = self.sampled_pos(row as usize) {
                 break pos;
             }
             let (next, w) = self.lf_words(row as usize);
@@ -292,16 +299,84 @@ impl FmIndex {
         (pos as u64 + steps) % n
     }
 
-    /// All text positions where `pattern` occurs, capped at `max_hits`
-    /// (returns `None` if there are more — the repeat-region bail-out).
-    pub fn locate(&self, pattern: &[u8], max_hits: usize) -> Option<Vec<u64>> {
+    /// Feed every text position where `pattern` occurs to `hit`, in BWT
+    /// row order (not sorted), unless there are more than `max_hits` of
+    /// them — the repeat-region bail-out, which calls `hit` for none and
+    /// returns `None`.
+    pub fn locate_each(
+        &self,
+        pattern: &[u8],
+        max_hits: usize,
+        mut hit: impl FnMut(u64),
+    ) -> Option<()> {
         let (l, r) = self.search(pattern)?;
         if (r - l) as usize > max_hits {
             return None;
         }
-        let mut hits: Vec<u64> = (l..r).map(|row| self.locate_row(row)).collect();
+        (l..r).for_each(|row| hit(self.locate_row(row)));
+        Some(())
+    }
+
+    /// All text positions where `pattern` occurs, ascending, capped at
+    /// `max_hits` as in [`FmIndex::locate_each`].
+    pub fn locate(&self, pattern: &[u8], max_hits: usize) -> Option<Vec<u64>> {
+        let mut hits = Vec::new();
+        self.locate_each(pattern, max_hits, |pos| hits.push(pos))?;
         hits.sort_unstable();
         Some(hits)
+    }
+}
+
+/// The parent commit's sampled suffix array, verbatim: `(row, text
+/// position)` pairs sorted by row, probed by a branchless binary search.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn build_sampled(text: &[u8]) -> Vec<(u32, u32)> {
+        let sa = suffix_array(text);
+        let mut sampled = Vec::new();
+        let n = text.len() as u32;
+        if n.is_multiple_of(SA_SAMPLE) {
+            sampled.push((0u32, n));
+        }
+        for (r, &pos) in sa.iter().enumerate() {
+            if pos % SA_SAMPLE == 0 {
+                sampled.push((r as u32 + 1, pos));
+            }
+        }
+        sampled
+    }
+
+    pub(crate) fn sampled_pos(sampled: &[(u32, u32)], row: u32) -> Option<u32> {
+        if sampled.is_empty() {
+            return None;
+        }
+        let mut lo = 0usize;
+        let mut size = sampled.len();
+        while size > 1 {
+            let half = size / 2;
+            let mid = lo + half;
+            lo = if sampled[mid].0 <= row { mid } else { lo };
+            size -= half;
+        }
+        let (r, pos) = sampled[lo];
+        (r == row).then_some(pos)
+    }
+
+    /// Every BWT row of `fm` (built over `text`) answers `sampled_pos` as
+    /// the parent's structure does — and so every `locate` is the parent's.
+    pub(crate) fn assert_same_sampled_rows(fm: &FmIndex, text: &[u8]) {
+        let parent = build_sampled(text);
+        assert_eq!(fm.sampled.len(), parent.len());
+        for row in 0..=text.len() {
+            assert_eq!(
+                fm.sampled_pos(row),
+                sampled_pos(&parent, row as u32),
+                "row {row} of {}",
+                text.len() + 1
+            );
+        }
     }
 }
 
@@ -453,15 +528,52 @@ mod tests {
     }
 
     #[test]
+    fn sampled_rows_answer_as_the_parent_at_every_word_shape() {
+        // n % 32 == 0 ⟺ the sentinel row (row 0) is itself sampled;
+        // (n + 1) % 64 == 0 ⟺ the bitmap's last word is full.
+        for n in [1usize, 31, 32, 33, 63, 64, 65, 127, 128, 1000, 2047, 2048, 4096] {
+            let text = pseudo_dna(n, n as u64);
+            reference::assert_same_sampled_rows(&FmIndex::build(&text), &text);
+        }
+        let repeat = b"ACGGT".repeat(300);
+        reference::assert_same_sampled_rows(&FmIndex::build(&repeat), &repeat);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sampled_rows_answer_as_the_parent(
+            blocks in 0usize..10,
+            extra in prop_oneof![Just(0usize), Just(32usize), Just(63usize), 1usize..64],
+            seed in 0u64..u64::MAX,
+            unit in 0usize..40,
+        ) {
+            // Length a multiple of 64, of 32 only, one short of 64 (all
+            // bitmap words full), or none of these; random text, or —
+            // about one case in four — a repeat of period `unit`.
+            let n = (blocks * 64 + extra).max(1);
+            let mut text = pseudo_dna(n, seed);
+            if (1..12).contains(&unit) {
+                text = text[..unit.min(n)].iter().copied().cycle().take(n).collect();
+            }
+            reference::assert_same_sampled_rows(&FmIndex::build(&text), &text);
+        }
+    }
+
+    #[test]
     fn heap_bytes_reflects_packing() {
         let text = pseudo_dna(10_000, 1);
         let fm = FmIndex::build(&text);
         let bytes = fm.heap_bytes();
-        // 2-bit packing plus word-aligned checkpoints plus the sorted-vec
-        // SA lands well under one byte per text base ...
+        // 2-bit packing plus word-aligned checkpoints plus the sampled
+        // SA (bitmap, rank, positions) lands well under one byte per
+        // text base ...
         assert!(bytes < 10_000, "packed index not smaller than text? {bytes}");
-        // ... but the structure is real: more than the ~2500 bytes of
-        // packed words alone, and at least text/8.
-        assert!(bytes > 10_000 / 8, "index implausibly small: {bytes}");
+        // ... but every part is counted: 2 bits per row of BWT, 1 of
+        // checkpoints, 1.5 of sampled-row bitmap + rank, 1 of positions.
+        assert!(bytes >= 10_000 * 11 / 16, "index implausibly small: {bytes}");
     }
 }

@@ -69,9 +69,10 @@ pub fn find_candidates(
     seq: &[u8],
 ) -> Vec<Candidate> {
     let mut out: Vec<Candidate> = Vec::new();
+    let mut anchors: Vec<i64> = Vec::new();
     let rc = reverse_complement(seq);
     for (reverse, s) in [(false, seq), (true, rc.as_slice())] {
-        collect_strand_candidates(index, cfg, s, reverse, &mut out);
+        collect_strand_candidates(index, cfg, s, reverse, &mut anchors, &mut out);
     }
     // Dedup by (chrom, pos, strand), keep best score.
     out.sort_by(|a, b| {
@@ -90,6 +91,7 @@ fn collect_strand_candidates(
     cfg: &SingleConfig,
     s: &[u8],
     reverse: bool,
+    anchors: &mut Vec<i64>,
     out: &mut Vec<Candidate>,
 ) {
     let m = s.len();
@@ -97,32 +99,27 @@ fn collect_strand_candidates(
         return;
     }
     // Seed offsets: 0, stride, 2*stride, ..., and always the final window.
-    let mut seed_offsets: Vec<usize> = (0..=(m - cfg.seed_len))
-        .step_by(cfg.seed_stride.max(1))
-        .collect();
-    if *seed_offsets.last().unwrap() != m - cfg.seed_len {
-        seed_offsets.push(m - cfg.seed_len);
-    }
+    let stride = cfg.seed_stride.max(1);
+    let last = m - cfg.seed_len;
+    let seed_offsets = (0..last).step_by(stride).chain([last]);
 
-    // Gather implied window anchor positions.
-    let mut anchors: Vec<i64> = Vec::new();
-    for &off in &seed_offsets {
+    // Gather implied window anchor positions (a seed too repetitive to
+    // locate contributes none).
+    anchors.clear();
+    for off in seed_offsets {
         let seed = &s[off..off + cfg.seed_len];
         if seed.iter().any(|&b| !matches!(b, b'A' | b'C' | b'G' | b'T')) {
             continue;
         }
-        let Some(hits) = index.fm().locate(seed, cfg.max_seed_hits) else {
-            continue; // too repetitive
-        };
-        for h in hits {
-            anchors.push(h as i64 - off as i64);
-        }
+        index.fm().locate_each(seed, cfg.max_seed_hits, |hit| {
+            anchors.push(hit as i64 - off as i64)
+        });
     }
     anchors.sort_unstable();
     // Collapse anchors within a small tolerance (same implied alignment).
     anchors.dedup_by(|a, b| (*a - *b).abs() <= 8);
 
-    for anchor in anchors {
+    for &anchor in anchors.iter() {
         let start = anchor - cfg.window_margin as i64;
         let end = anchor + m as i64 + cfg.window_margin as i64;
         let anchor_probe = anchor.clamp(0, index.text_len() as i64 - 1) as usize;

@@ -5,15 +5,18 @@
 //! end exists as a derived attribute downstream (MarkDuplicates).
 //!
 //! Two engines share one [`SwWorkspace`] (reusable rolling rows +
-//! traceback, so the hot path never allocates): the full DP
+//! traceback, so the hot path never allocates) and one row function
+//! (`fill_row`, the only copy of the recurrence): the full DP
 //! ([`local_align`]) and a **banded** variant ([`local_align_banded`])
 //! that only fills the diagonal band a seed hit implies, with traceback
-//! storage proportional to band×rows instead of `(m+1)×(w+1)`. The band
-//! is exact-with-fallback: if the banded best path touches a band edge
-//! (where out-of-band neighbors were clamped to −∞ and the full DP might
-//! have done better), the extension silently re-runs through the full DP
-//! — so callers always see the full-DP answer for every path the band
-//! can't prove (DESIGN.md §13).
+//! storage proportional to band×rows instead of `(m+1)×(w+1)` — and
+//! fills nothing at all for a read that equals the reference on a band
+//! diagonal (`exact_diagonal`). The band is exact-with-fallback: if the
+//! banded best path touches a band edge (where out-of-band neighbors
+//! were clamped to −∞ and the full DP might have done better), the
+//! extension silently re-runs through the full DP — so callers always
+//! see the full-DP answer for every path the band can't prove
+//! (DESIGN.md §13).
 
 use crate::kernels;
 use gesall_formats::sam::cigar::{Cigar, CigarOp};
@@ -58,19 +61,19 @@ pub struct LocalAlignment {
     pub query_end: usize,
 }
 
-// Traceback states.
+// One traceback byte per cell: the H state in bits 0–1, "E extended"
+// (insertion run continues upward) in bit 2, "F extended" in bit 3.
 const TB_STOP: u8 = 0;
 const TB_DIAG: u8 = 1;
 const TB_FROM_E: u8 = 2; // H came from E (insertion run just ended)
 const TB_FROM_F: u8 = 3; // H came from F (deletion run just ended)
-const E_OPEN: u8 = 0; // E run opened here (came from H above)
-const E_EXT: u8 = 1;
-const F_OPEN: u8 = 0;
-const F_EXT: u8 = 1;
+const TB_H_MASK: u8 = 3;
+const TB_E_EXT: u8 = 4;
+const TB_F_EXT: u8 = 8;
 
 const NEG: i32 = i32::MIN / 4;
 
-/// Reusable DP scratch: rolling score rows and traceback matrices, grown
+/// Reusable DP scratch: rolling score rows and the traceback plane, grown
 /// on demand and recycled across calls so the per-extension cost is a
 /// `memset`, not a malloc. One lives per thread behind
 /// [`with_workspace`]; tests and benches may hold their own.
@@ -80,10 +83,7 @@ pub struct SwWorkspace {
     h_cur: Vec<i32>,
     e_prev: Vec<i32>,
     e_cur: Vec<i32>,
-    f_cur: Vec<i32>,
-    tb_h: Vec<u8>,
-    tb_e: Vec<u8>,
-    tb_f: Vec<u8>,
+    tb: Vec<u8>,
 }
 
 impl SwWorkspace {
@@ -93,13 +93,7 @@ impl SwWorkspace {
 }
 
 #[inline]
-fn reset_i32(v: &mut Vec<i32>, len: usize, fill: i32) {
-    v.clear();
-    v.resize(len, fill);
-}
-
-#[inline]
-fn reset_u8(v: &mut Vec<u8>, len: usize, fill: u8) {
+fn reset<T: Copy>(v: &mut Vec<T>, len: usize, fill: T) {
     v.clear();
     v.resize(len, fill);
 }
@@ -158,16 +152,77 @@ pub fn local_align(query: &[u8], window: &[u8], scoring: &Scoring) -> Option<Loc
     with_workspace(|ws| local_align_with(query, window, scoring, ws))
 }
 
-/// Shared traceback walker over whichever traceback matrices the fill
-/// produced; `idx` maps a cell to its slot and `visit` observes every
-/// cell on the path (the banded caller's edge detector).
+/// One DP row over `win.len()` consecutive cells: the recurrence is
+/// written here and nowhere else, so the full DP and the band cannot
+/// drift apart. Cell `k` reads `diag_h[k]`, `up_h[k]`, `up_e[k]` from
+/// the previous row and its left neighbour from registers (`left_h`
+/// seeds the first cell; a row's first F is always −∞). Every choice is
+/// a select, not a branch — ties resolve as in the textbook order (open
+/// over extend; diag, then E, then F, each needing a strict win).
+/// Returns the row's maximum H and the *first* cell that reached it.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn fill_row(
+    scoring: &Scoring,
+    qi: u8,
+    win: &[u8],
+    diag_h: &[i32],
+    up_h: &[i32],
+    up_e: &[i32],
+    h_out: &mut [i32],
+    e_out: &mut [i32],
+    tb: &mut [u8],
+    mut left_h: i32,
+) -> (i32, usize) {
+    let n = win.len();
+    let (diag_h, up_h, up_e) = (&diag_h[..n], &up_h[..n], &up_e[..n]);
+    let (h_out, e_out, tb) = (&mut h_out[..n], &mut e_out[..n], &mut tb[..n]);
+    #[cfg(test)]
+    reference::add_cells(n);
+    let gap_first = scoring.gap_open + scoring.gap_extend;
+    let mut left_f = NEG;
+    let (mut row_best, mut row_best_k) = (0i32, 0usize);
+    for k in 0..n {
+        // E: gap in reference (insertion to the read).
+        let e_open = up_h[k] + gap_first;
+        let e_ext = up_e[k] + scoring.gap_extend;
+        let e = e_open.max(e_ext);
+        // F: gap in query (deletion from the read).
+        let f_open = left_h + gap_first;
+        let f_ext = left_f + scoring.gap_extend;
+        let f = f_open.max(f_ext);
+        let sub = if qi == win[k] {
+            scoring.match_score
+        } else {
+            scoring.mismatch
+        };
+        let diag = diag_h[k] + sub;
+        let mut h = diag.max(0);
+        let mut state = if diag > 0 { TB_DIAG } else { TB_STOP };
+        state = if e > h { TB_FROM_E } else { state };
+        h = h.max(e);
+        state = if f > h { TB_FROM_F } else { state };
+        h = h.max(f);
+        h_out[k] = h;
+        e_out[k] = e;
+        tb[k] = state
+            | if e_ext > e_open { TB_E_EXT } else { 0 }
+            | if f_ext > f_open { TB_F_EXT } else { 0 };
+        row_best_k = if h > row_best { k } else { row_best_k };
+        row_best = row_best.max(h);
+        left_h = h;
+        left_f = f;
+    }
+    (row_best, row_best_k)
+}
+
+/// Traceback walker over the plane the fill produced; `idx` maps a cell
+/// to its slot and `visit` observes every cell on the path (the banded
+/// caller's edge detector).
 fn trace_path(
     query: &[u8],
     window: &[u8],
-    tb_h: &[u8],
-    tb_e: &[u8],
-    tb_f: &[u8],
+    tb: &[u8],
     mut idx: impl FnMut(usize, usize) -> usize,
     mut visit: impl FnMut(usize, usize),
     best_i: usize,
@@ -207,9 +262,9 @@ fn trace_path(
     let mut st = St::H;
     loop {
         visit(i, j);
-        let slot = idx(i, j);
+        let cell = tb[idx(i, j)];
         match st {
-            St::H => match tb_h[slot] {
+            St::H => match cell & TB_H_MASK {
                 TB_STOP => break,
                 TB_DIAG => {
                     if query[i - 1] != window[j - 1] {
@@ -220,24 +275,21 @@ fn trace_path(
                     j -= 1;
                 }
                 TB_FROM_E => st = St::E,
-                TB_FROM_F => st = St::F,
-                _ => unreachable!(),
+                _ => st = St::F,
             },
             St::E => {
                 push(&mut ops_rev, CigarOp::Ins(1));
                 edit += 1;
-                let was_open = tb_e[slot] == E_OPEN;
                 i -= 1;
-                if was_open {
+                if cell & TB_E_EXT == 0 {
                     st = St::H;
                 }
             }
             St::F => {
                 push(&mut ops_rev, CigarOp::Del(1));
                 edit += 1;
-                let was_open = tb_f[slot] == F_OPEN;
                 j -= 1;
-                if was_open {
+                if cell & TB_F_EXT == 0 {
                     st = St::H;
                 }
             }
@@ -294,86 +346,38 @@ pub fn local_align_with(
         h_cur,
         e_prev,
         e_cur,
-        f_cur,
-        tb_h,
-        tb_e,
-        tb_f,
+        tb,
     } = ws;
-    reset_i32(h_prev, cols, 0);
-    reset_i32(h_cur, cols, 0);
-    reset_i32(e_prev, cols, NEG);
-    reset_i32(e_cur, cols, NEG);
-    reset_i32(f_cur, cols, NEG);
-    reset_u8(tb_h, (m + 1) * cols, TB_STOP);
-    reset_u8(tb_e, (m + 1) * cols, E_OPEN);
-    reset_u8(tb_f, (m + 1) * cols, F_OPEN);
+    // Slot j of a row is column j; column 0 (H = 0) is never written.
+    reset(h_prev, cols, 0);
+    reset(h_cur, cols, 0);
+    reset(e_prev, cols, NEG);
+    reset(e_cur, cols, NEG);
+    reset(tb, (m + 1) * cols, TB_STOP);
 
     let mut best = 0i32;
     let mut best_i = 0usize;
     let mut best_j = 0usize;
-
     for i in 1..=m {
-        h_cur[0] = 0;
-        f_cur[0] = NEG;
-        let qi = query[i - 1];
-        for j in 1..=w {
-            let idx = i * cols + j;
-            // E: gap in reference (insertion to the read).
-            let e_open = h_prev[j] + scoring.gap_open + scoring.gap_extend;
-            let e_ext = e_prev[j] + scoring.gap_extend;
-            let e = if e_ext > e_open {
-                tb_e[idx] = E_EXT;
-                e_ext
-            } else {
-                tb_e[idx] = E_OPEN;
-                e_open
-            };
-            e_cur[j] = e;
-            // F: gap in query (deletion from the read).
-            let f_open = h_cur[j - 1] + scoring.gap_open + scoring.gap_extend;
-            let f_ext = f_cur[j - 1] + scoring.gap_extend;
-            let f = if f_ext > f_open {
-                tb_f[idx] = F_EXT;
-                f_ext
-            } else {
-                tb_f[idx] = F_OPEN;
-                f_open
-            };
-            f_cur[j] = f;
-            // H.
-            let sub = if qi == window[j - 1] {
-                scoring.match_score
-            } else {
-                scoring.mismatch
-            };
-            let diag = h_prev[j - 1] + sub;
-            let mut h = 0;
-            let mut tb = TB_STOP;
-            if diag > h {
-                h = diag;
-                tb = TB_DIAG;
-            }
-            if e > h {
-                h = e;
-                tb = TB_FROM_E;
-            }
-            if f > h {
-                h = f;
-                tb = TB_FROM_F;
-            }
-            h_cur[j] = h;
-            tb_h[idx] = tb;
-            if h > best {
-                best = h;
-                best_i = i;
-                best_j = j;
-            }
+        let (row_best, k) = fill_row(
+            scoring,
+            query[i - 1],
+            window,
+            &h_prev[..w],
+            &h_prev[1..],
+            &e_prev[1..],
+            &mut h_cur[1..],
+            &mut e_cur[1..],
+            &mut tb[i * cols + 1..],
+            0,
+        );
+        if row_best > best {
+            best = row_best;
+            best_i = i;
+            best_j = k + 1;
         }
         std::mem::swap(h_prev, h_cur);
         std::mem::swap(e_prev, e_cur);
-        for v in f_cur.iter_mut() {
-            *v = NEG;
-        }
     }
 
     if best <= 0 {
@@ -383,9 +387,7 @@ pub fn local_align_with(
     let (ops_rev, edit, stop_i, stop_j) = trace_path(
         query,
         window,
-        tb_h,
-        tb_e,
-        tb_f,
+        tb,
         |i, j| i * cols + j,
         |_, _| {},
         best_i,
@@ -394,18 +396,70 @@ pub fn local_align_with(
     Some(assemble(m, ops_rev, edit, stop_i, stop_j, best, best_i))
 }
 
+/// The read copied from the reference: if `window[d..d + m] == query` and
+/// the *smallest* such `d` lies in the band, the DP's answer is `mM` at
+/// `d` and no cell needs filling. Why that is exactly what the DP (band
+/// or fallback) returns, given `match > 0`, `mismatch < 0`,
+/// `gap_extend ≤ 0` and `gap_open + gap_extend < 0`:
+///
+/// 1. A path into `(i, j)` has at most `min(i, j)` diagonal steps, each
+///    worth at most `match`, and every gap run costs at least
+///    `|gap_open + gap_extend|`; so `H(i, j) ≤ min(i, j)·match`, and
+///    `m·match` is reached only in row `m`, only by `m` matches and
+///    nothing else — i.e. only at the end of a perfect diagonal.
+/// 2. The fill keeps a new best only on a strict `>`, rows before
+///    columns, so it ends on the first such cell: the smallest perfect
+///    `d`, which is in the band, whose cells the band computes exactly
+///    (a diagonal neighbour is never clamped).
+/// 3. Along that diagonal `H = i·match` while `E, F ≤ H −
+///    |gap_open + gap_extend|`, so every traceback step is `TB_DIAG`
+///    down to row 0: no clip, no edit.
+/// 4. Whether the band then answers, or an edge trigger hands the
+///    extension to the full DP, 1–3 hold for both, so both return this.
+///
+/// A perfect diagonal *below* the band is the one case left to the DP:
+/// the full DP would report it, the band another, and which of the two
+/// runs is the fill's to decide.
+fn exact_diagonal(
+    query: &[u8],
+    window: &[u8],
+    scoring: &Scoring,
+    band: Band,
+) -> Option<LocalAlignment> {
+    let m = query.len();
+    let sound = scoring.match_score > 0
+        && scoring.mismatch < 0
+        && scoring.gap_extend <= 0
+        && scoring.gap_open + scoring.gap_extend < 0;
+    if !sound || window.len() < m {
+        return None;
+    }
+    let last = band.d_max.min((window.len() - m) as isize);
+    let d = (0..=last).find(|&d| window[d as usize..d as usize + m] == *query)?;
+    (d >= band.d_min).then(|| LocalAlignment {
+        score: m as i32 * scoring.match_score,
+        ref_start: d as usize,
+        cigar: Cigar(vec![CigarOp::Match(m as u32)]),
+        edit_distance: 0,
+        query_start: 0,
+        query_end: m,
+    })
+}
+
 /// Banded local alignment, exact-with-fallback: fills only cells with
-/// `j − i` inside `band`, treating out-of-band neighbors as −∞. The
-/// call transparently re-runs the full DP when the band can't prove its
-/// answer: no positive cell found, the best path's traceback touches a
-/// band-edge diagonal, or any edge cell scored ≥ [`Band::edge_cutoff`]
-/// during the fill (a path crossing the band — e.g. an indel wider than
-/// the slack — shows up as real score riding the edge even when the
-/// *banded* optimum stays interior). Residual caveat: an alignment
-/// wholly outside the band (a repeat elsewhere in the window, unseen by
-/// every band cell) cannot be detected here; the benchmark's
-/// committed output digests are the backstop for that case. Kernel
-/// counters record which way each call went.
+/// `j − i` inside `band`, treating out-of-band neighbors as −∞. A read
+/// that equals the window on a band diagonal is answered before any
+/// fill ([`exact_diagonal`]). Otherwise the call transparently re-runs
+/// the full DP when the band can't prove its answer: no positive cell
+/// found, the best path's traceback touches a band-edge diagonal, or
+/// any edge cell scored ≥ [`Band::edge_cutoff`] during the fill (a path
+/// crossing the band — e.g. an indel wider than the slack — shows up as
+/// real score riding the edge even when the *banded* optimum stays
+/// interior). Residual caveat: an alignment wholly outside the band (a
+/// repeat elsewhere in the window, unseen by every band cell) cannot be
+/// detected here; the benchmark's committed output digests are the
+/// backstop for that case. Kernel counters record which way each call
+/// went.
 pub fn local_align_banded(
     query: &[u8],
     window: &[u8],
@@ -413,10 +467,18 @@ pub fn local_align_banded(
     band: Band,
     ws: &mut SwWorkspace,
 ) -> Option<LocalAlignment> {
+    #[cfg(test)]
+    if reference::in_use() {
+        return reference::local_align_banded(query, window, scoring, band);
+    }
     let m = query.len();
     let w = window.len();
     if m == 0 || w == 0 {
         return None;
+    }
+    if let Some(exact) = exact_diagonal(query, window, scoring, band) {
+        kernels::add_exact_hit();
+        return Some(exact);
     }
     let band_w = band.width();
     // A band that misses the matrix or isn't actually narrower than it
@@ -435,21 +497,18 @@ pub fn local_align_banded(
         h_cur,
         e_prev,
         e_cur,
-        f_cur,
-        tb_h,
-        tb_e,
-        tb_f,
+        tb,
     } = ws;
-    // Row slots 0..band_w hold band cells; slot band_w is a permanent −∞
-    // sentinel so the `b + 1` up-neighbor read needs no branch.
-    reset_i32(h_prev, band_w + 1, NEG);
-    reset_i32(h_cur, band_w + 1, NEG);
-    reset_i32(e_prev, band_w + 1, NEG);
-    reset_i32(e_cur, band_w + 1, NEG);
-    reset_i32(f_cur, band_w + 1, NEG);
-    reset_u8(tb_h, (m + 1) * band_w, TB_STOP);
-    reset_u8(tb_e, (m + 1) * band_w, E_OPEN);
-    reset_u8(tb_f, (m + 1) * band_w, F_OPEN);
+    // Slot b of row i is cell (i, i + d_min + b); the up neighbour of
+    // slot b is slot b + 1 of the previous row, the diagonal one slot b.
+    // Slot band_w is a −∞ sentinel so the last cell's up read needs no
+    // branch. Row 0 is the matrix's top boundary, H = 0 in every slot
+    // (off-band ones too: row 1 has no clamped up neighbour).
+    reset(h_prev, band_w + 1, 0);
+    reset(h_cur, band_w + 1, NEG);
+    reset(e_prev, band_w + 1, NEG);
+    reset(e_cur, band_w + 1, NEG);
+    reset(tb, (m + 1) * band_w, TB_STOP);
 
     let mut best = 0i32;
     let mut best_i = 0usize;
@@ -459,93 +518,51 @@ pub fn local_align_banded(
     let mut edge_potential = NEG;
 
     for i in 1..=m {
-        for b in 0..band_w {
-            h_cur[b] = NEG;
-            e_cur[b] = NEG;
-            f_cur[b] = NEG;
+        // A row writes its in-matrix cells, the sentinel, and column 0
+        // (H = 0, the diagonal neighbour of the next row's j = 1) when
+        // the band covers it; the next row reads nothing else, so slots
+        // left over from two rows back are never seen.
+        h_cur[band_w] = NEG;
+        let col0 = -(i as isize) - d_min;
+        if (0..band_w as isize).contains(&col0) {
+            h_cur[col0 as usize] = 0;
         }
         let jlo = (i as isize + d_min).max(1);
         let jhi = (i as isize + d_max).min(w as isize);
         if jlo <= jhi {
-            let qi = query[i - 1];
-            for j in jlo..=jhi {
-                let b = (j - i as isize - d_min) as usize;
-                let idx = i * band_w + b;
-                // Up neighbor (i−1, j): band slot b+1 of the previous
-                // row; the matrix's top boundary is H=0 / E=−∞.
-                let (up_h, up_e) = if i == 1 {
-                    (0, NEG)
-                } else {
-                    (h_prev[b + 1], e_prev[b + 1])
-                };
-                let e_open = up_h + scoring.gap_open + scoring.gap_extend;
-                let e_ext = up_e + scoring.gap_extend;
-                let e = if e_ext > e_open {
-                    tb_e[idx] = E_EXT;
-                    e_ext
-                } else {
-                    tb_e[idx] = E_OPEN;
-                    e_open
-                };
-                e_cur[b] = e;
-                // Left neighbor (i, j−1): band slot b−1 of this row; the
-                // matrix's left boundary is H=0 / F=−∞; off-band is −∞.
-                let (left_h, left_f) = if j == 1 {
-                    (0, NEG)
-                } else if b == 0 {
-                    (NEG, NEG)
-                } else {
-                    (h_cur[b - 1], f_cur[b - 1])
-                };
-                let f_open = left_h + scoring.gap_open + scoring.gap_extend;
-                let f_ext = left_f + scoring.gap_extend;
-                let f = if f_ext > f_open {
-                    tb_f[idx] = F_EXT;
-                    f_ext
-                } else {
-                    tb_f[idx] = F_OPEN;
-                    f_open
-                };
-                f_cur[b] = f;
-                // Diag neighbor (i−1, j−1): same band slot b of the
-                // previous row (always structurally in-band).
-                let diag_h = if i == 1 || j == 1 { 0 } else { h_prev[b] };
-                let sub = if qi == window[j as usize - 1] {
-                    scoring.match_score
-                } else {
-                    scoring.mismatch
-                };
-                let diag = diag_h + sub;
-                let mut h = 0;
-                let mut tb = TB_STOP;
-                if diag > h {
-                    h = diag;
-                    tb = TB_DIAG;
-                }
-                if e > h {
-                    h = e;
-                    tb = TB_FROM_E;
-                }
-                if f > h {
-                    h = f;
-                    tb = TB_FROM_F;
-                }
-                h_cur[b] = h;
-                tb_h[idx] = tb;
-                if h > best {
-                    best = h;
-                    best_i = i;
-                    best_j = j as usize;
-                }
-                // Real score riding an edge diagonal (b==0 ⟺ d==d_min,
-                // b==band_w−1 ⟺ d==d_max) may be a path crossing the
-                // band; what it could still earn outside is bounded by a
-                // perfect-match continuation over the remaining rows.
-                // Gap-shadows of an interior optimum also reach the edge
-                // (at optimum − gap cost), but their potential stays
-                // below the optimum, so they don't fire this.
-                if (b == 0 || b == band_w - 1) && h >= band.edge_cutoff {
-                    let pot = h + (m - i) as i32 * scoring.match_score;
+            let (jlo, jhi) = (jlo as usize, jhi as usize);
+            let b_lo = (jlo as isize - i as isize - d_min) as usize;
+            let b_hi = b_lo + (jhi - jlo);
+            // Left of the row's first cell: the matrix's left boundary
+            // (H = 0) at j = 1, off-band (−∞) otherwise.
+            let left_h = if jlo == 1 { 0 } else { NEG };
+            let (row_best, k) = fill_row(
+                scoring,
+                query[i - 1],
+                &window[jlo - 1..jhi],
+                &h_prev[b_lo..],
+                &h_prev[b_lo + 1..],
+                &e_prev[b_lo + 1..],
+                &mut h_cur[b_lo..],
+                &mut e_cur[b_lo..],
+                &mut tb[i * band_w + b_lo..],
+                left_h,
+            );
+            if row_best > best {
+                best = row_best;
+                best_i = i;
+                best_j = jlo + k;
+            }
+            // Real score riding an edge diagonal (slot 0 ⟺ d == d_min,
+            // slot band_w − 1 ⟺ d == d_max) may be a path crossing the
+            // band; what it could still earn outside is bounded by a
+            // perfect-match continuation over the remaining rows.
+            // Gap-shadows of an interior optimum also reach the edge
+            // (at optimum − gap cost), but their potential stays
+            // below the optimum, so they don't fire this.
+            for edge in [0, band_w - 1] {
+                if (b_lo..=b_hi).contains(&edge) && h_cur[edge] >= band.edge_cutoff {
+                    let pot = h_cur[edge] + (m - i) as i32 * scoring.match_score;
                     edge_potential = edge_potential.max(pot);
                 }
             }
@@ -566,9 +583,7 @@ pub fn local_align_banded(
     let (ops_rev, edit, stop_i, stop_j) = trace_path(
         query,
         window,
-        tb_h,
-        tb_e,
-        tb_f,
+        tb,
         |i, j| {
             let b = (j as isize - i as isize - d_min) as usize;
             debug_assert!(b < band_w, "traceback left the band");
@@ -589,6 +604,517 @@ pub fn local_align_banded(
     }
     kernels::add_banded_hit();
     Some(assemble(m, ops_rev, edit, stop_i, stop_j, best, best_i))
+}
+
+/// The parent commit's kernels, verbatim (plus counters): what the
+/// proptests below and `engine`'s count gate hold the code above to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use std::cell::Cell;
+
+    /// What one thread's extensions cost, whichever kernels ran them.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub(crate) struct Work {
+        /// DP cells filled (band and full).
+        pub cells: u64,
+        /// Calls of the reference `local_align_banded`, and how many of
+        /// them [`exact_diagonal`] would have answered.
+        pub extensions: u64,
+        pub exact: u64,
+    }
+
+    thread_local! {
+        static WORK: Cell<Work> = const { Cell::new(Work { cells: 0, extensions: 0, exact: 0 }) };
+        static IN_USE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    fn record(f: impl FnOnce(&mut Work)) {
+        WORK.with(|w| {
+            let mut work = w.get();
+            f(&mut work);
+            w.set(work);
+        });
+    }
+
+    pub(crate) fn add_cells(n: usize) {
+        record(|w| w.cells += n as u64);
+    }
+
+    pub(crate) fn in_use() -> bool {
+        IN_USE.with(|u| u.get())
+    }
+
+    /// Run `f` — with this thread's [`super::local_align_banded`] calls
+    /// routed to the reference if asked — and report the work under it.
+    pub(crate) fn measure<R>(use_reference: bool, f: impl FnOnce() -> R) -> (R, Work) {
+        IN_USE.with(|u| u.set(use_reference));
+        WORK.with(|w| w.set(Work::default()));
+        let r = f();
+        IN_USE.with(|u| u.set(false));
+        (r, WORK.with(|w| w.get()))
+    }
+
+    pub(crate) fn local_align(
+        query: &[u8],
+        window: &[u8],
+        scoring: &Scoring,
+    ) -> Option<LocalAlignment> {
+        local_align_with(query, window, scoring, &mut SwWorkspace::default())
+    }
+
+    pub(crate) fn local_align_banded(
+        query: &[u8],
+        window: &[u8],
+        scoring: &Scoring,
+        band: Band,
+    ) -> Option<LocalAlignment> {
+        let exact = exact_diagonal(query, window, scoring, band).is_some();
+        record(|w| {
+            w.extensions += 1;
+            w.exact += exact as u64;
+        });
+        local_align_banded_with(query, window, scoring, band, &mut SwWorkspace::default())
+    }
+
+    // Traceback states.
+    const TB_STOP: u8 = 0;
+    const TB_DIAG: u8 = 1;
+    const TB_FROM_E: u8 = 2; // H came from E (insertion run just ended)
+    const TB_FROM_F: u8 = 3; // H came from F (deletion run just ended)
+    const E_OPEN: u8 = 0; // E run opened here (came from H above)
+    const E_EXT: u8 = 1;
+    const F_OPEN: u8 = 0;
+    const F_EXT: u8 = 1;
+
+    #[derive(Default)]
+    struct SwWorkspace {
+        h_prev: Vec<i32>,
+        h_cur: Vec<i32>,
+        e_prev: Vec<i32>,
+        e_cur: Vec<i32>,
+        f_cur: Vec<i32>,
+        tb_h: Vec<u8>,
+        tb_e: Vec<u8>,
+        tb_f: Vec<u8>,
+    }
+
+    #[inline]
+    fn reset_i32(v: &mut Vec<i32>, len: usize, fill: i32) {
+        v.clear();
+        v.resize(len, fill);
+    }
+
+    #[inline]
+    fn reset_u8(v: &mut Vec<u8>, len: usize, fill: u8) {
+        v.clear();
+        v.resize(len, fill);
+    }
+
+    /// Shared traceback walker over whichever traceback matrices the fill
+    /// produced; `idx` maps a cell to its slot and `visit` observes every
+    /// cell on the path (the banded caller's edge detector).
+    #[allow(clippy::too_many_arguments)]
+    fn trace_path(
+        query: &[u8],
+        window: &[u8],
+        tb_h: &[u8],
+        tb_e: &[u8],
+        tb_f: &[u8],
+        mut idx: impl FnMut(usize, usize) -> usize,
+        mut visit: impl FnMut(usize, usize),
+        best_i: usize,
+        best_j: usize,
+    ) -> (Vec<CigarOp>, u32, usize, usize) {
+        let mut i = best_i;
+        let mut j = best_j;
+        let mut ops_rev: Vec<CigarOp> = Vec::new();
+        let mut edit = 0u32;
+        let push = |ops: &mut Vec<CigarOp>, op: CigarOp| {
+            if let (Some(last), op_n) = (ops.last_mut(), op) {
+                match (last, op_n) {
+                    (CigarOp::Match(a), CigarOp::Match(b)) => {
+                        *a += b;
+                        return;
+                    }
+                    (CigarOp::Ins(a), CigarOp::Ins(b)) => {
+                        *a += b;
+                        return;
+                    }
+                    (CigarOp::Del(a), CigarOp::Del(b)) => {
+                        *a += b;
+                        return;
+                    }
+                    _ => {}
+                }
+            }
+            ops.push(op);
+        };
+        // State machine over (H/E/F).
+        #[derive(PartialEq)]
+        enum St {
+            H,
+            E,
+            F,
+        }
+        let mut st = St::H;
+        loop {
+            visit(i, j);
+            let slot = idx(i, j);
+            match st {
+                St::H => match tb_h[slot] {
+                    TB_STOP => break,
+                    TB_DIAG => {
+                        if query[i - 1] != window[j - 1] {
+                            edit += 1;
+                        }
+                        push(&mut ops_rev, CigarOp::Match(1));
+                        i -= 1;
+                        j -= 1;
+                    }
+                    TB_FROM_E => st = St::E,
+                    TB_FROM_F => st = St::F,
+                    _ => unreachable!(),
+                },
+                St::E => {
+                    push(&mut ops_rev, CigarOp::Ins(1));
+                    edit += 1;
+                    let was_open = tb_e[slot] == E_OPEN;
+                    i -= 1;
+                    if was_open {
+                        st = St::H;
+                    }
+                }
+                St::F => {
+                    push(&mut ops_rev, CigarOp::Del(1));
+                    edit += 1;
+                    let was_open = tb_f[slot] == F_OPEN;
+                    j -= 1;
+                    if was_open {
+                        st = St::H;
+                    }
+                }
+            }
+        }
+        (ops_rev, edit, i, j)
+    }
+
+    /// The full DP, on a caller-supplied workspace.
+    fn local_align_with(
+        query: &[u8],
+        window: &[u8],
+        scoring: &Scoring,
+        ws: &mut SwWorkspace,
+    ) -> Option<LocalAlignment> {
+        let m = query.len();
+        let w = window.len();
+        if m == 0 || w == 0 {
+            return None;
+        }
+        let cols = w + 1;
+        let SwWorkspace {
+            h_prev,
+            h_cur,
+            e_prev,
+            e_cur,
+            f_cur,
+            tb_h,
+            tb_e,
+            tb_f,
+        } = ws;
+        reset_i32(h_prev, cols, 0);
+        reset_i32(h_cur, cols, 0);
+        reset_i32(e_prev, cols, NEG);
+        reset_i32(e_cur, cols, NEG);
+        reset_i32(f_cur, cols, NEG);
+        reset_u8(tb_h, (m + 1) * cols, TB_STOP);
+        reset_u8(tb_e, (m + 1) * cols, E_OPEN);
+        reset_u8(tb_f, (m + 1) * cols, F_OPEN);
+
+        add_cells(m * w);
+        let mut best = 0i32;
+        let mut best_i = 0usize;
+        let mut best_j = 0usize;
+
+        for i in 1..=m {
+            h_cur[0] = 0;
+            f_cur[0] = NEG;
+            let qi = query[i - 1];
+            for j in 1..=w {
+                let idx = i * cols + j;
+                // E: gap in reference (insertion to the read).
+                let e_open = h_prev[j] + scoring.gap_open + scoring.gap_extend;
+                let e_ext = e_prev[j] + scoring.gap_extend;
+                let e = if e_ext > e_open {
+                    tb_e[idx] = E_EXT;
+                    e_ext
+                } else {
+                    tb_e[idx] = E_OPEN;
+                    e_open
+                };
+                e_cur[j] = e;
+                // F: gap in query (deletion from the read).
+                let f_open = h_cur[j - 1] + scoring.gap_open + scoring.gap_extend;
+                let f_ext = f_cur[j - 1] + scoring.gap_extend;
+                let f = if f_ext > f_open {
+                    tb_f[idx] = F_EXT;
+                    f_ext
+                } else {
+                    tb_f[idx] = F_OPEN;
+                    f_open
+                };
+                f_cur[j] = f;
+                // H.
+                let sub = if qi == window[j - 1] {
+                    scoring.match_score
+                } else {
+                    scoring.mismatch
+                };
+                let diag = h_prev[j - 1] + sub;
+                let mut h = 0;
+                let mut tb = TB_STOP;
+                if diag > h {
+                    h = diag;
+                    tb = TB_DIAG;
+                }
+                if e > h {
+                    h = e;
+                    tb = TB_FROM_E;
+                }
+                if f > h {
+                    h = f;
+                    tb = TB_FROM_F;
+                }
+                h_cur[j] = h;
+                tb_h[idx] = tb;
+                if h > best {
+                    best = h;
+                    best_i = i;
+                    best_j = j;
+                }
+            }
+            std::mem::swap(h_prev, h_cur);
+            std::mem::swap(e_prev, e_cur);
+            for v in f_cur.iter_mut() {
+                *v = NEG;
+            }
+        }
+
+        if best <= 0 {
+            return None;
+        }
+
+        let (ops_rev, edit, stop_i, stop_j) = trace_path(
+            query,
+            window,
+            tb_h,
+            tb_e,
+            tb_f,
+            |i, j| i * cols + j,
+            |_, _| {},
+            best_i,
+            best_j,
+        );
+        Some(assemble(m, ops_rev, edit, stop_i, stop_j, best, best_i))
+    }
+
+    /// Banded local alignment, exact-with-fallback: fills only cells with
+    /// `j − i` inside `band`, treating out-of-band neighbors as −∞. The
+    /// call transparently re-runs the full DP when the band can't prove its
+    /// answer: no positive cell found, the best path's traceback touches a
+    /// band-edge diagonal, or any edge cell scored ≥ [`Band::edge_cutoff`]
+    /// during the fill (a path crossing the band — e.g. an indel wider than
+    /// the slack — shows up as real score riding the edge even when the
+    /// *banded* optimum stays interior). Residual caveat: an alignment
+    /// wholly outside the band (a repeat elsewhere in the window, unseen by
+    /// every band cell) cannot be detected here; the benchmark's
+    /// committed output digests are the backstop for that case. Kernel
+    /// counters record which way each call went.
+    fn local_align_banded_with(
+        query: &[u8],
+        window: &[u8],
+        scoring: &Scoring,
+        band: Band,
+        ws: &mut SwWorkspace,
+    ) -> Option<LocalAlignment> {
+        let m = query.len();
+        let w = window.len();
+        if m == 0 || w == 0 {
+            return None;
+        }
+        let band_w = band.width();
+        // A band that misses the matrix or isn't actually narrower than it
+        // proves nothing worth the second pass: go straight to the full DP.
+        if band_w == 0
+            || band.d_max < 1 - m as isize
+            || band.d_min > w as isize - 1
+            || band_w >= w
+        {
+            kernels::add_full_fallback();
+            return local_align_with(query, window, scoring, ws);
+        }
+        let (d_min, d_max) = (band.d_min, band.d_max);
+        let SwWorkspace {
+            h_prev,
+            h_cur,
+            e_prev,
+            e_cur,
+            f_cur,
+            tb_h,
+            tb_e,
+            tb_f,
+        } = ws;
+        // Row slots 0..band_w hold band cells; slot band_w is a permanent −∞
+        // sentinel so the `b + 1` up-neighbor read needs no branch.
+        reset_i32(h_prev, band_w + 1, NEG);
+        reset_i32(h_cur, band_w + 1, NEG);
+        reset_i32(e_prev, band_w + 1, NEG);
+        reset_i32(e_cur, band_w + 1, NEG);
+        reset_i32(f_cur, band_w + 1, NEG);
+        reset_u8(tb_h, (m + 1) * band_w, TB_STOP);
+        reset_u8(tb_e, (m + 1) * band_w, E_OPEN);
+        reset_u8(tb_f, (m + 1) * band_w, F_OPEN);
+
+        let mut best = 0i32;
+        let mut best_i = 0usize;
+        let mut best_j = 0usize;
+        // Best case any path crossing a band edge could still reach: the
+        // edge cell's score plus a perfect-match continuation outside.
+        let mut edge_potential = NEG;
+
+        for i in 1..=m {
+            for b in 0..band_w {
+                h_cur[b] = NEG;
+                e_cur[b] = NEG;
+                f_cur[b] = NEG;
+            }
+            let jlo = (i as isize + d_min).max(1);
+            let jhi = (i as isize + d_max).min(w as isize);
+            if jlo <= jhi {
+                add_cells((jhi - jlo + 1) as usize);
+                let qi = query[i - 1];
+                for j in jlo..=jhi {
+                    let b = (j - i as isize - d_min) as usize;
+                    let idx = i * band_w + b;
+                    // Up neighbor (i−1, j): band slot b+1 of the previous
+                    // row; the matrix's top boundary is H=0 / E=−∞.
+                    let (up_h, up_e) = if i == 1 {
+                        (0, NEG)
+                    } else {
+                        (h_prev[b + 1], e_prev[b + 1])
+                    };
+                    let e_open = up_h + scoring.gap_open + scoring.gap_extend;
+                    let e_ext = up_e + scoring.gap_extend;
+                    let e = if e_ext > e_open {
+                        tb_e[idx] = E_EXT;
+                        e_ext
+                    } else {
+                        tb_e[idx] = E_OPEN;
+                        e_open
+                    };
+                    e_cur[b] = e;
+                    // Left neighbor (i, j−1): band slot b−1 of this row; the
+                    // matrix's left boundary is H=0 / F=−∞; off-band is −∞.
+                    let (left_h, left_f) = if j == 1 {
+                        (0, NEG)
+                    } else if b == 0 {
+                        (NEG, NEG)
+                    } else {
+                        (h_cur[b - 1], f_cur[b - 1])
+                    };
+                    let f_open = left_h + scoring.gap_open + scoring.gap_extend;
+                    let f_ext = left_f + scoring.gap_extend;
+                    let f = if f_ext > f_open {
+                        tb_f[idx] = F_EXT;
+                        f_ext
+                    } else {
+                        tb_f[idx] = F_OPEN;
+                        f_open
+                    };
+                    f_cur[b] = f;
+                    // Diag neighbor (i−1, j−1): same band slot b of the
+                    // previous row (always structurally in-band).
+                    let diag_h = if i == 1 || j == 1 { 0 } else { h_prev[b] };
+                    let sub = if qi == window[j as usize - 1] {
+                        scoring.match_score
+                    } else {
+                        scoring.mismatch
+                    };
+                    let diag = diag_h + sub;
+                    let mut h = 0;
+                    let mut tb = TB_STOP;
+                    if diag > h {
+                        h = diag;
+                        tb = TB_DIAG;
+                    }
+                    if e > h {
+                        h = e;
+                        tb = TB_FROM_E;
+                    }
+                    if f > h {
+                        h = f;
+                        tb = TB_FROM_F;
+                    }
+                    h_cur[b] = h;
+                    tb_h[idx] = tb;
+                    if h > best {
+                        best = h;
+                        best_i = i;
+                        best_j = j as usize;
+                    }
+                    // Real score riding an edge diagonal (b==0 ⟺ d==d_min,
+                    // b==band_w−1 ⟺ d==d_max) may be a path crossing the
+                    // band; what it could still earn outside is bounded by a
+                    // perfect-match continuation over the remaining rows.
+                    // Gap-shadows of an interior optimum also reach the edge
+                    // (at optimum − gap cost), but their potential stays
+                    // below the optimum, so they don't fire this.
+                    if (b == 0 || b == band_w - 1) && h >= band.edge_cutoff {
+                        let pot = h + (m - i) as i32 * scoring.match_score;
+                        edge_potential = edge_potential.max(pot);
+                    }
+                }
+            }
+            std::mem::swap(h_prev, h_cur);
+            std::mem::swap(e_prev, e_cur);
+        }
+
+        if best <= 0 || edge_potential >= best {
+            // Either the band found nothing positive, or a band-crossing
+            // path could plausibly match or beat the banded best — both
+            // mean the full matrix may hold an answer the band can't see.
+            kernels::add_full_fallback();
+            return local_align_with(query, window, scoring, ws);
+        }
+
+        let mut edge_touched = false;
+        let (ops_rev, edit, stop_i, stop_j) = trace_path(
+            query,
+            window,
+            tb_h,
+            tb_e,
+            tb_f,
+            |i, j| {
+                let b = (j as isize - i as isize - d_min) as usize;
+                debug_assert!(b < band_w, "traceback left the band");
+                i * band_w + b
+            },
+            |i, j| {
+                let d = j as isize - i as isize;
+                if d == d_min || d == d_max {
+                    edge_touched = true;
+                }
+            },
+            best_i,
+            best_j,
+        );
+        if edge_touched {
+            kernels::add_full_fallback();
+            return local_align_with(query, window, scoring, ws);
+        }
+        kernels::add_banded_hit();
+        Some(assemble(m, ops_rev, edit, stop_i, stop_j, best, best_i))
+    }
 }
 
 #[cfg(test)]
@@ -769,16 +1295,28 @@ mod tests {
     }
 
     #[test]
-    fn banded_hits_are_counted() {
+    fn each_extension_is_counted_once_by_the_path_that_answered() {
+        // Exact on this thread: `measure` counts what the reference would
+        // see, and the process counters only ever grow.
         let margin = 16;
         let band = Band::around_offset(margin as isize, margin);
         let mut ws = SwWorkspace::new();
-        let (read, window) = seeded_pair(7, margin, |_| {});
+        let (perfect, window) = seeded_pair(7, margin, |_| {});
+        let (one_sub, _) = seeded_pair(7, margin, |r| r[50] = if r[50] == b'A' { b'C' } else { b'A' });
         let before = crate::kernels::snapshot();
-        let a = local_align_banded(&read, &window, &s(), band, &mut ws).unwrap();
-        assert_eq!(a.score, 100);
-        let delta = crate::kernels::snapshot().delta(&before);
-        assert!(delta.sw_banded_hits >= 1);
+        let (a, work) = reference::measure(false, || {
+            local_align_banded(&perfect, &window, &s(), band, &mut ws).unwrap()
+        });
+        assert_eq!((a.score, a.ref_start, a.cigar.to_string().as_str()), (100, margin, "100M"));
+        assert_eq!(work.cells, 0, "a copied read fills no cell");
+        let exact = crate::kernels::snapshot().delta(&before);
+        assert!(exact.sw_exact_hits >= 1);
+        let (b, work) = reference::measure(false, || {
+            local_align_banded(&one_sub, &window, &s(), band, &mut ws).unwrap()
+        });
+        assert_eq!((b.score, b.edit_distance), (99 - 4, 1));
+        assert!(work.cells > 0 && work.cells <= 100 * 33);
+        assert!(crate::kernels::snapshot().delta(&before).sw_banded_hits >= 1);
     }
 
     #[test]
@@ -843,5 +1381,243 @@ mod tests {
         assert!(local_align_banded(b"", b"ACGT", &s(), band, &mut ws).is_none());
         assert!(local_align_banded(b"ACGT", b"", &s(), band, &mut ws).is_none());
     }
-}
 
+    // ---- same as the parent's kernels, on every shape of input ----
+
+    use proptest::prelude::*;
+
+    fn arb_dna(min: usize, max: usize) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(
+            prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T')],
+            min..max,
+        )
+    }
+
+    fn substitute(seq: &mut [u8], positions: &[usize]) {
+        for &p in positions {
+            let p = p % seq.len();
+            seq[p] = match seq[p] {
+                b'A' => b'C',
+                b'C' => b'G',
+                b'G' => b'T',
+                _ => b'A',
+            };
+        }
+    }
+
+    /// Both engines, on the thread's (dirty) workspace, against the
+    /// parent's code under `scoring`.
+    fn same_as_parent_under(
+        query: &[u8],
+        window: &[u8],
+        band: Band,
+        scoring: &Scoring,
+    ) -> Result<(), TestCaseError> {
+        let banded = with_workspace(|ws| local_align_banded(query, window, scoring, band, ws));
+        prop_assert_eq!(
+            &banded,
+            &reference::local_align_banded(query, window, scoring, band),
+            "banded, {:?}",
+            band
+        );
+        prop_assert_eq!(
+            local_align(query, window, scoring),
+            reference::local_align(query, window, scoring),
+            "full DP"
+        );
+        Ok(())
+    }
+
+    fn same_as_parent(query: &[u8], window: &[u8], band: Band) -> Result<(), TestCaseError> {
+        same_as_parent_under(query, window, band, &s())
+    }
+
+    /// Smallest `d` with `window[d..d + m] == query`.
+    fn smallest_perfect_diagonal(query: &[u8], window: &[u8]) -> Option<usize> {
+        (0..(window.len() + 1).saturating_sub(query.len())).find(|&d| window[d..d + query.len()] == *query)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn planted_reads_align_as_in_the_parent(
+            ctx in arb_dna(60, 220),
+            start in 0usize..200,
+            qlen in 12usize..90,
+            subs in proptest::collection::vec(0usize..256, 0..5),
+            left in 0usize..=16,
+            right in -8isize..=16,
+            slack in 0usize..20,
+        ) {
+            // The production shape — window = the read's locus ± margin,
+            // band on the read's diagonal — with the window clamped as at
+            // a chromosome end: `left`/`right` < margin, down to
+            // `w == m` and (negative `right`) `w < m`.
+            let qlen = qlen.min(ctx.len() - 8);
+            let start = start % (ctx.len() - qlen + 1);
+            let mut query = ctx[start..start + qlen].to_vec();
+            substitute(&mut query, &subs);
+            let lo = start.saturating_sub(left);
+            let hi = (start + qlen).saturating_add_signed(right).min(ctx.len());
+            same_as_parent(&query, &ctx[lo..hi], Band::around_offset((start - lo) as isize, slack))?;
+        }
+
+        #[test]
+        fn tandem_repeats_align_as_in_the_parent(
+            unit in arb_dna(1, 17),
+            flank in arb_dna(0, 12),
+            qlen in 8usize..70,
+            start in 0usize..64,
+            window_subs in proptest::collection::vec(0usize..256, 0..3),
+            shift in -24isize..48,
+            slack in 0usize..12,
+        ) {
+            // A read cut from a period-p repeat matches the window on
+            // every p-th diagonal (until a substitution in the window
+            // knocks some out). The band sits `shift` off the smallest
+            // perfect one: it holds that one, only a later one, or none.
+            let mut window = flank.clone();
+            while window.len() < 150 {
+                window.extend_from_slice(&unit);
+            }
+            window.extend_from_slice(&flank);
+            let start = flank.len() + start % (window.len() - 2 * flank.len() - qlen);
+            let query = window[start..start + qlen].to_vec();
+            substitute(&mut window, &window_subs);
+            let first = smallest_perfect_diagonal(&query, &window).unwrap_or(start);
+            same_as_parent(&query, &window, Band::around_offset(first as isize + shift, slack))?;
+        }
+
+        #[test]
+        fn band_crossing_indels_align_as_in_the_parent(
+            window in arb_dna(130, 250),
+            qlen in 62usize..80,
+            offset in 0usize..120,
+            indel in 1usize..24,
+            insert in proptest::collection::vec(0usize..4, 0..24),
+            slack in 2usize..9,
+        ) {
+            // A deletion, or insertion, wider than the slack forces the
+            // true path across the band edge with ≥ 31 − 6 − 8 = 17 >
+            // `edge_cutoff` score on it (the `cut ≥ 21 + slack`
+            // arithmetic of `proptest_aligner.rs`): the edge trigger
+            // must fire exactly when the parent's did.
+            let offset = offset % (window.len() - qlen - indel);
+            let cut = qlen / 2;
+            let mut query = window[offset..offset + cut].to_vec();
+            query.extend(insert.iter().map(|&c| b"ACGT"[c]));
+            query.extend_from_slice(&window[offset + cut + indel..offset + indel + qlen]);
+            same_as_parent(&query, &window, Band::around_offset(offset as isize, slack))?;
+        }
+
+        #[test]
+        fn unrelated_sequences_align_as_in_the_parent(
+            query in arb_dna(1, 80),
+            window in arb_dna(1, 200),
+            offset in -30isize..120,
+            slack in 0usize..16,
+        ) {
+            // No planted relationship, so the band may well differ from
+            // the full DP (the documented residual caveat) — but never
+            // from what the parent's band returned.
+            same_as_parent(&query, &window, Band::around_offset(offset, slack))?;
+        }
+
+        #[test]
+        fn non_acgt_bytes_align_as_in_the_parent(
+            ctx in proptest::collection::vec(
+                prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T'), Just(b'N'), Just(b'N'), Just(b'n'), Just(0u8), Just(0xFFu8)],
+                60..200,
+            ),
+            start in 0usize..150,
+            qlen in 10usize..60,
+            subs in proptest::collection::vec(0usize..256, 0..3),
+            margin in 0usize..=16,
+            slack in 0usize..16,
+        ) {
+            // Comparison is on raw bytes: `N == N` is a match, so a read
+            // with Ns can still be a perfect diagonal.
+            let qlen = qlen.min(ctx.len() - 8);
+            let start = start % (ctx.len() - qlen + 1);
+            let mut query = ctx[start..start + qlen].to_vec();
+            substitute(&mut query, &subs);
+            let lo = start.saturating_sub(margin);
+            let hi = (start + qlen + margin).min(ctx.len());
+            same_as_parent(&query, &ctx[lo..hi], Band::around_offset((start - lo) as isize, slack))?;
+        }
+
+        #[test]
+        fn any_scoring_aligns_as_in_the_parent(
+            unit in arb_dna(1, 9),
+            qlen in 8usize..40,
+            start in 0usize..32,
+            subs in proptest::collection::vec(0usize..256, 0..2),
+            shift in -6isize..12,
+            slack in 0usize..8,
+            match_score in 0i32..3,
+            mismatch in -4i32..2,
+            gap_open in -6i32..=0,
+            gap_extend in -2i32..=0,
+        ) {
+            // The shortcut's preconditions: under a scoring that breaks
+            // one (free matches, rewarded mismatches, free gaps) the
+            // first full-score cell need not be a perfect diagonal, and
+            // the DP must be left to find it. (Gaps that *pay* are out of
+            // the parent's domain — they walk its traceback up a column
+            // and off the band's top-right corner — so the `gap_extend`
+            // guard is checked on `exact_diagonal` directly, below.)
+            let window = unit.iter().copied().cycle().take(90).collect::<Vec<u8>>();
+            let start = start % (window.len() - qlen);
+            let mut query = window[start..start + qlen].to_vec();
+            substitute(&mut query, &subs);
+            let scoring = Scoring { match_score, mismatch, gap_open, gap_extend };
+            let first = smallest_perfect_diagonal(&query, &window).unwrap_or(start);
+            same_as_parent_under(&query, &window, Band::around_offset(first as isize + shift, slack), &scoring)?;
+        }
+    }
+
+    #[test]
+    fn shortcut_declines_unless_every_precondition_holds() {
+        let window = b"TTTACGTACGTACTTT";
+        let query = &window[3..13];
+        let band = Band::around_offset(3, 2);
+        let sound = s();
+        assert_eq!(exact_diagonal(query, window, &sound, band).unwrap().ref_start, 3);
+        for broken in [
+            Scoring { match_score: 0, ..sound },
+            Scoring { mismatch: 0, ..sound },
+            Scoring { gap_extend: 1, ..sound },
+            Scoring { gap_open: 1, ..sound },
+        ] {
+            assert_eq!(exact_diagonal(query, window, &broken, band), None, "{broken:?}");
+        }
+        // Window shorter than the read; band beside the diagonal.
+        assert_eq!(exact_diagonal(window, query, &sound, band), None);
+        assert_eq!(exact_diagonal(query, window, &sound, Band::around_offset(0, 2)), None);
+        assert_eq!(exact_diagonal(query, window, &sound, Band::around_offset(6, 2)), None);
+    }
+
+    #[test]
+    fn perfect_diagonal_below_the_band_is_left_to_the_dp() {
+        // Period-4 repeat: perfect diagonals at 2, 6, 10, …; the band
+        // [9, 11] holds only the third. The parent's band answers 10,
+        // the full DP would say 2 — the shortcut must not pick either
+        // for itself, and with the band on [1, 3] it answers 2 unaided.
+        let window = b"ACGT".repeat(20);
+        let query = window[2..42].to_vec();
+        let late = Band::around_offset(10, 1);
+        let (got, work) = reference::measure(false, || {
+            with_workspace(|ws| local_align_banded(&query, &window, &s(), late, ws))
+        });
+        assert_eq!(got, reference::local_align_banded(&query, &window, &s(), late));
+        assert_eq!(got.unwrap().ref_start, 10);
+        assert!(work.cells > 0);
+        let early = Band::around_offset(2, 1);
+        let (got, work) = reference::measure(false, || {
+            with_workspace(|ws| local_align_banded(&query, &window, &s(), early, ws))
+        });
+        assert_eq!(got, reference::local_align_banded(&query, &window, &s(), early));
+        assert_eq!((got.unwrap().ref_start, work.cells), (2, 0));
+    }
+}

@@ -861,6 +861,7 @@ impl GesallPlatform {
         let kd = gesall_aligner::kernels::snapshot().delta(&kernels_before);
         for (key, val) in [
             (kernel_keys::OCC_WORDS_POPCOUNTED, kd.occ_words_popcounted),
+            (kernel_keys::SW_EXACT_HITS, kd.sw_exact_hits),
             (kernel_keys::SW_BANDED_HITS, kd.sw_banded_hits),
             (kernel_keys::SW_FULL_FALLBACKS, kd.sw_full_fallbacks),
         ] {

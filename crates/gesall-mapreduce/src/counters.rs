@@ -123,7 +123,7 @@ pub mod keys {
     /// everything else.
     pub use gesall_telemetry::kernel_keys::{
         OCC_WORDS_POPCOUNTED, SORT_COMPARISON_FALLBACKS, SORT_RADIX_PASSES, SW_BANDED_HITS,
-        SW_FULL_FALLBACKS,
+        SW_EXACT_HITS, SW_FULL_FALLBACKS,
     };
 }
 

@@ -15,6 +15,9 @@ pub mod keys {
     /// (32 BWT symbols per word; the byte-scan predecessor would have
     /// touched each symbol individually).
     pub const OCC_WORDS_POPCOUNTED: &str = "kernel.occ.words_popcounted";
+    /// Seed extensions answered without any DP: the read equals the
+    /// reference on a diagonal inside the band.
+    pub const SW_EXACT_HITS: &str = "kernel.sw.exact_hits";
     /// Seed extensions answered by the banded Smith–Waterman without
     /// touching a band edge (the fast path).
     pub const SW_BANDED_HITS: &str = "kernel.sw.banded_hits";
@@ -34,6 +37,7 @@ pub mod keys {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     pub occ_words_popcounted: u64,
+    pub sw_exact_hits: u64,
     pub sw_banded_hits: u64,
     pub sw_full_fallbacks: u64,
     pub sort_radix_passes: u64,
@@ -52,6 +56,7 @@ impl KernelStats {
         };
         KernelStats {
             occ_words_popcounted: get(keys::OCC_WORDS_POPCOUNTED),
+            sw_exact_hits: get(keys::SW_EXACT_HITS),
             sw_banded_hits: get(keys::SW_BANDED_HITS),
             sw_full_fallbacks: get(keys::SW_FULL_FALLBACKS),
             sort_radix_passes: get(keys::SORT_RADIX_PASSES),
@@ -59,14 +64,28 @@ impl KernelStats {
         }
     }
 
-    /// Fraction of seed extensions the band answered without fallback.
+    /// Seed extensions, however answered.
+    pub fn sw_extensions(&self) -> u64 {
+        self.sw_exact_hits + self.sw_banded_hits + self.sw_full_fallbacks
+    }
+
+    /// Fraction of seed extensions that needed no DP at all.
+    pub fn exact_hit_ratio(&self) -> f64 {
+        ratio(self.sw_exact_hits, self.sw_extensions())
+    }
+
+    /// Fraction of the extensions that ran a DP which the band answered
+    /// without fallback.
     pub fn banded_hit_ratio(&self) -> f64 {
-        let total = self.sw_banded_hits + self.sw_full_fallbacks;
-        if total == 0 {
-            0.0
-        } else {
-            self.sw_banded_hits as f64 / total as f64
-        }
+        ratio(self.sw_banded_hits, self.sw_banded_hits + self.sw_full_fallbacks)
+    }
+}
+
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
@@ -78,6 +97,7 @@ mod tests {
     fn stats_from_snapshot() {
         let snap = vec![
             ("kernel.occ.words_popcounted".to_string(), 1000u64),
+            ("kernel.sw.exact_hits".to_string(), 100),
             ("kernel.sw.banded_hits".to_string(), 90),
             ("kernel.sw.full_fallbacks".to_string(), 10),
             ("kernel.sort.radix_passes".to_string(), 24),
@@ -85,10 +105,13 @@ mod tests {
         ];
         let k = KernelStats::from_snapshot(&snap);
         assert_eq!(k.occ_words_popcounted, 1000);
+        assert_eq!(k.sw_exact_hits, 100);
         assert_eq!(k.sw_banded_hits, 90);
         assert_eq!(k.sw_full_fallbacks, 10);
         assert_eq!(k.sort_radix_passes, 24);
         assert_eq!(k.sort_comparison_fallbacks, 0);
+        assert_eq!(k.sw_extensions(), 200);
+        assert!((k.exact_hit_ratio() - 0.5).abs() < 1e-12);
         assert!((k.banded_hit_ratio() - 0.9).abs() < 1e-12);
     }
 
@@ -96,6 +119,7 @@ mod tests {
     fn empty_snapshot_is_zero() {
         let k = KernelStats::from_snapshot(&[]);
         assert_eq!(k, KernelStats::default());
+        assert_eq!(k.exact_hit_ratio(), 0.0);
         assert_eq!(k.banded_hit_ratio(), 0.0);
     }
 }
