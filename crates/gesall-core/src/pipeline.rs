@@ -1073,10 +1073,12 @@ impl GesallPlatform {
         rb2.counters.merge(&cx.counters);
         let s = summary("round4b-print-reads", &rb2.counters, &rb2.events, rb2.wall_ms);
         cx.finish_round(rspan, s);
-        let mut parts = r4_parts.to_vec();
-        for (i, out) in rb2.outputs.into_iter().enumerate() {
-            parts[i] = out.into_iter().map(|(_, r)| r).collect();
-        }
+        let mut parts: Vec<Vec<SamRecord>> = rb2
+            .outputs
+            .into_iter()
+            .map(|out| out.into_iter().map(|(_, r)| r).collect())
+            .collect();
+        parts.extend_from_slice(&r4_parts[n_chroms..]);
         Ok(parts)
     }
 
@@ -1192,14 +1194,7 @@ impl GesallPlatform {
             .flatten()
             .map(|(_, v)| v)
             .collect();
-        variants.sort_by(|a, b| {
-            (a.chrom.clone(), a.pos, a.ref_allele.clone(), a.alt_allele.clone()).cmp(&(
-                b.chrom.clone(),
-                b.pos,
-                b.ref_allele.clone(),
-                b.alt_allele.clone(),
-            ))
-        });
+        sort_by_site(&mut variants);
         Ok(variants)
     }
 }
@@ -1249,6 +1244,14 @@ fn collect_parts<K>(outputs: &[Vec<(K, SamRecord)>]) -> Vec<Vec<SamRecord>> {
         .iter()
         .map(|out| out.iter().map(|(_, r)| r.clone()).collect())
         .collect()
+}
+
+/// Stable sort by site, on borrowed keys.
+fn sort_by_site(variants: &mut [VariantRecord]) {
+    fn site(v: &VariantRecord) -> (&str, i64, &str, &str) {
+        (&v.chrom, v.pos, &v.ref_allele, &v.alt_allele)
+    }
+    variants.sort_by(|a, b| site(a).cmp(&site(b)));
 }
 
 /// A stage's committed output, as stored in the content-addressed
@@ -1390,14 +1393,7 @@ pub fn serial_tail_from_markdup(
         let result = call_chromosome(&records, ref_id as i32, name, rv, hc);
         variants.extend(result.variants);
     }
-    variants.sort_by(|a, b| {
-        (a.chrom.clone(), a.pos, a.ref_allele.clone(), a.alt_allele.clone()).cmp(&(
-            b.chrom.clone(),
-            b.pos,
-            b.ref_allele.clone(),
-            b.alt_allele.clone(),
-        ))
-    });
+    sort_by_site(&mut variants);
     (records, variants)
 }
 

@@ -540,22 +540,24 @@ pub struct PrintReadsMapper {
 impl Mapper for PrintReadsMapper {
     type InKey = String;
     type InValue = SharedBytes;
-    type OutKey = String;
+    type OutKey = u64;
     type OutValue = SamRecord;
 
     fn map(
         &self,
-        label: &String,
+        _label: &String,
         bam_bytes: &SharedBytes,
-        ctx: &mut MapContext<'_, String, SamRecord>,
+        ctx: &mut MapContext<'_, u64, SamRecord>,
     ) {
         let (_, mut records) = decode_bam(&self.counters, bam_bytes);
         let t0 = Instant::now();
         gesall_tools::recalibration::print_reads(&mut records, &self.table, &self.config);
         self.counters
             .add(keys::EXTERNAL_PROGRAM_NANOS, t0.elapsed().as_nanos() as u64);
+        // Map-only: the output is one split's records in order and the
+        // key is never read.
         for r in records {
-            ctx.emit(label.clone(), r);
+            ctx.emit(0, r);
         }
     }
 }

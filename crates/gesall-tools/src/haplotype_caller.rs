@@ -199,7 +199,8 @@ pub fn call_range(
     walker.finish();
     let windows = std::mem::take(&mut walker.windows);
 
-    // Phase 2: genotype inside each window only.
+    // Phase 2: genotype each window from the reads that can overlap it.
+    let overlapping = overlapping_reads(records, ref_id);
     let mut variants = Vec::new();
     for w in &windows {
         let w_end = w.end.min(reference.chrom_len(ref_id) as i64).min(end + cfg.pad);
@@ -208,7 +209,7 @@ pub fn call_range(
             continue;
         }
         let calls = call_region(
-            records,
+            overlapping(w_start, w_end),
             ref_id,
             chrom,
             w_start,
@@ -219,9 +220,59 @@ pub fn call_range(
         variants.extend(calls);
     }
     // Adjacent windows can overlap after padding; dedup by site.
-    variants.sort_by_key(|v| (v.pos, v.ref_allele.clone(), v.alt_allele.clone()));
+    variants.sort_by(|a, b| {
+        (a.pos, &a.ref_allele, &a.alt_allele).cmp(&(b.pos, &b.ref_allele, &b.alt_allele))
+    });
     variants.dedup_by(|a, b| a.site_key() == b.site_key());
     HaplotypeCallerResult { variants, windows }
+}
+
+/// Index one chromosome's reads so that a window's pileup is built from
+/// the reads that can overlap it instead of from the partition: the
+/// returned `(start, end)` lookup gives a contiguous run of `records`
+/// holding every read that overlaps `[start, end]`.
+///
+/// Why a sub-slice gives the same pileup: [`Pileup::build`] drops a
+/// record that is unmapped, on another chromosome, or has
+/// `end_pos() < start || pos > end` before it touches a column, and
+/// visits the rest in slice order. That order matters — a column's
+/// indel alleles are appended first-seen and `top_indel` keeps the
+/// *last* maximum — so any contiguous sub-slice holding every
+/// overlapping record yields the same columns. With `pos`
+/// non-decreasing over `sel`, everything before `lo` ends before the
+/// window (by the running maximum of `end_pos`: a long-deletion read
+/// may end after reads that start later) and everything from `hi` on
+/// starts after it. Nothing enforces `call_range`'s sorted input, so
+/// unsorted input gets the whole slice: same code, the partition's cost.
+fn overlapping_reads<'a>(
+    records: &'a [SamRecord],
+    ref_id: i32,
+) -> impl Fn(i64, i64) -> &'a [SamRecord] {
+    // `sel`: indices of the mapped records on the chromosome, in slice
+    // order; `max_end`: the running maximum of `end_pos` over them.
+    let (mut sel, mut max_end, mut sorted) = (Vec::new(), Vec::new(), true);
+    let (mut last_pos, mut running) = (i64::MIN, i64::MIN);
+    for (i, rec) in records.iter().enumerate() {
+        if !rec.is_mapped() || rec.ref_id != ref_id {
+            continue;
+        }
+        sorted &= rec.pos >= last_pos;
+        last_pos = rec.pos;
+        running = running.max(rec.end_pos());
+        sel.push(i);
+        max_end.push(running);
+    }
+    move |start, end| {
+        if !sorted {
+            return records;
+        }
+        let lo = max_end.partition_point(|&e| e < start);
+        let hi = sel.partition_point(|&i| records[i].pos <= end);
+        if lo >= hi {
+            return &[];
+        }
+        &records[sel[lo]..=sel[hi - 1]]
+    }
 }
 
 /// Run the caller over a whole chromosome.
@@ -240,6 +291,75 @@ pub fn call_chromosome(
         };
     }
     call_range(records, ref_id, chrom, 1, len, reference, cfg)
+}
+
+/// The parent commit's `call_range`, verbatim: every window's pileup
+/// built from the whole slice, variants sorted on cloned keys. The
+/// proptest and the count gate below hold the code above to it.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn call_range(
+        records: &[SamRecord],
+        ref_id: i32,
+        chrom: &str,
+        start: i64,
+        end: i64,
+        reference: RefView<'_>,
+        cfg: &HaplotypeCallerConfig,
+    ) -> HaplotypeCallerResult {
+        assert!(start >= 1 && end >= start, "bad range");
+        // Phase 1: sequential walk computing activity and segmentation.
+        let mut walker = WindowWalker::new(cfg);
+        let mut tile_start = start;
+        while tile_start <= end {
+            let tile_end = (tile_start + cfg.tile as i64 - 1).min(end);
+            let mut pileup =
+                Pileup::build(records, ref_id, tile_start, tile_end, &cfg.genotyper.pileup);
+            let ref_slice = reference.slice(ref_id, tile_start, tile_end);
+            if ref_slice.len() == pileup.columns.len() {
+                pileup.annotate_mismatches(ref_slice);
+            }
+            for (off, col) in pileup.columns.iter().enumerate() {
+                if col.depth == 0 && col.indels.is_empty() && col.clips == 0 {
+                    walker.step(tile_start + off as i64, 0.0);
+                } else {
+                    walker.step(tile_start + off as i64, activity(col));
+                }
+            }
+            tile_start = tile_end + 1;
+        }
+        walker.finish();
+        let windows = std::mem::take(&mut walker.windows);
+
+        // Phase 2: genotype inside each window only.
+        let mut variants = Vec::new();
+        for w in &windows {
+            let w_end = w
+                .end
+                .min(reference.chrom_len(ref_id) as i64)
+                .min(end + cfg.pad);
+            let w_start = w.start.max(1);
+            if w_end < w_start {
+                continue;
+            }
+            let calls = call_region(
+                records,
+                ref_id,
+                chrom,
+                w_start,
+                w_end,
+                reference,
+                &cfg.genotyper,
+            );
+            variants.extend(calls);
+        }
+        // Adjacent windows can overlap after padding; dedup by site.
+        variants.sort_by_key(|v| (v.pos, v.ref_allele.clone(), v.alt_allele.clone()));
+        variants.dedup_by(|a, b| a.site_key() == b.site_key());
+        HaplotypeCallerResult { variants, windows }
+    }
 }
 
 #[cfg(test)]
@@ -397,5 +517,256 @@ mod tests {
             left.windows,
             right.windows
         );
+    }
+
+    // ---- same as the parent's caller, whatever the slice looks like ----
+
+    /// `Pileup::build` loop entries `f` causes on this thread.
+    fn records_piled_up<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        use crate::pileup::tests::RECORDS_ENTERED;
+        RECORDS_ENTERED.with(|n| n.set(0));
+        let out = f();
+        (out, RECORDS_ENTERED.with(|n| n.get()))
+    }
+
+    fn flip(b: u8) -> u8 {
+        match b {
+            b'A' => b'C',
+            b'C' => b'G',
+            b'G' => b'T',
+            _ => b'A',
+        }
+    }
+
+    #[test]
+    fn a_window_piles_up_its_own_reads_not_the_partition() {
+        // 2 000 reads of 100 bases every 20 bases (depth 5) over a
+        // 40 100-base chromosome, a homozygous SNP every 1 500 bases.
+        let mut seqs = reference(40_100);
+        let clean = seqs[0].clone();
+        for site in (700..40_000).step_by(1_500) {
+            seqs[0][site] = flip(seqs[0][site]);
+        }
+        let mut reads: Vec<SamRecord> = (0..2_000)
+            .map(|k| {
+                read(
+                    &format!("r{k}"),
+                    k as i64 * 20 + 1,
+                    &seqs[0][k * 20..k * 20 + 100],
+                )
+            })
+            .collect();
+        // The rest of a sorted file follows, as in the benchmark's
+        // probe: the next chromosome from position 1 again, then the
+        // unmapped reads.
+        for k in 0..200 {
+            let mut other = read(&format!("o{k}"), k * 20 + 1, &clean[..100]);
+            other.ref_id = 1;
+            reads.push(other);
+            reads.push(SamRecord::unmapped(
+                format!("u{k}"),
+                clean[..100].to_vec(),
+                vec![35; 100],
+            ));
+        }
+        let seqs = vec![clean];
+        let rv = RefView::new(&seqs);
+        let cfg = HaplotypeCallerConfig::default();
+        let (ours, piled) = records_piled_up(|| call_chromosome(&reads, 0, "chr1", rv, &cfg));
+        let (parents, parent_piled) =
+            records_piled_up(|| reference::call_range(&reads, 0, "chr1", 1, 40_100, rv, &cfg));
+        assert_eq!(ours.variants, parents.variants);
+        assert_eq!(ours.windows, parents.windows);
+        assert_eq!(ours.variants.len(), 27);
+        let n_windows = ours.windows.len() as u64;
+        assert!(n_windows >= 20, "{n_windows} windows");
+        // Phase 1 is one tile over every record, on both sides.
+        let phase1 = reads.len() as u64;
+        let overlapping: u64 = ours
+            .windows
+            .iter()
+            .map(|w| {
+                let overlaps =
+                    |r: &&SamRecord| r.ref_id == 0 && r.pos <= w.end && r.end_pos() >= w.start;
+                reads.iter().filter(overlaps).count() as u64
+            })
+            .sum();
+        assert!(
+            piled - phase1 <= 2 * overlapping + n_windows,
+            "{} records piled up for {overlapping} overlapping {n_windows} windows",
+            piled - phase1
+        );
+        assert_eq!(parent_piled - phase1, n_windows * reads.len() as u64);
+    }
+
+    use proptest::prelude::*;
+
+    /// (start, reference bases covered, planted sites carried, noise
+    /// offsets, kind).
+    type ReadSpec = (i64, usize, u16, Vec<usize>, usize);
+
+    /// A read copied from the reference that carries, by the bits of
+    /// `carries`, the planted SNPs (bit `i`) and indels (bit `8 + i`;
+    /// bit 15 picks one of two insertion alleles, so a column can hold
+    /// tied alleles whose order decides `top_indel`) it covers.
+    /// `kind` 7 is on the other chromosome, 8 unmapped (position kept),
+    /// 9 a duplicate, 10/11 soft-clipped left/right.
+    fn planted_read(
+        chrom: &[u8],
+        (start, len, carries, noise, kind): ReadSpec,
+        snps: &[i64],
+        indels: &[(i64, bool)],
+    ) -> SamRecord {
+        use gesall_formats::sam::cigar::CigarOp;
+        let (mut seq, mut ops, mut run) = (Vec::new(), Vec::new(), 0u32);
+        let mut p = start;
+        for covered in 1..=len {
+            let Some(&b) = chrom.get(p as usize - 1) else {
+                break;
+            };
+            let snp = snps.iter().position(|&s| s == p);
+            seq.push(if snp.is_some_and(|i| carries >> i & 1 == 1) {
+                flip(b)
+            } else {
+                b
+            });
+            run += 1;
+            let indel = indels.iter().position(|&(anchor, _)| anchor == p);
+            if let Some(i) = indel.filter(|i| carries >> (8 + i) & 1 == 1 && covered < len) {
+                ops.push(CigarOp::Match(std::mem::take(&mut run)));
+                if indels[i].1 {
+                    ops.push(CigarOp::Del(3));
+                    p += 3;
+                } else {
+                    seq.extend(if carries >> 15 == 1 { b"GT" } else { b"CA" });
+                    ops.push(CigarOp::Ins(2));
+                }
+            }
+            p += 1;
+        }
+        if run > 0 {
+            ops.push(CigarOp::Match(run));
+        }
+        for n in noise {
+            let at = n % seq.len();
+            seq[at] = flip(seq[at]);
+        }
+        match kind {
+            10 => {
+                seq.splice(0..0, *b"TTTT");
+                ops.insert(0, CigarOp::SoftClip(4));
+            }
+            11 => {
+                seq.extend(b"TTTTT");
+                ops.push(CigarOp::SoftClip(5));
+            }
+            _ => {}
+        }
+        let mut r = read("p", start, &seq);
+        r.cigar = Cigar(ops);
+        r.flags.set(Flags::REVERSE, carries >> 14 & 1 == 1);
+        r.flags.set(Flags::UNMAPPED, kind == 8);
+        r.flags.set(Flags::DUPLICATE, kind == 9);
+        if kind == 7 {
+            r.ref_id = 1;
+        }
+        r
+    }
+
+    /// A slice as `call_range` may meet it: 30–120 planted reads over a
+    /// 600-base chromosome (SNPs and indel anchors on a grid of 10, so
+    /// some coincide), in coordinate order with the other chromosome's
+    /// and the unmapped reads interleaved; sometimes a long-deletion
+    /// read; sometimes shuffled.
+    fn arb_slice() -> impl Strategy<Value = (Vec<Vec<u8>>, Vec<SamRecord>)> {
+        (
+            proptest::collection::vec(
+                (
+                    1i64..560,
+                    40usize..80,
+                    any::<u16>(),
+                    proptest::collection::vec(0usize..40, 0..2),
+                    0usize..12,
+                ),
+                30..120,
+            ),
+            proptest::collection::vec((2i64..58).prop_map(|x| x * 10), 0..5),
+            proptest::collection::vec(((3i64..57).prop_map(|x| x * 10), any::<bool>()), 0..3),
+            proptest::option::of((1i64..60, 200u32..450)),
+            proptest::option::of(any::<u64>()),
+        )
+            .prop_map(|(specs, snps, indels, long_deletion, shuffle)| {
+                let seqs = vec![reference(600).remove(0), reference(300).remove(0)];
+                let mut reads: Vec<SamRecord> = specs
+                    .into_iter()
+                    .map(|spec| planted_read(&seqs[0], spec, &snps, &indels))
+                    .collect();
+                if let Some((start, deleted)) = long_deletion {
+                    // Starts early, ends (15 bases past the deletion, one
+                    // of them a mismatch) where reads that start after it
+                    // have long since ended: only the running maximum of
+                    // `end_pos` keeps it in a late window's sub-slice.
+                    let tail = (start + 14 + deleted as i64) as usize;
+                    let mut seq = seqs[0][start as usize - 1..start as usize + 14].to_vec();
+                    seq.extend(&seqs[0][tail..tail + 15]);
+                    seq[20] = flip(seq[20]);
+                    let mut r = read("long", start, &seq);
+                    r.cigar = Cigar::parse(&format!("15M{deleted}D15M")).unwrap();
+                    reads.push(r);
+                }
+                reads.sort_by_key(|r| r.pos);
+                if let Some(mut state) = shuffle {
+                    // The unsorted branch (or, now and then, a
+                    // permutation that is still sorted).
+                    for i in (1..reads.len()).rev() {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        reads.swap(i, (state >> 33) as usize % (i + 1));
+                    }
+                }
+                (seqs, reads)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn calls_and_windows_equal_the_parents(
+            slice in arb_slice(),
+            lo in 1i64..200,
+            hi in 400i64..=600,
+            small_tiles in any::<bool>(),
+        ) {
+            let (seqs, reads) = slice;
+            let mut cfg = HaplotypeCallerConfig::default();
+            if small_tiles {
+                (cfg.tile, cfg.genotyper.tile) = (128, 48);
+            }
+            let rv = RefView::new(&seqs);
+            let ours = call_range(&reads, 0, "chr1", lo, hi, rv, &cfg);
+            let parents = reference::call_range(&reads, 0, "chr1", lo, hi, rv, &cfg);
+            prop_assert_eq!(ours.windows, parents.windows);
+            prop_assert_eq!(ours.variants, parents.variants);
+        }
+
+        #[test]
+        fn a_sub_slice_piles_up_like_the_whole_slice(
+            slice in arb_slice(),
+            start in 1i64..600,
+            len in 0i64..60,
+        ) {
+            // Every column — indel alleles in first-seen order included —
+            // for windows whose edges land on, just before and just after
+            // read starts and ends.
+            let (_, reads) = slice;
+            let filter = crate::pileup::PileupFilter::default();
+            let sub = overlapping_reads(&reads, 0)(start, start + len);
+            prop_assert_eq!(
+                format!("{:?}", Pileup::build(sub, 0, start, start + len, &filter).columns),
+                format!("{:?}", Pileup::build(&reads, 0, start, start + len, &filter).columns)
+            );
+        }
     }
 }

@@ -128,6 +128,8 @@ impl Pileup {
         let n = (end - start + 1) as usize;
         let mut columns = vec![PileupColumn::default(); n];
         let in_window = |pos: i64| pos >= start && pos <= end;
+        #[cfg(test)]
+        tests::RECORDS_ENTERED.with(|n| n.set(n.get() + records.len() as u64));
         for rec in records {
             if !rec.is_mapped()
                 || rec.ref_id != ref_id
@@ -248,9 +250,16 @@ fn add_indel(col: &mut PileupColumn, allele: IndelAllele) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gesall_formats::sam::{Cigar, Flags};
+
+    thread_local! {
+        /// Records handed to [`Pileup::build`]'s loop on this thread
+        /// (the callers' count gates read it).
+        pub(crate) static RECORDS_ENTERED: std::cell::Cell<u64> =
+            const { std::cell::Cell::new(0) };
+    }
 
     fn read(name: &str, pos: i64, cigar: &str, seq: &[u8]) -> SamRecord {
         let cigar = Cigar::parse(cigar).unwrap();
