@@ -287,16 +287,10 @@ pub fn final_parts_stage(config: &PlatformConfig) -> &'static str {
 /// what lets an executor overlap them with siblings and cache them
 /// independently.
 pub fn pipeline_dag(config: &PlatformConfig) -> DagSpec {
-    // Per-stage config slices. known_sites is an unordered set: sort it
-    // so the fingerprint is deterministic across runs.
-    let mut sites: Vec<(i32, i64)> = config.known_sites.iter().copied().collect();
-    sites.sort_unstable();
-
+    // Each stage fingerprints only its own config slice.
     let mut stages = vec![
-        StageSpec::new("round1-align", &[]).config_fp(config_fingerprint(&[
-            &config.n_round1_partitions,
-            &config.bwa_threads_per_mapper,
-        ])),
+        StageSpec::new("round1-align", &[])
+            .config_fp(config_fingerprint(&[&config.n_round1_partitions])),
         StageSpec::new("round2-clean-fixmate", &["round1-align"])
             .config_fp(config_fingerprint(&[&config.read_group, &config.n_reducers])),
     ];
@@ -315,18 +309,15 @@ pub fn pipeline_dag(config: &PlatformConfig) -> DagSpec {
     stages.push(StageSpec::new("round4-sort", &["round3-markdup"]));
     let mut tail_parent = "round4-sort";
     if config.recalibrate {
-        stages.push(
-            StageSpec::new("round4a-recal-table", &["round4-sort"])
-                .config_fp(config_fingerprint(&[&config.recal, &sites])),
-        );
-        stages.push(
-            StageSpec::new("round4b-print-reads", &["round4-sort", "round4a-recal-table"])
-                .config_fp(config_fingerprint(&[&config.recal])),
-        );
+        stages.push(StageSpec::new("round4a-recal-table", &["round4-sort"]));
+        stages.push(StageSpec::new(
+            "round4b-print-reads",
+            &["round4-sort", "round4a-recal-table"],
+        ));
         tail_parent = "round4b-print-reads";
     }
     let round5_fp = match config.caller {
-        CallerChoice::UnifiedGenotyper => config_fingerprint(&[&config.ug]),
+        CallerChoice::UnifiedGenotyper => 0,
         CallerChoice::HaplotypeCaller => {
             config_fingerprint(&[&config.hc, &config.hc_partitioning])
         }

@@ -19,9 +19,9 @@ use crate::rounds::{
     Round2FixMateReducer, Round3MarkDupMapper, Round3MarkDupReducer, Round4SortMapper,
     Round4SortReducer, Round5HaplotypeCaller,
 };
-use crate::storage;
 use gesall_aligner::Aligner;
 use gesall_dfs::{checksum, Dfs, LogicalPartitionPlacement};
+use gesall_formats::bam::{self, BamWriter, FrameHeader};
 use gesall_formats::fastq::{pairs_to_interleaved_bytes, split_pairs_into_partitions, ReadPair};
 use gesall_formats::sam::header::ReadGroup;
 use gesall_formats::sam::{SamHeader, SamRecord, SortOrder};
@@ -30,7 +30,7 @@ use gesall_formats::wire::{self, Wire};
 use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::lease::SlotLease;
-use gesall_mapreduce::runtime::{InputSplit, JobConfig, MapReduceEngine};
+use gesall_mapreduce::runtime::{InputSplit, JobConfig, JobResult, MapReduceEngine};
 use gesall_mapreduce::task::{FnPartitioner, HashPartitioner};
 use gesall_telemetry::{kernel_keys, report, OpenSpan, PhaseRow, Recorder, SpanId, SpanKind};
 use gesall_tools::haplotype_caller::{call_chromosome, HaplotypeCallerConfig};
@@ -176,16 +176,11 @@ pub struct PlatformConfig {
     pub n_round1_partitions: usize,
     /// Reducers for the shuffling rounds (2 and 3).
     pub n_reducers: usize,
-    /// Threads each alignment mapper gives its wrapped Bwa.
-    pub bwa_threads_per_mapper: usize,
     /// Use the bloom-filter MarkDup_opt variant.
     pub markdup_opt: bool,
     /// Run the base-recalibration rounds (Table 2 steps 11–12) between
     /// sort and variant calling.
     pub recalibrate: bool,
-    /// Known variant sites excluded from the recalibration error tally
-    /// (the dbSNP role).
-    pub known_sites: std::sync::Arc<std::collections::HashSet<(i32, i64)>>,
     /// Which variant caller round 5 wraps.
     pub caller: CallerChoice,
     /// Round-5 partitioning scheme for the HaplotypeCaller.
@@ -197,8 +192,6 @@ pub struct PlatformConfig {
     pub seed: u64,
     pub read_group: ReadGroup,
     pub hc: HaplotypeCallerConfig,
-    pub ug: gesall_tools::unified_genotyper::GenotyperConfig,
-    pub recal: gesall_tools::recalibration::RecalConfig,
 }
 
 impl Default for PlatformConfig {
@@ -206,10 +199,8 @@ impl Default for PlatformConfig {
         PlatformConfig {
             n_round1_partitions: 4,
             n_reducers: 4,
-            bwa_threads_per_mapper: 1,
             markdup_opt: true,
             recalibrate: false,
-            known_sites: std::sync::Arc::new(std::collections::HashSet::new()),
             caller: CallerChoice::HaplotypeCaller,
             hc_partitioning: HcPartitioning::Chromosome,
             io_sort_bytes: 8 * 1024 * 1024,
@@ -217,8 +208,6 @@ impl Default for PlatformConfig {
             seed: 0x6765_7361_6c6c_0001,
             read_group: ReadGroup::new("rg1", "sample1"),
             hc: HaplotypeCallerConfig::default(),
-            ug: gesall_tools::unified_genotyper::GenotyperConfig::default(),
-            recal: gesall_tools::recalibration::RecalConfig::default(),
         }
     }
 }
@@ -406,42 +395,37 @@ impl GesallPlatform {
         }
     }
 
-    /// Stage a set of BAM logical partitions on the DFS and return the
-    /// input splits (one per partition, data-local).
-    fn stage_bam_partitions(
+    /// Write one logical partition — every block on one node — and return
+    /// the input split for it. One backing serves both the DFS blocks
+    /// and the mapper's input: placing copies nothing and nothing is
+    /// read back.
+    fn place(
         &self,
-        base: &str,
-        header: &SamHeader,
-        partitions: &[Vec<SamRecord>],
-    ) -> Result<Vec<InputSplit<String, SharedBytes>>> {
-        let placed = storage::upload_partitions(&self.dfs, base, header, partitions)?;
-        let mut splits = Vec::with_capacity(placed.len());
-        for (path, home) in placed {
-            let bytes = self.read_partition_bytes(&path)?;
-            let mut split = InputSplit::new(path.clone(), vec![(path, bytes)]);
-            if let Some(node) = home {
-                split = split.at_node(node % self.engine.cluster().n_nodes());
-            }
-            splits.push(split);
-        }
-        Ok(splits)
+        path: &str,
+        label: String,
+        bytes: SharedBytes,
+    ) -> Result<InputSplit<String, SharedBytes>> {
+        let info =
+            self.dfs
+                .write_shared_with_policy(path, bytes.clone(), &LogicalPartitionPlacement)?;
+        let split = InputSplit::new(label.clone(), vec![(label, bytes)]);
+        Ok(match info.single_home() {
+            Some(node) => split.at_node(node % self.engine.cluster().n_nodes()),
+            None => split,
+        })
     }
 
-    fn read_partition_bytes(&self, path: &str) -> Result<SharedBytes> {
-        // Reassemble through the block-aware frame reader (the §3.1
-        // path). The frames are zero-copy block slices; the one copy
-        // left on this path is gluing them into the mapper's contiguous
-        // input buffer (skipped when the file is a single frame).
-        let mut frames = storage::read_frames_from_dfs(&self.dfs, path)?;
-        if frames.len() == 1 {
-            return Ok(frames.pop().unwrap());
+    /// Place a resolved stage's partitions under `{base}/{stage}/part-NNNNN`
+    /// and file the splits under the producer's name, where every
+    /// consumer finds them.
+    fn place_parts(&self, cx: &mut StageCtx<'_>, stage: &str, parts: &[SharedBytes]) -> Result<()> {
+        let mut splits = Vec::with_capacity(parts.len());
+        for (i, bytes) in parts.iter().enumerate() {
+            let path = format!("{}/{stage}/part-{i:05}", cx.base);
+            splits.push(self.place(&path, path.clone(), bytes.clone())?);
         }
-        let bytes = frames.concat();
-        self.dfs
-            .metrics()
-            .counter(gesall_dfs::metrics_keys::BYTES_COPIED)
-            .add(bytes.len() as u64);
-        Ok(SharedBytes::from_vec(bytes))
+        cx.splits.insert(stage.to_string(), splits);
+        Ok(())
     }
 
     /// Run the full pipeline on interleaved read pairs, through the
@@ -474,7 +458,9 @@ impl GesallPlatform {
     /// store under `{cas_root}/cas/{key}`. A key that hits is decoded
     /// instead of executed (`dag.stages.cache_hit` vs `dag.stages.run`),
     /// so re-running with one changed stage re-executes exactly that
-    /// stage and its descendants. Every entry touched is pinned until
+    /// stage and its descendants. A partition stage's entry is its
+    /// partition bytes: hit or run, they are placed on the DFS once and
+    /// become its consumers' input splits. Every entry touched is pinned until
     /// the run finishes, so retention sweeps and TTL can never delete a
     /// live intermediate out from under a dependent stage.
     pub fn run_pipeline_dag(
@@ -527,10 +513,14 @@ impl GesallPlatform {
                     let mut cached = None;
                     if dag_opts.cache {
                         if let Some(bytes) = self.dfs.cas_get(&cas_root, key)? {
-                            // A corrupt entry decodes to a miss: the
+                            // A torn or garbled entry is a miss: the
                             // stage re-runs, and `cas_put` on the same
-                            // key is a no-op hit, so nothing is torn.
-                            cached = StageData::from_wire_bytes(&bytes).ok();
+                            // key degrades to a hit on the entry as it
+                            // stands, so it stays a miss until retention
+                            // sweeps it.
+                            cached = StageData::from_wire_bytes(&bytes)
+                                .ok()
+                                .filter(StageData::parts_are_whole);
                         }
                     }
                     let cache_hit = cached.is_some();
@@ -548,6 +538,9 @@ impl GesallPlatform {
                             d
                         }
                     };
+                    if let StageData::Parts(parts) = &out {
+                        self.place_parts(&mut cx, name, parts)?;
+                    }
                     if dag_opts.cache {
                         // Pinned for the rest of the run: a dependent
                         // stage may range-read this entry long after a
@@ -601,7 +594,7 @@ impl GesallPlatform {
                 "stage {final_stage} did not produce partitions"
             )));
         };
-        let records: Vec<SamRecord> = parts.into_iter().flatten().collect();
+        let records = decode_parts(&parts)?;
         let Some(StageData::Variants(variants)) = data.remove(dag::round5_stage_name(&self.config))
         else {
             return Err(PlatformError::Invariant(
@@ -623,20 +616,25 @@ impl GesallPlatform {
     ) -> Result<PipelineOutput> {
         let (mut cx, pipeline_span, pipeline_name, _ns) = self.begin_run(aligner, opts);
         let r1 = self.stage_round1(&mut cx, pairs)?;
-        let r2 = self.stage_round2(&mut cx, &r1)?;
+        self.place_parts(&mut cx, "round1-align", &r1)?;
+        let r2 = self.stage_round2(&mut cx)?;
+        self.place_parts(&mut cx, "round2-clean-fixmate", &r2)?;
         let bloom = if self.config.markdup_opt {
-            Some(Arc::new(self.stage_round2b(&mut cx, &r2)?))
+            Some(Arc::new(self.stage_round2b(&mut cx)?))
         } else {
             None
         };
-        let r3 = self.stage_round3(&mut cx, &r2, bloom)?;
-        let mut r4 = self.stage_round4(&mut cx, &r3)?;
+        let r3 = self.stage_round3(&mut cx, bloom)?;
+        self.place_parts(&mut cx, "round3-markdup", &r3)?;
+        let mut last = self.stage_round4(&mut cx)?;
+        self.place_parts(&mut cx, "round4-sort", &last)?;
         if self.config.recalibrate {
-            let table = Arc::new(self.stage_round4a(&mut cx, &r4)?);
-            r4 = self.stage_round4b(&mut cx, &r4, table)?;
+            let table = Arc::new(self.stage_round4a(&mut cx)?);
+            last = self.stage_round4b(&mut cx, table)?;
+            self.place_parts(&mut cx, "round4b-print-reads", &last)?;
         }
-        let variants = self.stage_round5(&mut cx, &r4)?;
-        let records: Vec<SamRecord> = r4.into_iter().flatten().collect();
+        let variants = self.stage_round5(&mut cx)?;
+        let records = decode_parts(&last)?;
         Ok(self.finish_run(cx, pipeline_span, &pipeline_name, records, variants, Vec::new()))
     }
 
@@ -689,28 +687,9 @@ impl GesallPlatform {
             references,
             chrom_names,
             rounds: Vec::new(),
-            staged: HashMap::new(),
+            splits: HashMap::new(),
         };
         (cx, pipeline_span, pipeline_name, ns)
-    }
-
-    /// [`Self::stage_bam_partitions`] memoized on the DFS dir: the first
-    /// caller uploads and splits, later callers in the same run reuse
-    /// the splits without touching the DFS again.
-    fn staged_bam_partitions(
-        &self,
-        cx: &mut StageCtx<'_>,
-        dir: String,
-        sorted: bool,
-        partitions: &[Vec<SamRecord>],
-    ) -> Result<Vec<InputSplit<String, SharedBytes>>> {
-        if let Some(splits) = cx.staged.get(&dir) {
-            return Ok(splits.clone());
-        }
-        let header = if sorted { &cx.sorted_header } else { &cx.header };
-        let splits = self.stage_bam_partitions(&dir, header, partitions)?;
-        cx.staged.insert(dir, splits.clone());
-        Ok(splits)
     }
 
     /// Shared postamble: close the pipeline span with the cumulative
@@ -739,8 +718,9 @@ impl GesallPlatform {
         }
     }
 
-    /// Dispatch one DAG stage body against its parents' in-memory
-    /// outputs.
+    /// Dispatch one DAG stage body. Partition inputs come from the
+    /// splits its parents placed in `cx`; `data` carries the two small
+    /// side inputs (bloom filter, recalibration table).
     fn execute_stage(
         &self,
         cx: &mut StageCtx<'_>,
@@ -748,17 +728,6 @@ impl GesallPlatform {
         data: &HashMap<String, StageData>,
         pairs: &mut Option<Vec<ReadPair>>,
     ) -> Result<StageData> {
-        fn parts<'a>(
-            data: &'a HashMap<String, StageData>,
-            stage: &str,
-        ) -> Result<&'a Vec<Vec<SamRecord>>> {
-            match data.get(stage) {
-                Some(StageData::Parts(p)) => Ok(p),
-                _ => Err(PlatformError::Invariant(format!(
-                    "stage input {stage} missing or mistyped"
-                ))),
-            }
-        }
         match name {
             "round1-align" => {
                 let pairs = pairs.take().ok_or_else(|| {
@@ -766,12 +735,8 @@ impl GesallPlatform {
                 })?;
                 Ok(StageData::Parts(self.stage_round1(cx, pairs)?))
             }
-            "round2-clean-fixmate" => Ok(StageData::Parts(
-                self.stage_round2(cx, parts(data, "round1-align")?)?,
-            )),
-            "round2b-bloom" => Ok(StageData::Bloom(
-                self.stage_round2b(cx, parts(data, "round2-clean-fixmate")?)?,
-            )),
+            "round2-clean-fixmate" => Ok(StageData::Parts(self.stage_round2(cx)?)),
+            "round2b-bloom" => Ok(StageData::Bloom(self.stage_round2b(cx)?)),
             "round3-markdup" => {
                 let bloom = if self.config.markdup_opt {
                     match data.get("round2b-bloom") {
@@ -785,18 +750,10 @@ impl GesallPlatform {
                 } else {
                     None
                 };
-                Ok(StageData::Parts(self.stage_round3(
-                    cx,
-                    parts(data, "round2-clean-fixmate")?,
-                    bloom,
-                )?))
+                Ok(StageData::Parts(self.stage_round3(cx, bloom)?))
             }
-            "round4-sort" => Ok(StageData::Parts(
-                self.stage_round4(cx, parts(data, "round3-markdup")?)?,
-            )),
-            "round4a-recal-table" => Ok(StageData::Recal(
-                self.stage_round4a(cx, parts(data, "round4-sort")?)?,
-            )),
+            "round4-sort" => Ok(StageData::Parts(self.stage_round4(cx)?)),
+            "round4a-recal-table" => Ok(StageData::Recal(self.stage_round4a(cx)?)),
             "round4b-print-reads" => {
                 let table = match data.get("round4a-recal-table") {
                     Some(StageData::Recal(t)) => Arc::new(t.clone()),
@@ -806,45 +763,24 @@ impl GesallPlatform {
                         ))
                     }
                 };
-                Ok(StageData::Parts(self.stage_round4b(
-                    cx,
-                    parts(data, "round4-sort")?,
-                    table,
-                )?))
+                Ok(StageData::Parts(self.stage_round4b(cx, table)?))
             }
-            n if n.starts_with("round5-") => Ok(StageData::Variants(self.stage_round5(
-                cx,
-                parts(data, dag::final_parts_stage(&self.config))?,
-            )?)),
+            n if n.starts_with("round5-") => Ok(StageData::Variants(self.stage_round5(cx)?)),
             other => Err(PlatformError::Invariant(format!("unknown stage {other}"))),
         }
     }
 
-    /// Round 1: alignment (map-only over FASTQ logical partitions).
-    fn stage_round1(
-        &self,
-        cx: &mut StageCtx<'_>,
-        pairs: Vec<ReadPair>,
-    ) -> Result<Vec<Vec<SamRecord>>> {
+    /// Round 1: alignment (map-only over FASTQ logical partitions). The
+    /// mappers emit BAM bytes: they are the output partitions.
+    fn stage_round1(&self, cx: &mut StageCtx<'_>, pairs: Vec<ReadPair>) -> Result<Vec<SharedBytes>> {
         let parts = split_pairs_into_partitions(pairs, self.config.n_round1_partitions.max(1));
-        let mut splits = Vec::new();
+        let mut splits = Vec::with_capacity(parts.len());
         for (i, part) in parts.iter().enumerate() {
             let path = format!("{}/fastq/part-{i:05}", cx.base);
-            // One backing serves both the DFS blocks and the mapper's
-            // input split — staging copies nothing.
             let bytes = SharedBytes::from_vec(pairs_to_interleaved_bytes(part));
-            let info =
-                self.dfs
-                    .write_shared_with_policy(&path, bytes.clone(), &LogicalPartitionPlacement)?;
-            let mut split = InputSplit::new(path.clone(), vec![(path, bytes)]);
-            if let Some(node) = info.single_home() {
-                split = split.at_node(node % self.engine.cluster().n_nodes());
-            }
-            splits.push(split);
+            splits.push(self.place(&path, path.clone(), bytes)?);
         }
-        let rspan = cx
-            .recorder
-            .start(SpanKind::Round, "round1-align", cx.pipeline_span);
+        let rspan = cx.open_round("round1-align");
         // The aligner-side kernels (packed rank, banded SW) report on
         // process-wide atomics; bracket the round with snapshots so the
         // round counters carry exactly this run's kernel activity.
@@ -853,7 +789,7 @@ impl GesallPlatform {
             self.job_config(cx.opts, "round1-align", 1, rspan.id),
             &Round1Align {
                 aligner: cx.aligner,
-                threads_per_mapper: self.config.bwa_threads_per_mapper,
+                threads_per_mapper: 1,
                 counters: cx.counters.clone(),
             },
             splits,
@@ -869,32 +805,22 @@ impl GesallPlatform {
                 r1.counters.add(key, val);
             }
         }
-        r1.counters.merge(&cx.counters);
-        let s = summary("round1-align", &r1.counters, &r1.events, r1.wall_ms);
-        cx.finish_round(rspan, s);
-        // Round 1 output partitions (BAM bytes), already grouped by name
-        // (pairs adjacent).
-        Ok(r1
-            .outputs
-            .iter()
-            .map(|out| {
-                let (_, bytes) = &out[0];
-                gesall_formats::bam::read_bam(bytes).expect("round1 bam").1
+        // Already grouped by name (pairs adjacent).
+        cx.close_round(rspan, "round1-align", r1)
+            .into_iter()
+            .map(|out| match out.into_iter().next() {
+                Some((_, bam_bytes)) => Ok(SharedBytes::from_vec(bam_bytes)),
+                None => Err(PlatformError::Invariant(
+                    "a round-1 mapper emitted no partition".into(),
+                )),
             })
-            .collect())
+            .collect()
     }
 
     /// Round 2: clean (map) + fix-mate (reduce), shuffled by read name.
-    fn stage_round2(
-        &self,
-        cx: &mut StageCtx<'_>,
-        r1_parts: &[Vec<SamRecord>],
-    ) -> Result<Vec<Vec<SamRecord>>> {
-        let splits =
-            self.stage_bam_partitions(&format!("{}/round2in", cx.base), &cx.header, r1_parts)?;
-        let rspan = cx
-            .recorder
-            .start(SpanKind::Round, "round2-clean-fixmate", cx.pipeline_span);
+    fn stage_round2(&self, cx: &mut StageCtx<'_>) -> Result<Vec<SharedBytes>> {
+        let splits = cx.splits_of("round1-align")?;
+        let rspan = cx.open_round("round2-clean-fixmate");
         let r2 = self.engine.run_job(
             self.job_config(cx.opts, "round2-clean-fixmate", self.config.n_reducers, rspan.id),
             &Round2CleanMapper {
@@ -908,24 +834,15 @@ impl GesallPlatform {
             &HashPartitioner,
             splits,
         )?;
-        r2.counters.merge(&cx.counters);
-        let s = summary("round2-clean-fixmate", &r2.counters, &r2.events, r2.wall_ms);
-        cx.finish_round(rspan, s);
-        Ok(collect_parts(&r2.outputs))
+        let outputs = cx.close_round(rspan, "round2-clean-fixmate", r2);
+        Ok(encode_parts(&cx.header, outputs))
     }
 
     /// Round 2½: bloom-filter build over the cleaned parts
     /// (`MarkDup_opt` only).
-    fn stage_round2b(
-        &self,
-        cx: &mut StageCtx<'_>,
-        r2_parts: &[Vec<SamRecord>],
-    ) -> Result<BloomFilter> {
-        let splits =
-            self.staged_bam_partitions(cx, format!("{}/round2out", cx.base), false, r2_parts)?;
-        let rspan = cx
-            .recorder
-            .start(SpanKind::Round, "round2b-bloom", cx.pipeline_span);
+    fn stage_round2b(&self, cx: &mut StageCtx<'_>) -> Result<BloomFilter> {
+        let splits = cx.splits_of("round2-clean-fixmate")?;
+        let rspan = cx.open_round("round2b-bloom");
         let rb = self.engine.run_map_only(
             self.job_config(cx.opts, "round2b-bloom", 1, rspan.id),
             &BloomBuildMapper {
@@ -933,25 +850,19 @@ impl GesallPlatform {
             },
             splits,
         )?;
-        let n_keys: usize = rb.outputs.iter().map(Vec::len).sum();
-        rb.counters.merge(&cx.counters);
-        let s = summary("round2b-bloom", &rb.counters, &rb.events, rb.wall_ms);
-        cx.finish_round(rspan, s);
-        Ok(build_bloom_from_outputs(&rb.outputs, n_keys.max(64)))
+        let outputs = cx.close_round(rspan, "round2b-bloom", rb);
+        let n_keys: usize = outputs.iter().map(Vec::len).sum();
+        Ok(build_bloom_from_outputs(&outputs, n_keys.max(64)))
     }
 
     /// Round 3: MarkDuplicates under the compound 5′-end shuffle.
     fn stage_round3(
         &self,
         cx: &mut StageCtx<'_>,
-        r2_parts: &[Vec<SamRecord>],
         bloom: Option<Arc<BloomFilter>>,
-    ) -> Result<Vec<Vec<SamRecord>>> {
-        let splits =
-            self.staged_bam_partitions(cx, format!("{}/round2out", cx.base), false, r2_parts)?;
-        let rspan = cx
-            .recorder
-            .start(SpanKind::Round, "round3-markdup", cx.pipeline_span);
+    ) -> Result<Vec<SharedBytes>> {
+        let splits = cx.splits_of("round2-clean-fixmate")?;
+        let rspan = cx.open_round("round3-markdup");
         let r3 = self.engine.run_job(
             self.job_config(
                 cx.opts,
@@ -974,27 +885,17 @@ impl GesallPlatform {
             &HashPartitioner,
             splits,
         )?;
-        r3.counters.merge(&cx.counters);
-        let s = summary("round3-markdup", &r3.counters, &r3.events, r3.wall_ms);
-        cx.finish_round(rspan, s);
-        Ok(collect_parts(&r3.outputs))
+        let outputs = cx.close_round(rspan, "round3-markdup", r3);
+        Ok(encode_parts(&cx.header, outputs))
     }
 
     /// Round 4: range-partitioned coordinate sort (one reducer per
     /// chromosome plus the unmapped partition).
-    fn stage_round4(
-        &self,
-        cx: &mut StageCtx<'_>,
-        r3_parts: &[Vec<SamRecord>],
-    ) -> Result<Vec<Vec<SamRecord>>> {
-        let n_chroms = cx.chrom_names.len();
-        let splits =
-            self.stage_bam_partitions(&format!("{}/round4in", cx.base), &cx.header, r3_parts)?;
-        let rspan = cx
-            .recorder
-            .start(SpanKind::Round, "round4-sort", cx.pipeline_span);
+    fn stage_round4(&self, cx: &mut StageCtx<'_>) -> Result<Vec<SharedBytes>> {
+        let splits = cx.splits_of("round3-markdup")?;
+        let rspan = cx.open_round("round4-sort");
         let r4 = self.engine.run_job(
-            self.job_config(cx.opts, "round4-sort", n_chroms + 1, rspan.id),
+            self.job_config(cx.opts, "round4-sort", cx.chrom_names.len() + 1, rspan.id),
             &Round4SortMapper {
                 counters: cx.counters.clone(),
             },
@@ -1002,123 +903,76 @@ impl GesallPlatform {
             &FnPartitioner::new(|k: &RangeKey, n| chromosome_partition(k, n)),
             splits,
         )?;
-        r4.counters.merge(&cx.counters);
-        let s = summary("round4-sort", &r4.counters, &r4.events, r4.wall_ms);
-        cx.finish_round(rspan, s);
-        Ok(collect_parts(&r4.outputs))
+        let outputs = cx.close_round(rspan, "round4-sort", r4);
+        Ok(encode_parts(&cx.sorted_header, outputs))
     }
 
     /// Round 4½a: per-partition covariate tables (BaseRecalibrator),
     /// merged into the whole-dataset table — the tally is distributive.
-    fn stage_round4a(
-        &self,
-        cx: &mut StageCtx<'_>,
-        r4_parts: &[Vec<SamRecord>],
-    ) -> Result<RecalTable> {
-        let n_chroms = cx.chrom_names.len();
-        let splits = self.staged_bam_partitions(
-            cx,
-            format!("{}/round4sorted", cx.base),
-            true,
-            &r4_parts[..n_chroms],
-        )?;
-        let rspan = cx
-            .recorder
-            .start(SpanKind::Round, "round4a-recal-table", cx.pipeline_span);
+    fn stage_round4a(&self, cx: &mut StageCtx<'_>) -> Result<RecalTable> {
+        let mut splits = cx.splits_of("round4-sort")?;
+        splits.truncate(cx.chrom_names.len());
+        let rspan = cx.open_round("round4a-recal-table");
         let ra = self.engine.run_map_only(
             self.job_config(cx.opts, "round4a-recal-table", 1, rspan.id),
             &crate::rounds::RecalTableMapper {
                 references: cx.references.clone(),
-                known_sites: self.config.known_sites.clone(),
-                config: self.config.recal.clone(),
+                known_sites: Arc::default(),
+                config: Default::default(),
                 counters: cx.counters.clone(),
             },
             splits,
         )?;
-        let table = crate::rounds::merge_recal_tables(&ra.outputs);
-        ra.counters.merge(&cx.counters);
-        let s = summary("round4a-recal-table", &ra.counters, &ra.events, ra.wall_ms);
-        cx.finish_round(rspan, s);
-        Ok(table)
+        let outputs = cx.close_round(rspan, "round4a-recal-table", ra);
+        Ok(crate::rounds::merge_recal_tables(&outputs))
     }
 
     /// Round 4½b: apply the merged table (PrintReads). Returns the full
-    /// partition set: recalibrated chromosome parts plus the untouched
-    /// unmapped partition.
+    /// partition set: recalibrated chromosome parts plus round 4's
+    /// unmapped partition, handed on as the bytes it already is.
     fn stage_round4b(
         &self,
         cx: &mut StageCtx<'_>,
-        r4_parts: &[Vec<SamRecord>],
         table: Arc<RecalTable>,
-    ) -> Result<Vec<Vec<SamRecord>>> {
-        let n_chroms = cx.chrom_names.len();
-        let splits = self.staged_bam_partitions(
-            cx,
-            format!("{}/round4sorted", cx.base),
-            true,
-            &r4_parts[..n_chroms],
-        )?;
-        let rspan = cx
-            .recorder
-            .start(SpanKind::Round, "round4b-print-reads", cx.pipeline_span);
+    ) -> Result<Vec<SharedBytes>> {
+        let mut splits = cx.splits_of("round4-sort")?;
+        let unmapped = splits.split_off(cx.chrom_names.len());
+        let rspan = cx.open_round("round4b-print-reads");
         let rb2 = self.engine.run_map_only(
             self.job_config(cx.opts, "round4b-print-reads", 1, rspan.id),
             &crate::rounds::PrintReadsMapper {
                 table,
-                config: self.config.recal.clone(),
+                config: Default::default(),
                 counters: cx.counters.clone(),
             },
             splits,
         )?;
-        rb2.counters.merge(&cx.counters);
-        let s = summary("round4b-print-reads", &rb2.counters, &rb2.events, rb2.wall_ms);
-        cx.finish_round(rspan, s);
-        let mut parts: Vec<Vec<SamRecord>> = rb2
-            .outputs
-            .into_iter()
-            .map(|out| out.into_iter().map(|(_, r)| r).collect())
-            .collect();
-        parts.extend_from_slice(&r4_parts[n_chroms..]);
+        let outputs = cx.close_round(rspan, "round4b-print-reads", rb2);
+        let mut parts = encode_parts(&cx.sorted_header, outputs);
+        parts.extend(unmapped.into_iter().flat_map(|s| s.records).map(|(_, bytes)| bytes));
         Ok(parts)
     }
 
     /// Round 5: variant calling under the configured caller and
     /// partitioning scheme. The unmapped partition (index `n_chroms`)
     /// is skipped.
-    fn stage_round5(
-        &self,
-        cx: &mut StageCtx<'_>,
-        parts: &[Vec<SamRecord>],
-    ) -> Result<Vec<VariantRecord>> {
-        let n_chroms = cx.chrom_names.len();
+    fn stage_round5(&self, cx: &mut StageCtx<'_>) -> Result<Vec<VariantRecord>> {
+        let mut splits = cx.splits_of(dag::final_parts_stage(&self.config))?;
+        splits.truncate(cx.chrom_names.len());
         let round5_name = dag::round5_stage_name(&self.config);
-        let rspan = cx
-            .recorder
-            .start(SpanKind::Round, round5_name, cx.pipeline_span);
+        let rspan = cx.open_round(round5_name);
         let r5 = match (self.config.caller, self.config.hc_partitioning) {
-            (CallerChoice::UnifiedGenotyper, _) => {
-                let splits = self.stage_bam_partitions(
-                    &format!("{}/round5in", cx.base),
-                    &cx.sorted_header,
-                    &parts[..n_chroms],
-                )?;
-                self.engine.run_map_only(
-                    self.job_config(cx.opts, "round5-unifiedgenotyper", 1, rspan.id),
-                    &crate::rounds::Round5UnifiedGenotyper {
-                        references: cx.references.clone(),
-                        chrom_names: cx.chrom_names.clone(),
-                        config: self.config.ug.clone(),
-                        counters: cx.counters.clone(),
-                    },
-                    splits,
-                )?
-            }
+            (CallerChoice::UnifiedGenotyper, _) => self.engine.run_map_only(
+                self.job_config(cx.opts, "round5-unifiedgenotyper", 1, rspan.id),
+                &crate::rounds::Round5UnifiedGenotyper {
+                    references: cx.references.clone(),
+                    chrom_names: cx.chrom_names.clone(),
+                    config: Default::default(),
+                    counters: cx.counters.clone(),
+                },
+                splits,
+            )?,
             (CallerChoice::HaplotypeCaller, HcPartitioning::Chromosome) => {
-                let splits = self.stage_bam_partitions(
-                    &format!("{}/round5in", cx.base),
-                    &cx.sorted_header,
-                    &parts[..n_chroms],
-                )?;
                 self.engine.run_map_only(
                     self.job_config(cx.opts, "round5-haplotypecaller", 1, rspan.id),
                     &Round5HaplotypeCaller {
@@ -1134,43 +988,33 @@ impl GesallPlatform {
                 // The §3.2 overlapping range scheme: reads overlapping a
                 // padded span are replicated into that segment's
                 // partition; calls are emitted from segment cores only.
+                // Cutting segments is the one stage input the driver
+                // decodes.
                 let ranges = crate::gdpt::OverlappingRanges::new(segment_len, overlap);
-                let mut splits = Vec::new();
-                for (ref_id, part) in parts[..n_chroms].iter().enumerate() {
+                let mut segments = Vec::new();
+                for (ref_id, (_, part)) in splits.iter().flat_map(|s| &s.records).enumerate() {
                     let chrom_len = cx.references[ref_id].len() as i64;
-                    if part.is_empty() {
+                    let (_, records) = bam::read_bam(part)?;
+                    if records.is_empty() {
                         continue;
                     }
                     for seg in 0..ranges.n_segments(chrom_len) {
                         let (span_s, span_e) = ranges.segment_span(seg, chrom_len);
                         let core_s = seg as i64 * segment_len + 1;
                         let core_e = ((seg as i64 + 1) * segment_len).min(chrom_len);
-                        let seg_records: Vec<SamRecord> = part
-                            .iter()
-                            .filter(|r| {
-                                r.is_mapped() && r.pos <= span_e && r.end_pos() >= span_s
-                            })
-                            .cloned()
-                            .collect();
+                        let mut w = BamWriter::new(&cx.sorted_header);
+                        for r in &records {
+                            if r.is_mapped() && r.pos <= span_e && r.end_pos() >= span_s {
+                                w.write_record(r.clone());
+                            }
+                        }
                         let label = crate::rounds::fine_segment_label(
                             ref_id as i32,
                             (core_s, core_e),
                             (span_s, span_e),
                         );
-                        let bytes = SharedBytes::from_vec(
-                            gesall_formats::bam::write_bam(&cx.sorted_header, &seg_records),
-                        );
                         let path = format!("{}/round5fine/{label}", cx.base);
-                        let info = self.dfs.write_shared_with_policy(
-                            &path,
-                            bytes.clone(),
-                            &LogicalPartitionPlacement,
-                        )?;
-                        let mut split = InputSplit::new(label.clone(), vec![(label, bytes)]);
-                        if let Some(node) = info.single_home() {
-                            split = split.at_node(node % self.engine.cluster().n_nodes());
-                        }
-                        splits.push(split);
+                        segments.push(self.place(&path, label, SharedBytes::from_vec(w.finish().0))?);
                     }
                 }
                 self.engine.run_map_only(
@@ -1181,15 +1025,12 @@ impl GesallPlatform {
                         config: self.config.hc.clone(),
                         counters: cx.counters.clone(),
                     },
-                    splits,
+                    segments,
                 )?
             }
         };
-        r5.counters.merge(&cx.counters);
-        let s = summary(round5_name, &r5.counters, &r5.events, r5.wall_ms);
-        cx.finish_round(rspan, s);
-        let mut variants: Vec<VariantRecord> = r5
-            .outputs
+        let mut variants: Vec<VariantRecord> = cx
+            .close_round(rspan, round5_name, r5)
             .into_iter()
             .flatten()
             .map(|(_, v)| v)
@@ -1199,9 +1040,10 @@ impl GesallPlatform {
     }
 }
 
-/// Everything a stage body needs besides its data inputs: the run's
-/// namespace, span parentage, cumulative counters, reference facts, and
-/// the growing round-summary list.
+/// Everything a stage body needs besides its side inputs: the run's
+/// namespace, span parentage, cumulative counters, reference facts, the
+/// placed partitions of every resolved stage, and the growing
+/// round-summary list.
 struct StageCtx<'a> {
     aligner: &'a Aligner,
     opts: &'a RunOptions,
@@ -1214,18 +1056,36 @@ struct StageCtx<'a> {
     references: Arc<Vec<Vec<u8>>>,
     chrom_names: Arc<Vec<String>>,
     rounds: Vec<RoundSummary>,
-    /// Staged input splits keyed by DFS dir, so sibling stages consuming
-    /// the same parent output (round2b + round3, round4a + round4b)
-    /// upload it once and share the splits — the split's byte payloads
-    /// are refcounted slices, so the clone is pointer-sized.
-    staged: HashMap<String, Vec<InputSplit<String, SharedBytes>>>,
+    /// Each resolved partition stage's output as placed input splits,
+    /// keyed by the producer's stage name. Sibling consumers (round2b +
+    /// round3, round4a + round4b) clone the same splits — the payloads
+    /// are refcounted, so the clone is pointer-sized.
+    splits: HashMap<String, Vec<InputSplit<String, SharedBytes>>>,
 }
 
 impl StageCtx<'_> {
-    /// Close a round span carrying the round's task counts and counter
-    /// snapshot (so the trace alone reconstructs the table), and append
-    /// the summary.
-    fn finish_round(&mut self, open: OpenSpan, s: RoundSummary) {
+    fn splits_of(&self, stage: &str) -> Result<Vec<InputSplit<String, SharedBytes>>> {
+        self.splits.get(stage).cloned().ok_or_else(|| {
+            PlatformError::Invariant(format!("stage input {stage} was never placed"))
+        })
+    }
+
+    fn open_round(&self, name: &str) -> OpenSpan {
+        self.recorder.start(SpanKind::Round, name, self.pipeline_span)
+    }
+
+    /// The round epilogue: fold the pipeline-cumulative counters into
+    /// the job's, close the round span carrying the task counts and
+    /// counter snapshot (so the trace alone reconstructs the table),
+    /// append the summary, and hand back the job's outputs.
+    fn close_round<K, V>(
+        &mut self,
+        open: OpenSpan,
+        name: &str,
+        job: JobResult<K, V>,
+    ) -> Vec<Vec<(K, V)>> {
+        job.counters.merge(&self.counters);
+        let s = summary(name, &job.counters, &job.events, job.wall_ms);
         self.recorder.end_with(
             open,
             &s.name,
@@ -1236,14 +1096,37 @@ impl StageCtx<'_> {
             s.counters.clone(),
         );
         self.rounds.push(s);
+        job.outputs
     }
 }
 
-fn collect_parts<K>(outputs: &[Vec<(K, SamRecord)>]) -> Vec<Vec<SamRecord>> {
+/// One BAM logical partition per job output, the records moved — not
+/// cloned — into the writer: the same bytes as [`bam::write_bam`].
+fn encode_parts<K>(header: &SamHeader, outputs: Vec<Vec<(K, SamRecord)>>) -> Vec<SharedBytes> {
     outputs
-        .iter()
-        .map(|out| out.iter().map(|(_, r)| r.clone()).collect())
+        .into_iter()
+        .map(|out| {
+            #[cfg(test)]
+            tests::PARTS_ENCODED.with(|n| n.set(n.get() + 1));
+            let mut w = BamWriter::new(header);
+            for (_, r) in out {
+                w.write_record(r);
+            }
+            SharedBytes::from_vec(w.finish().0)
+        })
         .collect()
+}
+
+/// The records of a partition set, in partition order — how
+/// [`PipelineOutput::records`] is materialised from the final stage.
+fn decode_parts(parts: &[SharedBytes]) -> Result<Vec<SamRecord>> {
+    let mut records = Vec::new();
+    for part in parts {
+        #[cfg(test)]
+        tests::PARTS_DECODED.with(|n| n.set(n.get() + 1));
+        records.extend(bam::read_bam(part)?.1);
+    }
+    Ok(records)
 }
 
 /// Stable sort by site, on borrowed keys.
@@ -1260,14 +1143,39 @@ fn sort_by_site(variants: &mut [VariantRecord]) {
 /// are stored as wire records, never as rendered text.
 #[derive(Debug, Clone)]
 pub enum StageData {
-    /// BAM logical partitions (most stages).
-    Parts(Vec<Vec<SamRecord>>),
+    /// BAM logical partitions (most stages), each the encoded bytes the
+    /// next round's wrapped programs read — what the paper's rounds
+    /// leave on HDFS.
+    Parts(Vec<SharedBytes>),
     /// The `MarkDup_opt` bloom filter.
     Bloom(BloomFilter),
     /// The merged base-recalibration table.
     Recal(RecalTable),
     /// Round-5 calls, sorted by site.
     Variants(Vec<VariantRecord>),
+}
+
+impl StageData {
+    /// Wire framing proves nothing about the partition bytes inside it,
+    /// and a mapper handed a torn partition has no error to return. So
+    /// a cached entry counts only if every partition is a header frame
+    /// followed by whole record frames with nothing dangling — frame
+    /// headers only, nothing is decompressed.
+    fn parts_are_whole(&self) -> bool {
+        let StageData::Parts(parts) = self else {
+            return true;
+        };
+        parts.iter().all(|part| {
+            let mut pos = 0;
+            while pos < part.len() {
+                match FrameHeader::parse(&part[pos..]) {
+                    Ok(fh) if (fh.kind == bam::KIND_HEADER) == (pos == 0) => pos += fh.frame_len(),
+                    _ => return false,
+                }
+            }
+            pos == part.len() && pos > 0
+        })
+    }
 }
 
 impl Wire for StageData {
@@ -1294,7 +1202,7 @@ impl Wire for StageData {
 
     fn decode(cur: &mut wire::Cursor<'_>) -> gesall_formats::error::Result<StageData> {
         match cur.get_varint()? {
-            0 => Ok(StageData::Parts(Vec::<Vec<SamRecord>>::decode(cur)?)),
+            0 => Ok(StageData::Parts(Vec::<SharedBytes>::decode(cur)?)),
             1 => Ok(StageData::Bloom(BloomFilter::decode(cur)?)),
             2 => Ok(StageData::Recal(RecalTable::decode(cur)?)),
             3 => Ok(StageData::Variants(Vec::<VariantRecord>::decode(cur)?)),
@@ -1472,10 +1380,8 @@ mod tests {
         let PlatformConfig {
             n_round1_partitions: _,
             n_reducers: _,
-            bwa_threads_per_mapper: _,
             markdup_opt: _,
             recalibrate: _,
-            known_sites: _,
             caller: _,
             hc_partitioning: _,
             io_sort_bytes: _,
@@ -1483,19 +1389,33 @@ mod tests {
             seed: _,
             read_group: _,
             hc: _,
-            ug: _,
-            recal: _,
         } = PlatformConfig::default();
     }
 
-    #[test]
-    fn dag_executor_matches_sequential_reference() {
+    thread_local! {
+        /// Partitions [`encode_parts`] encoded and [`decode_parts`]
+        /// decoded on this thread — the driver's, since both run
+        /// between jobs (the count gates below read them).
+        pub(super) static PARTS_ENCODED: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+        pub(super) static PARTS_DECODED: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    /// (encodes, decodes) `f` performs on this thread.
+    fn parts_coded<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+        PARTS_ENCODED.with(|n| n.set(0));
+        PARTS_DECODED.with(|n| n.set(0));
+        let out = f();
+        (out, PARTS_ENCODED.with(|n| n.get()), PARTS_DECODED.with(|n| n.get()))
+    }
+
+    /// 600 simulated pairs on the two-chromosome tiny genome.
+    fn world() -> (Aligner, Vec<ReadPair>) {
         use gesall_aligner::{AlignerConfig, ReferenceIndex};
         use gesall_datagen::donor::DonorConfig;
         use gesall_datagen::reads::ReadSimConfig;
         use gesall_datagen::{DonorGenome, GenomeConfig, ReadSimulator, ReferenceGenome};
-        use gesall_dfs::DfsConfig;
-        use gesall_mapreduce::ClusterResources;
 
         let genome = ReferenceGenome::generate(&GenomeConfig::tiny());
         let donor = DonorGenome::generate(&genome, &DonorConfig::default());
@@ -1510,29 +1430,39 @@ mod tests {
             .iter()
             .map(|c| (c.name.clone(), c.seq.clone()))
             .collect();
-        let aligner = Aligner::new(ReferenceIndex::build(&chroms), AlignerConfig::default());
-        let platform = || {
-            GesallPlatform::new(
-                Dfs::new(DfsConfig {
-                    n_nodes: 4,
-                    block_size: 64 * 1024,
-                    replication: 1,
-                    ..DfsConfig::default()
-                }),
-                MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192)),
-                PlatformConfig {
-                    recalibrate: true,
-                    ..PlatformConfig::default()
-                },
-            )
-        };
+        (
+            Aligner::new(ReferenceIndex::build(&chroms), AlignerConfig::default()),
+            pairs,
+        )
+    }
 
-        let seq = platform()
+    fn recalibrating_platform() -> GesallPlatform {
+        use gesall_dfs::DfsConfig;
+        use gesall_mapreduce::ClusterResources;
+        GesallPlatform::new(
+            Dfs::new(DfsConfig {
+                n_nodes: 4,
+                block_size: 64 * 1024,
+                replication: 1,
+                ..DfsConfig::default()
+            }),
+            MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192)),
+            PlatformConfig {
+                recalibrate: true,
+                ..PlatformConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn dag_executor_matches_sequential_reference() {
+        let (aligner, pairs) = world();
+        let seq = recalibrating_platform()
             .run_pipeline_sequential(&aligner, pairs.clone(), &RunOptions::default())
             .unwrap();
         assert!(seq.stages.is_empty(), "the reference does not report stages");
 
-        let dag = platform().run_pipeline(&aligner, pairs).unwrap();
+        let dag = recalibrating_platform().run_pipeline(&aligner, pairs).unwrap();
         assert_eq!(dag.stages.len(), 8, "recalibrating DAG has eight stages");
         assert_eq!(dag.records, seq.records);
         assert_eq!(dag.variants, seq.variants);
@@ -1543,5 +1473,110 @@ mod tests {
         );
         // The stage report renders with critical-path attribution.
         assert!(dag.dag_report().contains("round4a-recal-table"));
+    }
+
+    #[test]
+    fn encode_parts_writes_the_bytes_write_bam_writes() {
+        let (aligner, pairs) = world();
+        let header = aligner.index().sam_header();
+        let records: Vec<SamRecord> = aligner
+            .align_pairs(&pairs)
+            .into_iter()
+            .flat_map(|(a, b)| [a, b])
+            .collect();
+        // Several chunks, one chunk, and the empty partition.
+        let outputs: Vec<Vec<SamRecord>> =
+            vec![records.clone(), records[..7].to_vec(), Vec::new()];
+        let keyed = outputs
+            .iter()
+            .map(|out| out.iter().cloned().map(|r| (0u64, r)).collect())
+            .collect();
+        let (parts, encoded, _) = parts_coded(|| encode_parts(&header, keyed));
+        assert_eq!(encoded, 3);
+        for (part, out) in parts.iter().zip(&outputs) {
+            assert!(*part == bam::write_bam(&header, out));
+        }
+        assert!(bam::split_frames(&parts[0]).unwrap().len() > 2, "want several chunks");
+        assert_eq!(decode_parts(&parts).unwrap().len(), records.len() + 7);
+    }
+
+    #[test]
+    fn each_stage_output_is_encoded_once_placed_once_and_never_read_back() {
+        use gesall_dfs::metrics_keys::BLOCKS_READ;
+        let (aligner, pairs) = world();
+        let p = recalibrating_platform();
+        let n_chroms = aligner.index().n_chromosomes();
+        let (n_r1, n_red) = (p.config.n_round1_partitions, p.config.n_reducers);
+
+        // Cold: one encode per partition of rounds 2, 3, 4 and 4b (round
+        // 1's mappers emit bytes; 4b's unmapped partition is round 4's),
+        // one decode per partition of the final stage.
+        let (cold, encoded, decoded) =
+            parts_coded(|| p.run_pipeline(&aligner, pairs.clone()).unwrap());
+        assert_eq!(cold.stages_run(), 8);
+        assert_eq!(encoded, n_red + n_red + (n_chroms + 1) + n_chroms);
+        assert_eq!(decoded, n_chroms + 1);
+
+        // Each partition stage's dir exists once with its partition
+        // count, although rounds 2 and 4 each feed two consumers.
+        let mut dirs: std::collections::BTreeMap<String, usize> = Default::default();
+        for path in p.dfs.list("/pipeline/run0/") {
+            let dir = path["/pipeline/run0/".len()..].rsplit_once('/').unwrap().0;
+            *dirs.entry(dir.to_string()).or_default() += 1;
+        }
+        let expect = [
+            ("fastq", n_r1),
+            ("round1-align", n_r1),
+            ("round2-clean-fixmate", n_red),
+            ("round3-markdup", n_red),
+            ("round4-sort", n_chroms + 1),
+            ("round4b-print-reads", n_chroms + 1),
+        ];
+        assert_eq!(
+            dirs.into_iter().collect::<Vec<_>>(),
+            expect.map(|(d, n)| (d.to_string(), n))
+        );
+
+        // What sits there is what the rounds exchange: §3.1's reader
+        // reassembles it, rounds 4 and 4b carry the coordinate-sorted
+        // header, and 4b's unmapped partition is round 4's very bytes.
+        let read = |stage: &str, i: usize| {
+            crate::storage::read_bam_from_dfs(&p.dfs, &format!("/pipeline/run0/{stage}/part-{i:05}"))
+                .unwrap()
+        };
+        let mut final_records = Vec::new();
+        for i in 0..=n_chroms {
+            assert_eq!(read("round4-sort", i).0.sort_order, SortOrder::Coordinate);
+            let (h, recs) = read("round4b-print-reads", i);
+            assert_eq!(h.sort_order, SortOrder::Coordinate);
+            final_records.extend(recs);
+        }
+        assert_eq!(final_records, cold.records);
+        assert_ne!(read("round3-markdup", 0).0.sort_order, SortOrder::Coordinate);
+        let first_block = |stage: &str| {
+            let path = format!("/pipeline/run0/{stage}/part-{n_chroms:05}");
+            p.dfs.read_block(&p.dfs.stat(&path).unwrap().blocks[0]).unwrap()
+        };
+        assert!(first_block("round4-sort").same_backing(&first_block("round4b-print-reads")));
+
+        // Warm: every stage hits; nothing is encoded, and only the
+        // final stage's partitions are ever decoded.
+        let (warm, encoded, decoded) =
+            parts_coded(|| p.run_pipeline(&aligner, pairs.clone()).unwrap());
+        assert_eq!(warm.cache_hits(), 8);
+        assert_eq!((encoded, decoded), (0, n_chroms + 1));
+        assert_eq!(warm.records, cold.records);
+
+        // Placing reads nothing back: the split is the bytes it was
+        // handed, not a copy fetched from the blocks.
+        let opts = RunOptions::default();
+        let (mut cx, span, name, _) = p.begin_run(&aligner, &opts);
+        let parts = encode_parts(&cx.header, vec![cold.records.into_iter().map(|r| (0u64, r)).collect()]);
+        let blocks_read = p.dfs.metrics().counter(BLOCKS_READ).get();
+        p.place_parts(&mut cx, "probe", &parts).unwrap();
+        assert_eq!(p.dfs.metrics().counter(BLOCKS_READ).get(), blocks_read);
+        let (_, payload) = &cx.splits_of("probe").unwrap()[0].records[0];
+        assert!(payload.same_backing(&parts[0]));
+        p.finish_run(cx, span, &name, Vec::new(), Vec::new(), Vec::new());
     }
 }

@@ -7,13 +7,14 @@
 //!    the last chunk in a block may continue in the next block. The
 //!    [`BlockFrameReader`] reassembles complete chunk frames from a block
 //!    sequence — the custom `RecordReader` of the paper.
-//! 2. **Logical partitions.** [`upload_bam_partition`] writes a partition
-//!    file whose blocks are pinned to one node (the custom
+//! 2. **Logical partitions.** [`upload_indexed_bam_partition`] writes a
+//!    partition file whose blocks are pinned to one node (the custom
 //!    `BlockPlacementPolicy`), so a wrapped single-node program can read
-//!    its whole partition locally.
+//!    its whole partition locally. (The pipeline places its own stage
+//!    outputs the same way — `pipeline.rs`' `place`.)
 
 use crate::error::{PlatformError, Result};
-use gesall_dfs::{Dfs, FileInfo, LogicalPartitionPlacement};
+use gesall_dfs::Dfs;
 use gesall_formats::bam::{self, ChunkSetReader, FrameHeader, FRAME_HEADER_LEN};
 use gesall_formats::sam::{SamHeader, SamRecord};
 use gesall_formats::SharedBytes;
@@ -120,35 +121,6 @@ impl Default for BlockFrameReader {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// Upload a BAM dataset as a regular (spread) DFS file.
-pub fn upload_bam(
-    dfs: &Dfs,
-    path: &str,
-    header: &SamHeader,
-    records: &[SamRecord],
-) -> Result<FileInfo> {
-    // The serialized BAM is handed to the DFS by ownership — blocks
-    // become zero-copy windows into it.
-    let bytes = bam::write_bam(header, records);
-    Ok(dfs.write_file_shared(path, SharedBytes::from_vec(bytes))?)
-}
-
-/// Upload a BAM dataset as a **logical partition**: all blocks pinned to
-/// one node via the custom placement policy.
-pub fn upload_bam_partition(
-    dfs: &Dfs,
-    path: &str,
-    header: &SamHeader,
-    records: &[SamRecord],
-) -> Result<FileInfo> {
-    let bytes = bam::write_bam(header, records);
-    Ok(dfs.write_shared_with_policy(
-        path,
-        SharedBytes::from_vec(bytes),
-        &LogicalPartitionPlacement,
-    )?)
 }
 
 /// Read a BAM file back from the DFS through the block-aware frame
@@ -271,28 +243,10 @@ pub fn read_region_from_dfs(
     Ok(out)
 }
 
-/// Upload a set of logical partitions under `base/part-NNNNN`, returning
-/// the per-partition (path, home node). Used by every wrapper round to
-/// stage its input.
-pub fn upload_partitions(
-    dfs: &Dfs,
-    base: &str,
-    header: &SamHeader,
-    partitions: &[Vec<SamRecord>],
-) -> Result<Vec<(String, Option<usize>)>> {
-    let mut out = Vec::with_capacity(partitions.len());
-    for (i, part) in partitions.iter().enumerate() {
-        let path = format!("{base}/part-{i:05}");
-        let info = upload_bam_partition(dfs, &path, header, part)?;
-        out.push((path, info.single_home()));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gesall_dfs::DfsConfig;
+    use gesall_dfs::{DfsConfig, FileInfo, LogicalPartitionPlacement};
     use gesall_formats::sam::header::ReferenceSeq;
     use gesall_formats::sam::{Cigar, Flags};
 
@@ -321,6 +275,13 @@ mod tests {
             .collect()
     }
 
+    /// Write a BAM as one logical partition: every block on one node.
+    fn upload_partition(dfs: &Dfs, path: &str, h: &SamHeader, recs: &[SamRecord]) -> FileInfo {
+        let bytes = SharedBytes::from_vec(bam::write_bam(h, recs));
+        dfs.write_shared_with_policy(path, bytes, &LogicalPartitionPlacement)
+            .unwrap()
+    }
+
     fn small_dfs() -> Dfs {
         // Tiny blocks so chunks straddle boundaries constantly.
         Dfs::new(DfsConfig {
@@ -336,7 +297,11 @@ mod tests {
         let dfs = small_dfs();
         let h = header();
         let recs = records(3000);
-        upload_bam(&dfs, "/data/sample.bam", &h, &recs).unwrap();
+        dfs.write_file_shared(
+            "/data/sample.bam",
+            SharedBytes::from_vec(bam::write_bam(&h, &recs)),
+        )
+        .unwrap();
         // Verify blocks are plural and frames straddle.
         let info = dfs.stat("/data/sample.bam").unwrap();
         assert!(info.blocks.len() > 5);
@@ -370,24 +335,22 @@ mod tests {
             .chunks(300)
             .map(|c| c.to_vec())
             .collect();
-        let placed = upload_partitions(&dfs, "/job1/in", &h, &parts).unwrap();
-        assert_eq!(placed.len(), 3);
-        for (path, home) in &placed {
-            assert!(home.is_some(), "{path} not single-homed");
-            let (h2, recs) = read_bam_from_dfs(&dfs, path).unwrap();
+        for (i, part) in parts.iter().enumerate() {
+            let path = format!("/job1/in/part-{i:05}");
+            let info = upload_partition(&dfs, &path, &h, part);
+            assert!(info.single_home().is_some(), "{path} not single-homed");
+            // Partitions keep record order and content.
+            let (h2, recs) = read_bam_from_dfs(&dfs, &path).unwrap();
             assert_eq!(h2, h);
-            assert_eq!(recs.len(), 300);
+            assert_eq!(&recs, part);
         }
-        // Partitions keep record order and content.
-        let (_, p0) = read_bam_from_dfs(&dfs, &placed[0].0).unwrap();
-        assert_eq!(p0, parts[0]);
     }
 
     #[test]
     fn empty_partition_roundtrip() {
         let dfs = small_dfs();
         let h = header();
-        upload_bam_partition(&dfs, "/empty", &h, &[]).unwrap();
+        upload_partition(&dfs, "/empty", &h, &[]);
         let (h2, recs) = read_bam_from_dfs(&dfs, "/empty").unwrap();
         assert_eq!(h2, h);
         assert!(recs.is_empty());
@@ -443,7 +406,7 @@ mod tests {
         });
         let h = header();
         let recs = records(1500);
-        let info = upload_bam_partition(&dfs, "/repl/part-0", &h, &recs).unwrap();
+        let info = upload_partition(&dfs, "/repl/part-0", &h, &recs);
         let home = info.single_home().expect("logical partition is single-homed");
         dfs.kill_node(home);
         let (h2, r2) = read_bam_from_dfs(&dfs, "/repl/part-0").unwrap();

@@ -31,7 +31,6 @@ pub mod pileup;
 pub mod recalibration;
 pub mod refview;
 pub mod sort_sam;
-pub mod sv_caller;
 pub mod unified_genotyper;
 pub mod vcf_metrics;
 

@@ -9,7 +9,6 @@
 //!                      (`run` is an alias for `pipeline`)
 //! gesall-cli call      --reference REF.fa --bam IN.bam --out OUT.vcf [--caller hc|ug]
 //! gesall-cli diff      --serial A.bam --parallel B.bam
-//! gesall-cli sv        --bam IN.bam [--insert-mean N] [--insert-sd N]
 //! gesall-cli optimize  [--cluster a|b] [--objective wall|efficiency]
 //! gesall-cli serve     [--tenants N] [--jobs N] [--pairs N] [--nodes N]
 //!                      [--slots N] [--seed S] [--dag]
@@ -44,7 +43,6 @@ fn main() {
         "pipeline" | "run" => cmd_pipeline(&opts),
         "call" => cmd_call(&opts),
         "diff" => cmd_diff(&opts),
-        "sv" => cmd_sv(&opts),
         "optimize" => cmd_optimize(&opts),
         "serve" => cmd_serve(&opts),
         other => usage(&format!("unknown subcommand {other:?}")),
@@ -349,31 +347,6 @@ fn cmd_call(opts: &Opts) -> Result<(), AnyError> {
     let out = need(opts, "out");
     std::fs::write(out, vcf::to_text(&variants))?;
     println!("wrote {out}: {} variants", variants.len());
-    Ok(())
-}
-
-fn cmd_sv(opts: &Opts) -> Result<(), AnyError> {
-    use gesall::tools::sv_caller::{call_structural_variants, SvConfig};
-    let (header, records) = bam::read_bam(&std::fs::read(need(opts, "bam"))?)?;
-    let cfg = SvConfig {
-        insert_mean: get_num(opts, "insert-mean", 400.0),
-        insert_sd: get_num(opts, "insert-sd", 50.0),
-        ..SvConfig::default()
-    };
-    let calls = call_structural_variants(&records, &cfg);
-    if calls.is_empty() {
-        println!("no structural variants detected");
-    }
-    for c in calls {
-        println!(
-            "{}\t{}\t{}\t{:?}\tsupport={}",
-            header.reference_name(c.chrom),
-            c.start,
-            c.end,
-            c.kind,
-            c.support
-        );
-    }
     Ok(())
 }
 
