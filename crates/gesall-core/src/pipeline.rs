@@ -1005,7 +1005,7 @@ impl GesallPlatform {
                         let mut w = BamWriter::new(&cx.sorted_header);
                         for r in &records {
                             if r.is_mapped() && r.pos <= span_e && r.end_pos() >= span_s {
-                                w.write_record(r.clone());
+                                w.write_record(r);
                             }
                         }
                         let label = crate::rounds::fine_segment_label(
@@ -1100,8 +1100,8 @@ impl StageCtx<'_> {
     }
 }
 
-/// One BAM logical partition per job output, the records moved — not
-/// cloned — into the writer: the same bytes as [`bam::write_bam`].
+/// One BAM logical partition per job output, each record encoded from
+/// where it lies: the same bytes as [`bam::write_bam`].
 fn encode_parts<K>(header: &SamHeader, outputs: Vec<Vec<(K, SamRecord)>>) -> Vec<SharedBytes> {
     outputs
         .into_iter()
@@ -1109,7 +1109,7 @@ fn encode_parts<K>(header: &SamHeader, outputs: Vec<Vec<(K, SamRecord)>>) -> Vec
             #[cfg(test)]
             tests::PARTS_ENCODED.with(|n| n.set(n.get() + 1));
             let mut w = BamWriter::new(header);
-            for (_, r) in out {
+            for (_, r) in &out {
                 w.write_record(r);
             }
             SharedBytes::from_vec(w.finish().0)

@@ -155,7 +155,8 @@ pub fn read_frames_from_dfs(dfs: &Dfs, path: &str) -> Result<Vec<SharedBytes>> {
 /// ranges spanning blocks pay one counted concatenation.
 pub fn read_byte_range(dfs: &Dfs, path: &str, start: u64, len: u64) -> Result<SharedBytes> {
     let info = dfs.stat(path)?;
-    if start + len > info.len as u64 {
+    // A hostile index can name any range, one that overflows included.
+    if start.checked_add(len).is_none_or(|end| end > info.len as u64) {
         return Err(PlatformError::Invariant(format!(
             "byte range {start}+{len} exceeds file length {}",
             info.len
@@ -234,11 +235,7 @@ pub fn read_region_from_dfs(
     for (offset, len) in index.chunks_for_region(ref_id, start, end) {
         let frame = read_byte_range(dfs, path, offset, len)?;
         let (chunk, _) = bam::decode_frame(&frame)?;
-        for rec in chunk.records()? {
-            if rec.overlaps(ref_id, start, end) {
-                out.push(rec);
-            }
-        }
+        chunk.records_overlapping(ref_id, start, end, &mut out)?;
     }
     Ok(out)
 }
@@ -246,6 +243,7 @@ pub fn read_region_from_dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gesall_dfs::checksum::xxh64;
     use gesall_dfs::{DfsConfig, FileInfo, LogicalPartitionPlacement};
     use gesall_formats::sam::header::ReferenceSeq;
     use gesall_formats::sam::{Cigar, Flags};
@@ -391,6 +389,85 @@ mod tests {
         assert!(read_region_from_dfs(&dfs, "/sorted/chr1", 3, 1, 100)
             .unwrap()
             .is_empty());
+    }
+
+    /// 2 000 fixed records of mixed shape (clips, indels, a spliced
+    /// span, unmapped reads, with and without a read group), in
+    /// coordinate order with the unmapped last.
+    fn pinned_records() -> Vec<SamRecord> {
+        let mut recs: Vec<SamRecord> = (0..2000usize)
+            .map(|i| {
+                let (cigar, qlen) = match i % 5 {
+                    0 => ("100M", 100),
+                    1 => ("5S90M5S", 100),
+                    2 => ("40M3I50M2D7M", 100),
+                    3 => ("30M700N70M", 100),
+                    _ => ("150M", 150),
+                };
+                let seq = (0..qlen).map(|k| b"ACGT"[(i * 7 + k * k + k / 3) % 4]).collect();
+                let qual = (0..qlen).map(|k| ((i * 13 + k * 3) % 41) as u8).collect();
+                let mut r = SamRecord::unmapped(format!("frag{}/{}", i / 2, i % 2 + 1), seq, qual);
+                r.flags = Flags(Flags::PAIRED);
+                if i % 11 == 10 {
+                    r.flags.set(Flags::UNMAPPED, true);
+                    return r;
+                }
+                r.flags.set(Flags::REVERSE, i % 3 == 0);
+                r.ref_id = 0;
+                r.pos = 1 + (i as i64) * 41;
+                r.mapq = (i % 61) as u8;
+                r.cigar = Cigar::parse(cigar).unwrap();
+                r.mate_ref_id = 0;
+                r.mate_pos = r.pos + 300;
+                r.tlen = if i % 2 == 0 { 400 } else { -400 };
+                if i % 4 != 0 {
+                    r.read_group = "rg1".into();
+                }
+                r.alignment_score = 100 - (i % 30) as i32;
+                r.edit_distance = (i % 5) as u32;
+                r
+            })
+            .collect();
+        recs.sort_by_key(|r| r.coordinate_key());
+        recs
+    }
+
+    #[test]
+    fn file_bytes_and_chunk_offsets_are_pinned() {
+        // The container is a storage format: these are the digests of
+        // the file, and of where its chunks start, as written before the
+        // writer stopped cloning and the codec was rebuilt.
+        let h = header();
+        let recs = pinned_records();
+        let mut w = bam::BamWriter::new(&h);
+        for r in &recs {
+            w.write_record(r);
+        }
+        let (bytes, offsets, n) = w.finish();
+        assert_eq!(n, 2000);
+        assert!(offsets.len() > 5, "want several chunks");
+        assert!(bytes == bam::write_bam(&h, &recs));
+        let offset_bytes: Vec<u8> = offsets.iter().flat_map(|o| o.to_le_bytes()).collect();
+        let digests = (xxh64(&bytes), xxh64(&offset_bytes));
+        assert_eq!(digests, (0x0f7e_4cc1_3f36_e980, 0x9326_a402_d04a_9288), "{digests:#x?}");
+    }
+
+    #[test]
+    fn region_query_over_dfs_finds_a_span_longer_than_any_margin() {
+        // A spliced read in the file's first chunk reaching 20 kb right:
+        // chunks are selected on how far their records reach.
+        let dfs = small_dfs();
+        let h = header();
+        let mut recs = pinned_records();
+        recs[3].cigar = Cigar::parse("30M20000N70M").unwrap();
+        let index = upload_indexed_bam_partition(&dfs, "/sorted/long", &h, &recs).unwrap();
+        assert!(index.entries[0].max_key.1 + 1024 < 15_000);
+        let got = read_region_from_dfs(&dfs, "/sorted/long", 0, 15_000, 15_500).unwrap();
+        let expect: Vec<SamRecord> = recs.iter().filter(|r| r.overlaps(0, 15_000, 15_500)).cloned().collect();
+        assert!(expect.contains(&recs[3]));
+        assert_eq!(got, expect);
+        // A forged index naming bytes past the end is an error.
+        assert!(read_byte_range(&dfs, "/sorted/long", u64::MAX - 1, 2).is_err());
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! The [`ChunkScanner`] here does the frame arithmetic; the DFS-aware
 //! record reader in `gesall-core` feeds it bytes from block lists.
 
-use crate::compress::{compress, crc32, decompress};
+use crate::compress::{compress_append, crc32, decompress, take};
 use crate::error::{FormatError, Result};
+use crate::sam::record::NO_REF;
 use crate::sam::{SamHeader, SamRecord};
-use crate::wire::Wire;
+use crate::wire::{put_varint, Cursor, Wire};
 
 /// Target uncompressed payload per record chunk (bytes). Real BGZF blocks
 /// cap at 64 KiB; we default to the same.
@@ -77,12 +78,66 @@ pub struct Chunk {
 }
 
 impl Chunk {
-    /// Decode the records in a `KIND_RECORDS` chunk.
-    pub fn records(&self) -> Result<Vec<SamRecord>> {
+    /// A cursor over a `KIND_RECORDS` payload (a wire `Vec<SamRecord>`),
+    /// past its record count.
+    fn open_records(&self) -> Result<(Cursor<'_>, usize)> {
         if self.kind != KIND_RECORDS {
             return Err(FormatError::Bam("not a record chunk".into()));
         }
-        Vec::<SamRecord>::from_wire_bytes(&self.raw)
+        let mut cur = Cursor::new(&self.raw);
+        let n = cur.get_count::<SamRecord>()?;
+        Ok((cur, n))
+    }
+
+    fn close_records(cur: &Cursor<'_>) -> Result<()> {
+        if cur.is_empty() {
+            Ok(())
+        } else {
+            Err(FormatError::Bam(format!(
+                "{} trailing bytes after the chunk's last record",
+                cur.remaining()
+            )))
+        }
+    }
+
+    /// Decode the records in a `KIND_RECORDS` chunk.
+    pub fn records(&self) -> Result<Vec<SamRecord>> {
+        let mut out = Vec::new();
+        self.records_into(&mut out)?;
+        Ok(out)
+    }
+
+    /// Decode the chunk's records onto the end of `out` (which holds a
+    /// prefix of them on error).
+    pub fn records_into(&self, out: &mut Vec<SamRecord>) -> Result<()> {
+        let (mut cur, n) = self.open_records()?;
+        out.reserve(n);
+        for _ in 0..n {
+            out.push(SamRecord::decode(&mut cur)?);
+        }
+        Chunk::close_records(&cur)
+    }
+
+    /// Append to `out` the chunk's records that overlap `[start, end]`
+    /// (1-based inclusive) on `ref_id` — [`Chunk::records`] filtered by
+    /// [`SamRecord::overlaps`], but only the hits are materialised: every
+    /// record is walked and validated as `records` validates it, and one
+    /// that cannot overlap costs no allocation.
+    pub fn records_overlapping(
+        &self,
+        ref_id: i32,
+        start: i64,
+        end: i64,
+        out: &mut Vec<SamRecord>,
+    ) -> Result<()> {
+        let (mut cur, n) = self.open_records()?;
+        for _ in 0..n {
+            let mut at = cur.clone();
+            if SamRecord::skip_overlapping(&mut cur, ref_id, start, end)? {
+                out.push(SamRecord::decode(&mut at)?);
+            }
+        }
+        Chunk::close_records(&cur)
     }
 
     /// Decode the header in a `KIND_HEADER` chunk.
@@ -90,21 +145,24 @@ impl Chunk {
         if self.kind != KIND_HEADER {
             return Err(FormatError::Bam("not a header chunk".into()));
         }
-        let text = String::from_utf8(self.raw.clone())
+        let text = std::str::from_utf8(&self.raw)
             .map_err(|_| FormatError::Bam("header chunk is not utf-8".into()))?;
-        SamHeader::parse_text(&text)
+        SamHeader::parse_text(text)
     }
 }
 
-fn encode_frame(kind: u8, raw: &[u8]) -> Vec<u8> {
-    let comp = compress(raw);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + comp.len());
+/// Append the frame holding `raw` to `out`, compressing straight into
+/// it; returns the frame's length.
+fn append_frame(out: &mut Vec<u8>, kind: u8, raw: &[u8]) -> usize {
+    let at = out.len();
     out.push(kind);
-    out.extend_from_slice(&(comp.len() as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 4]); // comp_len, known once compressed
     out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(raw).to_le_bytes());
-    out.extend_from_slice(&comp);
-    out
+    compress_append(raw, out);
+    let comp_len = (out.len() - at - FRAME_HEADER_LEN) as u32;
+    out[at + 1..at + 5].copy_from_slice(&comp_len.to_le_bytes());
+    out.len() - at
 }
 
 /// Decode one frame starting at `data[0]`, returning the chunk and the
@@ -146,6 +204,9 @@ pub struct ChunkIndexEntry {
     pub min_key: (i32, i64),
     /// Largest coordinate key in the chunk.
     pub max_key: (i32, i64),
+    /// Largest (ref id, end pos) over the chunk's mapped records — how
+    /// far right any of them reaches; `(NO_REF, 0)` when none is mapped.
+    pub max_end: (i32, i64),
 }
 
 /// The coordinate ("linear") index of a BAM file — what Round 4 of the
@@ -160,48 +221,31 @@ pub struct BamIndex {
 }
 
 /// Wire row for one index entry:
-/// `(offset, (len, ((min_ref, min_pos), (max_ref, max_pos))))`.
-type IndexRow = (u64, (u64, ((i64, i64), (i64, i64))));
+/// `(offset, (len, ((min_ref, min_pos), ((max_ref, max_pos), (end_ref, end_pos)))))`.
+type IndexRow = (u64, (u64, ((i64, i64), ((i64, i64), (i64, i64)))));
 
 impl BamIndex {
     /// Byte spans of the chunks that may hold records overlapping
-    /// `[start, end]` on `ref_id`. Unmapped-record chunks (key
-    /// `(i32::MAX, _)`) never match.
+    /// `[start, end]` on `ref_id`: those with a record starting at or
+    /// left of `end` and a mapped record reaching `start` or beyond.
+    /// Chunks of unmapped records never match.
     pub fn chunks_for_region(&self, ref_id: i32, start: i64, end: i64) -> Vec<(u64, u64)> {
-        let lo = (ref_id, start);
-        let hi = (ref_id, end);
         self.entries
             .iter()
-            .filter(|e| {
-                // Overlap in coordinate-key space. A record at pos p
-                // can extend rightward, so a chunk whose max_key is
-                // slightly left of `start` may still overlap; widen by a
-                // read-length margin.
-                let margin = 1024;
-                let widened_lo = (lo.0, lo.1 - margin);
-                e.min_key <= hi && e.max_key >= widened_lo
-            })
+            .filter(|e| e.min_key <= (ref_id, end) && e.max_end >= (ref_id, start))
             .map(|e| (e.offset, e.len))
             .collect()
     }
 
     /// Serialize (for storing next to the BAM file).
     pub fn to_bytes(&self) -> Vec<u8> {
-        use crate::wire::Wire;
+        let wide = |(r, p): (i32, i64)| (r as i64, p);
         let rows: Vec<IndexRow> = self
             .entries
             .iter()
             .map(|e| {
-                (
-                    e.offset,
-                    (
-                        e.len,
-                        (
-                            (e.min_key.0 as i64, e.min_key.1),
-                            (e.max_key.0 as i64, e.max_key.1),
-                        ),
-                    ),
-                )
+                let keys = (wide(e.min_key), (wide(e.max_key), wide(e.max_end)));
+                (e.offset, (e.len, keys))
             })
             .collect();
         rows.to_wire_bytes()
@@ -209,27 +253,72 @@ impl BamIndex {
 
     /// Deserialize.
     pub fn from_bytes(data: &[u8]) -> Result<BamIndex> {
-        use crate::wire::Wire;
+        let narrow = |(r, p): (i64, i64)| (r as i32, p);
         let rows = Vec::<IndexRow>::from_wire_bytes(data)?;
         Ok(BamIndex {
             entries: rows
                 .into_iter()
-                .map(|(offset, (len, ((rlo, plo), (rhi, phi))))| ChunkIndexEntry {
+                .map(|(offset, (len, (min, (max, end))))| ChunkIndexEntry {
                     offset,
                     len,
-                    min_key: (rlo as i32, plo),
-                    max_key: (rhi as i32, phi),
+                    min_key: narrow(min),
+                    max_key: narrow(max),
+                    max_end: narrow(end),
                 })
                 .collect(),
         })
     }
 }
 
+/// Bytes held at the front of a pending payload for the chunk's record
+/// count, a varint written (right-aligned) only when the chunk is cut.
+const COUNT_SLOT: usize = 10;
+
+/// The record chunk a [`BamWriter`] is filling.
+struct PendingChunk {
+    /// The payload as it will be compressed: [`COUNT_SLOT`] bytes, then
+    /// the wire records written so far.
+    payload: Vec<u8>,
+    records: u64,
+    /// The cut rule's running estimate of the payload's size.
+    raw_estimate: usize,
+    /// The records' coordinate range, as the chunk's [`ChunkIndexEntry`]
+    /// will state it.
+    min_key: (i32, i64),
+    max_key: (i32, i64),
+    max_end: (i32, i64),
+}
+
+impl PendingChunk {
+    /// A chunk of no records, built in `payload`'s allocation.
+    fn empty(mut payload: Vec<u8>) -> PendingChunk {
+        payload.clear();
+        payload.resize(COUNT_SLOT, 0);
+        PendingChunk {
+            payload,
+            records: 0,
+            raw_estimate: 0,
+            min_key: (i32::MAX, i64::MAX),
+            max_key: (i32::MIN, i64::MIN),
+            max_end: (NO_REF, 0),
+        }
+    }
+
+    /// The finished payload — a wire `Vec<SamRecord>`: varint count, then
+    /// the records.
+    fn payload(&mut self) -> &[u8] {
+        let mut count = Vec::with_capacity(COUNT_SLOT);
+        put_varint(&mut count, self.records);
+        let from = COUNT_SLOT - count.len();
+        self.payload[from..COUNT_SLOT].copy_from_slice(&count);
+        &self.payload[from..]
+    }
+}
+
 /// Streaming writer that batches records into chunks.
 pub struct BamWriter {
     out: Vec<u8>,
-    pending: Vec<SamRecord>,
-    pending_raw: usize,
+    pending: PendingChunk,
     /// Byte offset of every emitted chunk (header chunk included) — the
     /// "chunk index" a DFS-aware reader uses to stitch blocks.
     chunk_offsets: Vec<u64>,
@@ -240,58 +329,51 @@ pub struct BamWriter {
 impl BamWriter {
     /// Begin a file with its header chunk.
     pub fn new(header: &SamHeader) -> BamWriter {
-        let mut w = BamWriter {
-            out: Vec::new(),
-            pending: Vec::new(),
-            pending_raw: 0,
-            chunk_offsets: Vec::new(),
+        let mut out = Vec::new();
+        append_frame(&mut out, KIND_HEADER, header.to_text().as_bytes());
+        BamWriter {
+            out,
+            pending: PendingChunk::empty(Vec::new()),
+            chunk_offsets: vec![0],
             records_written: 0,
             index: BamIndex::default(),
-        };
-        w.chunk_offsets.push(0);
-        let frame = encode_frame(KIND_HEADER, header.to_text().as_bytes());
-        w.out.extend_from_slice(&frame);
-        w
+        }
     }
 
     /// Append one record; flushes a chunk when the target raw size is hit.
-    pub fn write_record(&mut self, rec: SamRecord) {
+    pub fn write_record(&mut self, rec: &SamRecord) {
+        let chunk = &mut self.pending;
         // Rough raw-size estimate: wire size ≈ seq + qual + name + ~40.
-        self.pending_raw += rec.seq.len() + rec.qual.len() + rec.name.len() + 40;
-        self.pending.push(rec);
+        chunk.raw_estimate += rec.seq.len() + rec.qual.len() + rec.name.len() + 40;
+        rec.encode(&mut chunk.payload);
+        chunk.records += 1;
+        let key = rec.coordinate_key();
+        chunk.min_key = chunk.min_key.min(key);
+        chunk.max_key = chunk.max_key.max(key);
+        if rec.is_mapped() {
+            chunk.max_end = chunk.max_end.max((rec.ref_id, rec.end_pos()));
+        }
         self.records_written += 1;
-        if self.pending_raw >= CHUNK_TARGET_RAW {
+        if self.pending.raw_estimate >= CHUNK_TARGET_RAW {
             self.flush_chunk();
         }
     }
 
     fn flush_chunk(&mut self) {
-        if self.pending.is_empty() {
+        if self.pending.records == 0 {
             return;
         }
-        let batch = std::mem::take(&mut self.pending);
-        let min_key = batch
-            .iter()
-            .map(SamRecord::coordinate_key)
-            .min()
-            .expect("non-empty batch");
-        let max_key = batch
-            .iter()
-            .map(SamRecord::coordinate_key)
-            .max()
-            .expect("non-empty batch");
-        let raw = batch.to_wire_bytes();
-        self.pending_raw = 0;
         let offset = self.out.len() as u64;
         self.chunk_offsets.push(offset);
-        let frame = encode_frame(KIND_RECORDS, &raw);
-        self.out.extend_from_slice(&frame);
+        let len = append_frame(&mut self.out, KIND_RECORDS, self.pending.payload());
         self.index.entries.push(ChunkIndexEntry {
             offset,
-            len: frame.len() as u64,
-            min_key,
-            max_key,
+            len: len as u64,
+            min_key: self.pending.min_key,
+            max_key: self.pending.max_key,
+            max_end: self.pending.max_end,
         });
+        self.pending = PendingChunk::empty(std::mem::take(&mut self.pending.payload));
     }
 
     /// Finish the file, returning (bytes, chunk offsets, record count).
@@ -313,7 +395,7 @@ impl BamWriter {
 pub fn write_bam_indexed(header: &SamHeader, records: &[SamRecord]) -> (Vec<u8>, BamIndex) {
     let mut w = BamWriter::new(header);
     for r in records {
-        w.write_record(r.clone());
+        w.write_record(r);
     }
     let (bytes, index, _) = w.finish_indexed();
     (bytes, index)
@@ -331,15 +413,13 @@ pub fn read_region(
 ) -> Result<Vec<SamRecord>> {
     let mut out = Vec::new();
     for (offset, len) in index.chunks_for_region(ref_id, start, end) {
-        let frame = data
-            .get(offset as usize..(offset + len) as usize)
+        let frame = usize::try_from(offset)
+            .ok()
+            .zip(usize::try_from(len).ok())
+            .and_then(|(offset, len)| take(data, offset, len))
             .ok_or_else(|| FormatError::Bam("index points past end of file".into()))?;
         let (chunk, _) = decode_frame(frame)?;
-        for rec in chunk.records()? {
-            if rec.overlaps(ref_id, start, end) {
-                out.push(rec);
-            }
-        }
+        chunk.records_overlapping(ref_id, start, end, &mut out)?;
     }
     Ok(out)
 }
@@ -348,7 +428,7 @@ pub fn read_region(
 pub fn write_bam(header: &SamHeader, records: &[SamRecord]) -> Vec<u8> {
     let mut w = BamWriter::new(header);
     for r in records {
-        w.write_record(r.clone());
+        w.write_record(r);
     }
     w.finish().0
 }
@@ -390,7 +470,7 @@ pub fn read_bam(data: &[u8]) -> Result<(SamHeader, Vec<SamRecord>)> {
         .header()?;
     let mut records = Vec::new();
     while let Some(chunk) = scanner.next_chunk()? {
-        records.extend(chunk.records()?);
+        chunk.records_into(&mut records)?;
     }
     Ok((header, records))
 }
@@ -417,7 +497,7 @@ impl ChunkSetReader {
         let mut records = Vec::new();
         for frame in &frames[1..] {
             let (chunk, _) = decode_frame(frame.as_ref())?;
-            records.extend(chunk.records()?);
+            chunk.records_into(&mut records)?;
         }
         Ok(ChunkSetReader {
             header,
@@ -451,6 +531,70 @@ pub fn split_frames(data: &[u8]) -> Result<Vec<Vec<u8>>> {
         pos = end;
     }
     Ok(frames)
+}
+
+/// The writer this module shipped before records were encoded into the
+/// pending chunk as they arrive: it holds a clone of every pending
+/// record, wire-encodes the batch at the cut, and builds each frame
+/// through three intermediate vectors — over the codec's own
+/// [`reference`](crate::compress::reference). The oracle for file bytes,
+/// chunk offsets and index entries.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::compress::reference::{compress, crc32};
+
+    fn encode_frame(kind: u8, raw: &[u8]) -> Vec<u8> {
+        let comp = compress(raw);
+        let mut out = Vec::with_capacity(FRAME_HEADER_LEN + comp.len());
+        out.push(kind);
+        out.extend_from_slice(&(comp.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(raw).to_le_bytes());
+        out.extend_from_slice(&comp);
+        out
+    }
+
+    /// One index entry as the old writer stated it.
+    pub(crate) type Entry = (u64, u64, (i32, i64), (i32, i64));
+
+    /// (file bytes, chunk offsets, index entries).
+    pub(crate) fn write_bam(
+        header: &SamHeader,
+        records: &[SamRecord],
+    ) -> (Vec<u8>, Vec<u64>, Vec<Entry>) {
+        let mut out = encode_frame(KIND_HEADER, header.to_text().as_bytes());
+        let mut offsets = vec![0u64];
+        let mut entries = Vec::new();
+        let mut pending: Vec<SamRecord> = Vec::new();
+        let mut pending_raw = 0usize;
+        let mut flush = |pending: &mut Vec<SamRecord>| {
+            let batch = std::mem::take(pending);
+            if batch.is_empty() {
+                return;
+            }
+            let keys = || batch.iter().map(SamRecord::coordinate_key);
+            let frame = encode_frame(KIND_RECORDS, &batch.to_wire_bytes());
+            offsets.push(out.len() as u64);
+            entries.push((
+                out.len() as u64,
+                frame.len() as u64,
+                keys().min().expect("non-empty batch"),
+                keys().max().expect("non-empty batch"),
+            ));
+            out.extend_from_slice(&frame);
+        };
+        for rec in records {
+            pending_raw += rec.seq.len() + rec.qual.len() + rec.name.len() + 40;
+            pending.push(rec.clone());
+            if pending_raw >= CHUNK_TARGET_RAW {
+                flush(&mut pending);
+                pending_raw = 0;
+            }
+        }
+        flush(&mut pending);
+        (out, offsets, entries)
+    }
 }
 
 #[cfg(test)]
@@ -525,7 +669,7 @@ mod tests {
     fn chunk_offsets_match_frames() {
         let h = header();
         let mut w = BamWriter::new(&h);
-        for r in records(1500) {
+        for r in &records(1500) {
             w.write_record(r);
         }
         let (bytes, offsets, n) = w.finish();
@@ -619,9 +763,187 @@ mod tests {
         assert_eq!(back, index);
     }
 
+    /// Records of every shape the wire knows, in file order `0..n`:
+    /// soft clips, indels, a spliced span, multi-byte varint fields,
+    /// unmapped reads with a `*` CIGAR, with and without a read group,
+    /// on two references.
+    fn mixed_records(n: usize) -> Vec<SamRecord> {
+        (0..n)
+            .map(|i| {
+                let (cigar, qlen) = match i % 5 {
+                    0 => ("100M", 100),
+                    1 => ("5S90M5S", 100),
+                    2 => ("40M3I50M2D7M", 100),
+                    3 => ("30M700N70M", 100),
+                    _ => ("150M", 150),
+                };
+                let seq = (0..qlen).map(|k| b"ACGT"[(i * 7 + k * k) % 4]).collect();
+                let qual = (0..qlen).map(|k| ((i + k * 3) % 41) as u8).collect();
+                let mut r = SamRecord::unmapped(format!("frag{}/{}", i / 2, i % 2 + 1), seq, qual);
+                r.flags = Flags(Flags::PAIRED);
+                if i % 11 == 10 {
+                    r.flags.set(Flags::UNMAPPED, true);
+                    return r;
+                }
+                r.flags.set(Flags::REVERSE, i % 3 == 0);
+                r.ref_id = (i % 2) as i32;
+                r.pos = 1 + (i as i64) * 41;
+                r.mapq = (i % 61) as u8;
+                r.cigar = Cigar::parse(cigar).unwrap();
+                r.mate_ref_id = r.ref_id;
+                r.mate_pos = r.pos + 300;
+                r.tlen = if i % 2 == 0 { 400 } else { -400 };
+                if i % 4 != 0 {
+                    r.read_group = "rg1".into();
+                }
+                r.alignment_score = 100 - (i % 30) as i32;
+                r.edit_distance = (i % 5) as u32;
+                r
+            })
+            .collect()
+    }
+
+    fn sorted(mut recs: Vec<SamRecord>) -> Vec<SamRecord> {
+        recs.sort_by_key(|r| r.coordinate_key());
+        recs
+    }
+
+    #[test]
+    fn writer_emits_the_reference_writers_bytes_offsets_and_index() {
+        let h = header();
+        for recs in [
+            Vec::new(),
+            records(7),
+            records(2000),
+            sorted(mixed_records(3000)),
+            mixed_records(1500),
+        ] {
+            let (bytes, offsets, entries) = reference::write_bam(&h, &recs);
+            assert!(write_bam(&h, &recs) == bytes, "file bytes moved");
+            let mut w = BamWriter::new(&h);
+            for r in &recs {
+                w.write_record(r);
+            }
+            let (streamed, got_offsets, n) = w.finish();
+            assert!(streamed == bytes);
+            assert_eq!(got_offsets, offsets);
+            assert_eq!(n, recs.len() as u64);
+            let (indexed, index) = write_bam_indexed(&h, &recs);
+            assert!(indexed == bytes);
+            let got: Vec<reference::Entry> = index
+                .entries
+                .iter()
+                .map(|e| (e.offset, e.len, e.min_key, e.max_key))
+                .collect();
+            assert_eq!(got, entries);
+            // `max_end` is the rightmost reach of the chunk's own records.
+            for e in &index.entries {
+                let frame = &bytes[e.offset as usize..(e.offset + e.len) as usize];
+                let reach = decode_frame(frame).unwrap().0.records().unwrap().iter()
+                    .filter(|r| r.is_mapped())
+                    .map(|r| (r.ref_id, r.end_pos()))
+                    .max()
+                    .unwrap_or((NO_REF, 0));
+                assert_eq!(e.max_end, reach);
+            }
+        }
+    }
+
+    fn brute_force(recs: &[SamRecord], ref_id: i32, start: i64, end: i64) -> Vec<SamRecord> {
+        recs.iter().filter(|r| r.overlaps(ref_id, start, end)).cloned().collect()
+    }
+
+    #[test]
+    fn region_query_finds_a_long_span_that_starts_in_an_earlier_chunk() {
+        let h = header();
+        let mut recs = records(3000); // sorted: pos = 37 i + 1
+        let in_chunk0 = {
+            let (bytes, index) = write_bam_indexed(&h, &recs);
+            let e = index.entries[0];
+            let frame = &bytes[e.offset as usize..(e.offset + e.len) as usize];
+            decode_frame(frame).unwrap().0.records().unwrap().len()
+        };
+        // The last record of chunk 0 spans 2 100 bases, and an early one
+        // is spliced across 20 000: both reach far past their chunk's
+        // largest start. SEQ lengths — so chunk cuts — are unchanged.
+        let long = in_chunk0 - 1;
+        recs[long].cigar = Cigar::parse("50M2000D50M").unwrap();
+        recs[10].cigar = Cigar::parse("50M20000N50M").unwrap();
+        let (bytes, index) = write_bam_indexed(&h, &recs);
+        assert!(index.entries.len() > 3 && index.entries[0].max_key == (0, recs[long].pos));
+        let mut found_long = false;
+        for start in [recs[long].pos + 1_500, recs[long].pos + 2_099, 15_000, 20_470, 20_471] {
+            let got = read_region(&bytes, &index, 0, start, start + 50).unwrap();
+            assert_eq!(got, brute_force(&recs, 0, start, start + 50), "region at {start}");
+            found_long |= got.contains(&recs[long]);
+        }
+        assert!(found_long);
+        // One base past the spliced record's end, chunk 0 is out again.
+        let chunk0 = (index.entries[0].offset, index.entries[0].len);
+        assert!(index.chunks_for_region(0, 20_470, 20_500).contains(&chunk0));
+        assert!(!index.chunks_for_region(0, 20_471, 20_500).contains(&chunk0));
+    }
+
+    #[test]
+    fn records_overlapping_is_records_filtered_by_overlaps() {
+        let h = header();
+        for recs in [sorted(mixed_records(2500)), mixed_records(2500)] {
+            let bytes = write_bam(&h, &recs);
+            let frames = split_frames(&bytes).unwrap();
+            assert!(frames.len() > 3);
+            for frame in &frames[1..] {
+                let (chunk, _) = decode_frame(frame).unwrap();
+                let all = chunk.records().unwrap();
+                for (ref_id, start, end) in [
+                    (0, 1, 500),
+                    (1, 40_000, 40_500),
+                    (0, 60_000, 60_001),
+                    (1, 1, i64::MAX),
+                    (0, i64::MIN, i64::MAX),
+                    (2, 1, 1_000_000),
+                    (NO_REF, 0, 10),
+                ] {
+                    let mut got = vec![all[0].clone()]; // appends, never clears
+                    chunk.records_overlapping(ref_id, start, end, &mut got).unwrap();
+                    assert_eq!(got[0], all[0]);
+                    assert_eq!(got[1..], brute_force(&all, ref_id, start, end));
+                }
+            }
+            // A header chunk has no records to offer.
+            let (hc, _) = decode_frame(&frames[0]).unwrap();
+            assert!(hc.records_overlapping(0, 1, 10, &mut Vec::new()).is_err());
+        }
+    }
+
+    #[test]
+    fn a_forged_record_count_reserves_nothing_it_cannot_hold() {
+        let chunk = |count: u64, body: &[u8]| {
+            let mut raw = Vec::new();
+            put_varint(&mut raw, count);
+            raw.extend_from_slice(body);
+            Chunk { kind: KIND_RECORDS, raw }
+        };
+        // A megabyte that claims a record per byte: refused on the count
+        // (168 MB of `SamRecord`s would have been reserved for it).
+        for forged in [chunk(1 << 20, &vec![0; 1 << 20]), chunk(u64::MAX, b"x"), chunk(2, &[0; 27])] {
+            assert!(matches!(forged.records(), Err(FormatError::Bam(_))));
+            assert!(matches!(
+                forged.records_overlapping(0, 1, 10, &mut Vec::new()),
+                Err(FormatError::Bam(_))
+            ));
+        }
+        // Trailing bytes after the last record are an error on both paths.
+        let mut raw = records(3).to_wire_bytes();
+        raw.push(0);
+        let padded = Chunk { kind: KIND_RECORDS, raw };
+        assert!(padded.records().is_err());
+        assert!(padded.records_overlapping(0, 1, 10, &mut Vec::new()).is_err());
+    }
+
     #[test]
     fn frame_header_rejects_bad_kind() {
-        let mut frame = encode_frame(KIND_RECORDS, b"x");
+        let mut frame = Vec::new();
+        append_frame(&mut frame, KIND_RECORDS, b"x");
         frame[0] = 9;
         assert!(FrameHeader::parse(&frame).is_err());
     }

@@ -111,13 +111,40 @@ const METHOD_LZ: u8 = 1;
 const TAG_LITERALS: u8 = 0;
 const TAG_COPY: u8 = 1;
 
+/// The four bytes at `input[at..]` as one little-endian word.
 #[inline]
-fn hash4(data: &[u8]) -> usize {
-    let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn load4(input: &[u8], at: usize) -> u32 {
+    let word: [u8; 4] = input[at..at + 4].try_into().expect("a 4-byte slice");
+    u32::from_le_bytes(word)
+}
+
+#[inline]
+fn hash4(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Length of the common prefix of two equally long slices, a word at a
+/// time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    let mut n = 0usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("an 8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("an 8-byte chunk"));
+        if x != y {
+            return n + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        n += 8;
+    }
+    n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
 }
 
 pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    if v < 0x80 {
+        buf.push(v as u8);
+        return;
+    }
     loop {
         let b = (v & 0x7f) as u8;
         v >>= 7;
@@ -162,6 +189,13 @@ const RESERVE_PER_ENCODED_BYTE: usize = 8;
 
 /// A varint length field (token length, count, distance).
 pub(crate) fn get_len(data: &[u8], pos: &mut usize) -> Result<usize> {
+    // Most token fields fit one byte.
+    if let Some(&b) = data.get(*pos) {
+        if b < 0x80 {
+            *pos += 1;
+            return Ok(b as usize);
+        }
+    }
     usize::try_from(get_varint(data, pos)?)
         .map_err(|_| FormatError::Compress("length field exceeds the address space".into()))
 }
@@ -216,12 +250,35 @@ pub fn compress_append(input: &[u8], out: &mut Vec<u8>) {
     }
 }
 
+/// "No position yet" in the hash-head table.
+const NO_HEAD: u32 = u32::MAX;
+
+thread_local! {
+    /// `compress_lz`'s hash-head table, kept per thread: a BAM writer
+    /// compresses a 64 KiB chunk at a time, and a fresh table per chunk
+    /// cost more than filling this one.
+    static LZ_HEADS: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
 /// Append the LZ token stream of `input` to `dest`.
+///
+/// Heads hold positions modulo 2³², so the parse is the greedy one for
+/// any input a decoder accepts ([`MAX_DECODED_LEN`] is 2³⁰); past 4 GiB
+/// a candidate can alias, which costs ratio, never validity — every
+/// copy is emitted from bytes that were compared.
 fn compress_lz(input: &[u8], dest: &mut Vec<u8>) {
+    LZ_HEADS.with(|heads| {
+        let mut head = heads.borrow_mut();
+        head.clear();
+        head.resize(1 << HASH_BITS, NO_HEAD);
+        lz_scan(input, dest, &mut head);
+    });
+}
+
+fn lz_scan(input: &[u8], dest: &mut Vec<u8>, head: &mut [u32]) {
     // Owned for the duration of the scan: pushes through a `&mut Vec`
     // reload its pointer and length every time, ~20 % on this loop.
     let mut out = std::mem::take(dest);
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
     let mut i = 0usize;
     let mut literal_start = 0usize;
 
@@ -234,31 +291,29 @@ fn compress_lz(input: &[u8], dest: &mut Vec<u8>) {
     };
 
     while i + MIN_MATCH <= input.len() {
-        let h = hash4(&input[i..]);
-        let candidate = head[h];
-        head[h] = i;
-        let mut matched = 0usize;
-        if candidate != usize::MAX
-            && i - candidate <= WINDOW
-            && input[candidate..candidate + MIN_MATCH] == input[i..i + MIN_MATCH]
-        {
-            // Extend the match.
+        let word = load4(input, i);
+        let slot = &mut head[hash4(word)];
+        let dist = (i as u32).wrapping_sub(*slot) as usize;
+        let seen = *slot != NO_HEAD;
+        *slot = i as u32;
+        // `dist - 1 < WINDOW` is `1 <= dist <= WINDOW`.
+        if seen && dist.wrapping_sub(1) < WINDOW && load4(input, i - dist) == word {
+            let candidate = i - dist;
             let max = (input.len() - i).min(MAX_MATCH);
-            matched = MIN_MATCH;
-            while matched < max && input[candidate + matched] == input[i + matched] {
-                matched += 1;
-            }
-        }
-        if matched >= MIN_MATCH {
+            let matched = MIN_MATCH
+                + common_prefix(
+                    &input[candidate + MIN_MATCH..candidate + max],
+                    &input[i + MIN_MATCH..i + max],
+                );
             flush_literals(&mut out, literal_start, i);
             out.push(TAG_COPY);
             put_varint(&mut out, matched as u64);
-            put_varint(&mut out, (i - candidate) as u64);
+            put_varint(&mut out, dist as u64);
             // Insert hash entries inside the match (sparsely, for speed).
             let step = if matched > 64 { 7 } else { 1 };
             let mut j = i + 1;
             while j + MIN_MATCH <= input.len() && j < i + matched {
-                head[hash4(&input[j..])] = j;
+                head[hash4(load4(input, j))] = j as u32;
                 j += step;
             }
             i += matched;
@@ -290,85 +345,309 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
             }
             Ok(payload.to_vec())
         }
-        METHOD_LZ => {
-            let mut out = Vec::with_capacity(decode_reserve(raw_len, data.len()));
-            // Every token is held to the header before it writes, so
-            // `out` never outgrows `raw_len`.
-            let overflow = || FormatError::Compress("lz tokens overflow raw length".into());
-            while pos < data.len() {
-                let tag = data[pos];
-                pos += 1;
-                match tag {
-                    TAG_LITERALS => {
-                        let n = get_len(data, &mut pos)?;
-                        let lits = take(data, pos, n)
-                            .ok_or_else(|| FormatError::Compress("truncated literal run".into()))?;
-                        if n > raw_len - out.len() {
-                            return Err(overflow());
-                        }
-                        out.extend_from_slice(lits);
-                        pos += n;
-                    }
-                    TAG_COPY => {
-                        let len = get_len(data, &mut pos)?;
-                        let dist = get_len(data, &mut pos)?;
-                        if dist == 0 || dist > out.len() {
-                            return Err(FormatError::Compress(format!(
-                                "copy distance {dist} out of range (output {} bytes)",
-                                out.len()
-                            )));
-                        }
-                        if len > MAX_MATCH {
-                            return Err(FormatError::Compress("copy too long".into()));
-                        }
-                        if len > raw_len - out.len() {
-                            return Err(overflow());
-                        }
-                        // Overlapping copies are legal (dist < len): copy
-                        // byte by byte.
-                        let start = out.len() - dist;
-                        for k in 0..len {
-                            let b = out[start + k];
-                            out.push(b);
-                        }
-                    }
-                    other => {
-                        return Err(FormatError::Compress(format!("bad token tag {other}")));
-                    }
-                }
-            }
-            if out.len() != raw_len {
-                return Err(FormatError::Compress(format!(
-                    "decompressed {} bytes, header said {raw_len}",
-                    out.len()
-                )));
-            }
-            Ok(out)
-        }
+        METHOD_LZ => decompress_lz(data, pos, raw_len),
         other => Err(FormatError::Compress(format!("unknown method {other}"))),
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) used to frame BAM chunks.
-pub fn crc32(data: &[u8]) -> u32 {
-    // Small table computed on first use.
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+/// Tokens up to this long are written as one fixed-width block copy and
+/// trimmed: a constant-size move where a variable-length `memcpy` call
+/// would cost more than the bytes (tokens average six).
+const WIDE: usize = 16;
+
+/// The `Lz` arm of [`decompress`]: the token stream at `data[pos..]`,
+/// which must deliver exactly `raw_len` bytes.
+fn decompress_lz(data: &[u8], mut pos: usize, raw_len: usize) -> Result<Vec<u8>> {
+    // Every token is held to the header before it writes, so `out`
+    // never outgrows `raw_len` — but for the `WIDE` bytes of slack a
+    // block copy borrows until its `truncate`.
+    let mut out = Vec::with_capacity(decode_reserve(raw_len, data.len()) + WIDE);
+    let overflow = || FormatError::Compress("lz tokens overflow raw length".into());
+    while pos < data.len() {
+        let tag = data[pos];
+        pos += 1;
+        match tag {
+            TAG_LITERALS => {
+                let n = get_len(data, &mut pos)?;
+                let lits = take(data, pos, n)
+                    .ok_or_else(|| FormatError::Compress("truncated literal run".into()))?;
+                if n > raw_len - out.len() {
+                    return Err(overflow());
+                }
+                match data.get(pos..pos + WIDE) {
+                    Some(block) if n <= WIDE => {
+                        let block: &[u8; WIDE] = block.try_into().expect("a WIDE-byte slice");
+                        let end = out.len() + n;
+                        out.extend_from_slice(block);
+                        out.truncate(end);
+                    }
+                    _ => out.extend_from_slice(lits),
+                }
+                pos += n;
             }
-            *e = c;
+            TAG_COPY => {
+                let len = get_len(data, &mut pos)?;
+                let dist = get_len(data, &mut pos)?;
+                if dist == 0 || dist > out.len() {
+                    return Err(FormatError::Compress(format!(
+                        "copy distance {dist} out of range (output {} bytes)",
+                        out.len()
+                    )));
+                }
+                if len > MAX_MATCH {
+                    return Err(FormatError::Compress("copy too long".into()));
+                }
+                if len > raw_len - out.len() {
+                    return Err(overflow());
+                }
+                let start = out.len() - dist;
+                if len <= WIDE && dist >= WIDE {
+                    let end = out.len() + len;
+                    out.extend_from_within(start..start + WIDE);
+                    out.truncate(end);
+                } else if len <= dist {
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Overlapping copy (dist < len): the bytes repeat
+                    // with period `dist`, so each pass may copy all the
+                    // output written since `start` — doubling.
+                    let mut left = len;
+                    while left > 0 {
+                        let n = left.min(out.len() - start);
+                        out.extend_from_within(start..start + n);
+                        left -= n;
+                    }
+                }
+            }
+            other => {
+                return Err(FormatError::Compress(format!("bad token tag {other}")));
+            }
         }
-        t
-    });
+    }
+    if out.len() != raw_len {
+        return Err(FormatError::Compress(format!(
+            "decompressed {} bytes, header said {raw_len}",
+            out.len()
+        )));
+    }
+    Ok(out)
+}
+
+/// The eight slice-by-8 tables of the reflected IEEE polynomial:
+/// `T[0]` is the bytewise table, `T[k][b]` the CRC of byte `b` followed
+/// by `k` zero bytes.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) used to frame BAM
+/// chunks: slice-by-8, eight input bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// The implementations this module shipped before the container was
+/// made to cost what the format requires — bytewise-table CRC, a fresh
+/// `usize` head table and byte-at-a-time match extension per call, a
+/// per-byte `push` loop for copies — kept as the oracle the production
+/// paths are held to: same CRC values, same container bytes,
+/// same output and same `Ok`/`Err` on every hostile container.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    fn hash4(data: &[u8]) -> usize {
+        let v = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
+        (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    }
+
+    pub(crate) fn compress(input: &[u8]) -> Vec<u8> {
+        let mut out = vec![METHOD_LZ];
+        put_varint(&mut out, input.len() as u64);
+        let body = out.len();
+        compress_lz(input, &mut out);
+        if out.len() - body >= input.len() {
+            out.truncate(body);
+            out[0] = METHOD_STORE;
+            out.extend_from_slice(input);
+        }
+        out
+    }
+
+    fn compress_lz(input: &[u8], out: &mut Vec<u8>) {
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut i = 0usize;
+        let mut literal_start = 0usize;
+
+        let flush_literals = |out: &mut Vec<u8>, start: usize, end: usize| {
+            if end > start {
+                out.push(TAG_LITERALS);
+                put_varint(out, (end - start) as u64);
+                out.extend_from_slice(&input[start..end]);
+            }
+        };
+
+        while i + MIN_MATCH <= input.len() {
+            let h = hash4(&input[i..]);
+            let candidate = head[h];
+            head[h] = i;
+            let mut matched = 0usize;
+            if candidate != usize::MAX
+                && i - candidate <= WINDOW
+                && input[candidate..candidate + MIN_MATCH] == input[i..i + MIN_MATCH]
+            {
+                let max = (input.len() - i).min(MAX_MATCH);
+                matched = MIN_MATCH;
+                while matched < max && input[candidate + matched] == input[i + matched] {
+                    matched += 1;
+                }
+            }
+            if matched >= MIN_MATCH {
+                flush_literals(out, literal_start, i);
+                out.push(TAG_COPY);
+                put_varint(out, matched as u64);
+                put_varint(out, (i - candidate) as u64);
+                let step = if matched > 64 { 7 } else { 1 };
+                let mut j = i + 1;
+                while j + MIN_MATCH <= input.len() && j < i + matched {
+                    head[hash4(&input[j..])] = j;
+                    j += step;
+                }
+                i += matched;
+                literal_start = i;
+            } else {
+                i += 1;
+            }
+        }
+        flush_literals(out, literal_start, input.len());
+    }
+
+    pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>> {
+        if data.is_empty() {
+            return Err(FormatError::Compress("empty compressed buffer".into()));
+        }
+        let method = data[0];
+        let mut pos = 1usize;
+        let raw_len = get_raw_len(data, &mut pos)?;
+        match method {
+            METHOD_STORE => {
+                let payload = &data[pos..];
+                if payload.len() != raw_len {
+                    return Err(FormatError::Compress("store block length mismatch".into()));
+                }
+                Ok(payload.to_vec())
+            }
+            METHOD_LZ => {
+                let mut out = Vec::with_capacity(decode_reserve(raw_len, data.len()));
+                let overflow = || FormatError::Compress("lz tokens overflow raw length".into());
+                while pos < data.len() {
+                    let tag = data[pos];
+                    pos += 1;
+                    match tag {
+                        TAG_LITERALS => {
+                            let n = get_len(data, &mut pos)?;
+                            let lits = take(data, pos, n).ok_or_else(|| {
+                                FormatError::Compress("truncated literal run".into())
+                            })?;
+                            if n > raw_len - out.len() {
+                                return Err(overflow());
+                            }
+                            out.extend_from_slice(lits);
+                            pos += n;
+                        }
+                        TAG_COPY => {
+                            let len = get_len(data, &mut pos)?;
+                            let dist = get_len(data, &mut pos)?;
+                            if dist == 0 || dist > out.len() {
+                                return Err(FormatError::Compress("copy distance out of range".into()));
+                            }
+                            if len > MAX_MATCH {
+                                return Err(FormatError::Compress("copy too long".into()));
+                            }
+                            if len > raw_len - out.len() {
+                                return Err(overflow());
+                            }
+                            let start = out.len() - dist;
+                            for k in 0..len {
+                                let b = out[start + k];
+                                out.push(b);
+                            }
+                        }
+                        other => {
+                            return Err(FormatError::Compress(format!("bad token tag {other}")));
+                        }
+                    }
+                }
+                if out.len() != raw_len {
+                    return Err(FormatError::Compress("decompressed length mismatch".into()));
+                }
+                Ok(out)
+            }
+            other => Err(FormatError::Compress(format!("unknown method {other}"))),
+        }
+    }
+
+    pub(crate) fn crc32(data: &[u8]) -> u32 {
+        static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            let mut t = [0u32; 256];
+            for (i, e) in t.iter_mut().enumerate() {
+                let mut c = i as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                }
+                *e = c;
+            }
+            t
+        });
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
 }
 
 #[cfg(test)]
@@ -412,13 +691,7 @@ mod tests {
     #[test]
     fn incompressible_falls_back_to_store() {
         // Pseudo-random bytes via an LCG: no 4-byte repeats to speak of.
-        let mut x = 0x12345678u64;
-        let data: Vec<u8> = (0..4096)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                (x >> 33) as u8
-            })
-            .collect();
+        let data = lcg_bytes(0x12345678, 4096);
         let c = compress(&data);
         assert_eq!(c[0], METHOD_STORE);
         assert!(c.len() <= data.len() + 10);
@@ -601,5 +874,186 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    fn lcg_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 33) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
+        // Every remainder length of the 8-byte step, at every offset of
+        // the slice within a word.
+        let data = lcg_bytes(7, 4_100 + 8);
+        for offset in 0..8 {
+            for len in 0..=4_100 {
+                let s = &data[offset..offset + len];
+                assert_eq!(crc32(s), reference::crc32(s), "offset {offset}, len {len}");
+            }
+        }
+    }
+
+    /// Wire-encoded aligned records: the bytes a BAM chunk compresses.
+    fn sam_wire(seed: u64, n: usize) -> Vec<u8> {
+        use crate::sam::{Cigar, Flags, SamRecord};
+        use crate::wire::Wire;
+        let noise = lcg_bytes(seed, n * 200);
+        let mut buf = Vec::new();
+        for (i, chunk) in noise.chunks(200).enumerate() {
+            let seq: Vec<u8> = chunk[..100].iter().map(|b| b"ACGT"[(b & 3) as usize]).collect();
+            let qual: Vec<u8> = chunk[100..].iter().map(|b| 2 + b % 39).collect();
+            let mut r = SamRecord::unmapped(format!("sim.{seed}.{i}/1"), seq, qual);
+            r.flags = Flags(Flags::PAIRED);
+            r.ref_id = (i % 2) as i32;
+            r.pos = 1 + (i as i64) * 13;
+            r.mapq = 60;
+            r.cigar = Cigar::parse(if i % 7 == 0 { "5S90M5S" } else { "100M" }).unwrap();
+            r.mate_ref_id = r.ref_id;
+            r.mate_pos = r.pos + 250;
+            r.tlen = 350;
+            r.read_group = "rg1".into();
+            r.encode(&mut buf);
+        }
+        buf
+    }
+
+    fn assert_same_container(input: &[u8], what: &str) {
+        let got = compress(input);
+        assert!(got == reference::compress(input), "{what}: container bytes moved");
+        assert!(decompress(&got).unwrap() == input, "{what}: round trip");
+    }
+
+    #[test]
+    fn compress_emits_the_reference_container_byte_for_byte() {
+        assert_same_container(&sam_wire(1, 400), "sam wire");
+        assert_same_container(&sam_wire(2, 3), "sam wire, short");
+        assert_same_container(&b"ACGTACGTACGT".repeat(1000), "repetitive");
+        assert_same_container(&lcg_bytes(3, 70_000), "random");
+        // dist < len copies, of every short period, and one past MAX_MATCH.
+        for period in 1..=9usize {
+            let unit = lcg_bytes(period as u64, period);
+            assert_same_container(&unit.repeat(300 / period), "periodic");
+        }
+        assert_same_container(&vec![b'a'; MAX_MATCH + 4_000], "one long run");
+        // A repeat just inside, at, and just outside the 64 KiB window.
+        for gap in [WINDOW - 40, WINDOW - 32, WINDOW - 31, WINDOW] {
+            let mut v = lcg_bytes(11, 32);
+            v.extend(lcg_bytes(12, gap));
+            v.extend(lcg_bytes(11, 32));
+            assert_same_container(&v, "window edge");
+        }
+        for n in 0..12 {
+            assert_same_container(&b"ACGTACGTACGT"[..n], "tiny");
+        }
+    }
+
+    /// `decompress` and the reference agree on `Ok`/`Err` and on the bytes.
+    fn assert_same_decode(container: &[u8], what: &str) {
+        match (decompress(container), reference::decompress(container)) {
+            (Ok(a), Ok(b)) => assert!(a == b, "{what}: decoded bytes differ"),
+            (Err(FormatError::Compress(_)), Err(_)) => {}
+            (a, b) => panic!("{what}: {:?} vs reference {:?}", a.map(|v| v.len()), b.map(|v| v.len())),
+        }
+    }
+
+    #[test]
+    fn decompress_agrees_with_the_reference_on_hostile_and_cut_containers() {
+        for (name, bytes) in hostile_lz_containers() {
+            assert_same_decode(&bytes, name);
+            for cut in 0..bytes.len() {
+                assert_same_decode(&bytes[..cut], name);
+            }
+        }
+        let mut inputs = vec![sam_wire(5, 40), b"ACGTACGTACGT".repeat(90), vec![b'a'; 3_000]];
+        inputs.extend((1..=20usize).map(|p| lcg_bytes(p as u64, p).repeat(40)));
+        for input in inputs {
+            let c = compress(&input);
+            assert!(decompress(&c).unwrap() == input);
+            for cut in 0..c.len() {
+                assert_same_decode(&c[..cut], "cut container");
+            }
+            // Every single-byte change: a forged tag, length or distance.
+            for at in 0..c.len() {
+                let mut forged = c.clone();
+                for delta in [1u8, 0x80, 0xff] {
+                    forged[at] = c[at] ^ delta;
+                    assert_same_decode(&forged, "forged container");
+                }
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Inputs with the structure LZ feeds on: literal noise, repeats
+        /// of earlier spans at short and long distances, byte runs.
+        fn arb_lz_input() -> impl Strategy<Value = Vec<u8>> {
+            proptest::collection::vec((0u8..4, any::<u64>(), 1usize..300), 0..40).prop_map(|parts| {
+                let mut v: Vec<u8> = Vec::new();
+                for (kind, seed, n) in parts {
+                    match kind {
+                        0 => v.extend(lcg_bytes(seed, n)),
+                        1 => v.extend(std::iter::repeat_n(seed as u8, n)),
+                        _ if v.is_empty() => v.extend(lcg_bytes(seed, n)),
+                        // Copy n bytes from a random earlier offset; a
+                        // source that runs into the copy is dist < len.
+                        _ => {
+                            let from = (seed as usize) % v.len();
+                            for k in 0..n {
+                                v.push(v[from + k]);
+                            }
+                        }
+                    }
+                }
+                v
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn compress_is_the_reference_on_structured_input(input in arb_lz_input()) {
+                let got = compress(&input);
+                prop_assert!(got == reference::compress(&input));
+                prop_assert!(decompress(&got).unwrap() == input);
+            }
+
+            #[test]
+            fn decompress_is_the_reference_on_mutated_containers(
+                input in arb_lz_input(),
+                at in any::<usize>(),
+                byte in any::<u8>(),
+                cut in any::<usize>(),
+            ) {
+                let mut c = compress(&input);
+                let at = at % c.len();
+                c[at] = byte;
+                assert_same_decode(&c, "mutated");
+                assert_same_decode(&c[..cut % (c.len() + 1)], "mutated and cut");
+            }
+
+            #[test]
+            fn decompress_is_the_reference_on_arbitrary_bytes(
+                body in proptest::collection::vec(any::<u8>(), 0..200),
+                raw_len in 0u64..600,
+            ) {
+                // Token soup under an Lz header: tags are 0 or 1 often
+                // enough that whole tokens parse.
+                let mut c = vec![METHOD_LZ];
+                put_varint(&mut c, raw_len);
+                c.extend(body.iter().map(|b| if b % 3 == 0 { b & 1 } else { *b }));
+                assert_same_decode(&c, "token soup");
+                assert_same_decode(&body, "arbitrary bytes");
+            }
+        }
     }
 }

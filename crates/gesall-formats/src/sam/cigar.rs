@@ -103,12 +103,22 @@ impl Cigar {
 
     /// Parse a text CIGAR (`"3S97M"`, or `"*"` for unmapped).
     pub fn parse(s: &str) -> Result<Cigar> {
-        if s == "*" {
-            return Ok(Cigar::unmapped());
-        }
         let mut ops = Vec::new();
+        Cigar::scan(s, |op| ops.push(op))?;
+        Ok(Cigar(ops))
+    }
+
+    /// Walk a text CIGAR's ops in order without building the [`Cigar`]:
+    /// the one statement of the grammar, so a reader that only needs a
+    /// derived length accepts and rejects exactly what [`Cigar::parse`]
+    /// does. `"*"` has no ops.
+    pub(crate) fn scan(s: &str, mut each: impl FnMut(CigarOp)) -> Result<()> {
+        if s == "*" {
+            return Ok(());
+        }
         let mut n: u64 = 0;
         let mut have_digit = false;
+        let mut any_op = false;
         for c in s.bytes() {
             if c.is_ascii_digit() {
                 n = n * 10 + (c - b'0') as u64;
@@ -120,7 +130,8 @@ impl Cigar {
                 if !have_digit {
                     return Err(FormatError::Cigar(format!("op without length in {s:?}")));
                 }
-                ops.push(CigarOp::with_len(c, n as u32)?);
+                each(CigarOp::with_len(c, n as u32)?);
+                any_op = true;
                 n = 0;
                 have_digit = false;
             }
@@ -128,10 +139,33 @@ impl Cigar {
         if have_digit {
             return Err(FormatError::Cigar(format!("trailing digits in {s:?}")));
         }
-        if ops.is_empty() {
+        if !any_op {
             return Err(FormatError::Cigar("empty cigar".into()));
         }
-        Ok(Cigar(ops))
+        Ok(())
+    }
+
+    /// Append the text form (`Display`) to `buf` without a `String`.
+    pub fn write_text(&self, buf: &mut Vec<u8>) {
+        if self.is_unmapped() {
+            buf.push(b'*');
+            return;
+        }
+        for op in &self.0 {
+            let mut digits = [0u8; 10];
+            let mut at = digits.len();
+            let mut n = op.len();
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (n % 10) as u8;
+                n /= 10;
+                if n == 0 {
+                    break;
+                }
+            }
+            buf.extend_from_slice(&digits[at..]);
+            buf.push(op.code());
+        }
     }
 
     /// Length of the text form (`Display`) without rendering it — the
@@ -297,9 +331,12 @@ mod tests {
 
     #[test]
     fn text_len_matches_display() {
-        for s in ["*", "100M", "3S50M2I10D45M2S", "1M", "9M10M99M100M"] {
+        for s in ["*", "100M", "3S50M2I10D45M2S", "1M", "9M10M99M100M", "4294967295N0M"] {
             let c = if s == "*" { Cigar::unmapped() } else { Cigar::parse(s).unwrap() };
             assert_eq!(c.text_len(), c.to_string().len(), "{s}");
+            let mut text = Vec::new();
+            c.write_text(&mut text);
+            assert_eq!(text, c.to_string().as_bytes(), "{s}");
         }
     }
 

@@ -112,7 +112,11 @@ impl SamRecord {
     /// Whether this read overlaps the 1-based inclusive reference interval
     /// `[start, end]` on `ref_id`.
     pub fn overlaps(&self, ref_id: i32, start: i64, end: i64) -> bool {
-        self.is_mapped() && self.ref_id == ref_id && self.pos <= end && self.end_pos() >= start
+        self.is_mapped()
+            && span_overlaps(
+                (self.ref_id, self.pos, self.cigar.reference_len()),
+                (ref_id, start, end),
+            )
     }
 
     /// Structural invariants: seq/qual same length; mapped records have a
@@ -164,16 +168,65 @@ impl SamRecord {
             (i32::MAX, i64::MAX)
         }
     }
+
+    /// [`Wire::decode`] minus the allocations, for a reader that wants
+    /// only the records of a region: advances `cur` past one wire record
+    /// — validating every field as `decode` does, so it stops on exactly
+    /// the bytes `decode` stops on — and returns whether that record
+    /// [`overlaps`](SamRecord::overlaps) `[start, end]` on `ref_id`.
+    pub fn skip_overlapping(cur: &mut Cursor<'_>, ref_id: i32, start: i64, end: i64) -> Result<bool> {
+        cur.get_str_ref()?; // name
+        let flags = Flags(u32::decode(cur)? as u16);
+        let rec_ref = decode_ref_id(cur)?;
+        let pos = i64::decode(cur)?;
+        u32::decode(cur)?; // mapq
+        let mut reference_len = 0u32;
+        Cigar::scan(cur.get_str_ref()?, |op| {
+            if op.consumes_reference() {
+                reference_len = reference_len.wrapping_add(op.len());
+            }
+        })?;
+        decode_ref_id(cur)?; // mate_ref_id
+        i64::decode(cur)?; // mate_pos
+        i64::decode(cur)?; // tlen
+        cur.get_bytes()?; // seq
+        cur.get_bytes()?; // qual
+        cur.get_str_ref()?; // read_group
+        i64::decode(cur)?; // alignment_score
+        u32::decode(cur)?; // edit_distance
+        Ok(!flags.is_unmapped()
+            && span_overlaps((rec_ref, pos, reference_len), (ref_id, start, end)))
+    }
+}
+
+/// Whether a mapped alignment `(ref id, pos, reference length)` overlaps
+/// the 1-based inclusive region `(ref id, start, end)`. Wrapping: the
+/// fields may be hostile wire bytes.
+fn span_overlaps(aln: (i32, i64, u32), region: (i32, i64, i64)) -> bool {
+    let (rec_ref, pos, reference_len) = aln;
+    let (ref_id, start, end) = region;
+    let end_pos = pos.wrapping_add(reference_len as i64).wrapping_sub(1);
+    rec_ref == ref_id && pos <= end && end_pos >= start
+}
+
+/// A reference id as the wire carries it: biased by one so [`NO_REF`]
+/// is 0.
+fn decode_ref_id(cur: &mut Cursor<'_>) -> Result<i32> {
+    Ok((u64::decode(cur)? as i64).wrapping_sub(1) as i32)
 }
 
 impl Wire for SamRecord {
+    /// Fourteen fields, a byte each.
+    const MIN_ENCODED_LEN: usize = 14;
+
     fn encode(&self, buf: &mut Vec<u8>) {
         self.name.encode(buf);
         (self.flags.0 as u32).encode(buf);
         ((self.ref_id as i64 + 1) as u64).encode(buf);
         self.pos.encode(buf);
         (self.mapq as u32).encode(buf);
-        self.cigar.to_string().encode(buf);
+        wire::put_varint(buf, self.cigar.text_len() as u64);
+        self.cigar.write_text(buf);
         ((self.mate_ref_id as i64 + 1) as u64).encode(buf);
         self.mate_pos.encode(buf);
         self.tlen.encode(buf);
@@ -212,11 +265,11 @@ impl Wire for SamRecord {
     fn decode(cur: &mut Cursor<'_>) -> Result<SamRecord> {
         let name = String::decode(cur)?;
         let flags = Flags(u32::decode(cur)? as u16);
-        let ref_id = (u64::decode(cur)? as i64 - 1) as i32;
+        let ref_id = decode_ref_id(cur)?;
         let pos = i64::decode(cur)?;
         let mapq = u32::decode(cur)? as u8;
-        let cigar = Cigar::parse(&String::decode(cur)?)?;
-        let mate_ref_id = (u64::decode(cur)? as i64 - 1) as i32;
+        let cigar = Cigar::parse(cur.get_str_ref()?)?;
+        let mate_ref_id = decode_ref_id(cur)?;
         let mate_pos = i64::decode(cur)?;
         let tlen = i64::decode(cur)?;
         let seq = Vec::<u8>::decode(cur)?;
@@ -284,6 +337,89 @@ mod tests {
         assert_eq!(back, r);
         assert_eq!(back.ref_id, NO_REF);
         assert_eq!(r.encoded_len(), bytes.len());
+    }
+
+    /// One record of every wire shape: mapped, unmapped with a `*`
+    /// CIGAR, empty and present read group, soft clips, a spliced span,
+    /// and fields whose varints take several bytes.
+    fn record_shapes() -> Vec<SamRecord> {
+        let mut clipped = mapped_record("readX", 2, 12345, "5S90M5S");
+        clipped.flags.set(Flags::PAIRED, true);
+        clipped.flags.set(Flags::REVERSE, true);
+        clipped.mate_ref_id = 2;
+        clipped.mate_pos = 12000;
+        clipped.tlen = -445;
+        clipped.read_group = "rg1".into();
+        clipped.alignment_score = -87;
+        clipped.edit_distance = 3;
+        let mut wide = mapped_record(&"n".repeat(200), 70_000, 1 << 40, "150M100000N150M");
+        wide.flags = Flags(0x7ff);
+        wide.flags.set(Flags::UNMAPPED, false);
+        wide.mapq = 255;
+        wide.mate_pos = i64::MAX;
+        wide.tlen = i64::MIN;
+        wide.alignment_score = i32::MIN;
+        wide.edit_distance = u32::MAX;
+        wide.read_group = "αβγ".into();
+        vec![
+            mapped_record("r", 0, 100, "50M"),
+            clipped,
+            wide,
+            SamRecord::unmapped("u1", b"ACGT".to_vec(), vec![2; 4]),
+            SamRecord::unmapped("", Vec::new(), Vec::new()),
+        ]
+    }
+
+    #[test]
+    fn skip_stops_where_decode_stops_and_reports_overlap() {
+        let shapes = record_shapes();
+        let mut wire_bytes = Vec::new();
+        for r in &shapes {
+            r.encode(&mut wire_bytes);
+        }
+        let regions = [(0, 1, 99), (0, 149, 200), (2, 12_344, 12_345), (70_000, 1 << 40, 1 << 41), (NO_REF, 0, 0)];
+        for (ref_id, start, end) in regions {
+            let mut skip = Cursor::new(&wire_bytes);
+            let mut full = Cursor::new(&wire_bytes);
+            for r in &shapes {
+                let hit = SamRecord::skip_overlapping(&mut skip, ref_id, start, end).unwrap();
+                assert_eq!(&SamRecord::decode(&mut full).unwrap(), r);
+                assert_eq!(hit, r.overlaps(ref_id, start, end), "{} in {ref_id}:{start}-{end}", r.name);
+                assert_eq!(skip.remaining(), full.remaining(), "after {}", r.name);
+            }
+            assert!(skip.is_empty());
+        }
+    }
+
+    #[test]
+    fn skip_errs_on_exactly_the_bytes_decode_errs_on() {
+        fn same_outcome(bytes: &[u8], what: &str) {
+            let (mut skip, mut full) = (Cursor::new(bytes), Cursor::new(bytes));
+            let skipped = SamRecord::skip_overlapping(&mut skip, 0, 1, 1_000);
+            match (skipped, SamRecord::decode(&mut full)) {
+                (Ok(hit), Ok(rec)) => {
+                    assert_eq!(hit, rec.overlaps(0, 1, 1_000), "{what}");
+                    assert_eq!(skip.remaining(), full.remaining(), "{what}");
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+                (a, b) => panic!("{what}: skip {a:?}, decode {:?}", b.map(|r| r.name)),
+            }
+        }
+        for r in record_shapes() {
+            let bytes = r.to_wire_bytes();
+            for cut in 0..bytes.len() {
+                same_outcome(&bytes[..cut], "cut");
+            }
+            // Every byte to every value a length, a tag, a digit, an op
+            // letter or a UTF-8 continuation could be forged into.
+            for at in 0..bytes.len() {
+                let mut forged = bytes.clone();
+                for v in [0, 1, b'*', b'0', b'9', b'M', b'X', 0x7f, 0x80, 0xbf, 0xc3, 0xff] {
+                    forged[at] = v;
+                    same_outcome(&forged, "forged");
+                }
+            }
+        }
     }
 
     #[test]

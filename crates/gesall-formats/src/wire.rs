@@ -33,6 +33,10 @@ pub fn varint_len(v: u64) -> usize {
 
 /// Append a varint (LEB128, unsigned).
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    if v < 0x80 {
+        buf.push(v as u8);
+        return;
+    }
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -56,6 +60,7 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
 }
 
 /// Cursor for decoding.
+#[derive(Clone)]
 pub struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
@@ -99,6 +104,13 @@ impl<'a> Cursor<'a> {
     }
 
     pub fn get_varint(&mut self) -> Result<u64> {
+        // Most fields (flags aside) fit one byte.
+        if let Some(&byte) = self.data.get(self.pos) {
+            if byte < 0x80 {
+                self.pos += 1;
+                return Ok(byte as u64);
+            }
+        }
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -117,21 +129,45 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// The element count of a sequence of `T`s. It is untrusted: one the
+    /// remaining bytes cannot hold is refused here, before anything is
+    /// reserved for it.
+    pub fn get_count<T: Wire>(&mut self) -> Result<usize> {
+        let n = self.get_varint()?;
+        let fit = self.remaining() / T::MIN_ENCODED_LEN.max(1);
+        usize::try_from(n).ok().filter(|&n| n <= fit).ok_or_else(|| {
+            FormatError::Bam(format!(
+                "sequence length {n} exceeds the remaining {} bytes",
+                self.remaining()
+            ))
+        })
+    }
+
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.get_varint()? as usize;
         self.take(n)
     }
 
-    pub fn get_str(&mut self) -> Result<String> {
-        let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec())
+    /// A length-prefixed UTF-8 string, borrowed from the buffer.
+    pub fn get_str_ref(&mut self) -> Result<&'a str> {
+        std::str::from_utf8(self.get_bytes()?)
             .map_err(|_| FormatError::Bam("invalid utf-8 in string field".into()))
+    }
+
+    pub fn get_str(&mut self) -> Result<String> {
+        self.get_str_ref().map(str::to_owned)
     }
 }
 
 /// Types with a stable byte encoding — used for BAM records, shuffle keys
 /// and values, and spill files.
 pub trait Wire: Sized {
+    /// The fewest bytes any value of the type encodes to. An element
+    /// count read from untrusted bytes is held to it: a `Vec<T>` never
+    /// reserves for more elements than the bytes behind the count can
+    /// hold.
+    const MIN_ENCODED_LEN: usize = 1;
+
     /// Append the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
 
@@ -297,6 +333,8 @@ impl Wire for crate::bytes::SharedBytes {
 }
 
 impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_ENCODED_LEN: usize = A::MIN_ENCODED_LEN + B::MIN_ENCODED_LEN;
+
     fn encode(&self, buf: &mut Vec<u8>) {
         self.0.encode(buf);
         self.1.encode(buf);
@@ -325,13 +363,7 @@ impl<T: Wire> Wire for Vec<T> {
         varint_len(self.len() as u64) + self.iter().map(Wire::encoded_len).sum::<usize>()
     }
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
-        let n = cur.get_varint()? as usize;
-        // Defensive cap to avoid OOM on corrupt input.
-        if n > cur.remaining() {
-            return Err(FormatError::Bam(format!(
-                "vec length {n} exceeds remaining bytes"
-            )));
-        }
+        let n = cur.get_count::<T>()?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(T::decode(cur)?);

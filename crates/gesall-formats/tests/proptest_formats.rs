@@ -232,3 +232,142 @@ proptest! {
         prop_assert_eq!(flat, pairs); // order-preserving, lossless
     }
 }
+
+// ---- The BAM container on hostile bytes: `Ok | Err(FormatError)`, never
+// a panic, never a reservation the input does not justify.
+
+/// Drive every BAM reader over `file` (as a whole file, as one frame, as
+/// a frame list and as a record-chunk payload) and over `index`.
+/// Returning at all is the property; what came back is for the caller.
+fn drive_bam_readers(file: &[u8], index: &[u8]) -> Option<Vec<SamRecord>> {
+    let _ = bam::decode_frame(file);
+    let _ = bam::split_frames(file).map(|frames| bam::ChunkSetReader::new(&frames).map(Iterator::count));
+    let _ = bam::ChunkSetReader::new(&[file, file]).map(Iterator::count);
+    let payload = bam::Chunk { kind: bam::KIND_RECORDS, raw: file.to_vec() };
+    let mut hits = Vec::new();
+    let _ = payload.records_overlapping(0, 1, 1 << 40, &mut hits);
+    let _ = payload.records();
+    let _ = bam::Chunk { kind: bam::KIND_HEADER, raw: file.to_vec() }.header();
+    if let Ok(index) = bam::BamIndex::from_bytes(index) {
+        for (ref_id, start, end) in [(0, 1, 1 << 40), (0, i64::MIN, i64::MAX), (-1, 0, 0)] {
+            if let Ok(hits) = bam::read_region(file, &index, ref_id, start, end) {
+                assert!(hits.iter().all(|r| r.overlaps(ref_id, start, end)));
+            }
+        }
+    }
+    bam::read_bam(file).ok().map(|(_, records)| records)
+}
+
+/// A well-formed frame (right lengths, right CRC) around any payload:
+/// what gets a hostile payload past the frame checks.
+fn frame_around(kind: u8, raw: &[u8]) -> Vec<u8> {
+    let comp = compress(raw);
+    let mut frame = vec![kind];
+    frame.extend_from_slice(&(comp.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&(raw.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(raw).to_le_bytes());
+    frame.extend_from_slice(&comp);
+    frame
+}
+
+/// A two-record-chunk file small enough to corrupt at every byte: long
+/// constant reads, so a 64 KiB chunk is 33 records and a few hundred
+/// compressed bytes.
+fn two_chunk_file() -> (Vec<u8>, bam::BamIndex, Vec<SamRecord>) {
+    let header = SamHeader::new(vec![ReferenceSeq { name: "chr1".into(), len: 2_000_000 }]);
+    let records: Vec<SamRecord> = (0..40)
+        .map(|i| {
+            let mut r = SamRecord::unmapped(format!("r{i}"), vec![b'A'; 1_000], vec![30; 1_000]);
+            r.flags = Flags(Flags::PAIRED);
+            r.ref_id = 0;
+            r.pos = 1 + i * 500;
+            r.cigar = Cigar(vec![CigarOp::Match(1_000)]);
+            r
+        })
+        .collect();
+    let (file, index) = bam::write_bam_indexed(&header, &records);
+    assert_eq!(index.entries.len(), 2);
+    (file, index, records)
+}
+
+#[test]
+fn bam_readers_are_total_on_every_flip_and_cut_of_a_file_and_its_index() {
+    let (file, index, records) = two_chunk_file();
+    let index = index.to_bytes();
+    assert_eq!(drive_bam_readers(&file, &index), Some(records.clone()));
+    for at in 0..file.len() {
+        for flip in [0x01, 0x80, 0xff] {
+            let mut bad = file.clone();
+            bad[at] ^= flip;
+            // The CRC, the lengths and the grammar between them leave no
+            // byte of a file free to change unnoticed.
+            assert_eq!(drive_bam_readers(&bad, &index), None, "byte {at} ^ {flip:#x}");
+        }
+        if let Some(cut) = drive_bam_readers(&file[..at], &index) {
+            // A cut on a frame boundary is a shorter valid file.
+            assert!(records.starts_with(&cut), "cut at {at}");
+        }
+    }
+    for at in 0..index.len() {
+        for flip in [0x01, 0x80, 0xff] {
+            let mut bad = index.clone();
+            bad[at] ^= flip;
+            drive_bam_readers(&file, &bad);
+        }
+        drive_bam_readers(&file, &index[..at]);
+    }
+}
+
+#[test]
+fn forged_frame_lengths_are_errors_before_they_are_allocations() {
+    let (file, _, _) = two_chunk_file();
+    let header_len = bam::FrameHeader::parse(&file).unwrap().frame_len();
+    for forged_len in [u32::MAX, 1 << 30, (1 << 30) + 1] {
+        // raw_len, then comp_len, of the first record chunk.
+        for field in [5, 1] {
+            let mut bad = file.clone();
+            bad[header_len + field..header_len + field + 4].copy_from_slice(&forged_len.to_le_bytes());
+            assert!(bam::read_bam(&bad).is_err());
+            assert!(bam::decode_frame(&bad[header_len..]).is_err());
+            assert!(bam::split_frames(&bad).is_err() || field == 5);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn bam_readers_are_total_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        kind in 0u8..3,
+    ) {
+        drive_bam_readers(&bytes, &bytes);
+        // The same bytes as the payload of a frame that checks out, alone
+        // and behind a real header chunk.
+        let framed = frame_around(kind, &bytes);
+        drive_bam_readers(&framed, &bytes);
+        let (file, _, _) = two_chunk_file();
+        let header_len = bam::FrameHeader::parse(&file).unwrap().frame_len();
+        let mut behind_header = file[..header_len].to_vec();
+        behind_header.extend_from_slice(&framed);
+        drive_bam_readers(&behind_header, &bytes);
+    }
+
+    #[test]
+    fn bam_readers_are_total_on_forged_records(
+        records in proptest::collection::vec(arb_sam_record(), 1..6),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        count in 0u64..9,
+    ) {
+        // A chunk payload with one byte, or its record count, forged —
+        // inside a frame whose CRC vouches for it.
+        let mut raw = records.to_wire_bytes();
+        let at = at % raw.len();
+        raw[at] = byte;
+        drive_bam_readers(&frame_around(bam::KIND_RECORDS, &raw), &raw);
+        raw[0] = count as u8;
+        drive_bam_readers(&raw, &raw);
+    }
+}

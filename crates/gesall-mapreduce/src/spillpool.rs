@@ -146,7 +146,7 @@ impl SpillPool {
         self.shared.submit_waits.load(Ordering::Relaxed)
     }
 
-    /// Jobs executed to completion.
+    /// Jobs taken off the queue and run (counted as each starts).
     pub fn jobs_run(&self) -> u64 {
         self.shared.jobs_run.load(Ordering::Relaxed)
     }
@@ -198,12 +198,14 @@ fn worker_loop(shared: &PoolShared) {
             }
         };
         shared.not_full.notify_one();
+        // Counted before the job runs: its last act is to hand over its
+        // result, and whoever receives that must already see the count.
+        shared.jobs_run.fetch_add(1, Ordering::Relaxed);
         let t0 = Instant::now();
         job();
         shared
             .busy_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        shared.jobs_run.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -233,10 +235,11 @@ mod tests {
         pool.submit(Box::new(|| {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }));
-        // Wait for the job to complete, then check the gauge.
-        while pool.jobs_run() < 1 {
+        // The gauge moves when the job completes.
+        while pool.busy_nanos() == 0 {
             std::thread::sleep(std::time::Duration::from_micros(100));
         }
+        assert_eq!(pool.jobs_run(), 1);
         assert!(pool.busy_nanos() >= 1_000_000, "≥1ms of busy time recorded");
     }
 
