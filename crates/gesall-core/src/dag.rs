@@ -36,6 +36,11 @@ pub mod keys {
     pub const STAGES_RUN: &str = "dag.stages.run";
     /// Stages served from the content-addressed intermediate store.
     pub const STAGES_CACHE_HIT: &str = "dag.stages.cache_hit";
+    /// BAM partitions encoded by a job's committed attempts: one per
+    /// reducer of rounds 2–4, one per mapper of round 4b.
+    pub const PARTS_ENCODED: &str = "dag.parts.encoded";
+    /// Final-stage partitions decoded into `PipelineOutput::records`.
+    pub const PARTS_DECODED: &str = "dag.parts.decoded";
 }
 
 /// One node of a stage graph: a named unit of pipeline work plus the

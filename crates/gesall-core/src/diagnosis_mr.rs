@@ -66,6 +66,16 @@ impl Wire for TaggedSignature {
         (self.mapq as u32).encode(buf);
     }
 
+    fn encoded_len(&self) -> usize {
+        // The two bools are one byte each; a u8 can need two.
+        (self.tag as u32).encoded_len()
+            + (self.ref_id as i64).encoded_len()
+            + self.pos.encoded_len()
+            + self.cigar.encoded_len()
+            + (self.mapq as u32).encoded_len()
+            + 2
+    }
+
     fn decode(cur: &mut Cursor<'_>) -> FmtResult<Self> {
         Ok(TaggedSignature {
             tag: u32::decode(cur)? as u8,
@@ -279,6 +289,14 @@ mod tests {
         let s = TaggedSignature::of(TAG_PARALLEL, &r);
         let bytes = s.to_wire_bytes();
         assert_eq!(TaggedSignature::from_wire_bytes(&bytes).unwrap(), s);
+        assert_eq!(s.encoded_len(), bytes.len());
+        let wide = TaggedSignature {
+            tag: 200,
+            mapq: 255,
+            ref_id: -1,
+            ..s
+        };
+        assert_eq!(wide.encoded_len(), wide.to_wire_bytes().len());
     }
 
     #[test]

@@ -53,6 +53,10 @@ fn encode_end(buf: &mut Vec<u8>, k: &EndKey) {
     (k.2 as u32).encode(buf);
 }
 
+fn end_len(k: &EndKey) -> usize {
+    (k.0 as i64).encoded_len() + k.1.encoded_len() + (k.2 as u32).encoded_len()
+}
+
 fn decode_end(cur: &mut Cursor<'_>) -> FmtResult<EndKey> {
     Ok((
         i64::decode(cur)? as i32,
@@ -77,6 +81,14 @@ impl Wire for MarkDupKey {
                 buf.push(2);
                 h.encode(buf);
             }
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            MarkDupKey::Pair(a, b) => end_len(a) + end_len(b),
+            MarkDupKey::Single(a) => end_len(a),
+            MarkDupKey::Unplaced(h) => h.encoded_len(),
         }
     }
 
@@ -128,6 +140,10 @@ impl Wire for MarkDupValue {
             MarkDupRole::Unplaced => 4,
         });
         self.record.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + self.record.encoded_len()
     }
 
     fn decode(cur: &mut Cursor<'_>) -> FmtResult<Self> {
@@ -368,6 +384,10 @@ impl Wire for RangeKey {
         self.pos.encode(buf);
     }
 
+    fn encoded_len(&self) -> usize {
+        (self.chrom as i64).encoded_len() + self.pos.encoded_len()
+    }
+
     fn decode(cur: &mut Cursor<'_>) -> FmtResult<Self> {
         Ok(RangeKey {
             chrom: i64::decode(cur)? as i32,
@@ -458,6 +478,29 @@ mod tests {
                 assert!(name_partition(&name, n) < n);
             }
         }
+    }
+
+    #[test]
+    fn encoded_len_is_exact_for_every_impl() {
+        fn check<T: Wire>(v: T) {
+            assert_eq!(v.encoded_len(), v.to_wire_bytes().len());
+        }
+        check(MarkDupKey::Pair((0, 1000, b'F'), (i32::MAX, i64::MAX, b'R')));
+        check(MarkDupKey::Single((-1, -5, b'R')));
+        check(MarkDupKey::Unplaced(u64::MAX));
+        check(MarkDupKey::Unplaced(0));
+        for role in [MarkDupRole::PairMember, MarkDupRole::Unplaced] {
+            check(MarkDupValue {
+                role,
+                record: mapped("x", 5, true),
+            });
+        }
+        check(RangeKey { chrom: 0, pos: 50 });
+        check(RangeKey { chrom: 200, pos: 1 << 40 });
+        check(RangeKey::of(&SamRecord::unmapped("u", vec![], vec![])));
+        let mut bloom = BloomFilter::with_capacity(64);
+        bloom.insert(&(1, 1000, b'F'));
+        check(bloom);
     }
 
     #[test]

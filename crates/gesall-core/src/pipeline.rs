@@ -15,9 +15,9 @@ use crate::dag;
 use crate::error::{PlatformError, Result};
 use crate::gdpt::{chromosome_partition, BloomFilter, RangeKey};
 use crate::rounds::{
-    build_bloom_from_outputs, BloomBuildMapper, Round1Align, Round2CleanMapper,
-    Round2FixMateReducer, Round3MarkDupMapper, Round3MarkDupReducer, Round4SortMapper,
-    Round4SortReducer, Round5HaplotypeCaller,
+    build_bloom_from_outputs, BamParts, BloomBuildMapper, DecodePartMapper, Round1Align,
+    Round2CleanMapper, Round2FixMateReducer, Round3MarkDupMapper, Round3MarkDupReducer,
+    Round4SortMapper, Round4SortReducer, Round5HaplotypeCaller,
 };
 use gesall_aligner::Aligner;
 use gesall_dfs::{checksum, Dfs, LogicalPartitionPlacement};
@@ -30,7 +30,7 @@ use gesall_formats::wire::{self, Wire};
 use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::lease::SlotLease;
-use gesall_mapreduce::runtime::{InputSplit, JobConfig, JobResult, MapReduceEngine};
+use gesall_mapreduce::runtime::{InputSplit, JobConfig, JobOutput, MapReduceEngine};
 use gesall_mapreduce::task::{FnPartitioner, HashPartitioner};
 use gesall_telemetry::{kernel_keys, report, OpenSpan, PhaseRow, Recorder, SpanId, SpanKind};
 use gesall_tools::haplotype_caller::{call_chromosome, HaplotypeCallerConfig};
@@ -259,22 +259,31 @@ impl PipelineOutput {
         self.stages.iter().filter(|s| s.cache_hit).count()
     }
 
-    /// Rows for the telemetry DAG / critical-path report.
-    pub fn dag_rows(&self) -> Vec<report::DagStageRow> {
+    /// Per-stage rows for the telemetry DAG / critical-path report: the
+    /// stage's wall next to the wall of the MapReduce job it ran (0 on a
+    /// hit). The difference is what the driver thread did around the job
+    /// while every slot idled — resolve, commit, place.
+    pub fn stage_rows(&self) -> Vec<report::DagStageRow> {
         self.stages
             .iter()
             .map(|s| report::DagStageRow {
                 name: s.name.clone(),
                 parents: s.parents.clone(),
                 duration_ms: s.wall_ms,
+                job_ms: self
+                    .rounds
+                    .iter()
+                    .find(|r| r.name == s.name)
+                    .map_or(0.0, |r| r.wall_ms),
                 cached: s.cache_hit,
             })
             .collect()
     }
 
-    /// The rendered stage table with critical-path attribution.
+    /// The rendered stage table: stage, job and driver milliseconds with
+    /// critical-path attribution.
     pub fn dag_report(&self) -> String {
-        report::dag_report(&self.dag_rows())
+        report::dag_report(&self.stage_rows())
     }
 }
 
@@ -459,8 +468,10 @@ impl GesallPlatform {
     /// instead of executed (`dag.stages.cache_hit` vs `dag.stages.run`),
     /// so re-running with one changed stage re-executes exactly that
     /// stage and its descendants. A partition stage's entry is its
-    /// partition bytes: hit or run, they are placed on the DFS once and
-    /// become its consumers' input splits. Every entry touched is pinned until
+    /// partition bytes, written by the stage's tasks: hit or run, the
+    /// partitions are windows of the entry, placed on the DFS once, and
+    /// become its consumers' input splits — store, blocks and splits
+    /// share one backing. Every entry touched is pinned until
     /// the run finishes, so retention sweeps and TTL can never delete a
     /// live intermediate out from under a dependent stage.
     pub fn run_pipeline_dag(
@@ -470,16 +481,30 @@ impl GesallPlatform {
         opts: &RunOptions,
         dag_opts: &DagRunOptions,
     ) -> Result<PipelineOutput> {
-        let spec = dag::pipeline_dag(&self.config);
-        let order = spec
-            .topo_order()
-            .map_err(|e| PlatformError::Invariant(e.to_string()))?;
         let (mut cx, pipeline_span, pipeline_name, ns) = self.begin_run(aligner, opts);
         let cas_root = opts
             .cas_root
             .as_deref()
             .map(|c| c.trim_end_matches('/').to_string())
             .unwrap_or(ns);
+        let (records, variants, stages) = self.run_dag(&mut cx, &cas_root, pairs, dag_opts)?;
+        Ok(self.finish_run(cx, pipeline_span, &pipeline_name, records, variants, stages))
+    }
+
+    /// Everything between [`GesallPlatform::begin_run`] and
+    /// [`GesallPlatform::finish_run`]: resolve every stage, then read
+    /// the final partitions back as records.
+    fn run_dag(
+        &self,
+        cx: &mut StageCtx<'_>,
+        cas_root: &str,
+        pairs: Vec<ReadPair>,
+        dag_opts: &DagRunOptions,
+    ) -> Result<(Vec<SamRecord>, Vec<VariantRecord>, Vec<StageReport>)> {
+        let spec = dag::pipeline_dag(&self.config);
+        let order = spec
+            .topo_order()
+            .map_err(|e| PlatformError::Invariant(e.to_string()))?;
 
         // Root content key: the external inputs every stage chain hangs
         // off — the read pairs, the reference sequences, their names.
@@ -498,6 +523,8 @@ impl GesallPlatform {
             .stage_keys(root_key, &dag_opts.invalidate)
             .map_err(|e| PlatformError::Invariant(e.to_string()))?;
 
+        // The side outputs (bloom filter, recalibration table, calls);
+        // partitions live in `cx.splits`.
         let mut data: HashMap<String, StageData> = HashMap::new();
         let mut pinned: Vec<String> = Vec::new();
         let mut stage_reports: Vec<StageReport> = Vec::new();
@@ -507,18 +534,18 @@ impl GesallPlatform {
                 for name in &order {
                     let stage = spec.stage(name).expect("topo names come from the spec");
                     let key = keys[name.as_str()];
-                    let cas_path = Dfs::cas_path(&cas_root, key);
+                    let cas_path = Dfs::cas_path(cas_root, key);
                     let t0 = Instant::now();
                     let sspan = cx.recorder.start(SpanKind::Stage, name, cx.pipeline_span);
                     let mut cached = None;
                     if dag_opts.cache {
-                        if let Some(bytes) = self.dfs.cas_get(&cas_root, key)? {
+                        if let Some(entry) = self.dfs.cas_get(cas_root, key)? {
                             // A torn or garbled entry is a miss: the
                             // stage re-runs, and `cas_put` on the same
                             // key degrades to a hit on the entry as it
                             // stands, so it stays a miss until retention
                             // sweeps it.
-                            cached = StageData::from_wire_bytes(&bytes)
+                            cached = StageData::from_entry(&entry)
                                 .ok()
                                 .filter(StageData::parts_are_whole);
                         }
@@ -527,19 +554,24 @@ impl GesallPlatform {
                     let out = match cached {
                         Some(d) => d,
                         None => {
-                            let d = self.execute_stage(&mut cx, name, &data, &mut pairs)?;
+                            let mut d = self.execute_stage(cx, name, &data, &mut pairs)?;
                             if dag_opts.cache {
-                                self.dfs.cas_put(
-                                    &cas_root,
-                                    key,
-                                    SharedBytes::from_vec(d.to_wire_bytes()),
-                                )?;
+                                // Built once, exactly sized; partitions
+                                // go on from here as windows of it.
+                                let entry = SharedBytes::from_vec(d.to_wire_bytes());
+                                self.dfs.cas_put(cas_root, key, entry.clone())?;
+                                if let StageData::Parts(_) = d {
+                                    d = StageData::from_entry(&entry)?;
+                                }
                             }
                             d
                         }
                     };
-                    if let StageData::Parts(parts) = &out {
-                        self.place_parts(&mut cx, name, parts)?;
+                    match out {
+                        StageData::Parts(parts) => self.place_parts(cx, name, &parts)?,
+                        side => {
+                            data.insert(name.clone(), side);
+                        }
                     }
                     if dag_opts.cache {
                         // Pinned for the rest of the run: a dependent
@@ -576,7 +608,6 @@ impl GesallPlatform {
                         cache_hit,
                         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
                     });
-                    data.insert(name.clone(), out);
                 }
                 Ok(())
             };
@@ -588,20 +619,34 @@ impl GesallPlatform {
         }
         outcome?;
 
-        let final_stage = dag::final_parts_stage(&self.config);
-        let Some(StageData::Parts(parts)) = data.remove(final_stage) else {
-            return Err(PlatformError::Invariant(format!(
-                "stage {final_stage} did not produce partitions"
-            )));
-        };
-        let records = decode_parts(&parts)?;
+        let records = self.decode_final(cx)?;
         let Some(StageData::Variants(variants)) = data.remove(dag::round5_stage_name(&self.config))
         else {
             return Err(PlatformError::Invariant(
                 "round 5 did not produce variants".into(),
             ));
         };
-        Ok(self.finish_run(cx, pipeline_span, &pipeline_name, records, variants, stage_reports))
+        Ok((records, variants, stage_reports))
+    }
+
+    /// [`PipelineOutput::records`]: the final stage's placed partitions
+    /// decoded by a map-only wave, one task per partition under the
+    /// run's slot lease, concatenated in partition order. It is not a
+    /// round: it leaves no [`RoundSummary`].
+    fn decode_final(&self, cx: &StageCtx<'_>) -> Result<Vec<SamRecord>> {
+        let splits = cx.splits_of(dag::final_parts_stage(&self.config))?;
+        let job = self.engine.run_map_only(
+            self.job_config(cx.opts, "final-decode", 1, cx.pipeline_span),
+            &DecodePartMapper,
+            splits,
+        )?;
+        let parts: Vec<Vec<SamRecord>> =
+            job.outputs.into_iter().flatten().map(|(_, part)| part).collect();
+        let mut records = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        for mut part in parts {
+            records.append(&mut part);
+        }
+        Ok(records)
     }
 
     /// The hand-sequenced driver, the DAG executor's test reference: the
@@ -626,15 +671,15 @@ impl GesallPlatform {
         };
         let r3 = self.stage_round3(&mut cx, bloom)?;
         self.place_parts(&mut cx, "round3-markdup", &r3)?;
-        let mut last = self.stage_round4(&mut cx)?;
-        self.place_parts(&mut cx, "round4-sort", &last)?;
+        let r4 = self.stage_round4(&mut cx)?;
+        self.place_parts(&mut cx, "round4-sort", &r4)?;
         if self.config.recalibrate {
             let table = Arc::new(self.stage_round4a(&mut cx)?);
-            last = self.stage_round4b(&mut cx, table)?;
-            self.place_parts(&mut cx, "round4b-print-reads", &last)?;
+            let r4b = self.stage_round4b(&mut cx, table)?;
+            self.place_parts(&mut cx, "round4b-print-reads", &r4b)?;
         }
         let variants = self.stage_round5(&mut cx)?;
-        let records = decode_parts(&last)?;
+        let records = self.decode_final(&cx)?;
         Ok(self.finish_run(cx, pipeline_span, &pipeline_name, records, variants, Vec::new()))
     }
 
@@ -806,22 +851,14 @@ impl GesallPlatform {
             }
         }
         // Already grouped by name (pairs adjacent).
-        cx.close_round(rspan, "round1-align", r1)
-            .into_iter()
-            .map(|out| match out.into_iter().next() {
-                Some((_, bam_bytes)) => Ok(SharedBytes::from_vec(bam_bytes)),
-                None => Err(PlatformError::Invariant(
-                    "a round-1 mapper emitted no partition".into(),
-                )),
-            })
-            .collect()
+        mapper_parts(cx.close_round(rspan, "round1-align", r1))
     }
 
     /// Round 2: clean (map) + fix-mate (reduce), shuffled by read name.
     fn stage_round2(&self, cx: &mut StageCtx<'_>) -> Result<Vec<SharedBytes>> {
         let splits = cx.splits_of("round1-align")?;
         let rspan = cx.open_round("round2-clean-fixmate");
-        let r2 = self.engine.run_job(
+        let r2 = self.engine.run_job_to(
             self.job_config(cx.opts, "round2-clean-fixmate", self.config.n_reducers, rspan.id),
             &Round2CleanMapper {
                 read_group: self.config.read_group.clone(),
@@ -833,9 +870,9 @@ impl GesallPlatform {
             },
             &HashPartitioner,
             splits,
+            &BamParts { header: &cx.header },
         )?;
-        let outputs = cx.close_round(rspan, "round2-clean-fixmate", r2);
-        Ok(encode_parts(&cx.header, outputs))
+        Ok(cx.close_round(rspan, "round2-clean-fixmate", r2))
     }
 
     /// Round 2½: bloom-filter build over the cleaned parts
@@ -863,7 +900,7 @@ impl GesallPlatform {
     ) -> Result<Vec<SharedBytes>> {
         let splits = cx.splits_of("round2-clean-fixmate")?;
         let rspan = cx.open_round("round3-markdup");
-        let r3 = self.engine.run_job(
+        let r3 = self.engine.run_job_to(
             self.job_config(
                 cx.opts,
                 if self.config.markdup_opt {
@@ -884,9 +921,9 @@ impl GesallPlatform {
             },
             &HashPartitioner,
             splits,
+            &BamParts { header: &cx.header },
         )?;
-        let outputs = cx.close_round(rspan, "round3-markdup", r3);
-        Ok(encode_parts(&cx.header, outputs))
+        Ok(cx.close_round(rspan, "round3-markdup", r3))
     }
 
     /// Round 4: range-partitioned coordinate sort (one reducer per
@@ -894,7 +931,7 @@ impl GesallPlatform {
     fn stage_round4(&self, cx: &mut StageCtx<'_>) -> Result<Vec<SharedBytes>> {
         let splits = cx.splits_of("round3-markdup")?;
         let rspan = cx.open_round("round4-sort");
-        let r4 = self.engine.run_job(
+        let r4 = self.engine.run_job_to(
             self.job_config(cx.opts, "round4-sort", cx.chrom_names.len() + 1, rspan.id),
             &Round4SortMapper {
                 counters: cx.counters.clone(),
@@ -902,9 +939,9 @@ impl GesallPlatform {
             &Round4SortReducer,
             &FnPartitioner::new(|k: &RangeKey, n| chromosome_partition(k, n)),
             splits,
+            &BamParts { header: &cx.sorted_header },
         )?;
-        let outputs = cx.close_round(rspan, "round4-sort", r4);
-        Ok(encode_parts(&cx.sorted_header, outputs))
+        Ok(cx.close_round(rspan, "round4-sort", r4))
     }
 
     /// Round 4½a: per-partition covariate tables (BaseRecalibrator),
@@ -943,12 +980,12 @@ impl GesallPlatform {
             &crate::rounds::PrintReadsMapper {
                 table,
                 config: Default::default(),
+                header: cx.sorted_header.clone(),
                 counters: cx.counters.clone(),
             },
             splits,
         )?;
-        let outputs = cx.close_round(rspan, "round4b-print-reads", rb2);
-        let mut parts = encode_parts(&cx.sorted_header, outputs);
+        let mut parts = mapper_parts(cx.close_round(rspan, "round4b-print-reads", rb2))?;
         parts.extend(unmapped.into_iter().flat_map(|s| s.records).map(|(_, bytes)| bytes));
         Ok(parts)
     }
@@ -1078,12 +1115,7 @@ impl StageCtx<'_> {
     /// the job's, close the round span carrying the task counts and
     /// counter snapshot (so the trace alone reconstructs the table),
     /// append the summary, and hand back the job's outputs.
-    fn close_round<K, V>(
-        &mut self,
-        open: OpenSpan,
-        name: &str,
-        job: JobResult<K, V>,
-    ) -> Vec<Vec<(K, V)>> {
+    fn close_round<O>(&mut self, open: OpenSpan, name: &str, job: JobOutput<O>) -> Vec<O> {
         job.counters.merge(&self.counters);
         let s = summary(name, &job.counters, &job.events, job.wall_ms);
         self.recorder.end_with(
@@ -1100,33 +1132,18 @@ impl StageCtx<'_> {
     }
 }
 
-/// One BAM logical partition per job output, each record encoded from
-/// where it lies: the same bytes as [`bam::write_bam`].
-fn encode_parts<K>(header: &SamHeader, outputs: Vec<Vec<(K, SamRecord)>>) -> Vec<SharedBytes> {
+/// The partitions of a map-only round whose mappers each encode their
+/// own: one `(label, bytes)` pair per task.
+fn mapper_parts(outputs: Vec<Vec<(String, Vec<u8>)>>) -> Result<Vec<SharedBytes>> {
     outputs
         .into_iter()
-        .map(|out| {
-            #[cfg(test)]
-            tests::PARTS_ENCODED.with(|n| n.set(n.get() + 1));
-            let mut w = BamWriter::new(header);
-            for (_, r) in &out {
-                w.write_record(r);
-            }
-            SharedBytes::from_vec(w.finish().0)
+        .map(|out| match out.into_iter().next() {
+            Some((_, bam_bytes)) => Ok(SharedBytes::from_vec(bam_bytes)),
+            None => Err(PlatformError::Invariant(
+                "a mapper of a partition round emitted no partition".into(),
+            )),
         })
         .collect()
-}
-
-/// The records of a partition set, in partition order — how
-/// [`PipelineOutput::records`] is materialised from the final stage.
-fn decode_parts(parts: &[SharedBytes]) -> Result<Vec<SamRecord>> {
-    let mut records = Vec::new();
-    for part in parts {
-        #[cfg(test)]
-        tests::PARTS_DECODED.with(|n| n.set(n.get() + 1));
-        records.extend(bam::read_bam(part)?.1);
-    }
-    Ok(records)
 }
 
 /// Stable sort by site, on borrowed keys.
@@ -1176,13 +1193,39 @@ impl StageData {
             pos == part.len() && pos > 0
         })
     }
+
+    /// Decode a store entry. Partitions come back as windows of `entry`
+    /// — nothing is copied, so whatever they are handed to shares the
+    /// entry's backing; the small side outputs decode as usual.
+    fn from_entry(entry: &SharedBytes) -> gesall_formats::error::Result<StageData> {
+        let mut cur = wire::Cursor::new(entry);
+        if cur.get_varint()? != PARTS_TAG {
+            return StageData::from_wire_bytes(entry);
+        }
+        let n = cur.get_count::<SharedBytes>()?;
+        let mut parts = Vec::with_capacity(n);
+        for _ in 0..n {
+            let len = cur.get_bytes()?.len();
+            let end = entry.len() - cur.remaining();
+            parts.push(entry.slice(end - len..end));
+        }
+        if !cur.is_empty() {
+            return Err(gesall_formats::error::FormatError::Bam(format!(
+                "{} trailing bytes after the partitions",
+                cur.remaining()
+            )));
+        }
+        Ok(StageData::Parts(parts))
+    }
 }
+
+const PARTS_TAG: u64 = 0;
 
 impl Wire for StageData {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
             StageData::Parts(p) => {
-                wire::put_varint(buf, 0);
+                wire::put_varint(buf, PARTS_TAG);
                 p.encode(buf);
             }
             StageData::Bloom(b) => {
@@ -1200,9 +1243,25 @@ impl Wire for StageData {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        // Every tag is one byte.
+        1 + match self {
+            StageData::Parts(p) => p.encoded_len(),
+            StageData::Bloom(b) => b.encoded_len(),
+            StageData::Recal(t) => t.encoded_len(),
+            StageData::Variants(v) => v.encoded_len(),
+        }
+    }
+
     fn decode(cur: &mut wire::Cursor<'_>) -> gesall_formats::error::Result<StageData> {
         match cur.get_varint()? {
-            0 => Ok(StageData::Parts(Vec::<SharedBytes>::decode(cur)?)),
+            // From borrowed bytes each partition is a copy; the executor
+            // reads entries through [`StageData::from_entry`].
+            PARTS_TAG => {
+                #[cfg(test)]
+                tests::PARTS_COPIED.with(|n| n.set(n.get() + 1));
+                Ok(StageData::Parts(Vec::<SharedBytes>::decode(cur)?))
+            }
             1 => Ok(StageData::Bloom(BloomFilter::decode(cur)?)),
             2 => Ok(StageData::Recal(RecalTable::decode(cur)?)),
             3 => Ok(StageData::Variants(Vec::<VariantRecord>::decode(cur)?)),
@@ -1393,21 +1452,20 @@ mod tests {
     }
 
     thread_local! {
-        /// Partitions [`encode_parts`] encoded and [`decode_parts`]
-        /// decoded on this thread — the driver's, since both run
-        /// between jobs (the count gates below read them).
-        pub(super) static PARTS_ENCODED: std::cell::Cell<usize> =
-            const { std::cell::Cell::new(0) };
-        pub(super) static PARTS_DECODED: std::cell::Cell<usize> =
+        /// Store entries whose partitions this thread decoded by copy
+        /// ([`Wire::decode`]) instead of windowing them
+        /// ([`StageData::from_entry`]).
+        pub(super) static PARTS_COPIED: std::cell::Cell<usize> =
             const { std::cell::Cell::new(0) };
     }
 
-    /// (encodes, decodes) `f` performs on this thread.
-    fn parts_coded<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
-        PARTS_ENCODED.with(|n| n.set(0));
-        PARTS_DECODED.with(|n| n.set(0));
+    /// Partitions `f` encodes or decodes on this thread — the driver's:
+    /// tasks run on the engine's workers.
+    fn parts_coded_here<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        use crate::rounds::PARTS_CODED_HERE;
+        let before = PARTS_CODED_HERE.with(|n| n.get());
         let out = f();
-        (out, PARTS_ENCODED.with(|n| n.get()), PARTS_DECODED.with(|n| n.get()))
+        (out, PARTS_CODED_HERE.with(|n| n.get()) - before)
     }
 
     /// 600 simulated pairs on the two-chromosome tiny genome.
@@ -1437,21 +1495,48 @@ mod tests {
     }
 
     fn recalibrating_platform() -> GesallPlatform {
-        use gesall_dfs::DfsConfig;
-        use gesall_mapreduce::ClusterResources;
+        platform_on(64 * 1024, MapReduceEngine::new(cluster()))
+    }
+
+    fn cluster() -> gesall_mapreduce::ClusterResources {
+        gesall_mapreduce::ClusterResources::uniform(4, 2, 8192)
+    }
+
+    fn platform_on(block_size: usize, engine: MapReduceEngine) -> GesallPlatform {
         GesallPlatform::new(
-            Dfs::new(DfsConfig {
+            Dfs::new(gesall_dfs::DfsConfig {
                 n_nodes: 4,
-                block_size: 64 * 1024,
+                block_size,
                 replication: 1,
-                ..DfsConfig::default()
+                ..Default::default()
             }),
-            MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192)),
+            engine,
             PlatformConfig {
                 recalibrate: true,
                 ..PlatformConfig::default()
             },
         )
+    }
+
+    /// The recalibrating DAG's partition stages with their partition
+    /// counts.
+    fn partition_stages(p: &GesallPlatform, n_chroms: usize) -> [(&'static str, usize); 5] {
+        let (n_r1, n_red) = (p.config.n_round1_partitions, p.config.n_reducers);
+        [
+            ("round1-align", n_r1),
+            ("round2-clean-fixmate", n_red),
+            ("round3-markdup", n_red),
+            ("round4-sort", n_chroms + 1),
+            ("round4b-print-reads", n_chroms + 1),
+        ]
+    }
+
+    fn counter_of(round: &RoundSummary, key: &str) -> u64 {
+        round.counters.iter().find(|(k, _)| k == key).map_or(0, |(_, v)| *v)
+    }
+
+    fn round_counter(out: &PipelineOutput, key: &str) -> u64 {
+        out.rounds.iter().map(|r| counter_of(r, key)).sum()
     }
 
     #[test]
@@ -1476,7 +1561,8 @@ mod tests {
     }
 
     #[test]
-    fn encode_parts_writes_the_bytes_write_bam_writes() {
+    fn the_part_writer_writes_the_bytes_write_bam_writes() {
+        use gesall_mapreduce::task::{OutputFormat, RecordWriter};
         let (aligner, pairs) = world();
         let header = aligner.index().sam_header();
         let records: Vec<SamRecord> = aligner
@@ -1484,38 +1570,55 @@ mod tests {
             .into_iter()
             .flat_map(|(a, b)| [a, b])
             .collect();
+        let format = BamParts { header: &header };
         // Several chunks, one chunk, and the empty partition.
-        let outputs: Vec<Vec<SamRecord>> =
-            vec![records.clone(), records[..7].to_vec(), Vec::new()];
-        let keyed = outputs
-            .iter()
-            .map(|out| out.iter().cloned().map(|r| (0u64, r)).collect())
-            .collect();
-        let (parts, encoded, _) = parts_coded(|| encode_parts(&header, keyed));
-        assert_eq!(encoded, 3);
-        for (part, out) in parts.iter().zip(&outputs) {
-            assert!(*part == bam::write_bam(&header, out));
+        for (out, several_chunks) in [(&records[..], true), (&records[..7], false), (&[], false)] {
+            let bag = Counters::new();
+            let mut w = OutputFormat::<u64, SamRecord>::writer(&format, &bag);
+            for r in out {
+                w.write(0u64, r.clone());
+            }
+            let part = RecordWriter::<u64, SamRecord>::finish(w);
+            assert!(part == bam::write_bam(&header, out));
+            assert_eq!(bam::split_frames(&part).unwrap().len() > 2, several_chunks);
+            assert_eq!(bag.get(dag::keys::PARTS_ENCODED), 1);
         }
-        assert!(bam::split_frames(&parts[0]).unwrap().len() > 2, "want several chunks");
-        assert_eq!(decode_parts(&parts).unwrap().len(), records.len() + 7);
     }
 
     #[test]
     fn each_stage_output_is_encoded_once_placed_once_and_never_read_back() {
         use gesall_dfs::metrics_keys::BLOCKS_READ;
         let (aligner, pairs) = world();
-        let p = recalibrating_platform();
+        let recorder = Recorder::new();
+        let p = platform_on(64 * 1024, MapReduceEngine::new(cluster()).with_recorder(recorder.clone()));
         let n_chroms = aligner.index().n_chromosomes();
         let (n_r1, n_red) = (p.config.n_round1_partitions, p.config.n_reducers);
+        // Partitions the final-decode jobs' committed attempts decoded.
+        let decoded_by_tasks = || -> u64 {
+            recorder
+                .spans_of_kind(SpanKind::Job)
+                .iter()
+                .filter(|s| s.name == "final-decode")
+                .flat_map(|s| &s.metrics)
+                .filter(|(k, _)| k == dag::keys::PARTS_DECODED)
+                .map(|(_, v)| *v)
+                .sum()
+        };
 
         // Cold: one encode per partition of rounds 2, 3, 4 and 4b (round
         // 1's mappers emit bytes; 4b's unmapped partition is round 4's),
-        // one decode per partition of the final stage.
-        let (cold, encoded, decoded) =
-            parts_coded(|| p.run_pipeline(&aligner, pairs.clone()).unwrap());
+        // one decode per partition of the final stage — all of it by
+        // committed task attempts, none on the driver thread.
+        let (cold, coded_here) =
+            parts_coded_here(|| p.run_pipeline(&aligner, pairs.clone()).unwrap());
         assert_eq!(cold.stages_run(), 8);
-        assert_eq!(encoded, n_red + n_red + (n_chroms + 1) + n_chroms);
-        assert_eq!(decoded, n_chroms + 1);
+        assert_eq!(coded_here, 0, "the driver encodes and decodes no partition");
+        assert_eq!(
+            round_counter(&cold, dag::keys::PARTS_ENCODED) as usize,
+            n_red + n_red + (n_chroms + 1) + n_chroms
+        );
+        assert_eq!(decoded_by_tasks() as usize, n_chroms + 1);
+        assert_eq!(cold.rounds.len(), 8, "the decode wave is not a round");
 
         // Each partition stage's dir exists once with its partition
         // count, although rounds 2 and 4 each feed two consumers.
@@ -1524,18 +1627,9 @@ mod tests {
             let dir = path["/pipeline/run0/".len()..].rsplit_once('/').unwrap().0;
             *dirs.entry(dir.to_string()).or_default() += 1;
         }
-        let expect = [
-            ("fastq", n_r1),
-            ("round1-align", n_r1),
-            ("round2-clean-fixmate", n_red),
-            ("round3-markdup", n_red),
-            ("round4-sort", n_chroms + 1),
-            ("round4b-print-reads", n_chroms + 1),
-        ];
-        assert_eq!(
-            dirs.into_iter().collect::<Vec<_>>(),
-            expect.map(|(d, n)| (d.to_string(), n))
-        );
+        let mut expect = vec![("fastq".to_string(), n_r1)];
+        expect.extend(partition_stages(&p, n_chroms).map(|(d, n)| (d.to_string(), n)));
+        assert_eq!(dirs.into_iter().collect::<Vec<_>>(), expect);
 
         // What sits there is what the rounds exchange: §3.1's reader
         // reassembles it, rounds 4 and 4b carry the coordinate-sorted
@@ -1553,30 +1647,145 @@ mod tests {
         }
         assert_eq!(final_records, cold.records);
         assert_ne!(read("round3-markdup", 0).0.sort_order, SortOrder::Coordinate);
-        let first_block = |stage: &str| {
+        let unmapped = |stage: &str| {
             let path = format!("/pipeline/run0/{stage}/part-{n_chroms:05}");
-            p.dfs.read_block(&p.dfs.stat(&path).unwrap().blocks[0]).unwrap()
+            p.dfs.read_file_shared(&path).unwrap()
         };
-        assert!(first_block("round4-sort").same_backing(&first_block("round4b-print-reads")));
+        assert!(unmapped("round4-sort") == unmapped("round4b-print-reads"));
 
         // Warm: every stage hits; nothing is encoded, and only the
         // final stage's partitions are ever decoded.
-        let (warm, encoded, decoded) =
-            parts_coded(|| p.run_pipeline(&aligner, pairs.clone()).unwrap());
+        let (warm, coded_here) =
+            parts_coded_here(|| p.run_pipeline(&aligner, pairs.clone()).unwrap());
         assert_eq!(warm.cache_hits(), 8);
-        assert_eq!((encoded, decoded), (0, n_chroms + 1));
+        assert_eq!(coded_here, 0);
+        assert_eq!(round_counter(&warm, dag::keys::PARTS_ENCODED), 0);
+        assert_eq!(decoded_by_tasks() as usize, 2 * (n_chroms + 1));
         assert_eq!(warm.records, cold.records);
 
         // Placing reads nothing back: the split is the bytes it was
         // handed, not a copy fetched from the blocks.
         let opts = RunOptions::default();
         let (mut cx, span, name, _) = p.begin_run(&aligner, &opts);
-        let parts = encode_parts(&cx.header, vec![cold.records.into_iter().map(|r| (0u64, r)).collect()]);
+        let parts = [SharedBytes::from_vec(bam::write_bam(&cx.header, &cold.records))];
         let blocks_read = p.dfs.metrics().counter(BLOCKS_READ).get();
         p.place_parts(&mut cx, "probe", &parts).unwrap();
         assert_eq!(p.dfs.metrics().counter(BLOCKS_READ).get(), blocks_read);
         let (_, payload) = &cx.splits_of("probe").unwrap()[0].records[0];
         assert!(payload.same_backing(&parts[0]));
         p.finish_run(cx, span, &name, Vec::new(), Vec::new(), Vec::new());
+    }
+
+    /// One run of the DAG on `p`, handing back the placed splits of
+    /// every partition stage — what the next stage's mappers read.
+    fn run_keeping_splits(
+        p: &GesallPlatform,
+        aligner: &Aligner,
+        pairs: &[ReadPair],
+        n_chroms: usize,
+    ) -> (PipelineOutput, HashMap<String, Vec<SharedBytes>>) {
+        let opts = RunOptions::default();
+        let (mut cx, span, name, ns) = p.begin_run(aligner, &opts);
+        let (records, variants, stages) = p
+            .run_dag(&mut cx, &ns, pairs.to_vec(), &DagRunOptions::default())
+            .unwrap();
+        let splits = partition_stages(p, n_chroms)
+            .iter()
+            .map(|(stage, n)| {
+                let payloads: Vec<SharedBytes> = cx
+                    .splits_of(stage)
+                    .unwrap()
+                    .into_iter()
+                    .map(|s| s.records[0].1.clone())
+                    .collect();
+                assert_eq!(payloads.len(), *n, "{stage}");
+                (stage.to_string(), payloads)
+            })
+            .collect();
+        (p.finish_run(cx, span, &name, records, variants, stages), splits)
+    }
+
+    #[test]
+    fn a_stage_output_is_one_buffer_shared_by_store_blocks_and_splits() {
+        let (aligner, pairs) = world();
+        let n_chroms = aligner.index().n_chromosomes();
+        let first_block = |p: &GesallPlatform, path: &str| {
+            p.dfs.read_block(&p.dfs.stat(path).unwrap().blocks[0]).unwrap()
+        };
+        // With blocks larger than any entry, `cas_get` is the stored
+        // block itself, so the whole chain can be held to one backing.
+        // With 64 KiB blocks an entry spans several: a warm `cas_get`
+        // pays the DFS read's one counted concatenation, and everything
+        // after it must share that buffer.
+        for block_size in [64 << 20, 64 << 10] {
+            let p = platform_on(block_size, MapReduceEngine::new(cluster()));
+            let single_block = block_size > 1 << 20;
+            for (run, warm) in [("run0", false), ("run1", true)] {
+                PARTS_COPIED.with(|n| n.set(0));
+                let (out, splits) = run_keeping_splits(&p, &aligner, &pairs, n_chroms);
+                assert_eq!(out.cache_hits(), if warm { 8 } else { 0 });
+                assert_eq!(PARTS_COPIED.with(|n| n.get()), 0, "a partition was copied out of its entry");
+                for (stage, payloads) in &splits {
+                    let key = out.stages.iter().find(|s| s.name == *stage).unwrap().key;
+                    let entry = if warm && !single_block {
+                        // The buffer this run's `cas_get` built is not
+                        // ours to fetch again; its parts name it.
+                        payloads[0].clone()
+                    } else if single_block {
+                        p.dfs.cas_get("/pipeline", key).unwrap().unwrap()
+                    } else {
+                        first_block(&p, &Dfs::cas_path("/pipeline", key))
+                    };
+                    for (i, payload) in payloads.iter().enumerate() {
+                        let what = format!("{block_size}-byte blocks, {run}, {stage} part {i}");
+                        assert!(payload.same_backing(&entry), "split ≠ entry: {what}");
+                        let placed = first_block(&p, &format!("/pipeline/{run}/{stage}/part-{i:05}"));
+                        assert!(placed.same_backing(payload), "block ≠ split: {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn faulted_reduce_attempts_commit_one_writers_bytes_per_partition() {
+        use gesall_mapreduce::counters::keys;
+        use gesall_mapreduce::{FaultPlan, TaskKind};
+        let (aligner, pairs) = world();
+        let n_chroms = aligner.index().n_chromosomes();
+        // Reducer 1 of every shuffling round dies mid-partition on its
+        // first attempt, reducer 0's first attempt is stretched until a
+        // speculative backup has won.
+        let plan = FaultPlan::seeded(7)
+            .cut_reduce_output(1, 0, 5)
+            .slow_down(TaskKind::Reduce, 0, 0, 2_000);
+        let clean = platform_on(64 * 1024, MapReduceEngine::new(cluster()));
+        let faulted = platform_on(64 * 1024, MapReduceEngine::new(cluster()).with_fault_plan(plan));
+        let want = clean.run_pipeline(&aligner, pairs.clone()).unwrap();
+        let got = faulted.run_pipeline(&aligner, pairs).unwrap();
+        assert_eq!(got.records, want.records);
+        assert_eq!(got.variants, want.variants);
+        for (stage, n) in partition_stages(&clean, n_chroms) {
+            for i in 0..n {
+                let path = format!("/pipeline/run0/{stage}/part-{i:05}");
+                assert!(
+                    faulted.dfs.read_file_shared(&path).unwrap()
+                        == clean.dfs.read_file_shared(&path).unwrap(),
+                    "{path}"
+                );
+            }
+        }
+        for (g, w) in got.rounds.iter().zip(&want.rounds) {
+            let c = counter_of;
+            assert_eq!(g.name, w.name);
+            // A cut attempt's writer and a losing backup's finished
+            // partition are dropped: committed encodes are the clean run's.
+            assert_eq!(c(g, dag::keys::PARTS_ENCODED), c(w, dag::keys::PARTS_ENCODED), "{}", g.name);
+            assert_eq!(c(g, keys::REDUCE_OUTPUT_RECORDS), c(w, keys::REDUCE_OUTPUT_RECORDS), "{}", g.name);
+            if g.n_reduce_tasks > 0 {
+                assert_eq!(c(g, keys::FAILED_ATTEMPTS), 1, "{}", g.name);
+                assert!(c(g, keys::SPECULATIVE_WASTED) >= 1, "{}", g.name);
+            }
+        }
     }
 }

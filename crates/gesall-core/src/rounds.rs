@@ -20,14 +20,16 @@ use crate::gdpt::{
     markdup_map_pair, BloomFilter, MarkDupKey, MarkDupRole, MarkDupValue, RangeKey,
 };
 use gesall_aligner::Aligner;
-use gesall_formats::bam;
+use gesall_formats::bam::{self, BamWriter};
 use gesall_formats::SharedBytes;
 use gesall_formats::sam::header::ReadGroup;
 use gesall_formats::sam::{SamHeader, SamRecord};
 use gesall_formats::vcf::VariantRecord;
 use gesall_mapreduce::counters::{keys, Counters};
 use gesall_mapreduce::streaming::StreamingHarness;
-use gesall_mapreduce::task::{MapContext, Mapper, ReduceContext, Reducer};
+use gesall_mapreduce::task::{
+    MapContext, Mapper, OutputFormat, RecordWriter, ReduceContext, Reducer,
+};
 use gesall_tools::clean_sam::clean_sam;
 use gesall_tools::fix_mate::sync_pair;
 use gesall_tools::haplotype_caller::{call_chromosome, HaplotypeCallerConfig};
@@ -51,6 +53,58 @@ fn decode_bam(counters: &Counters, bytes: &[u8]) -> (SamHeader, Vec<SamRecord>) 
     timed(counters, || {
         bam::read_bam(bytes).expect("partition bytes must be a valid BAM")
     })
+}
+
+// ---------------------------------------------------------------------
+// Partition bytes: what the tasks of a partition round leave behind
+// ---------------------------------------------------------------------
+
+/// The output format of rounds 2–4: a reducer's output is one BAM
+/// logical partition, each record encoded as the reducer emits it — the
+/// paper's reducers writing through a BAM record writer. The same bytes
+/// as [`bam::write_bam`] of the emitted records; the shuffle key is not
+/// part of them.
+pub struct BamParts<'a> {
+    pub header: &'a SamHeader,
+}
+
+/// One reduce attempt's partition in the making.
+pub struct BamPartWriter {
+    bam: BamWriter,
+    counters: Counters,
+}
+
+impl<K> OutputFormat<K, SamRecord> for BamParts<'_> {
+    type Output = SharedBytes;
+    type Writer = BamPartWriter;
+
+    fn writer(&self, counters: &Counters) -> BamPartWriter {
+        BamPartWriter {
+            bam: BamWriter::new(self.header),
+            counters: counters.clone(),
+        }
+    }
+}
+
+impl<K> RecordWriter<K, SamRecord> for BamPartWriter {
+    type Output = SharedBytes;
+
+    fn write(&mut self, _key: K, record: SamRecord) {
+        self.bam.write_record(&record);
+    }
+
+    fn finish(self) -> SharedBytes {
+        note_part(&self.counters, crate::dag::keys::PARTS_ENCODED);
+        SharedBytes::from_vec(self.bam.finish().0)
+    }
+}
+
+/// One partition encoded or decoded, charged to the attempt that did it
+/// (so an attempt that never commits is not counted).
+fn note_part(counters: &Counters, key: &'static str) {
+    counters.add(key, 1);
+    #[cfg(test)]
+    PARTS_CODED_HERE.with(|n| n.set(n.get() + 1));
 }
 
 // ---------------------------------------------------------------------
@@ -530,35 +584,48 @@ pub fn merge_recal_tables(
 }
 
 /// Pass-2 mapper (PrintReads): rewrite base qualities from the merged
-/// table; map-only, partition-parallel.
+/// table; map-only, partition-parallel. Like [`Round1Align`] it emits
+/// its output partition as bytes, one `(label, BAM)` pair.
 pub struct PrintReadsMapper {
     pub table: Arc<gesall_tools::recalibration::RecalTable>,
     pub config: gesall_tools::recalibration::RecalConfig,
+    /// Header of the partitions written (coordinate-sorted, as read).
+    pub header: SamHeader,
     pub counters: Counters,
 }
 
 impl Mapper for PrintReadsMapper {
     type InKey = String;
     type InValue = SharedBytes;
-    type OutKey = u64;
-    type OutValue = SamRecord;
+    type OutKey = String;
+    type OutValue = Vec<u8>;
 
-    fn map(
-        &self,
-        _label: &String,
-        bam_bytes: &SharedBytes,
-        ctx: &mut MapContext<'_, u64, SamRecord>,
-    ) {
+    fn map(&self, label: &String, bam_bytes: &SharedBytes, ctx: &mut MapContext<'_, String, Vec<u8>>) {
         let (_, mut records) = decode_bam(&self.counters, bam_bytes);
         let t0 = Instant::now();
         gesall_tools::recalibration::print_reads(&mut records, &self.table, &self.config);
         self.counters
             .add(keys::EXTERNAL_PROGRAM_NANOS, t0.elapsed().as_nanos() as u64);
-        // Map-only: the output is one split's records in order and the
-        // key is never read.
-        for r in records {
-            ctx.emit(0, r);
-        }
+        note_part(ctx.counters(), crate::dag::keys::PARTS_ENCODED);
+        ctx.emit(label.clone(), bam::write_bam(&self.header, &records));
+    }
+}
+
+/// The final stage's partitions read back as records
+/// (`PipelineOutput::records`): one task per partition, one
+/// `(_, records)` pair each.
+pub struct DecodePartMapper;
+
+impl Mapper for DecodePartMapper {
+    type InKey = String;
+    type InValue = SharedBytes;
+    type OutKey = u64;
+    type OutValue = Vec<SamRecord>;
+
+    fn map(&self, _label: &String, bam_bytes: &SharedBytes, ctx: &mut MapContext<'_, u64, Vec<SamRecord>>) {
+        let (_, records) = decode_bam(ctx.counters(), bam_bytes);
+        note_part(ctx.counters(), crate::dag::keys::PARTS_DECODED);
+        ctx.emit(0, records);
     }
 }
 
@@ -728,4 +795,12 @@ impl Mapper for Round5HaplotypeCaller {
             ctx.emit(chrom.clone(), v);
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Partitions [`note_part`] saw coded on this thread — how a test
+    /// shows that the driver thread codes none.
+    pub(crate) static PARTS_CODED_HERE: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
 }

@@ -449,11 +449,17 @@ fn traced_pipeline_emits_round_spans_and_phase_table() {
     for s in &out.rounds {
         assert!(names.contains(&s.name.as_str()), "missing round span {}", s.name);
     }
-    // Each round's job nests under its round span.
+    // Each round's job nests under its round span; the wave that reads
+    // `out.records` back is no round and hangs off the pipeline span.
     let round_ids: Vec<_> = rounds.iter().map(|r| r.id).collect();
-    let jobs = recorder.spans_of_kind(SpanKind::Job);
+    let (decode, jobs): (Vec<_>, Vec<_>) = recorder
+        .spans_of_kind(SpanKind::Job)
+        .into_iter()
+        .partition(|j| j.name == "final-decode");
     assert_eq!(jobs.len(), out.rounds.len());
     assert!(jobs.iter().all(|j| round_ids.contains(&j.parent)));
+    assert_eq!(decode.len(), 1);
+    assert_eq!(decode[0].parent, pipes[0].id);
 
     // The shuffling rounds decompose into all six phases.
     let rows = out.phase_rows();
@@ -640,6 +646,27 @@ fn pipeline_output_digests_are_pinned() {
         assert_eq!(partial.cache_hits(), 1, "{what}: only round 1 survives");
         assert_eq!(output_digests(&w, &partial), pinned, "{what}: invalidated rerun");
     }
+}
+
+#[test]
+fn no_record_is_encoded_to_learn_its_length() {
+    // `Wire::encoded_len`'s default body encodes into a scratch vector
+    // and throws it away; the sort buffer calls `encoded_len` twice per
+    // shuffled record and the executor once per store entry. Every type
+    // the pipeline ships has a closed form, so neither the driver nor a
+    // task thread — of this test or of any other in this process — may
+    // ever reach the default.
+    use gesall_formats::wire::ENCODED_LEN_BY_ENCODING;
+    use std::sync::atomic::Ordering;
+    let w = build_world(600);
+    let out = platform(PlatformConfig {
+        recalibrate: true,
+        ..PlatformConfig::default()
+    })
+    .run_pipeline(&w.aligner, w.pairs.clone())
+    .unwrap();
+    assert_eq!(out.stages_run(), 8);
+    assert_eq!(ENCODED_LEN_BY_ENCODING.load(Ordering::Relaxed), 0);
 }
 
 #[test]

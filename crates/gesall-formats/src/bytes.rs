@@ -1,8 +1,9 @@
 //! Shared, sliceable byte buffers — the zero-copy currency of the
 //! record path (DESIGN.md §6).
 //!
-//! A [`SharedBytes`] is a `[start, end)` window into an `Arc<[u8]>`
-//! backing allocation. `clone` and [`SharedBytes::slice`] are O(1) and
+//! A [`SharedBytes`] is a `[start, end)` window into an `Arc<Vec<u8>>`
+//! backing allocation — the vector it was built from, moved behind the
+//! refcount, never re-allocated. `clone` and [`SharedBytes::slice`] are O(1) and
 //! never touch the payload, so a DFS block handed to a frame reader, a
 //! map-output partition handed to a reducer, and a pipe chunk handed
 //! across threads all reference the same allocation instead of
@@ -22,7 +23,7 @@ use std::sync::Arc;
 /// across variants.
 #[derive(Clone)]
 enum Backing {
-    Heap(Arc<[u8]>),
+    Heap(Arc<Vec<u8>>),
     Mapped(Arc<MappedRegion>),
 }
 
@@ -46,8 +47,9 @@ impl Backing {
 /// Immutable, reference-counted byte range. `clone` and `slice` are
 /// O(1); the payload is copied only at construction from a borrowed
 /// slice ([`SharedBytes::copy_from_slice`]) — [`SharedBytes::from_vec`]
-/// takes ownership without copying, and [`SharedBytes::map_file`]
-/// doesn't even allocate: it windows a file mapping.
+/// moves the vector behind the refcount (its heap block *is* the
+/// backing), and [`SharedBytes::map_file`] doesn't even allocate: it
+/// windows a file mapping.
 #[derive(Clone)]
 pub struct SharedBytes {
     data: Backing,
@@ -59,18 +61,19 @@ impl SharedBytes {
     /// An empty buffer (no allocation shared with anything).
     pub fn new() -> SharedBytes {
         SharedBytes {
-            data: Backing::Heap(Arc::from(&[][..])),
+            data: Backing::Heap(Arc::default()),
             start: 0,
             end: 0,
         }
     }
 
-    /// Take ownership of `v` without copying the payload.
+    /// Take ownership of `v` without copying the payload: O(1), and the
+    /// bytes stay where `v` had them (spare capacity included — a
+    /// caller that over-reserved keeps paying for it).
     pub fn from_vec(v: Vec<u8>) -> SharedBytes {
-        let data: Arc<[u8]> = Arc::from(v.into_boxed_slice());
-        let end = data.len();
+        let end = v.len();
         SharedBytes {
-            data: Backing::Heap(data),
+            data: Backing::Heap(Arc::new(v)),
             start: 0,
             end,
         }
@@ -79,7 +82,7 @@ impl SharedBytes {
     /// Copy `data` into a fresh backing allocation.
     pub fn copy_from_slice(data: &[u8]) -> SharedBytes {
         SharedBytes {
-            data: Backing::Heap(Arc::from(data)),
+            data: Backing::Heap(Arc::new(data.to_vec())),
             start: 0,
             end: data.len(),
         }
@@ -274,6 +277,20 @@ mod tests {
         let s2 = s.slice(2..5);
         assert!(s2.same_backing(&b));
         assert_eq!(s2, vec![12u8, 13, 14]);
+    }
+
+    #[test]
+    fn from_vec_keeps_the_vectors_allocation() {
+        let v: Vec<u8> = (0..=255).cycle().take(1 << 20).collect();
+        let ptr = v.as_ptr();
+        let b = SharedBytes::from_vec(v);
+        assert_eq!(b.as_ptr(), ptr, "from_vec must not re-allocate the payload");
+        assert_eq!(b.slice(100..).as_ptr(), ptr.wrapping_add(100));
+        // Spare capacity is no reason to move the bytes either.
+        let mut v = Vec::with_capacity(4096);
+        v.extend_from_slice(b"acgt");
+        let ptr = v.as_ptr();
+        assert_eq!(SharedBytes::from_vec(v).as_ptr(), ptr);
     }
 
     #[test]

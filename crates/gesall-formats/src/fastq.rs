@@ -90,6 +90,10 @@ impl crate::wire::Wire for FastqRecord {
         self.qual.encode(buf);
     }
 
+    fn encoded_len(&self) -> usize {
+        self.name.encoded_len() + self.seq.encoded_len() + self.qual.encoded_len()
+    }
+
     fn decode(cur: &mut crate::wire::Cursor<'_>) -> Result<Self> {
         let name = String::decode(cur)?;
         let seq = Vec::<u8>::decode(cur)?;
@@ -102,6 +106,10 @@ impl crate::wire::Wire for ReadPair {
     fn encode(&self, buf: &mut Vec<u8>) {
         self.r1.encode(buf);
         self.r2.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.r1.encoded_len() + self.r2.encoded_len()
     }
 
     fn decode(cur: &mut crate::wire::Cursor<'_>) -> Result<Self> {

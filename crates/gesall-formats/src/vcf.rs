@@ -215,6 +215,17 @@ impl crate::wire::Wire for VariantRecord {
         buf.extend_from_slice(&self.allele_balance.to_le_bytes());
     }
 
+    fn encoded_len(&self) -> usize {
+        // Four little-endian f64s and the genotype byte are fixed width.
+        self.chrom.encoded_len()
+            + self.pos.encoded_len()
+            + self.ref_allele.encoded_len()
+            + self.alt_allele.encoded_len()
+            + self.depth.encoded_len()
+            + 4 * 8
+            + 1
+    }
+
     fn decode(cur: &mut crate::wire::Cursor<'_>) -> crate::error::Result<Self> {
         let chrom = String::decode(cur)?;
         let pos = i64::decode(cur)?;

@@ -159,6 +159,15 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Calls that reached [`Wire::encoded_len`]'s measuring default — each
+/// one an encode into a scratch vector that is thrown away. A process
+/// counter because the callers are task threads in other crates; every
+/// type this workspace ships overrides the default, and a test holds a
+/// full pipeline run to zero.
+#[doc(hidden)]
+pub static ENCODED_LEN_BY_ENCODING: std::sync::atomic::AtomicU64 =
+    std::sync::atomic::AtomicU64::new(0);
+
 /// Types with a stable byte encoding — used for BAM records, shuffle keys
 /// and values, and spill files.
 pub trait Wire: Sized {
@@ -181,6 +190,7 @@ pub trait Wire: Sized {
     /// a closed form so the sort buffer can account record sizes without
     /// serializing anything (the zero-copy `emit` path).
     fn encoded_len(&self) -> usize {
+        ENCODED_LEN_BY_ENCODING.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut scratch = Vec::new();
         self.encode(&mut scratch);
         scratch.len()
@@ -448,6 +458,32 @@ mod tests {
         check(vec![0u8, 255, 3]);
         check(("key".to_string(), 42u64));
         check(vec![("a".to_string(), 1u64), ("bb".to_string(), 300)]);
+        check(crate::bytes::SharedBytes::copy_from_slice(&[7u8; 200]));
+        let fq = |name: &str| {
+            crate::fastq::FastqRecord::new(name, b"ACGTN".to_vec(), b"IIII#".to_vec())
+                .unwrap()
+        };
+        check(fq("read/1"));
+        check(crate::fastq::ReadPair::new(fq("p"), fq("p")).unwrap());
+        for (pos, depth) in [(1, 0), (i64::MAX, u32::MAX), (70_000, 300)] {
+            check(crate::vcf::VariantRecord {
+                chrom: "chr21".into(),
+                pos,
+                ref_allele: "A".repeat(depth.min(200) as usize),
+                alt_allele: "G".into(),
+                qual: 55.5,
+                genotype: crate::vcf::Genotype::HomAlt,
+                depth,
+                mapping_quality: 58.2,
+                fisher_strand: 1.25,
+                allele_balance: 0.48,
+            });
+        }
+        assert_eq!(
+            ENCODED_LEN_BY_ENCODING.load(std::sync::atomic::Ordering::Relaxed),
+            0,
+            "a type in this crate measures itself by encoding"
+        );
     }
 
     #[test]

@@ -62,6 +62,9 @@ pub struct FaultPlan {
     /// succeeds (models transient faults). Explicit panics ignore it.
     panic_max_attempt: usize,
     explicit_panics: HashSet<(TaskKind, usize, usize)>,
+    /// `(reduce task, attempt)` → records the attempt's writer takes
+    /// before the attempt panics.
+    output_cuts: HashMap<(usize, usize), u64>,
     slowdowns: HashMap<(TaskKind, usize, usize), u64>,
     node_deaths: Vec<NodeDeath>,
     dfs_faults: DfsFaults,
@@ -81,6 +84,7 @@ impl FaultPlan {
             reduce_panic_rate: 0.0,
             panic_max_attempt: 2,
             explicit_panics: HashSet::new(),
+            output_cuts: HashMap::new(),
             slowdowns: HashMap::new(),
             node_deaths: Vec::new(),
             dfs_faults: DfsFaults::default(),
@@ -111,6 +115,15 @@ impl FaultPlan {
     /// Unconditionally panic one specific attempt.
     pub fn panic_on(mut self, kind: TaskKind, task: usize, attempt: usize) -> FaultPlan {
         self.explicit_panics.insert((kind, task, attempt));
+        self
+    }
+
+    /// Panic one specific reduce attempt mid-partition: after it has
+    /// written `after_records` records of its output (a task that emits
+    /// fewer is not cut). What the attempt's writer holds by then must
+    /// never reach the task's output.
+    pub fn cut_reduce_output(mut self, task: usize, attempt: usize, after_records: u64) -> FaultPlan {
+        self.output_cuts.insert((task, attempt), after_records);
         self
     }
 
@@ -182,6 +195,11 @@ impl FaultPlan {
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < rate
     }
 
+    /// Records this reduce attempt writes before it is cut, if it is.
+    pub fn reduce_output_cut(&self, task: usize, attempt: usize) -> Option<u64> {
+        self.output_cuts.get(&(task, attempt)).copied()
+    }
+
     /// Injected slowdown for this attempt, if any.
     pub fn slowdown_ms(&self, kind: TaskKind, task: usize, attempt: usize) -> Option<u64> {
         self.slowdowns.get(&(kind, task, attempt)).copied()
@@ -191,6 +209,11 @@ impl FaultPlan {
     /// job histories are byte-identical across runs of the same plan.
     pub fn panic_message(kind: TaskKind, task: usize, attempt: usize) -> String {
         format!("injected panic: {kind:?} task {task} attempt {attempt}")
+    }
+
+    /// The message of a [`FaultPlan::cut_reduce_output`] panic.
+    pub fn cut_message(task: usize, attempt: usize, after_records: u64) -> String {
+        format!("injected panic: Reduce task {task} attempt {attempt} after {after_records} records")
     }
 }
 

@@ -44,12 +44,16 @@ pub use error::GesallError;
 pub use fault::{FaultPlan, NodeDeath};
 pub use lease::{LeasePermit, SlotLease};
 pub use runtime::{
-    AttemptOutcome, InputSplit, JobConfig, JobResult, MapReduceEngine, TaskEvent, TaskKind,
+    AttemptOutcome, InputSplit, JobConfig, JobOutput, JobResult, MapReduceEngine, TaskEvent,
+    TaskKind,
 };
 pub use shipping::ShipError;
 pub use shuffle::Segment;
 pub use spillpool::SpillPool;
-pub use task::{HashPartitioner, MapContext, Mapper, Partitioner, ReduceContext, Reducer};
+pub use task::{
+    CollectRecords, HashPartitioner, MapContext, Mapper, OutputFormat, Partitioner, RecordWriter,
+    ReduceContext, Reducer,
+};
 
 // Tracing types engine users need (`MapReduceEngine::with_recorder`).
 pub use gesall_telemetry::{OpenSpan, Phase, Recorder, Span, SpanId, SpanKind};

@@ -18,7 +18,10 @@ use crate::lease::{LeasePermit, SlotLease};
 use crate::shipping;
 use crate::shuffle::{reduce_merge_streamed, Segment, SortSpillBuffer};
 use crate::spillpool::SpillPool;
-use crate::task::{MapContext, Mapper, Partitioner, ReduceContext, Reducer};
+use crate::task::{
+    CollectRecords, MapContext, Mapper, OutputFormat, Partitioner, RecordWriter, ReduceContext,
+    Reducer,
+};
 use gesall_dfs::{Dfs, DfsConfig, PinnedPlacement, ReadAffinity, SweepReason};
 use gesall_formats::wire::Wire;
 use gesall_formats::Codec;
@@ -31,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-task output slots: `None` until the task's winning attempt commits.
-type TaskOutputs<K, V> = Vec<Mutex<Option<Vec<(K, V)>>>>;
+type TaskOutputs<O> = Vec<Mutex<Option<O>>>;
 
 /// A committed map task's decision on whether its outputs survive a
 /// node death: reducers re-fetch from a surviving replica instead of
@@ -202,16 +205,21 @@ pub struct TaskEvent {
 
 /// Everything a finished job reports.
 #[derive(Debug)]
-pub struct JobResult<K, V> {
-    /// One output vector per reducer (or per map task for map-only jobs).
-    pub outputs: Vec<Vec<(K, V)>>,
+pub struct JobOutput<O> {
+    /// One output per reducer (or per map task for map-only jobs): what
+    /// the committed attempt's [`RecordWriter`] finished with.
+    pub outputs: Vec<O>,
     pub counters: Counters,
     pub events: Vec<TaskEvent>,
     pub wall_ms: f64,
     pub config: JobConfig,
 }
 
-impl<K, V> JobResult<K, V> {
+/// A job under the default [`CollectRecords`] format: each task's output
+/// is the records it emitted.
+pub type JobResult<K, V> = JobOutput<Vec<(K, V)>>;
+
+impl<O> JobOutput<O> {
     /// Canonical attempt history: one line per attempt, sorted, with
     /// wall-clock times and node/thread placement excluded. For a given
     /// [`FaultPlan`] seed this is byte-identical across runs — the
@@ -381,7 +389,8 @@ impl MapReduceEngine {
         self.dead_nodes.lock().contains(&node)
     }
 
-    /// Run a full map + shuffle + reduce job.
+    /// Run a full map + shuffle + reduce job; each reducer's output is
+    /// the records it emitted ([`CollectRecords`]).
     pub fn run_job<M, R>(
         &self,
         config: JobConfig,
@@ -393,6 +402,27 @@ impl MapReduceEngine {
     where
         M: Mapper,
         R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
+    {
+        self.run_job_to(config, mapper, reducer, partitioner, splits, &CollectRecords)
+    }
+
+    /// [`MapReduceEngine::run_job`] with the reducers' output going
+    /// through `format`: every reduce attempt emits into a fresh
+    /// [`RecordWriter`], and a task's output is what its committed
+    /// attempt's writer finished with.
+    pub fn run_job_to<M, R, F>(
+        &self,
+        config: JobConfig,
+        mapper: &M,
+        reducer: &R,
+        partitioner: &dyn Partitioner<M::OutKey>,
+        splits: Vec<InputSplit<M::InKey, M::InValue>>,
+        format: &F,
+    ) -> Result<JobOutput<F::Output>, GesallError>
+    where
+        M: Mapper,
+        R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
+        F: OutputFormat<R::OutKey, R::OutValue>,
     {
         let counters = Counters::new();
         let events: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
@@ -490,7 +520,7 @@ impl MapReduceEngine {
             &prefs,
             &map_outputs,
             Some(&survives),
-            |task_id, exec_node, bag| {
+            |task_id, _attempt, exec_node, bag| {
                 let t_task = Instant::now();
                 let split = &splits[task_id];
                 bag.add(keys::MAP_INPUT_RECORDS, split.records.len() as u64);
@@ -595,8 +625,7 @@ impl MapReduceEngine {
                 }
             }
         }
-        let reduce_outputs: TaskOutputs<R::OutKey, R::OutValue> =
-            (0..n_reducers).map(|_| Mutex::new(None)).collect();
+        let reduce_outputs: TaskOutputs<_> = (0..n_reducers).map(|_| Mutex::new(None)).collect();
         let reduce_prefs: Vec<Option<usize>> = vec![None; n_reducers];
 
         let reduce_wave = self.run_wave(
@@ -609,7 +638,7 @@ impl MapReduceEngine {
             &reduce_prefs,
             &reduce_outputs,
             None,
-            |partition, exec_node, bag| {
+            |partition, attempt, exec_node, bag| {
                 let t_task = Instant::now();
                 // Locality hint: the reducer's exec node, mapped onto
                 // the DFS node space exactly as map outputs were
@@ -697,16 +726,27 @@ impl MapReduceEngine {
                         bag,
                     )
                 });
-                let mut out = Vec::new();
+                let mut writer = format.writer(bag);
+                let cut = self.fault_plan.reduce_output_cut(partition, attempt);
+                let mut emitted = 0u64;
                 {
-                    let mut ctx = ReduceContext { out: &mut out };
+                    let mut sink = |k, v| {
+                        if cut == Some(emitted) {
+                            panic!("{}", FaultPlan::cut_message(partition, attempt, emitted));
+                        }
+                        emitted += 1;
+                        writer.write(k, v);
+                    };
+                    let mut ctx = ReduceContext { sink: &mut sink };
                     for (k, vs) in grouped {
                         reducer.reduce(k, vs, &mut ctx);
                     }
                     reducer.finish(&mut ctx);
                 }
-                bag.add(keys::REDUCE_OUTPUT_RECORDS, out.len() as u64);
-                // Reduce phase = task body minus shuffle + merge time.
+                let out = writer.finish();
+                bag.add(keys::REDUCE_OUTPUT_RECORDS, emitted);
+                // Reduce phase = task body (the writer's work included)
+                // minus shuffle + merge time.
                 let accounted = bag.get(Phase::Shuffle.counter_key())
                     + bag.get(Phase::ReduceMerge.counter_key());
                 let total = t_task.elapsed().as_nanos() as u64;
@@ -743,7 +783,7 @@ impl MapReduceEngine {
             ],
             counters.snapshot(),
         );
-        Ok(JobResult {
+        Ok(JobOutput {
             outputs,
             counters,
             events,
@@ -770,7 +810,7 @@ impl MapReduceEngine {
             .recorder
             .start(SpanKind::Job, &config.name, config.parent_span);
         let n_maps = splits.len();
-        let outputs: TaskOutputs<M::OutKey, M::OutValue> =
+        let outputs: TaskOutputs<Vec<(M::OutKey, M::OutValue)>> =
             (0..n_maps).map(|_| Mutex::new(None)).collect();
         let prefs: Vec<Option<usize>> = splits.iter().map(|s| s.preferred_node).collect();
 
@@ -784,7 +824,7 @@ impl MapReduceEngine {
             &prefs,
             &outputs,
             None,
-            |task_id, _exec_node, bag| {
+            |task_id, _attempt, _exec_node, bag| {
                 let t_task = Instant::now();
                 let split = &splits[task_id];
                 bag.add(keys::MAP_INPUT_RECORDS, split.records.len() as u64);
@@ -852,7 +892,7 @@ impl MapReduceEngine {
     ) -> Result<(), GesallError>
     where
         T: Send,
-        F: Fn(usize, usize, &Counters) -> T + Send + Sync,
+        F: Fn(usize, usize, usize, &Counters) -> T + Send + Sync,
     {
         let n_tasks = prefs.len();
         let wave_name = match kind {
@@ -1074,7 +1114,7 @@ impl<T> WaveCtx<'_, T> {
 
     fn worker_loop<F>(&self, node: usize, body: &F)
     where
-        F: Fn(usize, usize, &Counters) -> T + Send + Sync,
+        F: Fn(usize, usize, usize, &Counters) -> T + Send + Sync,
     {
         // Delay scheduling: prefer local tasks; wait one beat before
         // stealing a remote one (or launching a backup attempt). The
@@ -1227,7 +1267,7 @@ impl<T> WaveCtx<'_, T> {
 
     fn run_attempt<F>(&self, node: usize, a: Assignment, body: &F)
     where
-        F: Fn(usize, usize, &Counters) -> T + Send + Sync,
+        F: Fn(usize, usize, usize, &Counters) -> T + Send + Sync,
     {
         let start_ms = self.now_ms();
 
@@ -1254,7 +1294,7 @@ impl<T> WaveCtx<'_, T> {
             if plan.should_panic(self.kind, a.task, a.attempt) {
                 panic!("{}", FaultPlan::panic_message(self.kind, a.task, a.attempt));
             }
-            body(a.task, node, &bag)
+            body(a.task, a.attempt, node, &bag)
         }));
 
         let end_ms = self.now_ms();

@@ -524,7 +524,10 @@ where
     }
 
     /// Buffer one record by move; spill when full. Sizing comes from
-    /// [`Wire::encoded_len`], so nothing is serialized (or copied) until
+    /// [`Wire::encoded_len`] — a closed form for every key and value the
+    /// workspace shuffles; a type left on the trait's measuring default
+    /// would be encoded here and again in `finish` just to be measured —
+    /// so nothing is serialized (or copied) until
     /// [`SortSpillBuffer::finish`] writes the single output backing.
     pub fn emit(&mut self, key: K, value: V) {
         let sz = key.encoded_len() + value.encoded_len();

@@ -72,14 +72,66 @@ impl<K, V> MapContext<'_, K, V> {
     }
 }
 
-/// Sink for reduce output.
+/// Sink for reduce output: `emit` feeds the attempt's [`RecordWriter`].
 pub struct ReduceContext<'a, K, V> {
-    pub(crate) out: &'a mut Vec<(K, V)>,
+    pub(crate) sink: &'a mut dyn FnMut(K, V),
 }
 
 impl<K, V> ReduceContext<'_, K, V> {
     pub fn emit(&mut self, key: K, value: V) {
-        self.out.push((key, value));
+        (self.sink)(key, value);
+    }
+}
+
+/// Where one reduce attempt's emitted records go — Hadoop's
+/// `RecordWriter`. Every attempt gets a fresh writer from the job's
+/// [`OutputFormat`], and what [`RecordWriter::finish`] returns becomes
+/// the task's output only if that attempt commits: a failed attempt's
+/// writer is dropped mid-stream, a losing speculative attempt's
+/// finished output is dropped unseen.
+pub trait RecordWriter<K, V> {
+    type Output;
+
+    fn write(&mut self, key: K, value: V);
+
+    fn finish(self) -> Self::Output;
+}
+
+/// What a job's reduce tasks leave behind — Hadoop's `OutputFormat`:
+/// the factory of per-attempt [`RecordWriter`]s.
+pub trait OutputFormat<K, V>: Sync {
+    /// One task's output.
+    type Output: Send;
+    type Writer: RecordWriter<K, V, Output = Self::Output>;
+
+    /// A fresh writer for one attempt. `counters` is that attempt's bag
+    /// (merged into the job's only on commit), for writers that count
+    /// what they produce.
+    fn writer(&self, counters: &Counters) -> Self::Writer;
+}
+
+/// The default format: a task's output is the records it emitted, in
+/// emission order.
+pub struct CollectRecords;
+
+impl<K: Send, V: Send> OutputFormat<K, V> for CollectRecords {
+    type Output = Vec<(K, V)>;
+    type Writer = Vec<(K, V)>;
+
+    fn writer(&self, _counters: &Counters) -> Vec<(K, V)> {
+        Vec::new()
+    }
+}
+
+impl<K: Send, V: Send> RecordWriter<K, V> for Vec<(K, V)> {
+    type Output = Vec<(K, V)>;
+
+    fn write(&mut self, key: K, value: V) {
+        self.push((key, value));
+    }
+
+    fn finish(self) -> Vec<(K, V)> {
+        self
     }
 }
 

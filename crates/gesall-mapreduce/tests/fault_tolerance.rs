@@ -5,8 +5,9 @@
 use gesall_mapreduce::counters::keys;
 use gesall_mapreduce::runtime::AttemptOutcome;
 use gesall_mapreduce::{
-    ClusterResources, FaultPlan, GesallError, HashPartitioner, InputSplit, JobConfig, MapContext,
-    MapReduceEngine, Mapper, ReduceContext, Reducer, TaskKind,
+    ClusterResources, Counters, FaultPlan, GesallError, HashPartitioner, InputSplit, JobConfig,
+    MapContext, MapReduceEngine, Mapper, OutputFormat, RecordWriter, ReduceContext, Reducer,
+    TaskKind,
 };
 
 struct Tokenize;
@@ -331,4 +332,94 @@ fn same_seed_gives_byte_identical_histories() {
     assert_eq!(first, second);
     // And the history really recorded injected failures.
     assert!(first.iter().any(|l| l.contains("outcome=Failed")));
+}
+
+/// An output format that renders a reducer's records to text as they
+/// are emitted — the shape of a BAM partition writer — and counts the
+/// writers it hands out on the attempt's bag.
+struct Lines;
+struct LineWriter(String);
+const LINE_WRITERS: &str = "test.line.writers";
+
+impl OutputFormat<String, u64> for Lines {
+    type Output = String;
+    type Writer = LineWriter;
+    fn writer(&self, counters: &Counters) -> LineWriter {
+        counters.add(LINE_WRITERS, 1);
+        LineWriter(String::new())
+    }
+}
+
+impl RecordWriter<String, u64> for LineWriter {
+    type Output = String;
+    fn write(&mut self, word: String, n: u64) {
+        self.0.push_str(&format!("{word}\t{n}\n"));
+    }
+    fn finish(self) -> String {
+        self.0
+    }
+}
+
+#[test]
+fn a_tasks_output_is_what_its_committed_attempts_writer_finished_with() {
+    let engine = |plan: FaultPlan| {
+        MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)).with_fault_plan(plan)
+    };
+    let job = |engine: &MapReduceEngine, cfg: JobConfig| {
+        engine
+            .run_job_to(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(8, 30), &Lines)
+            .expect("the faults are survivable")
+    };
+    let clean = job(&engine(FaultPlan::default()), quick_cfg());
+    assert_eq!(clean.counters.get(LINE_WRITERS), 3, "one writer per reducer");
+
+    // Reducer 1 dies after its writer took a record, reducer 0 before
+    // its body ran: each retry starts a fresh writer, and nothing of the
+    // cut one reaches the output.
+    let plan = FaultPlan::seeded(5)
+        .cut_reduce_output(1, 0, 1)
+        .panic_on(TaskKind::Reduce, 0, 0);
+    let written = job(&engine(plan.clone()), quick_cfg());
+    assert_eq!(written.outputs, clean.outputs);
+    assert_eq!(written.counters.get(keys::FAILED_ATTEMPTS), 2);
+    assert_eq!(
+        written.counters.get(LINE_WRITERS),
+        3,
+        "a failed attempt's bag — and its writer — never commits"
+    );
+    assert_eq!(
+        written.counters.get(keys::REDUCE_OUTPUT_RECORDS),
+        clean.counters.get(keys::REDUCE_OUTPUT_RECORDS)
+    );
+    // The attempt history is the one the record-collecting default
+    // leaves under the same plan: the writer is not a second engine.
+    let collected = engine(plan)
+        .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(8, 30))
+        .expect("the faults are survivable");
+    assert_eq!(written.history(), collected.history());
+    let cut = FaultPlan::cut_message(1, 0, 1);
+    assert!(written.history().iter().any(|l| l.contains(&cut)), "{:?}", written.history());
+    let rendered: Vec<String> = collected
+        .outputs
+        .iter()
+        .map(|out| out.iter().map(|(w, n)| format!("{w}\t{n}\n")).collect())
+        .collect();
+    assert_eq!(written.outputs, rendered);
+
+    // A stretched reducer loses to its backup, then runs its body to
+    // the end anyway: that finished output is dropped unseen.
+    let slow = FaultPlan::seeded(5).slow_down(TaskKind::Reduce, 0, 0, 5_000);
+    let cfg = JobConfig {
+        speculative: true,
+        speculative_multiplier: 1.5,
+        speculative_min_runtime_ms: 10.0,
+        ..quick_cfg()
+    };
+    let raced = job(&engine(slow), cfg);
+    assert_eq!(raced.outputs, clean.outputs);
+    assert!(raced.counters.get(keys::SPECULATIVE_WASTED) >= 1);
+    assert_eq!(raced.counters.get(LINE_WRITERS), 3);
+    assert!(raced.events.iter().any(|e| {
+        e.kind == TaskKind::Reduce && e.task_id == 0 && e.outcome == AttemptOutcome::Killed
+    }));
 }

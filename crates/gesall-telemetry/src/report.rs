@@ -144,6 +144,10 @@ pub struct DagStageRow {
     /// Names of the stages whose outputs this stage consumed.
     pub parents: Vec<String>,
     pub duration_ms: f64,
+    /// Wall of the MapReduce job the stage ran, inside `duration_ms`
+    /// (0 for a cache hit). The rest is the driver thread's: resolving,
+    /// committing and placing the output while the task slots idle.
+    pub job_ms: f64,
     /// Was the stage's output served from the content-addressed store
     /// instead of being recomputed?
     pub cached: bool,
@@ -229,6 +233,8 @@ pub fn dag_report(rows: &[DagStageRow]) -> String {
         "stage".to_string(),
         "parents".to_string(),
         "ms".to_string(),
+        "job ms".to_string(),
+        "driver ms".to_string(),
         "cached".to_string(),
         "crit".to_string(),
     ];
@@ -243,6 +249,8 @@ pub fn dag_report(rows: &[DagStageRow]) -> String {
                     r.parents.join(",")
                 },
                 fmt_ms(r.duration_ms),
+                fmt_ms(r.job_ms),
+                fmt_ms((r.duration_ms - r.job_ms).max(0.0)),
                 if r.cached { "hit" } else { "run" }.to_string(),
                 if path.contains(&r.name) { "*" } else { "" }.to_string(),
             ]
@@ -487,13 +495,14 @@ mod tests {
     fn critical_path_follows_heaviest_chain() {
         // Diamond: a → {b, c} → d, with the b side heavier.
         let rows = vec![
-            DagStageRow { name: "a".into(), parents: vec![], duration_ms: 10.0, cached: false },
-            DagStageRow { name: "b".into(), parents: vec!["a".into()], duration_ms: 50.0, cached: false },
-            DagStageRow { name: "c".into(), parents: vec!["a".into()], duration_ms: 5.0, cached: true },
+            DagStageRow { name: "a".into(), parents: vec![], duration_ms: 10.0, job_ms: 9.0, cached: false },
+            DagStageRow { name: "b".into(), parents: vec!["a".into()], duration_ms: 50.0, job_ms: 37.5, cached: false },
+            DagStageRow { name: "c".into(), parents: vec!["a".into()], duration_ms: 5.0, job_ms: 0.0, cached: true },
             DagStageRow {
                 name: "d".into(),
                 parents: vec!["b".into(), "c".into()],
                 duration_ms: 20.0,
+                job_ms: 20.0,
                 cached: false,
             },
         ];
@@ -504,11 +513,15 @@ mod tests {
         assert!(report.contains("critical path: a → b → d"));
         assert!(report.contains("hit"), "cached stage marked: {report}");
         assert!(report.contains("run"));
+        // Stage wall, job wall, and what the driver did around the job.
+        let b = report.lines().find(|l| l.starts_with("| b ")).unwrap();
+        let cells: Vec<&str> = b.split('|').map(str::trim).collect();
+        assert_eq!(cells[3..6], ["50.0", "37.5", "12.5"], "{report}");
         assert_eq!(dag_report(&[]), "(no stages recorded)\n");
         // A malformed cyclic input terminates.
         let cyc = vec![
-            DagStageRow { name: "x".into(), parents: vec!["y".into()], duration_ms: 1.0, cached: false },
-            DagStageRow { name: "y".into(), parents: vec!["x".into()], duration_ms: 1.0, cached: false },
+            DagStageRow { name: "x".into(), parents: vec!["y".into()], duration_ms: 1.0, job_ms: 0.0, cached: false },
+            DagStageRow { name: "y".into(), parents: vec!["x".into()], duration_ms: 1.0, job_ms: 0.0, cached: false },
         ];
         let (_, t) = critical_path(&cyc);
         assert!(t.is_finite());

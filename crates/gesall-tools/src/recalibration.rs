@@ -85,6 +85,14 @@ impl gesall_formats::wire::Wire for Covariate {
         self.context.to_vec().encode(buf);
     }
 
+    fn encoded_len(&self) -> usize {
+        // Two bytes of context behind a one-byte length.
+        self.read_group.encoded_len()
+            + (self.reported_qual as u32).encoded_len()
+            + (self.cycle_bucket as u32).encoded_len()
+            + 3
+    }
+
     fn decode(
         cur: &mut gesall_formats::wire::Cursor<'_>,
     ) -> gesall_formats::error::Result<Self> {
@@ -107,19 +115,40 @@ impl gesall_formats::wire::Wire for Covariate {
 }
 
 impl gesall_formats::wire::Wire for RecalTable {
+    /// Two sequences, `(Covariate, (observations, errors))` then
+    /// `((read group, reported quality), (observations, errors))`, each
+    /// written from the map it lives in.
     fn encode(&self, buf: &mut Vec<u8>) {
-        let fine: Vec<(Covariate, (u64, u64))> = self
-            .by_covariate
-            .iter()
-            .map(|(k, t)| (k.clone(), (t.observations, t.errors)))
-            .collect();
-        let coarse: Vec<((String, u64), (u64, u64))> = self
-            .by_reported
-            .iter()
-            .map(|((rg, q), t)| ((rg.clone(), *q as u64), (t.observations, t.errors)))
-            .collect();
-        fine.encode(buf);
-        coarse.encode(buf);
+        gesall_formats::wire::put_varint(buf, self.by_covariate.len() as u64);
+        for (k, t) in &self.by_covariate {
+            k.encode(buf);
+            t.observations.encode(buf);
+            t.errors.encode(buf);
+        }
+        gesall_formats::wire::put_varint(buf, self.by_reported.len() as u64);
+        for ((rg, q), t) in &self.by_reported {
+            rg.encode(buf);
+            (*q as u64).encode(buf);
+            t.observations.encode(buf);
+            t.errors.encode(buf);
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        use gesall_formats::wire::varint_len;
+        let tally = |t: &Tally| t.observations.encoded_len() + t.errors.encoded_len();
+        varint_len(self.by_covariate.len() as u64)
+            + self
+                .by_covariate
+                .iter()
+                .map(|(k, t)| k.encoded_len() + tally(t))
+                .sum::<usize>()
+            + varint_len(self.by_reported.len() as u64)
+            + self
+                .by_reported
+                .iter()
+                .map(|((rg, q), t)| rg.encoded_len() + (*q as u64).encoded_len() + tally(t))
+                .sum::<usize>()
     }
 
     fn decode(
@@ -665,6 +694,19 @@ mod tests {
         let back = RecalTable::from_wire_bytes(&bytes).unwrap();
         assert_eq!(back.by_covariate, table.by_covariate);
         assert_eq!(back.by_reported, table.by_reported);
+        // The layout is two tuple sequences (entries cached by earlier
+        // builds still decode), and the closed-form lengths are exact.
+        let tally = |t: &Tally| (t.observations, t.errors);
+        let fine: Vec<(Covariate, (u64, u64))> =
+            table.by_covariate.iter().map(|(k, t)| (k.clone(), tally(t))).collect();
+        let coarse: Vec<((String, u64), (u64, u64))> = table
+            .by_reported
+            .iter()
+            .map(|((rg, q), t)| ((rg.clone(), *q as u64), tally(t)))
+            .collect();
+        assert_eq!(bytes, [fine.to_wire_bytes(), coarse.to_wire_bytes()].concat());
+        assert_eq!(table.encoded_len(), bytes.len());
+        assert_eq!(fine[0].0.encoded_len(), fine[0].0.to_wire_bytes().len());
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! Runs a small word-count job with a live [`Recorder`], then derives
 //! every report the subsystem offers: the span tree, the six-phase
 //! breakdown, a task Gantt chart, straggler statistics, and the
-//! shuffle matrix.
+//! shuffle matrix. A small pipeline run then shows the stage table:
+//! each stage's wall next to its job's, i.e. what the driver thread
+//! spent around the job while the task slots idled.
 
 use gesall::mapreduce::{
     ClusterResources, HashPartitioner, InputSplit, JobConfig, MapContext, MapReduceEngine, Mapper,
@@ -15,6 +17,12 @@ use gesall::mapreduce::{
 };
 use gesall::telemetry::report::{gantt, phase_table, straggler_report, GanttRow, PhaseRow};
 use gesall::telemetry::report::shuffle_matrix;
+
+use gesall::aligner::{Aligner, AlignerConfig, ReferenceIndex};
+use gesall::datagen::reads::ReadSimConfig;
+use gesall::datagen::{DonorGenome, GenomeConfig, ReadSimulator, ReferenceGenome};
+use gesall::dfs::{Dfs, DfsConfig};
+use gesall::platform::{GesallPlatform, PlatformConfig};
 
 struct Tokenize;
 impl Mapper for Tokenize {
@@ -121,4 +129,37 @@ fn main() {
     // 6. Bytes moved map → reduce.
     println!("\n== shuffle matrix ==");
     print!("{}", shuffle_matrix(&recorder.shuffle_cells()));
+
+    // 7. The pipeline's stage table: stage wall, job wall, and the
+    //    difference (resolve, commit, place — the driver's share), cold
+    //    and then served from the stage cache.
+    let genome = ReferenceGenome::generate(&GenomeConfig::tiny());
+    let donor = DonorGenome::generate(&genome, &Default::default());
+    let reads = ReadSimConfig {
+        n_pairs: 1_500,
+        ..ReadSimConfig::default()
+    };
+    let (pairs, _) = ReadSimulator::new(&genome, &donor, reads).simulate();
+    let chroms: Vec<(String, Vec<u8>)> = genome
+        .chromosomes
+        .iter()
+        .map(|c| (c.name.clone(), c.seq.clone()))
+        .collect();
+    let aligner = Aligner::new(ReferenceIndex::build(&chroms), AlignerConfig::default());
+    let platform = GesallPlatform::new(
+        Dfs::new(DfsConfig::default()),
+        MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)),
+        PlatformConfig {
+            recalibrate: true,
+            ..PlatformConfig::default()
+        },
+    );
+    for what in ["cold", "warm"] {
+        let out = platform.run_pipeline(&aligner, pairs.clone()).expect("pipeline runs");
+        println!("\n== pipeline stages, {what} ==");
+        print!("{}", out.dag_report());
+        let rows = out.stage_rows();
+        assert_eq!(rows.len(), 8);
+        assert!(rows.iter().all(|r| r.job_ms <= r.duration_ms && r.cached == (what == "warm")));
+    }
 }

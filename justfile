@@ -3,14 +3,16 @@
 
 # Build, test, and lint exactly as CI does, then run every program
 # under examples/ (~10 s together; clippy only compiles them), so the
-# README's quickstart cannot rot, and hold the codec and the BAM
-# container to the parent's in a release build.
+# README's quickstart cannot rot, and hold the codec, the BAM container
+# and the stage outputs (pinned digests) to the parent's in a release
+# build.
 smoke:
     cargo build --release --offline --workspace
     cargo test -q --offline --workspace
     cargo clippy --offline --workspace --all-targets -- -D warnings
     for ex in quickstart variant_calling error_diagnosis telemetry cluster_tuning; do cargo run --release --offline -q --example "$ex" > /dev/null || exit 1; done
     cargo test --release --offline -q -p gesall-formats
+    cargo test --release --offline -q -p gesall-core
 
 # The benchmark of record (benchmark/README.md): all four workloads,
 # untraced, each in its own process; every end-to-end metric and the
