@@ -1,9 +1,10 @@
-//! Declarative stage DAGs over the round planner.
+//! Stage graphs: validation, order and content keys.
 //!
 //! The paper executes the GATK best-practices workflow as a fixed
-//! sequence of MapReduce rounds; this module lifts that sequence into an
-//! explicit graph so an executor (the platform's DAG driver, or
-//! `gesall-jobsvc`'s dependency-aware submission) can:
+//! sequence of MapReduce rounds; the stage table ([`crate::stages`])
+//! declares that sequence and [`pipeline_dag`] projects it into the
+//! explicit graph of this module, so an executor (the platform's DAG
+//! driver, or `gesall-jobsvc`'s dependency-aware submission) can:
 //!
 //! * dispatch a stage the moment its parents commit — independent
 //!   siblings run concurrently instead of serialising behind the
@@ -23,9 +24,8 @@ use std::fmt;
 use gesall_dfs::checksum::xxh64;
 use gesall_formats::wire;
 
-use crate::pipeline::{
-    plan_rounds, CallerChoice, HcPartitioning, Partitioning, PlatformConfig, ProgramSpec,
-};
+use crate::pipeline::PlatformConfig;
+use crate::stages;
 
 /// Well-known counter names for the DAG executor. Bumped on both the
 /// run's [`Counters`](gesall_mapreduce::counters::Counters) bag and the
@@ -100,6 +100,10 @@ pub enum DagError {
     /// The stages that remain unordered after peeling all roots — the
     /// members (and downstream captives) of at least one cycle.
     Cycle(Vec<String>),
+    /// An invalidation names a stage that is not in the graph: a typo,
+    /// or a stage the configuration leaves out. Salting nothing would
+    /// serve the whole run from cache and report success.
+    UnknownStage(String),
 }
 
 impl fmt::Display for DagError {
@@ -113,6 +117,7 @@ impl fmt::Display for DagError {
             DagError::Cycle(names) => {
                 write!(f, "stage graph has a cycle through: {}", names.join(", "))
             }
+            DagError::UnknownStage(n) => write!(f, "invalidation names unknown stage {n}"),
         }
     }
 }
@@ -203,13 +208,17 @@ impl DagSpec {
     /// stages, and the parent keys in declared order). An entry in
     /// `invalidate` salts that stage's key — its descendants' keys shift
     /// automatically through the parent-key chain, so "invalidate one
-    /// stage" re-executes exactly that stage and its descendants.
+    /// stage" re-executes exactly that stage and its descendants. An
+    /// entry naming no stage of the graph is [`DagError::UnknownStage`].
     pub fn stage_keys(
         &self,
         root_key: u64,
         invalidate: &[(String, u64)],
     ) -> Result<BTreeMap<String, u64>, DagError> {
         let order = self.topo_order()?;
+        if let Some((ghost, _)) = invalidate.iter().find(|(n, _)| self.stage(n).is_none()) {
+            return Err(DagError::UnknownStage(ghost.clone()));
+        }
         let mut keys: BTreeMap<String, u64> = BTreeMap::new();
         for name in &order {
             let s = self.stage(name).expect("topo names come from the spec");
@@ -244,97 +253,20 @@ pub fn config_fingerprint(parts: &[&dyn fmt::Debug]) -> u64 {
     xxh64(text.as_bytes())
 }
 
-/// Lift a [`plan_rounds`] plan into a stage graph: one stage per
-/// planned round, chained linearly (round *i+1* consumes round *i*'s
-/// arrangement). Stage names embed the fused program list so the
-/// mapping back to the plan is visible in traces.
-pub fn dag_from_plan(initial: Partitioning, programs: &[ProgramSpec]) -> DagSpec {
-    let rounds = plan_rounds(initial, programs);
-    let mut stages = Vec::with_capacity(rounds.len());
-    let mut prev: Option<String> = None;
-    for (i, r) in rounds.iter().enumerate() {
-        let name = format!("round{}-{}", i + 1, r.programs.join("+").to_lowercase());
-        let parents: Vec<&str> = prev.as_deref().into_iter().collect();
-        stages.push(
-            StageSpec::new(name.clone(), &parents)
-                .config_fp(config_fingerprint(&[&r.programs, &r.needs_shuffle])),
-        );
-        prev = Some(name);
-    }
-    DagSpec { stages }
-}
-
-/// The round-5 stage name the executed pipeline will use for `config`.
-pub fn round5_stage_name(config: &PlatformConfig) -> &'static str {
-    match (config.caller, config.hc_partitioning) {
-        (CallerChoice::UnifiedGenotyper, _) => "round5-unifiedgenotyper",
-        (CallerChoice::HaplotypeCaller, HcPartitioning::Chromosome) => "round5-haplotypecaller",
-        (CallerChoice::HaplotypeCaller, HcPartitioning::FineGrained { .. }) => {
-            "round5-hc-finegrained"
-        }
-    }
-}
-
-/// The stage whose committed parts are the pipeline's final records.
-pub fn final_parts_stage(config: &PlatformConfig) -> &'static str {
-    if config.recalibrate {
-        "round4b-print-reads"
-    } else {
-        "round4-sort"
-    }
-}
-
-/// The *executed* pipeline graph for `config` — the graph
+/// The *executed* pipeline graph for `config` — the specs of the stage
+/// table ([`crate::stages`]) that
 /// [`GesallPlatform::run_pipeline_dag`](crate::pipeline::GesallPlatform::run_pipeline_dag)
-/// walks. Unlike [`dag_from_plan`] (a faithful lift of the planner's
-/// linear rounds) this reflects the real dataflow: the bloom build and
-/// the recalibration-table build are side branches that rejoin, which is
-/// what lets an executor overlap them with siblings and cache them
-/// independently.
+/// walks, in table order. It reflects the real dataflow: the bloom build
+/// and the recalibration-table build are side branches that rejoin, which
+/// is what lets them be cached independently.
 pub fn pipeline_dag(config: &PlatformConfig) -> DagSpec {
-    // Each stage fingerprints only its own config slice.
-    let mut stages = vec![
-        StageSpec::new("round1-align", &[])
-            .config_fp(config_fingerprint(&[&config.n_round1_partitions])),
-        StageSpec::new("round2-clean-fixmate", &["round1-align"])
-            .config_fp(config_fingerprint(&[&config.read_group, &config.n_reducers])),
-    ];
-    let mut markdup_parents: Vec<&str> = vec!["round2-clean-fixmate"];
-    if config.markdup_opt {
-        stages.push(StageSpec::new("round2b-bloom", &["round2-clean-fixmate"]));
-        markdup_parents.push("round2b-bloom");
-    }
-    stages.push(
-        StageSpec::new("round3-markdup", &markdup_parents).config_fp(config_fingerprint(&[
-            &config.markdup_opt,
-            &config.seed,
-            &config.n_reducers,
-        ])),
-    );
-    stages.push(StageSpec::new("round4-sort", &["round3-markdup"]));
-    let mut tail_parent = "round4-sort";
-    if config.recalibrate {
-        stages.push(StageSpec::new("round4a-recal-table", &["round4-sort"]));
-        stages.push(StageSpec::new(
-            "round4b-print-reads",
-            &["round4-sort", "round4a-recal-table"],
-        ));
-        tail_parent = "round4b-print-reads";
-    }
-    let round5_fp = match config.caller {
-        CallerChoice::UnifiedGenotyper => 0,
-        CallerChoice::HaplotypeCaller => {
-            config_fingerprint(&[&config.hc, &config.hc_partitioning])
-        }
-    };
-    stages.push(StageSpec::new(round5_stage_name(config), &[tail_parent]).config_fp(round5_fp));
-    DagSpec { stages }
+    stages::graph(&stages::pipeline_stages(config))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::gatk_best_practices_specs;
+    use crate::pipeline::{CallerChoice, HcPartitioning};
     use proptest::prelude::*;
 
     fn spec(edges: &[(&str, &[&str])]) -> DagSpec {
@@ -404,28 +336,22 @@ mod tests {
     }
 
     #[test]
-    fn plan_lift_matches_round_boundaries() {
-        let programs = gatk_best_practices_specs();
-        let rounds = plan_rounds(Partitioning::ByReadName, &programs);
-        let d = dag_from_plan(Partitioning::ByReadName, &programs);
-        // 1:1 stages onto planned rounds, chained linearly.
-        assert_eq!(d.stages.len(), rounds.len());
-        for (i, (s, r)) in d.stages.iter().zip(&rounds).enumerate() {
-            for prog in &r.programs {
-                assert!(
-                    s.name.contains(&prog.to_lowercase()),
-                    "stage {} must name its fused programs {:?}",
-                    s.name,
-                    r.programs
-                );
-            }
-            if i == 0 {
-                assert!(s.parents.is_empty());
-            } else {
-                assert_eq!(s.parents, vec![d.stages[i - 1].name.clone()]);
-            }
-        }
-        assert_eq!(d.topo_order().unwrap().len(), rounds.len());
+    fn invalidating_a_stage_the_graph_lacks_is_a_typed_error() {
+        let d = spec(&[("a", &[]), ("b", &["a"])]);
+        assert_eq!(
+            d.stage_keys(1, &[("b".into(), 7), ("bb".into(), 7)]),
+            Err(DagError::UnknownStage("bb".into()))
+        );
+        // A stage the configuration leaves out is as unknown as a typo.
+        let no_recal = pipeline_dag(&PlatformConfig::default());
+        let inv = [("round4b-print-reads".to_string(), 1)];
+        assert!(pipeline_dag(&PlatformConfig { recalibrate: true, ..PlatformConfig::default() })
+            .stage_keys(1, &inv)
+            .is_ok());
+        assert_eq!(
+            no_recal.stage_keys(1, &inv),
+            Err(DagError::UnknownStage("round4b-print-reads".into()))
+        );
     }
 
     #[test]
@@ -476,6 +402,79 @@ mod tests {
         assert_eq!(k_base["round2b-bloom"], k_seed["round2b-bloom"]);
         assert_ne!(k_base["round3-markdup"], k_seed["round3-markdup"]);
         assert_ne!(k_base["round4-sort"], k_seed["round4-sort"]);
+    }
+
+    /// The 12 graph shapes: `markdup_opt` × `recalibrate` × round-5
+    /// variant, in that nesting order.
+    fn config_shapes() -> Vec<PlatformConfig> {
+        let mut shapes = Vec::new();
+        for markdup_opt in [true, false] {
+            for recalibrate in [false, true] {
+                for (caller, hc_partitioning) in [
+                    (CallerChoice::UnifiedGenotyper, HcPartitioning::Chromosome),
+                    (CallerChoice::HaplotypeCaller, HcPartitioning::Chromosome),
+                    (
+                        CallerChoice::HaplotypeCaller,
+                        HcPartitioning::FineGrained { segment_len: 20_000, overlap: 2_000 },
+                    ),
+                ] {
+                    shapes.push(PlatformConfig {
+                        markdup_opt,
+                        recalibrate,
+                        caller,
+                        hc_partitioning,
+                        ..PlatformConfig::default()
+                    });
+                }
+            }
+        }
+        shapes
+    }
+
+    /// `xxh64` of the rendered `stage_keys(PINNED_ROOT, &[])` map of each
+    /// of [`config_shapes`], recorded before the stage table existed. A
+    /// renamed stage, a reordered parent list or a drifted fingerprint
+    /// cold-starts every tenant's cache; it has to fail here first.
+    const PINNED_ROOT: u64 = 0x6765_7361_6c6c;
+    const PINNED_STAGE_KEY_DIGESTS: [u64; 12] = [
+        15927944444196474890,
+        9647942786048930904,
+        17306962960432690371,
+        17179655324402300918,
+        11593087631001278586,
+        8776914509234223216,
+        6259972079694382074,
+        3192464085743140512,
+        11493060630919730206,
+        2295026055881646653,
+        7056636164347283589,
+        12718912994212419500,
+    ];
+
+    #[test]
+    fn pipeline_stage_keys_are_pinned() {
+        let got: Vec<u64> = config_shapes()
+            .iter()
+            .map(|c| {
+                let keys = pipeline_dag(c).stage_keys(PINNED_ROOT, &[]).unwrap();
+                xxh64(format!("{keys:?}").as_bytes())
+            })
+            .collect();
+        assert_eq!(got, PINNED_STAGE_KEY_DIGESTS);
+    }
+
+    #[test]
+    fn pipeline_rows_are_declared_in_execution_order() {
+        for c in config_shapes() {
+            let d = pipeline_dag(&c);
+            let declared: Vec<String> = d.stages.iter().map(|s| s.name.clone()).collect();
+            assert_eq!(d.topo_order().unwrap(), declared);
+            for (i, s) in d.stages.iter().enumerate() {
+                for p in &s.parents {
+                    assert!(declared[..i].contains(p), "{}: parent {p} is not declared above it", s.name);
+                }
+            }
+        }
     }
 
     proptest! {

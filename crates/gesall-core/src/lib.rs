@@ -18,21 +18,27 @@
 //!   Hadoop-Streaming-style pipes (Fig. 8).
 //! * [`rounds`] — the five MapReduce rounds of the paper's pipeline
 //!   (Appendix A.2), as `Mapper`/`Reducer` implementations.
+//! * `stages` (crate-private) — the pipeline declared once: one row per
+//!   stage (name, parents, content-key fingerprint, body). The graph,
+//!   the content keys, the executor and the reports all read it.
+//! * [`dag`] — stage graphs: validation, topological order, content
+//!   keys chained through ancestry; [`dag::pipeline_dag`] is the stage
+//!   table's projection.
 //! * [`pipeline`] — the round planner (a new MR round starts whenever the
-//!   next program's partitioning requirement is incompatible) and the
-//!   end-to-end parallel/serial/hybrid pipeline drivers.
+//!   next program's partitioning requirement is incompatible), the DAG
+//!   executor over the stage table, and the serial/hybrid baselines.
 //! * [`diagnosis`] — the error-diagnosis toolkit (§3.4/§4.5.2):
 //!   concordant/discordant sets, D-count, D-impact, logistic quality
-//!   weighting.
+//!   weighting — in memory, on one node.
 
 pub mod dag;
 pub mod diagnosis;
-pub mod diagnosis_mr;
 pub mod error;
 pub mod gdpt;
 pub mod pipeline;
 pub mod programs;
 pub mod rounds;
+mod stages;
 pub mod storage;
 
 pub use dag::{DagError, DagSpec, StageSpec};

@@ -4,8 +4,10 @@
 //!   A.2): walk the program list; start a new MapReduce round whenever
 //!   the next program's partitioning requirement is incompatible with
 //!   the current data arrangement.
-//! * [`GesallPlatform`] — the parallel driver running the five wrapped
-//!   rounds over DFS + MapReduce.
+//! * [`GesallPlatform`] — the parallel driver: its DAG executor walks
+//!   the stage table (`stages.rs`, one row per stage) over DFS +
+//!   MapReduce, resolving each row from the content-addressed store or
+//!   by running its body on its parents' outputs.
 //! * [`serial_pipeline`] — the GATK-best-practices single-node baseline
 //!   (the gold standard of §4).
 //! * [`serial_tail_from_aligned`] / [`serial_tail_from_markdup`] — the
@@ -13,16 +15,13 @@
 
 use crate::dag;
 use crate::error::{PlatformError, Result};
-use crate::gdpt::{chromosome_partition, BloomFilter, RangeKey};
-use crate::rounds::{
-    build_bloom_from_outputs, BamParts, BloomBuildMapper, DecodePartMapper, Round1Align,
-    Round2CleanMapper, Round2FixMateReducer, Round3MarkDupMapper, Round3MarkDupReducer,
-    Round4SortMapper, Round4SortReducer, Round5HaplotypeCaller,
-};
+use crate::gdpt::BloomFilter;
+use crate::rounds::DecodePartMapper;
+use crate::stages::{self, pipeline_stages, Inputs, Resolved, Split, Stage, StageCtx};
 use gesall_aligner::Aligner;
 use gesall_dfs::{checksum, Dfs, LogicalPartitionPlacement};
-use gesall_formats::bam::{self, BamWriter, FrameHeader};
-use gesall_formats::fastq::{pairs_to_interleaved_bytes, split_pairs_into_partitions, ReadPair};
+use gesall_formats::bam::{self, FrameHeader};
+use gesall_formats::fastq::{pairs_to_interleaved_bytes, ReadPair};
 use gesall_formats::sam::header::ReadGroup;
 use gesall_formats::sam::{SamHeader, SamRecord, SortOrder};
 use gesall_formats::vcf::VariantRecord;
@@ -30,13 +29,11 @@ use gesall_formats::wire::{self, Wire};
 use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::lease::SlotLease;
-use gesall_mapreduce::runtime::{InputSplit, JobConfig, JobOutput, MapReduceEngine};
-use gesall_mapreduce::task::{FnPartitioner, HashPartitioner};
-use gesall_telemetry::{kernel_keys, report, OpenSpan, PhaseRow, Recorder, SpanId, SpanKind};
+use gesall_mapreduce::runtime::{InputSplit, JobConfig, MapReduceEngine};
+use gesall_telemetry::{report, OpenSpan, PhaseRow, SpanId, SpanKind};
 use gesall_tools::haplotype_caller::{call_chromosome, HaplotypeCallerConfig};
 use gesall_tools::recalibration::RecalTable;
 use gesall_tools::refview::RefView;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -354,7 +351,7 @@ pub struct GesallPlatform {
 impl GesallPlatform {
     pub fn new(dfs: Dfs, engine: MapReduceEngine, config: PlatformConfig) -> GesallPlatform {
         // The platform's DFS doubles as the shuffle transit store.
-        engine.set_shuffle_dfs(dfs.clone());
+        let engine = engine.with_shuffle_dfs(dfs.clone());
         // Crash sweep: shuffle-transit files are deleted by the engine
         // when a job finishes, so any still present at platform startup
         // were orphaned by a crashed prior process. Reclaim them before
@@ -391,7 +388,7 @@ impl GesallPlatform {
         GesallPlatform::new(dfs, engine, config)
     }
 
-    fn job_config(&self, opts: &RunOptions, name: &str, n_reducers: usize, parent: SpanId) -> JobConfig {
+    pub(crate) fn job_config(&self, opts: &RunOptions, name: &str, n_reducers: usize, parent: SpanId) -> JobConfig {
         JobConfig {
             name: name.into(),
             n_reducers,
@@ -408,12 +405,7 @@ impl GesallPlatform {
     /// the input split for it. One backing serves both the DFS blocks
     /// and the mapper's input: placing copies nothing and nothing is
     /// read back.
-    fn place(
-        &self,
-        path: &str,
-        label: String,
-        bytes: SharedBytes,
-    ) -> Result<InputSplit<String, SharedBytes>> {
+    pub(crate) fn place(&self, path: &str, label: String, bytes: SharedBytes) -> Result<Split> {
         let info =
             self.dfs
                 .write_shared_with_policy(path, bytes.clone(), &LogicalPartitionPlacement)?;
@@ -424,17 +416,19 @@ impl GesallPlatform {
         })
     }
 
-    /// Place a resolved stage's partitions under `{base}/{stage}/part-NNNNN`
-    /// and file the splits under the producer's name, where every
-    /// consumer finds them.
-    fn place_parts(&self, cx: &mut StageCtx<'_>, stage: &str, parts: &[SharedBytes]) -> Result<()> {
+    /// A stage's output as the rows below it will see it: partitions are
+    /// placed under `{base}/{stage}/part-NNNNN` and become input splits,
+    /// a side value is handed on as it is.
+    fn resolve(&self, cx: &StageCtx<'_>, stage: &str, out: StageData) -> Result<Resolved> {
+        let StageData::Parts(parts) = out else {
+            return Ok(Resolved::Side(out));
+        };
         let mut splits = Vec::with_capacity(parts.len());
-        for (i, bytes) in parts.iter().enumerate() {
+        for (i, bytes) in parts.into_iter().enumerate() {
             let path = format!("{}/{stage}/part-{i:05}", cx.base);
-            splits.push(self.place(&path, path.clone(), bytes.clone())?);
+            splits.push(self.place(&path, path.clone(), bytes)?);
         }
-        cx.splits.insert(stage.to_string(), splits);
-        Ok(())
+        Ok(Resolved::Splits(splits))
     }
 
     /// Run the full pipeline on interleaved read pairs, through the
@@ -460,8 +454,8 @@ impl GesallPlatform {
         self.run_pipeline_dag(aligner, pairs, opts, &DagRunOptions::default())
     }
 
-    /// The DAG executor. Walks [`dag::pipeline_dag`] in topological
-    /// order; each stage's output is keyed by its content hash (code
+    /// The DAG executor. Walks the stage table ([`crate::stages`]) top
+    /// to bottom; each stage's output is keyed by its content hash (code
     /// version + config slice + parent keys, rooted at a hash of the
     /// read pairs and reference) and committed to the content-addressed
     /// store under `{cas_root}/cas/{key}`. A key that hits is decoded
@@ -481,36 +475,33 @@ impl GesallPlatform {
         opts: &RunOptions,
         dag_opts: &DagRunOptions,
     ) -> Result<PipelineOutput> {
-        let (mut cx, pipeline_span, pipeline_name, ns) = self.begin_run(aligner, opts);
+        let (mut cx, pipeline_span, pipeline_name, ns) = self.begin_run(aligner, pairs, opts);
         let cas_root = opts
             .cas_root
             .as_deref()
             .map(|c| c.trim_end_matches('/').to_string())
             .unwrap_or(ns);
-        let (records, variants, stages) = self.run_dag(&mut cx, &cas_root, pairs, dag_opts)?;
+        let rows = pipeline_stages(&self.config);
+        let (resolved, stages) = self.resolve_stages(&mut cx, &rows, &cas_root, dag_opts)?;
+        let (records, variants) = self.collect(&cx, &rows, resolved)?;
         Ok(self.finish_run(cx, pipeline_span, &pipeline_name, records, variants, stages))
     }
 
-    /// Everything between [`GesallPlatform::begin_run`] and
-    /// [`GesallPlatform::finish_run`]: resolve every stage, then read
-    /// the final partitions back as records.
-    fn run_dag(
+    /// Resolve every row of the table, from the store or by running its
+    /// body, into what the rows below it consume.
+    fn resolve_stages(
         &self,
         cx: &mut StageCtx<'_>,
+        rows: &[Stage],
         cas_root: &str,
-        pairs: Vec<ReadPair>,
         dag_opts: &DagRunOptions,
-    ) -> Result<(Vec<SamRecord>, Vec<VariantRecord>, Vec<StageReport>)> {
-        let spec = dag::pipeline_dag(&self.config);
-        let order = spec
-            .topo_order()
-            .map_err(|e| PlatformError::Invariant(e.to_string()))?;
-
+    ) -> Result<(Vec<Resolved>, Vec<StageReport>)> {
         // Root content key: the external inputs every stage chain hangs
         // off — the read pairs, the reference sequences, their names.
         let root_key = {
             let mut buf = Vec::new();
-            wire::put_u64(&mut buf, checksum::xxh64(&pairs_to_interleaved_bytes(&pairs)));
+            let pairs = cx.pairs.as_deref().unwrap_or_default();
+            wire::put_u64(&mut buf, checksum::xxh64(&pairs_to_interleaved_bytes(pairs)));
             for r in cx.references.iter() {
                 wire::put_u64(&mut buf, checksum::xxh64(r));
             }
@@ -519,20 +510,19 @@ impl GesallPlatform {
             }
             checksum::xxh64(&buf)
         };
-        let keys = spec
+        // Rejects a malformed table and a mistyped invalidation before
+        // any stage resolves.
+        let keys = stages::graph(rows)
             .stage_keys(root_key, &dag_opts.invalidate)
             .map_err(|e| PlatformError::Invariant(e.to_string()))?;
 
-        // The side outputs (bloom filter, recalibration table, calls);
-        // partitions live in `cx.splits`.
-        let mut data: HashMap<String, StageData> = HashMap::new();
+        let mut resolved: Vec<Resolved> = Vec::with_capacity(rows.len());
         let mut pinned: Vec<String> = Vec::new();
         let mut stage_reports: Vec<StageReport> = Vec::new();
-        let mut pairs = Some(pairs);
         let outcome = {
             let mut walk = || -> Result<()> {
-                for name in &order {
-                    let stage = spec.stage(name).expect("topo names come from the spec");
+                for row in rows {
+                    let name = &row.spec.name;
                     let key = keys[name.as_str()];
                     let cas_path = Dfs::cas_path(cas_root, key);
                     let t0 = Instant::now();
@@ -554,7 +544,7 @@ impl GesallPlatform {
                     let out = match cached {
                         Some(d) => d,
                         None => {
-                            let mut d = self.execute_stage(cx, name, &data, &mut pairs)?;
+                            let mut d = (row.body)(self, cx, &Inputs::of(rows, &resolved, row)?)?;
                             if dag_opts.cache {
                                 // Built once, exactly sized; partitions
                                 // go on from here as windows of it.
@@ -567,12 +557,7 @@ impl GesallPlatform {
                             d
                         }
                     };
-                    match out {
-                        StageData::Parts(parts) => self.place_parts(cx, name, &parts)?,
-                        side => {
-                            data.insert(name.clone(), side);
-                        }
-                    }
+                    resolved.push(self.resolve(cx, name, out)?);
                     if dag_opts.cache {
                         // Pinned for the rest of the run: a dependent
                         // stage may range-read this entry long after a
@@ -595,7 +580,7 @@ impl GesallPlatform {
                         sspan,
                         name,
                         vec![
-                            ("parents".to_string(), stage.parents.join(",")),
+                            ("parents".to_string(), row.spec.parents.join(",")),
                             ("cached".to_string(), cache_hit.to_string()),
                             ("key".to_string(), format!("{key:016x}")),
                         ],
@@ -604,7 +589,7 @@ impl GesallPlatform {
                     stage_reports.push(StageReport {
                         name: name.clone(),
                         key,
-                        parents: stage.parents.clone(),
+                        parents: row.spec.parents.clone(),
                         cache_hit,
                         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
                     });
@@ -618,23 +603,27 @@ impl GesallPlatform {
             self.dfs.unpin(p);
         }
         outcome?;
-
-        let records = self.decode_final(cx)?;
-        let Some(StageData::Variants(variants)) = data.remove(dag::round5_stage_name(&self.config))
-        else {
-            return Err(PlatformError::Invariant(
-                "round 5 did not produce variants".into(),
-            ));
-        };
-        Ok((records, variants, stage_reports))
+        Ok((resolved, stage_reports))
     }
 
-    /// [`PipelineOutput::records`]: the final stage's placed partitions
-    /// decoded by a map-only wave, one task per partition under the
-    /// run's slot lease, concatenated in partition order. It is not a
-    /// round: it leaves no [`RoundSummary`].
-    fn decode_final(&self, cx: &StageCtx<'_>) -> Result<Vec<SamRecord>> {
-        let splits = cx.splits_of(dag::final_parts_stage(&self.config))?;
+    /// The run's two outputs, read off the resolved table: the calls are
+    /// the last row's output, the final records its first parent's
+    /// partitions — decoded by a map-only wave, one task per partition
+    /// under the run's slot lease, concatenated in partition order. The
+    /// wave is not a round: it leaves no [`RoundSummary`].
+    fn collect(
+        &self,
+        cx: &StageCtx<'_>,
+        rows: &[Stage],
+        mut resolved: Vec<Resolved>,
+    ) -> Result<(Vec<SamRecord>, Vec<VariantRecord>)> {
+        let last = rows.last().expect("the stage table is never empty");
+        let splits = Inputs::of(rows, &resolved, last)?.splits(0)?;
+        let Some(Resolved::Side(StageData::Variants(variants))) = resolved.pop() else {
+            return Err(PlatformError::Invariant(
+                "the last stage did not produce variants".into(),
+            ));
+        };
         let job = self.engine.run_map_only(
             self.job_config(cx.opts, "final-decode", 1, cx.pipeline_span),
             &DecodePartMapper,
@@ -646,12 +635,11 @@ impl GesallPlatform {
         for mut part in parts {
             records.append(&mut part);
         }
-        Ok(records)
+        Ok((records, variants))
     }
 
-    /// The hand-sequenced driver, the DAG executor's test reference: the
-    /// same stage bodies in fixed order, with no graph, no cache, and no
-    /// stage spans.
+    /// The DAG executor's test reference: a plain loop over the same
+    /// rows, with no keys, no store and no stage spans.
     #[cfg(test)]
     fn run_pipeline_sequential(
         &self,
@@ -659,27 +647,14 @@ impl GesallPlatform {
         pairs: Vec<ReadPair>,
         opts: &RunOptions,
     ) -> Result<PipelineOutput> {
-        let (mut cx, pipeline_span, pipeline_name, _ns) = self.begin_run(aligner, opts);
-        let r1 = self.stage_round1(&mut cx, pairs)?;
-        self.place_parts(&mut cx, "round1-align", &r1)?;
-        let r2 = self.stage_round2(&mut cx)?;
-        self.place_parts(&mut cx, "round2-clean-fixmate", &r2)?;
-        let bloom = if self.config.markdup_opt {
-            Some(Arc::new(self.stage_round2b(&mut cx)?))
-        } else {
-            None
-        };
-        let r3 = self.stage_round3(&mut cx, bloom)?;
-        self.place_parts(&mut cx, "round3-markdup", &r3)?;
-        let r4 = self.stage_round4(&mut cx)?;
-        self.place_parts(&mut cx, "round4-sort", &r4)?;
-        if self.config.recalibrate {
-            let table = Arc::new(self.stage_round4a(&mut cx)?);
-            let r4b = self.stage_round4b(&mut cx, table)?;
-            self.place_parts(&mut cx, "round4b-print-reads", &r4b)?;
+        let (mut cx, pipeline_span, pipeline_name, _ns) = self.begin_run(aligner, pairs, opts);
+        let rows = pipeline_stages(&self.config);
+        let mut resolved = Vec::new();
+        for row in &rows {
+            let out = (row.body)(self, &mut cx, &Inputs::of(&rows, &resolved, row)?)?;
+            resolved.push(self.resolve(&cx, &row.spec.name, out)?);
         }
-        let variants = self.stage_round5(&mut cx)?;
-        let records = self.decode_final(&cx)?;
+        let (records, variants) = self.collect(&cx, &rows, resolved)?;
         Ok(self.finish_run(cx, pipeline_span, &pipeline_name, records, variants, Vec::new()))
     }
 
@@ -689,6 +664,7 @@ impl GesallPlatform {
     fn begin_run<'a>(
         &self,
         aligner: &'a Aligner,
+        pairs: Vec<ReadPair>,
         opts: &'a RunOptions,
     ) -> (StageCtx<'a>, OpenSpan, String, String) {
         // Unique DFS namespace per run so one platform can host many
@@ -723,6 +699,7 @@ impl GesallPlatform {
         let cx = StageCtx {
             aligner,
             opts,
+            pairs: Some(pairs),
             counters: Counters::new(),
             recorder,
             pipeline_span: pipeline_span.id,
@@ -732,7 +709,6 @@ impl GesallPlatform {
             references,
             chrom_names,
             rounds: Vec::new(),
-            splits: HashMap::new(),
         };
         (cx, pipeline_span, pipeline_name, ns)
     }
@@ -762,392 +738,10 @@ impl GesallPlatform {
             stages,
         }
     }
-
-    /// Dispatch one DAG stage body. Partition inputs come from the
-    /// splits its parents placed in `cx`; `data` carries the two small
-    /// side inputs (bloom filter, recalibration table).
-    fn execute_stage(
-        &self,
-        cx: &mut StageCtx<'_>,
-        name: &str,
-        data: &HashMap<String, StageData>,
-        pairs: &mut Option<Vec<ReadPair>>,
-    ) -> Result<StageData> {
-        match name {
-            "round1-align" => {
-                let pairs = pairs.take().ok_or_else(|| {
-                    PlatformError::Invariant("round1-align executed twice in one run".into())
-                })?;
-                Ok(StageData::Parts(self.stage_round1(cx, pairs)?))
-            }
-            "round2-clean-fixmate" => Ok(StageData::Parts(self.stage_round2(cx)?)),
-            "round2b-bloom" => Ok(StageData::Bloom(self.stage_round2b(cx)?)),
-            "round3-markdup" => {
-                let bloom = if self.config.markdup_opt {
-                    match data.get("round2b-bloom") {
-                        Some(StageData::Bloom(b)) => Some(Arc::new(b.clone())),
-                        _ => {
-                            return Err(PlatformError::Invariant(
-                                "round3-markdup needs the bloom stage output".into(),
-                            ))
-                        }
-                    }
-                } else {
-                    None
-                };
-                Ok(StageData::Parts(self.stage_round3(cx, bloom)?))
-            }
-            "round4-sort" => Ok(StageData::Parts(self.stage_round4(cx)?)),
-            "round4a-recal-table" => Ok(StageData::Recal(self.stage_round4a(cx)?)),
-            "round4b-print-reads" => {
-                let table = match data.get("round4a-recal-table") {
-                    Some(StageData::Recal(t)) => Arc::new(t.clone()),
-                    _ => {
-                        return Err(PlatformError::Invariant(
-                            "round4b-print-reads needs the recal-table output".into(),
-                        ))
-                    }
-                };
-                Ok(StageData::Parts(self.stage_round4b(cx, table)?))
-            }
-            n if n.starts_with("round5-") => Ok(StageData::Variants(self.stage_round5(cx)?)),
-            other => Err(PlatformError::Invariant(format!("unknown stage {other}"))),
-        }
-    }
-
-    /// Round 1: alignment (map-only over FASTQ logical partitions). The
-    /// mappers emit BAM bytes: they are the output partitions.
-    fn stage_round1(&self, cx: &mut StageCtx<'_>, pairs: Vec<ReadPair>) -> Result<Vec<SharedBytes>> {
-        let parts = split_pairs_into_partitions(pairs, self.config.n_round1_partitions.max(1));
-        let mut splits = Vec::with_capacity(parts.len());
-        for (i, part) in parts.iter().enumerate() {
-            let path = format!("{}/fastq/part-{i:05}", cx.base);
-            let bytes = SharedBytes::from_vec(pairs_to_interleaved_bytes(part));
-            splits.push(self.place(&path, path.clone(), bytes)?);
-        }
-        let rspan = cx.open_round("round1-align");
-        // The aligner-side kernels (packed rank, banded SW) report on
-        // process-wide atomics; bracket the round with snapshots so the
-        // round counters carry exactly this run's kernel activity.
-        let kernels_before = gesall_aligner::kernels::snapshot();
-        let r1 = self.engine.run_map_only(
-            self.job_config(cx.opts, "round1-align", 1, rspan.id),
-            &Round1Align {
-                aligner: cx.aligner,
-                threads_per_mapper: 1,
-                counters: cx.counters.clone(),
-            },
-            splits,
-        )?;
-        let kd = gesall_aligner::kernels::snapshot().delta(&kernels_before);
-        for (key, val) in [
-            (kernel_keys::OCC_WORDS_POPCOUNTED, kd.occ_words_popcounted),
-            (kernel_keys::SW_EXACT_HITS, kd.sw_exact_hits),
-            (kernel_keys::SW_BANDED_HITS, kd.sw_banded_hits),
-            (kernel_keys::SW_FULL_FALLBACKS, kd.sw_full_fallbacks),
-        ] {
-            if val != 0 {
-                r1.counters.add(key, val);
-            }
-        }
-        // Already grouped by name (pairs adjacent).
-        mapper_parts(cx.close_round(rspan, "round1-align", r1))
-    }
-
-    /// Round 2: clean (map) + fix-mate (reduce), shuffled by read name.
-    fn stage_round2(&self, cx: &mut StageCtx<'_>) -> Result<Vec<SharedBytes>> {
-        let splits = cx.splits_of("round1-align")?;
-        let rspan = cx.open_round("round2-clean-fixmate");
-        let r2 = self.engine.run_job_to(
-            self.job_config(cx.opts, "round2-clean-fixmate", self.config.n_reducers, rspan.id),
-            &Round2CleanMapper {
-                read_group: self.config.read_group.clone(),
-                references: cx.references.clone(),
-                counters: cx.counters.clone(),
-            },
-            &Round2FixMateReducer {
-                counters: cx.counters.clone(),
-            },
-            &HashPartitioner,
-            splits,
-            &BamParts { header: &cx.header },
-        )?;
-        Ok(cx.close_round(rspan, "round2-clean-fixmate", r2))
-    }
-
-    /// Round 2½: bloom-filter build over the cleaned parts
-    /// (`MarkDup_opt` only).
-    fn stage_round2b(&self, cx: &mut StageCtx<'_>) -> Result<BloomFilter> {
-        let splits = cx.splits_of("round2-clean-fixmate")?;
-        let rspan = cx.open_round("round2b-bloom");
-        let rb = self.engine.run_map_only(
-            self.job_config(cx.opts, "round2b-bloom", 1, rspan.id),
-            &BloomBuildMapper {
-                counters: cx.counters.clone(),
-            },
-            splits,
-        )?;
-        let outputs = cx.close_round(rspan, "round2b-bloom", rb);
-        let n_keys: usize = outputs.iter().map(Vec::len).sum();
-        Ok(build_bloom_from_outputs(&outputs, n_keys.max(64)))
-    }
-
-    /// Round 3: MarkDuplicates under the compound 5′-end shuffle.
-    fn stage_round3(
-        &self,
-        cx: &mut StageCtx<'_>,
-        bloom: Option<Arc<BloomFilter>>,
-    ) -> Result<Vec<SharedBytes>> {
-        let splits = cx.splits_of("round2-clean-fixmate")?;
-        let rspan = cx.open_round("round3-markdup");
-        let r3 = self.engine.run_job_to(
-            self.job_config(
-                cx.opts,
-                if self.config.markdup_opt {
-                    "round3-markdup-opt"
-                } else {
-                    "round3-markdup-reg"
-                },
-                self.config.n_reducers,
-                rspan.id,
-            ),
-            &Round3MarkDupMapper {
-                bloom,
-                counters: cx.counters.clone(),
-            },
-            &Round3MarkDupReducer {
-                seed: self.config.seed,
-                counters: cx.counters.clone(),
-            },
-            &HashPartitioner,
-            splits,
-            &BamParts { header: &cx.header },
-        )?;
-        Ok(cx.close_round(rspan, "round3-markdup", r3))
-    }
-
-    /// Round 4: range-partitioned coordinate sort (one reducer per
-    /// chromosome plus the unmapped partition).
-    fn stage_round4(&self, cx: &mut StageCtx<'_>) -> Result<Vec<SharedBytes>> {
-        let splits = cx.splits_of("round3-markdup")?;
-        let rspan = cx.open_round("round4-sort");
-        let r4 = self.engine.run_job_to(
-            self.job_config(cx.opts, "round4-sort", cx.chrom_names.len() + 1, rspan.id),
-            &Round4SortMapper {
-                counters: cx.counters.clone(),
-            },
-            &Round4SortReducer,
-            &FnPartitioner::new(|k: &RangeKey, n| chromosome_partition(k, n)),
-            splits,
-            &BamParts { header: &cx.sorted_header },
-        )?;
-        Ok(cx.close_round(rspan, "round4-sort", r4))
-    }
-
-    /// Round 4½a: per-partition covariate tables (BaseRecalibrator),
-    /// merged into the whole-dataset table — the tally is distributive.
-    fn stage_round4a(&self, cx: &mut StageCtx<'_>) -> Result<RecalTable> {
-        let mut splits = cx.splits_of("round4-sort")?;
-        splits.truncate(cx.chrom_names.len());
-        let rspan = cx.open_round("round4a-recal-table");
-        let ra = self.engine.run_map_only(
-            self.job_config(cx.opts, "round4a-recal-table", 1, rspan.id),
-            &crate::rounds::RecalTableMapper {
-                references: cx.references.clone(),
-                known_sites: Arc::default(),
-                config: Default::default(),
-                counters: cx.counters.clone(),
-            },
-            splits,
-        )?;
-        let outputs = cx.close_round(rspan, "round4a-recal-table", ra);
-        Ok(crate::rounds::merge_recal_tables(&outputs))
-    }
-
-    /// Round 4½b: apply the merged table (PrintReads). Returns the full
-    /// partition set: recalibrated chromosome parts plus round 4's
-    /// unmapped partition, handed on as the bytes it already is.
-    fn stage_round4b(
-        &self,
-        cx: &mut StageCtx<'_>,
-        table: Arc<RecalTable>,
-    ) -> Result<Vec<SharedBytes>> {
-        let mut splits = cx.splits_of("round4-sort")?;
-        let unmapped = splits.split_off(cx.chrom_names.len());
-        let rspan = cx.open_round("round4b-print-reads");
-        let rb2 = self.engine.run_map_only(
-            self.job_config(cx.opts, "round4b-print-reads", 1, rspan.id),
-            &crate::rounds::PrintReadsMapper {
-                table,
-                config: Default::default(),
-                header: cx.sorted_header.clone(),
-                counters: cx.counters.clone(),
-            },
-            splits,
-        )?;
-        let mut parts = mapper_parts(cx.close_round(rspan, "round4b-print-reads", rb2))?;
-        parts.extend(unmapped.into_iter().flat_map(|s| s.records).map(|(_, bytes)| bytes));
-        Ok(parts)
-    }
-
-    /// Round 5: variant calling under the configured caller and
-    /// partitioning scheme. The unmapped partition (index `n_chroms`)
-    /// is skipped.
-    fn stage_round5(&self, cx: &mut StageCtx<'_>) -> Result<Vec<VariantRecord>> {
-        let mut splits = cx.splits_of(dag::final_parts_stage(&self.config))?;
-        splits.truncate(cx.chrom_names.len());
-        let round5_name = dag::round5_stage_name(&self.config);
-        let rspan = cx.open_round(round5_name);
-        let r5 = match (self.config.caller, self.config.hc_partitioning) {
-            (CallerChoice::UnifiedGenotyper, _) => self.engine.run_map_only(
-                self.job_config(cx.opts, "round5-unifiedgenotyper", 1, rspan.id),
-                &crate::rounds::Round5UnifiedGenotyper {
-                    references: cx.references.clone(),
-                    chrom_names: cx.chrom_names.clone(),
-                    config: Default::default(),
-                    counters: cx.counters.clone(),
-                },
-                splits,
-            )?,
-            (CallerChoice::HaplotypeCaller, HcPartitioning::Chromosome) => {
-                self.engine.run_map_only(
-                    self.job_config(cx.opts, "round5-haplotypecaller", 1, rspan.id),
-                    &Round5HaplotypeCaller {
-                        references: cx.references.clone(),
-                        chrom_names: cx.chrom_names.clone(),
-                        config: self.config.hc.clone(),
-                        counters: cx.counters.clone(),
-                    },
-                    splits,
-                )?
-            }
-            (CallerChoice::HaplotypeCaller, HcPartitioning::FineGrained { segment_len, overlap }) => {
-                // The §3.2 overlapping range scheme: reads overlapping a
-                // padded span are replicated into that segment's
-                // partition; calls are emitted from segment cores only.
-                // Cutting segments is the one stage input the driver
-                // decodes.
-                let ranges = crate::gdpt::OverlappingRanges::new(segment_len, overlap);
-                let mut segments = Vec::new();
-                for (ref_id, (_, part)) in splits.iter().flat_map(|s| &s.records).enumerate() {
-                    let chrom_len = cx.references[ref_id].len() as i64;
-                    let (_, records) = bam::read_bam(part)?;
-                    if records.is_empty() {
-                        continue;
-                    }
-                    for seg in 0..ranges.n_segments(chrom_len) {
-                        let (span_s, span_e) = ranges.segment_span(seg, chrom_len);
-                        let core_s = seg as i64 * segment_len + 1;
-                        let core_e = ((seg as i64 + 1) * segment_len).min(chrom_len);
-                        let mut w = BamWriter::new(&cx.sorted_header);
-                        for r in &records {
-                            if r.is_mapped() && r.pos <= span_e && r.end_pos() >= span_s {
-                                w.write_record(r);
-                            }
-                        }
-                        let label = crate::rounds::fine_segment_label(
-                            ref_id as i32,
-                            (core_s, core_e),
-                            (span_s, span_e),
-                        );
-                        let path = format!("{}/round5fine/{label}", cx.base);
-                        segments.push(self.place(&path, label, SharedBytes::from_vec(w.finish().0))?);
-                    }
-                }
-                self.engine.run_map_only(
-                    self.job_config(cx.opts, "round5-hc-finegrained", 1, rspan.id),
-                    &crate::rounds::Round5HaplotypeCallerFine {
-                        references: cx.references.clone(),
-                        chrom_names: cx.chrom_names.clone(),
-                        config: self.config.hc.clone(),
-                        counters: cx.counters.clone(),
-                    },
-                    segments,
-                )?
-            }
-        };
-        let mut variants: Vec<VariantRecord> = cx
-            .close_round(rspan, round5_name, r5)
-            .into_iter()
-            .flatten()
-            .map(|(_, v)| v)
-            .collect();
-        sort_by_site(&mut variants);
-        Ok(variants)
-    }
-}
-
-/// Everything a stage body needs besides its side inputs: the run's
-/// namespace, span parentage, cumulative counters, reference facts, the
-/// placed partitions of every resolved stage, and the growing
-/// round-summary list.
-struct StageCtx<'a> {
-    aligner: &'a Aligner,
-    opts: &'a RunOptions,
-    counters: Counters,
-    recorder: Recorder,
-    pipeline_span: SpanId,
-    base: String,
-    header: SamHeader,
-    sorted_header: SamHeader,
-    references: Arc<Vec<Vec<u8>>>,
-    chrom_names: Arc<Vec<String>>,
-    rounds: Vec<RoundSummary>,
-    /// Each resolved partition stage's output as placed input splits,
-    /// keyed by the producer's stage name. Sibling consumers (round2b +
-    /// round3, round4a + round4b) clone the same splits — the payloads
-    /// are refcounted, so the clone is pointer-sized.
-    splits: HashMap<String, Vec<InputSplit<String, SharedBytes>>>,
-}
-
-impl StageCtx<'_> {
-    fn splits_of(&self, stage: &str) -> Result<Vec<InputSplit<String, SharedBytes>>> {
-        self.splits.get(stage).cloned().ok_or_else(|| {
-            PlatformError::Invariant(format!("stage input {stage} was never placed"))
-        })
-    }
-
-    fn open_round(&self, name: &str) -> OpenSpan {
-        self.recorder.start(SpanKind::Round, name, self.pipeline_span)
-    }
-
-    /// The round epilogue: fold the pipeline-cumulative counters into
-    /// the job's, close the round span carrying the task counts and
-    /// counter snapshot (so the trace alone reconstructs the table),
-    /// append the summary, and hand back the job's outputs.
-    fn close_round<O>(&mut self, open: OpenSpan, name: &str, job: JobOutput<O>) -> Vec<O> {
-        job.counters.merge(&self.counters);
-        let s = summary(name, &job.counters, &job.events, job.wall_ms);
-        self.recorder.end_with(
-            open,
-            &s.name,
-            vec![
-                ("n_map_tasks".to_string(), s.n_map_tasks.to_string()),
-                ("n_reduce_tasks".to_string(), s.n_reduce_tasks.to_string()),
-            ],
-            s.counters.clone(),
-        );
-        self.rounds.push(s);
-        job.outputs
-    }
-}
-
-/// The partitions of a map-only round whose mappers each encode their
-/// own: one `(label, bytes)` pair per task.
-fn mapper_parts(outputs: Vec<Vec<(String, Vec<u8>)>>) -> Result<Vec<SharedBytes>> {
-    outputs
-        .into_iter()
-        .map(|out| match out.into_iter().next() {
-            Some((_, bam_bytes)) => Ok(SharedBytes::from_vec(bam_bytes)),
-            None => Err(PlatformError::Invariant(
-                "a mapper of a partition round emitted no partition".into(),
-            )),
-        })
-        .collect()
 }
 
 /// Stable sort by site, on borrowed keys.
-fn sort_by_site(variants: &mut [VariantRecord]) {
+pub(crate) fn sort_by_site(variants: &mut [VariantRecord]) {
     fn site(v: &VariantRecord) -> (&str, i64, &str, &str) {
         (&v.chrom, v.pos, &v.ref_allele, &v.alt_allele)
     }
@@ -1272,33 +866,6 @@ impl Wire for StageData {
     }
 }
 
-fn summary(
-    name: &str,
-    counters: &Counters,
-    events: &[gesall_mapreduce::runtime::TaskEvent],
-    wall_ms: f64,
-) -> RoundSummary {
-    use gesall_mapreduce::runtime::{AttemptOutcome, TaskKind};
-    // Count committed tasks, not attempts: retries and speculative losers
-    // also leave events, but only one attempt per task ever succeeds.
-    let done = |e: &&gesall_mapreduce::runtime::TaskEvent| e.outcome == AttemptOutcome::Succeeded;
-    RoundSummary {
-        name: name.into(),
-        wall_ms,
-        n_map_tasks: events
-            .iter()
-            .filter(|e| e.kind == TaskKind::Map)
-            .filter(done)
-            .count(),
-        n_reduce_tasks: events
-            .iter()
-            .filter(|e| e.kind == TaskKind::Reduce)
-            .filter(done)
-            .count(),
-        counters: counters.snapshot(),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Serial baseline and hybrid pipelines
 // ---------------------------------------------------------------------
@@ -1367,6 +934,8 @@ pub fn serial_tail_from_markdup(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rounds::BamParts;
+    use gesall_telemetry::Recorder;
 
     #[test]
     fn planner_reproduces_the_papers_round_structure() {
@@ -1666,13 +1235,17 @@ mod tests {
         // Placing reads nothing back: the split is the bytes it was
         // handed, not a copy fetched from the blocks.
         let opts = RunOptions::default();
-        let (mut cx, span, name, _) = p.begin_run(&aligner, &opts);
-        let parts = [SharedBytes::from_vec(bam::write_bam(&cx.header, &cold.records))];
+        let (cx, span, name, _) = p.begin_run(&aligner, Vec::new(), &opts);
+        let part = SharedBytes::from_vec(bam::write_bam(&cx.header, &cold.records));
         let blocks_read = p.dfs.metrics().counter(BLOCKS_READ).get();
-        p.place_parts(&mut cx, "probe", &parts).unwrap();
+        let Resolved::Splits(splits) =
+            p.resolve(&cx, "probe", StageData::Parts(vec![part.clone()])).unwrap()
+        else {
+            panic!("partitions resolve to splits");
+        };
         assert_eq!(p.dfs.metrics().counter(BLOCKS_READ).get(), blocks_read);
-        let (_, payload) = &cx.splits_of("probe").unwrap()[0].records[0];
-        assert!(payload.same_backing(&parts[0]));
+        let (_, payload) = &splits[0].records[0];
+        assert!(payload.same_backing(&part));
         p.finish_run(cx, span, &name, Vec::new(), Vec::new(), Vec::new());
     }
 
@@ -1683,25 +1256,27 @@ mod tests {
         aligner: &Aligner,
         pairs: &[ReadPair],
         n_chroms: usize,
-    ) -> (PipelineOutput, HashMap<String, Vec<SharedBytes>>) {
+    ) -> (PipelineOutput, std::collections::HashMap<String, Vec<SharedBytes>>) {
         let opts = RunOptions::default();
-        let (mut cx, span, name, ns) = p.begin_run(aligner, &opts);
-        let (records, variants, stages) = p
-            .run_dag(&mut cx, &ns, pairs.to_vec(), &DagRunOptions::default())
+        let (mut cx, span, name, ns) = p.begin_run(aligner, pairs.to_vec(), &opts);
+        let rows = pipeline_stages(&p.config);
+        let (resolved, stages) = p
+            .resolve_stages(&mut cx, &rows, &ns, &DagRunOptions::default())
             .unwrap();
         let splits = partition_stages(p, n_chroms)
             .iter()
             .map(|(stage, n)| {
-                let payloads: Vec<SharedBytes> = cx
-                    .splits_of(stage)
-                    .unwrap()
-                    .into_iter()
-                    .map(|s| s.records[0].1.clone())
-                    .collect();
+                let row = rows.iter().position(|r| r.spec.name == *stage).unwrap();
+                let Resolved::Splits(splits) = &resolved[row] else {
+                    panic!("{stage} is a partition stage");
+                };
+                let payloads: Vec<SharedBytes> =
+                    splits.iter().map(|s| s.records[0].1.clone()).collect();
                 assert_eq!(payloads.len(), *n, "{stage}");
                 (stage.to_string(), payloads)
             })
             .collect();
+        let (records, variants) = p.collect(&cx, &rows, resolved).unwrap();
         (p.finish_run(cx, span, &name, records, variants, stages), splits)
     }
 

@@ -32,8 +32,8 @@ use gesall_mapreduce::task::{
 };
 use gesall_tools::clean_sam::clean_sam;
 use gesall_tools::fix_mate::sync_pair;
-use gesall_tools::haplotype_caller::{call_chromosome, HaplotypeCallerConfig};
 use gesall_tools::mark_duplicates::end_key;
+use gesall_tools::recalibration::RecalTable;
 use gesall_tools::refview::RefView;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -234,9 +234,9 @@ impl Reducer for Round2FixMateReducer {
 // Round 2½: bloom-filter build (MarkDup_opt prep)
 // ---------------------------------------------------------------------
 
-/// Map-only round emitting the wire-encoded 5′-end keys of
-/// partial-matching mapped reads; the driver unions them into the bloom
-/// filter.
+/// Map-only round emitting the 5′-end key of every partial-matching
+/// mapped read, as the [`MarkDupKey::Single`] round 3 will look up; the
+/// driver unions them into the bloom filter.
 pub struct BloomBuildMapper {
     pub counters: Counters,
 }
@@ -245,9 +245,9 @@ impl Mapper for BloomBuildMapper {
     type InKey = String;
     type InValue = SharedBytes;
     type OutKey = u64;
-    type OutValue = Vec<u8>;
+    type OutValue = MarkDupKey;
 
-    fn map(&self, _label: &String, bam_bytes: &SharedBytes, ctx: &mut MapContext<'_, u64, Vec<u8>>) {
+    fn map(&self, _label: &String, bam_bytes: &SharedBytes, ctx: &mut MapContext<'_, u64, MarkDupKey>) {
         let (_, records) = decode_bam(&self.counters, bam_bytes);
         let mut by_name: HashMap<&str, Vec<&SamRecord>> = HashMap::new();
         for r in &records {
@@ -263,34 +263,11 @@ impl Mapper for BloomBuildMapper {
                     _ => None,
                 };
                 if let Some(m) = partial_mapped {
-                    let k = end_key(m);
-                    let mut bytes = Vec::new();
-                    use gesall_formats::wire::Wire;
-                    (k.0 as i64).encode(&mut bytes);
-                    k.1.encode(&mut bytes);
-                    (k.2 as u32).encode(&mut bytes);
-                    ctx.emit(0, bytes);
+                    ctx.emit(0, MarkDupKey::Single(end_key(m)));
                 }
             }
         }
     }
-}
-
-/// Decode the end keys a [`BloomBuildMapper`] job emitted and build the
-/// filter.
-pub fn build_bloom_from_outputs(outputs: &[Vec<(u64, Vec<u8>)>], capacity: usize) -> BloomFilter {
-    use gesall_formats::wire::{Cursor, Wire};
-    let mut bloom = BloomFilter::with_capacity(capacity);
-    for out in outputs {
-        for (_, bytes) in out {
-            let mut cur = Cursor::new(bytes);
-            let chrom = i64::decode(&mut cur).expect("bloom key chrom") as i32;
-            let pos = i64::decode(&mut cur).expect("bloom key pos");
-            let strand = u32::decode(&mut cur).expect("bloom key strand") as u8;
-            bloom.insert(&(chrom, pos, strand));
-        }
-    }
-    bloom
 }
 
 // ---------------------------------------------------------------------
@@ -533,7 +510,7 @@ impl Reducer for Round4SortReducer {
 // ---------------------------------------------------------------------
 
 /// Pass-1 mapper: builds a partial [`RecalTable`] per partition and emits
-/// it wire-encoded — the GDPT "group partitioning by user-defined
+/// it — the GDPT "group partitioning by user-defined
 /// covariates" pattern (§3.2): the tally is distributive, so partial
 /// tables merge exactly.
 pub struct RecalTableMapper {
@@ -549,9 +526,9 @@ impl Mapper for RecalTableMapper {
     type InKey = String;
     type InValue = SharedBytes;
     type OutKey = u64;
-    type OutValue = Vec<u8>;
+    type OutValue = RecalTable;
 
-    fn map(&self, _label: &String, bam_bytes: &SharedBytes, ctx: &mut MapContext<'_, u64, Vec<u8>>) {
+    fn map(&self, _label: &String, bam_bytes: &SharedBytes, ctx: &mut MapContext<'_, u64, RecalTable>) {
         let (_, records) = decode_bam(&self.counters, bam_bytes);
         let t0 = Instant::now();
         let table = gesall_tools::recalibration::base_recalibrator(
@@ -562,32 +539,15 @@ impl Mapper for RecalTableMapper {
         );
         self.counters
             .add(keys::EXTERNAL_PROGRAM_NANOS, t0.elapsed().as_nanos() as u64);
-        use gesall_formats::wire::Wire;
-        ctx.emit(0, table.to_wire_bytes());
+        ctx.emit(0, table);
     }
-}
-
-/// Merge the partial tables a [`RecalTableMapper`] job emitted.
-pub fn merge_recal_tables(
-    outputs: &[Vec<(u64, Vec<u8>)>],
-) -> gesall_tools::recalibration::RecalTable {
-    use gesall_formats::wire::Wire;
-    let mut merged = gesall_tools::recalibration::RecalTable::default();
-    for out in outputs {
-        for (_, bytes) in out {
-            let partial = gesall_tools::recalibration::RecalTable::from_wire_bytes(bytes)
-                .expect("partial recal table corrupt");
-            merged.merge(&partial);
-        }
-    }
-    merged
 }
 
 /// Pass-2 mapper (PrintReads): rewrite base qualities from the merged
 /// table; map-only, partition-parallel. Like [`Round1Align`] it emits
 /// its output partition as bytes, one `(label, BAM)` pair.
 pub struct PrintReadsMapper {
-    pub table: Arc<gesall_tools::recalibration::RecalTable>,
+    pub table: Arc<RecalTable>,
     pub config: gesall_tools::recalibration::RecalConfig,
     /// Header of the partitions written (coordinate-sorted, as read).
     pub header: SamHeader,
@@ -630,89 +590,81 @@ impl Mapper for DecodePartMapper {
 }
 
 // ---------------------------------------------------------------------
-// Round 5: HaplotypeCaller (map-only over chromosome partitions)
+// Round 5: variant calling (map-only over range partitions)
 // ---------------------------------------------------------------------
 
-/// Round-5 mapper (v1 variant): UnifiedGenotyper over one sorted
-/// chromosome partition — the paper's Unified Genotyper round, which
-/// the bioinformaticians accept at chromosome granularity (§3.2).
-pub struct Round5UnifiedGenotyper {
-    pub references: Arc<Vec<Vec<u8>>>,
-    pub chrom_names: Arc<Vec<String>>,
-    pub config: gesall_tools::unified_genotyper::GenotyperConfig,
-    pub counters: Counters,
+/// A small-variant caller over `[start, end]` of one chromosome:
+/// `(records, ref_id, chrom, start, end, reference)` to calls.
+pub type CallRange<'a> =
+    dyn Fn(&[SamRecord], i32, &str, i64, i64, RefView<'_>) -> Vec<VariantRecord> + Sync + 'a;
+
+/// Where a round-5 task learns the range it calls.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanSource {
+    /// The partition is one sorted chromosome — the granularity the
+    /// bioinformaticians accept (§3.2): the chromosome is its mapped
+    /// reads', the range all of it.
+    Chromosome,
+    /// The partition is one **overlapping genome segment** of the
+    /// paper's §3.2 fine-grained proposal, and the split label is its
+    /// [`fine_segment_label`]: the caller walks the padded span but only
+    /// calls anchored inside the core are emitted, so neighbouring
+    /// segments' overlap regions deduplicate by construction.
+    Label,
 }
 
-impl Mapper for Round5UnifiedGenotyper {
-    type InKey = String;
-    type InValue = SharedBytes;
-    type OutKey = String;
-    type OutValue = VariantRecord;
+/// Inclusive 1-based `(start, end)` on one chromosome.
+pub type Range = (i64, i64);
 
-    fn map(
-        &self,
-        _label: &String,
-        bam_bytes: &SharedBytes,
-        ctx: &mut MapContext<'_, String, VariantRecord>,
-    ) {
-        let (_, records) = decode_bam(&self.counters, bam_bytes);
-        let Some(ref_id) = records.iter().find(|r| r.is_mapped()).map(|r| r.ref_id) else {
-            return;
-        };
-        let chrom = self.chrom_names[ref_id as usize].clone();
-        let rv = RefView::new(&self.references);
-        let len = rv.chrom_len(ref_id) as i64;
-        let t0 = Instant::now();
-        let calls = gesall_tools::unified_genotyper::call_region(
-            &records,
-            ref_id,
-            &chrom,
-            1,
-            len,
-            rv,
-            &self.config,
-        );
-        self.counters
-            .add(keys::EXTERNAL_PROGRAM_NANOS, t0.elapsed().as_nanos() as u64);
-        for v in calls {
-            ctx.emit(chrom.clone(), v);
+/// Encode a fine-grained segment label:
+/// `ref_id:core_start:core_end:span_start:span_end`.
+pub fn fine_segment_label(ref_id: i32, core: Range, span: Range) -> String {
+    format!("{ref_id}:{}:{}:{}:{}", core.0, core.1, span.0, span.1)
+}
+
+impl SpanSource {
+    /// `(ref_id, core, span)` of one task, or `None` when the partition
+    /// has nothing to call (empty or all-unmapped).
+    fn locate(
+        self,
+        label: &str,
+        records: &[SamRecord],
+        reference: RefView<'_>,
+    ) -> Option<(i32, Range, Range)> {
+        match self {
+            SpanSource::Chromosome => {
+                let ref_id = records.iter().find(|r| r.is_mapped())?.ref_id;
+                debug_assert!(
+                    records.iter().filter(|r| r.is_mapped()).all(|r| r.ref_id == ref_id),
+                    "round-5 partition must hold a single chromosome"
+                );
+                let whole = (1, reference.chrom_len(ref_id) as i64);
+                (whole.1 > 0).then_some((ref_id, whole, whole))
+            }
+            SpanSource::Label => {
+                let parts: Vec<i64> = label
+                    .split(':')
+                    .map(|p| p.parse().expect("fine-grained segment label"))
+                    .collect();
+                assert_eq!(parts.len(), 5, "label {label:?}");
+                Some((parts[0] as i32, (parts[1], parts[2]), (parts[3], parts[4])))
+            }
         }
     }
 }
 
-/// Round-5 mapper (fine-grained variant): HaplotypeCaller over one
-/// **overlapping genome segment** — the paper's §3.2 proposal for
-/// raising the degree of parallelism beyond 23 chromosomes. The split
-/// label encodes `ref_id:core_start:core_end:span_start:span_end`; the
-/// caller walks the padded span but emits only calls anchored inside the
-/// core, so neighbouring segments' overlap regions deduplicate by
-/// construction.
-pub struct Round5HaplotypeCallerFine {
+/// The round-5 mapper: one sorted range partition in, variant calls
+/// out — UnifiedGenotyper (v1) or HaplotypeCaller (v2) by `call`, per
+/// chromosome or per overlapping segment by `span`.
+pub struct Round5Caller<'a> {
     pub references: Arc<Vec<Vec<u8>>>,
     pub chrom_names: Arc<Vec<String>>,
-    pub config: HaplotypeCallerConfig,
     pub counters: Counters,
+    pub span: SpanSource,
+    pub call: &'a CallRange<'a>,
 }
 
-/// Encode a fine-grained segment label.
-pub fn fine_segment_label(
-    ref_id: i32,
-    core: (i64, i64),
-    span: (i64, i64),
-) -> String {
-    format!("{ref_id}:{}:{}:{}:{}", core.0, core.1, span.0, span.1)
-}
-
-fn parse_fine_label(label: &str) -> (i32, i64, i64, i64, i64) {
-    let parts: Vec<i64> = label
-        .split(':')
-        .map(|p| p.parse().expect("fine-grained segment label"))
-        .collect();
-    assert_eq!(parts.len(), 5, "label {label:?}");
-    (parts[0] as i32, parts[1], parts[2], parts[3], parts[4])
-}
-
-impl Mapper for Round5HaplotypeCallerFine {
+impl Mapper for Round5Caller<'_> {
     type InKey = String;
     type InValue = SharedBytes;
     type OutKey = String;
@@ -725,74 +677,19 @@ impl Mapper for Round5HaplotypeCallerFine {
         ctx: &mut MapContext<'_, String, VariantRecord>,
     ) {
         let (_, records) = decode_bam(&self.counters, bam_bytes);
-        let (ref_id, core_start, core_end, span_start, span_end) = parse_fine_label(label);
-        let chrom = self.chrom_names[ref_id as usize].clone();
+        let reference = RefView::new(&self.references);
+        let Some((ref_id, core, span)) = self.span.locate(label, &records, reference) else {
+            return;
+        };
+        let chrom = &self.chrom_names[ref_id as usize];
         let t0 = Instant::now();
-        let result = gesall_tools::haplotype_caller::call_range(
-            &records,
-            ref_id,
-            &chrom,
-            span_start,
-            span_end,
-            RefView::new(&self.references),
-            &self.config,
-        );
+        let calls = (self.call)(&records, ref_id, chrom, span.0, span.1, reference);
         self.counters
             .add(keys::EXTERNAL_PROGRAM_NANOS, t0.elapsed().as_nanos() as u64);
-        for v in result.variants {
-            // Core-only emission: the deduplication rule of the
-            // overlapping scheme.
-            if v.pos >= core_start && v.pos <= core_end {
+        for v in calls {
+            if v.pos >= core.0 && v.pos <= core.1 {
                 ctx.emit(chrom.clone(), v);
             }
-        }
-    }
-}
-
-/// Round-5 mapper: one sorted chromosome partition in, variant calls out.
-pub struct Round5HaplotypeCaller {
-    pub references: Arc<Vec<Vec<u8>>>,
-    pub chrom_names: Arc<Vec<String>>,
-    pub config: HaplotypeCallerConfig,
-    pub counters: Counters,
-}
-
-impl Mapper for Round5HaplotypeCaller {
-    type InKey = String;
-    type InValue = SharedBytes;
-    type OutKey = String;
-    type OutValue = VariantRecord;
-
-    fn map(
-        &self,
-        _label: &String,
-        bam_bytes: &SharedBytes,
-        ctx: &mut MapContext<'_, String, VariantRecord>,
-    ) {
-        let (_, records) = decode_bam(&self.counters, bam_bytes);
-        let Some(ref_id) = records.iter().find(|r| r.is_mapped()).map(|r| r.ref_id) else {
-            return; // empty or all-unmapped partition
-        };
-        debug_assert!(
-            records
-                .iter()
-                .filter(|r| r.is_mapped())
-                .all(|r| r.ref_id == ref_id),
-            "round-5 partition must hold a single chromosome"
-        );
-        let chrom = self.chrom_names[ref_id as usize].clone();
-        let t0 = Instant::now();
-        let result = call_chromosome(
-            &records,
-            ref_id,
-            &chrom,
-            RefView::new(&self.references),
-            &self.config,
-        );
-        self.counters
-            .add(keys::EXTERNAL_PROGRAM_NANOS, t0.elapsed().as_nanos() as u64);
-        for v in result.variants {
-            ctx.emit(chrom.clone(), v);
         }
     }
 }

@@ -594,6 +594,43 @@ fn dag_cache_serves_warm_rerun_and_invalidation_is_surgical() {
     assert_eq!(partial.variants, cold.variants);
 }
 
+#[test]
+fn invalidating_a_stage_the_graph_lacks_fails_before_any_stage_resolves() {
+    use gesall_core::pipeline::{DagRunOptions, RunOptions};
+    use gesall_core::PlatformError;
+    use gesall_mapreduce::{Recorder, SpanKind};
+
+    let w = build_world(200);
+    let recorder = Recorder::new();
+    let p = GesallPlatform::new(
+        Dfs::new(DfsConfig::default()),
+        MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192)).with_recorder(recorder.clone()),
+        PlatformConfig::default(),
+    );
+    // A typo, and a stage this configuration (`recalibrate` off) leaves
+    // out: each used to salt nothing and serve the run whole from cache.
+    for ghost in ["round4-srot", "round4b-print-reads"] {
+        let err = p
+            .run_pipeline_dag(
+                &w.aligner,
+                w.pairs.clone(),
+                &RunOptions::default(),
+                &DagRunOptions {
+                    invalidate: vec![(ghost.to_string(), 1)],
+                    ..DagRunOptions::default()
+                },
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, PlatformError::Invariant(m) if m.contains(ghost)),
+            "{ghost}: {err}"
+        );
+    }
+    assert!(recorder.spans_of_kind(SpanKind::Stage).is_empty());
+    assert!(recorder.spans_of_kind(SpanKind::Job).is_empty());
+    assert_eq!(p.dfs.metrics().counter(gesall_core::dag::keys::STAGES_RUN).get(), 0);
+}
+
 /// xxh64 of the SAM text of the records and of the VCF text of the
 /// calls — the two byte streams a user of the pipeline receives.
 fn output_digests(w: &World, out: &PipelineOutput) -> [u64; 2] {
@@ -613,20 +650,52 @@ fn recal_ug_config() -> PlatformConfig {
     }
 }
 
-/// [`output_digests`] of the 600-pair `build_world` under the default
-/// config and under [`recal_ug_config`], recorded before stage outputs
-/// became partition bytes. Whatever representation the stages exchange,
-/// these may not move.
+/// [`output_digests`] under configs that between them take every arm of
+/// the stage table. On the 600-pair `build_world` (one call): the
+/// default (bloom, HC per chromosome), [`recal_ug_config`] and
+/// `markdup_opt` off — which by design equals the default. On the
+/// 2 500-pair world (33 calls): round 5 as fine-grained HC, HC per
+/// chromosome and UG, which agree at this depth. The first two were
+/// recorded before stage outputs became partition bytes, the rest before
+/// the stage table; whatever representation the stages exchange, these
+/// may not move.
 const PINNED_DEFAULT: [u64; 2] = [3124071830747347372, 9469218264690535642];
 const PINNED_RECAL_UG: [u64; 2] = [17744167297450274770, 4983749773401065315];
+const PINNED_MARKDUP_REG: [u64; 2] = PINNED_DEFAULT;
+const PINNED_DEEP: [u64; 2] = [9589455821578682327, 7759229792743963698];
+/// xxh64 of the `round2b-bloom` store entry on each world — the output
+/// digests do not move when the filter is empty, this does.
+const PINNED_BLOOM: u64 = 15175554560713863297;
+const PINNED_DEEP_BLOOM: u64 = 11986484556916387921;
 
 #[test]
 fn pipeline_output_digests_are_pinned() {
-    use gesall_core::pipeline::{DagRunOptions, RunOptions};
+    use gesall_core::pipeline::{DagRunOptions, HcPartitioning, RunOptions};
     let w = build_world(600);
-    for (what, config, pinned) in [
-        ("default", PlatformConfig::default(), PINNED_DEFAULT),
-        ("recal+ug", recal_ug_config(), PINNED_RECAL_UG),
+    // Deep enough for dozens of calls, so round 5's segments matter.
+    let deep = build_world(2500);
+    let markdup_reg = PlatformConfig {
+        markdup_opt: false,
+        ..PlatformConfig::default()
+    };
+    let ug = PlatformConfig {
+        caller: gesall_core::pipeline::CallerChoice::UnifiedGenotyper,
+        ..PlatformConfig::default()
+    };
+    let hc_fine = PlatformConfig {
+        hc_partitioning: HcPartitioning::FineGrained {
+            segment_len: 20_000,
+            overlap: 2_000,
+        },
+        ..PlatformConfig::default()
+    };
+    for (what, w, config, pinned, pinned_bloom) in [
+        ("default", &w, PlatformConfig::default(), PINNED_DEFAULT, Some(PINNED_BLOOM)),
+        ("recal+ug", &w, recal_ug_config(), PINNED_RECAL_UG, Some(PINNED_BLOOM)),
+        ("markdup-reg", &w, markdup_reg, PINNED_MARKDUP_REG, None),
+        ("deep hc-fine", &deep, hc_fine, PINNED_DEEP, Some(PINNED_DEEP_BLOOM)),
+        ("deep hc", &deep, PlatformConfig::default(), PINNED_DEEP, Some(PINNED_DEEP_BLOOM)),
+        ("deep ug", &deep, ug, PINNED_DEEP, Some(PINNED_DEEP_BLOOM)),
     ] {
         let p = platform(config);
         let run = |dag_opts: &DagRunOptions| {
@@ -635,16 +704,27 @@ fn pipeline_output_digests_are_pinned() {
         };
         let cold = run(&DagRunOptions::default());
         assert_eq!(cold.cache_hits(), 0, "{what}: cold");
-        assert_eq!(output_digests(&w, &cold), pinned, "{what}: cold run");
+        assert_eq!(output_digests(w, &cold), pinned, "{what}: cold run");
+        let bloom = cold.stages.iter().find(|s| s.name == "round2b-bloom").map(|s| {
+            let entry = p.dfs.read_file_shared(&Dfs::cas_path("/pipeline", s.key)).unwrap();
+            gesall_dfs::checksum::xxh64(&entry)
+        });
+        assert_eq!(bloom, pinned_bloom, "{what}: the bloom stage's store entry");
         let warm = run(&DagRunOptions::default());
         assert_eq!(warm.stages_run(), 0, "{what}: warm");
-        assert_eq!(output_digests(&w, &warm), pinned, "{what}: warm all-hit rerun");
+        assert_eq!(output_digests(w, &warm), pinned, "{what}: warm all-hit rerun");
         let partial = run(&DagRunOptions {
             invalidate: vec![("round2-clean-fixmate".to_string(), 1)],
             ..DagRunOptions::default()
         });
         assert_eq!(partial.cache_hits(), 1, "{what}: only round 1 survives");
-        assert_eq!(output_digests(&w, &partial), pinned, "{what}: invalidated rerun");
+        assert_eq!(output_digests(w, &partial), pinned, "{what}: invalidated rerun");
+        let uncached = run(&DagRunOptions {
+            cache: false,
+            ..DagRunOptions::default()
+        });
+        assert_eq!(uncached.cache_hits(), 0, "{what}: cache off");
+        assert_eq!(output_digests(w, &uncached), pinned, "{what}: cache-off run");
     }
 }
 

@@ -25,7 +25,7 @@ use crate::task::{
 use gesall_dfs::{Dfs, DfsConfig, PinnedPlacement, ReadAffinity, SweepReason};
 use gesall_formats::wire::Wire;
 use gesall_formats::Codec;
-use gesall_telemetry::{Phase, Recorder, Span, SpanId, SpanKind};
+use gesall_telemetry::{OpenSpan, Phase, Recorder, Span, SpanId, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -309,15 +309,10 @@ impl MapReduceEngine {
             .clone()
     }
 
-    /// Route shuffle transit through `dfs` (builder form).
-    pub fn with_shuffle_dfs(self, dfs: Dfs) -> MapReduceEngine {
-        self.set_shuffle_dfs(dfs);
+    /// Route shuffle transit through `dfs`.
+    pub fn with_shuffle_dfs(mut self, dfs: Dfs) -> MapReduceEngine {
+        *self.shuffle_dfs.get_mut() = Some(dfs);
         self
-    }
-
-    /// Attach (or replace) the shuffle-transit DFS on an existing engine.
-    pub fn set_shuffle_dfs(&self, dfs: Dfs) {
-        *self.shuffle_dfs.lock() = Some(dfs);
     }
 
     /// The transit DFS. An engine nobody attached one to gets a private
@@ -424,12 +419,9 @@ impl MapReduceEngine {
         R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
         F: OutputFormat<R::OutKey, R::OutValue>,
     {
-        let counters = Counters::new();
-        let events: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
-        let t0 = Instant::now();
-        let job_span = self
-            .recorder
-            .start(SpanKind::Job, &config.name, config.parent_span);
+        let frame = JobFrame::open(&self.recorder, config);
+        let (config, counters, events) = (&frame.config, &frame.counters, &frame.events);
+        let (t0, job_span) = (frame.t0, frame.span.id);
         let n_maps = splits.len();
         let n_reducers = config.n_reducers.max(1);
 
@@ -512,11 +504,11 @@ impl MapReduceEngine {
 
         let map_wave = self.run_wave(
             TaskKind::Map,
-            &config,
-            &counters,
-            &events,
+            config,
+            counters,
+            events,
             t0,
-            job_span.id,
+            job_span,
             &prefs,
             &map_outputs,
             Some(&survives),
@@ -599,15 +591,7 @@ impl MapReduceEngine {
         }
 
         // ---- Shuffle + reduce wave ------------------------------------
-        let collected: Result<Vec<MapOutput>, GesallError> = map_outputs
-            .into_iter()
-            .map(|m| {
-                m.into_inner().ok_or_else(|| {
-                    GesallError::Runtime("map wave ended without committed output".into())
-                })
-            })
-            .collect();
-        let map_outputs = match collected {
+        let map_outputs = match committed(map_outputs, "map") {
             Ok(v) => v,
             Err(e) => {
                 cleanup_shuffle();
@@ -630,11 +614,11 @@ impl MapReduceEngine {
 
         let reduce_wave = self.run_wave(
             TaskKind::Reduce,
-            &config,
-            &counters,
-            &events,
+            config,
+            counters,
+            events,
             t0,
-            job_span.id,
+            job_span,
             &reduce_prefs,
             &reduce_outputs,
             None,
@@ -759,37 +743,15 @@ impl MapReduceEngine {
             return Err(e);
         }
 
-        let collected: Result<Vec<_>, GesallError> = reduce_outputs
-            .into_iter()
-            .map(|m| {
-                m.into_inner().ok_or_else(|| {
-                    GesallError::Runtime("reduce wave ended without committed output".into())
-                })
-            })
-            .collect();
+        let outputs = committed(reduce_outputs, "reduce");
         // Shuffle transit is consumed; free the run's DFS files whether
         // the job succeeded or not.
         cleanup_shuffle();
-        let outputs = collected?;
-        let mut events = events.into_inner();
-        sort_events(&mut events);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        self.recorder.end_with(
-            job_span,
-            &config.name,
-            vec![
-                ("n_maps".into(), n_maps.to_string()),
-                ("n_reducers".into(), n_reducers.to_string()),
-            ],
-            counters.snapshot(),
-        );
-        Ok(JobOutput {
-            outputs,
-            counters,
-            events,
-            wall_ms,
-            config,
-        })
+        let meta = vec![
+            ("n_maps".into(), n_maps.to_string()),
+            ("n_reducers".into(), n_reducers.to_string()),
+        ];
+        Ok(frame.finish(&self.recorder, outputs?, meta))
     }
 
     /// Run a map-only job (the paper's Round 1): each map task's emitted
@@ -803,12 +765,7 @@ impl MapReduceEngine {
     where
         M: Mapper,
     {
-        let counters = Counters::new();
-        let events: Mutex<Vec<TaskEvent>> = Mutex::new(Vec::new());
-        let t0 = Instant::now();
-        let job_span = self
-            .recorder
-            .start(SpanKind::Job, &config.name, config.parent_span);
+        let frame = JobFrame::open(&self.recorder, config);
         let n_maps = splits.len();
         let outputs: TaskOutputs<Vec<(M::OutKey, M::OutValue)>> =
             (0..n_maps).map(|_| Mutex::new(None)).collect();
@@ -816,11 +773,11 @@ impl MapReduceEngine {
 
         self.run_wave(
             TaskKind::Map,
-            &config,
-            &counters,
-            &events,
-            t0,
-            job_span.id,
+            &frame.config,
+            &frame.counters,
+            &frame.events,
+            frame.t0,
+            frame.span.id,
             &prefs,
             &outputs,
             None,
@@ -847,31 +804,9 @@ impl MapReduceEngine {
             },
         )?;
 
-        let outputs = outputs
-            .into_inner_vec()
-            .into_iter()
-            .map(|o| {
-                o.ok_or_else(|| {
-                    GesallError::Runtime("map wave ended without committed output".into())
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let mut events = events.into_inner();
-        sort_events(&mut events);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        self.recorder.end_with(
-            job_span,
-            &config.name,
-            vec![("n_maps".into(), n_maps.to_string())],
-            counters.snapshot(),
-        );
-        Ok(JobResult {
-            outputs,
-            counters,
-            events,
-            wall_ms,
-            config,
-        })
+        let outputs = committed(outputs, "map")?;
+        let meta = vec![("n_maps".into(), n_maps.to_string())];
+        Ok(frame.finish(&self.recorder, outputs, meta))
     }
 
     /// Execute one wave of tasks with per-node container slots, attempt
@@ -992,25 +927,50 @@ impl MapReduceEngine {
     }
 }
 
-fn sort_events(events: &mut [TaskEvent]) {
-    events.sort_by(|a, b| {
-        (a.kind == TaskKind::Reduce, a.task_id, a.attempt).cmp(&(
-            b.kind == TaskKind::Reduce,
-            b.task_id,
-            b.attempt,
-        ))
-    });
+/// What every job opens first and closes last, whatever runs between:
+/// its span, counter bag, event log and clock.
+struct JobFrame {
+    config: JobConfig,
+    span: OpenSpan,
+    counters: Counters,
+    events: Mutex<Vec<TaskEvent>>,
+    t0: Instant,
 }
 
-/// Helper so `Vec<Mutex<Option<T>>>` unwraps uniformly.
-trait IntoInnerVec<T> {
-    fn into_inner_vec(self) -> Vec<Option<T>>;
-}
-
-impl<T> IntoInnerVec<T> for Vec<Mutex<Option<T>>> {
-    fn into_inner_vec(self) -> Vec<Option<T>> {
-        self.into_iter().map(|m| m.into_inner()).collect()
+impl JobFrame {
+    fn open(recorder: &Recorder, config: JobConfig) -> JobFrame {
+        JobFrame {
+            span: recorder.start(SpanKind::Job, &config.name, config.parent_span),
+            config,
+            counters: Counters::new(),
+            events: Mutex::new(Vec::new()),
+            t0: Instant::now(),
+        }
     }
+
+    /// Close the job span over `meta` and the counter snapshot and hand
+    /// the job's report out, attempt events in canonical order.
+    fn finish<O>(self, recorder: &Recorder, outputs: Vec<O>, meta: Vec<(String, String)>) -> JobOutput<O> {
+        let mut events = self.events.into_inner();
+        events.sort_by_key(|e| (e.kind == TaskKind::Reduce, e.task_id, e.attempt));
+        let wall_ms = self.t0.elapsed().as_secs_f64() * 1e3;
+        recorder.end_with(self.span, &self.config.name, meta, self.counters.snapshot());
+        JobOutput {
+            outputs,
+            counters: self.counters,
+            events,
+            wall_ms,
+            config: self.config,
+        }
+    }
+}
+
+/// Every task's committed output, in task order. A wave that returned
+/// `Ok` has committed them all; a hole is an engine bug, reported rather
+/// than unwrapped.
+fn committed<T>(outputs: TaskOutputs<T>, wave: &str) -> Result<Vec<T>, GesallError> {
+    let hole = || GesallError::Runtime(format!("{wave} wave ended without committed output"));
+    outputs.into_iter().map(|slot| slot.into_inner().ok_or_else(hole)).collect()
 }
 
 struct PendingTask {
@@ -1843,9 +1803,9 @@ mod tests {
     #[test]
     fn private_transit_dfs_matches_attached_and_cleans_up() {
         let run = |dfs: Option<Dfs>| {
-            let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096));
+            let mut engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096));
             if let Some(dfs) = dfs {
-                engine.set_shuffle_dfs(dfs);
+                engine = engine.with_shuffle_dfs(dfs);
             }
             let cfg = JobConfig {
                 n_reducers: 4,

@@ -1,5 +1,5 @@
 //! The metrics registry: named counters, gauges, and log-scale
-//! histograms behind atomics, addressable through labeled scopes.
+//! histograms behind atomics.
 //!
 //! Registration (name → atomic cell) takes a lock once; the returned
 //! handles are lock-free afterwards, so hot paths pay one atomic add per
@@ -179,15 +179,6 @@ impl MetricsRegistry {
         w.entry(name.to_string()).or_default().clone()
     }
 
-    /// A labeled scope: metric names created through it are prefixed
-    /// `label/` — the `job/wave/task` addressing scheme. Scopes nest.
-    pub fn scope(&self, label: &str) -> Scope {
-        Scope {
-            registry: self.clone(),
-            prefix: format!("{label}/"),
-        }
-    }
-
     /// All counters, sorted by name.
     pub fn counter_snapshot(&self) -> Vec<(String, u64)> {
         self.inner
@@ -229,34 +220,6 @@ impl MetricsRegistry {
             ));
         }
         out
-    }
-}
-
-/// A name-prefixing view of a [`MetricsRegistry`].
-#[derive(Clone)]
-pub struct Scope {
-    registry: MetricsRegistry,
-    prefix: String,
-}
-
-impl Scope {
-    pub fn counter(&self, name: &str) -> Counter {
-        self.registry.counter(&format!("{}{name}", self.prefix))
-    }
-
-    pub fn gauge(&self, name: &str) -> Gauge {
-        self.registry.gauge(&format!("{}{name}", self.prefix))
-    }
-
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.registry.histogram(&format!("{}{name}", self.prefix))
-    }
-
-    pub fn scope(&self, label: &str) -> Scope {
-        Scope {
-            registry: self.registry.clone(),
-            prefix: format!("{}{label}/", self.prefix),
-        }
     }
 }
 
@@ -428,18 +391,6 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);
         assert_eq!(h.quantile(0.0), Some(0));
-    }
-
-    #[test]
-    fn scopes_prefix_names() {
-        let r = MetricsRegistry::new();
-        let job = r.scope("job0");
-        let wave = job.scope("map-wave");
-        wave.counter("tasks").add(3);
-        assert_eq!(
-            r.counter_snapshot(),
-            vec![("job0/map-wave/tasks".to_string(), 3)]
-        );
     }
 
     #[test]

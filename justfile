@@ -31,6 +31,20 @@ bench-trace:
 bench-diff A B:
     benchmark/run.sh compare {{A}} {{B}}
 
+# CI's deflake gate: the timing-sensitive tests N times each. Every
+# line goes through scripts/test-some.sh, which fails when its filter
+# matches no test — a moved or renamed test cannot turn its gate off.
+deflake N="25":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    for i in $(seq {{N}}); do
+        scripts/test-some.sh --offline -q -p gesall-mapreduce --test gray_failures
+        scripts/test-some.sh --offline -q -p gesall-mapreduce --lib runtime::tests::locality_preference_honored_when_slots_free -- --exact
+        scripts/test-some.sh --offline -q -p gesall-mapreduce --lib shuffle::tests::spill_pool_output_equals_straight_line_reference -- --exact
+        scripts/test-some.sh --offline -q -p gesall-mapreduce --test fault_tolerance a_tasks_output_is_what_its_committed_attempts_writer_finished_with -- --exact
+        scripts/test-some.sh --offline -q -p gesall-core --lib pipeline::tests::faulted_reduce_attempts_commit_one_writers_bytes_per_partition -- --exact
+    done
+
 # Fast inner-loop check.
 check:
     cargo check --offline --workspace --all-targets
