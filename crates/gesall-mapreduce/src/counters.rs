@@ -57,20 +57,6 @@ pub mod keys {
     /// Released spill-scratch buffers dropped because the arena's
     /// free-list was already at its cap.
     pub const SPILL_EVICTED: &str = gesall_telemetry::mem_keys::SPILL_EVICTED;
-    /// Spill batches handed to the background encoder pool.
-    pub const SPILL_POOL_JOBS: &str = "spill.pool.jobs";
-    /// Nanoseconds the spill-encoder pool spent executing jobs — divided
-    /// by map wall-clock this is the spill-overlap ratio.
-    pub const SPILL_POOL_BUSY_NANOS: &str = "spill.pool.busy.nanos";
-    /// Spill submissions that blocked on the pool's bounded queue
-    /// (backpressure events).
-    pub const SPILL_POOL_SUBMIT_WAITS: &str = "spill.pool.submit.waits";
-    /// Nanoseconds map tasks spent in the finish() drain barrier waiting
-    /// for their outstanding async spills.
-    pub const SPILL_POOL_DRAIN_WAIT_NANOS: &str = "spill.pool.drain.wait.nanos";
-    /// Encoder workers the pool grew in response to sustained
-    /// submit-wait pressure (autoscaling events).
-    pub const SPILL_POOL_WORKERS_GROWN: &str = "spill.pool.workers.grown";
     /// Shuffle wire bytes reducers fetched out of DFS-transit map
     /// outputs (frames sliced from stored blocks) — every shuffled byte.
     pub const SHUFFLE_BYTES_DFS: &str = "shuffle.bytes.dfs";
@@ -102,10 +88,6 @@ pub mod keys {
     /// miss, a hedge win on the remote replica, or a reducer with no
     /// co-located replica at all.
     pub const SHUFFLE_FETCH_BYTES_REMOTE: &str = "shuffle.fetch.bytes.remote";
-    /// Map-output partition fetches that were already resident when the
-    /// reduce merge asked for them — the bounded prefetch pipeline ran
-    /// ahead of the loser-tree drain.
-    pub const SHUFFLE_FETCH_PREFETCHED: &str = "shuffle.fetch.prefetched";
     /// Map-output segments that travelled the shuffle uncompressed.
     pub const SHUFFLE_SEGMENTS_RAW: &str = "shuffle.segments.raw";
     /// Map-output segments that travelled the shuffle compressed (shipped

@@ -12,9 +12,14 @@
 //! * [`cluster`] — a YARN-like resource model: nodes × (vcores, memory)
 //!   ⇒ container slots per node; tasks run in waves when slots are
 //!   scarce;
-//! * [`runtime`] — the job driver: input splits with locality
-//!   preferences, map wave, shuffle accounting, reduce wave, per-task
-//!   history events (the raw material of task-progress plots, Fig. 7);
+//! * [`runtime`] — the engine and its jobs: input splits with locality
+//!   preferences, the map and reduce task bodies, shuffle accounting,
+//!   per-task history events (the raw material of task-progress plots,
+//!   Fig. 7). A task attempt is one thread: its sort, spills, fetches
+//!   and merges run on the slot worker that took it;
+//! * `wave` (crate-private) — the scheduler one wave of tasks runs
+//!   under: placement, retries, speculative backups, node-loss
+//!   recovery. Its slot workers are the engine's only threads;
 //! * [`streaming`] — the Hadoop-Streaming analogue: byte pipes with
 //!   bounded 64 KiB buffers connecting the framework to "external"
 //!   programs, with the data-transformation steps separately timed
@@ -34,9 +39,9 @@ pub mod lease;
 pub mod runtime;
 pub mod shipping;
 pub mod shuffle;
-pub mod spillpool;
 pub mod streaming;
 pub mod task;
+mod wave;
 
 pub use cluster::{ClusterResources, NodeResources, TASK_MEMORY_MB, TASK_VCORES};
 pub use counters::Counters;
@@ -49,7 +54,6 @@ pub use runtime::{
 };
 pub use shipping::ShipError;
 pub use shuffle::Segment;
-pub use spillpool::SpillPool;
 pub use task::{
     CollectRecords, HashPartitioner, MapContext, Mapper, OutputFormat, Partitioner, RecordWriter,
     ReduceContext, Reducer,

@@ -1,50 +1,41 @@
-//! The job driver: input splits → map wave → shuffle → reduce wave.
+//! The engine and its jobs: open frame → map wave → shuffle matrix →
+//! reduce wave → finish.
 //!
-//! Tasks execute as numbered *attempts* under `catch_unwind` isolation:
-//! a panicking attempt is retried (with exponential backoff) up to
-//! [`JobConfig::max_attempts`] times before the job fails. Stragglers are
-//! backed up by speculative attempts, first finisher wins. Node deaths —
-//! injected via [`crate::fault::FaultPlan`] — re-schedule the dead node's
-//! in-flight attempts and re-run already-committed map tasks whose
-//! shuffle output lived on it, exactly as Hadoop must when a slave is
-//! lost mid-job (the failure model behind the paper's production-cluster
-//! observations).
+//! This module holds what a job *is* — [`MapReduceEngine`],
+//! [`JobConfig`], [`InputSplit`], the attempt history types, and the
+//! bodies of a map task and a reduce task. How a wave of such tasks is
+//! scheduled over the cluster's slots — attempts under `catch_unwind`,
+//! retries with backoff up to [`JobConfig::max_attempts`], speculative
+//! backups, node deaths injected via [`crate::fault::FaultPlan`] that
+//! re-run committed map tasks whose shuffle output lived on the lost
+//! node, exactly as Hadoop must when a slave is lost mid-job — is
+//! the `wave` module's. A task body runs start to finish on the slot
+//! worker that took the attempt: the spill sort, the map-side merge, the
+//! reduce-side fetches and the multipass merge spawn no thread, so what
+//! an attempt costs is charged to the slot — and the lease permit —
+//! that ran it.
 
-use crate::cluster::{ClusterResources, TASK_MEMORY_MB, TASK_VCORES};
+use crate::cluster::ClusterResources;
 use crate::counters::{keys, Counters};
-use crate::error::{panic_message, GesallError};
+use crate::error::GesallError;
 use crate::fault::{FaultPlan, NodeDeath};
-use crate::lease::{LeasePermit, SlotLease};
+use crate::lease::SlotLease;
 use crate::shipping;
-use crate::shuffle::{reduce_merge_streamed, Segment, SortSpillBuffer};
-use crate::spillpool::SpillPool;
+use crate::shuffle::{reduce_merge_streamed, SortSpillBuffer};
 use crate::task::{
     CollectRecords, MapContext, Mapper, OutputFormat, Partitioner, RecordWriter, ReduceContext,
     Reducer,
 };
+use crate::wave::{run_wave, AttemptCtx, TaskOutputs};
 use gesall_dfs::{Dfs, DfsConfig, PinnedPlacement, ReadAffinity, SweepReason};
 use gesall_formats::wire::Wire;
 use gesall_formats::Codec;
-use gesall_telemetry::{OpenSpan, Phase, Recorder, Span, SpanId, SpanKind};
-use parking_lot::{Condvar, Mutex};
+use gesall_telemetry::{OpenSpan, Phase, Recorder, SpanId, SpanKind};
+use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// Per-task output slots: `None` until the task's winning attempt commits.
-type TaskOutputs<O> = Vec<Mutex<Option<O>>>;
-
-/// A committed map task's decision on whether its outputs survive a
-/// node death: reducers re-fetch from a surviving replica instead of
-/// the engine re-running the map.
-type SurvivalCheck<'a> = Option<&'a (dyn Fn(usize) -> bool + Sync)>;
-
-/// How many map-output partition fetches may run ahead of the reduce
-/// merge (the bounded prefetch pipeline): the fetch of segment *n+1*
-/// always overlaps the merge draining segment *n*.
-const SHUFFLE_PREFETCH: usize = 2;
+use std::time::Instant;
 
 /// A committed map task's shuffle output: one indexed DFS file pinned to
 /// the mapper's node; each reducer range-reads its partition's frame.
@@ -61,8 +52,8 @@ struct SegMeta {
     compressed: bool,
     /// Record count — lets a reducer know how many nonempty source
     /// runs its merge will see *before* fetching them, which is what
-    /// allows the fetch to pipeline with the merge without perturbing
-    /// the multipass structure (see
+    /// lets it fetch a run only when a pass activates it without
+    /// perturbing the multipass structure (see
     /// [`reduce_merge_streamed`](crate::shuffle::reduce_merge_streamed)).
     records: u64,
 }
@@ -248,19 +239,17 @@ impl<O> JobOutput<O> {
 /// The engine: a cluster's worth of worker threads.
 pub struct MapReduceEngine {
     cluster: ClusterResources,
-    fault_plan: FaultPlan,
+    pub(crate) fault_plan: FaultPlan,
     /// Scheduled deaths not yet fired (each fires at most once per engine).
-    pending_deaths: Mutex<Vec<NodeDeath>>,
+    pub(crate) pending_deaths: Mutex<Vec<NodeDeath>>,
     /// Nodes lost so far; a dead node schedules no further attempts, in
     /// any wave of any subsequent job on this engine.
-    dead_nodes: Mutex<HashSet<usize>>,
+    pub(crate) dead_nodes: Mutex<HashSet<usize>>,
     /// Called (outside scheduler locks) when a node dies — the DFS layer
     /// hooks re-replication in here.
-    node_death_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
+    pub(crate) node_death_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
     /// Span recorder; inert by default ([`Recorder::disabled`]).
     recorder: Recorder,
-    /// Engine-wide spill-encoder pool, spawned on the first shuffling job.
-    spill_pool: Mutex<Option<Arc<SpillPool>>>,
     /// DFS the shuffle transits through: attached by the owner
     /// ([`MapReduceEngine::with_shuffle_dfs`]), else a private in-memory
     /// one created on the first shuffling job.
@@ -284,29 +273,10 @@ impl MapReduceEngine {
             dead_nodes: Mutex::new(HashSet::new()),
             node_death_hook: None,
             recorder: Recorder::disabled(),
-            spill_pool: Mutex::new(None),
             shuffle_dfs: Mutex::new(None),
             shuffle_seq: AtomicU64::new(0),
             dfs_faults_armed: AtomicBool::new(false),
         }
-    }
-
-    /// The engine-wide spill-encoder pool, created lazily and shared by
-    /// every map task of every job on this engine. Starts small (a
-    /// quarter of the cores) and grows itself toward one thread per
-    /// core (capped at 16) from observed submit-wait backpressure —
-    /// map-light jobs keep a couple of threads, all-spill workloads
-    /// earn more.
-    pub fn spill_pool(&self) -> Arc<SpillPool> {
-        self.spill_pool
-            .lock()
-            .get_or_insert_with(|| {
-                let cores = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(2);
-                Arc::new(SpillPool::adaptive((cores / 4).max(2), cores.min(16), 4))
-            })
-            .clone()
     }
 
     /// Route shuffle transit through `dfs`.
@@ -380,7 +350,7 @@ impl MapReduceEngine {
         v
     }
 
-    fn is_dead(&self, node: usize) -> bool {
+    pub(crate) fn is_dead(&self, node: usize) -> bool {
         self.dead_nodes.lock().contains(&node)
     }
 
@@ -420,16 +390,78 @@ impl MapReduceEngine {
         F: OutputFormat<R::OutKey, R::OutValue>,
     {
         let frame = JobFrame::open(&self.recorder, config);
-        let (config, counters, events) = (&frame.config, &frame.counters, &frame.events);
-        let (t0, job_span) = (frame.t0, frame.span.id);
+        let job = self.open_shuffle::<M::OutKey, M::OutValue>(&frame.config, partitioner);
         let n_maps = splits.len();
-        let n_reducers = config.n_reducers.max(1);
+        let outputs = (|| -> Result<Vec<F::Output>, GesallError> {
+            // ---- Map wave ---------------------------------------------
+            let map_outputs: TaskOutputs<MapOutput> =
+                (0..n_maps).map(|_| Mutex::new(None)).collect();
+            let prefs: Vec<Option<usize>> = splits.iter().map(|s| s.preferred_node).collect();
+            // A committed map whose home node dies may still be readable
+            // from a replica: probe actual datanode storage, excluding
+            // every engine-dead node's co-located datanode (the DFS may
+            // not have been told about the death yet — the failure hook
+            // runs after eviction decisions).
+            let survives = |task: usize| -> bool {
+                let slot = map_outputs[task].lock();
+                let Some(out) = &*slot else {
+                    return false;
+                };
+                let mut excluded: Vec<usize> =
+                    self.dead_nodes.lock().iter().map(|d| d % job.n_dfs_nodes).collect();
+                excluded.sort_unstable();
+                excluded.dedup();
+                job.dfs.file_available_excluding(&out.path, &excluded)
+            };
+            run_wave(self, TaskKind::Map, &frame, &prefs, &map_outputs, Some(&survives), |at| {
+                self.map_task(&job, mapper, &splits[at.task], at)
+            })?;
+            let map_outputs = committed(map_outputs, "map")?;
 
-        // ---- Map wave -------------------------------------------------
+            // ---- Shuffle matrix ---------------------------------------
+            // Bytes each reducer pulls from each map output. Recorded
+            // once, between the waves, so retried or speculative reduce
+            // attempts cannot double-count a cell.
+            if self.recorder.is_enabled() {
+                for (m, out) in map_outputs.iter().enumerate() {
+                    for (r, meta) in out.metas.iter().enumerate() {
+                        self.recorder
+                            .shuffle_cell(m, r, meta.wire_len as u64, meta.compressed);
+                    }
+                }
+            }
+
+            // ---- Reduce wave ------------------------------------------
+            let reduce_outputs: TaskOutputs<_> =
+                (0..job.n_reducers).map(|_| Mutex::new(None)).collect();
+            let no_prefs = vec![None; job.n_reducers];
+            run_wave(self, TaskKind::Reduce, &frame, &no_prefs, &reduce_outputs, None, |at| {
+                self.reduce_task(&job, reducer, format, &map_outputs, at)
+            })?;
+            committed(reduce_outputs, "reduce")
+        })();
+        // Drop every shipped map output for this run, whether the job
+        // succeeded or not — losing attempts leave orphans at unique
+        // paths, so a retention prefix sweep is the only correct cleanup
+        // (charged to `dfs.retention.swept.completed`).
+        job.dfs.sweep_prefix(&job.base, SweepReason::Completed);
+        let meta = vec![
+            ("n_maps".into(), n_maps.to_string()),
+            ("n_reducers".into(), job.n_reducers.to_string()),
+        ];
+        Ok(frame.finish(&self.recorder, outputs?, meta))
+    }
+
+    /// Set up one job's shuffle: the transit DFS (the plan's
+    /// storage-layer gray failures armed on it), this run's directory and
+    /// the codec its map outputs travel under.
+    fn open_shuffle<'a, K: Wire, V: Wire>(
+        &self,
+        config: &'a JobConfig,
+        partitioner: &'a dyn Partitioner<K>,
+    ) -> ShuffleJob<'a, K> {
         let dfs = self.shuffle_dfs();
-        let n_dfs_nodes = dfs.config().n_nodes;
-        // Arm the plan's storage-layer gray failures on the transit DFS,
-        // once per engine (flaky-read budgets are consumable).
+        // Once per engine: flaky-read budgets are consumable.
         let faults = self.fault_plan.dfs_faults();
         if !faults.is_empty() && !self.dfs_faults_armed.swap(true, Ordering::SeqCst) {
             for c in &faults.corrupt_blocks {
@@ -443,315 +475,173 @@ impl MapReduceEngine {
             }
         }
         // Per-run shuffle directory: the id makes repeated jobs on one
-        // engine (and their retried attempts' files, below) disjoint.
-        // The run counter is monotone per engine — never wall-clock
-        // derived — so transit paths are stable across reruns of the
-        // same seed. A namespaced job (job service tenancy) shuffles
-        // under its own `/{tenant}/{job}/` prefix instead.
-        let shuffle_run = self.shuffle_seq.fetch_add(1, Ordering::Relaxed);
-        let shuffle_base = match &config.shuffle_namespace {
-            Some(ns) => format!("{}/shuffle-{}", ns.trim_end_matches('/'), shuffle_run),
-            None => format!("/{}/shuffle-{}", config.name, shuffle_run),
+        // engine (and their retried attempts' files) disjoint. The run
+        // counter is monotone per engine — never wall-clock derived — so
+        // transit paths are stable across reruns of the same seed. A
+        // namespaced job (job service tenancy) shuffles under its own
+        // `/{tenant}/{job}/` prefix instead.
+        let run = self.shuffle_seq.fetch_add(1, Ordering::Relaxed);
+        let base = match &config.shuffle_namespace {
+            Some(ns) => format!("{}/shuffle-{}", ns.trim_end_matches('/'), run),
+            None => format!("/{}/shuffle-{}", config.name, run),
         };
-        // Drop every shipped map output for this run, on success *and*
-        // every error path — losing attempts leave orphans at unique
-        // paths, so a retention prefix sweep is the only correct
-        // cleanup (charged to `dfs.retention.swept.completed`).
-        let cleanup_shuffle = || {
-            dfs.sweep_prefix(&shuffle_base, SweepReason::Completed);
-        };
-        let map_outputs: Vec<Mutex<Option<MapOutput>>> =
-            (0..n_maps).map(|_| Mutex::new(None)).collect();
-        let prefs: Vec<Option<usize>> = splits.iter().map(|s| s.preferred_node).collect();
-        // Pool busy time and backpressure are engine-wide gauges; the
-        // before/after delta around the map wave is this job's share.
-        // (Per-attempt bags can't carry it: a discarded speculative
-        // attempt's bag is dropped, but its encoder time was real.)
-        let pool = self.spill_pool();
-        let pool_busy0 = pool.busy_nanos();
-        let pool_waits0 = pool.submit_waits();
-        let pool_grown0 = pool.workers_grown();
+        ShuffleJob {
+            config,
+            n_reducers: config.n_reducers.max(1),
+            partitioner,
+            // The job override wins, else the key-type's hint (value
+            // type first — it dominates the bytes), else the LZ default.
+            codec: config.shuffle_codec.unwrap_or_else(|| {
+                V::codec_hint().or_else(K::codec_hint).unwrap_or(Codec::Lz)
+            }),
+            n_dfs_nodes: dfs.config().n_nodes,
+            dfs,
+            base,
+        }
+    }
 
-        // A committed map whose home node dies may still be readable
-        // from a replica: probe actual datanode storage, excluding every
-        // engine-dead node's co-located datanode (the DFS may not have
-        // been told about the death yet — the failure hook runs after
-        // eviction decisions).
-        let survives = |task: usize| -> bool {
-            let slot = map_outputs[task].lock();
-            let Some(out) = &*slot else {
-                return false;
+    /// One map attempt: the mapper over its split into the sort buffer,
+    /// the spills merged into one segment per partition, the segments
+    /// shipped as one transit file pinned to the attempt's node.
+    fn map_task<M: Mapper>(
+        &self,
+        job: &ShuffleJob<'_, M::OutKey>,
+        mapper: &M,
+        split: &InputSplit<M::InKey, M::InValue>,
+        at: &AttemptCtx<'_>,
+    ) -> MapOutput {
+        let bag = at.bag;
+        let t_task = Instant::now();
+        let mut buf = SortSpillBuffer::new(
+            job.config.io_sort_bytes,
+            job.n_reducers,
+            job.partitioner,
+            job.codec,
+            bag.clone(),
+        );
+        drive_mapper(mapper, split, bag, &mut |k, v| buf.emit(k, v));
+        let segments = buf.finish();
+        // Map phase = the body so far minus the spill sorts and the
+        // merge it contains: the phases of an attempt partition its wall.
+        let accounted =
+            bag.get(Phase::SortSpill.counter_key()) + bag.get(Phase::MapMerge.counter_key());
+        let total = t_task.elapsed().as_nanos() as u64;
+        bag.add(Phase::Map.counter_key(), total.saturating_sub(accounted));
+        let metas = segments
+            .iter()
+            .map(|s| SegMeta {
+                wire_len: s.wire_len(),
+                compressed: s.is_compressed(),
+                records: s.records,
+            })
+            .collect();
+        // Attempt-unique path: a speculative or retried attempt of the
+        // same task must never collide with (or clobber) another
+        // attempt's file.
+        let uid = self.shuffle_seq.fetch_add(1, Ordering::Relaxed);
+        let path = format!("{}/map-{:05}-a{uid}.segs", job.base, at.task);
+        let t_ship = Instant::now();
+        let pin = PinnedPlacement(at.node % job.n_dfs_nodes);
+        if let Err(e) = shipping::store_map_output(&job.dfs, &path, &segments, &pin, bag) {
+            // A panic here is an attempt failure → retry.
+            panic!("shipping map output {path} to DFS: {e}");
+        }
+        // Persisting the output is the map-side half of the shuffle,
+        // not map compute.
+        bag.add(
+            Phase::Shuffle.counter_key(),
+            t_ship.elapsed().as_nanos() as u64,
+        );
+        MapOutput { path, metas }
+    }
+
+    /// One reduce attempt: this partition's frame of every map output
+    /// fetched as the merge activates it, the multipass merge, the
+    /// reducer over the grouped stream into a fresh [`RecordWriter`].
+    fn reduce_task<R, F>(
+        &self,
+        job: &ShuffleJob<'_, R::InKey>,
+        reducer: &R,
+        format: &F,
+        map_outputs: &[MapOutput],
+        at: &AttemptCtx<'_>,
+    ) -> F::Output
+    where
+        R: Reducer,
+        F: OutputFormat<R::OutKey, R::OutValue>,
+    {
+        let (partition, bag) = (at.task, at.bag);
+        let t_task = Instant::now();
+        // Locality hint: the reducer's exec node, mapped onto the DFS
+        // node space exactly as map outputs were pinned, so a fetch
+        // prefers the co-located replica.
+        let affinity = ReadAffinity::node(at.node % job.n_dfs_nodes);
+        // The merge must know its nonempty-run count before fetching
+        // anything — the shipped metas carry it.
+        let n_runs = map_outputs
+            .iter()
+            .filter(|out| out.metas[partition].records > 0)
+            .count();
+        // The merge's supplier is the fetch: a DFS range read per
+        // shipped file (only this reducer's frame travels), made when a
+        // pass activates the run, its time charged to the shuffle phase
+        // by the merge's own ledger.
+        let mut unfetched = map_outputs.iter();
+        let next_segment = || {
+            let out = unfetched.next()?;
+            // The DFS already retries transient replica failures
+            // internally; this outer loop covers whole-op failures that
+            // outlive its budget (e.g. a deadline expiry). Non-retryable
+            // errors — corrupt beyond repair, missing file — surface
+            // immediately: that's an attempt failure, and the
+            // scheduler's re-run (or reship probe) is the right recovery.
+            let mut tries = 0usize;
+            loop {
+                match shipping::fetch_partition(&job.dfs, &out.path, partition, affinity, bag) {
+                    Ok(seg) => {
+                        bag.add(keys::SHUFFLE_BYTES_DFS, seg.wire_len() as u64);
+                        return Some(seg);
+                    }
+                    Err(e) if e.is_retryable() && tries < 2 => {
+                        tries += 1;
+                        bag.add(keys::SHUFFLE_FETCH_RETRIES, 1);
+                    }
+                    Err(e) => panic!("fetching partition {partition} of {}: {e}", out.path),
+                }
+            }
+        };
+        let grouped = reduce_merge_streamed::<R::InKey, R::InValue>(
+            n_runs,
+            next_segment,
+            job.config.merge_factor,
+            bag,
+        );
+        let mut writer = format.writer(bag);
+        let cut = self.fault_plan.reduce_output_cut(partition, at.attempt);
+        let mut emitted = 0u64;
+        {
+            let mut sink = |k, v| {
+                if cut == Some(emitted) {
+                    panic!("{}", FaultPlan::cut_message(partition, at.attempt, emitted));
+                }
+                emitted += 1;
+                writer.write(k, v);
             };
-            let mut excluded: Vec<usize> = self
-                .dead_nodes
-                .lock()
-                .iter()
-                .map(|d| d % n_dfs_nodes)
-                .collect();
-            excluded.sort_unstable();
-            excluded.dedup();
-            dfs.file_available_excluding(&out.path, &excluded)
-        };
-
-        // Which codec map-output partitions travel under: the job
-        // override wins, else the key-type's hint (value type first — it
-        // dominates the bytes), else the LZ default.
-        let shuffle_codec = config.shuffle_codec.unwrap_or_else(|| {
-            <M::OutValue as Wire>::codec_hint()
-                .or_else(<M::OutKey as Wire>::codec_hint)
-                .unwrap_or(Codec::Lz)
-        });
-
-        let map_wave = self.run_wave(
-            TaskKind::Map,
-            config,
-            counters,
-            events,
-            t0,
-            job_span,
-            &prefs,
-            &map_outputs,
-            Some(&survives),
-            |task_id, _attempt, exec_node, bag| {
-                let t_task = Instant::now();
-                let split = &splits[task_id];
-                bag.add(keys::MAP_INPUT_RECORDS, split.records.len() as u64);
-                let mut buf = SortSpillBuffer::new(
-                    config.io_sort_bytes,
-                    n_reducers,
-                    partitioner,
-                    shuffle_codec,
-                    pool.clone(),
-                    bag.clone(),
-                );
-                {
-                    let mut sink = |k: M::OutKey, v: M::OutValue| buf.emit(k, v);
-                    let mut ctx = MapContext {
-                        sink: &mut sink,
-                        counters: bag,
-                    };
-                    for (k, v) in &split.records {
-                        mapper.map(k, v, &mut ctx);
-                    }
-                    mapper.finish(&mut ctx);
-                }
-                let segments = buf.finish();
-                // Map phase = task body minus the timed sub-phases. The
-                // spill sort overlaps the map loop on the encoder pool,
-                // so only the merge and the drain wait are subtracted —
-                // SortSpill nanos (recorded by the encoders) don't come
-                // out of this task's wall-clock.
-                let accounted = bag.get(Phase::MapMerge.counter_key())
-                    + bag.get(keys::SPILL_POOL_DRAIN_WAIT_NANOS);
-                let total = t_task.elapsed().as_nanos() as u64;
-                bag.add(Phase::Map.counter_key(), total.saturating_sub(accounted));
-                let metas = segments
-                    .iter()
-                    .map(|s| SegMeta {
-                        wire_len: s.wire_len(),
-                        compressed: s.is_compressed(),
-                        records: s.records,
-                    })
-                    .collect();
-                // Attempt-unique path: a speculative or retried attempt
-                // of the same task must never collide with (or clobber)
-                // another attempt's file.
-                let uid = self.shuffle_seq.fetch_add(1, Ordering::Relaxed);
-                let path = format!("{shuffle_base}/map-{task_id:05}-a{uid}.segs");
-                let t_ship = Instant::now();
-                let pin = PinnedPlacement(exec_node % n_dfs_nodes);
-                if let Err(e) = shipping::store_map_output(&dfs, &path, &segments, &pin, bag) {
-                    // A panic here is an attempt failure → retry.
-                    panic!("shipping map output {path} to DFS: {e}");
-                }
-                // Persisting the output is the map-side half of the
-                // shuffle, not map compute.
-                bag.add(
-                    Phase::Shuffle.counter_key(),
-                    t_ship.elapsed().as_nanos() as u64,
-                );
-                MapOutput { path, metas }
-            },
-        );
-        counters.add(
-            keys::SPILL_POOL_BUSY_NANOS,
-            pool.busy_nanos().saturating_sub(pool_busy0),
-        );
-        counters.add(
-            keys::SPILL_POOL_SUBMIT_WAITS,
-            pool.submit_waits().saturating_sub(pool_waits0),
-        );
-        counters.add(
-            keys::SPILL_POOL_WORKERS_GROWN,
-            pool.workers_grown().saturating_sub(pool_grown0),
-        );
-        if let Err(e) = map_wave {
-            cleanup_shuffle();
-            return Err(e);
-        }
-
-        // ---- Shuffle + reduce wave ------------------------------------
-        let map_outputs = match committed(map_outputs, "map") {
-            Ok(v) => v,
-            Err(e) => {
-                cleanup_shuffle();
-                return Err(e);
+            let mut ctx = ReduceContext { sink: &mut sink };
+            for (k, vs) in grouped {
+                reducer.reduce(k, vs, &mut ctx);
             }
-        };
-        // The shuffle matrix: bytes each reducer pulls from each map
-        // output. Recorded once, between the waves, so retried or
-        // speculative reduce attempts cannot double-count a cell.
-        if self.recorder.is_enabled() {
-            for (m, out) in map_outputs.iter().enumerate() {
-                for (r, meta) in out.metas.iter().enumerate() {
-                    self.recorder
-                        .shuffle_cell(m, r, meta.wire_len as u64, meta.compressed);
-                }
-            }
+            reducer.finish(&mut ctx);
         }
-        let reduce_outputs: TaskOutputs<_> = (0..n_reducers).map(|_| Mutex::new(None)).collect();
-        let reduce_prefs: Vec<Option<usize>> = vec![None; n_reducers];
-
-        let reduce_wave = self.run_wave(
-            TaskKind::Reduce,
-            config,
-            counters,
-            events,
-            t0,
-            job_span,
-            &reduce_prefs,
-            &reduce_outputs,
-            None,
-            |partition, attempt, exec_node, bag| {
-                let t_task = Instant::now();
-                // Locality hint: the reducer's exec node, mapped onto
-                // the DFS node space exactly as map outputs were
-                // pinned, so a fetch prefers the co-located replica.
-                let affinity = ReadAffinity::node(exec_node % n_dfs_nodes);
-                // The merge must know its nonempty-run count before
-                // fetching anything — the shipped metas carry it.
-                let n_runs = map_outputs
-                    .iter()
-                    .filter(|out| out.metas[partition].records > 0)
-                    .count();
-                let outputs: &[MapOutput] = &map_outputs;
-                let dfs = &dfs;
-                // Pull this partition from every map output: a DFS range
-                // read per shipped file (only this reducer's frame
-                // travels). The fetcher thread runs up to
-                // `SHUFFLE_PREFETCH` segments ahead of the merge; only
-                // the time the merge *waits* on it is charged as shuffle
-                // — overlapped fetch time is the latency the pipeline
-                // hides.
-                let grouped = std::thread::scope(|scope| {
-                    let (tx, rx) = std::sync::mpsc::sync_channel::<Result<Segment, String>>(
-                        SHUFFLE_PREFETCH,
-                    );
-                    scope.spawn(move || {
-                        for out in outputs {
-                            // The DFS already retries transient replica
-                            // failures internally; this outer loop covers
-                            // whole-op failures that outlive its budget
-                            // (e.g. a deadline expiry). Non-retryable
-                            // errors — corrupt beyond repair, missing
-                            // file — surface immediately: that's an
-                            // attempt failure, and the scheduler's re-run
-                            // (or reship probe) is the right recovery.
-                            let mut tries = 0usize;
-                            let res = loop {
-                                match shipping::fetch_partition(
-                                    dfs, &out.path, partition, affinity, bag,
-                                ) {
-                                    Ok(seg) => {
-                                        bag.add(keys::SHUFFLE_BYTES_DFS, seg.wire_len() as u64);
-                                        break Ok(seg);
-                                    }
-                                    Err(e) if e.is_retryable() && tries < 2 => {
-                                        tries += 1;
-                                        bag.add(keys::SHUFFLE_FETCH_RETRIES, 1);
-                                    }
-                                    Err(e) => {
-                                        break Err(format!(
-                                            "fetching partition {partition} of {}: {e}",
-                                            out.path
-                                        ));
-                                    }
-                                }
-                            };
-                            let failed = res.is_err();
-                            // A closed channel means the merge side is
-                            // done (or unwinding); either way stop.
-                            if tx.send(res).is_err() || failed {
-                                return;
-                            }
-                        }
-                    });
-                    let next_segment = || match rx.try_recv() {
-                        Ok(res) => {
-                            // Already resident: the prefetch ran ahead
-                            // of the merge drain.
-                            bag.add(keys::SHUFFLE_FETCH_PREFETCHED, 1);
-                            Some(res.unwrap_or_else(|e| panic!("{e}")))
-                        }
-                        // Blocking wait: the prefetch hasn't caught up.
-                        // The wait elapses inside the merge, whose own
-                        // ledger attributes supplier time to the shuffle
-                        // phase — no charge here.
-                        Err(std::sync::mpsc::TryRecvError::Empty) => match rx.recv() {
-                            Ok(res) => Some(res.unwrap_or_else(|e| panic!("{e}"))),
-                            Err(_) => None,
-                        },
-                        Err(std::sync::mpsc::TryRecvError::Disconnected) => None,
-                    };
-                    reduce_merge_streamed::<M::OutKey, M::OutValue>(
-                        n_runs,
-                        next_segment,
-                        config.merge_factor,
-                        bag,
-                    )
-                });
-                let mut writer = format.writer(bag);
-                let cut = self.fault_plan.reduce_output_cut(partition, attempt);
-                let mut emitted = 0u64;
-                {
-                    let mut sink = |k, v| {
-                        if cut == Some(emitted) {
-                            panic!("{}", FaultPlan::cut_message(partition, attempt, emitted));
-                        }
-                        emitted += 1;
-                        writer.write(k, v);
-                    };
-                    let mut ctx = ReduceContext { sink: &mut sink };
-                    for (k, vs) in grouped {
-                        reducer.reduce(k, vs, &mut ctx);
-                    }
-                    reducer.finish(&mut ctx);
-                }
-                let out = writer.finish();
-                bag.add(keys::REDUCE_OUTPUT_RECORDS, emitted);
-                // Reduce phase = task body (the writer's work included)
-                // minus shuffle + merge time.
-                let accounted = bag.get(Phase::Shuffle.counter_key())
-                    + bag.get(Phase::ReduceMerge.counter_key());
-                let total = t_task.elapsed().as_nanos() as u64;
-                bag.add(Phase::Reduce.counter_key(), total.saturating_sub(accounted));
-                out
-            },
-        );
-        if let Err(e) = reduce_wave {
-            cleanup_shuffle();
-            return Err(e);
-        }
-
-        let outputs = committed(reduce_outputs, "reduce");
-        // Shuffle transit is consumed; free the run's DFS files whether
-        // the job succeeded or not.
-        cleanup_shuffle();
-        let meta = vec![
-            ("n_maps".into(), n_maps.to_string()),
-            ("n_reducers".into(), n_reducers.to_string()),
-        ];
-        Ok(frame.finish(&self.recorder, outputs?, meta))
+        let out = writer.finish();
+        bag.add(keys::REDUCE_OUTPUT_RECORDS, emitted);
+        // Reduce phase = task body (the writer's work included) minus
+        // shuffle + merge time.
+        let accounted =
+            bag.get(Phase::Shuffle.counter_key()) + bag.get(Phase::ReduceMerge.counter_key());
+        let total = t_task.elapsed().as_nanos() as u64;
+        bag.add(Phase::Reduce.counter_key(), total.saturating_sub(accounted));
+        out
     }
 
     /// Run a map-only job (the paper's Round 1): each map task's emitted
@@ -771,170 +661,64 @@ impl MapReduceEngine {
             (0..n_maps).map(|_| Mutex::new(None)).collect();
         let prefs: Vec<Option<usize>> = splits.iter().map(|s| s.preferred_node).collect();
 
-        self.run_wave(
-            TaskKind::Map,
-            &frame.config,
-            &frame.counters,
-            &frame.events,
-            frame.t0,
-            frame.span.id,
-            &prefs,
-            &outputs,
-            None,
-            |task_id, _attempt, _exec_node, bag| {
-                let t_task = Instant::now();
-                let split = &splits[task_id];
-                bag.add(keys::MAP_INPUT_RECORDS, split.records.len() as u64);
-                let mut out = Vec::new();
-                {
-                    let mut sink = |k, v| out.push((k, v));
-                    let mut ctx = MapContext {
-                        sink: &mut sink,
-                        counters: bag,
-                    };
-                    for (k, v) in &split.records {
-                        mapper.map(k, v, &mut ctx);
-                    }
-                    mapper.finish(&mut ctx);
-                }
-                bag.add(keys::MAP_OUTPUT_RECORDS, out.len() as u64);
-                // No sort/spill in a map-only job: the whole body is map.
-                bag.add(Phase::Map.counter_key(), t_task.elapsed().as_nanos() as u64);
-                out
-            },
-        )?;
+        run_wave(self, TaskKind::Map, &frame, &prefs, &outputs, None, |at| {
+            let t_task = Instant::now();
+            let mut out = Vec::new();
+            drive_mapper(mapper, &splits[at.task], at.bag, &mut |k, v| out.push((k, v)));
+            at.bag.add(keys::MAP_OUTPUT_RECORDS, out.len() as u64);
+            // No sort/spill in a map-only job: the whole body is map.
+            at.bag
+                .add(Phase::Map.counter_key(), t_task.elapsed().as_nanos() as u64);
+            out
+        })?;
 
         let outputs = committed(outputs, "map")?;
         let meta = vec![("n_maps".into(), n_maps.to_string())];
         Ok(frame.finish(&self.recorder, outputs, meta))
     }
+}
 
-    /// Execute one wave of tasks with per-node container slots, attempt
-    /// retries, speculative backups, and node-loss recovery.
-    #[allow(clippy::too_many_arguments)]
-    fn run_wave<T, F>(
-        &self,
-        kind: TaskKind,
-        config: &JobConfig,
-        counters: &Counters,
-        events: &Mutex<Vec<TaskEvent>>,
-        t0: Instant,
-        job_span: SpanId,
-        prefs: &[Option<usize>],
-        outputs: &[Mutex<Option<T>>],
-        survives: SurvivalCheck<'_>,
-        body: F,
-    ) -> Result<(), GesallError>
-    where
-        T: Send,
-        F: Fn(usize, usize, usize, &Counters) -> T + Send + Sync,
-    {
-        let n_tasks = prefs.len();
-        let wave_name = match kind {
-            TaskKind::Map => "map-wave",
-            TaskKind::Reduce => "reduce-wave",
-        };
-        let wave_span = self.recorder.start(SpanKind::Wave, wave_name, job_span);
-        let done: Vec<AtomicBool> = (0..n_tasks).map(|_| AtomicBool::new(false)).collect();
-        let state = Mutex::new(WaveState {
-            pending: (0..n_tasks)
-                .map(|t| PendingTask {
-                    task: t,
-                    not_before: None,
-                })
-                .collect(),
-            running: Vec::new(),
-            tasks: (0..n_tasks)
-                .map(|t| TaskState {
-                    preferred: prefs[t],
-                    failures: 0,
-                    next_attempt: 0,
-                    backup_launched: false,
-                    home: None,
-                })
-                .collect(),
-            remaining: n_tasks,
-            completed_ms: Vec::new(),
-            total_commits: 0,
-            fatal: None,
-        });
-        // Wakes idle workers when the schedule changes (commit, requeue,
-        // fatal) instead of letting them busy-poll the state mutex.
-        let idle = Condvar::new();
-        let wave = WaveCtx {
-            engine: self,
-            kind,
-            config,
-            counters,
-            events,
-            t0,
-            wave_span: wave_span.id,
-            state: &state,
-            idle: &idle,
-            done: &done,
-            outputs,
-            survives,
-        };
-
-        // Deaths already due (threshold 0) fire before any work starts.
-        if kind == TaskKind::Map {
-            let fired = {
-                let mut st = state.lock();
-                wave.fire_due_deaths(&mut st)
-            };
-            wave.notify_deaths(&fired);
-        }
-
-        let scope_result = crossbeam::thread::scope(|s| {
-            let mut first_live_worker = true;
-            for node in 0..self.cluster.n_nodes() {
-                if self.is_dead(node) {
-                    continue;
-                }
-                let slots = self.cluster.slots_on(node, TASK_VCORES, TASK_MEMORY_MB);
-                let slots = slots.max(if first_live_worker { 1 } else { 0 });
-                if slots > 0 {
-                    first_live_worker = false;
-                }
-                for _ in 0..slots {
-                    let wave = &wave;
-                    let body = &body;
-                    s.spawn(move |_| wave.worker_loop(node, body));
-                }
-            }
-        });
-        scope_result.map_err(|_| GesallError::Runtime("task wave worker panicked".into()))?;
-
-        let st = state.into_inner();
-        self.recorder.end_with(
-            wave_span,
-            wave_name,
-            Vec::new(),
-            vec![
-                ("tasks".to_string(), n_tasks as u64),
-                ("commits".to_string(), st.total_commits as u64),
-            ],
-        );
-        if let Some(fatal) = st.fatal {
-            return Err(fatal);
-        }
-        if st.remaining > 0 {
-            return Err(GesallError::NoHealthyNodes {
-                pending_tasks: st.remaining,
-            });
-        }
-        Ok(())
+/// Run `mapper` over `split`, its emitted pairs going to `sink` and its
+/// charges to the attempt's `bag`.
+fn drive_mapper<M: Mapper>(
+    mapper: &M,
+    split: &InputSplit<M::InKey, M::InValue>,
+    bag: &Counters,
+    sink: &mut dyn FnMut(M::OutKey, M::OutValue),
+) {
+    bag.add(keys::MAP_INPUT_RECORDS, split.records.len() as u64);
+    let mut ctx = MapContext { sink, counters: bag };
+    for (k, v) in &split.records {
+        mapper.map(k, v, &mut ctx);
     }
+    mapper.finish(&mut ctx);
+}
+
+/// What every task of one shuffling job shares: the shape of its shuffle
+/// and where it transits.
+struct ShuffleJob<'a, K> {
+    config: &'a JobConfig,
+    n_reducers: usize,
+    partitioner: &'a dyn Partitioner<K>,
+    /// Codec map-output partitions of at least `COMPRESS_MIN_BYTES`
+    /// travel under.
+    codec: Codec,
+    /// The transit DFS; engine node `n` is co-located with its datanode
+    /// `n % n_dfs_nodes`.
+    dfs: Dfs,
+    n_dfs_nodes: usize,
+    /// This run's transit directory.
+    base: String,
 }
 
 /// What every job opens first and closes last, whatever runs between:
 /// its span, counter bag, event log and clock.
-struct JobFrame {
-    config: JobConfig,
-    span: OpenSpan,
-    counters: Counters,
-    events: Mutex<Vec<TaskEvent>>,
-    t0: Instant,
+pub(crate) struct JobFrame {
+    pub config: JobConfig,
+    pub span: OpenSpan,
+    pub counters: Counters,
+    pub events: Mutex<Vec<TaskEvent>>,
+    pub t0: Instant,
 }
 
 impl JobFrame {
@@ -971,503 +755,6 @@ impl JobFrame {
 fn committed<T>(outputs: TaskOutputs<T>, wave: &str) -> Result<Vec<T>, GesallError> {
     let hole = || GesallError::Runtime(format!("{wave} wave ended without committed output"));
     outputs.into_iter().map(|slot| slot.into_inner().ok_or_else(hole)).collect()
-}
-
-struct PendingTask {
-    task: usize,
-    /// Earliest time the task may be re-attempted (retry backoff).
-    not_before: Option<Instant>,
-}
-
-/// The placement decision: the index in `pending` of the task a free
-/// slot on `node` should take. A ready task that prefers `node` (or has
-/// no preference) always wins; a task preferring another node is taken
-/// only with `allow_steal` — the worker has already sat out one idle
-/// beat (delay scheduling).
-fn pick_pending(
-    pending: &[PendingTask],
-    tasks: &[TaskState],
-    node: usize,
-    allow_steal: bool,
-    now: Instant,
-) -> Option<usize> {
-    let ready = |p: &PendingTask| p.not_before.is_none_or(|nb| nb <= now);
-    let local = pending.iter().position(|p| {
-        ready(p) && tasks[p.task].preferred.is_none_or(|pref| pref == node)
-    });
-    match local {
-        Some(pos) => Some(pos),
-        None if allow_steal => pending.iter().position(ready),
-        None => None,
-    }
-}
-
-struct TaskState {
-    preferred: Option<usize>,
-    failures: usize,
-    next_attempt: usize,
-    backup_launched: bool,
-    /// Node whose local disk holds the committed output (shuffle home).
-    home: Option<usize>,
-}
-
-struct RunningAttempt {
-    task: usize,
-    attempt: usize,
-    started: Instant,
-    speculative: bool,
-}
-
-struct WaveState {
-    pending: Vec<PendingTask>,
-    running: Vec<RunningAttempt>,
-    tasks: Vec<TaskState>,
-    /// Tasks without a committed output.
-    remaining: usize,
-    /// Durations of committed attempts — the speculative baseline.
-    completed_ms: Vec<f64>,
-    /// Successful commits in this wave (monotone; re-runs recount).
-    total_commits: usize,
-    fatal: Option<GesallError>,
-}
-
-#[derive(Clone, Copy)]
-struct Assignment {
-    task: usize,
-    attempt: usize,
-    speculative: bool,
-    data_local: bool,
-}
-
-enum Acquired {
-    Got(Assignment),
-    Idle,
-    Exit,
-}
-
-/// Marker error: the job's slot lease has no free permit right now.
-struct LeaseSaturated;
-
-struct WaveCtx<'a, T> {
-    engine: &'a MapReduceEngine,
-    kind: TaskKind,
-    config: &'a JobConfig,
-    counters: &'a Counters,
-    events: &'a Mutex<Vec<TaskEvent>>,
-    t0: Instant,
-    wave_span: SpanId,
-    state: &'a Mutex<WaveState>,
-    /// Notified whenever the schedule changes; see [`WaveCtx::idle_wait`].
-    idle: &'a Condvar,
-    done: &'a [AtomicBool],
-    outputs: &'a [Mutex<Option<T>>],
-    /// Probe whether a committed task's output survives a node death
-    /// (the transit DFS may hold a replica); `None` means outputs live
-    /// only on their home node.
-    survives: SurvivalCheck<'a>,
-}
-
-impl<T> WaveCtx<'_, T> {
-    fn now_ms(&self) -> f64 {
-        self.t0.elapsed().as_secs_f64() * 1e3
-    }
-
-    fn worker_loop<F>(&self, node: usize, body: &F)
-    where
-        F: Fn(usize, usize, usize, &Counters) -> T + Send + Sync,
-    {
-        // Delay scheduling: prefer local tasks; wait one beat before
-        // stealing a remote one (or launching a backup attempt). The
-        // beats are condvar waits, not sleeps: a commit or requeue
-        // wakes idle workers immediately, while the timeouts remain
-        // as the backstop that drives the time-based machinery
-        // (retry backoff expiry, straggler detection).
-        let mut allow_steal = false;
-        loop {
-            // The job's slot lease gates admission to *work*, not the
-            // worker threads themselves: a saturated lease parks the
-            // worker until a running attempt releases its permit or the
-            // grant grows. Shrinking the grant therefore reclaims slots
-            // preemption-free — in-flight attempts finish, new ones
-            // simply don't start.
-            let permit = match self.lease_permit() {
-                Ok(p) => p,
-                Err(LeaseSaturated) => {
-                    if self.wave_over(node) {
-                        break;
-                    }
-                    self.idle_wait(Duration::from_micros(500));
-                    allow_steal = true;
-                    continue;
-                }
-            };
-            match self.acquire(node, allow_steal) {
-                Acquired::Exit => break,
-                Acquired::Got(a) => {
-                    self.run_attempt(node, a, body);
-                    allow_steal = false;
-                }
-                Acquired::Idle => {
-                    // An idle worker holds no permit — a parked thread
-                    // is not an occupied container slot.
-                    drop(permit);
-                    self.idle_wait(Duration::from_micros(if allow_steal { 200 } else { 500 }));
-                    allow_steal = true;
-                }
-            }
-        }
-    }
-
-    /// Take a permit on the job's slot lease (`Ok(None)` for unleased
-    /// jobs, which may use every spawned worker).
-    fn lease_permit(&self) -> Result<Option<LeasePermit>, LeaseSaturated> {
-        match &self.config.slot_lease {
-            None => Ok(None),
-            Some(lease) => lease.try_acquire().map(Some).ok_or(LeaseSaturated),
-        }
-    }
-
-    /// Whether this worker should exit instead of waiting for a permit.
-    fn wave_over(&self, node: usize) -> bool {
-        let st = self.state.lock();
-        st.fatal.is_some() || st.remaining == 0 || self.engine.is_dead(node)
-    }
-
-    /// Park on the schedule-change condvar for at most `timeout`,
-    /// counting how the worker came back: a notification
-    /// ([`keys::SCHED_WAKEUPS`]) means the schedule changed while we
-    /// slept; a timeout ([`keys::SCHED_IDLE_TIMEOUTS`]) is the old
-    /// busy-poll beat, now visible in the counters.
-    fn idle_wait(&self, timeout: Duration) {
-        let mut st = self.state.lock();
-        // Re-check under the lock — a notify between the failed acquire
-        // and this wait must not be lost.
-        if st.fatal.is_some() || st.remaining == 0 {
-            return;
-        }
-        if self.idle.wait_for(&mut st, timeout).timed_out() {
-            self.counters.add(keys::SCHED_IDLE_TIMEOUTS, 1);
-        } else {
-            self.counters.add(keys::SCHED_WAKEUPS, 1);
-        }
-    }
-
-    /// Pick work for `node`. Local pending tasks first; with
-    /// `allow_steal`, remote pending tasks, then speculative backups.
-    fn acquire(&self, node: usize, allow_steal: bool) -> Acquired {
-        let mut st = self.state.lock();
-        if st.fatal.is_some() || st.remaining == 0 || self.engine.is_dead(node) {
-            return Acquired::Exit;
-        }
-        let now = Instant::now();
-        if let Some(pos) = pick_pending(&st.pending, &st.tasks, node, allow_steal, now) {
-            let task = st.pending.remove(pos).task;
-            let ts = &mut st.tasks[task];
-            let attempt = ts.next_attempt;
-            ts.next_attempt += 1;
-            let data_local = ts.preferred == Some(node) || ts.preferred.is_none();
-            st.running.push(RunningAttempt {
-                task,
-                attempt,
-                started: now,
-                speculative: false,
-            });
-            return Acquired::Got(Assignment {
-                task,
-                attempt,
-                speculative: false,
-                data_local,
-            });
-        }
-
-        // A backup cannot be killed mid-body and the wave joins every
-        // attempt it started, so one that loses its race costs a whole
-        // task of slot time and wall clock. So it takes more than one
-        // early finisher to call a task slow: most of the wave must
-        // have committed (tasks differ in size), and the original must
-        // have overrun the typical runtime by what the backup itself
-        // would cost.
-        let quorum = st.completed_ms.len() * 2 > st.tasks.len();
-        if allow_steal && self.config.speculative && quorum {
-            let mut sorted = st.completed_ms.clone();
-            sorted.sort_by(f64::total_cmp);
-            let median = sorted[sorted.len() / 2];
-            let threshold = (self.config.speculative_multiplier * median)
-                .max(self.config.speculative_min_runtime_ms);
-            let straggler = st.running.iter().position(|r| {
-                !r.speculative
-                    && !self.done[r.task].load(Ordering::SeqCst)
-                    && !st.tasks[r.task].backup_launched
-                    && r.started.elapsed().as_secs_f64() * 1e3 > threshold
-            });
-            if let Some(pos) = straggler {
-                let task = st.running[pos].task;
-                let ts = &mut st.tasks[task];
-                ts.backup_launched = true;
-                let attempt = ts.next_attempt;
-                ts.next_attempt += 1;
-                let data_local = ts.preferred == Some(node) || ts.preferred.is_none();
-                st.running.push(RunningAttempt {
-                    task,
-                    attempt,
-                    started: now,
-                    speculative: true,
-                });
-                self.counters.add(keys::SPECULATIVE_LAUNCHED, 1);
-                return Acquired::Got(Assignment {
-                    task,
-                    attempt,
-                    speculative: true,
-                    data_local,
-                });
-            }
-        }
-        Acquired::Idle
-    }
-
-    fn run_attempt<F>(&self, node: usize, a: Assignment, body: &F)
-    where
-        F: Fn(usize, usize, usize, &Counters) -> T + Send + Sync,
-    {
-        let start_ms = self.now_ms();
-
-        // Injected straggler: sleep in small beats, bailing out early if
-        // the task is won by another attempt or this node dies (the
-        // cancellation path for speculative losers).
-        if let Some(ms) = self
-            .engine
-            .fault_plan
-            .slowdown_ms(self.kind, a.task, a.attempt)
-        {
-            let deadline = Instant::now() + Duration::from_millis(ms);
-            while Instant::now() < deadline {
-                if self.done[a.task].load(Ordering::SeqCst) || self.engine.is_dead(node) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-
-        let bag = Counters::new();
-        let plan = &self.engine.fault_plan;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if plan.should_panic(self.kind, a.task, a.attempt) {
-                panic!("{}", FaultPlan::panic_message(self.kind, a.task, a.attempt));
-            }
-            body(a.task, a.attempt, node, &bag)
-        }));
-
-        let end_ms = self.now_ms();
-        let mut st = self.state.lock();
-        let started = st
-            .running
-            .iter()
-            .position(|r| r.task == a.task && r.attempt == a.attempt)
-            .map(|pos| st.running.remove(pos).started);
-        if st.fatal.is_some() {
-            return; // Job already failed; drop silently.
-        }
-        let event = |outcome: AttemptOutcome, error: Option<String>| TaskEvent {
-            kind: self.kind,
-            task_id: a.task,
-            attempt: a.attempt,
-            speculative: a.speculative,
-            outcome,
-            error,
-            node,
-            start_ms,
-            end_ms,
-            data_local: a.data_local,
-        };
-        // Every attempt leaves both a TaskEvent (the determinism
-        // contract) and, when tracing is on, a TaskAttempt span.
-        let log_event = |outcome: AttemptOutcome, error: Option<String>| {
-            let e = event(outcome, error);
-            self.record_attempt_span(&e, &bag);
-            self.events.lock().push(e);
-        };
-
-        match result {
-            Ok(value) => {
-                if self.done[a.task].load(Ordering::SeqCst) {
-                    // Lost the race to another attempt of the same task.
-                    if st.tasks[a.task].backup_launched {
-                        self.counters.add(keys::SPECULATIVE_WASTED, 1);
-                    }
-                    log_event(AttemptOutcome::Killed, None);
-                    return;
-                }
-                if self.engine.is_dead(node) {
-                    // The node died while this attempt ran; its local
-                    // output is gone. Re-queue the task.
-                    log_event(AttemptOutcome::Killed, None);
-                    st.pending.push(PendingTask {
-                        task: a.task,
-                        not_before: None,
-                    });
-                    drop(st);
-                    self.idle.notify_all();
-                    return;
-                }
-                *self.outputs[a.task].lock() = Some(value);
-                self.done[a.task].store(true, Ordering::SeqCst);
-                st.tasks[a.task].home = Some(node);
-                st.remaining -= 1;
-                if let Some(started) = started {
-                    st.completed_ms
-                        .push(started.elapsed().as_secs_f64() * 1e3);
-                }
-                st.total_commits += 1;
-                self.counters.merge(&bag);
-                log_event(AttemptOutcome::Succeeded, None);
-                let fired = if self.kind == TaskKind::Map {
-                    self.fire_due_deaths(&mut st)
-                } else {
-                    Vec::new()
-                };
-                drop(st);
-                // Wake idlers: remaining may have hit zero, a death may
-                // have re-queued tasks, and a fresh completion time may
-                // arm the straggler detector.
-                self.idle.notify_all();
-                self.notify_deaths(&fired);
-            }
-            Err(payload) => {
-                let msg = panic_message(payload.as_ref());
-                if self.done[a.task].load(Ordering::SeqCst) {
-                    // The task already succeeded elsewhere; this failure
-                    // is moot and must not count against the task.
-                    log_event(AttemptOutcome::Failed, Some(msg));
-                    return;
-                }
-                self.counters.add(keys::FAILED_ATTEMPTS, 1);
-                st.tasks[a.task].failures += 1;
-                let failures = st.tasks[a.task].failures;
-                log_event(AttemptOutcome::Failed, Some(msg.clone()));
-                if failures >= self.config.max_attempts {
-                    st.fatal = Some(GesallError::TaskFailed {
-                        kind: self.kind,
-                        task_id: a.task,
-                        attempts: failures,
-                        last_error: msg,
-                    });
-                } else {
-                    let backoff = self.config.retry_backoff_ms
-                        * (1u64 << (failures - 1).min(16)) as f64;
-                    st.pending.push(PendingTask {
-                        task: a.task,
-                        not_before: Some(Instant::now() + Duration::from_secs_f64(backoff / 1e3)),
-                    });
-                }
-                drop(st);
-                // Wake idlers: either everyone must exit on the fatal, or
-                // a retry just became schedulable (its backoff expiry is
-                // covered by the wait timeout).
-                self.idle.notify_all();
-            }
-        }
-    }
-
-    /// Emit one TaskAttempt span mirroring `e`, parented under this
-    /// wave's span, with the attempt's counter bag attached as metrics.
-    /// One branch on a disabled recorder, nothing else.
-    fn record_attempt_span(&self, e: &TaskEvent, bag: &Counters) {
-        let rec = &self.engine.recorder;
-        if !rec.is_enabled() {
-            return;
-        }
-        // Event times are relative to the job's t0; shift them into the
-        // recorder's epoch so spans from many jobs share one timeline.
-        let offset = rec.now_ms() - self.now_ms();
-        let kind = match e.kind {
-            TaskKind::Map => "map",
-            TaskKind::Reduce => "reduce",
-        };
-        rec.registry()
-            .histogram(&format!("attempt.{kind}.ms"))
-            .record((e.end_ms - e.start_ms).max(0.0).round() as u64);
-        let mut meta = vec![
-            ("node".to_string(), e.node.to_string()),
-            ("outcome".to_string(), format!("{:?}", e.outcome)),
-            ("speculative".to_string(), e.speculative.to_string()),
-            ("data_local".to_string(), e.data_local.to_string()),
-        ];
-        if let Some(err) = &e.error {
-            meta.push(("error".to_string(), err.clone()));
-        }
-        rec.record(Span {
-            id: rec.fresh_id(),
-            parent: self.wave_span,
-            kind: SpanKind::TaskAttempt,
-            name: format!("{kind}-{}.{}", e.task_id, e.attempt),
-            start_ms: e.start_ms + offset,
-            end_ms: e.end_ms + offset,
-            meta,
-            metrics: bag.snapshot(),
-        });
-    }
-
-    /// Fire scheduled deaths whose map-commit threshold has been reached.
-    /// Runs under the wave lock: marks the node dead, evicts committed
-    /// map outputs homed on it, and re-queues those tasks. Returns the
-    /// nodes that died so the caller can notify the hook lock-free.
-    fn fire_due_deaths(&self, st: &mut WaveState) -> Vec<usize> {
-        let mut fired = Vec::new();
-        let mut pending_deaths = self.engine.pending_deaths.lock();
-        let mut i = 0;
-        while i < pending_deaths.len() {
-            if pending_deaths[i].after_completed_maps <= st.total_commits {
-                let death = pending_deaths.remove(i);
-                self.engine.dead_nodes.lock().insert(death.node);
-                fired.push(death.node);
-                // Completed map outputs on the dead node's disk are gone:
-                // evict and re-run, as Hadoop re-runs map tasks whose
-                // shuffle output was on a lost slave. A shuffling job's
-                // output may survive on a transit-DFS replica — probe
-                // every committed task (a later death can take the last
-                // replica of a task whose home died earlier), keep the
-                // survivors, and only re-run the rest.
-                for task in 0..st.tasks.len() {
-                    if !self.done[task].load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    let homed_here = st.tasks[task].home == Some(death.node);
-                    let survives_death = match self.survives {
-                        Some(check) => check(task),
-                        // Map-only job: output lives only on its home.
-                        None => !homed_here,
-                    };
-                    if survives_death {
-                        if homed_here {
-                            self.counters.add(keys::MAPS_RESHIPPED_FROM_DFS, 1);
-                        }
-                        continue;
-                    }
-                    *self.outputs[task].lock() = None;
-                    self.done[task].store(false, Ordering::SeqCst);
-                    st.tasks[task].home = None;
-                    st.tasks[task].backup_launched = false;
-                    st.remaining += 1;
-                    st.pending.push(PendingTask {
-                        task,
-                        not_before: None,
-                    });
-                    self.counters.add(keys::MAPS_RERUN_ON_NODE_LOSS, 1);
-                }
-            } else {
-                i += 1;
-            }
-        }
-        fired
-    }
-
-    fn notify_deaths(&self, nodes: &[usize]) {
-        if let Some(hook) = &self.engine.node_death_hook {
-            for &node in nodes {
-                hook(node);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1610,74 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn locality_preference_honored_when_slots_free() {
-        // The placement decision itself, no threads: four tasks, task i
-        // preferring node i, every slot free (a single wave).
-        let tasks: Vec<TaskState> = (0..4)
-            .map(|t| TaskState {
-                preferred: Some(t),
-                failures: 0,
-                next_attempt: 0,
-                backup_launched: false,
-                home: None,
-            })
-            .collect();
-        let pending = |ids: &[usize]| -> Vec<PendingTask> {
-            ids.iter()
-                .map(|&task| PendingTask {
-                    task,
-                    not_before: None,
-                })
-                .collect()
-        };
-        let now = Instant::now();
-        let all = pending(&[0, 1, 2, 3]);
-        for node in 0..4 {
-            // A free slot takes its node's own task, wherever it queues,
-            // and stealing permission doesn't change that.
-            for allow_steal in [false, true] {
-                let pos = pick_pending(&all, &tasks, node, allow_steal, now);
-                assert_eq!(pos.map(|p| all[p].task), Some(node));
-            }
-        }
-        // With its local task gone a slot waits out one beat rather than
-        // take a remote task, then steals the head of the queue.
-        let remote_only = pending(&[1, 2, 3]);
-        assert_eq!(pick_pending(&remote_only, &tasks, 0, false, now), None);
-        assert_eq!(pick_pending(&remote_only, &tasks, 0, true, now), Some(0));
-        // A task still inside its retry backoff is nobody's to take.
-        let backing_off = vec![PendingTask {
-            task: 0,
-            not_before: Some(now + Duration::from_secs(60)),
-        }];
-        assert_eq!(pick_pending(&backing_off, &tasks, 0, true, now), None);
-
-        // End to end, whatever the thread timing: an attempt is flagged
-        // data-local exactly when it ran on its split's preferred node.
-        let engine = MapReduceEngine::new(ClusterResources::uniform(4, 2, 4096));
-        struct Nop;
-        impl Mapper for Nop {
-            type InKey = u64;
-            type InValue = u64;
-            type OutKey = u64;
-            type OutValue = u64;
-            fn map(&self, k: &u64, v: &u64, ctx: &mut MapContext<'_, u64, u64>) {
-                ctx.emit(*k, *v);
-            }
-        }
-        let splits: Vec<InputSplit<u64, u64>> = (0..4)
-            .map(|i| InputSplit::new(format!("s{i}"), vec![(i as u64, 0)]).at_node(i))
-            .collect();
-        let res = engine
-            .run_map_only(JobConfig::default(), &Nop, splits)
-            .unwrap();
-        assert_eq!(res.events.len(), 4);
-        for e in &res.events {
-            assert_eq!(e.data_local, e.node == e.task_id, "{e:?}");
-        }
-    }
-
-    #[test]
     fn reducers_fetch_most_shuffle_bytes_from_their_own_node() {
         // 2 nodes, replication 2: every segment block has a replica on
         // the reducer's node, so the read-affinity hint must serve the
@@ -1756,25 +975,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(keys, sorted, "reduce input must arrive key-sorted");
         assert_eq!(keys.len(), 300);
-    }
-
-    #[test]
-    fn spills_run_on_the_encoder_pool() {
-        let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096));
-        let cfg = JobConfig {
-            n_reducers: 3,
-            io_sort_bytes: 512, // force many spills per task
-            ..JobConfig::default()
-        };
-        let res = engine
-            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(5, 40))
-            .unwrap();
-        assert!(res.counters.get(keys::MAP_SPILLS) > 5);
-        assert_eq!(
-            res.counters.get(keys::SPILL_POOL_JOBS),
-            res.counters.get(keys::MAP_SPILLS)
-        );
-        assert!(res.counters.get(keys::SPILL_POOL_BUSY_NANOS) > 0);
     }
 
     #[test]

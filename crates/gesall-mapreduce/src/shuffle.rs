@@ -4,12 +4,11 @@
 //! (`io.sort.mb`). A full buffer is sorted by (partition, key) and
 //! spilled; when the map function finishes, all spills are merged into a
 //! single sorted, partitioned output (the *map-side merge* whose disk
-//! contention dominates Fig. 5(b) at large partition sizes). The
-//! sort-and-bucket work of each spill runs on a [`SpillPool`] encoder
-//! while the mapper keeps buffering, and [`SortSpillBuffer::finish`] is
-//! the drain-and-merge barrier — the merged output does not depend on
-//! encoder count or timing because spills land in submission order and
-//! the final encode happens in one place.
+//! contention dominates Fig. 5(b) at large partition sizes). Sort,
+//! spill and merge all run on the map attempt's own thread — the ledger
+//! prices the sort at under 2 % of slot time, nothing worth hiding behind
+//! a second thread — so the phases of an attempt partition its wall and
+//! the merged output is a function of the emitted records alone.
 //!
 //! Reduce side: each reducer fetches its partition's segment from every
 //! map output and runs a **multipass merge** bounded by `merge_factor`
@@ -17,13 +16,10 @@
 //! explains the paper's disk findings (Appendix B.1).
 
 use crate::counters::{keys, Counters};
-use crate::spillpool::SpillPool;
 use crate::task::Partitioner;
 use gesall_formats::wire::{put_u64, Cursor, Wire};
 use gesall_formats::{Codec, FormatError, SharedBytes};
 use gesall_telemetry::{kernel_keys, Phase};
-use parking_lot::{Condvar, Mutex};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Compression threshold: a partition payload smaller than this travels
@@ -434,9 +430,9 @@ fn radix_sort_run<K: Wire + Ord, V: Wire>(run: &mut Vec<(K, V)>) -> (u64, u64) {
 }
 
 /// Sort a spill batch by (partition, key) and bucket it into one sorted
-/// run per partition — the unit of work a spill encoder executes:
-/// bucket by partition with a stable counting scatter, then radix-sort
-/// each run ([`radix_sort_run`]); pass/fallback activity lands on the
+/// run per partition — the work of one spill: bucket by partition with
+/// a stable counting scatter, then radix-sort each run
+/// ([`radix_sort_run`]); pass/fallback activity lands on the
 /// `kernel.sort.*` counters.
 fn sort_and_bucket<K: Wire + Ord, V: Wire>(
     batch: Vec<(usize, K, V)>,
@@ -470,14 +466,6 @@ fn sort_and_bucket<K: Wire + Ord, V: Wire>(
 /// One spill's output: a sorted run per reduce partition.
 type SpillRuns<K, V> = Vec<Vec<(K, V)>>;
 
-/// Sequence-ordered slots the spill encoders fill: slot `i` holds the
-/// runs of the `i`-th submitted spill, so the drain barrier hands the
-/// merge the spills in emission order however the encoders interleave.
-struct SpillSlots<K, V> {
-    filled: Mutex<Vec<Option<SpillRuns<K, V>>>>,
-    done: Condvar,
-}
-
 /// The map-side sort buffer.
 pub struct SortSpillBuffer<'a, K: Wire + Ord + Clone, V: Wire> {
     io_sort_bytes: usize,
@@ -488,23 +476,17 @@ pub struct SortSpillBuffer<'a, K: Wire + Ord + Clone, V: Wire> {
     codec: Codec,
     current: Vec<(usize, K, V)>,
     current_bytes: usize,
-    /// Background encoders the spills sort on.
-    pool: Arc<SpillPool>,
-    slots: Arc<SpillSlots<K, V>>,
+    /// The sorted runs of every spill so far, in emission order.
+    spills: Vec<SpillRuns<K, V>>,
     counters: Counters,
 }
 
-impl<'a, K, V> SortSpillBuffer<'a, K, V>
-where
-    K: Wire + Ord + Clone + Send + 'static,
-    V: Wire + Send + 'static,
-{
+impl<'a, K: Wire + Ord + Clone, V: Wire> SortSpillBuffer<'a, K, V> {
     pub fn new(
         io_sort_bytes: usize,
         n_partitions: usize,
         partitioner: &'a dyn Partitioner<K>,
         codec: Codec,
-        pool: Arc<SpillPool>,
         counters: Counters,
     ) -> Self {
         SortSpillBuffer {
@@ -514,11 +496,7 @@ where
             codec,
             current: Vec::new(),
             current_bytes: 0,
-            pool,
-            slots: Arc::new(SpillSlots {
-                filled: Mutex::new(Vec::new()),
-                done: Condvar::new(),
-            }),
+            spills: Vec::new(),
             counters,
         }
     }
@@ -548,61 +526,26 @@ where
         let batch = std::mem::take(&mut self.current);
         self.current_bytes = 0;
         self.counters.add(keys::MAP_SPILLS, 1);
-        // Reserve the next sequence slot, then hand the sort to an
-        // encoder. The partition index was computed at emit time, so the
-        // job captures only owned data.
-        let idx = {
-            let mut slots = self.slots.filled.lock();
-            slots.push(None);
-            slots.len() - 1
-        };
-        self.counters.add(keys::SPILL_POOL_JOBS, 1);
-        let n = self.n_partitions;
-        let slots = self.slots.clone();
-        let counters = self.counters.clone();
-        self.pool.submit(Box::new(move || {
-            let t0 = Instant::now();
-            let runs = sort_and_bucket(batch, n, &counters);
-            counters.add(Phase::SortSpill.counter_key(), t0.elapsed().as_nanos() as u64);
-            let mut filled = slots.filled.lock();
-            filled[idx] = Some(runs);
-            slots.done.notify_all();
-        }));
+        let t0 = Instant::now();
+        let runs = sort_and_bucket(batch, self.n_partitions, &self.counters);
+        self.counters
+            .add(Phase::SortSpill.counter_key(), t0.elapsed().as_nanos() as u64);
+        self.spills.push(runs);
     }
 
-    /// Finish the map task: merge all spills into one sorted segment per
-    /// partition. This is the drain-and-merge barrier — it waits for
-    /// outstanding background spills (the wait is counted under
-    /// [`keys::SPILL_POOL_DRAIN_WAIT_NANOS`]) and then merges them in
-    /// submission order.
+    /// Finish the map task: spill what is buffered, then merge all
+    /// spills, in emission order, into one sorted segment per partition.
     pub fn finish(mut self) -> Vec<Segment> {
         self.spill();
-        let spills: Vec<SpillRuns<K, V>> = {
-            let t0 = Instant::now();
-            let mut filled = self.slots.filled.lock();
-            while filled.iter().any(|s| s.is_none()) {
-                self.slots.done.wait(&mut filled);
-            }
-            let drained = filled
-                .drain(..)
-                .map(|s| s.expect("drain barrier saw all slots filled"))
-                .collect();
-            drop(filled);
-            self.counters.add(
-                keys::SPILL_POOL_DRAIN_WAIT_NANOS,
-                t0.elapsed().as_nanos() as u64,
-            );
-            drained
-        };
         let t0 = Instant::now();
-        let n_spills = spills.len();
+        let n_spills = self.spills.len();
         if n_spills > 1 {
             self.counters
                 .add(keys::MAP_MERGE_SEGMENTS, n_spills as u64);
         }
         let mut per_partition: Vec<Vec<Vec<(K, V)>>> =
             (0..self.n_partitions).map(|_| Vec::new()).collect();
-        for spill in spills {
+        for spill in self.spills {
             for (p, run) in spill.into_iter().enumerate() {
                 if !run.is_empty() {
                     per_partition[p].push(run);
@@ -883,9 +826,10 @@ pub fn reduce_merge<K: Wire + Ord + Clone, V: Wire>(
 /// [`reduce_merge`] with the segment supply inverted: the caller
 /// promises `n_runs` nonempty source runs up front (from the shipped
 /// `SegMeta` record counts) and hands over a `next_segment` supplier
-/// that yields them — possibly blocking on a prefetch channel — in map
-/// order, so partition fetches pipeline with the merge instead of all
-/// completing before it starts.
+/// that yields them in map order — in the engine the supplier *is* the
+/// fetch, one DFS range read per call — so a source run is fetched when
+/// a pass activates it and at most `merge_factor` fetched runs are
+/// resident, instead of every fetch completing before the merge starts.
 ///
 /// `n_runs` must be promised because the multipass queue discipline
 /// (pop `merge_factor` runs from the front, append the rewritten run at
@@ -927,10 +871,9 @@ pub fn reduce_merge_streamed<K: Wire + Ord + Clone, V: Wire>(
     let mut pending = n_runs;
     let mut rewritten: std::collections::VecDeque<StreamRun> = std::collections::VecDeque::new();
     // Lazy decode work (codec decode at cursor activation) and time
-    // spent waiting on the supplier (a blocking fetch the prefetch
-    // didn't hide) are shuffle-phase time; both accumulate here and are
-    // attributed at the end so the merge phase doesn't double-count
-    // them.
+    // spent in the supplier (the fetch) are shuffle-phase time; both
+    // accumulate here and are attributed at the end so the merge phase
+    // doesn't double-count them.
     let mut shuffle_nanos = 0u64;
     let mut pull = |shuffle_nanos: &mut u64| -> StreamRun {
         loop {
@@ -1015,10 +958,6 @@ pub fn reduce_merge_streamed<K: Wire + Ord + Clone, V: Wire>(
 mod tests {
     use super::*;
     use crate::task::HashPartitioner;
-
-    fn pool(workers: usize) -> Arc<SpillPool> {
-        Arc::new(SpillPool::new(workers, 2))
-    }
 
     /// Reference for [`sort_and_bucket`]: one stable comparison sort by
     /// (partition, key), then a split into per-partition runs.
@@ -1183,7 +1122,7 @@ mod tests {
         let counters = Counters::new();
         let p = HashPartitioner;
         let mut buf: SortSpillBuffer<'_, u64, u64> =
-            SortSpillBuffer::new(256, 2, &p, Codec::Raw, pool(2), counters.clone());
+            SortSpillBuffer::new(256, 2, &p, Codec::Raw, counters.clone());
         for i in 0..200u64 {
             buf.emit(i % 37, i);
         }
@@ -1206,7 +1145,7 @@ mod tests {
         let counters = Counters::new();
         let p = crate::task::FnPartitioner::new(|k: &u64, n| (*k as usize) % n);
         let mut buf: SortSpillBuffer<'_, u64, String> =
-            SortSpillBuffer::new(1 << 20, 3, &p, Codec::Raw, pool(2), counters);
+            SortSpillBuffer::new(1 << 20, 3, &p, Codec::Raw, counters);
         for i in 0..60u64 {
             buf.emit(i, format!("v{i}"));
         }
@@ -1274,7 +1213,7 @@ mod tests {
         let counters = Counters::new();
         let p = crate::task::FnPartitioner::new(|k: &u64, n| (*k as usize) % n);
         let mut buf: SortSpillBuffer<'_, u64, u64> =
-            SortSpillBuffer::new(256, 4, &p, Codec::Raw, pool(2), counters);
+            SortSpillBuffer::new(256, 4, &p, Codec::Raw, counters);
         for i in 0..300u64 {
             buf.emit(i, i * 7);
         }
@@ -1331,7 +1270,7 @@ mod tests {
         for codec in [Codec::Raw, Codec::Lz] {
             let counters = Counters::new();
             let mut buf: SortSpillBuffer<'_, String, u64> =
-                SortSpillBuffer::new(512, 3, &p, codec, pool(2), counters.clone());
+                SortSpillBuffer::new(512, 3, &p, codec, counters.clone());
             for i in 0..400u64 {
                 buf.emit(format!("key{:03}", i % 40), i);
             }
@@ -1362,7 +1301,7 @@ mod tests {
         // partition 1 gets a few KiB: only the latter earns the codec.
         let p = crate::task::FnPartitioner::new(|k: &u64, _| usize::from(*k >= 8));
         let mut buf: SortSpillBuffer<'_, u64, u64> =
-            SortSpillBuffer::new(1 << 20, 2, &p, Codec::Lz, pool(1), Counters::new());
+            SortSpillBuffer::new(1 << 20, 2, &p, Codec::Lz, Counters::new());
         for i in 0..400u64 {
             buf.emit(i, i % 3);
         }
@@ -1373,12 +1312,12 @@ mod tests {
     }
 
     #[test]
-    fn spill_pool_output_equals_straight_line_reference() {
-        // The determinism contract of the overlapped pipeline: whatever
-        // the encoder count, the merged segments are exactly a stable
-        // sort by (partition, key) of the emitted records — spill
-        // boundaries, pool interleaving and the radix kernel must all be
-        // invisible in the bytes.
+    fn sort_buffer_output_is_a_stable_sort_by_partition_then_key() {
+        // Whatever the sort-buffer size — one spill, a few, one per
+        // handful of records — the merged segments are exactly a stable
+        // sort by (partition, key) of the emitted records: spill
+        // boundaries, the map-side merge and the radix kernel must all
+        // be invisible in the bytes.
         let p = HashPartitioner;
         let records: Vec<(String, u64)> =
             (0..600u64).map(|i| (format!("key{:03}", i % 53), i)).collect();
@@ -1390,26 +1329,17 @@ mod tests {
             3,
         );
         for codec in [Codec::Raw, Codec::Lz] {
-            for workers in [1, 3] {
-                let pool = pool(workers);
+            for (io_sort_bytes, min_spills) in [(1 << 20, 1), (2048, 2), (128, 30)] {
                 let counters = Counters::new();
                 let mut buf: SortSpillBuffer<'_, String, u64> =
-                    SortSpillBuffer::new(512, 3, &p, codec, pool.clone(), counters.clone());
+                    SortSpillBuffer::new(io_sort_bytes, 3, &p, codec, counters.clone());
                 for (k, v) in records.iter().cloned() {
                     buf.emit(k, v);
                 }
                 let segs = buf.finish();
-                assert!(
-                    counters.get(keys::SPILL_POOL_JOBS) > 1,
-                    "tiny buffer must spill through the pool"
-                );
-                assert_eq!(
-                    counters.get(keys::SPILL_POOL_JOBS),
-                    counters.get(keys::MAP_SPILLS)
-                );
-                assert_eq!(pool.jobs_run(), counters.get(keys::SPILL_POOL_JOBS));
+                assert!(counters.get(keys::MAP_SPILLS) >= min_spills);
                 let got: Vec<Vec<(String, u64)>> = segs.iter().map(|s| s.to_pairs()).collect();
-                assert_eq!(got, reference, "codec {codec:?}, {workers} encoder(s)");
+                assert_eq!(got, reference, "codec {codec:?}, sort buffer {io_sort_bytes}");
                 for (seg, run) in segs.iter().zip(&reference) {
                     let want = Segment::from_pairs(run, seg.codec);
                     assert_eq!(&seg.data[..], &want.data[..], "payload bytes must match");

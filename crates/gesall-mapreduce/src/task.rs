@@ -15,10 +15,8 @@ use gesall_formats::wire::Wire;
 pub trait Mapper: Send + Sync {
     type InKey: Wire + Clone + Send + Sync;
     type InValue: Wire + Clone + Send + Sync;
-    // `'static` because map output may be handed to the background
-    // spill-encoder pool, whose jobs outlive the emitting stack frame.
-    type OutKey: Wire + Ord + Clone + Send + 'static;
-    type OutValue: Wire + Send + 'static;
+    type OutKey: Wire + Ord + Clone + Send;
+    type OutValue: Wire + Send;
 
     fn map(
         &self,
@@ -34,8 +32,8 @@ pub trait Mapper: Send + Sync {
 
 /// A reduce function: one call per distinct key with all its values.
 pub trait Reducer: Send + Sync {
-    type InKey: Wire + Ord + Clone + Send + 'static;
-    type InValue: Wire + Send + 'static;
+    type InKey: Wire + Ord + Clone + Send;
+    type InValue: Wire + Send;
     type OutKey: Wire + Send;
     type OutValue: Wire + Send;
 

@@ -2,13 +2,19 @@
 //! execution, node loss mid-wave, and seeded determinism — the engine's
 //! side of the Hadoop failure model the paper's production runs rely on.
 
+use gesall_formats::wire::{Cursor, Wire};
 use gesall_mapreduce::counters::keys;
 use gesall_mapreduce::runtime::AttemptOutcome;
 use gesall_mapreduce::{
     ClusterResources, Counters, FaultPlan, GesallError, HashPartitioner, InputSplit, JobConfig,
     MapContext, MapReduceEngine, Mapper, OutputFormat, RecordWriter, ReduceContext, Reducer,
-    TaskKind,
+    SlotLease, TaskKind,
 };
+use std::cell::Cell;
+use std::cmp::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::Mutex;
+use std::thread::ThreadId;
 
 struct Tokenize;
 impl Mapper for Tokenize {
@@ -422,4 +428,281 @@ fn a_tasks_output_is_what_its_committed_attempts_writer_finished_with() {
     assert!(raced.events.iter().any(|e| {
         e.kind == TaskKind::Reduce && e.task_id == 0 && e.outcome == AttemptOutcome::Killed
     }));
+}
+
+/// Comparisons of [`FusedKey`] still to panic; only
+/// `a_panic_while_sorting_a_spill_fails_the_attempt_not_the_job` sets it.
+static CMP_PANICS_LEFT: AtomicUsize = AtomicUsize::new(0);
+
+/// A `u64` key whose `Ord` panics while [`CMP_PANICS_LEFT`] is nonzero,
+/// the way any user key's comparison may. It keeps the default
+/// `sort_prefix`, so every spill run is settled by comparison.
+#[derive(Clone, PartialEq, Eq)]
+struct FusedKey(u64);
+
+impl Ord for FusedKey {
+    fn cmp(&self, other: &FusedKey) -> Ordering {
+        let lit = CMP_PANICS_LEFT.fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1));
+        assert!(lit.is_err(), "FusedKey comparison blew its fuse");
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for FusedKey {
+    fn partial_cmp(&self, other: &FusedKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Wire for FusedKey {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+    fn decode(cur: &mut Cursor<'_>) -> gesall_formats::Result<FusedKey> {
+        u64::decode(cur).map(FusedKey)
+    }
+    fn encoded_len(&self) -> usize {
+        self.0.encoded_len()
+    }
+}
+
+struct FusedMap;
+impl Mapper for FusedMap {
+    type InKey = u64;
+    type InValue = u64;
+    type OutKey = FusedKey;
+    type OutValue = u64;
+    fn map(&self, k: &u64, v: &u64, ctx: &mut MapContext<'_, FusedKey, u64>) {
+        ctx.emit(FusedKey(*k % 17), *v);
+    }
+}
+
+struct FusedSum;
+impl Reducer for FusedSum {
+    type InKey = FusedKey;
+    type InValue = u64;
+    type OutKey = u64;
+    type OutValue = u64;
+    fn reduce(&self, k: FusedKey, vs: Vec<u64>, ctx: &mut ReduceContext<'_, u64, u64>) {
+        ctx.emit(k.0, vs.iter().sum());
+    }
+}
+
+/// A comparison that panics inside the spill sort is a panic of the map
+/// attempt that was sorting: the attempt fails, the task is retried, and
+/// a key that always panics ends the job in a typed error.
+///
+/// This test does not terminate at the parent commit: the sort ran on a
+/// pool thread there, the panic killed that worker with the spill's slot
+/// unfilled, and the map attempt waited on the slot for ever.
+#[test]
+fn a_panic_while_sorting_a_spill_fails_the_attempt_not_the_job() {
+    let run = |panics: usize| {
+        CMP_PANICS_LEFT.store(panics, SeqCst);
+        let splits = (0..4u64)
+            .map(|s| InputSplit::new(format!("s{s}"), (0..200).map(|i| (s * 200 + i, i)).collect()))
+            .collect();
+        let cfg = JobConfig {
+            io_sort_bytes: 256,
+            ..quick_cfg()
+        };
+        let res = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096))
+            .run_job(cfg, &FusedMap, &FusedSum, &HashPartitioner, splits);
+        CMP_PANICS_LEFT.store(0, SeqCst);
+        res.map(|res| {
+            let mut all: Vec<(u64, u64)> = res.outputs.iter().flatten().copied().collect();
+            all.sort_unstable();
+            (all, res.counters.get(keys::FAILED_ATTEMPTS))
+        })
+    };
+    let (clean, failed) = run(0).expect("no fuse, no fault");
+    assert_eq!(failed, 0);
+    assert_eq!(clean.len(), 17);
+
+    let (rescued, failed) = run(1).expect("one failed attempt is retried");
+    assert_eq!(failed, 1);
+    assert_eq!(rescued, clean);
+
+    match run(usize::MAX).expect_err("a key that never compares cannot be sorted") {
+        GesallError::TaskFailed {
+            kind,
+            attempts,
+            last_error,
+            ..
+        } => {
+            assert_eq!(kind, TaskKind::Map);
+            assert_eq!(attempts, quick_cfg().max_attempts);
+            assert!(last_error.contains("blew its fuse"), "{last_error}");
+        }
+        other => panic!("expected TaskFailed, got {other}"),
+    }
+}
+
+/// What [`TracedKey`] and [`TracedMap`] saw of one job.
+struct ProbeLog {
+    /// (map task, thread that ran its `map`).
+    mapped: Vec<(u64, ThreadId)>,
+    /// (map task, thread that compared two keys of its output).
+    compared: Vec<(u64, ThreadId)>,
+    /// Threads inside `map` or `cmp` right now, and the most there were.
+    in_flight: usize,
+    peak_in_flight: usize,
+}
+
+impl ProbeLog {
+    const fn new() -> ProbeLog {
+        ProbeLog {
+            mapped: Vec::new(),
+            compared: Vec::new(),
+            in_flight: 0,
+            peak_in_flight: 0,
+        }
+    }
+}
+
+static PROBE: Mutex<ProbeLog> = Mutex::new(ProbeLog::new());
+
+thread_local! {
+    /// How deep this thread is in probed user code: a `cmp` under a
+    /// spill nests in the `map` whose `emit` filled the buffer.
+    static PROBE_DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Run `f` as user code: the thread counts on the in-flight gauge while
+/// it is inside, once however deep it nests.
+fn in_user_code<R>(f: impl FnOnce() -> R) -> R {
+    let depth = PROBE_DEPTH.get();
+    PROBE_DEPTH.set(depth + 1);
+    if depth == 0 {
+        let mut log = PROBE.lock().unwrap();
+        log.in_flight += 1;
+        log.peak_in_flight = log.peak_in_flight.max(log.in_flight);
+    }
+    let out = f();
+    if depth == 0 {
+        PROBE.lock().unwrap().in_flight -= 1;
+    }
+    PROBE_DEPTH.set(depth);
+    out
+}
+
+fn note(pick: impl FnOnce(&mut ProbeLog) -> &mut Vec<(u64, ThreadId)>, task: u64) {
+    let entry = (task, std::thread::current().id());
+    let mut log = PROBE.lock().unwrap();
+    let seen = pick(&mut log);
+    if !seen.contains(&entry) {
+        seen.push(entry);
+    }
+}
+
+/// A key tagged with the map task that emitted it. Default
+/// `sort_prefix`: every spill run is one tie run settled by `cmp`.
+#[derive(Clone, PartialEq, Eq)]
+struct TracedKey {
+    task: u64,
+    key: u64,
+}
+
+impl Ord for TracedKey {
+    fn cmp(&self, other: &TracedKey) -> Ordering {
+        in_user_code(|| {
+            // Two keys of one task meet only on the map side: the reduce
+            // merge compares heads of different map outputs.
+            if self.task == other.task {
+                note(|log| &mut log.compared, self.task);
+            }
+            (self.key, self.task).cmp(&(other.key, other.task))
+        })
+    }
+}
+
+impl PartialOrd for TracedKey {
+    fn partial_cmp(&self, other: &TracedKey) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Wire for TracedKey {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.task.encode(buf);
+        self.key.encode(buf);
+    }
+    fn decode(cur: &mut Cursor<'_>) -> gesall_formats::Result<TracedKey> {
+        Ok(TracedKey {
+            task: u64::decode(cur)?,
+            key: u64::decode(cur)?,
+        })
+    }
+    fn encoded_len(&self) -> usize {
+        self.task.encoded_len() + self.key.encoded_len()
+    }
+}
+
+/// Split `t` holds records `(t, i)`; each is emitted under task `t`'s tag.
+struct TracedMap;
+impl Mapper for TracedMap {
+    type InKey = u64;
+    type InValue = u64;
+    type OutKey = TracedKey;
+    type OutValue = u64;
+    fn map(&self, task: &u64, i: &u64, ctx: &mut MapContext<'_, TracedKey, u64>) {
+        in_user_code(|| {
+            note(|log| &mut log.mapped, *task);
+            ctx.emit(TracedKey { task: *task, key: i * 7919 % 101 }, *i);
+        })
+    }
+}
+
+struct TracedCount;
+impl Reducer for TracedCount {
+    type InKey = TracedKey;
+    type InValue = u64;
+    type OutKey = u64;
+    type OutValue = u64;
+    fn reduce(&self, k: TracedKey, vs: Vec<u64>, ctx: &mut ReduceContext<'_, u64, u64>) {
+        ctx.emit(k.key, vs.len() as u64);
+    }
+}
+
+/// The lease means what it says: everything a map attempt does to its
+/// output — the spill sorts and the map-side merge — happens on the
+/// thread that ran its `map`, inside the permit that thread holds, so a
+/// job granted one slot has one thread in user code at a time. At the
+/// parent commit the spill sorts ran on pool threads that held no
+/// permit: (a) failed on every run, (b) whenever a pool worker sorted
+/// while the permit holder mapped on.
+#[test]
+fn an_attempts_sort_and_merge_run_on_its_own_thread_inside_its_lease() {
+    let run = |lease: Option<SlotLease>| {
+        *PROBE.lock().unwrap() = ProbeLog::new();
+        let splits = (0..6u64)
+            .map(|t| InputSplit::new(format!("s{t}"), (0..600).map(|i| (t, i)).collect()))
+            .collect();
+        let cfg = JobConfig {
+            n_reducers: 2,
+            io_sort_bytes: 256,
+            slot_lease: lease,
+            ..quick_cfg()
+        };
+        let res = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096))
+            .run_job(cfg, &TracedMap, &TracedCount, &HashPartitioner, splits)
+            .expect("fault-free job");
+        assert!(res.counters.get(keys::MAP_SPILLS) >= 6 * 4, "every map must spill");
+        assert!(res.counters.get(keys::MAP_MERGE_SEGMENTS) >= 6 * 4, "and merge its spills");
+        let log = PROBE.lock().unwrap();
+        // (a) One attempt per task (no faults, no speculation), and every
+        // comparison of a task's keys came from the thread that mapped it.
+        assert_eq!(log.mapped.len(), 6, "{:?}", log.mapped);
+        assert_eq!(log.compared.len(), 6, "every task's output is compared: {:?}", log.compared);
+        for entry in &log.compared {
+            assert!(log.mapped.contains(entry), "task {} compared on {:?}", entry.0, entry.1);
+        }
+        log.peak_in_flight
+    };
+    assert!(run(None) >= 1);
+    // (b) Granted one slot of the engine's four, the job never has a
+    // second thread in user code.
+    let lease = SlotLease::new(1);
+    assert_eq!(run(Some(lease.clone())), 1);
+    assert_eq!(lease.peak_active(), 1);
 }

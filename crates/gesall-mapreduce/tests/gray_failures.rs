@@ -137,10 +137,13 @@ fn corrupted_replica_never_reaches_a_reducer() {
     // at write time. The primary is what reducers read first, so the
     // read path must detect the damage, quarantine the replica, serve
     // the fetch from the survivor, and repair — and the reduce output
-    // must equal the uncorrupted oracle byte for byte.
+    // must equal the uncorrupted oracle byte for byte. One compute node,
+    // so that holds wherever the scheduler puts the reducers: on three
+    // nodes a wave whose reducers all land beside the healthy secondary
+    // reads only that (read affinity) and detects nothing.
     let dfs = transit_dfs();
     let plan = FaultPlan::seeded(0x6E55).corrupt_block("map-00000", 0, 0);
-    let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096))
+    let engine = MapReduceEngine::new(one_compute_node())
         .with_shuffle_dfs(dfs.clone())
         .with_fault_plan(plan);
     let res = engine

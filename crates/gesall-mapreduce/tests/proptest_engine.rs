@@ -11,12 +11,11 @@ use gesall_mapreduce::shuffle::{
 };
 use gesall_mapreduce::{
     ClusterResources, Counters, HashPartitioner, InputSplit, JobConfig, MapContext,
-    MapReduceEngine, Mapper, Partitioner, ReduceContext, Reducer, SpillPool,
+    MapReduceEngine, Mapper, Partitioner, ReduceContext, Reducer,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Reference implementations the engine's kernels are pinned to. They
@@ -547,17 +546,15 @@ proptest! {
         records in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..400),
         n_partitions in 1usize..6,
         io_sort_bytes in 64usize..4096,
-        workers in 1usize..4,
     ) {
-        // Any emission stream, spill pattern and encoder count: the
-        // segments are the stable per-partition sort of what was emitted.
+        // Any emission stream and spill pattern: the segments are the
+        // stable per-partition sort of what was emitted.
         let p = HashPartitioner;
         let mut buf = SortSpillBuffer::new(
             io_sort_bytes,
             n_partitions,
             &p,
             Codec::Raw,
-            Arc::new(SpillPool::new(workers, 2)),
             Counters::new(),
         );
         for &(k, v) in &records {
@@ -587,7 +584,6 @@ proptest! {
             n_partitions,
             &p,
             Codec::Lz,
-            Arc::new(SpillPool::new(2, 2)),
             Counters::new(),
         );
         for (k, v) in keyed.iter().cloned() {

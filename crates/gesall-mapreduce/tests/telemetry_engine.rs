@@ -116,6 +116,50 @@ fn all_six_phases_are_timed() {
 }
 
 #[test]
+fn an_attempts_phases_partition_its_wall() {
+    // Every phase timer of an attempt runs on the attempt's own thread,
+    // nested inside its span, so the six of them can only sum to at most
+    // the span — an inequality between nested timers, whatever the
+    // machine is doing. A phase charged from a second thread that
+    // overlaps the body (the spill sort, once) overshoots it.
+    let recorder = Recorder::new();
+    let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096))
+        .with_recorder(recorder.clone());
+    let cfg = JobConfig {
+        n_reducers: 2,
+        io_sort_bytes: 256,
+        merge_factor: 2,
+        ..JobConfig::default()
+    };
+    engine
+        .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(4, 60))
+        .unwrap();
+    let metric = |a: &gesall_mapreduce::Span, key: &str| {
+        a.metrics.iter().find(|(k, _)| k == key).map_or(0, |(_, v)| *v)
+    };
+    let committed: Vec<_> = recorder
+        .spans_of_kind(SpanKind::TaskAttempt)
+        .into_iter()
+        .filter(|a| a.meta.iter().any(|(k, v)| k == "outcome" && v == "Succeeded"))
+        .collect();
+    assert_eq!(committed.len(), 4 + 2);
+    for a in &committed {
+        if a.name.starts_with("map-") {
+            assert!(metric(a, "map.spills") >= 4, "{}: too few spills to tell", a.name);
+        }
+        let phases: u64 = Phase::ALL.iter().map(|p| metric(a, p.counter_key())).sum();
+        // The span is stamped in f64 milliseconds: allow 1 µs for them.
+        let span_nanos = (a.end_ms - a.start_ms) * 1e6 + 1e3;
+        assert!(phases > 0, "{} carries no phase time", a.name);
+        assert!(
+            phases as f64 <= span_nanos,
+            "{}: phases sum to {phases} ns in a span of {span_nanos:.0} ns",
+            a.name
+        );
+    }
+}
+
+#[test]
 fn shuffle_matrix_covers_every_map_reduce_pair_once() {
     let recorder = Recorder::new();
     let engine = MapReduceEngine::local(2).with_recorder(recorder.clone());

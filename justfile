@@ -39,8 +39,7 @@ deflake N="25":
     set -euo pipefail
     for i in $(seq {{N}}); do
         scripts/test-some.sh --offline -q -p gesall-mapreduce --test gray_failures
-        scripts/test-some.sh --offline -q -p gesall-mapreduce --lib runtime::tests::locality_preference_honored_when_slots_free -- --exact
-        scripts/test-some.sh --offline -q -p gesall-mapreduce --lib shuffle::tests::spill_pool_output_equals_straight_line_reference -- --exact
+        scripts/test-some.sh --offline -q -p gesall-mapreduce --lib wave::tests::locality_preference_honored_when_slots_free -- --exact
         scripts/test-some.sh --offline -q -p gesall-mapreduce --test fault_tolerance a_tasks_output_is_what_its_committed_attempts_writer_finished_with -- --exact
         scripts/test-some.sh --offline -q -p gesall-core --lib pipeline::tests::faulted_reduce_attempts_commit_one_writers_bytes_per_partition -- --exact
     done
@@ -61,10 +60,11 @@ lint:
 fmt:
     cargo fmt --all
 
-# Non-test Rust lines per crate and the public field count of every
-# `*Config` struct — the numbers a simplification PR quotes before/after.
-# A file counts up to its first `#[cfg(test)]`; tests/ and examples/
-# directories are not counted.
+# Non-test Rust lines per crate, the ten largest files under
+# crates/*/src (ROADMAP's "files left to split" list is read off it) and
+# the public field count of every `*Config` struct — the numbers a
+# simplification PR quotes before/after. A file counts up to its first
+# `#[cfg(test)]`; tests/ and examples/ directories are not counted.
 loc:
     #!/usr/bin/env bash
     set -euo pipefail
@@ -78,6 +78,10 @@ loc:
         total=$((total + n))
     done
     printf '%-22s %8d\n\n' total "$total"
+    printf '%-46s %8s\n' 'largest files' 'src LoC'
+    find crates/*/src -name '*.rs' -print0 \
+        | xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n[FILENAME]++} END{for (f in n) print n[f], f}' \
+        | sort -rn | awk 'NR<=10{printf "%-46s %8d\n", $2, $1} END{print ""}'
     printf '%-22s %8s\n' 'config struct' 'pub fields'
     grep -rn --include='*.rs' -E '^pub struct [A-Za-z]*Config\b' crates src \
         | while IFS=: read -r file line decl; do
