@@ -150,50 +150,15 @@ pub fn read_frames_from_dfs(dfs: &Dfs, path: &str) -> Result<Vec<SharedBytes>> {
 }
 
 /// Read an arbitrary byte range of a DFS file, touching only the blocks
-/// that cover it — the primitive an indexed region query needs. A range
-/// inside a single block is served zero-copy as a slice of that block;
-/// ranges spanning blocks pay one counted concatenation.
+/// that cover it — the primitive an indexed region query needs, and
+/// [`Dfs::read_file_range_shared`] under the index's `u64` offsets. A
+/// hostile index can name any range: one the platform cannot address, or
+/// one past the file's end, is an error, not a panic.
 pub fn read_byte_range(dfs: &Dfs, path: &str, start: u64, len: u64) -> Result<SharedBytes> {
-    let info = dfs.stat(path)?;
-    // A hostile index can name any range, one that overflows included.
-    if start.checked_add(len).is_none_or(|end| end > info.len as u64) {
-        return Err(PlatformError::Invariant(format!(
-            "byte range {start}+{len} exceeds file length {}",
-            info.len
-        )));
-    }
-    let mut pieces: Vec<(SharedBytes, usize, usize)> = Vec::new();
-    let mut block_start = 0u64;
-    for b in &info.blocks {
-        let block_end = block_start + b.len as u64;
-        if block_end > start && block_start < start + len {
-            let bytes = dfs.read_block(b)?;
-            let lo = start.saturating_sub(block_start) as usize;
-            let hi = ((start + len - block_start) as usize).min(b.len);
-            pieces.push((bytes, lo, hi));
-        }
-        block_start = block_end;
-        if block_start >= start + len {
-            break;
-        }
-    }
-    match pieces.len() {
-        0 => Ok(SharedBytes::new()),
-        1 => {
-            let (bytes, lo, hi) = pieces.pop().unwrap();
-            Ok(bytes.slice(lo..hi))
-        }
-        _ => {
-            let mut out = Vec::with_capacity(len as usize);
-            for (bytes, lo, hi) in &pieces {
-                out.extend_from_slice(&bytes[*lo..*hi]);
-            }
-            dfs.metrics()
-                .counter(gesall_dfs::metrics_keys::BYTES_COPIED)
-                .add(out.len() as u64);
-            Ok(SharedBytes::from_vec(out))
-        }
-    }
+    let (Ok(offset), Ok(len)) = (usize::try_from(start), usize::try_from(len)) else {
+        return Err(PlatformError::Invariant(format!("byte range {start}+{len} is not addressable")));
+    };
+    Ok(dfs.read_file_range_shared(path, offset, len)?)
 }
 
 /// Upload a *sorted, indexed* BAM partition (the Round-4 output format):

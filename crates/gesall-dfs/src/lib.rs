@@ -17,8 +17,15 @@
 //!    partition is readable locally by a wrapped single-node program.
 
 pub mod checksum;
+mod faults;
 pub mod fs;
+mod namespace;
 pub mod placement;
+mod read;
+mod recovery;
+mod retention;
+mod store;
+mod types;
 
 pub use fs::{
     metrics_keys, BlockBacking, BlockInfo, Dfs, DfsConfig, DfsError, FailureReport, FileInfo,

@@ -1,0 +1,569 @@
+//! The client read path: resolve a block's live replicas, prefer the
+//! reader's own node, hedge a slow primary, verify what is served, retry
+//! what is transient under a deadline — and the one block walk behind
+//! every whole-file and range read. The namespace lock is held only to
+//! snapshot a replica list; recovery (`recovery.rs`) is called into
+//! when a replica fails verification.
+
+use crate::checksum::xxh64;
+use crate::fs::Dfs;
+use crate::types::{metrics_keys, BlockInfo, DfsError, FileInfo, RangeRead, ReadAffinity};
+use gesall_formats::SharedBytes;
+use std::time::{Duration, Instant};
+
+impl Dfs {
+    /// Read one block from any live replica. Zero-copy: the returned
+    /// handle is a window onto the stored block itself (the writer's
+    /// backing, or the block file's mapping when persisted).
+    ///
+    /// Every replica payload is verified against the block's checksum;
+    /// a mismatch quarantines that replica, repairs it from a verified
+    /// survivor, and falls through to the next replica — a corrupt
+    /// replica never reaches the caller. Transient failures are retried
+    /// up to [`DfsConfig::read_retries`] times with seeded-jitter
+    /// exponential backoff under a per-op deadline, and a slow primary
+    /// replica is hedged against an alternate (see
+    /// [`DfsConfig::hedge_after_micros`]).
+    pub fn read_block(&self, block: &BlockInfo) -> Result<SharedBytes, DfsError> {
+        self.read_block_at(block, ReadAffinity::NONE)
+            .map(|(bytes, _)| bytes)
+    }
+
+    /// [`Dfs::read_block`] with a replica-placement preference: when the
+    /// affinity node holds a live replica it is tried first, so a
+    /// reader co-located with a replica is served without crossing the
+    /// network. Affinity only *reorders* replica preference — every
+    /// fallback (hedging a slow preferred node, quarantine, retry,
+    /// repair) behaves exactly as without it. Also returns the node
+    /// that actually served the bytes, so callers can account local
+    /// versus remote traffic.
+    pub fn read_block_at(
+        &self,
+        block: &BlockInfo,
+        affinity: ReadAffinity,
+    ) -> Result<(SharedBytes, usize), DfsError> {
+        let cfg = &self.inner.config;
+        let start = Instant::now();
+        let deadline = Duration::from_millis(cfg.read_deadline_ms.max(1));
+        let mut attempt = 0usize;
+        loop {
+            match self.read_block_once(block, affinity) {
+                Ok((bytes, node)) => {
+                    self.count(metrics_keys::BLOCKS_READ, 1);
+                    self.count(metrics_keys::BYTES_READ, bytes.len() as u64);
+                    return Ok((bytes, node));
+                }
+                Err(e) if e.is_retryable() && attempt < cfg.read_retries => {
+                    attempt += 1;
+                    self.count(metrics_keys::READS_RETRIED, 1);
+                    let pause =
+                        backoff_with_jitter(cfg.retry_backoff_ms, attempt, cfg.seed, block.id);
+                    if start.elapsed() + pause >= deadline {
+                        return Err(DfsError::Timeout(format!(
+                            "block {}: {} ms deadline exhausted after {attempt} retries ({e})",
+                            block.id, cfg.read_deadline_ms
+                        )));
+                    }
+                    std::thread::sleep(pause);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// One pass over the block's live replicas: prefer the affinity
+    /// node's replica when it exists, hedge the first-choice replica
+    /// when its node looks slow, verify whatever payload is served, and
+    /// classify the failure if nothing verifies. On success also
+    /// returns the node that served the payload.
+    fn read_block_once(
+        &self,
+        block: &BlockInfo,
+        affinity: ReadAffinity,
+    ) -> Result<(SharedBytes, usize), DfsError> {
+        let mut nodes = self.live_replica_nodes(block);
+        // Affinity is a preference, not a pin: rotate the co-located
+        // replica to the front (keeping the rest in placement order for
+        // fallback) and leave every other defence untouched — a slow
+        // co-located replica still gets hedged against the alternate,
+        // and a quarantined one simply isn't in the live list.
+        if let Some(want) = affinity.0 {
+            if let Some(i) = nodes.iter().position(|&n| n == want) {
+                nodes[..=i].rotate_right(1);
+            }
+        }
+        // Of the replicas that fail, the block reports the failure most
+        // worth acting on: a transient one may clear on retry even if
+        // another replica was corrupt (that one is already quarantined);
+        // a missing replica says nothing.
+        let rank = |e: &DfsError| match e {
+            DfsError::Io(_) => 2,
+            DfsError::Corrupt(_) => 1,
+            _ => 0,
+        };
+        let mut outcome = Err(DfsError::BlockMissing(block.id));
+        let mut rest = &nodes[..];
+        if nodes.len() > 1 && self.node_suspect_slow(nodes[0]) {
+            outcome = self.hedged_read(block, nodes[0], nodes[1]);
+            rest = &nodes[2..];
+        }
+        for &n in rest {
+            let Err(worst) = outcome else { break };
+            let read = self.read_replica(n, block).map(|bytes| (bytes, n));
+            outcome = read.map_err(|e| if rank(&e) >= rank(&worst) { e } else { worst });
+        }
+        outcome
+    }
+
+    /// The block's replica homes per current metadata (the caller's
+    /// `BlockInfo` may predate a quarantine or repair), minus dead
+    /// nodes. Falls back to the caller's snapshot for deleted files.
+    fn live_replica_nodes(&self, block: &BlockInfo) -> Vec<usize> {
+        let ns = self.inner.ns.read();
+        let nodes = ns.block(block.id).map_or(&block.nodes, |b| &b.nodes);
+        nodes.iter().copied().filter(|n| !ns.dead().contains(n)).collect()
+    }
+
+    /// Does `node`'s read-latency history (p90) exceed the hedge budget?
+    fn node_suspect_slow(&self, node: usize) -> bool {
+        let h = &self.inner.read_lat[node];
+        h.count() > 0 && h.quantile(0.9).unwrap_or(0) > self.inner.config.hedge_after_micros
+    }
+
+    /// Race the suspected-slow `primary` replica against `alt`:
+    /// the primary runs on a helper thread; if it hasn't answered
+    /// within the hedge budget, read the alternate inline and take
+    /// whichever verifies first.
+    fn hedged_read(
+        &self,
+        block: &BlockInfo,
+        primary: usize,
+        alt: usize,
+    ) -> Result<(SharedBytes, usize), DfsError> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dfs = self.clone();
+        let blk = block.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(dfs.read_replica(primary, &blk));
+        });
+        let budget = Duration::from_micros(self.inner.config.hedge_after_micros.max(1));
+        if let Ok(outcome) = rx.recv_timeout(budget) {
+            return outcome.map(|bytes| (bytes, primary));
+        }
+        self.count(metrics_keys::READS_HEDGED, 1);
+        let alt_outcome = self.read_replica(alt, block);
+        if alt_outcome.is_ok() {
+            self.count(metrics_keys::READS_HEDGE_WINS, 1);
+            return alt_outcome.map(|bytes| (bytes, alt));
+        }
+        // Alternate lost too: fall back to whatever the primary
+        // eventually produces (its thread always terminates).
+        rx.recv().unwrap_or(alt_outcome).map(|bytes| (bytes, primary))
+    }
+
+    /// Serve one replica from `node`, applying injected gray failures,
+    /// recording service latency, and verifying the checksum. A
+    /// mismatch quarantines the replica and triggers targeted repair
+    /// before reporting [`DfsError::Corrupt`]; a node that doesn't hold
+    /// the block (wiped, or never stored) is [`DfsError::BlockMissing`];
+    /// [`DfsError::Io`] is transient, worth retrying elsewhere or later.
+    fn read_replica(&self, node: usize, block: &BlockInfo) -> Result<SharedBytes, DfsError> {
+        let start = Instant::now();
+        if let Some(ms) = self.inner.faults.slow_ms(node) {
+            std::thread::sleep(Duration::from_millis(ms));
+        }
+        if self.inner.faults.take_flaky_failure(node) {
+            // The failed read still cost its service time: a limping
+            // node that also flakes builds latency history from its
+            // first read, not once its flake budget is spent.
+            self.inner.read_lat[node].record(start.elapsed().as_micros() as u64);
+            return Err(DfsError::Io(format!(
+                "transient read failure on node {node} (block {})",
+                block.id
+            )));
+        }
+        let bytes = self.inner.store.get(node, block.id).ok_or(DfsError::BlockMissing(block.id))?;
+        let verified = xxh64(bytes.as_slice()) == block.checksum;
+        self.inner.read_lat[node].record(start.elapsed().as_micros() as u64);
+        if !verified {
+            self.quarantine_replica(node, block.id);
+            return Err(DfsError::Corrupt(block.id));
+        }
+        Ok(bytes)
+    }
+
+    /// Read a whole file as shared bytes. A file that fits in one block
+    /// is served zero-copy (the result shares the stored block's
+    /// backing); multi-block files pay one counted concatenation.
+    pub fn read_file_shared(&self, path: &str) -> Result<SharedBytes, DfsError> {
+        let info = self.stat(path)?;
+        self.read_span(&info, 0, info.len, ReadAffinity::NONE, metrics_keys::BYTES_COPIED)
+            .map(|r| r.bytes)
+    }
+
+    /// Read `len` bytes of a file starting at `offset`, as shared
+    /// bytes. A range that stays inside one block is served zero-copy —
+    /// a window onto the stored block (for DFS-transit shuffle fetches
+    /// this is the common case: one partition's frames out of a map
+    /// output file). Ranges spanning blocks pay one counted
+    /// concatenation of just the overlapped slices.
+    pub fn read_file_range_shared(
+        &self,
+        path: &str,
+        offset: usize,
+        len: usize,
+    ) -> Result<SharedBytes, DfsError> {
+        self.read_file_range_shared_at(path, offset, len, ReadAffinity::NONE)
+            .map(|r| r.bytes)
+    }
+
+    /// [`Dfs::read_file_range_shared`] with a [`ReadAffinity`] hint:
+    /// every block read in the range prefers the affinity node's
+    /// replica, and the returned [`RangeRead`] splits the bytes by
+    /// whether the serving replica was the affinity node (local) or any
+    /// other (remote) — the shuffle's locality accounting. Without an
+    /// affinity node everything counts as remote.
+    pub fn read_file_range_shared_at(
+        &self,
+        path: &str,
+        offset: usize,
+        len: usize,
+        affinity: ReadAffinity,
+    ) -> Result<RangeRead, DfsError> {
+        let info = self.stat(path)?;
+        let end = offset
+            .checked_add(len)
+            .filter(|&e| e <= info.len)
+            .ok_or_else(|| {
+                DfsError::BadRange(format!(
+                    "range {offset}+{len} beyond {path} (len {})",
+                    info.len
+                ))
+            })?;
+        self.read_span(&info, offset, end, affinity, metrics_keys::BYTES_COPIED_RANGE)
+    }
+
+    /// Bytes `offset..end` of a file (in bounds — the callers checked):
+    /// read only the blocks the span overlaps. A span inside one block
+    /// is a window onto it; a longer one is concatenated once and the
+    /// copy charged to `copied_key`.
+    fn read_span(
+        &self,
+        info: &FileInfo,
+        offset: usize,
+        end: usize,
+        affinity: ReadAffinity,
+        copied_key: &str,
+    ) -> Result<RangeRead, DfsError> {
+        let mut read = RangeRead { bytes: SharedBytes::new(), local_bytes: 0, remote_bytes: 0 };
+        if offset == end {
+            return Ok(read);
+        }
+        // Which slice of each block does the span overlap?
+        let mut parts: Vec<(&BlockInfo, usize, usize)> = Vec::new();
+        let mut block_start = 0usize;
+        for b in &info.blocks {
+            if block_start >= end {
+                break;
+            }
+            let block_end = block_start + b.len;
+            if block_end > offset {
+                parts.push((b, offset.max(block_start) - block_start, end.min(block_end) - block_start));
+            }
+            block_start = block_end;
+        }
+        // A block is copied right after its read verified it, while the
+        // cache still holds it.
+        let mut stitched = Vec::with_capacity(if parts.len() > 1 { end - offset } else { 0 });
+        for &(b, lo, hi) in &parts {
+            let (block, served) = self.read_block_at(b, affinity)?;
+            if affinity.0 == Some(served) {
+                read.local_bytes += (hi - lo) as u64;
+            } else {
+                read.remote_bytes += (hi - lo) as u64;
+            }
+            if parts.len() > 1 {
+                stitched.extend_from_slice(&block[lo..hi]);
+            } else {
+                read.bytes = if hi - lo == block.len() { block } else { block.slice(lo..hi) };
+            }
+        }
+        if parts.len() > 1 {
+            debug_assert_eq!(stitched.len(), end - offset);
+            self.count(copied_key, stitched.len() as u64);
+            read.bytes = SharedBytes::from_vec(stitched);
+        }
+        Ok(read)
+    }
+}
+
+/// Exponential backoff with deterministic ±50% jitter: attempt `k`
+/// sleeps `base * 2^(k-1) * [0.5, 1.0)` milliseconds, where the jitter
+/// fraction is a pure hash of `(seed, nonce, attempt)` so fault runs
+/// replay identically.
+fn backoff_with_jitter(base_ms: u64, attempt: usize, seed: u64, nonce: u64) -> Duration {
+    let exp = base_ms.max(1).saturating_mul(1 << (attempt - 1).min(6)) as f64;
+    let mut z = seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(nonce.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+        .wrapping_add((attempt as u64).wrapping_mul(0x2545_F491_4F6C_DD1D));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    let jitter = (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    Duration::from_micros((exp * (0.5 + 0.5 * jitter) * 1000.0) as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::fs::testutil::*;
+    use crate::fs::*;
+
+    #[test]
+    fn single_block_shared_read_is_zero_copy() {
+        let dfs = small_dfs();
+        dfs.write_file("/one", &payload(800)).unwrap();
+        let after_write = dfs.metrics().counter(metrics_keys::BYTES_COPIED).get();
+        let block0 = dfs.read_block(&dfs.stat("/one").unwrap().blocks[0]).unwrap();
+        let got = dfs.read_file_shared("/one").unwrap();
+        assert_eq!(got, payload(800));
+        assert!(got.same_backing(&block0), "single-block read must not copy");
+        assert_eq!(
+            dfs.metrics().counter(metrics_keys::BYTES_COPIED).get(),
+            after_write
+        );
+        // Multi-block files still concatenate (and count the copy).
+        dfs.write_file("/many", &payload(3000)).unwrap();
+        assert_eq!(dfs.read_file_shared("/many").unwrap(), payload(3000));
+    }
+
+    #[test]
+    fn range_read_single_block_is_zero_copy() {
+        let dfs = small_dfs();
+        let data = payload(3000); // 3 × 1 KiB blocks
+        dfs.write_file("/r", &data).unwrap();
+        // Entirely inside block 1.
+        let got = dfs.read_file_range_shared("/r", 1024 + 100, 300).unwrap();
+        assert_eq!(got.as_slice(), &data[1124..1424]);
+        let block1 = dfs.read_block(&dfs.stat("/r").unwrap().blocks[1]).unwrap();
+        assert!(got.same_backing(&block1), "in-block range must not copy");
+        // Exactly one whole block.
+        let whole = dfs.read_file_range_shared("/r", 1024, 1024).unwrap();
+        assert!(whole.same_backing(&block1));
+        assert_eq!(whole.len(), 1024);
+        // Empty range.
+        assert!(dfs.read_file_range_shared("/r", 500, 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn range_read_spanning_blocks_concatenates() {
+        let dfs = small_dfs();
+        let data = payload(3000);
+        dfs.write_file("/r", &data).unwrap();
+        let before = dfs
+            .metrics()
+            .counter(metrics_keys::BYTES_COPIED_RANGE)
+            .get();
+        let got = dfs.read_file_range_shared("/r", 900, 1500).unwrap();
+        assert_eq!(got.as_slice(), &data[900..2400]);
+        assert_eq!(
+            dfs.metrics()
+                .counter(metrics_keys::BYTES_COPIED_RANGE)
+                .get(),
+            before + 1500
+        );
+        // Out-of-bounds ranges error instead of truncating.
+        assert!(dfs.read_file_range_shared("/r", 2999, 2).is_err());
+        assert!(dfs.read_file_range_shared("/r", usize::MAX, 2).is_err());
+    }
+
+    #[test]
+    fn stale_block_info_still_reads_after_repair() {
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 4,
+            block_size: 1024,
+            replication: 2,
+            ..DfsConfig::default()
+        });
+        let data = payload(800);
+        let info = write_pinned(&dfs, "/s", &data, 0);
+        let stale = info.blocks[0].clone();
+        dfs.corrupt_block("/s", 0, 0).unwrap();
+        dfs.read_file_shared("/s").unwrap(); // detect + repair; homes moved
+        // A reader holding pre-repair metadata must still be served —
+        // the read path re-resolves replica homes through the locator.
+        assert_eq!(dfs.read_block(&stale).unwrap().as_slice(), &data[..]);
+    }
+
+    #[test]
+    fn flaky_reads_are_retried_with_backoff() {
+        let dfs = small_dfs();
+        let data = payload(700); // 1 block on one node
+        let info = dfs.write_file("/f", &data).unwrap();
+        let home = info.blocks[0].nodes[0];
+        dfs.inject_flaky_reads(home, 2);
+        assert_eq!(dfs.read_file_shared("/f").unwrap(), data);
+        assert_eq!(dfs.metrics().counter(metrics_keys::READS_RETRIED).get(), 2);
+        // Once the injected failures are consumed, reads are clean.
+        assert_eq!(dfs.read_file_shared("/f").unwrap(), data);
+        assert_eq!(dfs.metrics().counter(metrics_keys::READS_RETRIED).get(), 2);
+    }
+
+    #[test]
+    fn retries_exhausted_is_retryable_deadline_is_timeout() {
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 1,
+            block_size: 1024,
+            replication: 1,
+            read_retries: 2,
+            ..DfsConfig::default()
+        });
+        let info = dfs.write_file("/f", &payload(100)).unwrap();
+        dfs.inject_flaky_reads(0, 100);
+        let err = dfs.read_block(&info.blocks[0]).unwrap_err();
+        assert!(matches!(err, DfsError::Io(_)), "got {err}");
+        assert!(err.is_retryable());
+        // A deadline shorter than the first backoff pause times out.
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 1,
+            block_size: 1024,
+            replication: 1,
+            retry_backoff_ms: 50,
+            read_deadline_ms: 1,
+            ..DfsConfig::default()
+        });
+        let info = dfs.write_file("/f", &payload(100)).unwrap();
+        dfs.inject_flaky_reads(0, 100);
+        let err = dfs.read_block(&info.blocks[0]).unwrap_err();
+        assert!(matches!(err, DfsError::Timeout(_)), "got {err}");
+        assert!(err.is_retryable());
+    }
+
+    #[test]
+    fn slow_node_triggers_hedged_reads() {
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 2,
+            block_size: 1024,
+            replication: 2,
+            hedge_after_micros: 2_000,
+            ..DfsConfig::default()
+        });
+        let data = payload(900);
+        let info = write_pinned(&dfs, "/h", &data, 0);
+        dfs.inject_slow_node(0, 20);
+        // First read is just slow — it seeds node 0's latency history.
+        assert_eq!(dfs.read_file_shared("/h").unwrap(), data);
+        assert_eq!(dfs.metrics().counter(metrics_keys::READS_HEDGED).get(), 0);
+        // Subsequent reads see a suspect primary and hedge to node 1,
+        // which answers within the budget and wins.
+        for _ in 0..3 {
+            assert_eq!(dfs.read_file_shared("/h").unwrap(), data);
+        }
+        let hedged = dfs.metrics().counter(metrics_keys::READS_HEDGED).get();
+        let wins = dfs.metrics().counter(metrics_keys::READS_HEDGE_WINS).get();
+        assert_eq!(hedged, 3);
+        assert_eq!(wins, 3, "fast replica must win every race");
+        assert_eq!(dfs.read_block(&info.blocks[0]).unwrap().as_slice(), &data[..]);
+    }
+
+    #[test]
+    fn read_affinity_prefers_co_located_replica() {
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 3,
+            block_size: 1024,
+            replication: 2,
+            ..DfsConfig::default()
+        });
+        let data = payload(800);
+        let info = write_pinned(&dfs, "/aff", &data, 0);
+        let homes = info.blocks[0].nodes.clone();
+        assert_eq!(homes.len(), 2);
+        // Affinity on either replica home: all bytes served locally.
+        for &n in &homes {
+            let r = dfs
+                .read_file_range_shared_at("/aff", 0, 800, ReadAffinity::node(n))
+                .unwrap();
+            assert_eq!(r.bytes.as_slice(), &data[..]);
+            assert_eq!((r.local_bytes, r.remote_bytes), (800, 0), "node {n}");
+        }
+        // Affinity on the replica-less node, or no affinity at all:
+        // same bytes, all remote.
+        let stranger = (0..3).find(|n| !homes.contains(n)).unwrap();
+        for aff in [ReadAffinity::node(stranger), ReadAffinity::NONE] {
+            let r = dfs
+                .read_file_range_shared_at("/aff", 0, 800, aff)
+                .unwrap();
+            assert_eq!(r.bytes.as_slice(), &data[..]);
+            assert_eq!((r.local_bytes, r.remote_bytes), (0, 800));
+        }
+    }
+
+    #[test]
+    fn read_affinity_falls_back_when_local_replica_quarantined() {
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 3,
+            block_size: 1024,
+            replication: 2,
+            ..DfsConfig::default()
+        });
+        let data = payload(700);
+        let info = write_pinned(&dfs, "/q", &data, 0);
+        let homes = info.blocks[0].nodes.clone();
+        // Corrupt the replica on the reader's own node: the read must
+        // detect it, quarantine, and serve the survivor — correct bytes,
+        // counted remote because the co-located copy was unusable.
+        dfs.corrupt_block("/q", 0, 0).unwrap();
+        let r = dfs
+            .read_file_range_shared_at("/q", 0, 700, ReadAffinity::node(homes[0]))
+            .unwrap();
+        assert_eq!(r.bytes.as_slice(), &data[..]);
+        assert_eq!((r.local_bytes, r.remote_bytes), (0, 700));
+        assert_eq!(
+            dfs.metrics()
+                .counter(metrics_keys::BLOCKS_CORRUPT_DETECTED)
+                .get(),
+            1
+        );
+    }
+
+    #[test]
+    fn read_affinity_does_not_defeat_hedged_reads() {
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 2,
+            block_size: 1024,
+            replication: 2,
+            hedge_after_micros: 2_000,
+            ..DfsConfig::default()
+        });
+        let data = payload(900);
+        write_pinned(&dfs, "/ha", &data, 0);
+        dfs.inject_slow_node(0, 20);
+        // Seed node 0's latency history (affinity pointed straight at
+        // the slow node, so this read is served slowly by it).
+        let r = dfs
+            .read_file_range_shared_at("/ha", 0, 900, ReadAffinity::node(0))
+            .unwrap();
+        assert_eq!(r.bytes.as_slice(), &data[..]);
+        assert_eq!(dfs.metrics().counter(metrics_keys::READS_HEDGED).get(), 0);
+        // Now node 0 is suspect: even though affinity prefers it, the
+        // read must hedge to node 1, which wins — affinity reorders
+        // preference, it never disables the slow-node defence.
+        for _ in 0..3 {
+            let r = dfs
+                .read_file_range_shared_at("/ha", 0, 900, ReadAffinity::node(0))
+                .unwrap();
+            assert_eq!(r.bytes.as_slice(), &data[..]);
+            assert_eq!(
+                (r.local_bytes, r.remote_bytes),
+                (0, 900),
+                "hedge winner is the remote replica"
+            );
+        }
+        assert_eq!(dfs.metrics().counter(metrics_keys::READS_HEDGED).get(), 3);
+        assert_eq!(
+            dfs.metrics().counter(metrics_keys::READS_HEDGE_WINS).get(),
+            3,
+            "fast replica must win every race"
+        );
+    }
+}

@@ -1,0 +1,334 @@
+//! Retention: pins, deletion, the sweeps that retire a namespace prefix,
+//! and the content-addressed store built on write-once paths.
+
+use crate::fs::Dfs;
+use crate::types::{metrics_keys, DfsError, SweepReason, SweepReport};
+use gesall_formats::SharedBytes;
+
+impl Dfs {
+    /// Pin a file: while its refcount is nonzero, [`Dfs::delete`]
+    /// refuses with [`DfsError::Pinned`] and retention sweeps skip it.
+    /// Pins nest — each `pin` needs a matching [`Dfs::unpin`].
+    pub fn pin(&self, path: &str) -> Result<(), DfsError> {
+        self.inner.ns.write().pin(path)
+    }
+
+    /// Release one pin on `path`. Releasing a path with no live pin is
+    /// a no-op (pin holders may race a namespace teardown).
+    pub fn unpin(&self, path: &str) {
+        self.inner.ns.write().unpin(path)
+    }
+
+    /// Current pin refcount of `path` (0 when unpinned or unknown).
+    pub fn pin_count(&self, path: &str) -> u64 {
+        self.inner.ns.read().pin_count(path)
+    }
+
+    /// Are any paths under `prefix` currently pinned?
+    pub fn any_pinned(&self, prefix: &str) -> bool {
+        self.inner.ns.read().any_pinned(prefix)
+    }
+
+    /// Delete a file and free its replicas. Refuses with
+    /// [`DfsError::Pinned`] while the path holds a live pin — checked
+    /// under the lock that removes the file, so a `pin` that returned
+    /// `Ok` keeps its file until the matching `unpin`.
+    pub fn delete(&self, path: &str) -> Result<(), DfsError> {
+        let info = self.inner.ns.write().remove_file(path)?;
+        self.inner.store.free(&info.blocks);
+        Ok(())
+    }
+
+    /// Remove stale shuffle-transit files (`…/shuffle-<run>/…`) left
+    /// behind by a crashed prior process. The engine deletes its transit
+    /// prefix when a job completes, so anything still matching at
+    /// platform startup is an orphan. Returns the number of files swept
+    /// (counted under [`metrics_keys::ORPHANS_SWEPT`]).
+    pub fn sweep_orphans(&self) -> usize {
+        let stale: Vec<String> = self
+            .list("")
+            .into_iter()
+            .filter(|p| is_shuffle_transit_path(p))
+            .collect();
+        let swept = self.delete_all(&stale).swept;
+        self.count(metrics_keys::ORPHANS_SWEPT, swept as u64);
+        swept
+    }
+
+    /// Live retention sweep: delete every file under `prefix`, charging
+    /// the count to `reason`'s counter. Unlike the startup-only
+    /// [`Dfs::sweep_orphans`], this is the runtime half of the retention
+    /// policy — the engine calls it with [`SweepReason::Completed`] when
+    /// a job's shuffle transit is consumed, and the job service calls it
+    /// with [`SweepReason::Cancelled`] / [`SweepReason::Ttl`] when a
+    /// tenant's job namespace is retired. Pinned files are skipped, not
+    /// failed: the report says how many files were removed and how many
+    /// a live pin protected (also counted under
+    /// [`metrics_keys::RETENTION_PIN_SKIPS`]), so a retirement loop can
+    /// tell "namespace empty" from "namespace still referenced".
+    pub fn sweep_prefix(&self, prefix: &str, reason: SweepReason) -> SweepReport {
+        let report = self.delete_all(&self.list(prefix));
+        self.count(reason.counter_key(), report.swept as u64);
+        report
+    }
+
+    fn delete_all(&self, paths: &[String]) -> SweepReport {
+        let mut report = SweepReport::default();
+        for p in paths {
+            match self.delete(p) {
+                Ok(()) => report.swept += 1,
+                Err(DfsError::Pinned(_)) => report.pinned_skipped += 1,
+                Err(_) => {}
+            }
+        }
+        self.count(metrics_keys::RETENTION_PIN_SKIPS, report.pinned_skipped as u64);
+        report
+    }
+
+    /// All paths with the given prefix, sorted.
+    pub fn list(&self, prefix: &str) -> Vec<String> {
+        self.inner.ns.read().paths(prefix)
+    }
+
+    /// The canonical path of a content-addressed entry: `{root}/cas/{key}`
+    /// with the key rendered as fixed-width hex, so `list("{root}/cas/")`
+    /// enumerates a tenant's whole cache in key order.
+    pub fn cas_path(root: &str, key: u64) -> String {
+        format!("{root}/cas/{key:016x}")
+    }
+
+    /// Store `data` under content key `key` in `root`'s cache. Naturally
+    /// idempotent: the path is derived from the content key, so an
+    /// already-present entry means an identical payload was committed by
+    /// an earlier (or racing) writer and the put degrades to a hit — a
+    /// write commits its metadata last and insert-if-absent, so a
+    /// visible entry is always complete and a racing put stores nothing
+    /// over it. Returns the entry's path.
+    pub fn cas_put(&self, root: &str, key: u64, data: SharedBytes) -> Result<String, DfsError> {
+        let path = Dfs::cas_path(root, key);
+        match self.write_file_shared(&path, data) {
+            Ok(_) => self.count(metrics_keys::CAS_PUTS, 1),
+            Err(DfsError::FileExists(_)) => self.count(metrics_keys::CAS_HITS, 1),
+            Err(e) => return Err(e),
+        }
+        Ok(path)
+    }
+
+    /// Fetch the entry for `key` in `root`'s cache, or `None` when the
+    /// key was never committed. Hits and misses are counted under
+    /// [`metrics_keys::CAS_HITS`] / [`metrics_keys::CAS_MISSES`].
+    pub fn cas_get(&self, root: &str, key: u64) -> Result<Option<SharedBytes>, DfsError> {
+        let path = Dfs::cas_path(root, key);
+        if !self.exists(&path) {
+            self.count(metrics_keys::CAS_MISSES, 1);
+            return Ok(None);
+        }
+        self.count(metrics_keys::CAS_HITS, 1);
+        self.read_file_shared(&path).map(Some)
+    }
+}
+
+/// Does any path segment look like an engine shuffle-transit run
+/// directory (`shuffle-<digits>`)?
+fn is_shuffle_transit_path(path: &str) -> bool {
+    path.split('/').any(|seg| {
+        seg.strip_prefix("shuffle-")
+            .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::fs::testutil::*;
+    use crate::fs::*;
+    use gesall_formats::SharedBytes;
+
+    #[test]
+    fn delete_frees_replicas() {
+        let dfs = small_dfs();
+        dfs.write_file("/a", &payload(5000)).unwrap();
+        assert!(dfs.node_stats().iter().any(|s| s.blocks > 0));
+        dfs.delete("/a").unwrap();
+        assert!(dfs.node_stats().iter().all(|s| s.blocks == 0));
+        assert!(!dfs.exists("/a"));
+    }
+
+    #[test]
+    fn delete_unlinks_persisted_blocks() {
+        let (dfs, dir) = persisted_dfs("delete", 2);
+        dfs.write_file("/p", &payload(2048)).unwrap();
+        assert_eq!(blk_files(&dir), 4); // 2 blocks × 2 replicas
+        dfs.delete("/p").unwrap();
+        assert_eq!(blk_files(&dir), 0, "delete must unlink block files");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn list_by_prefix() {
+        let dfs = small_dfs();
+        dfs.write_file("/job/part-0", &payload(1)).unwrap();
+        dfs.write_file("/job/part-1", &payload(1)).unwrap();
+        dfs.write_file("/other", &payload(1)).unwrap();
+        assert_eq!(
+            dfs.list("/job/"),
+            vec!["/job/part-0".to_string(), "/job/part-1".to_string()]
+        );
+        assert_eq!(dfs.list("").len(), 3);
+    }
+
+    #[test]
+    fn sweep_orphans_removes_only_shuffle_transit_files() {
+        let dfs = small_dfs();
+        dfs.write_file("/job/shuffle-3/map-00000.segs", &payload(10)).unwrap();
+        dfs.write_file("/job/shuffle-3/map-00001.segs", &payload(10)).unwrap();
+        dfs.write_file("/job/part-00000", &payload(10)).unwrap();
+        dfs.write_file("/job/shuffle-log", &payload(10)).unwrap(); // not digits
+        assert_eq!(dfs.sweep_orphans(), 2);
+        assert_eq!(
+            dfs.list("/job/"),
+            vec!["/job/part-00000".to_string(), "/job/shuffle-log".to_string()]
+        );
+        assert_eq!(dfs.metrics().counter(metrics_keys::ORPHANS_SWEPT).get(), 2);
+        // Idempotent.
+        assert_eq!(dfs.sweep_orphans(), 0);
+    }
+
+    #[test]
+    fn pinned_file_refuses_delete_until_unpinned() {
+        let dfs = small_dfs();
+        dfs.write_file("/t/cas/a", &payload(100)).unwrap();
+        dfs.pin("/t/cas/a").unwrap();
+        dfs.pin("/t/cas/a").unwrap();
+        assert_eq!(dfs.pin_count("/t/cas/a"), 2);
+        assert!(matches!(dfs.delete("/t/cas/a"), Err(DfsError::Pinned(_))));
+        dfs.unpin("/t/cas/a");
+        assert!(matches!(dfs.delete("/t/cas/a"), Err(DfsError::Pinned(_))));
+        dfs.unpin("/t/cas/a");
+        assert_eq!(dfs.pin_count("/t/cas/a"), 0);
+        dfs.delete("/t/cas/a").unwrap();
+        // Pinning a missing path is an error; unpinning one is a no-op.
+        assert!(matches!(dfs.pin("/t/cas/a"), Err(DfsError::FileNotFound(_))));
+        dfs.unpin("/t/cas/a");
+    }
+
+    #[test]
+    fn retention_sweep_skips_pinned_files_and_reports_them() {
+        let dfs = small_dfs();
+        dfs.write_file("/t/job/x", &payload(50)).unwrap();
+        dfs.write_file("/t/job/y", &payload(50)).unwrap();
+        dfs.write_file("/t/job/z", &payload(50)).unwrap();
+        dfs.pin("/t/job/y").unwrap();
+        let report = dfs.sweep_prefix("/t/job", SweepReason::Ttl);
+        assert_eq!(report, SweepReport { swept: 2, pinned_skipped: 1 });
+        assert!(dfs.exists("/t/job/y"), "pinned file must survive the sweep");
+        assert!(dfs.any_pinned("/t/job"));
+        assert_eq!(
+            dfs.metrics().counter(metrics_keys::RETENTION_PIN_SKIPS).get(),
+            1
+        );
+        assert_eq!(
+            dfs.metrics()
+                .counter(metrics_keys::RETENTION_SWEPT_TTL)
+                .get(),
+            2
+        );
+        dfs.unpin("/t/job/y");
+        assert!(!dfs.any_pinned("/t/job"));
+        let report = dfs.sweep_prefix("/t/job", SweepReason::Ttl);
+        assert_eq!(report, SweepReport { swept: 1, pinned_skipped: 0 });
+    }
+
+    #[test]
+    fn cas_put_is_idempotent_and_get_counts_hits() {
+        let dfs = small_dfs();
+        let key = 0xDEAD_BEEFu64;
+        let bytes = SharedBytes::copy_from_slice(&payload(300));
+        assert_eq!(dfs.cas_get("/t", key).unwrap(), None);
+        let path = dfs.cas_put("/t", key, bytes.clone()).unwrap();
+        assert_eq!(path, Dfs::cas_path("/t", key));
+        // A second put of the same key degrades to a hit, not an error.
+        let again = dfs.cas_put("/t", key, bytes.clone()).unwrap();
+        assert_eq!(again, path);
+        assert_eq!(
+            dfs.cas_get("/t", key).unwrap().unwrap().as_slice(),
+            bytes.as_slice()
+        );
+        let m = dfs.metrics();
+        assert_eq!(m.counter(metrics_keys::CAS_PUTS).get(), 1);
+        assert_eq!(m.counter(metrics_keys::CAS_MISSES).get(), 1);
+        assert_eq!(m.counter(metrics_keys::CAS_HITS).get(), 2);
+    }
+
+    #[test]
+    fn racing_cas_puts_of_one_key_store_it_once() {
+        const WRITERS: usize = 8;
+        const ROUNDS: u64 = 32;
+        let dfs = Dfs::new(DfsConfig { n_nodes: 4, block_size: 512, replication: 2, ..DfsConfig::default() });
+        let data = SharedBytes::from_vec(payload(64 * 1024));
+        for key in 0..ROUNDS {
+            let barrier = std::sync::Barrier::new(WRITERS);
+            std::thread::scope(|s| {
+                for _ in 0..WRITERS {
+                    s.spawn(|| {
+                        barrier.wait();
+                        assert_eq!(dfs.cas_put("/t", key, data.clone()).unwrap(), Dfs::cas_path("/t", key));
+                    });
+                }
+            });
+            assert_eq!(dfs.cas_get("/t", key).unwrap().unwrap(), data);
+        }
+        let m = dfs.metrics();
+        assert_eq!(m.counter(metrics_keys::CAS_PUTS).get(), ROUNDS);
+        // Every losing put is a hit, plus the one `cas_get` per key.
+        assert_eq!(m.counter(metrics_keys::CAS_HITS).get(), ROUNDS * (WRITERS as u64 - 1) + ROUNDS);
+        let stored: usize = dfs.node_stats().iter().map(|s| s.bytes).sum();
+        assert_eq!(stored, ROUNDS as usize * 64 * 1024 * 2);
+        dfs.check_namespace().unwrap();
+    }
+
+    #[test]
+    fn a_pin_that_returned_ok_keeps_its_file_until_unpin() {
+        // Each round races one `delete` against three threads that pin,
+        // read and unpin the file until it is gone. Whoever got `Ok`
+        // from `pin` must find the file there, whole, until it unpins.
+        // (A broken read is tallied, not asserted, so a failure cannot
+        // leave a pin behind and spin the deleter.)
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        const PINNERS: usize = 3;
+        const ROUNDS: usize = 200;
+        let dfs = small_dfs();
+        let data = payload(700);
+        let barrier = std::sync::Barrier::new(PINNERS + 1);
+        let (pinned, broken) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..PINNERS {
+                s.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        barrier.wait();
+                        while dfs.pin("/h/f").is_ok() {
+                            pinned.fetch_add(1, SeqCst);
+                            if dfs.read_file_shared("/h/f").map_or(true, |got| got != data) {
+                                broken.fetch_add(1, SeqCst);
+                            }
+                            dfs.unpin("/h/f");
+                            std::thread::yield_now();
+                        }
+                        barrier.wait();
+                    }
+                });
+            }
+            for _ in 0..ROUNDS {
+                dfs.write_file("/h/f", &data).unwrap();
+                barrier.wait();
+                while dfs.delete("/h/f") == Err(DfsError::Pinned("/h/f".into())) {
+                    std::thread::yield_now();
+                }
+                barrier.wait();
+            }
+        });
+        assert_eq!(broken.load(SeqCst), 0, "of {} pins that returned Ok", pinned.load(SeqCst));
+        assert!(!dfs.any_pinned("/") && !dfs.exists("/h/f"));
+        assert!(dfs.node_stats().iter().all(|s| s.blocks == 0));
+        dfs.check_namespace().unwrap();
+    }
+}

@@ -2,9 +2,20 @@
 //! size, placement policies keep their promises, and verify-on-read
 //! integrity holds under arbitrary corruption.
 
-use gesall_dfs::{metrics_keys, Dfs, DfsConfig, LogicalPartitionPlacement};
+use gesall_dfs::{metrics_keys, Dfs, DfsConfig, DfsError, LogicalPartitionPlacement, SweepReason};
 use gesall_formats::SharedBytes;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// A read serves the file's bytes or fails — and it may fail only on a
+/// file some block of which has no stored live replica left.
+fn check_read(dfs: &Dfs, path: &str, want: &[u8]) -> Result<(), TestCaseError> {
+    match dfs.read_file_shared(path) {
+        Ok(got) => prop_assert_eq!(got.as_slice(), want, "{}", path),
+        Err(e) => prop_assert!(!dfs.file_available_excluding(path, &[]), "{path} is whole, read said {e}"),
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -96,5 +107,108 @@ proptest! {
         // And the namespace is back at full replication.
         let info = dfs.stat("/f").unwrap();
         prop_assert!(info.blocks.iter().all(|b| b.nodes.len() == 2));
+    }
+
+    /// Whatever happens to a filesystem — writes (repeats included),
+    /// deletes, bit rot, silent wipes, declared node deaths, incremental
+    /// re-replication, retention sweeps, pins, reads that quarantine and
+    /// repair — the metadata stays consistent with itself after every
+    /// step, outcomes match a path → bytes model, and every file that
+    /// still has its blocks reads back byte-identical.
+    #[test]
+    fn namespace_invariants_hold_under_any_history(
+        ops in proptest::collection::vec((0u8..16, 0usize..1000, 0usize..1000), 1..80),
+        block_size in 64usize..512,
+        replication in 1usize..4,
+    ) {
+        const NODES: usize = 5;
+        let dfs = Dfs::new(DfsConfig { n_nodes: NODES, block_size, replication, ..DfsConfig::default() });
+        let mut files: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let mut pins: BTreeMap<String, u64> = BTreeMap::new();
+        let mut under_replicated: Vec<u64> = Vec::new();
+        for (step, &(kind, a, b)) in ops.iter().enumerate() {
+            let prefix = format!("/{}/", a % 2);
+            let path = format!("{prefix}f{}", a % 7);
+            match kind {
+                0..=4 => {
+                    let data: Vec<u8> = (0..b * 2).map(|i| (i * 7 + a) as u8).collect();
+                    let expect = if files.contains_key(&path) {
+                        Err(DfsError::FileExists(path.clone()))
+                    } else if dfs.dead_nodes().len() == NODES {
+                        Err(DfsError::NoLiveNodes)
+                    } else {
+                        Ok(data.len())
+                    };
+                    prop_assert_eq!(dfs.write_file(&path, &data).map(|info| info.len), expect.clone());
+                    if expect.is_ok() {
+                        files.insert(path, data);
+                    }
+                }
+                5 => {
+                    let deleted = dfs.delete(&path);
+                    if pins.contains_key(&path) {
+                        prop_assert_eq!(deleted, Err(DfsError::Pinned(path)));
+                    } else if files.remove(&path).is_some() {
+                        prop_assert_eq!(deleted, Ok(()));
+                    } else {
+                        prop_assert_eq!(deleted, Err(DfsError::FileNotFound(path)));
+                    }
+                }
+                6 | 7 => {
+                    // Bit rot on some replica of some block, if there is one.
+                    if let Ok(info) = dfs.stat(&path) {
+                        if let Some(blk) = info.blocks.get(b % info.blocks.len().max(1)) {
+                            let _ = dfs.corrupt_block(&path, b % info.blocks.len(), a % blk.nodes.len().max(1));
+                        }
+                    }
+                }
+                8 => dfs.kill_node(b % NODES),
+                9 => under_replicated.extend(dfs.fail_node(b % NODES).under_replicated),
+                10 => {
+                    // Ids of since-deleted files are among them: ignored.
+                    dfs.re_replicate_blocks(&under_replicated);
+                    under_replicated.clear();
+                }
+                11 => {
+                    let report = dfs.sweep_prefix(&prefix, SweepReason::Ttl);
+                    let under = |p: &&String| p.starts_with(&prefix);
+                    prop_assert_eq!(report.pinned_skipped, pins.keys().filter(under).count());
+                    let before = files.len();
+                    files.retain(|p, _| !p.starts_with(&prefix) || pins.contains_key(p));
+                    prop_assert_eq!(report.swept, before - files.len());
+                }
+                12..=14 => {
+                    if let Some(want) = files.get(&path) {
+                        check_read(&dfs, &path, want)?;
+                    } else {
+                        prop_assert_eq!(dfs.read_file_shared(&path).unwrap_err(), DfsError::FileNotFound(path));
+                    }
+                }
+                _ if b % 2 == 0 => {
+                    prop_assert_eq!(dfs.pin(&path).is_ok(), files.contains_key(&path));
+                    if files.contains_key(&path) {
+                        *pins.entry(path).or_insert(0) += 1;
+                    }
+                }
+                _ => {
+                    dfs.unpin(&path);
+                    if let Some(n) = pins.get_mut(&path) {
+                        *n -= 1;
+                        if *n == 0 {
+                            pins.remove(&path);
+                        }
+                    }
+                }
+            }
+            if let Err(broken) = dfs.check_namespace() {
+                prop_assert!(false, "after step {step} {:?}: {broken}", ops[step]);
+            }
+        }
+        prop_assert_eq!(dfs.list("/"), files.keys().cloned().collect::<Vec<_>>());
+        for (path, want) in &files {
+            prop_assert_eq!(dfs.pin_count(path), pins.get(path).copied().unwrap_or(0));
+            check_read(&dfs, path, want)?;
+        }
+        dfs.check_namespace().map_err(TestCaseError::fail)?;
     }
 }

@@ -88,9 +88,9 @@ impl SharedBytes {
         }
     }
 
-    /// Map a file read-only and window the whole mapping: with the
-    /// `mmap` feature on unix, the "read" is a page-table op and the
-    /// kernel pages bytes in on demand; elsewhere this transparently
+    /// Map a file read-only and window the whole mapping: on unix the
+    /// "read" is a page-table op and the kernel pages bytes in on
+    /// demand; elsewhere this transparently
     /// falls back to a single heap read. Slices and clones share the
     /// mapping like any other backing.
     pub fn map_file(path: &Path) -> io::Result<SharedBytes> {

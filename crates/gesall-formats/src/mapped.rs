@@ -1,22 +1,21 @@
 //! File-mapped byte regions — the backing store behind
 //! [`SharedBytes::map_file`](crate::bytes::SharedBytes::map_file).
 //!
-//! With the `mmap` feature on a unix target, [`MappedRegion::map`] maps
-//! the file read-only with `mmap(2)` (declared directly against libc —
-//! the workspace vendors no FFI crate), so "reading" a DFS block that
-//! lives on disk is a page-table operation: no heap allocation, no
-//! payload copy, and the kernel pages data in on demand. Everywhere
-//! else the same API reads the file into a heap buffer, so callers
-//! never branch on platform or feature.
+//! On a unix target [`MappedRegion::map`] maps the file read-only with
+//! `mmap(2)` (declared directly against libc — the workspace vendors no
+//! FFI crate), so "reading" a DFS block that lives on disk is a
+//! page-table operation: no heap allocation, no payload copy, and the
+//! kernel pages data in on demand. Everywhere else the same API reads
+//! the file into a heap buffer, so callers never branch on platform.
 
 use std::fs::File;
 use std::io::{self, Read};
 use std::path::Path;
 
-/// Real mapping support is compiled in on unix with the `mmap` feature.
-pub const MMAP_COMPILED: bool = cfg!(all(unix, feature = "mmap"));
+/// Real mapping support is compiled in on unix.
+pub const MMAP_COMPILED: bool = cfg!(unix);
 
-#[cfg(all(unix, feature = "mmap"))]
+#[cfg(unix)]
 mod sys {
     use std::ffi::c_void;
 
@@ -59,12 +58,12 @@ unsafe impl Send for MappedRegion {}
 unsafe impl Sync for MappedRegion {}
 
 impl MappedRegion {
-    /// Map `path` read-only. Empty files (and non-mmap builds) use the
+    /// Map `path` read-only. Empty files (and non-unix builds) use the
     /// heap fallback; [`MappedRegion::is_real_mmap`] tells them apart.
     pub fn map(path: &Path) -> io::Result<MappedRegion> {
         let mut file = File::open(path)?;
         let len = file.metadata()?.len() as usize;
-        #[cfg(all(unix, feature = "mmap"))]
+        #[cfg(unix)]
         if len > 0 {
             use std::os::unix::io::AsRawFd;
             let ptr = unsafe {
@@ -125,7 +124,7 @@ impl MappedRegion {
 
 impl Drop for MappedRegion {
     fn drop(&mut self) {
-        #[cfg(all(unix, feature = "mmap"))]
+        #[cfg(unix)]
         if self.heap.is_none() && self.len > 0 {
             unsafe {
                 sys::munmap(self.ptr as *mut std::ffi::c_void, self.len);

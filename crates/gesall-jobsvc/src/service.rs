@@ -1402,7 +1402,7 @@ mod tests {
         );
         assert!(
             dfs.metrics()
-                .counter(gesall_dfs::fs::metrics_keys::RETENTION_SWEPT_TTL)
+                .counter(gesall_dfs::metrics_keys::RETENTION_SWEPT_TTL)
                 .get()
                 >= 2
         );
@@ -1627,7 +1627,7 @@ mod tests {
         );
         assert!(
             dfs.metrics()
-                .counter(gesall_dfs::fs::metrics_keys::RETENTION_PIN_SKIPS)
+                .counter(gesall_dfs::metrics_keys::RETENTION_PIN_SKIPS)
                 .get()
                 >= 1
         );
