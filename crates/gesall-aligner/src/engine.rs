@@ -374,14 +374,18 @@ mod tests {
         // The count gate, no clock: on simulated reads the SAM is what
         // the parent's kernels produce — its Smith–Waterman run in place
         // of ours, and every row of the sampled SA answering as its — for
-        // well under the parent's DP cells, because two extensions in
-        // five or more are reads copied from the reference.
-        use crate::{fm, sw};
+        // a fifth of the parent's DP cells or less, because two
+        // extensions in five or more are reads copied from the reference
+        // and most of the rest are one substitution away from it.
+        use crate::{fm, kernels, sw};
         let (genome, pairs, aligner) = build_world(2000);
         let text: Vec<u8> = genome.chromosomes.iter().flat_map(|c| c.seq.iter().copied()).collect();
         fm::reference::assert_same_sampled_rows(aligner.index().fm(), &text);
 
+        // Other tests' extensions can only add to the process counters.
+        let before = kernels::snapshot();
         let (ours, work) = sw::reference::measure(false, || aligner.align_pairs(&pairs));
+        let gapless = kernels::snapshot().delta(&before).sw_gapless_hits;
         let (parents, parent_work) = sw::reference::measure(true, || aligner.align_pairs(&pairs));
         assert_eq!(ours, parents);
         assert_eq!(work.extensions, 0, "the reference ran in our measurement");
@@ -390,8 +394,13 @@ mod tests {
             parent_work.exact * 10 >= parent_work.extensions * 4,
             "exact-diagonal share under 40 %: {parent_work:?}"
         );
+        let non_exact = parent_work.extensions - parent_work.exact;
         assert!(
-            work.cells * 10 <= parent_work.cells * 6,
+            gapless * 100 >= non_exact * 65,
+            "{gapless} gapless-run answers of {non_exact} non-exact extensions"
+        );
+        assert!(
+            work.cells * 10 <= parent_work.cells * 2,
             "{} cells filled, the parent's kernels {}",
             work.cells,
             parent_work.cells

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static OCC_WORDS_POPCOUNTED: AtomicU64 = AtomicU64::new(0);
 static SW_EXACT_HITS: AtomicU64 = AtomicU64::new(0);
+static SW_GAPLESS_HITS: AtomicU64 = AtomicU64::new(0);
 static SW_BANDED_HITS: AtomicU64 = AtomicU64::new(0);
 static SW_FULL_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
@@ -29,6 +30,12 @@ pub fn add_occ_words(n: u64) {
 #[inline]
 pub fn add_exact_hit() {
     SW_EXACT_HITS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// One seed extension answered by the gapless-run check, no DP.
+#[inline]
+pub fn add_gapless_hit() {
+    SW_GAPLESS_HITS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// One seed extension answered inside the band.
@@ -49,6 +56,7 @@ pub fn add_full_fallback() {
 pub struct Snapshot {
     pub occ_words_popcounted: u64,
     pub sw_exact_hits: u64,
+    pub sw_gapless_hits: u64,
     pub sw_banded_hits: u64,
     pub sw_full_fallbacks: u64,
 }
@@ -62,6 +70,7 @@ impl Snapshot {
                 .occ_words_popcounted
                 .saturating_sub(earlier.occ_words_popcounted),
             sw_exact_hits: self.sw_exact_hits.saturating_sub(earlier.sw_exact_hits),
+            sw_gapless_hits: self.sw_gapless_hits.saturating_sub(earlier.sw_gapless_hits),
             sw_banded_hits: self.sw_banded_hits.saturating_sub(earlier.sw_banded_hits),
             sw_full_fallbacks: self
                 .sw_full_fallbacks
@@ -75,6 +84,7 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         occ_words_popcounted: OCC_WORDS_POPCOUNTED.load(Ordering::Relaxed),
         sw_exact_hits: SW_EXACT_HITS.load(Ordering::Relaxed),
+        sw_gapless_hits: SW_GAPLESS_HITS.load(Ordering::Relaxed),
         sw_banded_hits: SW_BANDED_HITS.load(Ordering::Relaxed),
         sw_full_fallbacks: SW_FULL_FALLBACKS.load(Ordering::Relaxed),
     }
@@ -90,12 +100,14 @@ mod tests {
         add_occ_words(7);
         add_occ_words(0); // no-op, avoids the atomic entirely
         add_exact_hit();
+        add_gapless_hit();
         add_banded_hit();
         add_full_fallback();
         let d = snapshot().delta(&before);
         // Other tests may run concurrently, so deltas are lower-bounded.
         assert!(d.occ_words_popcounted >= 7);
         assert!(d.sw_exact_hits >= 1);
+        assert!(d.sw_gapless_hits >= 1);
         assert!(d.sw_banded_hits >= 1);
         assert!(d.sw_full_fallbacks >= 1);
     }

@@ -11,7 +11,8 @@
 //! that only fills the diagonal band a seed hit implies, with traceback
 //! storage proportional to band×rows instead of `(m+1)×(w+1)` — and
 //! fills nothing at all for a read that equals the reference on a band
-//! diagonal (`exact_diagonal`). The band is exact-with-fallback: if the
+//! diagonal (`exact_diagonal`) or whose best gapless run outscores every
+//! path with a gap (`gapless_run`). The band is exact-with-fallback: if the
 //! banded best path touches a band edge (where out-of-band neighbors
 //! were clamped to −∞ and the full DP might have done better), the
 //! extension silently re-runs through the full DP — so callers always
@@ -396,6 +397,17 @@ pub fn local_align_with(
     Some(assemble(m, ops_rev, edit, stop_i, stop_j, best, best_i))
 }
 
+/// The scorings both shortcuts' proofs assume: `match > 0`,
+/// `mismatch < 0`, `gap_extend ≤ 0` and `gap_open + gap_extend < 0`, so
+/// a diagonal step earns at most `match` and every gap run costs at
+/// least `|gap_open + gap_extend|`.
+fn sound(scoring: &Scoring) -> bool {
+    scoring.match_score > 0
+        && scoring.mismatch < 0
+        && scoring.gap_extend <= 0
+        && scoring.gap_open + scoring.gap_extend < 0
+}
+
 /// The read copied from the reference: if `window[d..d + m] == query` and
 /// the *smallest* such `d` lies in the band, the DP's answer is `mM` at
 /// `d` and no cell needs filling. Why that is exactly what the DP (band
@@ -427,11 +439,7 @@ fn exact_diagonal(
     band: Band,
 ) -> Option<LocalAlignment> {
     let m = query.len();
-    let sound = scoring.match_score > 0
-        && scoring.mismatch < 0
-        && scoring.gap_extend <= 0
-        && scoring.gap_open + scoring.gap_extend < 0;
-    if !sound || window.len() < m {
+    if !sound(scoring) || window.len() < m {
         return None;
     }
     let last = band.d_max.min((window.len() - m) as isize);
@@ -446,20 +454,108 @@ fn exact_diagonal(
     })
 }
 
+/// The read a substitution or so from the reference: one Kadane pass
+/// (`h = max(0, h + sub)`) down each in-matrix band diagonal finds `S`,
+/// the best gapless run — the first in row-then-column order — and when
+/// `S > max(0, B)`, with `B = m·match + gap_open + gap_extend`, that run
+/// is exactly what the band's fill returns. `B` bounds every path with
+/// a gap: at most `m` diagonal steps, and a gap run costs at least
+/// `|gap_open + gap_extend|` (the [`sound`] scorings). So, in the fill:
+///
+/// 1. `H(i, j)` is a gapless run (at most the diagonal's Kadane value
+///    `K(i, j)`, which `H` never falls below) or a gapped path (`≤ B`),
+///    so `H ≤ S` and only cells with `K = S` reach `S`; the fill keeps
+///    the first of them, rows before columns, on its strict `>`.
+/// 2. Along the run `H = K`, and on the cell before it `H = 0`:
+///    anything more is a gapped path that the run would carry past `S`.
+///    So `E, F ≤ H` on the run, every traceback step is `TB_DIAG`, and
+///    the answer is `qs S, (qe − qs) M, (m − qe) S` with edit = the
+///    run's mismatches.
+/// 3. The fallback fires when the run lies on `d_min` / `d_max`, or when
+///    an edge cell with `H ≥ edge_cutoff` has `H + (m − i)·match ≥ S`.
+///    A gapped edge value's potential is at most `B < S`, so the second
+///    fires exactly when a gapless edge value `K` would — which the
+///    scan checks itself; both cases decline here.
+///
+/// A diagonal is dropped once `h + (m − i)·match` falls below the best
+/// so far: nothing further down it, run or edge potential, can reach
+/// `S` (ties are kept, they may come first). The band centre goes
+/// first, so the best is high early. Declines (`None`) leave the call
+/// to the fill, exactly as before.
+fn gapless_run(
+    query: &[u8],
+    window: &[u8],
+    scoring: &Scoring,
+    band: Band,
+) -> Option<LocalAlignment> {
+    if !sound(scoring) {
+        return None;
+    }
+    let (m, w) = (query.len(), window.len());
+    let mat = scoring.match_score;
+    let gapped_max = m as i32 * mat + scoring.gap_open + scoring.gap_extend;
+    let lo = band.d_min.max(1 - m as isize);
+    let hi = band.d_max.min(w as isize - 1);
+    let centre = ((band.d_min + band.d_max) / 2).clamp(lo, hi);
+    // The best run so far: score, last row, diagonal, the row before its
+    // first (the traceback's stop) and its mismatches.
+    let (mut best, mut best_i, mut best_d) = (0, 0, 0);
+    let (mut best_stop, mut best_edit) = (0, 0);
+    let mut edge_potential = NEG;
+    for d in std::iter::once(centre).chain((lo..=hi).filter(|&d| d != centre)) {
+        let edge = d == band.d_min || d == band.d_max;
+        // Diagonal d starts at row q0 + 1, column w0 + 1.
+        let (q0, w0) = ((-d).max(0) as usize, d.max(0) as usize);
+        let n = (m - q0).min(w - w0);
+        let (mut h, mut stop, mut edit) = (0i32, q0, 0u32);
+        let cells = query[q0..q0 + n].iter().zip(&window[w0..w0 + n]);
+        for (i, (&qc, &wc)) in (q0 + 1..).zip(cells) {
+            let hit = qc == wc;
+            h += if hit { mat } else { scoring.mismatch };
+            if h <= 0 {
+                (h, stop, edit) = (0, i, 0);
+            } else {
+                edit += !hit as u32;
+                if h > best || (h == best && (i, d) < (best_i, best_d)) {
+                    (best, best_i, best_d, best_stop, best_edit) = (h, i, d, stop, edit);
+                }
+            }
+            let rest = (m - i) as i32 * mat;
+            if edge && h >= band.edge_cutoff {
+                edge_potential = edge_potential.max(h + rest);
+            }
+            if h + rest < best {
+                break;
+            }
+        }
+    }
+    if best <= gapped_max.max(0)
+        || best_d == band.d_min
+        || best_d == band.d_max
+        || edge_potential >= best
+    {
+        return None;
+    }
+    let ops = vec![CigarOp::Match((best_i - best_stop) as u32)];
+    let ref_start = (best_stop as isize + best_d) as usize;
+    Some(assemble(m, ops, best_edit, best_stop, ref_start, best, best_i))
+}
+
 /// Banded local alignment, exact-with-fallback: fills only cells with
 /// `j − i` inside `band`, treating out-of-band neighbors as −∞. A read
 /// that equals the window on a band diagonal is answered before any
-/// fill ([`exact_diagonal`]). Otherwise the call transparently re-runs
-/// the full DP when the band can't prove its answer: no positive cell
-/// found, the best path's traceback touches a band-edge diagonal, or
-/// any edge cell scored ≥ [`Band::edge_cutoff`] during the fill (a path
-/// crossing the band — e.g. an indel wider than the slack — shows up as
-/// real score riding the edge even when the *banded* optimum stays
-/// interior). Residual caveat: an alignment wholly outside the band (a
-/// repeat elsewhere in the window, unseen by every band cell) cannot be
-/// detected here; the benchmark's committed output digests are the
-/// backstop for that case. Kernel counters record which way each call
-/// went.
+/// fill ([`exact_diagonal`]), and so is one whose best gapless run
+/// outscores every path with a gap ([`gapless_run`]). Otherwise the
+/// call transparently re-runs the full DP when the band can't prove its
+/// answer: no positive cell found, the best path's traceback touches a
+/// band-edge diagonal, or any edge cell scored ≥ [`Band::edge_cutoff`]
+/// during the fill (a path crossing the band — e.g. an indel wider than
+/// the slack — shows up as real score riding the edge even when the
+/// *banded* optimum stays interior). Residual caveat: an alignment
+/// wholly outside the band (a repeat elsewhere in the window, unseen by
+/// every band cell) cannot be detected here; the benchmark's committed
+/// output digests are the backstop for that case. Kernel counters
+/// record which way each call went.
 pub fn local_align_banded(
     query: &[u8],
     window: &[u8],
@@ -490,6 +586,10 @@ pub fn local_align_banded(
     {
         kernels::add_full_fallback();
         return local_align_with(query, window, scoring, ws);
+    }
+    if let Some(run) = gapless_run(query, window, scoring, band) {
+        kernels::add_gapless_hit();
+        return Some(run);
     }
     let (d_min, d_max) = (band.d_min, band.d_max);
     let SwWorkspace {
@@ -1315,6 +1415,15 @@ mod tests {
             local_align_banded(&one_sub, &window, &s(), band, &mut ws).unwrap()
         });
         assert_eq!((b.score, b.edit_distance), (99 - 4, 1));
+        assert_eq!(work.cells, 0, "a one-substitution read fills no cell");
+        assert!(crate::kernels::snapshot().delta(&before).sw_gapless_hits >= 1);
+        // Two substitutions: 90 ≤ 100 − 7, a gapped path could compete,
+        // so the band fills.
+        let (two_subs, _) = seeded_pair(7, margin, |r| flip(r, &[30, 70]));
+        let (c, work) = reference::measure(false, || {
+            local_align_banded(&two_subs, &window, &s(), band, &mut ws).unwrap()
+        });
+        assert_eq!((c.score, c.edit_distance), (98 - 8, 2));
         assert!(work.cells > 0 && work.cells <= 100 * 33);
         assert!(crate::kernels::snapshot().delta(&before).sw_banded_hits >= 1);
     }
@@ -1464,6 +1573,62 @@ mod tests {
         }
 
         #[test]
+        fn near_exact_reads_align_as_in_the_parent(
+            ctx in arb_dna(80, 240),
+            start in 0usize..240,
+            qlen in 24usize..110,
+            subs in proptest::collection::vec((0u8..3, 0usize..4096), 0..=3),
+            repeat in prop_oneof![
+                Just(None),
+                Just(None),
+                (arb_dna(1, 5), 28usize..48, 1usize..=3, 0usize..110).prop_map(Some),
+            ],
+            left in 0usize..=20,
+            right in -6isize..=20,
+            jitter in -4isize..=4,
+            slack in 0usize..13,
+            scoring in prop_oneof![
+                Just(Scoring::default()),
+                Just(Scoring { match_score: 2, mismatch: -3, gap_open: -5, gap_extend: -2 }),
+                Just(Scoring { match_score: 1, mismatch: -2, gap_open: -2, gap_extend: -1 }),
+                Just(Scoring { match_score: 3, mismatch: -1, gap_open: -1, gap_extend: 0 }),
+            ],
+        ) {
+            // `gapless_run`'s class: reads 0–3 substitutions from their
+            // locus, some within |mismatch|/match bases of an end (where
+            // a clip beats keeping the substitution), in the production
+            // window shape clamped as at a chromosome end, with the band
+            // centre jittered so the read's diagonal sometimes lies on
+            // or beside an edge. `repeat` splices a tandem repeat into
+            // the read and makes the slack a multiple of its period:
+            // its stretch then also matches along both edge diagonals,
+            // a run ≥ `edge_cutoff` that may or may not fire the edge
+            // trigger.
+            let qlen = qlen.min(ctx.len() - 8);
+            let start = start % (ctx.len() - qlen + 1);
+            let (mut ctx, mut slack) = (ctx, slack);
+            if let Some((unit, len, k, lead)) = &repeat {
+                let at = start + lead % qlen;
+                ctx.splice(at..at, unit.iter().copied().cycle().take(*len));
+                slack = unit.len() * k;
+            }
+            let mut query = ctx[start..start + qlen].to_vec();
+            let reach = (scoring.mismatch.abs() / scoring.match_score) as usize + 1;
+            for &(end, p) in &subs {
+                let p = match end {
+                    0 => p % qlen,
+                    1 => p % reach,
+                    _ => qlen - 1 - p % reach,
+                };
+                substitute(&mut query, &[p]);
+            }
+            let lo = start.saturating_sub(left);
+            let hi = (start + qlen).saturating_add_signed(right).min(ctx.len());
+            let band = Band::around_offset((start - lo) as isize + jitter, slack);
+            same_as_parent_under(&query, &ctx[lo..hi], band, &scoring)?;
+        }
+
+        #[test]
         fn tandem_repeats_align_as_in_the_parent(
             unit in arb_dna(1, 17),
             flank in arb_dna(0, 12),
@@ -1602,22 +1767,99 @@ mod tests {
     fn perfect_diagonal_below_the_band_is_left_to_the_dp() {
         // Period-4 repeat: perfect diagonals at 2, 6, 10, …; the band
         // [9, 11] holds only the third. The parent's band answers 10,
-        // the full DP would say 2 — the shortcut must not pick either
-        // for itself, and with the band on [1, 3] it answers 2 unaided.
+        // the full DP would say 2 — `exact_diagonal` must not pick
+        // either for itself, and with the band on [1, 3] it answers 2
+        // unaided. On [9, 11] the band's own answer is a gapless run
+        // (40 > 40 − 7, interior), so `gapless_run` gives it, unfilled.
         let window = b"ACGT".repeat(20);
         let query = window[2..42].to_vec();
         let late = Band::around_offset(10, 1);
+        assert_eq!(exact_diagonal(&query, &window, &s(), late), None);
         let (got, work) = reference::measure(false, || {
             with_workspace(|ws| local_align_banded(&query, &window, &s(), late, ws))
         });
         assert_eq!(got, reference::local_align_banded(&query, &window, &s(), late));
         assert_eq!(got.unwrap().ref_start, 10);
-        assert!(work.cells > 0);
+        assert_eq!(work.cells, 0);
         let early = Band::around_offset(2, 1);
         let (got, work) = reference::measure(false, || {
             with_workspace(|ws| local_align_banded(&query, &window, &s(), early, ws))
         });
         assert_eq!(got, reference::local_align_banded(&query, &window, &s(), early));
         assert_eq!((got.unwrap().ref_start, work.cells), (2, 0));
+    }
+
+    /// Our banded answer, held to the parent's, and the DP cells it filled.
+    fn cells_filled(query: &[u8], window: &[u8], band: Band, scoring: &Scoring) -> u64 {
+        let (got, work) = reference::measure(false, || {
+            with_workspace(|ws| local_align_banded(query, window, scoring, band, ws))
+        });
+        assert_eq!(got, reference::local_align_banded(query, window, scoring, band), "{band:?}");
+        work.cells
+    }
+
+    fn flip(r: &mut [u8], at: &[usize]) {
+        for &p in at {
+            r[p] = if r[p] == b'A' { b'C' } else { b'A' };
+        }
+    }
+
+    #[test]
+    fn each_declined_premise_leaves_the_call_to_the_fill() {
+        let margin = 16;
+        let diag = margin as isize;
+        let (read, window) = seeded_pair(3, margin, |r| flip(r, &[50]));
+        let centred = Band::around_offset(diag, 4);
+        // Every premise holds: 95 > 100 − 7 on an interior diagonal.
+        assert!(gapless_run(&read, &window, &s(), centred).is_some());
+        assert_eq!(cells_filled(&read, &window, centred, &s()), 0);
+        let declined = |query: &[u8], window: &[u8], band: Band, scoring: &Scoring| {
+            assert_eq!(gapless_run(query, window, scoring, band), None, "{band:?}");
+            assert!(cells_filled(query, window, band, scoring) > 0, "{band:?}");
+        };
+        // S ≤ B: two substitutions score 90 ≤ 93.
+        let (two_subs, _) = seeded_pair(3, margin, |r| flip(r, &[30, 70]));
+        declined(&two_subs, &window, centred, &s());
+        // The run on d_min, then on d_max.
+        let on_min = Band { d_min: diag, d_max: diag + 4, edge_cutoff: DEFAULT_EDGE_CUTOFF };
+        declined(&read, &window, on_min, &s());
+        declined(&read, &window, Band { d_min: diag - 4, d_max: diag, ..on_min }, &s());
+        // Edge trigger: the read's first 40 bases are an `AC` repeat, so
+        // both edge diagonals (±2) carry a 38-base run whose potential
+        // 38 + 60 reaches S = 95.
+        let mut repeat_window = window.clone();
+        for x in 0..40 {
+            repeat_window[margin + x] = b"AC"[x % 2];
+        }
+        let mut repeat_read = repeat_window[margin..margin + 100].to_vec();
+        flip(&mut repeat_read, &[70]);
+        declined(&repeat_read, &repeat_window, Band::around_offset(diag, 2), &s());
+        // Unsound scoring: a free mismatch.
+        declined(&read, &window, centred, &Scoring { mismatch: 0, ..s() });
+    }
+
+    #[test]
+    fn gapless_ties_break_as_the_fill_does() {
+        // Period-8 window: diagonals 3, 11, 19 see the same read.
+        let base = b"ACGTTGCA".iter().copied().cycle().take(130).collect::<Vec<u8>>();
+        let answer = |query: &[u8], window: &[u8], band: Band| {
+            assert_eq!(cells_filled(query, window, band, &s()), 0, "{band:?}");
+            let a = gapless_run(query, window, &s(), band).unwrap();
+            (a.score, a.ref_start, a.cigar.to_string(), a.edit_distance)
+        };
+        // One row: all three reach 95 in row 100. The centre (11) is
+        // scanned first; the smaller d — the earlier column — wins.
+        let mut query = base[3..103].to_vec();
+        flip(&mut query, &[50]);
+        let one_row = Band::around_offset(11, 9);
+        assert_eq!(answer(&query, &base, one_row), (95, 3, "100M".into(), 1));
+        // Two rows: with the window knocked out under diagonal 3's first
+        // three rows and diagonal 11's last three, both score 97 — 3 in
+        // row 100, 11 in row 97. The earlier row wins, larger d or not.
+        let query = base[3..103].to_vec();
+        let mut window = base.clone();
+        flip(&mut window, &[3, 4, 5, 108, 109, 110]);
+        let two_rows = Band::around_offset(7, 5);
+        assert_eq!(answer(&query, &window, two_rows), (97, 11, "97M3S".into(), 0));
     }
 }

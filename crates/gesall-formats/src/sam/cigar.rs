@@ -182,22 +182,37 @@ impl Cigar {
     }
 
     /// Number of query bases the alignment covers (length of SEQ for
-    /// records without hard clips).
+    /// records without hard clips). Wraps past `u32::MAX`: a parsed
+    /// CIGAR may be hostile bytes ([`SamRecord::validate`] rejects it).
+    ///
+    /// [`SamRecord::validate`]: crate::sam::SamRecord::validate
     pub fn query_len(&self) -> u32 {
-        self.0
-            .iter()
-            .filter(|op| op.consumes_query())
-            .map(|op| op.len())
-            .sum()
+        self.len_of(CigarOp::consumes_query)
+            .fold(0, u32::wrapping_add)
     }
 
-    /// Number of reference bases the alignment spans.
+    /// Number of reference bases the alignment spans. Wraps past
+    /// `u32::MAX`, as [`Cigar::query_len`] does.
     pub fn reference_len(&self) -> u32 {
+        self.len_of(CigarOp::consumes_reference)
+            .fold(0, u32::wrapping_add)
+    }
+
+    /// Whether the query or the reference length exceeds `u32::MAX`.
+    pub(crate) fn lengths_overflow(&self) -> bool {
+        let fits = |consumes: fn(CigarOp) -> bool| {
+            self.len_of(consumes)
+                .try_fold(0u32, u32::checked_add)
+                .is_some()
+        };
+        !fits(CigarOp::consumes_query) || !fits(CigarOp::consumes_reference)
+    }
+
+    fn len_of(&self, consumes: fn(CigarOp) -> bool) -> impl Iterator<Item = u32> + '_ {
         self.0
             .iter()
-            .filter(|op| op.consumes_reference())
+            .filter(move |op| consumes(**op))
             .map(|op| op.len())
-            .sum()
     }
 
     /// Soft+hard clipped bases at the start of the record.
@@ -205,7 +220,7 @@ impl Cigar {
         let mut total = 0;
         for op in &self.0 {
             match op {
-                CigarOp::SoftClip(n) | CigarOp::HardClip(n) => total += n,
+                CigarOp::SoftClip(n) | CigarOp::HardClip(n) => total = n.wrapping_add(total),
                 _ => break,
             }
         }
@@ -217,7 +232,7 @@ impl Cigar {
         let mut total = 0;
         for op in self.0.iter().rev() {
             match op {
-                CigarOp::SoftClip(n) | CigarOp::HardClip(n) => total += n,
+                CigarOp::SoftClip(n) | CigarOp::HardClip(n) => total = n.wrapping_add(total),
                 _ => break,
             }
         }

@@ -75,11 +75,14 @@ impl SamRecord {
     }
 
     /// 1-based inclusive reference end position of the aligned part.
+    /// Wrapping, as `overlaps` is: the fields may be hostile wire bytes.
     pub fn end_pos(&self) -> i64 {
         if !self.is_mapped() {
             return 0;
         }
-        self.pos + self.cigar.reference_len() as i64 - 1
+        self.pos
+            .wrapping_add(self.cigar.reference_len() as i64)
+            .wrapping_sub(1)
     }
 
     /// The derived **5′ unclipped end** (paper Fig. 3): for a forward-strand
@@ -132,6 +135,12 @@ impl SamRecord {
             )));
         }
         if self.is_mapped() {
+            if self.cigar.lengths_overflow() {
+                return Err(FormatError::Sam(format!(
+                    "{}: cigar length overflows u32 in {}",
+                    self.name, self.cigar
+                )));
+            }
             self.cigar.validate()?;
             if self.pos <= 0 {
                 return Err(FormatError::Sam(format!(

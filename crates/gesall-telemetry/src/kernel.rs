@@ -18,6 +18,9 @@ pub mod keys {
     /// Seed extensions answered without any DP: the read equals the
     /// reference on a diagonal inside the band.
     pub const SW_EXACT_HITS: &str = "kernel.sw.exact_hits";
+    /// Seed extensions answered without any DP: the read's best gapless
+    /// run on a band diagonal outscores every path with a gap.
+    pub const SW_GAPLESS_HITS: &str = "kernel.sw.gapless_hits";
     /// Seed extensions answered by the banded Smith–Waterman without
     /// touching a band edge (the fast path).
     pub const SW_BANDED_HITS: &str = "kernel.sw.banded_hits";
@@ -38,6 +41,7 @@ pub mod keys {
 pub struct KernelStats {
     pub occ_words_popcounted: u64,
     pub sw_exact_hits: u64,
+    pub sw_gapless_hits: u64,
     pub sw_banded_hits: u64,
     pub sw_full_fallbacks: u64,
     pub sort_radix_passes: u64,
@@ -57,6 +61,7 @@ impl KernelStats {
         KernelStats {
             occ_words_popcounted: get(keys::OCC_WORDS_POPCOUNTED),
             sw_exact_hits: get(keys::SW_EXACT_HITS),
+            sw_gapless_hits: get(keys::SW_GAPLESS_HITS),
             sw_banded_hits: get(keys::SW_BANDED_HITS),
             sw_full_fallbacks: get(keys::SW_FULL_FALLBACKS),
             sort_radix_passes: get(keys::SORT_RADIX_PASSES),
@@ -66,10 +71,11 @@ impl KernelStats {
 
     /// Seed extensions, however answered.
     pub fn sw_extensions(&self) -> u64 {
-        self.sw_exact_hits + self.sw_banded_hits + self.sw_full_fallbacks
+        self.sw_exact_hits + self.sw_gapless_hits + self.sw_banded_hits + self.sw_full_fallbacks
     }
 
-    /// Fraction of seed extensions that needed no DP at all.
+    /// Fraction of seed extensions that were exact copies of the
+    /// reference (no DP).
     pub fn exact_hit_ratio(&self) -> f64 {
         ratio(self.sw_exact_hits, self.sw_extensions())
     }
@@ -98,6 +104,7 @@ mod tests {
         let snap = vec![
             ("kernel.occ.words_popcounted".to_string(), 1000u64),
             ("kernel.sw.exact_hits".to_string(), 100),
+            ("kernel.sw.gapless_hits".to_string(), 60),
             ("kernel.sw.banded_hits".to_string(), 90),
             ("kernel.sw.full_fallbacks".to_string(), 10),
             ("kernel.sort.radix_passes".to_string(), 24),
@@ -106,12 +113,13 @@ mod tests {
         let k = KernelStats::from_snapshot(&snap);
         assert_eq!(k.occ_words_popcounted, 1000);
         assert_eq!(k.sw_exact_hits, 100);
+        assert_eq!(k.sw_gapless_hits, 60);
         assert_eq!(k.sw_banded_hits, 90);
         assert_eq!(k.sw_full_fallbacks, 10);
         assert_eq!(k.sort_radix_passes, 24);
         assert_eq!(k.sort_comparison_fallbacks, 0);
-        assert_eq!(k.sw_extensions(), 200);
-        assert!((k.exact_hit_ratio() - 0.5).abs() < 1e-12);
+        assert_eq!(k.sw_extensions(), 260);
+        assert!((k.exact_hit_ratio() - 100.0 / 260.0).abs() < 1e-12);
         assert!((k.banded_hit_ratio() - 0.9).abs() < 1e-12);
     }
 

@@ -66,7 +66,8 @@ pub fn clean_sam(records: &mut Vec<SamRecord>, reference: RefView<'_>) -> CleanS
 
 /// Rewrite `cigar` so the alignment's reference span ends at `chrom_len`,
 /// turning the cut query bases into a trailing soft clip. Returns `None`
-/// when nothing would remain aligned.
+/// when nothing would remain aligned. The clip wraps past `u32::MAX`, as
+/// `Cigar::query_len` does: the CIGAR may be hostile bytes.
 fn clip_overhang(cigar: &Cigar, pos: i64, chrom_len: i64) -> Option<Cigar> {
     let budget = chrom_len - pos + 1; // reference bases available
     if budget <= 0 {
@@ -79,7 +80,7 @@ fn clip_overhang(cigar: &Cigar, pos: i64, chrom_len: i64) -> Option<Cigar> {
     for op in &cigar.0 {
         if cutting {
             if op.consumes_query() {
-                clipped_query += op.len();
+                clipped_query = clipped_query.wrapping_add(op.len());
             }
             continue;
         }
@@ -92,7 +93,7 @@ fn clip_overhang(cigar: &Cigar, pos: i64, chrom_len: i64) -> Option<Cigar> {
                     if remaining > 0 {
                         ops.push(CigarOp::Match(remaining));
                     }
-                    clipped_query += n - remaining;
+                    clipped_query = clipped_query.wrapping_add(n - remaining);
                     remaining = 0;
                     cutting = true;
                 }
@@ -122,7 +123,7 @@ fn clip_overhang(cigar: &Cigar, pos: i64, chrom_len: i64) -> Option<Cigar> {
         // Merge with an existing trailing soft clip if the cut landed
         // right before one.
         if let Some(CigarOp::SoftClip(s)) = ops.last_mut() {
-            *s += clipped_query;
+            *s = s.wrapping_add(clipped_query);
         } else {
             ops.push(CigarOp::SoftClip(clipped_query));
         }
@@ -235,5 +236,36 @@ mod tests {
         assert!(recs[0].end_pos() <= 105);
         recs[0].validate().unwrap();
         assert_eq!(recs[0].cigar.query_len(), 20);
+    }
+
+    #[test]
+    fn hostile_cigar_lengths_wrap_instead_of_panicking() {
+        // Every op fits a u32 but the sums do not: a debug build used to
+        // panic adding them, here and in each reader below. Release
+        // bytes are the wrapped ones, as before.
+        use gesall_formats::bam::BamWriter;
+        use gesall_formats::sam::SamHeader;
+        use gesall_formats::wire::Wire;
+        use gesall_formats::FormatError;
+        let seqs = vec![vec![b'A'; 1000]];
+        for text in [
+            "4294967295M4294967295M",
+            "4294967295H4294967295S1M4294967295S4294967295H",
+        ] {
+            let mut forged = mapped(100, "1M");
+            forged.cigar = Cigar::parse(text).unwrap();
+            let rec = SamRecord::from_wire_bytes(&forged.to_wire_bytes()).unwrap();
+            assert_eq!(rec.cigar.to_string(), text);
+            rec.cigar.query_len();
+            rec.cigar.reference_len();
+            rec.end_pos();
+            rec.unclipped_5p_end();
+            rec.overlaps(0, 1, 1000);
+            assert!(matches!(rec.validate(), Err(FormatError::Sam(_))), "{text}");
+            let mut writer = BamWriter::new(&SamHeader::new(Vec::new()));
+            writer.write_record(&rec);
+            writer.finish();
+            clean_sam(&mut vec![rec], refv(&seqs));
+        }
     }
 }

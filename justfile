@@ -3,14 +3,19 @@
 
 # Build, test, and lint exactly as CI does, then run every program
 # under examples/ (~10 s together; clippy only compiles them), so the
-# README's quickstart cannot rot, and hold the codec, the BAM container
-# and the stage outputs (pinned digests) to the parent's in a release
-# build.
+# README's quickstart cannot rot, and run CI's release-mode reference
+# suites: the aligner kernels, the recalibration passes and
+# HaplotypeCaller, the codec and the BAM container held to the parent's
+# code, and the stage outputs to their pinned digests. Release matters:
+# with overflow checks off a kernel can disagree with its reference
+# where the debug run never reaches.
 smoke:
     cargo build --release --offline --workspace
     cargo test -q --offline --workspace
     cargo clippy --offline --workspace --all-targets -- -D warnings
     for ex in quickstart variant_calling error_diagnosis telemetry cluster_tuning; do cargo run --release --offline -q --example "$ex" > /dev/null || exit 1; done
+    cargo test --release --offline -q -p gesall-aligner
+    cargo test --release --offline -q -p gesall-tools
     cargo test --release --offline -q -p gesall-formats
     cargo test --release --offline -q -p gesall-core
 
