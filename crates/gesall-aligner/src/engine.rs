@@ -372,37 +372,76 @@ mod tests {
     #[test]
     fn output_and_work_against_the_parent_kernels() {
         // The count gate, no clock: on simulated reads the SAM is what
-        // the parent's kernels produce — its Smith–Waterman run in place
-        // of ours, and every row of the sampled SA answering as its — for
-        // a fifth of the parent's DP cells or less, because two
-        // extensions in five or more are reads copied from the reference
-        // and most of the rest are one substitution away from it.
-        use crate::{fm, kernels, sw};
+        // the parent's seed loop and kernels produce — its seeding and
+        // Smith–Waterman run in place of ours, and every row of the
+        // sampled SA answering as its — for a fraction of their work.
+        // Seeding: repeat reads locate a quarter of the rows or fewer and
+        // call the kernel on 70 % of the anchors or fewer, because later
+        // seeds verify against anchors already located and copies of a
+        // repeat share byte-identical windows. Extension: a fifth of the
+        // parent's DP cells or fewer on the parent's own calls, because
+        // two extensions in five or more are reads copied from the
+        // reference and most of the rest are one substitution away.
+        use crate::{fm, kernels, single, sw};
         let (genome, pairs, aligner) = build_world(2000);
         let text: Vec<u8> = genome.chromosomes.iter().flat_map(|c| c.seq.iter().copied()).collect();
         fm::reference::assert_same_sampled_rows(aligner.index().fm(), &text);
 
-        // Other tests' extensions can only add to the process counters.
-        let before = kernels::snapshot();
-        let (ours, work) = sw::reference::measure(false, || aligner.align_pairs(&pairs));
-        let gapless = kernels::snapshot().delta(&before).sw_gapless_hits;
-        let (parents, parent_work) = sw::reference::measure(true, || aligner.align_pairs(&pairs));
+        // Counters per thread: other tests' work cannot leak in.
+        let run = |parent_seeding: bool, parent_kernels: bool| {
+            let before = kernels::thread_snapshot();
+            let align = || sw::reference::measure(parent_kernels, || aligner.align_pairs(&pairs));
+            let (sam, work) = if parent_seeding {
+                single::reference::with_parent_seeding(align)
+            } else {
+                align()
+            };
+            (sam, work, kernels::thread_snapshot().delta(&before))
+        };
+        let (ours, work, k) = run(false, false);
+        let (seeded, seeded_work, pk) = run(true, false);
+        let (parents, parent_work, _) = run(true, true);
         assert_eq!(ours, parents);
-        assert_eq!(work.extensions, 0, "the reference ran in our measurement");
+        assert_eq!(seeded, parents);
+        assert_eq!(
+            work.extensions + seeded_work.extensions,
+            0,
+            "the reference ran in our measurement"
+        );
+
+        // Seeding, on the same anchors: each is extended or reused.
+        assert_eq!(pk.sw_calls(), parent_work.extensions);
+        assert_eq!(pk.sw_window_reuses, 0);
+        assert_eq!(k.sw_calls() + k.sw_window_reuses, pk.sw_calls());
         assert!(parent_work.extensions >= 2 * 2000, "{parent_work:?}");
+        assert!(
+            k.seed_rows_located * 4 <= pk.seed_rows_located,
+            "{} rows located, the parent's loop {}",
+            k.seed_rows_located,
+            pk.seed_rows_located
+        );
+        assert!(
+            k.sw_calls() * 10 <= pk.sw_calls() * 7,
+            "{} kernel calls, the parent's loop {}",
+            k.sw_calls(),
+            pk.sw_calls()
+        );
+
+        // Extension, on the parent's calls.
         assert!(
             parent_work.exact * 10 >= parent_work.extensions * 4,
             "exact-diagonal share under 40 %: {parent_work:?}"
         );
         let non_exact = parent_work.extensions - parent_work.exact;
         assert!(
-            gapless * 100 >= non_exact * 65,
-            "{gapless} gapless-run answers of {non_exact} non-exact extensions"
+            pk.sw_gapless_hits * 100 >= non_exact * 65,
+            "{} gapless-run answers of {non_exact} non-exact extensions",
+            pk.sw_gapless_hits
         );
         assert!(
-            work.cells * 10 <= parent_work.cells * 2,
+            seeded_work.cells * 10 <= parent_work.cells * 2,
             "{} cells filled, the parent's kernels {}",
-            work.cells,
+            seeded_work.cells,
             parent_work.cells
         );
     }

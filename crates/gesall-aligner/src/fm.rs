@@ -303,18 +303,20 @@ impl FmIndex {
     /// row order (not sorted), unless there are more than `max_hits` of
     /// them — the repeat-region bail-out, which calls `hit` for none and
     /// returns `None`.
-    pub fn locate_each(
-        &self,
-        pattern: &[u8],
-        max_hits: usize,
-        mut hit: impl FnMut(u64),
-    ) -> Option<()> {
+    pub fn locate_each(&self, pattern: &[u8], max_hits: usize, hit: impl FnMut(u64)) -> Option<()> {
         let (l, r) = self.search(pattern)?;
         if (r - l) as usize > max_hits {
             return None;
         }
-        (l..r).for_each(|row| hit(self.locate_row(row)));
+        self.locate_rows(l..r, hit);
         Some(())
+    }
+
+    /// Feed the text position of every BWT row in `rows` to `hit`, in
+    /// row order, counting the rows walked.
+    pub(crate) fn locate_rows(&self, rows: std::ops::Range<u64>, mut hit: impl FnMut(u64)) {
+        kernels::add_rows_located(rows.end - rows.start);
+        rows.for_each(|row| hit(self.locate_row(row)));
     }
 
     /// All text positions where `pattern` occurs, ascending, capped at

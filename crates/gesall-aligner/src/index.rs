@@ -49,6 +49,11 @@ impl ReferenceIndex {
         self.text.len()
     }
 
+    /// The concatenated text the FM-index was built over.
+    pub(crate) fn text(&self) -> &[u8] {
+        &self.text
+    }
+
     /// Number of chromosomes.
     pub fn n_chromosomes(&self) -> usize {
         self.names.len()

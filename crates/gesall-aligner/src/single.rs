@@ -1,9 +1,11 @@
 //! Per-read alignment: seeding, candidate generation, mapping quality.
 
 use crate::index::ReferenceIndex;
-use crate::sw::{self, Band, Scoring};
+use crate::kernels;
+use crate::sw::{self, Band, LocalAlignment, Scoring};
 use gesall_formats::dna::reverse_complement;
 use gesall_formats::sam::cigar::Cigar;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Seeding/alignment parameters for a single read.
 #[derive(Debug, Clone)]
@@ -68,11 +70,17 @@ pub fn find_candidates(
     cfg: &SingleConfig,
     seq: &[u8],
 ) -> Vec<Candidate> {
+    #[cfg(test)]
+    if reference::in_use() {
+        return reference::find_candidates(index, cfg, seq);
+    }
     let mut out: Vec<Candidate> = Vec::new();
     let mut anchors: Vec<i64> = Vec::new();
+    let mut located: Vec<i64> = Vec::new();
     let rc = reverse_complement(seq);
     for (reverse, s) in [(false, seq), (true, rc.as_slice())] {
-        collect_strand_candidates(index, cfg, s, reverse, &mut anchors, &mut out);
+        gather_anchors(index, cfg, s, &mut anchors, &mut located);
+        extend_anchors(index, cfg, s, reverse, &anchors, &mut out);
     }
     // Dedup by (chrom, pos, strand), keep best score.
     out.sort_by(|a, b| {
@@ -86,14 +94,28 @@ pub fn find_candidates(
     out
 }
 
-fn collect_strand_candidates(
+/// The anchors of one strand pass — text positions where a seed hit
+/// implies the read starts — sorted, with anchors within 8 of each
+/// other collapsed (same implied alignment). A seed too repetitive to
+/// locate contributes none.
+///
+/// The anchors are the parent seed loop's, found with less `locate`
+/// work (DESIGN.md §13, *Repeat-aware seeding*). A seed with `n` hits
+/// is first checked against the distinct anchors this pass has already
+/// located: each that puts the seed's bytes at its offset in the text is
+/// an occurrence, and distinct anchors are distinct occurrences, so when
+/// `n` of them verify they are the FM-index's whole answer and its `n`
+/// LF walks are skipped. Otherwise the rows are located as before.
+/// `located` is scratch: those distinct anchors.
+fn gather_anchors(
     index: &ReferenceIndex,
     cfg: &SingleConfig,
     s: &[u8],
-    reverse: bool,
     anchors: &mut Vec<i64>,
-    out: &mut Vec<Candidate>,
+    located: &mut Vec<i64>,
 ) {
+    anchors.clear();
+    located.clear();
     let m = s.len();
     if m < cfg.seed_len {
         return;
@@ -102,24 +124,70 @@ fn collect_strand_candidates(
     let stride = cfg.seed_stride.max(1);
     let last = m - cfg.seed_len;
     let seed_offsets = (0..last).step_by(stride).chain([last]);
-
-    // Gather implied window anchor positions (a seed too repetitive to
-    // locate contributes none).
-    anchors.clear();
+    let (fm, text) = (index.fm(), index.text());
     for off in seed_offsets {
         let seed = &s[off..off + cfg.seed_len];
         if seed.iter().any(|&b| !matches!(b, b'A' | b'C' | b'G' | b'T')) {
             continue;
         }
-        index.fm().locate_each(seed, cfg.max_seed_hits, |hit| {
-            anchors.push(hit as i64 - off as i64)
-        });
+        let Some((l, r)) = fm.search(seed) else {
+            continue;
+        };
+        let n = (r - l) as usize;
+        if n > cfg.max_seed_hits {
+            continue;
+        }
+        let off = off as i64;
+        let mark = anchors.len();
+        if n <= located.len() {
+            anchors.extend(located.iter().copied().filter(|&a| {
+                usize::try_from(a + off).is_ok_and(|p| text.get(p..p + seed.len()) == Some(seed))
+            }));
+            if anchors.len() - mark == n {
+                continue;
+            }
+            anchors.truncate(mark);
+        }
+        fm.locate_rows(l..r, |hit| anchors.push(hit as i64 - off));
+        located.extend_from_slice(&anchors[mark..]);
+        located.sort_unstable();
+        located.dedup();
     }
     anchors.sort_unstable();
-    // Collapse anchors within a small tolerance (same implied alignment).
     anchors.dedup_by(|a, b| (*a - *b).abs() <= 8);
+}
 
-    for &anchor in anchors.iter() {
+/// Extend every anchor of one strand pass and keep the candidates that
+/// score. Anchors in a repeat often clamp to byte-identical windows at
+/// the same band offset; the kernel is a pure function of those (and
+/// the read and scoring), so such a window is extended once and its
+/// alignment reused, placed at each anchor's own window start.
+fn extend_anchors(
+    index: &ReferenceIndex,
+    cfg: &SingleConfig,
+    s: &[u8],
+    reverse: bool,
+    anchors: &[i64],
+    out: &mut Vec<Candidate>,
+) {
+    let m = s.len();
+    // Seed extension runs the banded Smith–Waterman kernel. The band is
+    // centered on the read's expected diagonal inside the window — the
+    // read should start `anchor - gstart` columns in (≈ window_margin,
+    // less when the window was clamped at a chromosome edge) — with
+    // `window_margin` diagonals of slack each side; the kernel falls
+    // back to the full DP whenever the band can't prove its answer, so
+    // the result is the full DP's unless an alignment lies wholly
+    // outside the band (DESIGN.md §13) — which is why the band offset
+    // is part of the reuse key below.
+    let extend = |window: &[u8], off: isize| {
+        let band = Band::around_offset(off, cfg.window_margin);
+        sw::with_workspace(|ws| sw::local_align_banded(s, window, &cfg.scoring, band, ws))
+    };
+    // Windows already extended in this pass, by (bytes, band offset):
+    // hashed on the bytes, confirmed by comparing them.
+    let mut extended: HashMap<(&[u8], isize), Option<LocalAlignment>> = HashMap::new();
+    for &anchor in anchors {
         let start = anchor - cfg.window_margin as i64;
         let end = anchor + m as i64 + cfg.window_margin as i64;
         let anchor_probe = anchor.clamp(0, index.text_len() as i64 - 1) as usize;
@@ -128,18 +196,18 @@ fn collect_strand_candidates(
         else {
             continue;
         };
-        // Seed extension runs the banded Smith–Waterman kernel. The band
-        // is centered on the read's expected diagonal inside the window
-        // — the read should start `anchor - gstart` columns in
-        // (≈ window_margin, less when the window was clamped at a
-        // chromosome edge) — with `window_margin` diagonals of slack
-        // each side; the kernel falls back to the full DP whenever the
-        // band can't prove its answer, so the result is the full DP's.
-        let aln = sw::with_workspace(|ws| {
-            let off = (anchor - gstart as i64) as isize;
-            let band = Band::around_offset(off, cfg.window_margin);
-            sw::local_align_banded(s, window, &cfg.scoring, band, ws)
-        });
+        let off = (anchor - gstart as i64) as isize;
+        let aln = if anchors.len() == 1 {
+            extend(window, off)
+        } else {
+            match extended.entry((window, off)) {
+                Entry::Occupied(prev) => {
+                    kernels::add_window_reuse();
+                    prev.get().clone()
+                }
+                Entry::Vacant(slot) => slot.insert(extend(window, off)).clone(),
+            }
+        };
         let Some(aln) = aln else {
             continue;
         };
@@ -176,6 +244,133 @@ pub fn mapping_quality(best: i32, second: Option<i32>, min_score: i32) -> u8 {
     }
     let q = 6 * (best - second);
     q.clamp(0, 60) as u8
+}
+
+/// The parent commit's seed loop, verbatim: every seed `locate`s its
+/// hits and every anchor runs the kernel. What the proptests below and
+/// `engine`'s count gate hold [`find_candidates`] to.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static IN_USE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn in_use() -> bool {
+        IN_USE.with(|u| u.get())
+    }
+
+    /// Run `f` with this thread's [`super::find_candidates`] calls routed
+    /// to the parent's loop.
+    pub(crate) fn with_parent_seeding<R>(f: impl FnOnce() -> R) -> R {
+        IN_USE.with(|u| u.set(true));
+        let r = f();
+        IN_USE.with(|u| u.set(false));
+        r
+    }
+
+    /// Find candidate alignments of `seq` on both strands, best first.
+    pub(crate) fn find_candidates(
+        index: &ReferenceIndex,
+        cfg: &SingleConfig,
+        seq: &[u8],
+    ) -> Vec<Candidate> {
+        let mut out: Vec<Candidate> = Vec::new();
+        let mut anchors: Vec<i64> = Vec::new();
+        let rc = reverse_complement(seq);
+        for (reverse, s) in [(false, seq), (true, rc.as_slice())] {
+            collect_strand_candidates(index, cfg, s, reverse, &mut anchors, &mut out);
+        }
+        // Dedup by (chrom, pos, strand), keep best score.
+        out.sort_by(|a, b| {
+            (a.chrom, a.pos, a.reverse)
+                .cmp(&(b.chrom, b.pos, b.reverse))
+                .then(b.score.cmp(&a.score))
+        });
+        out.dedup_by(|a, b| a.chrom == b.chrom && a.pos == b.pos && a.reverse == b.reverse);
+        out.sort_by(|a, b| b.score.cmp(&a.score).then(a.pos.cmp(&b.pos)));
+        out.truncate(cfg.max_candidates);
+        out
+    }
+
+    fn collect_strand_candidates(
+        index: &ReferenceIndex,
+        cfg: &SingleConfig,
+        s: &[u8],
+        reverse: bool,
+        anchors: &mut Vec<i64>,
+        out: &mut Vec<Candidate>,
+    ) {
+        let m = s.len();
+        if m < cfg.seed_len {
+            return;
+        }
+        // Seed offsets: 0, stride, 2*stride, ..., and always the final window.
+        let stride = cfg.seed_stride.max(1);
+        let last = m - cfg.seed_len;
+        let seed_offsets = (0..last).step_by(stride).chain([last]);
+
+        // Gather implied window anchor positions (a seed too repetitive to
+        // locate contributes none).
+        anchors.clear();
+        for off in seed_offsets {
+            let seed = &s[off..off + cfg.seed_len];
+            if seed.iter().any(|&b| !matches!(b, b'A' | b'C' | b'G' | b'T')) {
+                continue;
+            }
+            index.fm().locate_each(seed, cfg.max_seed_hits, |hit| {
+                anchors.push(hit as i64 - off as i64)
+            });
+        }
+        anchors.sort_unstable();
+        // Collapse anchors within a small tolerance (same implied alignment).
+        anchors.dedup_by(|a, b| (*a - *b).abs() <= 8);
+
+        for &anchor in anchors.iter() {
+            let start = anchor - cfg.window_margin as i64;
+            let end = anchor + m as i64 + cfg.window_margin as i64;
+            let anchor_probe = anchor.clamp(0, index.text_len() as i64 - 1) as usize;
+            let Some((window, gstart, chrom)) =
+                index.window_within_chromosome(anchor_probe, start, end)
+            else {
+                continue;
+            };
+            // Seed extension runs the banded Smith–Waterman kernel. The band
+            // is centered on the read's expected diagonal inside the window
+            // — the read should start `anchor - gstart` columns in
+            // (≈ window_margin, less when the window was clamped at a
+            // chromosome edge) — with `window_margin` diagonals of slack
+            // each side; the kernel falls back to the full DP whenever the
+            // band can't prove its answer, so the result is the full DP's.
+            let aln = sw::with_workspace(|ws| {
+                let off = (anchor - gstart as i64) as isize;
+                let band = Band::around_offset(off, cfg.window_margin);
+                sw::local_align_banded(s, window, &cfg.scoring, band, ws)
+            });
+            let Some(aln) = aln else {
+                continue;
+            };
+            if aln.score < cfg.min_score {
+                continue;
+            }
+            let global_pos = gstart + aln.ref_start;
+            let (c2, local) = match index.global_to_local(global_pos) {
+                Some(v) => v,
+                None => continue,
+            };
+            debug_assert_eq!(c2, chrom);
+            out.push(Candidate {
+                chrom,
+                pos: local as i64 + 1,
+                reverse,
+                score: aln.score,
+                cigar: aln.cigar,
+                edit_distance: aln.edit_distance,
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -365,5 +560,178 @@ mod tests {
         let (idx, _, _) = build_index();
         let cands = find_candidates(&idx, &SingleConfig::default(), b"ACGT");
         assert!(cands.is_empty());
+    }
+
+    /// `find_candidates` on `read`, checked against the parent's loop,
+    /// with the rows this thread LF-walked and the windows it reused.
+    fn against_the_parent(idx: &ReferenceIndex, read: &[u8]) -> (Vec<Candidate>, u64, u64) {
+        let cfg = SingleConfig::default();
+        let before = crate::kernels::thread_snapshot();
+        let ours = find_candidates(idx, &cfg, read);
+        let work = crate::kernels::thread_snapshot().delta(&before);
+        assert_eq!(ours, reference::find_candidates(idx, &cfg, read));
+        (ours, work.seed_rows_located, work.sw_window_reuses)
+    }
+
+    fn plant(chr: &mut [u8], at: usize, bases: &[u8]) {
+        chr[at..at + bases.len()].copy_from_slice(bases);
+    }
+
+    #[test]
+    fn a_seed_whose_known_anchors_do_not_all_verify_is_located() {
+        // Seed 0 hits 1000 and 3000; seed 12 hits 1012 and 7012. Anchor
+        // 1000 verifies for seed 12 and anchor 3000 does not, so seed 12
+        // must be located — 2 rows + 2 rows — and every later seed
+        // verifies against 1000 alone.
+        let mut chr = pseudo_dna(20_000, 91);
+        let read = chr[1000..1100].to_vec();
+        plant(&mut chr, 3000, &read[0..19]);
+        plant(&mut chr, 7012, &read[12..31]);
+        let idx = ReferenceIndex::build(&[("chr1".into(), chr)]);
+        let (cands, rows, _) = against_the_parent(&idx, &read);
+        assert_eq!((cands[0].pos, cands[0].score), (1001, 100));
+        assert_eq!(rows, 4, "the parent walks 2 + 2 + 6 × 1");
+    }
+
+    #[test]
+    fn equal_windows_at_different_band_offsets_are_extended_apart() {
+        // A 100 bp chromosome: anchors −16 and 16 both clamp to all of
+        // it, so their windows are the same bytes, but their bands
+        // ([−32, 0] and [0, 32]) see different alignments — the read's
+        // 84 bp prefix on diagonal 16, its 40 bp suffix on diagonal −16
+        // (copied into the chromosome at 44 and 76).
+        let mut chr = pseudo_dna(100, 5);
+        chr.copy_within(44..68, 76);
+        let read: Vec<u8> = [&chr[16..100], &chr[68..84]].concat();
+        let idx =
+            ReferenceIndex::build(&[("chrC".into(), chr), ("chr2".into(), pseudo_dna(5_000, 6))]);
+        let (cands, _, reuses) = against_the_parent(&idx, &read);
+        let forward: Vec<(i64, i32)> = cands
+            .iter()
+            .filter(|c| !c.reverse && c.chrom == 0)
+            .map(|c| (c.pos, c.score))
+            .collect();
+        assert!(forward.contains(&(17, 84)), "{forward:?}");
+        assert!(
+            forward.iter().any(|&(pos, score)| pos > 17 && score < 84),
+            "{forward:?}"
+        );
+        assert_eq!(reuses, 0);
+    }
+
+    #[test]
+    fn an_anchor_located_by_two_seeds_verifies_once() {
+        // Seeds 0 and 12 both locate anchor 1000 (with 5000 and 7000).
+        // Seed 24 hits 1024 and 9024: 1000 verifies, and must count as
+        // one occurrence of two, so 9000 is located — and its 36 bp
+        // alignment kept.
+        let mut chr = pseudo_dna(20_000, 93);
+        let read = chr[1000..1100].to_vec();
+        plant(&mut chr, 5000, &read[0..19]);
+        plant(&mut chr, 7012, &read[12..31]);
+        plant(&mut chr, 9024, &read[24..60]);
+        let idx = ReferenceIndex::build(&[("chr1".into(), chr)]);
+        let (cands, rows, _) = against_the_parent(&idx, &read);
+        assert!(
+            cands.iter().any(|c| c.pos == 9025 && !c.reverse),
+            "{cands:?}"
+        );
+        assert_eq!(
+            rows, 6,
+            "seeds 0, 12 and 24 located; 36 verified against 1000 and 9000"
+        );
+    }
+
+    use proptest::prelude::*;
+
+    /// Tandem-repeat periods: homopolymers up to a dozen-base unit, units
+    /// either side of the seed length, and the alpha-satellite monomer.
+    const PERIODS: [usize; 15] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 19, 20, 171];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn repeat_reads_find_the_parents_candidates(
+            period in 0usize..PERIODS.len(),
+            copies in 1usize..80,
+            lead in prop_oneof![Just(0usize), 1usize..40, 40usize..300],
+            at_join in any::<bool>(),
+            divergent in 0usize..3,
+            max_seed_hits in prop_oneof![Just(64usize), 1usize..16],
+            seed in any::<u64>(),
+            reads in proptest::collection::vec((0usize..6, any::<u64>()), 6),
+        ) {
+            // chr1: `lead` random bases (none: the repeat starts at text
+            // position 0), the repeat, and — unless the repeat runs into
+            // the join and chr2 carries it on — a random tail. chr2: a
+            // 300 bp segment and its copy, 0–2 bases divergent mid-copy.
+            let unit = pseudo_dna(PERIODS[period], seed);
+            let rep_len = copies * unit.len() + (seed >> 40) as usize % 19;
+            let cont = 19 + (seed >> 48) as usize % 60;
+            let tandem: Vec<u8> = unit.iter().copied().cycle().take(rep_len + cont).collect();
+            let mut chr1 = pseudo_dna(lead, seed ^ 1);
+            let rep_start = chr1.len();
+            chr1.extend_from_slice(&tandem[..rep_len]);
+            let mut chr2 = Vec::new();
+            if at_join {
+                chr2.extend_from_slice(&tandem[rep_len..]);
+            } else {
+                chr1.extend(pseudo_dna(150, seed ^ 2));
+            }
+            let segment = pseudo_dna(300, seed ^ 3);
+            let mut copy = segment.clone();
+            for k in 0..divergent {
+                let i = 110 + (seed >> (8 * k)) as usize % 80;
+                copy[i] = if copy[i] == b'A' { b'C' } else { b'A' };
+            }
+            chr2.extend(pseudo_dna(80, seed ^ 4));
+            let seg_src = chr1.len() + chr2.len();
+            chr2.extend_from_slice(&segment);
+            chr2.extend(pseudo_dna(80, seed ^ 5));
+            let seg_dst = chr1.len() + chr2.len();
+            chr2.extend_from_slice(&copy);
+            chr2.extend(pseudo_dna(80, seed ^ 6));
+            let text = [chr1.as_slice(), chr2.as_slice()].concat();
+            let idx = ReferenceIndex::build(&[("chr1".into(), chr1), ("chr2".into(), chr2)]);
+            let cfg = SingleConfig { max_seed_hits, ..SingleConfig::default() };
+
+            let rep_end = rep_start + rep_len;
+            for (kind, r) in reads {
+                let m = [100, 100, 76, 150][r as usize % 4];
+                let at = |x: u64| (x >> 8) as usize;
+                let start = match kind {
+                    // Wholly inside the repeat (straddling both edges
+                    // when it is shorter than the read).
+                    0 => rep_start + at(r) % (rep_len.saturating_sub(m) + 1),
+                    // Straddling its left edge, or its right one (the
+                    // chromosome join when `at_join`).
+                    1 => rep_start.saturating_sub(1 + at(r) % m),
+                    2 => (rep_end + 1 + at(r) % (m - 1)).saturating_sub(m),
+                    // In the segment or its copy.
+                    3 => [seg_src, seg_dst][at(r) % 2] + at(r) / 2 % (300 - m),
+                    // Near text position 0: negative anchors.
+                    4 => at(r) % 20,
+                    _ => at(r) % text.len(),
+                };
+                let start = start.min(text.len() - m);
+                let mut read = text[start..start + m].to_vec();
+                for k in 0..(r >> 32) % 3 {
+                    let i = (r >> (40 + 8 * k)) as usize % m;
+                    read[i] = if read[i] == b'G' { b'T' } else { b'G' };
+                }
+                if (r >> 60) & 1 == 1 {
+                    read[(r >> 20) as usize % m] = b'N';
+                }
+                if (r >> 61) & 1 == 1 {
+                    read = reverse_complement(&read);
+                }
+                prop_assert_eq!(
+                    find_candidates(&idx, &cfg, &read),
+                    reference::find_candidates(&idx, &cfg, &read),
+                    "read kind {} at {}", kind, start
+                );
+            }
+        }
     }
 }

@@ -255,7 +255,7 @@ fn stage_round1(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         splits.push(p.place(&path, path.clone(), bytes)?);
     }
     let rspan = cx.open_round(inputs.stage);
-    // The aligner-side kernels (packed rank, banded SW) report on
+    // The aligner-side kernels (packed rank, locate, banded SW) report on
     // process-wide atomics; bracket the round with snapshots so the
     // round counters carry exactly this run's kernel activity.
     let kernels_before = gesall_aligner::kernels::snapshot();
@@ -271,10 +271,12 @@ fn stage_round1(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
     let kd = gesall_aligner::kernels::snapshot().delta(&kernels_before);
     for (key, val) in [
         (kernel_keys::OCC_WORDS_POPCOUNTED, kd.occ_words_popcounted),
+        (kernel_keys::SEED_ROWS_LOCATED, kd.seed_rows_located),
         (kernel_keys::SW_EXACT_HITS, kd.sw_exact_hits),
         (kernel_keys::SW_GAPLESS_HITS, kd.sw_gapless_hits),
         (kernel_keys::SW_BANDED_HITS, kd.sw_banded_hits),
         (kernel_keys::SW_FULL_FALLBACKS, kd.sw_full_fallbacks),
+        (kernel_keys::SW_WINDOW_REUSES, kd.sw_window_reuses),
     ] {
         if val != 0 {
             r1.counters.add(key, val);

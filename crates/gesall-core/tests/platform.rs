@@ -479,13 +479,17 @@ fn traced_pipeline_emits_round_spans_and_phase_table() {
     // The bit-parallel kernels ran: copied reads were answered by the
     // exact-diagonal comparison, near-copies by the gapless-run check,
     // the banded SW answered extensions inside the band (zero means
-    // every extension fell back to the full DP), the packed rank
-    // popcounted words, and spill batches reached the radix sort.
+    // every extension fell back to the full DP), copies of a repeat
+    // shared one extension of their identical window, the packed rank
+    // popcounted words, `locate` placed the seeds anchors could not
+    // verify, and spill batches reached the radix sort.
     use gesall_telemetry::kernel_keys;
     assert!(round_counter_sum(&out, kernel_keys::SW_EXACT_HITS) > 0);
     assert!(round_counter_sum(&out, kernel_keys::SW_GAPLESS_HITS) > 0);
     assert!(round_counter_sum(&out, kernel_keys::SW_BANDED_HITS) > 0);
+    assert!(round_counter_sum(&out, kernel_keys::SW_WINDOW_REUSES) > 0);
     assert!(round_counter_sum(&out, kernel_keys::OCC_WORDS_POPCOUNTED) > 0);
+    assert!(round_counter_sum(&out, kernel_keys::SEED_ROWS_LOCATED) > 0);
     assert!(
         round_counter_sum(&out, kernel_keys::SORT_RADIX_PASSES)
             + round_counter_sum(&out, kernel_keys::SORT_COMPARISON_FALLBACKS)

@@ -32,17 +32,19 @@
 //!
 //! # Lock order
 //!
-//! `Svc::state` before any `JobShared::cell`. Lease hooks only notify
-//! the condvar and never take either lock, so firing them while
-//! holding `state` (e.g. from `set_limit` during shrink) is safe.
+//! `Svc::state` before any `JobShared::cell`. A lease hook fired off
+//! the dispatcher thread (a permit drop inside a job) takes and releases
+//! `state`, holding nothing else, before it notifies; fired on the
+//! dispatcher thread (`set_limit` inside a pass, `state` held) it only
+//! notifies. See `Svc::lease_released`.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock, Weak};
+use std::thread::{JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
 use gesall_core::{GesallPlatform, RunOptions};
@@ -299,7 +301,25 @@ struct Svc {
     registry: MetricsRegistry,
     state: Mutex<SvcState>,
     wake: Condvar,
+    /// Set by the dispatcher when it starts; lets a lease hook tell
+    /// whether it fires inside a scheduling pass.
+    dispatcher_thread: OnceLock<ThreadId>,
+    #[cfg(test)]
+    test_hooks: TestHooks,
 }
+
+/// Interleaving points for tests: `before_park` runs on the dispatcher
+/// between a pass and its park, `state` held; `before_sync` runs on a
+/// releasing thread just before its lease hook takes `state`.
+#[cfg(test)]
+#[derive(Default)]
+struct TestHooks {
+    before_park: Mutex<Option<ParkHook>>,
+    before_sync: Mutex<Option<Box<dyn Fn() + Send>>>,
+}
+
+#[cfg(test)]
+type ParkHook = Box<dyn FnMut(&SvcState) + Send>;
 
 /// Handed to each job's work function: the shared platform plus the
 /// job's lease and DFS namespace, pre-wired into engine/pipeline
@@ -507,6 +527,9 @@ impl JobService {
                 shutdown: false,
             }),
             wake: Condvar::new(),
+            dispatcher_thread: OnceLock::new(),
+            #[cfg(test)]
+            test_hooks: TestHooks::default(),
         });
         let dispatcher = {
             let svc = svc.clone();
@@ -729,6 +752,7 @@ impl Svc {
     }
 
     fn dispatcher(svc: Arc<Svc>) {
+        let _ = svc.dispatcher_thread.set(std::thread::current().id());
         let mut st = svc.state.lock();
         loop {
             svc.sweep_due_retirements(&mut st);
@@ -748,6 +772,10 @@ impl Svc {
                 .iter()
                 .map(|r| r.deadline.saturating_duration_since(now))
                 .min();
+            #[cfg(test)]
+            if let Some(hook) = svc.test_hooks.before_park.lock().as_mut() {
+                hook(&st);
+            }
             match next_deadline {
                 Some(d) => {
                     svc.wake
@@ -792,12 +820,33 @@ impl Svc {
         }
     }
 
+    /// A lease released a permit or changed its limit: wake the
+    /// dispatcher to harvest. The dispatcher reads `lease.active()` under
+    /// `state` and may then park with no deadline, so a bare notify
+    /// landing between that read and the park would be lost — and with
+    /// it the slot, until some later event. Off the dispatcher thread
+    /// the hook therefore takes and releases `state` first, which orders
+    /// it before the pass (which then sees the release) or after the
+    /// park (which the notify then ends). On the dispatcher thread it
+    /// fires from `set_limit` inside a pass with `state` held, and only
+    /// notifies: `rebalance`'s fixpoint loop covers that case.
+    fn lease_released(&self) {
+        if self.dispatcher_thread.get() != Some(&std::thread::current().id()) {
+            #[cfg(test)]
+            if let Some(hook) = self.test_hooks.before_sync.lock().as_ref() {
+                hook();
+            }
+            drop(self.state.lock());
+        }
+        self.wake.notify_all();
+    }
+
     /// One scheduling pass: harvest → dispatch → grow → shrink, looped
     /// to a fixpoint. The loop matters because a shrink can free
     /// capacity *immediately* (a job holding fewer permits than its
     /// grant drains without waiting), and the dispatcher must hand
-    /// those slots out in the same pass — a condvar notify fired while
-    /// the dispatcher itself is running would be lost.
+    /// those slots out in the same pass — the notify `set_limit` fires
+    /// while the dispatcher itself is running would be lost.
     fn rebalance(self: &Arc<Self>, st: &mut SvcState) {
         loop {
             self.harvest(st);
@@ -1031,13 +1080,11 @@ impl Svc {
         {
             // Every permit release inside the job is a scheduling
             // event: a shrunk lease drains one slot at a time, and the
-            // dispatcher should notice each one. The hook only
-            // notifies — it must not lock state (it can fire while the
-            // dispatcher holds it, e.g. from `set_limit` in `shrink`).
+            // dispatcher must notice each one.
             let weak = Arc::downgrade(self);
             lease.on_release(move || {
                 if let Some(svc) = weak.upgrade() {
-                    svc.wake.notify_all();
+                    svc.lease_released();
                 }
             });
         }
@@ -1464,6 +1511,89 @@ mod tests {
             m.counter(keys::SLOTS_RECLAIMED).get() >= 1,
             "b ran on slots reclaimed from a's shrunk lease"
         );
+        svc.shutdown();
+    }
+
+    /// Drops a service's test hooks (and the channel ends they hold) even
+    /// if the test panics first, so a job blocked on them can finish.
+    struct ClearHooksOnDrop(Arc<Svc>);
+    impl Drop for ClearHooksOnDrop {
+        fn drop(&mut self) {
+            self.0.test_hooks.before_park.lock().take();
+            self.0.test_hooks.before_sync.lock().take();
+        }
+    }
+
+    #[test]
+    fn a_permit_released_between_pass_and_park_wakes_the_dispatcher() {
+        // The lost-wakeup window, made deterministic. b's submission
+        // makes the dispatcher cut a's lease from 2 slots to 1 while a
+        // holds both permits. Between that pass and its park, the
+        // `before_park` hook has a's job drop one permit, and waits until
+        // the releasing thread is about to synchronise with the
+        // dispatcher (`before_sync`) — or, if the lease hook only
+        // notified, until the release is over, its notify already spent.
+        // Only another pass can hand the slot to b, so b runs only if
+        // that release woke the parked dispatcher.
+        use std::sync::mpsc;
+        let svc = service(2, vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)]);
+        let _hooks = ClearHooksOnDrop(svc.svc.clone());
+        let (sync_tx, sync_rx) = mpsc::channel::<&str>();
+        // a's job drops one permit per `false` and stops on `true`, or
+        // once every sender is gone.
+        let (cmd_tx, cmd_rx) = mpsc::channel::<bool>();
+        let (held_tx, held_rx) = mpsc::channel();
+        let released_tx = sync_tx.clone();
+        let a = svc
+            .submit(
+                "a",
+                JobSpec::new("wide", 2, move |ctx| {
+                    let mut held: Vec<_> = std::iter::from_fn(|| ctx.lease().try_acquire()).collect();
+                    held_tx.send(held.len()).unwrap();
+                    while let Ok(false) = cmd_rx.recv() {
+                        held.pop();
+                        let _ = released_tx.send("released");
+                    }
+                    Ok(Box::new(()))
+                }),
+            )
+            .unwrap();
+        let wait = Duration::from_secs(10);
+        assert_eq!(held_rx.recv_timeout(wait), Ok(2));
+
+        let hooks = &svc.svc.test_hooks;
+        let sync_tx = parking_lot::Mutex::new(sync_tx);
+        *hooks.before_sync.lock() = Some(Box::new(move || {
+            let _ = sync_tx.lock().send("syncing");
+        }));
+        let mut release = Some(cmd_tx.clone());
+        *hooks.before_park.lock() = Some(Box::new(move |st: &SvcState| {
+            if st.running.iter().any(|j| j.lease.active() > j.target) {
+                if let Some(release) = release.take() {
+                    release.send(false).unwrap();
+                    let _ = sync_rx.recv();
+                }
+            }
+        }));
+        let (ran_tx, ran_rx) = mpsc::channel();
+        let b = svc
+            .submit(
+                "b",
+                JobSpec::new("late", 1, move |_ctx| {
+                    ran_tx.send(()).unwrap();
+                    Ok(Box::new(()))
+                }),
+            )
+            .unwrap();
+        let b_ran = ran_rx.recv_timeout(wait);
+        // Stop a before asserting anything: its last permit's release is
+        // a fresh wakeup, so a failing run still drains.
+        cmd_tx.send(true).unwrap();
+        let (a_result, b_result) = (a.wait(), b.wait());
+        assert!(b_ran.is_ok(), "the dispatcher slept through the release b was waiting for");
+        a_result.unwrap();
+        b_result.unwrap();
+        assert_eq!(svc.metrics().counter(keys::SLOTS_RECLAIMED).get(), 1);
         svc.shutdown();
     }
 

@@ -15,6 +15,10 @@ pub mod keys {
     /// (32 BWT symbols per word; the byte-scan predecessor would have
     /// touched each symbol individually).
     pub const OCC_WORDS_POPCOUNTED: &str = "kernel.occ.words_popcounted";
+    /// BWT rows LF-walked by `locate` to place seed hits in the text. A
+    /// seed whose hits are all anchors the read already located walks
+    /// none (repeat-aware seeding).
+    pub const SEED_ROWS_LOCATED: &str = "kernel.seed.rows_located";
     /// Seed extensions answered without any DP: the read equals the
     /// reference on a diagonal inside the band.
     pub const SW_EXACT_HITS: &str = "kernel.sw.exact_hits";
@@ -27,6 +31,10 @@ pub mod keys {
     /// Seed extensions whose banded best path touched a band edge and
     /// were re-run through the full DP for exactness.
     pub const SW_FULL_FALLBACKS: &str = "kernel.sw.full_fallbacks";
+    /// Seed extensions answered without a kernel call: a byte-identical
+    /// window at the same band offset was already extended for the same
+    /// read and strand (copies of a repeat).
+    pub const SW_WINDOW_REUSES: &str = "kernel.sw.window_reuses";
     /// LSD radix passes executed by the spill sort (constant-byte passes
     /// are skipped and not counted).
     pub const SORT_RADIX_PASSES: &str = "kernel.sort.radix_passes";
@@ -40,10 +48,12 @@ pub mod keys {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     pub occ_words_popcounted: u64,
+    pub seed_rows_located: u64,
     pub sw_exact_hits: u64,
     pub sw_gapless_hits: u64,
     pub sw_banded_hits: u64,
     pub sw_full_fallbacks: u64,
+    pub sw_window_reuses: u64,
     pub sort_radix_passes: u64,
     pub sort_comparison_fallbacks: u64,
 }
@@ -60,22 +70,29 @@ impl KernelStats {
         };
         KernelStats {
             occ_words_popcounted: get(keys::OCC_WORDS_POPCOUNTED),
+            seed_rows_located: get(keys::SEED_ROWS_LOCATED),
             sw_exact_hits: get(keys::SW_EXACT_HITS),
             sw_gapless_hits: get(keys::SW_GAPLESS_HITS),
             sw_banded_hits: get(keys::SW_BANDED_HITS),
             sw_full_fallbacks: get(keys::SW_FULL_FALLBACKS),
+            sw_window_reuses: get(keys::SW_WINDOW_REUSES),
             sort_radix_passes: get(keys::SORT_RADIX_PASSES),
             sort_comparison_fallbacks: get(keys::SORT_COMPARISON_FALLBACKS),
         }
     }
 
-    /// Seed extensions, however answered.
+    /// Seed extensions, however answered — reused windows included, so
+    /// this counts every anchor extended.
     pub fn sw_extensions(&self) -> u64 {
-        self.sw_exact_hits + self.sw_gapless_hits + self.sw_banded_hits + self.sw_full_fallbacks
+        self.sw_exact_hits
+            + self.sw_gapless_hits
+            + self.sw_banded_hits
+            + self.sw_full_fallbacks
+            + self.sw_window_reuses
     }
 
-    /// Fraction of seed extensions that were exact copies of the
-    /// reference (no DP).
+    /// Fraction of extended anchors the exact-diagonal comparison
+    /// answered (no DP).
     pub fn exact_hit_ratio(&self) -> f64 {
         ratio(self.sw_exact_hits, self.sw_extensions())
     }
@@ -107,6 +124,8 @@ mod tests {
             ("kernel.sw.gapless_hits".to_string(), 60),
             ("kernel.sw.banded_hits".to_string(), 90),
             ("kernel.sw.full_fallbacks".to_string(), 10),
+            ("kernel.sw.window_reuses".to_string(), 40),
+            ("kernel.seed.rows_located".to_string(), 500),
             ("kernel.sort.radix_passes".to_string(), 24),
             ("unrelated".to_string(), 7),
         ];
@@ -116,10 +135,12 @@ mod tests {
         assert_eq!(k.sw_gapless_hits, 60);
         assert_eq!(k.sw_banded_hits, 90);
         assert_eq!(k.sw_full_fallbacks, 10);
+        assert_eq!(k.sw_window_reuses, 40);
+        assert_eq!(k.seed_rows_located, 500);
         assert_eq!(k.sort_radix_passes, 24);
         assert_eq!(k.sort_comparison_fallbacks, 0);
-        assert_eq!(k.sw_extensions(), 260);
-        assert!((k.exact_hit_ratio() - 100.0 / 260.0).abs() < 1e-12);
+        assert_eq!(k.sw_extensions(), 300);
+        assert!((k.exact_hit_ratio() - 100.0 / 300.0).abs() < 1e-12);
         assert!((k.banded_hit_ratio() - 0.9).abs() < 1e-12);
     }
 

@@ -50,6 +50,8 @@ deflake N="25":
         scripts/test-some.sh --offline -q -p gesall-dfs --lib fs::tests::racing_writers_of_one_path_commit_exactly_one_copy -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib retention::tests::racing_cas_puts_of_one_key_store_it_once -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib retention::tests::a_pin_that_returned_ok_keeps_its_file_until_unpin -- --exact
+        scripts/test-some.sh --offline -q -p gesall-jobsvc --lib service::tests::elastic_borrow_then_reclaim_for_late_tenant -- --exact
+        scripts/test-some.sh --offline -q -p gesall --test multi_tenant
     done
 
 # Fast inner-loop check.

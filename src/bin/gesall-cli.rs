@@ -292,13 +292,15 @@ fn cmd_pipeline(opts: &Opts) -> Result<(), AnyError> {
     let k = gesall::telemetry::KernelStats::from_snapshot(&kernel_snapshot);
     if k != gesall::telemetry::KernelStats::default() {
         println!(
-            "Kernels: {} occ words popcounted; {}/{} extensions exact and {} gapless, \
-             no DP ({:.0}% exact); banded SW {}/{} in-band \
+            "Kernels: {} occ words popcounted, {} rows located; {}/{} extensions exact, \
+             {} gapless and {} reused windows, no DP ({:.0}% exact); banded SW {}/{} in-band \
              ({:.0}% hit rate); {} radix passes, {} comparison fallbacks",
             k.occ_words_popcounted,
+            k.seed_rows_located,
             k.sw_exact_hits,
             k.sw_extensions(),
             k.sw_gapless_hits,
+            k.sw_window_reuses,
             k.exact_hit_ratio() * 100.0,
             k.sw_banded_hits,
             k.sw_banded_hits + k.sw_full_fallbacks,
