@@ -378,10 +378,14 @@ mod tests {
         // Seeding: repeat reads locate a quarter of the rows or fewer and
         // call the kernel on 70 % of the anchors or fewer, because later
         // seeds verify against anchors already located and copies of a
-        // repeat share byte-identical windows. Extension: a fifth of the
-        // parent's DP cells or fewer on the parent's own calls, because
-        // two extensions in five or more are reads copied from the
-        // reference and most of the rest are one substitution away.
+        // repeat share byte-identical windows; over a third of the seeds
+        // are answered without a backward search, and answering them
+        // locates and extends nothing the search would not have, so rows,
+        // kernel calls and reuses are what they were before any seed was
+        // answered (pinned). Extension: a fifth of the parent's DP cells
+        // or fewer on the parent's own calls, because two extensions in
+        // five or more are reads copied from the reference and most of
+        // the rest are one substitution away.
         use crate::{fm, kernels, single, sw};
         let (genome, pairs, aligner) = build_world(2000);
         let text: Vec<u8> = genome.chromosomes.iter().flat_map(|c| c.seq.iter().copied()).collect();
@@ -425,6 +429,39 @@ mod tests {
             "{} kernel calls, the parent's loop {}",
             k.sw_calls(),
             pk.sw_calls()
+        );
+        assert_eq!(
+            (k.seed_rows_located, k.sw_calls(), k.sw_window_reuses),
+            (8_464, 4_132, 2_954),
+            "rows located, kernel calls, window reuses"
+        );
+
+        // Known-answer seeding: every seed of both strands of every read
+        // that is all ACGT could have been searched.
+        let cfg = &aligner.config().single;
+        let acgt_seeds: u64 = pairs
+            .iter()
+            .flat_map(|p| [&p.r1.seq, &p.r2.seq])
+            .map(|seq| {
+                let last = seq.len().saturating_sub(cfg.seed_len);
+                (0..last)
+                    .step_by(cfg.seed_stride)
+                    .chain([last])
+                    .filter(|&off| {
+                        seq.get(off..off + cfg.seed_len)
+                            .is_some_and(|s| s.iter().all(|b| b"ACGT".contains(b)))
+                    })
+                    .count() as u64
+                    * 2
+            })
+            .sum();
+        assert_eq!(pk.seed_searches_answered, 0);
+        // 43 367 of this world's 64 000 seeds (68 %); 51 % of the 256 000
+        // in `wgs_hc`'s 8 000 pairs.
+        assert!(
+            k.seed_searches_answered * 100 >= acgt_seeds * 35,
+            "{} of {acgt_seeds} seed searches answered",
+            k.seed_searches_answered
         );
 
         // Extension, on the parent's calls.

@@ -70,8 +70,13 @@ pub struct FmIndex {
 impl FmIndex {
     /// Build the index. `text` must contain only `ACGT` bytes.
     pub fn build(text: &[u8]) -> FmIndex {
-        let sa = suffix_array(text);
-        let bwt_ascii = bwt_from_sa(text, &sa);
+        FmIndex::from_sa(text, &suffix_array(text))
+    }
+
+    /// Build the index from `text`'s suffix array, for a caller that
+    /// needs the array for something else too.
+    pub(crate) fn from_sa(text: &[u8], sa: &[u32]) -> FmIndex {
+        let bwt_ascii = bwt_from_sa(text, sa);
         debug_assert!(bwt_ascii.iter().all(|&b| code(b).is_some()));
         // The sentinel is byte 0 — not ACGT — so the packer records its
         // row as the sequence's one "N" position.
@@ -336,7 +341,7 @@ pub(crate) mod reference {
     use super::*;
 
     pub(crate) fn build_sampled(text: &[u8]) -> Vec<(u32, u32)> {
-        let sa = suffix_array(text);
+        let sa = crate::suffix::reference::suffix_array(text);
         let mut sampled = Vec::new();
         let n = text.len() as u32;
         if n.is_multiple_of(SA_SAMPLE) {

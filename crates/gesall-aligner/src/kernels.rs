@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static OCC_WORDS_POPCOUNTED: AtomicU64 = AtomicU64::new(0);
 static SEED_ROWS_LOCATED: AtomicU64 = AtomicU64::new(0);
+static SEED_SEARCHES_ANSWERED: AtomicU64 = AtomicU64::new(0);
 static SW_EXACT_HITS: AtomicU64 = AtomicU64::new(0);
 static SW_GAPLESS_HITS: AtomicU64 = AtomicU64::new(0);
 static SW_BANDED_HITS: AtomicU64 = AtomicU64::new(0);
@@ -27,6 +28,7 @@ thread_local! {
         std::cell::Cell::new(Snapshot {
             occ_words_popcounted: 0,
             seed_rows_located: 0,
+            seed_searches_answered: 0,
             sw_exact_hits: 0,
             sw_gapless_hits: 0,
             sw_banded_hits: 0,
@@ -61,6 +63,13 @@ pub fn add_rows_located(n: u64) {
     if n != 0 {
         add(&SEED_ROWS_LOCATED, n, |s| &mut s.seed_rows_located);
     }
+}
+
+/// One seed whose hits were known without a backward search: the
+/// anchors already located and the index's uniqueness bit settled them.
+#[inline]
+pub fn add_search_answered() {
+    add(&SEED_SEARCHES_ANSWERED, 1, |s| &mut s.seed_searches_answered);
 }
 
 /// One seed extension answered by the exact-diagonal comparison, no DP.
@@ -100,6 +109,7 @@ pub fn add_window_reuse() {
 pub struct Snapshot {
     pub occ_words_popcounted: u64,
     pub seed_rows_located: u64,
+    pub seed_searches_answered: u64,
     pub sw_exact_hits: u64,
     pub sw_gapless_hits: u64,
     pub sw_banded_hits: u64,
@@ -118,6 +128,9 @@ impl Snapshot {
             seed_rows_located: self
                 .seed_rows_located
                 .saturating_sub(earlier.seed_rows_located),
+            seed_searches_answered: self
+                .seed_searches_answered
+                .saturating_sub(earlier.seed_searches_answered),
             sw_exact_hits: self.sw_exact_hits.saturating_sub(earlier.sw_exact_hits),
             sw_gapless_hits: self.sw_gapless_hits.saturating_sub(earlier.sw_gapless_hits),
             sw_banded_hits: self.sw_banded_hits.saturating_sub(earlier.sw_banded_hits),
@@ -142,6 +155,7 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         occ_words_popcounted: OCC_WORDS_POPCOUNTED.load(Ordering::Relaxed),
         seed_rows_located: SEED_ROWS_LOCATED.load(Ordering::Relaxed),
+        seed_searches_answered: SEED_SEARCHES_ANSWERED.load(Ordering::Relaxed),
         sw_exact_hits: SW_EXACT_HITS.load(Ordering::Relaxed),
         sw_gapless_hits: SW_GAPLESS_HITS.load(Ordering::Relaxed),
         sw_banded_hits: SW_BANDED_HITS.load(Ordering::Relaxed),
@@ -168,6 +182,7 @@ mod tests {
         add_occ_words(7);
         add_occ_words(0); // no-op, avoids the atomic entirely
         add_rows_located(3);
+        add_search_answered();
         add_exact_hit();
         add_gapless_hit();
         add_banded_hit();
@@ -177,6 +192,7 @@ mod tests {
         // Other tests may run concurrently, so deltas are lower-bounded.
         assert!(d.occ_words_popcounted >= 7);
         assert!(d.seed_rows_located >= 3);
+        assert!(d.seed_searches_answered >= 1);
         assert!(d.sw_exact_hits >= 1);
         assert!(d.sw_gapless_hits >= 1);
         assert!(d.sw_banded_hits >= 1);
@@ -189,6 +205,7 @@ mod tests {
             Snapshot {
                 occ_words_popcounted: 7,
                 seed_rows_located: 3,
+                seed_searches_answered: 1,
                 sw_exact_hits: 1,
                 sw_gapless_hits: 1,
                 sw_banded_hits: 1,

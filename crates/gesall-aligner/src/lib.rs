@@ -7,13 +7,13 @@
 //!
 //! Architecture, bottom-up:
 //!
-//! * [`suffix`] — suffix-array construction (prefix doubling);
+//! * [`suffix`] — suffix-array construction (SA-IS, linear time);
 //! * [`fm`] — BWT + checkpointed rank structure: backward search
 //!   (`count`) and sampled-SA `locate`;
 //! * [`sw`] — banded local alignment with traceback → CIGAR, soft clips,
 //!   alignment score, edit distance;
 //! * [`index`] — the reference index: concatenated chromosomes + FM-index
-//!   + coordinate translation;
+//!   + a per-position 19-mer uniqueness bit + coordinate translation;
 //! * [`single`] — per-read alignment: seeding, candidate generation on
 //!   both strands, scoring, mapping quality;
 //! * [`pairing`] — per-**batch** paired-end resolution: insert-size

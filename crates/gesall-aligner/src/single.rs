@@ -1,6 +1,6 @@
 //! Per-read alignment: seeding, candidate generation, mapping quality.
 
-use crate::index::ReferenceIndex;
+use crate::index::{ReferenceIndex, UNIQUE_K};
 use crate::kernels;
 use crate::sw::{self, Band, LocalAlignment, Scoring};
 use gesall_formats::dna::reverse_complement;
@@ -75,12 +75,11 @@ pub fn find_candidates(
         return reference::find_candidates(index, cfg, seq);
     }
     let mut out: Vec<Candidate> = Vec::new();
-    let mut anchors: Vec<i64> = Vec::new();
-    let mut located: Vec<i64> = Vec::new();
     let rc = reverse_complement(seq);
-    for (reverse, s) in [(false, seq), (true, rc.as_slice())] {
-        gather_anchors(index, cfg, s, &mut anchors, &mut located);
-        extend_anchors(index, cfg, s, reverse, &anchors, &mut out);
+    let strands = [seq, rc.as_slice()];
+    let anchors = gather_anchors(index, cfg, strands);
+    for (t, anchors) in anchors.iter().enumerate() {
+        extend_anchors(index, cfg, strands[t], t == 1, anchors, &mut out);
     }
     // Dedup by (chrom, pos, strand), keep best score.
     out.sort_by(|a, b| {
@@ -94,41 +93,71 @@ pub fn find_candidates(
     out
 }
 
-/// The anchors of one strand pass — text positions where a seed hit
-/// implies the read starts — sorted, with anchors within 8 of each
-/// other collapsed (same implied alignment). A seed too repetitive to
-/// locate contributes none.
+/// The anchors of both strand passes — `strands` is the read and its
+/// reverse complement; an anchor is a text position where a seed hit
+/// implies that strand starts — each sorted, with anchors within 8 of
+/// each other collapsed (same implied alignment). A seed too repetitive
+/// to locate contributes none.
 ///
-/// The anchors are the parent seed loop's, found with less `locate`
-/// work (DESIGN.md §13, *Repeat-aware seeding*). A seed with `n` hits
-/// is first checked against the distinct anchors this pass has already
-/// located: each that puts the seed's bytes at its offset in the text is
-/// an occurrence, and distinct anchors are distinct occurrences, so when
+/// The anchors are the parent seed loop's, found with less work.
+/// *Known-answer seeding* (DESIGN.md §13): when the seeds are
+/// [`UNIQUE_K`] long and `max_seed_hits ≥ 1`, a seed first asks the
+/// anchors already located, on both strands, with the index's uniqueness
+/// bit. If anchor `a` of its own pass puts the seed's bytes at a unique
+/// position, the seed occurs there alone: `a` is its whole answer. If
+/// anchor `b` of the other pass puts the seed's reverse complement at a
+/// unique position, the seed itself occurs nowhere: it has no answer.
+/// Either way no backward search runs. So that both passes have anchors
+/// to ask early, each pass's first seed goes first.
+///
+/// A seed still searched, with `n` hits, is checked against the distinct
+/// anchors its pass has already located (*Repeat-aware seeding*): each
+/// that puts the seed's bytes at its offset in the text is an
+/// occurrence, and distinct anchors are distinct occurrences, so when
 /// `n` of them verify they are the FM-index's whole answer and its `n`
 /// LF walks are skipped. Otherwise the rows are located as before.
-/// `located` is scratch: those distinct anchors.
 fn gather_anchors(
     index: &ReferenceIndex,
     cfg: &SingleConfig,
-    s: &[u8],
-    anchors: &mut Vec<i64>,
-    located: &mut Vec<i64>,
-) {
-    anchors.clear();
-    located.clear();
-    let m = s.len();
-    if m < cfg.seed_len {
-        return;
+    strands: [&[u8]; 2],
+) -> [Vec<i64>; 2] {
+    let mut anchors = [Vec::new(), Vec::new()];
+    // The distinct anchors each pass has located.
+    let mut located: [Vec<i64>; 2] = [Vec::new(), Vec::new()];
+    let (m, k) = (strands[0].len(), cfg.seed_len);
+    if m < k {
+        return anchors;
     }
-    // Seed offsets: 0, stride, 2*stride, ..., and always the final window.
+    // Seed offsets: 0, stride, 2*stride, ..., and always the final window;
+    // every pass's first seed before any pass's others.
     let stride = cfg.seed_stride.max(1);
-    let last = m - cfg.seed_len;
-    let seed_offsets = (0..last).step_by(stride).chain([last]);
+    let last = m - k;
+    let seed_offsets = || (0..last).step_by(stride).chain([last]);
+    let seeds = [(0, 0), (1, 0)]
+        .into_iter()
+        .chain(seed_offsets().skip(1).map(|off| (0, off)))
+        .chain(seed_offsets().skip(1).map(|off| (1, off)));
+    let known_answers = k == UNIQUE_K && cfg.max_seed_hits >= 1;
     let (fm, text) = (index.fm(), index.text());
-    for off in seed_offsets {
-        let seed = &s[off..off + cfg.seed_len];
+    for (t, off) in seeds {
+        let seed = &strands[t][off..off + k];
         if seed.iter().any(|&b| !matches!(b, b'A' | b'C' | b'G' | b'T')) {
             continue;
+        }
+        if known_answers {
+            let own = located[t].iter().find(|&&a| index.is_unique_kmer_at(a + off as i64, seed));
+            if let Some(&a) = own {
+                anchors[t].push(a);
+                kernels::add_search_answered();
+                continue;
+            }
+            // The seed's reverse complement, in the other pass's strand.
+            let j = m - off - k;
+            let mirror = &strands[1 - t][j..j + k];
+            if located[1 - t].iter().any(|&b| index.is_unique_kmer_at(b + j as i64, mirror)) {
+                kernels::add_search_answered();
+                continue;
+            }
         }
         let Some((l, r)) = fm.search(seed) else {
             continue;
@@ -137,11 +166,12 @@ fn gather_anchors(
         if n > cfg.max_seed_hits {
             continue;
         }
+        let (anchors, located) = (&mut anchors[t], &mut located[t]);
         let off = off as i64;
         let mark = anchors.len();
         if n <= located.len() {
             anchors.extend(located.iter().copied().filter(|&a| {
-                usize::try_from(a + off).is_ok_and(|p| text.get(p..p + seed.len()) == Some(seed))
+                usize::try_from(a + off).is_ok_and(|p| text.get(p..p + k) == Some(seed))
             }));
             if anchors.len() - mark == n {
                 continue;
@@ -153,8 +183,11 @@ fn gather_anchors(
         located.sort_unstable();
         located.dedup();
     }
-    anchors.sort_unstable();
-    anchors.dedup_by(|a, b| (*a - *b).abs() <= 8);
+    for anchors in &mut anchors {
+        anchors.sort_unstable();
+        anchors.dedup_by(|a, b| (*a - *b).abs() <= 8);
+    }
+    anchors
 }
 
 /// Extend every anchor of one strand pass and keep the candidates that
@@ -563,14 +596,24 @@ mod tests {
     }
 
     /// `find_candidates` on `read`, checked against the parent's loop,
-    /// with the rows this thread LF-walked and the windows it reused.
-    fn against_the_parent(idx: &ReferenceIndex, read: &[u8]) -> (Vec<Candidate>, u64, u64) {
-        let cfg = SingleConfig::default();
+    /// with the work this thread did.
+    fn against_the_parent_with(
+        idx: &ReferenceIndex,
+        cfg: &SingleConfig,
+        read: &[u8],
+    ) -> (Vec<Candidate>, crate::kernels::Snapshot) {
         let before = crate::kernels::thread_snapshot();
-        let ours = find_candidates(idx, &cfg, read);
+        let ours = find_candidates(idx, cfg, read);
         let work = crate::kernels::thread_snapshot().delta(&before);
-        assert_eq!(ours, reference::find_candidates(idx, &cfg, read));
-        (ours, work.seed_rows_located, work.sw_window_reuses)
+        assert_eq!(ours, reference::find_candidates(idx, cfg, read));
+        (ours, work)
+    }
+
+    fn against_the_parent(
+        idx: &ReferenceIndex,
+        read: &[u8],
+    ) -> (Vec<Candidate>, crate::kernels::Snapshot) {
+        against_the_parent_with(idx, &SingleConfig::default(), read)
     }
 
     fn plant(chr: &mut [u8], at: usize, bases: &[u8]) {
@@ -588,9 +631,9 @@ mod tests {
         plant(&mut chr, 3000, &read[0..19]);
         plant(&mut chr, 7012, &read[12..31]);
         let idx = ReferenceIndex::build(&[("chr1".into(), chr)]);
-        let (cands, rows, _) = against_the_parent(&idx, &read);
+        let (cands, work) = against_the_parent(&idx, &read);
         assert_eq!((cands[0].pos, cands[0].score), (1001, 100));
-        assert_eq!(rows, 4, "the parent walks 2 + 2 + 6 × 1");
+        assert_eq!(work.seed_rows_located, 4, "the parent walks 2 + 2 + 6 × 1");
     }
 
     #[test]
@@ -605,7 +648,7 @@ mod tests {
         let read: Vec<u8> = [&chr[16..100], &chr[68..84]].concat();
         let idx =
             ReferenceIndex::build(&[("chrC".into(), chr), ("chr2".into(), pseudo_dna(5_000, 6))]);
-        let (cands, _, reuses) = against_the_parent(&idx, &read);
+        let (cands, work) = against_the_parent(&idx, &read);
         let forward: Vec<(i64, i32)> = cands
             .iter()
             .filter(|c| !c.reverse && c.chrom == 0)
@@ -616,7 +659,7 @@ mod tests {
             forward.iter().any(|&(pos, score)| pos > 17 && score < 84),
             "{forward:?}"
         );
-        assert_eq!(reuses, 0);
+        assert_eq!(work.sw_window_reuses, 0);
     }
 
     #[test]
@@ -631,15 +674,79 @@ mod tests {
         plant(&mut chr, 7012, &read[12..31]);
         plant(&mut chr, 9024, &read[24..60]);
         let idx = ReferenceIndex::build(&[("chr1".into(), chr)]);
-        let (cands, rows, _) = against_the_parent(&idx, &read);
+        let (cands, work) = against_the_parent(&idx, &read);
         assert!(
             cands.iter().any(|c| c.pos == 9025 && !c.reverse),
             "{cands:?}"
         );
         assert_eq!(
-            rows, 6,
+            work.seed_rows_located, 6,
             "seeds 0, 12 and 24 located; 36 verified against 1000 and 9000"
         );
+    }
+
+    #[test]
+    fn an_exact_unique_read_searches_one_seed_per_strand_it_lies_on() {
+        // 100 bp reads, 8 seeds a strand. Forward: the forward first seed
+        // locates the anchor, which answers the other 15 seeds — its own
+        // strand's 7, and the reverse pass's 8, whose reverse
+        // complements sit at unique positions. Reverse: the forward first
+        // seed finds nothing, so the reverse first seed is searched too.
+        let (idx, chr1, chr2) = build_index();
+        let (cands, work) = against_the_parent(&idx, &chr1[5000..5100]);
+        assert_eq!((cands[0].pos, cands[0].reverse), (5001, false));
+        assert_eq!((work.seed_searches_answered, work.seed_rows_located), (15, 1));
+        let (cands, work) = against_the_parent(&idx, &reverse_complement(&chr2[7000..7100]));
+        assert_eq!((cands[0].pos, cands[0].reverse), (7001, true));
+        assert_eq!((work.seed_searches_answered, work.seed_rows_located), (14, 1));
+    }
+
+    #[test]
+    fn an_anchor_verifying_at_a_repeated_kmer_does_not_answer() {
+        // Seed 12's bytes sit at anchor 1000's offset, but also at 7012:
+        // its bit is clear, so it is searched — two hits, one verified,
+        // so both located. Every other seed is answered from 1000.
+        let mut chr = pseudo_dna(20_000, 95);
+        let read = chr[1000..1100].to_vec();
+        plant(&mut chr, 7012, &read[12..31]);
+        let idx = ReferenceIndex::build(&[("chr1".into(), chr)]);
+        let (cands, work) = against_the_parent(&idx, &read);
+        assert_eq!((cands[0].pos, cands[0].score), (1001, 100));
+        assert_eq!((work.seed_searches_answered, work.seed_rows_located), (14, 3));
+    }
+
+    #[test]
+    fn an_inverted_repeat_sends_the_other_pass_to_the_index() {
+        // The reverse complement of the read's bases 40..80 is planted at
+        // 5000. The forward seeds wholly inside them, and the reverse seeds
+        // whose reverse complements are, lose their bits; the reverse
+        // ones are searched, find the copy, and yield its alignment.
+        let mut chr = pseudo_dna(20_000, 97);
+        let read = chr[1000..1100].to_vec();
+        plant(&mut chr, 5000, &reverse_complement(&read[40..80]));
+        let idx = ReferenceIndex::build(&[("chr1".into(), chr)]);
+        let (cands, work) = against_the_parent(&idx, &read);
+        assert_eq!((cands[0].pos, cands[0].score), (1001, 100));
+        assert!(
+            cands.iter().any(|c| c.reverse && (c.pos - 5001).abs() <= 2 && c.score >= 38),
+            "{cands:?}"
+        );
+        // Searched: forward 0, 48 and 60; reverse 24 and 36 (their
+        // reverse complements are the forward bases 57..76 and 45..64).
+        assert_eq!(work.seed_searches_answered, 11);
+    }
+
+    #[test]
+    fn other_seed_lengths_and_no_seed_hits_answer_nothing() {
+        let (idx, chr1, _) = build_index();
+        let read = &chr1[5000..5100];
+        for cfg in [
+            SingleConfig { seed_len: 21, ..SingleConfig::default() },
+            SingleConfig { max_seed_hits: 0, ..SingleConfig::default() },
+        ] {
+            let (_, work) = against_the_parent_with(&idx, &cfg, read);
+            assert_eq!(work.seed_searches_answered, 0, "{cfg:?}");
+        }
     }
 
     use proptest::prelude::*;
@@ -724,6 +831,69 @@ mod tests {
                     read[(r >> 20) as usize % m] = b'N';
                 }
                 if (r >> 61) & 1 == 1 {
+                    read = reverse_complement(&read);
+                }
+                prop_assert_eq!(
+                    find_candidates(&idx, &cfg, &read),
+                    reference::find_candidates(&idx, &cfg, &read),
+                    "read kind {} at {}", kind, start
+                );
+            }
+        }
+
+        #[test]
+        fn known_answer_seeding_finds_the_parents_candidates(
+            len1 in 150usize..3_000,
+            len2 in 150usize..3_000,
+            inverted in any::<bool>(),
+            seed in any::<u64>(),
+            reads in proptest::collection::vec((0usize..4, any::<u64>()), 8),
+        ) {
+            // Two random chromosomes — unique almost everywhere — and,
+            // sometimes, an inverted copy of 60 bases of chr1 in chr2.
+            let chr1 = pseudo_dna(len1, seed);
+            let mut chr2 = pseudo_dna(len2, seed ^ 1);
+            if inverted {
+                let from = (seed >> 8) as usize % (len1 - 60);
+                let to = (seed >> 24) as usize % (len2 - 60);
+                plant(&mut chr2, to, &reverse_complement(&chr1[from..from + 60]));
+            }
+            let text = [chr1.as_slice(), chr2.as_slice()].concat();
+            let idx = ReferenceIndex::build(&[("chr1".into(), chr1), ("chr2".into(), chr2)]);
+            let cfg = SingleConfig::default();
+            for (kind, r) in reads {
+                let m = [100, 100, 76, 150][r as usize % 4];
+                let at = (r >> 8) as usize;
+                let start = match kind {
+                    // Across the chromosome join.
+                    0 => (len1 + 1 + at % (m - 1)).saturating_sub(m),
+                    // Near text position 0: negative anchors.
+                    1 => at % 20,
+                    _ => at % text.len(),
+                };
+                // Up to one indel of 1–4 bases, then 0–3 substitutions.
+                let indel = (r >> 16) as usize % 5;
+                let start = start.min(text.len() - m - indel);
+                let mut read = text[start..start + m + indel].to_vec();
+                let cut = 20 + (r >> 24) as usize % (m - 40);
+                match (r >> 32) % 3 {
+                    0 => read.truncate(m),
+                    1 => drop(read.drain(cut..cut + indel)),
+                    _ => {
+                        read.truncate(m);
+                        let bases = (0..indel).map(|i| b"ACGT"[(r >> (34 + 2 * i)) as usize % 4]);
+                        read.splice(cut..cut, bases);
+                    }
+                }
+                for k in 0..(r >> 42) % 4 {
+                    let i = (r >> (44 + 5 * k)) as usize % read.len();
+                    read[i] = if read[i] == b'G' { b'T' } else { b'G' };
+                }
+                if (r >> 62) & 1 == 1 {
+                    let i = (r >> 3) as usize % read.len();
+                    read[i] = b'N';
+                }
+                if (r >> 63) & 1 == 1 {
                     read = reverse_complement(&read);
                 }
                 prop_assert_eq!(

@@ -272,6 +272,7 @@ fn stage_round1(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
     for (key, val) in [
         (kernel_keys::OCC_WORDS_POPCOUNTED, kd.occ_words_popcounted),
         (kernel_keys::SEED_ROWS_LOCATED, kd.seed_rows_located),
+        (kernel_keys::SEED_SEARCHES_ANSWERED, kd.seed_searches_answered),
         (kernel_keys::SW_EXACT_HITS, kd.sw_exact_hits),
         (kernel_keys::SW_GAPLESS_HITS, kd.sw_gapless_hits),
         (kernel_keys::SW_BANDED_HITS, kd.sw_banded_hits),

@@ -482,7 +482,8 @@ fn traced_pipeline_emits_round_spans_and_phase_table() {
     // every extension fell back to the full DP), copies of a repeat
     // shared one extension of their identical window, the packed rank
     // popcounted words, `locate` placed the seeds anchors could not
-    // verify, and spill batches reached the radix sort.
+    // verify, anchors and the uniqueness bit answered seeds without a
+    // search, and spill batches reached the radix sort.
     use gesall_telemetry::kernel_keys;
     assert!(round_counter_sum(&out, kernel_keys::SW_EXACT_HITS) > 0);
     assert!(round_counter_sum(&out, kernel_keys::SW_GAPLESS_HITS) > 0);
@@ -490,6 +491,7 @@ fn traced_pipeline_emits_round_spans_and_phase_table() {
     assert!(round_counter_sum(&out, kernel_keys::SW_WINDOW_REUSES) > 0);
     assert!(round_counter_sum(&out, kernel_keys::OCC_WORDS_POPCOUNTED) > 0);
     assert!(round_counter_sum(&out, kernel_keys::SEED_ROWS_LOCATED) > 0);
+    assert!(round_counter_sum(&out, kernel_keys::SEED_SEARCHES_ANSWERED) > 0);
     assert!(
         round_counter_sum(&out, kernel_keys::SORT_RADIX_PASSES)
             + round_counter_sum(&out, kernel_keys::SORT_COMPARISON_FALLBACKS)

@@ -265,12 +265,6 @@ impl Wire for SamRecord {
             + self.edit_distance.encoded_len()
     }
 
-    /// Alignment-record streams are dominated by SEQ/QUAL/positions —
-    /// exactly what the genomic sequence codec packs.
-    fn codec_hint() -> Option<crate::compress::Codec> {
-        Some(crate::compress::Codec::Seq)
-    }
-
     fn decode(cur: &mut Cursor<'_>) -> Result<SamRecord> {
         let name = String::decode(cur)?;
         let flags = Flags(u32::decode(cur)? as u16);

@@ -214,17 +214,6 @@ pub trait Wire: Sized {
         0
     }
 
-    /// The compressed codec best suited to streams of this type, or
-    /// `None` to defer to the job-level default. Genomic record types
-    /// whose bytes are dominated by bases/qualities/positions hint
-    /// [`Codec::Seq`](crate::compress::Codec::Seq); generic types leave
-    /// the default (LZ) in place. A hint never changes *whether* a
-    /// segment compresses — only which registered codec is used when it
-    /// does — so output stays byte-identical after decode either way.
-    fn codec_hint() -> Option<crate::compress::Codec> {
-        None
-    }
-
     /// Convenience: decode from a full buffer, requiring it be consumed.
     fn from_wire_bytes(data: &[u8]) -> Result<Self> {
         let mut cur = Cursor::new(data);

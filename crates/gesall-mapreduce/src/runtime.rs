@@ -102,11 +102,11 @@ pub struct JobConfig {
     pub shuffle_namespace: Option<String>,
     /// Codec map-output partitions of at least
     /// [`COMPRESS_MIN_BYTES`](crate::shuffle::COMPRESS_MIN_BYTES) travel
-    /// under (the paper's Snappy setting). `None` (the default) defers
-    /// to the key-type's
-    /// [`Wire::codec_hint`](gesall_formats::wire::Wire::codec_hint)
-    /// (value type first, then key type), falling back to [`Codec::Lz`];
-    /// `Some(Codec::Raw)` turns compression off.
+    /// under (the paper's Snappy setting). `None` (the default) is
+    /// [`Codec::Lz`], for every record type: on an in-process DFS the
+    /// bytes [`Codec::Seq`] saves on alignment records buy nothing and
+    /// its encode costs twice Lz's (DESIGN.md §14). `Some(Codec::Raw)`
+    /// turns compression off.
     pub shuffle_codec: Option<Codec>,
 }
 
@@ -390,7 +390,7 @@ impl MapReduceEngine {
         F: OutputFormat<R::OutKey, R::OutValue>,
     {
         let frame = JobFrame::open(&self.recorder, config);
-        let job = self.open_shuffle::<M::OutKey, M::OutValue>(&frame.config, partitioner);
+        let job = self.open_shuffle(&frame.config, partitioner);
         let n_maps = splits.len();
         let outputs = (|| -> Result<Vec<F::Output>, GesallError> {
             // ---- Map wave ---------------------------------------------
@@ -455,7 +455,7 @@ impl MapReduceEngine {
     /// Set up one job's shuffle: the transit DFS (the plan's
     /// storage-layer gray failures armed on it), this run's directory and
     /// the codec its map outputs travel under.
-    fn open_shuffle<'a, K: Wire, V: Wire>(
+    fn open_shuffle<'a, K: Wire>(
         &self,
         config: &'a JobConfig,
         partitioner: &'a dyn Partitioner<K>,
@@ -489,11 +489,7 @@ impl MapReduceEngine {
             config,
             n_reducers: config.n_reducers.max(1),
             partitioner,
-            // The job override wins, else the key-type's hint (value
-            // type first — it dominates the bytes), else the LZ default.
-            codec: config.shuffle_codec.unwrap_or_else(|| {
-                V::codec_hint().or_else(K::codec_hint).unwrap_or(Codec::Lz)
-            }),
+            codec: config.shuffle_codec.unwrap_or(Codec::Lz),
             n_dfs_nodes: dfs.config().n_nodes,
             dfs,
             base,

@@ -19,6 +19,11 @@ pub mod keys {
     /// seed whose hits are all anchors the read already located walks
     /// none (repeat-aware seeding).
     pub const SEED_ROWS_LOCATED: &str = "kernel.seed.rows_located";
+    /// Seeds whose hits were known without a backward search: an anchor
+    /// the read already located puts the seed, or its reverse
+    /// complement, at a k-mer the index marks unique (known-answer
+    /// seeding).
+    pub const SEED_SEARCHES_ANSWERED: &str = "kernel.seed.searches_answered";
     /// Seed extensions answered without any DP: the read equals the
     /// reference on a diagonal inside the band.
     pub const SW_EXACT_HITS: &str = "kernel.sw.exact_hits";
@@ -49,6 +54,7 @@ pub mod keys {
 pub struct KernelStats {
     pub occ_words_popcounted: u64,
     pub seed_rows_located: u64,
+    pub seed_searches_answered: u64,
     pub sw_exact_hits: u64,
     pub sw_gapless_hits: u64,
     pub sw_banded_hits: u64,
@@ -71,6 +77,7 @@ impl KernelStats {
         KernelStats {
             occ_words_popcounted: get(keys::OCC_WORDS_POPCOUNTED),
             seed_rows_located: get(keys::SEED_ROWS_LOCATED),
+            seed_searches_answered: get(keys::SEED_SEARCHES_ANSWERED),
             sw_exact_hits: get(keys::SW_EXACT_HITS),
             sw_gapless_hits: get(keys::SW_GAPLESS_HITS),
             sw_banded_hits: get(keys::SW_BANDED_HITS),
@@ -126,6 +133,7 @@ mod tests {
             ("kernel.sw.full_fallbacks".to_string(), 10),
             ("kernel.sw.window_reuses".to_string(), 40),
             ("kernel.seed.rows_located".to_string(), 500),
+            ("kernel.seed.searches_answered".to_string(), 70),
             ("kernel.sort.radix_passes".to_string(), 24),
             ("unrelated".to_string(), 7),
         ];
@@ -137,6 +145,7 @@ mod tests {
         assert_eq!(k.sw_full_fallbacks, 10);
         assert_eq!(k.sw_window_reuses, 40);
         assert_eq!(k.seed_rows_located, 500);
+        assert_eq!(k.seed_searches_answered, 70);
         assert_eq!(k.sort_radix_passes, 24);
         assert_eq!(k.sort_comparison_fallbacks, 0);
         assert_eq!(k.sw_extensions(), 300);

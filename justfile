@@ -36,6 +36,15 @@ bench-trace:
 bench-diff A B:
     benchmark/run.sh compare {{A}} {{B}}
 
+# Alternating parent / change pairs of one workload, the procedure a
+# performance claim is judged by (scripts/bench-pairs.sh): seeds 1..N,
+# each side first in turn, untraced; prints every pair, then per
+# end-to-end metric the medians, ratio, wins and the parent's quartiles.
+# Exits 1 on correct:false. PARENT and CHANGE are copies of each side's
+# benchmark/target/release/gesall-benchmark.
+bench-pairs PARENT CHANGE WORKLOAD N="10" SECONDS="20":
+    scripts/bench-pairs.sh {{PARENT}} {{CHANGE}} {{WORKLOAD}} {{N}} {{SECONDS}}
+
 # CI's deflake gate: the timing-sensitive tests N times each. Every
 # line goes through scripts/test-some.sh, which fails when its filter
 # matches no test — a moved or renamed test cannot turn its gate off.

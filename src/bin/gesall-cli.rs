@@ -292,10 +292,11 @@ fn cmd_pipeline(opts: &Opts) -> Result<(), AnyError> {
     let k = gesall::telemetry::KernelStats::from_snapshot(&kernel_snapshot);
     if k != gesall::telemetry::KernelStats::default() {
         println!(
-            "Kernels: {} occ words popcounted, {} rows located; {}/{} extensions exact, \
-             {} gapless and {} reused windows, no DP ({:.0}% exact); banded SW {}/{} in-band \
-             ({:.0}% hit rate); {} radix passes, {} comparison fallbacks",
+            "Kernels: {} occ words popcounted, {} seed searches answered, {} rows located; \
+             {}/{} extensions exact, {} gapless and {} reused windows, no DP ({:.0}% exact); \
+             banded SW {}/{} in-band ({:.0}% hit rate); {} radix passes, {} comparison fallbacks",
             k.occ_words_popcounted,
+            k.seed_searches_answered,
             k.seed_rows_located,
             k.sw_exact_hits,
             k.sw_extensions(),
