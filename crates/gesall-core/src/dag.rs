@@ -3,22 +3,23 @@
 //! The paper executes the GATK best-practices workflow as a fixed
 //! sequence of MapReduce rounds; the stage table ([`crate::stages`])
 //! declares that sequence and [`pipeline_dag`] projects it into the
-//! explicit graph of this module, so an executor (the platform's DAG
-//! driver, or `gesall-jobsvc`'s dependency-aware submission) can:
+//! explicit graph of this module. A graph's order is the one the executor
+//! ([`GesallPlatform::run_pipeline_dag`](crate::pipeline::GesallPlatform::run_pipeline_dag))
+//! walks: top to bottom, every stage declared below all of its parents.
+//! This module
 //!
-//! * dispatch a stage the moment its parents commit — independent
-//!   siblings run concurrently instead of serialising behind the
-//!   hand-rolled round order;
-//! * key every stage output by a **content hash** chained through its
+//! * checks that order in one pass ([`DagSpec::topo_order`]), so a
+//!   malformed graph is a typed error before any stage runs;
+//! * keys every stage output by a **content hash** chained through its
 //!   ancestry (stage code version, config fingerprint, parent keys,
 //!   rooted at a hash of the external inputs), so a re-run with one
 //!   changed stage re-executes exactly that stage and its descendants
 //!   while every unchanged upstream output is served from the
 //!   content-addressed store (`Dfs::cas_get`/`cas_put`);
-//! * attribute wall-clock to the critical path
+//! * lets the report attribute wall-clock to the critical path
 //!   ([`gesall_telemetry::report::critical_path`]).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 use gesall_dfs::checksum::xxh64;
@@ -70,18 +71,14 @@ impl StageSpec {
         }
     }
 
-    pub fn code_version(mut self, v: u32) -> StageSpec {
-        self.code_version = v;
-        self
-    }
-
     pub fn config_fp(mut self, fp: u64) -> StageSpec {
         self.config_fp = fp;
         self
     }
 }
 
-/// A whole stage graph, in declaration order.
+/// A whole stage graph, in declaration order: every stage below all of
+/// its parents.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DagSpec {
     pub stages: Vec<StageSpec>,
@@ -95,11 +92,10 @@ pub enum DagError {
     Empty,
     /// Two stages share a name.
     Duplicate(String),
-    /// A stage names a parent that is not in the graph.
+    /// A stage names a parent that is not declared above it: not in the
+    /// graph at all, declared below it, or the stage itself. A cycle
+    /// always has such an edge.
     UnknownParent { stage: String, parent: String },
-    /// The stages that remain unordered after peeling all roots — the
-    /// members (and downstream captives) of at least one cycle.
-    Cycle(Vec<String>),
     /// An invalidation names a stage that is not in the graph: a typo,
     /// or a stage the configuration leaves out. Salting nothing would
     /// serve the whole run from cache and report success.
@@ -112,10 +108,10 @@ impl fmt::Display for DagError {
             DagError::Empty => write!(f, "stage graph is empty"),
             DagError::Duplicate(n) => write!(f, "duplicate stage name: {n}"),
             DagError::UnknownParent { stage, parent } => {
-                write!(f, "stage {stage} names unknown parent {parent}")
-            }
-            DagError::Cycle(names) => {
-                write!(f, "stage graph has a cycle through: {}", names.join(", "))
+                write!(
+                    f,
+                    "stage {stage} names parent {parent}, not declared above it"
+                )
             }
             DagError::UnknownStage(n) => write!(f, "invalidation names unknown stage {n}"),
         }
@@ -129,78 +125,27 @@ impl DagSpec {
         self.stages.iter().find(|s| s.name == name)
     }
 
-    /// Reject duplicates, dangling parents, and cycles.
-    pub fn validate(&self) -> Result<(), DagError> {
-        self.topo_order().map(|_| ())
-    }
-
-    /// Deterministic topological order (Kahn's algorithm; declaration
-    /// order breaks ties), or a typed error for a malformed graph.
+    /// The stage names in execution order, which is declaration order:
+    /// one pass that rejects an empty graph, a duplicate name, and a
+    /// parent not declared above its stage — which covers every cycle
+    /// and self-loop.
     pub fn topo_order(&self) -> Result<Vec<String>, DagError> {
         if self.stages.is_empty() {
             return Err(DagError::Empty);
         }
-        let mut index: HashMap<&str, usize> = HashMap::new();
-        for (i, s) in self.stages.iter().enumerate() {
-            if index.insert(s.name.as_str(), i).is_some() {
+        let mut above: HashSet<&str> = HashSet::new();
+        for s in &self.stages {
+            if let Some(p) = s.parents.iter().find(|p| !above.contains(p.as_str())) {
+                return Err(DagError::UnknownParent {
+                    stage: s.name.clone(),
+                    parent: p.clone(),
+                });
+            }
+            if !above.insert(s.name.as_str()) {
                 return Err(DagError::Duplicate(s.name.clone()));
             }
         }
-        let n = self.stages.len();
-        let mut indeg = vec![0usize; n];
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, s) in self.stages.iter().enumerate() {
-            for p in &s.parents {
-                let Some(&pi) = index.get(p.as_str()) else {
-                    return Err(DagError::UnknownParent {
-                        stage: s.name.clone(),
-                        parent: p.clone(),
-                    });
-                };
-                children[pi].push(i);
-                indeg[i] += 1;
-            }
-        }
-        // Ready set kept sorted by declaration index, so the order is a
-        // stable function of the spec alone.
-        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(&i) = ready.first() {
-            ready.remove(0);
-            order.push(i);
-            for &c in &children[i] {
-                indeg[c] -= 1;
-                if indeg[c] == 0 {
-                    let pos = ready.binary_search(&c).unwrap_err();
-                    ready.insert(pos, c);
-                }
-            }
-        }
-        if order.len() < n {
-            let stuck: Vec<String> = (0..n)
-                .filter(|&i| indeg[i] > 0)
-                .map(|i| self.stages[i].name.clone())
-                .collect();
-            return Err(DagError::Cycle(stuck));
-        }
-        Ok(order.into_iter().map(|i| self.stages[i].name.clone()).collect())
-    }
-
-    /// All stages downstream of `name` (excluding `name` itself) — the
-    /// exact set a failure of `name` must fail, and the set an
-    /// invalidation of `name` re-executes.
-    pub fn descendants(&self, name: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut queue: VecDeque<&str> = VecDeque::from([name]);
-        while let Some(cur) = queue.pop_front() {
-            for s in &self.stages {
-                if s.parents.iter().any(|p| p == cur) && !out.contains(&s.name) {
-                    out.push(s.name.clone());
-                    queue.push_back(s.name.as_str());
-                }
-            }
-        }
-        out
+        Ok(self.stages.iter().map(|s| s.name.clone()).collect())
     }
 
     /// Content keys for every stage: `xxh64` over (stage name, code
@@ -215,13 +160,12 @@ impl DagSpec {
         root_key: u64,
         invalidate: &[(String, u64)],
     ) -> Result<BTreeMap<String, u64>, DagError> {
-        let order = self.topo_order()?;
+        self.topo_order()?;
         if let Some((ghost, _)) = invalidate.iter().find(|(n, _)| self.stage(n).is_none()) {
             return Err(DagError::UnknownStage(ghost.clone()));
         }
         let mut keys: BTreeMap<String, u64> = BTreeMap::new();
-        for name in &order {
-            let s = self.stage(name).expect("topo names come from the spec");
+        for s in &self.stages {
             let mut buf = Vec::new();
             wire::put_str(&mut buf, &s.name);
             wire::put_u32(&mut buf, s.code_version);
@@ -232,10 +176,10 @@ impl DagSpec {
             for p in &s.parents {
                 wire::put_u64(&mut buf, keys[p]);
             }
-            if let Some((_, salt)) = invalidate.iter().find(|(n, _)| n == name) {
+            if let Some((_, salt)) = invalidate.iter().find(|(n, _)| *n == s.name) {
                 wire::put_u64(&mut buf, *salt);
             }
-            keys.insert(name.clone(), xxh64(&buf));
+            keys.insert(s.name.clone(), xxh64(&buf));
         }
         Ok(keys)
     }
@@ -287,9 +231,6 @@ mod tests {
             ("d", &["b", "c"]),
         ]);
         assert_eq!(d.topo_order().unwrap(), vec!["a", "b", "c", "d"]);
-        assert_eq!(d.descendants("a"), vec!["b", "c", "d"]);
-        assert_eq!(d.descendants("b"), vec!["d"]);
-        assert!(d.descendants("d").is_empty());
     }
 
     #[test]
@@ -306,15 +247,23 @@ mod tests {
                 parent: "ghost".into()
             })
         );
-        // A cycle is reported, not spun on — including the self-loop.
-        match spec(&[("a", &["b"]), ("b", &["a"]), ("c", &[])]).topo_order() {
-            Err(DagError::Cycle(names)) => assert_eq!(names, vec!["a", "b"]),
-            other => panic!("expected cycle, got {other:?}"),
-        }
-        assert!(matches!(
-            spec(&[("a", &["a"])]).topo_order(),
-            Err(DagError::Cycle(_))
-        ));
+        // A parent declared below its stage is as unknown as a missing
+        // one, so a cycle is reported, not spun on — the self-loop too.
+        let unknown = |stage: &str, parent: &str| {
+            Err(DagError::UnknownParent {
+                stage: stage.into(),
+                parent: parent.into(),
+            })
+        };
+        assert_eq!(
+            spec(&[("a", &[]), ("c", &["b"]), ("b", &["a"])]).topo_order(),
+            unknown("c", "b")
+        );
+        assert_eq!(
+            spec(&[("a", &["b"]), ("b", &["a"]), ("c", &[])]).topo_order(),
+            unknown("a", "b")
+        );
+        assert_eq!(spec(&[("a", &["a"])]).topo_order(), unknown("a", "a"));
     }
 
     #[test]
@@ -358,7 +307,7 @@ mod tests {
     fn pipeline_dag_reflects_config_branches() {
         let base = PlatformConfig::default(); // markdup_opt on, recal off
         let d = pipeline_dag(&base);
-        d.validate().unwrap();
+        d.topo_order().unwrap();
         let names: Vec<&str> = d.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
@@ -381,7 +330,7 @@ mod tests {
             ..PlatformConfig::default()
         };
         let d = pipeline_dag(&recal);
-        d.validate().unwrap();
+        d.topo_order().unwrap();
         assert!(d.stage("round2b-bloom").is_none());
         assert_eq!(
             d.stage("round4b-print-reads").unwrap().parents,
@@ -526,9 +475,9 @@ mod tests {
         }
 
         /// Adding a single back edge to a chain always yields the typed
-        /// cycle error, never a hang or panic.
+        /// error naming it, never a hang or panic.
         #[test]
-        fn prop_back_edge_is_typed_cycle(len in 2usize..12, from in 0usize..12, to in 0usize..12) {
+        fn prop_back_edge_is_typed_unknown_parent(len in 2usize..12, from in 0usize..12, to in 0usize..12) {
             let from = from % len;
             // Target at or before the source: a backward (or self) edge.
             let to = to % (from + 1);
@@ -542,7 +491,10 @@ mod tests {
                 })
                 .collect();
             let d = DagSpec { stages };
-            prop_assert!(matches!(d.topo_order(), Err(DagError::Cycle(_))));
+            prop_assert_eq!(
+                d.topo_order(),
+                Err(DagError::UnknownParent { stage: format!("s{to}"), parent: format!("s{from}") })
+            );
         }
     }
 }

@@ -21,9 +21,9 @@
 //! * `stages` (crate-private) — the pipeline declared once: one row per
 //!   stage (name, parents, content-key fingerprint, body). The graph,
 //!   the content keys, the executor and the reports all read it.
-//! * [`dag`] — stage graphs: validation, topological order, content
-//!   keys chained through ancestry; [`dag::pipeline_dag`] is the stage
-//!   table's projection.
+//! * [`dag`] — stage graphs: the declaration-order check (every stage
+//!   below its parents), content keys chained through ancestry;
+//!   [`dag::pipeline_dag`] is the stage table's projection.
 //! * [`pipeline`] — the round planner (a new MR round starts whenever the
 //!   next program's partitioning requirement is incompatible), the DAG
 //!   executor over the stage table, and the serial/hybrid baselines.

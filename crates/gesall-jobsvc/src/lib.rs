@@ -39,11 +39,9 @@
 //! underneath keeps its seeded `FaultPlan` guarantees — reruns of the
 //! same seed produce the same transit paths and attempt histories.
 
-pub mod dag;
 pub mod sched;
 pub mod service;
 
-pub use dag::{DagHandle, DagNodeSpec, StageStatus};
 pub use service::{
     JobCtx, JobHandle, JobOutput, JobService, JobSpec, JobStatus, JobSvcConfig, JobSvcError,
     TenantConfig,
@@ -81,10 +79,4 @@ pub mod keys {
     pub const JOBS_COMPLETED: &str = "jobsvc.jobs.completed";
     /// Jobs whose work function failed (error or panic).
     pub const JOBS_FAILED: &str = "jobsvc.jobs.failed";
-    /// Stage DAGs accepted by [`JobService::submit_dag`]
-    /// (`crate::JobService::submit_dag`).
-    pub const DAGS_SUBMITTED: &str = "jobsvc.dags.submitted";
-    /// DAG stages that never ran because a transitive upstream stage
-    /// failed.
-    pub const DAG_STAGES_UPSTREAM_FAILED: &str = "jobsvc.dag.stages.upstream_failed";
 }

@@ -128,8 +128,6 @@ pub struct JobSpec {
     pub name: String,
     /// Container slots the job wants (clamped to `[1, total_slots]`).
     pub slots: usize,
-    /// Per-job retention TTL override.
-    pub ttl: Option<Duration>,
     work: Work,
 }
 
@@ -142,14 +140,8 @@ impl JobSpec {
         JobSpec {
             name: name.into(),
             slots,
-            ttl: None,
             work: Box::new(work),
         }
-    }
-
-    pub fn ttl(mut self, ttl: Duration) -> JobSpec {
-        self.ttl = Some(ttl);
-        self
     }
 }
 
@@ -158,7 +150,6 @@ impl fmt::Debug for JobSpec {
         f.debug_struct("JobSpec")
             .field("name", &self.name)
             .field("slots", &self.slots)
-            .field("ttl", &self.ttl)
             .finish_non_exhaustive()
     }
 }
@@ -181,12 +172,6 @@ pub enum JobSvcError {
     ShuttingDown,
     /// The job's work function returned an error or panicked.
     Failed(String),
-    /// A DAG stage never ran because a transitive upstream stage
-    /// failed. `upstream` names the root-cause stage.
-    UpstreamFailed { stage: String, upstream: String },
-    /// A submitted DAG was malformed: empty, duplicate stage names, an
-    /// unknown parent, or a cycle.
-    InvalidDag(String),
 }
 
 impl fmt::Display for JobSvcError {
@@ -201,10 +186,6 @@ impl fmt::Display for JobSvcError {
             JobSvcError::Cancelled => write!(f, "job cancelled"),
             JobSvcError::ShuttingDown => write!(f, "job service shutting down"),
             JobSvcError::Failed(msg) => write!(f, "job failed: {msg}"),
-            JobSvcError::UpstreamFailed { stage, upstream } => {
-                write!(f, "stage {stage} not run: upstream stage {upstream} failed")
-            }
-            JobSvcError::InvalidDag(msg) => write!(f, "invalid dag: {msg}"),
         }
     }
 }
@@ -246,7 +227,6 @@ struct JobShared {
 struct QueuedJob {
     shared: Arc<JobShared>,
     want: usize,
-    ttl: Duration,
     /// Accrued priority: aged by the tenant's share each rebalance pass
     /// the job sits queued, so passed-over work rises.
     deficit: u64,
@@ -263,7 +243,6 @@ struct RunningJob {
     target: usize,
     /// The job's requested width — grow never exceeds it.
     want: usize,
-    ttl: Duration,
 }
 
 #[derive(Debug)]
@@ -551,41 +530,6 @@ impl JobService {
         self.svc.submit(tenant, spec)
     }
 
-    /// Submit a stage DAG for `tenant`. Validation is synchronous —
-    /// typed [`JobSvcError::InvalidDag`] on duplicates, unknown
-    /// parents, or cycles — and execution is asynchronous: a
-    /// coordinator thread submits each stage the moment its parents
-    /// commit, so ready siblings contend for slots concurrently under
-    /// the ordinary capacity machinery, and a failed stage fails
-    /// exactly its descendants ([`JobSvcError::UpstreamFailed`]).
-    pub fn submit_dag(
-        &self,
-        tenant: &str,
-        nodes: Vec<crate::dag::DagNodeSpec>,
-    ) -> Result<crate::dag::DagHandle, JobSvcError> {
-        {
-            let st = self.svc.state.lock();
-            if st.shutdown {
-                return Err(JobSvcError::ShuttingDown);
-            }
-            if !st.rt.contains_key(tenant) {
-                return Err(JobSvcError::TenantUnknown(tenant.to_string()));
-            }
-        }
-        let svc = self.svc.clone();
-        let tenant_owned = tenant.to_string();
-        let submit: crate::dag::SubmitFn =
-            Box::new(move |spec| svc.submit(&tenant_owned, spec));
-        let h = crate::dag::launch(
-            nodes,
-            submit,
-            self.svc.registry.clone(),
-            tenant.to_string(),
-        )?;
-        self.svc.count(keys::DAGS_SUBMITTED, tenant, 1);
-        Ok(h)
-    }
-
     /// The service's `jobsvc.*` / `dfs.retention.*`-adjacent metrics.
     /// (DFS retention counters live on the platform DFS's registry.)
     pub fn metrics(&self) -> &MetricsRegistry {
@@ -693,11 +637,9 @@ impl Svc {
             dispatch_seq: AtomicU64::new(0),
         });
         rt.queued += 1;
-        let ttl = spec.ttl.unwrap_or(self.retention_ttl);
         st.queued.push(QueuedJob {
             shared: shared.clone(),
             want: spec.slots.clamp(1, self.total_slots),
-            ttl,
             deficit: 0,
             enqueued: Instant::now(),
             work: spec.work,
@@ -1100,7 +1042,6 @@ impl Svc {
             granted: grant,
             target: grant,
             want: q.want,
-            ttl: q.ttl,
         });
 
         let svc = self.clone();
@@ -1166,7 +1107,7 @@ impl Svc {
         } else {
             st.retired.push(Retirement {
                 namespace: shared.namespace.clone(),
-                deadline: Instant::now() + job.ttl,
+                deadline: Instant::now() + self.retention_ttl,
             });
         }
 
@@ -1253,7 +1194,16 @@ mod tests {
     use gesall_dfs::DfsConfig;
     use gesall_mapreduce::{ClusterResources, MapReduceEngine};
 
+    /// A service whose long TTL leaves sweeps to handle drops.
     fn service(total: usize, tenants: Vec<TenantConfig>) -> JobService {
+        service_with_ttl(total, tenants, Duration::from_secs(600))
+    }
+
+    fn service_with_ttl(
+        total: usize,
+        tenants: Vec<TenantConfig>,
+        retention_ttl: Duration,
+    ) -> JobService {
         let dfs = Dfs::new(DfsConfig {
             n_nodes: 2,
             block_size: 64 * 1024,
@@ -1267,9 +1217,7 @@ mod tests {
             JobSvcConfig {
                 tenants,
                 total_slots: Some(total),
-                // Long default so tests control sweeps explicitly via
-                // per-job TTLs or handle drops.
-                retention_ttl: Duration::from_secs(600),
+                retention_ttl,
             },
         )
     }
@@ -1415,44 +1363,90 @@ mod tests {
         svc.shutdown();
     }
 
+    fn write_scratch(ctx: &JobCtx) -> Result<JobOutput, GesallError> {
+        ctx.dfs()
+            .write_file(&format!("{}/scratch/part-0", ctx.namespace()), b"tmp")
+            .unwrap();
+        Ok(Box::new(()))
+    }
+
+    fn ttl_sweeps(dfs: &Dfs) -> u64 {
+        dfs.metrics()
+            .counter(gesall_dfs::metrics_keys::RETENTION_SWEPT_TTL)
+            .get()
+    }
+
     #[test]
-    fn retention_sweeps_on_handle_drop_and_ttl() {
+    fn retention_sweeps_on_handle_drop() {
+        // A finished job's namespace survives until the handle goes
+        // away, then is swept immediately.
         let svc = service(2, vec![TenantConfig::new("a", 1)]);
-        let write_scratch = |ctx: &JobCtx| {
-            ctx.dfs()
-                .write_file(&format!("{}/scratch/part-0", ctx.namespace()), b"tmp")
-                .unwrap();
-            Ok(Box::new(()) as JobOutput)
-        };
-        // Drop path: finished job's namespace survives until the handle
-        // goes away, then is swept immediately.
-        let h = svc.submit("a", JobSpec::new("w", 1, write_scratch)).unwrap();
+        let h = svc
+            .submit("a", JobSpec::new("w", 1, write_scratch))
+            .unwrap();
         h.wait().unwrap();
         let ns = h.namespace().to_string();
         let dfs = svc.platform().dfs.clone();
         assert_eq!(dfs.list(&ns).len(), 1, "retained while handle is live");
         drop(h);
         assert!(dfs.list(&ns).is_empty(), "swept on handle drop");
-        // TTL path: keep the handle; the dispatcher's timer sweeps
-        // after the job's 40ms TTL lapses.
+        assert!(ttl_sweeps(&dfs) >= 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn retention_sweeps_on_ttl() {
+        // The handle stays live; the dispatcher's timer sweeps once the
+        // service's 40ms TTL lapses.
+        let svc = service_with_ttl(
+            2,
+            vec![TenantConfig::new("a", 1)],
+            Duration::from_millis(40),
+        );
         let h = svc
-            .submit(
-                "a",
-                JobSpec::new("w2", 1, write_scratch).ttl(Duration::from_millis(40)),
-            )
+            .submit("a", JobSpec::new("w", 1, write_scratch))
             .unwrap();
         h.wait().unwrap();
-        let ns2 = h.namespace().to_string();
+        let ns = h.namespace().to_string();
+        let dfs = svc.platform().dfs.clone();
         assert!(
-            wait_until(2000, || dfs.list(&ns2).is_empty()),
+            wait_until(2000, || dfs.list(&ns).is_empty()),
             "TTL sweep did not fire"
         );
-        assert!(
-            dfs.metrics()
-                .counter(gesall_dfs::metrics_keys::RETENTION_SWEPT_TTL)
-                .get()
-                >= 2
-        );
+        assert!(ttl_sweeps(&dfs) >= 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn ready_jobs_of_one_tenant_run_side_by_side() {
+        use std::sync::atomic::AtomicUsize;
+
+        // Each job blocks until both have arrived, so both complete only
+        // if the scheduler put the tenant's two ready jobs on the cluster
+        // at once; a serialising scheduler leaves the first to fail at
+        // its deadline.
+        let svc = service(4, vec![TenantConfig::new("a", 1)]);
+        let arrived = Arc::new(AtomicUsize::new(0));
+        let abort = Arc::new(AtomicBool::new(false));
+        let _guard = SetOnDrop(abort.clone());
+        let rendezvous = |name: &str| {
+            let (arrived, abort) = (arrived.clone(), abort.clone());
+            JobSpec::new(name, 1, move |_ctx| {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while arrived.load(Ordering::SeqCst) < 2 {
+                    if abort.load(Ordering::SeqCst) || Instant::now() > deadline {
+                        return Err(GesallError::Streaming("the other job never arrived".into()));
+                    }
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Ok(Box::new(()) as JobOutput)
+            })
+        };
+        let left = svc.submit("a", rendezvous("left")).unwrap();
+        let right = svc.submit("a", rendezvous("right")).unwrap();
+        left.wait().unwrap();
+        right.wait().unwrap();
         svc.shutdown();
     }
 
@@ -1594,134 +1588,6 @@ mod tests {
         a_result.unwrap();
         b_result.unwrap();
         assert_eq!(svc.metrics().counter(keys::SLOTS_RECLAIMED).get(), 1);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn dag_runs_ready_siblings_concurrently() {
-        use crate::dag::{DagNodeSpec, StageStatus};
-        use std::sync::atomic::AtomicUsize;
-
-        let svc = service(4, vec![TenantConfig::new("a", 1)]);
-        // Diamond: a → {b, c} → d. The rendezvous proves b and c were
-        // on the cluster at the same time: each blocks until both have
-        // arrived, so the DAG can only finish if the coordinator
-        // submitted both siblings before waiting on either.
-        let arrived = Arc::new(AtomicUsize::new(0));
-        let rendezvous = |arrived: Arc<AtomicUsize>| {
-            move |_ctx: &JobCtx| {
-                arrived.fetch_add(1, Ordering::SeqCst);
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while arrived.load(Ordering::SeqCst) < 2 {
-                    if Instant::now() > deadline {
-                        return Err(GesallError::Streaming("sibling never arrived".into()));
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Ok(Box::new(()) as JobOutput)
-            }
-        };
-        let mut dag = svc
-            .submit_dag(
-                "a",
-                vec![
-                    DagNodeSpec::new("a", &[], JobSpec::new("root", 1, |_| Ok(Box::new(7usize)))),
-                    DagNodeSpec::new(
-                        "b",
-                        &["a"],
-                        JobSpec::new("left", 1, rendezvous(arrived.clone())),
-                    ),
-                    DagNodeSpec::new(
-                        "c",
-                        &["a"],
-                        JobSpec::new("right", 1, rendezvous(arrived.clone())),
-                    ),
-                    DagNodeSpec::new(
-                        "d",
-                        &["b", "c"],
-                        JobSpec::new("join", 1, |_| Ok(Box::new(()))),
-                    ),
-                ],
-            )
-            .unwrap();
-        dag.wait().unwrap();
-        for stage in ["a", "b", "c", "d"] {
-            assert_eq!(dag.stage_status(stage), Some(StageStatus::Completed));
-        }
-        let root = dag.take_output("a").unwrap().downcast::<usize>().unwrap();
-        assert_eq!(*root, 7);
-        assert_eq!(svc.metrics().counter(keys::DAGS_SUBMITTED).get(), 1);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn dag_failure_fails_exactly_its_descendants() {
-        use crate::dag::{DagNodeSpec, StageStatus};
-
-        let svc = service(2, vec![TenantConfig::new("a", 1)]);
-        // a fails → b and c (its chain) are UpstreamFailed with a as
-        // the root cause; independent d completes untouched.
-        let mut dag = svc
-            .submit_dag(
-                "a",
-                vec![
-                    DagNodeSpec::new(
-                        "a",
-                        &[],
-                        JobSpec::new("bad", 1, |_| {
-                            Err(GesallError::Streaming("boom".into()))
-                        }),
-                    ),
-                    DagNodeSpec::new("b", &["a"], JobSpec::new("mid", 1, |_| Ok(Box::new(())))),
-                    DagNodeSpec::new("c", &["b"], JobSpec::new("leaf", 1, |_| Ok(Box::new(())))),
-                    DagNodeSpec::new("d", &[], JobSpec::new("island", 1, |_| Ok(Box::new(())))),
-                ],
-            )
-            .unwrap();
-        // The first error in topo order is the root cause itself.
-        let err = dag.wait().unwrap_err();
-        assert!(matches!(err, JobSvcError::Failed(ref m) if m.contains("boom")));
-        assert!(matches!(
-            dag.stage_status("a"),
-            Some(StageStatus::Failed(JobSvcError::Failed(_)))
-        ));
-        // Transitive attribution: c's upstream is a, not b — b never
-        // failed, it just never ran.
-        for stage in ["b", "c"] {
-            assert_eq!(
-                dag.stage_status(stage),
-                Some(StageStatus::UpstreamFailed {
-                    upstream: "a".to_string()
-                }),
-                "stage {stage}"
-            );
-        }
-        assert_eq!(dag.stage_status("d"), Some(StageStatus::Completed));
-        assert_eq!(
-            svc.metrics().counter(keys::DAG_STAGES_UPSTREAM_FAILED).get(),
-            2
-        );
-        svc.shutdown();
-    }
-
-    #[test]
-    fn malformed_dags_are_rejected_typed() {
-        use crate::dag::DagNodeSpec;
-
-        let svc = service(2, vec![TenantConfig::new("a", 1)]);
-        let cyclic = vec![
-            DagNodeSpec::new("x", &["y"], JobSpec::new("x", 1, |_| Ok(Box::new(())))),
-            DagNodeSpec::new("y", &["x"], JobSpec::new("y", 1, |_| Ok(Box::new(())))),
-        ];
-        assert!(matches!(
-            svc.submit_dag("a", cyclic),
-            Err(JobSvcError::InvalidDag(_))
-        ));
-        assert!(matches!(
-            svc.submit_dag("ghost", vec![]),
-            Err(JobSvcError::TenantUnknown(_))
-        ));
-        assert_eq!(svc.metrics().counter(keys::DAGS_SUBMITTED).get(), 0);
         svc.shutdown();
     }
 

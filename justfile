@@ -8,8 +8,10 @@
 # HaplotypeCaller, the codec and the BAM container held to the parent's
 # code, and the stage outputs to their pinned digests. Release matters:
 # with overflow checks off a kernel can disagree with its reference
-# where the debug run never reaches.
+# where the debug run never reaches. The line counter is held to its
+# fixture first, as in CI.
 smoke:
+    test "$(scripts/loc.sh scripts/fixtures/loc_fixture.rs)" = 32
     cargo build --release --offline --workspace
     cargo test -q --offline --workspace
     cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -82,29 +84,8 @@ fmt:
 # Non-test Rust lines per crate, the ten largest files under
 # crates/*/src (ROADMAP's "files left to split" list is read off it) and
 # the public field count of every `*Config` struct — the numbers a
-# simplification PR quotes before/after. A file counts up to its first
-# `#[cfg(test)]`; tests/ and examples/ directories are not counted.
+# simplification PR quotes before/after. Every line counts except those
+# of a `#[cfg(test)]` item; scripts/loc.sh states the rules, and CI holds
+# them to scripts/fixtures/loc_fixture.rs.
 loc:
-    #!/usr/bin/env bash
-    set -euo pipefail
-    printf '%-22s %8s\n' crate 'src LoC'
-    total=0
-    for d in crates/* vendor/* .; do
-        [ -d "$d/src" ] || continue
-        n=$(find "$d/src" -name '*.rs' -print0 \
-            | xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}')
-        printf '%-22s %8d\n' "$(basename "$(cd "$d" && pwd)")" "$n"
-        total=$((total + n))
-    done
-    printf '%-22s %8d\n\n' total "$total"
-    printf '%-46s %8s\n' 'largest files' 'src LoC'
-    find crates/*/src -name '*.rs' -print0 \
-        | xargs -0 awk 'FNR==1{t=0} /^#\[cfg\(test\)\]/{t=1} !t{n[FILENAME]++} END{for (f in n) print n[f], f}' \
-        | sort -rn | awk 'NR<=10{printf "%-46s %8d\n", $2, $1} END{print ""}'
-    printf '%-22s %8s\n' 'config struct' 'pub fields'
-    grep -rn --include='*.rs' -E '^pub struct [A-Za-z]*Config\b' crates src \
-        | while IFS=: read -r file line decl; do
-            name=$(echo "$decl" | sed -E 's/^pub struct ([A-Za-z]+).*/\1/')
-            n=$(awk -v start="$line" 'NR>start && /^}/{exit} NR>start && /^    pub [a-z0-9_]+:/{n++} END{print n+0}' "$file")
-            printf '%-22s %8d\n' "$name" "$n"
-        done
+    scripts/loc.sh

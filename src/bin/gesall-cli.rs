@@ -11,7 +11,7 @@
 //! gesall-cli diff      --serial A.bam --parallel B.bam
 //! gesall-cli optimize  [--cluster a|b] [--objective wall|efficiency]
 //! gesall-cli serve     [--tenants N] [--jobs N] [--pairs N] [--nodes N]
-//!                      [--slots N] [--seed S] [--dag]
+//!                      [--slots N] [--seed S]
 //! ```
 //!
 //! Files use the workspace's own formats: FASTA references, FASTQ reads,
@@ -56,7 +56,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: gesall-cli <generate|align|pipeline|call|diff> --flag value ...\n\
+        "usage: gesall-cli <generate|align|pipeline|call|diff|optimize|serve> --flag value ...\n\
          see the module docs (src/bin/gesall-cli.rs) for flags"
     );
     exit(2);
@@ -475,102 +475,37 @@ fn cmd_serve(opts: &Opts) -> Result<(), AnyError> {
     );
 
     let t0 = Instant::now();
+    // Round-robin submission so tenants contend from the first dispatch.
     let mut handles = Vec::new();
-    let mut n_jobs = 0usize;
-    if opts.contains_key("dag") {
-        use gesall::jobsvc::DagNodeSpec;
-        use gesall::telemetry::report;
-
-        // --dag: each tenant submits one stage graph instead of a flat
-        // job stream. `prep` runs the pipeline cold and fills the
-        // tenant's content-addressed stage cache (every job of a tenant
-        // shares /{tenant}/cas); the two `twin` analyses depend on it,
-        // dispatch together the moment it commits, and are served
-        // entirely from that cache — the Gantt shows them overlapping
-        // inside each tenant while `prep` gates both.
-        let bars: Arc<std::sync::Mutex<Vec<report::GanttRow>>> =
-            Arc::new(std::sync::Mutex::new(Vec::new()));
-        let mut dags = Vec::new();
+    for round in 0..jobs_per_tenant {
         for i in 0..n_tenants {
-            let tenant = format!("t{}", i + 1);
-            let stage = |name: &str| {
-                let aligner = Arc::clone(&aligner);
-                let pairs = pairs.clone();
-                let bars = Arc::clone(&bars);
-                let label = format!("{tenant}/{name}");
-                JobSpec::new(name, want, move |ctx| {
-                    let start_ms = t0.elapsed().as_secs_f64() * 1e3;
-                    let out = ctx
-                        .platform()
-                        .run_pipeline_with(&aligner, pairs, &ctx.run_options())
-                        .map_err(|e| GesallError::Streaming(e.to_string()))?;
-                    bars.lock().unwrap().push(report::GanttRow {
-                        label,
-                        start_ms,
-                        end_ms: t0.elapsed().as_secs_f64() * 1e3,
-                    });
-                    Ok(Box::new(out) as JobOutput)
-                })
-            };
-            let nodes = vec![
-                DagNodeSpec::new("prep", &[], stage("prep")),
-                DagNodeSpec::new("twin-a", &["prep"], stage("twin-a")),
-                DagNodeSpec::new("twin-b", &["prep"], stage("twin-b")),
-            ];
-            dags.push((tenant.clone(), svc.submit_dag(&tenant, nodes)?));
+            let aligner = Arc::clone(&aligner);
+            let pairs = pairs.clone();
+            let spec = JobSpec::new(format!("pipeline-{round}"), want, move |ctx| {
+                let out = ctx
+                    .platform()
+                    .run_pipeline_with(&aligner, pairs, &ctx.run_options())
+                    .map_err(|e| GesallError::Streaming(e.to_string()))?;
+                Ok(Box::new(out) as JobOutput)
+            });
+            handles.push(svc.submit(&format!("t{}", i + 1), spec)?);
         }
-        for (tenant, dag) in &mut dags {
-            dag.wait()?;
-            n_jobs += dag.order().len();
-            let hits: usize = ["twin-a", "twin-b"]
-                .iter()
-                .filter_map(|s| dag.take_output(s))
-                .filter_map(|b| b.downcast::<PipelineOutput>().ok())
-                .map(|o| o.cache_hits())
-                .sum();
-            println!(
-                "[{tenant}] dag complete: {} stages, twins served {hits} stages from cache",
-                dag.order().len()
-            );
-        }
-        let mut rows = bars.lock().unwrap().clone();
-        rows.sort_by(|a, b| a.label.cmp(&b.label));
-        println!("\nPer-tenant stage concurrency:");
-        print!("{}", report::gantt(&rows, 48));
-        drop(dags);
-    } else {
-        // Round-robin submission so tenants contend from the first
-        // dispatch.
-        for round in 0..jobs_per_tenant {
-            for i in 0..n_tenants {
-                let aligner = Arc::clone(&aligner);
-                let pairs = pairs.clone();
-                let spec = JobSpec::new(format!("pipeline-{round}"), want, move |ctx| {
-                    let out = ctx
-                        .platform()
-                        .run_pipeline_with(&aligner, pairs, &ctx.run_options())
-                        .map_err(|e| GesallError::Streaming(e.to_string()))?;
-                    Ok(Box::new(out) as JobOutput)
-                });
-                handles.push(svc.submit(&format!("t{}", i + 1), spec)?);
-            }
-        }
-        for h in &handles {
-            h.wait()?;
-            let out = h
-                .take_output()
-                .and_then(|b| b.downcast::<PipelineOutput>().ok())
-                .ok_or("job finished without pipeline output")?;
-            println!(
-                "[{}] {}: {} records, {} variants",
-                h.tenant(),
-                h.id(),
-                out.records.len(),
-                out.variants.len()
-            );
-        }
-        n_jobs = handles.len();
     }
+    for h in &handles {
+        h.wait()?;
+        let out = h
+            .take_output()
+            .and_then(|b| b.downcast::<PipelineOutput>().ok())
+            .ok_or("job finished without pipeline output")?;
+        println!(
+            "[{}] {}: {} records, {} variants",
+            h.tenant(),
+            h.id(),
+            out.records.len(),
+            out.variants.len()
+        );
+    }
+    let n_jobs = handles.len();
     let wall_s = t0.elapsed().as_secs_f64();
 
     let m = svc.metrics();

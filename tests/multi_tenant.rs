@@ -1,21 +1,25 @@
 //! Multi-tenant job service integration tests through the `gesall`
 //! facade: fairness under a flooding tenant, typed admission control,
-//! fault recovery across concurrent jobs, and per-job shuffle
-//! retention — the service-level guarantees layered over the engine.
+//! fault recovery across concurrent jobs, per-job shuffle retention and
+//! the per-tenant stage cache — the service-level guarantees layered
+//! over the engine.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use gesall::aligner::{Aligner, AlignerConfig, ReferenceIndex};
+use gesall::datagen::reads::ReadSimConfig;
+use gesall::datagen::{DonorGenome, GenomeConfig, ReadSimulator, ReferenceGenome};
 use gesall::dfs::{Dfs, DfsConfig};
 use gesall::jobsvc::{
     keys, JobOutput, JobService, JobSpec, JobStatus, JobSvcConfig, JobSvcError, TenantConfig,
 };
 use gesall::mapreduce::{
-    ClusterResources, FaultPlan, HashPartitioner, InputSplit, MapContext, MapReduceEngine, Mapper,
-    ReduceContext, Reducer,
+    ClusterResources, FaultPlan, GesallError, HashPartitioner, InputSplit, MapContext,
+    MapReduceEngine, Mapper, ReduceContext, Reducer,
 };
-use gesall::platform::{GesallPlatform, PlatformConfig};
+use gesall::platform::{GesallPlatform, PipelineOutput, PlatformConfig};
 use gesall::telemetry::{Recorder, SpanKind};
 
 // ---------------------------------------------------------------------
@@ -440,6 +444,86 @@ fn cancelled_jobs_namespace_swept_while_siblings_transit_survives() {
     sibling.wait().unwrap();
     assert_eq!(svc.metrics().counter(keys::JOBS_CANCELLED).get(), 1);
     svc.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// (e) Stage cache: shared by a tenant's jobs, never across tenants
+// ---------------------------------------------------------------------
+
+#[test]
+fn a_tenants_jobs_share_its_stage_cache_and_other_tenants_do_not() {
+    let genome = ReferenceGenome::generate(&GenomeConfig::tiny());
+    let donor = DonorGenome::generate(&genome, &Default::default());
+    let (pairs, _) = ReadSimulator::new(
+        &genome,
+        &donor,
+        ReadSimConfig {
+            n_pairs: 300,
+            ..ReadSimConfig::default()
+        },
+    )
+    .simulate();
+    let chroms: Vec<(String, Vec<u8>)> = genome
+        .chromosomes
+        .iter()
+        .map(|c| (c.name.clone(), c.seq.clone()))
+        .collect();
+    let aligner = Arc::new(Aligner::new(
+        ReferenceIndex::build(&chroms),
+        AlignerConfig::default(),
+    ));
+
+    let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096));
+    let svc = JobService::new(
+        platform_with(engine),
+        JobSvcConfig {
+            tenants: vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
+            total_slots: Some(4),
+            retention_ttl: Duration::from_secs(600),
+        },
+    );
+    // One pipeline job, waited on; its handle drops on return.
+    let run = |tenant: &str| -> PipelineOutput {
+        let (aligner, pairs) = (aligner.clone(), pairs.clone());
+        let h = svc
+            .submit(
+                tenant,
+                JobSpec::new("pipeline", 2, move |ctx| {
+                    let out = ctx
+                        .platform()
+                        .run_pipeline_with(&aligner, pairs, &ctx.run_options())
+                        .map_err(|e| GesallError::Streaming(e.to_string()))?;
+                    Ok(Box::new(out) as JobOutput)
+                }),
+            )
+            .unwrap();
+        h.wait().unwrap();
+        *h.take_output()
+            .unwrap()
+            .downcast::<PipelineOutput>()
+            .unwrap()
+    };
+
+    let cold = run("a");
+    let warm = run("a");
+    assert_eq!(warm.stages_run(), 0, "a's second job re-ran a stage");
+    assert_eq!(warm.cache_hits(), 6);
+    assert_eq!(warm.records, cold.records);
+    assert_eq!(warm.variants, cold.variants);
+    let other = run("b");
+    assert_eq!(other.cache_hits(), 0, "b was served from a's cache");
+
+    let dfs = svc.platform().dfs.clone();
+    svc.shutdown();
+    let residue: Vec<String> = dfs
+        .list("/")
+        .into_iter()
+        .filter(|p| !p.contains("/cas/"))
+        .collect();
+    assert!(
+        residue.is_empty(),
+        "left outside the stage caches: {residue:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
