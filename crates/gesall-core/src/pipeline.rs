@@ -1323,6 +1323,31 @@ mod tests {
     }
 
     #[test]
+    fn a_store_entry_of_partitions_the_earlier_lz_parse_wrote_is_still_a_hit() {
+        use gesall_dfs::checksum::xxh64;
+        // 500 coordinate-sorted records in three record chunks, as the
+        // codec's min-4 greedy parse wrote them, before the 8-byte one.
+        let file = include_bytes!("../testdata/min4_parse_500_records.bam");
+        assert_eq!(xxh64(file), 0x870c_eab4_56f2_53d8);
+        let part = SharedBytes::copy_from_slice(file);
+        let entry = SharedBytes::from_vec(StageData::Parts(vec![part.clone(), part]).to_wire_bytes());
+        let cached = StageData::from_entry(&entry).ok().filter(StageData::parts_are_whole);
+        let Some(StageData::Parts(parts)) = cached else {
+            panic!("the entry is a miss");
+        };
+        assert_eq!(parts.len(), 2);
+        for part in &parts {
+            let (header, recs) = bam::read_bam(part).unwrap();
+            let mut wire = Vec::new();
+            for r in &recs {
+                r.encode(&mut wire);
+            }
+            assert_eq!((recs.len(), xxh64(&wire)), (500, 0xfc63_50ed_1709_38ee));
+            assert!(bam::write_bam(&header, &recs) != file[..], "the parse should have moved");
+        }
+    }
+
+    #[test]
     fn faulted_reduce_attempts_commit_one_writers_bytes_per_partition() {
         use gesall_mapreduce::counters::keys;
         use gesall_mapreduce::{FaultPlan, TaskKind};

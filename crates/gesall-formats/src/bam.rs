@@ -536,15 +536,16 @@ pub fn split_frames(data: &[u8]) -> Result<Vec<Vec<u8>>> {
 /// The writer this module shipped before records were encoded into the
 /// pending chunk as they arrive: it holds a clone of every pending
 /// record, wire-encodes the batch at the cut, and builds each frame
-/// through three intermediate vectors — over the codec's own
-/// [`reference`](crate::compress::reference). The oracle for file bytes,
-/// chunk offsets and index entries.
+/// through three intermediate vectors. The oracle for the writer's
+/// batching, chunk offsets and index entries; the parse that fills its
+/// frames is a parameter, so it also writes files as the earlier
+/// parse ([`crate::compress::reference`]) did.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
-    use crate::compress::reference::{compress, crc32};
+    use crate::compress::reference::crc32;
 
-    fn encode_frame(kind: u8, raw: &[u8]) -> Vec<u8> {
+    fn encode_frame(kind: u8, raw: &[u8], compress: fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
         let comp = compress(raw);
         let mut out = Vec::with_capacity(FRAME_HEADER_LEN + comp.len());
         out.push(kind);
@@ -558,12 +559,22 @@ pub(crate) mod reference {
     /// One index entry as the old writer stated it.
     pub(crate) type Entry = (u64, u64, (i32, i64), (i32, i64));
 
-    /// (file bytes, chunk offsets, index entries).
+    /// (file bytes, chunk offsets, index entries), every frame through
+    /// the production codec.
     pub(crate) fn write_bam(
         header: &SamHeader,
         records: &[SamRecord],
     ) -> (Vec<u8>, Vec<u64>, Vec<Entry>) {
-        let mut out = encode_frame(KIND_HEADER, header.to_text().as_bytes());
+        write_bam_with(header, records, crate::compress::compress)
+    }
+
+    /// [`write_bam`] with every frame compressed by `compress`.
+    pub(crate) fn write_bam_with(
+        header: &SamHeader,
+        records: &[SamRecord],
+        compress: fn(&[u8]) -> Vec<u8>,
+    ) -> (Vec<u8>, Vec<u64>, Vec<Entry>) {
+        let mut out = encode_frame(KIND_HEADER, header.to_text().as_bytes(), compress);
         let mut offsets = vec![0u64];
         let mut entries = Vec::new();
         let mut pending: Vec<SamRecord> = Vec::new();
@@ -574,7 +585,7 @@ pub(crate) mod reference {
                 return;
             }
             let keys = || batch.iter().map(SamRecord::coordinate_key);
-            let frame = encode_frame(KIND_RECORDS, &batch.to_wire_bytes());
+            let frame = encode_frame(KIND_RECORDS, &batch.to_wire_bytes(), compress);
             offsets.push(out.len() as u64);
             entries.push((
                 out.len() as u64,
@@ -846,6 +857,30 @@ mod tests {
                     .unwrap_or((NO_REF, 0));
                 assert_eq!(e.max_end, reach);
             }
+        }
+    }
+
+    #[test]
+    fn a_file_the_earlier_parse_wrote_reads_back_record_for_record() {
+        let h = header();
+        let recs = sorted(mixed_records(3000));
+        let (old, _, old_entries) =
+            reference::write_bam_with(&h, &recs, crate::compress::reference::compress);
+        let (new, mut index) = write_bam_indexed(&h, &recs);
+        assert!(old != new, "the parse should have moved");
+        let (h2, r2) = read_bam(&old).unwrap();
+        assert_eq!(h2, h);
+        assert!(r2 == recs);
+        // Same cut points, so the index differs only in where frames sit.
+        assert_eq!(index.entries.len(), old_entries.len());
+        for (e, &(offset, len, min_key, max_key)) in index.entries.iter_mut().zip(&old_entries) {
+            assert_eq!((e.min_key, e.max_key), (min_key, max_key));
+            (e.offset, e.len) = (offset, len);
+        }
+        for (ref_id, start) in [(0, 1), (0, 20_000), (1, 60_000), (1, 122_500), (0, 130_000)] {
+            let got = read_region(&old, &index, ref_id, start, start + 500).unwrap();
+            assert!(!got.is_empty() || start == 130_000);
+            assert_eq!(got, brute_force(&recs, ref_id, start, start + 500), "{ref_id}:{start}");
         }
     }
 
