@@ -9,11 +9,12 @@
 
 use crate::index::ReferenceIndex;
 use crate::pairing::{estimate_insert_stats, select_pair, PairChoice, PairConfig};
-use crate::single::{find_candidates, Candidate, SingleConfig};
+use crate::single::{find_candidates_counted, Candidate, SingleConfig};
 use gesall_formats::dna::reverse_complement;
 use gesall_formats::fastq::ReadPair;
 use gesall_formats::sam::record::NO_REF;
 use gesall_formats::sam::{Cigar, Flags, SamRecord};
+use gesall_telemetry::KernelStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -80,12 +81,23 @@ impl Aligner {
         pairs: &[ReadPair],
         threads: usize,
     ) -> Vec<(SamRecord, SamRecord)> {
+        self.align_pairs_counted(pairs, threads).0
+    }
+
+    /// [`Aligner::align_pairs_threaded`], with the work its kernels did:
+    /// each worker tallies its own reads and the batch join sums them.
+    pub fn align_pairs_counted(
+        &self,
+        pairs: &[ReadPair],
+        threads: usize,
+    ) -> (Vec<(SamRecord, SamRecord)>, KernelStats) {
         let threads = threads.max(1);
         let mut out = Vec::with_capacity(pairs.len());
+        let mut stats = KernelStats::default();
         for (batch_ord, batch) in pairs.chunks(self.config.batch_size.max(1)).enumerate() {
-            out.extend(self.align_batch(batch, batch_ord as u64, threads));
+            out.extend(self.align_batch(batch, batch_ord as u64, threads, &mut stats));
         }
-        out
+        (out, stats)
     }
 
     fn align_batch(
@@ -93,10 +105,11 @@ impl Aligner {
         batch: &[ReadPair],
         batch_ord: u64,
         threads: usize,
+        stats: &mut KernelStats,
     ) -> Vec<(SamRecord, SamRecord)> {
         // Phase 1 (parallel compute): per-read candidates.
         let candidates: Vec<(Vec<Candidate>, Vec<Candidate>)> = if threads <= 1 {
-            batch.iter().map(|p| self.pair_candidates(p)).collect()
+            batch.iter().map(|p| self.pair_candidates(p, stats)).collect()
         } else {
             let chunk = batch.len().div_ceil(threads);
             let mut results: Vec<Vec<(Vec<Candidate>, Vec<Candidate>)>> =
@@ -106,14 +119,19 @@ impl Aligner {
                     .chunks(chunk.max(1))
                     .map(|part| {
                         s.spawn(move |_| {
-                            part.iter()
-                                .map(|p| self.pair_candidates(p))
-                                .collect::<Vec<_>>()
+                            let mut worker = KernelStats::default();
+                            let candidates = part
+                                .iter()
+                                .map(|p| self.pair_candidates(p, &mut worker))
+                                .collect::<Vec<_>>();
+                            (candidates, worker)
                         })
                     })
                     .collect();
                 for h in handles {
-                    results.push(h.join().expect("aligner worker panicked"));
+                    let (candidates, worker) = h.join().expect("aligner worker panicked");
+                    results.push(candidates);
+                    *stats += worker;
                 }
             })
             .expect("aligner thread scope failed");
@@ -137,10 +155,15 @@ impl Aligner {
             .collect()
     }
 
-    fn pair_candidates(&self, pair: &ReadPair) -> (Vec<Candidate>, Vec<Candidate>) {
+    fn pair_candidates(
+        &self,
+        pair: &ReadPair,
+        stats: &mut KernelStats,
+    ) -> (Vec<Candidate>, Vec<Candidate>) {
+        let cfg = &self.config.single;
         (
-            find_candidates(&self.index, &self.config.single, &pair.r1.seq),
-            find_candidates(&self.index, &self.config.single, &pair.r2.seq),
+            find_candidates_counted(&self.index, cfg, &pair.r1.seq, stats),
+            find_candidates_counted(&self.index, cfg, &pair.r2.seq, stats),
         )
     }
 
@@ -386,22 +409,25 @@ mod tests {
         // or fewer on the parent's own calls, because two extensions in
         // five or more are reads copied from the reference and most of
         // the rest are one substitution away.
-        use crate::{fm, kernels, single, sw};
+        use crate::{fm, single, sw};
         let (genome, pairs, aligner) = build_world(2000);
         let text: Vec<u8> = genome.chromosomes.iter().flat_map(|c| c.seq.iter().copied()).collect();
         fm::reference::assert_same_sampled_rows(aligner.index().fm(), &text);
 
-        // Counters per thread: other tests' work cannot leak in.
+        // The tally comes back with the records: other tests' work
+        // cannot leak in.
         let run = |parent_seeding: bool, parent_kernels: bool| {
-            let before = kernels::thread_snapshot();
-            let align = || sw::reference::measure(parent_kernels, || aligner.align_pairs(&pairs));
-            let (sam, work) = if parent_seeding {
+            let counted = || aligner.align_pairs_counted(&pairs, 1);
+            let align = || sw::reference::measure(parent_kernels, counted);
+            let ((sam, k), work) = if parent_seeding {
                 single::reference::with_parent_seeding(align)
             } else {
                 align()
             };
-            (sam, work, kernels::thread_snapshot().delta(&before))
+            (sam, work, k)
         };
+        // Smith–Waterman kernel calls: every extension but the reused ones.
+        let sw_calls = |k: &KernelStats| k.sw_extensions() - k.sw_window_reuses;
         let (ours, work, k) = run(false, false);
         let (seeded, seeded_work, pk) = run(true, false);
         let (parents, parent_work, _) = run(true, true);
@@ -414,9 +440,9 @@ mod tests {
         );
 
         // Seeding, on the same anchors: each is extended or reused.
-        assert_eq!(pk.sw_calls(), parent_work.extensions);
+        assert_eq!(sw_calls(&pk), parent_work.extensions);
         assert_eq!(pk.sw_window_reuses, 0);
-        assert_eq!(k.sw_calls() + k.sw_window_reuses, pk.sw_calls());
+        assert_eq!(sw_calls(&k) + k.sw_window_reuses, sw_calls(&pk));
         assert!(parent_work.extensions >= 2 * 2000, "{parent_work:?}");
         assert!(
             k.seed_rows_located * 4 <= pk.seed_rows_located,
@@ -425,13 +451,13 @@ mod tests {
             pk.seed_rows_located
         );
         assert!(
-            k.sw_calls() * 10 <= pk.sw_calls() * 7,
+            sw_calls(&k) * 10 <= sw_calls(&pk) * 7,
             "{} kernel calls, the parent's loop {}",
-            k.sw_calls(),
-            pk.sw_calls()
+            sw_calls(&k),
+            sw_calls(&pk)
         );
         assert_eq!(
-            (k.seed_rows_located, k.sw_calls(), k.sw_window_reuses),
+            (k.seed_rows_located, sw_calls(&k), k.sw_window_reuses),
             (8_464, 4_132, 2_954),
             "rows located, kernel calls, window reuses"
         );

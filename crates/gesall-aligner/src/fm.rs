@@ -19,9 +19,9 @@
 //! `locate_row` pays one word load and a bit test, and the one hit per
 //! walk a popcount — no search.
 
-use crate::kernels;
 use crate::suffix::{bwt_from_sa, suffix_array};
 use gesall_formats::dna::{count_code_in_word, PackedSeq};
+use gesall_telemetry::KernelStats;
 
 const ALPHABET: usize = 5;
 /// Rank checkpoint spacing (rows). A multiple of 32 so every checkpoint
@@ -241,13 +241,20 @@ impl FmIndex {
     /// prefixed by `pattern`, or `None` if the pattern is absent or holds
     /// a non-ACGT byte.
     pub fn search(&self, pattern: &[u8]) -> Option<(u64, u64)> {
+        self.search_counted(pattern, &mut KernelStats::default())
+    }
+
+    /// [`FmIndex::search`], tallying the words popcounted into `stats`.
+    pub(crate) fn search_counted(
+        &self,
+        pattern: &[u8],
+        stats: &mut KernelStats,
+    ) -> Option<(u64, u64)> {
         if pattern.is_empty() {
             return None;
         }
         let mut l = 0u64;
         let mut r = self.bwt.len() as u64;
-        // Words popcounted accumulate locally; one relaxed atomic add per
-        // search keeps the metric off the innermost loop.
         let mut words = 0u64;
         let mut valid = true;
         for &b in pattern.iter().rev() {
@@ -264,7 +271,7 @@ impl FmIndex {
                 break;
             }
         }
-        kernels::add_occ_words(words);
+        stats.occ_words_popcounted += words;
         (valid && l < r).then_some((l, r))
     }
 
@@ -287,7 +294,7 @@ impl FmIndex {
 
     /// Text position of the suffix at BWT `row`, via LF-walking to a
     /// sampled row.
-    pub fn locate_row(&self, mut row: u64) -> u64 {
+    pub fn locate_row(&self, mut row: u64, stats: &mut KernelStats) -> u64 {
         let mut steps = 0u64;
         let mut words = 0u64;
         let pos = loop {
@@ -299,7 +306,7 @@ impl FmIndex {
             words += w as u64;
             steps += 1;
         };
-        kernels::add_occ_words(words);
+        stats.occ_words_popcounted += words;
         let n = self.text_len as u64 + 1;
         (pos as u64 + steps) % n
     }
@@ -308,27 +315,38 @@ impl FmIndex {
     /// row order (not sorted), unless there are more than `max_hits` of
     /// them — the repeat-region bail-out, which calls `hit` for none and
     /// returns `None`.
-    pub fn locate_each(&self, pattern: &[u8], max_hits: usize, hit: impl FnMut(u64)) -> Option<()> {
-        let (l, r) = self.search(pattern)?;
+    pub fn locate_each(
+        &self,
+        pattern: &[u8],
+        max_hits: usize,
+        stats: &mut KernelStats,
+        hit: impl FnMut(u64),
+    ) -> Option<()> {
+        let (l, r) = self.search_counted(pattern, stats)?;
         if (r - l) as usize > max_hits {
             return None;
         }
-        self.locate_rows(l..r, hit);
+        self.locate_rows(l..r, stats, hit);
         Some(())
     }
 
     /// Feed the text position of every BWT row in `rows` to `hit`, in
     /// row order, counting the rows walked.
-    pub(crate) fn locate_rows(&self, rows: std::ops::Range<u64>, mut hit: impl FnMut(u64)) {
-        kernels::add_rows_located(rows.end - rows.start);
-        rows.for_each(|row| hit(self.locate_row(row)));
+    pub(crate) fn locate_rows(
+        &self,
+        rows: std::ops::Range<u64>,
+        stats: &mut KernelStats,
+        mut hit: impl FnMut(u64),
+    ) {
+        stats.seed_rows_located += rows.end - rows.start;
+        rows.for_each(|row| hit(self.locate_row(row, stats)));
     }
 
     /// All text positions where `pattern` occurs, ascending, capped at
     /// `max_hits` as in [`FmIndex::locate_each`].
     pub fn locate(&self, pattern: &[u8], max_hits: usize) -> Option<Vec<u64>> {
         let mut hits = Vec::new();
-        self.locate_each(pattern, max_hits, |pos| hits.push(pos))?;
+        self.locate_each(pattern, max_hits, &mut KernelStats::default(), |pos| hits.push(pos))?;
         hits.sort_unstable();
         Some(hits)
     }
@@ -528,10 +546,25 @@ mod tests {
     fn rank_kernel_reports_words_popcounted() {
         let text = pseudo_dna(4000, 29);
         let fm = FmIndex::build(&text);
-        let before = crate::kernels::snapshot();
-        assert!(fm.count(&text[1000..1020]) > 0);
-        let delta = crate::kernels::snapshot().delta(&before);
-        assert!(delta.occ_words_popcounted > 0, "kernel ran no words?");
+        let mut stats = KernelStats::default();
+        let (l, r) = fm.search_counted(&text[1000..1020], &mut stats).unwrap();
+        assert!(r > l);
+        // Each of the 20 steps ranks both ends: the whole words between
+        // each end's checkpoint and the end, plus a partial word.
+        let words: u64 = text[1000..1020]
+            .iter()
+            .rev()
+            .scan((0usize, fm.bwt.len()), |(l, r), &b| {
+                let c = code(b).unwrap();
+                let (lc, lw) = fm.occ_words(c, *l);
+                let (rc, rw) = fm.occ_words(c, *r);
+                *l = (fm.c_table[c as usize] + lc) as usize;
+                *r = (fm.c_table[c as usize] + rc) as usize;
+                Some((lw + rw) as u64)
+            })
+            .sum();
+        assert!(words > 0);
+        assert_eq!(stats, KernelStats { occ_words_popcounted: words, ..KernelStats::default() });
     }
 
     #[test]

@@ -30,7 +30,6 @@
 pub mod engine;
 pub mod fm;
 pub mod index;
-pub mod kernels;
 pub mod pairing;
 pub mod single;
 pub mod suffix;

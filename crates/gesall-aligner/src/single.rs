@@ -1,10 +1,10 @@
 //! Per-read alignment: seeding, candidate generation, mapping quality.
 
 use crate::index::{ReferenceIndex, UNIQUE_K};
-use crate::kernels;
 use crate::sw::{self, Band, LocalAlignment, Scoring};
 use gesall_formats::dna::reverse_complement;
 use gesall_formats::sam::cigar::Cigar;
+use gesall_telemetry::KernelStats;
 use std::collections::hash_map::{Entry, HashMap};
 
 /// Seeding/alignment parameters for a single read.
@@ -70,16 +70,27 @@ pub fn find_candidates(
     cfg: &SingleConfig,
     seq: &[u8],
 ) -> Vec<Candidate> {
+    find_candidates_counted(index, cfg, seq, &mut KernelStats::default())
+}
+
+/// [`find_candidates`], tallying the seeding and extension kernels' work
+/// into `stats`.
+pub(crate) fn find_candidates_counted(
+    index: &ReferenceIndex,
+    cfg: &SingleConfig,
+    seq: &[u8],
+    stats: &mut KernelStats,
+) -> Vec<Candidate> {
     #[cfg(test)]
     if reference::in_use() {
-        return reference::find_candidates(index, cfg, seq);
+        return reference::find_candidates(index, cfg, seq, stats);
     }
     let mut out: Vec<Candidate> = Vec::new();
     let rc = reverse_complement(seq);
     let strands = [seq, rc.as_slice()];
-    let anchors = gather_anchors(index, cfg, strands);
+    let anchors = gather_anchors(index, cfg, strands, stats);
     for (t, anchors) in anchors.iter().enumerate() {
-        extend_anchors(index, cfg, strands[t], t == 1, anchors, &mut out);
+        extend_anchors(index, cfg, strands[t], t == 1, anchors, &mut out, stats);
     }
     // Dedup by (chrom, pos, strand), keep best score.
     out.sort_by(|a, b| {
@@ -120,6 +131,7 @@ fn gather_anchors(
     index: &ReferenceIndex,
     cfg: &SingleConfig,
     strands: [&[u8]; 2],
+    stats: &mut KernelStats,
 ) -> [Vec<i64>; 2] {
     let mut anchors = [Vec::new(), Vec::new()];
     // The distinct anchors each pass has located.
@@ -148,18 +160,18 @@ fn gather_anchors(
             let own = located[t].iter().find(|&&a| index.is_unique_kmer_at(a + off as i64, seed));
             if let Some(&a) = own {
                 anchors[t].push(a);
-                kernels::add_search_answered();
+                stats.seed_searches_answered += 1;
                 continue;
             }
             // The seed's reverse complement, in the other pass's strand.
             let j = m - off - k;
             let mirror = &strands[1 - t][j..j + k];
             if located[1 - t].iter().any(|&b| index.is_unique_kmer_at(b + j as i64, mirror)) {
-                kernels::add_search_answered();
+                stats.seed_searches_answered += 1;
                 continue;
             }
         }
-        let Some((l, r)) = fm.search(seed) else {
+        let Some((l, r)) = fm.search_counted(seed, stats) else {
             continue;
         };
         let n = (r - l) as usize;
@@ -178,7 +190,7 @@ fn gather_anchors(
             }
             anchors.truncate(mark);
         }
-        fm.locate_rows(l..r, |hit| anchors.push(hit as i64 - off));
+        fm.locate_rows(l..r, stats, |hit| anchors.push(hit as i64 - off));
         located.extend_from_slice(&anchors[mark..]);
         located.sort_unstable();
         located.dedup();
@@ -202,6 +214,7 @@ fn extend_anchors(
     reverse: bool,
     anchors: &[i64],
     out: &mut Vec<Candidate>,
+    stats: &mut KernelStats,
 ) {
     let m = s.len();
     // Seed extension runs the banded Smith–Waterman kernel. The band is
@@ -213,9 +226,11 @@ fn extend_anchors(
     // the result is the full DP's unless an alignment lies wholly
     // outside the band (DESIGN.md §13) — which is why the band offset
     // is part of the reuse key below.
-    let extend = |window: &[u8], off: isize| {
+    let extend = |window: &[u8], off: isize, stats: &mut KernelStats| {
         let band = Band::around_offset(off, cfg.window_margin);
-        sw::with_workspace(|ws| sw::local_align_banded(s, window, &cfg.scoring, band, ws))
+        sw::with_workspace(|ws| {
+            sw::local_align_banded_counted(s, window, &cfg.scoring, band, ws, stats)
+        })
     };
     // Windows already extended in this pass, by (bytes, band offset):
     // hashed on the bytes, confirmed by comparing them.
@@ -231,14 +246,14 @@ fn extend_anchors(
         };
         let off = (anchor - gstart as i64) as isize;
         let aln = if anchors.len() == 1 {
-            extend(window, off)
+            extend(window, off, stats)
         } else {
             match extended.entry((window, off)) {
                 Entry::Occupied(prev) => {
-                    kernels::add_window_reuse();
+                    stats.sw_window_reuses += 1;
                     prev.get().clone()
                 }
-                Entry::Vacant(slot) => slot.insert(extend(window, off)).clone(),
+                Entry::Vacant(slot) => slot.insert(extend(window, off, stats)).clone(),
             }
         };
         let Some(aln) = aln else {
@@ -309,12 +324,13 @@ pub(crate) mod reference {
         index: &ReferenceIndex,
         cfg: &SingleConfig,
         seq: &[u8],
+        stats: &mut KernelStats,
     ) -> Vec<Candidate> {
         let mut out: Vec<Candidate> = Vec::new();
         let mut anchors: Vec<i64> = Vec::new();
         let rc = reverse_complement(seq);
         for (reverse, s) in [(false, seq), (true, rc.as_slice())] {
-            collect_strand_candidates(index, cfg, s, reverse, &mut anchors, &mut out);
+            collect_strand_candidates(index, cfg, s, reverse, &mut anchors, &mut out, stats);
         }
         // Dedup by (chrom, pos, strand), keep best score.
         out.sort_by(|a, b| {
@@ -335,6 +351,7 @@ pub(crate) mod reference {
         reverse: bool,
         anchors: &mut Vec<i64>,
         out: &mut Vec<Candidate>,
+        stats: &mut KernelStats,
     ) {
         let m = s.len();
         if m < cfg.seed_len {
@@ -353,7 +370,7 @@ pub(crate) mod reference {
             if seed.iter().any(|&b| !matches!(b, b'A' | b'C' | b'G' | b'T')) {
                 continue;
             }
-            index.fm().locate_each(seed, cfg.max_seed_hits, |hit| {
+            index.fm().locate_each(seed, cfg.max_seed_hits, stats, |hit| {
                 anchors.push(hit as i64 - off as i64)
             });
         }
@@ -380,7 +397,7 @@ pub(crate) mod reference {
             let aln = sw::with_workspace(|ws| {
                 let off = (anchor - gstart as i64) as isize;
                 let band = Band::around_offset(off, cfg.window_margin);
-                sw::local_align_banded(s, window, &cfg.scoring, band, ws)
+                sw::local_align_banded_counted(s, window, &cfg.scoring, band, ws, stats)
             });
             let Some(aln) = aln else {
                 continue;
@@ -596,23 +613,19 @@ mod tests {
     }
 
     /// `find_candidates` on `read`, checked against the parent's loop,
-    /// with the work this thread did.
+    /// with the work it tallied.
     fn against_the_parent_with(
         idx: &ReferenceIndex,
         cfg: &SingleConfig,
         read: &[u8],
-    ) -> (Vec<Candidate>, crate::kernels::Snapshot) {
-        let before = crate::kernels::thread_snapshot();
-        let ours = find_candidates(idx, cfg, read);
-        let work = crate::kernels::thread_snapshot().delta(&before);
-        assert_eq!(ours, reference::find_candidates(idx, cfg, read));
+    ) -> (Vec<Candidate>, KernelStats) {
+        let mut work = KernelStats::default();
+        let ours = find_candidates_counted(idx, cfg, read, &mut work);
+        assert_eq!(ours, reference::find_candidates(idx, cfg, read, &mut KernelStats::default()));
         (ours, work)
     }
 
-    fn against_the_parent(
-        idx: &ReferenceIndex,
-        read: &[u8],
-    ) -> (Vec<Candidate>, crate::kernels::Snapshot) {
+    fn against_the_parent(idx: &ReferenceIndex, read: &[u8]) -> (Vec<Candidate>, KernelStats) {
         against_the_parent_with(idx, &SingleConfig::default(), read)
     }
 
@@ -835,7 +848,7 @@ mod tests {
                 }
                 prop_assert_eq!(
                     find_candidates(&idx, &cfg, &read),
-                    reference::find_candidates(&idx, &cfg, &read),
+                    reference::find_candidates(&idx, &cfg, &read, &mut KernelStats::default()),
                     "read kind {} at {}", kind, start
                 );
             }
@@ -898,7 +911,7 @@ mod tests {
                 }
                 prop_assert_eq!(
                     find_candidates(&idx, &cfg, &read),
-                    reference::find_candidates(&idx, &cfg, &read),
+                    reference::find_candidates(&idx, &cfg, &read, &mut KernelStats::default()),
                     "read kind {} at {}", kind, start
                 );
             }

@@ -19,8 +19,8 @@
 //! see the full-DP answer for every path the band can't prove
 //! (DESIGN.md §13).
 
-use crate::kernels;
 use gesall_formats::sam::cigar::{Cigar, CigarOp};
+use gesall_telemetry::KernelStats;
 use std::cell::RefCell;
 
 /// Alignment scoring parameters (Bwa-mem defaults).
@@ -554,14 +554,25 @@ fn gapless_run(
 /// *banded* optimum stays interior). Residual caveat: an alignment
 /// wholly outside the band (a repeat elsewhere in the window, unseen by
 /// every band cell) cannot be detected here; the benchmark's committed
-/// output digests are the backstop for that case. Kernel counters
-/// record which way each call went.
+/// output digests are the backstop for that case.
 pub fn local_align_banded(
     query: &[u8],
     window: &[u8],
     scoring: &Scoring,
     band: Band,
     ws: &mut SwWorkspace,
+) -> Option<LocalAlignment> {
+    local_align_banded_counted(query, window, scoring, band, ws, &mut KernelStats::default())
+}
+
+/// [`local_align_banded`], tallying into `stats` which way the call went.
+pub(crate) fn local_align_banded_counted(
+    query: &[u8],
+    window: &[u8],
+    scoring: &Scoring,
+    band: Band,
+    ws: &mut SwWorkspace,
+    stats: &mut KernelStats,
 ) -> Option<LocalAlignment> {
     #[cfg(test)]
     if reference::in_use() {
@@ -573,7 +584,7 @@ pub fn local_align_banded(
         return None;
     }
     if let Some(exact) = exact_diagonal(query, window, scoring, band) {
-        kernels::add_exact_hit();
+        stats.sw_exact_hits += 1;
         return Some(exact);
     }
     let band_w = band.width();
@@ -584,11 +595,11 @@ pub fn local_align_banded(
         || band.d_min > w as isize - 1
         || band_w >= w
     {
-        kernels::add_full_fallback();
+        stats.sw_full_fallbacks += 1;
         return local_align_with(query, window, scoring, ws);
     }
     if let Some(run) = gapless_run(query, window, scoring, band) {
-        kernels::add_gapless_hit();
+        stats.sw_gapless_hits += 1;
         return Some(run);
     }
     let (d_min, d_max) = (band.d_min, band.d_max);
@@ -675,7 +686,7 @@ pub fn local_align_banded(
         // Either the band found nothing positive, or a band-crossing
         // path could plausibly match or beat the banded best — both
         // mean the full matrix may hold an answer the band can't see.
-        kernels::add_full_fallback();
+        stats.sw_full_fallbacks += 1;
         return local_align_with(query, window, scoring, ws);
     }
 
@@ -699,14 +710,14 @@ pub fn local_align_banded(
         best_j,
     );
     if edge_touched {
-        kernels::add_full_fallback();
+        stats.sw_full_fallbacks += 1;
         return local_align_with(query, window, scoring, ws);
     }
-    kernels::add_banded_hit();
+    stats.sw_banded_hits += 1;
     Some(assemble(m, ops_rev, edit, stop_i, stop_j, best, best_i))
 }
 
-/// The parent commit's kernels, verbatim (plus counters): what the
+/// The parent commit's kernels, verbatim (plus work counters): what the
 /// proptests below and `engine`'s count gate hold the code above to.
 #[cfg(test)]
 pub(crate) mod reference {
@@ -1028,8 +1039,7 @@ pub(crate) mod reference {
     /// *banded* optimum stays interior). Residual caveat: an alignment
     /// wholly outside the band (a repeat elsewhere in the window, unseen by
     /// every band cell) cannot be detected here; the benchmark's
-    /// committed output digests are the backstop for that case. Kernel
-    /// counters record which way each call went.
+    /// committed output digests are the backstop for that case.
     fn local_align_banded_with(
         query: &[u8],
         window: &[u8],
@@ -1050,7 +1060,6 @@ pub(crate) mod reference {
             || band.d_min > w as isize - 1
             || band_w >= w
         {
-            kernels::add_full_fallback();
             return local_align_with(query, window, scoring, ws);
         }
         let (d_min, d_max) = (band.d_min, band.d_max);
@@ -1183,7 +1192,6 @@ pub(crate) mod reference {
             // Either the band found nothing positive, or a band-crossing
             // path could plausibly match or beat the banded best — both
             // mean the full matrix may hold an answer the band can't see.
-            kernels::add_full_fallback();
             return local_align_with(query, window, scoring, ws);
         }
 
@@ -1209,10 +1217,8 @@ pub(crate) mod reference {
             best_j,
         );
         if edge_touched {
-            kernels::add_full_fallback();
             return local_align_with(query, window, scoring, ws);
         }
-        kernels::add_banded_hit();
         Some(assemble(m, ops_rev, edit, stop_i, stop_j, best, best_i))
     }
 }
@@ -1394,38 +1400,46 @@ mod tests {
         }
     }
 
+    /// `local_align_banded` on `ws`, with the cells `measure` saw filled
+    /// and the tally the call returned.
+    fn banded_counted(
+        query: &[u8],
+        window: &[u8],
+        band: Band,
+        ws: &mut SwWorkspace,
+    ) -> (Option<LocalAlignment>, reference::Work, KernelStats) {
+        let mut stats = KernelStats::default();
+        let (aln, work) = reference::measure(false, || {
+            local_align_banded_counted(query, window, &s(), band, ws, &mut stats)
+        });
+        (aln, work, stats)
+    }
+
     #[test]
     fn each_extension_is_counted_once_by_the_path_that_answered() {
-        // Exact on this thread: `measure` counts what the reference would
-        // see, and the process counters only ever grow.
         let margin = 16;
         let band = Band::around_offset(margin as isize, margin);
         let mut ws = SwWorkspace::new();
         let (perfect, window) = seeded_pair(7, margin, |_| {});
         let (one_sub, _) = seeded_pair(7, margin, |r| r[50] = if r[50] == b'A' { b'C' } else { b'A' });
-        let before = crate::kernels::snapshot();
-        let (a, work) = reference::measure(false, || {
-            local_align_banded(&perfect, &window, &s(), band, &mut ws).unwrap()
-        });
+        let (a, work, stats) = banded_counted(&perfect, &window, band, &mut ws);
+        let a = a.unwrap();
         assert_eq!((a.score, a.ref_start, a.cigar.to_string().as_str()), (100, margin, "100M"));
         assert_eq!(work.cells, 0, "a copied read fills no cell");
-        let exact = crate::kernels::snapshot().delta(&before);
-        assert!(exact.sw_exact_hits >= 1);
-        let (b, work) = reference::measure(false, || {
-            local_align_banded(&one_sub, &window, &s(), band, &mut ws).unwrap()
-        });
+        assert_eq!(stats, KernelStats { sw_exact_hits: 1, ..KernelStats::default() });
+        let (b, work, stats) = banded_counted(&one_sub, &window, band, &mut ws);
+        let b = b.unwrap();
         assert_eq!((b.score, b.edit_distance), (99 - 4, 1));
         assert_eq!(work.cells, 0, "a one-substitution read fills no cell");
-        assert!(crate::kernels::snapshot().delta(&before).sw_gapless_hits >= 1);
+        assert_eq!(stats, KernelStats { sw_gapless_hits: 1, ..KernelStats::default() });
         // Two substitutions: 90 ≤ 100 − 7, a gapped path could compete,
         // so the band fills.
         let (two_subs, _) = seeded_pair(7, margin, |r| flip(r, &[30, 70]));
-        let (c, work) = reference::measure(false, || {
-            local_align_banded(&two_subs, &window, &s(), band, &mut ws).unwrap()
-        });
+        let (c, work, stats) = banded_counted(&two_subs, &window, band, &mut ws);
+        let c = c.unwrap();
         assert_eq!((c.score, c.edit_distance), (98 - 8, 2));
         assert!(work.cells > 0 && work.cells <= 100 * 33);
-        assert!(crate::kernels::snapshot().delta(&before).sw_banded_hits >= 1);
+        assert_eq!(stats, KernelStats { sw_banded_hits: 1, ..KernelStats::default() });
     }
 
     #[test]
@@ -1438,12 +1452,14 @@ mod tests {
         let (read, window) = seeded_pair(11, margin, |r| {
             r.drain(30..40); // 10bp deletion > slack 4
         });
-        let before = crate::kernels::snapshot();
         let full = local_align(&read, &window, &s());
-        let banded = local_align_banded(&read, &window, &s(), band, &mut ws);
+        let (banded, _, stats) = banded_counted(&read, &window, band, &mut ws);
         assert_eq!(banded, full);
-        let delta = crate::kernels::snapshot().delta(&before);
-        assert!(delta.sw_full_fallbacks >= 1, "expected an edge fallback");
+        assert_eq!(
+            stats,
+            KernelStats { sw_full_fallbacks: 1, ..KernelStats::default() },
+            "expected one edge fallback"
+        );
     }
 
     #[test]

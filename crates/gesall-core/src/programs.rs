@@ -12,6 +12,7 @@
 use gesall_aligner::Aligner;
 use gesall_formats::fastq;
 use gesall_formats::sam::text as sam_text;
+use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::streaming::{ExternalProgram, PipeReader, PipeWriter};
 use std::io::{Read, Write};
 
@@ -22,6 +23,9 @@ pub struct BwaMemProgram<'a> {
     /// Compute threads used per batch (the paper's
     /// mappers-per-node × threads-per-mapper knob).
     pub threads: usize,
+    /// Where the aligner's kernel tally goes: the task attempt's own
+    /// counters, so only a committed attempt's work reaches the job.
+    pub counters: &'a Counters,
 }
 
 impl ExternalProgram for BwaMemProgram<'_> {
@@ -35,7 +39,8 @@ impl ExternalProgram for BwaMemProgram<'_> {
         let pairs = fastq::pairs_from_interleaved_bytes(&input)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let header = self.aligner.index().sam_header();
-        let aligned = self.aligner.align_pairs_threaded(&pairs, self.threads);
+        let (aligned, kernels) = self.aligner.align_pairs_counted(&pairs, self.threads);
+        kernels.add_to(self.counters);
         stdout.write_all(header.to_text().as_bytes())?;
         for (a, b) in &aligned {
             stdout.write_all(sam_text::record_to_line(a, &header).as_bytes())?;
@@ -79,8 +84,8 @@ mod tests {
         ReferenceGenome,
     };
     use gesall_formats::bam;
-    use gesall_mapreduce::counters::Counters;
     use gesall_mapreduce::streaming::StreamingHarness;
+    use gesall_telemetry::KernelStats;
 
     fn world() -> (Aligner, Vec<gesall_formats::fastq::ReadPair>) {
         let genome = ReferenceGenome::generate(&GenomeConfig::tiny());
@@ -108,9 +113,11 @@ mod tests {
         let (aligner, pairs) = world();
         let harness = StreamingHarness::new(Counters::new());
         let input = fastq::pairs_to_interleaved_bytes(&pairs);
+        let kernels = Counters::new();
         let bwa = BwaMemProgram {
             aligner: &aligner,
             threads: 2,
+            counters: &kernels,
         };
         let out = harness
             .run_pipeline(&[&bwa, &SamToBamProgram], &input)
@@ -118,10 +125,13 @@ mod tests {
         let (header, records) = bam::read_bam(&out).unwrap();
         assert_eq!(records.len(), 240, "two records per pair");
         assert_eq!(header.references.len(), 2);
-        // Pipeline output equals calling the aligner directly.
-        let direct = aligner.align_pairs(&pairs);
+        // Pipeline output, and the kernel tally, equal calling the
+        // aligner directly.
+        let (direct, tally) = aligner.align_pairs_counted(&pairs, 1);
         let flat: Vec<_> = direct.into_iter().flat_map(|(a, b)| [a, b]).collect();
         assert_eq!(records, flat);
+        assert_ne!(tally, KernelStats::default());
+        assert_eq!(KernelStats::from_snapshot(&kernels.snapshot()), tally);
         // Timings recorded for both programs.
         assert!(harness.timings().external_nanos > 0);
     }
@@ -130,9 +140,11 @@ mod tests {
     fn bwa_rejects_garbage_input() {
         let (aligner, _) = world();
         let harness = StreamingHarness::new(Counters::new());
+        let counters = Counters::new();
         let bwa = BwaMemProgram {
             aligner: &aligner,
             threads: 1,
+            counters: &counters,
         };
         let res = harness.run_pipeline(&[&bwa], b"not fastq at all");
         assert!(res.is_err());

@@ -131,6 +131,7 @@ impl Mapper for Round1Align<'_> {
         let bwa = crate::programs::BwaMemProgram {
             aligner: self.aligner,
             threads: self.threads_per_mapper.max(1),
+            counters: ctx.counters(),
         };
         let bam_bytes = harness
             .run_pipeline(&[&bwa, &crate::programs::SamToBamProgram], fastq_bytes)

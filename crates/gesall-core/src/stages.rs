@@ -31,7 +31,7 @@ use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::runtime::{AttemptOutcome, InputSplit, JobOutput, TaskKind};
 use gesall_mapreduce::task::{FnPartitioner, HashPartitioner};
-use gesall_telemetry::{kernel_keys, OpenSpan, Recorder, SpanId, SpanKind};
+use gesall_telemetry::{OpenSpan, Recorder, SpanId, SpanKind};
 use gesall_tools::haplotype_caller::call_range;
 use gesall_tools::recalibration::RecalTable;
 use gesall_tools::unified_genotyper::{call_region, GenotyperConfig};
@@ -255,10 +255,6 @@ fn stage_round1(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         splits.push(p.place(&path, path.clone(), bytes)?);
     }
     let rspan = cx.open_round(inputs.stage);
-    // The aligner-side kernels (packed rank, locate, banded SW) report on
-    // process-wide atomics; bracket the round with snapshots so the
-    // round counters carry exactly this run's kernel activity.
-    let kernels_before = gesall_aligner::kernels::snapshot();
     let r1 = p.engine.run_map_only(
         p.job_config(cx.opts, inputs.stage, 1, rspan.id),
         &Round1Align {
@@ -268,21 +264,6 @@ fn stage_round1(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         },
         splits,
     )?;
-    let kd = gesall_aligner::kernels::snapshot().delta(&kernels_before);
-    for (key, val) in [
-        (kernel_keys::OCC_WORDS_POPCOUNTED, kd.occ_words_popcounted),
-        (kernel_keys::SEED_ROWS_LOCATED, kd.seed_rows_located),
-        (kernel_keys::SEED_SEARCHES_ANSWERED, kd.seed_searches_answered),
-        (kernel_keys::SW_EXACT_HITS, kd.sw_exact_hits),
-        (kernel_keys::SW_GAPLESS_HITS, kd.sw_gapless_hits),
-        (kernel_keys::SW_BANDED_HITS, kd.sw_banded_hits),
-        (kernel_keys::SW_FULL_FALLBACKS, kd.sw_full_fallbacks),
-        (kernel_keys::SW_WINDOW_REUSES, kd.sw_window_reuses),
-    ] {
-        if val != 0 {
-            r1.counters.add(key, val);
-        }
-    }
     // Already grouped by name (pairs adjacent).
     Ok(StageData::Parts(mapper_parts(cx.close_round(rspan, inputs.stage, r1))?))
 }

@@ -840,9 +840,20 @@ fn copy_accounting_ignores_discarded_speculative_attempts() {
     // may cover committed attempts only: map task 0's first attempt is
     // stretched in every round; where a backup wins (every wave of more
     // than two tasks) it then runs its body in full and is discarded —
-    // and no copy gauge may move.
+    // and no copy gauge may move, nor any aligner kernel counter.
     use gesall_mapreduce::counters::keys;
     use gesall_mapreduce::{FaultPlan, TaskKind};
+    use gesall_telemetry::kernel_keys as k;
+    let aligner_kernels = [
+        k::OCC_WORDS_POPCOUNTED,
+        k::SEED_ROWS_LOCATED,
+        k::SEED_SEARCHES_ANSWERED,
+        k::SW_EXACT_HITS,
+        k::SW_GAPLESS_HITS,
+        k::SW_BANDED_HITS,
+        k::SW_FULL_FALLBACKS,
+        k::SW_WINDOW_REUSES,
+    ];
 
     let w = build_world(600);
     let run = |plan: FaultPlan| {
@@ -856,13 +867,17 @@ fn copy_accounting_ignores_discarded_speculative_attempts() {
             MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192)).with_fault_plan(plan);
         let p = GesallPlatform::new(dfs, engine, PlatformConfig::default());
         let out = p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
-        (copied_bytes(&p, &out), round_counter_sum(&out, keys::SPECULATIVE_WASTED))
+        let kernels = aligner_kernels.map(|key| round_counter_sum(&out, key));
+        (copied_bytes(&p, &out), kernels, round_counter_sum(&out, keys::SPECULATIVE_WASTED))
     };
-    let (clean, _) = run(FaultPlan::default());
-    let (raced, raced_wasted) = run(FaultPlan::seeded(1).slow_down(TaskKind::Map, 0, 0, 3_000));
+    let (clean, clean_kernels, _) = run(FaultPlan::default());
+    let (raced, raced_kernels, raced_wasted) =
+        run(FaultPlan::seeded(1).slow_down(TaskKind::Map, 0, 0, 3_000));
     assert!(raced_wasted >= 1, "the stretched attempts must lose to backups");
     assert!(clean[0] > 0, "round 1's pipes copy bytes");
     assert_eq!(raced, clean, "[pipes, engine, dfs] bytes copied");
+    assert!(clean_kernels[0] > 0, "round 1's kernels ran");
+    assert_eq!(raced_kernels, clean_kernels, "aligner kernel counters {aligner_kernels:?}");
 }
 
 /// Bytes copied per shuffled record the scenario below measured

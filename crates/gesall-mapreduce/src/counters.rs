@@ -99,14 +99,6 @@ pub mod keys {
     /// Scheduler worker-loop iterations triggered by the wait timing out
     /// with nothing to do (the old busy-poll, now counted).
     pub const SCHED_IDLE_TIMEOUTS: &str = "sched.idle.timeouts";
-    /// Bit-parallel kernel telemetry (DESIGN.md §13): packed-rank words
-    /// popcounted, banded-SW hits/fallbacks, radix passes. Re-exported so
-    /// engine code reads kernel counters from the same keys module as
-    /// everything else.
-    pub use gesall_telemetry::kernel_keys::{
-        OCC_WORDS_POPCOUNTED, SORT_COMPARISON_FALLBACKS, SORT_RADIX_PASSES, SW_BANDED_HITS,
-        SW_EXACT_HITS, SW_FULL_FALLBACKS,
-    };
 }
 
 #[cfg(test)]

@@ -8,6 +8,13 @@
 //! shows up as a zeroed counter in the traced platform test, not as an
 //! unexplained Map-phase slowdown) and to size the work the bit-tricks
 //! did.
+//!
+//! A kernel tallies into a [`KernelStats`] its caller owns; the caller
+//! hands the tally back with its result, and the task that ran it adds
+//! it to its attempt's counters ([`KernelStats::add_to`]), so only a
+//! committed attempt's work reaches the job.
+
+use crate::metrics::Counters;
 
 /// Well-known kernel counter names.
 pub mod keys {
@@ -48,8 +55,8 @@ pub mod keys {
     pub const SORT_COMPARISON_FALLBACKS: &str = "kernel.sort.comparison_fallbacks";
 }
 
-/// Kernel activity pulled out of a counter snapshot — the numbers the
-/// CLI report prints.
+/// Kernel activity: the tally a kernel fills for its caller, or the
+/// numbers pulled out of a counter snapshot that the CLI report prints.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     pub occ_words_popcounted: u64,
@@ -65,26 +72,39 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
+    /// Every counter with its key.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 10] {
+        [
+            (keys::OCC_WORDS_POPCOUNTED, &mut self.occ_words_popcounted),
+            (keys::SEED_ROWS_LOCATED, &mut self.seed_rows_located),
+            (keys::SEED_SEARCHES_ANSWERED, &mut self.seed_searches_answered),
+            (keys::SW_EXACT_HITS, &mut self.sw_exact_hits),
+            (keys::SW_GAPLESS_HITS, &mut self.sw_gapless_hits),
+            (keys::SW_BANDED_HITS, &mut self.sw_banded_hits),
+            (keys::SW_FULL_FALLBACKS, &mut self.sw_full_fallbacks),
+            (keys::SW_WINDOW_REUSES, &mut self.sw_window_reuses),
+            (keys::SORT_RADIX_PASSES, &mut self.sort_radix_passes),
+            (keys::SORT_COMPARISON_FALLBACKS, &mut self.sort_comparison_fallbacks),
+        ]
+    }
+
     /// Pull the kernel counters out of a snapshot.
     pub fn from_snapshot(snapshot: &[(String, u64)]) -> KernelStats {
-        let get = |name: &str| {
-            snapshot
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-                .unwrap_or(0)
-        };
-        KernelStats {
-            occ_words_popcounted: get(keys::OCC_WORDS_POPCOUNTED),
-            seed_rows_located: get(keys::SEED_ROWS_LOCATED),
-            seed_searches_answered: get(keys::SEED_SEARCHES_ANSWERED),
-            sw_exact_hits: get(keys::SW_EXACT_HITS),
-            sw_gapless_hits: get(keys::SW_GAPLESS_HITS),
-            sw_banded_hits: get(keys::SW_BANDED_HITS),
-            sw_full_fallbacks: get(keys::SW_FULL_FALLBACKS),
-            sw_window_reuses: get(keys::SW_WINDOW_REUSES),
-            sort_radix_passes: get(keys::SORT_RADIX_PASSES),
-            sort_comparison_fallbacks: get(keys::SORT_COMPARISON_FALLBACKS),
+        let mut stats = KernelStats::default();
+        for (key, value) in stats.fields_mut() {
+            if let Some((_, v)) = snapshot.iter().find(|(k, _)| k == key) {
+                *value = *v;
+            }
+        }
+        stats
+    }
+
+    /// Add every non-zero count to `counters` under its key.
+    pub fn add_to(mut self, counters: &Counters) {
+        for (key, value) in self.fields_mut() {
+            if *value != 0 {
+                counters.add(key, *value);
+            }
         }
     }
 
@@ -108,6 +128,14 @@ impl KernelStats {
     /// without fallback.
     pub fn banded_hit_ratio(&self) -> f64 {
         ratio(self.sw_banded_hits, self.sw_banded_hits + self.sw_full_fallbacks)
+    }
+}
+
+impl std::ops::AddAssign for KernelStats {
+    fn add_assign(&mut self, mut other: KernelStats) {
+        for ((_, sum), (_, part)) in self.fields_mut().into_iter().zip(other.fields_mut()) {
+            *sum += *part;
+        }
     }
 }
 
@@ -151,6 +179,44 @@ mod tests {
         assert_eq!(k.sw_extensions(), 300);
         assert!((k.exact_hit_ratio() - 100.0 / 300.0).abs() < 1e-12);
         assert!((k.banded_hit_ratio() - 0.9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tallies_sum_and_add_to_counters_under_their_keys() {
+        let one = KernelStats {
+            occ_words_popcounted: 7,
+            seed_rows_located: 3,
+            seed_searches_answered: 1,
+            sw_exact_hits: 1,
+            sw_gapless_hits: 1,
+            sw_banded_hits: 1,
+            sw_full_fallbacks: 1,
+            sw_window_reuses: 1,
+            sort_radix_passes: 0,
+            sort_comparison_fallbacks: 2,
+        };
+        let mut sum = KernelStats::default();
+        sum += one;
+        sum += one;
+        assert_eq!(sum.occ_words_popcounted, 14);
+        assert_eq!(sum.sw_extensions(), 10);
+        assert_eq!(sum.sort_comparison_fallbacks, 4);
+
+        let counters = Counters::new();
+        counters.add("unrelated", 5);
+        sum.add_to(&counters);
+        one.add_to(&counters);
+        assert_eq!(counters.get(keys::OCC_WORDS_POPCOUNTED), 21);
+        assert_eq!(counters.get(keys::SW_WINDOW_REUSES), 3);
+        assert_eq!(counters.get("unrelated"), 5);
+        let snapshot = counters.snapshot();
+        assert!(
+            snapshot.iter().all(|(k, _)| k != keys::SORT_RADIX_PASSES),
+            "a zero count adds no key: {snapshot:?}"
+        );
+        let mut three = sum;
+        three += one;
+        assert_eq!(KernelStats::from_snapshot(&snapshot), three);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 # to their pinned digests. Release matters:
 # with overflow checks off a kernel can disagree with its reference
 # where the debug run never reaches. The line counter is held to its
-# fixture first, as in CI.
+# fixture first, and the aligner to no process-global counter, as in CI.
 smoke:
     test "$(scripts/loc.sh scripts/fixtures/loc_fixture.rs)" = 32
+    scripts/no-global-counters.sh
     cargo build --release --offline --workspace
     cargo test -q --offline --workspace
     cargo clippy --offline --workspace --all-targets -- -D warnings

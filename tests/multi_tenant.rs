@@ -1,8 +1,8 @@
 //! Multi-tenant job service integration tests through the `gesall`
 //! facade: fairness under a flooding tenant, typed admission control,
 //! fault recovery across concurrent jobs, per-job shuffle retention and
-//! the per-tenant stage cache — the service-level guarantees layered
-//! over the engine.
+//! the per-tenant stage cache and per-job kernel counters — the
+//! service-level guarantees layered over the engine.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -12,15 +12,17 @@ use gesall::aligner::{Aligner, AlignerConfig, ReferenceIndex};
 use gesall::datagen::reads::ReadSimConfig;
 use gesall::datagen::{DonorGenome, GenomeConfig, ReadSimulator, ReferenceGenome};
 use gesall::dfs::{Dfs, DfsConfig};
+use gesall::formats::fastq::{split_pairs_into_partitions, ReadPair};
 use gesall::jobsvc::{
-    keys, JobOutput, JobService, JobSpec, JobStatus, JobSvcConfig, JobSvcError, TenantConfig,
+    keys, JobHandle, JobOutput, JobService, JobSpec, JobStatus, JobSvcConfig, JobSvcError,
+    TenantConfig,
 };
 use gesall::mapreduce::{
     ClusterResources, FaultPlan, GesallError, HashPartitioner, InputSplit, MapContext,
     MapReduceEngine, Mapper, ReduceContext, Reducer,
 };
 use gesall::platform::{GesallPlatform, PipelineOutput, PlatformConfig};
-use gesall::telemetry::{Recorder, SpanKind};
+use gesall::telemetry::{KernelStats, Recorder, SpanKind};
 
 // ---------------------------------------------------------------------
 // Shared fixtures
@@ -101,6 +103,64 @@ impl Drop for SetOnDrop {
     fn drop(&mut self) {
         self.0.store(true, Ordering::SeqCst);
     }
+}
+
+/// An aligner over the tiny genome and `n_pairs` simulated pairs.
+fn pipeline_world(n_pairs: usize) -> (Arc<Aligner>, Vec<ReadPair>) {
+    let genome = ReferenceGenome::generate(&GenomeConfig::tiny());
+    let donor = DonorGenome::generate(&genome, &Default::default());
+    let (pairs, _) = ReadSimulator::new(
+        &genome,
+        &donor,
+        ReadSimConfig {
+            n_pairs,
+            ..ReadSimConfig::default()
+        },
+    )
+    .simulate();
+    let chroms: Vec<(String, Vec<u8>)> = genome
+        .chromosomes
+        .iter()
+        .map(|c| (c.name.clone(), c.seq.clone()))
+        .collect();
+    let aligner = Aligner::new(ReferenceIndex::build(&chroms), AlignerConfig::default());
+    (Arc::new(aligner), pairs)
+}
+
+/// A pipeline job over `pairs`, waiting at `gate` (if any) before it
+/// starts; its output is the [`PipelineOutput`].
+fn pipeline_job(
+    aligner: Arc<Aligner>,
+    pairs: Vec<ReadPair>,
+    gate: Option<Arc<Barrier>>,
+) -> JobSpec {
+    JobSpec::new("pipeline", 2, move |ctx| {
+        if let Some(gate) = gate {
+            gate.wait();
+        }
+        let out = ctx
+            .platform()
+            .run_pipeline_with(&aligner, pairs, &ctx.run_options())
+            .map_err(|e| GesallError::Streaming(e.to_string()))?;
+        Ok(Box::new(out) as JobOutput)
+    })
+}
+
+fn pipeline_output(h: &JobHandle) -> PipelineOutput {
+    h.wait().unwrap();
+    *h.take_output().unwrap().downcast::<PipelineOutput>().unwrap()
+}
+
+fn two_tenant_service() -> JobService {
+    let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096));
+    JobService::new(
+        platform_with(engine),
+        JobSvcConfig {
+            tenants: vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
+            total_slots: Some(4),
+            retention_ttl: Duration::from_secs(600),
+        },
+    )
 }
 
 fn sleepy_job(ms: u64) -> JobSpec {
@@ -452,56 +512,12 @@ fn cancelled_jobs_namespace_swept_while_siblings_transit_survives() {
 
 #[test]
 fn a_tenants_jobs_share_its_stage_cache_and_other_tenants_do_not() {
-    let genome = ReferenceGenome::generate(&GenomeConfig::tiny());
-    let donor = DonorGenome::generate(&genome, &Default::default());
-    let (pairs, _) = ReadSimulator::new(
-        &genome,
-        &donor,
-        ReadSimConfig {
-            n_pairs: 300,
-            ..ReadSimConfig::default()
-        },
-    )
-    .simulate();
-    let chroms: Vec<(String, Vec<u8>)> = genome
-        .chromosomes
-        .iter()
-        .map(|c| (c.name.clone(), c.seq.clone()))
-        .collect();
-    let aligner = Arc::new(Aligner::new(
-        ReferenceIndex::build(&chroms),
-        AlignerConfig::default(),
-    ));
-
-    let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096));
-    let svc = JobService::new(
-        platform_with(engine),
-        JobSvcConfig {
-            tenants: vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
-            total_slots: Some(4),
-            retention_ttl: Duration::from_secs(600),
-        },
-    );
+    let (aligner, pairs) = pipeline_world(300);
+    let svc = two_tenant_service();
     // One pipeline job, waited on; its handle drops on return.
     let run = |tenant: &str| -> PipelineOutput {
-        let (aligner, pairs) = (aligner.clone(), pairs.clone());
-        let h = svc
-            .submit(
-                tenant,
-                JobSpec::new("pipeline", 2, move |ctx| {
-                    let out = ctx
-                        .platform()
-                        .run_pipeline_with(&aligner, pairs, &ctx.run_options())
-                        .map_err(|e| GesallError::Streaming(e.to_string()))?;
-                    Ok(Box::new(out) as JobOutput)
-                }),
-            )
-            .unwrap();
-        h.wait().unwrap();
-        *h.take_output()
-            .unwrap()
-            .downcast::<PipelineOutput>()
-            .unwrap()
+        let job = pipeline_job(aligner.clone(), pairs.clone(), None);
+        pipeline_output(&svc.submit(tenant, job).unwrap())
     };
 
     let cold = run("a");
@@ -524,6 +540,54 @@ fn a_tenants_jobs_share_its_stage_cache_and_other_tenants_do_not() {
         residue.is_empty(),
         "left outside the stage caches: {residue:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// (f) Attribution: a job's kernel counters are its own work
+// ---------------------------------------------------------------------
+
+#[test]
+fn concurrent_jobs_round1_kernel_counters_are_each_their_own() {
+    // Two tenants align different reads at once (a barrier starts both
+    // pipelines together, so their round 1s overlap). Each job's round-1
+    // kernel counters must be exactly what the same job reports alone on
+    // a fresh service, and what the aligner's counted entry point tallies
+    // over that job's round-1 partitions: no other job's work, no
+    // discarded attempt's.
+    let (aligner, mut pairs) = pipeline_world(400);
+    let inputs = [pairs.split_off(250), pairs];
+    let round1_kernels = |out: &PipelineOutput| {
+        let round = out.rounds.iter().find(|r| r.name == "round1-align").expect("round 1 ran");
+        KernelStats::from_snapshot(&round.counters)
+    };
+    let alone = inputs.clone().map(|pairs| {
+        let svc = two_tenant_service();
+        let job = pipeline_job(aligner.clone(), pairs, None);
+        let out = pipeline_output(&svc.submit("a", job).unwrap());
+        svc.shutdown();
+        round1_kernels(&out)
+    });
+
+    let svc = two_tenant_service();
+    let gate = Arc::new(Barrier::new(2));
+    let handles = [("a", &inputs[0]), ("b", &inputs[1])].map(|(tenant, pairs)| {
+        let job = pipeline_job(aligner.clone(), pairs.clone(), Some(gate.clone()));
+        svc.submit(tenant, job).unwrap()
+    });
+    let together = handles.each_ref().map(|h| round1_kernels(&pipeline_output(h)));
+    svc.shutdown();
+
+    let n_parts = PlatformConfig::default().n_round1_partitions;
+    for (i, pairs) in inputs.iter().enumerate() {
+        let mut tallied = KernelStats::default();
+        for part in split_pairs_into_partitions(pairs.clone(), n_parts) {
+            tallied += aligner.align_pairs_counted(&part, 1).1;
+        }
+        assert!(tallied.sw_extensions() > 0, "job {i} extended nothing");
+        assert_eq!(together[i], alone[i], "job {i}: concurrent vs alone");
+        assert_eq!(together[i], tallied, "job {i}: round 1 vs its partitions' tallies");
+    }
+    assert_ne!(alone[0], alone[1], "the two jobs align different reads");
 }
 
 // ---------------------------------------------------------------------
