@@ -16,9 +16,9 @@
 //!   nobody else wants the slots); when an under-share tenant queues
 //!   work the scheduler shrinks borrowers' [`SlotLease`] grants and
 //!   hands the freed slots over as running attempts drain —
-//!   preemption-free reclaim. Within a tenant, queued jobs are ordered
-//!   by accrued deficit (jobs passed over build priority), degrading to
-//!   FIFO for equal demands.
+//!   preemption-free reclaim. Fairness across tenants is the
+//!   scheduler's pick of the most under-share tenant; within a tenant,
+//!   queued jobs start in submission order (FIFO).
 //! * **Admission control** — per-tenant quotas on queued jobs and
 //!   in-flight container slots, rejected with typed
 //!   [`JobSvcError::QuotaExceeded`] / [`JobSvcError::TenantUnknown`].

@@ -1,61 +1,37 @@
-//! The long-lived job service: submission API, dispatcher thread,
-//! capacity scheduling over [`SlotLease`]s, admission control, and
-//! live shuffle retention.
+//! The long-lived job service: the submission API, admission control
+//! and quotas, and the state its dispatcher and job runners share.
 //!
-//! # Architecture
+//! The service is three parts around one `Svc::state` mutex:
 //!
-//! One dispatcher thread owns all scheduling decisions; it parks on a
-//! condvar and is woken by submissions, job completions, cancellation,
-//! and — crucially — by every [`LeasePermit`](crate::LeasePermit) drop
-//! inside running jobs (the lease's `on_release` hook), which is how a
-//! shrunk lease's draining slots flow to queued work without
-//! preempting any running attempt.
-//!
-//! Each rebalance pass runs four phases under the service lock:
-//!
-//! 1. **harvest** — slots a shrunk lease has actually drained
-//!    (`granted − max(target, active)`) return to the free pool
-//!    (`jobsvc.slots.reclaimed`).
-//! 2. **dispatch** — while free slots remain, [`sched::pick_tenant`]
-//!    chooses the most under-share tenant with queued work; within the
-//!    tenant the job with the highest accrued deficit (FIFO on ties)
-//!    is started with `min(want, quota_room, free)` slots. Jobs passed
-//!    over age their deficit by their tenant's share.
-//! 3. **grow** — still-free slots widen running jobs below their
-//!    requested width, most under-share tenant first; growth beyond
-//!    the tenant's entitlement counts as `jobsvc.slots.borrowed`.
-//! 4. **shrink** — if work is queued and nothing is free, tenants
-//!    running beyond their entitlement have their jobs' lease limits
-//!    cut toward the entitlement (never below one slot). Nothing stops
-//!    running; the next permit releases simply aren't re-acquired, and
-//!    phase 1 of a later pass harvests them.
-//!
-//! # Lock order
-//!
-//! `Svc::state` before any `JobShared::cell`. A lease hook fired off
-//! the dispatcher thread (a permit drop inside a job) takes and releases
-//! `state`, holding nothing else, before it notifies; fired on the
-//! dispatcher thread (`set_limit` inside a pass, `state` held) it only
-//! notifies. See `Svc::lease_released`.
+//! * this module — the public types, [`JobService`] and admission:
+//!   `submit` checks the tenant's quotas synchronously and queues the
+//!   job, or rejects it typed;
+//! * `dispatch` — the dispatcher thread and its rebalance pass, which
+//!   starts queued jobs and grows and shrinks their [`SlotLease`]s;
+//! * `runner` — a job's own thread and its namespace lifecycle: finish,
+//!   cancel, retention and the pin-aware sweep.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-use std::thread::{JoinHandle, ThreadId};
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gesall_core::{GesallPlatform, RunOptions};
-use gesall_dfs::{Dfs, SweepReason};
+use gesall_core::GesallPlatform;
 use gesall_mapreduce::lease::SlotLease;
-use gesall_mapreduce::{GesallError, JobConfig, TASK_MEMORY_MB, TASK_VCORES};
+use gesall_mapreduce::{GesallError, TASK_MEMORY_MB, TASK_VCORES};
 use gesall_telemetry::MetricsRegistry;
 use parking_lot::{Condvar, Mutex};
 
 use crate::keys;
-use crate::sched::{self, TenantView};
+use crate::sched;
+
+mod dispatch;
+mod runner;
+
+pub use runner::JobCtx;
 
 /// Whatever a job's work function chooses to return; downcast it back
 /// with [`JobHandle::take_output`].
@@ -227,9 +203,6 @@ struct JobShared {
 struct QueuedJob {
     shared: Arc<JobShared>,
     want: usize,
-    /// Accrued priority: aged by the tenant's share each rebalance pass
-    /// the job sits queued, so passed-over work rises.
-    deficit: u64,
     enqueued: Instant,
     work: Work,
 }
@@ -276,105 +249,16 @@ struct SvcState {
 struct Svc {
     platform: Arc<GesallPlatform>,
     total_slots: usize,
+    /// Entitlements over every registered tenant — the configured fair
+    /// split. Usage beyond this is *borrowed* capacity (someone else's
+    /// idle share), even if nobody currently wants it back.
+    configured: BTreeMap<String, usize>,
     retention_ttl: Duration,
     registry: MetricsRegistry,
     state: Mutex<SvcState>,
     wake: Condvar,
-    /// Set by the dispatcher when it starts; lets a lease hook tell
-    /// whether it fires inside a scheduling pass.
-    dispatcher_thread: OnceLock<ThreadId>,
     #[cfg(test)]
-    test_hooks: TestHooks,
-}
-
-/// Interleaving points for tests: `before_park` runs on the dispatcher
-/// between a pass and its park, `state` held; `before_sync` runs on a
-/// releasing thread just before its lease hook takes `state`.
-#[cfg(test)]
-#[derive(Default)]
-struct TestHooks {
-    before_park: Mutex<Option<ParkHook>>,
-    before_sync: Mutex<Option<Box<dyn Fn() + Send>>>,
-}
-
-#[cfg(test)]
-type ParkHook = Box<dyn FnMut(&SvcState) + Send>;
-
-/// Handed to each job's work function: the shared platform plus the
-/// job's lease and DFS namespace, pre-wired into engine/pipeline
-/// configs.
-pub struct JobCtx {
-    platform: Arc<GesallPlatform>,
-    lease: SlotLease,
-    shared: Arc<JobShared>,
-}
-
-impl JobCtx {
-    pub fn platform(&self) -> &GesallPlatform {
-        &self.platform
-    }
-
-    pub fn dfs(&self) -> &Dfs {
-        &self.platform.dfs
-    }
-
-    /// The job's private DFS prefix (`/{tenant}/{job-id}`). Everything
-    /// written under it is swept by retention.
-    pub fn namespace(&self) -> &str {
-        &self.shared.namespace
-    }
-
-    pub fn lease(&self) -> &SlotLease {
-        &self.lease
-    }
-
-    /// True once [`JobHandle::cancel`] was called. Long work functions
-    /// should poll this (or call [`JobCtx::checkpoint`]) between
-    /// stages; the service marks the job `Cancelled` regardless of
-    /// what the function returns after the flag is set.
-    pub fn cancelled(&self) -> bool {
-        self.shared.cancel.load(Ordering::SeqCst)
-    }
-
-    /// Cooperative cancellation point: errors out if the job was
-    /// cancelled, so `work` can simply `ctx.checkpoint()?` between
-    /// stages.
-    pub fn checkpoint(&self) -> Result<(), GesallError> {
-        if self.cancelled() {
-            Err(GesallError::Streaming(format!(
-                "job {} cancelled",
-                self.shared.id
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// An engine [`JobConfig`] wired to this job's slot lease and
-    /// shuffle namespace (transit lands under
-    /// `{namespace}/shuffle-{run}/`).
-    pub fn job_config(&self, name: &str, n_reducers: usize) -> JobConfig {
-        JobConfig {
-            name: format!("{}-{}", self.shared.id, name),
-            n_reducers,
-            slot_lease: Some(self.lease.clone()),
-            shuffle_namespace: Some(self.shared.namespace.clone()),
-            ..JobConfig::default()
-        }
-    }
-
-    /// Pipeline [`RunOptions`] carrying the same lease + namespace.
-    /// The content-addressed intermediate store points at the *tenant*
-    /// prefix (`/{tenant}/cas/…`), not the job's own namespace, so
-    /// successive jobs of one tenant hit each other's stage cache while
-    /// tenants stay isolated from each other.
-    pub fn run_options(&self) -> RunOptions {
-        RunOptions {
-            slot_lease: Some(self.lease.clone()),
-            namespace: Some(self.shared.namespace.clone()),
-            cas_root: Some(format!("/{}", self.shared.tenant)),
-        }
-    }
+    test_hooks: dispatch::TestHooks,
 }
 
 /// Handle to a submitted job. Dropping it releases retention: the
@@ -438,10 +322,7 @@ impl JobHandle {
     /// (and swept) when their work function returns. Returns `false`
     /// if the job had already finished.
     pub fn cancel(&self) -> bool {
-        match self.svc.upgrade() {
-            Some(svc) => svc.cancel(&self.job),
-            None => false,
-        }
+        self.svc.upgrade().is_some_and(|svc| svc.cancel(&self.job))
     }
 }
 
@@ -490,7 +371,9 @@ impl JobService {
                 },
             );
         }
+        let shares: Vec<(&str, u32)> = rt.iter().map(|(n, t)| (n.as_str(), t.share)).collect();
         let svc = Arc::new(Svc {
+            configured: sched::entitlements(total_slots, &shares),
             platform,
             total_slots,
             retention_ttl: config.retention_ttl,
@@ -506,9 +389,8 @@ impl JobService {
                 shutdown: false,
             }),
             wake: Condvar::new(),
-            dispatcher_thread: OnceLock::new(),
             #[cfg(test)]
-            test_hooks: TestHooks::default(),
+            test_hooks: dispatch::TestHooks::default(),
         });
         let dispatcher = {
             let svc = svc.clone();
@@ -591,31 +473,27 @@ impl Svc {
         if st.shutdown {
             return Err(JobSvcError::ShuttingDown);
         }
-        if !st.rt.contains_key(tenant) {
+        let Some(rt) = st.rt.get_mut(tenant) else {
             self.registry.counter(keys::JOBS_REJECTED).add(1);
             return Err(JobSvcError::TenantUnknown(tenant.to_string()));
-        }
-        let rt = st.rt.get_mut(tenant).expect("tenant present");
-        if rt.queued >= rt.max_queued {
-            let limit = rt.max_queued;
+        };
+        // The second quota is YARN's "request exceeds queue maximum": a
+        // job asking for more slots than the tenant may ever hold in
+        // flight is rejected at admission rather than silently truncated.
+        let want = spec.slots.clamp(1, self.total_slots);
+        let tripped = if rt.queued >= rt.max_queued {
+            Some(("queued-jobs", rt.max_queued))
+        } else if want > rt.max_inflight {
+            Some(("inflight-slots", rt.max_inflight))
+        } else {
+            None
+        };
+        if let Some((quota, limit)) = tripped {
             drop(st);
             self.count(keys::JOBS_REJECTED, tenant, 1);
             return Err(JobSvcError::QuotaExceeded {
                 tenant: tenant.to_string(),
-                quota: "queued-jobs",
-                limit,
-            });
-        }
-        // YARN-style "request exceeds queue maximum": a job asking for
-        // more slots than the tenant may ever hold in flight is
-        // rejected at admission rather than silently truncated.
-        if spec.slots.clamp(1, self.total_slots) > rt.max_inflight {
-            let limit = rt.max_inflight;
-            drop(st);
-            self.count(keys::JOBS_REJECTED, tenant, 1);
-            return Err(JobSvcError::QuotaExceeded {
-                tenant: tenant.to_string(),
-                quota: "inflight-slots",
+                quota,
                 limit,
             });
         }
@@ -639,8 +517,7 @@ impl Svc {
         rt.queued += 1;
         st.queued.push(QueuedJob {
             shared: shared.clone(),
-            want: spec.slots.clamp(1, self.total_slots),
-            deficit: 0,
+            want,
             enqueued: Instant::now(),
             work: spec.work,
         });
@@ -670,536 +547,21 @@ impl Svc {
                 .set(rt.queued as i64);
         }
     }
-
-    /// Entitlements over every registered tenant — the configured fair
-    /// split. Usage beyond this is *borrowed* capacity (someone else's
-    /// idle share), even if nobody currently wants it back.
-    fn configured_entitlements(&self, st: &SvcState) -> BTreeMap<String, usize> {
-        let all: Vec<(&str, u32)> = st.rt.iter().map(|(n, t)| (n.as_str(), t.share)).collect();
-        sched::entitlements(self.total_slots, &all)
-    }
-
-    /// Entitlements over tenants that currently have work — what
-    /// `shrink` pulls borrowers back toward. Idle tenants' shares stay
-    /// borrowable; the moment one queues work it joins this set and
-    /// the split tightens.
-    fn active_entitlements(&self, st: &SvcState) -> BTreeMap<String, usize> {
-        let active: Vec<(&str, u32)> = st
-            .rt
-            .iter()
-            .filter(|(_, t)| t.queued > 0 || t.inflight > 0)
-            .map(|(n, t)| (n.as_str(), t.share))
-            .collect();
-        sched::entitlements(self.total_slots, &active)
-    }
-
-    fn dispatcher(svc: Arc<Svc>) {
-        let _ = svc.dispatcher_thread.set(std::thread::current().id());
-        let mut st = svc.state.lock();
-        loop {
-            svc.sweep_due_retirements(&mut st);
-            svc.rebalance(&mut st);
-            if st.shutdown && st.queued.is_empty() && st.running.is_empty() {
-                // Final retention pass: the service owns these
-                // namespaces; nobody is left to sweep them later.
-                let leftover: Vec<Retirement> = st.retired.drain(..).collect();
-                for r in leftover {
-                    svc.platform.dfs.sweep_prefix(&r.namespace, SweepReason::Ttl);
-                }
-                return;
-            }
-            let now = Instant::now();
-            let next_deadline = st
-                .retired
-                .iter()
-                .map(|r| r.deadline.saturating_duration_since(now))
-                .min();
-            #[cfg(test)]
-            if let Some(hook) = svc.test_hooks.before_park.lock().as_mut() {
-                hook(&st);
-            }
-            match next_deadline {
-                Some(d) => {
-                    svc.wake
-                        .wait_for(&mut st, d.max(Duration::from_millis(1)));
-                }
-                None => svc.wake.wait(&mut st),
-            }
-        }
-    }
-
-    fn sweep_due_retirements(&self, st: &mut SvcState) {
-        let now = Instant::now();
-        let mut due = Vec::new();
-        st.retired.retain(|r| {
-            if r.deadline <= now {
-                due.push(r.namespace.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for ns in due {
-            self.sweep_or_defer(st, ns, SweepReason::Ttl);
-        }
-    }
-
-    /// Sweep a retired namespace, pin-aware: files under the prefix
-    /// with live CAS pins refuse deletion (a dependent stage may still
-    /// be range-reading them), so instead of silently dropping the
-    /// namespace from retention the sweep is re-queued on a short
-    /// deadline and the dispatcher retries until the last pin is
-    /// released. Everything unpinned under the prefix is swept
-    /// immediately either way.
-    fn sweep_or_defer(&self, st: &mut SvcState, namespace: String, reason: SweepReason) {
-        let report = self.platform.dfs.sweep_prefix(&namespace, reason);
-        if report.pinned_skipped > 0 {
-            st.retired.push(Retirement {
-                namespace,
-                deadline: Instant::now() + Duration::from_millis(50),
-            });
-            self.wake.notify_all();
-        }
-    }
-
-    /// A lease released a permit or changed its limit: wake the
-    /// dispatcher to harvest. The dispatcher reads `lease.active()` under
-    /// `state` and may then park with no deadline, so a bare notify
-    /// landing between that read and the park would be lost — and with
-    /// it the slot, until some later event. Off the dispatcher thread
-    /// the hook therefore takes and releases `state` first, which orders
-    /// it before the pass (which then sees the release) or after the
-    /// park (which the notify then ends). On the dispatcher thread it
-    /// fires from `set_limit` inside a pass with `state` held, and only
-    /// notifies: `rebalance`'s fixpoint loop covers that case.
-    fn lease_released(&self) {
-        if self.dispatcher_thread.get() != Some(&std::thread::current().id()) {
-            #[cfg(test)]
-            if let Some(hook) = self.test_hooks.before_sync.lock().as_ref() {
-                hook();
-            }
-            drop(self.state.lock());
-        }
-        self.wake.notify_all();
-    }
-
-    /// One scheduling pass: harvest → dispatch → grow → shrink, looped
-    /// to a fixpoint. The loop matters because a shrink can free
-    /// capacity *immediately* (a job holding fewer permits than its
-    /// grant drains without waiting), and the dispatcher must hand
-    /// those slots out in the same pass — the notify `set_limit` fires
-    /// while the dispatcher itself is running would be lost.
-    fn rebalance(self: &Arc<Self>, st: &mut SvcState) {
-        loop {
-            self.harvest(st);
-            self.dispatch_queued(st);
-            self.grow(st);
-            if !self.shrink(st) {
-                break;
-            }
-        }
-        // Age the jobs still waiting so they out-rank later arrivals
-        // from the same tenant even across quota stalls.
-        let shares: BTreeMap<String, u64> = st
-            .rt
-            .iter()
-            .map(|(n, t)| (n.clone(), t.share as u64))
-            .collect();
-        for q in st.queued.iter_mut() {
-            q.deficit += shares.get(&q.shared.tenant).copied().unwrap_or(1);
-        }
-    }
-
-    /// Dispatch queued jobs to free slots, most under-share tenant
-    /// first. Each iteration dispatches exactly one job, so the loop
-    /// terminates.
-    fn dispatch_queued(self: &Arc<Self>, st: &mut SvcState) {
-        loop {
-            if st.free == 0 || st.queued.is_empty() {
-                break;
-            }
-            let views: Vec<TenantView> = st
-                .rt
-                .iter()
-                .map(|(name, t)| TenantView {
-                    name: name.clone(),
-                    share: t.share,
-                    inflight: t.inflight,
-                    has_queued: t.queued > 0,
-                    quota_room: t.max_inflight.saturating_sub(t.inflight),
-                })
-                .collect();
-            let Some(pick) = sched::pick_tenant(&views) else {
-                break;
-            };
-            let tenant = pick.name.clone();
-            let quota_room = pick.quota_room;
-            // Within the tenant: highest deficit wins, FIFO on ties.
-            let idx = st
-                .queued
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| q.shared.tenant == tenant)
-                .max_by(|(ia, qa), (ib, qb)| qa.deficit.cmp(&qb.deficit).then(ib.cmp(ia)))
-                .map(|(i, _)| i)
-                .expect("picked tenant has queued work");
-            let want = st.queued[idx].want;
-            let grant = want.min(quota_room).min(st.free);
-            if grant == 0 {
-                break;
-            }
-            self.dispatch(st, idx, grant);
-        }
-    }
-
-    /// Return drained slots from shrunk leases to the free pool. A
-    /// slot is drained once the lease's limit has been cut below the
-    /// granted width *and* the running attempts have actually fallen
-    /// to the new limit — `granted − max(target, active)` is what the
-    /// tenant no longer holds.
-    fn harvest(&self, st: &mut SvcState) {
-        let SvcState {
-            running, rt, free, ..
-        } = st;
-        for job in running.iter_mut() {
-            let floor = job.target.max(job.lease.active());
-            let reclaim = job.granted.saturating_sub(floor);
-            if reclaim > 0 {
-                job.granted -= reclaim;
-                let t = rt.get_mut(&job.shared.tenant).expect("tenant present");
-                t.inflight -= reclaim;
-                *free += reclaim;
-                self.count(keys::SLOTS_RECLAIMED, &job.shared.tenant, reclaim as u64);
-            }
-        }
-    }
-
-    /// Widen running jobs into idle capacity.
-    fn grow(&self, st: &mut SvcState) {
-        loop {
-            if st.free == 0 {
-                break;
-            }
-            let ents = self.configured_entitlements(st);
-            // Most under-share tenant's growable job first; ties keep
-            // dispatch order (earliest running entry).
-            let mut best: Option<usize> = None;
-            for (i, job) in st.running.iter().enumerate() {
-                let t = &st.rt[&job.shared.tenant];
-                if job.granted >= job.want || t.inflight >= t.max_inflight {
-                    continue;
-                }
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        let bj = &st.running[b];
-                        let bt = &st.rt[&bj.shared.tenant];
-                        let lhs = t.inflight as u64 * bt.share as u64;
-                        let rhs = bt.inflight as u64 * t.share as u64;
-                        if lhs < rhs {
-                            best = Some(i);
-                        }
-                    }
-                }
-            }
-            let Some(i) = best else { break };
-            let tenant = st.running[i].shared.tenant.clone();
-            let ent = ents.get(&tenant).copied().unwrap_or(0);
-            let SvcState {
-                running, rt, free, ..
-            } = st;
-            let t = rt.get_mut(&tenant).expect("tenant present");
-            let job = &mut running[i];
-            let g = (job.want - job.granted)
-                .min(t.max_inflight - t.inflight)
-                .min(*free);
-            if g == 0 {
-                break;
-            }
-            let borrowed = sched::borrowed_delta(t.inflight, g, ent);
-            job.granted += g;
-            job.target = job.granted;
-            job.lease.set_limit(job.target);
-            t.inflight += g;
-            *free -= g;
-            self.count(keys::SLOTS_GRANTED, &tenant, g as u64);
-            if borrowed > 0 {
-                self.count(keys::SLOTS_BORROWED, &tenant, borrowed as u64);
-            }
-        }
-    }
-
-    /// Cut over-entitled tenants' lease limits toward their entitlement
-    /// when queued work is starved. No attempt is killed: the lease
-    /// simply stops re-admitting work, and `harvest` reclaims each slot
-    /// as it drains. Overage is measured against current *targets* (not
-    /// grants), so a repeated pass is idempotent — the first cut
-    /// already brought the tenant's targets to its entitlement and a
-    /// slow drain doesn't provoke deeper cuts. Returns whether anything
-    /// was cut (the caller reruns harvest/dispatch to pick up slots
-    /// that drained instantly).
-    fn shrink(&self, st: &mut SvcState) -> bool {
-        // Only shrink for demand that dispatch could actually serve: a
-        // queued job whose tenant still has quota room. Shrinking for
-        // quota-blocked work would just churn (grow hands the slots
-        // straight back).
-        let starved = st.free == 0
-            && st
-                .rt
-                .values()
-                .any(|t| t.queued > 0 && t.inflight < t.max_inflight);
-        if !starved {
-            return false;
-        }
-        let ents = self.active_entitlements(st);
-        let mut target_sum: BTreeMap<&str, usize> = BTreeMap::new();
-        for job in &st.running {
-            *target_sum.entry(job.shared.tenant.as_str()).or_default() += job.target;
-        }
-        let mut over: BTreeMap<String, usize> = BTreeMap::new();
-        for (name, sum) in target_sum {
-            let ent = ents.get(name).copied().unwrap_or(0);
-            let o = sum.saturating_sub(ent);
-            if o > 0 {
-                over.insert(name.to_string(), o);
-            }
-        }
-        let mut cut_any = false;
-        for job in st.running.iter_mut() {
-            let Some(o) = over.get_mut(&job.shared.tenant) else {
-                continue;
-            };
-            if *o == 0 {
-                continue;
-            }
-            // Never cut a running job below one slot — that would
-            // stall it forever (the engine's waves need at least one
-            // admitted attempt to make progress).
-            let cut = (*o).min(job.target.saturating_sub(1));
-            if cut > 0 {
-                job.target -= cut;
-                job.lease.set_limit(job.target);
-                *o -= cut;
-                cut_any = true;
-            }
-        }
-        cut_any
-    }
-
-    /// Start the queued job at `idx` with `grant` slots.
-    fn dispatch(self: &Arc<Self>, st: &mut SvcState, idx: usize, grant: usize) {
-        let q = st.queued.remove(idx);
-        let tenant = q.shared.tenant.clone();
-        let ents = self.configured_entitlements(st);
-        let SvcState {
-            rt,
-            free,
-            dispatch_seq,
-            ..
-        } = st;
-        let t = rt.get_mut(&tenant).expect("tenant present");
-        t.queued -= 1;
-        *dispatch_seq += 1;
-        q.shared.dispatch_seq.store(*dispatch_seq, Ordering::SeqCst);
-
-        let waited = q.enqueued.elapsed().as_nanos() as u64;
-        self.registry.histogram(keys::QUEUE_WAIT_NANOS).record(waited);
-        self.registry
-            .histogram(&format!("{}.{}", keys::QUEUE_WAIT_NANOS, tenant))
-            .record(waited);
-
-        let ent = ents.get(&tenant).copied().unwrap_or(0);
-        let borrowed = sched::borrowed_delta(t.inflight, grant, ent);
-        t.inflight += grant;
-        *free -= grant;
-        self.count(keys::SLOTS_GRANTED, &tenant, grant as u64);
-        if borrowed > 0 {
-            self.count(keys::SLOTS_BORROWED, &tenant, borrowed as u64);
-        }
-        self.set_queue_gauges(st);
-
-        let lease = SlotLease::new(grant);
-        {
-            // Every permit release inside the job is a scheduling
-            // event: a shrunk lease drains one slot at a time, and the
-            // dispatcher must notice each one.
-            let weak = Arc::downgrade(self);
-            lease.on_release(move || {
-                if let Some(svc) = weak.upgrade() {
-                    svc.lease_released();
-                }
-            });
-        }
-
-        {
-            let mut cell = q.shared.cell.lock();
-            cell.status = JobStatus::Running;
-        }
-
-        st.running.push(RunningJob {
-            shared: q.shared.clone(),
-            lease: lease.clone(),
-            granted: grant,
-            target: grant,
-            want: q.want,
-        });
-
-        let svc = self.clone();
-        let shared = q.shared.clone();
-        let platform = self.platform.clone();
-        let work = q.work;
-        let runner = std::thread::Builder::new()
-            .name(format!("jobsvc-{}", shared.id))
-            .spawn(move || {
-                let ctx = JobCtx {
-                    platform,
-                    lease,
-                    shared: shared.clone(),
-                };
-                let result = catch_unwind(AssertUnwindSafe(|| (work)(&ctx)));
-                svc.finish_job(&shared, result);
-            })
-            .expect("spawn jobsvc runner");
-        st.runners.push(runner);
-    }
-
-    fn finish_job(
-        self: &Arc<Self>,
-        shared: &Arc<JobShared>,
-        result: std::thread::Result<Result<JobOutput, GesallError>>,
-    ) {
-        let mut st = self.state.lock();
-        let pos = st
-            .running
-            .iter()
-            .position(|r| Arc::ptr_eq(&r.shared, shared))
-            .expect("finished job is running");
-        let job = st.running.remove(pos);
-        {
-            let t = st.rt.get_mut(&shared.tenant).expect("tenant present");
-            t.inflight -= job.granted;
-        }
-        st.free += job.granted;
-
-        let cancelled = shared.cancel.load(Ordering::SeqCst);
-        let (status, output, error) = if cancelled {
-            (JobStatus::Cancelled, None, None)
-        } else {
-            match result {
-                Ok(Ok(out)) => (JobStatus::Completed, Some(out), None),
-                Ok(Err(e)) => (JobStatus::Failed, None, Some(e.to_string())),
-                Err(payload) => (JobStatus::Failed, None, Some(panic_text(&*payload))),
-            }
-        };
-        match status {
-            JobStatus::Completed => self.count(keys::JOBS_COMPLETED, &shared.tenant, 1),
-            JobStatus::Cancelled => self.count(keys::JOBS_CANCELLED, &shared.tenant, 1),
-            _ => self.count(keys::JOBS_FAILED, &shared.tenant, 1),
-        }
-
-        // Retention: cancelled jobs sweep now; finished jobs whose
-        // handle is already gone sweep now; otherwise the namespace
-        // lives until its TTL or the handle drop.
-        if cancelled {
-            self.sweep_or_defer(&mut st, shared.namespace.clone(), SweepReason::Cancelled);
-        } else if shared.retention_released.load(Ordering::SeqCst) {
-            self.sweep_or_defer(&mut st, shared.namespace.clone(), SweepReason::Ttl);
-        } else {
-            st.retired.push(Retirement {
-                namespace: shared.namespace.clone(),
-                deadline: Instant::now() + self.retention_ttl,
-            });
-        }
-
-        {
-            let mut cell = shared.cell.lock();
-            cell.status = status;
-            cell.output = output;
-            cell.error = error;
-        }
-        shared.done.notify_all();
-        self.wake.notify_all();
-    }
-
-    fn cancel(self: &Arc<Self>, shared: &Arc<JobShared>) -> bool {
-        let mut st = self.state.lock();
-        if let Some(pos) = st
-            .queued
-            .iter()
-            .position(|q| Arc::ptr_eq(&q.shared, shared))
-        {
-            let q = st.queued.remove(pos);
-            {
-                let t = st.rt.get_mut(&shared.tenant).expect("tenant present");
-                t.queued -= 1;
-            }
-            self.set_queue_gauges(&st);
-            shared.cancel.store(true, Ordering::SeqCst);
-            {
-                let mut cell = q.shared.cell.lock();
-                cell.status = JobStatus::Cancelled;
-            }
-            drop(st);
-            self.count(keys::JOBS_CANCELLED, &shared.tenant, 1);
-            self.platform
-                .dfs
-                .sweep_prefix(&shared.namespace, SweepReason::Cancelled);
-            shared.done.notify_all();
-            self.wake.notify_all();
-            return true;
-        }
-        if st.running.iter().any(|r| Arc::ptr_eq(&r.shared, shared)) {
-            // Cooperative: the flag is observed by `JobCtx::cancelled`
-            // / `checkpoint`; `finish_job` turns whatever the work
-            // function returns into `Cancelled` and sweeps.
-            shared.cancel.store(true, Ordering::SeqCst);
-            return true;
-        }
-        false
-    }
-
-    /// Handle dropped: sweep now if the job is finished and still
-    /// retained, otherwise flag it so `finish_job` sweeps immediately.
-    /// "Now" is still pin-aware — a dropped handle must not yank a
-    /// namespace out from under a dependent stage that holds live CAS
-    /// pins into it; those entries stay until the pins release.
-    fn release_retention(self: &Arc<Self>, shared: &Arc<JobShared>) {
-        shared.retention_released.store(true, Ordering::SeqCst);
-        let mut st = self.state.lock();
-        if let Some(pos) = st
-            .retired
-            .iter()
-            .position(|r| r.namespace == shared.namespace)
-        {
-            let r = st.retired.remove(pos);
-            self.sweep_or_defer(&mut st, r.namespace, SweepReason::Ttl);
-        }
-    }
-}
-
-fn panic_text(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use gesall_core::PlatformConfig;
-    use gesall_dfs::DfsConfig;
+    use gesall_dfs::{Dfs, DfsConfig};
     use gesall_mapreduce::{ClusterResources, MapReduceEngine};
 
     /// A service whose long TTL leaves sweeps to handle drops.
-    fn service(total: usize, tenants: Vec<TenantConfig>) -> JobService {
+    pub(super) fn service(total: usize, tenants: Vec<TenantConfig>) -> JobService {
         service_with_ttl(total, tenants, Duration::from_secs(600))
     }
 
-    fn service_with_ttl(
+    pub(super) fn service_with_ttl(
         total: usize,
         tenants: Vec<TenantConfig>,
         retention_ttl: Duration,
@@ -1224,14 +586,14 @@ mod tests {
 
     /// Releases a blocker job even if the test panics first, so
     /// `JobService`'s draining drop can't hang a failing test.
-    struct SetOnDrop(Arc<AtomicBool>);
+    pub(super) struct SetOnDrop(pub(super) Arc<AtomicBool>);
     impl Drop for SetOnDrop {
         fn drop(&mut self) {
             self.0.store(true, Ordering::SeqCst);
         }
     }
 
-    fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
+    pub(super) fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
         let deadline = Instant::now() + Duration::from_millis(deadline_ms);
         while Instant::now() < deadline {
             if cond() {
@@ -1330,309 +692,6 @@ mod tests {
         blocker.wait().unwrap();
         queued.wait().unwrap();
         assert_eq!(svc.metrics().counter(keys::JOBS_REJECTED).get(), 2);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn cancel_queued_job_is_typed_and_counted() {
-        let svc = service(1, vec![TenantConfig::new("a", 1)]);
-        let release = Arc::new(AtomicBool::new(false));
-        let _guard = SetOnDrop(release.clone());
-        let r = release.clone();
-        let blocker = svc
-            .submit(
-                "a",
-                JobSpec::new("blocker", 1, move |_ctx| {
-                    while !r.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
-        assert!(wait_until(2000, || blocker.status() == JobStatus::Running));
-        let victim = svc
-            .submit("a", JobSpec::new("victim", 1, |_ctx| Ok(Box::new(()))))
-            .unwrap();
-        assert!(victim.cancel());
-        assert_eq!(victim.wait().unwrap_err(), JobSvcError::Cancelled);
-        assert!(victim.dispatch_seq().is_none());
-        assert_eq!(svc.metrics().counter(keys::JOBS_CANCELLED).get(), 1);
-        release.store(true, Ordering::SeqCst);
-        blocker.wait().unwrap();
-        svc.shutdown();
-    }
-
-    fn write_scratch(ctx: &JobCtx) -> Result<JobOutput, GesallError> {
-        ctx.dfs()
-            .write_file(&format!("{}/scratch/part-0", ctx.namespace()), b"tmp")
-            .unwrap();
-        Ok(Box::new(()))
-    }
-
-    fn ttl_sweeps(dfs: &Dfs) -> u64 {
-        dfs.metrics()
-            .counter(gesall_dfs::metrics_keys::RETENTION_SWEPT_TTL)
-            .get()
-    }
-
-    #[test]
-    fn retention_sweeps_on_handle_drop() {
-        // A finished job's namespace survives until the handle goes
-        // away, then is swept immediately.
-        let svc = service(2, vec![TenantConfig::new("a", 1)]);
-        let h = svc
-            .submit("a", JobSpec::new("w", 1, write_scratch))
-            .unwrap();
-        h.wait().unwrap();
-        let ns = h.namespace().to_string();
-        let dfs = svc.platform().dfs.clone();
-        assert_eq!(dfs.list(&ns).len(), 1, "retained while handle is live");
-        drop(h);
-        assert!(dfs.list(&ns).is_empty(), "swept on handle drop");
-        assert!(ttl_sweeps(&dfs) >= 1);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn retention_sweeps_on_ttl() {
-        // The handle stays live; the dispatcher's timer sweeps once the
-        // service's 40ms TTL lapses.
-        let svc = service_with_ttl(
-            2,
-            vec![TenantConfig::new("a", 1)],
-            Duration::from_millis(40),
-        );
-        let h = svc
-            .submit("a", JobSpec::new("w", 1, write_scratch))
-            .unwrap();
-        h.wait().unwrap();
-        let ns = h.namespace().to_string();
-        let dfs = svc.platform().dfs.clone();
-        assert!(
-            wait_until(2000, || dfs.list(&ns).is_empty()),
-            "TTL sweep did not fire"
-        );
-        assert!(ttl_sweeps(&dfs) >= 1);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn ready_jobs_of_one_tenant_run_side_by_side() {
-        use std::sync::atomic::AtomicUsize;
-
-        // Each job blocks until both have arrived, so both complete only
-        // if the scheduler put the tenant's two ready jobs on the cluster
-        // at once; a serialising scheduler leaves the first to fail at
-        // its deadline.
-        let svc = service(4, vec![TenantConfig::new("a", 1)]);
-        let arrived = Arc::new(AtomicUsize::new(0));
-        let abort = Arc::new(AtomicBool::new(false));
-        let _guard = SetOnDrop(abort.clone());
-        let rendezvous = |name: &str| {
-            let (arrived, abort) = (arrived.clone(), abort.clone());
-            JobSpec::new(name, 1, move |_ctx| {
-                arrived.fetch_add(1, Ordering::SeqCst);
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while arrived.load(Ordering::SeqCst) < 2 {
-                    if abort.load(Ordering::SeqCst) || Instant::now() > deadline {
-                        return Err(GesallError::Streaming("the other job never arrived".into()));
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Ok(Box::new(()) as JobOutput)
-            })
-        };
-        let left = svc.submit("a", rendezvous("left")).unwrap();
-        let right = svc.submit("a", rendezvous("right")).unwrap();
-        left.wait().unwrap();
-        right.wait().unwrap();
-        svc.shutdown();
-    }
-
-    #[test]
-    fn elastic_borrow_then_reclaim_for_late_tenant() {
-        // Tenant a's job wants the whole cluster and gets it (borrowing
-        // past its 50% entitlement) while b is idle; when b submits,
-        // a's lease is shrunk and b runs with reclaimed slots — without
-        // killing anything of a's.
-        let svc = service(
-            4,
-            vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
-        );
-        let stop_a = Arc::new(AtomicBool::new(false));
-        let _guard = SetOnDrop(stop_a.clone());
-        let sa = stop_a.clone();
-        let a = svc
-            .submit(
-                "a",
-                JobSpec::new("wide", 4, move |ctx| {
-                    // Hold permits like engine workers would: acquire up
-                    // to the limit, drop + reacquire so shrinks drain.
-                    let mut held = Vec::new();
-                    while !sa.load(Ordering::SeqCst) {
-                        while let Some(p) = ctx.lease().try_acquire() {
-                            held.push(p);
-                        }
-                        let limit = ctx.lease().limit();
-                        while held.len() > limit {
-                            held.pop();
-                        }
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
-        let m = svc.metrics();
-        let a_running = wait_until(2000, || a.status() == JobStatus::Running);
-        // Half the cluster is a's configured entitlement (equal shares);
-        // its 4-slot grant borrows b's idle half.
-        let borrowed = wait_until(2000, || m.counter("jobsvc.slots.borrowed.a").get() >= 2);
-        let b = svc
-            .submit("b", JobSpec::new("late", 2, |_ctx| Ok(Box::new(()))))
-            .unwrap();
-        let b_result = b.wait();
-        // Stop a before asserting anything, so a failed expectation
-        // can't hang the draining shutdown.
-        stop_a.store(true, Ordering::SeqCst);
-        let a_result = a.wait();
-        assert!(a_running);
-        assert!(borrowed, "a never borrowed b's idle share");
-        b_result.unwrap();
-        a_result.unwrap();
-        assert!(
-            m.counter(keys::SLOTS_RECLAIMED).get() >= 1,
-            "b ran on slots reclaimed from a's shrunk lease"
-        );
-        svc.shutdown();
-    }
-
-    /// Drops a service's test hooks (and the channel ends they hold) even
-    /// if the test panics first, so a job blocked on them can finish.
-    struct ClearHooksOnDrop(Arc<Svc>);
-    impl Drop for ClearHooksOnDrop {
-        fn drop(&mut self) {
-            self.0.test_hooks.before_park.lock().take();
-            self.0.test_hooks.before_sync.lock().take();
-        }
-    }
-
-    #[test]
-    fn a_permit_released_between_pass_and_park_wakes_the_dispatcher() {
-        // The lost-wakeup window, made deterministic. b's submission
-        // makes the dispatcher cut a's lease from 2 slots to 1 while a
-        // holds both permits. Between that pass and its park, the
-        // `before_park` hook has a's job drop one permit, and waits until
-        // the releasing thread is about to synchronise with the
-        // dispatcher (`before_sync`) — or, if the lease hook only
-        // notified, until the release is over, its notify already spent.
-        // Only another pass can hand the slot to b, so b runs only if
-        // that release woke the parked dispatcher.
-        use std::sync::mpsc;
-        let svc = service(2, vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)]);
-        let _hooks = ClearHooksOnDrop(svc.svc.clone());
-        let (sync_tx, sync_rx) = mpsc::channel::<&str>();
-        // a's job drops one permit per `false` and stops on `true`, or
-        // once every sender is gone.
-        let (cmd_tx, cmd_rx) = mpsc::channel::<bool>();
-        let (held_tx, held_rx) = mpsc::channel();
-        let released_tx = sync_tx.clone();
-        let a = svc
-            .submit(
-                "a",
-                JobSpec::new("wide", 2, move |ctx| {
-                    let mut held: Vec<_> = std::iter::from_fn(|| ctx.lease().try_acquire()).collect();
-                    held_tx.send(held.len()).unwrap();
-                    while let Ok(false) = cmd_rx.recv() {
-                        held.pop();
-                        let _ = released_tx.send("released");
-                    }
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
-        let wait = Duration::from_secs(10);
-        assert_eq!(held_rx.recv_timeout(wait), Ok(2));
-
-        let hooks = &svc.svc.test_hooks;
-        let sync_tx = parking_lot::Mutex::new(sync_tx);
-        *hooks.before_sync.lock() = Some(Box::new(move || {
-            let _ = sync_tx.lock().send("syncing");
-        }));
-        let mut release = Some(cmd_tx.clone());
-        *hooks.before_park.lock() = Some(Box::new(move |st: &SvcState| {
-            if st.running.iter().any(|j| j.lease.active() > j.target) {
-                if let Some(release) = release.take() {
-                    release.send(false).unwrap();
-                    let _ = sync_rx.recv();
-                }
-            }
-        }));
-        let (ran_tx, ran_rx) = mpsc::channel();
-        let b = svc
-            .submit(
-                "b",
-                JobSpec::new("late", 1, move |_ctx| {
-                    ran_tx.send(()).unwrap();
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
-        let b_ran = ran_rx.recv_timeout(wait);
-        // Stop a before asserting anything: its last permit's release is
-        // a fresh wakeup, so a failing run still drains.
-        cmd_tx.send(true).unwrap();
-        let (a_result, b_result) = (a.wait(), b.wait());
-        assert!(b_ran.is_ok(), "the dispatcher slept through the release b was waiting for");
-        a_result.unwrap();
-        b_result.unwrap();
-        assert_eq!(svc.metrics().counter(keys::SLOTS_RECLAIMED).get(), 1);
-        svc.shutdown();
-    }
-
-    #[test]
-    fn pinned_cas_entries_defer_namespace_sweep() {
-        let svc = service(2, vec![TenantConfig::new("a", 1)]);
-        let h = svc
-            .submit(
-                "a",
-                JobSpec::new("w", 1, |ctx: &JobCtx| {
-                    ctx.dfs()
-                        .write_file(
-                            &format!("{}/cas/0000000000000001", ctx.namespace()),
-                            b"entry",
-                        )
-                        .unwrap();
-                    Ok(Box::new(()) as JobOutput)
-                }),
-            )
-            .unwrap();
-        h.wait().unwrap();
-        let ns = h.namespace().to_string();
-        let dfs = svc.platform().dfs.clone();
-        let path = format!("{ns}/cas/0000000000000001");
-        // A dependent stage still range-reading the entry holds a pin.
-        dfs.pin(&path).unwrap();
-        // Handle drop releases retention — but the pinned entry must
-        // survive the release sweep instead of racing the reader.
-        drop(h);
-        assert!(
-            !wait_until(100, || dfs.list(&ns).is_empty()),
-            "pinned CAS entry was swept by the handle-drop release"
-        );
-        assert!(
-            dfs.metrics()
-                .counter(gesall_dfs::metrics_keys::RETENTION_PIN_SKIPS)
-                .get()
-                >= 1
-        );
-        // Pin released → the deferred retirement catches up and sweeps.
-        dfs.unpin(&path);
-        assert!(
-            wait_until(2000, || dfs.list(&ns).is_empty()),
-            "deferred sweep never fired after the pin was released"
-        );
         svc.shutdown();
     }
 }

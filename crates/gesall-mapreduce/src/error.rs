@@ -1,6 +1,6 @@
 //! Job-level errors surfaced by the fault-tolerant runtime.
 
-use crate::runtime::TaskKind;
+use crate::job::TaskKind;
 use std::fmt;
 
 /// Why a job could not produce a result.

@@ -6,7 +6,7 @@
 //! so the same plan injects the same faults on every run regardless of
 //! thread interleaving — the property the seed-determinism tests assert.
 
-use crate::runtime::TaskKind;
+use crate::job::TaskKind;
 use std::collections::{HashMap, HashSet};
 
 /// A scheduled node loss: `node` dies once `after_completed_maps`

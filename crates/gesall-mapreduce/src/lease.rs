@@ -13,6 +13,11 @@
 //! preemption-free reclaim YARN's capacity scheduler performs when an
 //! under-share queue needs containers back.
 //!
+//! A scheduler learns that a slot drained through the release hook
+//! ([`SlotLease::on_release`]), which fires on every permit drop and on
+//! nothing else: a limit change is the scheduler's own act, so it
+//! already knows.
+//!
 //! Without a lease (`JobConfig::slot_lease = None`) the engine behaves
 //! as before: every spawned worker may run an attempt, i.e. the job may
 //! use the whole cluster.
@@ -29,8 +34,8 @@ struct LeaseInner {
     active: AtomicUsize,
     /// High-water mark of `active` over the lease's lifetime.
     peak: AtomicUsize,
-    /// Called after every permit release and limit change — the job
-    /// service hooks its slot-harvesting wakeup here.
+    /// Called after every permit release — the job service hooks its
+    /// slot-harvesting wakeup here.
     on_release: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
@@ -64,7 +69,6 @@ impl SlotLease {
     /// running attempts release their permits.
     pub fn set_limit(&self, limit: usize) {
         self.inner.limit.store(limit.max(1), Ordering::SeqCst);
-        self.notify();
     }
 
     /// Permits held right now.
@@ -79,7 +83,7 @@ impl SlotLease {
     }
 
     /// Register the release hook (replacing any previous one). Fired
-    /// after every permit release and limit change, outside all locks.
+    /// after every permit release, outside all locks.
     pub fn on_release(&self, hook: impl Fn() + Send + Sync + 'static) {
         *self.inner.on_release.write() = Some(Arc::new(hook));
     }
@@ -106,13 +110,6 @@ impl SlotLease {
                 }
                 Err(seen) => cur = seen,
             }
-        }
-    }
-
-    fn notify(&self) {
-        let hook = self.inner.on_release.read().clone();
-        if let Some(hook) = hook {
-            hook();
         }
     }
 }
@@ -189,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn release_hook_fires_on_drop_and_set_limit() {
+    fn release_hook_fires_on_permit_drop_not_on_set_limit() {
         let lease = SlotLease::new(2);
         let fired = Arc::new(AtomicUsize::new(0));
         let f = fired.clone();
@@ -201,6 +198,7 @@ mod tests {
         drop(p);
         assert_eq!(fired.load(Ordering::SeqCst), 1);
         lease.set_limit(4);
-        assert_eq!(fired.load(Ordering::SeqCst), 2);
+        lease.set_limit(1);
+        assert_eq!(fired.load(Ordering::SeqCst), 1, "a limit change is not a release");
     }
 }

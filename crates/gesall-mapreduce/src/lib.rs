@@ -35,6 +35,7 @@ pub mod cluster;
 pub mod counters;
 pub mod error;
 pub mod fault;
+mod job;
 pub mod lease;
 pub mod runtime;
 pub mod shipping;

@@ -1,9 +1,10 @@
 //! The engine and its jobs: open frame → map wave → shuffle matrix →
 //! reduce wave → finish.
 //!
-//! This module holds what a job *is* — [`MapReduceEngine`],
-//! [`JobConfig`], [`InputSplit`], the attempt history types, and the
-//! bodies of a map task and a reduce task. How a wave of such tasks is
+//! This module holds the engine — [`MapReduceEngine`] — and the bodies
+//! of a map task and a reduce task; what a job *is* ([`JobConfig`],
+//! [`InputSplit`], the attempt history types) lives in `job` and is
+//! re-exported here. How a wave of such tasks is
 //! scheduled over the cluster's slots — attempts under `catch_unwind`,
 //! retries with backoff up to [`JobConfig::max_attempts`], speculative
 //! backups, node deaths injected via [`crate::fault::FaultPlan`] that
@@ -19,7 +20,9 @@ use crate::cluster::ClusterResources;
 use crate::counters::{keys, Counters};
 use crate::error::GesallError;
 use crate::fault::{FaultPlan, NodeDeath};
-use crate::lease::SlotLease;
+pub use crate::job::{
+    AttemptOutcome, InputSplit, JobConfig, JobOutput, JobResult, TaskEvent, TaskKind,
+};
 use crate::shipping;
 use crate::shuffle::{reduce_merge_streamed, SortSpillBuffer};
 use crate::task::{
@@ -30,7 +33,7 @@ use crate::wave::{run_wave, AttemptCtx, TaskOutputs};
 use gesall_dfs::{Dfs, DfsConfig, PinnedPlacement, ReadAffinity, SweepReason};
 use gesall_formats::wire::Wire;
 use gesall_formats::Codec;
-use gesall_telemetry::{OpenSpan, Phase, Recorder, SpanId, SpanKind};
+use gesall_telemetry::{OpenSpan, Phase, Recorder, SpanKind};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,184 +59,6 @@ struct SegMeta {
     /// perturbing the multipass structure (see
     /// [`reduce_merge_streamed`](crate::shuffle::reduce_merge_streamed)).
     records: u64,
-}
-
-/// Per-job configuration (the Hadoop parameters the paper tunes).
-#[derive(Debug, Clone)]
-pub struct JobConfig {
-    pub name: String,
-    pub n_reducers: usize,
-    /// Map-side sort buffer (`mapreduce.task.io.sort.mb`), in bytes here.
-    pub io_sort_bytes: usize,
-    /// Reduce-side merge fan-in.
-    pub merge_factor: usize,
-    /// Maximum attempts per task (`mapreduce.map.maxattempts` analogue).
-    /// A task whose attempts all fail aborts the job.
-    pub max_attempts: usize,
-    /// Base delay before re-running a failed attempt; doubles per
-    /// consecutive failure of the same task.
-    pub retry_backoff_ms: f64,
-    /// Launch backup attempts for stragglers
-    /// (`mapreduce.map.speculative` analogue).
-    pub speculative: bool,
-    /// An attempt is a straggler once more than half of its wave has
-    /// committed and it has run this multiple of the median
-    /// completed-attempt runtime. The default, 2, is the break-even
-    /// point: the overrun equals what the backup costs.
-    pub speculative_multiplier: f64,
-    /// ... but never before it has run at least this long (keeps
-    /// micro-tasks from being pointlessly backed up).
-    pub speculative_min_runtime_ms: f64,
-    /// Telemetry span to parent this job's trace under ([`SpanId::NONE`]
-    /// = a root span). Set by drivers that trace a larger unit — e.g. a
-    /// pipeline round — so the job nests inside it.
-    pub parent_span: SpanId,
-    /// Container-slot lease for this job, handed in by an external
-    /// capacity scheduler (gesall-jobsvc). Wave workers take a permit
-    /// before each attempt and release it after, so the job never runs
-    /// more than the lease's current grant concurrently — the mechanism
-    /// that lets many jobs share one engine without oversubscribing the
-    /// cluster. `None` (the default) leaves the job unthrottled.
-    pub slot_lease: Option<SlotLease>,
-    /// DFS directory the job's shuffle transit lives under: transit
-    /// files go to `{namespace}/shuffle-{run}/…` instead of the default
-    /// `/{name}/shuffle-{run}/…`. The job service sets `/{tenant}/{job}`
-    /// here so every tenant's transit sits under one sweepable prefix.
-    pub shuffle_namespace: Option<String>,
-    /// Codec map-output partitions of at least
-    /// [`COMPRESS_MIN_BYTES`](crate::shuffle::COMPRESS_MIN_BYTES) travel
-    /// under (the paper's Snappy setting). `None` (the default) is
-    /// [`Codec::Lz`], for every record type: on an in-process DFS the
-    /// bytes [`Codec::Seq`] saves on alignment records buy nothing and
-    /// its encode costs twice Lz's (DESIGN.md §14). `Some(Codec::Raw)`
-    /// turns compression off.
-    pub shuffle_codec: Option<Codec>,
-}
-
-impl Default for JobConfig {
-    fn default() -> JobConfig {
-        JobConfig {
-            name: "job".into(),
-            n_reducers: 1,
-            io_sort_bytes: 64 * 1024 * 1024,
-            merge_factor: 10,
-            max_attempts: 4,
-            retry_backoff_ms: 10.0,
-            speculative: true,
-            speculative_multiplier: 2.0,
-            speculative_min_runtime_ms: 25.0,
-            parent_span: SpanId::NONE,
-            slot_lease: None,
-            shuffle_namespace: None,
-            shuffle_codec: None,
-        }
-    }
-}
-
-/// One unit of map input: typed records plus a locality preference
-/// (the node holding the logical partition's blocks).
-#[derive(Debug, Clone)]
-pub struct InputSplit<K, V> {
-    pub label: String,
-    pub preferred_node: Option<usize>,
-    pub records: Vec<(K, V)>,
-}
-
-impl<K, V> InputSplit<K, V> {
-    pub fn new(label: impl Into<String>, records: Vec<(K, V)>) -> InputSplit<K, V> {
-        InputSplit {
-            label: label.into(),
-            preferred_node: None,
-            records,
-        }
-    }
-
-    pub fn at_node(mut self, node: usize) -> InputSplit<K, V> {
-        self.preferred_node = Some(node);
-        self
-    }
-}
-
-/// Map task or reduce task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaskKind {
-    Map,
-    Reduce,
-}
-
-/// How one task attempt ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttemptOutcome {
-    /// The attempt's result was committed as the task's output.
-    Succeeded,
-    /// The attempt panicked; the task was retried (or the job aborted).
-    Failed,
-    /// The attempt finished but its result was discarded — it lost a
-    /// speculative race, or its node died while it ran.
-    Killed,
-}
-
-/// One task attempt's history record — the raw material for Fig. 7-style
-/// progress plots and for fault post-mortems.
-#[derive(Debug, Clone)]
-pub struct TaskEvent {
-    pub kind: TaskKind,
-    pub task_id: usize,
-    /// Attempt number within the task, starting at 0.
-    pub attempt: usize,
-    /// Whether this was a speculative (backup) attempt.
-    pub speculative: bool,
-    pub outcome: AttemptOutcome,
-    /// Panic message for `Failed` attempts.
-    pub error: Option<String>,
-    pub node: usize,
-    /// Milliseconds since job start.
-    pub start_ms: f64,
-    pub end_ms: f64,
-    /// Whether the task ran on its preferred (data-local) node.
-    pub data_local: bool,
-}
-
-/// Everything a finished job reports.
-#[derive(Debug)]
-pub struct JobOutput<O> {
-    /// One output per reducer (or per map task for map-only jobs): what
-    /// the committed attempt's [`RecordWriter`] finished with.
-    pub outputs: Vec<O>,
-    pub counters: Counters,
-    pub events: Vec<TaskEvent>,
-    pub wall_ms: f64,
-    pub config: JobConfig,
-}
-
-/// A job under the default [`CollectRecords`] format: each task's output
-/// is the records it emitted.
-pub type JobResult<K, V> = JobOutput<Vec<(K, V)>>;
-
-impl<O> JobOutput<O> {
-    /// Canonical attempt history: one line per attempt, sorted, with
-    /// wall-clock times and node/thread placement excluded. For a given
-    /// [`FaultPlan`] seed this is byte-identical across runs — the
-    /// contract the seed-determinism test asserts.
-    pub fn history(&self) -> Vec<String> {
-        let mut lines: Vec<String> = self
-            .events
-            .iter()
-            .map(|e| {
-                format!(
-                    "{:?} task={} attempt={} speculative={} outcome={:?} error={}",
-                    e.kind,
-                    e.task_id,
-                    e.attempt,
-                    e.speculative,
-                    e.outcome,
-                    e.error.as_deref().unwrap_or("-"),
-                )
-            })
-            .collect();
-        lines.sort();
-        lines
-    }
 }
 
 /// The engine: a cluster's worth of worker threads.
@@ -841,6 +666,55 @@ mod tests {
             .iter()
             .all(|e| e.outcome == AttemptOutcome::Succeeded && e.attempt == 0));
         assert_eq!(res.counters.get(keys::FAILED_ATTEMPTS), 0);
+    }
+
+    #[test]
+    fn spill_and_multipass_merge_accounting_is_pinned() {
+        // Every clock-free counter of the sort–spill–merge path, held to
+        // exact values: a 512-byte sort buffer spills each map many
+        // times, merge factor 2 makes six runs per reducer take several
+        // passes, and the default Lz codec puts compressed and raw
+        // segments on the wire. One node, so every fetch byte is local.
+        let engine = MapReduceEngine::local(2);
+        let cfg = JobConfig {
+            n_reducers: 2,
+            io_sort_bytes: 512,
+            merge_factor: 2,
+            speculative: false,
+            ..JobConfig::default()
+        };
+        let res = engine
+            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(6, 150))
+            .unwrap();
+        let pinned = |k: &str| {
+            ["map.", "shuffle.", "mem.spill.", "reduce.merge."].iter().any(|p| k.starts_with(p))
+                || k == keys::BYTES_COPIED
+                || k == keys::REDUCE_PEAK_RESIDENT
+        };
+        let got: Vec<(String, u64)> =
+            res.counters.snapshot().into_iter().filter(|(k, _)| pinned(k)).collect();
+        let want = [
+            ("map.input.records", 900),
+            ("map.merge.segments", 48),
+            ("map.output.bytes", 21807),
+            ("map.output.records", 3600),
+            ("map.spills", 48),
+            ("mem.bytes.copied", 66141),
+            ("mem.reduce.peak_resident", 7299),
+            ("mem.spill.allocs", 20),
+            ("mem.spill.reused", 12),
+            ("reduce.merge.bytes", 36345),
+            ("reduce.merge.passes", 8),
+            ("shuffle.bytes", 720),
+            ("shuffle.bytes.dfs", 720),
+            ("shuffle.bytes.raw", 21807),
+            ("shuffle.fetch.bytes.local", 1308),
+            ("shuffle.records", 3600),
+            ("shuffle.segments.compressed", 12),
+            ("shuffle.ship.bytes.copied", 720),
+        ];
+        let want: Vec<(String, u64)> = want.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -112,26 +112,40 @@ pub fn store_map_output(
 /// Decode the index header of a stored map output: frame count and the
 /// absolute byte range `[start, end)` of each frame within the file.
 /// Index reads carry the same affinity hint as the frame read and fold
-/// into the same local/remote tally.
+/// into the same local/remote tally. The header is untrusted bytes: a
+/// count whose index would not fit in the file, or a frame that ends
+/// before it starts, is a [`ShipError`], never an overflow.
 fn read_index(
     dfs: &Dfs,
     path: &str,
     affinity: ReadAffinity,
     tally: &mut (u64, u64),
 ) -> Result<Vec<(usize, usize)>, ShipError> {
+    let corrupt = |what: String| ShipError::Format(FormatError::Bam(format!("{path}: {what}")));
     let head = dfs.read_file_range_shared_at(path, 0, 8, affinity)?;
     tally.0 += head.local_bytes;
     tally.1 += head.remote_bytes;
-    let n = Cursor::new(&head.bytes[..]).get_u64()? as usize;
-    let idx = dfs.read_file_range_shared_at(path, 8, 8 * n, affinity)?;
+    let n = Cursor::new(&head.bytes[..]).get_u64()?;
+    let idx_len = usize::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(8))
+        .ok_or_else(|| corrupt(format!("index of {n} frames overflows")))?;
+    // The DFS refuses a range past the file's end, so once this read
+    // succeeds `n` is bounded by the file's length.
+    let idx = dfs.read_file_range_shared_at(path, 8, idx_len, affinity)?;
     tally.0 += idx.local_bytes;
     tally.1 += idx.remote_bytes;
     let mut cur = Cursor::new(&idx.bytes[..]);
-    let base = 8 * (1 + n);
-    let mut ranges = Vec::with_capacity(n);
+    let base = 8 + idx_len;
+    let mut ranges = Vec::with_capacity(idx_len / 8);
     let mut start = base;
-    for _ in 0..n {
-        let end = base + cur.get_u64()? as usize;
+    for i in 0..idx_len / 8 {
+        let rel = cur.get_u64()?;
+        let end = usize::try_from(rel)
+            .ok()
+            .and_then(|rel| base.checked_add(rel))
+            .filter(|&end| end >= start)
+            .ok_or_else(|| corrupt(format!("frame {i} end offset {rel} lies before its start")))?;
         ranges.push((start, end));
         start = end;
     }
@@ -316,5 +330,39 @@ mod tests {
         dfs.write_file("j/corrupt", &[9u8; 4]).unwrap();
         assert!(fetch(&dfs, "j/corrupt", 0).is_err());
         assert!(fetch(&dfs, "j/missing", 0).is_err());
+    }
+
+    /// A stored file of `n`, the index entries `ends`, then `tail` zero
+    /// bytes standing in for the frames.
+    fn hostile_index(dfs: &Dfs, path: &str, n: u64, ends: &[u64], tail: usize) {
+        let mut bytes = Vec::new();
+        put_u64(&mut bytes, n);
+        for &e in ends {
+            put_u64(&mut bytes, e);
+        }
+        bytes.resize(bytes.len() + tail, 0);
+        dfs.write_file(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn an_index_count_past_the_file_is_a_typed_error() {
+        // 2^61 frames: `8 * n` would overflow; 2^40: the index would run
+        // past the file. Both are errors before anything is allocated.
+        let dfs = dfs(None);
+        for n in [1u64 << 61, 1 << 40, u64::MAX] {
+            hostile_index(&dfs, &format!("j/n{n}"), n, &[0], 64);
+            let err = fetch(&dfs, &format!("j/n{n}"), 0).unwrap_err();
+            assert!(!err.is_retryable(), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_index_frame_ending_before_its_start_is_a_typed_error() {
+        let dfs = dfs(None);
+        hostile_index(&dfs, "j/back", 2, &[50, 10], 64);
+        for r in 0..2 {
+            let err = fetch(&dfs, "j/back", r).unwrap_err();
+            assert!(err.to_string().contains("before its start"), "{err}");
+        }
     }
 }

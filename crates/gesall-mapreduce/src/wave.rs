@@ -16,7 +16,8 @@ use crate::counters::{keys, Counters};
 use crate::error::{panic_message, GesallError};
 use crate::fault::FaultPlan;
 use crate::lease::LeasePermit;
-use crate::runtime::{AttemptOutcome, JobFrame, MapReduceEngine, TaskEvent, TaskKind};
+use crate::job::{AttemptOutcome, TaskEvent, TaskKind};
+use crate::runtime::{JobFrame, MapReduceEngine};
 use gesall_telemetry::{Span, SpanId, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -6,7 +6,7 @@
 use gesall_formats::wire::Wire;
 use gesall_formats::{Codec, SharedBytes};
 use gesall_mapreduce::shuffle::{
-    merge_runs, read_frame, reduce_merge, write_frame, Segment, SortSpillBuffer,
+    merge_runs, read_frame, reduce_merge_streamed, write_frame, Segment, SortSpillBuffer,
     COMPRESS_MIN_BYTES,
 };
 use gesall_mapreduce::{
@@ -79,6 +79,17 @@ fn reduce_merge_materialized<K: Wire + Ord + Clone, V: Wire>(
         }
     }
     out
+}
+
+/// [`reduce_merge_streamed`] with every segment handed over up front.
+fn reduce_merge<K: Wire + Ord + Clone, V: Wire>(
+    segments: Vec<Segment>,
+    merge_factor: usize,
+    counters: &Counters,
+) -> Vec<(K, Vec<V>)> {
+    let n_runs = segments.iter().filter(|s| s.records > 0).count();
+    let mut it = segments.into_iter();
+    reduce_merge_streamed(n_runs, move || it.next(), merge_factor, counters)
 }
 
 /// The `pick`-th registered codec (wrapping) — tests iterate the registry
@@ -319,6 +330,78 @@ proptest! {
         prop_assert_eq!(end, shared.len());
         let decoded: Vec<(String, u64)> = back.to_pairs();
         prop_assert_eq!(decoded, pairs);
+    }
+
+    #[test]
+    fn read_frame_of_hostile_bytes_is_ok_or_err(
+        junk in proptest::collection::vec(any::<u8>(), 0..96),
+        codec_pick in any::<u8>(),
+        field in any::<u64>(),
+        offset in 0usize..128,
+        shape in 0u8..4,
+    ) {
+        // Shuffle transit is untrusted bytes. Plain junk at any offset,
+        // a well-tagged header whose counts and length are arbitrary (or
+        // small enough to land inside the buffer), and offsets near
+        // usize::MAX: each read is a segment inside the buffer or a
+        // typed error, never a panic.
+        let mut bytes = Vec::new();
+        if shape == 1 || shape == 2 {
+            let data_len = if shape == 1 { field } else { field % 128 };
+            bytes.push(pick_codec(codec_pick).tag());
+            for v in [field, field, data_len] {
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        bytes.extend_from_slice(&junk);
+        let offset = match shape {
+            0 => offset,
+            3 => usize::MAX - offset,
+            _ => 0,
+        };
+        let shared = SharedBytes::from_vec(bytes);
+        if let Ok((seg, end)) = read_frame(&shared, offset) {
+            prop_assert!(end <= shared.len());
+            prop_assert_eq!(seg.data.len(), end - offset - gesall_mapreduce::shuffle::FRAME_HEADER_BYTES);
+        }
+    }
+
+    #[test]
+    fn fetch_partition_of_a_hostile_file_is_ok_or_err(
+        n in any::<u64>(),
+        ends in proptest::collection::vec(any::<u64>(), 0..6),
+        small in any::<bool>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..160),
+        r in 0usize..8,
+    ) {
+        // A stored map output whose index count and frame ends are
+        // arbitrary (or small enough to point inside the file) over
+        // arbitrary frame bytes: the fetch returns a segment or a typed
+        // error, never a panic.
+        use gesall_dfs::{Dfs, DfsConfig, ReadAffinity};
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 1,
+            block_size: 64,
+            replication: 1,
+            ..DfsConfig::default()
+        });
+        let fit = |v: u64, m: u64| if small { v % m } else { v };
+        let mut bytes = fit(n, 8).to_le_bytes().to_vec();
+        for e in ends {
+            bytes.extend_from_slice(&fit(e, 160).to_le_bytes());
+        }
+        bytes.extend_from_slice(&tail);
+        dfs.write_file("m/hostile", &bytes).unwrap();
+        let fetched = gesall_mapreduce::shipping::fetch_partition(
+            &dfs,
+            "m/hostile",
+            r,
+            ReadAffinity::NONE,
+            &Counters::new(),
+        );
+        if let Ok(seg) = fetched {
+            prop_assert!(seg.data.len() <= bytes.len());
+        }
     }
 
     #[test]

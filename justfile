@@ -10,10 +10,12 @@
 # to their pinned digests. Release matters:
 # with overflow checks off a kernel can disagree with its reference
 # where the debug run never reaches. The line counter is held to its
-# fixture first, and the aligner to no process-global counter, as in CI.
+# fixture first, the aligner to no process-global counter, and the job
+# service and the engine to no file over 700 non-test lines, as in CI.
 smoke:
     test "$(scripts/loc.sh scripts/fixtures/loc_fixture.rs)" = 32
     scripts/no-global-counters.sh
+    scripts/max-file-lines.sh
     cargo build --release --offline --workspace
     cargo test -q --offline --workspace
     cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -64,7 +66,8 @@ deflake N="25":
         scripts/test-some.sh --offline -q -p gesall-dfs --lib fs::tests::racing_writers_of_one_path_commit_exactly_one_copy -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib retention::tests::racing_cas_puts_of_one_key_store_it_once -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib retention::tests::a_pin_that_returned_ok_keeps_its_file_until_unpin -- --exact
-        scripts/test-some.sh --offline -q -p gesall-jobsvc --lib service::tests::elastic_borrow_then_reclaim_for_late_tenant -- --exact
+        scripts/test-some.sh --offline -q -p gesall-jobsvc --lib service::dispatch::tests::elastic_borrow_then_reclaim_for_late_tenant -- --exact
+        scripts/test-some.sh --offline -q -p gesall-jobsvc --lib service::dispatch::tests::a_permit_released_between_pass_and_park_wakes_the_dispatcher -- --exact
         scripts/test-some.sh --offline -q -p gesall --test multi_tenant
     done
 
