@@ -324,7 +324,8 @@ pub fn reduce_merge_streamed<K: Wire + Ord + Clone, V: Wire>(
             counters.add(keys::SHUFFLE_SEGMENTS_RAW, 1);
         }
         // Decode into typed records, plus the decompressor's write.
-        let copied = s.raw_len + if s.is_compressed() { s.raw_len } else { 0 };
+        // Saturating: a fetched frame's `raw_len` is untrusted.
+        let copied = s.raw_len.saturating_add(if s.is_compressed() { s.raw_len } else { 0 });
         counters.add(keys::BYTES_COPIED, copied as u64);
     };
     // The logical multipass queue: `pending` not-yet-pulled source runs
@@ -527,5 +528,23 @@ mod tests {
         }
         assert_eq!(outputs[0], outputs[1]);
         assert_eq!(outputs[0].len(), 40);
+    }
+
+    #[test]
+    fn accounting_a_fetched_frame_with_a_hostile_raw_len_does_not_overflow() {
+        // A compressed frame's `raw_len` is untrusted header bytes that
+        // `read_frame` cannot check; an empty one is accounted but never
+        // decoded, so the accounting itself must not overflow.
+        let counters = Counters::new();
+        let hostile = Segment {
+            data: SharedBytes::new(),
+            raw_len: usize::MAX,
+            records: 0,
+            codec: Codec::Lz,
+        };
+        let mut it = vec![hostile].into_iter();
+        let grouped = reduce_merge_streamed::<u64, u64>(0, move || it.next(), 2, &counters);
+        assert!(grouped.is_empty());
+        assert_eq!(counters.get(keys::BYTES_COPIED), u64::MAX);
     }
 }

@@ -2,14 +2,9 @@
 # One concern per file: fail if any .rs file under the job service's or
 # the MapReduce engine's src/ has more than 700 non-test lines, counted
 # by scripts/loc.sh (every line except those of a `#[cfg(test)]` item).
-#
-#   scripts/max-file-lines.sh [LIMIT [DIR...]]
 set -euo pipefail
 cd "$(dirname "$0")/.."
-limit="${1:-700}"
-shift || true
-dirs=("$@")
-[ ${#dirs[@]} -gt 0 ] || dirs=(crates/gesall-jobsvc/src crates/gesall-mapreduce/src)
+limit=700
 over=0
 while IFS= read -r -d '' f; do
     n=$(scripts/loc.sh "$f")
@@ -17,5 +12,5 @@ while IFS= read -r -d '' f; do
         echo "$f: $n non-test lines, more than $limit: split it at a seam" >&2
         over=1
     fi
-done < <(find "${dirs[@]}" -name '*.rs' -print0)
+done < <(find crates/gesall-jobsvc/src crates/gesall-mapreduce/src -name '*.rs' -print0)
 exit "$over"
