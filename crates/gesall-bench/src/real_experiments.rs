@@ -100,15 +100,8 @@ impl ExperimentWorld {
         };
 
         // Serial pipeline (the gold standard).
-        let (serial_records, serial_variants) = serial_pipeline(
-            &aligner,
-            &references,
-            &chrom_names,
-            &pairs,
-            &config.read_group,
-            config.seed,
-            &config.hc,
-        );
+        let (serial_records, serial_variants) =
+            serial_pipeline(&aligner, &references, &chrom_names, &pairs, config.seed);
         // Serial alignment only (pre-cleaning), for the Bwa-stage diff.
         let serial_aligned: Vec<SamRecord> = aligner
             .align_pairs(&pairs)
@@ -186,9 +179,7 @@ pub fn table8(world: &ExperimentWorld) -> String {
         &world.references,
         &world.chrom_names,
         world.parallel_aligned.clone(),
-        &world.config.read_group,
         world.config.seed,
-        &world.config.hc,
     );
     let impact1 = diff_variants(&world.serial_variants, &hybrid1_variants);
 
@@ -199,7 +190,6 @@ pub fn table8(world: &ExperimentWorld) -> String {
         &world.references,
         &world.chrom_names,
         world.parallel.records.clone(),
-        &world.config.hc,
     );
     let impact2 = diff_variants(&world.serial_variants, &hybrid2_variants);
 
@@ -243,15 +233,16 @@ pub fn table8(world: &ExperimentWorld) -> String {
     // fine-grained positional scheme shifts active windows at the cut.
     let fine_grained = {
         use gesall_core::diagnosis::diff_variants as dv;
-        use gesall_tools::haplotype_caller::call_range;
+        use gesall_tools::haplotype_caller::{call_range, HaplotypeCallerConfig};
         use gesall_tools::refview::RefView;
         let rv = RefView::new(&world.references);
+        let hc = HaplotypeCallerConfig::default();
         let len = world.references[0].len() as i64;
         let mid = len / 2;
         let recs = &world.serial_records;
-        let whole = call_range(recs, 0, "chr1", 1, len, rv, &world.config.hc);
-        let mut split = call_range(recs, 0, "chr1", 1, mid, rv, &world.config.hc).variants;
-        split.extend(call_range(recs, 0, "chr1", mid + 1, len, rv, &world.config.hc).variants);
+        let whole = call_range(recs, 0, "chr1", 1, len, rv, &hc);
+        let mut split = call_range(recs, 0, "chr1", 1, mid, rv, &hc).variants;
+        split.extend(call_range(recs, 0, "chr1", mid + 1, len, rv, &hc).variants);
         split.sort_by_key(|v| (v.pos, v.ref_allele.clone()));
         split.dedup_by(|a, b| a.site_key() == b.site_key());
         let d = dv(&whole.variants, &split);
@@ -405,7 +396,6 @@ pub fn table9_10(world: &ExperimentWorld) -> String {
         &world.references,
         &world.chrom_names,
         world.parallel.records.clone(),
-        &world.config.hc,
     );
     let d = diff_variants(&world.serial_variants, &hybrid_variants);
     let (inter, serial_only, hybrid_only) =

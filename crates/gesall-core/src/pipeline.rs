@@ -187,8 +187,12 @@ pub struct PlatformConfig {
     pub io_sort_bytes: usize,
     pub merge_factor: usize,
     pub seed: u64,
-    pub read_group: ReadGroup,
-    pub hc: HaplotypeCallerConfig,
+}
+
+/// The read group every run stamps on its records — the parallel rounds
+/// and the serial baselines alike.
+pub(crate) fn read_group() -> ReadGroup {
+    ReadGroup::new("rg1", "sample1")
 }
 
 impl Default for PlatformConfig {
@@ -203,8 +207,6 @@ impl Default for PlatformConfig {
             io_sort_bytes: 8 * 1024 * 1024,
             merge_factor: 10,
             seed: 0x6765_7361_6c6c_0001,
-            read_group: ReadGroup::new("rg1", "sample1"),
-            hc: HaplotypeCallerConfig::default(),
         }
     }
 }
@@ -349,9 +351,25 @@ pub struct GesallPlatform {
 }
 
 impl GesallPlatform {
+    /// The platform over `dfs` and `engine`. The DFS doubles as the
+    /// shuffle transit store, and the engine's node-death hook is wired
+    /// to it: when the engine declares a node dead mid-wave, the DFS
+    /// fails the same node (scrubbing its replicas from file metadata)
+    /// and re-replicates exactly the blocks the failure under-replicated
+    /// — the YARN-NodeManager-death → HDFS-re-replication coupling of a
+    /// real cluster. Without a node death in the engine's fault plan the
+    /// hook never fires.
     pub fn new(dfs: Dfs, engine: MapReduceEngine, config: PlatformConfig) -> GesallPlatform {
-        // The platform's DFS doubles as the shuffle transit store.
-        let engine = engine.with_shuffle_dfs(dfs.clone());
+        let hook_dfs = dfs.clone();
+        let n_dfs_nodes = dfs.config().n_nodes;
+        let engine = engine
+            .with_shuffle_dfs(dfs.clone())
+            .on_node_death(move |node| {
+                if node < n_dfs_nodes {
+                    let report = hook_dfs.fail_node(node);
+                    hook_dfs.re_replicate_blocks(&report.under_replicated);
+                }
+            });
         // Crash sweep: shuffle-transit files are deleted by the engine
         // when a job finishes, so any still present at platform startup
         // were orphaned by a crashed prior process. Reclaim them before
@@ -363,29 +381,6 @@ impl GesallPlatform {
             config,
             run_seq: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Like [`GesallPlatform::new`], but wires the engine's node-death
-    /// hook to the DFS: when the engine declares a node dead mid-wave,
-    /// the DFS fails the same node (scrubbing its replicas from file
-    /// metadata) and immediately re-replicates exactly the blocks the
-    /// failure under-replicated — the YARN-NodeManager-death → HDFS-
-    /// re-replication coupling of a real cluster, using the incremental
-    /// per-node index rather than a namespace sweep.
-    pub fn with_fault_tolerance(
-        dfs: Dfs,
-        engine: MapReduceEngine,
-        config: PlatformConfig,
-    ) -> GesallPlatform {
-        let hook_dfs = dfs.clone();
-        let n_dfs_nodes = dfs.config().n_nodes;
-        let engine = engine.on_node_death(move |node| {
-            if node < n_dfs_nodes {
-                let report = hook_dfs.fail_node(node);
-                hook_dfs.re_replicate_blocks(&report.under_replicated);
-            }
-        });
-        GesallPlatform::new(dfs, engine, config)
     }
 
     pub(crate) fn job_config(&self, opts: &RunOptions, name: &str, n_reducers: usize, parent: SpanId) -> JobConfig {
@@ -527,14 +522,17 @@ impl GesallPlatform {
                     let cas_path = Dfs::cas_path(cas_root, key);
                     let t0 = Instant::now();
                     let sspan = cx.recorder.start(SpanKind::Stage, name, cx.pipeline_span);
+                    cx.stage_span = sspan.id;
+                    let rounds_before = cx.rounds.len();
                     let mut cached = None;
                     if dag_opts.cache {
-                        if let Some(entry) = self.dfs.cas_get(cas_root, key)? {
-                            // A torn or garbled entry is a miss: the
-                            // stage re-runs, and `cas_put` on the same
-                            // key degrades to a hit on the entry as it
-                            // stands, so it stays a miss until retention
-                            // sweeps it.
+                        // An entry that cannot be read (its blocks died
+                        // with a node), or is torn or garbled, is a miss:
+                        // the stage re-runs, and `cas_put` on the same
+                        // key degrades to a hit on the entry as it
+                        // stands, so it stays a miss until retention
+                        // sweeps it.
+                        if let Some(entry) = self.dfs.cas_get(cas_root, key).ok().flatten() {
                             cached = StageData::from_entry(&entry)
                                 .ok()
                                 .filter(StageData::parts_are_whole);
@@ -576,16 +574,23 @@ impl GesallPlatform {
                     // observable across runs.
                     cx.counters.add(counter, 1);
                     self.dfs.metrics().counter(counter).add(1);
-                    cx.recorder.end_with(
-                        sspan,
-                        name,
-                        vec![
-                            ("parents".to_string(), row.spec.parents.join(",")),
-                            ("cached".to_string(), cache_hit.to_string()),
-                            ("key".to_string(), format!("{key:016x}")),
-                        ],
-                        Vec::new(),
-                    );
+                    let mut meta = vec![
+                        ("parents".to_string(), row.spec.parents.join(",")),
+                        ("cached".to_string(), cache_hit.to_string()),
+                        ("key".to_string(), format!("{key:016x}")),
+                    ];
+                    // A stage that ran carries its round's task counts
+                    // and counter snapshot.
+                    let mut metrics = Vec::new();
+                    if let Some(round) = cx.rounds.get(rounds_before) {
+                        meta.push(("n_map_tasks".to_string(), round.n_map_tasks.to_string()));
+                        meta.push((
+                            "n_reduce_tasks".to_string(),
+                            round.n_reduce_tasks.to_string(),
+                        ));
+                        metrics = round.counters.clone();
+                    }
+                    cx.recorder.end_with(sspan, name, meta, metrics);
                     stage_reports.push(StageReport {
                         name: name.clone(),
                         key,
@@ -639,7 +644,8 @@ impl GesallPlatform {
     }
 
     /// The DAG executor's test reference: a plain loop over the same
-    /// rows, with no keys, no store and no stage spans.
+    /// rows, with no keys, no store and no stage spans — its jobs nest
+    /// under the pipeline span.
     #[cfg(test)]
     fn run_pipeline_sequential(
         &self,
@@ -703,6 +709,7 @@ impl GesallPlatform {
             counters: Counters::new(),
             recorder,
             pipeline_span: pipeline_span.id,
+            stage_span: pipeline_span.id,
             base,
             header,
             sorted_header,
@@ -877,14 +884,12 @@ pub fn serial_pipeline(
     references: &[Vec<u8>],
     chrom_names: &[String],
     pairs: &[ReadPair],
-    read_group: &ReadGroup,
     seed: u64,
-    hc: &HaplotypeCallerConfig,
 ) -> (Vec<SamRecord>, Vec<VariantRecord>) {
     // Step 1: alignment over the whole input as one serial stream.
     let aligned = aligner.align_pairs(pairs);
     let records: Vec<SamRecord> = aligned.into_iter().flat_map(|(a, b)| [a, b]).collect();
-    serial_tail_from_aligned(aligner, references, chrom_names, records, read_group, seed, hc)
+    serial_tail_from_aligned(aligner, references, chrom_names, records, seed)
 }
 
 /// Serial steps 3..end applied to already-aligned records — the hybrid
@@ -894,20 +899,18 @@ pub fn serial_tail_from_aligned(
     references: &[Vec<u8>],
     chrom_names: &[String],
     mut records: Vec<SamRecord>,
-    read_group: &ReadGroup,
     seed: u64,
-    hc: &HaplotypeCallerConfig,
 ) -> (Vec<SamRecord>, Vec<VariantRecord>) {
     let mut header = aligner.index().sam_header();
     gesall_tools::add_read_groups::add_or_replace_read_groups(
         &mut header,
         &mut records,
-        read_group,
+        &read_group(),
     );
     gesall_tools::clean_sam::clean_sam(&mut records, RefView::new(references));
     gesall_tools::fix_mate::fix_mate_information(&mut records);
     gesall_tools::mark_duplicates::mark_duplicates(&mut records, seed);
-    serial_tail_from_markdup(references, chrom_names, records, hc)
+    serial_tail_from_markdup(references, chrom_names, records)
 }
 
 /// Serial sort + HaplotypeCaller applied to duplicate-marked records —
@@ -917,14 +920,14 @@ pub fn serial_tail_from_markdup(
     references: &[Vec<u8>],
     chrom_names: &[String],
     mut records: Vec<SamRecord>,
-    hc: &HaplotypeCallerConfig,
 ) -> (Vec<SamRecord>, Vec<VariantRecord>) {
     let mut header = SamHeader::default();
     gesall_tools::sort_sam::sort_sam(&mut header, &mut records);
     let rv = RefView::new(references);
+    let hc = HaplotypeCallerConfig::default();
     let mut variants = Vec::new();
     for (ref_id, name) in chrom_names.iter().enumerate() {
-        let result = call_chromosome(&records, ref_id as i32, name, rv, hc);
+        let result = call_chromosome(&records, ref_id as i32, name, rv, &hc);
         variants.extend(result.variants);
     }
     sort_by_site(&mut variants);
@@ -995,15 +998,10 @@ mod tests {
             n_reducers: _,
             io_sort_bytes: _,
             merge_factor: _,
-            max_attempts: _,
-            retry_backoff_ms: _,
             speculative: _,
-            speculative_multiplier: _,
-            speculative_min_runtime_ms: _,
             parent_span: _,
             slot_lease: _,
             shuffle_namespace: _,
-            shuffle_codec: _,
         } = JobConfig::default();
         let PlatformConfig {
             n_round1_partitions: _,
@@ -1015,8 +1013,6 @@ mod tests {
             io_sort_bytes: _,
             merge_factor: _,
             seed: _,
-            read_group: _,
-            hc: _,
         } = PlatformConfig::default();
     }
 
@@ -1320,6 +1316,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_store_entry_lost_with_its_node_is_a_miss_and_its_stage_reruns() {
+        let (aligner, pairs) = world();
+        let p = platform_on(64 * 1024, MapReduceEngine::new(cluster()));
+        let cold = p.run_pipeline(&aligner, pairs.clone()).unwrap();
+        // Entries are unreplicated: the node takes every entry with a
+        // block on it.
+        p.dfs.fail_node(0);
+        let lost = cold
+            .stages
+            .iter()
+            .filter(|s| !p.dfs.file_available_excluding(&Dfs::cas_path("/pipeline", s.key), &[]))
+            .count();
+        assert!(lost > 0, "node 0 held a block of some entry");
+        let warm = p.run_pipeline(&aligner, pairs).unwrap();
+        assert_eq!(warm.stages_run(), lost);
+        assert_eq!(warm.records, cold.records);
+        assert_eq!(warm.variants, cold.variants);
     }
 
     #[test]

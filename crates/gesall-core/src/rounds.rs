@@ -19,10 +19,10 @@
 use crate::gdpt::{
     markdup_map_pair, BloomFilter, MarkDupKey, MarkDupRole, MarkDupValue, RangeKey,
 };
+use crate::pipeline::read_group;
 use gesall_aligner::Aligner;
 use gesall_formats::bam::{self, BamWriter};
 use gesall_formats::SharedBytes;
-use gesall_formats::sam::header::ReadGroup;
 use gesall_formats::sam::{SamHeader, SamRecord};
 use gesall_formats::vcf::VariantRecord;
 use gesall_mapreduce::counters::{keys, Counters};
@@ -156,7 +156,6 @@ impl Mapper for Round1Align<'_> {
 /// Round-2 mapper: data cleaning over a BAM partition, shuffled by read
 /// name.
 pub struct Round2CleanMapper {
-    pub read_group: ReadGroup,
     pub references: Arc<Vec<Vec<u8>>>,
     pub counters: Counters,
 }
@@ -178,7 +177,7 @@ impl Mapper for Round2CleanMapper {
         gesall_tools::add_read_groups::add_or_replace_read_groups(
             &mut header,
             &mut records,
-            &self.read_group,
+            &read_group(),
         );
         clean_sam(&mut records, RefView::new(&self.references));
         self.counters

@@ -14,8 +14,8 @@ use crate::dag::{self, DagSpec, StageSpec};
 use crate::error::{PlatformError, Result};
 use crate::gdpt::{chromosome_partition, BloomFilter, MarkDupKey, OverlappingRanges, RangeKey};
 use crate::pipeline::{
-    sort_by_site, CallerChoice, GesallPlatform, HcPartitioning, PlatformConfig, RoundSummary,
-    RunOptions, StageData,
+    read_group, sort_by_site, CallerChoice, GesallPlatform, HcPartitioning, PlatformConfig,
+    RoundSummary, RunOptions, StageData,
 };
 use crate::rounds::{
     fine_segment_label, BamParts, BloomBuildMapper, CallRange, PrintReadsMapper, RecalTableMapper,
@@ -31,8 +31,8 @@ use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::runtime::{AttemptOutcome, InputSplit, JobOutput, TaskKind};
 use gesall_mapreduce::task::{FnPartitioner, HashPartitioner};
-use gesall_telemetry::{OpenSpan, Recorder, SpanId, SpanKind};
-use gesall_tools::haplotype_caller::call_range;
+use gesall_telemetry::{Recorder, SpanId};
+use gesall_tools::haplotype_caller::{call_range, HaplotypeCallerConfig};
 use gesall_tools::recalibration::RecalTable;
 use gesall_tools::unified_genotyper::{call_region, GenotyperConfig};
 use std::sync::Arc;
@@ -69,9 +69,9 @@ pub(crate) fn pipeline_stages(config: &PlatformConfig) -> Vec<Stage> {
     }
     let fp = dag::config_fingerprint;
     let align_fp = fp(&[&config.n_round1_partitions]);
-    let clean_fp = fp(&[&config.read_group, &config.n_reducers]);
+    let clean_fp = fp(&[&read_group(), &config.n_reducers]);
     let markdup_fp = fp(&[&config.markdup_opt, &config.seed, &config.n_reducers]);
-    let hc_fp = fp(&[&config.hc, &config.hc_partitioning]);
+    let hc_fp = fp(&[&HaplotypeCallerConfig::default(), &config.hc_partitioning]);
 
     let mut rows = Vec::new();
     let align = row(&mut rows, "round1-align", &[], align_fp, stage_round1);
@@ -116,7 +116,7 @@ pub(crate) enum Resolved {
 }
 
 /// What the executor hands a body: the row it is running — which names
-/// the round span, the job and the summary — and the outputs of the row's
+/// the job and the summary — and the outputs of the row's
 /// declared parents, in declared order.
 pub(crate) struct Inputs<'a> {
     pub stage: &'a str,
@@ -180,6 +180,9 @@ pub(crate) struct StageCtx<'a> {
     pub counters: Counters,
     pub recorder: Recorder,
     pub pipeline_span: SpanId,
+    /// The span the running row's job nests under: the row's Stage span
+    /// in the executor, the pipeline span in the sequential reference.
+    pub stage_span: SpanId,
     pub base: String,
     pub header: SamHeader,
     pub sorted_header: SamHeader,
@@ -189,15 +192,11 @@ pub(crate) struct StageCtx<'a> {
 }
 
 impl StageCtx<'_> {
-    fn open_round(&self, name: &str) -> OpenSpan {
-        self.recorder.start(SpanKind::Round, name, self.pipeline_span)
-    }
-
     /// The round epilogue: fold the pipeline-cumulative counters into
-    /// the job's, close the round span carrying the task counts and
-    /// counter snapshot (so the trace alone reconstructs the table),
-    /// append the summary, and hand back the job's outputs.
-    fn close_round<O>(&mut self, open: OpenSpan, name: &str, job: JobOutput<O>) -> Vec<O> {
+    /// the job's, append the summary (the executor closes the stage span
+    /// over its task counts and counter snapshot, so the trace alone
+    /// reconstructs the table), and hand back the job's outputs.
+    fn close_round<O>(&mut self, name: &str, job: JobOutput<O>) -> Vec<O> {
         job.counters.merge(&self.counters);
         // Count committed tasks, not attempts: retries and speculative
         // losers also leave events, but only one attempt per task ever
@@ -213,15 +212,6 @@ impl StageCtx<'_> {
             n_reduce_tasks: committed(TaskKind::Reduce),
             counters: job.counters.snapshot(),
         };
-        self.recorder.end_with(
-            open,
-            &s.name,
-            vec![
-                ("n_map_tasks".to_string(), s.n_map_tasks.to_string()),
-                ("n_reduce_tasks".to_string(), s.n_reduce_tasks.to_string()),
-            ],
-            s.counters.clone(),
-        );
         self.rounds.push(s);
         job.outputs
     }
@@ -254,9 +244,8 @@ fn stage_round1(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         let bytes = SharedBytes::from_vec(pairs_to_interleaved_bytes(part));
         splits.push(p.place(&path, path.clone(), bytes)?);
     }
-    let rspan = cx.open_round(inputs.stage);
     let r1 = p.engine.run_map_only(
-        p.job_config(cx.opts, inputs.stage, 1, rspan.id),
+        p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
         &Round1Align {
             aligner: cx.aligner,
             threads_per_mapper: 1,
@@ -265,17 +254,15 @@ fn stage_round1(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         splits,
     )?;
     // Already grouped by name (pairs adjacent).
-    Ok(StageData::Parts(mapper_parts(cx.close_round(rspan, inputs.stage, r1))?))
+    Ok(StageData::Parts(mapper_parts(cx.close_round(inputs.stage, r1))?))
 }
 
 /// Round 2: clean (map) + fix-mate (reduce), shuffled by read name.
 fn stage_round2(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
     let splits = inputs.splits(0)?;
-    let rspan = cx.open_round(inputs.stage);
     let r2 = p.engine.run_job_to(
-        p.job_config(cx.opts, inputs.stage, p.config.n_reducers, rspan.id),
+        p.job_config(cx.opts, inputs.stage, p.config.n_reducers, cx.stage_span),
         &Round2CleanMapper {
-            read_group: p.config.read_group.clone(),
             references: cx.references.clone(),
             counters: cx.counters.clone(),
         },
@@ -286,22 +273,21 @@ fn stage_round2(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         splits,
         &BamParts { header: &cx.header },
     )?;
-    Ok(StageData::Parts(cx.close_round(rspan, inputs.stage, r2)))
+    Ok(StageData::Parts(cx.close_round(inputs.stage, r2)))
 }
 
 /// Round 2½: bloom-filter build over the cleaned parts (`MarkDup_opt`
 /// only). The mappers emit the 5′-end keys; the driver unions them.
 fn stage_round2b(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
     let splits = inputs.splits(0)?;
-    let rspan = cx.open_round(inputs.stage);
     let rb = p.engine.run_map_only(
-        p.job_config(cx.opts, inputs.stage, 1, rspan.id),
+        p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
         &BloomBuildMapper {
             counters: cx.counters.clone(),
         },
         splits,
     )?;
-    let outputs = cx.close_round(rspan, inputs.stage, rb);
+    let outputs = cx.close_round(inputs.stage, rb);
     let n_keys: usize = outputs.iter().map(Vec::len).sum();
     let mut bloom = BloomFilter::with_capacity(n_keys.max(64));
     for (_, key) in outputs.iter().flatten() {
@@ -322,9 +308,8 @@ fn stage_round3(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         ("reg", None)
     };
     let job_name = format!("{}-{variant}", inputs.stage);
-    let rspan = cx.open_round(inputs.stage);
     let r3 = p.engine.run_job_to(
-        p.job_config(cx.opts, &job_name, p.config.n_reducers, rspan.id),
+        p.job_config(cx.opts, &job_name, p.config.n_reducers, cx.stage_span),
         &Round3MarkDupMapper {
             bloom,
             counters: cx.counters.clone(),
@@ -337,16 +322,15 @@ fn stage_round3(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         splits,
         &BamParts { header: &cx.header },
     )?;
-    Ok(StageData::Parts(cx.close_round(rspan, inputs.stage, r3)))
+    Ok(StageData::Parts(cx.close_round(inputs.stage, r3)))
 }
 
 /// Round 4: range-partitioned coordinate sort (one reducer per
 /// chromosome plus the unmapped partition).
 fn stage_round4(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
     let splits = inputs.splits(0)?;
-    let rspan = cx.open_round(inputs.stage);
     let r4 = p.engine.run_job_to(
-        p.job_config(cx.opts, inputs.stage, cx.chrom_names.len() + 1, rspan.id),
+        p.job_config(cx.opts, inputs.stage, cx.chrom_names.len() + 1, cx.stage_span),
         &Round4SortMapper {
             counters: cx.counters.clone(),
         },
@@ -355,7 +339,7 @@ fn stage_round4(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         splits,
         &BamParts { header: &cx.sorted_header },
     )?;
-    Ok(StageData::Parts(cx.close_round(rspan, inputs.stage, r4)))
+    Ok(StageData::Parts(cx.close_round(inputs.stage, r4)))
 }
 
 /// Round 4½a: per-partition covariate tables (BaseRecalibrator),
@@ -363,9 +347,8 @@ fn stage_round4(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
 fn stage_round4a(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
     let mut splits = inputs.splits(0)?;
     splits.truncate(cx.chrom_names.len());
-    let rspan = cx.open_round(inputs.stage);
     let ra = p.engine.run_map_only(
-        p.job_config(cx.opts, inputs.stage, 1, rspan.id),
+        p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
         &RecalTableMapper {
             references: cx.references.clone(),
             known_sites: Arc::default(),
@@ -375,7 +358,7 @@ fn stage_round4a(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>)
         splits,
     )?;
     let mut table = RecalTable::default();
-    for (_, partial) in cx.close_round(rspan, inputs.stage, ra).iter().flatten() {
+    for (_, partial) in cx.close_round(inputs.stage, ra).iter().flatten() {
         table.merge(partial);
     }
     Ok(StageData::Recal(table))
@@ -387,9 +370,8 @@ fn stage_round4a(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>)
 fn stage_round4b(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
     let mut splits = inputs.splits(0)?;
     let unmapped = splits.split_off(cx.chrom_names.len());
-    let rspan = cx.open_round(inputs.stage);
     let rb2 = p.engine.run_map_only(
-        p.job_config(cx.opts, inputs.stage, 1, rspan.id),
+        p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
         &PrintReadsMapper {
             table: inputs.recal_table(1)?,
             config: Default::default(),
@@ -398,7 +380,7 @@ fn stage_round4b(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>)
         },
         splits,
     )?;
-    let mut parts = mapper_parts(cx.close_round(rspan, inputs.stage, rb2))?;
+    let mut parts = mapper_parts(cx.close_round(inputs.stage, rb2))?;
     parts.extend(unmapped.into_iter().flat_map(|s| s.records).map(|(_, bytes)| bytes));
     Ok(StageData::Parts(parts))
 }
@@ -410,16 +392,16 @@ fn stage_round5(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
     let mut splits = inputs.splits(0)?;
     splits.truncate(cx.chrom_names.len());
     let ug_config = GenotyperConfig::default();
+    let hc_config = HaplotypeCallerConfig::default();
     let ug: &CallRange<'_> =
         &|recs, id, chrom, start, end, rv| call_region(recs, id, chrom, start, end, rv, &ug_config);
     let hc: &CallRange<'_> = &|recs, id, chrom, start, end, rv| {
-        call_range(recs, id, chrom, start, end, rv, &p.config.hc).variants
+        call_range(recs, id, chrom, start, end, rv, &hc_config).variants
     };
     let call = match p.config.caller {
         CallerChoice::UnifiedGenotyper => ug,
         CallerChoice::HaplotypeCaller => hc,
     };
-    let rspan = cx.open_round(inputs.stage);
     let span = match (p.config.caller, p.config.hc_partitioning) {
         (CallerChoice::HaplotypeCaller, HcPartitioning::FineGrained { segment_len, overlap }) => {
             splits = cut_segments(p, cx, &splits, segment_len, overlap)?;
@@ -428,7 +410,7 @@ fn stage_round5(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         _ => SpanSource::Chromosome,
     };
     let r5 = p.engine.run_map_only(
-        p.job_config(cx.opts, inputs.stage, 1, rspan.id),
+        p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
         &Round5Caller {
             references: cx.references.clone(),
             chrom_names: cx.chrom_names.clone(),
@@ -439,7 +421,7 @@ fn stage_round5(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         splits,
     )?;
     let mut variants: Vec<VariantRecord> = cx
-        .close_round(rspan, inputs.stage, r5)
+        .close_round(inputs.stage, r5)
         .into_iter()
         .flatten()
         .map(|(_, v)| v)

@@ -120,19 +120,10 @@ fn parallel_matches_serial_except_low_quality_fringe() {
         ..PlatformConfig::default()
     };
     let seed = cfg.seed;
-    let hc = cfg.hc.clone();
-    let rg = cfg.read_group.clone();
     let p = platform(cfg);
     let parallel = p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
-    let (serial_records, serial_variants) = serial_pipeline(
-        &w.aligner,
-        &w.references,
-        &w.chrom_names,
-        &w.pairs,
-        &rg,
-        seed,
-        &hc,
-    );
+    let (serial_records, serial_variants) =
+        serial_pipeline(&w.aligner, &w.references, &w.chrom_names, &w.pairs, seed);
 
     // Alignment-level diff (the Table 8 "D count" machinery).
     let adiff = diff_alignments(&serial_records, &parallel.records);
@@ -414,7 +405,7 @@ fn truth_set_recovery_is_strong() {
 }
 
 #[test]
-fn traced_pipeline_emits_round_spans_and_phase_table() {
+fn traced_pipeline_nests_jobs_under_stage_spans_and_emits_phase_table() {
     use gesall_mapreduce::{Phase, Recorder, SpanKind};
     let w = build_world(600);
     let dfs = Dfs::new(DfsConfig {
@@ -439,27 +430,53 @@ fn traced_pipeline_emits_round_spans_and_phase_table() {
     );
     let out = p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
 
-    // One pipeline span; one round span per executed round, all its children.
+    // One pipeline span; one stage span per row, all its children.
     let pipes = recorder.spans_of_kind(SpanKind::Pipeline);
     assert_eq!(pipes.len(), 1);
-    let rounds = recorder.spans_of_kind(SpanKind::Round);
-    assert_eq!(rounds.len(), out.rounds.len());
-    assert!(rounds.iter().all(|r| r.parent == pipes[0].id));
-    let names: Vec<&str> = rounds.iter().map(|r| r.name.as_str()).collect();
-    for s in &out.rounds {
-        assert!(names.contains(&s.name.as_str()), "missing round span {}", s.name);
-    }
-    // Each round's job nests under its round span; the wave that reads
-    // `out.records` back is no round and hangs off the pipeline span.
-    let round_ids: Vec<_> = rounds.iter().map(|r| r.id).collect();
+    let stages = recorder.spans_of_kind(SpanKind::Stage);
+    assert_eq!(stages.len(), out.stages.len());
+    assert!(stages.iter().all(|s| s.parent == pipes[0].id));
+    // Every round's job nests under the Stage span of its own name (round
+    // 3's job adds its MarkDup variant: `round3-markdup-opt`); the wave
+    // that reads `out.records` back is no round and hangs off the
+    // pipeline span.
     let (decode, jobs): (Vec<_>, Vec<_>) = recorder
         .spans_of_kind(SpanKind::Job)
         .into_iter()
         .partition(|j| j.name == "final-decode");
     assert_eq!(jobs.len(), out.rounds.len());
-    assert!(jobs.iter().all(|j| round_ids.contains(&j.parent)));
+    for job in &jobs {
+        let stage = stages.iter().find(|s| s.id == job.parent);
+        let stage = stage.unwrap_or_else(|| panic!("job {} has no Stage parent", job.name));
+        assert!(
+            job.name == stage.name || job.name.starts_with(&format!("{}-", stage.name)),
+            "job {} nests under stage {}",
+            job.name,
+            stage.name
+        );
+    }
     assert_eq!(decode.len(), 1);
     assert_eq!(decode[0].parent, pipes[0].id);
+    // A stage that ran carries its round's task counts and counters.
+    for round in &out.rounds {
+        let stage = stages
+            .iter()
+            .find(|s| s.name == round.name)
+            .expect("a stage per round");
+        let meta = |k: &str| {
+            stage
+                .meta
+                .iter()
+                .find(|(key, _)| key == k)
+                .map(|(_, v)| v.clone())
+        };
+        assert_eq!(meta("n_map_tasks"), Some(round.n_map_tasks.to_string()));
+        assert_eq!(
+            meta("n_reduce_tasks"),
+            Some(round.n_reduce_tasks.to_string())
+        );
+        assert_eq!(stage.metrics, round.counters);
+    }
 
     // The shuffling rounds decompose into all six phases.
     let rows = out.phase_rows();
@@ -502,9 +519,9 @@ fn traced_pipeline_emits_round_spans_and_phase_table() {
 #[test]
 fn faulty_pipeline_matches_fault_free_output() {
     // The whole-stack robustness check: ~15% of map attempts panic and a
-    // node dies during round 1's map wave. The fault-tolerant platform
-    // (engine node-death hook wired to DFS fail_node + re_replicate)
-    // must still produce byte-identical records and variants.
+    // node dies during round 1's map wave. The platform (engine
+    // node-death hook wired to DFS fail_node + re_replicate) must still
+    // produce byte-identical records and variants.
     use gesall_mapreduce::{FaultPlan, TaskKind};
 
     let w = build_world(600);
@@ -532,7 +549,7 @@ fn faulty_pipeline_matches_fault_free_output() {
             .panic_on(TaskKind::Map, 0, 0)
             .kill_node_after_maps(1, 2),
     );
-    let p = GesallPlatform::with_fault_tolerance(dfs, engine, cfg());
+    let p = GesallPlatform::new(dfs, engine, cfg());
     let out = p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
 
     assert_eq!(out.records, baseline.records);

@@ -53,19 +53,6 @@ impl Base {
             Base::N => Base::N,
         }
     }
-
-    /// 2-bit code for `ACGT` (`A`=0 … `T`=3); `N` has no 2-bit code and
-    /// returns 0 — callers that must distinguish `N` should check first.
-    #[inline]
-    pub fn code2(self) -> u8 {
-        match self {
-            Base::A => 0,
-            Base::C => 1,
-            Base::G => 2,
-            Base::T => 3,
-            Base::N => 0,
-        }
-    }
 }
 
 /// Map an ASCII base to its 2-bit code, or `None` for non-ACGT bytes.

@@ -18,12 +18,6 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append an `i64` (little-endian).
-#[inline]
-pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Encoded length of a varint, without encoding it.
 #[inline]
 pub fn varint_len(v: u64) -> usize {
@@ -97,10 +91,6 @@ impl<'a> Cursor<'a> {
 
     pub fn get_u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub fn get_i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     pub fn get_varint(&mut self) -> Result<u64> {

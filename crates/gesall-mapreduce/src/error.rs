@@ -9,7 +9,8 @@ use std::fmt;
 /// mean the runtime exhausted its recovery options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GesallError {
-    /// A task failed `attempts` times (the configured `max_attempts`),
+    /// A task failed `attempts` times (the engine's
+    /// [`MAX_ATTEMPTS`](crate::runtime::MAX_ATTEMPTS)),
     /// so the job was aborted. `last_error` is the panic message of the
     /// final attempt.
     TaskFailed {

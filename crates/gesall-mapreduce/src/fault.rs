@@ -19,37 +19,11 @@ pub struct NodeDeath {
     pub after_completed_maps: usize,
 }
 
-/// A scheduled storage corruption: when a shuffle write's path contains
-/// `path_contains`, flip a byte of the stored payload of its `block`-th
-/// block's `replica`-th home. The block's checksum (computed before the
-/// flip) stays honest, so the DFS detects the damage on first read.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorruptBlockFault {
-    pub path_contains: String,
-    pub block: usize,
-    pub replica: usize,
-}
-
-/// Storage-layer gray failures — lies, limps, and flakes rather than
-/// clean deaths. Armed on the engine's shuffle DFS when a job starts
-/// (see `MapReduceEngine::run_job`), so the whole matrix runs under the
-/// same seeded, deterministic harness as task-level faults.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DfsFaults {
-    pub corrupt_blocks: Vec<CorruptBlockFault>,
-    /// `(node, fail_first_n)`: the node's next n replica reads fail
-    /// with a retryable transient error.
-    pub flaky_reads: Vec<(usize, u64)>,
-    /// `(node, ms)`: every replica read served by the node sleeps
-    /// first — hedged reads are the countermeasure under test.
-    pub slow_nodes: Vec<(usize, u64)>,
-}
-
-impl DfsFaults {
-    pub fn is_empty(&self) -> bool {
-        self.corrupt_blocks.is_empty() && self.flaky_reads.is_empty() && self.slow_nodes.is_empty()
-    }
-}
+/// Rate-based panics are only injected for attempt indices below this
+/// bound, so a task with the engine's
+/// [`MAX_ATTEMPTS`](crate::runtime::MAX_ATTEMPTS) always eventually
+/// succeeds (models transient faults). Explicit panics ignore it.
+const PANIC_MAX_ATTEMPT: usize = 2;
 
 /// A deterministic, seeded description of the faults to inject.
 #[derive(Debug, Clone)]
@@ -57,17 +31,12 @@ pub struct FaultPlan {
     seed: u64,
     map_panic_rate: f64,
     reduce_panic_rate: f64,
-    /// Rate-based panics are only injected for attempt indices below this
-    /// bound, so a task with enough retry budget always eventually
-    /// succeeds (models transient faults). Explicit panics ignore it.
-    panic_max_attempt: usize,
     explicit_panics: HashSet<(TaskKind, usize, usize)>,
     /// `(reduce task, attempt)` → records the attempt's writer takes
     /// before the attempt panics.
     output_cuts: HashMap<(usize, usize), u64>,
     slowdowns: HashMap<(TaskKind, usize, usize), u64>,
     node_deaths: Vec<NodeDeath>,
-    dfs_faults: DfsFaults,
 }
 
 impl Default for FaultPlan {
@@ -82,12 +51,10 @@ impl FaultPlan {
             seed,
             map_panic_rate: 0.0,
             reduce_panic_rate: 0.0,
-            panic_max_attempt: 2,
             explicit_panics: HashSet::new(),
             output_cuts: HashMap::new(),
             slowdowns: HashMap::new(),
             node_deaths: Vec::new(),
-            dfs_faults: DfsFaults::default(),
         }
     }
 
@@ -103,12 +70,6 @@ impl FaultPlan {
     pub fn with_reduce_panic_rate(mut self, rate: f64) -> FaultPlan {
         assert!((0.0..=1.0).contains(&rate));
         self.reduce_panic_rate = rate;
-        self
-    }
-
-    /// Rate-based panics only hit attempts with index `< bound`.
-    pub fn with_panic_max_attempt(mut self, bound: usize) -> FaultPlan {
-        self.panic_max_attempt = bound;
         self
     }
 
@@ -147,38 +108,6 @@ impl FaultPlan {
         &self.node_deaths
     }
 
-    /// Corrupt a stored shuffle block: any write whose path contains
-    /// `path_contains` (e.g. `"map-00002"`) gets the payload of its
-    /// `block`-th block's `replica`-th home bit-flipped after the write
-    /// lands. Verify-on-read must detect, quarantine, and repair it.
-    pub fn corrupt_block(mut self, path_contains: &str, block: usize, replica: usize) -> FaultPlan {
-        self.dfs_faults.corrupt_blocks.push(CorruptBlockFault {
-            path_contains: path_contains.to_string(),
-            block,
-            replica,
-        });
-        self
-    }
-
-    /// Make `node`'s next `fail_first_n` replica reads fail with a
-    /// retryable transient error (a flaking disk or NIC).
-    pub fn flaky_read(mut self, node: usize, fail_first_n: u64) -> FaultPlan {
-        self.dfs_faults.flaky_reads.push((node, fail_first_n));
-        self
-    }
-
-    /// Make every replica read served by `node` sleep `ms` first — a
-    /// limping-but-alive node, the prey of hedged reads.
-    pub fn slow_node(mut self, node: usize, ms: u64) -> FaultPlan {
-        self.dfs_faults.slow_nodes.push((node, ms));
-        self
-    }
-
-    /// The storage-layer gray failures this plan injects.
-    pub fn dfs_faults(&self) -> &DfsFaults {
-        &self.dfs_faults
-    }
-
     /// Deterministic: does this attempt panic?
     pub fn should_panic(&self, kind: TaskKind, task: usize, attempt: usize) -> bool {
         if self.explicit_panics.contains(&(kind, task, attempt)) {
@@ -188,7 +117,7 @@ impl FaultPlan {
             TaskKind::Map => self.map_panic_rate,
             TaskKind::Reduce => self.reduce_panic_rate,
         };
-        if rate <= 0.0 || attempt >= self.panic_max_attempt {
+        if rate <= 0.0 || attempt >= PANIC_MAX_ATTEMPT {
             return false;
         }
         let h = mix(self.seed, kind as u64, task as u64, attempt as u64);
@@ -259,7 +188,7 @@ mod tests {
 
     #[test]
     fn retry_bound_shields_later_attempts() {
-        let p = FaultPlan::seeded(7).with_map_panic_rate(1.0).with_panic_max_attempt(2);
+        let p = FaultPlan::seeded(7).with_map_panic_rate(1.0);
         assert!(p.should_panic(TaskKind::Map, 0, 0));
         assert!(p.should_panic(TaskKind::Map, 0, 1));
         assert!(!p.should_panic(TaskKind::Map, 0, 2));
@@ -271,28 +200,6 @@ mod tests {
         assert!(p.should_panic(TaskKind::Reduce, 3, 5));
         assert!(!p.should_panic(TaskKind::Reduce, 3, 4));
         assert!(!p.should_panic(TaskKind::Map, 3, 5));
-    }
-
-    #[test]
-    fn dfs_gray_failures_recorded() {
-        let p = FaultPlan::seeded(0);
-        assert!(p.dfs_faults().is_empty());
-        let p = p
-            .corrupt_block("map-00002", 0, 1)
-            .flaky_read(1, 3)
-            .slow_node(2, 25);
-        let f = p.dfs_faults();
-        assert!(!f.is_empty());
-        assert_eq!(
-            f.corrupt_blocks,
-            vec![CorruptBlockFault {
-                path_contains: "map-00002".to_string(),
-                block: 0,
-                replica: 1
-            }]
-        );
-        assert_eq!(f.flaky_reads, vec![(1, 3)]);
-        assert_eq!(f.slow_nodes, vec![(2, 25)]);
     }
 
     #[test]

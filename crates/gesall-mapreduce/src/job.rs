@@ -4,7 +4,6 @@
 
 use crate::counters::Counters;
 use crate::lease::SlotLease;
-use gesall_formats::Codec;
 use gesall_telemetry::SpanId;
 
 /// Per-job configuration (the Hadoop parameters the paper tunes).
@@ -16,26 +15,13 @@ pub struct JobConfig {
     pub io_sort_bytes: usize,
     /// Reduce-side merge fan-in.
     pub merge_factor: usize,
-    /// Maximum attempts per task (`mapreduce.map.maxattempts` analogue).
-    /// A task whose attempts all fail aborts the job.
-    pub max_attempts: usize,
-    /// Base delay before re-running a failed attempt; doubles per
-    /// consecutive failure of the same task.
-    pub retry_backoff_ms: f64,
     /// Launch backup attempts for stragglers
-    /// (`mapreduce.map.speculative` analogue).
+    /// (`mapreduce.map.speculative` analogue; the threshold is
+    /// [`SPECULATIVE_MULTIPLIER`](crate::runtime::SPECULATIVE_MULTIPLIER)).
     pub speculative: bool,
-    /// An attempt is a straggler once more than half of its wave has
-    /// committed and it has run this multiple of the median
-    /// completed-attempt runtime. The default, 2, is the break-even
-    /// point: the overrun equals what the backup costs.
-    pub speculative_multiplier: f64,
-    /// ... but never before it has run at least this long (keeps
-    /// micro-tasks from being pointlessly backed up).
-    pub speculative_min_runtime_ms: f64,
     /// Telemetry span to parent this job's trace under ([`SpanId::NONE`]
     /// = a root span). Set by drivers that trace a larger unit — e.g. a
-    /// pipeline round — so the job nests inside it.
+    /// pipeline stage — so the job nests inside it.
     pub parent_span: SpanId,
     /// Container-slot lease for this job, handed in by an external
     /// capacity scheduler (gesall-jobsvc). Wave workers take a permit
@@ -49,14 +35,6 @@ pub struct JobConfig {
     /// `/{name}/shuffle-{run}/…`. The job service sets `/{tenant}/{job}`
     /// here so every tenant's transit sits under one sweepable prefix.
     pub shuffle_namespace: Option<String>,
-    /// Codec map-output partitions of at least
-    /// [`COMPRESS_MIN_BYTES`](crate::shuffle::COMPRESS_MIN_BYTES) travel
-    /// under (the paper's Snappy setting). `None` (the default) is
-    /// [`Codec::Lz`], for every record type: on an in-process DFS the
-    /// bytes [`Codec::Seq`] saves on alignment records buy nothing and
-    /// its encode costs twice Lz's (DESIGN.md §14). `Some(Codec::Raw)`
-    /// turns compression off.
-    pub shuffle_codec: Option<Codec>,
 }
 
 impl Default for JobConfig {
@@ -66,15 +44,10 @@ impl Default for JobConfig {
             n_reducers: 1,
             io_sort_bytes: 64 * 1024 * 1024,
             merge_factor: 10,
-            max_attempts: 4,
-            retry_backoff_ms: 10.0,
             speculative: true,
-            speculative_multiplier: 2.0,
-            speculative_min_runtime_ms: 25.0,
             parent_span: SpanId::NONE,
             slot_lease: None,
             shuffle_namespace: None,
-            shuffle_codec: None,
         }
     }
 }

@@ -6,7 +6,7 @@
 //! * [`task`] — `Mapper` / `Reducer` traits over typed, wire-encodable
 //!   key-value records;
 //! * [`shuffle`] — the map-side **sort buffer** (`io.sort.mb`) with
-//!   spill-and-merge, partitioned map output, optional map-output
+//!   spill-and-merge, partitioned map output, map-output
 //!   compression, and the reduce-side **multipass merge** — the machinery
 //!   behind the paper's Fig. 5(b), Fig. 10, and Table 7 observations;
 //! * [`cluster`] — a YARN-like resource model: nodes × (vcores, memory)

@@ -1,12 +1,13 @@
 //! The engine and its jobs: open frame → map wave → shuffle matrix →
-//! reduce wave → finish.
+//! reduce wave → finish, going back to a map wave for the maps a node
+//! death took when another job on the engine fired it.
 //!
 //! This module holds the engine — [`MapReduceEngine`] — and the bodies
 //! of a map task and a reduce task; what a job *is* ([`JobConfig`],
 //! [`InputSplit`], the attempt history types) lives in `job` and is
 //! re-exported here. How a wave of such tasks is
 //! scheduled over the cluster's slots — attempts under `catch_unwind`,
-//! retries with backoff up to [`JobConfig::max_attempts`], speculative
+//! retries with backoff up to [`MAX_ATTEMPTS`], speculative
 //! backups, node deaths injected via [`crate::fault::FaultPlan`] that
 //! re-run committed map tasks whose shuffle output lived on the lost
 //! node, exactly as Hadoop must when a slave is lost mid-job — is
@@ -24,19 +25,21 @@ pub use crate::job::{
     AttemptOutcome, InputSplit, JobConfig, JobOutput, JobResult, TaskEvent, TaskKind,
 };
 use crate::shipping;
-use crate::shuffle::{reduce_merge_streamed, SortSpillBuffer};
+use crate::shuffle::{reduce_merge_streamed, SortSpillBuffer, SHUFFLE_CODEC};
 use crate::task::{
     CollectRecords, MapContext, Mapper, OutputFormat, Partitioner, RecordWriter, ReduceContext,
     Reducer,
 };
 use crate::wave::{run_wave, AttemptCtx, TaskOutputs};
+pub use crate::wave::{
+    MAX_ATTEMPTS, RETRY_BACKOFF_MS, SPECULATIVE_MIN_RUNTIME_MS, SPECULATIVE_MULTIPLIER,
+};
 use gesall_dfs::{Dfs, DfsConfig, PinnedPlacement, ReadAffinity, SweepReason};
 use gesall_formats::wire::Wire;
-use gesall_formats::Codec;
 use gesall_telemetry::{OpenSpan, Phase, Recorder, SpanKind};
 use parking_lot::Mutex;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,12 +47,14 @@ use std::time::Instant;
 /// the mapper's node; each reducer range-reads its partition's frame.
 /// `metas` keeps the per-partition shape for shuffle-matrix recording
 /// without touching the file again.
+#[derive(Clone)]
 struct MapOutput {
     path: String,
     metas: Vec<SegMeta>,
 }
 
 /// Per-partition shape of a shipped map output.
+#[derive(Clone)]
 struct SegMeta {
     wire_len: usize,
     compressed: bool,
@@ -83,10 +88,6 @@ pub struct MapReduceEngine {
     /// retried/speculative attempts and repeated jobs never collide on
     /// a DFS path.
     shuffle_seq: AtomicU64,
-    /// Whether the fault plan's storage-layer gray failures have been
-    /// armed on the shuffle DFS (once per engine: flaky-read budgets
-    /// are consumable and must not be re-armed per job).
-    dfs_faults_armed: AtomicBool,
 }
 
 impl MapReduceEngine {
@@ -100,7 +101,6 @@ impl MapReduceEngine {
             recorder: Recorder::disabled(),
             shuffle_dfs: Mutex::new(None),
             shuffle_seq: AtomicU64::new(0),
-            dfs_faults_armed: AtomicBool::new(false),
         }
     }
 
@@ -218,7 +218,6 @@ impl MapReduceEngine {
         let job = self.open_shuffle(&frame.config, partitioner);
         let n_maps = splits.len();
         let outputs = (|| -> Result<Vec<F::Output>, GesallError> {
-            // ---- Map wave ---------------------------------------------
             let map_outputs: TaskOutputs<MapOutput> =
                 (0..n_maps).map(|_| Mutex::new(None)).collect();
             let prefs: Vec<Option<usize>> = splits.iter().map(|s| s.preferred_node).collect();
@@ -238,32 +237,69 @@ impl MapReduceEngine {
                 excluded.dedup();
                 job.dfs.file_available_excluding(&out.path, &excluded)
             };
-            run_wave(self, TaskKind::Map, &frame, &prefs, &map_outputs, Some(&survives), |at| {
-                self.map_task(&job, mapper, &splits[at.task], at)
-            })?;
-            let map_outputs = committed(map_outputs, "map")?;
-
-            // ---- Shuffle matrix ---------------------------------------
-            // Bytes each reducer pulls from each map output. Recorded
-            // once, between the waves, so retried or speculative reduce
-            // attempts cannot double-count a cell.
-            if self.recorder.is_enabled() {
-                for (m, out) in map_outputs.iter().enumerate() {
-                    for (r, meta) in out.metas.iter().enumerate() {
-                        self.recorder
-                            .shuffle_cell(m, r, meta.wire_len as u64, meta.compressed);
-                    }
+            // A node death fired by another job's wave on this shared
+            // engine re-runs only that job's lost maps. So this job probes
+            // its committed maps itself — before the reduce wave, and when
+            // a reducer found an input gone — and re-runs the lost ones:
+            // Hadoop's fetch failure → map re-execution. Each death fires
+            // once, so the loop ends; MAX_ATTEMPTS rounds bound it anyway.
+            let evict_lost = || -> usize {
+                let lost: Vec<usize> = (0..n_maps).filter(|&t| !survives(t)).collect();
+                for &t in &lost {
+                    *map_outputs[t].lock() = None;
                 }
-            }
-
-            // ---- Reduce wave ------------------------------------------
+                frame.counters.add(keys::MAPS_RERUN_ON_NODE_LOSS, lost.len() as u64);
+                lost.len()
+            };
+            let inputs_survive = |_: usize| (0..n_maps).all(&survives);
             let reduce_outputs: TaskOutputs<_> =
                 (0..job.n_reducers).map(|_| Mutex::new(None)).collect();
             let no_prefs = vec![None; job.n_reducers];
-            run_wave(self, TaskKind::Reduce, &frame, &no_prefs, &reduce_outputs, None, |at| {
-                self.reduce_task(&job, reducer, format, &map_outputs, at)
-            })?;
-            committed(reduce_outputs, "reduce")
+            let (mut reruns, mut matrix_recorded) = (0, false);
+            loop {
+                // ---- Map wave -----------------------------------------
+                run_wave(self, TaskKind::Map, &frame, &prefs, &map_outputs, Some(&survives), |at| {
+                    self.map_task(&job, mapper, &splits[at.task], at)
+                })?;
+                if reruns < MAX_ATTEMPTS && evict_lost() > 0 {
+                    reruns += 1;
+                    continue;
+                }
+                let maps = committed(map_outputs.iter().map(|slot| slot.lock().clone()), "map")?;
+
+                // ---- Shuffle matrix -----------------------------------
+                // Bytes each reducer pulls from each map output. Recorded
+                // once, before the first reduce wave, so retried or
+                // speculative reduce attempts cannot double-count a cell.
+                if !matrix_recorded && self.recorder.is_enabled() {
+                    matrix_recorded = true;
+                    for (m, out) in maps.iter().enumerate() {
+                        for (r, meta) in out.metas.iter().enumerate() {
+                            self.recorder
+                                .shuffle_cell(m, r, meta.wire_len as u64, meta.compressed);
+                        }
+                    }
+                }
+
+                // ---- Reduce wave --------------------------------------
+                let reduced = run_wave(
+                    self,
+                    TaskKind::Reduce,
+                    &frame,
+                    &no_prefs,
+                    &reduce_outputs,
+                    Some(&inputs_survive),
+                    |at| self.reduce_task(&job, reducer, format, &maps, at),
+                );
+                if let Err(e) = reduced {
+                    if reruns == MAX_ATTEMPTS || evict_lost() == 0 {
+                        return Err(e);
+                    }
+                    reruns += 1;
+                    continue;
+                }
+                return committed(reduce_outputs.into_iter().map(Mutex::into_inner), "reduce");
+            }
         })();
         // Drop every shipped map output for this run, whether the job
         // succeeded or not — losing attempts leave orphans at unique
@@ -277,28 +313,14 @@ impl MapReduceEngine {
         Ok(frame.finish(&self.recorder, outputs?, meta))
     }
 
-    /// Set up one job's shuffle: the transit DFS (the plan's
-    /// storage-layer gray failures armed on it), this run's directory and
-    /// the codec its map outputs travel under.
+    /// Set up one job's shuffle: the transit DFS and this run's
+    /// directory.
     fn open_shuffle<'a, K: Wire>(
         &self,
         config: &'a JobConfig,
         partitioner: &'a dyn Partitioner<K>,
     ) -> ShuffleJob<'a, K> {
         let dfs = self.shuffle_dfs();
-        // Once per engine: flaky-read budgets are consumable.
-        let faults = self.fault_plan.dfs_faults();
-        if !faults.is_empty() && !self.dfs_faults_armed.swap(true, Ordering::SeqCst) {
-            for c in &faults.corrupt_blocks {
-                dfs.inject_corrupt_on_write(&c.path_contains, c.block, c.replica);
-            }
-            for &(node, n) in &faults.flaky_reads {
-                dfs.inject_flaky_reads(node, n);
-            }
-            for &(node, ms) in &faults.slow_nodes {
-                dfs.inject_slow_node(node, ms);
-            }
-        }
         // Per-run shuffle directory: the id makes repeated jobs on one
         // engine (and their retried attempts' files) disjoint. The run
         // counter is monotone per engine — never wall-clock derived — so
@@ -314,7 +336,6 @@ impl MapReduceEngine {
             config,
             n_reducers: config.n_reducers.max(1),
             partitioner,
-            codec: config.shuffle_codec.unwrap_or(Codec::Lz),
             n_dfs_nodes: dfs.config().n_nodes,
             dfs,
             base,
@@ -337,7 +358,7 @@ impl MapReduceEngine {
             job.config.io_sort_bytes,
             job.n_reducers,
             job.partitioner,
-            job.codec,
+            SHUFFLE_CODEC,
             bag.clone(),
         );
         drive_mapper(mapper, split, bag, &mut |k, v| buf.emit(k, v));
@@ -493,7 +514,7 @@ impl MapReduceEngine {
             out
         })?;
 
-        let outputs = committed(outputs, "map")?;
+        let outputs = committed(outputs.into_iter().map(Mutex::into_inner), "map")?;
         let meta = vec![("n_maps".into(), n_maps.to_string())];
         Ok(frame.finish(&self.recorder, outputs, meta))
     }
@@ -521,9 +542,6 @@ struct ShuffleJob<'a, K> {
     config: &'a JobConfig,
     n_reducers: usize,
     partitioner: &'a dyn Partitioner<K>,
-    /// Codec map-output partitions of at least `COMPRESS_MIN_BYTES`
-    /// travel under.
-    codec: Codec,
     /// The transit DFS; engine node `n` is co-located with its datanode
     /// `n % n_dfs_nodes`.
     dfs: Dfs,
@@ -573,9 +591,12 @@ impl JobFrame {
 /// Every task's committed output, in task order. A wave that returned
 /// `Ok` has committed them all; a hole is an engine bug, reported rather
 /// than unwrapped.
-fn committed<T>(outputs: TaskOutputs<T>, wave: &str) -> Result<Vec<T>, GesallError> {
+fn committed<T>(
+    outputs: impl IntoIterator<Item = Option<T>>,
+    wave: &str,
+) -> Result<Vec<T>, GesallError> {
     let hole = || GesallError::Runtime(format!("{wave} wave ended without committed output"));
-    outputs.into_iter().map(|slot| slot.into_inner().ok_or_else(hole)).collect()
+    outputs.into_iter().map(|slot| slot.ok_or_else(hole)).collect()
 }
 
 #[cfg(test)]
@@ -935,7 +956,6 @@ mod tests {
         let cfg = JobConfig {
             n_reducers: 3,
             io_sort_bytes: 4096,
-            retry_backoff_ms: 1.0,
             speculative: false,
             ..JobConfig::default()
         };
@@ -969,7 +989,6 @@ mod tests {
             .with_fault_plan(FaultPlan::seeded(3).slow_down(TaskKind::Map, 0, 0, 2_000));
         let cfg = JobConfig {
             n_reducers: 2,
-            speculative_min_runtime_ms: 10.0,
             ..JobConfig::default()
         };
         let res = engine

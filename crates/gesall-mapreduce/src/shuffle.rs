@@ -31,9 +31,15 @@ pub use merge::{merge_runs, reduce_merge_streamed};
 pub use sort::{SortSpillBuffer, SpillArena, SPILL_ARENA_MAX_FREE};
 
 /// Compression threshold: a partition payload smaller than this travels
-/// raw whatever codec the job asks for — the codec container +
-/// dictionary warm-up costs more than it saves on tiny segments.
+/// raw — the codec container + dictionary warm-up costs more than it
+/// saves on tiny segments.
 pub const COMPRESS_MIN_BYTES: usize = 1024;
+
+/// The codec map-output partitions of at least [`COMPRESS_MIN_BYTES`]
+/// travel under (the paper's Snappy setting), for every record type: on
+/// an in-process DFS the bytes [`Codec::Seq`] saves on alignment records
+/// buy nothing and its encode costs twice Lz's (DESIGN.md §14).
+pub const SHUFFLE_CODEC: Codec = Codec::Lz;
 
 /// One sorted run of encoded (key, value) records.
 ///

@@ -24,12 +24,33 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+/// Attempts a task gets (`mapreduce.map.maxattempts`); the failure of
+/// the last aborts the job.
+pub const MAX_ATTEMPTS: usize = 4;
+
+/// Delay before a failed task's first retry, doubled by each further
+/// failure of the same task.
+pub const RETRY_BACKOFF_MS: f64 = 10.0;
+
+/// An attempt is a straggler once more than half of its wave has
+/// committed and it has run this multiple of the median completed-attempt
+/// runtime: the break-even point, where the overrun equals what the
+/// backup costs.
+pub const SPECULATIVE_MULTIPLIER: f64 = 2.0;
+
+/// ... but never before it has run this long, so micro-tasks are not
+/// pointlessly backed up.
+pub const SPECULATIVE_MIN_RUNTIME_MS: f64 = 25.0;
+
 /// Per-task output slots: `None` until the task's winning attempt commits.
 pub(crate) type TaskOutputs<O> = Vec<Mutex<Option<O>>>;
 
-/// A committed map task's decision on whether its outputs survive a
-/// node death: reducers re-fetch from a surviving replica instead of
-/// the engine re-running the map.
+/// Whether a task's data outlived the node deaths so far. In a map wave:
+/// a committed task's output, which reducers re-fetch from a surviving
+/// replica instead of the engine re-running the map. In a reduce wave:
+/// the task's inputs, every committed map's output — a failed attempt
+/// whose inputs died ends the wave at once, for the job to re-run the
+/// lost maps.
 pub(crate) type SurvivalCheck<'a> = Option<&'a (dyn Fn(usize) -> bool + Sync)>;
 
 /// What a task body is told about the attempt it is running as.
@@ -43,7 +64,9 @@ pub(crate) struct AttemptCtx<'a> {
 }
 
 /// Execute one wave of tasks with per-node container slots, attempt
-/// retries, speculative backups, and node-loss recovery.
+/// retries, speculative backups, and node-loss recovery. Only the tasks
+/// without a committed output run, their attempts numbered on from the
+/// job's earlier waves of the same kind.
 pub(crate) fn run_wave<T, F>(
     engine: &MapReduceEngine,
     kind: TaskKind,
@@ -64,11 +87,15 @@ where
     };
     let recorder = engine.recorder();
     let wave_span = recorder.start(SpanKind::Wave, wave_name, frame.span.id);
-    let done: Vec<AtomicBool> = (0..n_tasks).map(|_| AtomicBool::new(false)).collect();
+    let done: Vec<AtomicBool> =
+        outputs.iter().map(|o| AtomicBool::new(o.lock().is_some())).collect();
+    let to_run: Vec<usize> = (0..n_tasks).filter(|&t| !done[t].load(Ordering::SeqCst)).collect();
+    let prior = frame.events.lock();
     let state = Mutex::new(WaveState {
-        pending: (0..n_tasks)
-            .map(|t| PendingTask {
-                task: t,
+        pending: to_run
+            .iter()
+            .map(|&task| PendingTask {
+                task,
                 not_before: None,
             })
             .collect(),
@@ -77,16 +104,22 @@ where
             .map(|t| TaskState {
                 preferred: prefs[t],
                 failures: 0,
-                next_attempt: 0,
+                next_attempt: prior
+                    .iter()
+                    .filter(|e| e.kind == kind && e.task_id == t)
+                    .map(|e| e.attempt + 1)
+                    .max()
+                    .unwrap_or(0),
                 backup_launched: false,
                 home: None,
             })
             .collect(),
-        remaining: n_tasks,
+        remaining: to_run.len(),
         completed_ms: Vec::new(),
         total_commits: 0,
         fatal: None,
     });
+    drop(prior);
     // Wakes idle workers when the schedule changes (commit, requeue,
     // fatal) instead of letting them busy-poll the state mutex.
     let idle = Condvar::new();
@@ -265,9 +298,9 @@ struct WaveCtx<'a, T> {
     idle: &'a Condvar,
     done: &'a [AtomicBool],
     outputs: &'a [Mutex<Option<T>>],
-    /// Probe whether a committed task's output survives a node death
-    /// (the transit DFS may hold a replica); `None` means outputs live
-    /// only on their home node.
+    /// Probe whether a task's data survives the node deaths so far (see
+    /// [`SurvivalCheck`]); `None` in a map wave means outputs live only
+    /// on their home node.
     survives: SurvivalCheck<'a>,
 }
 
@@ -381,8 +414,7 @@ impl<T> WaveCtx<'_, T> {
             let mut sorted = st.completed_ms.clone();
             sorted.sort_by(f64::total_cmp);
             let median = sorted[sorted.len() / 2];
-            let threshold = (self.frame.config.speculative_multiplier * median)
-                .max(self.frame.config.speculative_min_runtime_ms);
+            let threshold = (SPECULATIVE_MULTIPLIER * median).max(SPECULATIVE_MIN_RUNTIME_MS);
             let straggler = st.running.iter().position(|r| {
                 !r.speculative
                     && !self.done[r.task].load(Ordering::SeqCst)
@@ -523,7 +555,11 @@ impl<T> WaveCtx<'_, T> {
                 st.tasks[a.task].failures += 1;
                 let failures = st.tasks[a.task].failures;
                 log_event(AttemptOutcome::Failed, Some(msg.clone()));
-                if failures >= self.frame.config.max_attempts {
+                // A reducer whose inputs died with a node fails on every
+                // retry: end the wave now and let the job re-run the maps.
+                let inputs_lost = self.kind == TaskKind::Reduce
+                    && self.survives.is_some_and(|check| !check(a.task));
+                if failures >= MAX_ATTEMPTS || inputs_lost {
                     st.fatal = Some(GesallError::TaskFailed {
                         kind: self.kind,
                         task_id: a.task,
@@ -531,8 +567,7 @@ impl<T> WaveCtx<'_, T> {
                         last_error: msg,
                     });
                 } else {
-                    let backoff = self.frame.config.retry_backoff_ms
-                        * (1u64 << (failures - 1).min(16)) as f64;
+                    let backoff = RETRY_BACKOFF_MS * (1u64 << (failures - 1)) as f64;
                     st.pending.push(PendingTask {
                         task: a.task,
                         not_before: Some(Instant::now() + Duration::from_secs_f64(backoff / 1e3)),

@@ -1,15 +1,16 @@
-//! Shuffle codec integration: the codec map-output segments travel
-//! under is a transport detail — a job's reduce output must be
-//! byte-identical whether the segments ship Raw, Lz, or Seq, while the
-//! DFS shuffle bytes shrink with the stronger domain codec. A job that
-//! names no codec ships Lz.
+//! Shuffle codec integration: the codec a map-output segment travels
+//! under is a transport detail. Every registered codec carries the same
+//! sorted runs through a segment, its wire frame and the reduce-side
+//! merge to identical grouped records, while the wire bytes shrink with
+//! the stronger domain codec. A job ships under the engine's
+//! `shuffle::SHUFFLE_CODEC`, Lz.
 
-use gesall_dfs::{Dfs, DfsConfig};
 use gesall_formats::sam::SamRecord;
-use gesall_formats::Codec;
+use gesall_formats::{Codec, SharedBytes};
 use gesall_mapreduce::counters::keys;
+use gesall_mapreduce::shuffle::{read_frame, reduce_merge_streamed, write_frame, Segment};
 use gesall_mapreduce::{
-    ClusterResources, HashPartitioner, InputSplit, JobConfig, JobResult, MapContext,
+    ClusterResources, Counters, HashPartitioner, InputSplit, JobConfig, MapContext,
     MapReduceEngine, Mapper, ReduceContext, Reducer,
 };
 
@@ -22,7 +23,7 @@ impl Mapper for Route {
     type OutKey = u64;
     type OutValue = SamRecord;
     fn map(&self, _k: &u64, rec: &SamRecord, ctx: &mut MapContext<'_, u64, SamRecord>) {
-        ctx.emit(rec.pos as u64 / 64, rec.clone());
+        ctx.emit(bucket(rec), rec.clone());
     }
 }
 
@@ -37,6 +38,10 @@ impl Reducer for Collect {
             ctx.emit(k, v);
         }
     }
+}
+
+fn bucket(rec: &SamRecord) -> u64 {
+    rec.pos as u64 / 64
 }
 
 /// Deterministic aligned-read-shaped records: 100bp DNA, noisy quals,
@@ -55,8 +60,7 @@ fn sam_splits(n_splits: usize, per_split: usize) -> Vec<InputSplit<u64, SamRecor
                 .map(|i| {
                     let seq: Vec<u8> = (0..100).map(|_| b"ACGT"[(next() % 4) as usize]).collect();
                     let qual: Vec<u8> = (0..100).map(|_| 30 + (next() % 7) as u8).collect();
-                    let mut rec =
-                        SamRecord::unmapped(format!("read{:05}-{:02}", i, s), seq, qual);
+                    let mut rec = SamRecord::unmapped(format!("read{:05}-{:02}", i, s), seq, qual);
                     rec.pos = (s * per_split + i) as i64 * 3;
                     (i as u64, rec)
                 })
@@ -66,89 +70,146 @@ fn sam_splits(n_splits: usize, per_split: usize) -> Vec<InputSplit<u64, SamRecor
         .collect()
 }
 
-/// Maximum wire bytes through the transit DFS for the Seq-codec shuffle
-/// as a fraction of its Lz twin's, at byte-identical reduce output.
+/// Maximum wire bytes of the Seq-coded runs as a fraction of their Lz
+/// twins', at identical grouped output.
 const SEQ_VS_LZ_MAX_RATIO: f64 = 0.8;
 
-/// The job with its codec forced, or with none named (`None`).
-fn run_with(codec: Option<Codec>) -> JobResult<u64, SamRecord> {
-    let dfs = Dfs::new(DfsConfig {
-        n_nodes: 3,
-        block_size: 64 * 1024,
-        replication: 2,
-        ..DfsConfig::default()
-    });
-    let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)).with_shuffle_dfs(dfs);
-    let cfg = JobConfig {
-        name: format!("codec-twin-{}", codec.map_or("default", Codec::name)),
-        n_reducers: 3,
-        io_sort_bytes: 64 * 1024,
-        shuffle_codec: codec,
-        speculative: false,
-        ..JobConfig::default()
+/// Every split as one sorted run, keyed as [`Route`] keys it — what a
+/// map task ships for a single reducer.
+fn sorted_runs() -> Vec<Vec<(u64, SamRecord)>> {
+    sam_splits(4, 120)
+        .into_iter()
+        .map(|split| {
+            let mut run: Vec<(u64, SamRecord)> = split
+                .records
+                .into_iter()
+                .map(|(_, rec)| (bucket(&rec), rec))
+                .collect();
+            run.sort_by_key(|(k, _)| *k);
+            run
+        })
+        .collect()
+}
+
+/// A reducer's merged input: each key with its records.
+type Grouped = Vec<(u64, Vec<SamRecord>)>;
+
+/// The runs coded under `codec`, framed back to back into one buffer,
+/// read frame by frame and merged with fan-in 2 (a multipass merge over
+/// four runs): the grouped records and the merge's shuffle counters.
+fn ship_and_merge(runs: &[Vec<(u64, SamRecord)>], codec: Codec) -> (Grouped, Counters) {
+    let mut wire = Vec::new();
+    for run in runs {
+        write_frame(&Segment::from_pairs(run, codec), &mut wire);
+    }
+    let wire = SharedBytes::from_vec(wire);
+    let mut offset = 0;
+    let next_segment = || {
+        if offset == wire.len() {
+            return None;
+        }
+        let (seg, end) = read_frame(&wire, offset).expect("a frame this test wrote must parse");
+        offset = end;
+        Some(seg)
     };
-    engine
-        .run_job(cfg, &Route, &Collect, &HashPartitioner, sam_splits(4, 120))
-        .expect("codec twin job must succeed")
+    let counters = Counters::new();
+    let grouped = reduce_merge_streamed(runs.len(), next_segment, 2, &counters);
+    assert_eq!(
+        offset,
+        wire.len(),
+        "{}: every frame is read once",
+        codec.name()
+    );
+    (grouped, counters)
 }
 
 #[test]
-fn reduce_output_is_identical_across_every_shuffle_codec() {
-    let raw = run_with(Some(Codec::Raw));
-    let lz = run_with(Some(Codec::Lz));
-    let seq = run_with(Some(Codec::Seq));
+fn grouped_output_is_identical_across_every_registered_codec() {
+    let runs = sorted_runs();
+    let n_records: usize = runs.iter().map(Vec::len).sum();
+    let shipped: Vec<(Codec, Grouped, Counters)> = Codec::registry()
+        .iter()
+        .map(|&codec| {
+            let (grouped, counters) = ship_and_merge(&runs, codec);
+            (codec, grouped, counters)
+        })
+        .collect();
 
-    // Byte-identical reduce output: same reducers, same keys, same
-    // record order. (Scheduling is deterministic here — no speculation,
-    // no faults — and the multipass merge's pass structure depends only
-    // on run counts, which the codec cannot change.)
-    assert_eq!(raw.outputs, lz.outputs, "Raw vs Lz reduce output diverged");
-    assert_eq!(lz.outputs, seq.outputs, "Lz vs Seq reduce output diverged");
-    assert!(raw.outputs.iter().flatten().count() > 0);
-
-    // The codec override actually took: `Some(Raw)` is compression off,
-    // the others compress every partition above COMPRESS_MIN_BYTES.
-    assert_eq!(raw.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED), 0);
-    assert!(lz.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED) > 0);
-    assert!(seq.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED) > 0);
-
-    // And the wire bytes order as the codecs' strength predicts on
-    // genomic payloads: general LZ beats shipping raw, and Seq (2-bit
-    // bases + grouped literals) has to pay for itself — at most
-    // SEQ_VS_LZ_MAX_RATIO of the Lz twin's wire bytes, not merely fewer.
-    let b = |r: &JobResult<u64, SamRecord>| r.counters.get(keys::SHUFFLE_BYTES_DFS);
+    // Identical grouped records: same keys, same records, same order
+    // within a key — the merge's pass structure depends only on run
+    // counts, which the codec cannot change.
+    let (_, first, _) = &shipped[0];
     assert!(
-        b(&seq) as f64 <= b(&lz) as f64 * SEQ_VS_LZ_MAX_RATIO && b(&lz) < b(&raw),
-        "expected seq <= {SEQ_VS_LZ_MAX_RATIO} x lz and lz < raw, got seq={} lz={} raw={}",
-        b(&seq),
-        b(&lz),
-        b(&raw)
+        first.windows(2).all(|w| w[0].0 < w[1].0),
+        "keys come out sorted and grouped"
     );
-
-    // Locality accounting covered the fetches: every shuffled byte was
-    // tallied as local or remote.
-    for r in [&raw, &lz, &seq] {
-        let local = r.counters.get(keys::SHUFFLE_FETCH_BYTES_LOCAL);
-        let remote = r.counters.get(keys::SHUFFLE_FETCH_BYTES_REMOTE);
-        assert!(
-            local + remote >= b(r),
-            "local {local} + remote {remote} must cover the fetched frames {}",
-            b(r)
+    assert_eq!(
+        first.iter().map(|(_, vs)| vs.len()).sum::<usize>(),
+        n_records
+    );
+    for (codec, grouped, _) in &shipped[1..] {
+        assert_eq!(
+            grouped,
+            first,
+            "{} diverged from {}",
+            codec.name(),
+            shipped[0].0.name()
         );
     }
+
+    // Raw ships every run uncompressed, every other codec compresses
+    // them all (each run is above COMPRESS_MIN_BYTES).
+    for (codec, _, counters) in &shipped {
+        let compressed = counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED);
+        let want = if codec.is_compressed() {
+            runs.len() as u64
+        } else {
+            0
+        };
+        assert_eq!(compressed, want, "{} compressed segments", codec.name());
+    }
+
+    // The wire bytes order as the codecs' strength predicts on genomic
+    // payloads: general LZ beats shipping raw, and Seq (2-bit bases +
+    // grouped literals) has to pay for itself — at most
+    // SEQ_VS_LZ_MAX_RATIO of the Lz twin's wire bytes, not merely fewer.
+    let bytes = |want: Codec| {
+        let (_, _, counters) = shipped
+            .iter()
+            .find(|(c, _, _)| *c == want)
+            .expect("registered");
+        counters.get(keys::SHUFFLE_BYTES)
+    };
+    let (raw, lz, seq) = (bytes(Codec::Raw), bytes(Codec::Lz), bytes(Codec::Seq));
+    assert!(
+        seq as f64 <= lz as f64 * SEQ_VS_LZ_MAX_RATIO && lz < raw,
+        "expected seq <= {SEQ_VS_LZ_MAX_RATIO} x lz and lz < raw, got seq={seq} lz={lz} raw={raw}"
+    );
 }
 
 #[test]
-fn a_job_without_an_override_ships_lz() {
-    // No job override: every record type, alignment records included,
-    // travels under Lz — the same bytes through the transit DFS as a
-    // job that forces it.
-    let default = run_with(None);
-    let forced = run_with(Some(Codec::Lz));
-    assert_eq!(default.outputs, forced.outputs);
-    assert!(default.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED) > 0);
-    assert_eq!(
-        default.counters.get(keys::SHUFFLE_BYTES_DFS),
-        forced.counters.get(keys::SHUFFLE_BYTES_DFS)
+fn a_default_job_ships_its_partitions_compressed() {
+    let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096));
+    let cfg = JobConfig {
+        name: "codec-default".into(),
+        n_reducers: 3,
+        io_sort_bytes: 64 * 1024,
+        ..JobConfig::default()
+    };
+    let res = engine
+        .run_job(cfg, &Route, &Collect, &HashPartitioner, sam_splits(4, 120))
+        .expect("a fault-free job must succeed");
+
+    assert!(res.counters.get(keys::SHUFFLE_SEGMENTS_COMPRESSED) > 0);
+    assert_eq!(res.outputs.iter().map(Vec::len).sum::<usize>(), 4 * 120);
+    // Locality accounting covered the fetches: every shuffled byte was
+    // tallied as local or remote.
+    let local = res.counters.get(keys::SHUFFLE_FETCH_BYTES_LOCAL);
+    let remote = res.counters.get(keys::SHUFFLE_FETCH_BYTES_REMOTE);
+    let fetched = res.counters.get(keys::SHUFFLE_BYTES_DFS);
+    assert!(fetched > 0);
+    assert!(
+        local + remote >= fetched,
+        "local {local} + remote {remote} must cover the fetched frames {fetched}"
     );
 }

@@ -4,7 +4,7 @@
 
 use gesall_formats::wire::{Cursor, Wire};
 use gesall_mapreduce::counters::keys;
-use gesall_mapreduce::runtime::AttemptOutcome;
+use gesall_mapreduce::runtime::{AttemptOutcome, MAX_ATTEMPTS, RETRY_BACKOFF_MS};
 use gesall_mapreduce::{
     ClusterResources, Counters, FaultPlan, GesallError, HashPartitioner, InputSplit, JobConfig,
     MapContext, MapReduceEngine, Mapper, OutputFormat, RecordWriter, ReduceContext, Reducer,
@@ -12,7 +12,8 @@ use gesall_mapreduce::{
 };
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use gesall_telemetry::SpanKind;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 
@@ -73,7 +74,6 @@ fn quick_cfg() -> JobConfig {
     JobConfig {
         n_reducers: 3,
         io_sort_bytes: 4096,
-        retry_backoff_ms: 1.0,
         speculative: false,
         ..JobConfig::default()
     }
@@ -126,18 +126,58 @@ fn panicking_attempts_are_retried_until_success() {
 
 #[test]
 fn job_fails_after_max_attempts() {
-    // Every attempt of map task 1 panics; with max_attempts = 2 the job
-    // must abort with a TaskFailed naming the task.
-    let plan = FaultPlan::seeded(2)
-        .panic_on(TaskKind::Map, 1, 0)
-        .panic_on(TaskKind::Map, 1, 1);
-    let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_fault_plan(plan);
-    let cfg = JobConfig {
-        max_attempts: 2,
-        ..quick_cfg()
+    assert_eq!(MAX_ATTEMPTS, 4);
+    let engine = |plan: FaultPlan| {
+        MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_fault_plan(plan)
     };
-    let err = engine
-        .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(6, 20))
+    // Map task 1 panics on every attempt but the engine's last: the job
+    // is rescued, and each retry waited out its backoff — at least
+    // RETRY_BACKOFF_MS · 2^(k−1) after failure k ended. Lower bounds
+    // only: a loaded machine can only stretch the gaps.
+    let last = MAX_ATTEMPTS - 1;
+    let plan = (0..last).fold(FaultPlan::seeded(2), |p, a| p.panic_on(TaskKind::Map, 1, a));
+    let res = engine(plan)
+        .run_job(
+            quick_cfg(),
+            &Tokenize,
+            &Sum,
+            &HashPartitioner,
+            word_splits(6, 20),
+        )
+        .expect("the last attempt rescues the task");
+    let mut attempts: Vec<_> = res
+        .events
+        .iter()
+        .filter(|e| e.kind == TaskKind::Map && e.task_id == 1)
+        .collect();
+    attempts.sort_by_key(|e| e.attempt);
+    assert_eq!(attempts.len(), MAX_ATTEMPTS);
+    assert_eq!(attempts[last].outcome, AttemptOutcome::Succeeded);
+    for (k, pair) in attempts.windows(2).enumerate() {
+        let (failed, retry) = (pair[0], pair[1]);
+        assert_eq!(failed.outcome, AttemptOutcome::Failed);
+        let backoff = RETRY_BACKOFF_MS * (1u64 << k) as f64;
+        let gap = retry.start_ms - failed.end_ms;
+        assert!(
+            gap >= backoff - 1e-6,
+            "retry {} started {gap} ms after failure {}, under its {backoff} ms backoff",
+            k + 1,
+            k + 1
+        );
+    }
+
+    // One more panicking attempt than the engine makes: the job aborts
+    // with a TaskFailed naming the task, after exactly MAX_ATTEMPTS.
+    let plan =
+        (0..=MAX_ATTEMPTS).fold(FaultPlan::seeded(2), |p, a| p.panic_on(TaskKind::Map, 1, a));
+    let err = engine(plan)
+        .run_job(
+            quick_cfg(),
+            &Tokenize,
+            &Sum,
+            &HashPartitioner,
+            word_splits(6, 20),
+        )
         .expect_err("job must abort once the task is out of attempts");
     match err {
         GesallError::TaskFailed {
@@ -148,7 +188,7 @@ fn job_fails_after_max_attempts() {
         } => {
             assert_eq!(kind, TaskKind::Map);
             assert_eq!(task_id, 1);
-            assert_eq!(attempts, 2);
+            assert_eq!(attempts, MAX_ATTEMPTS);
             assert!(last_error.contains("injected panic"), "{last_error}");
         }
         other => panic!("expected TaskFailed, got {other}"),
@@ -157,14 +197,13 @@ fn job_fails_after_max_attempts() {
 
 #[test]
 fn speculative_backup_beats_slowed_original() {
-    // Map task 0's first attempt is stretched far past the median; the
-    // straggler detector must launch a backup, which wins the race.
+    // Map task 0's first attempt is stretched far past the engine's
+    // straggler threshold (2× the median, at least 25 ms); the detector
+    // must launch a backup, which wins the race.
     let plan = FaultPlan::seeded(3).slow_down(TaskKind::Map, 0, 0, 5_000);
     let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_fault_plan(plan);
     let cfg = JobConfig {
         speculative: true,
-        speculative_multiplier: 1.5,
-        speculative_min_runtime_ms: 10.0,
         ..quick_cfg()
     };
     let res = engine
@@ -282,6 +321,234 @@ fn fault_free_output_12() -> Vec<(String, u64)> {
         .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
         .expect("fault-free job");
     sorted_output(&res)
+}
+
+/// Holds every caller of [`Gate::pass`] until the gate opens, counting
+/// who arrived.
+#[derive(Default)]
+struct Gate {
+    open: AtomicBool,
+    entered: AtomicUsize,
+}
+
+impl Gate {
+    fn pass(&self) {
+        self.entered.fetch_add(1, SeqCst);
+        while !self.open.load(SeqCst) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    fn wait_entered(&self, n: usize) {
+        wait_until(|| self.entered.load(SeqCst) >= n);
+    }
+}
+
+/// Opens the gate when dropped, so a failing assertion cannot leave a
+/// job parked at it.
+struct OpensOnDrop<'a>(&'a Gate);
+impl Drop for OpensOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.open.store(true, SeqCst);
+    }
+}
+
+fn wait_until(cond: impl Fn() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "condition not reached in 20 s");
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// [`Tokenize`], except that a record keyed [`GATE_KEY`] waits at the
+/// gate (and emits nothing).
+struct GatedTokenize<'a>(&'a Gate);
+const GATE_KEY: u64 = u64::MAX;
+impl Mapper for GatedTokenize<'_> {
+    type InKey = u64;
+    type InValue = String;
+    type OutKey = String;
+    type OutValue = u64;
+    fn map(&self, k: &u64, line: &String, ctx: &mut MapContext<'_, String, u64>) {
+        if *k == GATE_KEY {
+            self.0.pass();
+        }
+        Tokenize.map(k, line, ctx);
+    }
+}
+
+/// [`Sum`], except that every reduce attempt waits at the gate once its
+/// partition is fetched and reduced.
+struct GatedSum<'a>(&'a Gate);
+impl Reducer for GatedSum<'_> {
+    type InKey = String;
+    type InValue = u64;
+    type OutKey = String;
+    type OutValue = u64;
+    fn reduce(&self, k: String, vs: Vec<u64>, ctx: &mut ReduceContext<'_, String, u64>) {
+        Sum.reduce(k, vs, ctx);
+    }
+    fn finish(&self, _ctx: &mut ReduceContext<'_, String, u64>) {
+        self.0.pass();
+    }
+}
+
+/// Two nodes with one slot each and an unreplicated transit DFS wired
+/// to the engine's node-death hook, as the platform wires it: node 1
+/// dies at the third map commit of whichever wave gets there first —
+/// never the two-map bystander's.
+fn shared_engine_losing_node_1() -> MapReduceEngine {
+    use gesall_dfs::{Dfs, DfsConfig};
+    let dfs = Dfs::new(DfsConfig {
+        n_nodes: 2,
+        block_size: 1 << 20,
+        replication: 1,
+        ..DfsConfig::default()
+    });
+    let hook_dfs = dfs.clone();
+    MapReduceEngine::new(ClusterResources::uniform(2, 1, 4096))
+        .with_shuffle_dfs(dfs)
+        .with_fault_plan(FaultPlan::seeded(5).kill_node_after_maps(1, 3))
+        .on_node_death(move |node| {
+            let report = hook_dfs.fail_node(node);
+            hook_dfs.re_replicate_blocks(&report.under_replicated);
+        })
+        .with_recorder(gesall_telemetry::Recorder::new())
+}
+
+/// The bystander job's input: split 0 prefers node 1, split 1 prefers
+/// node 0 and ends with a record keyed [`GATE_KEY`]. With one slot per
+/// node each node's worker takes its own split first, so split 0's
+/// output is homed on node 1.
+fn bystander_splits() -> Vec<InputSplit<u64, String>> {
+    let mut splits = word_splits(2, 10);
+    splits[1].records.push((GATE_KEY, String::new()));
+    let mut splits = splits.into_iter();
+    let s0 = splits.next().unwrap().at_node(1);
+    let s1 = splits.next().unwrap().at_node(0);
+    vec![s0, s1]
+}
+
+fn bystander_cfg() -> JobConfig {
+    JobConfig {
+        name: "bystander".into(),
+        ..quick_cfg()
+    }
+}
+
+/// The other job, whose map wave fires the death.
+fn run_killer(engine: &MapReduceEngine) {
+    let cfg = JobConfig {
+        name: "killer".into(),
+        ..quick_cfg()
+    };
+    let res = engine
+        .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(4, 10))
+        .expect("the job that fires the death recovers its own maps");
+    assert_eq!(engine.dead_nodes(), vec![1], "the killer's third commit fires the death");
+    let quiet = MapReduceEngine::new(ClusterResources::uniform(2, 1, 4096))
+        .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(4, 10))
+        .unwrap();
+    assert_eq!(sorted_output(&res), sorted_output(&quiet));
+}
+
+fn bystander_reference() -> Vec<(String, u64)> {
+    let engine = MapReduceEngine::new(ClusterResources::uniform(2, 1, 4096));
+    let res = engine
+        .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(2, 10))
+        .unwrap();
+    sorted_output(&res)
+}
+
+#[test]
+fn a_death_another_job_fires_reruns_this_jobs_lost_maps_before_its_reduce_wave() {
+    // The bystander's map 0 commits on node 1; its map 1 then holds the
+    // map wave open at the gate while the killer runs and fires node 1's
+    // death. The killer's wave re-runs only its own maps, and the DFS
+    // loses the bystander's unreplicated output with the node — so the
+    // bystander must find the loss itself before reducing.
+    let engine = shared_engine_losing_node_1();
+    let gate = Gate::default();
+    let res = std::thread::scope(|s| {
+        let bystander = s.spawn(|| {
+            engine.run_job(
+                bystander_cfg(),
+                &GatedTokenize(&gate),
+                &Sum,
+                &HashPartitioner,
+                bystander_splits(),
+            )
+        });
+        let opens = OpensOnDrop(&gate);
+        gate.wait_entered(1);
+        wait_until(|| {
+            engine.recorder().spans_of_kind(SpanKind::TaskAttempt).iter().any(|sp| {
+                sp.name == "map-0.0"
+                    && sp.meta.contains(&("outcome".into(), "Succeeded".into()))
+                    && sp.meta.contains(&("node".into(), "1".into()))
+            })
+        });
+        run_killer(&engine);
+        drop(opens);
+        bystander.join().unwrap()
+    })
+    .expect("the bystander re-runs the map it lost and completes");
+
+    assert_eq!(sorted_output(&res), bystander_reference());
+    assert_eq!(res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS), 1);
+    assert_eq!(res.counters.get(keys::FAILED_ATTEMPTS), 0, "no reducer read the lost map");
+    let map0: Vec<_> =
+        res.events.iter().filter(|e| e.kind == TaskKind::Map && e.task_id == 0).collect();
+    assert_eq!(map0.len(), 2, "{map0:?}");
+    assert_eq!((map0[1].attempt, map0[1].node), (1, 0), "the re-run numbers on, on the live node");
+    assert_eq!(engine.recorder().shuffle_cells().len(), (4 + 2) * 3, "one matrix per job");
+}
+
+#[test]
+fn a_reducer_that_finds_its_input_died_with_a_node_reruns_the_lost_map() {
+    // The bystander's maps both commit, map 0 on node 1. Its first two
+    // reduce attempts take both slots and hold them at the gate while the
+    // killer fires node 1's death, so reducer 2 fetches after the loss:
+    // its failure ends the reduce wave at once, the lost map re-runs,
+    // and the reducers without a committed output run again.
+    let engine = shared_engine_losing_node_1();
+    let gate = Gate::default();
+    let res = std::thread::scope(|s| {
+        let bystander = s.spawn(|| {
+            engine.run_job(
+                bystander_cfg(),
+                &Tokenize,
+                &GatedSum(&gate),
+                &HashPartitioner,
+                bystander_splits(),
+            )
+        });
+        let opens = OpensOnDrop(&gate);
+        gate.wait_entered(2);
+        run_killer(&engine);
+        drop(opens);
+        bystander.join().unwrap()
+    })
+    .expect("the bystander re-runs the map it lost and completes");
+
+    assert_eq!(sorted_output(&res), bystander_reference());
+    assert_eq!(res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS), 1);
+    assert_eq!(
+        res.counters.get(keys::FAILED_ATTEMPTS),
+        1,
+        "the first fetch of the lost output ends the wave; no retry spins on it"
+    );
+    let map0_nodes: Vec<usize> = res
+        .events
+        .iter()
+        .filter(|e| {
+            e.kind == TaskKind::Map && e.task_id == 0 && e.outcome == AttemptOutcome::Succeeded
+        })
+        .map(|e| e.node)
+        .collect();
+    assert_eq!(map0_nodes, vec![1, 0]);
+    assert_eq!(engine.recorder().shuffle_cells().len(), (4 + 2) * 3, "one matrix per job");
 }
 
 #[test]
@@ -417,8 +684,6 @@ fn a_tasks_output_is_what_its_committed_attempts_writer_finished_with() {
     let slow = FaultPlan::seeded(5).slow_down(TaskKind::Reduce, 0, 0, 5_000);
     let cfg = JobConfig {
         speculative: true,
-        speculative_multiplier: 1.5,
-        speculative_min_runtime_ms: 10.0,
         ..quick_cfg()
     };
     let raced = job(&engine(slow), cfg);
@@ -531,7 +796,7 @@ fn a_panic_while_sorting_a_spill_fails_the_attempt_not_the_job() {
             ..
         } => {
             assert_eq!(kind, TaskKind::Map);
-            assert_eq!(attempts, quick_cfg().max_attempts);
+            assert_eq!(attempts, MAX_ATTEMPTS);
             assert!(last_error.contains("blew its fuse"), "{last_error}");
         }
         other => panic!("expected TaskFailed, got {other}"),

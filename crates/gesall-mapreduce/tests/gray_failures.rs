@@ -1,15 +1,16 @@
 //! End-to-end gray-failure tests for the DFS-transit shuffle: silent
 //! block corruption, flaky reads, and slow-but-alive nodes — the
-//! storage-layer failure matrix the ISSUE-6 integrity layer exists to
-//! survive. Every scenario must finish with reduce output byte-identical
-//! to the fault-free run; the counters prove the machinery actually
-//! fired rather than the faults never landing.
+//! storage-layer failure matrix the DFS's integrity layer exists to
+//! survive. The faults are armed on the transit DFS itself, before it is
+//! attached to the engine. Every scenario must finish with reduce output
+//! byte-identical to the fault-free run; the counters prove the
+//! machinery actually fired rather than the faults never landing.
 
 use gesall_dfs::{metrics_keys, Dfs, DfsConfig};
 use gesall_mapreduce::counters::keys;
 use gesall_mapreduce::{
-    ClusterResources, FaultPlan, HashPartitioner, InputSplit, JobConfig, MapContext,
-    MapReduceEngine, Mapper, ReduceContext, Reducer,
+    ClusterResources, HashPartitioner, InputSplit, JobConfig, MapContext, MapReduceEngine, Mapper,
+    ReduceContext, Reducer,
 };
 use std::time::Duration;
 
@@ -68,21 +69,29 @@ fn quick_cfg() -> JobConfig {
     JobConfig {
         n_reducers: 3,
         io_sort_bytes: 4096,
-        retry_backoff_ms: 1.0,
         speculative: false,
         ..JobConfig::default()
     }
 }
 
 /// A 3-node transit DFS with replication 2: one surviving verified
-/// replica for every block, plus a third node to host repairs.
-fn transit_dfs() -> Dfs {
-    Dfs::new(DfsConfig {
+/// replica for every block, plus a third node to host repairs. `arm`
+/// injects the scenario's storage faults before any job writes to it.
+fn transit_dfs(arm: impl FnOnce(&Dfs)) -> Dfs {
+    let dfs = Dfs::new(DfsConfig {
         n_nodes: 3,
         block_size: 1 << 20,
         replication: 2,
         ..DfsConfig::default()
-    })
+    });
+    arm(&dfs);
+    dfs
+}
+
+/// The engine every scenario runs on: one compute node, shuffling
+/// through `dfs`.
+fn engine_on(dfs: &Dfs) -> MapReduceEngine {
+    MapReduceEngine::new(one_compute_node()).with_shuffle_dfs(dfs.clone())
 }
 
 /// Every task slot on one compute node. Map outputs are pinned to the
@@ -141,12 +150,8 @@ fn corrupted_replica_never_reaches_a_reducer() {
     // so that holds wherever the scheduler puts the reducers: on three
     // nodes a wave whose reducers all land beside the healthy secondary
     // reads only that (read affinity) and detects nothing.
-    let dfs = transit_dfs();
-    let plan = FaultPlan::seeded(0x6E55).corrupt_block("map-00000", 0, 0);
-    let engine = MapReduceEngine::new(one_compute_node())
-        .with_shuffle_dfs(dfs.clone())
-        .with_fault_plan(plan);
-    let res = engine
+    let dfs = transit_dfs(|dfs| dfs.inject_corrupt_on_write("map-00000", 0, 0));
+    let res = engine_on(&dfs)
         .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(8, 30))
         .expect("a corrupt replica must never fail the job");
 
@@ -166,15 +171,12 @@ fn flaky_and_slow_nodes_still_complete_with_retries_and_hedges() {
     // have fired (the first read to get past node 0's flake finds node 1
     // flaking too), and node 0's latency histogram must have pushed
     // reads into hedging.
-    let dfs = transit_dfs();
-    let plan = FaultPlan::seeded(0xF1A)
-        .flaky_read(0, 6)
-        .flaky_read(1, 6)
-        .slow_node(0, 15);
-    let engine = MapReduceEngine::new(one_compute_node())
-        .with_shuffle_dfs(dfs.clone())
-        .with_fault_plan(plan);
-    let res = engine
+    let dfs = transit_dfs(|dfs| {
+        dfs.inject_flaky_reads(0, 6);
+        dfs.inject_flaky_reads(1, 6);
+        dfs.inject_slow_node(0, 15);
+    });
+    let res = engine_on(&dfs)
         .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
         .expect("transient flakes and a limping node must be survivable");
 
@@ -197,21 +199,18 @@ fn flaky_and_slow_nodes_still_complete_with_retries_and_hedges() {
 
 #[test]
 fn acceptance_corrupt_slow_and_flaky_job_matches_fault_free_run() {
-    // The PR's acceptance scenario: one corrupt_block + one slow_node +
-    // flaky_read injections in a single seeded plan. The job completes
+    // One corrupt-on-write, one slow node and flaky reads on both
+    // replica homes, armed on one transit DFS. The job completes
     // with byte-identical reduce output, corruption is detected and
     // fully repaired, and hedged reads fired against the slow node —
     // which is also the one holding the corrupt replica.
-    let dfs = transit_dfs();
-    let plan = FaultPlan::seeded(0xACCE97)
-        .corrupt_block("map-00000", 0, 0)
-        .flaky_read(0, 6)
-        .flaky_read(1, 6)
-        .slow_node(0, 15);
-    let engine = MapReduceEngine::new(one_compute_node())
-        .with_shuffle_dfs(dfs.clone())
-        .with_fault_plan(plan);
-    let res = engine
+    let dfs = transit_dfs(|dfs| {
+        dfs.inject_corrupt_on_write("map-00000", 0, 0);
+        dfs.inject_flaky_reads(0, 6);
+        dfs.inject_flaky_reads(1, 6);
+        dfs.inject_slow_node(0, 15);
+    });
+    let res = engine_on(&dfs)
         .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
         .expect("the combined gray-failure matrix must be survivable");
 

@@ -1,6 +1,7 @@
 //! Property-based tests of the MapReduce engine's semantic invariants:
 //! the output must be independent of partitioning, cluster shape, sort
-//! buffer size, and compression — only then can the platform claim
+//! buffer size, and which partitions travel compressed — only then can
+//! the platform claim
 //! "same program, parallel execution".
 
 use gesall_formats::wire::Wire;
@@ -146,7 +147,6 @@ fn run(
     slots: usize,
     reducers: usize,
     sort_bytes: usize,
-    shuffle_codec: Option<Codec>,
 ) -> Vec<(u64, u64)> {
     let engine = MapReduceEngine::new(ClusterResources::uniform(nodes, slots, 1 << 20));
     let per = records.len().div_ceil(n_splits.max(1)).max(1);
@@ -158,7 +158,6 @@ fn run(
     let cfg = JobConfig {
         n_reducers: reducers,
         io_sort_bytes: sort_bytes,
-        shuffle_codec,
         ..JobConfig::default()
     };
     let res = engine
@@ -180,13 +179,12 @@ proptest! {
         slots in 1usize..4,
         reducers in 1usize..6,
         sort_shift in 6u32..16,
-        compress in any::<bool>(),
     ) {
-        // Compression off is `Some(Raw)`; on is the default hint chain
-        // (Lz for u64 pairs).
-        let codec = (!compress).then_some(Codec::Raw);
-        let baseline = run(&records, 1, 1, 1, 1, 1 << 20, Some(Codec::Raw));
-        let varied = run(&records, n_splits, nodes, slots, reducers, 1usize << sort_shift, codec);
+        // A partition of at least COMPRESS_MIN_BYTES ships Lz, a smaller
+        // one Raw: the single-partition baseline and the many-partition
+        // shapes between them take both paths.
+        let baseline = run(&records, 1, 1, 1, 1, 1 << 20);
+        let varied = run(&records, n_splits, nodes, slots, reducers, 1usize << sort_shift);
         prop_assert_eq!(baseline, varied);
     }
 

@@ -252,23 +252,6 @@ pub fn round2_job(
     }
 }
 
-/// Round 4: range-partition + sort + index, feeding Round 5.
-pub fn round4_job(workload: &WorkloadSpec, n_partitions: usize, nodes_slots: usize) -> MrJobSpec {
-    MrJobSpec {
-        name: "Round4 sort+index".into(),
-        input_gb: workload.bam_gb,
-        shuffle_gb: workload.bam_gb,
-        shuffle_records: workload.reads() as f64,
-        output_gb: workload.bam_gb,
-        n_partitions,
-        mappers_per_node: nodes_slots,
-        reducers_per_node: nodes_slots,
-        slowstart: 0.05,
-        invocation_overhead: 1.1,
-        sort_buffer_gb: 2.0,
-    }
-}
-
 /// Round 5: HaplotypeCaller over 23 chromosome partitions — the degree-
 /// of-parallelism collapse of §4.4 (90 slots available, 23 usable).
 pub fn round5_wall_seconds(cluster: &ClusterSpec, workload: &WorkloadSpec) -> f64 {

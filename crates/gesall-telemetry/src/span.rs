@@ -33,13 +33,13 @@ impl SpanId {
 /// What lifecycle a span describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
-    /// A whole pipeline execution (many rounds).
+    /// A whole pipeline execution (many stages).
     Pipeline,
-    /// One MapReduce round of a pipeline.
-    Round,
     /// One node of a pipeline stage DAG (carries `parents` metadata
     /// naming its upstream stages, and a `cached` flag when the stage's
-    /// output was served from the content-addressed store).
+    /// output was served from the content-addressed store). A stage
+    /// that ran parents its round's job and carries the round's task
+    /// counts and counter snapshot.
     Stage,
     /// One MapReduce job.
     Job,
@@ -57,7 +57,6 @@ impl SpanKind {
     pub fn name(self) -> &'static str {
         match self {
             SpanKind::Pipeline => "pipeline",
-            SpanKind::Round => "round",
             SpanKind::Stage => "stage",
             SpanKind::Job => "job",
             SpanKind::Wave => "wave",

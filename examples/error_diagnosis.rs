@@ -85,18 +85,14 @@ fn main() {
         &references,
         &chrom_names,
         serial,
-        &cfg.read_group,
         cfg.seed,
-        &cfg.hc,
     );
     let (_, v_hybrid) = serial_tail_from_aligned(
         &aligner,
         &references,
         &chrom_names,
         parallel,
-        &cfg.read_group,
         cfg.seed,
-        &cfg.hc,
     );
     let vd = diff_variants(&v_serial, &v_hybrid);
     println!("concordant variants  : {}", vd.concordant);

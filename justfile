@@ -62,6 +62,9 @@ deflake N="25":
         scripts/test-some.sh --offline -q -p gesall-mapreduce --test gray_failures
         scripts/test-some.sh --offline -q -p gesall-mapreduce --lib wave::tests::locality_preference_honored_when_slots_free -- --exact
         scripts/test-some.sh --offline -q -p gesall-mapreduce --test fault_tolerance a_tasks_output_is_what_its_committed_attempts_writer_finished_with -- --exact
+        scripts/test-some.sh --offline -q -p gesall-mapreduce --test fault_tolerance speculative_backup_beats_slowed_original -- --exact
+        scripts/test-some.sh --offline -q -p gesall-mapreduce --test fault_tolerance a_death_another_job_fires_reruns_this_jobs_lost_maps_before_its_reduce_wave -- --exact
+        scripts/test-some.sh --offline -q -p gesall-mapreduce --test fault_tolerance a_reducer_that_finds_its_input_died_with_a_node_reruns_the_lost_map -- --exact
         scripts/test-some.sh --offline -q -p gesall-core --lib pipeline::tests::faulted_reduce_attempts_commit_one_writers_bytes_per_partition -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib fs::tests::racing_writers_of_one_path_commit_exactly_one_copy -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib retention::tests::racing_cas_puts_of_one_key_store_it_once -- --exact

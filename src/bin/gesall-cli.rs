@@ -234,7 +234,7 @@ fn cmd_pipeline(opts: &Opts) -> Result<(), AnyError> {
 
     eprintln!("building index...");
     let aligner = Aligner::new(ReferenceIndex::build(&chroms), AlignerConfig::default());
-    // --trace streams the full span log (pipeline → round → job → wave →
+    // --trace streams the full span log (pipeline → stage → job → wave →
     // task-attempt) to out_dir/trace.jsonl for offline analysis.
     let recorder = if opts.contains_key("trace") {
         let path = out_dir.join("trace.jsonl");

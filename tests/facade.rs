@@ -55,15 +55,7 @@ fn facade_serial_baseline_flow() {
     let references: Vec<Vec<u8>> = genome.chromosomes.iter().map(|c| c.seq.clone()).collect();
     let names: Vec<String> = genome.chromosomes.iter().map(|c| c.name.clone()).collect();
     let cfg = PlatformConfig::default();
-    let (records, _variants) = serial_pipeline(
-        &aligner,
-        &references,
-        &names,
-        &pairs,
-        &cfg.read_group,
-        cfg.seed,
-        &cfg.hc,
-    );
+    let (records, _variants) = serial_pipeline(&aligner, &references, &names, &pairs, cfg.seed);
     assert_eq!(records.len(), pairs.len() * 2);
     assert!(gesall::tools::sort_sam::is_coordinate_sorted(&records));
     // Read groups stamped by the pipeline.
