@@ -11,9 +11,9 @@
 //!   HaplotypeCaller) and the **overlapping** fine-grained scheme.
 
 use gesall_formats::error::{FormatError, Result as FmtResult};
-use gesall_formats::sam::SamRecord;
+use gesall_formats::sam::SamView;
 use gesall_formats::wire::{Cursor, Wire};
-use gesall_tools::mark_duplicates::{end_key, pair_key, EndKey};
+use gesall_tools::mark_duplicates::EndKey;
 
 // ---------------------------------------------------------------------
 // Group partitioning (by read name)
@@ -123,14 +123,15 @@ pub enum MarkDupRole {
     Unplaced,
 }
 
-/// Value envelope of the MarkDuplicates shuffle.
+/// Value envelope of the MarkDuplicates shuffle. The record is a view:
+/// its bytes travel as they arrived, and a witness is a refcount bump.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MarkDupValue {
+pub struct MarkDupValue<R = SamView> {
     pub role: MarkDupRole,
-    pub record: SamRecord,
+    pub record: R,
 }
 
-impl Wire for MarkDupValue {
+impl<R: Wire> Wire for MarkDupValue<R> {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(match self.role {
             MarkDupRole::PairMember => 0,
@@ -159,9 +160,15 @@ impl Wire for MarkDupValue {
         };
         Ok(MarkDupValue {
             role,
-            record: SamRecord::decode(cur)?,
+            record: R::decode(cur)?,
         })
     }
+}
+
+/// A read's duplicate endpoint, as
+/// [`end_key`](gesall_tools::mark_duplicates::end_key) states it.
+pub(crate) fn view_end_key(r: &SamView) -> EndKey {
+    (r.ref_id(), r.unclipped_5p_end(), r.strand())
 }
 
 /// Generate the shuffle records for one read pair (paper §3.2, "Parallel
@@ -171,78 +178,43 @@ impl Wire for MarkDupValue {
 /// for 5′ positions that no partial matching can touch.
 ///
 /// Takes the pair **by value**: keys are computed up front and the
-/// records then move into their shuffle values; the only payload copy
-/// left on this path is the (filter-deduplicated) witness record.
+/// views then move into their shuffle values; a witness shares its
+/// read's bytes.
 pub fn markdup_map_pair(
-    a: SamRecord,
-    b: SamRecord,
+    a: SamView,
+    b: SamView,
     witness_filter: &mut std::collections::HashSet<EndKey>,
     bloom: Option<&BloomFilter>,
     out: &mut Vec<(MarkDupKey, MarkDupValue)>,
 ) {
+    let value = |role, record| MarkDupValue { role, record };
     match (a.is_mapped(), b.is_mapped()) {
         (true, true) => {
-            let pk = pair_key(&a, &b);
+            let (ka, kb) = (view_end_key(&a), view_end_key(&b));
+            let pair = if ka <= kb { MarkDupKey::Pair(ka, kb) } else { MarkDupKey::Pair(kb, ka) };
             // Criterion-2 witnesses, decided before the moves below.
-            let mut witness_of = |read: &SamRecord, key: EndKey| {
+            let mut witness_of = |read: &SamView, key: EndKey| {
                 let needed = bloom.map(|bl| bl.maybe_contains(&key)).unwrap_or(true);
-                (needed && witness_filter.insert(key)).then(|| {
-                    (
-                        MarkDupKey::Single(key),
-                        MarkDupValue {
-                            role: MarkDupRole::Witness,
-                            record: read.clone(),
-                        },
-                    )
-                })
+                (needed && witness_filter.insert(key))
+                    .then(|| (MarkDupKey::Single(key), value(MarkDupRole::Witness, read.clone())))
             };
-            let wa = witness_of(&a, end_key(&a));
-            let wb = witness_of(&b, end_key(&b));
-            out.push((
-                MarkDupKey::Pair(pk.0, pk.1),
-                MarkDupValue {
-                    role: MarkDupRole::PairMember,
-                    record: a,
-                },
-            ));
-            out.push((
-                MarkDupKey::Pair(pk.0, pk.1),
-                MarkDupValue {
-                    role: MarkDupRole::PairMember,
-                    record: b,
-                },
-            ));
+            let wa = witness_of(&a, ka);
+            let wb = witness_of(&b, kb);
+            out.push((pair.clone(), value(MarkDupRole::PairMember, a)));
+            out.push((pair, value(MarkDupRole::PairMember, b)));
             out.extend(wa);
             out.extend(wb);
         }
         (true, false) | (false, true) => {
             let (mapped, mate) = if a.is_mapped() { (a, b) } else { (b, a) };
-            let key = end_key(&mapped);
-            out.push((
-                MarkDupKey::Single(key),
-                MarkDupValue {
-                    role: MarkDupRole::PartialMapped,
-                    record: mapped,
-                },
-            ));
-            out.push((
-                MarkDupKey::Single(key),
-                MarkDupValue {
-                    role: MarkDupRole::PartialMate,
-                    record: mate,
-                },
-            ));
+            let key = view_end_key(&mapped);
+            out.push((MarkDupKey::Single(key), value(MarkDupRole::PartialMapped, mapped)));
+            out.push((MarkDupKey::Single(key), value(MarkDupRole::PartialMate, mate)));
         }
         (false, false) => {
-            let h = name_partition(&a.name, usize::MAX) as u64;
+            let h = name_partition(a.name(), usize::MAX) as u64;
             for r in [a, b] {
-                out.push((
-                    MarkDupKey::Unplaced(h),
-                    MarkDupValue {
-                        role: MarkDupRole::Unplaced,
-                        record: r,
-                    },
-                ));
+                out.push((MarkDupKey::Unplaced(h), value(MarkDupRole::Unplaced, r)));
             }
         }
     }
@@ -363,18 +335,11 @@ pub struct RangeKey {
 }
 
 impl RangeKey {
-    pub fn of(rec: &SamRecord) -> RangeKey {
-        if rec.is_mapped() {
-            RangeKey {
-                chrom: rec.ref_id,
-                pos: rec.pos,
-            }
-        } else {
-            RangeKey {
-                chrom: i32::MAX,
-                pos: i64::MAX,
-            }
-        }
+    /// The key of a record with this
+    /// [`coordinate_key`](gesall_formats::sam::SamRecord::coordinate_key),
+    /// which already sorts unmapped reads last.
+    pub fn at((chrom, pos): (i32, i64)) -> RangeKey {
+        RangeKey { chrom, pos }
     }
 }
 
@@ -455,7 +420,12 @@ impl OverlappingRanges {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gesall_formats::sam::{Cigar, Flags};
+    use gesall_formats::sam::{Cigar, Flags, SamRecord};
+    use gesall_tools::mark_duplicates::end_key;
+
+    fn view(r: &SamRecord) -> SamView {
+        SamView::from_wire_bytes(&r.to_wire_bytes()).unwrap()
+    }
 
     fn mapped(name: &str, pos: i64, reverse: bool) -> SamRecord {
         let mut r = SamRecord::unmapped(name, vec![b'A'; 100], vec![30; 100]);
@@ -494,10 +464,14 @@ mod tests {
                 role,
                 record: mapped("x", 5, true),
             });
+            check(MarkDupValue {
+                role,
+                record: view(&mapped("x", 5, true)),
+            });
         }
         check(RangeKey { chrom: 0, pos: 50 });
         check(RangeKey { chrom: 200, pos: 1 << 40 });
-        check(RangeKey::of(&SamRecord::unmapped("u", vec![], vec![])));
+        check(RangeKey::at(SamRecord::unmapped("u", vec![], vec![]).coordinate_key()));
         let mut bloom = BloomFilter::with_capacity(64);
         bloom.insert(&(1, 1000, b'F'));
         check(bloom);
@@ -531,7 +505,7 @@ mod tests {
         let b = mapped("p", 1300, true);
         let mut filter = std::collections::HashSet::new();
         let mut out = Vec::new();
-        markdup_map_pair(a, b, &mut filter, None, &mut out);
+        markdup_map_pair(view(&a), view(&b), &mut filter, None, &mut out);
         let members = out
             .iter()
             .filter(|(_, v)| v.role == MarkDupRole::PairMember)
@@ -547,7 +521,7 @@ mod tests {
         let a2 = mapped("q", 1000, false);
         let b2 = mapped("q", 1300, true);
         let before = out.len();
-        markdup_map_pair(a2, b2, &mut filter, None, &mut out);
+        markdup_map_pair(view(&a2), view(&b2), &mut filter, None, &mut out);
         let new_witnesses = out[before..]
             .iter()
             .filter(|(_, v)| v.role == MarkDupRole::Witness)
@@ -563,14 +537,14 @@ mod tests {
         let bloom = BloomFilter::with_capacity(100);
         let mut filter = std::collections::HashSet::new();
         let mut out = Vec::new();
-        markdup_map_pair(a.clone(), b.clone(), &mut filter, Some(&bloom), &mut out);
+        markdup_map_pair(view(&a), view(&b), &mut filter, Some(&bloom), &mut out);
         assert_eq!(out.len(), 2, "only the two pair members: {out:?}");
         // Bloom containing a's end: one witness comes back.
         let mut bloom = BloomFilter::with_capacity(100);
         bloom.insert(&end_key(&a));
         let mut filter = std::collections::HashSet::new();
         let mut out = Vec::new();
-        markdup_map_pair(a, b, &mut filter, Some(&bloom), &mut out);
+        markdup_map_pair(view(&a), view(&b), &mut filter, Some(&bloom), &mut out);
         let witnesses = out
             .iter()
             .filter(|(_, v)| v.role == MarkDupRole::Witness)
@@ -584,7 +558,7 @@ mod tests {
         let mut u = SamRecord::unmapped("p", vec![b'C'; 100], vec![20; 100]);
         u.flags.set(Flags::PAIRED, true);
         let mut out = Vec::new();
-        markdup_map_pair(a, u.clone(), &mut std::collections::HashSet::new(), None, &mut out);
+        markdup_map_pair(view(&a), view(&u), &mut std::collections::HashSet::new(), None, &mut out);
         assert_eq!(out.len(), 2);
         assert!(matches!(out[0].0, MarkDupKey::Single(_)));
         assert_eq!(out[0].1.role, MarkDupRole::PartialMapped);
@@ -592,7 +566,7 @@ mod tests {
 
         let u2 = u.clone();
         let mut out2 = Vec::new();
-        markdup_map_pair(u, u2, &mut std::collections::HashSet::new(), None, &mut out2);
+        markdup_map_pair(view(&u), view(&u2), &mut std::collections::HashSet::new(), None, &mut out2);
         assert_eq!(out2.len(), 2);
         assert!(matches!(out2[0].0, MarkDupKey::Unplaced(_)));
     }
@@ -632,7 +606,7 @@ mod tests {
         let b = RangeKey { chrom: 0, pos: 51 };
         let c = RangeKey { chrom: 1, pos: 1 };
         assert!(a < b && b < c);
-        let u = RangeKey::of(&SamRecord::unmapped("u", vec![], vec![]));
+        let u = RangeKey::at(SamRecord::unmapped("u", vec![], vec![]).coordinate_key());
         assert!(c < u);
         let bytes = a.to_wire_bytes();
         assert_eq!(RangeKey::from_wire_bytes(&bytes).unwrap(), a);

@@ -1126,6 +1126,24 @@ mod tests {
     }
 
     #[test]
+    fn only_the_rounds_that_hold_owned_records_convert_them() {
+        use gesall_mapreduce::counters::keys::{WIRE_RECORDS_DECODED, WIRE_RECORDS_ENCODED};
+        let (aligner, pairs) = world();
+        let out = recalibrating_platform().run_pipeline(&aligner, pairs).unwrap();
+        let wire = |stage: &str| {
+            let round = out.rounds.iter().find(|r| r.name == stage).expect(stage);
+            (counter_of(round, WIRE_RECORDS_DECODED), counter_of(round, WIRE_RECORDS_ENCODED))
+        };
+        // Views: rounds 2½, 3, 4 and 4½b neither decode nor encode a record.
+        for stage in ["round2b-bloom", "round3-markdup", "round4-sort", "round4b-print-reads"] {
+            assert_eq!(wire(stage), (0, 0), "{stage}");
+        }
+        // Round 2 converts every record both ways until it is folded away.
+        let n = out.records.len() as u64;
+        assert_eq!(wire("round2-clean-fixmate"), (n, n));
+    }
+
+    #[test]
     fn the_part_writer_writes_the_bytes_write_bam_writes() {
         use gesall_mapreduce::task::{OutputFormat, RecordWriter};
         let (aligner, pairs) = world();

@@ -20,8 +20,10 @@
 use crate::compress::{compress_append, crc32, decompress, take};
 use crate::error::{FormatError, Result};
 use crate::sam::record::NO_REF;
-use crate::sam::{SamHeader, SamRecord};
+use crate::sam::view::Layout;
+use crate::sam::{QualitiesMut, SamHeader, SamRecord, SamView};
 use crate::wire::{put_varint, Cursor, Wire};
+use crate::SharedBytes;
 
 /// Target uncompressed payload per record chunk (bytes). Real BGZF blocks
 /// cap at 64 KiB; we default to the same.
@@ -138,6 +140,39 @@ impl Chunk {
             }
         }
         Chunk::close_records(&cur)
+    }
+
+    /// The chunk's records as [`SamView`]s: windows over the payload,
+    /// which moves behind a refcount without a copy. `rewrite` first has
+    /// each record's qualities to change in place, in order, once the
+    /// whole chunk has been walked. Errs on exactly the chunks
+    /// [`Chunk::records`] errs on.
+    pub fn into_views(
+        mut self,
+        rewrite: impl FnOnce(&mut dyn Iterator<Item = QualitiesMut<'_>>),
+    ) -> Result<Vec<SamView>> {
+        let (mut cur, n) = self.open_records()?;
+        let first = self.raw.len() - cur.remaining();
+        let mut layouts = Vec::with_capacity(n);
+        for _ in 0..n {
+            layouts.push(Layout::walk(&mut cur)?);
+        }
+        Chunk::close_records(&cur)?;
+        let mut rest = &mut self.raw[first..];
+        rewrite(&mut layouts.iter().map(|layout| {
+            let (record, tail) = std::mem::take(&mut rest).split_at_mut(layout.len);
+            rest = tail;
+            layout.qualities_mut(record)
+        }));
+        let raw = SharedBytes::from_vec(self.raw);
+        let mut at = first;
+        Ok(layouts
+            .into_iter()
+            .map(|layout| {
+                at += layout.len;
+                SamView::from_parts(raw.slice(at - layout.len..at), layout)
+            })
+            .collect())
     }
 
     /// Decode the header in a `KIND_HEADER` chunk.
@@ -342,16 +377,32 @@ impl BamWriter {
 
     /// Append one record; flushes a chunk when the target raw size is hit.
     pub fn write_record(&mut self, rec: &SamRecord) {
+        let end = rec.is_mapped().then(|| (rec.ref_id, rec.end_pos()));
+        let estimate = rec.seq.len() + rec.qual.len() + rec.name.len();
+        self.append(rec, estimate, rec.coordinate_key(), end);
+    }
+
+    /// [`BamWriter::write_record`] of the record a view windows: its
+    /// bytes, copied as they are.
+    pub fn write_view(&mut self, rec: &SamView) {
+        let end = rec.is_mapped().then(|| (rec.ref_id(), rec.end_pos()));
+        let estimate = rec.seq().len() + rec.qual().len() + rec.name().len();
+        self.append(rec, estimate, rec.coordinate_key(), end);
+    }
+
+    /// The one write path: `rec`'s wire bytes onto the pending chunk,
+    /// with what the cut rule (`seq + qual + name` lengths) and the
+    /// chunk's index entry need to know of it.
+    fn append(&mut self, rec: &impl Wire, estimate: usize, key: (i32, i64), end: Option<(i32, i64)>) {
         let chunk = &mut self.pending;
         // Rough raw-size estimate: wire size ≈ seq + qual + name + ~40.
-        chunk.raw_estimate += rec.seq.len() + rec.qual.len() + rec.name.len() + 40;
+        chunk.raw_estimate += estimate + 40;
         rec.encode(&mut chunk.payload);
         chunk.records += 1;
-        let key = rec.coordinate_key();
         chunk.min_key = chunk.min_key.min(key);
         chunk.max_key = chunk.max_key.max(key);
-        if rec.is_mapped() {
-            chunk.max_end = chunk.max_end.max((rec.ref_id, rec.end_pos()));
+        if let Some(end) = end {
+            chunk.max_end = chunk.max_end.max(end);
         }
         self.records_written += 1;
         if self.pending.raw_estimate >= CHUNK_TARGET_RAW {
@@ -473,6 +524,26 @@ pub fn read_bam(data: &[u8]) -> Result<(SamHeader, Vec<SamRecord>)> {
         chunk.records_into(&mut records)?;
     }
     Ok((header, records))
+}
+
+/// [`read_bam`] as views: each record chunk is decompressed once and its
+/// records windowed in place ([`Chunk::into_views`], which hands
+/// `rewrite` every chunk's qualities in turn). Errs on exactly the
+/// buffers `read_bam` errs on.
+pub fn read_bam_views(
+    data: &[u8],
+    mut rewrite: impl FnMut(&mut dyn Iterator<Item = QualitiesMut<'_>>),
+) -> Result<(SamHeader, Vec<SamView>)> {
+    let mut scanner = ChunkScanner::new(data);
+    let header = scanner
+        .next_chunk()?
+        .ok_or_else(|| FormatError::Bam("empty bam file".into()))?
+        .header()?;
+    let mut views = Vec::new();
+    while let Some(chunk) = scanner.next_chunk()? {
+        views.extend(chunk.into_views(&mut rewrite)?);
+    }
+    Ok((header, views))
 }
 
 /// The utility the paper describes in §3.1: given the header chunk's frame
@@ -817,6 +888,45 @@ mod tests {
     fn sorted(mut recs: Vec<SamRecord>) -> Vec<SamRecord> {
         recs.sort_by_key(|r| r.coordinate_key());
         recs
+    }
+
+    #[test]
+    fn views_read_back_the_records_and_write_the_same_file() {
+        let h = header();
+        for recs in [Vec::new(), records(7), sorted(mixed_records(3000)), mixed_records(1500)] {
+            let (bytes, index) = write_bam_indexed(&h, &recs);
+            let (got_header, views) = read_bam_views(&bytes, |_| {}).unwrap();
+            assert_eq!(got_header, h);
+            assert_eq!(views.iter().map(SamView::to_record).collect::<Vec<_>>(), recs);
+            let mut w = BamWriter::new(&h);
+            for v in &views {
+                w.write_view(v);
+            }
+            let (rewritten, got_index, n) = w.finish_indexed();
+            assert!(rewritten == bytes, "a view writes the bytes its record writes");
+            assert_eq!((got_index, n), (index, recs.len() as u64));
+        }
+    }
+
+    #[test]
+    fn qualities_rewritten_in_the_chunk_are_the_records_rewritten() {
+        let h = header();
+        let recs = mixed_records(1500);
+        let bump = |q: &mut u8| *q = (*q + 7) % 41;
+        let mut seen = 0;
+        let (_, views) = read_bam_views(&write_bam(&h, &recs), |records| {
+            for r in records {
+                assert_eq!((r.flags, r.seq), (recs[seen].flags, &recs[seen].seq[..]));
+                assert_eq!(r.read_group, recs[seen].read_group);
+                r.qual.iter_mut().for_each(bump);
+                seen += 1;
+            }
+        })
+        .unwrap();
+        assert_eq!(seen, recs.len());
+        let mut want = recs.clone();
+        want.iter_mut().for_each(|r| r.qual.iter_mut().for_each(bump));
+        assert_eq!(views.iter().map(SamView::to_record).collect::<Vec<_>>(), want);
     }
 
     #[test]

@@ -241,15 +241,19 @@ impl Cigar {
 
     /// The *unclipped start*: the reference position the first base of the
     /// original (unclipped) read would occupy. `pos` is the 1-based
-    /// leftmost mapping position (SAM `POS`).
+    /// leftmost mapping position (SAM `POS`). Wrapping, as
+    /// [`Cigar::reference_len`] is.
     pub fn unclipped_start(&self, pos: i64) -> i64 {
-        pos - self.leading_clip() as i64
+        pos.wrapping_sub(self.leading_clip() as i64)
     }
 
     /// The *unclipped end*: the reference position the last base of the
-    /// original read would occupy.
+    /// original read would occupy. Wrapping, as [`Cigar::reference_len`]
+    /// is.
     pub fn unclipped_end(&self, pos: i64) -> i64 {
-        pos + self.reference_len() as i64 - 1 + self.trailing_clip() as i64
+        pos.wrapping_add(self.reference_len() as i64)
+            .wrapping_sub(1)
+            .wrapping_add(self.trailing_clip() as i64)
     }
 
     /// Structural validity: no zero-length ops, clips only at the ends

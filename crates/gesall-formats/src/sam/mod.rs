@@ -18,8 +18,10 @@ pub mod flags;
 pub mod header;
 pub mod record;
 pub mod text;
+pub mod view;
 
 pub use cigar::{Cigar, CigarOp};
 pub use flags::Flags;
 pub use header::{ReadGroup, ReferenceSeq, SamHeader, SortOrder};
 pub use record::SamRecord;
+pub use view::{QualitiesMut, SamView};

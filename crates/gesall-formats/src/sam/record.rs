@@ -3,6 +3,7 @@
 use crate::error::{FormatError, Result};
 use crate::sam::cigar::Cigar;
 use crate::sam::flags::Flags;
+use crate::sam::view::Layout;
 use crate::wire::{self, Cursor, Wire};
 
 /// Sentinel reference id for unmapped reads (`RNAME *`).
@@ -180,38 +181,19 @@ impl SamRecord {
 
     /// [`Wire::decode`] minus the allocations, for a reader that wants
     /// only the records of a region: advances `cur` past one wire record
-    /// — validating every field as `decode` does, so it stops on exactly
+    /// — the walk a [`SamView`](crate::sam::SamView) is built on, which
+    /// validates every field as `decode` does, so it stops on exactly
     /// the bytes `decode` stops on — and returns whether that record
     /// [`overlaps`](SamRecord::overlaps) `[start, end]` on `ref_id`.
     pub fn skip_overlapping(cur: &mut Cursor<'_>, ref_id: i32, start: i64, end: i64) -> Result<bool> {
-        cur.get_str_ref()?; // name
-        let flags = Flags(u32::decode(cur)? as u16);
-        let rec_ref = decode_ref_id(cur)?;
-        let pos = i64::decode(cur)?;
-        u32::decode(cur)?; // mapq
-        let mut reference_len = 0u32;
-        Cigar::scan(cur.get_str_ref()?, |op| {
-            if op.consumes_reference() {
-                reference_len = reference_len.wrapping_add(op.len());
-            }
-        })?;
-        decode_ref_id(cur)?; // mate_ref_id
-        i64::decode(cur)?; // mate_pos
-        i64::decode(cur)?; // tlen
-        cur.get_bytes()?; // seq
-        cur.get_bytes()?; // qual
-        cur.get_str_ref()?; // read_group
-        i64::decode(cur)?; // alignment_score
-        u32::decode(cur)?; // edit_distance
-        Ok(!flags.is_unmapped()
-            && span_overlaps((rec_ref, pos, reference_len), (ref_id, start, end)))
+        Ok(Layout::walk(cur)?.overlaps(ref_id, start, end))
     }
 }
 
 /// Whether a mapped alignment `(ref id, pos, reference length)` overlaps
 /// the 1-based inclusive region `(ref id, start, end)`. Wrapping: the
 /// fields may be hostile wire bytes.
-fn span_overlaps(aln: (i32, i64, u32), region: (i32, i64, i64)) -> bool {
+pub(crate) fn span_overlaps(aln: (i32, i64, u32), region: (i32, i64, i64)) -> bool {
     let (rec_ref, pos, reference_len) = aln;
     let (ref_id, start, end) = region;
     let end_pos = pos.wrapping_add(reference_len as i64).wrapping_sub(1);
@@ -220,7 +202,7 @@ fn span_overlaps(aln: (i32, i64, u32), region: (i32, i64, i64)) -> bool {
 
 /// A reference id as the wire carries it: biased by one so [`NO_REF`]
 /// is 0.
-fn decode_ref_id(cur: &mut Cursor<'_>) -> Result<i32> {
+pub(crate) fn decode_ref_id(cur: &mut Cursor<'_>) -> Result<i32> {
     Ok((u64::decode(cur)? as i64).wrapping_sub(1) as i32)
 }
 

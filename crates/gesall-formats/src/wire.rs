@@ -26,6 +26,7 @@ pub fn varint_len(v: u64) -> usize {
 }
 
 /// Append a varint (LEB128, unsigned).
+#[inline]
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     if v < 0x80 {
         buf.push(v as u8);
@@ -43,12 +44,14 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Append a length-prefixed byte slice (varint length).
+#[inline]
 pub fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_varint(buf, b.len() as u64);
     buf.extend_from_slice(b);
 }
 
 /// Append a length-prefixed UTF-8 string.
+#[inline]
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
 }
@@ -73,6 +76,17 @@ impl<'a> Cursor<'a> {
         self.remaining() == 0
     }
 
+    /// Bytes consumed so far.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// The bytes not yet consumed.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        &self.data[self.pos..]
+    }
+
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(FormatError::Bam(format!(
@@ -93,6 +107,7 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    #[inline]
     pub fn get_varint(&mut self) -> Result<u64> {
         // Most fields (flags aside) fit one byte.
         if let Some(&byte) = self.data.get(self.pos) {
@@ -133,12 +148,14 @@ impl<'a> Cursor<'a> {
         })
     }
 
+    #[inline]
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
         let n = self.get_varint()? as usize;
         self.take(n)
     }
 
     /// A length-prefixed UTF-8 string, borrowed from the buffer.
+    #[inline]
     pub fn get_str_ref(&mut self) -> Result<&'a str> {
         std::str::from_utf8(self.get_bytes()?)
             .map_err(|_| FormatError::Bam("invalid utf-8 in string field".into()))
@@ -219,32 +236,40 @@ pub trait Wire: Sized {
 }
 
 impl Wire for u64 {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, *self);
     }
+    #[inline]
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
         cur.get_varint()
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         varint_len(*self)
     }
+    #[inline]
     fn sort_prefix(&self) -> u64 {
         *self
     }
 }
 
 impl Wire for i64 {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         // zigzag
         put_varint(buf, ((*self << 1) ^ (*self >> 63)) as u64);
     }
+    #[inline]
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
         let z = cur.get_varint()?;
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         varint_len(((*self << 1) ^ (*self >> 63)) as u64)
     }
+    #[inline]
     fn sort_prefix(&self) -> u64 {
         // Flip the sign bit: maps i64::MIN..=i64::MAX monotonically onto
         // 0..=u64::MAX.
@@ -253,16 +278,20 @@ impl Wire for i64 {
 }
 
 impl Wire for u32 {
+    #[inline]
     fn encode(&self, buf: &mut Vec<u8>) {
         put_varint(buf, *self as u64);
     }
+    #[inline]
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
         let v = cur.get_varint()?;
         u32::try_from(v).map_err(|_| FormatError::Bam("u32 overflow".into()))
     }
+    #[inline]
     fn encoded_len(&self) -> usize {
         varint_len(*self as u64)
     }
+    #[inline]
     fn sort_prefix(&self) -> u64 {
         *self as u64
     }
@@ -318,6 +347,19 @@ impl Wire for crate::bytes::SharedBytes {
     }
     fn encoded_len(&self) -> usize {
         varint_len(self.len() as u64) + self.len()
+    }
+}
+
+/// The empty key: a record stream whose writer needs no key.
+impl Wire for () {
+    const MIN_ENCODED_LEN: usize = 0;
+
+    fn encode(&self, _buf: &mut Vec<u8>) {}
+    fn decode(_cur: &mut Cursor<'_>) -> Result<Self> {
+        Ok(())
+    }
+    fn encoded_len(&self) -> usize {
+        0
     }
 }
 
@@ -436,6 +478,7 @@ mod tests {
         check(String::new());
         check(vec![0u8, 255, 3]);
         check(("key".to_string(), 42u64));
+        check(());
         check(vec![("a".to_string(), 1u64), ("bb".to_string(), 300)]);
         check(crate::bytes::SharedBytes::copy_from_slice(&[7u8; 200]));
         let fq = |name: &str| {

@@ -8,8 +8,8 @@ use gesall_formats::seq_codec;
 use gesall_formats::fastq::{self, FastqRecord, ReadPair};
 use gesall_formats::sam::cigar::{Cigar, CigarOp};
 use gesall_formats::sam::header::{ReferenceSeq, SamHeader};
-use gesall_formats::sam::{Flags, SamRecord};
-use gesall_formats::wire::Wire;
+use gesall_formats::sam::{Flags, SamRecord, SamView};
+use gesall_formats::wire::{Cursor, Wire};
 use proptest::prelude::*;
 
 fn arb_dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -246,7 +246,13 @@ fn drive_bam_readers(file: &[u8], index: &[u8]) -> Option<Vec<SamRecord>> {
     let payload = bam::Chunk { kind: bam::KIND_RECORDS, raw: file.to_vec() };
     let mut hits = Vec::new();
     let _ = payload.records_overlapping(0, 1, 1 << 40, &mut hits);
-    let _ = payload.records();
+    match (payload.clone().into_views(|_| {}), payload.records()) {
+        (Ok(views), Ok(records)) => {
+            assert_eq!(views.iter().map(SamView::to_record).collect::<Vec<_>>(), records)
+        }
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+        (a, b) => panic!("views {:?}, records {:?}", a.map(|v| v.len()), b.map(|r| r.len())),
+    }
     let _ = bam::Chunk { kind: bam::KIND_HEADER, raw: file.to_vec() }.header();
     if let Ok(index) = bam::BamIndex::from_bytes(index) {
         for (ref_id, start, end) in [(0, 1, 1 << 40), (0, i64::MIN, i64::MAX), (-1, 0, 0)] {
@@ -255,7 +261,42 @@ fn drive_bam_readers(file: &[u8], index: &[u8]) -> Option<Vec<SamRecord>> {
             }
         }
     }
-    bam::read_bam(file).ok().map(|(_, records)| records)
+    let records = bam::read_bam(file).ok().map(|(_, records)| records);
+    let views = bam::read_bam_views(file, |_| {}).ok().map(|(_, views)| views);
+    assert_eq!(views.map(|v| v.iter().map(SamView::to_record).collect()), records);
+    records
+}
+
+/// `SamView::decode` against `SamRecord::decode` on one buffer: the same
+/// outcome, the same stopping point, and every field a view reads equal
+/// to the owned record's.
+fn view_decodes_as_the_record_does(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let (mut vc, mut rc) = (Cursor::new(bytes), Cursor::new(bytes));
+    match (SamView::decode(&mut vc), SamRecord::decode(&mut rc)) {
+        (Ok(v), Ok(r)) => {
+            prop_assert_eq!(vc.remaining(), rc.remaining());
+            let used = bytes.len() - vc.remaining();
+            prop_assert!(used >= SamView::MIN_ENCODED_LEN);
+            prop_assert_eq!(v.as_bytes(), &bytes[..used]);
+            prop_assert_eq!(v.encoded_len(), used);
+            prop_assert_eq!(v.name(), r.name.as_str());
+            prop_assert_eq!(v.flags(), r.flags);
+            prop_assert_eq!((v.ref_id(), v.pos()), (r.ref_id, r.pos));
+            prop_assert_eq!(v.seq(), &r.seq[..]);
+            prop_assert_eq!(v.qual(), &r.qual[..]);
+            prop_assert_eq!(v.read_group(), r.read_group.as_str());
+            prop_assert_eq!(v.is_mapped(), r.is_mapped());
+            prop_assert_eq!(v.coordinate_key(), r.coordinate_key());
+            prop_assert_eq!(v.end_pos(), r.end_pos());
+            prop_assert_eq!(v.unclipped_5p_end(), r.unclipped_5p_end());
+            prop_assert_eq!(v.strand(), r.strand());
+            prop_assert_eq!(v.quality_sum(), r.quality_sum());
+            prop_assert_eq!(v.to_record(), r);
+        }
+        (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+        (a, b) => prop_assert!(false, "view {:?}, record {:?}", a, b.map(|r| r.name)),
+    }
+    Ok(())
 }
 
 /// A well-formed frame (right lengths, right CRC) around any payload:
@@ -369,5 +410,37 @@ proptest! {
         drive_bam_readers(&frame_around(bam::KIND_RECORDS, &raw), &raw);
         raw[0] = count as u8;
         drive_bam_readers(&raw, &raw);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn a_view_decodes_arbitrary_bytes_as_the_owned_record_does(
+        bytes in proptest::collection::vec(any::<u8>(), 0..160),
+    ) {
+        prop_assert_eq!(SamView::MIN_ENCODED_LEN, 14);
+        prop_assert_eq!(SamView::MIN_ENCODED_LEN, SamRecord::MIN_ENCODED_LEN);
+        view_decodes_as_the_record_does(&bytes)?;
+    }
+
+    #[test]
+    fn a_view_decodes_forged_records_as_the_owned_record_does(
+        rec in arb_sam_record(),
+        unmapped in any::<bool>(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        cut in any::<usize>(),
+    ) {
+        let mut rec = rec;
+        rec.flags.set(Flags::UNMAPPED, unmapped);
+        let mut bytes = rec.to_wire_bytes();
+        view_decodes_as_the_record_does(&bytes)?;
+        prop_assert_eq!(SamView::from_wire_bytes(&bytes).unwrap().to_wire_bytes(), bytes.clone());
+        view_decodes_as_the_record_does(&bytes[..cut % bytes.len()])?;
+        let at = at % bytes.len();
+        bytes[at] = byte;
+        view_decodes_as_the_record_does(&bytes)?;
     }
 }

@@ -35,6 +35,12 @@ pub mod keys {
     /// so — unlike the pipeline-cumulative wrapper timers — it is a
     /// per-job counter covering committed attempts only.
     pub const WRAPPER_BYTES_COPIED: &str = "wrapper.bytes.copied";
+    /// Records materialised from partition bytes into owned records, and
+    /// owned records encoded back into partition bytes, by a round's
+    /// committed attempts: the conversions a round that reads its
+    /// records as views over their bytes does not make.
+    pub const WIRE_RECORDS_DECODED: &str = "wire.records.decoded";
+    pub const WIRE_RECORDS_ENCODED: &str = "wire.records.encoded";
     /// Task attempts that panicked and were retried (or aborted the job).
     pub const FAILED_ATTEMPTS: &str = "fault.failed.attempts";
     /// Speculative (backup) attempts launched for stragglers.

@@ -350,50 +350,68 @@ pub fn base_recalibrator(
 }
 
 /// Pass 2 (PrintReads): rewrite base qualities from the table. Returns
-/// how many base qualities changed.
-///
-/// The finished qualities of the entries with `min_observations` are
-/// worked out once per call — fine ones under their [`pack`]ed key,
-/// coarse ones in a row per read group — so a base is a probe, else a
-/// row lookup, else unchanged, and `empirical_quality`'s `log10` runs
-/// per table entry, not per base.
+/// how many base qualities changed. Each record goes through the same
+/// [`QualityRewriter`] a caller holding records as bytes uses.
 pub fn print_reads(records: &mut [SamRecord], table: &RecalTable, config: &RecalConfig) -> u64 {
-    let mut groups: ReadGroups<'_, Option<u8>> = ReadGroups::default();
-    let mut fine: PackedMap<u8> = PackedMap::default();
-    let trusted = |t: &Tally| t.observations >= config.min_observations;
-    for (cov, t) in table.by_covariate.iter().filter(|(_, t)| trusted(t)) {
-        let rg = groups.intern(&cov.read_group);
-        let [prev, cur] = cov.context;
-        let key = pack(rg, cov.reported_qual, cov.cycle_bucket, prev, cur);
-        fine.insert(key, t.empirical_quality());
-    }
-    for ((name, q), t) in table.by_reported.iter().filter(|(_, t)| trusted(t)) {
-        let rg = groups.intern(name);
-        groups.rows[rg][*q as usize] = Some(t.empirical_quality());
+    let mut kernel = QualityRewriter::new(table, config);
+    records
+        .iter_mut()
+        .map(|rec| kernel.rewrite(&rec.read_group, rec.flags.is_reverse(), &rec.seq, &mut rec.qual))
+        .sum()
+}
+
+/// PrintReads' per-read kernel. The finished qualities of the entries
+/// with `min_observations` are worked out once, at construction — fine
+/// ones under their [`pack`]ed key, coarse ones in a row per read group
+/// — so a base is a probe, else a row lookup, else unchanged, and
+/// `empirical_quality`'s `log10` runs per table entry, not per base.
+pub struct QualityRewriter<'a> {
+    groups: ReadGroups<'a, Option<u8>>,
+    fine: PackedMap<u8>,
+}
+
+impl<'a> QualityRewriter<'a> {
+    pub fn new(table: &'a RecalTable, config: &RecalConfig) -> QualityRewriter<'a> {
+        let mut groups: ReadGroups<'_, Option<u8>> = ReadGroups::default();
+        let mut fine: PackedMap<u8> = PackedMap::default();
+        let trusted = |t: &Tally| t.observations >= config.min_observations;
+        for (cov, t) in table.by_covariate.iter().filter(|(_, t)| trusted(t)) {
+            let rg = groups.intern(&cov.read_group);
+            let [prev, cur] = cov.context;
+            let key = pack(rg, cov.reported_qual, cov.cycle_bucket, prev, cur);
+            fine.insert(key, t.empirical_quality());
+        }
+        for ((name, q), t) in table.by_reported.iter().filter(|(_, t)| trusted(t)) {
+            let rg = groups.intern(name);
+            groups.rows[rg][*q as usize] = Some(t.empirical_quality());
+        }
+        QualityRewriter { groups, fine }
     }
 
-    let mut changed = 0u64;
-    for rec in records.iter_mut() {
+    /// Rewrite one read's qualities in place: `seq` and `qual` are its
+    /// `SEQ` and `QUAL`. Returns how many changed.
+    pub fn rewrite(&mut self, read_group: &str, reverse: bool, seq: &[u8], qual: &mut [u8]) -> u64 {
         // A read group with no trusted entry misses both lookups on
         // every base.
-        let Some(rg) = groups.find(&rec.read_group) else {
-            continue;
+        let Some(rg) = self.groups.find(read_group) else {
+            return 0;
         };
-        let (read_len, reverse) = (rec.seq.len(), rec.flags.is_reverse());
+        let read_len = seq.len();
+        let mut changed = 0;
         let mut prev = b'N';
         for qi in 0..read_len {
-            let (cur, q) = (rec.seq[qi], rec.qual[qi]);
+            let (cur, q) = (seq[qi], qual[qi]);
             let key = pack(rg, q, cycle_bucket(qi, read_len, reverse), prev, cur);
-            let fine_q = fine.get(&key).copied();
-            let new_q = fine_q.or(groups.rows[rg][q as usize]).unwrap_or(q);
+            let fine_q = self.fine.get(&key).copied();
+            let new_q = fine_q.or(self.groups.rows[rg][q as usize]).unwrap_or(q);
             if new_q != q {
-                rec.qual[qi] = new_q;
+                qual[qi] = new_q;
                 changed += 1;
             }
             prev = cur;
         }
+        changed
     }
-    changed
 }
 
 /// The parent commit's two passes, verbatim: a `Covariate` (one

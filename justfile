@@ -11,7 +11,8 @@
 # with overflow checks off a kernel can disagree with its reference
 # where the debug run never reaches. The line counter is held to its
 # fixture first, the aligner to no process-global counter, and the job
-# service and the engine to no file over 700 non-test lines, as in CI.
+# service, the engine, the formats and the tools to no file over 700
+# non-test lines, as in CI.
 smoke:
     test "$(scripts/loc.sh scripts/fixtures/loc_fixture.rs)" = 32
     scripts/no-global-counters.sh
