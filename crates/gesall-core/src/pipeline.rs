@@ -352,24 +352,12 @@ pub struct GesallPlatform {
 
 impl GesallPlatform {
     /// The platform over `dfs` and `engine`. The DFS doubles as the
-    /// shuffle transit store, and the engine's node-death hook is wired
-    /// to it: when the engine declares a node dead mid-wave, the DFS
-    /// fails the same node (scrubbing its replicas from file metadata)
-    /// and re-replicates exactly the blocks the failure under-replicated
-    /// — the YARN-NodeManager-death → HDFS-re-replication coupling of a
-    /// real cluster. Without a node death in the engine's fault plan the
-    /// hook never fires.
+    /// shuffle transit store, so a node death in the engine's fault plan
+    /// fails the co-located datanode and re-replicates exactly the
+    /// blocks the failure under-replicated — the YARN-NodeManager-death
+    /// → HDFS-re-replication coupling of a real cluster.
     pub fn new(dfs: Dfs, engine: MapReduceEngine, config: PlatformConfig) -> GesallPlatform {
-        let hook_dfs = dfs.clone();
-        let n_dfs_nodes = dfs.config().n_nodes;
-        let engine = engine
-            .with_shuffle_dfs(dfs.clone())
-            .on_node_death(move |node| {
-                if node < n_dfs_nodes {
-                    let report = hook_dfs.fail_node(node);
-                    hook_dfs.re_replicate_blocks(&report.under_replicated);
-                }
-            });
+        let engine = engine.with_shuffle_dfs(dfs.clone());
         // Crash sweep: shuffle-transit files are deleted by the engine
         // when a job finishes, so any still present at platform startup
         // were orphaned by a crashed prior process. Reclaim them before
@@ -1347,7 +1335,7 @@ mod tests {
         let lost = cold
             .stages
             .iter()
-            .filter(|s| !p.dfs.file_available_excluding(&Dfs::cas_path("/pipeline", s.key), &[]))
+            .filter(|s| !p.dfs.file_available(&Dfs::cas_path("/pipeline", s.key)))
             .count();
         assert!(lost > 0, "node 0 held a block of some entry");
         let warm = p.run_pipeline(&aligner, pairs).unwrap();

@@ -519,8 +519,8 @@ fn traced_pipeline_nests_jobs_under_stage_spans_and_emits_phase_table() {
 #[test]
 fn faulty_pipeline_matches_fault_free_output() {
     // The whole-stack robustness check: ~15% of map attempts panic and a
-    // node dies during round 1's map wave. The platform (engine
-    // node-death hook wired to DFS fail_node + re_replicate) must still
+    // node dies during round 1's map wave. The platform (the engine
+    // fails the dead node's datanode and re-replicates) must still
     // produce byte-identical records and variants.
     use gesall_mapreduce::{FaultPlan, TaskKind};
 

@@ -69,6 +69,7 @@ impl Namespace {
     }
 
     /// Every block id, ascending (the order files were written in).
+    #[cfg(test)]
     pub(crate) fn block_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.owner.keys().copied().collect();
         ids.sort_unstable();

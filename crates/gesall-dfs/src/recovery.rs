@@ -1,9 +1,10 @@
 //! Recovery: declaring a node dead, quarantining a replica that failed
 //! verification, and bringing blocks back to their replication factor —
-//! one block after a quarantine, the blocks a failure reported, or the
-//! whole namespace. Restoring a block verifies and copies replicas under
-//! the namespace lock (the one exception to the rule in `namespace.rs`),
-//! so two repairs of one block cannot both pick the same target.
+//! one block after a quarantine, or the blocks a failure reported (the
+//! whole-namespace sweep is the tests' reference). Restoring a block
+//! verifies and copies replicas under the namespace lock (the one
+//! exception to the rule in `namespace.rs`), so two repairs of one block
+//! cannot both pick the same target.
 
 use crate::checksum::xxh64;
 use crate::fs::Dfs;
@@ -11,21 +12,18 @@ use crate::namespace::Namespace;
 use crate::types::{metrics_keys, FailureReport};
 
 impl Dfs {
-    /// Would every block of `path` still be readable if the nodes in
-    /// `excluded` disappeared? Probes actual data-node storage (not just
-    /// metadata), so silently wiped replicas ([`Dfs::kill_node`]) don't
-    /// count. This is the engine's reship-vs-rerun question: a map
-    /// output that survives its home's death on some replica can be
-    /// re-fetched instead of re-computed.
-    pub fn file_available_excluding(&self, path: &str, excluded: &[usize]) -> bool {
+    /// Is every block of `path` stored on some live node? Probes actual
+    /// data-node storage (not just metadata), so silently wiped replicas
+    /// ([`Dfs::kill_node`]) don't count. This is the engine's question
+    /// after a node death: a map output the DFS can still serve is
+    /// re-fetched, one it cannot is re-computed.
+    pub fn file_available(&self, path: &str) -> bool {
         let ns = self.inner.ns.read();
         ns.file(path).is_some_and(|info| {
             info.blocks.iter().all(|b| {
-                b.nodes.iter().any(|&n| {
-                    !excluded.contains(&n)
-                        && !ns.dead().contains(&n)
-                        && self.inner.store.get(n, b.id).is_some()
-                })
+                b.nodes
+                    .iter()
+                    .any(|&n| !ns.dead().contains(&n) && self.inner.store.get(n, b.id).is_some())
             })
         })
     }
@@ -80,10 +78,12 @@ impl Dfs {
 
     /// Copy surviving replicas of under-replicated blocks onto live nodes
     /// until every block reaches `min(replication, live nodes)` replicas —
-    /// the name node's re-replication sweep after a failure. Targets are
+    /// a namespace-wide sweep, the reference the incremental
+    /// [`Dfs::re_replicate_blocks`] is tested against. Targets are
     /// chosen least-loaded-first; copy sources are checksum-verified, so
     /// a corrupt replica is never propagated (it is quarantined instead).
     /// Returns the number of replicas created.
+    #[cfg(test)]
     pub fn re_replicate(&self) -> usize {
         let mut ns = self.inner.ns.write();
         let live = ns.live_nodes();
@@ -256,19 +256,21 @@ mod tests {
             ..DfsConfig::default()
         });
         write_pinned(&dfs, "/f", &payload(1500), 0);
-        assert!(dfs.file_available_excluding("/f", &[]));
-        // Replicas live on nodes 0 and 1: losing either alone is fine,
-        // losing both is not.
-        assert!(dfs.file_available_excluding("/f", &[0]));
-        assert!(dfs.file_available_excluding("/f", &[1]));
-        assert!(!dfs.file_available_excluding("/f", &[0, 1]));
+        write_pinned(&dfs, "/g", &payload(1500), 1);
+        assert!(dfs.file_available("/f") && dfs.file_available("/g"));
+        // /f's replicas live on nodes 0 and 1: losing one is fine.
+        dfs.fail_node(0);
+        assert!(dfs.file_available("/f") && dfs.file_available("/g"));
         // A silent wipe (metadata still lists the node) is detected by
-        // probing storage.
+        // probing storage: /f has no replica left, /g keeps node 2's.
         dfs.kill_node(1);
-        assert!(!dfs.file_available_excluding("/f", &[0]));
-        assert!(dfs.file_available_excluding("/f", &[1]));
+        assert!(!dfs.file_available("/f"));
+        assert!(dfs.file_available("/g"));
+        // Losing the last stored replica loses the file.
+        dfs.fail_node(2);
+        assert!(!dfs.file_available("/g"));
         // Unknown files are unavailable.
-        assert!(!dfs.file_available_excluding("/nope", &[]));
+        assert!(!dfs.file_available("/nope"));
     }
 
     #[test]

@@ -100,8 +100,8 @@ pub struct NodeStats {
 }
 
 /// What a node failure cost the filesystem — returned by
-/// [`crate::Dfs::fail_node`] so the caller (typically the MapReduce engine's
-/// node-death hook) can decide whether to re-replicate or re-run work.
+/// [`crate::Dfs::fail_node`] so the caller (the MapReduce engine, when a
+/// scheduled node death fires) can restore what survived.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FailureReport {
     /// The node that was declared dead.
@@ -110,7 +110,8 @@ pub struct FailureReport {
     /// data is gone and files containing them are unreadable.
     pub blocks_lost: Vec<u64>,
     /// Block ids that survive on other nodes but now hold fewer replicas
-    /// than `DfsConfig::replication` — candidates for [`crate::Dfs::re_replicate`].
+    /// than `DfsConfig::replication` — the input of
+    /// [`crate::Dfs::re_replicate_blocks`].
     pub under_replicated: Vec<u64>,
 }
 
@@ -188,7 +189,8 @@ pub mod metrics_keys {
     pub const BYTES_READ: &str = "dfs.bytes.read";
     /// Nodes declared dead via `fail_node`.
     pub const NODE_FAILURES: &str = "dfs.node.failures";
-    /// Replicas created by `re_replicate` sweeps.
+    /// Replicas created by re-replication
+    /// ([`crate::Dfs::re_replicate_blocks`]).
     pub const REPLICAS_RESTORED: &str = "dfs.replicas.restored";
     /// Replicas persisted to the block store and served from a file
     /// mapping (only moves when `DfsConfig::block_store_dir` is set).

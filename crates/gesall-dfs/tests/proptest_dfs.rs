@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 fn check_read(dfs: &Dfs, path: &str, want: &[u8]) -> Result<(), TestCaseError> {
     match dfs.read_file_shared(path) {
         Ok(got) => prop_assert_eq!(got.as_slice(), want, "{}", path),
-        Err(e) => prop_assert!(!dfs.file_available_excluding(path, &[]), "{path} is whole, read said {e}"),
+        Err(e) => prop_assert!(!dfs.file_available(path), "{path} is whole, read said {e}"),
     }
     Ok(())
 }

@@ -48,8 +48,8 @@ pub mod keys {
     /// Attempts whose committed-too-late results were discarded after a
     /// speculative race.
     pub const SPECULATIVE_WASTED: &str = "fault.speculative.wasted";
-    /// Completed map tasks re-executed because the node holding their
-    /// shuffle output died.
+    /// Committed map tasks re-executed because a node death took their
+    /// shuffle output: the transit DFS could serve it from no replica.
     pub const MAPS_RERUN_ON_NODE_LOSS: &str = "fault.maps.rerun.on.node.loss";
     /// Payload bytes memcpy'd on the record path (spill encode, compress,
     /// decompress, decode, segment fetch). The honest "bytes moved"
@@ -79,10 +79,6 @@ pub mod keys {
     /// contract the streaming merge exists to provide. Summed across
     /// reducers on merge.
     pub const REDUCE_PEAK_RESIDENT: &str = gesall_telemetry::mem_keys::REDUCE_PEAK_RESIDENT;
-    /// Completed map tasks whose shuffle-output home died but whose
-    /// DFS-shipped output survived on a replica: the reducers re-fetch
-    /// instead of the engine re-running the map.
-    pub const MAPS_RESHIPPED_FROM_DFS: &str = "fault.maps.reshipped.from.dfs";
     /// Shuffle fetches re-attempted at the engine level after a
     /// retryable DFS error survived the DFS's own internal retries —
     /// the second tier of the gray-failure defence.

@@ -95,7 +95,11 @@ impl FaultPlan {
         self
     }
 
-    /// Schedule `node` to die once `n` map commits have happened.
+    /// Schedule `node` to die once a map wave has committed `n` tasks.
+    /// The death kills the node's in-flight attempts and fails its
+    /// co-located datanode on the engine's transit DFS; each job then
+    /// re-runs the committed maps whose output that DFS lost. A map-only
+    /// job's committed output is the driver's and is never re-run.
     pub fn kill_node_after_maps(mut self, node: usize, n: usize) -> FaultPlan {
         self.node_deaths.push(NodeDeath {
             node,

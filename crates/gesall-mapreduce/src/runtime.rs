@@ -1,6 +1,6 @@
 //! The engine and its jobs: open frame → map wave → shuffle matrix →
-//! reduce wave → finish, going back to a map wave for the maps a node
-//! death took when another job on the engine fired it.
+//! reduce wave → finish, going back to a map wave for the maps whose
+//! output a node death took, whichever job's wave fired it.
 //!
 //! This module holds the engine — [`MapReduceEngine`] — and the bodies
 //! of a map task and a reduce task; what a job *is* ([`JobConfig`],
@@ -8,14 +8,15 @@
 //! re-exported here. How a wave of such tasks is
 //! scheduled over the cluster's slots — attempts under `catch_unwind`,
 //! retries with backoff up to [`MAX_ATTEMPTS`], speculative
-//! backups, node deaths injected via [`crate::fault::FaultPlan`] that
-//! re-run committed map tasks whose shuffle output lived on the lost
-//! node, exactly as Hadoop must when a slave is lost mid-job — is
-//! the `wave` module's. A task body runs start to finish on the slot
-//! worker that took the attempt: the spill sort, the map-side merge, the
-//! reduce-side fetches and the multipass merge spawn no thread, so what
-//! an attempt costs is charged to the slot — and the lease permit —
-//! that ran it.
+//! backups, node deaths injected via [`crate::fault::FaultPlan`] — is
+//! the `wave` module's. A death fails the node's co-located datanode on
+//! the transit DFS, and the job's probe after its map wave re-runs every
+//! committed map whose output the DFS can no longer serve, as Hadoop
+//! re-executes the maps of a lost slave. A task body runs start to
+//! finish on the slot worker that took the attempt: the spill sort, the
+//! map-side merge, the reduce-side fetches and the multipass merge spawn
+//! no thread, so what an attempt costs is charged to the slot — and the
+//! lease permit — that ran it.
 
 use crate::cluster::ClusterResources;
 use crate::counters::{keys, Counters};
@@ -40,7 +41,6 @@ use gesall_telemetry::{OpenSpan, Phase, Recorder, SpanKind};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A committed map task's shuffle output: one indexed DFS file pinned to
@@ -75,15 +75,11 @@ pub struct MapReduceEngine {
     /// Nodes lost so far; a dead node schedules no further attempts, in
     /// any wave of any subsequent job on this engine.
     pub(crate) dead_nodes: Mutex<HashSet<usize>>,
-    /// Called (outside scheduler locks) when a node dies — the DFS layer
-    /// hooks re-replication in here.
-    pub(crate) node_death_hook: Option<Arc<dyn Fn(usize) + Send + Sync>>,
     /// Span recorder; inert by default ([`Recorder::disabled`]).
     recorder: Recorder,
-    /// DFS the shuffle transits through: attached by the owner
-    /// ([`MapReduceEngine::with_shuffle_dfs`]), else a private in-memory
-    /// one created on the first shuffling job.
-    shuffle_dfs: Mutex<Option<Dfs>>,
+    /// DFS the shuffle transits through; engine node `n` is co-located
+    /// with its datanode `n % n_nodes` ([`MapReduceEngine::datanode`]).
+    shuffle_dfs: Dfs,
     /// Monotone id source for shuffle directories and attempt files, so
     /// retried/speculative attempts and repeated jobs never collide on
     /// a DFS path.
@@ -91,40 +87,39 @@ pub struct MapReduceEngine {
 }
 
 impl MapReduceEngine {
+    /// An engine over `cluster` whose shuffle transits a private
+    /// in-memory DFS with one datanode per cluster node and replication
+    /// 1, so a map output lives only on its mapper's node and node loss
+    /// re-runs the map, as on a cluster without replicated transit.
     pub fn new(cluster: ClusterResources) -> MapReduceEngine {
+        let shuffle_dfs = Dfs::new(DfsConfig {
+            n_nodes: cluster.n_nodes().max(1),
+            replication: 1,
+            ..DfsConfig::default()
+        });
         MapReduceEngine {
             cluster,
             fault_plan: FaultPlan::default(),
             pending_deaths: Mutex::new(Vec::new()),
             dead_nodes: Mutex::new(HashSet::new()),
-            node_death_hook: None,
             recorder: Recorder::disabled(),
-            shuffle_dfs: Mutex::new(None),
+            shuffle_dfs,
             shuffle_seq: AtomicU64::new(0),
         }
     }
 
-    /// Route shuffle transit through `dfs`.
+    /// Route shuffle transit through `dfs`: its datanodes die with the
+    /// engine nodes co-located with them.
     pub fn with_shuffle_dfs(mut self, dfs: Dfs) -> MapReduceEngine {
-        *self.shuffle_dfs.get_mut() = Some(dfs);
+        self.shuffle_dfs = dfs;
         self
     }
 
-    /// The transit DFS. An engine nobody attached one to gets a private
-    /// in-memory DFS with one datanode per cluster node and replication
-    /// 1, so a map output lives only on its mapper's node and node loss
-    /// re-runs the map, as on a cluster without replicated transit.
-    fn shuffle_dfs(&self) -> Dfs {
-        self.shuffle_dfs
-            .lock()
-            .get_or_insert_with(|| {
-                Dfs::new(DfsConfig {
-                    n_nodes: self.cluster.n_nodes(),
-                    replication: 1,
-                    ..DfsConfig::default()
-                })
-            })
-            .clone()
+    /// The transit datanode co-located with engine node `node`: where
+    /// the node's map outputs are pinned, which replica its reducers
+    /// prefer, and which datanode fails when the node dies.
+    pub(crate) fn datanode(&self, node: usize) -> usize {
+        node % self.shuffle_dfs.config().n_nodes
     }
 
     /// A single-node engine with `slots` concurrent tasks.
@@ -136,16 +131,6 @@ impl MapReduceEngine {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> MapReduceEngine {
         *self.pending_deaths.get_mut() = plan.node_deaths().to_vec();
         self.fault_plan = plan;
-        self
-    }
-
-    /// Register a callback fired once per node death, after the scheduler
-    /// has marked the node dead and re-queued its work.
-    pub fn on_node_death(
-        mut self,
-        hook: impl Fn(usize) + Send + Sync + 'static,
-    ) -> MapReduceEngine {
-        self.node_death_hook = Some(Arc::new(hook));
         self
     }
 
@@ -177,6 +162,39 @@ impl MapReduceEngine {
 
     pub(crate) fn is_dead(&self, node: usize) -> bool {
         self.dead_nodes.lock().contains(&node)
+    }
+
+    /// Fire the scheduled deaths due once a map wave has committed
+    /// `commits` tasks. Each fails its node's datanode on the transit
+    /// DFS, then marks the node dead, so whoever sees the node dead also
+    /// sees the datanode gone; the job that owns a committed map output
+    /// the death took finds it missing and re-runs the map. The caller
+    /// holds its wave lock, so no attempt of that wave commits on the
+    /// node after its death. It hands the blocks the failures left
+    /// under-replicated to [`MapReduceEngine::re_replicate`] once the
+    /// lock is released.
+    #[must_use]
+    pub(crate) fn fire_due_deaths(&self, commits: usize) -> Vec<u64> {
+        let mut under_replicated = Vec::new();
+        self.pending_deaths.lock().retain(|death| {
+            let due = death.after_completed_maps <= commits;
+            if due {
+                let report = self.shuffle_dfs.fail_node(self.datanode(death.node));
+                under_replicated.extend(report.under_replicated);
+                self.dead_nodes.lock().insert(death.node);
+            }
+            !due
+        });
+        under_replicated
+    }
+
+    /// Copy the given transit blocks back to their replication factor
+    /// from their surviving replicas, as the namenode does after a
+    /// datanode dies.
+    pub(crate) fn re_replicate(&self, blocks: &[u64]) {
+        if !blocks.is_empty() {
+            self.shuffle_dfs.re_replicate_blocks(blocks);
+        }
     }
 
     /// Run a full map + shuffle + reduce job; each reducer's output is
@@ -221,28 +239,22 @@ impl MapReduceEngine {
             let map_outputs: TaskOutputs<MapOutput> =
                 (0..n_maps).map(|_| Mutex::new(None)).collect();
             let prefs: Vec<Option<usize>> = splits.iter().map(|s| s.preferred_node).collect();
-            // A committed map whose home node dies may still be readable
-            // from a replica: probe actual datanode storage, excluding
-            // every engine-dead node's co-located datanode (the DFS may
-            // not have been told about the death yet — the failure hook
-            // runs after eviction decisions).
-            let survives = |task: usize| -> bool {
-                let slot = map_outputs[task].lock();
-                let Some(out) = &*slot else {
-                    return false;
-                };
-                let mut excluded: Vec<usize> =
-                    self.dead_nodes.lock().iter().map(|d| d % job.n_dfs_nodes).collect();
-                excluded.sort_unstable();
-                excluded.dedup();
-                job.dfs.file_available_excluding(&out.path, &excluded)
+            // A committed map survives a node death while the transit DFS
+            // can still serve its output: a death fails the node's
+            // datanode before anyone sees the node dead, so the DFS alone
+            // answers.
+            let survives = |task: usize| {
+                map_outputs[task]
+                    .lock()
+                    .as_ref()
+                    .is_some_and(|out| job.dfs.file_available(&out.path))
             };
-            // A node death fired by another job's wave on this shared
-            // engine re-runs only that job's lost maps. So this job probes
-            // its committed maps itself — before the reduce wave, and when
-            // a reducer found an input gone — and re-runs the lost ones:
-            // Hadoop's fetch failure → map re-execution. Each death fires
-            // once, so the loop ends; MAX_ATTEMPTS rounds bound it anyway.
+            // The only recovery of committed map output, whichever job's
+            // wave fired the death: probe every committed map — after the
+            // map wave, and when a reducer found an input gone — and
+            // re-run the lost ones, as Hadoop re-executes a map on fetch
+            // failure. Each death fires once, so the loop ends;
+            // MAX_ATTEMPTS rounds bound it anyway.
             let evict_lost = || -> usize {
                 let lost: Vec<usize> = (0..n_maps).filter(|&t| !survives(t)).collect();
                 for &t in &lost {
@@ -251,14 +263,14 @@ impl MapReduceEngine {
                 frame.counters.add(keys::MAPS_RERUN_ON_NODE_LOSS, lost.len() as u64);
                 lost.len()
             };
-            let inputs_survive = |_: usize| (0..n_maps).all(&survives);
+            let inputs_survive = || (0..n_maps).all(&survives);
             let reduce_outputs: TaskOutputs<_> =
                 (0..job.n_reducers).map(|_| Mutex::new(None)).collect();
             let no_prefs = vec![None; job.n_reducers];
             let (mut reruns, mut matrix_recorded) = (0, false);
             loop {
                 // ---- Map wave -----------------------------------------
-                run_wave(self, TaskKind::Map, &frame, &prefs, &map_outputs, Some(&survives), |at| {
+                run_wave(self, TaskKind::Map, &frame, &prefs, &map_outputs, None, |at| {
                     self.map_task(&job, mapper, &splits[at.task], at)
                 })?;
                 if reruns < MAX_ATTEMPTS && evict_lost() > 0 {
@@ -316,11 +328,10 @@ impl MapReduceEngine {
     /// Set up one job's shuffle: the transit DFS and this run's
     /// directory.
     fn open_shuffle<'a, K: Wire>(
-        &self,
+        &'a self,
         config: &'a JobConfig,
         partitioner: &'a dyn Partitioner<K>,
     ) -> ShuffleJob<'a, K> {
-        let dfs = self.shuffle_dfs();
         // Per-run shuffle directory: the id makes repeated jobs on one
         // engine (and their retried attempts' files) disjoint. The run
         // counter is monotone per engine — never wall-clock derived — so
@@ -336,8 +347,7 @@ impl MapReduceEngine {
             config,
             n_reducers: config.n_reducers.max(1),
             partitioner,
-            n_dfs_nodes: dfs.config().n_nodes,
-            dfs,
+            dfs: &self.shuffle_dfs,
             base,
         }
     }
@@ -383,8 +393,8 @@ impl MapReduceEngine {
         let uid = self.shuffle_seq.fetch_add(1, Ordering::Relaxed);
         let path = format!("{}/map-{:05}-a{uid}.segs", job.base, at.task);
         let t_ship = Instant::now();
-        let pin = PinnedPlacement(at.node % job.n_dfs_nodes);
-        if let Err(e) = shipping::store_map_output(&job.dfs, &path, &segments, &pin, bag) {
+        let pin = PinnedPlacement(self.datanode(at.node));
+        if let Err(e) = shipping::store_map_output(job.dfs, &path, &segments, &pin, bag) {
             // A panic here is an attempt failure → retry.
             panic!("shipping map output {path} to DFS: {e}");
         }
@@ -414,10 +424,9 @@ impl MapReduceEngine {
     {
         let (partition, bag) = (at.task, at.bag);
         let t_task = Instant::now();
-        // Locality hint: the reducer's exec node, mapped onto the DFS
-        // node space exactly as map outputs were pinned, so a fetch
-        // prefers the co-located replica.
-        let affinity = ReadAffinity::node(at.node % job.n_dfs_nodes);
+        // Locality hint: the reducer's co-located datanode, where map
+        // outputs were pinned, so a fetch prefers the local replica.
+        let affinity = ReadAffinity::node(self.datanode(at.node));
         // The merge must know its nonempty-run count before fetching
         // anything — the shipped metas carry it.
         let n_runs = map_outputs
@@ -436,10 +445,11 @@ impl MapReduceEngine {
             // outlive its budget (e.g. a deadline expiry). Non-retryable
             // errors — corrupt beyond repair, missing file — surface
             // immediately: that's an attempt failure, and the
-            // scheduler's re-run (or reship probe) is the right recovery.
+            // scheduler's retry (or the job's lost-map probe) is the right
+            // recovery.
             let mut tries = 0usize;
             loop {
-                match shipping::fetch_partition(&job.dfs, &out.path, partition, affinity, bag) {
+                match shipping::fetch_partition(job.dfs, &out.path, partition, affinity, bag) {
                     Ok(seg) => {
                         bag.add(keys::SHUFFLE_BYTES_DFS, seg.wire_len() as u64);
                         return Some(seg);
@@ -542,10 +552,8 @@ struct ShuffleJob<'a, K> {
     config: &'a JobConfig,
     n_reducers: usize,
     partitioner: &'a dyn Partitioner<K>,
-    /// The transit DFS; engine node `n` is co-located with its datanode
-    /// `n % n_dfs_nodes`.
-    dfs: Dfs,
-    n_dfs_nodes: usize,
+    /// The engine's transit DFS.
+    dfs: &'a Dfs,
     /// This run's transit directory.
     base: String,
 }
@@ -912,7 +920,7 @@ mod tests {
             }
             // The run's shuffle files are swept once reducers consumed
             // them, on whichever DFS carried them.
-            let left = engine.shuffle_dfs().list("");
+            let left = engine.shuffle_dfs.list("");
             assert!(left.is_empty(), "transit files must be cleaned up: {left:?}");
             (outs, res.counters)
         };
@@ -964,9 +972,8 @@ mod tests {
             .expect("two surviving nodes must finish the job");
         assert_eq!(engine.dead_nodes(), vec![1]);
         assert!(res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS) >= 1);
-        assert_eq!(res.counters.get(keys::MAPS_RESHIPPED_FROM_DFS), 0);
         assert!(res.counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
-        assert!(engine.shuffle_dfs().list("").is_empty());
+        assert!(engine.shuffle_dfs.list("").is_empty());
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! scheduling ([`pick_pending`]), run each attempt under `catch_unwind`,
 //! retry failures with exponential backoff, back stragglers up with
 //! speculative attempts (first finisher wins) and, when a scheduled
-//! node death fires, re-queue the dead node's in-flight attempts and
-//! the committed tasks whose output died with it.
+//! node death fires, kill and re-queue the dead node's in-flight
+//! attempts. Committed output the death took is not the wave's to
+//! recover: the job probes for it after the wave.
 
 use crate::cluster::{TASK_MEMORY_MB, TASK_VCORES};
 use crate::counters::{keys, Counters};
@@ -45,13 +46,11 @@ pub const SPECULATIVE_MIN_RUNTIME_MS: f64 = 25.0;
 /// Per-task output slots: `None` until the task's winning attempt commits.
 pub(crate) type TaskOutputs<O> = Vec<Mutex<Option<O>>>;
 
-/// Whether a task's data outlived the node deaths so far. In a map wave:
-/// a committed task's output, which reducers re-fetch from a surviving
-/// replica instead of the engine re-running the map. In a reduce wave:
-/// the task's inputs, every committed map's output — a failed attempt
-/// whose inputs died ends the wave at once, for the job to re-run the
-/// lost maps.
-pub(crate) type SurvivalCheck<'a> = Option<&'a (dyn Fn(usize) -> bool + Sync)>;
+/// A reduce wave's probe: whether every committed map's output outlived
+/// the node deaths so far. A failed attempt whose inputs died ends the
+/// wave at once, for the job to re-run the lost maps. Map waves take
+/// none.
+pub(crate) type InputsSurvive<'a> = Option<&'a (dyn Fn() -> bool + Sync)>;
 
 /// What a task body is told about the attempt it is running as.
 pub(crate) struct AttemptCtx<'a> {
@@ -64,7 +63,7 @@ pub(crate) struct AttemptCtx<'a> {
 }
 
 /// Execute one wave of tasks with per-node container slots, attempt
-/// retries, speculative backups, and node-loss recovery. Only the tasks
+/// retries, speculative backups, and scheduled node deaths. Only the tasks
 /// without a committed output run, their attempts numbered on from the
 /// job's earlier waves of the same kind.
 pub(crate) fn run_wave<T, F>(
@@ -73,7 +72,7 @@ pub(crate) fn run_wave<T, F>(
     frame: &JobFrame,
     prefs: &[Option<usize>],
     outputs: &[Mutex<Option<T>>],
-    survives: SurvivalCheck<'_>,
+    inputs_survive: InputsSurvive<'_>,
     body: F,
 ) -> Result<(), GesallError>
 where
@@ -111,7 +110,6 @@ where
                     .max()
                     .unwrap_or(0),
                 backup_launched: false,
-                home: None,
             })
             .collect(),
         remaining: to_run.len(),
@@ -132,16 +130,12 @@ where
         idle: &idle,
         done: &done,
         outputs,
-        survives,
+        inputs_survive,
     };
 
     // Deaths already due (threshold 0) fire before any work starts.
     if kind == TaskKind::Map {
-        let fired = {
-            let mut st = state.lock();
-            wave.fire_due_deaths(&mut st)
-        };
-        wave.notify_deaths(&fired);
+        engine.re_replicate(&engine.fire_due_deaths(0));
     }
 
     let scope_result = crossbeam::thread::scope(|s| {
@@ -219,8 +213,6 @@ struct TaskState {
     failures: usize,
     next_attempt: usize,
     backup_launched: bool,
-    /// Node whose local disk holds the committed output (shuffle home).
-    home: Option<usize>,
 }
 
 struct RunningAttempt {
@@ -298,10 +290,7 @@ struct WaveCtx<'a, T> {
     idle: &'a Condvar,
     done: &'a [AtomicBool],
     outputs: &'a [Mutex<Option<T>>],
-    /// Probe whether a task's data survives the node deaths so far (see
-    /// [`SurvivalCheck`]); `None` in a map wave means outputs live only
-    /// on their home node.
-    survives: SurvivalCheck<'a>,
+    inputs_survive: InputsSurvive<'a>,
 }
 
 impl<T> WaveCtx<'_, T> {
@@ -522,7 +511,6 @@ impl<T> WaveCtx<'_, T> {
                 }
                 *self.outputs[a.task].lock() = Some(value);
                 self.done[a.task].store(true, Ordering::SeqCst);
-                st.tasks[a.task].home = Some(node);
                 st.remaining -= 1;
                 if let Some(started) = started {
                     st.completed_ms
@@ -531,17 +519,17 @@ impl<T> WaveCtx<'_, T> {
                 st.total_commits += 1;
                 self.frame.counters.merge(&bag);
                 log_event(AttemptOutcome::Succeeded, None);
-                let fired = if self.kind == TaskKind::Map {
-                    self.fire_due_deaths(&mut st)
+                let under_replicated = if self.kind == TaskKind::Map {
+                    self.engine.fire_due_deaths(st.total_commits)
                 } else {
                     Vec::new()
                 };
                 drop(st);
                 // Wake idlers: remaining may have hit zero, a death may
-                // have re-queued tasks, and a fresh completion time may
-                // arm the straggler detector.
+                // have sent a node's workers home, and a fresh completion
+                // time may arm the straggler detector.
                 self.idle.notify_all();
-                self.notify_deaths(&fired);
+                self.engine.re_replicate(&under_replicated);
             }
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
@@ -557,8 +545,7 @@ impl<T> WaveCtx<'_, T> {
                 log_event(AttemptOutcome::Failed, Some(msg.clone()));
                 // A reducer whose inputs died with a node fails on every
                 // retry: end the wave now and let the job re-run the maps.
-                let inputs_lost = self.kind == TaskKind::Reduce
-                    && self.survives.is_some_and(|check| !check(a.task));
+                let inputs_lost = self.inputs_survive.is_some_and(|check| !check());
                 if failures >= MAX_ATTEMPTS || inputs_lost {
                     st.fatal = Some(GesallError::TaskFailed {
                         kind: self.kind,
@@ -620,68 +607,6 @@ impl<T> WaveCtx<'_, T> {
             metrics: bag.snapshot(),
         });
     }
-
-    /// Fire scheduled deaths whose map-commit threshold has been reached.
-    /// Runs under the wave lock: marks the node dead, evicts committed
-    /// map outputs homed on it, and re-queues those tasks. Returns the
-    /// nodes that died so the caller can notify the hook lock-free.
-    fn fire_due_deaths(&self, st: &mut WaveState) -> Vec<usize> {
-        let mut fired = Vec::new();
-        let mut pending_deaths = self.engine.pending_deaths.lock();
-        let mut i = 0;
-        while i < pending_deaths.len() {
-            if pending_deaths[i].after_completed_maps <= st.total_commits {
-                let death = pending_deaths.remove(i);
-                self.engine.dead_nodes.lock().insert(death.node);
-                fired.push(death.node);
-                // Completed map outputs on the dead node's disk are gone:
-                // evict and re-run, as Hadoop re-runs map tasks whose
-                // shuffle output was on a lost slave. A shuffling job's
-                // output may survive on a transit-DFS replica — probe
-                // every committed task (a later death can take the last
-                // replica of a task whose home died earlier), keep the
-                // survivors, and only re-run the rest.
-                for task in 0..st.tasks.len() {
-                    if !self.done[task].load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    let homed_here = st.tasks[task].home == Some(death.node);
-                    let survives_death = match self.survives {
-                        Some(check) => check(task),
-                        // Map-only job: output lives only on its home.
-                        None => !homed_here,
-                    };
-                    if survives_death {
-                        if homed_here {
-                            self.frame.counters.add(keys::MAPS_RESHIPPED_FROM_DFS, 1);
-                        }
-                        continue;
-                    }
-                    *self.outputs[task].lock() = None;
-                    self.done[task].store(false, Ordering::SeqCst);
-                    st.tasks[task].home = None;
-                    st.tasks[task].backup_launched = false;
-                    st.remaining += 1;
-                    st.pending.push(PendingTask {
-                        task,
-                        not_before: None,
-                    });
-                    self.frame.counters.add(keys::MAPS_RERUN_ON_NODE_LOSS, 1);
-                }
-            } else {
-                i += 1;
-            }
-        }
-        fired
-    }
-
-    fn notify_deaths(&self, nodes: &[usize]) {
-        if let Some(hook) = &self.engine.node_death_hook {
-            for &node in nodes {
-                hook(node);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -701,7 +626,6 @@ mod tests {
                 failures: 0,
                 next_attempt: 0,
                 backup_launched: false,
-                home: None,
             })
             .collect();
         let pending = |ids: &[usize]| -> Vec<PendingTask> {

@@ -4,7 +4,7 @@
 
 use gesall_formats::wire::{Cursor, Wire};
 use gesall_mapreduce::counters::keys;
-use gesall_mapreduce::runtime::{AttemptOutcome, MAX_ATTEMPTS, RETRY_BACKOFF_MS};
+use gesall_mapreduce::runtime::{AttemptOutcome, TaskEvent, MAX_ATTEMPTS, RETRY_BACKOFF_MS};
 use gesall_mapreduce::{
     ClusterResources, Counters, FaultPlan, GesallError, HashPartitioner, InputSplit, JobConfig,
     MapContext, MapReduceEngine, Mapper, OutputFormat, RecordWriter, ReduceContext, Reducer,
@@ -233,14 +233,15 @@ fn speculative_backup_beats_slowed_original() {
 #[test]
 fn node_death_mid_map_wave_recovers_and_completes() {
     // Node 1 dies after 6 map commits. Its in-flight work is re-queued,
-    // its committed map outputs re-executed, and the job still produces
-    // the exact fault-free output.
+    // the committed map outputs its datanode held are re-executed after
+    // the map wave, and the job still produces the exact fault-free
+    // output.
     let plan = {
         let mut p = FaultPlan::seeded(4).kill_node_after_maps(1, 6);
         // Stretch every first attempt so all six slots (two on the doomed
         // node) are mid-flight together: the first six commits then land
-        // at ~40 ms, two of them homed on node 1, guaranteeing the death
-        // evicts committed map output.
+        // at ~40 ms, two of them pinned to node 1's datanode, so the
+        // death takes committed map output.
         for t in 0..12 {
             p = p.slow_down(TaskKind::Map, t, 0, 40);
         }
@@ -257,19 +258,17 @@ fn node_death_mid_map_wave_recovers_and_completes() {
         res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS) >= 1,
         "a node with 2 slots must have committed some of the first 6 maps"
     );
-    // No event may claim a commit on the dead node after it died — every
-    // success on node 1 must have been re-run (evicted) or the task
-    // re-committed elsewhere; the output equality above already proves
-    // the shuffle never read lost data.
+    // The output equality above proves the shuffle never read lost
+    // data: every map whose output died with node 1 was re-run.
 }
 
 #[test]
 fn node_death_after_map_commit_reships_from_dfs_replica() {
     use gesall_dfs::{Dfs, DfsConfig};
-    // Same death scenario as above, but with the DFS-transit shuffle on
-    // and replication 2: the committed map outputs homed on the dying
-    // node survive on a replica, so the engine re-ships instead of
-    // re-running — zero map re-executions.
+    // Same death scenario as above, but with replication 2 on the
+    // transit DFS: the engine fails node 1's datanode, the committed map
+    // outputs pinned there survive on a replica, and the reducers fetch
+    // them from it — zero map re-executions.
     let dfs = Dfs::new(DfsConfig {
         n_nodes: 3,
         block_size: 1 << 20,
@@ -285,33 +284,108 @@ fn node_death_after_map_commit_reships_from_dfs_replica() {
         }
         p
     };
-    let hook_dfs = dfs.clone();
     let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096))
         .with_shuffle_dfs(dfs.clone())
-        .with_fault_plan(plan)
-        .on_node_death(move |node| {
-            // Mirror the death onto the DFS — its copies on that node are
-            // gone — then restore replication from the survivors, as the
-            // namenode would.
-            hook_dfs.fail_node(node);
-            hook_dfs.re_replicate();
-        });
+        .with_fault_plan(plan);
     let res = engine
         .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
         .expect("replicated shuffle output must survive one node death");
 
     assert_eq!(sorted_output(&res), fault_free_output_12());
     assert_eq!(engine.dead_nodes(), vec![1]);
-    assert!(
-        res.counters.get(keys::MAPS_RESHIPPED_FROM_DFS) >= 1,
-        "committed maps homed on the dead node must be served from a replica"
-    );
+    assert!(dfs.is_node_dead(1), "the engine fails the dead node's datanode");
+    // Maps committed on node 1 before it died were served from a
+    // replica: each committed once, never re-run.
+    let homed_on_dead: Vec<usize> =
+        map_commits(&res).filter(|e| e.node == 1).map(|e| e.task_id).collect();
+    assert!(!homed_on_dead.is_empty(), "node 1 committed some of the first 6 maps");
+    for t in homed_on_dead {
+        assert_eq!(map_commits(&res).filter(|e| e.task_id == t).count(), 1, "map {t} re-ran");
+    }
     assert_eq!(
         res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS),
         0,
         "with replication 2 and a single death no map output is lost"
     );
     assert!(res.counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
+}
+
+/// The job's committed map attempts.
+fn map_commits<K, V>(res: &gesall_mapreduce::JobResult<K, V>) -> impl Iterator<Item = &TaskEvent> {
+    res.events
+        .iter()
+        .filter(|e| e.kind == TaskKind::Map && e.outcome == AttemptOutcome::Succeeded)
+}
+
+#[test]
+fn a_map_only_job_reruns_no_committed_map_on_node_loss() {
+    // A map-only job hands its output to the driver, which places it on
+    // the DFS: nothing it committed lived on the node's local disk, so a
+    // node death re-runs no committed map. Only the attempts the death
+    // caught on node 1 are killed, and their tasks commit on a live node.
+    let plan = (0..12).fold(FaultPlan::seeded(4).kill_node_after_maps(1, 6), |p, t| {
+        p.slow_down(TaskKind::Map, t, 0, 40)
+    });
+    let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)).with_fault_plan(plan);
+    let res = engine
+        .run_map_only(quick_cfg(), &Tokenize, word_splits(12, 30))
+        .expect("two surviving nodes must finish the job");
+    let quiet = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096))
+        .run_map_only(quick_cfg(), &Tokenize, word_splits(12, 30))
+        .unwrap();
+
+    assert_eq!(res.outputs, quiet.outputs);
+    assert_eq!(engine.dead_nodes(), vec![1]);
+    assert_eq!(res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS), 0);
+    let commit_node = |t: usize| -> Vec<usize> {
+        map_commits(&res).filter(|e| e.task_id == t).map(|e| e.node).collect()
+    };
+    let on_dead: Vec<_> = res.events.iter().filter(|e| e.node == 1).collect();
+    assert!(
+        on_dead.iter().any(|e| e.outcome == AttemptOutcome::Succeeded),
+        "node 1 committed some of the first 6 maps: {on_dead:?}"
+    );
+    for e in on_dead {
+        match e.outcome {
+            AttemptOutcome::Succeeded => {
+                assert_eq!(commit_node(e.task_id), vec![1], "{e:?} re-ran");
+            }
+            AttemptOutcome::Killed => {
+                let node = commit_node(e.task_id);
+                assert!(node.len() == 1 && node[0] != 1, "{e:?} re-committed on {node:?}");
+            }
+            AttemptOutcome::Failed => panic!("no attempt of this plan fails: {e:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_death_fails_the_co_located_datanode_when_nodes_outnumber_datanodes() {
+    use gesall_dfs::{Dfs, DfsConfig};
+    // Six one-slot engine nodes over three unreplicated datanodes:
+    // engine nodes 1 and 4 share datanode 1. The six first attempts run
+    // together, so node 4's death at the sixth commit fails datanode 1
+    // with the outputs both nodes pinned there, and those maps re-run.
+    let dfs = Dfs::new(DfsConfig {
+        n_nodes: 3,
+        block_size: 1 << 20,
+        replication: 1,
+        ..DfsConfig::default()
+    });
+    let plan = (0..12).fold(FaultPlan::seeded(6).kill_node_after_maps(4, 6), |p, t| {
+        p.slow_down(TaskKind::Map, t, 0, 40)
+    });
+    let engine = MapReduceEngine::new(ClusterResources::uniform(6, 1, 4096))
+        .with_shuffle_dfs(dfs.clone())
+        .with_fault_plan(plan);
+    let res = engine
+        .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
+        .expect("five surviving nodes must finish the job");
+
+    assert_eq!(sorted_output(&res), fault_free_output_12());
+    assert_eq!(engine.dead_nodes(), vec![4]);
+    assert_eq!(dfs.dead_nodes(), vec![1], "engine node 4 lives on datanode 4 % 3");
+    assert!(res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS) >= 1);
 }
 
 /// Reference output for the 12-split job used in the node-death test.
@@ -394,10 +468,9 @@ impl Reducer for GatedSum<'_> {
     }
 }
 
-/// Two nodes with one slot each and an unreplicated transit DFS wired
-/// to the engine's node-death hook, as the platform wires it: node 1
-/// dies at the third map commit of whichever wave gets there first —
-/// never the two-map bystander's.
+/// Two nodes with one slot each over an unreplicated transit DFS: node
+/// 1 dies, taking its datanode, at the third map commit of whichever
+/// wave gets there first — never the two-map bystander's.
 fn shared_engine_losing_node_1() -> MapReduceEngine {
     use gesall_dfs::{Dfs, DfsConfig};
     let dfs = Dfs::new(DfsConfig {
@@ -406,14 +479,9 @@ fn shared_engine_losing_node_1() -> MapReduceEngine {
         replication: 1,
         ..DfsConfig::default()
     });
-    let hook_dfs = dfs.clone();
     MapReduceEngine::new(ClusterResources::uniform(2, 1, 4096))
         .with_shuffle_dfs(dfs)
         .with_fault_plan(FaultPlan::seeded(5).kill_node_after_maps(1, 3))
-        .on_node_death(move |node| {
-            let report = hook_dfs.fail_node(node);
-            hook_dfs.re_replicate_blocks(&report.under_replicated);
-        })
         .with_recorder(gesall_telemetry::Recorder::new())
 }
 

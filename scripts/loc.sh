@@ -17,7 +17,11 @@
 # `,` that ends it at bracket depth 0, whichever comes first. Brackets in
 # strings, char literals and comments are not counted. A file that ends
 # inside a test item means the scan lost its place, and fails the script.
-# CI holds scripts/fixtures/loc_fixture.rs to its exact count.
+# A file whose parent module declares it under `#[cfg(test)]` (an
+# out-of-line `#[cfg(test)] mod NAME;`), or whose parent is such a file,
+# is test code: it counts 0. CI holds scripts/fixtures/loc_fixture.rs
+# and the module tree under scripts/fixtures/loc_test_module/ to their
+# exact counts.
 set -euo pipefail
 
 read -r -d '' count_lines <<'AWK' || true
@@ -83,13 +87,63 @@ skipping { scan($0); next }
 END { finish(); exit lost }
 AWK
 
-# Per-file counts ("n path") of every .rs file under the given paths.
+# How the file declares module `name`: exit 0 under `#[cfg(test)]` (on
+# the line itself or among the attributes stacked above it), 1 without
+# it, 2 not at all.
+read -r -d '' declares_mod <<'AWK' || true
+BEGIN { found = 2 }
+/^[ \t]*#\[cfg\(test\)\]/ { cfg_test = 1 }
+{
+    item = $0
+    sub(/^[ \t]*(#\[[^]]*\][ \t]*)*/, "", item)
+    if (item ~ "^(pub(\\([a-z]+\\))?[ \t]+)?mod[ \t]+" name "[ \t]*;") { found = cfg_test ? 0 : 1; exit }
+    if (item != "" && item !~ /^\/\//) cfg_test = 0
+}
+END { exit found }
+AWK
+
+# Whether FILE is test code as a whole: its parent module (`D.rs`,
+# `D/mod.rs`, `D/lib.rs` or `D/main.rs` for `D/NAME.rs` or
+# `D/NAME/mod.rs`) declares it under `#[cfg(test)]`, or is itself such
+# a file.
+test_module() {
+    local dir name parent status
+    dir=$(dirname "$1")
+    name=$(basename "$1" .rs)
+    case $name in
+        lib | main) return 1 ;;
+        mod) name=$(basename "$dir") dir=$(dirname "$dir") ;;
+    esac
+    for parent in "$dir.rs" "$dir/mod.rs" "$dir/lib.rs" "$dir/main.rs"; do
+        [ -f "$parent" ] || continue
+        status=0
+        awk -v name="$name" "$declares_mod" "$parent" || status=$?
+        case $status in
+            0) return 0 ;;
+            1) test_module "$parent"; return ;;
+        esac
+    done
+    return 1
+}
+
+# Per-file counts ("n path") of the given .rs files.
+count_files() {
+    local f rest=()
+    for f in "$@"; do
+        if test_module "$f"; then echo "0 $f"; else rest+=("$f"); fi
+    done
+    [ ${#rest[@]} -eq 0 ] || awk "$count_lines" "${rest[@]}"
+}
+
+# Per-file counts of every .rs file under the given paths.
 per_file() {
-    find "$@" -name '*.rs' -print0 | xargs -0 -r awk "$count_lines"
+    local files
+    mapfile -d '' files < <(find "$@" -name '*.rs' -print0)
+    count_files "${files[@]}"
 }
 
 if [ $# -gt 0 ]; then
-    awk "$count_lines" "$@" | awk '{ n += $1 } END { print n + 0 }'
+    count_files "$@" | awk '{ n += $1 } END { print n + 0 }'
     exit
 fi
 
