@@ -114,11 +114,11 @@ impl Aligner {
             let chunk = batch.len().div_ceil(threads);
             let mut results: Vec<Vec<(Vec<Candidate>, Vec<Candidate>)>> =
                 Vec::with_capacity(threads);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 let handles: Vec<_> = batch
                     .chunks(chunk.max(1))
                     .map(|part| {
-                        s.spawn(move |_| {
+                        s.spawn(move || {
                             let mut worker = KernelStats::default();
                             let candidates = part
                                 .iter()
@@ -133,8 +133,7 @@ impl Aligner {
                     results.push(candidates);
                     *stats += worker;
                 }
-            })
-            .expect("aligner thread scope failed");
+            });
             results.into_iter().flatten().collect()
         };
 

@@ -124,11 +124,6 @@ impl ReferenceIndex {
         Some((idx, gpos - self.offsets[idx]))
     }
 
-    /// Translate (chromosome id, 0-based local position) to a global one.
-    pub fn local_to_global(&self, chrom_id: usize, pos: usize) -> usize {
-        self.offsets[chrom_id] + pos
-    }
-
     /// The full sequence of one chromosome.
     pub fn chromosome_seq(&self, chrom_id: usize) -> &[u8] {
         let start = self.offsets[chrom_id];
@@ -258,7 +253,7 @@ mod tests {
         assert_eq!(idx.global_to_local(36), None);
         for g in 0..36 {
             let (c, p) = idx.global_to_local(g).unwrap();
-            assert_eq!(idx.local_to_global(c, p), g);
+            assert_eq!(idx.offsets[c] + p, g);
         }
     }
 

@@ -10,7 +10,6 @@ use gesall_mapreduce::task::{MapContext, Mapper};
 /// partition bytes out, through the `bwa | samtobam` streaming pipeline.
 pub struct Round1Align<'a> {
     pub aligner: &'a Aligner,
-    pub threads_per_mapper: usize,
     pub counters: Counters,
 }
 
@@ -25,7 +24,7 @@ impl Mapper for Round1Align<'_> {
         let harness = StreamingHarness::new(pipes.clone());
         let bwa = crate::programs::BwaMemProgram {
             aligner: self.aligner,
-            threads: self.threads_per_mapper.max(1),
+            threads: 1,
             counters: ctx.counters(),
         };
         let bam_bytes = harness

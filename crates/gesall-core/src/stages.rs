@@ -248,7 +248,6 @@ fn stage_round1(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) 
         p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
         &Round1Align {
             aligner: cx.aligner,
-            threads_per_mapper: 1,
             counters: cx.counters.clone(),
         },
         splits,

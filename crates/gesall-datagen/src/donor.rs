@@ -142,11 +142,6 @@ impl DonorGenome {
 
         DonorGenome { haplotypes, truth }
     }
-
-    /// Truth variants on one chromosome.
-    pub fn truth_for(&self, chrom: &str) -> Vec<&TruthVariant> {
-        self.truth.iter().filter(|v| v.chrom == chrom).collect()
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -273,7 +268,7 @@ mod tests {
             "expected a decent truth set, got {}",
             donor.truth.len()
         );
-        let chr1: Vec<_> = donor.truth_for("chr1");
+        let chr1: Vec<_> = donor.truth.iter().filter(|v| v.chrom == "chr1").collect();
         assert!(chr1.windows(2).all(|w| w[0].pos < w[1].pos));
     }
 

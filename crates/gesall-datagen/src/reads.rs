@@ -55,14 +55,6 @@ impl Default for ReadSimConfig {
     }
 }
 
-impl ReadSimConfig {
-    /// Pair count for a target coverage depth over a genome.
-    pub fn with_coverage(mut self, genome_len: usize, coverage: f64) -> ReadSimConfig {
-        self.n_pairs = ((genome_len as f64 * coverage) / (2.0 * self.read_len as f64)) as usize;
-        self
-    }
-}
-
 /// Where a simulated fragment truly came from — retained for diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FragmentOrigin {
@@ -366,11 +358,5 @@ mod tests {
             tail / 1000.0 < center / 1000.0 - 2.0,
             "tail quality should be clearly lower (center {center}, tail {tail})"
         );
-    }
-
-    #[test]
-    fn coverage_helper() {
-        let cfg = ReadSimConfig::default().with_coverage(1_000_000, 30.0);
-        assert_eq!(cfg.n_pairs, 150_000);
     }
 }

@@ -5,8 +5,9 @@
 
 use crate::fs::Dfs;
 use crate::types::DfsError;
-use parking_lot::{Mutex, RwLock};
+use gesall_telemetry::Unpoisoned;
 use std::collections::HashMap;
+use std::sync::{Mutex, RwLock};
 
 /// A pending corrupt-on-write injection: flip a byte of the stored
 /// replica whenever a write's path contains `path_contains` and the
@@ -31,12 +32,12 @@ pub(crate) struct FaultState {
 
 impl FaultState {
     pub(crate) fn slow_ms(&self, node: usize) -> Option<u64> {
-        self.slow.read().get(&node).copied()
+        self.slow.read().unpoisoned().get(&node).copied()
     }
 
     /// Injected flaky read: consume one scheduled failure for `node`.
     pub(crate) fn take_flaky_failure(&self, node: usize) -> bool {
-        let mut flaky = self.flaky.lock();
+        let mut flaky = self.flaky.lock().unpoisoned();
         match flaky.get_mut(&node) {
             Some(n) if *n > 0 => {
                 *n -= 1;
@@ -82,7 +83,7 @@ impl Dfs {
     /// `block`-th block's `replica`-th home bit-flipped after the write
     /// completes. Deterministic — fires on every matching write.
     pub fn inject_corrupt_on_write(&self, path_contains: &str, block: usize, replica: usize) {
-        self.inner.faults.corrupt_on_write.lock().push(CorruptOnWrite {
+        self.inner.faults.corrupt_on_write.lock().unpoisoned().push(CorruptOnWrite {
             path_contains: path_contains.to_string(),
             block,
             replica,
@@ -92,20 +93,20 @@ impl Dfs {
     /// Arm a flaky-read injection: the next `fail_first_n` replica
     /// reads served by `node` fail with a retryable transient error.
     pub fn inject_flaky_reads(&self, node: usize, fail_first_n: u64) {
-        self.inner.faults.flaky.lock().insert(node, fail_first_n);
+        self.inner.faults.flaky.lock().unpoisoned().insert(node, fail_first_n);
     }
 
     /// Arm a slow-node injection: every replica read served by `node`
     /// sleeps `delay_ms` first — a limping-but-alive disk. Hedged reads
     /// are the intended countermeasure.
     pub fn inject_slow_node(&self, node: usize, delay_ms: u64) {
-        self.inner.faults.slow.write().insert(node, delay_ms);
+        self.inner.faults.slow.write().unpoisoned().insert(node, delay_ms);
     }
 
     /// Apply any armed corrupt-on-write injections to a block just
     /// written to `nodes` as block index `bi` of `path`.
     pub(crate) fn apply_corrupt_on_write(&self, path: &str, bi: usize, nodes: &[usize], id: u64) {
-        let plans = self.inner.faults.corrupt_on_write.lock();
+        let plans = self.inner.faults.corrupt_on_write.lock().unpoisoned();
         for c in plans.iter() {
             if c.block == bi && path.contains(&c.path_contains) {
                 if let Some(&n) = nodes.get(c.replica) {

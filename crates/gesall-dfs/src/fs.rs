@@ -10,11 +10,10 @@ use crate::namespace::Namespace;
 use crate::placement::{BlockPlacementPolicy, DefaultPlacement};
 use crate::store::BlockStore;
 use gesall_formats::SharedBytes;
-use gesall_telemetry::{Histogram, MetricsRegistry};
-use parking_lot::RwLock;
+use gesall_telemetry::{Histogram, MetricsRegistry, Unpoisoned};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 pub use crate::store::BlockBacking;
 pub use crate::types::{
@@ -121,7 +120,7 @@ impl Dfs {
         policy: &dyn BlockPlacementPolicy,
     ) -> Result<FileInfo, DfsError> {
         let dead = {
-            let ns = self.inner.ns.read();
+            let ns = self.inner.ns.read().unpoisoned();
             if ns.file(path).is_some() {
                 return Err(DfsError::FileExists(path.to_string()));
             }
@@ -151,7 +150,7 @@ impl Dfs {
             self.count(metrics_keys::BYTES_WRITTEN, (chunk.len() * nodes.len()) as u64);
             info.blocks.push(BlockInfo { id, len: chunk.len(), nodes, checksum });
         }
-        let committed = self.inner.ns.write().commit_file(info);
+        let committed = self.inner.ns.write().unpoisoned().commit_file(info);
         committed.map_err(|lost| {
             self.inner.store.free(&lost.blocks);
             DfsError::FileExists(lost.path)
@@ -160,13 +159,13 @@ impl Dfs {
 
     /// File metadata (block list + replica locations).
     pub fn stat(&self, path: &str) -> Result<FileInfo, DfsError> {
-        let ns = self.inner.ns.read();
+        let ns = self.inner.ns.read().unpoisoned();
         ns.file(path).cloned().ok_or_else(|| DfsError::FileNotFound(path.to_string()))
     }
 
     /// Does the file exist?
     pub fn exists(&self, path: &str) -> bool {
-        self.inner.ns.read().file(path).is_some()
+        self.inner.ns.read().unpoisoned().file(path).is_some()
     }
 
     /// Per-node storage counters (data-locality accounting).
@@ -177,7 +176,7 @@ impl Dfs {
     /// Every invariant of the metadata, for tests.
     #[doc(hidden)]
     pub fn check_namespace(&self) -> Result<(), String> {
-        self.inner.ns.read().check()
+        self.inner.ns.read().unpoisoned().check()
     }
 }
 

@@ -9,6 +9,7 @@ use crate::checksum::xxh64;
 use crate::fs::Dfs;
 use crate::types::{metrics_keys, BlockInfo, DfsError, FileInfo, RangeRead, ReadAffinity};
 use gesall_formats::SharedBytes;
+use gesall_telemetry::Unpoisoned;
 use std::time::{Duration, Instant};
 
 impl Dfs {
@@ -119,7 +120,7 @@ impl Dfs {
     /// `BlockInfo` may predate a quarantine or repair), minus dead
     /// nodes. Falls back to the caller's snapshot for deleted files.
     fn live_replica_nodes(&self, block: &BlockInfo) -> Vec<usize> {
-        let ns = self.inner.ns.read();
+        let ns = self.inner.ns.read().unpoisoned();
         let nodes = ns.block(block.id).map_or(&block.nodes, |b| &b.nodes);
         nodes.iter().copied().filter(|n| !ns.dead().contains(n)).collect()
     }

@@ -10,6 +10,7 @@ use crate::checksum::xxh64;
 use crate::fs::Dfs;
 use crate::namespace::Namespace;
 use crate::types::{metrics_keys, FailureReport};
+use gesall_telemetry::Unpoisoned;
 
 impl Dfs {
     /// Is every block of `path` stored on some live node? Probes actual
@@ -18,7 +19,7 @@ impl Dfs {
     /// after a node death: a map output the DFS can still serve is
     /// re-fetched, one it cannot is re-computed.
     pub fn file_available(&self, path: &str) -> bool {
-        let ns = self.inner.ns.read();
+        let ns = self.inner.ns.read().unpoisoned();
         ns.file(path).is_some_and(|info| {
             info.blocks.iter().all(|b| {
                 b.nodes
@@ -40,7 +41,7 @@ impl Dfs {
     /// the same node is a no-op reporting no further damage.
     pub fn fail_node(&self, node: usize) -> FailureReport {
         assert!(node < self.inner.config.n_nodes, "no such node: {node}");
-        let (newly_dead, report) = self.inner.ns.write().drop_node(node, self.inner.config.replication);
+        let (newly_dead, report) = self.inner.ns.write().unpoisoned().drop_node(node, self.inner.config.replication);
         if newly_dead {
             self.count(metrics_keys::NODE_FAILURES, 1);
         }
@@ -50,14 +51,14 @@ impl Dfs {
 
     /// Nodes declared dead via [`Dfs::fail_node`], sorted.
     pub fn dead_nodes(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.inner.ns.read().dead().iter().copied().collect();
+        let mut v: Vec<usize> = self.inner.ns.read().unpoisoned().dead().iter().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// Has `node` been declared dead?
     pub fn is_node_dead(&self, node: usize) -> bool {
-        self.inner.ns.read().dead().contains(&node)
+        self.inner.ns.read().unpoisoned().dead().contains(&node)
     }
 
     /// Drop a replica that failed verification — scrub it from the
@@ -66,7 +67,7 @@ impl Dfs {
     /// survivor. Of concurrent detections, the one that actually removed
     /// the stored payload counts the corruption and repairs.
     pub(crate) fn quarantine_replica(&self, node: usize, id: u64) {
-        let mut ns = self.inner.ns.write();
+        let mut ns = self.inner.ns.write().unpoisoned();
         ns.drop_replica(id, node);
         if self.inner.store.remove(node, id) {
             self.count(metrics_keys::BLOCKS_CORRUPT_DETECTED, 1);
@@ -85,7 +86,7 @@ impl Dfs {
     /// Returns the number of replicas created.
     #[cfg(test)]
     pub fn re_replicate(&self) -> usize {
-        let mut ns = self.inner.ns.write();
+        let mut ns = self.inner.ns.write().unpoisoned();
         let live = ns.live_nodes();
         let mut created = 0usize;
         for id in ns.block_ids() {
@@ -105,7 +106,7 @@ impl Dfs {
     /// both [`metrics_keys::BLOCKS_REREPLICATED_INCREMENTAL`] and
     /// [`metrics_keys::REPLICAS_RESTORED`].
     pub fn re_replicate_blocks(&self, ids: &[u64]) -> usize {
-        let mut ns = self.inner.ns.write();
+        let mut ns = self.inner.ns.write().unpoisoned();
         let live = ns.live_nodes();
         let created: usize = ids.iter().map(|&id| self.restore_block(&mut ns, &live, id).0).sum();
         self.count(metrics_keys::BLOCKS_REREPLICATED_INCREMENTAL, created as u64);

@@ -4,29 +4,30 @@
 use crate::fs::Dfs;
 use crate::types::{metrics_keys, DfsError, SweepReason, SweepReport};
 use gesall_formats::SharedBytes;
+use gesall_telemetry::Unpoisoned;
 
 impl Dfs {
     /// Pin a file: while its refcount is nonzero, [`Dfs::delete`]
     /// refuses with [`DfsError::Pinned`] and retention sweeps skip it.
     /// Pins nest — each `pin` needs a matching [`Dfs::unpin`].
     pub fn pin(&self, path: &str) -> Result<(), DfsError> {
-        self.inner.ns.write().pin(path)
+        self.inner.ns.write().unpoisoned().pin(path)
     }
 
     /// Release one pin on `path`. Releasing a path with no live pin is
     /// a no-op (pin holders may race a namespace teardown).
     pub fn unpin(&self, path: &str) {
-        self.inner.ns.write().unpin(path)
+        self.inner.ns.write().unpoisoned().unpin(path)
     }
 
     /// Current pin refcount of `path` (0 when unpinned or unknown).
     pub fn pin_count(&self, path: &str) -> u64 {
-        self.inner.ns.read().pin_count(path)
+        self.inner.ns.read().unpoisoned().pin_count(path)
     }
 
     /// Are any paths under `prefix` currently pinned?
     pub fn any_pinned(&self, prefix: &str) -> bool {
-        self.inner.ns.read().any_pinned(prefix)
+        self.inner.ns.read().unpoisoned().any_pinned(prefix)
     }
 
     /// Delete a file and free its replicas. Refuses with
@@ -34,7 +35,7 @@ impl Dfs {
     /// under the lock that removes the file, so a `pin` that returned
     /// `Ok` keeps its file until the matching `unpin`.
     pub fn delete(&self, path: &str) -> Result<(), DfsError> {
-        let info = self.inner.ns.write().remove_file(path)?;
+        let info = self.inner.ns.write().unpoisoned().remove_file(path)?;
         self.inner.store.free(&info.blocks);
         Ok(())
     }
@@ -87,7 +88,7 @@ impl Dfs {
 
     /// All paths with the given prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.inner.ns.read().paths(prefix)
+        self.inner.ns.read().unpoisoned().paths(prefix)
     }
 
     /// The canonical path of a content-addressed entry: `{root}/cas/{key}`

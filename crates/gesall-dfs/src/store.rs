@@ -5,10 +5,10 @@
 
 use crate::types::{metrics_keys, BlockInfo, DfsError, NodeStats};
 use gesall_formats::SharedBytes;
-use gesall_telemetry::MetricsRegistry;
-use parking_lot::RwLock;
+use gesall_telemetry::{MetricsRegistry, Unpoisoned};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::RwLock;
 
 /// How a stored replica holds its payload. Either way,
 /// [`crate::Dfs::read_block`] serves a zero-copy window — the variants differ
@@ -71,19 +71,19 @@ impl BlockStore {
             }
             None => BlockBacking::Resident(chunk.clone()),
         };
-        self.nodes[node].write().insert(id, backing);
+        self.nodes[node].write().unpoisoned().insert(id, backing);
         Ok(())
     }
 
     /// The replica's payload, if `node` holds one. A refcount bump.
     pub(crate) fn get(&self, node: usize, id: u64) -> Option<SharedBytes> {
-        self.nodes[node].read().get(&id).map(|b| b.bytes().clone())
+        self.nodes[node].read().unpoisoned().get(&id).map(|b| b.bytes().clone())
     }
 
     /// Drop one replica and its block file. `true` for the caller that
     /// actually removed it.
     pub(crate) fn remove(&self, node: usize, id: u64) -> bool {
-        let removed = self.nodes[node].write().remove(&id);
+        let removed = self.nodes[node].write().unpoisoned().remove(&id);
         removed.inspect(BlockBacking::unlink).is_some()
     }
 
@@ -99,18 +99,18 @@ impl BlockStore {
 
     /// Drop everything a node holds, unlinking any persisted block files.
     pub(crate) fn wipe(&self, node: usize) {
-        let mut blocks = self.nodes[node].write();
+        let mut blocks = self.nodes[node].write().unpoisoned();
         blocks.values().for_each(BlockBacking::unlink);
         blocks.clear();
     }
 
     pub(crate) fn block_count(&self, node: usize) -> usize {
-        self.nodes[node].read().len()
+        self.nodes[node].read().unpoisoned().len()
     }
 
     pub(crate) fn stats(&self) -> Vec<NodeStats> {
         let stat = |n: &RwLock<HashMap<u64, BlockBacking>>| {
-            let blocks = n.read();
+            let blocks = n.read().unpoisoned();
             NodeStats { blocks: blocks.len(), bytes: blocks.values().map(|b| b.bytes().len()).sum() }
         };
         self.nodes.iter().map(stat).collect()
@@ -120,7 +120,7 @@ impl BlockStore {
     /// copy. Persisted backings are unlinked; the damaged copy lives
     /// heap-resident, which is all the verify path cares about.
     pub(crate) fn corrupt(&self, node: usize, id: u64) -> Result<(), DfsError> {
-        let mut blocks = self.nodes[node].write();
+        let mut blocks = self.nodes[node].write().unpoisoned();
         let Some(backing) = blocks.get(&id) else {
             return Err(DfsError::BlockMissing(id));
         };

@@ -165,17 +165,6 @@ impl PackedSeq {
         self.len == 0
     }
 
-    /// Base at position `i` as an ASCII byte.
-    #[inline]
-    pub fn get_ascii(&self, i: usize) -> u8 {
-        debug_assert!(i < self.len);
-        if self.n_positions.binary_search(&(i as u32)).is_ok() {
-            return b'N';
-        }
-        let code = (self.words[i / 32] >> ((i % 32) * 2)) & 0b11;
-        [b'A', b'C', b'G', b'T'][code as usize]
-    }
-
     /// 2-bit code at position `i` (`A`=0 … `T`=3). Positions that held
     /// `N` return 0 — callers that must distinguish `N` consult
     /// [`PackedSeq::n_positions`].
@@ -239,11 +228,6 @@ impl PackedSeq {
         counts[0] -= self.n_positions.len();
         counts
     }
-
-    /// Heap bytes used by the packed representation.
-    pub fn packed_bytes(&self) -> usize {
-        self.words.len() * 8 + self.n_positions.len() * 4
-    }
 }
 
 /// Occurrences of 2-bit `code` among the base slots selected by the
@@ -303,15 +287,24 @@ mod tests {
         let p = PackedSeq::from_ascii(s);
         assert_eq!(p.len(), s.len());
         assert_eq!(p.to_ascii(), s.to_vec());
-        assert_eq!(p.get_ascii(4), b'N');
-        assert_eq!(p.get_ascii(0), b'A');
+        assert_eq!(get_ascii(&p, 4), b'N');
+        assert_eq!(get_ascii(&p, 0), b'A');
+    }
+
+    /// Base at position `i` as an ASCII byte, decoded on its own.
+    fn get_ascii(p: &PackedSeq, i: usize) -> u8 {
+        if p.n_positions.binary_search(&(i as u32)).is_ok() {
+            return b'N';
+        }
+        let code = (p.words[i / 32] >> ((i % 32) * 2)) & 0b11;
+        [b'A', b'C', b'G', b'T'][code as usize]
     }
 
     #[test]
     fn packed_seq_linear_unpack_matches_per_base() {
         let s = b"ACGTNTGCAACGTNNACGTACGTACGTACGTNACGTACGTN";
         let p = PackedSeq::from_ascii(s);
-        let per_base: Vec<u8> = (0..p.len()).map(|i| p.get_ascii(i)).collect();
+        let per_base: Vec<u8> = (0..p.len()).map(|i| get_ascii(&p, i)).collect();
         assert_eq!(p.to_ascii(), per_base);
         assert_eq!(p.code_at(0), 0);
         assert_eq!(p.code_at(3), 3);
@@ -351,6 +344,7 @@ mod tests {
             .collect();
         let p = PackedSeq::from_ascii(&s);
         assert_eq!(p.to_ascii(), s);
-        assert!(p.packed_bytes() < s.len());
+        // Two bits per base: well under one byte per base.
+        assert!(p.words.len() * 8 + p.n_positions.len() * 4 < s.len());
     }
 }

@@ -11,12 +11,6 @@ pub const PHRED_OFFSET: u8 = 33;
 /// Maximum representable Phred score in Phred+33 ASCII ('~' - '!').
 pub const MAX_PHRED: u8 = 93;
 
-/// Convert a raw Phred score to its error probability.
-#[inline]
-pub fn phred_to_error_prob(q: u8) -> f64 {
-    10f64.powf(-(q as f64) / 10.0)
-}
-
 /// Convert an error probability to the nearest Phred score, clamped to
 /// `[0, MAX_PHRED]`. Probabilities ≤ 0 saturate at `MAX_PHRED`.
 #[inline]
@@ -60,14 +54,6 @@ pub fn quality_sum(quals: &[u8], min_quality: u8) -> u64 {
         .filter(|&&q| q >= min_quality)
         .map(|&q| q as u64)
         .sum()
-}
-
-/// Mean quality of a read, 0.0 when empty.
-pub fn mean_quality(quals: &[u8]) -> f64 {
-    if quals.is_empty() {
-        return 0.0;
-    }
-    quals.iter().map(|&q| q as f64).sum::<f64>() / quals.len() as f64
 }
 
 /// A generalized-logistic weighting function over quality scores, as used
@@ -119,7 +105,7 @@ mod tests {
     #[test]
     fn phred_error_prob_roundtrip() {
         for q in [0u8, 10, 20, 30, 60, 93] {
-            let p = phred_to_error_prob(q);
+            let p = 10f64.powf(-(q as f64) / 10.0);
             assert_eq!(error_prob_to_phred(p), q);
         }
         assert_eq!(error_prob_to_phred(0.0), MAX_PHRED);
@@ -154,11 +140,5 @@ mod tests {
         assert!((mid - 0.5).abs() < 1e-9, "midpoint should be 0.5, was {mid}");
         // Monotone on the ramp.
         assert!(w.weight(35.0) < w.weight(45.0));
-    }
-
-    #[test]
-    fn mean_quality_basic() {
-        assert_eq!(mean_quality(&[]), 0.0);
-        assert!((mean_quality(&[10, 20, 30]) - 20.0).abs() < 1e-12);
     }
 }

@@ -15,15 +15,14 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gesall_core::GesallPlatform;
 use gesall_mapreduce::lease::SlotLease;
 use gesall_mapreduce::{GesallError, TASK_MEMORY_MB, TASK_VCORES};
-use gesall_telemetry::MetricsRegistry;
-use parking_lot::{Condvar, Mutex};
+use gesall_telemetry::{MetricsRegistry, Unpoisoned};
 
 use crate::keys;
 use crate::sched;
@@ -283,7 +282,7 @@ impl JobHandle {
     }
 
     pub fn status(&self) -> JobStatus {
-        self.job.cell.lock().status
+        self.job.cell.lock().unpoisoned().status
     }
 
     /// The global dispatch ordinal (1-based) once the scheduler has
@@ -297,7 +296,7 @@ impl JobHandle {
 
     /// Block until the job reaches a terminal state.
     pub fn wait(&self) -> Result<(), JobSvcError> {
-        let mut cell = self.job.cell.lock();
+        let mut cell = self.job.cell.lock().unpoisoned();
         loop {
             match cell.status {
                 JobStatus::Completed => return Ok(()),
@@ -307,14 +306,14 @@ impl JobHandle {
                         cell.error.clone().unwrap_or_default(),
                     ))
                 }
-                JobStatus::Queued | JobStatus::Running => self.job.done.wait(&mut cell),
+                JobStatus::Queued | JobStatus::Running => cell = self.job.done.wait(cell).unpoisoned(),
             }
         }
     }
 
     /// Take the completed job's output (once).
     pub fn take_output(&self) -> Option<JobOutput> {
-        self.job.cell.lock().output.take()
+        self.job.cell.lock().unpoisoned().output.take()
     }
 
     /// Cancel the job. Queued jobs are removed and swept immediately;
@@ -438,12 +437,12 @@ impl JobService {
             return;
         };
         {
-            let mut st = self.svc.state.lock();
+            let mut st = self.svc.state.lock().unpoisoned();
             st.shutdown = true;
         }
         self.svc.wake.notify_all();
         let _ = dispatcher.join();
-        let runners: Vec<_> = self.svc.state.lock().runners.drain(..).collect();
+        let runners: Vec<_> = self.svc.state.lock().unpoisoned().runners.drain(..).collect();
         for r in runners {
             let _ = r.join();
         }
@@ -458,7 +457,7 @@ impl Drop for JobService {
 
 impl fmt::Debug for JobService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.svc.state.lock();
+        let st = self.svc.state.lock().unpoisoned();
         f.debug_struct("JobService")
             .field("total_slots", &self.svc.total_slots)
             .field("queued", &st.queued.len())
@@ -469,7 +468,7 @@ impl fmt::Debug for JobService {
 
 impl Svc {
     fn submit(self: &Arc<Self>, tenant: &str, spec: JobSpec) -> Result<JobHandle, JobSvcError> {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unpoisoned();
         if st.shutdown {
             return Err(JobSvcError::ShuttingDown);
         }

@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use gesall_dfs::SweepReason;
 use gesall_mapreduce::lease::SlotLease;
+use gesall_telemetry::Unpoisoned;
 
 use super::{JobStatus, Retirement, RunningJob, Svc, SvcState};
 use crate::keys;
@@ -51,8 +52,8 @@ use crate::sched::{self, TenantView};
 #[cfg(test)]
 #[derive(Default)]
 pub(super) struct TestHooks {
-    before_park: parking_lot::Mutex<Option<ParkHook>>,
-    before_sync: parking_lot::Mutex<Option<Box<dyn Fn() + Send>>>,
+    before_park: std::sync::Mutex<Option<ParkHook>>,
+    before_sync: std::sync::Mutex<Option<Box<dyn Fn() + Send>>>,
 }
 
 #[cfg(test)]
@@ -77,7 +78,7 @@ impl Svc {
     /// until the next event or retention deadline; on shutdown, once the
     /// last job is off the cluster, sweep what is still retained.
     pub(super) fn dispatcher(svc: Arc<Svc>) {
-        let mut st = svc.state.lock();
+        let mut st = svc.state.lock().unpoisoned();
         loop {
             svc.sweep_due_retirements(&mut st);
             svc.rebalance(&mut st);
@@ -97,16 +98,13 @@ impl Svc {
                 .map(|r| r.deadline.saturating_duration_since(now))
                 .min();
             #[cfg(test)]
-            if let Some(hook) = svc.test_hooks.before_park.lock().as_mut() {
+            if let Some(hook) = svc.test_hooks.before_park.lock().unpoisoned().as_mut() {
                 hook(&st);
             }
-            match next_deadline {
-                Some(d) => {
-                    svc.wake
-                        .wait_for(&mut st, d.max(Duration::from_millis(1)));
-                }
-                None => svc.wake.wait(&mut st),
-            }
+            st = match next_deadline {
+                Some(d) => svc.wake.wait_timeout(st, d.max(Duration::from_millis(1))).unpoisoned().0,
+                None => svc.wake.wait(st).unpoisoned(),
+            };
         }
     }
 
@@ -121,10 +119,10 @@ impl Svc {
     /// on a job's own threads.
     fn lease_released(&self) {
         #[cfg(test)]
-        if let Some(hook) = self.test_hooks.before_sync.lock().as_ref() {
+        if let Some(hook) = self.test_hooks.before_sync.lock().unpoisoned().as_ref() {
             hook();
         }
-        drop(self.state.lock());
+        drop(self.state.lock().unpoisoned());
         self.wake.notify_all();
     }
 
@@ -340,7 +338,7 @@ impl Svc {
             });
         }
 
-        q.shared.cell.lock().status = JobStatus::Running;
+        q.shared.cell.lock().unpoisoned().status = JobStatus::Running;
 
         st.running.push(RunningJob {
             shared: q.shared.clone(),
@@ -498,8 +496,8 @@ mod tests {
     struct ClearHooksOnDrop(Arc<Svc>);
     impl Drop for ClearHooksOnDrop {
         fn drop(&mut self) {
-            self.0.test_hooks.before_park.lock().take();
-            self.0.test_hooks.before_sync.lock().take();
+            self.0.test_hooks.before_park.lock().unpoisoned().take();
+            self.0.test_hooks.before_sync.lock().unpoisoned().take();
         }
     }
 
@@ -541,12 +539,12 @@ mod tests {
         assert_eq!(held_rx.recv_timeout(wait), Ok(2));
 
         let hooks = &svc.svc.test_hooks;
-        let sync_tx = parking_lot::Mutex::new(sync_tx);
-        *hooks.before_sync.lock() = Some(Box::new(move || {
-            let _ = sync_tx.lock().send("syncing");
+        let sync_tx = std::sync::Mutex::new(sync_tx);
+        *hooks.before_sync.lock().unpoisoned() = Some(Box::new(move || {
+            let _ = sync_tx.lock().unpoisoned().send("syncing");
         }));
         let mut release = Some(cmd_tx.clone());
-        *hooks.before_park.lock() = Some(Box::new(move |st: &SvcState| {
+        *hooks.before_park.lock().unpoisoned() = Some(Box::new(move |st: &SvcState| {
             if st.running.iter().any(|j| j.lease.active() > j.target) {
                 if let Some(release) = release.take() {
                     release.send(false).unwrap();

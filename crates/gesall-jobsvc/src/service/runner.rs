@@ -15,6 +15,7 @@ use gesall_core::{GesallPlatform, RunOptions};
 use gesall_dfs::{Dfs, SweepReason};
 use gesall_mapreduce::lease::SlotLease;
 use gesall_mapreduce::{GesallError, JobConfig};
+use gesall_telemetry::Unpoisoned;
 
 use super::{JobOutput, JobShared, JobStatus, Retirement, Svc, SvcState, Work};
 use crate::keys;
@@ -164,7 +165,7 @@ impl Svc {
         shared: &Arc<JobShared>,
         result: std::thread::Result<Result<JobOutput, GesallError>>,
     ) {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unpoisoned();
         let pos = st
             .running
             .iter()
@@ -205,7 +206,7 @@ impl Svc {
         }
 
         {
-            let mut cell = shared.cell.lock();
+            let mut cell = shared.cell.lock().unpoisoned();
             cell.status = status;
             cell.output = output;
             cell.error = error;
@@ -215,7 +216,7 @@ impl Svc {
     }
 
     pub(super) fn cancel(self: &Arc<Self>, shared: &Arc<JobShared>) -> bool {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unpoisoned();
         if let Some(pos) = st
             .queued
             .iter()
@@ -225,7 +226,7 @@ impl Svc {
             st.rt.get_mut(&shared.tenant).expect("tenant present").queued -= 1;
             self.set_queue_gauges(&st);
             shared.cancel.store(true, Ordering::SeqCst);
-            q.shared.cell.lock().status = JobStatus::Cancelled;
+            q.shared.cell.lock().unpoisoned().status = JobStatus::Cancelled;
             drop(st);
             self.count(keys::JOBS_CANCELLED, &shared.tenant, 1);
             self.platform
@@ -252,7 +253,7 @@ impl Svc {
     /// pins into it; those entries stay until the pins release.
     pub(super) fn release_retention(self: &Arc<Self>, shared: &Arc<JobShared>) {
         shared.retention_released.store(true, Ordering::SeqCst);
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unpoisoned();
         if let Some(pos) = st
             .retired
             .iter()

@@ -22,9 +22,9 @@
 //! as before: every spawned worker may run an attempt, i.e. the job may
 //! use the whole cluster.
 
-use parking_lot::RwLock;
+use gesall_telemetry::Unpoisoned;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 struct LeaseInner {
     /// Current grant: attempts that may run concurrently. Always ≥ 1 —
@@ -85,7 +85,7 @@ impl SlotLease {
     /// Register the release hook (replacing any previous one). Fired
     /// after every permit release, outside all locks.
     pub fn on_release(&self, hook: impl Fn() + Send + Sync + 'static) {
-        *self.inner.on_release.write() = Some(Arc::new(hook));
+        *self.inner.on_release.write().unpoisoned() = Some(Arc::new(hook));
     }
 
     /// Try to take a permit; `None` when the grant is saturated.
@@ -133,7 +133,7 @@ pub struct LeasePermit {
 impl Drop for LeasePermit {
     fn drop(&mut self) {
         self.inner.active.fetch_sub(1, Ordering::SeqCst);
-        let hook = self.inner.on_release.read().clone();
+        let hook = self.inner.on_release.read().unpoisoned().clone();
         if let Some(hook) = hook {
             hook();
         }

@@ -37,10 +37,10 @@ pub use crate::wave::{
 };
 use gesall_dfs::{Dfs, DfsConfig, PinnedPlacement, ReadAffinity, SweepReason};
 use gesall_formats::wire::Wire;
-use gesall_telemetry::{OpenSpan, Phase, Recorder, SpanKind};
-use parking_lot::Mutex;
+use gesall_telemetry::{OpenSpan, Phase, Recorder, SpanKind, Unpoisoned};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// A committed map task's shuffle output: one indexed DFS file pinned to
@@ -129,7 +129,7 @@ impl MapReduceEngine {
 
     /// Inject faults according to `plan` (panics, slowdowns, node deaths).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> MapReduceEngine {
-        *self.pending_deaths.get_mut() = plan.node_deaths().to_vec();
+        *self.pending_deaths.get_mut().unpoisoned() = plan.node_deaths().to_vec();
         self.fault_plan = plan;
         self
     }
@@ -155,13 +155,13 @@ impl MapReduceEngine {
 
     /// Nodes that have died so far on this engine.
     pub fn dead_nodes(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.dead_nodes.lock().iter().copied().collect();
+        let mut v: Vec<usize> = self.dead_nodes.lock().unpoisoned().iter().copied().collect();
         v.sort_unstable();
         v
     }
 
     pub(crate) fn is_dead(&self, node: usize) -> bool {
-        self.dead_nodes.lock().contains(&node)
+        self.dead_nodes.lock().unpoisoned().contains(&node)
     }
 
     /// Fire the scheduled deaths due once a map wave has committed
@@ -176,12 +176,12 @@ impl MapReduceEngine {
     #[must_use]
     pub(crate) fn fire_due_deaths(&self, commits: usize) -> Vec<u64> {
         let mut under_replicated = Vec::new();
-        self.pending_deaths.lock().retain(|death| {
+        self.pending_deaths.lock().unpoisoned().retain(|death| {
             let due = death.after_completed_maps <= commits;
             if due {
                 let report = self.shuffle_dfs.fail_node(self.datanode(death.node));
                 under_replicated.extend(report.under_replicated);
-                self.dead_nodes.lock().insert(death.node);
+                self.dead_nodes.lock().unpoisoned().insert(death.node);
             }
             !due
         });
@@ -245,7 +245,7 @@ impl MapReduceEngine {
             // answers.
             let survives = |task: usize| {
                 map_outputs[task]
-                    .lock()
+                    .lock().unpoisoned()
                     .as_ref()
                     .is_some_and(|out| job.dfs.file_available(&out.path))
             };
@@ -258,7 +258,7 @@ impl MapReduceEngine {
             let evict_lost = || -> usize {
                 let lost: Vec<usize> = (0..n_maps).filter(|&t| !survives(t)).collect();
                 for &t in &lost {
-                    *map_outputs[t].lock() = None;
+                    *map_outputs[t].lock().unpoisoned() = None;
                 }
                 frame.counters.add(keys::MAPS_RERUN_ON_NODE_LOSS, lost.len() as u64);
                 lost.len()
@@ -277,7 +277,7 @@ impl MapReduceEngine {
                     reruns += 1;
                     continue;
                 }
-                let maps = committed(map_outputs.iter().map(|slot| slot.lock().clone()), "map")?;
+                let maps = committed(map_outputs.iter().map(|slot| slot.lock().unpoisoned().clone()), "map")?;
 
                 // ---- Shuffle matrix -----------------------------------
                 // Bytes each reducer pulls from each map output. Recorded
@@ -310,7 +310,7 @@ impl MapReduceEngine {
                     reruns += 1;
                     continue;
                 }
-                return committed(reduce_outputs.into_iter().map(Mutex::into_inner), "reduce");
+                return committed(reduce_outputs.into_iter().map(|slot| slot.into_inner().unpoisoned()), "reduce");
             }
         })();
         // Drop every shipped map output for this run, whether the job
@@ -524,7 +524,7 @@ impl MapReduceEngine {
             out
         })?;
 
-        let outputs = committed(outputs.into_iter().map(Mutex::into_inner), "map")?;
+        let outputs = committed(outputs.into_iter().map(|slot| slot.into_inner().unpoisoned()), "map")?;
         let meta = vec![("n_maps".into(), n_maps.to_string())];
         Ok(frame.finish(&self.recorder, outputs, meta))
     }
@@ -582,7 +582,7 @@ impl JobFrame {
     /// Close the job span over `meta` and the counter snapshot and hand
     /// the job's report out, attempt events in canonical order.
     fn finish<O>(self, recorder: &Recorder, outputs: Vec<O>, meta: Vec<(String, String)>) -> JobOutput<O> {
-        let mut events = self.events.into_inner();
+        let mut events = self.events.into_inner().unpoisoned();
         events.sort_by_key(|e| (e.kind == TaskKind::Reduce, e.task_id, e.attempt));
         let wall_ms = self.t0.elapsed().as_secs_f64() * 1e3;
         recorder.end_with(self.span, &self.config.name, meta, self.counters.snapshot());

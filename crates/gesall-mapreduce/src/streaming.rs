@@ -10,9 +10,9 @@
 
 use crate::counters::{keys, Counters};
 use crate::error::{panic_message, GesallError};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use gesall_formats::SharedBytes;
 use std::io::{Read, Write};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::time::Instant;
 
 /// Pipe chunk size: the 64 KiB pipe buffer from Fig. 8.
@@ -24,7 +24,7 @@ pub const PIPE_BUF: usize = 64 * 1024;
 /// `split_off`-per-chunk scheme that re-copied the unsent tail on every
 /// iteration (quadratic in the write size).
 pub struct PipeWriter {
-    tx: Option<Sender<SharedBytes>>,
+    tx: Option<SyncSender<SharedBytes>>,
     buf: Vec<u8>,
     counters: Counters,
 }
@@ -47,7 +47,7 @@ pub fn pipe() -> (PipeWriter, PipeReader) {
 /// [`pipe`], with payload-copy accounting
 /// ([`keys::WRAPPER_BYTES_COPIED`]) on the given bag.
 pub fn pipe_with_counters(counters: Counters) -> (PipeWriter, PipeReader) {
-    let (tx, rx) = bounded(4);
+    let (tx, rx) = sync_channel(4);
     (
         PipeWriter {
             tx: Some(tx),
@@ -245,12 +245,12 @@ impl StreamingHarness {
     ) -> std::io::Result<Vec<u8>> {
         assert!(!programs.is_empty(), "need at least one program");
         let counters = self.counters.clone();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             // Build the chain of pipes: input -> p0 -> p1 -> ... -> out.
             let (first_w, mut prev_r) = pipe_with_counters(counters.clone());
 
             // Feeder thread.
-            s.spawn(move |_| {
+            let feeder = s.spawn(move || {
                 let mut w = first_w;
                 let _ = w.write_all(input);
                 let _ = w.close();
@@ -263,7 +263,7 @@ impl StreamingHarness {
                 let stdin = std::mem::replace(&mut prev_r, r);
                 let counters = counters.clone();
                 let prog = *prog;
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let t0 = Instant::now();
                     let res = prog.run(stdin, w);
                     counters.add(
@@ -278,12 +278,18 @@ impl StreamingHarness {
             }
             let out = final_reader
                 .expect("pipeline built at least one stage")
-                .read_to_end_vec()?;
-            for (h, prog) in handles.into_iter().zip(programs) {
-                // A panicking program is a failed pipeline, not a crashed
-                // process: surface it as an error so the surrounding task
-                // attempt can fail cleanly and be retried.
-                h.join().map_err(|payload| {
+                .read_to_end_vec();
+            // Every thread is joined before any error returns, so a
+            // panicking program is a failed pipeline, not a panic out of
+            // the scope: the surrounding task attempt fails cleanly and
+            // is retried.
+            let fed = feeder.join().map_err(|payload| {
+                streaming_io_error(format!("feeder panicked: {}", panic_message(payload.as_ref())))
+            });
+            let ran: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            fed?;
+            for (res, prog) in ran.into_iter().zip(programs) {
+                res.map_err(|payload| {
                     streaming_io_error(format!(
                         "external program '{}' panicked: {}",
                         prog.name(),
@@ -291,13 +297,7 @@ impl StreamingHarness {
                     ))
                 })??;
             }
-            Ok(out)
-        })
-        .unwrap_or_else(|payload| {
-            Err(streaming_io_error(format!(
-                "streaming scope panicked: {}",
-                panic_message(payload.as_ref()),
-            )))
+            out
         })
     }
 

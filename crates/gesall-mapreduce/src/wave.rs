@@ -19,10 +19,10 @@ use crate::fault::FaultPlan;
 use crate::lease::LeasePermit;
 use crate::job::{AttemptOutcome, TaskEvent, TaskKind};
 use crate::runtime::{JobFrame, MapReduceEngine};
-use gesall_telemetry::{Span, SpanId, SpanKind};
-use parking_lot::{Condvar, Mutex};
+use gesall_telemetry::{Span, SpanId, SpanKind, Unpoisoned};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Attempts a task gets (`mapreduce.map.maxattempts`); the failure of
@@ -87,9 +87,9 @@ where
     let recorder = engine.recorder();
     let wave_span = recorder.start(SpanKind::Wave, wave_name, frame.span.id);
     let done: Vec<AtomicBool> =
-        outputs.iter().map(|o| AtomicBool::new(o.lock().is_some())).collect();
+        outputs.iter().map(|o| AtomicBool::new(o.lock().unpoisoned().is_some())).collect();
     let to_run: Vec<usize> = (0..n_tasks).filter(|&t| !done[t].load(Ordering::SeqCst)).collect();
-    let prior = frame.events.lock();
+    let prior = frame.events.lock().unpoisoned();
     let state = Mutex::new(WaveState {
         pending: to_run
             .iter()
@@ -138,7 +138,8 @@ where
         engine.re_replicate(&engine.fire_due_deaths(0));
     }
 
-    let scope_result = crossbeam::thread::scope(|s| {
+    let panicked = std::thread::scope(|s| {
+        let mut workers = Vec::new();
         let mut first_live_worker = true;
         for node in 0..engine.cluster().n_nodes() {
             if engine.is_dead(node) {
@@ -152,13 +153,17 @@ where
             for _ in 0..slots {
                 let wave = &wave;
                 let body = &body;
-                s.spawn(move |_| wave.worker_loop(node, body));
+                workers.push(s.spawn(move || wave.worker_loop(node, body)));
             }
         }
+        // Join every worker: one that panicked is an error, not a re-panic.
+        workers.into_iter().filter_map(|w| w.join().err()).count()
     });
-    scope_result.map_err(|_| GesallError::Runtime("task wave worker panicked".into()))?;
+    if panicked > 0 {
+        return Err(GesallError::Runtime("task wave worker panicked".into()));
+    }
 
-    let st = state.into_inner();
+    let st = state.into_inner().unpoisoned();
     recorder.end_with(
         wave_span,
         wave_name,
@@ -355,7 +360,7 @@ impl<T> WaveCtx<'_, T> {
 
     /// Whether this worker should exit instead of waiting for a permit.
     fn wave_over(&self, node: usize) -> bool {
-        let st = self.state.lock();
+        let st = self.state.lock().unpoisoned();
         st.fatal.is_some() || st.remaining == 0 || self.engine.is_dead(node)
     }
 
@@ -365,13 +370,13 @@ impl<T> WaveCtx<'_, T> {
     /// slept; a timeout ([`keys::SCHED_IDLE_TIMEOUTS`]) is the old
     /// busy-poll beat, now visible in the counters.
     fn idle_wait(&self, timeout: Duration) {
-        let mut st = self.state.lock();
+        let st = self.state.lock().unpoisoned();
         // Re-check under the lock — a notify between the failed acquire
         // and this wait must not be lost.
         if st.fatal.is_some() || st.remaining == 0 {
             return;
         }
-        if self.idle.wait_for(&mut st, timeout).timed_out() {
+        if self.idle.wait_timeout(st, timeout).unpoisoned().1.timed_out() {
             self.frame.counters.add(keys::SCHED_IDLE_TIMEOUTS, 1);
         } else {
             self.frame.counters.add(keys::SCHED_WAKEUPS, 1);
@@ -381,7 +386,7 @@ impl<T> WaveCtx<'_, T> {
     /// Pick work for `node`. Local pending tasks first; with
     /// `allow_steal`, remote pending tasks, then speculative backups.
     fn acquire(&self, node: usize, allow_steal: bool) -> Acquired {
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unpoisoned();
         if st.fatal.is_some() || st.remaining == 0 || self.engine.is_dead(node) {
             return Acquired::Exit;
         }
@@ -458,7 +463,7 @@ impl<T> WaveCtx<'_, T> {
         }));
 
         let end_ms = self.now_ms();
-        let mut st = self.state.lock();
+        let mut st = self.state.lock().unpoisoned();
         let started = st
             .running
             .iter()
@@ -484,7 +489,7 @@ impl<T> WaveCtx<'_, T> {
         let log_event = |outcome: AttemptOutcome, error: Option<String>| {
             let e = event(outcome, error);
             self.record_attempt_span(&e, &bag);
-            self.frame.events.lock().push(e);
+            self.frame.events.lock().unpoisoned().push(e);
         };
 
         match result {
@@ -509,7 +514,7 @@ impl<T> WaveCtx<'_, T> {
                     self.idle.notify_all();
                     return;
                 }
-                *self.outputs[a.task].lock() = Some(value);
+                *self.outputs[a.task].lock().unpoisoned() = Some(value);
                 self.done[a.task].store(true, Ordering::SeqCst);
                 st.remaining -= 1;
                 if let Some(started) = started {

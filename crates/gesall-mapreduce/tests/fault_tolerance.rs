@@ -416,6 +416,12 @@ impl Gate {
     fn wait_entered(&self, n: usize) {
         wait_until(|| self.entered.load(SeqCst) >= n);
     }
+
+    /// Arrive, then wait until `n` callers have arrived (a barrier).
+    fn meet(&self, n: usize) {
+        self.entered.fetch_add(1, SeqCst);
+        self.wait_entered(n);
+    }
 }
 
 /// Opens the gate when dropped, so a failing assertion cannot leave a
@@ -436,17 +442,21 @@ fn wait_until(cond: impl Fn() -> bool) {
 }
 
 /// [`Tokenize`], except that a record keyed [`GATE_KEY`] waits at the
-/// gate (and emits nothing).
+/// gate, and one keyed [`MEET_KEY`] waits until two such records have
+/// arrived (both emit nothing).
 struct GatedTokenize<'a>(&'a Gate);
 const GATE_KEY: u64 = u64::MAX;
+const MEET_KEY: u64 = u64::MAX - 1;
 impl Mapper for GatedTokenize<'_> {
     type InKey = u64;
     type InValue = String;
     type OutKey = String;
     type OutValue = u64;
     fn map(&self, k: &u64, line: &String, ctx: &mut MapContext<'_, String, u64>) {
-        if *k == GATE_KEY {
-            self.0.pass();
+        match *k {
+            GATE_KEY => self.0.pass(),
+            MEET_KEY => self.0.meet(2),
+            _ => {}
         }
         Tokenize.map(k, line, ctx);
     }
@@ -486,13 +496,12 @@ fn shared_engine_losing_node_1() -> MapReduceEngine {
 }
 
 /// The bystander job's input: split 0 prefers node 1, split 1 prefers
-/// node 0 and ends with a record keyed [`GATE_KEY`]. With one slot per
-/// node each node's worker takes its own split first, so split 0's
-/// output is homed on node 1.
+/// node 0. With one slot per node each node's worker takes its own split
+/// first, but a worker that finishes early steals the other split after
+/// its delay-scheduling beat; a test that needs each split on its own
+/// node holds both at a [`MEET_KEY`] record until both have started.
 fn bystander_splits() -> Vec<InputSplit<u64, String>> {
-    let mut splits = word_splits(2, 10);
-    splits[1].records.push((GATE_KEY, String::new()));
-    let mut splits = splits.into_iter();
+    let mut splits = word_splits(2, 10).into_iter();
     let s0 = splits.next().unwrap().at_node(1);
     let s1 = splits.next().unwrap().at_node(0);
     vec![s0, s1]
@@ -521,6 +530,16 @@ fn run_killer(engine: &MapReduceEngine) {
     assert_eq!(sorted_output(&res), sorted_output(&quiet));
 }
 
+/// Whether the bystander's first attempt of map `task` committed on
+/// `node`.
+fn first_map_committed_on(engine: &MapReduceEngine, task: usize, node: usize) -> bool {
+    engine.recorder().spans_of_kind(SpanKind::TaskAttempt).iter().any(|sp| {
+        sp.name == format!("map-{task}.0")
+            && sp.meta.contains(&("outcome".into(), "Succeeded".into()))
+            && sp.meta.contains(&("node".into(), node.to_string()))
+    })
+}
+
 fn bystander_reference() -> Vec<(String, u64)> {
     let engine = MapReduceEngine::new(ClusterResources::uniform(2, 1, 4096));
     let res = engine
@@ -538,6 +557,8 @@ fn a_death_another_job_fires_reruns_this_jobs_lost_maps_before_its_reduce_wave()
     // bystander must find the loss itself before reducing.
     let engine = shared_engine_losing_node_1();
     let gate = Gate::default();
+    let mut splits = bystander_splits();
+    splits[1].records.push((GATE_KEY, String::new()));
     let res = std::thread::scope(|s| {
         let bystander = s.spawn(|| {
             engine.run_job(
@@ -545,18 +566,12 @@ fn a_death_another_job_fires_reruns_this_jobs_lost_maps_before_its_reduce_wave()
                 &GatedTokenize(&gate),
                 &Sum,
                 &HashPartitioner,
-                bystander_splits(),
+                splits,
             )
         });
         let opens = OpensOnDrop(&gate);
         gate.wait_entered(1);
-        wait_until(|| {
-            engine.recorder().spans_of_kind(SpanKind::TaskAttempt).iter().any(|sp| {
-                sp.name == "map-0.0"
-                    && sp.meta.contains(&("outcome".into(), "Succeeded".into()))
-                    && sp.meta.contains(&("node".into(), "1".into()))
-            })
-        });
+        wait_until(|| first_map_committed_on(&engine, 0, 1));
         run_killer(&engine);
         drop(opens);
         bystander.join().unwrap()
@@ -575,25 +590,33 @@ fn a_death_another_job_fires_reruns_this_jobs_lost_maps_before_its_reduce_wave()
 
 #[test]
 fn a_reducer_that_finds_its_input_died_with_a_node_reruns_the_lost_map() {
-    // The bystander's maps both commit, map 0 on node 1. Its first two
-    // reduce attempts take both slots and hold them at the gate while the
-    // killer fires node 1's death, so reducer 2 fetches after the loss:
-    // its failure ends the reduce wave at once, the lost map re-runs,
-    // and the reducers without a committed output run again.
+    // The bystander's maps both commit, map 0 on node 1 and map 1 on node
+    // 0: each map holds its node's only slot until both have started, so
+    // neither worker can steal the other's split. Its first two reduce
+    // attempts take both slots and hold them at the gate while the killer
+    // fires node 1's death, so reducer 2 fetches after the loss: its
+    // failure ends the reduce wave at once, the lost map re-runs, and the
+    // reducers without a committed output run again.
     let engine = shared_engine_losing_node_1();
-    let gate = Gate::default();
+    let (map_barrier, gate) = (Gate::default(), Gate::default());
+    let mut splits = bystander_splits();
+    for split in &mut splits {
+        split.records.insert(0, (MEET_KEY, String::new()));
+    }
     let res = std::thread::scope(|s| {
         let bystander = s.spawn(|| {
             engine.run_job(
                 bystander_cfg(),
-                &Tokenize,
+                &GatedTokenize(&map_barrier),
                 &GatedSum(&gate),
                 &HashPartitioner,
-                bystander_splits(),
+                splits,
             )
         });
         let opens = OpensOnDrop(&gate);
         gate.wait_entered(2);
+        assert!(first_map_committed_on(&engine, 0, 1), "map 0 committed on node 1 before the death");
+        assert!(first_map_committed_on(&engine, 1, 0), "map 1 committed on node 0 before the death");
         run_killer(&engine);
         drop(opens);
         bystander.join().unwrap()

@@ -1,16 +1,14 @@
 //! Cluster and workload specifications (paper Table 3 and §4.1).
 
-use serde::{Deserialize, Serialize};
-
 /// One physical disk.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskSpec {
     /// Sequential bandwidth in MB/s.
     pub bandwidth_mb_s: f64,
 }
 
 /// One worker node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     pub cores: usize,
     pub ghz: f64,
@@ -32,7 +30,7 @@ impl NodeSpec {
 }
 
 /// A homogeneous cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     pub name: String,
     pub n_nodes: usize,
@@ -110,14 +108,10 @@ impl ClusterSpec {
             },
         }
     }
-
-    pub fn total_cores(&self) -> usize {
-        self.n_nodes * self.node.cores
-    }
 }
 
 /// Whole-genome workload statistics (paper §4.1 for NA12878).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// Read pairs in the sample.
     pub read_pairs: u64,
@@ -178,7 +172,7 @@ mod tests {
     fn paper_cluster_parameters() {
         let a = ClusterSpec::cluster_a();
         assert_eq!(a.n_nodes, 15);
-        assert_eq!(a.total_cores(), 360);
+        assert_eq!(a.n_nodes * a.node.cores, 360);
         assert_eq!(a.node.disks.len(), 1);
         let b = ClusterSpec::cluster_b();
         assert_eq!(b.n_nodes, 4);

@@ -1,7 +1,7 @@
 //! A dependency-free JSON value type with a writer and a parser.
 //!
-//! The workspace's vendored `serde` is an API stub (the build
-//! environment has no crates registry), so machine-readable output —
+//! The workspace builds on std, `rand` and `proptest` alone, with no
+//! serialisation crate, so machine-readable output —
 //! JSONL span sinks, the benchmark's result files — is assembled
 //! through this module instead. Objects preserve insertion order on
 //! write; numbers are `f64` (adequate for timings and counters;

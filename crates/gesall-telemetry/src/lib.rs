@@ -25,8 +25,9 @@
 //!   Gantt), shuffle-matrix bytes moved, and straggler/skew statistics
 //!   (p50/p95/max task duration per phase).
 //! * [`json`] — a dependency-free JSON value type, writer, and parser
-//!   (the vendored serde is an API stub, so machine-readable output is
-//!   hand-assembled).
+//!   (the workspace has no serialisation crate, so machine-readable
+//!   output is hand-assembled).
+//! * [`sync`] — the shared lock poison policy: poisoned locks stay usable.
 //!
 //! The crate is deliberately leaf-level: it depends on nothing else in
 //! the workspace, so every layer (`gesall-dfs`, `gesall-mapreduce`,
@@ -39,6 +40,7 @@ pub mod metrics;
 pub mod phase;
 pub mod report;
 pub mod span;
+pub mod sync;
 
 pub use json::Json;
 pub use kernel::{keys as kernel_keys, KernelStats};
@@ -47,3 +49,4 @@ pub use metrics::{Counters, Histogram, MetricsRegistry};
 pub use phase::Phase;
 pub use report::{DurationStats, GanttRow, PhaseRow};
 pub use span::{OpenSpan, Recorder, Span, SpanId, SpanKind};
+pub use sync::Unpoisoned;

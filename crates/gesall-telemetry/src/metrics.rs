@@ -7,10 +7,10 @@
 //! key** (the registry stores names in `BTreeMap`s), so diffs and
 //! snapshot assertions are stable across runs.
 
-use parking_lot::RwLock;
+use crate::sync::Unpoisoned;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 // ---------------------------------------------------------------------
 // Histogram
@@ -154,28 +154,28 @@ impl MetricsRegistry {
 
     /// Get-or-create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.inner.counters.read().get(name) {
+        if let Some(c) = self.inner.counters.read().unpoisoned().get(name) {
             return Counter(c.clone());
         }
-        let mut w = self.inner.counters.write();
+        let mut w = self.inner.counters.write().unpoisoned();
         Counter(w.entry(name.to_string()).or_default().clone())
     }
 
     /// Get-or-create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.inner.gauges.read().get(name) {
+        if let Some(g) = self.inner.gauges.read().unpoisoned().get(name) {
             return Gauge(g.clone());
         }
-        let mut w = self.inner.gauges.write();
+        let mut w = self.inner.gauges.write().unpoisoned();
         Gauge(w.entry(name.to_string()).or_default().clone())
     }
 
     /// Get-or-create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.inner.histograms.read().get(name) {
+        if let Some(h) = self.inner.histograms.read().unpoisoned().get(name) {
             return h.clone();
         }
-        let mut w = self.inner.histograms.write();
+        let mut w = self.inner.histograms.write().unpoisoned();
         w.entry(name.to_string()).or_default().clone()
     }
 
@@ -183,7 +183,7 @@ impl MetricsRegistry {
     pub fn counter_snapshot(&self) -> Vec<(String, u64)> {
         self.inner
             .counters
-            .read()
+            .read().unpoisoned()
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect()
@@ -193,7 +193,7 @@ impl MetricsRegistry {
     pub fn gauge_snapshot(&self) -> Vec<(String, i64)> {
         self.inner
             .gauges
-            .read()
+            .read().unpoisoned()
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect()
@@ -208,7 +208,7 @@ impl MetricsRegistry {
         for (k, v) in self.gauge_snapshot() {
             out.push_str(&format!("gauge {k} = {v}\n"));
         }
-        let hists = self.inner.histograms.read();
+        let hists = self.inner.histograms.read().unpoisoned();
         for (k, h) in hists.iter() {
             out.push_str(&format!(
                 "histogram {k} count={} sum={} p50≤{} p95≤{} max≤{}\n",
@@ -257,7 +257,7 @@ impl Counters {
         self.registry
             .inner
             .counters
-            .read()
+            .read().unpoisoned()
             .get(name)
             .map(|c| c.load(Ordering::Relaxed))
             .unwrap_or(0)

@@ -55,11 +55,6 @@ impl Phase {
             Phase::Reduce => "phase.reduce.nanos",
         }
     }
-
-    /// Parse a phase from its short name.
-    pub fn from_name(name: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.name() == name)
-    }
 }
 
 /// Extract per-phase milliseconds from a counter snapshot.
@@ -76,14 +71,6 @@ pub fn phase_ms_from_snapshot(snapshot: &[(String, u64)]) -> [f64; 6] {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::from_name(p.name()), Some(p));
-        }
-        assert_eq!(Phase::from_name("nope"), None);
-    }
 
     #[test]
     fn snapshot_extraction() {

@@ -16,10 +16,10 @@
 
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
-use parking_lot::Mutex;
+use crate::sync::Unpoisoned;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Identity of one span. `0` is reserved for "no parent".
@@ -280,17 +280,17 @@ impl Recorder {
     fn push(&self, span: Span) {
         let i = self.inner.as_ref().expect("push on disabled recorder");
         if let Some(sink) = &i.sink {
-            let mut w = sink.lock();
+            let mut w = sink.lock().unpoisoned();
             let _ = writeln!(w, "{}", span.to_json().render());
         }
-        i.spans.lock().push(span);
+        i.spans.lock().unpoisoned().push(span);
     }
 
     /// Record one shuffle-matrix cell (map task → reduce partition),
     /// tagging whether the bytes travelled compressed.
     pub fn shuffle_cell(&self, map_task: usize, reduce_task: usize, bytes: u64, compressed: bool) {
         if let Some(i) = &self.inner {
-            i.shuffle_cells.lock().push(ShuffleCell {
+            i.shuffle_cells.lock().unpoisoned().push(ShuffleCell {
                 map_task,
                 reduce_task,
                 bytes,
@@ -302,7 +302,7 @@ impl Recorder {
     /// Snapshot of all closed spans, in completion order.
     pub fn spans(&self) -> Vec<Span> {
         match &self.inner {
-            Some(i) => i.spans.lock().clone(),
+            Some(i) => i.spans.lock().unpoisoned().clone(),
             None => Vec::new(),
         }
     }
@@ -315,7 +315,7 @@ impl Recorder {
     /// Snapshot of the shuffle matrix cells recorded so far.
     pub fn shuffle_cells(&self) -> Vec<ShuffleCell> {
         match &self.inner {
-            Some(i) => i.shuffle_cells.lock().clone(),
+            Some(i) => i.shuffle_cells.lock().unpoisoned().clone(),
             None => Vec::new(),
         }
     }
@@ -324,7 +324,7 @@ impl Recorder {
     pub fn flush(&self) {
         if let Some(i) = &self.inner {
             if let Some(sink) = &i.sink {
-                let _ = sink.lock().flush();
+                let _ = sink.lock().unpoisoned().flush();
             }
         }
     }
@@ -372,9 +372,8 @@ mod tests {
 
     #[test]
     fn jsonl_sink_gets_one_valid_line_per_span() {
-        use std::sync::{Arc, Mutex as StdMutex};
         #[derive(Clone)]
-        struct Buf(Arc<StdMutex<Vec<u8>>>);
+        struct Buf(Arc<Mutex<Vec<u8>>>);
         impl Write for Buf {
             fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
                 self.0.lock().unwrap().extend_from_slice(b);
@@ -384,7 +383,7 @@ mod tests {
                 Ok(())
             }
         }
-        let buf = Buf(Arc::new(StdMutex::new(Vec::new())));
+        let buf = Buf(Arc::new(Mutex::new(Vec::new())));
         let rec = Recorder::with_sink(Box::new(buf.clone()));
         for i in 0..3 {
             let s = rec.start(SpanKind::Phase, "p", SpanId::NONE);

@@ -71,10 +71,6 @@ impl RecalTable {
             e.errors += t.errors;
         }
     }
-
-    pub fn total_observations(&self) -> u64 {
-        self.by_reported.values().map(|t| t.observations).sum()
-    }
 }
 
 impl gesall_formats::wire::Wire for Covariate {
@@ -627,7 +623,7 @@ mod tests {
             &HashSet::new(),
             &RecalConfig::default(),
         );
-        assert_eq!(table.total_observations(), 0);
+        assert!(table.by_reported.values().all(|t| t.observations == 0));
     }
 
     #[test]

@@ -12,12 +12,14 @@
 # where the debug run never reaches. The line counter is held to its
 # fixtures first, the aligner to no process-global counter, and every
 # crate but gesall-core and gesall-aligner to no file over 700 non-test
-# lines, as in CI.
+# lines, and the workspace build to exactly two external packages,
+# proptest and rand, as in CI.
 smoke:
     test "$(scripts/loc.sh scripts/fixtures/loc_fixture.rs)" = 32
     test "$(scripts/loc.sh $(find scripts/fixtures/loc_test_module -name '*.rs'))" = 12
     scripts/no-global-counters.sh
     scripts/max-file-lines.sh
+    scripts/external-deps.sh --offline
     cargo build --release --offline --workspace
     cargo test -q --offline --workspace
     cargo clippy --offline --workspace --all-targets -- -D warnings
