@@ -26,7 +26,7 @@ pub(crate) struct FaultState {
     corrupt_on_write: Mutex<Vec<CorruptOnWrite>>,
     /// node → remaining reads that fail with a transient error.
     flaky: Mutex<HashMap<usize, u64>>,
-    /// node → injected per-read service delay (ms).
+    /// node → injected per-read service time (ms).
     slow: RwLock<HashMap<usize, u64>>,
 }
 
@@ -97,8 +97,10 @@ impl Dfs {
     }
 
     /// Arm a slow-node injection: every replica read served by `node`
-    /// sleeps `delay_ms` first — a limping-but-alive disk. Hedged reads
-    /// are the intended countermeasure.
+    /// charges `delay_ms` of service time to the read — a
+    /// limping-but-alive disk, as the read path's ledger and the node's
+    /// latency histogram see it; nothing sleeps. Hedged reads are the
+    /// intended countermeasure.
     pub fn inject_slow_node(&self, node: usize, delay_ms: u64) {
         self.inner.faults.slow.write().unpoisoned().insert(node, delay_ms);
     }

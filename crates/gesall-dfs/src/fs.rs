@@ -35,9 +35,9 @@ pub(crate) struct DfsInner {
     pub(crate) ns: RwLock<Namespace>,
     pub(crate) store: BlockStore,
     next_block: AtomicU64,
-    /// Per-node replica-read service latency (µs), log2-bucketed. The
-    /// hedging policy consults the primary node's p90 against
-    /// [`DfsConfig::hedge_after_micros`].
+    /// Per-node replica-read service time (µs) as the read path charges
+    /// it, log2-bucketed. The hedging policy consults the primary
+    /// node's p90 against [`crate::HEDGE_AFTER_MICROS`].
     pub(crate) read_lat: Vec<Arc<Histogram>>,
     pub(crate) faults: FaultState,
     /// Block-level I/O counters (see [`metrics_keys`]).

@@ -34,3 +34,4 @@ pub use fs::{
 pub use placement::{
     BlockPlacementPolicy, DefaultPlacement, LogicalPartitionPlacement, PinnedPlacement,
 };
+pub use read::{HEDGE_AFTER_MICROS, READ_DEADLINE_MS, READ_RETRIES, RETRY_BACKOFF_MS};

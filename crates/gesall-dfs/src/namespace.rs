@@ -9,7 +9,7 @@
 //! replica list, and — for recovery only — verifying, copying and
 //! unlinking one block's replicas (`recovery.rs`; a repair must not race
 //! a second repair of the same block). **Never under it:** a client
-//! read's or write's payload I/O, checksumming, a sleep, a hedge.
+//! read's or write's payload I/O (a hedge's alternate read too), checksumming.
 //! Readers snapshot what they need and let go; a writer stores its
 //! replicas first and takes the lock only to [`Namespace::commit_file`].
 //! Block-store locks are leaves: nothing else is acquired under one.

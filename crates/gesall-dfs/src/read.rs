@@ -4,13 +4,32 @@
 //! every whole-file and range read. The namespace lock is held only to
 //! snapshot a replica list; recovery (`recovery.rs`) is called into
 //! when a replica fails verification.
+//!
+//! No decision here reads a clock: a replica read charges its service
+//! time (an injected slow node's delay, else nothing) to a per-read
+//! ledger that also sums retry pauses, and the hedge budget and the
+//! deadline are held to that ledger — so a fault schedule replays exactly.
 
 use crate::checksum::xxh64;
 use crate::fs::Dfs;
 use crate::types::{metrics_keys, BlockInfo, DfsError, FileInfo, RangeRead, ReadAffinity};
 use gesall_formats::SharedBytes;
 use gesall_telemetry::Unpoisoned;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Re-attempts of a block read whose failure is transient.
+pub const READ_RETRIES: usize = 3;
+/// Backoff before the first retry (ms); doubles per retry, ±50% seeded jitter.
+pub const RETRY_BACKOFF_MS: u64 = 1;
+/// Ledger time (ms) one block read may spend, retries included, before
+/// it fails with [`DfsError::Timeout`].
+pub const READ_DEADLINE_MS: u64 = 10_000;
+/// Hedge budget (µs): a replica whose node's p90 service time exceeds it
+/// is suspect, and a suspect primary read that overruns it is hedged.
+pub const HEDGE_AFTER_MICROS: u64 = 5_000;
+
+/// A replica's answer and the node that gave it.
+type Served = Result<(SharedBytes, usize), DfsError>;
 
 impl Dfs {
     /// Read one block from any live replica. Zero-copy: the returned
@@ -21,10 +40,10 @@ impl Dfs {
     /// a mismatch quarantines that replica, repairs it from a verified
     /// survivor, and falls through to the next replica — a corrupt
     /// replica never reaches the caller. Transient failures are retried
-    /// up to [`DfsConfig::read_retries`] times with seeded-jitter
-    /// exponential backoff under a per-op deadline, and a slow primary
-    /// replica is hedged against an alternate (see
-    /// [`DfsConfig::hedge_after_micros`]).
+    /// up to [`READ_RETRIES`] times with seeded-jitter exponential
+    /// backoff under a per-op deadline ([`READ_DEADLINE_MS`]), and a
+    /// slow primary replica is hedged against an alternate (see
+    /// [`HEDGE_AFTER_MICROS`]).
     pub fn read_block(&self, block: &BlockInfo) -> Result<SharedBytes, DfsError> {
         self.read_block_at(block, ReadAffinity::NONE)
             .map(|(bytes, _)| bytes)
@@ -43,29 +62,30 @@ impl Dfs {
         block: &BlockInfo,
         affinity: ReadAffinity,
     ) -> Result<(SharedBytes, usize), DfsError> {
-        let cfg = &self.inner.config;
-        let start = Instant::now();
-        let deadline = Duration::from_millis(cfg.read_deadline_ms.max(1));
+        // The ledger: every pass's service time and every retry's pause.
+        let mut spent = Duration::ZERO;
         let mut attempt = 0usize;
         loop {
-            match self.read_block_once(block, affinity) {
+            let (outcome, cost) = self.read_block_once(block, affinity);
+            spent += cost;
+            match outcome {
                 Ok((bytes, node)) => {
                     self.count(metrics_keys::BLOCKS_READ, 1);
                     self.count(metrics_keys::BYTES_READ, bytes.len() as u64);
                     return Ok((bytes, node));
                 }
-                Err(e) if e.is_retryable() && attempt < cfg.read_retries => {
+                Err(e) if e.is_retryable() && attempt < READ_RETRIES => {
                     attempt += 1;
                     self.count(metrics_keys::READS_RETRIED, 1);
-                    let pause =
-                        backoff_with_jitter(cfg.retry_backoff_ms, attempt, cfg.seed, block.id);
-                    if start.elapsed() + pause >= deadline {
+                    let seed = self.inner.config.seed;
+                    spent += backoff_with_jitter(RETRY_BACKOFF_MS, attempt, seed, block.id);
+                    if spent >= Duration::from_millis(READ_DEADLINE_MS) {
                         return Err(DfsError::Timeout(format!(
-                            "block {}: {} ms deadline exhausted after {attempt} retries ({e})",
-                            block.id, cfg.read_deadline_ms
+                            "block {}: {READ_DEADLINE_MS} ms deadline exhausted after \
+                             {attempt} retries ({e})",
+                            block.id
                         )));
                     }
-                    std::thread::sleep(pause);
                 }
                 Err(e) => return Err(e),
             }
@@ -76,12 +96,9 @@ impl Dfs {
     /// node's replica when it exists, hedge the first-choice replica
     /// when its node looks slow, verify whatever payload is served, and
     /// classify the failure if nothing verifies. On success also
-    /// returns the node that served the payload.
-    fn read_block_once(
-        &self,
-        block: &BlockInfo,
-        affinity: ReadAffinity,
-    ) -> Result<(SharedBytes, usize), DfsError> {
+    /// returns the node that served the payload; either way, what the
+    /// pass cost.
+    fn read_block_once(&self, block: &BlockInfo, affinity: ReadAffinity) -> (Served, Duration) {
         let mut nodes = self.live_replica_nodes(block);
         // Affinity is a preference, not a pin: rotate the co-located
         // replica to the front (keeping the rest in placement order for
@@ -93,27 +110,26 @@ impl Dfs {
                 nodes[..=i].rotate_right(1);
             }
         }
-        // Of the replicas that fail, the block reports the failure most
-        // worth acting on: a transient one may clear on retry even if
-        // another replica was corrupt (that one is already quarantined);
-        // a missing replica says nothing.
-        let rank = |e: &DfsError| match e {
-            DfsError::Io(_) => 2,
-            DfsError::Corrupt(_) => 1,
-            _ => 0,
-        };
         let mut outcome = Err(DfsError::BlockMissing(block.id));
+        let mut spent = Duration::ZERO;
         let mut rest = &nodes[..];
         if nodes.len() > 1 && self.node_suspect_slow(nodes[0]) {
-            outcome = self.hedged_read(block, nodes[0], nodes[1]);
-            rest = &nodes[2..];
+            // Within the budget the primary's outcome stands, and a
+            // failure goes on to the alternate like any next replica.
+            (outcome, spent) = self.read_replica(nodes[0], block);
+            rest = &nodes[1..];
+            if spent > Duration::from_micros(HEDGE_AFTER_MICROS) {
+                (outcome, spent) = self.hedge(block, nodes[1], (outcome, spent));
+                rest = &nodes[2..];
+            }
         }
         for &n in rest {
             let Err(worst) = outcome else { break };
-            let read = self.read_replica(n, block).map(|bytes| (bytes, n));
-            outcome = read.map_err(|e| if rank(&e) >= rank(&worst) { e } else { worst });
+            let (read, cost) = self.read_replica(n, block);
+            spent += cost;
+            outcome = read.map_err(|e| worse(e, worst));
         }
-        outcome
+        (outcome, spent)
     }
 
     /// The block's replica homes per current metadata (the caller's
@@ -125,72 +141,57 @@ impl Dfs {
         nodes.iter().copied().filter(|n| !ns.dead().contains(n)).collect()
     }
 
-    /// Does `node`'s read-latency history (p90) exceed the hedge budget?
+    /// Does `node`'s service-time history (p90) exceed the hedge budget?
     fn node_suspect_slow(&self, node: usize) -> bool {
-        let h = &self.inner.read_lat[node];
-        h.count() > 0 && h.quantile(0.9).unwrap_or(0) > self.inner.config.hedge_after_micros
+        self.inner.read_lat[node].quantile(0.9).is_some_and(|p90| p90 > HEDGE_AFTER_MICROS)
     }
 
-    /// Race the suspected-slow `primary` replica against `alt`:
-    /// the primary runs on a helper thread; if it hasn't answered
-    /// within the hedge budget, read the alternate inline and take
-    /// whichever verifies first.
-    fn hedged_read(
-        &self,
-        block: &BlockInfo,
-        primary: usize,
-        alt: usize,
-    ) -> Result<(SharedBytes, usize), DfsError> {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let dfs = self.clone();
-        let blk = block.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send(dfs.read_replica(primary, &blk));
-        });
-        let budget = Duration::from_micros(self.inner.config.hedge_after_micros.max(1));
-        if let Ok(outcome) = rx.recv_timeout(budget) {
-            return outcome.map(|bytes| (bytes, primary));
-        }
+    /// The `primary`, read to completion, overran the hedge budget:
+    /// count a hedge and read `alt` as if launched when the budget ran
+    /// out. A verified alternate wins; otherwise the primary's outcome
+    /// stands, done when the later of the two is.
+    fn hedge(&self, block: &BlockInfo, alt: usize, primary: (Served, Duration)) -> (Served, Duration) {
         self.count(metrics_keys::READS_HEDGED, 1);
-        let alt_outcome = self.read_replica(alt, block);
-        if alt_outcome.is_ok() {
-            self.count(metrics_keys::READS_HEDGE_WINS, 1);
-            return alt_outcome.map(|bytes| (bytes, alt));
+        let launched = Duration::from_micros(HEDGE_AFTER_MICROS);
+        match (self.read_replica(alt, block), primary) {
+            ((Ok(won), cost), _) => {
+                self.count(metrics_keys::READS_HEDGE_WINS, 1);
+                (Ok(won), launched + cost)
+            }
+            ((Err(e), cost), (outcome, spent)) => {
+                (outcome.map_err(|worst| worse(e, worst)), spent.max(launched + cost))
+            }
         }
-        // Alternate lost too: fall back to whatever the primary
-        // eventually produces (its thread always terminates).
-        rx.recv().unwrap_or(alt_outcome).map(|bytes| (bytes, primary))
     }
 
-    /// Serve one replica from `node`, applying injected gray failures,
-    /// recording service latency, and verifying the checksum. A
-    /// mismatch quarantines the replica and triggers targeted repair
-    /// before reporting [`DfsError::Corrupt`]; a node that doesn't hold
-    /// the block (wiped, or never stored) is [`DfsError::BlockMissing`];
-    /// [`DfsError::Io`] is transient, worth retrying elsewhere or later.
-    fn read_replica(&self, node: usize, block: &BlockInfo) -> Result<SharedBytes, DfsError> {
-        let start = Instant::now();
-        if let Some(ms) = self.inner.faults.slow_ms(node) {
-            std::thread::sleep(Duration::from_millis(ms));
-        }
+    /// Serve one replica from `node`, charging its service time to the
+    /// read and to the node's latency histogram, and verifying the
+    /// checksum. A mismatch quarantines the replica and triggers
+    /// targeted repair before reporting [`DfsError::Corrupt`]; a node
+    /// that doesn't hold the block (wiped, or never stored) is
+    /// [`DfsError::BlockMissing`]; [`DfsError::Io`] is transient, worth
+    /// retrying elsewhere or later.
+    fn read_replica(&self, node: usize, block: &BlockInfo) -> (Served, Duration) {
+        // An in-process read costs nothing; a limping node charges its delay.
+        let cost = Duration::from_millis(self.inner.faults.slow_ms(node).unwrap_or(0));
+        let record = || self.inner.read_lat[node].record(cost.as_micros() as u64);
         if self.inner.faults.take_flaky_failure(node) {
             // The failed read still cost its service time: a limping
             // node that also flakes builds latency history from its
             // first read, not once its flake budget is spent.
-            self.inner.read_lat[node].record(start.elapsed().as_micros() as u64);
-            return Err(DfsError::Io(format!(
-                "transient read failure on node {node} (block {})",
-                block.id
-            )));
+            record();
+            let e = DfsError::Io(format!("transient read failure on node {node} (block {})", block.id));
+            return (Err(e), cost);
         }
-        let bytes = self.inner.store.get(node, block.id).ok_or(DfsError::BlockMissing(block.id))?;
-        let verified = xxh64(bytes.as_slice()) == block.checksum;
-        self.inner.read_lat[node].record(start.elapsed().as_micros() as u64);
-        if !verified {
+        let Some(bytes) = self.inner.store.get(node, block.id) else {
+            return (Err(DfsError::BlockMissing(block.id)), cost);
+        };
+        record();
+        if xxh64(bytes.as_slice()) != block.checksum {
             self.quarantine_replica(node, block.id);
-            return Err(DfsError::Corrupt(block.id));
+            return (Err(DfsError::Corrupt(block.id)), cost);
         }
-        Ok(bytes)
+        (Ok((bytes, node)), cost)
     }
 
     /// Read a whole file as shared bytes. A file that fits in one block
@@ -298,8 +299,21 @@ impl Dfs {
     }
 }
 
+/// Of two replicas' failures, the one a block read reports (ties go to
+/// `newer`): a transient one may clear on retry even if the other
+/// replica was corrupt (that one is already quarantined); a missing
+/// replica says nothing.
+fn worse(newer: DfsError, worst: DfsError) -> DfsError {
+    let rank = |e: &DfsError| match e {
+        DfsError::Io(_) => 2,
+        DfsError::Corrupt(_) => 1,
+        _ => 0,
+    };
+    if rank(&newer) >= rank(&worst) { newer } else { worst }
+}
+
 /// Exponential backoff with deterministic ±50% jitter: attempt `k`
-/// sleeps `base * 2^(k-1) * [0.5, 1.0)` milliseconds, where the jitter
+/// pauses `base * 2^(k-1) * [0.5, 1.0)` milliseconds, where the jitter
 /// fraction is a pure hash of `(seed, nonce, attempt)` so fault runs
 /// replay identically.
 fn backoff_with_jitter(base_ms: u64, attempt: usize, seed: u64, nonce: u64) -> Duration {
@@ -317,6 +331,7 @@ fn backoff_with_jitter(base_ms: u64, attempt: usize, seed: u64, nonce: u64) -> D
 
 #[cfg(test)]
 mod tests {
+    use super::{READ_DEADLINE_MS, READ_RETRIES};
     use crate::fs::testutil::*;
     use crate::fs::*;
 
@@ -412,32 +427,32 @@ mod tests {
 
     #[test]
     fn retries_exhausted_is_retryable_deadline_is_timeout() {
-        let dfs = Dfs::new(DfsConfig {
-            n_nodes: 1,
-            block_size: 1024,
-            replication: 1,
-            read_retries: 2,
-            ..DfsConfig::default()
-        });
-        let info = dfs.write_file("/f", &payload(100)).unwrap();
-        dfs.inject_flaky_reads(0, 100);
-        let err = dfs.read_block(&info.blocks[0]).unwrap_err();
+        let one_node = || {
+            let dfs = Dfs::new(DfsConfig {
+                n_nodes: 1,
+                block_size: 1024,
+                replication: 1,
+                ..DfsConfig::default()
+            });
+            let info = dfs.write_file("/f", &payload(100)).unwrap();
+            dfs.inject_flaky_reads(0, 100);
+            (dfs, info.blocks[0].clone())
+        };
+        let (dfs, block) = one_node();
+        let err = dfs.read_block(&block).unwrap_err();
         assert!(matches!(err, DfsError::Io(_)), "got {err}");
         assert!(err.is_retryable());
-        // A deadline shorter than the first backoff pause times out.
-        let dfs = Dfs::new(DfsConfig {
-            n_nodes: 1,
-            block_size: 1024,
-            replication: 1,
-            retry_backoff_ms: 50,
-            read_deadline_ms: 1,
-            ..DfsConfig::default()
-        });
-        let info = dfs.write_file("/f", &payload(100)).unwrap();
-        dfs.inject_flaky_reads(0, 100);
-        let err = dfs.read_block(&info.blocks[0]).unwrap_err();
+        let retried = dfs.metrics().counter(metrics_keys::READS_RETRIED).get();
+        assert_eq!(retried, READ_RETRIES as u64);
+        // A flaky node that also limps past the deadline: the first pass
+        // alone charges more than the deadline, so the first retry's
+        // pause runs the ledger out — and no wall time passes.
+        let (dfs, block) = one_node();
+        dfs.inject_slow_node(0, READ_DEADLINE_MS + 1);
+        let err = dfs.read_block(&block).unwrap_err();
         assert!(matches!(err, DfsError::Timeout(_)), "got {err}");
         assert!(err.is_retryable());
+        assert_eq!(dfs.metrics().counter(metrics_keys::READS_RETRIED).get(), 1);
     }
 
     #[test]
@@ -446,7 +461,6 @@ mod tests {
             n_nodes: 2,
             block_size: 1024,
             replication: 2,
-            hedge_after_micros: 2_000,
             ..DfsConfig::default()
         });
         let data = payload(900);
@@ -455,16 +469,44 @@ mod tests {
         // First read is just slow — it seeds node 0's latency history.
         assert_eq!(dfs.read_file_shared("/h").unwrap(), data);
         assert_eq!(dfs.metrics().counter(metrics_keys::READS_HEDGED).get(), 0);
-        // Subsequent reads see a suspect primary and hedge to node 1,
-        // which answers within the budget and wins.
+        // Subsequent reads see a suspect primary overrun the budget and
+        // hedge to node 1, which verifies and wins.
         for _ in 0..3 {
             assert_eq!(dfs.read_file_shared("/h").unwrap(), data);
         }
         let hedged = dfs.metrics().counter(metrics_keys::READS_HEDGED).get();
         let wins = dfs.metrics().counter(metrics_keys::READS_HEDGE_WINS).get();
         assert_eq!(hedged, 3);
-        assert_eq!(wins, 3, "fast replica must win every race");
+        assert_eq!(wins, 3, "the fast alternate must win every hedge");
         assert_eq!(dfs.read_block(&info.blocks[0]).unwrap().as_slice(), &data[..]);
+    }
+
+    #[test]
+    fn a_suspect_primary_that_fails_within_the_budget_falls_through_to_the_alternate() {
+        let dfs = Dfs::new(DfsConfig {
+            n_nodes: 2,
+            block_size: 1024,
+            replication: 2,
+            ..DfsConfig::default()
+        });
+        let data = payload(900);
+        let info = write_pinned(&dfs, "/w", &data, 0);
+        assert_eq!(info.blocks[0].nodes, vec![0, 1]);
+        // 5 ms lands in the 4 096–8 191 µs bucket: once one read is on
+        // record, node 0's p90 reads above the hedge budget while each
+        // of its reads is within it.
+        dfs.inject_slow_node(0, 5);
+        assert_eq!(dfs.read_file_shared("/w").unwrap(), data);
+        dfs.corrupt_block("/w", 0, 0).unwrap();
+        // The suspect primary answers within the budget, corrupt: its
+        // replica is quarantined and repaired, and the pass goes on to
+        // the alternate, which serves the block.
+        let (bytes, served) = dfs.read_block_at(&info.blocks[0], ReadAffinity::NONE).unwrap();
+        assert_eq!((bytes.as_slice(), served), (&data[..], 1));
+        let get = |k: &str| dfs.metrics().counter(k).get();
+        assert_eq!(get(metrics_keys::READS_HEDGED), 0, "a primary within the budget is not hedged");
+        assert_eq!(get(metrics_keys::BLOCKS_CORRUPT_DETECTED), 1);
+        assert_eq!(get(metrics_keys::BLOCKS_CORRUPT_REPAIRED), 1);
     }
 
     #[test]
@@ -533,7 +575,6 @@ mod tests {
             n_nodes: 2,
             block_size: 1024,
             replication: 2,
-            hedge_after_micros: 2_000,
             ..DfsConfig::default()
         });
         let data = payload(900);
@@ -564,7 +605,7 @@ mod tests {
         assert_eq!(
             dfs.metrics().counter(metrics_keys::READS_HEDGE_WINS).get(),
             3,
-            "fast replica must win every race"
+            "the fast alternate must win every hedge"
         );
     }
 }

@@ -129,23 +129,6 @@ pub struct DfsConfig {
     /// (the default) keeps blocks heap-resident, sharing the writer's
     /// backing allocation.
     pub block_store_dir: Option<PathBuf>,
-    /// How many times a failed block read is re-attempted when the
-    /// failure is transient ([`DfsError::is_retryable`]). Each retry
-    /// sleeps an exponentially growing, seed-jittered backoff.
-    pub read_retries: usize,
-    /// Base backoff before the first retry, in milliseconds; doubles
-    /// per attempt with ±50% deterministic jitter from `seed`.
-    pub retry_backoff_ms: u64,
-    /// Per-op deadline for one `read_block` call, retries included.
-    /// Exhausting it yields [`DfsError::Timeout`].
-    pub read_deadline_ms: u64,
-    /// Hedged-read latency budget, in microseconds. When a block has a
-    /// second live replica and the primary replica's node shows a p90
-    /// read latency above this budget (per-node log2 histogram), the
-    /// primary read is raced against the alternate replica and the
-    /// first finisher wins — the storage-layer analogue of speculative
-    /// task execution.
-    pub hedge_after_micros: u64,
     /// Seed for retry-backoff jitter, so fault-injection runs are
     /// reproducible end to end.
     pub seed: u64,
@@ -158,10 +141,6 @@ impl Default for DfsConfig {
             block_size: 128 * 1024 * 1024,
             replication: 1,
             block_store_dir: None,
-            read_retries: 3,
-            retry_backoff_ms: 1,
-            read_deadline_ms: 10_000,
-            hedge_after_micros: 5_000,
             seed: 0,
         }
     }
@@ -206,10 +185,10 @@ pub mod metrics_keys {
     pub const BLOCKS_REREPLICATED_INCREMENTAL: &str = "dfs.blocks.rereplicated.incremental";
     /// Block reads re-attempted after a transient failure.
     pub const READS_RETRIED: &str = "dfs.reads.retried";
-    /// Block reads where a hedge (second replica race) was launched
-    /// because the primary exceeded its latency budget.
+    /// Block reads whose suspect-slow primary overran the hedge budget,
+    /// so the alternate replica was read too.
     pub const READS_HEDGED: &str = "dfs.reads.hedged";
-    /// Hedged reads where the alternate replica finished first.
+    /// Hedged reads the alternate replica won (it verified).
     pub const READS_HEDGE_WINS: &str = "dfs.reads.hedge_wins";
     /// Stale shuffle-transit files removed by [`crate::Dfs::sweep_orphans`].
     pub const ORPHANS_SWEPT: &str = "dfs.orphans.swept";

@@ -1,8 +1,12 @@
 //! Property-based tests of the DFS: files round-trip under any block
-//! size, placement policies keep their promises, and verify-on-read
-//! integrity holds under arbitrary corruption.
+//! size, placement policies keep their promises, verify-on-read
+//! integrity holds under arbitrary corruption, and a fault schedule
+//! replays exactly.
 
-use gesall_dfs::{metrics_keys, Dfs, DfsConfig, DfsError, LogicalPartitionPlacement, SweepReason};
+use gesall_dfs::{
+    metrics_keys, Dfs, DfsConfig, DfsError, LogicalPartitionPlacement, ReadAffinity, SweepReason,
+    READ_DEADLINE_MS,
+};
 use gesall_formats::SharedBytes;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -17,8 +21,84 @@ fn check_read(dfs: &Dfs, path: &str, want: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Everything a read sequence leaves on a filesystem's registry, one
+/// line each: the `dfs.*` counters and every node's service-time
+/// histogram (buckets and sum).
+fn read_telemetry(dfs: &Dfs, n_nodes: usize) -> Vec<String> {
+    let counters = dfs.metrics().counter_snapshot().into_iter();
+    let counters = counters.filter(|(k, _)| k.starts_with("dfs.")).map(|(k, v)| format!("{k} = {v}"));
+    let latency = (0..n_nodes).map(|n| {
+        let h = dfs.metrics().histogram(&format!("dfs.read.latency.node{n}.micros"));
+        format!("node {n} latency {:?}, sum {}", h.snapshot(), h.sum())
+    });
+    counters.chain(latency).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One fault schedule — flaky reads, slow nodes (some past the read
+    /// deadline), corrupt replicas — armed alike on two fresh
+    /// filesystems, and one single-threaded read sequence run on each:
+    /// every read gives the same bytes or the same error, and the
+    /// counters and latency histograms end identical. Nothing on the
+    /// read path reads a clock or races a thread. Whatever the schedule,
+    /// a read that succeeds serves the file's bytes.
+    #[test]
+    fn fault_schedules_replay_exactly(
+        data in proptest::collection::vec(any::<u8>(), 1..6_000),
+        block_size in 256usize..2048,
+        replication in 1usize..=3,
+        flaky in proptest::collection::vec(0u64..8, 4),
+        slow in proptest::collection::vec(
+            prop_oneof![Just(0u64), 1u64..20, READ_DEADLINE_MS..READ_DEADLINE_MS + 5_000],
+            4,
+        ),
+        corrupt in proptest::collection::vec((0usize..1000, 0usize..3), 0..4),
+        reads in proptest::collection::vec(
+            (0usize..1000, 0usize..1000, proptest::option::of(0usize..4)),
+            1..12,
+        ),
+    ) {
+        const NODES: usize = 4;
+        let armed = || {
+            let dfs = Dfs::new(DfsConfig { n_nodes: NODES, block_size, replication, ..DfsConfig::default() });
+            let info = dfs.write_file("/f", &data).unwrap();
+            for &(block, replica) in &corrupt {
+                let b = &info.blocks[block % info.blocks.len()];
+                dfs.corrupt_block("/f", block % info.blocks.len(), replica % b.nodes.len()).unwrap();
+            }
+            for node in 0..NODES {
+                dfs.inject_flaky_reads(node, flaky[node]);
+                dfs.inject_slow_node(node, slow[node]);
+            }
+            dfs
+        };
+        let (a, b) = (armed(), armed());
+        for &(off_frac, len_frac, affinity) in &reads {
+            let offset = off_frac * data.len() / 1000;
+            let len = len_frac * (data.len() - offset) / 1000;
+            let read = |dfs: &Dfs| {
+                dfs.read_file_range_shared_at("/f", offset, len, ReadAffinity(affinity))
+                    .map(|r| (r.bytes.to_vec(), r.local_bytes, r.remote_bytes))
+            };
+            let got = read(&a);
+            prop_assert_eq!(&got, &read(&b), "range {}+{} affinity {:?}", offset, len, affinity);
+            if let Ok((bytes, _, _)) = &got {
+                prop_assert_eq!(bytes.as_slice(), &data[offset..offset + len]);
+            }
+        }
+        prop_assert_eq!(read_telemetry(&a, NODES), read_telemetry(&b, NODES));
+        // Disarmed, only the corruption is left: a read serves the
+        // file, or fails because some block has no stored replica.
+        for dfs in [&a, &b] {
+            for node in 0..NODES {
+                dfs.inject_flaky_reads(node, 0);
+                dfs.inject_slow_node(node, 0);
+            }
+            check_read(dfs, "/f", &data)?;
+        }
+    }
 
     #[test]
     fn files_roundtrip_under_any_block_size(

@@ -12,7 +12,6 @@ use gesall_mapreduce::{
     ClusterResources, HashPartitioner, InputSplit, JobConfig, MapContext, MapReduceEngine, Mapper,
     ReduceContext, Reducer,
 };
-use std::time::Duration;
 
 struct Tokenize;
 impl Mapper for Tokenize {
@@ -63,8 +62,8 @@ fn sorted_output(res: &gesall_mapreduce::JobResult<String, u64>) -> Vec<(String,
     all
 }
 
-/// Speculation off so injected storage stalls don't race backup tasks
-/// into the exact counters the assertions read.
+/// Speculation off so backup tasks add no reads to the counters the
+/// assertions read.
 fn quick_cfg() -> JobConfig {
     JobConfig {
         n_reducers: 3,
@@ -107,8 +106,7 @@ fn one_compute_node() -> ClusterResources {
 }
 
 /// The reference output, computed without the engine: the word count of
-/// the splits. (A reference *job* would run beside the other tests'
-/// faulty jobs and perturb the wall-clock latencies hedging keys on.)
+/// the splits.
 fn fault_free_output(n_splits: usize) -> Vec<(String, u64)> {
     let mut counts = std::collections::BTreeMap::new();
     for split in word_splits(n_splits, 30) {
@@ -119,25 +117,6 @@ fn fault_free_output(n_splits: usize) -> Vec<(String, u64)> {
         }
     }
     counts.into_iter().collect()
-}
-
-/// Corruption detected from a hedged read's helper thread can land just
-/// after the job returns; wait (bounded) until detections have matching
-/// repairs before asserting.
-fn settle_integrity_counters(dfs: &Dfs) -> (u64, u64) {
-    let get = |k: &str| dfs.metrics().counter(k).get();
-    for _ in 0..400 {
-        let d = get(metrics_keys::BLOCKS_CORRUPT_DETECTED);
-        let r = get(metrics_keys::BLOCKS_CORRUPT_REPAIRED);
-        if d > 0 && r == d {
-            return (d, r);
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    (
-        get(metrics_keys::BLOCKS_CORRUPT_DETECTED),
-        get(metrics_keys::BLOCKS_CORRUPT_REPAIRED),
-    )
 }
 
 #[test]
@@ -157,16 +136,24 @@ fn corrupted_replica_never_reaches_a_reducer() {
 
     assert_eq!(sorted_output(&res), fault_free_output(8));
     assert!(res.counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
-    let (detected, repaired) = settle_integrity_counters(&dfs);
+    // Every read verifies, quarantines and repairs before it returns:
+    // the counters are final once the job is.
+    let get = |k: &str| dfs.metrics().counter(k).get();
+    let detected = get(metrics_keys::BLOCKS_CORRUPT_DETECTED);
     assert!(detected >= 1, "the injected corruption must be detected on read");
-    assert_eq!(repaired, detected, "every detection must be repaired from a survivor");
+    assert_eq!(
+        get(metrics_keys::BLOCKS_CORRUPT_REPAIRED),
+        detected,
+        "every detection must be repaired from a survivor"
+    );
     assert_eq!(res.counters.get(keys::FAILED_ATTEMPTS), 0, "integrity is a DFS-level save");
 }
 
 #[test]
 fn flaky_and_slow_nodes_still_complete_with_retries_and_hedges() {
     // Both replica homes' first six reads flake with a transient error
-    // and node 0 — every fetch's first choice — limps at 15 ms per read.
+    // and node 0 — every fetch's first choice — charges 15 ms per read,
+    // past the hedge budget; nothing sleeps.
     // The job must complete with exact output, the DFS retry loop must
     // have fired (the first read to get past node 0's flake finds node 1
     // flaking too), and node 0's latency histogram must have pushed
@@ -215,12 +202,16 @@ fn acceptance_corrupt_slow_and_flaky_job_matches_fault_free_run() {
         .expect("the combined gray-failure matrix must be survivable");
 
     assert_eq!(sorted_output(&res), fault_free_output(12));
-    let (detected, repaired) = settle_integrity_counters(&dfs);
+    // A hedged read reads its primary to completion, so the corrupt
+    // replica on the slow node is repaired before its read returns.
+    let get = |k: &str| dfs.metrics().counter(k).get();
+    let detected = get(metrics_keys::BLOCKS_CORRUPT_DETECTED);
     assert!(detected > 0, "dfs.blocks.corrupt.detected must be nonzero");
-    assert_eq!(repaired, detected, "dfs.blocks.corrupt.repaired must equal detected");
-    assert!(
-        dfs.metrics().counter(metrics_keys::READS_HEDGED).get() > 0,
-        "dfs.reads.hedged must be nonzero"
+    assert_eq!(
+        get(metrics_keys::BLOCKS_CORRUPT_REPAIRED),
+        detected,
+        "dfs.blocks.corrupt.repaired must equal detected"
     );
+    assert!(get(metrics_keys::READS_HEDGED) > 0, "dfs.reads.hedged must be nonzero");
     assert!(res.counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
 }

@@ -10,14 +10,16 @@
 # to their pinned digests. Release matters:
 # with overflow checks off a kernel can disagree with its reference
 # where the debug run never reaches. The line counter is held to its
-# fixtures first, the aligner to no process-global counter, and every
-# crate but gesall-core and gesall-aligner to no file over 700 non-test
-# lines, and the workspace build to exactly two external packages,
-# proptest and rand, as in CI.
+# fixtures first, the aligner to no process-global counter, the DFS
+# source to no wall clock, sleep or spawned thread (its read path
+# charges service time to a ledger), every crate but gesall-core to no
+# file over 700 non-test lines, and the workspace build to exactly two
+# external packages, proptest and rand, as in CI.
 smoke:
     test "$(scripts/loc.sh scripts/fixtures/loc_fixture.rs)" = 32
     test "$(scripts/loc.sh $(find scripts/fixtures/loc_test_module -name '*.rs'))" = 12
     scripts/no-global-counters.sh
+    scripts/no-wall-clock.sh
     scripts/max-file-lines.sh
     scripts/external-deps.sh --offline
     cargo build --release --offline --workspace
