@@ -1,9 +1,10 @@
 //! The name node's state, all of it in one place: files, which file
 //! owns a block, which blocks each node is listed for, which nodes are
-//! dead, which paths are pinned. `DfsInner` keeps one [`Namespace`]
-//! behind one `RwLock`, and the `&mut self` methods here are the only
-//! code that changes any of it — so each fact has one writer and
-//! [`Namespace::check`] can state what always holds.
+//! dead, which paths are pinned and which of those a sweep retired.
+//! `DfsInner` keeps one [`Namespace`] behind one `RwLock`, and the
+//! `&mut self` methods here are the only code that changes any of it —
+//! so each fact has one writer and [`Namespace::check`] can state what
+//! always holds.
 //!
 //! **Under the lock:** map lookups and edits, cloning a `FileInfo` or a
 //! replica list, and — for recovery only — verifying, copying and
@@ -14,7 +15,7 @@
 //! replicas first and takes the lock only to [`Namespace::commit_file`].
 //! Block-store locks are leaves: nothing else is acquired under one.
 
-use crate::types::{BlockInfo, DfsError, FailureReport, FileInfo};
+use crate::types::{BlockInfo, DfsError, FailureReport, FileInfo, SweepReason};
 use std::collections::{HashMap, HashSet};
 
 pub(crate) struct Namespace {
@@ -29,10 +30,13 @@ pub(crate) struct Namespace {
     /// Nodes declared dead. Writes avoid them; they never come back
     /// (matching the engine's permanent node-death model).
     dead: HashSet<usize>,
-    /// Path → live pin refcount. A pinned path refuses deletion and is
-    /// skipped (not failed) by retention sweeps, so a cache entry a
-    /// running stage still reads is never swept from under it.
+    /// Path → live pin refcount. A pinned path refuses deletion, so a
+    /// cache entry a running stage still reads is never deleted from
+    /// under it.
     pins: HashMap<String, u64>,
+    /// Pinned paths a retention sweep retired, and why: each goes at
+    /// its last unpin (unlink-while-open), charged to that reason.
+    marked: HashMap<String, SweepReason>,
 }
 
 impl Namespace {
@@ -43,6 +47,7 @@ impl Namespace {
             node_index: vec![HashSet::new(); n_nodes],
             dead: HashSet::new(),
             pins: HashMap::new(),
+            marked: HashMap::new(),
         }
     }
 
@@ -116,14 +121,36 @@ impl Namespace {
         if self.pins.contains_key(path) {
             return Err(DfsError::Pinned(path.to_string()));
         }
-        let info = self.files.remove(path).ok_or_else(|| DfsError::FileNotFound(path.to_string()))?;
+        self.unlink(path).ok_or_else(|| DfsError::FileNotFound(path.to_string()))
+    }
+
+    /// Retire every file under `dir`: an unpinned one is removed now
+    /// (the caller frees the returned files' replicas), a pinned one is
+    /// marked to go at its last [`Namespace::unpin`]. Returns the
+    /// removed files and how many were marked.
+    pub(crate) fn retire(&mut self, dir: &str, reason: SweepReason) -> (Vec<FileInfo>, usize) {
+        let mut removed = Vec::new();
+        let mut marked = 0;
+        for path in self.paths(dir) {
+            if self.pins.contains_key(&path) {
+                self.marked.insert(path, reason);
+                marked += 1;
+            } else {
+                removed.extend(self.unlink(&path));
+            }
+        }
+        (removed, marked)
+    }
+
+    fn unlink(&mut self, path: &str) -> Option<FileInfo> {
+        let info = self.files.remove(path)?;
         for b in &info.blocks {
             self.owner.remove(&b.id);
             for &n in &b.nodes {
                 self.node_index[n].remove(&b.id);
             }
         }
-        Ok(info)
+        Some(info)
     }
 
     pub(crate) fn drop_replica(&mut self, id: u64, node: usize) {
@@ -167,18 +194,22 @@ impl Namespace {
         Ok(())
     }
 
-    pub(crate) fn unpin(&mut self, path: &str) {
-        if let Some(n) = self.pins.get_mut(path) {
-            *n -= 1;
-            if *n == 0 {
-                self.pins.remove(path);
-            }
+    /// Release one pin. The last pin on a marked file removes it: the
+    /// caller frees the returned file's replicas and charges `reason`.
+    pub(crate) fn unpin(&mut self, path: &str) -> Option<(FileInfo, SweepReason)> {
+        let n = self.pins.get_mut(path)?;
+        *n -= 1;
+        if *n > 0 {
+            return None;
         }
+        self.pins.remove(path);
+        let reason = self.marked.remove(path)?;
+        Some((self.unlink(path).expect("a pin names a file"), reason))
     }
 
     /// What every method above leaves true: the owner map and the node
     /// index are what the files' block lists imply, no dead node is
-    /// listed, no pin names a missing file.
+    /// listed, no pin names a missing file, every marked file is pinned.
     pub(crate) fn check(&self) -> Result<(), String> {
         let mut owner = HashMap::new();
         let mut node_index = vec![HashSet::new(); self.node_index.len()];
@@ -199,8 +230,11 @@ impl Namespace {
         if let Some(n) = self.dead.iter().find(|&&n| !node_index[n].is_empty()) {
             return Err(format!("dead node {n} is listed for blocks {:?}", node_index[*n]));
         }
-        match self.pins.keys().find(|p| !self.files.contains_key(*p)) {
-            Some(p) => Err(format!("pin on missing file {p}")),
+        if let Some(p) = self.pins.keys().find(|p| !self.files.contains_key(*p)) {
+            return Err(format!("pin on missing file {p}"));
+        }
+        match self.marked.keys().find(|p| !self.pins.contains_key(*p)) {
+            Some(p) => Err(format!("marked file {p} holds no pin")),
             None => Ok(()),
         }
     }

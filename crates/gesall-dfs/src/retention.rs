@@ -8,16 +8,22 @@ use gesall_telemetry::Unpoisoned;
 
 impl Dfs {
     /// Pin a file: while its refcount is nonzero, [`Dfs::delete`]
-    /// refuses with [`DfsError::Pinned`] and retention sweeps skip it.
-    /// Pins nest — each `pin` needs a matching [`Dfs::unpin`].
+    /// refuses with [`DfsError::Pinned`] and retention sweeps only mark
+    /// it. Pins nest — each `pin` needs a matching [`Dfs::unpin`].
     pub fn pin(&self, path: &str) -> Result<(), DfsError> {
         self.inner.ns.write().unpoisoned().pin(path)
     }
 
     /// Release one pin on `path`. Releasing a path with no live pin is
-    /// a no-op (pin holders may race a namespace teardown).
+    /// a no-op (pin holders may race a namespace teardown). The last
+    /// unpin of a file a sweep marked removes it and frees its replicas
+    /// before returning, charged to that sweep's reason.
     pub fn unpin(&self, path: &str) {
-        self.inner.ns.write().unpoisoned().unpin(path)
+        let retired = self.inner.ns.write().unpoisoned().unpin(path);
+        if let Some((info, reason)) = retired {
+            self.inner.store.free(&info.blocks);
+            self.count(reason.counter_key(), 1);
+        }
     }
 
     /// Current pin refcount of `path` (0 when unpinned or unknown).
@@ -46,44 +52,33 @@ impl Dfs {
     /// platform startup is an orphan. Returns the number of files swept
     /// (counted under [`metrics_keys::ORPHANS_SWEPT`]).
     pub fn sweep_orphans(&self) -> usize {
-        let stale: Vec<String> = self
-            .list("")
-            .into_iter()
-            .filter(|p| is_shuffle_transit_path(p))
-            .collect();
-        let swept = self.delete_all(&stale).swept;
+        let stale = self.list("").into_iter().filter(|p| is_shuffle_transit_path(p));
+        let swept = stale.filter(|p| self.delete(p).is_ok()).count();
         self.count(metrics_keys::ORPHANS_SWEPT, swept as u64);
         swept
     }
 
-    /// Live retention sweep: delete every file under `prefix`, charging
-    /// the count to `reason`'s counter. Unlike the startup-only
-    /// [`Dfs::sweep_orphans`], this is the runtime half of the retention
-    /// policy — the engine calls it with [`SweepReason::Completed`] when
-    /// a job's shuffle transit is consumed, and the job service calls it
-    /// with [`SweepReason::Cancelled`] / [`SweepReason::Ttl`] when a
-    /// tenant's job namespace is retired. Pinned files are skipped, not
-    /// failed: the report says how many files were removed and how many
-    /// a live pin protected (also counted under
-    /// [`metrics_keys::RETENTION_PIN_SKIPS`]), so a retirement loop can
-    /// tell "namespace empty" from "namespace still referenced".
+    /// Live retention sweep: retire the directory `prefix/` (a trailing
+    /// `/` is optional) — never a sibling that merely shares the name's
+    /// prefix — charging the files to `reason`'s counter. Unlike the
+    /// startup-only [`Dfs::sweep_orphans`], this is the runtime half of
+    /// the retention policy: the engine calls it with
+    /// [`SweepReason::Completed`] when a job's shuffle transit is
+    /// consumed, and the job service with [`SweepReason::Cancelled`] /
+    /// [`SweepReason::Released`] when a tenant's job namespace is
+    /// retired. Unpinned files go now; a pinned one is marked
+    /// (unlink-while-open) and goes at its last [`Dfs::unpin`], counted
+    /// under [`metrics_keys::RETENTION_PIN_SKIPS`] now and under
+    /// `reason` then — so one sweep retires the whole directory.
     pub fn sweep_prefix(&self, prefix: &str, reason: SweepReason) -> SweepReport {
-        let report = self.delete_all(&self.list(prefix));
-        self.count(reason.counter_key(), report.swept as u64);
-        report
-    }
-
-    fn delete_all(&self, paths: &[String]) -> SweepReport {
-        let mut report = SweepReport::default();
-        for p in paths {
-            match self.delete(p) {
-                Ok(()) => report.swept += 1,
-                Err(DfsError::Pinned(_)) => report.pinned_skipped += 1,
-                Err(_) => {}
-            }
+        let dir = format!("{}/", prefix.trim_end_matches('/'));
+        let (removed, marked) = self.inner.ns.write().unpoisoned().retire(&dir, reason);
+        for info in &removed {
+            self.inner.store.free(&info.blocks);
         }
-        self.count(metrics_keys::RETENTION_PIN_SKIPS, report.pinned_skipped as u64);
-        report
+        self.count(reason.counter_key(), removed.len() as u64);
+        self.count(metrics_keys::RETENTION_PIN_SKIPS, marked as u64);
+        SweepReport { swept: removed.len(), pinned_skipped: marked }
     }
 
     /// All paths with the given prefix, sorted.
@@ -213,30 +208,43 @@ mod tests {
     }
 
     #[test]
-    fn retention_sweep_skips_pinned_files_and_reports_them() {
+    fn retention_sweep_marks_pinned_files_and_their_last_unpin_removes_them() {
         let dfs = small_dfs();
         dfs.write_file("/t/job/x", &payload(50)).unwrap();
-        dfs.write_file("/t/job/y", &payload(50)).unwrap();
+        dfs.write_file("/t/job/y", &payload(3000)).unwrap();
         dfs.write_file("/t/job/z", &payload(50)).unwrap();
         dfs.pin("/t/job/y").unwrap();
-        let report = dfs.sweep_prefix("/t/job", SweepReason::Ttl);
+        dfs.pin("/t/job/y").unwrap();
+        let report = dfs.sweep_prefix("/t/job", SweepReason::Released);
         assert_eq!(report, SweepReport { swept: 2, pinned_skipped: 1 });
-        assert!(dfs.exists("/t/job/y"), "pinned file must survive the sweep");
-        assert!(dfs.any_pinned("/t/job"));
-        assert_eq!(
-            dfs.metrics().counter(metrics_keys::RETENTION_PIN_SKIPS).get(),
-            1
-        );
-        assert_eq!(
-            dfs.metrics()
-                .counter(metrics_keys::RETENTION_SWEPT_TTL)
-                .get(),
-            2
-        );
+        assert_eq!(dfs.list("/t/job"), vec!["/t/job/y".to_string()], "a pinned file outlives the sweep");
+        assert_eq!(dfs.read_file_shared("/t/job/y").unwrap(), payload(3000));
+        assert!(matches!(dfs.delete("/t/job/y"), Err(DfsError::Pinned(_))));
+        let m = dfs.metrics();
+        assert_eq!(m.counter(metrics_keys::RETENTION_PIN_SKIPS).get(), 1);
+        assert_eq!(m.counter(metrics_keys::RETENTION_SWEPT_RELEASED).get(), 2);
         dfs.unpin("/t/job/y");
-        assert!(!dfs.any_pinned("/t/job"));
-        let report = dfs.sweep_prefix("/t/job", SweepReason::Ttl);
+        assert!(dfs.exists("/t/job/y"), "one pin is still live");
+        dfs.check_namespace().unwrap();
+        // The last unpin removes the file and frees its replicas at once.
+        dfs.unpin("/t/job/y");
+        assert!(dfs.list("/t/job").is_empty());
+        assert!(dfs.node_stats().iter().all(|s| s.blocks == 0));
+        assert_eq!(m.counter(metrics_keys::RETENTION_SWEPT_RELEASED).get(), 3);
+        dfs.check_namespace().unwrap();
+    }
+
+    #[test]
+    fn a_sweep_retires_a_directory_not_the_siblings_sharing_its_name() {
+        let dfs = small_dfs();
+        for p in ["/ns/shuffle-1/map-0", "/ns/shuffle-12/map-0", "/a/a-job1000/x", "/a/a-job10000/x"] {
+            dfs.write_file(p, &payload(10)).unwrap();
+        }
+        let report = dfs.sweep_prefix("/ns/shuffle-1", SweepReason::Completed);
         assert_eq!(report, SweepReport { swept: 1, pinned_skipped: 0 });
+        let report = dfs.sweep_prefix("/a/a-job1000/", SweepReason::Released);
+        assert_eq!(report, SweepReport { swept: 1, pinned_skipped: 0 });
+        assert_eq!(dfs.list("/"), vec!["/a/a-job10000/x".to_string(), "/ns/shuffle-12/map-0".to_string()]);
     }
 
     #[test]

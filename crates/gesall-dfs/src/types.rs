@@ -22,7 +22,9 @@ pub enum DfsError {
     NoLiveNodes,
     /// The file is pinned (live cache-entry refcount > 0) and cannot be
     /// deleted until every pin is released. Not retryable — the caller
-    /// must wait for the pin holder, not spin on the delete.
+    /// must wait for the pin holder, not spin on the delete, or retire
+    /// it with [`crate::Dfs::sweep_prefix`], which removes it at its
+    /// last unpin.
     Pinned(String),
     /// Block-store I/O failed (persisting or mapping a block file), or a
     /// replica read failed transiently. Retryable.
@@ -195,15 +197,15 @@ pub mod metrics_keys {
     /// Files removed by a live retention sweep ([`crate::Dfs::sweep_prefix`])
     /// when the owning job finished — the job-end transit cleanup.
     pub const RETENTION_SWEPT_COMPLETED: &str = "dfs.retention.swept.completed";
-    /// Files removed by a retention sweep because the owner's TTL
-    /// lapsed or its handle was dropped (retention released).
-    pub const RETENTION_SWEPT_TTL: &str = "dfs.retention.swept.ttl";
+    /// Files removed by a retention sweep because the owner released
+    /// them: its handle was dropped, or the service shut down.
+    pub const RETENTION_SWEPT_RELEASED: &str = "dfs.retention.swept.released";
     /// Files removed by a retention sweep because the owning job was
     /// cancelled before finishing.
     pub const RETENTION_SWEPT_CANCELLED: &str = "dfs.retention.swept.cancelled";
-    /// Files a retention sweep *skipped* because a live pin protected
-    /// them. A nonzero skip count tells the sweeper the namespace is
-    /// not yet fully retired.
+    /// Files a retention sweep found pinned and marked instead of
+    /// removing. Each goes at its last [`crate::Dfs::unpin`], and is
+    /// then counted under its sweep's `dfs.retention.swept.*` key.
     pub const RETENTION_PIN_SKIPS: &str = "dfs.retention.pin_skips";
     /// Content-addressed store writes that stored a new entry.
     pub const CAS_PUTS: &str = "dfs.cas.puts";
@@ -220,8 +222,9 @@ pub mod metrics_keys {
 pub enum SweepReason {
     /// The job that owned the prefix ran to the end (success or error).
     Completed,
-    /// The owner's retention TTL lapsed, or its handle was dropped.
-    Ttl,
+    /// The owner released it: its handle was dropped, or the service
+    /// that retained it shut down.
+    Released,
     /// The owning job was cancelled.
     Cancelled,
 }
@@ -230,21 +233,20 @@ impl SweepReason {
     pub(crate) fn counter_key(self) -> &'static str {
         match self {
             SweepReason::Completed => metrics_keys::RETENTION_SWEPT_COMPLETED,
-            SweepReason::Ttl => metrics_keys::RETENTION_SWEPT_TTL,
+            SweepReason::Released => metrics_keys::RETENTION_SWEPT_RELEASED,
             SweepReason::Cancelled => metrics_keys::RETENTION_SWEPT_CANCELLED,
         }
     }
 }
 
-/// What a retention sweep actually did: files removed, and files it had
-/// to leave in place because a live pin protected them. A sweeper that
-/// sees `pinned_skipped > 0` knows the prefix is not fully retired and
-/// should come back after the pins release.
+/// What a retention sweep did: files removed, and files a live pin
+/// kept in place. Those are marked and go at their last unpin, so a
+/// sweep retires its whole prefix and nobody has to come back for it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepReport {
     /// Files deleted by this sweep.
     pub swept: usize,
-    /// Files skipped because their pin refcount was nonzero.
+    /// Pinned files marked to go at their last unpin.
     pub pinned_skipped: usize,
 }
 

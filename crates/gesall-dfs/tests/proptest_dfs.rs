@@ -9,7 +9,7 @@ use gesall_dfs::{
 };
 use gesall_formats::SharedBytes;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A read serves the file's bytes or fails — and it may fail only on a
 /// file some block of which has no stored live replica left.
@@ -194,7 +194,9 @@ proptest! {
     /// re-replication, retention sweeps, pins, reads that quarantine and
     /// repair — the metadata stays consistent with itself after every
     /// step, outcomes match a path → bytes model, and every file that
-    /// still has its blocks reads back byte-identical.
+    /// still has its blocks reads back byte-identical. A sweep removes
+    /// the unpinned files under its prefix and marks the pinned ones,
+    /// which go at their last unpin.
     #[test]
     fn namespace_invariants_hold_under_any_history(
         ops in proptest::collection::vec((0u8..16, 0usize..1000, 0usize..1000), 1..80),
@@ -205,6 +207,7 @@ proptest! {
         let dfs = Dfs::new(DfsConfig { n_nodes: NODES, block_size, replication, ..DfsConfig::default() });
         let mut files: BTreeMap<String, Vec<u8>> = BTreeMap::new();
         let mut pins: BTreeMap<String, u64> = BTreeMap::new();
+        let mut marked: BTreeSet<String> = BTreeSet::new();
         let mut under_replicated: Vec<u64> = Vec::new();
         for (step, &(kind, a, b)) in ops.iter().enumerate() {
             let prefix = format!("/{}/", a % 2);
@@ -250,9 +253,10 @@ proptest! {
                     under_replicated.clear();
                 }
                 11 => {
-                    let report = dfs.sweep_prefix(&prefix, SweepReason::Ttl);
+                    let report = dfs.sweep_prefix(&prefix, SweepReason::Released);
                     let under = |p: &&String| p.starts_with(&prefix);
                     prop_assert_eq!(report.pinned_skipped, pins.keys().filter(under).count());
+                    marked.extend(pins.keys().filter(under).cloned());
                     let before = files.len();
                     files.retain(|p, _| !p.starts_with(&prefix) || pins.contains_key(p));
                     prop_assert_eq!(report.swept, before - files.len());
@@ -276,6 +280,9 @@ proptest! {
                         *n -= 1;
                         if *n == 0 {
                             pins.remove(&path);
+                            if marked.remove(&path) {
+                                files.remove(&path);
+                            }
                         }
                     }
                 }

@@ -8,8 +8,8 @@
 //! * **Submission API** — [`JobService::submit`]`(tenant, JobSpec) ->`
 //!   [`JobHandle`] with status / wait / cancel, backed by a
 //!   condvar-parked dispatcher thread (the same discipline as the
-//!   engine's scheduler loops: no busy-polling, every state change
-//!   notifies).
+//!   engine's scheduler loops: no busy-polling and no timer, every
+//!   state change notifies).
 //! * **Capacity scheduler** — each tenant holds a configured *share* of
 //!   the cluster's container slots. Idle capacity is borrowed
 //!   elastically (a job may run wider than its tenant's share while
@@ -24,11 +24,13 @@
 //!   [`JobSvcError::QuotaExceeded`] / [`JobSvcError::TenantUnknown`].
 //! * **Live retention** — every job runs inside its own DFS namespace
 //!   (`/{tenant}/{job}/…`, shuffle transit at
-//!   `/{tenant}/{job}/shuffle-{run}/…`). The namespace is swept with
-//!   `Dfs::sweep_prefix` when the job is cancelled
-//!   (`dfs.retention.swept.cancelled`), when its handle is dropped, or
-//!   when its TTL lapses (`dfs.retention.swept.ttl`) — the runtime
-//!   counterpart of the startup-only `sweep_orphans` crash sweep.
+//!   `/{tenant}/{job}/shuffle-{run}/…`), which lives exactly as long as
+//!   its [`JobHandle`]. The namespace is swept with `Dfs::sweep_prefix`
+//!   when the job is cancelled (`dfs.retention.swept.cancelled`), when
+//!   its handle is dropped, or at [`JobService::shutdown`]
+//!   (`dfs.retention.swept.released`) — the runtime counterpart of the
+//!   startup-only `sweep_orphans` crash sweep. A file a live CAS pin
+//!   still holds goes at its last unpin, inside the DFS.
 //!
 //! Everything is observable through a [`MetricsRegistry`]: see [`keys`]
 //! for the `jobsvc.*` counter/gauge/histogram families.

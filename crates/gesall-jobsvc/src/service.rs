@@ -9,7 +9,7 @@
 //! * `dispatch` — the dispatcher thread and its rebalance pass, which
 //!   starts queued jobs and grows and shrinks their [`SlotLease`]s;
 //! * `runner` — a job's own thread and its namespace lifecycle: finish,
-//!   cancel, retention and the pin-aware sweep.
+//!   cancel and retention.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -17,7 +17,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gesall_core::GesallPlatform;
 use gesall_mapreduce::lease::SlotLease;
@@ -75,27 +75,13 @@ impl TenantConfig {
 }
 
 /// Service-wide configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobSvcConfig {
     pub tenants: Vec<TenantConfig>,
     /// Container slots the scheduler divides among tenants. Defaults to
     /// the platform cluster's slot count for the engine's task
     /// container (1 vcore, 1 GiB).
     pub total_slots: Option<usize>,
-    /// How long a finished job's DFS namespace is retained for
-    /// inspection before the TTL sweep deletes it. Dropping the
-    /// [`JobHandle`] releases retention early.
-    pub retention_ttl: Duration,
-}
-
-impl Default for JobSvcConfig {
-    fn default() -> JobSvcConfig {
-        JobSvcConfig {
-            tenants: Vec::new(),
-            total_slots: None,
-            retention_ttl: Duration::from_secs(300),
-        }
-    }
 }
 
 /// A unit of work submitted to the service.
@@ -229,18 +215,14 @@ struct TenantRt {
     submitted: u64,
 }
 
-struct Retirement {
-    namespace: String,
-    deadline: Instant,
-}
-
 struct SvcState {
     queued: Vec<QueuedJob>,
     running: Vec<RunningJob>,
     rt: BTreeMap<String, TenantRt>,
     free: usize,
     dispatch_seq: u64,
-    retired: Vec<Retirement>,
+    /// Namespaces of finished jobs whose handles are still live.
+    retired: Vec<String>,
     runners: Vec<JoinHandle<()>>,
     shutdown: bool,
 }
@@ -252,7 +234,6 @@ struct Svc {
     /// split. Usage beyond this is *borrowed* capacity (someone else's
     /// idle share), even if nobody currently wants it back.
     configured: BTreeMap<String, usize>,
-    retention_ttl: Duration,
     registry: MetricsRegistry,
     state: Mutex<SvcState>,
     wake: Condvar,
@@ -260,9 +241,9 @@ struct Svc {
     test_hooks: dispatch::TestHooks,
 }
 
-/// Handle to a submitted job. Dropping it releases retention: the
-/// job's DFS namespace is swept as soon as the job is finished (or
-/// immediately, if it already is).
+/// Handle to a submitted job. A finished job's DFS namespace lives
+/// exactly as long as its handle: dropping it sweeps the namespace as
+/// soon as the job is finished (at once, if it already is).
 pub struct JobHandle {
     svc: Weak<Svc>,
     job: Arc<JobShared>,
@@ -375,7 +356,6 @@ impl JobService {
             configured: sched::entitlements(total_slots, &shares),
             platform,
             total_slots,
-            retention_ttl: config.retention_ttl,
             registry: MetricsRegistry::new(),
             state: Mutex::new(SvcState {
                 queued: Vec::new(),
@@ -426,8 +406,8 @@ impl JobService {
         self.svc.total_slots
     }
 
-    /// Stop admitting work, drain queued + running jobs, sweep any
-    /// namespaces still under retention, and join all threads.
+    /// Stop admitting work, drain queued + running jobs, sweep the
+    /// namespaces live handles still retain, and join all threads.
     pub fn shutdown(mut self) {
         self.do_shutdown();
     }
@@ -554,17 +534,9 @@ mod tests {
     use gesall_core::PlatformConfig;
     use gesall_dfs::{Dfs, DfsConfig};
     use gesall_mapreduce::{ClusterResources, MapReduceEngine};
+    use std::sync::mpsc;
 
-    /// A service whose long TTL leaves sweeps to handle drops.
     pub(super) fn service(total: usize, tenants: Vec<TenantConfig>) -> JobService {
-        service_with_ttl(total, tenants, Duration::from_secs(600))
-    }
-
-    pub(super) fn service_with_ttl(
-        total: usize,
-        tenants: Vec<TenantConfig>,
-        retention_ttl: Duration,
-    ) -> JobService {
         let dfs = Dfs::new(DfsConfig {
             n_nodes: 2,
             block_size: 64 * 1024,
@@ -578,29 +550,23 @@ mod tests {
             JobSvcConfig {
                 tenants,
                 total_slots: Some(total),
-                retention_ttl,
             },
         )
     }
 
-    /// Releases a blocker job even if the test panics first, so
-    /// `JobService`'s draining drop can't hang a failing test.
-    pub(super) struct SetOnDrop(pub(super) Arc<AtomicBool>);
-    impl Drop for SetOnDrop {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::SeqCst);
-        }
-    }
-
-    pub(super) fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
-        let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-        while Instant::now() < deadline {
-            if cond() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        cond()
+    /// A job that reports its start on the returned receiver, then holds
+    /// its slots until the returned sender sends or is dropped — a
+    /// failing test drops it while unwinding, so the service's draining
+    /// shutdown cannot hang.
+    pub(super) fn blocker(slots: usize) -> (JobSpec, mpsc::Receiver<()>, mpsc::Sender<()>) {
+        let (started_tx, started) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel::<()>();
+        let spec = JobSpec::new("blocker", slots, move |_ctx| {
+            let _ = started_tx.send(());
+            let _ = release_rx.recv();
+            Ok(Box::new(()) as JobOutput)
+        });
+        (spec, started, release)
     }
 
     #[test]
@@ -654,21 +620,9 @@ mod tests {
             svc.submit("ghost", JobSpec::new("x", 1, |_ctx| Ok(Box::new(())))),
             Err(JobSvcError::TenantUnknown(_))
         ));
-        let release = Arc::new(AtomicBool::new(false));
-        let _guard = SetOnDrop(release.clone());
-        let r = release.clone();
-        let blocker = svc
-            .submit(
-                "a",
-                JobSpec::new("blocker", 1, move |_ctx| {
-                    while !r.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
-        assert!(wait_until(2000, || blocker.status() == JobStatus::Running));
+        let (spec, started, release) = blocker(1);
+        let blocker = svc.submit("a", spec).unwrap();
+        started.recv().unwrap();
         // One slot total and it's held → this queues.
         let queued = svc
             .submit("a", JobSpec::new("waits", 1, |_ctx| Ok(Box::new(()))))
@@ -687,7 +641,7 @@ mod tests {
             other => panic!("expected QuotaExceeded, got {other:?}"),
         }
         // The rejection didn't disturb the jobs already admitted.
-        release.store(true, Ordering::SeqCst);
+        drop(release);
         blocker.wait().unwrap();
         queued.wait().unwrap();
         assert_eq!(svc.metrics().counter(keys::JOBS_REJECTED).get(), 2);

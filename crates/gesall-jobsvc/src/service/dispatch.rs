@@ -1,7 +1,7 @@
 //! The dispatcher: one thread that owns every scheduling decision. It
-//! parks on `Svc::wake` and is woken by submissions, job completions,
-//! cancellations, retention deadlines and every [`LeasePermit`] drop
-//! inside a running job (the lease's release hook), which is how a
+//! parks on `Svc::wake`, with no timeout, and is woken by submissions,
+//! job completions, cancellations, shutdown and every [`LeasePermit`]
+//! drop inside a running job (the lease's release hook), which is how a
 //! shrunk lease's draining slots reach queued work without preempting
 //! any running attempt.
 //!
@@ -36,13 +36,12 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use gesall_dfs::SweepReason;
 use gesall_mapreduce::lease::SlotLease;
 use gesall_telemetry::Unpoisoned;
 
-use super::{JobStatus, Retirement, RunningJob, Svc, SvcState};
+use super::{JobStatus, RunningJob, Svc, SvcState};
 use crate::keys;
 use crate::sched::{self, TenantView};
 
@@ -74,43 +73,33 @@ impl Svc {
         sched::entitlements(self.total_slots, &active)
     }
 
-    /// The dispatcher thread: sweep due retirements, rebalance, then park
-    /// until the next event or retention deadline; on shutdown, once the
-    /// last job is off the cluster, sweep what is still retained.
+    /// The dispatcher thread: rebalance, then park until the next event;
+    /// on shutdown, once the last job is off the cluster, sweep the
+    /// namespaces live handles still retain.
     pub(super) fn dispatcher(svc: Arc<Svc>) {
         let mut st = svc.state.lock().unpoisoned();
         loop {
-            svc.sweep_due_retirements(&mut st);
             svc.rebalance(&mut st);
             if st.shutdown && st.queued.is_empty() && st.running.is_empty() {
-                // Final retention pass: the service owns these
-                // namespaces; nobody is left to sweep them later.
-                let leftover: Vec<Retirement> = st.retired.drain(..).collect();
-                for r in leftover {
-                    svc.platform.dfs.sweep_prefix(&r.namespace, SweepReason::Ttl);
+                // The service owns these namespaces; nobody is left to
+                // sweep them later. A file still pinned goes at its last
+                // unpin.
+                for ns in st.retired.drain(..) {
+                    svc.platform.dfs.sweep_prefix(&ns, SweepReason::Released);
                 }
                 return;
             }
-            let now = Instant::now();
-            let next_deadline = st
-                .retired
-                .iter()
-                .map(|r| r.deadline.saturating_duration_since(now))
-                .min();
             #[cfg(test)]
             if let Some(hook) = svc.test_hooks.before_park.lock().unpoisoned().as_mut() {
                 hook(&st);
             }
-            st = match next_deadline {
-                Some(d) => svc.wake.wait_timeout(st, d.max(Duration::from_millis(1))).unpoisoned().0,
-                None => svc.wake.wait(st).unpoisoned(),
-            };
+            st = svc.wake.wait(st).unpoisoned();
         }
     }
 
     /// A permit was released: wake the dispatcher to harvest. The
-    /// dispatcher reads `lease.active()` under `state` and may then park
-    /// with no deadline, so a bare notify landing between that read and
+    /// dispatcher reads `lease.active()` under `state` and then parks
+    /// until notified, so a bare notify landing between that read and
     /// the park would be lost — and with it the slot, until some later
     /// event. The hook therefore takes and releases `state` first, which
     /// orders it before the pass (which then sees the release) or after
@@ -354,10 +343,10 @@ impl Svc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::tests::{service, wait_until, SetOnDrop};
+    use crate::service::tests::{blocker, service};
     use crate::service::{JobOutput, JobSpec, TenantConfig};
-    use gesall_mapreduce::GesallError;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
 
     #[test]
     fn a_tenants_jobs_dispatch_in_submission_order() {
@@ -365,21 +354,9 @@ mod tests {
         // with b's: whatever order the tenants are served in, a's own
         // jobs must leave the queue first-in, first-out.
         let svc = service(1, vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)]);
-        let release = Arc::new(AtomicBool::new(false));
-        let _guard = SetOnDrop(release.clone());
-        let r = release.clone();
-        let blocker = svc
-            .submit(
-                "b",
-                JobSpec::new("blocker", 1, move |_ctx| {
-                    while !r.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
-        assert!(wait_until(2000, || blocker.status() == JobStatus::Running));
+        let (spec, started, release) = blocker(1);
+        let blocker = svc.submit("b", spec).unwrap();
+        started.recv().unwrap();
         let quick = |name: &str| JobSpec::new(name, 1, |_ctx| Ok(Box::new(()) as JobOutput));
         let mut a_jobs = Vec::new();
         let mut b_jobs = Vec::new();
@@ -391,7 +368,7 @@ mod tests {
             a_jobs.push(svc.submit("a", quick(&format!("a{i}-bis"))).unwrap());
         }
         assert!(a_jobs.iter().all(|h| h.dispatch_seq().is_none()), "all queued behind the blocker");
-        release.store(true, Ordering::SeqCst);
+        drop(release);
         for h in a_jobs.iter().chain(&b_jobs).chain([&blocker]) {
             h.wait().unwrap();
         }
@@ -402,32 +379,21 @@ mod tests {
 
     #[test]
     fn ready_jobs_of_one_tenant_run_side_by_side() {
-        use std::sync::atomic::AtomicUsize;
-
-        // Each job blocks until both have arrived, so both complete only
-        // if the scheduler put the tenant's two ready jobs on the cluster
-        // at once; a serialising scheduler leaves the first to fail at
-        // its deadline.
+        // Each job holds its slot until released, so the second starts
+        // only if the scheduler put the tenant's two ready jobs on the
+        // cluster at once; a serialising scheduler leaves it queued.
         let svc = service(4, vec![TenantConfig::new("a", 1)]);
-        let arrived = Arc::new(AtomicUsize::new(0));
-        let abort = Arc::new(AtomicBool::new(false));
-        let _guard = SetOnDrop(abort.clone());
-        let rendezvous = |name: &str| {
-            let (arrived, abort) = (arrived.clone(), abort.clone());
-            JobSpec::new(name, 1, move |_ctx| {
-                arrived.fetch_add(1, Ordering::SeqCst);
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while arrived.load(Ordering::SeqCst) < 2 {
-                    if abort.load(Ordering::SeqCst) || Instant::now() > deadline {
-                        return Err(GesallError::Streaming("the other job never arrived".into()));
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Ok(Box::new(()) as JobOutput)
-            })
-        };
-        let left = svc.submit("a", rendezvous("left")).unwrap();
-        let right = svc.submit("a", rendezvous("right")).unwrap();
+        let (left_spec, left_started, _release_left) = blocker(1);
+        let (right_spec, right_started, _release_right) = blocker(1);
+        let left = svc.submit("a", left_spec).unwrap();
+        let right = svc.submit("a", right_spec).unwrap();
+        left_started.recv().unwrap();
+        assert_eq!(
+            right_started.recv_timeout(Duration::from_secs(10)),
+            Ok(()),
+            "the second ready job never started beside the first"
+        );
+        drop((_release_left, _release_right));
         left.wait().unwrap();
         right.wait().unwrap();
         svc.shutdown();
@@ -443,17 +409,19 @@ mod tests {
             4,
             vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
         );
-        let stop_a = Arc::new(AtomicBool::new(false));
-        let _guard = SetOnDrop(stop_a.clone());
-        let sa = stop_a.clone();
+        let (started_tx, started) = mpsc::channel();
+        // a's job stops once this sends or is dropped.
+        let (stop_a, stop_rx) = mpsc::channel::<()>();
         let a = svc
             .submit(
                 "a",
                 JobSpec::new("wide", 4, move |ctx| {
+                    let _ = started_tx.send(());
                     // Hold permits like engine workers would: acquire up
                     // to the limit, drop + reacquire so shrinks drain.
                     let mut held = Vec::new();
-                    while !sa.load(Ordering::SeqCst) {
+                    let tick = Duration::from_millis(1);
+                    while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(tick) {
                         while let Some(p) = ctx.lease().try_acquire() {
                             held.push(p);
                         }
@@ -461,27 +429,24 @@ mod tests {
                         while held.len() > limit {
                             held.pop();
                         }
-                        std::thread::sleep(Duration::from_millis(1));
                     }
                     Ok(Box::new(()))
                 }),
             )
             .unwrap();
         let m = svc.metrics();
-        let a_running = wait_until(2000, || a.status() == JobStatus::Running);
+        started.recv().unwrap();
         // Half the cluster is a's configured entitlement (equal shares);
-        // its 4-slot grant borrows b's idle half.
-        let borrowed = wait_until(2000, || m.counter("jobsvc.slots.borrowed.a").get() >= 2);
+        // its 4-slot grant, counted at dispatch, borrows b's idle half.
+        assert_eq!(m.counter("jobsvc.slots.borrowed.a").get(), 2);
         let b = svc
             .submit("b", JobSpec::new("late", 2, |_ctx| Ok(Box::new(()))))
             .unwrap();
         let b_result = b.wait();
         // Stop a before asserting anything, so a failed expectation
         // can't hang the draining shutdown.
-        stop_a.store(true, Ordering::SeqCst);
+        drop(stop_a);
         let a_result = a.wait();
-        assert!(a_running);
-        assert!(borrowed, "a never borrowed b's idle share");
         b_result.unwrap();
         a_result.unwrap();
         assert!(

@@ -1,15 +1,15 @@
 //! A job's own thread and its namespace lifecycle: the runner thread
 //! the dispatcher spawns for each started job, [`JobCtx`] (what the
 //! job's work function sees), finishing and cancelling jobs, and the
-//! retention of each job's DFS namespace — swept when the job is
-//! cancelled, when its handle is dropped or when its TTL lapses, and
-//! deferred while a CAS pin holds a file under it.
+//! retention of each job's DFS namespace: it lives exactly as long as
+//! the job's handle, and is swept when the job is cancelled, when the
+//! handle is dropped or when the service shuts down. A file a CAS pin
+//! still holds is left to the DFS, which removes it at its last unpin.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use gesall_core::{GesallPlatform, RunOptions};
 use gesall_dfs::{Dfs, SweepReason};
@@ -17,7 +17,7 @@ use gesall_mapreduce::lease::SlotLease;
 use gesall_mapreduce::{GesallError, JobConfig};
 use gesall_telemetry::Unpoisoned;
 
-use super::{JobOutput, JobShared, JobStatus, Retirement, Svc, SvcState, Work};
+use super::{JobOutput, JobShared, JobStatus, Svc, SvcState, Work};
 use crate::keys;
 
 /// Handed to each job's work function: the shared platform plus the
@@ -126,40 +126,6 @@ impl Svc {
         st.runners.push(runner);
     }
 
-    pub(super) fn sweep_due_retirements(&self, st: &mut SvcState) {
-        let now = Instant::now();
-        let mut due = Vec::new();
-        st.retired.retain(|r| {
-            if r.deadline <= now {
-                due.push(r.namespace.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for ns in due {
-            self.sweep_or_defer(st, ns, SweepReason::Ttl);
-        }
-    }
-
-    /// Sweep a retired namespace, pin-aware: files under the prefix
-    /// with live CAS pins refuse deletion (a dependent stage may still
-    /// be range-reading them), so instead of silently dropping the
-    /// namespace from retention the sweep is re-queued on a short
-    /// deadline and the dispatcher retries until the last pin is
-    /// released. Everything unpinned under the prefix is swept
-    /// immediately either way.
-    fn sweep_or_defer(&self, st: &mut SvcState, namespace: String, reason: SweepReason) {
-        let report = self.platform.dfs.sweep_prefix(&namespace, reason);
-        if report.pinned_skipped > 0 {
-            st.retired.push(Retirement {
-                namespace,
-                deadline: Instant::now() + Duration::from_millis(50),
-            });
-            self.wake.notify_all();
-        }
-    }
-
     fn finish_job(
         self: &Arc<Self>,
         shared: &Arc<JobShared>,
@@ -193,16 +159,14 @@ impl Svc {
 
         // Retention: cancelled jobs sweep now; finished jobs whose
         // handle is already gone sweep now; otherwise the namespace
-        // lives until its TTL or the handle drop.
+        // lives until the handle drops or the service shuts down.
+        let dfs = &self.platform.dfs;
         if cancelled {
-            self.sweep_or_defer(&mut st, shared.namespace.clone(), SweepReason::Cancelled);
+            dfs.sweep_prefix(&shared.namespace, SweepReason::Cancelled);
         } else if shared.retention_released.load(Ordering::SeqCst) {
-            self.sweep_or_defer(&mut st, shared.namespace.clone(), SweepReason::Ttl);
+            dfs.sweep_prefix(&shared.namespace, SweepReason::Released);
         } else {
-            st.retired.push(Retirement {
-                namespace: shared.namespace.clone(),
-                deadline: Instant::now() + self.retention_ttl,
-            });
+            st.retired.push(shared.namespace.clone());
         }
 
         {
@@ -248,19 +212,16 @@ impl Svc {
 
     /// Handle dropped: sweep now if the job is finished and still
     /// retained, otherwise flag it so `finish_job` sweeps immediately.
-    /// "Now" is still pin-aware — a dropped handle must not yank a
-    /// namespace out from under a dependent stage that holds live CAS
-    /// pins into it; those entries stay until the pins release.
-    pub(super) fn release_retention(self: &Arc<Self>, shared: &Arc<JobShared>) {
+    /// A file a dependent stage still holds a CAS pin on stays until
+    /// that pin's release removes it.
+    pub(super) fn release_retention(&self, shared: &JobShared) {
         shared.retention_released.store(true, Ordering::SeqCst);
         let mut st = self.state.lock().unpoisoned();
-        if let Some(pos) = st
-            .retired
-            .iter()
-            .position(|r| r.namespace == shared.namespace)
-        {
-            let r = st.retired.remove(pos);
-            self.sweep_or_defer(&mut st, r.namespace, SweepReason::Ttl);
+        if let Some(pos) = st.retired.iter().position(|ns| *ns == shared.namespace) {
+            st.retired.swap_remove(pos);
+            self.platform
+                .dfs
+                .sweep_prefix(&shared.namespace, SweepReason::Released);
         }
     }
 }
@@ -278,28 +239,15 @@ fn panic_text(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::tests::{service, service_with_ttl, wait_until, SetOnDrop};
+    use crate::service::tests::{blocker, service};
     use crate::service::{JobSpec, JobSvcError, TenantConfig};
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn cancel_queued_job_is_typed_and_counted() {
         let svc = service(1, vec![TenantConfig::new("a", 1)]);
-        let release = Arc::new(AtomicBool::new(false));
-        let _guard = SetOnDrop(release.clone());
-        let r = release.clone();
-        let blocker = svc
-            .submit(
-                "a",
-                JobSpec::new("blocker", 1, move |_ctx| {
-                    while !r.load(Ordering::SeqCst) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
-        assert!(wait_until(2000, || blocker.status() == JobStatus::Running));
+        let (spec, started, release) = blocker(1);
+        let blocker = svc.submit("a", spec).unwrap();
+        started.recv().unwrap();
         let victim = svc
             .submit("a", JobSpec::new("victim", 1, |_ctx| Ok(Box::new(()))))
             .unwrap();
@@ -307,7 +255,7 @@ mod tests {
         assert_eq!(victim.wait().unwrap_err(), JobSvcError::Cancelled);
         assert!(victim.dispatch_seq().is_none());
         assert_eq!(svc.metrics().counter(keys::JOBS_CANCELLED).get(), 1);
-        release.store(true, Ordering::SeqCst);
+        drop(release);
         blocker.wait().unwrap();
         svc.shutdown();
     }
@@ -319,9 +267,9 @@ mod tests {
         Ok(Box::new(()))
     }
 
-    fn ttl_sweeps(dfs: &Dfs) -> u64 {
+    fn released_sweeps(dfs: &Dfs) -> u64 {
         dfs.metrics()
-            .counter(gesall_dfs::metrics_keys::RETENTION_SWEPT_TTL)
+            .counter(gesall_dfs::metrics_keys::RETENTION_SWEPT_RELEASED)
             .get()
     }
 
@@ -339,31 +287,52 @@ mod tests {
         assert_eq!(dfs.list(&ns).len(), 1, "retained while handle is live");
         drop(h);
         assert!(dfs.list(&ns).is_empty(), "swept on handle drop");
-        assert!(ttl_sweeps(&dfs) >= 1);
+        assert_eq!(released_sweeps(&dfs), 1);
         svc.shutdown();
     }
 
     #[test]
-    fn retention_sweeps_on_ttl() {
-        // The handle stays live; the dispatcher's timer sweeps once the
-        // service's 40ms TTL lapses.
-        let svc = service_with_ttl(
-            2,
-            vec![TenantConfig::new("a", 1)],
-            Duration::from_millis(40),
-        );
+    fn retention_sweeps_on_shutdown() {
+        // The handle outlives the service: shutdown sweeps what the
+        // service still retains.
+        let svc = service(2, vec![TenantConfig::new("a", 1)]);
         let h = svc
             .submit("a", JobSpec::new("w", 1, write_scratch))
             .unwrap();
         h.wait().unwrap();
         let ns = h.namespace().to_string();
         let dfs = svc.platform().dfs.clone();
-        assert!(
-            wait_until(2000, || dfs.list(&ns).is_empty()),
-            "TTL sweep did not fire"
-        );
-        assert!(ttl_sweeps(&dfs) >= 1);
+        assert_eq!(dfs.list(&ns).len(), 1, "retained while handle is live");
         svc.shutdown();
+        assert!(dfs.list(&ns).is_empty(), "swept at shutdown");
+        assert_eq!(released_sweeps(&dfs), 1);
+        drop(h);
+    }
+
+    #[test]
+    fn a_file_pinned_at_shutdown_goes_at_its_last_unpin() {
+        // Shutdown's sweep meets a pin: the file stays for its reader,
+        // and the reader's unpin is what removes it.
+        let svc = service(2, vec![TenantConfig::new("a", 1)]);
+        let h = svc
+            .submit("a", JobSpec::new("w", 1, write_scratch))
+            .unwrap();
+        h.wait().unwrap();
+        let ns = h.namespace().to_string();
+        let path = format!("{ns}/scratch/part-0");
+        let dfs = svc.platform().dfs.clone();
+        dfs.pin(&path).unwrap();
+        svc.shutdown();
+        assert_eq!(
+            dfs.list(&ns),
+            vec![path.clone()],
+            "a pinned file outlives the shutdown sweep"
+        );
+        dfs.unpin(&path);
+        assert!(dfs.list(&ns).is_empty(), "the last unpin removes the file");
+        dfs.check_namespace().unwrap();
+        assert_eq!(released_sweeps(&dfs), 1);
+        drop(h);
     }
 
     #[test]
@@ -392,22 +361,24 @@ mod tests {
         // Handle drop releases retention — but the pinned entry must
         // survive the release sweep instead of racing the reader.
         drop(h);
-        assert!(
-            !wait_until(100, || dfs.list(&ns).is_empty()),
+        assert_eq!(
+            dfs.list(&ns),
+            vec![path.clone()],
             "pinned CAS entry was swept by the handle-drop release"
         );
-        assert!(
+        assert_eq!(
             dfs.metrics()
                 .counter(gesall_dfs::metrics_keys::RETENTION_PIN_SKIPS)
-                .get()
-                >= 1
+                .get(),
+            1
         );
-        // Pin released → the deferred retirement catches up and sweeps.
+        // The pin's release removes the entry at once.
         dfs.unpin(&path);
         assert!(
-            wait_until(2000, || dfs.list(&ns).is_empty()),
-            "deferred sweep never fired after the pin was released"
+            dfs.list(&ns).is_empty(),
+            "the last unpin left the entry behind"
         );
+        dfs.check_namespace().unwrap();
         svc.shutdown();
     }
 }

@@ -2,8 +2,11 @@
 # Non-test Rust lines: the numbers a simplification PR quotes before and
 # after (`just loc`).
 #
-#   scripts/loc.sh           per-crate totals (crates/*, vendor/*, the root
-#                            package), the ten largest files under
+#   scripts/loc.sh           per-crate totals (crates/*, the vendor/
+#                            packages the root Cargo.toml lists in
+#                            workspace.members, the root package; a
+#                            vendor/ directory outside the build is not
+#                            counted), the ten largest files under
 #                            crates/*/src and the public field count of
 #                            every `*Config` struct; tests/ and examples/
 #                            directories are not counted
@@ -150,7 +153,9 @@ fi
 cd "$(dirname "$0")/.."
 printf '%-22s %8s\n' crate 'src LoC'
 total=0
-for d in crates/* vendor/* .; do
+vendored=$(awk '/^members *= *\[/ { on = 1 } on { print } on && /\]/ { exit }' Cargo.toml \
+    | grep -o '"vendor/[^"]*"' | tr -d '"' || true)
+for d in crates/* $vendored .; do
     [ -d "$d/src" ] || continue
     n=$(per_file "$d/src" | awk '{ n += $1 } END { print n + 0 }')
     printf '%-22s %8d\n' "$(basename "$(cd "$d" && pwd)")" "$n"

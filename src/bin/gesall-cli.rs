@@ -461,7 +461,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), AnyError> {
         JobSvcConfig {
             tenants,
             total_slots: (slots > 0).then_some(slots),
-            ..JobSvcConfig::default()
         },
     );
     let total = svc.total_slots();
@@ -491,7 +490,10 @@ fn cmd_serve(opts: &Opts) -> Result<(), AnyError> {
             handles.push(svc.submit(&format!("t{}", i + 1), spec)?);
         }
     }
-    for h in &handles {
+    let n_jobs = handles.len();
+    // By value: each handle drops once its output is printed, and its
+    // namespace is swept then rather than at the end of the run.
+    for h in handles {
         h.wait()?;
         let out = h
             .take_output()
@@ -505,7 +507,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), AnyError> {
             out.variants.len()
         );
     }
-    let n_jobs = handles.len();
     let wall_s = t0.elapsed().as_secs_f64();
 
     let m = svc.metrics();
@@ -528,7 +529,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), AnyError> {
         m.counter(keys::SLOTS_RECLAIMED).get()
     );
     println!("{n_jobs} jobs across {n_tenants} tenants in {wall_s:.2}s");
-    drop(handles);
     svc.shutdown();
     Ok(())
 }

@@ -4,7 +4,7 @@
 //! the per-tenant stage cache and per-job kernel counters — the
 //! service-level guarantees layered over the engine.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -96,15 +96,6 @@ fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
-/// Releases a blocker even if an assertion fails first, so the
-/// service's draining drop can't hang a failing test.
-struct SetOnDrop(Arc<AtomicBool>);
-impl Drop for SetOnDrop {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-}
-
 /// An aligner over the tiny genome and `n_pairs` simulated pairs.
 fn pipeline_world(n_pairs: usize) -> (Arc<Aligner>, Vec<ReadPair>) {
     let genome = ReferenceGenome::generate(&GenomeConfig::tiny());
@@ -158,7 +149,6 @@ fn two_tenant_service() -> JobService {
         JobSvcConfig {
             tenants: vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
             total_slots: Some(4),
-            retention_ttl: Duration::from_secs(600),
         },
     )
 }
@@ -182,7 +172,6 @@ fn flooding_tenant_does_not_starve_quiet_tenant() {
         JobSvcConfig {
             tenants: vec![TenantConfig::new("noisy", 1), TenantConfig::new("quiet", 1)],
             total_slots: Some(4),
-            retention_ttl: Duration::from_secs(600),
         },
     );
     // noisy floods the queue with six 2-slot jobs (only two fit at
@@ -256,24 +245,24 @@ fn quota_rejections_are_typed_and_do_not_disturb_running_jobs() {
                 TenantConfig::new("b", 1),
             ],
             total_slots: Some(2),
-            retention_ttl: Duration::from_secs(600),
         },
     );
-    let release = Arc::new(AtomicBool::new(false));
-    let _guard = SetOnDrop(release.clone());
-    let r = release.clone();
+    // The holder reports its start, then runs until `release` sends or
+    // is dropped (a failing assertion drops it while unwinding, so the
+    // service's draining drop cannot hang).
+    let (started_tx, started) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
     let running = svc
         .submit(
             "a",
             JobSpec::new("holder", 2, move |_ctx| {
-                while !r.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                let _ = started_tx.send(());
+                let _ = release_rx.recv();
                 Ok(Box::new(7u32) as JobOutput)
             }),
         )
         .unwrap();
-    assert!(wait_until(5000, || running.status() == JobStatus::Running));
+    started.recv().unwrap();
     let queued = svc.submit("a", sleepy_job(1)).unwrap();
 
     // Queue quota (1) is full → typed rejection.
@@ -306,7 +295,7 @@ fn quota_rejections_are_typed_and_do_not_disturb_running_jobs() {
 
     // None of the rejections disturbed admitted work.
     assert_eq!(running.status(), JobStatus::Running);
-    release.store(true, Ordering::SeqCst);
+    drop(release);
     running.wait().unwrap();
     assert_eq!(
         *running.take_output().unwrap().downcast::<u32>().unwrap(),
@@ -325,7 +314,6 @@ fn oversized_slot_request_rejected_at_admission() {
         JobSvcConfig {
             tenants: vec![TenantConfig::new("small", 1).max_inflight_slots(1)],
             total_slots: Some(4),
-            retention_ttl: Duration::from_secs(600),
         },
     );
     match svc.submit("small", sleepy_job(1)) {
@@ -374,7 +362,6 @@ fn node_death_during_concurrent_jobs_recovers_both() {
         JobSvcConfig {
             tenants: vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
             total_slots: Some(8),
-            retention_ttl: Duration::from_secs(600),
         },
     );
     let gate = Arc::new(Barrier::new(2));
@@ -433,14 +420,16 @@ fn cancelled_jobs_namespace_swept_while_siblings_transit_survives() {
         JobSvcConfig {
             tenants: vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
             total_slots: Some(4),
-            retention_ttl: Duration::from_secs(600),
         },
     );
-    let stop_b = Arc::new(AtomicBool::new(false));
-    let _guard = SetOnDrop(stop_b.clone());
+    // Each job reports once its transit is written; the sibling then
+    // runs until `stop_b` sends or is dropped.
+    let (written_tx, written) = mpsc::channel();
+    let (stop_b, stop_rx) = mpsc::channel::<()>();
 
     // Victim writes shuffle-shaped transit under its namespace, then
     // spins until cancelled.
+    let victim_written = written_tx.clone();
     let victim = svc
         .submit(
             "a",
@@ -451,6 +440,7 @@ fn cancelled_jobs_namespace_swept_while_siblings_transit_survives() {
                         b"victim transit",
                     )
                     .unwrap();
+                let _ = victim_written.send(());
                 while !ctx.cancelled() {
                     std::thread::sleep(Duration::from_millis(1));
                 }
@@ -459,7 +449,6 @@ fn cancelled_jobs_namespace_swept_while_siblings_transit_survives() {
             }),
         )
         .unwrap();
-    let sb = stop_b.clone();
     let sibling = svc
         .submit(
             "b",
@@ -470,9 +459,8 @@ fn cancelled_jobs_namespace_swept_while_siblings_transit_survives() {
                         b"sibling transit",
                     )
                     .unwrap();
-                while !sb.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                let _ = written_tx.send(());
+                let _ = stop_rx.recv();
                 Ok(Box::new(()) as JobOutput)
             }),
         )
@@ -481,8 +469,8 @@ fn cancelled_jobs_namespace_swept_while_siblings_transit_survives() {
     let dfs = svc.platform().dfs.clone();
     let victim_ns = victim.namespace().to_string();
     let sibling_ns = sibling.namespace().to_string();
-    assert!(wait_until(5000, || !dfs.list(&victim_ns).is_empty()
-        && !dfs.list(&sibling_ns).is_empty()));
+    written.recv().unwrap();
+    written.recv().unwrap();
 
     assert!(victim.cancel());
     assert_eq!(victim.wait().unwrap_err(), JobSvcError::Cancelled);
@@ -500,7 +488,7 @@ fn cancelled_jobs_namespace_swept_while_siblings_transit_survives() {
             .get()
             >= 1
     );
-    stop_b.store(true, Ordering::SeqCst);
+    drop(stop_b);
     sibling.wait().unwrap();
     assert_eq!(svc.metrics().counter(keys::JOBS_CANCELLED).get(), 1);
     svc.shutdown();
@@ -604,7 +592,6 @@ fn two_tenants_jobs_run_concurrently_with_overlapping_spans() {
         JobSvcConfig {
             tenants: vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
             total_slots: Some(8),
-            retention_ttl: Duration::from_secs(600),
         },
     );
     let gate = Arc::new(Barrier::new(2));
