@@ -19,7 +19,7 @@ use crate::gdpt::BloomFilter;
 use crate::rounds::DecodePartMapper;
 use crate::stages::{self, pipeline_stages, Inputs, Resolved, Split, Stage, StageCtx};
 use gesall_aligner::Aligner;
-use gesall_dfs::{checksum, Dfs, LogicalPartitionPlacement};
+use gesall_dfs::{checksum, Dfs, LogicalPartitionPlacement, SweepReason};
 use gesall_formats::bam::{self, FrameHeader};
 use gesall_formats::fastq::{pairs_to_interleaved_bytes, ReadPair};
 use gesall_formats::sam::header::ReadGroup;
@@ -284,6 +284,18 @@ impl PipelineOutput {
     pub fn dag_report(&self) -> String {
         report::dag_report(&self.stage_rows())
     }
+
+    /// A partition stage's partitions as the store holds them: windows
+    /// of its entry under `{cas_root}/cas/`.
+    #[cfg(test)]
+    pub(crate) fn stored_parts(&self, dfs: &Dfs, cas_root: &str, stage: &str) -> Vec<SharedBytes> {
+        let key = self.stages.iter().find(|s| s.name == stage).expect(stage).key;
+        let entry = dfs.cas_get(cas_root, key).unwrap().expect("a stored entry");
+        match StageData::from_entry(&entry).unwrap() {
+            StageData::Parts(parts) => parts,
+            _ => panic!("{stage} is not a partition stage"),
+        }
+    }
 }
 
 /// External controls for one pipeline run, handed in by a multi-job
@@ -448,9 +460,13 @@ impl GesallPlatform {
     /// partition bytes, written by the stage's tasks: hit or run, the
     /// partitions are windows of the entry, placed on the DFS once, and
     /// become its consumers' input splits — store, blocks and splits
-    /// share one backing. Every entry touched is pinned until
-    /// the run finishes, so retention sweeps and TTL can never delete a
-    /// live intermediate out from under a dependent stage.
+    /// share one backing, and a stage that re-executes into bytes the
+    /// store already holds shares that entry's backing instead. Every
+    /// entry touched is pinned until the run finishes, so a retention
+    /// sweep can never delete a live intermediate out from under a
+    /// dependent stage. Without a [`RunOptions::namespace`] the run's
+    /// directory (`/pipeline/run{N}/`: round 1's FASTQ and the placed
+    /// partitions) is retired when the run ends.
     pub fn run_pipeline_dag(
         &self,
         aligner: &Aligner,
@@ -465,8 +481,17 @@ impl GesallPlatform {
             .map(|c| c.trim_end_matches('/').to_string())
             .unwrap_or(ns);
         let rows = pipeline_stages(&self.config);
-        let (resolved, stages) = self.resolve_stages(&mut cx, &rows, &cas_root, dag_opts)?;
-        let (records, variants) = self.collect(&cx, &rows, resolved)?;
+        let run = self
+            .resolve_stages(&mut cx, &rows, &cas_root, dag_opts)
+            .and_then(|(resolved, stages)| Ok((self.collect(&cx, &rows, resolved)?, stages)));
+        // The run's own directory goes with it, run or failed: its
+        // placed partitions are windows of store entries, which live
+        // under `{cas_root}/cas/`. A namespace handed in is its owner's
+        // to retire.
+        if opts.namespace.is_none() {
+            self.dfs.sweep_prefix(&cx.base, SweepReason::Completed);
+        }
+        let ((records, variants), stages) = run?;
         Ok(self.finish_run(cx, pipeline_span, &pipeline_name, records, variants, stages))
     }
 
@@ -533,9 +558,12 @@ impl GesallPlatform {
                             let mut d = (row.body)(self, cx, &Inputs::of(rows, &resolved, row)?)?;
                             if dag_opts.cache {
                                 // Built once, exactly sized; partitions
-                                // go on from here as windows of it.
-                                let entry = SharedBytes::from_vec(d.to_wire_bytes());
-                                self.dfs.cas_put(cas_root, key, entry.clone())?;
+                                // go on from here as windows of what the
+                                // store keeps — a stored copy of the same
+                                // bytes, if it held one, and this buffer
+                                // is freed.
+                                let fresh = SharedBytes::from_vec(d.to_wire_bytes());
+                                let entry = self.dfs.cas_put(cas_root, key, fresh)?;
                                 if let StageData::Parts(_) = d {
                                     d = StageData::from_entry(&entry)?;
                                 }
@@ -786,7 +814,7 @@ impl StageData {
     /// Decode a store entry. Partitions come back as windows of `entry`
     /// — nothing is copied, so whatever they are handed to shares the
     /// entry's backing; the small side outputs decode as usual.
-    fn from_entry(entry: &SharedBytes) -> gesall_formats::error::Result<StageData> {
+    pub(crate) fn from_entry(entry: &SharedBytes) -> gesall_formats::error::Result<StageData> {
         let mut cur = wire::Cursor::new(entry);
         if cur.get_varint()? != PARTS_TAG {
             return StageData::from_wire_bytes(entry);
@@ -1191,24 +1219,13 @@ mod tests {
         assert_eq!(decoded_by_tasks() as usize, n_chroms + 1);
         assert_eq!(cold.rounds.len(), 8, "the decode wave is not a round");
 
-        // Each partition stage's dir exists once with its partition
-        // count, although rounds 2 and 4 each feed two consumers.
-        let mut dirs: std::collections::BTreeMap<String, usize> = Default::default();
-        for path in p.dfs.list("/pipeline/run0/") {
-            let dir = path["/pipeline/run0/".len()..].rsplit_once('/').unwrap().0;
-            *dirs.entry(dir.to_string()).or_default() += 1;
-        }
-        let mut expect = vec![("fastq".to_string(), n_r1)];
-        expect.extend(partition_stages(&p, n_chroms).map(|(d, n)| (d.to_string(), n)));
-        assert_eq!(dirs.into_iter().collect::<Vec<_>>(), expect);
-
-        // What sits there is what the rounds exchange: §3.1's reader
-        // reassembles it, rounds 4 and 4b carry the coordinate-sorted
-        // header, and 4b's unmapped partition is round 4's very bytes.
-        let read = |stage: &str, i: usize| {
-            crate::storage::read_bam_from_dfs(&p.dfs, &format!("/pipeline/run0/{stage}/part-{i:05}"))
-                .unwrap()
-        };
+        // The run's directory went with it; its stages' partitions are
+        // what the store holds: rounds 4 and 4b carry the
+        // coordinate-sorted header, and 4b's unmapped partition is round
+        // 4's very bytes.
+        assert!(p.dfs.list("/pipeline/run0/").is_empty());
+        let parts = |stage: &str| cold.stored_parts(&p.dfs, "/pipeline", stage);
+        let read = |stage: &str, i: usize| bam::read_bam(&parts(stage)[i]).unwrap();
         let mut final_records = Vec::new();
         for i in 0..=n_chroms {
             assert_eq!(read("round4-sort", i).0.sort_order, SortOrder::Coordinate);
@@ -1218,11 +1235,7 @@ mod tests {
         }
         assert_eq!(final_records, cold.records);
         assert_ne!(read("round3-markdup", 0).0.sort_order, SortOrder::Coordinate);
-        let unmapped = |stage: &str| {
-            let path = format!("/pipeline/run0/{stage}/part-{n_chroms:05}");
-            p.dfs.read_file_shared(&path).unwrap()
-        };
-        assert!(unmapped("round4-sort") == unmapped("round4b-print-reads"));
+        assert!(parts("round4-sort")[n_chroms] == parts("round4b-print-reads")[n_chroms]);
 
         // Warm: every stage hits; nothing is encoded, and only the
         // final stage's partitions are ever decoded.
@@ -1233,6 +1246,23 @@ mod tests {
         assert_eq!(round_counter(&warm, dag::keys::PARTS_ENCODED), 0);
         assert_eq!(decoded_by_tasks() as usize, 2 * (n_chroms + 1));
         assert_eq!(warm.records, cold.records);
+
+        // Each partition stage's dir exists once with its partition
+        // count, although rounds 2 and 4 each feed two consumers — on a
+        // cold run stopped short of its end, when the directory goes —
+        // and §3.1's reader reassembles what sits there.
+        let q = platform_on(64 * 1024, MapReduceEngine::new(cluster()));
+        run_keeping_splits(&q, &aligner, &pairs, n_chroms);
+        let mut dirs: std::collections::BTreeMap<String, usize> = Default::default();
+        for path in q.dfs.list("/pipeline/run0/") {
+            let dir = path["/pipeline/run0/".len()..].rsplit_once('/').unwrap().0;
+            *dirs.entry(dir.to_string()).or_default() += 1;
+        }
+        let mut expect = vec![("fastq".to_string(), n_r1)];
+        expect.extend(partition_stages(&q, n_chroms).map(|(d, n)| (d.to_string(), n)));
+        assert_eq!(dirs.into_iter().collect::<Vec<_>>(), expect);
+        let placed = crate::storage::read_bam_from_dfs(&q.dfs, "/pipeline/run0/round4b-print-reads/part-00000");
+        assert_eq!(placed.unwrap().1, read("round4b-print-reads", 0).1);
 
         // Placing reads nothing back: the split is the bytes it was
         // handed, not a copy fetched from the blocks.
@@ -1252,7 +1282,8 @@ mod tests {
     }
 
     /// One run of the DAG on `p`, handing back the placed splits of
-    /// every partition stage — what the next stage's mappers read.
+    /// every partition stage — what the next stage's mappers read. It
+    /// stops short of the run-end sweep, so the run's directory stays.
     fn run_keeping_splits(
         p: &GesallPlatform,
         aligner: &Aligner,
@@ -1289,14 +1320,12 @@ mod tests {
         let first_block = |p: &GesallPlatform, path: &str| {
             p.dfs.read_block(&p.dfs.stat(path).unwrap().blocks[0]).unwrap()
         };
-        // With blocks larger than any entry, `cas_get` is the stored
-        // block itself, so the whole chain can be held to one backing.
-        // With 64 KiB blocks an entry spans several: a warm `cas_get`
-        // pays the DFS read's one counted concatenation, and everything
-        // after it must share that buffer.
+        // Whether an entry fits one block or spans several, `cas_get`
+        // is one window of the stored backing, so the whole chain —
+        // entry, blocks, splits, placed blocks — is held to one backing,
+        // cold and warm.
         for block_size in [64 << 20, 64 << 10] {
             let p = platform_on(block_size, MapReduceEngine::new(cluster()));
-            let single_block = block_size > 1 << 20;
             for (run, warm) in [("run0", false), ("run1", true)] {
                 PARTS_COPIED.with(|n| n.set(0));
                 let (out, splits) = run_keeping_splits(&p, &aligner, &pairs, n_chroms);
@@ -1304,15 +1333,8 @@ mod tests {
                 assert_eq!(PARTS_COPIED.with(|n| n.get()), 0, "a partition was copied out of its entry");
                 for (stage, payloads) in &splits {
                     let key = out.stages.iter().find(|s| s.name == *stage).unwrap().key;
-                    let entry = if warm && !single_block {
-                        // The buffer this run's `cas_get` built is not
-                        // ours to fetch again; its parts name it.
-                        payloads[0].clone()
-                    } else if single_block {
-                        p.dfs.cas_get("/pipeline", key).unwrap().unwrap()
-                    } else {
-                        first_block(&p, &Dfs::cas_path("/pipeline", key))
-                    };
+                    let entry = p.dfs.cas_get("/pipeline", key).unwrap().unwrap();
+                    assert!(entry.same_backing(&first_block(&p, &Dfs::cas_path("/pipeline", key))));
                     for (i, payload) in payloads.iter().enumerate() {
                         let what = format!("{block_size}-byte blocks, {run}, {stage} part {i}");
                         assert!(payload.same_backing(&entry), "split ≠ entry: {what}");
@@ -1321,6 +1343,8 @@ mod tests {
                     }
                 }
             }
+            let copied = p.dfs.metrics().counter(gesall_dfs::metrics_keys::BYTES_COPIED).get();
+            assert_eq!(copied, 0, "{block_size}-byte blocks: the DFS copied");
         }
     }
 
@@ -1388,13 +1412,11 @@ mod tests {
         assert_eq!(got.records, want.records);
         assert_eq!(got.variants, want.variants);
         for (stage, n) in partition_stages(&clean, n_chroms) {
-            for i in 0..n {
-                let path = format!("/pipeline/run0/{stage}/part-{i:05}");
-                assert!(
-                    faulted.dfs.read_file_shared(&path).unwrap()
-                        == clean.dfs.read_file_shared(&path).unwrap(),
-                    "{path}"
-                );
+            let got_parts = got.stored_parts(&faulted.dfs, "/pipeline", stage);
+            let want_parts = want.stored_parts(&clean.dfs, "/pipeline", stage);
+            assert_eq!(got_parts.len(), n, "{stage}");
+            for (i, (g, w)) in got_parts.iter().zip(&want_parts).enumerate() {
+                assert!(g == w, "{stage} part {i}");
             }
         }
         for (g, w) in got.rounds.iter().zip(&want.rounds) {

@@ -362,14 +362,8 @@ mod tests {
                 ..DfsConfig::default()
             });
             let p = GesallPlatform::new(dfs, MapReduceEngine::local(2), PlatformConfig::default());
-            p.run_pipeline(&aligner, pairs).unwrap();
-            let parts = |stage: &str| -> Vec<SharedBytes> {
-                p.dfs
-                    .list(&format!("/pipeline/run0/{stage}/"))
-                    .iter()
-                    .map(|path| p.dfs.read_file_shared(path).unwrap())
-                    .collect()
-            };
+            let out = p.run_pipeline(&aligner, pairs).unwrap();
+            let parts = |stage: &str| out.stored_parts(&p.dfs, "/pipeline", stage);
             let (round2, round3, round4) =
                 (parts("round2-clean-fixmate"), parts("round3-markdup"), parts("round4-sort"));
             let decode = |part: &SharedBytes| bam::read_bam(part).unwrap();

@@ -948,3 +948,92 @@ fn bytes_copied_per_shuffled_record_stays_on_the_zero_copy_budget() {
         (REGRESSION_HEADROOM - 1.0) * 100.0
     );
 }
+
+/// A recalibrating, UnifiedGenotyper platform on 16 KiB blocks, so
+/// every partition stage's store entry spans several.
+fn small_block_platform() -> GesallPlatform {
+    let dfs = Dfs::new(DfsConfig {
+        n_nodes: 4,
+        block_size: 16 * 1024,
+        replication: 2,
+        ..DfsConfig::default()
+    });
+    let engine = MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192));
+    GesallPlatform::new(dfs, engine, recal_ug_config())
+}
+
+/// A run with `round2-clean-fixmate` salted by `salt` (none: unsalted).
+fn rerun(p: &GesallPlatform, w: &World, salt: Option<u64>) -> PipelineOutput {
+    use gesall_core::pipeline::{DagRunOptions, RunOptions};
+    let dag = DagRunOptions {
+        invalidate: salt.map(|s| ("round2-clean-fixmate".to_string(), s)).into_iter().collect(),
+        ..DagRunOptions::default()
+    };
+    p.run_pipeline_dag(&w.aligner, w.pairs.clone(), &RunOptions::default(), &dag)
+        .unwrap()
+}
+
+#[test]
+fn a_finished_run_leaves_only_store_entries() {
+    let w = build_world(600);
+    let p = small_block_platform();
+    for salt in [None, Some(1), Some(2), Some(3)] {
+        rerun(&p, &w, salt);
+        let stray: Vec<String> =
+            p.dfs.list("").into_iter().filter(|f| !f.starts_with("/pipeline/cas/")).collect();
+        assert!(stray.is_empty(), "salt {salt:?} left {stray:?}");
+    }
+    assert_eq!(p.dfs.list("/pipeline/cas/").len(), 8 + 3 * 7);
+    p.dfs.check_namespace().unwrap();
+}
+
+#[test]
+fn salted_reruns_keep_each_content_once_and_warm_reruns_copy_nothing() {
+    use gesall_dfs::metrics_keys::{BYTES_COPIED, CAS_DEDUP_HITS};
+    let w = build_world(600);
+    let p = small_block_platform();
+    let count = |key: &str| p.dfs.metrics().counter(key).get();
+    let entry = |key: u64| p.dfs.cas_get("/pipeline", key).unwrap().unwrap();
+
+    let prime = rerun(&p, &w, None);
+    assert_eq!(output_digests(&w, &prime), PINNED_RECAL_UG);
+    // What was put under each unsalted key, and where the store keeps it.
+    let put: Vec<(String, u64, Vec<u8>)> =
+        prime.stages.iter().map(|s| (s.name.clone(), s.key, entry(s.key).to_vec())).collect();
+    for stage in ["round1-align", "round2-clean-fixmate", "round3-markdup", "round4-sort"] {
+        let key = prime.stages.iter().find(|s| s.name == stage).unwrap().key;
+        let blocks = p.dfs.stat(&Dfs::cas_path("/pipeline", key)).unwrap().blocks.len();
+        assert!(blocks > 1, "{stage}'s entry is {blocks} block(s)");
+    }
+    let resident = p.dfs.resident_bytes();
+    assert_eq!(count(CAS_DEDUP_HITS), 0, "a cold run stores distinct contents");
+
+    for salt in 1..=3u64 {
+        let dedup = count(CAS_DEDUP_HITS);
+        let out = rerun(&p, &w, Some(salt));
+        assert_eq!((out.cache_hits(), out.stages_run()), (1, 7), "salt {salt}");
+        assert_eq!(output_digests(&w, &out), PINNED_RECAL_UG, "salt {salt}");
+        // Every re-executed stage reproduced stored bytes, and its salted
+        // entry windows the unsalted one's backing: nothing new is held.
+        assert_eq!(count(CAS_DEDUP_HITS) - dedup, 7, "salt {salt}");
+        assert_eq!(p.dfs.resident_bytes(), resident, "salt {salt}");
+        for (s, (name, unsalted, bytes)) in out.stages.iter().zip(&put) {
+            assert_eq!(&s.name, name);
+            let got = entry(s.key);
+            assert!(got == bytes[..], "salt {salt}: {name}'s entry");
+            if !s.cache_hit {
+                assert_ne!(s.key, *unsalted);
+                assert!(got.same_backing(&entry(*unsalted)), "salt {salt}: {name} holds a second copy");
+            }
+        }
+    }
+
+    // An all-hit re-run reads every entry where it lies.
+    let copied = count(BYTES_COPIED);
+    let warm = rerun(&p, &w, None);
+    assert_eq!(warm.cache_hits(), 8);
+    assert_eq!(output_digests(&w, &warm), PINNED_RECAL_UG);
+    assert_eq!(count(BYTES_COPIED), copied, "a warm re-run copied out of the store");
+    assert_eq!(p.dfs.resident_bytes(), resident);
+    p.dfs.check_namespace().unwrap();
+}

@@ -119,6 +119,25 @@ impl Dfs {
         data: SharedBytes,
         policy: &dyn BlockPlacementPolicy,
     ) -> Result<FileInfo, DfsError> {
+        let checksums = self.block_checksums(&data);
+        self.store_file(path, data, &checksums, policy)
+    }
+
+    /// XXH64 of each block-sized chunk of `data`: the write path's one
+    /// pass over the payload.
+    pub(crate) fn block_checksums(&self, data: &[u8]) -> Vec<u64> {
+        data.chunks(self.inner.config.block_size).map(xxh64).collect()
+    }
+
+    /// The write path behind [`Dfs::write_shared_with_policy`], given
+    /// the checksums of `data`'s blocks.
+    pub(crate) fn store_file(
+        &self,
+        path: &str,
+        data: SharedBytes,
+        checksums: &[u64],
+        policy: &dyn BlockPlacementPolicy,
+    ) -> Result<FileInfo, DfsError> {
         let dead = {
             let ns = self.inner.ns.read().unpoisoned();
             if ns.file(path).is_some() {
@@ -131,7 +150,7 @@ impl Dfs {
             return Err(DfsError::NoLiveNodes);
         }
         let mut info = FileInfo { path: path.to_string(), len: data.len(), blocks: Vec::new() };
-        for bi in 0..data.len().div_ceil(block_size) {
+        for (bi, &checksum) in checksums.iter().enumerate() {
             let chunk = data.slice(bi * block_size..((bi + 1) * block_size).min(data.len()));
             let nodes = policy.place(path, bi, n_nodes, replication);
             if nodes.is_empty() || nodes.iter().any(|&n| n >= n_nodes) {
@@ -141,7 +160,6 @@ impl Dfs {
             }
             let nodes = remap_around_dead(nodes, &dead, n_nodes)?;
             let id = self.inner.next_block.fetch_add(1, Ordering::Relaxed);
-            let checksum = xxh64(chunk.as_slice());
             for &n in &nodes {
                 self.inner.store.put(n, id, &chunk, checksum)?;
             }
@@ -168,9 +186,19 @@ impl Dfs {
         self.inner.ns.read().unpoisoned().file(path).is_some()
     }
 
-    /// Per-node storage counters (data-locality accounting).
+    /// Per-node storage counters (data-locality accounting). A block
+    /// counts its bytes on every node holding a replica, shared backing
+    /// or not; [`Dfs::resident_bytes`] counts what is allocated.
     pub fn node_stats(&self) -> Vec<NodeStats> {
         self.inner.store.stats()
+    }
+
+    /// Bytes of the distinct allocations the block store holds:
+    /// replicas, and files, that share one backing count it once; a
+    /// mapped block counts its mapping. Also the gauge
+    /// [`metrics_keys::MEM_RESIDENT_BYTES`].
+    pub fn resident_bytes(&self) -> u64 {
+        self.inner.store.resident_bytes()
     }
 
     /// Every invariant of the metadata, for tests.

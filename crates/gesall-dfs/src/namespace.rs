@@ -1,6 +1,7 @@
 //! The name node's state, all of it in one place: files, which file
 //! owns a block, which blocks each node is listed for, which nodes are
-//! dead, which paths are pinned and which of those a sweep retired.
+//! dead, which paths are pinned and which of those a sweep retired, and
+//! which files hold which content.
 //! `DfsInner` keeps one [`Namespace`] behind one `RwLock`, and the
 //! `&mut self` methods here are the only code that changes any of it —
 //! so each fact has one writer and [`Namespace::check`] can state what
@@ -13,10 +14,30 @@
 //! read's or write's payload I/O (a hedge's alternate read too), checksumming.
 //! Readers snapshot what they need and let go; a writer stores its
 //! replicas first and takes the lock only to [`Namespace::commit_file`].
-//! Block-store locks are leaves: nothing else is acquired under one.
+//! Block-store locks are leaves: nothing else is acquired under one but
+//! the store's own tally of distinct backings, taken innermost.
 
+use crate::checksum::xxh64;
 use crate::types::{BlockInfo, DfsError, FailureReport, FileInfo, SweepReason};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+
+/// What a file holds, as far as its metadata can tell: its length and a
+/// digest folded from its blocks' checksums — which the write computed
+/// anyway, so no payload byte is hashed for it. Equal ids name
+/// candidates; only a byte comparison makes them equal contents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct ContentId(usize, u64);
+
+impl ContentId {
+    pub(crate) fn of(len: usize, checksums: impl IntoIterator<Item = u64>) -> ContentId {
+        let folded: Vec<u8> = checksums.into_iter().flat_map(u64::to_le_bytes).collect();
+        ContentId(len, xxh64(&folded))
+    }
+
+    fn of_file(info: &FileInfo) -> ContentId {
+        ContentId::of(info.len, info.blocks.iter().map(|b| b.checksum))
+    }
+}
 
 pub(crate) struct Namespace {
     files: HashMap<String, FileInfo>,
@@ -37,6 +58,9 @@ pub(crate) struct Namespace {
     /// Pinned paths a retention sweep retired, and why: each goes at
     /// its last unpin (unlink-while-open), charged to that reason.
     marked: HashMap<String, SweepReason>,
+    /// Content id → the live files with it: where `cas_put` looks for
+    /// a stored copy of its payload.
+    content: HashMap<ContentId, BTreeSet<String>>,
 }
 
 impl Namespace {
@@ -48,6 +72,7 @@ impl Namespace {
             dead: HashSet::new(),
             pins: HashMap::new(),
             marked: HashMap::new(),
+            content: HashMap::new(),
         }
     }
 
@@ -97,6 +122,17 @@ impl Namespace {
         self.pins.keys().any(|p| p.starts_with(prefix))
     }
 
+    /// Make the content index name `path` for `id`, true or not.
+    #[cfg(test)]
+    pub(crate) fn plant_content(&mut self, id: ContentId, path: &str) {
+        self.content.entry(id).or_default().insert(path.to_string());
+    }
+
+    /// The live files whose content id is `id`, in path order.
+    pub(crate) fn with_content(&self, id: ContentId) -> Vec<String> {
+        self.content.get(&id).map_or_else(Vec::new, |paths| paths.iter().cloned().collect())
+    }
+
     /// Insert-if-absent. The loser of a same-path race gets its
     /// `FileInfo` back, to free the replicas it stored. A node that died
     /// while the payload was being stored is not listed.
@@ -111,6 +147,7 @@ impl Namespace {
                 self.node_index[n].insert(b.id);
             }
         }
+        self.content.entry(ContentId::of_file(&info)).or_default().insert(info.path.clone());
         self.files.insert(info.path.clone(), info.clone());
         Ok(info)
     }
@@ -144,6 +181,13 @@ impl Namespace {
 
     fn unlink(&mut self, path: &str) -> Option<FileInfo> {
         let info = self.files.remove(path)?;
+        let id = ContentId::of_file(&info);
+        if let Some(paths) = self.content.get_mut(&id) {
+            paths.remove(path);
+            if paths.is_empty() {
+                self.content.remove(&id);
+            }
+        }
         for b in &info.blocks {
             self.owner.remove(&b.id);
             for &n in &b.nodes {
@@ -207,13 +251,16 @@ impl Namespace {
         Some((self.unlink(path).expect("a pin names a file"), reason))
     }
 
-    /// What every method above leaves true: the owner map and the node
-    /// index are what the files' block lists imply, no dead node is
-    /// listed, no pin names a missing file, every marked file is pinned.
+    /// What every method above leaves true: the owner map, the node
+    /// index and the content index are what the files' block lists
+    /// imply, no dead node is listed, no pin names a missing file, every
+    /// marked file is pinned.
     pub(crate) fn check(&self) -> Result<(), String> {
         let mut owner = HashMap::new();
         let mut node_index = vec![HashSet::new(); self.node_index.len()];
+        let mut content: HashMap<ContentId, BTreeSet<String>> = HashMap::new();
         for (path, info) in &self.files {
+            content.entry(ContentId::of_file(info)).or_default().insert(path.clone());
             for (i, b) in info.blocks.iter().enumerate() {
                 owner.insert(b.id, (path.clone(), i));
                 for &n in &b.nodes {
@@ -226,6 +273,9 @@ impl Namespace {
         }
         if node_index != self.node_index {
             return Err(format!("node index {:?}, replica lists imply {node_index:?}", self.node_index));
+        }
+        if content != self.content {
+            return Err(format!("content index {:?}, live files imply {content:?}", self.content));
         }
         if let Some(n) = self.dead.iter().find(|&&n| !node_index[n].is_empty()) {
             return Err(format!("dead node {n} is listed for blocks {:?}", node_index[*n]));

@@ -194,9 +194,11 @@ impl Dfs {
         (Ok((bytes, node)), cost)
     }
 
-    /// Read a whole file as shared bytes. A file that fits in one block
-    /// is served zero-copy (the result shares the stored block's
-    /// backing); multi-block files pay one counted concatenation.
+    /// Read a whole file as shared bytes. Zero-copy whenever the file's
+    /// blocks are adjacent windows of one backing — a single block, or
+    /// any heap-resident file the zero-copy write path stored: the result
+    /// shares the stored backing. Otherwise (mapped blocks, say) the
+    /// blocks are stitched once and the copy counted.
     pub fn read_file_shared(&self, path: &str) -> Result<SharedBytes, DfsError> {
         let info = self.stat(path)?;
         self.read_span(&info, 0, info.len, ReadAffinity::NONE, metrics_keys::BYTES_COPIED)
@@ -204,11 +206,11 @@ impl Dfs {
     }
 
     /// Read `len` bytes of a file starting at `offset`, as shared
-    /// bytes. A range that stays inside one block is served zero-copy —
-    /// a window onto the stored block (for DFS-transit shuffle fetches
-    /// this is the common case: one partition's frames out of a map
-    /// output file). Ranges spanning blocks pay one counted
-    /// concatenation of just the overlapped slices.
+    /// bytes: a window onto the stored backing whenever the blocks the
+    /// range overlaps are adjacent windows of one backing (always, for
+    /// a range inside one block — for DFS-transit shuffle fetches the
+    /// common case: one partition's frames out of a map output file).
+    /// Otherwise the overlapped slices are stitched once and counted.
     pub fn read_file_range_shared(
         &self,
         path: &str,
@@ -246,9 +248,10 @@ impl Dfs {
     }
 
     /// Bytes `offset..end` of a file (in bounds — the callers checked):
-    /// read only the blocks the span overlaps. A span inside one block
-    /// is a window onto it; a longer one is concatenated once and the
-    /// copy charged to `copied_key`.
+    /// read only the blocks the span overlaps, each verified. While the
+    /// verified slices are adjacent windows of one backing they are
+    /// joined into one window; from the first that is not, the span is
+    /// stitched into a fresh buffer and the copy charged to `copied_key`.
     fn read_span(
         &self,
         info: &FileInfo,
@@ -261,8 +264,8 @@ impl Dfs {
         if offset == end {
             return Ok(read);
         }
-        // Which slice of each block does the span overlap?
-        let mut parts: Vec<(&BlockInfo, usize, usize)> = Vec::new();
+        let mut window: Option<SharedBytes> = None;
+        let mut stitched: Option<Vec<u8>> = None;
         let mut block_start = 0usize;
         for b in &info.blocks {
             if block_start >= end {
@@ -270,31 +273,40 @@ impl Dfs {
             }
             let block_end = block_start + b.len;
             if block_end > offset {
-                parts.push((b, offset.max(block_start) - block_start, end.min(block_end) - block_start));
+                let (lo, hi) = (offset.max(block_start) - block_start, end.min(block_end) - block_start);
+                let (block, served) = self.read_block_at(b, affinity)?;
+                if affinity.0 == Some(served) {
+                    read.local_bytes += (hi - lo) as u64;
+                } else {
+                    read.remote_bytes += (hi - lo) as u64;
+                }
+                let piece = block.slice(lo..hi);
+                // A slice is copied right after its read verified it,
+                // while the cache still holds it.
+                match (&mut stitched, window.take()) {
+                    (Some(buf), _) => buf.extend_from_slice(&piece),
+                    (None, None) => window = Some(piece),
+                    (None, Some(w)) => match w.join(&piece) {
+                        Some(joined) => window = Some(joined),
+                        None => {
+                            let mut buf = Vec::with_capacity(end - offset);
+                            buf.extend_from_slice(&w);
+                            buf.extend_from_slice(&piece);
+                            stitched = Some(buf);
+                        }
+                    },
+                }
             }
             block_start = block_end;
         }
-        // A block is copied right after its read verified it, while the
-        // cache still holds it.
-        let mut stitched = Vec::with_capacity(if parts.len() > 1 { end - offset } else { 0 });
-        for &(b, lo, hi) in &parts {
-            let (block, served) = self.read_block_at(b, affinity)?;
-            if affinity.0 == Some(served) {
-                read.local_bytes += (hi - lo) as u64;
-            } else {
-                read.remote_bytes += (hi - lo) as u64;
+        read.bytes = match stitched {
+            Some(buf) => {
+                debug_assert_eq!(buf.len(), end - offset);
+                self.count(copied_key, buf.len() as u64);
+                SharedBytes::from_vec(buf)
             }
-            if parts.len() > 1 {
-                stitched.extend_from_slice(&block[lo..hi]);
-            } else {
-                read.bytes = if hi - lo == block.len() { block } else { block.slice(lo..hi) };
-            }
-        }
-        if parts.len() > 1 {
-            debug_assert_eq!(stitched.len(), end - offset);
-            self.count(copied_key, stitched.len() as u64);
-            read.bytes = SharedBytes::from_vec(stitched);
-        }
+            None => window.unwrap_or_default(),
+        };
         Ok(read)
     }
 }
@@ -348,9 +360,12 @@ mod tests {
             dfs.metrics().counter(metrics_keys::BYTES_COPIED).get(),
             after_write
         );
-        // Multi-block files still concatenate (and count the copy).
+        // A multi-block file is one window of its writer's backing too.
         dfs.write_file("/many", &payload(3000)).unwrap();
-        assert_eq!(dfs.read_file_shared("/many").unwrap(), payload(3000));
+        let many = dfs.read_file_shared("/many").unwrap();
+        assert_eq!(many, payload(3000));
+        assert!(many.same_backing(&dfs.read_block(&dfs.stat("/many").unwrap().blocks[2]).unwrap()));
+        assert_eq!(dfs.metrics().counter(metrics_keys::BYTES_COPIED).get(), after_write + 3000);
     }
 
     #[test]
@@ -371,26 +386,72 @@ mod tests {
         assert!(dfs.read_file_range_shared("/r", 500, 0).unwrap().is_empty());
     }
 
+    /// Copies counted on the whole-file and the range gauges.
+    fn copied(dfs: &Dfs) -> (u64, u64) {
+        let get = |k: &str| dfs.metrics().counter(k).get();
+        (get(metrics_keys::BYTES_COPIED), get(metrics_keys::BYTES_COPIED_RANGE))
+    }
+
     #[test]
-    fn range_read_spanning_blocks_concatenates() {
+    fn a_span_across_blocks_is_one_window_of_the_stored_backing() {
         let dfs = small_dfs();
         let data = payload(3000);
-        dfs.write_file("/r", &data).unwrap();
-        let before = dfs
-            .metrics()
-            .counter(metrics_keys::BYTES_COPIED_RANGE)
-            .get();
+        let info = dfs.write_file("/r", &data).unwrap();
+        let before = copied(&dfs);
+        let block1 = dfs.read_block(&info.blocks[1]).unwrap();
         let got = dfs.read_file_range_shared("/r", 900, 1500).unwrap();
         assert_eq!(got.as_slice(), &data[900..2400]);
-        assert_eq!(
-            dfs.metrics()
-                .counter(metrics_keys::BYTES_COPIED_RANGE)
-                .get(),
-            before + 1500
-        );
+        assert!(got.same_backing(&block1), "a span over adjacent windows must not copy");
+        assert_eq!(got.as_ptr(), block1.as_ptr().wrapping_sub(124));
+        let whole = dfs.read_file_shared("/r").unwrap();
+        assert!(whole.same_backing(&block1));
+        assert_eq!(copied(&dfs), before, "nothing was stitched");
         // Out-of-bounds ranges error instead of truncating.
         assert!(dfs.read_file_range_shared("/r", 2999, 2).is_err());
         assert!(dfs.read_file_range_shared("/r", usize::MAX, 2).is_err());
+    }
+
+    #[test]
+    fn a_span_over_persisted_blocks_is_stitched_and_counted() {
+        let (dfs, dir) = persisted_dfs("span", 1);
+        let data = payload(3000);
+        let info = dfs.write_file("/r", &data).unwrap();
+        let (file0, range0) = copied(&dfs);
+        let got = dfs.read_file_range_shared("/r", 900, 1500).unwrap();
+        assert_eq!(got.as_slice(), &data[900..2400]);
+        assert!(!got.same_backing(&dfs.read_block(&info.blocks[1]).unwrap()));
+        assert_eq!(copied(&dfs), (file0, range0 + 1500));
+        // Inside one block it is still a window of the block's mapping.
+        let inside = dfs.read_file_range_shared("/r", 1100, 100).unwrap();
+        assert!(inside.is_mapped());
+        assert_eq!(dfs.read_file_shared("/r").unwrap(), data);
+        assert_eq!(copied(&dfs), (file0 + 3000, range0 + 1500));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_span_across_a_re_replicated_block() {
+        // Persisted, the restored replica is a block file of its own:
+        // a span across it is stitched and counted.
+        let (dfs, dir) = persisted_dfs("rerepl", 2);
+        let data = payload(3000);
+        write_pinned(&dfs, "/r", &data, 0);
+        let lost = dfs.fail_node(0).under_replicated;
+        assert_eq!(dfs.re_replicate_blocks(&lost), 3);
+        let (_, range0) = copied(&dfs);
+        assert_eq!(dfs.read_file_range_shared("/r", 900, 1500).unwrap(), data[900..2400]);
+        assert_eq!(copied(&dfs).1, range0 + 1500);
+        std::fs::remove_dir_all(&dir).ok();
+        // Heap-resident, a restored replica is another window of the
+        // writer's backing, so the span is still one window.
+        let dfs = Dfs::new(DfsConfig { n_nodes: 3, block_size: 1024, replication: 2, ..DfsConfig::default() });
+        let info = write_pinned(&dfs, "/r", &data, 0);
+        let lost = dfs.fail_node(0).under_replicated;
+        assert_eq!(dfs.re_replicate_blocks(&lost), 3);
+        let got = dfs.read_file_range_shared("/r", 900, 1500).unwrap();
+        assert_eq!(got, data[900..2400]);
+        assert!(got.same_backing(&dfs.read_block(&info.blocks[0]).unwrap()));
+        assert_eq!(copied(&dfs).1, 0);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Retention: pins, deletion, the sweeps that retire a namespace prefix,
-//! and the content-addressed store built on write-once paths.
+//! and the content-addressed store built on write-once paths, which
+//! keeps each content once.
 
 use crate::fs::Dfs;
+use crate::namespace::ContentId;
+use crate::placement::DefaultPlacement;
 use crate::types::{metrics_keys, DfsError, SweepReason, SweepReport};
 use gesall_formats::SharedBytes;
 use gesall_telemetry::Unpoisoned;
@@ -99,15 +102,48 @@ impl Dfs {
     /// an earlier (or racing) writer and the put degrades to a hit — a
     /// write commits its metadata last and insert-if-absent, so a
     /// visible entry is always complete and a racing put stores nothing
-    /// over it. Returns the entry's path.
-    pub fn cas_put(&self, root: &str, key: u64, data: SharedBytes) -> Result<String, DfsError> {
+    /// over it.
+    ///
+    /// Each content is kept once: when a live file already holds
+    /// exactly `data`'s bytes (same length and block checksums, read
+    /// back through the verifying read path, equal byte for byte), the
+    /// new entry's blocks are windows of that file's backing and `data`
+    /// is not kept ([`metrics_keys::CAS_DEDUP_HITS`]). Returns the bytes
+    /// the new entry's blocks window — `data` itself unless it was
+    /// deduplicated — or `data` on a hit.
+    pub fn cas_put(&self, root: &str, key: u64, data: SharedBytes) -> Result<SharedBytes, DfsError> {
         let path = Dfs::cas_path(root, key);
-        match self.write_file_shared(&path, data) {
-            Ok(_) => self.count(metrics_keys::CAS_PUTS, 1),
+        if self.exists(&path) {
+            self.count(metrics_keys::CAS_HITS, 1);
+            return Ok(data);
+        }
+        let checksums = self.block_checksums(&data);
+        let stored = self.stored_copy(ContentId::of(data.len(), checksums.iter().copied()), &data);
+        let deduped = stored.is_some();
+        let bytes = stored.unwrap_or(data);
+        match self.store_file(&path, bytes.clone(), &checksums, &DefaultPlacement) {
+            Ok(_) => {
+                self.count(metrics_keys::CAS_PUTS, 1);
+                self.count(metrics_keys::CAS_DEDUP_HITS, u64::from(deduped));
+            }
             Err(DfsError::FileExists(_)) => self.count(metrics_keys::CAS_HITS, 1),
             Err(e) => return Err(e),
         }
-        Ok(path)
+        Ok(bytes)
+    }
+
+    /// A live file's bytes equal to `data`, as one window of its
+    /// backing: the first file the content index names for `id` that
+    /// reads back whole and compares equal. An unreadable, lost or
+    /// different candidate is passed over. Persisted blocks are written
+    /// out per replica whatever their source, so there is nothing to
+    /// share, and nothing is looked up.
+    fn stored_copy(&self, id: ContentId, data: &SharedBytes) -> Option<SharedBytes> {
+        if data.is_empty() || self.inner.config.block_store_dir.is_some() {
+            return None;
+        }
+        let candidates = self.inner.ns.read().unpoisoned().with_content(id);
+        candidates.iter().find_map(|p| self.read_file_shared(p).ok().filter(|got| got == data))
     }
 
     /// Fetch the entry for `key` in `root`'s cache, or `None` when the
@@ -253,11 +289,12 @@ mod tests {
         let key = 0xDEAD_BEEFu64;
         let bytes = SharedBytes::copy_from_slice(&payload(300));
         assert_eq!(dfs.cas_get("/t", key).unwrap(), None);
-        let path = dfs.cas_put("/t", key, bytes.clone()).unwrap();
-        assert_eq!(path, Dfs::cas_path("/t", key));
+        let stored = dfs.cas_put("/t", key, bytes.clone()).unwrap();
+        assert!(stored.same_backing(&bytes), "a new content is stored as it was handed in");
+        assert!(dfs.exists(&Dfs::cas_path("/t", key)));
         // A second put of the same key degrades to a hit, not an error.
         let again = dfs.cas_put("/t", key, bytes.clone()).unwrap();
-        assert_eq!(again, path);
+        assert_eq!(again, bytes);
         assert_eq!(
             dfs.cas_get("/t", key).unwrap().unwrap().as_slice(),
             bytes.as_slice()
@@ -280,7 +317,7 @@ mod tests {
                 for _ in 0..WRITERS {
                     s.spawn(|| {
                         barrier.wait();
-                        assert_eq!(dfs.cas_put("/t", key, data.clone()).unwrap(), Dfs::cas_path("/t", key));
+                        assert_eq!(dfs.cas_put("/t", key, data.clone()).unwrap(), data);
                     });
                 }
             });
@@ -292,6 +329,10 @@ mod tests {
         assert_eq!(m.counter(metrics_keys::CAS_HITS).get(), ROUNDS * (WRITERS as u64 - 1) + ROUNDS);
         let stored: usize = dfs.node_stats().iter().map(|s| s.bytes).sum();
         assert_eq!(stored, ROUNDS as usize * 64 * 1024 * 2);
+        // Every key holds the one content: each later key's entry
+        // windows the first's backing.
+        assert_eq!(m.counter(metrics_keys::CAS_DEDUP_HITS).get(), ROUNDS - 1);
+        assert_eq!(dfs.resident_bytes(), 64 * 1024);
         dfs.check_namespace().unwrap();
     }
 
@@ -339,5 +380,106 @@ mod tests {
         assert!(!dfs.any_pinned("/") && !dfs.exists("/h/f"));
         assert!(dfs.node_stats().iter().all(|s| s.blocks == 0));
         dfs.check_namespace().unwrap();
+    }
+    /// Counters a put moves.
+    fn cas_counts(dfs: &Dfs) -> [u64; 3] {
+        let get = |k: &str| dfs.metrics().counter(k).get();
+        [get(metrics_keys::CAS_PUTS), get(metrics_keys::CAS_HITS), get(metrics_keys::CAS_DEDUP_HITS)]
+    }
+
+    #[test]
+    fn a_content_already_stored_is_kept_once() {
+        let dfs = Dfs::new(DfsConfig { n_nodes: 4, block_size: 1024, replication: 2, ..DfsConfig::default() });
+        let first = SharedBytes::from_vec(payload(3000));
+        dfs.cas_put("/t", 1, first.clone()).unwrap();
+        assert_eq!(dfs.resident_bytes(), 3000, "replicas share the writer's backing");
+        // The same bytes in another buffer, under another key and root:
+        // the entry windows the stored backing, and the buffer goes.
+        let again = SharedBytes::from_vec(payload(3000));
+        let stored = dfs.cas_put("/u", 2, again.clone()).unwrap();
+        assert!(stored.same_backing(&first) && !stored.same_backing(&again));
+        assert_eq!(cas_counts(&dfs), [2, 0, 1]);
+        assert_eq!(dfs.resident_bytes(), 3000);
+        let got = dfs.cas_get("/u", 2).unwrap().unwrap();
+        assert_eq!(got, again);
+        assert!(got.same_backing(&first));
+        assert_eq!(dfs.metrics().counter(metrics_keys::BYTES_COPIED).get(), 0);
+        // A different content of the same length is stored as handed in.
+        let mut other = payload(3000);
+        other[2999] ^= 1;
+        let other = SharedBytes::from_vec(other);
+        assert!(dfs.cas_put("/t", 3, other.clone()).unwrap().same_backing(&other));
+        assert_eq!(dfs.resident_bytes(), 6000);
+        // The shared backing lives while any entry windows it.
+        dfs.delete(&Dfs::cas_path("/t", 1)).unwrap();
+        assert_eq!(dfs.resident_bytes(), 6000);
+        assert_eq!(dfs.cas_get("/u", 2).unwrap().unwrap(), payload(3000));
+        dfs.delete(&Dfs::cas_path("/u", 2)).unwrap();
+        assert_eq!(dfs.resident_bytes(), 3000);
+        dfs.check_namespace().unwrap();
+    }
+
+    #[test]
+    fn an_index_entry_naming_a_different_content_is_passed_over() {
+        let dfs = small_dfs();
+        let data = payload(3000);
+        let mut other = data.clone();
+        other[1500] ^= 0xFF;
+        dfs.write_file("/other", &other).unwrap();
+        // The index claims `/other` holds `data` — as a digest collision would.
+        let id = crate::namespace::ContentId::of(data.len(), dfs.block_checksums(&data));
+        dfs.inner.ns.write().unwrap().plant_content(id, "/other");
+        let put = SharedBytes::from_vec(data.clone());
+        assert!(dfs.cas_put("/t", 1, put.clone()).unwrap().same_backing(&put));
+        assert_eq!(cas_counts(&dfs), [1, 0, 0]);
+        let got = dfs.cas_get("/t", 1).unwrap().unwrap();
+        assert!(got == data && got.same_backing(&put));
+        assert_eq!(dfs.read_file_shared("/other").unwrap(), other);
+        let broken = dfs.check_namespace().unwrap_err();
+        assert!(broken.contains("content index"), "{broken}");
+    }
+
+    #[test]
+    fn a_candidate_lost_with_its_node_is_passed_over() {
+        let dfs = small_dfs();
+        let first = dfs.cas_put("/t", 1, SharedBytes::from_vec(payload(3000))).unwrap();
+        let home = dfs.stat(&Dfs::cas_path("/t", 1)).unwrap().blocks[1].nodes[0];
+        dfs.fail_node(home);
+        assert!(!dfs.file_available(&Dfs::cas_path("/t", 1)));
+        let put = SharedBytes::from_vec(payload(3000));
+        let stored = dfs.cas_put("/t", 2, put.clone()).unwrap();
+        assert!(stored.same_backing(&put) && !stored.same_backing(&first));
+        assert_eq!(cas_counts(&dfs), [2, 0, 0]);
+        assert_eq!(dfs.cas_get("/t", 2).unwrap().unwrap(), payload(3000));
+        dfs.check_namespace().unwrap();
+    }
+
+    #[test]
+    fn resident_bytes_count_each_allocation_once() {
+        let dfs = Dfs::new(DfsConfig { n_nodes: 3, block_size: 1024, replication: 3, ..DfsConfig::default() });
+        let data = SharedBytes::from_vec(payload(2500));
+        dfs.write_file_shared("/a", data.clone()).unwrap();
+        dfs.write_file_shared("/b", data.slice(100..)).unwrap();
+        assert_eq!(dfs.resident_bytes(), 2500, "3 replicas of 2 files over one buffer");
+        assert_eq!(dfs.metrics().gauge(metrics_keys::MEM_RESIDENT_BYTES).get(), 2500);
+        dfs.write_file("/c", &payload(10)).unwrap();
+        assert_eq!(dfs.resident_bytes(), 2510);
+        // Bit rot replaces a replica with a damaged copy of its own.
+        dfs.corrupt_block("/c", 0, 0).unwrap();
+        assert_eq!(dfs.resident_bytes(), 2520);
+        dfs.read_file_shared("/c").unwrap(); // quarantined, repaired from a survivor
+        assert_eq!(dfs.resident_bytes(), 2510);
+        dfs.delete("/a").unwrap();
+        assert_eq!(dfs.resident_bytes(), 2510);
+        dfs.fail_node(0);
+        dfs.kill_node(1);
+        assert_eq!(dfs.resident_bytes(), 2510, "node 2 still holds every block");
+        dfs.sweep_prefix("/", SweepReason::Completed);
+        assert_eq!(dfs.resident_bytes(), 0);
+        // Persisted, each replica is its own mapping.
+        let (dfs, dir) = persisted_dfs("resident", 2);
+        dfs.write_file("/p", &payload(1500)).unwrap();
+        assert_eq!(dfs.resident_bytes(), 2 * 1500);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

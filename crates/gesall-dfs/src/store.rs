@@ -1,14 +1,16 @@
 //! The data nodes' block storage: one replica map per node, heap-resident
 //! or persisted under `DfsConfig::block_store_dir` with its checksum
 //! sidecar. Knows nothing of files or placement — `namespace.rs` says
-//! which replicas *should* exist; this says which bytes *do*.
+//! which replicas *should* exist; this says which bytes *do*, and how
+//! many distinct allocations hold them.
 
 use crate::types::{metrics_keys, BlockInfo, DfsError, NodeStats};
 use gesall_formats::SharedBytes;
+use gesall_telemetry::metrics::Gauge;
 use gesall_telemetry::{MetricsRegistry, Unpoisoned};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::RwLock;
+use std::sync::{Mutex, RwLock};
 
 /// How a stored replica holds its payload. Either way,
 /// [`crate::Dfs::read_block`] serves a zero-copy window — the variants differ
@@ -39,8 +41,40 @@ impl BlockBacking {
     }
 }
 
+/// The distinct allocations stored replicas window: backing id → (its
+/// length, replicas naming it). Taken innermost, under a node's lock, so
+/// a replica is tallied exactly while its node holds it.
+#[derive(Default)]
+struct Backings(HashMap<usize, (usize, usize)>);
+
+impl Backings {
+    /// Tally one more replica windowing `bytes`; returns the bytes that
+    /// became resident (the backing's length if it is new, else 0).
+    fn hold(&mut self, bytes: &SharedBytes) -> i64 {
+        let e = self.0.entry(bytes.backing_id()).or_insert((bytes.backing_len(), 0));
+        e.1 += 1;
+        if e.1 == 1 { e.0 as i64 } else { 0 }
+    }
+
+    /// Drop one replica's tally; returns the (negative) bytes freed.
+    fn release(&mut self, bytes: &SharedBytes) -> i64 {
+        let id = bytes.backing_id();
+        match self.0.get_mut(&id) {
+            Some((_, refs)) if *refs > 1 => {
+                *refs -= 1;
+                0
+            }
+            Some(_) => self.0.remove(&id).map_or(0, |(len, _)| -(len as i64)),
+            None => 0,
+        }
+    }
+}
+
 pub(crate) struct BlockStore {
     nodes: Vec<RwLock<HashMap<u64, BlockBacking>>>,
+    backings: Mutex<Backings>,
+    /// `dfs.mem.resident_bytes`: the sum of `backings`' lengths.
+    resident: Gauge,
     dir: Option<PathBuf>,
     metrics: MetricsRegistry,
 }
@@ -48,7 +82,26 @@ pub(crate) struct BlockStore {
 impl BlockStore {
     pub(crate) fn new(n_nodes: usize, dir: Option<PathBuf>, metrics: MetricsRegistry) -> BlockStore {
         let nodes = (0..n_nodes).map(|_| RwLock::new(HashMap::new())).collect();
-        BlockStore { nodes, dir, metrics }
+        let resident = metrics.gauge(metrics_keys::MEM_RESIDENT_BYTES);
+        BlockStore { nodes, backings: Mutex::default(), resident, dir, metrics }
+    }
+
+    /// Re-tally after a node map changed: `added` is now stored, the
+    /// `dropped` replicas no longer are. Called with that node's lock held.
+    fn retally<'a>(&self, added: Option<&SharedBytes>, dropped: impl IntoIterator<Item = &'a BlockBacking>) {
+        let mut backings = self.backings.lock().unpoisoned();
+        let mut delta = added.map_or(0, |b| backings.hold(b));
+        for b in dropped {
+            delta += backings.release(b.bytes());
+        }
+        self.resident.add(delta);
+    }
+
+    /// Bytes of the distinct allocations the stored replicas window:
+    /// replicas and files sharing one backing count it once, a mapped
+    /// block counts its mapping.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.resident.get() as u64
     }
 
     /// Store one replica on `node`: heap-resident sharing the writer's
@@ -71,7 +124,9 @@ impl BlockStore {
             }
             None => BlockBacking::Resident(chunk.clone()),
         };
-        self.nodes[node].write().unpoisoned().insert(id, backing);
+        let mut blocks = self.nodes[node].write().unpoisoned();
+        let replaced = blocks.insert(id, backing);
+        self.retally(blocks.get(&id).map(BlockBacking::bytes), &replaced);
         Ok(())
     }
 
@@ -83,7 +138,12 @@ impl BlockStore {
     /// Drop one replica and its block file. `true` for the caller that
     /// actually removed it.
     pub(crate) fn remove(&self, node: usize, id: u64) -> bool {
-        let removed = self.nodes[node].write().unpoisoned().remove(&id);
+        let removed = {
+            let mut blocks = self.nodes[node].write().unpoisoned();
+            let removed = blocks.remove(&id);
+            self.retally(None, &removed);
+            removed
+        };
         removed.inspect(BlockBacking::unlink).is_some()
     }
 
@@ -101,6 +161,7 @@ impl BlockStore {
     pub(crate) fn wipe(&self, node: usize) {
         let mut blocks = self.nodes[node].write().unpoisoned();
         blocks.values().for_each(BlockBacking::unlink);
+        self.retally(None, blocks.values());
         blocks.clear();
     }
 
@@ -130,7 +191,8 @@ impl BlockStore {
             None => flipped.push(0xA5),
         }
         backing.unlink();
-        blocks.insert(id, BlockBacking::Resident(SharedBytes::from_vec(flipped)));
+        let replaced = blocks.insert(id, BlockBacking::Resident(SharedBytes::from_vec(flipped)));
+        self.retally(blocks.get(&id).map(BlockBacking::bytes), &replaced);
         Ok(())
     }
 }

@@ -151,11 +151,13 @@ impl Default for DfsConfig {
 /// Counter names the DFS maintains on its [`gesall_telemetry::MetricsRegistry`].
 pub mod metrics_keys {
     /// Payload bytes memcpy'd inside the DFS (block materialization on
-    /// write, multi-block concatenation on read). Same key as the
-    /// engine-side gauge so a whole-pipeline total can be assembled.
+    /// write, stitching a multi-block read whose blocks are not adjacent
+    /// windows of one backing). Same key as the engine-side gauge so a
+    /// whole-pipeline total can be assembled.
     pub const BYTES_COPIED: &str = "mem.bytes.copied";
     /// Bytes stitched together by [`crate::Dfs::read_file_range_shared`]
-    /// when a requested range spans blocks. Kept apart from [`BYTES_COPIED`]:
+    /// when a requested range spans blocks that are not adjacent windows
+    /// of one backing. Kept apart from [`BYTES_COPIED`]:
     /// range reads serve the shuffle-transit fetch path, whose copy
     /// volume is accounted with the transit layer (`shuffle.bytes.dfs`
     /// et al.), not with the record path's zero-copy gauge.
@@ -213,6 +215,13 @@ pub mod metrics_keys {
     pub const CAS_HITS: &str = "dfs.cas.hits";
     /// CAS gets that found no entry for the key.
     pub const CAS_MISSES: &str = "dfs.cas.misses";
+    /// CAS puts whose payload equalled a live file's, byte for byte: the
+    /// new entry's blocks window that file's backing instead of the
+    /// payload's.
+    pub const CAS_DEDUP_HITS: &str = "dfs.cas.dedup.hits";
+    /// Gauge: bytes of the distinct allocations the block store holds
+    /// ([`crate::Dfs::resident_bytes`]).
+    pub const MEM_RESIDENT_BYTES: &str = "dfs.mem.resident_bytes";
 }
 
 /// Why a retention sweep ran. Picks the counter the swept files are

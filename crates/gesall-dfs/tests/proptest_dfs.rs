@@ -298,4 +298,100 @@ proptest! {
         }
         dfs.check_namespace().map_err(TestCaseError::fail)?;
     }
+    /// The content store keeps each content once, whatever happens
+    /// around it. `cas_put` draws its payload from a small pool, so equal
+    /// contents recur under other keys and roots, interleaved with
+    /// deletes, sweeps, pins and node deaths. After every step each live
+    /// entry reads back the bytes put under it (or fails only once its
+    /// blocks are gone), the metadata — content index included — is
+    /// consistent, and until a node dies the store holds no more bytes
+    /// than the distinct live contents.
+    #[test]
+    fn cas_puts_keep_each_content_once_under_any_history(
+        ops in proptest::collection::vec((0u8..10, 0usize..1000, 0usize..1000), 1..60),
+        block_size in 64usize..512,
+        replication in 1usize..3,
+    ) {
+        const NODES: usize = 4;
+        let pool: Vec<Vec<u8>> = vec![
+            (0..1500).map(|i| (i % 251) as u8).collect(),
+            (0..1500).map(|i| (i % 241) as u8).collect(),
+            (0..700).map(|i| (i * 7) as u8).collect(),
+            Vec::new(),
+        ];
+        let dfs = Dfs::new(DfsConfig { n_nodes: NODES, block_size, replication, ..DfsConfig::default() });
+        let mut files: BTreeMap<String, Vec<u8>> = BTreeMap::new();
+        let mut pins: BTreeMap<String, u64> = BTreeMap::new();
+        let mut marked: BTreeSet<String> = BTreeSet::new();
+        for (step, &(kind, a, b)) in ops.iter().enumerate() {
+            let root = format!("/t{}", a % 2);
+            let key = (b % 6) as u64;
+            let path = Dfs::cas_path(&root, key);
+            match kind {
+                0..=3 => {
+                    let data = &pool[a % pool.len()];
+                    match dfs.cas_put(&root, key, SharedBytes::from_vec(data.clone())) {
+                        // A hit hands the payload back; the entry keeps its own.
+                        Ok(bytes) => {
+                            prop_assert_eq!(bytes.as_slice(), data.as_slice());
+                            files.entry(path).or_insert_with(|| data.clone());
+                        }
+                        Err(e) => prop_assert_eq!(e, DfsError::NoLiveNodes),
+                    }
+                }
+                4 => {
+                    let deleted = dfs.delete(&path);
+                    if pins.contains_key(&path) {
+                        prop_assert_eq!(deleted, Err(DfsError::Pinned(path)));
+                    } else {
+                        prop_assert_eq!(deleted.is_ok(), files.remove(&path).is_some());
+                    }
+                }
+                5 => {
+                    let report = dfs.sweep_prefix(&root, SweepReason::Completed);
+                    let under = |p: &&String| p.starts_with(&format!("{root}/"));
+                    marked.extend(pins.keys().filter(under).cloned());
+                    let before = files.len();
+                    files.retain(|p, _| !under(&p) || pins.contains_key(p));
+                    prop_assert_eq!(report.swept, before - files.len());
+                }
+                6 => {
+                    prop_assert_eq!(dfs.pin(&path).is_ok(), files.contains_key(&path));
+                    if files.contains_key(&path) {
+                        *pins.entry(path).or_insert(0) += 1;
+                    }
+                }
+                7 | 8 => {
+                    dfs.unpin(&path);
+                    if let Some(n) = pins.get_mut(&path) {
+                        *n -= 1;
+                        if *n == 0 {
+                            pins.remove(&path);
+                            if marked.remove(&path) {
+                                files.remove(&path);
+                            }
+                        }
+                    }
+                }
+                _ => {
+                    dfs.fail_node(b % NODES);
+                }
+            }
+            if let Err(broken) = dfs.check_namespace() {
+                prop_assert!(false, "after step {step} {:?}: {broken}", ops[step]);
+            }
+            prop_assert_eq!(dfs.list("/"), files.keys().cloned().collect::<Vec<_>>());
+            for (path, want) in &files {
+                check_read(&dfs, path, want)?;
+            }
+            if dfs.dead_nodes().is_empty() {
+                let distinct: BTreeSet<&Vec<u8>> = files.values().collect();
+                let bound: usize = distinct.iter().map(|c| c.len()).sum();
+                prop_assert!(
+                    dfs.resident_bytes() <= bound as u64,
+                    "after step {step}: {} resident, {bound} distinct", dfs.resident_bytes()
+                );
+            }
+        }
+    }
 }

@@ -42,6 +42,15 @@ impl Backing {
             _ => false,
         }
     }
+
+    /// The address of the refcounted allocation: equal exactly when
+    /// `ptr_eq` holds, for as long as either side is alive.
+    fn id(&self) -> usize {
+        match self {
+            Backing::Heap(a) => Arc::as_ptr(a) as *const u8 as usize,
+            Backing::Mapped(m) => Arc::as_ptr(m) as *const u8 as usize,
+        }
+    }
 }
 
 /// Immutable, reference-counted byte range. `clone` and `slice` are
@@ -157,6 +166,31 @@ impl SharedBytes {
     /// memcpy'd does not.
     pub fn same_backing(&self, other: &SharedBytes) -> bool {
         self.data.ptr_eq(&other.data)
+    }
+
+    /// `self` followed by `next` as one window, when `next` starts where
+    /// `self` ends in the same backing — O(1), nothing copied. `None`
+    /// when the two are not adjacent windows of one allocation.
+    pub fn join(&self, next: &SharedBytes) -> Option<SharedBytes> {
+        (self.same_backing(next) && self.end == next.start).then(|| SharedBytes {
+            data: self.data.clone(),
+            start: self.start,
+            end: next.end,
+        })
+    }
+
+    /// Identity of the backing allocation: two live windows report the
+    /// same id exactly when [`SharedBytes::same_backing`] holds. With
+    /// [`SharedBytes::backing_len`] it lets a holder of many windows
+    /// count the distinct bytes they keep alive.
+    pub fn backing_id(&self) -> usize {
+        self.data.id()
+    }
+
+    /// Length of the whole backing allocation (the vector's bytes, or
+    /// the mapping's), however small this window of it is.
+    pub fn backing_len(&self) -> usize {
+        self.data.as_slice().len()
     }
 
     /// Copy this range out into an owned vector (an explicit copy).
@@ -347,6 +381,33 @@ mod tests {
         assert_eq!(h, m);
         assert!(!h.same_backing(&m));
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn adjacent_windows_of_one_backing_join_without_copying() {
+        let b = SharedBytes::from_vec((0u8..100).collect());
+        let joined = b.slice(10..40).join(&b.slice(40..70)).unwrap();
+        assert_eq!(joined, &(10u8..70).collect::<Vec<u8>>()[..]);
+        assert!(joined.same_backing(&b));
+        assert_eq!(joined.as_ptr(), b.slice(10..).as_ptr());
+        // An empty window joins on either side.
+        assert_eq!(b.slice(5..5).join(&b.slice(5..9)).unwrap(), b.slice(5..9));
+        // A gap, an overlap, the wrong order or another backing: no join.
+        assert!(b.slice(10..40).join(&b.slice(41..70)).is_none());
+        assert!(b.slice(10..40).join(&b.slice(39..70)).is_none());
+        assert!(b.slice(40..70).join(&b.slice(10..40)).is_none());
+        let c = SharedBytes::copy_from_slice(&b);
+        assert!(b.slice(10..40).join(&c.slice(40..70)).is_none());
+    }
+
+    #[test]
+    fn backing_identity_and_length() {
+        let b = SharedBytes::from_vec(vec![7; 100]);
+        let s = b.slice(10..20);
+        assert_eq!((s.backing_id(), s.backing_len()), (b.backing_id(), 100));
+        let c = SharedBytes::copy_from_slice(&s);
+        assert_ne!(c.backing_id(), b.backing_id());
+        assert_eq!(c.backing_len(), 10);
     }
 
     #[test]
