@@ -41,6 +41,12 @@ pub mod rounds;
 mod stages;
 pub mod storage;
 
+/// The threaded streaming harness `gesall-mapreduce` keeps as its
+/// reference, compiled here so `bwa-mem | samtobam` is held to it.
+#[cfg(test)]
+#[path = "../../gesall-mapreduce/src/streaming/reference.rs"]
+mod streaming_reference;
+
 pub use dag::{DagError, DagSpec, StageSpec};
 pub use error::PlatformError;
 pub use pipeline::{

@@ -84,6 +84,7 @@ mod tests {
         ReferenceGenome,
     };
     use gesall_formats::bam;
+    use gesall_mapreduce::counters::keys;
     use gesall_mapreduce::streaming::StreamingHarness;
     use gesall_telemetry::KernelStats;
 
@@ -137,23 +138,60 @@ mod tests {
     }
 
     #[test]
+    fn bwa_pipe_to_samtobam_equals_the_threaded_reference() {
+        let (aligner, pairs) = world();
+        let input = fastq::pairs_to_interleaved_bytes(&pairs);
+        let run = |threaded: bool| {
+            let (pipes, kernels) = (Counters::new(), Counters::new());
+            let bwa = BwaMemProgram {
+                aligner: &aligner,
+                threads: 2,
+                counters: &kernels,
+            };
+            let chain: [&dyn ExternalProgram; 2] = [&bwa, &SamToBamProgram];
+            let out = if threaded {
+                crate::streaming_reference::run_pipeline(&pipes, &chain, &input)
+            } else {
+                StreamingHarness::new(pipes.clone()).run_pipeline(&chain, &input)
+            };
+            (
+                out.unwrap(),
+                pipes.get(keys::WRAPPER_BYTES_COPIED),
+                KernelStats::from_snapshot(&kernels.snapshot()),
+            )
+        };
+        let (out, copied, tally) = run(false);
+        let (want, want_copied, want_tally) = run(true);
+        assert_eq!(out, want);
+        assert_eq!(copied, want_copied);
+        assert!(copied > 2 * input.len() as u64);
+        assert_eq!(tally, want_tally);
+    }
+
+    /// The pipeline's error, which must name the program that failed.
+    fn failure(programs: &[&dyn ExternalProgram], input: &[u8]) -> String {
+        let harness = StreamingHarness::new(Counters::new());
+        let err = harness.run_pipeline(programs, input).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        err.to_string()
+    }
+
+    #[test]
     fn bwa_rejects_garbage_input() {
         let (aligner, _) = world();
-        let harness = StreamingHarness::new(Counters::new());
         let counters = Counters::new();
         let bwa = BwaMemProgram {
             aligner: &aligner,
             threads: 1,
             counters: &counters,
         };
-        let res = harness.run_pipeline(&[&bwa], b"not fastq at all");
-        assert!(res.is_err());
+        let msg = failure(&[&bwa], b"not fastq at all");
+        assert!(msg.contains("'bwa-mem'"), "unexpected error: {msg}");
     }
 
     #[test]
     fn samtobam_rejects_garbage() {
-        let harness = StreamingHarness::new(Counters::new());
-        let res = harness.run_pipeline(&[&SamToBamProgram], b"bogus\tsam");
-        assert!(res.is_err());
+        let msg = failure(&[&SamToBamProgram], b"bogus\tsam");
+        assert!(msg.contains("'samtobam'"), "unexpected error: {msg}");
     }
 }

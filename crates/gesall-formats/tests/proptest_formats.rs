@@ -8,6 +8,7 @@ use gesall_formats::seq_codec;
 use gesall_formats::fastq::{self, FastqRecord, ReadPair};
 use gesall_formats::sam::cigar::{Cigar, CigarOp};
 use gesall_formats::sam::header::{ReferenceSeq, SamHeader};
+use gesall_formats::sam::text as sam_text;
 use gesall_formats::sam::{Flags, SamRecord, SamView};
 use gesall_formats::wire::{Cursor, Wire};
 use proptest::prelude::*;
@@ -442,5 +443,63 @@ proptest! {
         let at = at % bytes.len();
         bytes[at] = byte;
         view_decodes_as_the_record_does(&bytes)?;
+    }
+}
+
+/// Bytes of which half are the FASTQ / SAM-text grammar's own punctuation
+/// and letters, so a random string reaches past the first line check.
+fn arb_text_bytes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+    const GRAMMAR: &[u8] = b"@+\n\t:*=-ACGTNMIDS0123456789";
+    let token = prop_oneof![(0..GRAMMAR.len()).prop_map(|i| GRAMMAR[i]), any::<u8>()];
+    proptest::collection::vec(token, 0..max_len)
+}
+
+/// `text` with byte `at` replaced, then cut at `cut`.
+fn forge(text: &[u8], at: usize, byte: u8, cut: usize) -> Vec<u8> {
+    let mut bad = text.to_vec();
+    if !bad.is_empty() {
+        let at = at % bad.len();
+        bad[at] = byte;
+        bad.truncate(cut % (bad.len() + 1));
+    }
+    bad
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    // The wrapped programs' stdin parsers: `bwa-mem` reads interleaved
+    // FASTQ, `samtobam` SAM text. Whatever arrives, each returns `Ok` or
+    // `Err`; a panic would crash the task attempt instead.
+
+    #[test]
+    fn fastq_reader_is_total_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        text in arb_text_bytes(400),
+        reads in proptest::collection::vec(arb_read(), 1..5),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        cut in any::<usize>(),
+    ) {
+        let _ = fastq::pairs_from_interleaved_bytes(&bytes);
+        let _ = fastq::pairs_from_interleaved_bytes(&text);
+        let real = fastq::to_bytes(&reads);
+        let _ = fastq::pairs_from_interleaved_bytes(&forge(&real, at, byte, cut));
+    }
+
+    #[test]
+    fn sam_text_reader_is_total_on_arbitrary_strings(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        text in arb_text_bytes(400),
+        records in proptest::collection::vec(arb_sam_record(), 0..4),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        cut in any::<usize>(),
+    ) {
+        let _ = sam_text::from_text(&String::from_utf8_lossy(&bytes));
+        let _ = sam_text::from_text(&String::from_utf8_lossy(&text));
+        let header = SamHeader::new(vec![ReferenceSeq { name: "chr1".into(), len: 2_000_000 }]);
+        let real = sam_text::to_text(&header, &records).into_bytes();
+        let _ = sam_text::from_text(&String::from_utf8_lossy(&forge(&real, at, byte, cut)));
     }
 }

@@ -22,8 +22,8 @@ pub enum GesallError {
     /// Every node in the cluster died while `pending_tasks` tasks still
     /// had no committed result.
     NoHealthyNodes { pending_tasks: usize },
-    /// A streaming (external-program) pipeline failed outside any task —
-    /// e.g. a wrapper thread panicked.
+    /// A streaming (external-program) pipeline failed: a wrapped program
+    /// panicked or returned an error. The message names the program.
     Streaming(String),
     /// The runtime itself (not a task body) panicked.
     Runtime(String),
@@ -54,7 +54,7 @@ impl fmt::Display for GesallError {
 impl std::error::Error for GesallError {}
 
 /// Render a caught panic payload as a message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -1,5 +1,5 @@
 //! Hadoop-Streaming analogue: running "external programs" over byte
-//! pipes with bounded buffers (paper Fig. 8).
+//! pipes (paper Fig. 8).
 //!
 //! A wrapped C program (here: any [`ExternalProgram`] implementation,
 //! e.g. the aligner posing as `bwa mem`) reads bytes from stdin and
@@ -7,13 +7,23 @@
 //! transformation** — typed records to text and back — which the paper
 //! measures at 12–49% of task time (Fig. 6a). The harness times the two
 //! halves separately so the wrapper rounds can report the same split.
+//!
+//! A pipeline runs on the caller's thread, one program after another:
+//! the wrapped programs read stdin to EOF before they write (`bwa mem`
+//! needs the whole batch for its insert-size statistics), so a thread
+//! per program would overlap nothing, and the pipes between them are
+//! unbounded because no reader runs beside its writer.
 
 use crate::counters::{keys, Counters};
 use crate::error::{panic_message, GesallError};
 use gesall_formats::SharedBytes;
 use std::io::{Read, Write};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::Instant;
+
+#[cfg(test)]
+mod reference;
 
 /// Pipe chunk size: the 64 KiB pipe buffer from Fig. 8.
 pub const PIPE_BUF: usize = 64 * 1024;
@@ -24,7 +34,7 @@ pub const PIPE_BUF: usize = 64 * 1024;
 /// `split_off`-per-chunk scheme that re-copied the unsent tail on every
 /// iteration (quadratic in the write size).
 pub struct PipeWriter {
-    tx: Option<SyncSender<SharedBytes>>,
+    tx: Option<Sender<SharedBytes>>,
     buf: Vec<u8>,
     counters: Counters,
 }
@@ -37,9 +47,10 @@ pub struct PipeReader {
     counters: Counters,
 }
 
-/// Create a connected pipe with a bounded in-flight window (backpressure,
-/// like a real OS pipe). Copy accounting goes to a private bag; use
-/// [`pipe_with_counters`] to surface it.
+/// Create a connected pipe. It holds whatever its writer sent until the
+/// reader takes it: the harness runs a program's writer to completion
+/// before the next program reads. Copy accounting goes to a private bag;
+/// use [`pipe_with_counters`] to surface it.
 pub fn pipe() -> (PipeWriter, PipeReader) {
     pipe_with_counters(Counters::new())
 }
@@ -47,7 +58,7 @@ pub fn pipe() -> (PipeWriter, PipeReader) {
 /// [`pipe`], with payload-copy accounting
 /// ([`keys::WRAPPER_BYTES_COPIED`]) on the given bag.
 pub fn pipe_with_counters(counters: Counters) -> (PipeWriter, PipeReader) {
-    let (tx, rx) = sync_channel(4);
+    let (tx, rx) = channel();
     (
         PipeWriter {
             tx: Some(tx),
@@ -194,25 +205,19 @@ pub trait ExternalProgram: Send + Sync {
     fn name(&self) -> &str;
 
     /// Run to completion: consume `stdin` fully, write results to
-    /// `stdout`. The harness calls this on a dedicated thread.
+    /// `stdout`. The harness calls this on its caller's thread, after the
+    /// previous program of the pipeline has returned.
     fn run(&self, stdin: PipeReader, stdout: PipeWriter) -> std::io::Result<()>;
 }
 
 /// Per-run timing split, feeding the Fig. 6a breakdown.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamingTimings {
-    /// Wall nanoseconds spent inside external program threads.
+    /// Wall nanoseconds spent inside external programs, each timed alone.
     pub external_nanos: u64,
     /// Wall nanoseconds the caller spent in data transformation
     /// (accounted by [`StreamingHarness::transform`]).
     pub transform_nanos: u64,
-}
-
-/// Wrap a streaming failure as an `io::Error` whose source is a
-/// [`GesallError::Streaming`], so pipeline callers keep their
-/// `io::Result` signature while fault-aware callers can downcast.
-fn streaming_io_error(msg: String) -> std::io::Error {
-    std::io::Error::other(GesallError::Streaming(msg))
 }
 
 /// Runs a chain of external programs connected by pipes
@@ -237,68 +242,45 @@ impl StreamingHarness {
     }
 
     /// Feed `input` through `programs[0] | programs[1] | ...` and return
-    /// the final stdout.
+    /// the final stdout. The input is written into the first pipe, each
+    /// program runs to completion on its predecessor's pipe, and the last
+    /// pipe is drained — all on the calling thread.
     pub fn run_pipeline(
         &self,
         programs: &[&dyn ExternalProgram],
         input: &[u8],
     ) -> std::io::Result<Vec<u8>> {
         assert!(!programs.is_empty(), "need at least one program");
-        let counters = self.counters.clone();
-        std::thread::scope(|s| {
-            // Build the chain of pipes: input -> p0 -> p1 -> ... -> out.
-            let (first_w, mut prev_r) = pipe_with_counters(counters.clone());
-
-            // Feeder thread.
-            let feeder = s.spawn(move || {
-                let mut w = first_w;
-                let _ = w.write_all(input);
-                let _ = w.close();
-            });
-
-            let mut handles = Vec::new();
-            let mut final_reader = None;
-            for (i, prog) in programs.iter().enumerate() {
-                let (w, r) = pipe_with_counters(counters.clone());
-                let stdin = std::mem::replace(&mut prev_r, r);
-                let counters = counters.clone();
-                let prog = *prog;
-                handles.push(s.spawn(move || {
-                    let t0 = Instant::now();
-                    let res = prog.run(stdin, w);
-                    counters.add(
-                        keys::EXTERNAL_PROGRAM_NANOS,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                    res
-                }));
-                if i == programs.len() - 1 {
-                    final_reader = Some(std::mem::replace(&mut prev_r, pipe().1));
-                }
+        let (mut feed, mut stdin) = pipe_with_counters(self.counters.clone());
+        feed.write_all(input)?;
+        feed.close()?;
+        for prog in programs {
+            let (stdout, next) = pipe_with_counters(self.counters.clone());
+            let t0 = Instant::now();
+            // A panicking program is a failed pipeline, not a panic out of
+            // the task: the surrounding attempt fails cleanly and is
+            // retried.
+            let ran = catch_unwind(AssertUnwindSafe(|| prog.run(stdin, stdout)));
+            self.counters
+                .add(keys::EXTERNAL_PROGRAM_NANOS, t0.elapsed().as_nanos() as u64);
+            let failed = match ran {
+                Ok(Ok(())) => None,
+                Ok(Err(e)) => Some((e.kind(), format!("failed: {e}"))),
+                Err(payload) => Some((
+                    std::io::ErrorKind::Other,
+                    format!("panicked: {}", panic_message(payload.as_ref())),
+                )),
+            };
+            // The error keeps the program's `io::Result` signature and
+            // kind; its source is a [`GesallError::Streaming`] naming the
+            // program, so fault-aware callers can downcast.
+            if let Some((kind, what)) = failed {
+                let msg = format!("external program '{}' {what}", prog.name());
+                return Err(std::io::Error::new(kind, GesallError::Streaming(msg)));
             }
-            let out = final_reader
-                .expect("pipeline built at least one stage")
-                .read_to_end_vec();
-            // Every thread is joined before any error returns, so a
-            // panicking program is a failed pipeline, not a panic out of
-            // the scope: the surrounding task attempt fails cleanly and
-            // is retried.
-            let fed = feeder.join().map_err(|payload| {
-                streaming_io_error(format!("feeder panicked: {}", panic_message(payload.as_ref())))
-            });
-            let ran: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            fed?;
-            for (res, prog) in ran.into_iter().zip(programs) {
-                res.map_err(|payload| {
-                    streaming_io_error(format!(
-                        "external program '{}' panicked: {}",
-                        prog.name(),
-                        panic_message(payload.as_ref()),
-                    ))
-                })??;
-            }
-            out
-        })
+            stdin = next;
+        }
+        stdin.read_to_end_vec()
     }
 
     /// Timing snapshot from the counters.
@@ -370,22 +352,19 @@ mod tests {
     #[test]
     fn pipe_roundtrip_with_eof() {
         let (mut w, r) = pipe();
-        let t = std::thread::spawn(move || r.read_to_end_vec().unwrap());
         w.write_all(b"hello ").unwrap();
         w.write_all(b"world").unwrap();
         w.close().unwrap();
-        assert_eq!(t.join().unwrap(), b"hello world");
+        assert_eq!(r.read_to_end_vec().unwrap(), b"hello world");
     }
 
     #[test]
-    fn pipe_handles_large_transfers_with_backpressure() {
+    fn pipe_handles_large_transfers() {
         let data: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
         let (mut w, r) = pipe();
-        let expect = data.clone();
-        let t = std::thread::spawn(move || r.read_to_end_vec().unwrap());
         w.write_all(&data).unwrap();
         w.close().unwrap();
-        assert_eq!(t.join().unwrap(), expect);
+        assert_eq!(r.read_to_end_vec().unwrap(), data);
     }
 
     #[test]
@@ -393,16 +372,12 @@ mod tests {
         let data: Vec<u8> = (0..2 * PIPE_BUF + 100).map(|i| (i % 251) as u8).collect();
         let expect = data.clone();
         let (mut w, mut r) = pipe();
-        let t = std::thread::spawn(move || {
-            let mut chunks = Vec::new();
-            while let Some(c) = r.next_chunk() {
-                chunks.push(c);
-            }
-            chunks
-        });
         w.write_owned(data).unwrap();
         w.close().unwrap();
-        let chunks = t.join().unwrap();
+        let mut chunks = Vec::new();
+        while let Some(c) = r.next_chunk() {
+            chunks.push(c);
+        }
         assert!(chunks.len() >= 3);
         // Ownership transfer end to end: every chunk is a window onto
         // the one buffer the writer handed over — no copy in between.
@@ -484,5 +459,115 @@ mod tests {
         // Large enough write to force a send.
         let big = vec![0u8; PIPE_BUF * 2];
         assert!(w.write_all(&big).is_err() || w.flush().is_err());
+    }
+
+    /// Runs `inner` and records the thread it ran on.
+    struct OnThread<'a> {
+        inner: &'a dyn ExternalProgram,
+        ran_on: std::sync::Mutex<Option<std::thread::ThreadId>>,
+    }
+    impl<'a> OnThread<'a> {
+        fn new(inner: &'a dyn ExternalProgram) -> OnThread<'a> {
+            OnThread { inner, ran_on: std::sync::Mutex::new(None) }
+        }
+    }
+    impl ExternalProgram for OnThread<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn run(&self, stdin: PipeReader, stdout: PipeWriter) -> std::io::Result<()> {
+            *self.ran_on.lock().unwrap() = Some(std::thread::current().id());
+            self.inner.run(stdin, stdout)
+        }
+    }
+
+    #[test]
+    fn every_program_runs_on_the_callers_thread() {
+        let h = StreamingHarness::new(Counters::new());
+        let progs = [OnThread::new(&Upper), OnThread::new(&DoubleBytes), OnThread::new(&RevLines)];
+        let chain: Vec<&dyn ExternalProgram> = progs.iter().map(|p| p as _).collect();
+        let out = h.run_pipeline(&chain, b"ab\ncd\n").unwrap();
+        assert_eq!(out, b"BBAA\n\nDDCC\n\n");
+        let me = std::thread::current().id();
+        for p in &progs {
+            assert_eq!(*p.ran_on.lock().unwrap(), Some(me), "{} ran elsewhere", p.name());
+        }
+    }
+
+    /// Writes more than the old bounded pipe held (4 chunks in flight)
+    /// before it reads a byte of stdin, then echoes stdin.
+    struct TalksFirst;
+    impl ExternalProgram for TalksFirst {
+        fn name(&self) -> &str {
+            "talks-first"
+        }
+        fn run(&self, mut stdin: PipeReader, mut stdout: PipeWriter) -> std::io::Result<()> {
+            stdout.write_all(&vec![b'.'; 5 * PIPE_BUF])?;
+            let mut buf = Vec::new();
+            stdin.read_to_end(&mut buf)?;
+            stdout.write_all(&buf)?;
+            stdout.close()
+        }
+    }
+
+    #[test]
+    fn a_program_that_writes_before_it_reads_runs_to_completion() {
+        let h = StreamingHarness::new(Counters::new());
+        let out = h.run_pipeline(&[&TalksFirst, &Upper], b"tail").unwrap();
+        assert_eq!(out.len(), 5 * PIPE_BUF + 4);
+        assert!(out.starts_with(&[b'.'; 5 * PIPE_BUF]));
+        assert!(out.ends_with(b"TAIL"));
+    }
+
+    /// Output and `wrapper.bytes.copied` of a pipeline, on a fresh bag.
+    fn run_both(
+        programs: &[&dyn ExternalProgram],
+        input: &[u8],
+    ) -> [(std::io::Result<Vec<u8>>, u64); 2] {
+        let here = Counters::new();
+        let out = StreamingHarness::new(here.clone()).run_pipeline(programs, input);
+        let there = Counters::new();
+        let reference = reference::run_pipeline(&there, programs, input);
+        [
+            (out, here.get(keys::WRAPPER_BYTES_COPIED)),
+            (reference, there.get(keys::WRAPPER_BYTES_COPIED)),
+        ]
+    }
+
+    #[test]
+    fn output_and_copies_equal_the_threaded_reference() {
+        let text: Vec<u8> = (0..40_000u32)
+            .flat_map(|i| format!("line {i} {}\n", i * 7919).into_bytes())
+            .collect();
+        let chains: [&[&dyn ExternalProgram]; 5] = [
+            &[&Upper],
+            &[&RevLines],
+            &[&DoubleBytes],
+            &[&Upper, &RevLines],
+            &[&DoubleBytes, &Upper, &RevLines],
+        ];
+        for chain in chains {
+            for input in [&b""[..], b"x", &text] {
+                let [(out, copied), (want, want_copied)] = run_both(chain, input);
+                let names: Vec<_> = chain.iter().map(|p| p.name()).collect();
+                assert_eq!(out.unwrap(), want.unwrap(), "{names:?}");
+                assert_eq!(copied, want_copied, "{names:?}");
+                assert!(copied > 0 || input.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn a_crash_is_the_same_error_as_under_the_threaded_reference() {
+        // Crasher first: behind a crash in the middle, the reference's
+        // upstream thread may or may not see a broken pipe first.
+        for chain in [&[&Crasher as &dyn ExternalProgram][..], &[&Crasher, &RevLines]] {
+            let [(err, _), (want, _)] = run_both(chain, b"abc\n");
+            let (err, want) = (err.unwrap_err(), want.unwrap_err());
+            assert_eq!(err.kind(), want.kind());
+            assert_eq!(err.to_string(), want.to_string());
+            let source = err.get_ref().and_then(|e| e.downcast_ref::<GesallError>());
+            assert!(matches!(source, Some(GesallError::Streaming(m)) if m.contains("'crasher'")));
+        }
     }
 }

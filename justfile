@@ -12,7 +12,8 @@
 # where the debug run never reaches. The line counter is held to its
 # fixtures first, the aligner to no process-global counter, the DFS
 # source to no wall clock, sleep or spawned thread (its read path
-# charges service time to a ledger), every crate but gesall-core to no
+# charges service time to a ledger), the streaming harness, the wrapped
+# programs and round 1 to no spawned thread, every crate but gesall-core to no
 # file over 700 non-test lines, and the workspace build to exactly two
 # external packages, proptest and rand, as in CI.
 smoke:
@@ -20,6 +21,7 @@ smoke:
     test "$(scripts/loc.sh $(find scripts/fixtures/loc_test_module -name '*.rs'))" = 12
     scripts/no-global-counters.sh
     scripts/no-wall-clock.sh
+    scripts/no-spawned-thread.sh
     scripts/max-file-lines.sh
     scripts/external-deps.sh --offline
     cargo build --release --offline --workspace
