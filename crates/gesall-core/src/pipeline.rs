@@ -392,7 +392,6 @@ impl GesallPlatform {
             parent_span: parent,
             slot_lease: opts.slot_lease.clone(),
             shuffle_namespace: opts.namespace.clone(),
-            ..JobConfig::default()
         }
     }
 
@@ -1014,7 +1013,6 @@ mod tests {
             n_reducers: _,
             io_sort_bytes: _,
             merge_factor: _,
-            speculative: _,
             parent_span: _,
             slot_lease: _,
             shuffle_namespace: _,
@@ -1400,8 +1398,8 @@ mod tests {
         let (aligner, pairs) = world();
         let n_chroms = aligner.index().n_chromosomes();
         // Reducer 1 of every shuffling round dies mid-partition on its
-        // first attempt, reducer 0's first attempt is stretched until a
-        // speculative backup has won.
+        // first attempt, reducer 0's first attempt is charged past the
+        // straggler threshold, so one speculative backup wins per round.
         let plan = FaultPlan::seeded(7)
             .cut_reduce_output(1, 0, 5)
             .slow_down(TaskKind::Reduce, 0, 0, 2_000);
@@ -1428,7 +1426,7 @@ mod tests {
             assert_eq!(c(g, keys::REDUCE_OUTPUT_RECORDS), c(w, keys::REDUCE_OUTPUT_RECORDS), "{}", g.name);
             if g.n_reduce_tasks > 0 {
                 assert_eq!(c(g, keys::FAILED_ATTEMPTS), 1, "{}", g.name);
-                assert!(c(g, keys::SPECULATIVE_WASTED) >= 1, "{}", g.name);
+                assert_eq!(c(g, keys::SPECULATIVE_WASTED), 1, "{}", g.name);
             }
         }
     }

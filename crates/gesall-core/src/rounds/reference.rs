@@ -411,7 +411,6 @@ mod tests {
             n_reducers,
             io_sort_bytes: 256 * 1024,
             merge_factor: 4,
-            speculative: false,
             ..JobConfig::default()
         }
     }

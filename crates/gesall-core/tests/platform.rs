@@ -853,10 +853,10 @@ fn copied_bytes(p: &GesallPlatform, out: &PipelineOutput) -> [u64; 3] {
 #[test]
 fn copy_accounting_ignores_discarded_speculative_attempts() {
     // The bytes-copied-per-record budget below calls the count
-    // deterministic. Speculation fires on wall-clock, so the count
-    // may cover committed attempts only: map task 0's first attempt is
-    // stretched in every round; where a backup wins (every wave of more
-    // than two tasks) it then runs its body in full and is discarded —
+    // deterministic, so it may cover committed attempts only: map task
+    // 0's first attempt is charged 3 s in every round; where a backup
+    // wins (every wave of three or more tasks, where the median charge
+    // is 0) the original has run its body in full and is discarded —
     // and no copy gauge may move, nor any aligner kernel counter.
     use gesall_mapreduce::counters::keys;
     use gesall_mapreduce::{FaultPlan, TaskKind};
@@ -885,12 +885,15 @@ fn copy_accounting_ignores_discarded_speculative_attempts() {
         let p = GesallPlatform::new(dfs, engine, PlatformConfig::default());
         let out = p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
         let kernels = aligner_kernels.map(|key| round_counter_sum(&out, key));
-        (copied_bytes(&p, &out), kernels, round_counter_sum(&out, keys::SPECULATIVE_WASTED))
+        let wasted = round_counter_sum(&out, keys::SPECULATIVE_WASTED);
+        let wide_waves = out.rounds.iter().filter(|r| r.n_map_tasks >= 3).count() as u64;
+        (copied_bytes(&p, &out), kernels, (wasted, wide_waves))
     };
     let (clean, clean_kernels, _) = run(FaultPlan::default());
-    let (raced, raced_kernels, raced_wasted) =
+    let (raced, raced_kernels, (raced_wasted, wide_waves)) =
         run(FaultPlan::seeded(1).slow_down(TaskKind::Map, 0, 0, 3_000));
     assert!(raced_wasted >= 1, "the stretched attempts must lose to backups");
+    assert_eq!(raced_wasted, wide_waves, "one lost race per wave of three or more maps");
     assert!(clean[0] > 0, "round 1's pipes copy bytes");
     assert_eq!(raced, clean, "[pipes, engine, dfs] bytes copied");
     assert!(clean_kernels[0] > 0, "round 1's kernels ran");

@@ -45,9 +45,13 @@ pub mod keys {
     pub const FAILED_ATTEMPTS: &str = "fault.failed.attempts";
     /// Speculative (backup) attempts launched for stragglers.
     pub const SPECULATIVE_LAUNCHED: &str = "fault.speculative.launched";
-    /// Attempts whose committed-too-late results were discarded after a
-    /// speculative race.
+    /// Attempts that ran in full and lost a speculative race: the
+    /// killed original or the killed backup, one per launched backup.
     pub const SPECULATIVE_WASTED: &str = "fault.speculative.wasted";
+    /// Milliseconds of retry backoff charged to failed tasks: a retry
+    /// is queued at once, and the pause Hadoop would sit out is counted
+    /// here instead.
+    pub const BACKOFF_CHARGED_MS: &str = "fault.backoff.charged_ms";
     /// Committed map tasks re-executed because a node death took their
     /// shuffle output: the transit DFS could serve it from no replica.
     pub const MAPS_RERUN_ON_NODE_LOSS: &str = "fault.maps.rerun.on.node.loss";
@@ -95,12 +99,10 @@ pub mod keys {
     /// Map-output segments that travelled the shuffle compressed (shipped
     /// by reference, decoded once at the reduce-side merge).
     pub const SHUFFLE_SEGMENTS_COMPRESSED: &str = "shuffle.segments.compressed";
-    /// Scheduler worker-loop iterations triggered by a condvar
-    /// notification (work actually arrived or state changed).
+    /// Returns of an idle wave worker from its park: each one follows a
+    /// change of the schedule (a task queued, a node saturated or lost,
+    /// the wave over). An idle worker waits for nothing else.
     pub const SCHED_WAKEUPS: &str = "sched.wakeups";
-    /// Scheduler worker-loop iterations triggered by the wait timing out
-    /// with nothing to do (the old busy-poll, now counted).
-    pub const SCHED_IDLE_TIMEOUTS: &str = "sched.idle.timeouts";
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the MapReduce runtime.
 //!
 //! A [`FaultPlan`] describes, ahead of time, which task attempts panic,
-//! which run artificially slowly, and which nodes die when. Rate-based
+//! which are charged artificial slowness, and which nodes die when. Rate-based
 //! panics are derived from a pure hash of `(seed, kind, task, attempt)`,
 //! so the same plan injects the same faults on every run regardless of
 //! thread interleaving — the property the seed-determinism tests assert.
@@ -88,8 +88,10 @@ impl FaultPlan {
         self
     }
 
-    /// Stretch one specific attempt by `ms` of injected sleep before its
-    /// body runs (a straggler; speculative execution's prey).
+    /// Charge one specific attempt `ms` of injected slowness (a
+    /// straggler; speculative execution's prey). Nothing sleeps: the
+    /// charge is the attempt's runtime as the scheduler's speculation
+    /// decision sees it, so a slowed run replays exactly.
     pub fn slow_down(mut self, kind: TaskKind, task: usize, attempt: usize, ms: u64) -> FaultPlan {
         self.slowdowns.insert((kind, task, attempt), ms);
         self

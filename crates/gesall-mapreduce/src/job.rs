@@ -15,10 +15,6 @@ pub struct JobConfig {
     pub io_sort_bytes: usize,
     /// Reduce-side merge fan-in.
     pub merge_factor: usize,
-    /// Launch backup attempts for stragglers
-    /// (`mapreduce.map.speculative` analogue; the threshold is
-    /// [`SPECULATIVE_MULTIPLIER`](crate::runtime::SPECULATIVE_MULTIPLIER)).
-    pub speculative: bool,
     /// Telemetry span to parent this job's trace under ([`SpanId::NONE`]
     /// = a root span). Set by drivers that trace a larger unit — e.g. a
     /// pipeline stage — so the job nests inside it.
@@ -44,7 +40,6 @@ impl Default for JobConfig {
             n_reducers: 1,
             io_sort_bytes: 64 * 1024 * 1024,
             merge_factor: 10,
-            speculative: true,
             parent_span: SpanId::NONE,
             slot_lease: None,
             shuffle_namespace: None,
@@ -134,9 +129,12 @@ pub type JobResult<K, V> = JobOutput<Vec<(K, V)>>;
 
 impl<O> JobOutput<O> {
     /// Canonical attempt history: one line per attempt, sorted, with
-    /// wall-clock times and node/thread placement excluded. For a given
-    /// [`FaultPlan`](crate::FaultPlan) seed this is byte-identical across runs — the
-    /// contract the seed-determinism test asserts.
+    /// wall-clock times and node/thread placement excluded. Retries,
+    /// slowdowns and speculation are decided from the
+    /// [`FaultPlan`](crate::FaultPlan) and the charges it injects, so
+    /// for a plan without node deaths this is byte-identical across
+    /// runs and cluster shapes — the contract the seed-determinism tests
+    /// assert.
     pub fn history(&self) -> Vec<String> {
         let mut lines: Vec<String> = self
             .events

@@ -5,7 +5,10 @@
 //! job. The engine's wave workers take a [`LeasePermit`] before running
 //! each task attempt and release it after, so at any instant a job runs
 //! at most `limit` attempts regardless of how many worker threads its
-//! waves spawned. The grant is *elastic*: the scheduler may grow it
+//! waves spawned. A worker facing a saturated grant parks in
+//! [`SlotLease::acquire`] on the lease's own condvar, which every
+//! release and every grant change notifies: no timer. The grant is
+//! *elastic*: the scheduler may grow it
 //! (borrowing idle cluster capacity) or shrink it at any time with
 //! [`SlotLease::set_limit`]. Shrinking never interrupts a running
 //! attempt — workers holding a permit finish normally and the permit
@@ -23,20 +26,26 @@
 //! use the whole cluster.
 
 use gesall_telemetry::Unpoisoned;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 struct LeaseInner {
-    /// Current grant: attempts that may run concurrently. Always ≥ 1 —
-    /// a zero grant would park every worker of a wave forever.
-    limit: AtomicUsize,
-    /// Permits held right now.
-    active: AtomicUsize,
-    /// High-water mark of `active` over the lease's lifetime.
-    peak: AtomicUsize,
+    slots: Mutex<Slots>,
+    /// Notified on every permit release and every grant change: what a
+    /// worker parked in [`SlotLease::acquire`] waits for.
+    freed: Condvar,
     /// Called after every permit release — the job service hooks its
     /// slot-harvesting wakeup here.
     on_release: RwLock<Option<Arc<dyn Fn() + Send + Sync>>>,
+}
+
+struct Slots {
+    /// Current grant: attempts that may run concurrently. Always ≥ 1 —
+    /// a zero grant would park every worker of a wave forever.
+    limit: usize,
+    /// Permits held right now.
+    active: usize,
+    /// High-water mark of `active` over the lease's lifetime.
+    peak: usize,
 }
 
 /// A cheaply clonable handle to one job's slot grant; clones share
@@ -51,9 +60,12 @@ impl SlotLease {
     pub fn new(limit: usize) -> SlotLease {
         SlotLease {
             inner: Arc::new(LeaseInner {
-                limit: AtomicUsize::new(limit.max(1)),
-                active: AtomicUsize::new(0),
-                peak: AtomicUsize::new(0),
+                slots: Mutex::new(Slots {
+                    limit: limit.max(1),
+                    active: 0,
+                    peak: 0,
+                }),
+                freed: Condvar::new(),
                 on_release: RwLock::new(None),
             }),
         }
@@ -61,25 +73,26 @@ impl SlotLease {
 
     /// Current grant.
     pub fn limit(&self) -> usize {
-        self.inner.limit.load(Ordering::SeqCst)
+        self.inner.slots.lock().unpoisoned().limit
     }
 
-    /// Re-set the grant (clamped to ≥ 1). Growing takes effect on the
-    /// next permit acquisition; shrinking drains preemption-free as
-    /// running attempts release their permits.
+    /// Re-set the grant (clamped to ≥ 1). Growing starts parked workers
+    /// at once; shrinking drains preemption-free as running attempts
+    /// release their permits.
     pub fn set_limit(&self, limit: usize) {
-        self.inner.limit.store(limit.max(1), Ordering::SeqCst);
+        self.inner.slots.lock().unpoisoned().limit = limit.max(1);
+        self.inner.freed.notify_all();
     }
 
     /// Permits held right now.
     pub fn active(&self) -> usize {
-        self.inner.active.load(Ordering::SeqCst)
+        self.inner.slots.lock().unpoisoned().active
     }
 
     /// Most permits ever held at once — the witness that a leased job
     /// actually ran concurrently (or was truly capped).
     pub fn peak_active(&self) -> usize {
-        self.inner.peak.load(Ordering::SeqCst)
+        self.inner.slots.lock().unpoisoned().peak
     }
 
     /// Register the release hook (replacing any previous one). Fired
@@ -90,26 +103,25 @@ impl SlotLease {
 
     /// Try to take a permit; `None` when the grant is saturated.
     pub fn try_acquire(&self) -> Option<LeasePermit> {
-        let inner = &self.inner;
-        let mut cur = inner.active.load(Ordering::SeqCst);
-        loop {
-            if cur >= inner.limit.load(Ordering::SeqCst) {
-                return None;
-            }
-            match inner.active.compare_exchange(
-                cur,
-                cur + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    inner.peak.fetch_max(cur + 1, Ordering::SeqCst);
-                    return Some(LeasePermit {
-                        inner: inner.clone(),
-                    });
-                }
-                Err(seen) => cur = seen,
-            }
+        let mut slots = self.inner.slots.lock().unpoisoned();
+        (slots.active < slots.limit).then(|| self.grant(&mut slots))
+    }
+
+    /// Take a permit, parking until a release or a grown grant frees
+    /// one.
+    pub fn acquire(&self) -> LeasePermit {
+        let mut slots = self.inner.slots.lock().unpoisoned();
+        while slots.active >= slots.limit {
+            slots = self.inner.freed.wait(slots).unpoisoned();
+        }
+        self.grant(&mut slots)
+    }
+
+    fn grant(&self, slots: &mut Slots) -> LeasePermit {
+        slots.active += 1;
+        slots.peak = slots.peak.max(slots.active);
+        LeasePermit {
+            inner: self.inner.clone(),
         }
     }
 }
@@ -132,7 +144,8 @@ pub struct LeasePermit {
 
 impl Drop for LeasePermit {
     fn drop(&mut self) {
-        self.inner.active.fetch_sub(1, Ordering::SeqCst);
+        self.inner.slots.lock().unpoisoned().active -= 1;
+        self.inner.freed.notify_one();
         let hook = self.inner.on_release.read().unpoisoned().clone();
         if let Some(hook) = hook {
             hook();
@@ -143,7 +156,7 @@ impl Drop for LeasePermit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn permits_cap_at_limit_and_release() {
@@ -183,6 +196,24 @@ mod tests {
         assert!(lease.try_acquire().is_none(), "2 active ≥ limit 1");
         drop(c);
         assert!(lease.try_acquire().is_some());
+    }
+
+    #[test]
+    fn acquire_parks_until_a_release_or_a_grown_grant() {
+        let lease = SlotLease::new(1);
+        let held = lease.acquire();
+        std::thread::scope(|s| {
+            // Each parked acquire returns only once something frees a
+            // slot: first a grown grant, then a release.
+            let grown = s.spawn(|| lease.acquire());
+            lease.set_limit(2);
+            let second = grown.join().unwrap();
+            let released = s.spawn(|| lease.acquire());
+            drop(held);
+            drop(released.join().unwrap());
+            drop(second);
+        });
+        assert_eq!((lease.active(), lease.peak_active()), (0, 2));
     }
 
     #[test]

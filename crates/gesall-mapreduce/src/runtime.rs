@@ -7,9 +7,9 @@
 //! [`InputSplit`], the attempt history types) lives in `job` and is
 //! re-exported here. How a wave of such tasks is
 //! scheduled over the cluster's slots — attempts under `catch_unwind`,
-//! retries with backoff up to [`MAX_ATTEMPTS`], speculative
-//! backups, node deaths injected via [`crate::fault::FaultPlan`] — is
-//! the `wave` module's. A death fails the node's co-located datanode on
+//! retries with their backoff charged up to [`MAX_ATTEMPTS`], speculative
+//! backups decided from injected charges, node deaths injected via
+//! [`crate::fault::FaultPlan`] — is the `wave` module's. A death fails the node's co-located datanode on
 //! the transit DFS, and the job's probe after its map wave re-runs every
 //! committed map whose output the DFS can no longer serve, as Hadoop
 //! re-executes the maps of a lost slave. A task body runs start to
@@ -170,17 +170,17 @@ impl MapReduceEngine {
     /// sees the datanode gone; the job that owns a committed map output
     /// the death took finds it missing and re-runs the map. The caller
     /// holds its wave lock, so no attempt of that wave commits on the
-    /// node after its death. It hands the blocks the failures left
-    /// under-replicated to [`MapReduceEngine::re_replicate`] once the
-    /// lock is released.
+    /// node after its death. `None` when no death was due; otherwise the
+    /// caller hands the blocks the failures left under-replicated to
+    /// [`MapReduceEngine::re_replicate`] once the lock is released.
     #[must_use]
-    pub(crate) fn fire_due_deaths(&self, commits: usize) -> Vec<u64> {
-        let mut under_replicated = Vec::new();
+    pub(crate) fn fire_due_deaths(&self, commits: usize) -> Option<Vec<u64>> {
+        let mut under_replicated = None;
         self.pending_deaths.lock().unpoisoned().retain(|death| {
             let due = death.after_completed_maps <= commits;
             if due {
                 let report = self.shuffle_dfs.fail_node(self.datanode(death.node));
-                under_replicated.extend(report.under_replicated);
+                under_replicated.get_or_insert_with(Vec::new).extend(report.under_replicated);
                 self.dead_nodes.lock().unpoisoned().insert(death.node);
             }
             !due
@@ -610,6 +610,7 @@ fn committed<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lease::SlotLease;
     use crate::task::HashPartitioner;
 
     /// Word-count: the canonical smoke test.
@@ -709,7 +710,6 @@ mod tests {
             n_reducers: 2,
             io_sort_bytes: 512,
             merge_factor: 2,
-            speculative: false,
             ..JobConfig::default()
         };
         let res = engine
@@ -813,7 +813,6 @@ mod tests {
         let cfg = JobConfig {
             n_reducers: 2,
             io_sort_bytes: 2048,
-            speculative: false,
             ..JobConfig::default()
         };
         let res = engine
@@ -878,25 +877,35 @@ mod tests {
 
     #[test]
     fn idle_workers_park_on_condvar_not_busy_poll() {
-        // One deliberately slow map task on a cluster with spare slots:
-        // the idle workers must ride the condvar (counted wakeups or
-        // timed-out beats), and the straggler machinery still works on
-        // top of the timeouts.
-        let engine = MapReduceEngine::new(ClusterResources::uniform(1, 4, 8192))
-            .with_fault_plan(FaultPlan::seeded(7).slow_down(TaskKind::Map, 0, 0, 30));
+        // One task on two slots under a two-slot lease. The task is held
+        // until the other worker has taken a permit and handed it back:
+        // it found nothing to run, so it parks with no timeout, and only
+        // the commit that ends the wave brings it back to exit.
+        struct HeldUntilAnotherIdles(SlotLease);
+        impl Mapper for HeldUntilAnotherIdles {
+            type InKey = u64;
+            type InValue = String;
+            type OutKey = String;
+            type OutValue = u64;
+            fn map(&self, k: &u64, line: &String, ctx: &mut MapContext<'_, String, u64>) {
+                while (self.0.peak_active(), self.0.active()) != (2, 1) {
+                    std::thread::yield_now();
+                }
+                Tokenize.map(k, line, ctx);
+            }
+        }
+        let lease = SlotLease::new(2);
+        let engine = MapReduceEngine::new(ClusterResources::uniform(1, 2, 8192));
         let cfg = JobConfig {
-            n_reducers: 1,
+            slot_lease: Some(lease.clone()),
             ..JobConfig::default()
         };
         let res = engine
-            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(3, 10))
-            .unwrap();
-        let beats = res.counters.get(keys::SCHED_IDLE_TIMEOUTS)
-            + res.counters.get(keys::SCHED_WAKEUPS);
-        assert!(
-            beats > 0,
-            "idle workers should have parked at least once while the slow task ran"
-        );
+            .run_job(cfg, &HeldUntilAnotherIdles(lease.clone()), &Sum, &HashPartitioner, word_splits(1, 10))
+            .expect("the wave ends cleanly");
+        assert!(res.counters.get(keys::SCHED_WAKEUPS) > 0, "the idle worker parked and was woken");
+        assert_eq!(res.counters.get(keys::MAP_INPUT_RECORDS), 10);
+        assert_eq!(lease.active(), 0, "every permit came back");
     }
 
     #[test]
@@ -952,26 +961,56 @@ mod tests {
         // output homed on a node that dies is gone and the map re-runs.
         // (Output equality under this plan is asserted by
         // tests/fault_tolerance.rs; here, what only the crate can see.)
-        // Stretch every first attempt so all six slots (two on the doomed
-        // node) are mid-flight together: the first six commits then land
-        // together, two of them homed on node 1.
-        let mut plan = FaultPlan::seeded(4).kill_node_after_maps(1, 6);
-        for t in 0..12 {
-            plan = plan.slow_down(TaskKind::Map, t, 0, 40);
+        // The first six attempts meet, so all six slots (two on the
+        // doomed node) are mid-flight together, and later attempts wait
+        // for the death: the first six commits are theirs, two of them
+        // homed on node 1.
+        const HOLD: u64 = u64::MAX;
+        struct FirstSixMeet<'a> {
+            engine: &'a MapReduceEngine,
+            arrived: AtomicU64,
+            six: std::sync::Barrier,
         }
+        impl Mapper for FirstSixMeet<'_> {
+            type InKey = u64;
+            type InValue = String;
+            type OutKey = String;
+            type OutValue = u64;
+            fn map(&self, k: &u64, line: &String, ctx: &mut MapContext<'_, String, u64>) {
+                if *k == HOLD {
+                    if self.arrived.fetch_add(1, Ordering::SeqCst) < 6 {
+                        self.six.wait();
+                    } else {
+                        while !self.engine.is_dead(1) {
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+                Tokenize.map(k, line, ctx);
+            }
+        }
+        let plan = FaultPlan::seeded(4).kill_node_after_maps(1, 6);
         let engine =
             MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)).with_fault_plan(plan);
+        let mapper = FirstSixMeet {
+            engine: &engine,
+            arrived: AtomicU64::new(0),
+            six: std::sync::Barrier::new(6),
+        };
+        let mut splits = word_splits(12, 30);
+        for split in &mut splits {
+            split.records.insert(0, (HOLD, String::new()));
+        }
         let cfg = JobConfig {
             n_reducers: 3,
             io_sort_bytes: 4096,
-            speculative: false,
             ..JobConfig::default()
         };
         let res = engine
-            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
+            .run_job(cfg, &mapper, &Sum, &HashPartitioner, splits)
             .expect("two surviving nodes must finish the job");
         assert_eq!(engine.dead_nodes(), vec![1]);
-        assert!(res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS) >= 1);
+        assert_eq!(res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS), 2, "node 1's two commits");
         assert!(res.counters.get(keys::SHUFFLE_BYTES_DFS) > 0);
         assert!(engine.shuffle_dfs.list("").is_empty());
     }
@@ -1001,16 +1040,16 @@ mod tests {
         let res = engine
             .run_job(cfg, &Charge, &Sum, &HashPartitioner, word_splits(6, 10))
             .unwrap();
-        assert!(res.counters.get(keys::SPECULATIVE_WASTED) >= 1);
+        assert_eq!(res.counters.get(keys::SPECULATIVE_WASTED), 1);
         assert_eq!(res.counters.get("test.charged"), 6 * 10);
     }
 
     #[test]
     fn one_early_finisher_does_not_make_the_other_task_a_straggler() {
         // Two tasks, one far longer than the other (chromosome-sized
-        // partitions look like this): with half the wave committed the
-        // idle slot must not re-run the long task — the backup could
-        // not be killed, and the wave would wait for it.
+        // partitions look like this): the median of the wave's two
+        // charges is the long task's own, so it is no straggler and no
+        // backup runs beside it.
         let engine = MapReduceEngine::new(ClusterResources::uniform(2, 1, 4096))
             .with_fault_plan(FaultPlan::seeded(3).slow_down(TaskKind::Map, 0, 0, 300));
         let res = engine

@@ -4,43 +4,52 @@
 //! [`run_wave`] spawns one worker thread per slot — the engine's only
 //! threads; an attempt's sort, spill, fetch and merge all run on the
 //! worker that took it, inside the job's [`SlotLease`](crate::SlotLease)
-//! permit. Workers pull tasks with locality preference and delay
-//! scheduling ([`pick_pending`]), run each attempt under `catch_unwind`,
-//! retry failures with exponential backoff, back stragglers up with
-//! speculative attempts (first finisher wins) and, when a scheduled
-//! node death fires, kill and re-queue the dead node's in-flight
-//! attempts. Committed output the death took is not the wave's to
-//! recover: the job probes for it after the wave.
+//! permit. Workers pull tasks with locality preference
+//! ([`pick_pending`]), run each attempt under `catch_unwind`, re-queue
+//! failures with their exponential backoff charged, back stragglers up
+//! with speculative attempts and, when a scheduled node death fires,
+//! kill and re-queue the dead node's in-flight attempts. Committed
+//! output the death took is not the wave's to recover: the job probes
+//! for it after the wave.
+//!
+//! No decision reads a clock. An attempt's runtime, as the scheduler
+//! sees it, is its charge: the slowness the [`FaultPlan`] injects into
+//! it, 0 for every other attempt. An original attempt charged at most
+//! [`SPECULATIVE_MIN_RUNTIME_MS`] commits at once; one charged more
+//! holds its output until every original of the wave has run. The
+//! threshold is then computed from all of their charges, each held task
+//! over it gets one backup, and the backup wins iff the threshold plus
+//! its own charge is below the original's. A slot takes a remote task
+//! only when the task's preferred node is dead or has every slot
+//! running, and an idle worker parks until the schedule changes. So a
+//! plan without node deaths replays the same history on any cluster.
 
 use crate::cluster::{TASK_MEMORY_MB, TASK_VCORES};
 use crate::counters::{keys, Counters};
 use crate::error::{panic_message, GesallError};
 use crate::fault::FaultPlan;
-use crate::lease::LeasePermit;
+use crate::lease::SlotLease;
 use crate::job::{AttemptOutcome, TaskEvent, TaskKind};
 use crate::runtime::{JobFrame, MapReduceEngine};
 use gesall_telemetry::{Span, SpanId, SpanKind, Unpoisoned};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Attempts a task gets (`mapreduce.map.maxattempts`); the failure of
 /// the last aborts the job.
 pub const MAX_ATTEMPTS: usize = 4;
 
-/// Delay before a failed task's first retry, doubled by each further
-/// failure of the same task.
-pub const RETRY_BACKOFF_MS: f64 = 10.0;
+/// Backoff charged for a failed task's first retry, doubled by each
+/// further failure of the same task ([`keys::BACKOFF_CHARGED_MS`]).
+pub const RETRY_BACKOFF_MS: u64 = 10;
 
-/// An attempt is a straggler once more than half of its wave has
-/// committed and it has run this multiple of the median completed-attempt
-/// runtime: the break-even point, where the overrun equals what the
-/// backup costs.
+/// A held original is a straggler when its charge passes this multiple
+/// of the median charge of the wave's originals: the break-even point,
+/// where the overrun equals what the backup costs.
 pub const SPECULATIVE_MULTIPLIER: f64 = 2.0;
 
-/// ... but never before it has run this long, so micro-tasks are not
-/// pointlessly backed up.
+/// ... and never below this charge, so micro-tasks are not pointlessly
+/// backed up; an original charged at most this commits at once.
 pub const SPECULATIVE_MIN_RUNTIME_MS: f64 = 25.0;
 
 /// Per-task output slots: `None` until the task's winning attempt commits.
@@ -86,18 +95,31 @@ where
     };
     let recorder = engine.recorder();
     let wave_span = recorder.start(SpanKind::Wave, wave_name, frame.span.id);
-    let done: Vec<AtomicBool> =
-        outputs.iter().map(|o| AtomicBool::new(o.lock().unpoisoned().is_some())).collect();
-    let to_run: Vec<usize> = (0..n_tasks).filter(|&t| !done[t].load(Ordering::SeqCst)).collect();
+    let to_run: Vec<usize> =
+        (0..n_tasks).filter(|&t| outputs[t].lock().unpoisoned().is_none()).collect();
+
+    // Deaths already due (threshold 0) fire before any work starts.
+    if kind == TaskKind::Map {
+        if let Some(blocks) = engine.fire_due_deaths(0) {
+            engine.re_replicate(&blocks);
+        }
+    }
+    // One worker per container slot of each live node; the first live
+    // node gets one even if no container fits, so a wave always runs.
+    let n_nodes = engine.cluster().n_nodes();
+    let mut slots: Vec<usize> = (0..n_nodes)
+        .map(|node| match engine.is_dead(node) {
+            true => 0,
+            false => engine.cluster().slots_on(node, TASK_VCORES, TASK_MEMORY_MB),
+        })
+        .collect();
+    if let Some(first) = (0..n_nodes).find(|&node| !engine.is_dead(node)) {
+        slots[first] = slots[first].max(1);
+    }
+
     let prior = frame.events.lock().unpoisoned();
     let state = Mutex::new(WaveState {
-        pending: to_run
-            .iter()
-            .map(|&task| PendingTask {
-                task,
-                not_before: None,
-            })
-            .collect(),
+        pending: to_run.iter().map(|&task| Pending { task, speculative: false }).collect(),
         running: Vec::new(),
         tasks: (0..n_tasks)
             .map(|t| TaskState {
@@ -109,53 +131,39 @@ where
                     .map(|e| e.attempt + 1)
                     .max()
                     .unwrap_or(0),
-                backup_launched: false,
             })
             .collect(),
+        slots: slots.clone(),
         remaining: to_run.len(),
-        completed_ms: Vec::new(),
+        charges: Vec::new(),
+        held: (0..n_tasks).map(|_| None).collect(),
+        threshold: 0.0,
         total_commits: 0,
         fatal: None,
+        epoch: 0,
     });
     drop(prior);
-    // Wakes idle workers when the schedule changes (commit, requeue,
-    // fatal) instead of letting them busy-poll the state mutex.
     let idle = Condvar::new();
     let wave = WaveCtx {
         engine,
         kind,
         frame,
         wave_span: wave_span.id,
+        n_run: to_run.len(),
         state: &state,
         idle: &idle,
-        done: &done,
         outputs,
         inputs_survive,
     };
 
-    // Deaths already due (threshold 0) fire before any work starts.
-    if kind == TaskKind::Map {
-        engine.re_replicate(&engine.fire_due_deaths(0));
-    }
-
     let panicked = std::thread::scope(|s| {
-        let mut workers = Vec::new();
-        let mut first_live_worker = true;
-        for node in 0..engine.cluster().n_nodes() {
-            if engine.is_dead(node) {
-                continue;
-            }
-            let slots = engine.cluster().slots_on(node, TASK_VCORES, TASK_MEMORY_MB);
-            let slots = slots.max(if first_live_worker { 1 } else { 0 });
-            if slots > 0 {
-                first_live_worker = false;
-            }
-            for _ in 0..slots {
-                let wave = &wave;
-                let body = &body;
-                workers.push(s.spawn(move || wave.worker_loop(node, body)));
-            }
-        }
+        let workers: Vec<_> = (0..n_nodes)
+            .flat_map(|node| (0..slots[node]).map(move |_| node))
+            .map(|node| {
+                let (wave, body) = (&wave, &body);
+                s.spawn(move || wave.worker_loop(node, body))
+            })
+            .collect();
         // Join every worker: one that panicked is an error, not a re-panic.
         workers.into_iter().filter_map(|w| w.join().err()).count()
     });
@@ -184,60 +192,80 @@ where
     Ok(())
 }
 
-struct PendingTask {
+/// A queued attempt: a task's next original, or the backup of a held one.
+struct Pending {
     task: usize,
-    /// Earliest time the task may be re-attempted (retry backoff).
-    not_before: Option<Instant>,
+    speculative: bool,
 }
 
 /// The placement decision: the index in `pending` of the task a free
-/// slot on `node` should take. A ready task that prefers `node` (or has
-/// no preference) always wins; a task preferring another node is taken
-/// only with `allow_steal` — the worker has already sat out one idle
-/// beat (delay scheduling).
+/// slot on `node` should take. A task that prefers `node` (or has no
+/// preference) always wins; a task preferring another node is taken
+/// only when `remote_ok` says so of that node (delay scheduling: it is
+/// dead, or every slot it has is running an attempt).
 fn pick_pending(
-    pending: &[PendingTask],
+    pending: &[Pending],
     tasks: &[TaskState],
     node: usize,
-    allow_steal: bool,
-    now: Instant,
+    remote_ok: impl Fn(usize) -> bool,
 ) -> Option<usize> {
-    let ready = |p: &PendingTask| p.not_before.is_none_or(|nb| nb <= now);
-    let local = pending.iter().position(|p| {
-        ready(p) && tasks[p.task].preferred.is_none_or(|pref| pref == node)
-    });
-    match local {
-        Some(pos) => Some(pos),
-        None if allow_steal => pending.iter().position(ready),
-        None => None,
-    }
+    let preferred = |p: &Pending| tasks[p.task].preferred;
+    pending
+        .iter()
+        .position(|p| preferred(p).is_none_or(|pref| pref == node))
+        .or_else(|| pending.iter().position(|p| preferred(p).is_some_and(&remote_ok)))
 }
 
 struct TaskState {
     preferred: Option<usize>,
     failures: usize,
     next_attempt: usize,
-    backup_launched: bool,
 }
 
 struct RunningAttempt {
     task: usize,
     attempt: usize,
-    started: Instant,
-    speculative: bool,
+    node: usize,
 }
 
-struct WaveState {
-    pending: Vec<PendingTask>,
+/// An attempt that ran to the end: its output, its counter bag and its
+/// history record, not yet committed.
+struct Finished<T> {
+    value: T,
+    bag: Counters,
+    event: TaskEvent,
+    /// Injected slowness charged to the attempt, in ms.
+    charge: f64,
+}
+
+struct WaveState<T> {
+    pending: Vec<Pending>,
     running: Vec<RunningAttempt>,
     tasks: Vec<TaskState>,
+    /// Worker threads per node, started or not: the node's slots.
+    slots: Vec<usize>,
     /// Tasks without a committed output.
     remaining: usize,
-    /// Durations of committed attempts — the speculative baseline.
-    completed_ms: Vec<f64>,
+    /// The charge of every original that has run, one per task.
+    charges: Vec<f64>,
+    /// Originals charged over [`SPECULATIVE_MIN_RUNTIME_MS`], held for
+    /// the speculation decision, by task.
+    held: Vec<Option<Finished<T>>>,
+    /// The speculation threshold, once every original has run.
+    threshold: f64,
     /// Successful commits in this wave (monotone; re-runs recount).
     total_commits: usize,
     fatal: Option<GesallError>,
+    /// Moves on every schedule change an idle worker could act on.
+    epoch: u64,
+}
+
+impl<T> WaveState<T> {
+    /// Whether `node` has every slot running an attempt.
+    fn saturated(&self, node: usize) -> bool {
+        let busy = self.running.iter().filter(|r| r.node == node).count();
+        busy >= self.slots.get(node).copied().unwrap_or(0)
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -248,41 +276,12 @@ struct Assignment {
     data_local: bool,
 }
 
-/// Start the next attempt of `task` on `node`: number it, note whether
-/// the slot is one the task prefers, and book it as running.
-fn assign(
-    st: &mut WaveState,
-    task: usize,
-    node: usize,
-    now: Instant,
-    speculative: bool,
-) -> Assignment {
-    let ts = &mut st.tasks[task];
-    let attempt = ts.next_attempt;
-    ts.next_attempt += 1;
-    let data_local = ts.preferred == Some(node) || ts.preferred.is_none();
-    st.running.push(RunningAttempt {
-        task,
-        attempt,
-        started: now,
-        speculative,
-    });
-    Assignment {
-        task,
-        attempt,
-        speculative,
-        data_local,
-    }
-}
-
 enum Acquired {
     Got(Assignment),
-    Idle,
+    /// Nothing to run now: park until the epoch moves past this one.
+    Idle(u64),
     Exit,
 }
-
-/// Marker error: the job's slot lease has no free permit right now.
-struct LeaseSaturated;
 
 struct WaveCtx<'a, T> {
     engine: &'a MapReduceEngine,
@@ -290,10 +289,12 @@ struct WaveCtx<'a, T> {
     /// The job this wave belongs to: its config, counters, event log and clock.
     frame: &'a JobFrame,
     wave_span: SpanId,
-    state: &'a Mutex<WaveState>,
-    /// Notified whenever the schedule changes; see [`WaveCtx::idle_wait`].
+    /// Tasks this wave runs: the originals the speculation decision
+    /// waits for.
+    n_run: usize,
+    state: &'a Mutex<WaveState<T>>,
+    /// Notified whenever the epoch moves; see [`WaveCtx::park`].
     idle: &'a Condvar,
-    done: &'a [AtomicBool],
     outputs: &'a [Mutex<Option<T>>],
     inputs_survive: InputsSurvive<'a>,
 }
@@ -307,13 +308,6 @@ impl<T> WaveCtx<'_, T> {
     where
         F: Fn(&AttemptCtx<'_>) -> T + Send + Sync,
     {
-        // Delay scheduling: prefer local tasks; wait one beat before
-        // stealing a remote one (or launching a backup attempt). The
-        // beats are condvar waits, not sleeps: a commit or requeue
-        // wakes idle workers immediately, while the timeouts remain
-        // as the backstop that drives the time-based machinery
-        // (retry backoff expiry, straggler detection).
-        let mut allow_steal = false;
         loop {
             // The job's slot lease gates admission to *work*, not the
             // worker threads themselves: a saturated lease parks the
@@ -321,108 +315,71 @@ impl<T> WaveCtx<'_, T> {
             // grant grows. Shrinking the grant therefore reclaims slots
             // preemption-free — in-flight attempts finish, new ones
             // simply don't start.
-            let permit = match self.lease_permit() {
-                Ok(p) => p,
-                Err(LeaseSaturated) => {
-                    if self.wave_over(node) {
-                        break;
-                    }
-                    self.idle_wait(Duration::from_micros(500));
-                    allow_steal = true;
-                    continue;
-                }
-            };
-            match self.acquire(node, allow_steal) {
+            let permit = self.frame.config.slot_lease.as_ref().map(SlotLease::acquire);
+            match self.acquire(node) {
                 Acquired::Exit => break,
-                Acquired::Got(a) => {
-                    self.run_attempt(node, a, body);
-                    allow_steal = false;
-                }
-                Acquired::Idle => {
+                Acquired::Got(a) => self.run_attempt(node, a, body),
+                Acquired::Idle(epoch) => {
                     // An idle worker holds no permit — a parked thread
                     // is not an occupied container slot.
                     drop(permit);
-                    self.idle_wait(Duration::from_micros(if allow_steal { 200 } else { 500 }));
-                    allow_steal = true;
+                    self.park(epoch);
                 }
             }
         }
     }
 
-    /// Take a permit on the job's slot lease (`Ok(None)` for unleased
-    /// jobs, which may use every spawned worker).
-    fn lease_permit(&self) -> Result<Option<LeasePermit>, LeaseSaturated> {
-        match &self.frame.config.slot_lease {
-            None => Ok(None),
-            Some(lease) => lease.try_acquire().map(Some).ok_or(LeaseSaturated),
-        }
-    }
-
-    /// Whether this worker should exit instead of waiting for a permit.
-    fn wave_over(&self, node: usize) -> bool {
-        let st = self.state.lock().unpoisoned();
-        st.fatal.is_some() || st.remaining == 0 || self.engine.is_dead(node)
-    }
-
-    /// Park on the schedule-change condvar for at most `timeout`,
-    /// counting how the worker came back: a notification
-    /// ([`keys::SCHED_WAKEUPS`]) means the schedule changed while we
-    /// slept; a timeout ([`keys::SCHED_IDLE_TIMEOUTS`]) is the old
-    /// busy-poll beat, now visible in the counters.
-    fn idle_wait(&self, timeout: Duration) {
-        let st = self.state.lock().unpoisoned();
-        // Re-check under the lock — a notify between the failed acquire
-        // and this wait must not be lost.
-        if st.fatal.is_some() || st.remaining == 0 {
-            return;
-        }
-        if self.idle.wait_timeout(st, timeout).unpoisoned().1.timed_out() {
-            self.frame.counters.add(keys::SCHED_IDLE_TIMEOUTS, 1);
-        } else {
-            self.frame.counters.add(keys::SCHED_WAKEUPS, 1);
-        }
-    }
-
-    /// Pick work for `node`. Local pending tasks first; with
-    /// `allow_steal`, remote pending tasks, then speculative backups.
-    fn acquire(&self, node: usize, allow_steal: bool) -> Acquired {
+    /// Park until the schedule changes after `seen`: no timeout, since
+    /// nothing but a change can give an idle worker work or send it
+    /// home. Each return counts in [`keys::SCHED_WAKEUPS`].
+    fn park(&self, seen: u64) {
         let mut st = self.state.lock().unpoisoned();
-        if st.fatal.is_some() || st.remaining == 0 || self.engine.is_dead(node) {
+        while st.epoch == seen {
+            st = self.idle.wait(st).unpoisoned();
+        }
+        self.frame.counters.add(keys::SCHED_WAKEUPS, 1);
+    }
+
+    /// Move the epoch and wake every parked worker.
+    fn changed(&self, st: &mut WaveState<T>) {
+        st.epoch += 1;
+        self.idle.notify_all();
+    }
+
+    /// Pick work for `node`: a local pending task first, then a remote
+    /// one whose preferred node cannot take it.
+    fn acquire(&self, node: usize) -> Acquired {
+        let mut st = self.state.lock().unpoisoned();
+        if st.fatal.is_some() || st.remaining == 0 {
             return Acquired::Exit;
         }
-        let now = Instant::now();
-        if let Some(pos) = pick_pending(&st.pending, &st.tasks, node, allow_steal, now) {
-            let task = st.pending.remove(pos).task;
-            return Acquired::Got(assign(&mut st, task, node, now, false));
+        if self.engine.is_dead(node) {
+            // The death may have fired in another job's wave, unseen
+            // here: the node's tasks are everyone's from now on.
+            self.changed(&mut st);
+            return Acquired::Exit;
         }
-
-        // A backup cannot be killed mid-body and the wave joins every
-        // attempt it started, so one that loses its race costs a whole
-        // task of slot time and wall clock. So it takes more than one
-        // early finisher to call a task slow: most of the wave must
-        // have committed (tasks differ in size), and the original must
-        // have overrun the typical runtime by what the backup itself
-        // would cost.
-        let quorum = st.completed_ms.len() * 2 > st.tasks.len();
-        if allow_steal && self.frame.config.speculative && quorum {
-            let mut sorted = st.completed_ms.clone();
-            sorted.sort_by(f64::total_cmp);
-            let median = sorted[sorted.len() / 2];
-            let threshold = (SPECULATIVE_MULTIPLIER * median).max(SPECULATIVE_MIN_RUNTIME_MS);
-            let straggler = st.running.iter().position(|r| {
-                !r.speculative
-                    && !self.done[r.task].load(Ordering::SeqCst)
-                    && !st.tasks[r.task].backup_launched
-                    && r.started.elapsed().as_secs_f64() * 1e3 > threshold
-            });
-            if let Some(pos) = straggler {
-                let task = st.running[pos].task;
-                st.tasks[task].backup_launched = true;
-                self.frame.counters.add(keys::SPECULATIVE_LAUNCHED, 1);
-                return Acquired::Got(assign(&mut st, task, node, now, true));
-            }
+        let remote_ok = |pref: usize| self.engine.is_dead(pref) || st.saturated(pref);
+        let Some(pos) = pick_pending(&st.pending, &st.tasks, node, remote_ok) else {
+            return Acquired::Idle(st.epoch);
+        };
+        let Pending { task, speculative } = st.pending.remove(pos);
+        let ts = &mut st.tasks[task];
+        let attempt = ts.next_attempt;
+        ts.next_attempt += 1;
+        let data_local = ts.preferred.is_none_or(|pref| pref == node);
+        st.running.push(RunningAttempt { task, attempt, node });
+        // A node with every slot running lets the other nodes' workers
+        // take the tasks still queued for it.
+        if !st.pending.is_empty() && st.saturated(node) {
+            self.changed(&mut st);
         }
-        Acquired::Idle
+        Acquired::Got(Assignment {
+            task,
+            attempt,
+            speculative,
+            data_local,
+        })
     }
 
     fn run_attempt<F>(&self, node: usize, a: Assignment, body: &F)
@@ -430,26 +387,9 @@ impl<T> WaveCtx<'_, T> {
         F: Fn(&AttemptCtx<'_>) -> T + Send + Sync,
     {
         let start_ms = self.now_ms();
-
-        // Injected straggler: sleep in small beats, bailing out early if
-        // the task is won by another attempt or this node dies (the
-        // cancellation path for speculative losers).
-        if let Some(ms) = self
-            .engine
-            .fault_plan
-            .slowdown_ms(self.kind, a.task, a.attempt)
-        {
-            let deadline = Instant::now() + Duration::from_millis(ms);
-            while Instant::now() < deadline {
-                if self.done[a.task].load(Ordering::SeqCst) || self.engine.is_dead(node) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-
-        let bag = Counters::new();
         let plan = &self.engine.fault_plan;
+        let charge = plan.slowdown_ms(self.kind, a.task, a.attempt).unwrap_or(0) as f64;
+        let bag = Counters::new();
         let result = catch_unwind(AssertUnwindSafe(|| {
             if plan.should_panic(self.kind, a.task, a.attempt) {
                 panic!("{}", FaultPlan::panic_message(self.kind, a.task, a.attempt));
@@ -464,14 +404,12 @@ impl<T> WaveCtx<'_, T> {
 
         let end_ms = self.now_ms();
         let mut st = self.state.lock().unpoisoned();
-        let started = st
-            .running
-            .iter()
-            .position(|r| r.task == a.task && r.attempt == a.attempt)
-            .map(|pos| st.running.remove(pos).started);
+        st.running.retain(|r| (r.task, r.attempt) != (a.task, a.attempt));
         if st.fatal.is_some() {
             return; // Job already failed; drop silently.
         }
+        // Every attempt leaves both a TaskEvent (the determinism
+        // contract) and, when tracing is on, a TaskAttempt span.
         let event = |outcome: AttemptOutcome, error: Option<String>| TaskEvent {
             kind: self.kind,
             task_id: a.task,
@@ -484,94 +422,136 @@ impl<T> WaveCtx<'_, T> {
             end_ms,
             data_local: a.data_local,
         };
-        // Every attempt leaves both a TaskEvent (the determinism
-        // contract) and, when tracing is on, a TaskAttempt span.
-        let log_event = |outcome: AttemptOutcome, error: Option<String>| {
-            let e = event(outcome, error);
-            self.record_attempt_span(&e, &bag);
-            self.frame.events.lock().unpoisoned().push(e);
-        };
-
+        // Blocks the commits below left under-replicated, re-replicated
+        // once the lock is released.
+        let mut blocks = Vec::new();
         match result {
             Ok(value) => {
-                if self.done[a.task].load(Ordering::SeqCst) {
-                    // Lost the race to another attempt of the same task.
-                    if st.tasks[a.task].backup_launched {
-                        self.frame.counters.add(keys::SPECULATIVE_WASTED, 1);
-                    }
-                    log_event(AttemptOutcome::Killed, None);
-                    return;
-                }
-                if self.engine.is_dead(node) {
+                let ran = Finished {
+                    value,
+                    bag,
+                    event: event(AttemptOutcome::Succeeded, None),
+                    charge,
+                };
+                let lost = self.engine.is_dead(node);
+                if a.speculative {
+                    // The race is decided on charges: the backup started
+                    // once the threshold had passed, so it finishes first
+                    // iff threshold + its charge is below the original's.
+                    // A backup whose node died loses.
+                    let held = st.held[a.task].take().expect("a backup races a held original");
+                    let backup_wins = !lost && st.threshold + ran.charge < held.charge;
+                    let (winner, loser) = if backup_wins { (ran, held) } else { (held, ran) };
+                    self.frame.counters.add(keys::SPECULATIVE_WASTED, 1);
+                    self.log(TaskEvent { outcome: AttemptOutcome::Killed, ..loser.event }, &loser.bag);
+                    blocks = self.commit(&mut st, a.task, winner);
+                } else if lost {
                     // The node died while this attempt ran; its local
                     // output is gone. Re-queue the task.
-                    log_event(AttemptOutcome::Killed, None);
-                    st.pending.push(PendingTask {
-                        task: a.task,
-                        not_before: None,
-                    });
-                    drop(st);
-                    self.idle.notify_all();
-                    return;
-                }
-                *self.outputs[a.task].lock().unpoisoned() = Some(value);
-                self.done[a.task].store(true, Ordering::SeqCst);
-                st.remaining -= 1;
-                if let Some(started) = started {
-                    st.completed_ms
-                        .push(started.elapsed().as_secs_f64() * 1e3);
-                }
-                st.total_commits += 1;
-                self.frame.counters.merge(&bag);
-                log_event(AttemptOutcome::Succeeded, None);
-                let under_replicated = if self.kind == TaskKind::Map {
-                    self.engine.fire_due_deaths(st.total_commits)
+                    self.log(TaskEvent { outcome: AttemptOutcome::Killed, ..ran.event }, &ran.bag);
+                    st.pending.push(Pending { task: a.task, speculative: false });
+                    self.changed(&mut st);
                 } else {
-                    Vec::new()
-                };
-                drop(st);
-                // Wake idlers: remaining may have hit zero, a death may
-                // have sent a node's workers home, and a fresh completion
-                // time may arm the straggler detector.
-                self.idle.notify_all();
-                self.engine.re_replicate(&under_replicated);
+                    st.charges.push(ran.charge);
+                    if ran.charge <= SPECULATIVE_MIN_RUNTIME_MS {
+                        blocks = self.commit(&mut st, a.task, ran);
+                    } else {
+                        st.held[a.task] = Some(ran);
+                    }
+                    if st.charges.len() == self.n_run {
+                        blocks.extend(self.decide(&mut st));
+                    }
+                }
             }
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
-                if self.done[a.task].load(Ordering::SeqCst) {
-                    // The task already succeeded elsewhere; this failure
-                    // is moot and must not count against the task.
-                    log_event(AttemptOutcome::Failed, Some(msg));
-                    return;
-                }
-                self.frame.counters.add(keys::FAILED_ATTEMPTS, 1);
-                st.tasks[a.task].failures += 1;
-                let failures = st.tasks[a.task].failures;
-                log_event(AttemptOutcome::Failed, Some(msg.clone()));
-                // A reducer whose inputs died with a node fails on every
-                // retry: end the wave now and let the job re-run the maps.
-                let inputs_lost = self.inputs_survive.is_some_and(|check| !check());
-                if failures >= MAX_ATTEMPTS || inputs_lost {
-                    st.fatal = Some(GesallError::TaskFailed {
-                        kind: self.kind,
-                        task_id: a.task,
-                        attempts: failures,
-                        last_error: msg,
-                    });
+                self.log(event(AttemptOutcome::Failed, Some(msg.clone())), &bag);
+                if a.speculative {
+                    // The held original stands; a failed backup is moot
+                    // and does not count against the task.
+                    let held = st.held[a.task].take().expect("a backup races a held original");
+                    blocks = self.commit(&mut st, a.task, held);
                 } else {
-                    let backoff = RETRY_BACKOFF_MS * (1u64 << (failures - 1)) as f64;
-                    st.pending.push(PendingTask {
-                        task: a.task,
-                        not_before: Some(Instant::now() + Duration::from_secs_f64(backoff / 1e3)),
-                    });
+                    self.frame.counters.add(keys::FAILED_ATTEMPTS, 1);
+                    st.tasks[a.task].failures += 1;
+                    let failures = st.tasks[a.task].failures;
+                    // A reducer whose inputs died with a node fails on
+                    // every retry: end the wave now and let the job
+                    // re-run the maps.
+                    let inputs_lost = self.inputs_survive.is_some_and(|check| !check());
+                    if failures >= MAX_ATTEMPTS || inputs_lost {
+                        st.fatal = Some(GesallError::TaskFailed {
+                            kind: self.kind,
+                            task_id: a.task,
+                            attempts: failures,
+                            last_error: msg,
+                        });
+                    } else {
+                        // The retry queues at once; the pause before it
+                        // is charged, not waited.
+                        let backoff = RETRY_BACKOFF_MS << (failures - 1);
+                        self.frame.counters.add(keys::BACKOFF_CHARGED_MS, backoff);
+                        st.pending.push(Pending { task: a.task, speculative: false });
+                    }
+                    self.changed(&mut st);
                 }
-                drop(st);
-                // Wake idlers: either everyone must exit on the fatal, or
-                // a retry just became schedulable (its backoff expiry is
-                // covered by the wait timeout).
-                self.idle.notify_all();
             }
         }
+        drop(st);
+        self.engine.re_replicate(&blocks);
+    }
+
+    /// Every original of the wave has run: compute the threshold from
+    /// all of their charges, commit each held output under it, and
+    /// queue one backup for each held task over it.
+    fn decide(&self, st: &mut WaveState<T>) -> Vec<u64> {
+        let mut sorted = st.charges.clone();
+        sorted.sort_by(f64::total_cmp);
+        let median = sorted[sorted.len() / 2];
+        st.threshold = (SPECULATIVE_MULTIPLIER * median).max(SPECULATIVE_MIN_RUNTIME_MS);
+        let mut blocks = Vec::new();
+        for task in 0..st.held.len() {
+            match st.held[task].take() {
+                Some(held) if held.charge > st.threshold => {
+                    st.held[task] = Some(held);
+                    st.pending.push(Pending { task, speculative: true });
+                    self.frame.counters.add(keys::SPECULATIVE_LAUNCHED, 1);
+                }
+                Some(held) => blocks.extend(self.commit(st, task, held)),
+                None => {}
+            }
+        }
+        if !st.pending.is_empty() {
+            self.changed(st);
+        }
+        blocks
+    }
+
+    /// Make `ran` the task's output: count the commit, merge the
+    /// attempt's bag, log it, and fire the node deaths the commit makes
+    /// due. Returns the blocks those deaths left under-replicated.
+    fn commit(&self, st: &mut WaveState<T>, task: usize, ran: Finished<T>) -> Vec<u64> {
+        *self.outputs[task].lock().unpoisoned() = Some(ran.value);
+        st.remaining -= 1;
+        st.total_commits += 1;
+        self.frame.counters.merge(&ran.bag);
+        self.log(ran.event, &ran.bag);
+        let deaths = match self.kind {
+            TaskKind::Map => self.engine.fire_due_deaths(st.total_commits),
+            TaskKind::Reduce => None,
+        };
+        // The wave's end, and a death (it sends the node's workers home
+        // and frees its tasks to others), are changes idle workers act on.
+        if deaths.is_some() || st.remaining == 0 {
+            self.changed(st);
+        }
+        deaths.unwrap_or_default()
+    }
+
+    /// Record one finished attempt: its TaskEvent and its span.
+    fn log(&self, e: TaskEvent, bag: &Counters) {
+        self.record_attempt_span(&e, bag);
+        self.frame.events.lock().unpoisoned().push(e);
     }
 
     /// Emit one TaskAttempt span mirroring `e`, parented under this
@@ -624,47 +604,57 @@ mod tests {
     #[test]
     fn locality_preference_honored_when_slots_free() {
         // The placement decision itself, no threads: four tasks, task i
-        // preferring node i, every slot free (a single wave).
+        // preferring node i.
         let tasks: Vec<TaskState> = (0..4)
             .map(|t| TaskState {
                 preferred: Some(t),
                 failures: 0,
                 next_attempt: 0,
-                backup_launched: false,
             })
             .collect();
-        let pending = |ids: &[usize]| -> Vec<PendingTask> {
-            ids.iter()
-                .map(|&task| PendingTask {
-                    task,
-                    not_before: None,
-                })
-                .collect()
+        let pending = |ids: &[usize]| -> Vec<Pending> {
+            ids.iter().map(|&task| Pending { task, speculative: false }).collect()
         };
-        let now = Instant::now();
         let all = pending(&[0, 1, 2, 3]);
         for node in 0..4 {
             // A free slot takes its node's own task, wherever it queues,
-            // and stealing permission doesn't change that.
-            for allow_steal in [false, true] {
-                let pos = pick_pending(&all, &tasks, node, allow_steal, now);
+            // whatever the other nodes' state.
+            for remote_ok in [false, true] {
+                let pos = pick_pending(&all, &tasks, node, |_| remote_ok);
                 assert_eq!(pos.map(|p| all[p].task), Some(node));
             }
         }
-        // With its local task gone a slot waits out one beat rather than
-        // take a remote task, then steals the head of the queue.
+        // With its local task gone a slot leaves the others to nodes
+        // that can run them, and steals the first one whose node cannot.
         let remote_only = pending(&[1, 2, 3]);
-        assert_eq!(pick_pending(&remote_only, &tasks, 0, false, now), None);
-        assert_eq!(pick_pending(&remote_only, &tasks, 0, true, now), Some(0));
-        // A task still inside its retry backoff is nobody's to take.
-        let backing_off = vec![PendingTask {
-            task: 0,
-            not_before: Some(now + Duration::from_secs(60)),
-        }];
-        assert_eq!(pick_pending(&backing_off, &tasks, 0, true, now), None);
+        assert_eq!(pick_pending(&remote_only, &tasks, 0, |_| false), None);
+        assert_eq!(pick_pending(&remote_only, &tasks, 0, |pref| pref == 2), Some(1));
 
-        // End to end, whatever the thread timing: an attempt is flagged
-        // data-local exactly when it ran on its split's preferred node.
+        // The state behind `remote_ok`: a node is saturated when every
+        // one of its slots runs an attempt, and a node without slots
+        // always is.
+        let mut st = WaveState::<()> {
+            pending: Vec::new(),
+            running: Vec::new(),
+            tasks: Vec::new(),
+            slots: vec![2, 0],
+            remaining: 0,
+            charges: Vec::new(),
+            held: Vec::new(),
+            threshold: 0.0,
+            total_commits: 0,
+            fatal: None,
+            epoch: 0,
+        };
+        assert!(!st.saturated(0) && st.saturated(1) && st.saturated(7));
+        for attempt in 0..2 {
+            st.running.push(RunningAttempt { task: 0, attempt, node: 0 });
+        }
+        assert!(st.saturated(0));
+
+        // End to end: an attempt is flagged data-local exactly when it
+        // ran on its split's preferred node, and with a slot free on
+        // every node, every attempt is.
         let engine = MapReduceEngine::new(ClusterResources::uniform(4, 2, 4096));
         struct Nop;
         impl Mapper for Nop {
@@ -685,6 +675,7 @@ mod tests {
         assert_eq!(res.events.len(), 4);
         for e in &res.events {
             assert_eq!(e.data_local, e.node == e.task_id, "{e:?}");
+            assert!(e.data_local, "{e:?}");
         }
     }
 }

@@ -4,7 +4,7 @@
 
 use gesall_formats::wire::{Cursor, Wire};
 use gesall_mapreduce::counters::keys;
-use gesall_mapreduce::runtime::{AttemptOutcome, TaskEvent, MAX_ATTEMPTS, RETRY_BACKOFF_MS};
+use gesall_mapreduce::runtime::{AttemptOutcome, TaskEvent, MAX_ATTEMPTS};
 use gesall_mapreduce::{
     ClusterResources, Counters, FaultPlan, GesallError, HashPartitioner, InputSplit, JobConfig,
     MapContext, MapReduceEngine, Mapper, OutputFormat, RecordWriter, ReduceContext, Reducer,
@@ -65,16 +65,13 @@ fn sorted_output(res: &gesall_mapreduce::JobResult<String, u64>) -> Vec<(String,
     all
 }
 
-/// Speculation is off by default here: a panicking attempt can be slow
-/// enough (panic-hook output) to look like a straggler, and a backup
-/// winning the race turns the panic into an uncounted *moot* failure —
-/// correct engine behavior, but it would make exact failure-count
-/// assertions racy. The speculative test opts back in.
+/// Three reducers and a 4 KiB sort buffer. Speculation is always on,
+/// and exact counts hold anyway: it is decided from injected charges,
+/// and only a slowed attempt is ever backed up.
 fn quick_cfg() -> JobConfig {
     JobConfig {
         n_reducers: 3,
         io_sort_bytes: 4096,
-        speculative: false,
         ..JobConfig::default()
     }
 }
@@ -131,9 +128,8 @@ fn job_fails_after_max_attempts() {
         MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_fault_plan(plan)
     };
     // Map task 1 panics on every attempt but the engine's last: the job
-    // is rescued, and each retry waited out its backoff — at least
-    // RETRY_BACKOFF_MS · 2^(k−1) after failure k ended. Lower bounds
-    // only: a loaded machine can only stretch the gaps.
+    // is rescued, and each retry was charged its backoff —
+    // RETRY_BACKOFF_MS · 2^(k−1) after failure k — instead of waiting it.
     let last = MAX_ATTEMPTS - 1;
     let plan = (0..last).fold(FaultPlan::seeded(2), |p, a| p.panic_on(TaskKind::Map, 1, a));
     let res = engine(plan)
@@ -153,18 +149,10 @@ fn job_fails_after_max_attempts() {
     attempts.sort_by_key(|e| e.attempt);
     assert_eq!(attempts.len(), MAX_ATTEMPTS);
     assert_eq!(attempts[last].outcome, AttemptOutcome::Succeeded);
-    for (k, pair) in attempts.windows(2).enumerate() {
-        let (failed, retry) = (pair[0], pair[1]);
+    for failed in &attempts[..last] {
         assert_eq!(failed.outcome, AttemptOutcome::Failed);
-        let backoff = RETRY_BACKOFF_MS * (1u64 << k) as f64;
-        let gap = retry.start_ms - failed.end_ms;
-        assert!(
-            gap >= backoff - 1e-6,
-            "retry {} started {gap} ms after failure {}, under its {backoff} ms backoff",
-            k + 1,
-            k + 1
-        );
     }
+    assert_eq!(res.counters.get(keys::BACKOFF_CHARGED_MS), 10 + 20 + 40);
 
     // One more panicking attempt than the engine makes: the job aborts
     // with a TaskFailed naming the task, after exactly MAX_ATTEMPTS.
@@ -197,21 +185,18 @@ fn job_fails_after_max_attempts() {
 
 #[test]
 fn speculative_backup_beats_slowed_original() {
-    // Map task 0's first attempt is stretched far past the engine's
-    // straggler threshold (2× the median, at least 25 ms); the detector
-    // must launch a backup, which wins the race.
+    // Map task 0's first attempt is charged far past the engine's
+    // straggler threshold (2× the median charge, at least 25 ms): it
+    // gets one backup, which wins the race. Nothing waits out the 5 s.
     let plan = FaultPlan::seeded(3).slow_down(TaskKind::Map, 0, 0, 5_000);
     let engine = MapReduceEngine::new(ClusterResources::uniform(2, 2, 4096)).with_fault_plan(plan);
-    let cfg = JobConfig {
-        speculative: true,
-        ..quick_cfg()
-    };
     let res = engine
-        .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(8, 30))
+        .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(8, 30))
         .expect("speculation must not corrupt the job");
 
     assert_eq!(sorted_output(&res), fault_free_output());
-    assert!(res.counters.get(keys::SPECULATIVE_LAUNCHED) >= 1);
+    assert_eq!(res.counters.get(keys::SPECULATIVE_LAUNCHED), 1);
+    assert_eq!(res.counters.get(keys::SPECULATIVE_WASTED), 1);
     // The backup attempt committed; the slowed original was killed.
     let winner = res
         .events
@@ -236,21 +221,15 @@ fn node_death_mid_map_wave_recovers_and_completes() {
     // the committed map outputs its datanode held are re-executed after
     // the map wave, and the job still produces the exact fault-free
     // output.
-    let plan = {
-        let mut p = FaultPlan::seeded(4).kill_node_after_maps(1, 6);
-        // Stretch every first attempt so all six slots (two on the doomed
-        // node) are mid-flight together: the first six commits then land
-        // at ~40 ms, two of them pinned to node 1's datanode, so the
-        // death takes committed map output.
-        for t in 0..12 {
-            p = p.slow_down(TaskKind::Map, t, 0, 40);
-        }
-        p
-    };
+    // The first six attempts run together on all six slots (two on the
+    // doomed node), so two of the first six commits are pinned to node
+    // 1's datanode and the death takes committed map output.
+    let plan = FaultPlan::seeded(4).kill_node_after_maps(1, 6);
     let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)).with_fault_plan(plan);
-    let res = engine
-        .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
-        .expect("two surviving nodes must finish the job");
+    let res = first_six_then_death(&engine, |mapper| {
+        engine.run_job(quick_cfg(), mapper, &Sum, &HashPartitioner, met_splits())
+    })
+    .expect("two surviving nodes must finish the job");
 
     assert_eq!(sorted_output(&res), fault_free_output_12());
     assert_eq!(engine.dead_nodes(), vec![1]);
@@ -275,21 +254,16 @@ fn node_death_after_map_commit_reships_from_dfs_replica() {
         replication: 2,
         ..DfsConfig::default()
     });
-    let plan = {
-        let mut p = FaultPlan::seeded(9).kill_node_after_maps(1, 6);
-        // Slow every first attempt so the death reliably lands while
-        // committed output is homed on node 1 (see the test above).
-        for t in 0..12 {
-            p = p.slow_down(TaskKind::Map, t, 0, 40);
-        }
-        p
-    };
+    // The death lands while committed output is homed on node 1 (see
+    // the test above).
+    let plan = FaultPlan::seeded(9).kill_node_after_maps(1, 6);
     let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096))
         .with_shuffle_dfs(dfs.clone())
         .with_fault_plan(plan);
-    let res = engine
-        .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
-        .expect("replicated shuffle output must survive one node death");
+    let res = first_six_then_death(&engine, |mapper| {
+        engine.run_job(quick_cfg(), mapper, &Sum, &HashPartitioner, met_splits())
+    })
+    .expect("replicated shuffle output must survive one node death");
 
     assert_eq!(sorted_output(&res), fault_free_output_12());
     assert_eq!(engine.dead_nodes(), vec![1]);
@@ -323,13 +297,12 @@ fn a_map_only_job_reruns_no_committed_map_on_node_loss() {
     // the DFS: nothing it committed lived on the node's local disk, so a
     // node death re-runs no committed map. Only the attempts the death
     // caught on node 1 are killed, and their tasks commit on a live node.
-    let plan = (0..12).fold(FaultPlan::seeded(4).kill_node_after_maps(1, 6), |p, t| {
-        p.slow_down(TaskKind::Map, t, 0, 40)
-    });
+    let plan = FaultPlan::seeded(4).kill_node_after_maps(1, 6);
     let engine = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)).with_fault_plan(plan);
-    let res = engine
-        .run_map_only(quick_cfg(), &Tokenize, word_splits(12, 30))
-        .expect("two surviving nodes must finish the job");
+    let res = first_six_then_death(&engine, |mapper| {
+        engine.run_map_only(quick_cfg(), mapper, met_splits())
+    })
+    .expect("two surviving nodes must finish the job");
     let quiet = MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096))
         .run_map_only(quick_cfg(), &Tokenize, word_splits(12, 30))
         .unwrap();
@@ -372,20 +345,49 @@ fn a_death_fails_the_co_located_datanode_when_nodes_outnumber_datanodes() {
         replication: 1,
         ..DfsConfig::default()
     });
-    let plan = (0..12).fold(FaultPlan::seeded(6).kill_node_after_maps(4, 6), |p, t| {
-        p.slow_down(TaskKind::Map, t, 0, 40)
-    });
+    let plan = FaultPlan::seeded(6).kill_node_after_maps(4, 6);
     let engine = MapReduceEngine::new(ClusterResources::uniform(6, 1, 4096))
         .with_shuffle_dfs(dfs.clone())
         .with_fault_plan(plan);
-    let res = engine
-        .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(12, 30))
-        .expect("five surviving nodes must finish the job");
+    let res = first_six_then_death(&engine, |mapper| {
+        engine.run_job(quick_cfg(), mapper, &Sum, &HashPartitioner, met_splits())
+    })
+    .expect("five surviving nodes must finish the job");
 
     assert_eq!(sorted_output(&res), fault_free_output_12());
     assert_eq!(engine.dead_nodes(), vec![4]);
     assert_eq!(dfs.dead_nodes(), vec![1], "engine node 4 lives on datanode 4 % 3");
     assert!(res.counters.get(keys::MAPS_RERUN_ON_NODE_LOSS) >= 1);
+}
+
+/// `word_splits(12, 30)`, each split led by a [`MEET_KEY`] record.
+fn met_splits() -> Vec<InputSplit<u64, String>> {
+    let mut splits = word_splits(12, 30);
+    for split in &mut splits {
+        split.records.insert(0, (MEET_KEY, String::new()));
+    }
+    splits
+}
+
+/// Run `job` with a [`GatedTokenize`] that holds the first six map
+/// attempts until all six are in flight — every slot of the node-death
+/// tests' clusters busy — and every later attempt until the planned
+/// death has fired. The first six commits are then those six
+/// attempts', so the death takes what the doomed node committed among
+/// them, whatever the thread timing.
+fn first_six_then_death<R: Send>(
+    engine: &MapReduceEngine,
+    job: impl FnOnce(&GatedTokenize<'_>) -> R + Send,
+) -> R {
+    let gate = Gate::default();
+    let mapper = GatedTokenize(&gate, 6);
+    std::thread::scope(|s| {
+        let opens = OpensOnDrop(&gate);
+        let run = s.spawn(|| job(&mapper));
+        wait_until(|| !engine.dead_nodes().is_empty());
+        drop(opens);
+        run.join().unwrap()
+    })
 }
 
 /// Reference output for the 12-split job used in the node-death test.
@@ -408,6 +410,10 @@ struct Gate {
 impl Gate {
     fn pass(&self) {
         self.entered.fetch_add(1, SeqCst);
+        self.wait_open();
+    }
+
+    fn wait_open(&self) {
         while !self.open.load(SeqCst) {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
@@ -417,10 +423,14 @@ impl Gate {
         wait_until(|| self.entered.load(SeqCst) >= n);
     }
 
-    /// Arrive, then wait until `n` callers have arrived (a barrier).
+    /// Arrive; the first `n` callers wait until all `n` have arrived (a
+    /// barrier), and any later one waits at the gate.
     fn meet(&self, n: usize) {
-        self.entered.fetch_add(1, SeqCst);
-        self.wait_entered(n);
+        if self.entered.fetch_add(1, SeqCst) < n {
+            self.wait_entered(n);
+        } else {
+            self.wait_open();
+        }
     }
 }
 
@@ -442,9 +452,9 @@ fn wait_until(cond: impl Fn() -> bool) {
 }
 
 /// [`Tokenize`], except that a record keyed [`GATE_KEY`] waits at the
-/// gate, and one keyed [`MEET_KEY`] waits until two such records have
-/// arrived (both emit nothing).
-struct GatedTokenize<'a>(&'a Gate);
+/// gate, and one keyed [`MEET_KEY`] meets the given number of such
+/// records ([`Gate::meet`]); both emit nothing.
+struct GatedTokenize<'a>(&'a Gate, usize);
 const GATE_KEY: u64 = u64::MAX;
 const MEET_KEY: u64 = u64::MAX - 1;
 impl Mapper for GatedTokenize<'_> {
@@ -455,7 +465,7 @@ impl Mapper for GatedTokenize<'_> {
     fn map(&self, k: &u64, line: &String, ctx: &mut MapContext<'_, String, u64>) {
         match *k {
             GATE_KEY => self.0.pass(),
-            MEET_KEY => self.0.meet(2),
+            MEET_KEY => self.0.meet(self.1),
             _ => {}
         }
         Tokenize.map(k, line, ctx);
@@ -497,9 +507,10 @@ fn shared_engine_losing_node_1() -> MapReduceEngine {
 
 /// The bystander job's input: split 0 prefers node 1, split 1 prefers
 /// node 0. With one slot per node each node's worker takes its own split
-/// first, but a worker that finishes early steals the other split after
-/// its delay-scheduling beat; a test that needs each split on its own
-/// node holds both at a [`MEET_KEY`] record until both have started.
+/// first, but a worker that finishes early steals the other split while
+/// the other node's only slot is busy; a test that needs each split on
+/// its own node holds both at a [`MEET_KEY`] record until both have
+/// started.
 fn bystander_splits() -> Vec<InputSplit<u64, String>> {
     let mut splits = word_splits(2, 10).into_iter();
     let s0 = splits.next().unwrap().at_node(1);
@@ -563,7 +574,7 @@ fn a_death_another_job_fires_reruns_this_jobs_lost_maps_before_its_reduce_wave()
         let bystander = s.spawn(|| {
             engine.run_job(
                 bystander_cfg(),
-                &GatedTokenize(&gate),
+                &GatedTokenize(&gate, 0),
                 &Sum,
                 &HashPartitioner,
                 splits,
@@ -607,13 +618,14 @@ fn a_reducer_that_finds_its_input_died_with_a_node_reruns_the_lost_map() {
         let bystander = s.spawn(|| {
             engine.run_job(
                 bystander_cfg(),
-                &GatedTokenize(&map_barrier),
+                &GatedTokenize(&map_barrier, 2),
                 &GatedSum(&gate),
                 &HashPartitioner,
                 splits,
             )
         });
-        let opens = OpensOnDrop(&gate);
+        // The map barrier opens with the gate, for the lost map's re-run.
+        let opens = (OpensOnDrop(&gate), OpensOnDrop(&map_barrier));
         gate.wait_entered(2);
         assert!(first_map_committed_on(&engine, 0, 1), "map 0 committed on node 1 before the death");
         assert!(first_map_committed_on(&engine, 1, 0), "map 1 committed on node 0 before the death");
@@ -674,28 +686,29 @@ fn acceptance_rate_panics_plus_node_death_match_fault_free_run() {
 
 #[test]
 fn same_seed_gives_byte_identical_histories() {
-    // Panics-only plan with speculation off: the attempt history must be
-    // byte-identical across two fresh engines. (Speculation and node
-    // deaths depend on wall-clock placement, so they are excluded from
-    // this contract.)
+    // Panics plus a slowed map and a slowed reducer: the attempt history
+    // must be byte-identical across two fresh engines. (Node deaths
+    // depend on which attempts are in flight when they fire, so they
+    // are excluded from this contract.)
     let run = || {
-        let plan = FaultPlan::seeded(99).with_map_panic_rate(0.3).with_reduce_panic_rate(0.3);
+        let plan = FaultPlan::seeded(99)
+            .with_map_panic_rate(0.3)
+            .with_reduce_panic_rate(0.3)
+            .slow_down(TaskKind::Map, 4, 0, 500)
+            .slow_down(TaskKind::Reduce, 1, 1, 500);
         let engine =
             MapReduceEngine::new(ClusterResources::uniform(3, 2, 4096)).with_fault_plan(plan);
-        let cfg = JobConfig {
-            speculative: false,
-            ..quick_cfg()
-        };
         engine
-            .run_job(cfg, &Tokenize, &Sum, &HashPartitioner, word_splits(10, 20))
+            .run_job(quick_cfg(), &Tokenize, &Sum, &HashPartitioner, word_splits(10, 20))
             .expect("bounded panics must be survivable")
             .history()
     };
     let first = run();
     let second = run();
     assert_eq!(first, second);
-    // And the history really recorded injected failures.
+    // And the history really recorded injected failures and a backup.
     assert!(first.iter().any(|l| l.contains("outcome=Failed")));
+    assert!(first.iter().any(|l| l.contains("speculative=true")), "{first:?}");
 }
 
 /// An output format that renders a reducer's records to text as they
@@ -770,16 +783,12 @@ fn a_tasks_output_is_what_its_committed_attempts_writer_finished_with() {
         .collect();
     assert_eq!(written.outputs, rendered);
 
-    // A stretched reducer loses to its backup, then runs its body to
-    // the end anyway: that finished output is dropped unseen.
+    // A slowed reducer loses to its backup after running its body to
+    // the end: that finished output is dropped unseen.
     let slow = FaultPlan::seeded(5).slow_down(TaskKind::Reduce, 0, 0, 5_000);
-    let cfg = JobConfig {
-        speculative: true,
-        ..quick_cfg()
-    };
-    let raced = job(&engine(slow), cfg);
+    let raced = job(&engine(slow), quick_cfg());
     assert_eq!(raced.outputs, clean.outputs);
-    assert!(raced.counters.get(keys::SPECULATIVE_WASTED) >= 1);
+    assert_eq!(raced.counters.get(keys::SPECULATIVE_WASTED), 1);
     assert_eq!(raced.counters.get(LINE_WRITERS), 3);
     assert!(raced.events.iter().any(|e| {
         e.kind == TaskKind::Reduce && e.task_id == 0 && e.outcome == AttemptOutcome::Killed
@@ -1018,6 +1027,41 @@ impl Reducer for TracedCount {
     fn reduce(&self, k: TracedKey, vs: Vec<u64>, ctx: &mut ReduceContext<'_, u64, u64>) {
         ctx.emit(k.key, vs.len() as u64);
     }
+}
+
+#[test]
+fn a_grown_grant_starts_parked_workers_without_waiting_for_a_release() {
+    // A one-slot lease on four slots: the first task holds the only
+    // permit at the gate, and the other three workers park on the
+    // lease. Growing the grant must start them at once: all three enter
+    // the gate while the first still holds its permit, with no release
+    // and no timer to wake them.
+    let gate = Gate::default();
+    let lease = SlotLease::new(1);
+    let mut splits = word_splits(4, 10);
+    for split in &mut splits {
+        split.records.insert(0, (GATE_KEY, String::new()));
+    }
+    let cfg = JobConfig {
+        slot_lease: Some(lease.clone()),
+        ..quick_cfg()
+    };
+    let engine = MapReduceEngine::new(ClusterResources::uniform(1, 4, 4096));
+    let res = std::thread::scope(|s| {
+        let job = s.spawn(|| engine.run_map_only(cfg, &GatedTokenize(&gate, 0), splits));
+        let opens = OpensOnDrop(&gate);
+        gate.wait_entered(1);
+        assert_eq!(lease.active(), 1, "one permit, held at the gate");
+        lease.set_limit(4);
+        gate.wait_entered(4);
+        assert_eq!(lease.active(), 4, "the first permit is still held");
+        drop(opens);
+        job.join().unwrap()
+    })
+    .expect("the grown job completes");
+    assert_eq!(res.outputs.len(), 4);
+    assert_eq!(res.counters.get(keys::FAILED_ATTEMPTS), 0);
+    assert_eq!(lease.peak_active(), 4);
 }
 
 /// The lease means what it says: everything a map attempt does to its

@@ -2,7 +2,8 @@
 //! the output must be independent of partitioning, cluster shape, sort
 //! buffer size, and which partitions travel compressed — only then can
 //! the platform claim
-//! "same program, parallel execution".
+//! "same program, parallel execution". A fault plan of panics and
+//! slowdowns must replay the same attempt history on any cluster.
 
 use gesall_formats::wire::Wire;
 use gesall_formats::{Codec, SharedBytes};
@@ -10,9 +11,10 @@ use gesall_mapreduce::shuffle::{
     merge_runs, read_frame, reduce_merge_streamed, write_frame, Segment, SortSpillBuffer,
     COMPRESS_MIN_BYTES,
 };
+use gesall_mapreduce::counters::keys;
 use gesall_mapreduce::{
-    ClusterResources, Counters, HashPartitioner, InputSplit, JobConfig, MapContext,
-    MapReduceEngine, Mapper, Partitioner, ReduceContext, Reducer,
+    ClusterResources, Counters, FaultPlan, HashPartitioner, InputSplit, JobConfig, MapContext,
+    MapReduceEngine, Mapper, Partitioner, ReduceContext, Reducer, TaskKind,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -533,6 +535,71 @@ proptest! {
         // actually held records.
         if total_records > 0 {
             prop_assert!(c_stream.get("mem.reduce.peak_resident") > 0);
+        }
+    }
+}
+
+/// Slowdowns a task's first attempt may be charged: none, under the
+/// speculation floor, just over it, well over it, and a straggler no
+/// backup can lose to.
+const SLOWDOWNS_MS: [u64; 5] = [0, 10, 30, 100, 5_000];
+
+/// What a faulted run must reproduce on every cluster: the attempt
+/// history, the speculation and backoff counters, and the output.
+type Replay = (Vec<String>, [u64; 3], Vec<(u64, u64)>);
+
+fn run_faulted(records: &[(u64, u64)], plan: &FaultPlan, nodes: usize, slots: usize) -> Replay {
+    let engine = MapReduceEngine::new(ClusterResources::uniform(nodes, slots, 1 << 20))
+        .with_fault_plan(plan.clone());
+    let splits: Vec<InputSplit<u64, u64>> = records
+        .chunks(records.len().div_ceil(6).max(1))
+        .enumerate()
+        .map(|(i, c)| InputSplit::new(format!("s{i}"), c.to_vec()))
+        .collect();
+    let cfg = JobConfig {
+        n_reducers: 4,
+        io_sort_bytes: 1 << 12,
+        ..JobConfig::default()
+    };
+    let res = engine
+        .run_job(cfg, &KeyMod(17), &SumAndCount, &HashPartitioner, splits)
+        .expect("bounded panics must be survivable");
+    let counts = [keys::SPECULATIVE_LAUNCHED, keys::SPECULATIVE_WASTED, keys::BACKOFF_CHARGED_MS]
+        .map(|k| res.counters.get(k));
+    let mut all: Vec<(u64, u64)> = res.outputs.iter().flatten().copied().collect();
+    all.sort_unstable();
+    (res.history(), counts, all)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn slowdown_schedules_replay_exactly(
+        records in proptest::collection::vec((0u64..1000, 0u64..1_000_000), 6..300),
+        seed in any::<u64>(),
+        map_pct in 0u64..40,
+        reduce_pct in 0u64..40,
+        map_slow in proptest::collection::vec(0usize..5, 6),
+        reduce_slow in proptest::collection::vec(0usize..5, 4),
+    ) {
+        // Panics and slowdowns are a plan, and every decision they touch
+        // (retry, backoff, backup, who wins) is computed from it: one
+        // plan, one history, whatever the cluster's shape.
+        let mut plan = FaultPlan::seeded(seed)
+            .with_map_panic_rate(map_pct as f64 / 100.0)
+            .with_reduce_panic_rate(reduce_pct as f64 / 100.0);
+        for (task, &pick) in map_slow.iter().enumerate() {
+            plan = plan.slow_down(TaskKind::Map, task, 0, SLOWDOWNS_MS[pick]);
+        }
+        for (task, &pick) in reduce_slow.iter().enumerate() {
+            plan = plan.slow_down(TaskKind::Reduce, task, 0, SLOWDOWNS_MS[pick]);
+        }
+        let (_, _, fault_free) = run_faulted(&records, &FaultPlan::default(), 1, 1);
+        let want = run_faulted(&records, &plan, 1, 1);
+        prop_assert_eq!(&want.2, &fault_free);
+        for (nodes, slots) in [(3, 2), (4, 4)] {
+            prop_assert_eq!(&run_faulted(&records, &plan, nodes, slots), &want);
         }
     }
 }

@@ -11,8 +11,10 @@
 # with overflow checks off a kernel can disagree with its reference
 # where the debug run never reaches. The line counter is held to its
 # fixtures first, the aligner to no process-global counter, the DFS
-# source to no wall clock, sleep or spawned thread (its read path
-# charges service time to a ledger), the streaming harness, the wrapped
+# source and the engine's wave scheduler to no wall clock, sleep or
+# spawned thread, and the whole engine to no sleep, timed wait or
+# Duration (service time, slowdowns and backoff are charged to a
+# ledger; idle workers park untimed), the streaming harness, the wrapped
 # programs and round 1 to no spawned thread, every crate but gesall-core to no
 # file over 700 non-test lines, and the workspace build to exactly two
 # external packages, proptest and rand, as in CI.
