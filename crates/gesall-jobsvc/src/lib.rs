@@ -6,10 +6,11 @@
 //! many tenants concurrently:
 //!
 //! * **Submission API** — [`JobService::submit`]`(tenant, JobSpec) ->`
-//!   [`JobHandle`] with status / wait / cancel, backed by a
-//!   condvar-parked dispatcher thread (the same discipline as the
-//!   engine's scheduler loops: no busy-polling and no timer, every
-//!   state change notifies).
+//!   [`JobHandle`] with status / wait / cancel. The service keeps no
+//!   dispatcher thread and no timer: the scheduling pass runs on the
+//!   thread whose submit, job finish, queued-job cancel or permit drop
+//!   changed the schedule, before that call returns, so dispatch order
+//!   is a function of the event sequence alone.
 //! * **Capacity scheduler** — each tenant holds a configured *share* of
 //!   the cluster's container slots. Idle capacity is borrowed
 //!   elastically (a job may run wider than its tenant's share while

@@ -1,13 +1,14 @@
 //! The long-lived job service: the submission API, admission control
-//! and quotas, and the state its dispatcher and job runners share.
+//! and quotas, and the state its scheduling pass and job runners share.
 //!
 //! The service is three parts around one `Svc::state` mutex:
 //!
 //! * this module — the public types, [`JobService`] and admission:
 //!   `submit` checks the tenant's quotas synchronously and queues the
 //!   job, or rejects it typed;
-//! * `dispatch` — the dispatcher thread and its rebalance pass, which
-//!   starts queued jobs and grows and shrinks their [`SlotLease`]s;
+//! * `dispatch` — the rebalance pass, which starts queued jobs and
+//!   grows and shrinks their [`SlotLease`]s. It keeps no thread: it runs
+//!   on whichever thread changed the schedule, before that call returns;
 //! * `runner` — a job's own thread and its namespace lifecycle: finish,
 //!   cancel and retention.
 
@@ -20,6 +21,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use gesall_core::GesallPlatform;
+use gesall_dfs::SweepReason;
 use gesall_mapreduce::lease::SlotLease;
 use gesall_mapreduce::{GesallError, TASK_MEMORY_MB, TASK_VCORES};
 use gesall_telemetry::{MetricsRegistry, Unpoisoned};
@@ -223,7 +225,11 @@ struct SvcState {
     dispatch_seq: u64,
     /// Namespaces of finished jobs whose handles are still live.
     retired: Vec<String>,
+    /// Runner threads of jobs that have not finished.
     runners: Vec<JoinHandle<()>>,
+    /// The runner of the job that finished last. It let go of `state`
+    /// with nothing left to do but return; the next pass joins it.
+    exited: Option<JoinHandle<()>>,
     shutdown: bool,
 }
 
@@ -236,9 +242,6 @@ struct Svc {
     configured: BTreeMap<String, usize>,
     registry: MetricsRegistry,
     state: Mutex<SvcState>,
-    wake: Condvar,
-    #[cfg(test)]
-    test_hooks: dispatch::TestHooks,
 }
 
 /// Handle to a submitted job. A finished job's DFS namespace lives
@@ -327,7 +330,6 @@ impl fmt::Debug for JobHandle {
 /// full contract.
 pub struct JobService {
     svc: Arc<Svc>,
-    dispatcher: Option<JoinHandle<()>>,
 }
 
 impl JobService {
@@ -365,28 +367,16 @@ impl JobService {
                 dispatch_seq: 0,
                 retired: Vec::new(),
                 runners: Vec::new(),
+                exited: None,
                 shutdown: false,
             }),
-            wake: Condvar::new(),
-            #[cfg(test)]
-            test_hooks: dispatch::TestHooks::default(),
         });
-        let dispatcher = {
-            let svc = svc.clone();
-            std::thread::Builder::new()
-                .name("jobsvc-dispatcher".into())
-                .spawn(move || Svc::dispatcher(svc))
-                .expect("spawn jobsvc dispatcher")
-        };
-        JobService {
-            svc,
-            dispatcher: Some(dispatcher),
-        }
+        JobService { svc }
     }
 
     /// Submit a job for `tenant`. Admission control runs synchronously;
-    /// on acceptance the job queues and the dispatcher picks it up by
-    /// capacity order.
+    /// on acceptance the job queues, and the scheduling pass that runs
+    /// before this returns starts it if its tenant's turn has come.
     pub fn submit(&self, tenant: &str, spec: JobSpec) -> Result<JobHandle, JobSvcError> {
         self.svc.submit(tenant, spec)
     }
@@ -406,32 +396,39 @@ impl JobService {
         self.svc.total_slots
     }
 
-    /// Stop admitting work, drain queued + running jobs, sweep the
-    /// namespaces live handles still retain, and join all threads.
-    pub fn shutdown(mut self) {
-        self.do_shutdown();
-    }
-
-    fn do_shutdown(&mut self) {
-        let Some(dispatcher) = self.dispatcher.take() else {
-            return;
-        };
-        {
-            let mut st = self.svc.state.lock().unpoisoned();
-            st.shutdown = true;
-        }
-        self.svc.wake.notify_all();
-        let _ = dispatcher.join();
-        let runners: Vec<_> = self.svc.state.lock().unpoisoned().runners.drain(..).collect();
-        for r in runners {
-            let _ = r.join();
-        }
+    /// Stop admitting work, drain queued + running jobs, join their
+    /// threads and sweep the namespaces live handles still retain.
+    /// Dropping the service does the same.
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for JobService {
     fn drop(&mut self) {
-        self.do_shutdown();
+        let svc = &self.svc;
+        svc.state.lock().unpoisoned().shutdown = true;
+        // A queued job always waits behind a running one, whose
+        // finishing pass dispatches it; so once no runner is left, the
+        // queue is empty too.
+        loop {
+            let mut st = svc.state.lock().unpoisoned();
+            let mut runners = std::mem::take(&mut st.runners);
+            runners.extend(st.exited.take());
+            if runners.is_empty() {
+                // The service owns these namespaces; nobody is left to
+                // sweep them later. A file still pinned goes at its last
+                // unpin.
+                for ns in st.retired.drain(..) {
+                    svc.platform.dfs.sweep_prefix(&ns, SweepReason::Released);
+                }
+                return;
+            }
+            drop(st);
+            for r in runners {
+                let _ = r.join();
+            }
+        }
     }
 }
 
@@ -501,9 +498,9 @@ impl Svc {
             work: spec.work,
         });
         self.set_queue_gauges(&st);
-        drop(st);
         self.count(keys::JOBS_ADMITTED, tenant, 1);
-        self.wake.notify_all();
+        self.rebalance(&mut st);
+        drop(st);
         Ok(JobHandle {
             svc: Arc::downgrade(self),
             job: shared,
@@ -643,6 +640,9 @@ mod tests {
         // The rejection didn't disturb the jobs already admitted.
         drop(release);
         blocker.wait().unwrap();
+        // The blocker's finish dispatched the queued job before its
+        // waiters woke.
+        assert!(queued.dispatch_seq().is_some());
         queued.wait().unwrap();
         assert_eq!(svc.metrics().counter(keys::JOBS_REJECTED).get(), 2);
         svc.shutdown();

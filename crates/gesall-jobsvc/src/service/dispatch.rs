@@ -1,11 +1,14 @@
-//! The dispatcher: one thread that owns every scheduling decision. It
-//! parks on `Svc::wake`, with no timeout, and is woken by submissions,
-//! job completions, cancellations, shutdown and every [`LeasePermit`]
-//! drop inside a running job (the lease's release hook), which is how a
-//! shrunk lease's draining slots reach queued work without preempting
-//! any running attempt.
+//! The scheduling pass, which makes every scheduling decision. It keeps
+//! no thread: it runs under `Svc::state` on the thread whose event
+//! changed the schedule, before that event's call returns — a submit, a
+//! job's finish, a queued job's cancel, or a [`LeasePermit`] drop inside
+//! a running job (the lease's release hook), which is how a shrunk
+//! lease's draining slots reach queued work without preempting any
+//! running attempt. Dispatch order is therefore a function of the event
+//! sequence alone.
 //!
-//! Each rebalance pass runs four phases under `Svc::state`:
+//! Each pass first joins the runner of the job that finished last, then
+//! runs four phases:
 //!
 //! 1. **harvest** — slots a shrunk lease has actually drained
 //!    (`granted − max(target, active)`) return to the free pool
@@ -26,10 +29,11 @@
 //!
 //! # Lock order
 //!
-//! `Svc::state` before any `JobShared::cell`. The lease hook fires only
-//! on a permit drop inside a job, never inside a pass: it takes and
-//! releases `state`, holding nothing else, before it notifies (see
-//! `Svc::lease_released`).
+//! `Svc::state`, then a `JobShared::cell`, then a lease's own lock. The
+//! lease hook fires on a permit drop only, after the drop has released
+//! the lease's lock, so it takes `state` holding nothing. It never fires
+//! inside a pass: `set_limit` does not fire it, and a pass holds no
+//! permit.
 //!
 //! [`LeasePermit`]: gesall_mapreduce::lease::LeasePermit
 
@@ -37,26 +41,12 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use gesall_dfs::SweepReason;
 use gesall_mapreduce::lease::SlotLease;
 use gesall_telemetry::Unpoisoned;
 
 use super::{JobStatus, RunningJob, Svc, SvcState};
 use crate::keys;
 use crate::sched::{self, TenantView};
-
-/// Interleaving points for tests: `before_park` runs on the dispatcher
-/// between a pass and its park, `state` held; `before_sync` runs on a
-/// releasing thread just before its lease hook takes `state`.
-#[cfg(test)]
-#[derive(Default)]
-pub(super) struct TestHooks {
-    before_park: std::sync::Mutex<Option<ParkHook>>,
-    before_sync: std::sync::Mutex<Option<Box<dyn Fn() + Send>>>,
-}
-
-#[cfg(test)]
-type ParkHook = Box<dyn FnMut(&SvcState) + Send>;
 
 impl Svc {
     /// Entitlements over tenants that currently have work — what
@@ -73,54 +63,15 @@ impl Svc {
         sched::entitlements(self.total_slots, &active)
     }
 
-    /// The dispatcher thread: rebalance, then park until the next event;
-    /// on shutdown, once the last job is off the cluster, sweep the
-    /// namespaces live handles still retain.
-    pub(super) fn dispatcher(svc: Arc<Svc>) {
-        let mut st = svc.state.lock().unpoisoned();
-        loop {
-            svc.rebalance(&mut st);
-            if st.shutdown && st.queued.is_empty() && st.running.is_empty() {
-                // The service owns these namespaces; nobody is left to
-                // sweep them later. A file still pinned goes at its last
-                // unpin.
-                for ns in st.retired.drain(..) {
-                    svc.platform.dfs.sweep_prefix(&ns, SweepReason::Released);
-                }
-                return;
-            }
-            #[cfg(test)]
-            if let Some(hook) = svc.test_hooks.before_park.lock().unpoisoned().as_mut() {
-                hook(&st);
-            }
-            st = svc.wake.wait(st).unpoisoned();
-        }
-    }
-
-    /// A permit was released: wake the dispatcher to harvest. The
-    /// dispatcher reads `lease.active()` under `state` and then parks
-    /// until notified, so a bare notify landing between that read and
-    /// the park would be lost — and with it the slot, until some later
-    /// event. The hook therefore takes and releases `state` first, which
-    /// orders it before the pass (which then sees the release) or after
-    /// the park (which the notify then ends). It never runs inside a
-    /// pass: `set_limit` does not fire it, and a permit is only dropped
-    /// on a job's own threads.
-    fn lease_released(&self) {
-        #[cfg(test)]
-        if let Some(hook) = self.test_hooks.before_sync.lock().unpoisoned().as_ref() {
-            hook();
-        }
-        drop(self.state.lock().unpoisoned());
-        self.wake.notify_all();
-    }
-
     /// One scheduling pass: harvest → dispatch → grow → shrink, looped
     /// to a fixpoint. The loop matters because a shrink can free
     /// capacity *immediately* (a job holding fewer permits than its
     /// grant drains without waiting), and no permit drop will announce
-    /// those slots: the dispatcher must hand them out in the same pass.
-    fn rebalance(self: &Arc<Self>, st: &mut SvcState) {
+    /// those slots: the pass must hand them out itself.
+    pub(super) fn rebalance(self: &Arc<Self>, st: &mut SvcState) {
+        if let Some(runner) = st.exited.take() {
+            let _ = runner.join();
+        }
         loop {
             self.harvest(st);
             self.dispatch_queued(st);
@@ -283,20 +234,17 @@ impl Svc {
         cut_any
     }
 
-    /// Start the queued job at `idx` with `grant` slots.
+    /// Start the queued job at `idx` with `grant` slots. A runner that
+    /// cannot be spawned fails the job; its slots were never charged.
     fn dispatch(self: &Arc<Self>, st: &mut SvcState, idx: usize, grant: usize) {
         let q = st.queued.remove(idx);
         let tenant = q.shared.tenant.clone();
-        let SvcState {
-            rt,
-            free,
-            dispatch_seq,
-            ..
-        } = st;
-        let t = rt.get_mut(&tenant).expect("tenant present");
-        t.queued -= 1;
-        *dispatch_seq += 1;
-        q.shared.dispatch_seq.store(*dispatch_seq, Ordering::SeqCst);
+        st.rt.get_mut(&tenant).expect("tenant present").queued -= 1;
+        st.dispatch_seq += 1;
+        q.shared
+            .dispatch_seq
+            .store(st.dispatch_seq, Ordering::SeqCst);
+        self.set_queue_gauges(st);
 
         let waited = q.enqueued.elapsed().as_nanos() as u64;
         self.registry.histogram(keys::QUEUE_WAIT_NANOS).record(waited);
@@ -304,39 +252,46 @@ impl Svc {
             .histogram(&format!("{}.{}", keys::QUEUE_WAIT_NANOS, tenant))
             .record(waited);
 
-        let ent = self.configured.get(&tenant).copied().unwrap_or(0);
-        let borrowed = sched::borrowed_delta(t.inflight, grant, ent);
-        t.inflight += grant;
-        *free -= grant;
-        self.count(keys::SLOTS_GRANTED, &tenant, grant as u64);
-        if borrowed > 0 {
-            self.count(keys::SLOTS_BORROWED, &tenant, borrowed as u64);
-        }
-        self.set_queue_gauges(st);
-
         let lease = SlotLease::new(grant);
         {
             // Every permit release inside the job is a scheduling
             // event: a shrunk lease drains one slot at a time, and the
-            // dispatcher must notice each one.
+            // releasing thread runs the pass that hands each one on.
             let weak = Arc::downgrade(self);
             lease.on_release(move || {
                 if let Some(svc) = weak.upgrade() {
-                    svc.lease_released();
+                    svc.rebalance(&mut svc.state.lock().unpoisoned());
                 }
             });
         }
 
         q.shared.cell.lock().unpoisoned().status = JobStatus::Running;
+        let runner = match self.spawn_runner(q.shared.clone(), q.work, lease.clone()) {
+            Ok(runner) => runner,
+            Err(e) => {
+                let error = format!("cannot spawn the job's runner: {e}");
+                self.conclude(&q.shared, JobStatus::Failed, None, Some(error));
+                return;
+            }
+        };
+        st.runners.push(runner);
 
+        let t = st.rt.get_mut(&tenant).expect("tenant present");
+        let ent = self.configured.get(&tenant).copied().unwrap_or(0);
+        let borrowed = sched::borrowed_delta(t.inflight, grant, ent);
+        t.inflight += grant;
+        st.free -= grant;
+        self.count(keys::SLOTS_GRANTED, &tenant, grant as u64);
+        if borrowed > 0 {
+            self.count(keys::SLOTS_BORROWED, &tenant, borrowed as u64);
+        }
         st.running.push(RunningJob {
-            shared: q.shared.clone(),
-            lease: lease.clone(),
+            shared: q.shared,
+            lease,
             granted: grant,
             target: grant,
             want: q.want,
         });
-        self.spawn_runner(st, q.shared, q.work, lease);
     }
 }
 
@@ -344,9 +299,8 @@ impl Svc {
 mod tests {
     use super::*;
     use crate::service::tests::{blocker, service};
-    use crate::service::{JobOutput, JobSpec, TenantConfig};
-    use std::sync::mpsc::{self, RecvTimeoutError};
-    use std::time::Duration;
+    use crate::service::{JobHandle, JobOutput, JobSpec, TenantConfig};
+    use std::sync::mpsc;
 
     #[test]
     fn a_tenants_jobs_dispatch_in_submission_order() {
@@ -383,20 +337,47 @@ mod tests {
         // only if the scheduler put the tenant's two ready jobs on the
         // cluster at once; a serialising scheduler leaves it queued.
         let svc = service(4, vec![TenantConfig::new("a", 1)]);
-        let (left_spec, left_started, _release_left) = blocker(1);
-        let (right_spec, right_started, _release_right) = blocker(1);
+        let (left_spec, left_started, release_left) = blocker(1);
+        let (right_spec, right_started, release_right) = blocker(1);
         let left = svc.submit("a", left_spec).unwrap();
         let right = svc.submit("a", right_spec).unwrap();
-        left_started.recv().unwrap();
+        // Each submit's pass ran before it returned.
         assert_eq!(
-            right_started.recv_timeout(Duration::from_secs(10)),
-            Ok(()),
-            "the second ready job never started beside the first"
+            (left.status(), right.status()),
+            (JobStatus::Running, JobStatus::Running),
+            "the second ready job did not start beside the first"
         );
-        drop((_release_left, _release_right));
+        left_started.recv().unwrap();
+        right_started.recv().unwrap();
+        drop((release_left, release_right));
         left.wait().unwrap();
         right.wait().unwrap();
         svc.shutdown();
+    }
+
+    /// A job that takes every permit its lease grants, reports how many,
+    /// then on each `false` from the test drops permits down to the
+    /// lease's current limit and reports when the drops have returned.
+    /// It stops on `true`, or once the test's sender is gone.
+    fn permit_holder(slots: usize) -> (JobSpec, mpsc::Receiver<usize>, mpsc::Sender<bool>) {
+        let (report_tx, report) = mpsc::channel();
+        let (cmd, cmd_rx) = mpsc::channel::<bool>();
+        let spec = JobSpec::new("wide", slots, move |ctx| {
+            let mut held: Vec<_> = std::iter::from_fn(|| ctx.lease().try_acquire()).collect();
+            let _ = report_tx.send(held.len());
+            while let Ok(false) = cmd_rx.recv() {
+                held.truncate(ctx.lease().limit());
+                let _ = report_tx.send(held.len());
+            }
+            Ok(Box::new(()) as JobOutput)
+        });
+        (spec, report, cmd)
+    }
+
+    fn lease_limit(svc: &Svc, job: &JobHandle) -> usize {
+        let st = svc.state.lock().unpoisoned();
+        let running = st.running.iter().find(|r| r.shared.id == job.id());
+        running.expect("job is running").lease.limit()
     }
 
     #[test]
@@ -409,130 +390,77 @@ mod tests {
             4,
             vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
         );
-        let (started_tx, started) = mpsc::channel();
-        // a's job stops once this sends or is dropped.
-        let (stop_a, stop_rx) = mpsc::channel::<()>();
-        let a = svc
-            .submit(
-                "a",
-                JobSpec::new("wide", 4, move |ctx| {
-                    let _ = started_tx.send(());
-                    // Hold permits like engine workers would: acquire up
-                    // to the limit, drop + reacquire so shrinks drain.
-                    let mut held = Vec::new();
-                    let tick = Duration::from_millis(1);
-                    while let Err(RecvTimeoutError::Timeout) = stop_rx.recv_timeout(tick) {
-                        while let Some(p) = ctx.lease().try_acquire() {
-                            held.push(p);
-                        }
-                        let limit = ctx.lease().limit();
-                        while held.len() > limit {
-                            held.pop();
-                        }
-                    }
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
+        let (spec, report, cmd) = permit_holder(4);
+        let a = svc.submit("a", spec).unwrap();
         let m = svc.metrics();
-        started.recv().unwrap();
+        assert_eq!(report.recv(), Ok(4));
         // Half the cluster is a's configured entitlement (equal shares);
         // its 4-slot grant, counted at dispatch, borrows b's idle half.
         assert_eq!(m.counter("jobsvc.slots.borrowed.a").get(), 2);
-        let b = svc
-            .submit("b", JobSpec::new("late", 2, |_ctx| Ok(Box::new(()))))
-            .unwrap();
-        let b_result = b.wait();
-        // Stop a before asserting anything, so a failed expectation
-        // can't hang the draining shutdown.
-        drop(stop_a);
-        let a_result = a.wait();
+        // b holds its slots until released, so nothing but a's drops
+        // moves them.
+        let (b_spec, b_started, release_b) = blocker(2);
+        let b = svc.submit("b", b_spec).unwrap();
+        // b's submit cut a's lease to its entitlement; a still holds all
+        // four permits, so b waits for them to drain.
+        assert_eq!(lease_limit(&svc.svc, &a), 2);
+        assert_eq!(b.dispatch_seq(), None);
+        cmd.send(false).unwrap();
+        let drained = report.recv();
+        // Each drop's pass ran before the drop returned: the first
+        // started b on one slot, the second grew it to two.
+        let b_dispatched = b.dispatch_seq();
+        let b_limit = lease_limit(&svc.svc, &b);
+        // Release both jobs before asserting anything, so a failed
+        // expectation can't hang the draining shutdown.
+        drop((cmd, release_b));
+        let (a_result, b_result) = (a.wait(), b.wait());
+        assert_eq!(drained, Ok(2));
+        assert_eq!(
+            b_dispatched,
+            Some(2),
+            "b ran on the slots a's drops drained"
+        );
+        assert_eq!(b_limit, 2);
+        assert_eq!(b_started.recv(), Ok(()));
         b_result.unwrap();
         a_result.unwrap();
-        assert!(
-            m.counter(keys::SLOTS_RECLAIMED).get() >= 1,
+        assert_eq!(
+            m.counter(keys::SLOTS_RECLAIMED).get(),
+            2,
             "b ran on slots reclaimed from a's shrunk lease"
         );
         svc.shutdown();
     }
 
-    /// Drops a service's test hooks (and the channel ends they hold) even
-    /// if the test panics first, so a job blocked on them can finish.
-    struct ClearHooksOnDrop(Arc<Svc>);
-    impl Drop for ClearHooksOnDrop {
-        fn drop(&mut self) {
-            self.0.test_hooks.before_park.lock().unpoisoned().take();
-            self.0.test_hooks.before_sync.lock().unpoisoned().take();
-        }
-    }
-
     #[test]
-    fn a_permit_released_between_pass_and_park_wakes_the_dispatcher() {
-        // The lost-wakeup window, made deterministic. b's submission
-        // makes the dispatcher cut a's lease from 2 slots to 1 while a
-        // holds both permits. Between that pass and its park, the
-        // `before_park` hook has a's job drop one permit, and waits until
-        // the releasing thread is about to synchronise with the
-        // dispatcher (`before_sync`) — or, if the lease hook only
-        // notified, until the release is over, its notify already spent.
-        // Only another pass can hand the slot to b, so b runs only if
-        // that release woke the parked dispatcher.
-        use std::sync::mpsc;
-        let svc = service(2, vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)]);
-        let _hooks = ClearHooksOnDrop(svc.svc.clone());
-        let (sync_tx, sync_rx) = mpsc::channel::<&str>();
-        // a's job drops one permit per `false` and stops on `true`, or
-        // once every sender is gone.
-        let (cmd_tx, cmd_rx) = mpsc::channel::<bool>();
-        let (held_tx, held_rx) = mpsc::channel();
-        let released_tx = sync_tx.clone();
-        let a = svc
-            .submit(
-                "a",
-                JobSpec::new("wide", 2, move |ctx| {
-                    let mut held: Vec<_> = std::iter::from_fn(|| ctx.lease().try_acquire()).collect();
-                    held_tx.send(held.len()).unwrap();
-                    while let Ok(false) = cmd_rx.recv() {
-                        held.pop();
-                        let _ = released_tx.send("released");
-                    }
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
-        let wait = Duration::from_secs(10);
-        assert_eq!(held_rx.recv_timeout(wait), Ok(2));
-
-        let hooks = &svc.svc.test_hooks;
-        let sync_tx = std::sync::Mutex::new(sync_tx);
-        *hooks.before_sync.lock().unpoisoned() = Some(Box::new(move || {
-            let _ = sync_tx.lock().unpoisoned().send("syncing");
-        }));
-        let mut release = Some(cmd_tx.clone());
-        *hooks.before_park.lock().unpoisoned() = Some(Box::new(move |st: &SvcState| {
-            if st.running.iter().any(|j| j.lease.active() > j.target) {
-                if let Some(release) = release.take() {
-                    release.send(false).unwrap();
-                    let _ = sync_rx.recv();
-                }
-            }
-        }));
-        let (ran_tx, ran_rx) = mpsc::channel();
-        let b = svc
-            .submit(
-                "b",
-                JobSpec::new("late", 1, move |_ctx| {
-                    ran_tx.send(()).unwrap();
-                    Ok(Box::new(()))
-                }),
-            )
-            .unwrap();
-        let b_ran = ran_rx.recv_timeout(wait);
-        // Stop a before asserting anything: its last permit's release is
-        // a fresh wakeup, so a failing run still drains.
-        cmd_tx.send(true).unwrap();
+    fn the_permit_drop_that_frees_a_starved_tenants_slot_dispatches_its_job() {
+        // b's submission cuts a's lease from 2 slots to 1 while a holds
+        // both permits. The pass runs on the thread that drops a's
+        // permit, so when that drop returns b has been dispatched: no
+        // other thread has to notice the freed slot.
+        let svc = service(
+            2,
+            vec![TenantConfig::new("a", 1), TenantConfig::new("b", 1)],
+        );
+        let (spec, report, cmd) = permit_holder(2);
+        let a = svc.submit("a", spec).unwrap();
+        assert_eq!(report.recv(), Ok(2));
+        let (b_spec, b_started, release_b) = blocker(1);
+        let b = svc.submit("b", b_spec).unwrap();
+        assert_eq!(lease_limit(&svc.svc, &a), 1);
+        let queued = (b.status(), b.dispatch_seq());
+        cmd.send(false).unwrap();
+        let dropped = report.recv();
+        let dispatched = (b.status(), b.dispatch_seq());
+        // Release both jobs before asserting anything, so a failed
+        // expectation can't hang the draining shutdown.
+        drop((cmd, release_b));
         let (a_result, b_result) = (a.wait(), b.wait());
-        assert!(b_ran.is_ok(), "the dispatcher slept through the release b was waiting for");
+        assert_eq!(queued, (JobStatus::Queued, None));
+        assert_eq!(dropped, Ok(1));
+        assert_eq!(dispatched, (JobStatus::Running, Some(2)));
+        assert_eq!(b_started.recv(), Ok(()));
         a_result.unwrap();
         b_result.unwrap();
         assert_eq!(svc.metrics().counter(keys::SLOTS_RECLAIMED).get(), 1);

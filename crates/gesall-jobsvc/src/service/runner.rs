@@ -1,6 +1,7 @@
 //! A job's own thread and its namespace lifecycle: the runner thread
-//! the dispatcher spawns for each started job, [`JobCtx`] (what the
-//! job's work function sees), finishing and cancelling jobs, and the
+//! the scheduling pass spawns for each started job — the crate's only
+//! spawned thread — [`JobCtx`] (what the job's work function sees),
+//! finishing and cancelling jobs, and the
 //! retention of each job's DFS namespace: it lives exactly as long as
 //! the job's handle, and is swept when the job is cancelled, when the
 //! handle is dropped or when the service shuts down. A file a CAS pin
@@ -10,6 +11,7 @@ use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use gesall_core::{GesallPlatform, RunOptions};
 use gesall_dfs::{Dfs, SweepReason};
@@ -17,7 +19,7 @@ use gesall_mapreduce::lease::SlotLease;
 use gesall_mapreduce::{GesallError, JobConfig};
 use gesall_telemetry::Unpoisoned;
 
-use super::{JobOutput, JobShared, JobStatus, Svc, SvcState, Work};
+use super::{JobOutput, JobShared, JobStatus, Svc, Work};
 use crate::keys;
 
 /// Handed to each job's work function: the shared platform plus the
@@ -99,19 +101,18 @@ impl JobCtx {
 }
 
 impl Svc {
-    /// Start the runner thread of a job the dispatcher just put on the
+    /// Start the runner thread of a job the pass is putting on the
     /// cluster: it runs `work` under `catch_unwind`, then finishes the
     /// job.
     pub(super) fn spawn_runner(
         self: &Arc<Self>,
-        st: &mut SvcState,
         shared: Arc<JobShared>,
         work: Work,
         lease: SlotLease,
-    ) {
+    ) -> std::io::Result<JoinHandle<()>> {
         let svc = self.clone();
         let platform = self.platform.clone();
-        let runner = std::thread::Builder::new()
+        std::thread::Builder::new()
             .name(format!("jobsvc-{}", shared.id))
             .spawn(move || {
                 let ctx = JobCtx {
@@ -122,8 +123,6 @@ impl Svc {
                 let result = catch_unwind(AssertUnwindSafe(|| (work)(&ctx)));
                 svc.finish_job(&shared, result);
             })
-            .expect("spawn jobsvc runner");
-        st.runners.push(runner);
     }
 
     fn finish_job(
@@ -151,12 +150,6 @@ impl Svc {
                 Err(payload) => (JobStatus::Failed, None, Some(panic_text(&*payload))),
             }
         };
-        match status {
-            JobStatus::Completed => self.count(keys::JOBS_COMPLETED, &shared.tenant, 1),
-            JobStatus::Cancelled => self.count(keys::JOBS_CANCELLED, &shared.tenant, 1),
-            _ => self.count(keys::JOBS_FAILED, &shared.tenant, 1),
-        }
-
         // Retention: cancelled jobs sweep now; finished jobs whose
         // handle is already gone sweep now; otherwise the namespace
         // lives until the handle drops or the service shuts down.
@@ -169,6 +162,31 @@ impl Svc {
             st.retired.push(shared.namespace.clone());
         }
 
+        self.rebalance(&mut st);
+        // After its own pass, this thread has nothing left to do but
+        // return: the next pass joins it.
+        let me = std::thread::current().id();
+        if let Some(pos) = st.runners.iter().position(|r| r.thread().id() == me) {
+            st.exited = Some(st.runners.swap_remove(pos));
+        }
+        // Waiters wake after the pass, so a returned `wait` has seen it.
+        self.conclude(shared, status, output, error);
+    }
+
+    /// Count a job's terminal state, store its outcome and wake its
+    /// waiters.
+    pub(super) fn conclude(
+        &self,
+        shared: &JobShared,
+        status: JobStatus,
+        output: Option<JobOutput>,
+        error: Option<String>,
+    ) {
+        match status {
+            JobStatus::Completed => self.count(keys::JOBS_COMPLETED, &shared.tenant, 1),
+            JobStatus::Cancelled => self.count(keys::JOBS_CANCELLED, &shared.tenant, 1),
+            _ => self.count(keys::JOBS_FAILED, &shared.tenant, 1),
+        }
         {
             let mut cell = shared.cell.lock().unpoisoned();
             cell.status = status;
@@ -176,7 +194,6 @@ impl Svc {
             cell.error = error;
         }
         shared.done.notify_all();
-        self.wake.notify_all();
     }
 
     pub(super) fn cancel(self: &Arc<Self>, shared: &Arc<JobShared>) -> bool {
@@ -190,14 +207,15 @@ impl Svc {
             st.rt.get_mut(&shared.tenant).expect("tenant present").queued -= 1;
             self.set_queue_gauges(&st);
             shared.cancel.store(true, Ordering::SeqCst);
-            q.shared.cell.lock().unpoisoned().status = JobStatus::Cancelled;
-            drop(st);
-            self.count(keys::JOBS_CANCELLED, &shared.tenant, 1);
             self.platform
                 .dfs
                 .sweep_prefix(&shared.namespace, SweepReason::Cancelled);
-            shared.done.notify_all();
-            self.wake.notify_all();
+            self.rebalance(&mut st);
+            self.conclude(shared, JobStatus::Cancelled, None, None);
+            // The work goes outside the lock: whatever it owns may take
+            // `state` as it drops (a `JobHandle` does).
+            drop(st);
+            drop(q);
             return true;
         }
         if st.running.iter().any(|r| Arc::ptr_eq(&r.shared, shared)) {
@@ -240,7 +258,7 @@ fn panic_text(payload: &(dyn Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::service::tests::{blocker, service};
-    use crate::service::{JobSpec, JobSvcError, TenantConfig};
+    use crate::service::{JobService, JobSpec, JobSvcError, TenantConfig};
 
     #[test]
     fn cancel_queued_job_is_typed_and_counted() {
@@ -257,6 +275,62 @@ mod tests {
         assert_eq!(svc.metrics().counter(keys::JOBS_CANCELLED).get(), 1);
         drop(release);
         blocker.wait().unwrap();
+        svc.shutdown();
+    }
+
+    /// Runner handles the service holds: live runners and the one that
+    /// exited last.
+    fn runner_handles(svc: &JobService) -> usize {
+        let st = svc.svc.state.lock().unpoisoned();
+        st.runners.len() + usize::from(st.exited.is_some())
+    }
+
+    #[test]
+    fn the_next_pass_joins_a_finished_jobs_runner() {
+        // Jobs one after another on one service: each submit's pass
+        // joins the runner of the job before, so the service never holds
+        // more than the running job's handle.
+        let svc = service(1, vec![TenantConfig::new("a", 1)]);
+        for i in 0..20 {
+            let (spec, started, release) = blocker(1);
+            let h = svc.submit("a", spec).unwrap();
+            assert_eq!(runner_handles(&svc), 1, "after submit {i}");
+            started.recv().unwrap();
+            drop(release);
+            h.wait().unwrap();
+        }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_queued_jobs_cancel_runs_a_pass() {
+        // a may hold one slot, so its second job stays queued when b's
+        // job finishes. The cancel's pass joins b's runner, which no
+        // other event would have done.
+        let svc = service(
+            2,
+            vec![
+                TenantConfig::new("a", 1).max_inflight_slots(1),
+                TenantConfig::new("b", 1),
+            ],
+        );
+        let (spec, started, release) = blocker(1);
+        let holder = svc.submit("a", spec).unwrap();
+        started.recv().unwrap();
+        let victim = svc
+            .submit("a", JobSpec::new("victim", 1, |_ctx| Ok(Box::new(()))))
+            .unwrap();
+        svc.submit("b", JobSpec::new("quick", 1, |_ctx| Ok(Box::new(()))))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let before = runner_handles(&svc);
+        assert!(victim.cancel());
+        let after = runner_handles(&svc);
+        drop(release);
+        holder.wait().unwrap();
+        assert_eq!((before, after), (2, 1));
+        assert_eq!(victim.wait().unwrap_err(), JobSvcError::Cancelled);
         svc.shutdown();
     }
 

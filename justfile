@@ -12,10 +12,13 @@
 # where the debug run never reaches. The line counter is held to its
 # fixtures first, the aligner to no process-global counter, the DFS
 # source and the engine's wave scheduler to no wall clock, sleep or
-# spawned thread, and the whole engine to no sleep, timed wait or
-# Duration (service time, slowdowns and backoff are charged to a
-# ledger; idle workers park untimed), the streaming harness, the wrapped
-# programs and round 1 to no spawned thread, every crate but gesall-core to no
+# spawned thread, the whole engine and the job service to no sleep,
+# timed wait or Duration (service time, slowdowns and backoff are
+# charged to a ledger; idle workers park untimed; the service's tests
+# wait on state), the streaming harness, the wrapped programs, round 1
+# and the job service's admission and scheduling files to no spawned
+# thread (the scheduling pass runs on the thread whose event changed
+# the schedule), every crate but gesall-core to no
 # file over 700 non-test lines, and the workspace build to exactly two
 # external packages, proptest and rand, as in CI.
 smoke:
@@ -80,7 +83,7 @@ deflake N="25":
         scripts/test-some.sh --offline -q -p gesall-dfs --lib retention::tests::racing_cas_puts_of_one_key_store_it_once -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib retention::tests::a_pin_that_returned_ok_keeps_its_file_until_unpin -- --exact
         scripts/test-some.sh --offline -q -p gesall-jobsvc --lib service::dispatch::tests::elastic_borrow_then_reclaim_for_late_tenant -- --exact
-        scripts/test-some.sh --offline -q -p gesall-jobsvc --lib service::dispatch::tests::a_permit_released_between_pass_and_park_wakes_the_dispatcher -- --exact
+        scripts/test-some.sh --offline -q -p gesall-jobsvc --lib service::dispatch::tests::the_permit_drop_that_frees_a_starved_tenants_slot_dispatches_its_job -- --exact
         scripts/test-some.sh --offline -q -p gesall --test multi_tenant
     done
 

@@ -5,7 +5,9 @@
 # that sum. The engine's wave scheduler charges an injected slowdown to
 # its attempt and a retry's backoff to a counter, decides speculation
 # from the wave's charges, and parks idle workers until the schedule
-# changes. Three checks, each failing when its files name:
+# changes. The job service runs its scheduling pass on the thread whose
+# event changed the schedule, and its tests wait on state, not on time.
+# Four checks, each failing when its files name:
 #   1. crates/gesall-dfs/src, and
 #   2. the wave scheduler with its fault plan and slot lease
 #      (crates/gesall-mapreduce/src/{wave,fault,lease}.rs):
@@ -14,11 +16,14 @@
 #      `wait_timeout`;
 #   3. anywhere in crates/gesall-mapreduce/src, tests included: a sleep,
 #      a timed wait or a `Duration`. Measurement timers (`Instant` for
-#      the phase and wrapper counters) stay allowed there.
+#      the phase and wrapper counters) stay allowed there;
+#   4. anywhere in crates/gesall-jobsvc/src, tests included: the same.
+#      `Instant` stays allowed for the queue-wait histogram.
 set -uo pipefail
 full='\b(Instant|SystemTime|recv_timeout|wait_timeout)\b|thread::(sleep|spawn)\b'
 timed='thread::sleep\b|\b(wait_timeout|recv_timeout|Duration)\b'
 mr=crates/gesall-mapreduce/src
+js=crates/gesall-jobsvc/src
 status=0
 check() {
     local pattern=$1 hint=$2
@@ -36,4 +41,6 @@ check "$full" "wall clock, sleep or thread in the wave scheduler: decide from ch
     "$mr/wave.rs" "$mr/fault.rs" "$mr/lease.rs"
 check "$timed" "sleep, timed wait or Duration under $mr: charge the time, park without a deadline" \
     "$mr"
+check "$timed" "sleep, timed wait or Duration under $js: run the pass where the event happens, wait on state" \
+    "$js"
 exit $status

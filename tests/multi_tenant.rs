@@ -6,7 +6,7 @@
 
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gesall::aligner::{Aligner, AlignerConfig, ReferenceIndex};
 use gesall::datagen::reads::ReadSimConfig;
@@ -83,17 +83,6 @@ fn small_dfs() -> Dfs {
 
 fn platform_with(engine: MapReduceEngine) -> GesallPlatform {
     GesallPlatform::new(small_dfs(), engine, PlatformConfig::default())
-}
-
-fn wait_until(deadline_ms: u64, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    cond()
 }
 
 /// An aligner over the tiny genome and `n_pairs` simulated pairs.
@@ -181,15 +170,17 @@ fn flooding_tenant_does_not_starve_quiet_tenant() {
     let noisy: Vec<_> = (0..6)
         .map(|_| svc.submit("noisy", sleepy_job(400)).unwrap())
         .collect();
-    // Wait until noisy holds the whole cluster (two 2-slot jobs in
-    // flight) — only then does quiet's arrival force a shrink; if
-    // quiet submitted earlier the slots would already be fairly split
-    // and there'd be nothing to reclaim.
-    assert!(wait_until(5000, || noisy
-        .iter()
-        .filter(|h| h.status() == JobStatus::Running)
-        .count()
-        >= 2));
+    // Each submit's pass ran before it returned, so noisy already holds
+    // the whole cluster (two 2-slot jobs in flight): quiet's arrival
+    // forces a shrink. Had quiet arrived while slots were free, they
+    // would be fairly split and there would be nothing to reclaim.
+    assert_eq!(
+        noisy
+            .iter()
+            .filter(|h| h.status() == JobStatus::Running)
+            .count(),
+        2
+    );
     let quiet: Vec<_> = (0..2)
         .map(|_| svc.submit("quiet", sleepy_job(50)).unwrap())
         .collect();
