@@ -461,6 +461,22 @@ mod tests {
             "rows located, kernel calls, window reuses"
         );
 
+        // Search from the k-mer table: the same SAM and the same located
+        // rows, kernel calls and reuses as the plain backward search, for
+        // 60 % of its rank words or fewer (locate's LF walks included).
+        let (plain, _, pl) = fm::reference::with_plain_search(|| run(false, false));
+        assert_eq!(plain, parents);
+        assert_eq!(
+            (pl.seed_rows_located, sw_calls(&pl), pl.sw_window_reuses),
+            (k.seed_rows_located, sw_calls(&k), k.sw_window_reuses)
+        );
+        assert!(
+            k.occ_words_popcounted * 10 <= pl.occ_words_popcounted * 6,
+            "{} rank words, the plain search {}",
+            k.occ_words_popcounted,
+            pl.occ_words_popcounted
+        );
+
         // Known-answer seeding: every seed of both strands of every read
         // that is all ACGT could have been searched.
         let cfg = &aligner.config().single;

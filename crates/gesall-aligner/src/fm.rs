@@ -18,6 +18,10 @@
 //! plain vec of the sampled positions in row order: each LF step of
 //! `locate_row` pays one word load and a bit test, and the one hit per
 //! walk a popcount — no search.
+//!
+//! Backward search starts from a table: the BWT row interval of every
+//! [`KMER`]-mer, so a pattern's last `KMER` bases cost one lookup and
+//! only the bases before them pay LF steps.
 
 use crate::suffix::{bwt_from_sa, suffix_array};
 use gesall_formats::dna::{count_code_in_word, PackedSeq};
@@ -30,7 +34,11 @@ const ALPHABET: usize = 5;
 const OCC_SAMPLE: usize = 128;
 const WORDS_PER_CP: usize = OCC_SAMPLE / 32;
 /// SA sampling spacing (text positions).
-const SA_SAMPLE: u32 = 32;
+const SA_SAMPLE: u32 = 16;
+/// Length of the k-mers whose row intervals [`FmIndex`] tables: 4^8
+/// `u32` starts, 256 KiB.
+const KMER: usize = 8;
+const _: () = assert!(2 * KMER == u16::BITS as usize, "kmer_starts rolls a k-mer in a u16");
 
 #[inline]
 fn code(b: u8) -> Option<u8> {
@@ -42,6 +50,16 @@ fn code(b: u8) -> Option<u8> {
         b'T' | b't' => Some(4),
         _ => None,
     }
+}
+
+/// 2-bit code of a base, `A < C < G < T`, either case, with no branch
+/// for a random base to mispredict: bits 1–2 of the byte code A 0, C 1,
+/// G 3, T 2, and bit 2, set in G and T only, swaps the last two.
+/// Complementing a base flips both bits of its code. Any other byte
+/// gets some code; callers rule those out first.
+#[inline]
+pub(crate) fn base_code(b: u8) -> usize {
+    ((b >> 1 & 3) ^ (b >> 2 & 1)) as usize
 }
 
 /// The FM-index over a text (no 0 bytes; sentinel added internally).
@@ -64,6 +82,16 @@ pub struct FmIndex {
     sampled_rank: Vec<u32>,
     /// The sampled text positions, in row order.
     sampled: Vec<u32>,
+    /// `kmer_start[x]` = first BWT row whose suffix is ≥ the
+    /// [`KMER`]-mer coded `x` (2 bits a base, first base most
+    /// significant): rows `[kmer_start[x], kmer_start[x + 1])` hold the
+    /// suffixes prefixed by `x`, then any of `short_rows`.
+    kmer_start: Vec<u32>,
+    /// Rows of the suffixes shorter than [`KMER`] bases (the text's last
+    /// `KMER − 1` positions), ascending. Such a suffix sorts after every
+    /// k-mer it is not a prefix of and before every one it is, so it
+    /// sits at the end of the interval it falls in.
+    short_rows: Vec<u32>,
     text_len: usize,
 }
 
@@ -133,7 +161,7 @@ impl FmIndex {
             })
             .collect();
 
-        FmIndex {
+        let mut fm = FmIndex {
             bwt,
             sentinel_row,
             c_table,
@@ -141,8 +169,21 @@ impl FmIndex {
             sampled_rows,
             sampled_rank,
             sampled,
+            kmer_start: kmer_starts(text),
+            short_rows: Vec::new(),
             text_len: text.len(),
-        }
+        };
+        // Row 0 is the sentinel suffix (position n); LF steps from it
+        // visit positions n − 1, n − 2, ... — the short suffixes.
+        let mut row = 0;
+        fm.short_rows = (0..text.len().min(KMER - 1))
+            .map(|_| {
+                row = fm.lf_words(row).0;
+                row as u32
+            })
+            .collect();
+        fm.short_rows.sort_unstable();
+        fm
     }
 
     /// Length of the indexed text (without sentinel).
@@ -153,14 +194,16 @@ impl FmIndex {
     /// Heap size of the index in bytes, capacity-accurate (the
     /// per-mapper index-load cost model, Fig. 5a, shouldn't be
     /// flattered by ignoring allocator reality): packed BWT words at
-    /// `capacity`, checkpoint rows at `capacity`, and the sampled SA —
-    /// row bitmap, per-word rank and positions — each at `capacity`.
+    /// `capacity`, checkpoint rows at `capacity`, the sampled SA — row
+    /// bitmap, per-word rank and positions — and the k-mer table, each
+    /// at `capacity`.
     pub fn heap_bytes(&self) -> usize {
         self.bwt.words().len().max(self.bwt.len().div_ceil(32)) * 8
             + self.bwt.n_positions().len() * 4
             + self.checkpoints.capacity() * std::mem::size_of::<[u32; 4]>()
             + self.sampled_rows.capacity() * 8
             + (self.sampled_rank.capacity() + self.sampled.capacity()) * 4
+            + (self.kmer_start.capacity() + self.short_rows.capacity()) * 4
     }
 
     /// Alphabet code of the BWT symbol at `row`.
@@ -244,20 +287,29 @@ impl FmIndex {
         self.search_counted(pattern, &mut KernelStats::default())
     }
 
-    /// [`FmIndex::search`], tallying the words popcounted into `stats`.
+    /// [`FmIndex::search`], tallying the words popcounted into `stats`:
+    /// the pattern's last [`KMER`] bases are one table lookup, and only
+    /// the bases before them are LF steps.
     pub(crate) fn search_counted(
         &self,
         pattern: &[u8],
         stats: &mut KernelStats,
     ) -> Option<(u64, u64)> {
-        if pattern.is_empty() {
-            return None;
+        #[cfg(test)]
+        if reference::plain_search() {
+            return reference::search_counted(self, pattern, stats);
         }
-        let mut l = 0u64;
-        let mut r = self.bwt.len() as u64;
+        let (head, (mut l, mut r)) = match pattern.len().checked_sub(KMER) {
+            None if pattern.is_empty() => return None,
+            None => (pattern, (0, self.bwt.len() as u64)),
+            Some(split) => {
+                let (head, tail) = pattern.split_at(split);
+                (head, self.kmer_interval(tail)?)
+            }
+        };
         let mut words = 0u64;
         let mut valid = true;
-        for &b in pattern.iter().rev() {
+        for &b in head.iter().rev() {
             let Some(c) = code(b).filter(|&c| c != 0) else {
                 valid = false;
                 break;
@@ -273,6 +325,20 @@ impl FmIndex {
         }
         stats.occ_words_popcounted += words;
         (valid && l < r).then_some((l, r))
+    }
+
+    /// The row interval of the suffixes prefixed by `kmer` ([`KMER`]
+    /// bases), or `None` if it holds a non-ACGT byte or occurs nowhere.
+    #[inline]
+    fn kmer_interval(&self, kmer: &[u8]) -> Option<(u64, u64)> {
+        let x = kmer.iter().try_fold(0usize, |x, &b| {
+            code(b).filter(|&c| c != 0).map(|c| x << 2 | (c - 1) as usize)
+        })?;
+        let l = self.kmer_start[x];
+        let next = self.kmer_start.get(x + 1).map_or(self.bwt.len() as u32, |&s| s);
+        let short = self.short_rows.iter().filter(|&&row| (l..next).contains(&row)).count();
+        let r = next - short as u32;
+        (l < r).then_some((l as u64, r as u64))
     }
 
     /// Number of occurrences of `pattern` in the text.
@@ -352,11 +418,94 @@ impl FmIndex {
     }
 }
 
+/// `kmer_start` of [`FmIndex`] for `text`, from one pass over the text:
+/// each [`KMER`]-mer's count, then a running sum from row 1 (row 0 is
+/// the sentinel suffix). A suffix `s` shorter than `KMER` sorts before
+/// the k-mer `x` exactly when `s` ≤ `x`'s first `|s|` bases, so it
+/// shifts the start of every k-mer from `s` padded with `A`s on.
+fn kmer_starts(text: &[u8]) -> Vec<u32> {
+    let mut counts = vec![0u32; 1 << (2 * KMER)];
+    let n = text.len();
+    let head = n.min(KMER - 1);
+    let mut x = text[..head].iter().fold(0u16, |x, &b| x << 2 | base_code(b) as u16);
+    for &b in &text[head..] {
+        x = x << 2 | base_code(b) as u16;
+        counts[x as usize] += 1;
+    }
+    let mut short_from: Vec<usize> = (1..=head)
+        .map(|len| {
+            let s = text[n - len..].iter().fold(0usize, |x, &b| x << 2 | base_code(b));
+            s << (2 * (KMER - len))
+        })
+        .collect();
+    short_from.sort_unstable();
+    let mut shorts = short_from.into_iter().peekable();
+    let mut before = 1u32;
+    for (x, slot) in counts.iter_mut().enumerate() {
+        while shorts.next_if_eq(&x).is_some() {
+            before += 1;
+        }
+        let count = *slot;
+        *slot = before;
+        before += count;
+    }
+    counts
+}
+
 /// The parent commit's sampled suffix array, verbatim: `(row, text
 /// position)` pairs sorted by row, probed by a branchless binary search.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        static PLAIN_SEARCH: Cell<bool> = const { Cell::new(false) };
+    }
+
+    pub(crate) fn plain_search() -> bool {
+        PLAIN_SEARCH.with(|u| u.get())
+    }
+
+    /// Run `f` with this thread's [`FmIndex::search_counted`] calls
+    /// routed to the parent's search, which starts from no table.
+    pub(crate) fn with_plain_search<R>(f: impl FnOnce() -> R) -> R {
+        PLAIN_SEARCH.with(|u| u.set(true));
+        let r = f();
+        PLAIN_SEARCH.with(|u| u.set(false));
+        r
+    }
+
+    /// The parent's backward search: an LF step for every base.
+    pub(crate) fn search_counted(
+        fm: &FmIndex,
+        pattern: &[u8],
+        stats: &mut KernelStats,
+    ) -> Option<(u64, u64)> {
+        if pattern.is_empty() {
+            return None;
+        }
+        let mut l = 0u64;
+        let mut r = fm.bwt.len() as u64;
+        let mut words = 0u64;
+        let mut valid = true;
+        for &b in pattern.iter().rev() {
+            let Some(c) = code(b).filter(|&c| c != 0) else {
+                valid = false;
+                break;
+            };
+            let (lc, lw) = fm.occ_words(c, l as usize);
+            let (rc, rw) = fm.occ_words(c, r as usize);
+            words += (lw + rw) as u64;
+            l = fm.c_table[c as usize] + lc;
+            r = fm.c_table[c as usize] + rc;
+            if l >= r {
+                break;
+            }
+        }
+        stats.occ_words_popcounted += words;
+        (valid && l < r).then_some((l, r))
+    }
 
     pub(crate) fn build_sampled(text: &[u8]) -> Vec<(u32, u32)> {
         let sa = crate::suffix::reference::suffix_array(text);
@@ -546,15 +695,19 @@ mod tests {
     fn rank_kernel_reports_words_popcounted() {
         let text = pseudo_dna(4000, 29);
         let fm = FmIndex::build(&text);
+        let pat = &text[1000..1020];
         let mut stats = KernelStats::default();
-        let (l, r) = fm.search_counted(&text[1000..1020], &mut stats).unwrap();
+        let (l, r) = fm.search_counted(pat, &mut stats).unwrap();
         assert!(r > l);
-        // Each of the 20 steps ranks both ends: the whole words between
-        // each end's checkpoint and the end, plus a partial word.
-        let words: u64 = text[1000..1020]
+        // The last KMER bases are a table lookup; each of the other 12
+        // steps ranks both ends: the whole words between each end's
+        // checkpoint and the end, plus a partial word.
+        let (head, tail) = pat.split_at(pat.len() - KMER);
+        let start = fm.kmer_interval(tail).unwrap();
+        let words: u64 = head
             .iter()
             .rev()
-            .scan((0usize, fm.bwt.len()), |(l, r), &b| {
+            .scan((start.0 as usize, start.1 as usize), |(l, r), &b| {
                 let c = code(b).unwrap();
                 let (lc, lw) = fm.occ_words(c, *l);
                 let (rc, rw) = fm.occ_words(c, *r);
@@ -565,6 +718,52 @@ mod tests {
             .sum();
         assert!(words > 0);
         assert_eq!(stats, KernelStats { occ_words_popcounted: words, ..KernelStats::default() });
+        // The parent's search stepped all 20 bases.
+        let mut plain = KernelStats::default();
+        assert_eq!(reference::search_counted(&fm, pat, &mut plain), Some((l, r)));
+        assert!(plain.occ_words_popcounted > words);
+    }
+
+    /// The table search answers `pat` as the parent's plain search does.
+    fn assert_plain_search(fm: &FmIndex, pat: &[u8]) {
+        assert_eq!(
+            fm.search(pat),
+            reference::search_counted(fm, pat, &mut KernelStats::default()),
+            "pattern {:?}",
+            String::from_utf8_lossy(pat)
+        );
+    }
+
+    fn kmer_of(x: usize) -> Vec<u8> {
+        (0..KMER).rev().map(|i| b"ACGT"[x >> (2 * i) & 3]).collect()
+    }
+
+    #[test]
+    fn table_search_is_the_plain_search_on_every_kmer() {
+        // Two chromosomes concatenated, as the reference index builds
+        // them: every KMER-mer code, present or not, and every window of
+        // the text — the junction's and the text end's included. Texts
+        // shorter than KMER hold short suffixes only.
+        for (len1, len2) in [(0usize, 0usize), (1, 2), (4, 3), (8, 0), (9, 6), (500, 300)] {
+            let text = [pseudo_dna(len1, 3), pseudo_dna(len2, 4)].concat();
+            let fm = FmIndex::build(&text);
+            assert_eq!(fm.short_rows.len(), text.len().min(KMER - 1));
+            for x in 0..1usize << (2 * KMER) {
+                assert_plain_search(&fm, &kmer_of(x));
+            }
+            for start in 0..text.len() {
+                for len in [1, KMER - 1, KMER, KMER + 1, 19] {
+                    assert_plain_search(&fm, &text[start..(start + len).min(text.len())]);
+                }
+            }
+        }
+        // A repeat: every k-mer's interval is wide, and the short
+        // suffixes sit inside the intervals of k-mers they prefix.
+        let repeat = b"ACGGT".repeat(60);
+        let fm = FmIndex::build(&repeat);
+        for x in 0..1usize << (2 * KMER) {
+            assert_plain_search(&fm, &kmer_of(x));
+        }
     }
 
     #[test]
@@ -601,6 +800,57 @@ mod tests {
             }
             reference::assert_same_sampled_rows(&FmIndex::build(&text), &text);
         }
+
+        #[test]
+        fn table_search_is_the_plain_search(
+            len1 in prop_oneof![Just(0usize), 1usize..12, 0usize..400],
+            len2 in prop_oneof![Just(0usize), 1usize..12, 0usize..400],
+            seed in 0u64..u64::MAX,
+            unit in 0usize..40,
+            patterns in proptest::collection::vec((0usize..5, 0usize..31, any::<u64>()), 1..48),
+        ) {
+            // Two chromosomes of random text or — about one case in four
+            // — a repeat of period `unit`. Patterns of length 0–30: random
+            // bytes from an alphabet with lower case, N and the sentinel's
+            // byte; windows of the text, some lower-cased; windows across
+            // the junction; windows ending at the text's end; and random
+            // bases ending in the k-mer whose interval holds a short
+            // suffix's row (the one just below the suffix padded with
+            // `A`s) or in the padded suffix itself.
+            let mut text = [pseudo_dna(len1, seed), pseudo_dna(len2, !seed)].concat();
+            let n = text.len();
+            if (1..12).contains(&unit) && n > 0 {
+                text = text[..unit.min(n)].iter().copied().cycle().take(n).collect();
+            }
+            let fm = FmIndex::build(&text);
+            for (kind, len, r) in patterns {
+                let window = |start: usize| text[start.min(n)..(start + len).min(n)].to_vec();
+                let pat = match kind {
+                    0 => (0..len)
+                        .map(|i| b"ACGTacgtNn\0X"[(r >> (i % 16 * 4)) as usize % 12])
+                        .collect(),
+                    1 => {
+                        let mut pat = window(r as usize % (n + 1));
+                        if r >> 63 == 1 {
+                            pat.make_ascii_lowercase();
+                        }
+                        pat
+                    }
+                    2 => window(len1.saturating_sub(r as usize % (len + 1))),
+                    3 => window(n.saturating_sub(len)),
+                    _ => {
+                        let l = (r as usize % KMER).min(n);
+                        let short = text[n - l..].iter().fold(0usize, |x, &b| x << 2 | base_code(b));
+                        let padded = short << (2 * (KMER - l));
+                        let mut pat: Vec<u8> =
+                            (0..len % 12).map(|i| b"ACGT"[(r >> (8 + 2 * i)) as usize & 3]).collect();
+                        pat.extend(kmer_of(padded.saturating_sub((r >> 40) as usize & 1)));
+                        pat
+                    }
+                };
+                assert_plain_search(&fm, &pat);
+            }
+        }
     }
 
     #[test]
@@ -608,12 +858,18 @@ mod tests {
         let text = pseudo_dna(10_000, 1);
         let fm = FmIndex::build(&text);
         let bytes = fm.heap_bytes();
-        // 2-bit packing plus word-aligned checkpoints plus the sampled
-        // SA (bitmap, rank, positions) lands well under one byte per
-        // text base ...
-        assert!(bytes < 10_000, "packed index not smaller than text? {bytes}");
+        // The k-mer table is 4^KMER starts — 256 KiB whatever the text —
+        // plus a row per short suffix, and it is counted ...
+        let table = (1 << (2 * KMER)) * 4 + (KMER - 1) * 4;
+        assert_eq!(table, 256 * 1024 + 28);
+        assert!(bytes > table, "table not counted: {bytes}");
+        let rest = bytes - table;
+        // ... and the rest — 2-bit packing plus word-aligned checkpoints
+        // plus the sampled SA (bitmap, rank, positions) — lands well
+        // under one byte per text base ...
+        assert!(rest < 10_000, "packed index not smaller than text? {rest}");
         // ... but every part is counted: 2 bits per row of BWT, 1 of
-        // checkpoints, 1.5 of sampled-row bitmap + rank, 1 of positions.
-        assert!(bytes >= 10_000 * 11 / 16, "index implausibly small: {bytes}");
+        // checkpoints, 1.5 of sampled-row bitmap + rank, 2 of positions.
+        assert!(rest >= 10_000 * 13 / 16, "index implausibly small: {rest}");
     }
 }

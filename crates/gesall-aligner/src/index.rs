@@ -4,7 +4,7 @@
 //! cost that makes small logical partitions expensive in the paper's
 //! Table 4 / Fig. 5a).
 
-use crate::fm::FmIndex;
+use crate::fm::{base_code, FmIndex};
 use crate::suffix::suffix_array;
 use gesall_formats::sam::header::{ReferenceSeq, SamHeader};
 
@@ -183,7 +183,7 @@ fn unique_kmers(text: &[u8], sa: &[u32]) -> Vec<u64> {
         .iter()
         .enumerate()
         .filter_map(|(i, &b)| {
-            code = (code << 2 | base_code(b)) & mask;
+            code = (code << 2 | base_code(b) as u64) & mask;
             (i + 1 >= UNIQUE_K).then_some(code)
         })
         .collect();
@@ -206,18 +206,6 @@ fn unique_kmers(text: &[u8], sa: &[u32]) -> Vec<u64> {
         }
     }
     bits
-}
-
-/// 2-bit code of an upper-case base, `A < C < G < T`; complementing a
-/// base flips both bits.
-#[inline]
-fn base_code(b: u8) -> u64 {
-    match b {
-        b'A' => 0,
-        b'C' => 1,
-        b'G' => 2,
-        _ => 3,
-    }
 }
 
 /// The code of the reverse complement of the [`UNIQUE_K`]-mer coded
@@ -374,7 +362,7 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let kmer: Vec<u8> =
                 (0..UNIQUE_K).map(|i| b"ACGT"[(x >> (2 * i)) as usize % 4]).collect();
-            let code = |k: &[u8]| k.iter().fold(0u64, |c, &b| c << 2 | base_code(b));
+            let code = |k: &[u8]| k.iter().fold(0u64, |c, &b| c << 2 | base_code(b) as u64);
             let rc = gesall_formats::dna::reverse_complement(&kmer);
             assert_eq!(reverse_complement_code(code(&kmer)), code(&rc));
         }

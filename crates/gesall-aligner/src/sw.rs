@@ -159,11 +159,14 @@ pub fn local_align(query: &[u8], window: &[u8], scoring: &Scoring) -> Option<Loc
 /// One DP row over `win.len()` consecutive cells: the recurrence is
 /// written here and nowhere else, so the full DP and the band cannot
 /// drift apart. Cell `k` reads `diag_h[k]`, `up_h[k]`, `up_e[k]` from
-/// the previous row and its left neighbour from registers (`left_h`
-/// seeds the first cell; a row's first F is always −∞). Every choice is
-/// a select, not a branch — ties resolve as in the textbook order (open
-/// over extend; diag, then E, then F, each needing a strict win).
-/// Returns the row's maximum H and the *first* cell that reached it.
+/// the previous row and its left neighbour from the cell just written
+/// (`left_h` seeds the first cell; a row's first F is always −∞). Two
+/// passes: the first takes each cell's diagonal and E, which need
+/// nothing from the left and so vectorize; the second runs F across the
+/// row. Every choice is a select, not a branch — ties resolve as in the
+/// textbook order (open over extend; diag, then E, then F, each needing
+/// a strict win). Returns the row's maximum H and the *first* cell that
+/// reached it.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn fill_row(
@@ -184,34 +187,36 @@ fn fill_row(
     #[cfg(test)]
     reference::add_cells(n);
     let gap_first = scoring.gap_open + scoring.gap_extend;
-    let mut left_f = NEG;
-    let (mut row_best, mut row_best_k) = (0i32, 0usize);
     for k in 0..n {
         // E: gap in reference (insertion to the read).
         let e_open = up_h[k] + gap_first;
         let e_ext = up_e[k] + scoring.gap_extend;
         let e = e_open.max(e_ext);
-        // F: gap in query (deletion from the read).
-        let f_open = left_h + gap_first;
-        let f_ext = left_f + scoring.gap_extend;
-        let f = f_open.max(f_ext);
         let sub = if qi == win[k] {
             scoring.match_score
         } else {
             scoring.mismatch
         };
         let diag = diag_h[k] + sub;
-        let mut h = diag.max(0);
-        let mut state = if diag > 0 { TB_DIAG } else { TB_STOP };
-        state = if e > h { TB_FROM_E } else { state };
-        h = h.max(e);
-        state = if f > h { TB_FROM_F } else { state };
-        h = h.max(f);
-        h_out[k] = h;
+        let h = diag.max(0);
+        let state = if diag > 0 { TB_DIAG } else { TB_STOP };
+        let state = if e > h { TB_FROM_E } else { state };
+        h_out[k] = h.max(e);
         e_out[k] = e;
-        tb[k] = state
-            | if e_ext > e_open { TB_E_EXT } else { 0 }
-            | if f_ext > f_open { TB_F_EXT } else { 0 };
+        tb[k] = state | if e_ext > e_open { TB_E_EXT } else { 0 };
+    }
+    let mut left_f = NEG;
+    let (mut row_best, mut row_best_k) = (0i32, 0usize);
+    for k in 0..n {
+        // F: gap in query (deletion from the read).
+        let f_open = left_h + gap_first;
+        let f_ext = left_f + scoring.gap_extend;
+        let f = f_open.max(f_ext);
+        let h = h_out[k];
+        let state = if f > h { TB_FROM_F } else { tb[k] & TB_H_MASK };
+        let h = h.max(f);
+        h_out[k] = h;
+        tb[k] = (tb[k] & !TB_H_MASK) | state | if f_ext > f_open { TB_F_EXT } else { 0 };
         row_best_k = if h > row_best { k } else { row_best_k };
         row_best = row_best.max(h);
         left_h = h;
@@ -645,6 +650,65 @@ pub(crate) mod reference {
             w.exact += exact as u64;
         });
         local_align_banded_with(query, window, scoring, band, &mut SwWorkspace::default())
+    }
+
+    /// The parent commit's [`super::fill_row`], verbatim but for the cell
+    /// counter: one pass, each cell's F from its left neighbour in
+    /// registers. Ties resolve open over extend; diag, then E, then F,
+    /// each needing a strict win. Returns the row's maximum H and the
+    /// *first* cell that reached it.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(crate) fn fill_row(
+        scoring: &Scoring,
+        qi: u8,
+        win: &[u8],
+        diag_h: &[i32],
+        up_h: &[i32],
+        up_e: &[i32],
+        h_out: &mut [i32],
+        e_out: &mut [i32],
+        tb: &mut [u8],
+        mut left_h: i32,
+    ) -> (i32, usize) {
+        let n = win.len();
+        let (diag_h, up_h, up_e) = (&diag_h[..n], &up_h[..n], &up_e[..n]);
+        let (h_out, e_out, tb) = (&mut h_out[..n], &mut e_out[..n], &mut tb[..n]);
+        let gap_first = scoring.gap_open + scoring.gap_extend;
+        let mut left_f = NEG;
+        let (mut row_best, mut row_best_k) = (0i32, 0usize);
+        for k in 0..n {
+            // E: gap in reference (insertion to the read).
+            let e_open = up_h[k] + gap_first;
+            let e_ext = up_e[k] + scoring.gap_extend;
+            let e = e_open.max(e_ext);
+            // F: gap in query (deletion from the read).
+            let f_open = left_h + gap_first;
+            let f_ext = left_f + scoring.gap_extend;
+            let f = f_open.max(f_ext);
+            let sub = if qi == win[k] {
+                scoring.match_score
+            } else {
+                scoring.mismatch
+            };
+            let diag = diag_h[k] + sub;
+            let mut h = diag.max(0);
+            let mut state = if diag > 0 { super::TB_DIAG } else { super::TB_STOP };
+            state = if e > h { super::TB_FROM_E } else { state };
+            h = h.max(e);
+            state = if f > h { super::TB_FROM_F } else { state };
+            h = h.max(f);
+            h_out[k] = h;
+            e_out[k] = e;
+            tb[k] = state
+                | if e_ext > e_open { super::TB_E_EXT } else { 0 }
+                | if f_ext > f_open { super::TB_F_EXT } else { 0 };
+            row_best_k = if h > row_best { k } else { row_best_k };
+            row_best = row_best.max(h);
+            left_h = h;
+            left_f = f;
+        }
+        (row_best, row_best_k)
     }
 
     // Traceback states.
@@ -1410,6 +1474,58 @@ mod tests {
             "full DP"
         );
         Ok(())
+    }
+
+    /// A row fill: `fill_row`'s signature.
+    type FillRow = fn(
+        &Scoring,
+        u8,
+        &[u8],
+        &[i32],
+        &[i32],
+        &[i32],
+        &mut [i32],
+        &mut [i32],
+        &mut [u8],
+        i32,
+    ) -> (i32, usize);
+
+    fn arb_cell() -> impl Strategy<Value = i32> {
+        prop_oneof![Just(NEG), Just(0), -40i32..120]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn two_pass_rows_fill_as_the_parents_row(
+            cells in proptest::collection::vec(
+                (prop_oneof![Just(b'A'), Just(b'C'), Just(b'N')], arb_cell(), arb_cell(), arb_cell()),
+                0..48,
+            ),
+            qi in prop_oneof![Just(b'A'), Just(b'C'), Just(b'N')],
+            left_h in arb_cell(),
+            match_score in 0i32..3,
+            mismatch in -4i32..2,
+            gap_open in -6i32..=0,
+            gap_extend in -2i32..=0,
+        ) {
+            // Raw row inputs, ties everywhere: equal diag, E and F, open
+            // equal to extend, −∞ neighbours. Every output — H, E, the
+            // traceback byte, the row's best and its first cell — is the
+            // one-pass fill's.
+            let scoring = Scoring { match_score, mismatch, gap_open, gap_extend };
+            let win: Vec<u8> = cells.iter().map(|c| c.0).collect();
+            let diag: Vec<i32> = cells.iter().map(|c| c.1).collect();
+            let up: Vec<i32> = cells.iter().map(|c| c.2).collect();
+            let up_e: Vec<i32> = cells.iter().map(|c| c.3).collect();
+            let fill = |f: FillRow| {
+                let (mut h, mut e, mut tb) = (vec![7; win.len()], vec![7; win.len()], vec![0xF0; win.len()]);
+                let best = f(&scoring, qi, &win, &diag, &up, &up_e, &mut h, &mut e, &mut tb, left_h);
+                (best, h, e, tb)
+            };
+            prop_assert_eq!(fill(fill_row), fill(reference::fill_row));
+        }
     }
 
     fn same_as_parent(query: &[u8], window: &[u8], band: Band) -> Result<(), TestCaseError> {

@@ -14,7 +14,7 @@ use gesall_formats::fastq;
 use gesall_formats::sam::text as sam_text;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::streaming::{ExternalProgram, PipeReader, PipeWriter};
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// The aligner posing as multi-threaded `bwa mem`: interleaved FASTQ in,
 /// SAM text (with header) out.
@@ -41,13 +41,21 @@ impl ExternalProgram for BwaMemProgram<'_> {
         let header = self.aligner.index().sam_header();
         let (aligned, kernels) = self.aligner.align_pairs_counted(&pairs, self.threads);
         kernels.add_to(self.counters);
-        stdout.write_all(header.to_text().as_bytes())?;
+        // The header and every record formatted into one buffer, sized
+        // for a line of seq, qual, name and ~128 bytes of other fields,
+        // and handed to the pipe by ownership — no copy.
+        let mut text = header.to_text().into_bytes();
+        let lines: usize = aligned
+            .iter()
+            .flat_map(|(a, b)| [a, b])
+            .map(|r| 2 * r.seq.len() + r.name.len() + 128)
+            .sum();
+        text.reserve(lines);
         for (a, b) in &aligned {
-            stdout.write_all(sam_text::record_to_line(a, &header).as_bytes())?;
-            stdout.write_all(b"\n")?;
-            stdout.write_all(sam_text::record_to_line(b, &header).as_bytes())?;
-            stdout.write_all(b"\n")?;
+            sam_text::write_record(&mut text, a, &header);
+            sam_text::write_record(&mut text, b, &header);
         }
+        stdout.write_owned(text)?;
         stdout.close()
     }
 }

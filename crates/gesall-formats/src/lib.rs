@@ -30,6 +30,11 @@
 //! compressed chunks with virtual offsets) but deliberately not
 //! byte-compatible with htslib; see `DESIGN.md` §18.
 
+// `sam::text::reference` names the crate the way
+// `tests/proptest_formats.rs`, which compiles the same file, does.
+#[cfg(test)]
+extern crate self as gesall_formats;
+
 pub mod bam;
 pub mod bytes;
 pub mod compress;

@@ -152,18 +152,7 @@ impl Cigar {
             return;
         }
         for op in &self.0 {
-            let mut digits = [0u8; 10];
-            let mut at = digits.len();
-            let mut n = op.len();
-            loop {
-                at -= 1;
-                digits[at] = b'0' + (n % 10) as u8;
-                n /= 10;
-                if n == 0 {
-                    break;
-                }
-            }
-            buf.extend_from_slice(&digits[at..]);
+            crate::sam::text::push_decimal(buf, op.len().into());
             buf.push(op.code());
         }
     }

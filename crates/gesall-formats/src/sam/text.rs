@@ -4,88 +4,124 @@
 //! binary container).
 
 use crate::error::{FormatError, Result};
-use crate::quality::{decode_phred33, encode_phred33};
+use crate::quality::{MAX_PHRED, PHRED_OFFSET};
 use crate::sam::cigar::Cigar;
 use crate::sam::flags::Flags;
 use crate::sam::header::SamHeader;
 use crate::sam::record::{SamRecord, NO_REF};
 
-/// Serialize one record as a SAM text line (no trailing newline).
-pub fn record_to_line(rec: &SamRecord, header: &SamHeader) -> String {
-    let rname = header.reference_name(rec.ref_id);
-    let rnext = if rec.mate_ref_id == rec.ref_id && rec.ref_id != NO_REF {
-        "=".to_string()
+/// Append `rec`'s SAM text line and its newline to `out`: integers
+/// written digit by digit, qualities offset in place and the CIGAR by
+/// [`Cigar::write_text`], so a record costs no allocation of its own.
+/// `seq` bytes that are not UTF-8 are written as U+FFFD, as
+/// `String::from_utf8_lossy` writes them, and qualities above
+/// [`MAX_PHRED`] as `MAX_PHRED`.
+pub fn write_record(out: &mut Vec<u8>, rec: &SamRecord, header: &SamHeader) {
+    out.extend_from_slice(rec.name.as_bytes());
+    out.push(b'\t');
+    push_int(out, rec.flags.0.into());
+    out.push(b'\t');
+    out.extend_from_slice(header.reference_name(rec.ref_id).as_bytes());
+    out.push(b'\t');
+    push_int(out, rec.pos);
+    out.push(b'\t');
+    push_int(out, rec.mapq.into());
+    out.push(b'\t');
+    rec.cigar.write_text(out);
+    out.push(b'\t');
+    if rec.mate_ref_id == rec.ref_id && rec.ref_id != NO_REF {
+        out.push(b'=');
     } else {
-        header.reference_name(rec.mate_ref_id).to_string()
-    };
-    let seq = if rec.seq.is_empty() {
-        "*".to_string()
-    } else {
-        String::from_utf8_lossy(&rec.seq).into_owned()
-    };
-    let qual = if rec.qual.is_empty() {
-        "*".to_string()
-    } else {
-        String::from_utf8_lossy(&encode_phred33(&rec.qual)).into_owned()
-    };
-    let mut line = format!(
-        "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        rec.name,
-        rec.flags.0,
-        rname,
-        rec.pos,
-        rec.mapq,
-        rec.cigar,
-        rnext,
-        rec.mate_pos,
-        rec.tlen,
-        seq,
-        qual
-    );
-    if !rec.read_group.is_empty() {
-        line.push_str(&format!("\tRG:Z:{}", rec.read_group));
+        out.extend_from_slice(header.reference_name(rec.mate_ref_id).as_bytes());
     }
-    line.push_str(&format!(
-        "\tAS:i:{}\tNM:i:{}",
-        rec.alignment_score, rec.edit_distance
-    ));
-    line
+    out.push(b'\t');
+    push_int(out, rec.mate_pos);
+    out.push(b'\t');
+    push_int(out, rec.tlen);
+    out.push(b'\t');
+    if rec.seq.is_empty() {
+        out.push(b'*');
+    } else if rec.seq.is_ascii() {
+        out.extend_from_slice(&rec.seq);
+    } else {
+        out.extend_from_slice(String::from_utf8_lossy(&rec.seq).as_bytes());
+    }
+    out.push(b'\t');
+    if rec.qual.is_empty() {
+        out.push(b'*');
+    } else {
+        out.extend(rec.qual.iter().map(|&q| q.min(MAX_PHRED) + PHRED_OFFSET));
+    }
+    if !rec.read_group.is_empty() {
+        out.extend_from_slice(b"\tRG:Z:");
+        out.extend_from_slice(rec.read_group.as_bytes());
+    }
+    out.extend_from_slice(b"\tAS:i:");
+    push_int(out, rec.alignment_score.into());
+    out.extend_from_slice(b"\tNM:i:");
+    push_int(out, rec.edit_distance.into());
+    out.push(b'\n');
+}
+
+/// Append `v` in decimal, `-` first when negative.
+fn push_int(out: &mut Vec<u8>, v: i64) {
+    if v < 0 {
+        out.push(b'-');
+    }
+    push_decimal(out, v.unsigned_abs());
+}
+
+/// Append `n` in decimal, digit by digit, with no `String`.
+pub(crate) fn push_decimal(out: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
 }
 
 /// Parse one SAM text line into a record, resolving reference names via
-/// the header.
+/// the header. The 11 mandatory fields and then the optional tags come
+/// from one pass of `split('\t')`; the qualities are decoded straight
+/// into the record's vector.
 pub fn line_to_record(line: &str, header: &SamHeader) -> Result<SamRecord> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() < 11 {
-        return Err(FormatError::Sam(format!(
-            "sam line has {} fields, need 11",
-            fields.len()
-        )));
+    let mut fields = line.split('\t');
+    let mut mandatory = [""; 11];
+    for (i, slot) in mandatory.iter_mut().enumerate() {
+        *slot = fields.next().ok_or_else(|| {
+            FormatError::Sam(format!("sam line has {i} fields, need 11"))
+        })?;
     }
+    let [name, flags, rname, pos, mapq, cigar, rnext, pnext, tlen, seq, qual] = mandatory;
     let parse_i64 = |s: &str, what: &str| -> Result<i64> {
         s.parse::<i64>()
             .map_err(|_| FormatError::Sam(format!("bad {what}: {s:?}")))
     };
-    let name = fields[0].to_string();
     let flags = Flags(
-        fields[1]
+        flags
             .parse::<u16>()
-            .map_err(|_| FormatError::Sam(format!("bad flags {:?}", fields[1])))?,
+            .map_err(|_| FormatError::Sam(format!("bad flags {flags:?}")))?,
     );
-    let ref_id = if fields[2] == "*" {
+    let ref_id = if rname == "*" {
         NO_REF
     } else {
         header
-            .reference_id(fields[2])
-            .ok_or_else(|| FormatError::Sam(format!("unknown reference {:?}", fields[2])))?
+            .reference_id(rname)
+            .ok_or_else(|| FormatError::Sam(format!("unknown reference {rname:?}")))?
             as i32
     };
-    let pos = parse_i64(fields[3], "pos")?;
-    let mapq = fields[4]
+    let pos = parse_i64(pos, "pos")?;
+    let mapq = mapq
         .parse::<u8>()
-        .map_err(|_| FormatError::Sam(format!("bad mapq {:?}", fields[4])))?;
-    let cigar = Cigar::parse(fields[5])?;
-    let mate_ref_id = match fields[6] {
+        .map_err(|_| FormatError::Sam(format!("bad mapq {mapq:?}")))?;
+    let cigar = Cigar::parse(cigar)?;
+    let mate_ref_id = match rnext {
         "*" => NO_REF,
         "=" => ref_id,
         other => header
@@ -93,21 +129,18 @@ pub fn line_to_record(line: &str, header: &SamHeader) -> Result<SamRecord> {
             .ok_or_else(|| FormatError::Sam(format!("unknown mate reference {other:?}")))?
             as i32,
     };
-    let mate_pos = parse_i64(fields[7], "pnext")?;
-    let tlen = parse_i64(fields[8], "tlen")?;
-    let seq = if fields[9] == "*" {
+    let mate_pos = parse_i64(pnext, "pnext")?;
+    let tlen = parse_i64(tlen, "tlen")?;
+    let seq = if seq == "*" { Vec::new() } else { seq.as_bytes().to_vec() };
+    let qual = if qual == "*" {
         Vec::new()
+    } else if qual.bytes().all(|c| (PHRED_OFFSET..=PHRED_OFFSET + MAX_PHRED).contains(&c)) {
+        qual.bytes().map(|c| c - PHRED_OFFSET).collect()
     } else {
-        fields[9].as_bytes().to_vec()
-    };
-    let qual = if fields[10] == "*" {
-        Vec::new()
-    } else {
-        decode_phred33(fields[10].as_bytes())
-            .ok_or_else(|| FormatError::Sam("invalid quality string".into()))?
+        return Err(FormatError::Sam("invalid quality string".into()));
     };
     let mut rec = SamRecord {
-        name,
+        name: name.to_string(),
         flags,
         ref_id,
         pos,
@@ -123,7 +156,7 @@ pub fn line_to_record(line: &str, header: &SamHeader) -> Result<SamRecord> {
         edit_distance: 0,
     };
     // Optional tags.
-    for tag in &fields[11..] {
+    for tag in fields {
         if let Some(v) = tag.strip_prefix("RG:Z:") {
             rec.read_group = v.to_string();
         } else if let Some(v) = tag.strip_prefix("AS:i:") {
@@ -142,12 +175,11 @@ pub fn line_to_record(line: &str, header: &SamHeader) -> Result<SamRecord> {
 
 /// Serialize a whole dataset (header + records) as SAM text.
 pub fn to_text(header: &SamHeader, records: &[SamRecord]) -> String {
-    let mut out = header.to_text();
+    let mut out = header.to_text().into_bytes();
     for r in records {
-        out.push_str(&record_to_line(r, header));
-        out.push('\n');
+        write_record(&mut out, r, header);
     }
-    out
+    String::from_utf8(out).expect("SAM text is UTF-8: its text fields are strings, seq is written lossily")
 }
 
 /// Parse SAM text into (header, records).
@@ -181,10 +213,35 @@ pub fn from_text(text: &str) -> Result<(SamHeader, Vec<SamRecord>)> {
     Ok((header, records))
 }
 
+/// The parent commit's formatter and parser, verbatim.
+#[cfg(test)]
+mod reference;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sam::header::ReferenceSeq;
+
+    fn record_to_line(rec: &SamRecord, header: &SamHeader) -> String {
+        let mut out = Vec::new();
+        write_record(&mut out, rec, header);
+        assert_eq!(out.pop(), Some(b'\n'));
+        let line = String::from_utf8(out).unwrap();
+        assert_eq!(line, reference::record_to_line(rec, header));
+        line
+    }
+
+    /// [`line_to_record`], held to the parent's parser: the same record,
+    /// or an error from both.
+    fn parse(line: &str, header: &SamHeader) -> Result<SamRecord> {
+        let ours = line_to_record(line, header);
+        match (&ours, reference::line_to_record(line, header)) {
+            (Ok(rec), Ok(want)) => assert_eq!(*rec, want, "{line:?}"),
+            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+            (got, want) => panic!("{line:?}: {got:?}, the parent {want:?}"),
+        }
+        ours
+    }
 
     fn header() -> SamHeader {
         SamHeader::new(vec![
@@ -221,7 +278,7 @@ mod tests {
         let r = record();
         let line = record_to_line(&r, &h);
         assert!(line.contains("\t=\t"), "same-ref mate shown as '=': {line}");
-        let back = line_to_record(&line, &h).unwrap();
+        let back = parse(&line, &h).unwrap();
         assert_eq!(back, r);
     }
 
@@ -232,7 +289,7 @@ mod tests {
         r.mate_ref_id = 1;
         let line = record_to_line(&r, &h);
         assert!(line.contains("\tchr2\t"));
-        assert_eq!(line_to_record(&line, &h).unwrap(), r);
+        assert_eq!(parse(&line, &h).unwrap(), r);
     }
 
     #[test]
@@ -241,7 +298,7 @@ mod tests {
         let r = SamRecord::unmapped("u", b"ACG".to_vec(), vec![2; 3]);
         let line = record_to_line(&r, &h);
         assert!(line.contains("\t*\t0\t"));
-        let back = line_to_record(&line, &h).unwrap();
+        let back = parse(&line, &h).unwrap();
         assert_eq!(back, r);
     }
 
@@ -258,16 +315,63 @@ mod tests {
     #[test]
     fn rejects_unknown_reference_and_short_lines() {
         let h = header();
-        assert!(line_to_record("r\t0\tchr9\t1\t0\t1M\t*\t0\t0\tA\tI", &h).is_err());
-        assert!(line_to_record("r\t0\tchr1", &h).is_err());
+        assert!(parse("r\t0\tchr9\t1\t0\t1M\t*\t0\t0\tA\tI", &h).is_err());
+        assert!(parse("r\t0\tchr1", &h).is_err());
     }
 
     #[test]
     fn unknown_tags_ignored() {
         let h = header();
         let line = "r\t0\tchr1\t5\t60\t3M\t*\t0\t0\tACG\tIII\tXX:Z:whatever\tAS:i:3";
-        let r = line_to_record(line, &h).unwrap();
+        let r = parse(line, &h).unwrap();
         assert_eq!(r.alignment_score, 3);
+    }
+
+    #[test]
+    fn awkward_records_format_and_parse_as_in_the_parent() {
+        let h = header();
+        let mut r = record();
+        r.pos = -3;
+        r.tlen = i64::MIN;
+        r.mate_pos = i64::MAX;
+        r.qual = vec![0, 93, 94, 255, 40, 1, 2, 3, 4, 5];
+        r.read_group.clear();
+        r.alignment_score = i32::MIN;
+        r.edit_distance = u32::MAX;
+        let line = record_to_line(&r, &h);
+        assert!(line.contains("\t-9223372036854775808\t"), "{line}");
+        r.qual = r.qual.iter().map(|&q| q.min(93)).collect();
+        assert_eq!(parse(&line, &h).unwrap(), r);
+        // Empty seq and qual; a seq that is not UTF-8 is written lossily.
+        let mut u = SamRecord::unmapped("u", Vec::new(), Vec::new());
+        record_to_line(&u, &h);
+        u.seq = vec![b'A', 0xFF, b'C', 0xC3];
+        u.qual = vec![30; 4];
+        assert!(record_to_line(&u, &h).contains("\tA\u{FFFD}C\u{FFFD}\t"));
+        // Reference ids past the dictionary are written as `*`.
+        u.ref_id = 7;
+        u.mate_ref_id = 7;
+        assert!(record_to_line(&u, &h).starts_with("u\t4\t*\t0\t0\t*\t=\t"));
+    }
+
+    #[test]
+    fn forged_lines_fail_where_the_parent_fails() {
+        let h = header();
+        let good = record_to_line(&record(), &h);
+        let fields: Vec<&str> = good.split('\t').collect();
+        for n in 0..fields.len() {
+            // Cut to n fields, and each field replaced by garbage.
+            let _ = parse(&fields[..n].join("\t"), &h);
+            let edges = ["", "*", "=", "-1", "+5", "99999999999999999999", "chr2", "3Q"];
+            for bad in edges.into_iter().chain(["\u{1}", " ", "!", "~", "\u{7f}", "é"]) {
+                let mut forged = fields.clone();
+                forged[n] = bad;
+                let _ = parse(&forged.join("\t"), &h);
+            }
+        }
+        for tail in ["\tAS:i:x", "\tNM:i:-1", "\tRG:Z:", "\t", "\tAS:i:7\tAS:i:8"] {
+            let _ = parse(&format!("{good}{tail}"), &h);
+        }
     }
 
     #[test]

@@ -13,6 +13,10 @@ use gesall_formats::sam::{Flags, SamRecord, SamView};
 use gesall_formats::wire::{Cursor, Wire};
 use proptest::prelude::*;
 
+/// The parent commit's SAM text formatter and parser.
+#[path = "../src/sam/text/reference.rs"]
+mod sam_text_reference;
+
 fn arb_dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(prop_oneof![Just(b'A'), Just(b'C'), Just(b'G'), Just(b'T')], 1..max_len)
 }
@@ -501,5 +505,113 @@ proptest! {
         let header = SamHeader::new(vec![ReferenceSeq { name: "chr1".into(), len: 2_000_000 }]);
         let real = sam_text::to_text(&header, &records).into_bytes();
         let _ = sam_text::from_text(&String::from_utf8_lossy(&forge(&real, at, byte, cut)));
+    }
+}
+
+/// A number that is often an edge: zero, one, the type's extremes.
+fn arb_edge_i64() -> impl Strategy<Value = i64> {
+    prop_oneof![Just(0i64), Just(-1), Just(i64::MIN), Just(i64::MAX), -1_000i64..1_000_000, any::<i64>()]
+}
+
+prop_compose! {
+    /// A record with every field at large: names and read groups with
+    /// tabs and multi-byte characters, or empty; seq of any bytes (not
+    /// UTF-8 included) or empty; qualities past 93 or none; negative
+    /// positions and template lengths; reference ids in, out of and
+    /// past the dictionary, mates on the same reference or not.
+    fn arb_any_record()(
+        name in prop_oneof![Just(String::new()), "[ -~\té☃]{0,12}".boxed()],
+        flags in any::<u16>(),
+        refs in (-2i32..4, prop_oneof![Just(None), (-2i32..4).prop_map(Some)]),
+        coords in (arb_edge_i64(), any::<u8>(), arb_edge_i64(), arb_edge_i64()),
+        cigar_ops in prop_oneof![Just(Vec::new()), arb_cigar_ops()],
+        seq in prop_oneof![
+            Just(Vec::new()),
+            arb_dna(40),
+            proptest::collection::vec(prop_oneof![Just(b'N'), Just(b'a'), Just(0xFFu8), Just(0xC3u8), any::<u8>()], 0..20),
+        ],
+        qual in prop_oneof![Just(Vec::new()), proptest::collection::vec(any::<u8>(), 0..40)],
+        tags in (
+            prop_oneof![Just(String::new()), "[a-z0-9\t:]{1,8}".boxed()],
+            prop_oneof![Just(0i32), Just(i32::MIN), any::<i32>()],
+            prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()],
+        ),
+    ) -> SamRecord {
+        let (ref_id, mate) = refs;
+        let (pos, mapq, mate_pos, tlen) = coords;
+        let (read_group, alignment_score, edit_distance) = tags;
+        SamRecord {
+            name,
+            flags: Flags(flags),
+            ref_id,
+            pos,
+            mapq,
+            cigar: Cigar(cigar_ops),
+            mate_ref_id: mate.unwrap_or(ref_id),
+            mate_pos,
+            tlen,
+            seq,
+            qual,
+            read_group,
+            alignment_score,
+            edit_distance,
+        }
+    }
+}
+
+/// `line_to_record` answers `line` as the parent's parser does: the same
+/// record, or an error from both.
+fn parses_as_the_parent(line: &str, header: &SamHeader) -> Result<(), TestCaseError> {
+    match (sam_text::line_to_record(line, header), sam_text_reference::line_to_record(line, header)) {
+        (Ok(ours), Ok(parents)) => prop_assert_eq!(ours, parents, "{:?}", line),
+        (Err(_), Err(_)) => {}
+        (ours, parents) => prop_assert!(false, "{:?}: {:?}, the parent {:?}", line, ours, parents),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    // SAM text is the `bwa-mem | samtobam` pipe's format (Fig. 8): every
+    // record is written byte for byte as the parent's formatter wrote
+    // it, and every line — written, forged or arbitrary — parses to the
+    // parent's record, or fails where the parent's parser fails.
+    #[test]
+    fn sam_text_formats_and_parses_as_the_parent(
+        records in proptest::collection::vec(prop_oneof![arb_any_record(), arb_sam_record()], 1..4),
+        text in arb_text_bytes(200),
+        at in any::<usize>(),
+        byte in prop_oneof![
+            prop_oneof![Just(b'\t'), Just(b'*'), Just(b'='), Just(b'-')],
+            prop_oneof![Just(b' '), Just(b'!'), Just(b'~'), Just(0x7F)],
+            any::<u8>(),
+        ],
+        cut in any::<usize>(),
+    ) {
+        let header = SamHeader::new(vec![
+            ReferenceSeq { name: "chr1".into(), len: 2_000_000 },
+            ReferenceSeq { name: "chr2".into(), len: 1_000 },
+        ]);
+        let mut written = Vec::new();
+        for rec in &records {
+            let mark = written.len();
+            sam_text::write_record(&mut written, rec, &header);
+            let mut want = sam_text_reference::record_to_line(rec, &header).into_bytes();
+            want.push(b'\n');
+            prop_assert_eq!(&written[mark..], &want[..]);
+        }
+        let text_out = sam_text::to_text(&header, &records);
+        prop_assert_eq!(text_out.as_bytes(), [header.to_text().as_bytes(), &written].concat());
+        for line in String::from_utf8(written.clone()).unwrap().lines() {
+            parses_as_the_parent(line, &header)?;
+        }
+        let forged = String::from_utf8_lossy(&forge(&written, at, byte, cut)).into_owned();
+        for line in forged.lines() {
+            parses_as_the_parent(line, &header)?;
+        }
+        for line in String::from_utf8_lossy(&text).lines() {
+            parses_as_the_parent(line, &header)?;
+        }
     }
 }

@@ -5,8 +5,9 @@
 # under examples/ (~10 s together; clippy only compiles them), so the
 # README's quickstart cannot rot, and run CI's release-mode reference
 # suites: the aligner kernels, the recalibration passes and
-# HaplotypeCaller, the codec's decoder and the BAM writer held to the
-# parent's code and its Lz parse to count gates, and the stage outputs
+# HaplotypeCaller, the codec's decoder, the BAM writer and the SAM text
+# formatter and parser held to the parent's code and its Lz parse to
+# count gates, and the stage outputs
 # to their pinned digests. Release matters:
 # with overflow checks off a kernel can disagree with its reference
 # where the debug run never reaches. The line counter is held to its
@@ -37,6 +38,7 @@ smoke:
     cargo test --release --offline -q -p gesall-tools
     cargo test --release --offline -q -p gesall-formats
     scripts/test-some.sh --release --offline -q -p gesall-formats --lib compress::tests::the_parse_cuts_fewer_tokens_and_probes_less_than_the_reference -- --exact
+    scripts/test-some.sh --release --offline -q -p gesall-formats --test proptest_formats sam_text_formats_and_parses_as_the_parent -- --exact
     cargo test --release --offline -q -p gesall-core
 
 # The benchmark of record (benchmark/README.md): all four workloads,
