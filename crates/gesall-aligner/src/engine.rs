@@ -48,6 +48,14 @@ pub struct Aligner {
     config: AlignerConfig,
 }
 
+/// The configuration, not the index: a content key that hashes this
+/// text hashes the reference the index was built from on its own.
+impl std::fmt::Debug for Aligner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Aligner").field("config", &self.config).finish_non_exhaustive()
+    }
+}
+
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -27,6 +27,7 @@ use gesall_formats::wire;
 
 use crate::pipeline::PlatformConfig;
 use crate::stages;
+use gesall_aligner::Aligner;
 
 /// Well-known counter names for the DAG executor. Bumped on both the
 /// run's [`Counters`](gesall_mapreduce::counters::Counters) bag and the
@@ -55,9 +56,9 @@ pub struct StageSpec {
     /// Bumped whenever the stage's implementation changes observable
     /// output — the "stage code version" component of the content key.
     pub code_version: u32,
-    /// Fingerprint of exactly the configuration slice this stage's
-    /// output depends on (not the whole config, so e.g. changing the
-    /// caller never invalidates alignment).
+    /// Fingerprint of exactly the settings this stage's body reads (not
+    /// the whole config, so e.g. changing the caller never invalidates
+    /// alignment).
     pub config_fp: u64,
 }
 
@@ -69,11 +70,6 @@ impl StageSpec {
             code_version: 1,
             config_fp: 0,
         }
-    }
-
-    pub fn config_fp(mut self, fp: u64) -> StageSpec {
-        self.config_fp = fp;
-        self
     }
 }
 
@@ -185,32 +181,20 @@ impl DagSpec {
     }
 }
 
-/// Fingerprint helper: hash the `Debug` rendering of a config slice.
-/// Debug output is stable for the plain-data config types involved, and
-/// a false *difference* only costs a cache miss, never a wrong hit.
-pub fn config_fingerprint(parts: &[&dyn fmt::Debug]) -> u64 {
-    let mut text = String::new();
-    for p in parts {
-        text.push_str(&format!("{p:?}"));
-        text.push('\x1f');
-    }
-    xxh64(text.as_bytes())
-}
-
-/// The *executed* pipeline graph for `config` — the specs of the stage
-/// table ([`crate::stages`]) that
+/// The *executed* pipeline graph for `config` and `aligner` — the specs
+/// of the stage table ([`crate::stages`]) that
 /// [`GesallPlatform::run_pipeline_dag`](crate::pipeline::GesallPlatform::run_pipeline_dag)
 /// walks, in table order. It reflects the real dataflow: the bloom build
 /// and the recalibration-table build are side branches that rejoin, which
 /// is what lets them be cached independently.
-pub fn pipeline_dag(config: &PlatformConfig) -> DagSpec {
-    stages::graph(&stages::pipeline_stages(config))
+pub fn pipeline_dag(config: &PlatformConfig, aligner: &Aligner) -> DagSpec {
+    stages::graph(&stages::pipeline_stages(config, aligner))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{CallerChoice, HcPartitioning};
+    use crate::stages::tests::{aligner, config_shapes};
     use proptest::prelude::*;
 
     fn spec(edges: &[(&str, &[&str])]) -> DagSpec {
@@ -286,15 +270,16 @@ mod tests {
 
     #[test]
     fn invalidating_a_stage_the_graph_lacks_is_a_typed_error() {
+        let aligner = aligner();
         let d = spec(&[("a", &[]), ("b", &["a"])]);
         assert_eq!(
             d.stage_keys(1, &[("b".into(), 7), ("bb".into(), 7)]),
             Err(DagError::UnknownStage("bb".into()))
         );
         // A stage the configuration leaves out is as unknown as a typo.
-        let no_recal = pipeline_dag(&PlatformConfig::default());
+        let no_recal = pipeline_dag(&PlatformConfig::default(), &aligner);
         let inv = [("round4b-print-reads".to_string(), 1)];
-        assert!(pipeline_dag(&PlatformConfig { recalibrate: true, ..PlatformConfig::default() })
+        assert!(pipeline_dag(&PlatformConfig { recalibrate: true, ..PlatformConfig::default() }, &aligner)
             .stage_keys(1, &inv)
             .is_ok());
         assert_eq!(
@@ -305,8 +290,9 @@ mod tests {
 
     #[test]
     fn pipeline_dag_reflects_config_branches() {
+        let aligner = aligner();
         let base = PlatformConfig::default(); // markdup_opt on, recal off
-        let d = pipeline_dag(&base);
+        let d = pipeline_dag(&base, &aligner);
         d.topo_order().unwrap();
         let names: Vec<&str> = d.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
@@ -329,7 +315,7 @@ mod tests {
             markdup_opt: false,
             ..PlatformConfig::default()
         };
-        let d = pipeline_dag(&recal);
+        let d = pipeline_dag(&recal, &aligner);
         d.topo_order().unwrap();
         assert!(d.stage("round2b-bloom").is_none());
         assert_eq!(
@@ -340,72 +326,51 @@ mod tests {
             d.stage("round5-haplotypecaller").unwrap().parents,
             vec!["round4b-print-reads"]
         );
-        // Changing one stage's config slice moves only that subgraph.
-        let k_base = pipeline_dag(&base).stage_keys(9, &[]).unwrap();
+        // Changing a setting one stage reads moves only that subgraph.
+        let k_base = pipeline_dag(&base, &aligner).stage_keys(9, &[]).unwrap();
         let reseeded = PlatformConfig {
             seed: 42,
             ..PlatformConfig::default()
         };
-        let k_seed = pipeline_dag(&reseeded).stage_keys(9, &[]).unwrap();
+        let k_seed = pipeline_dag(&reseeded, &aligner).stage_keys(9, &[]).unwrap();
         assert_eq!(k_base["round1-align"], k_seed["round1-align"]);
         assert_eq!(k_base["round2b-bloom"], k_seed["round2b-bloom"]);
         assert_ne!(k_base["round3-markdup"], k_seed["round3-markdup"]);
         assert_ne!(k_base["round4-sort"], k_seed["round4-sort"]);
     }
 
-    /// The 12 graph shapes: `markdup_opt` × `recalibrate` × round-5
-    /// variant, in that nesting order.
-    fn config_shapes() -> Vec<PlatformConfig> {
-        let mut shapes = Vec::new();
-        for markdup_opt in [true, false] {
-            for recalibrate in [false, true] {
-                for (caller, hc_partitioning) in [
-                    (CallerChoice::UnifiedGenotyper, HcPartitioning::Chromosome),
-                    (CallerChoice::HaplotypeCaller, HcPartitioning::Chromosome),
-                    (
-                        CallerChoice::HaplotypeCaller,
-                        HcPartitioning::FineGrained { segment_len: 20_000, overlap: 2_000 },
-                    ),
-                ] {
-                    shapes.push(PlatformConfig {
-                        markdup_opt,
-                        recalibrate,
-                        caller,
-                        hc_partitioning,
-                        ..PlatformConfig::default()
-                    });
-                }
-            }
-        }
-        shapes
-    }
-
     /// `xxh64` of the rendered `stage_keys(PINNED_ROOT, &[])` map of each
-    /// of [`config_shapes`], recorded before the stage table existed. A
-    /// renamed stage, a reordered parent list or a drifted fingerprint
-    /// cold-starts every tenant's cache; it has to fail here first.
+    /// of [`config_shapes`]. Re-pinned when each row's fingerprint became
+    /// the `Debug` text of what its body reads: the aligner's
+    /// configuration joined round 1's key, `RecalConfig` rounds 4½a and
+    /// 4½b's, and `GenotyperConfig` the UnifiedGenotyper row's — with
+    /// those fingerprints substituted by the old hand-built ones, the
+    /// table gives the earlier digests. A renamed stage, a reordered
+    /// parent list or a drifted fingerprint cold-starts every tenant's
+    /// cache; it has to fail here first.
     const PINNED_ROOT: u64 = 0x6765_7361_6c6c;
     const PINNED_STAGE_KEY_DIGESTS: [u64; 12] = [
-        15927944444196474890,
-        9647942786048930904,
-        17306962960432690371,
-        17179655324402300918,
-        11593087631001278586,
-        8776914509234223216,
-        6259972079694382074,
-        3192464085743140512,
-        11493060630919730206,
-        2295026055881646653,
-        7056636164347283589,
-        12718912994212419500,
+        8277776937052255398,
+        3250144338526238353,
+        12276648472528498472,
+        3811622417388937047,
+        12123912153962628621,
+        14653005186307220086,
+        15710333442084086079,
+        14768701416573785281,
+        10146272087909233726,
+        14772205796384309270,
+        1372283775823403831,
+        13709533881607035438,
     ];
 
     #[test]
     fn pipeline_stage_keys_are_pinned() {
+        let aligner = aligner();
         let got: Vec<u64> = config_shapes()
             .iter()
             .map(|c| {
-                let keys = pipeline_dag(c).stage_keys(PINNED_ROOT, &[]).unwrap();
+                let keys = pipeline_dag(c, &aligner).stage_keys(PINNED_ROOT, &[]).unwrap();
                 xxh64(format!("{keys:?}").as_bytes())
             })
             .collect();
@@ -414,8 +379,9 @@ mod tests {
 
     #[test]
     fn pipeline_rows_are_declared_in_execution_order() {
+        let aligner = aligner();
         for c in config_shapes() {
-            let d = pipeline_dag(&c);
+            let d = pipeline_dag(&c, &aligner);
             let declared: Vec<String> = d.stages.iter().map(|s| s.name.clone()).collect();
             assert_eq!(d.topo_order().unwrap(), declared);
             for (i, s) in d.stages.iter().enumerate() {

@@ -19,14 +19,17 @@
 //! * [`rounds`] — the five MapReduce rounds of the paper's pipeline
 //!   (Appendix A.2), as `Mapper`/`Reducer` implementations.
 //! * `stages` (crate-private) — the pipeline declared once: one row per
-//!   stage (name, parents, content-key fingerprint, body). The graph,
-//!   the content keys, the executor and the reports all read it.
+//!   stage (name, parents, and a typed value holding every setting the
+//!   row's body reads, whose `Debug` text is the row's content-key
+//!   fingerprint), plus the root key over the run's inputs. The graph,
+//!   the content keys, the executor and the reports all read it; the
+//!   paper's §3.2 round rule is a test over it.
 //! * [`dag`] — stage graphs: the declaration-order check (every stage
 //!   below its parents), content keys chained through ancestry;
 //!   [`dag::pipeline_dag`] is the stage table's projection.
-//! * [`pipeline`] — the round planner (a new MR round starts whenever the
-//!   next program's partitioning requirement is incompatible), the DAG
-//!   executor over the stage table, and the serial/hybrid baselines.
+//! * [`pipeline`] — the DAG executor over the stage table, and the
+//!   serial/hybrid baselines; a stage's stored output
+//!   ([`pipeline::StageData`]) is encoded in `stage_data`.
 //! * [`diagnosis`] — the error-diagnosis toolkit (§3.4/§4.5.2):
 //!   concordant/discordant sets, D-count, D-impact, logistic quality
 //!   weighting — in memory, on one node.
@@ -38,6 +41,7 @@ pub mod gdpt;
 pub mod pipeline;
 pub mod programs;
 pub mod rounds;
+mod stage_data;
 mod stages;
 pub mod storage;
 

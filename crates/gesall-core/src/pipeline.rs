@@ -1,9 +1,5 @@
-//! Pipeline planning and end-to-end drivers.
+//! End-to-end drivers.
 //!
-//! * [`plan_rounds`] — the paper's round-construction rule (Appendix
-//!   A.2): walk the program list; start a new MapReduce round whenever
-//!   the next program's partitioning requirement is incompatible with
-//!   the current data arrangement.
 //! * [`GesallPlatform`] — the parallel driver: its DAG executor walks
 //!   the stage table (`stages.rs`, one row per stage) over DFS +
 //!   MapReduce, resolving each row from the content-addressed store or
@@ -15,131 +11,26 @@
 
 use crate::dag;
 use crate::error::{PlatformError, Result};
-use crate::gdpt::BloomFilter;
 use crate::rounds::DecodePartMapper;
 use crate::stages::{self, pipeline_stages, Inputs, Resolved, Split, Stage, StageCtx};
 use gesall_aligner::Aligner;
-use gesall_dfs::{checksum, Dfs, LogicalPartitionPlacement, SweepReason};
-use gesall_formats::bam::{self, FrameHeader};
-use gesall_formats::fastq::{pairs_to_interleaved_bytes, ReadPair};
+use gesall_dfs::{Dfs, LogicalPartitionPlacement, SweepReason};
+use gesall_formats::fastq::ReadPair;
 use gesall_formats::sam::header::ReadGroup;
 use gesall_formats::sam::{SamHeader, SamRecord, SortOrder};
 use gesall_formats::vcf::VariantRecord;
-use gesall_formats::wire::{self, Wire};
+use gesall_formats::wire::Wire;
 use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::lease::SlotLease;
 use gesall_mapreduce::runtime::{InputSplit, JobConfig, MapReduceEngine};
 use gesall_telemetry::{report, OpenSpan, PhaseRow, SpanId, SpanKind};
 use gesall_tools::haplotype_caller::{call_chromosome, HaplotypeCallerConfig};
-use gesall_tools::recalibration::RecalTable;
 use gesall_tools::refview::RefView;
 use std::sync::Arc;
 use std::time::Instant;
 
-// ---------------------------------------------------------------------
-// Round planner
-// ---------------------------------------------------------------------
-
-/// A program's logical partitioning requirement (paper §3.2 categories).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Partitioning {
-    /// Grouped by read name.
-    ByReadName,
-    /// The MarkDuplicates compound 5′-end keys.
-    ByDuplicateKeys,
-    /// Coordinate ranges (per chromosome).
-    ByRange,
-    /// Distributive aggregation by covariate (recalibration tables).
-    ByCovariate,
-    /// No requirement (works on any subset).
-    Any,
-}
-
-impl Partitioning {
-    /// Can a program with requirement `self` run directly on data
-    /// arranged as `arrangement`, without a shuffle?
-    pub fn satisfied_by(&self, arrangement: &Partitioning) -> bool {
-        matches!(self, Partitioning::Any) || self == arrangement
-    }
-}
-
-/// One pipeline step, as declared to the planner.
-#[derive(Debug, Clone)]
-pub struct ProgramSpec {
-    pub name: String,
-    pub requires: Partitioning,
-    /// Arrangement of this program's *output* (None = unchanged).
-    pub produces: Option<Partitioning>,
-}
-
-impl ProgramSpec {
-    pub fn new(name: &str, requires: Partitioning) -> ProgramSpec {
-        ProgramSpec {
-            name: name.into(),
-            requires,
-            produces: None,
-        }
-    }
-
-    pub fn producing(mut self, p: Partitioning) -> ProgramSpec {
-        self.produces = Some(p);
-        self
-    }
-}
-
-/// A planned MapReduce round: the programs fused into it and whether it
-/// needs a shuffle to rearrange its input first.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundPlan {
-    pub programs: Vec<String>,
-    pub input_arrangement: Partitioning,
-    pub needs_shuffle: bool,
-}
-
-/// The paper's rule: fuse consecutive programs while their partitioning
-/// requirements are compatible with the current arrangement; start a new
-/// round (with a shuffle) when they are not.
-pub fn plan_rounds(initial: Partitioning, programs: &[ProgramSpec]) -> Vec<RoundPlan> {
-    let mut rounds: Vec<RoundPlan> = Vec::new();
-    let mut arrangement = initial;
-    for p in programs {
-        let compatible = p.requires.satisfied_by(&arrangement);
-        let start_new = rounds.is_empty() || !compatible;
-        if start_new {
-            let needs_shuffle = !compatible;
-            if needs_shuffle {
-                arrangement = p.requires.clone();
-            }
-            rounds.push(RoundPlan {
-                programs: vec![p.name.clone()],
-                input_arrangement: arrangement.clone(),
-                needs_shuffle,
-            });
-        } else {
-            rounds.last_mut().expect("non-empty").programs.push(p.name.clone());
-        }
-        if let Some(out) = &p.produces {
-            arrangement = out.clone();
-        }
-    }
-    rounds
-}
-
-/// The paper's secondary-analysis pipeline as ProgramSpecs (Table 2).
-pub fn gatk_best_practices_specs() -> Vec<ProgramSpec> {
-    vec![
-        ProgramSpec::new("Bwa", Partitioning::ByReadName),
-        ProgramSpec::new("SamToBam", Partitioning::Any),
-        ProgramSpec::new("AddReplaceReadGroups", Partitioning::Any),
-        ProgramSpec::new("CleanSam", Partitioning::Any),
-        ProgramSpec::new("FixMateInformation", Partitioning::ByReadName),
-        ProgramSpec::new("MarkDuplicates", Partitioning::ByDuplicateKeys)
-            .producing(Partitioning::ByDuplicateKeys),
-        ProgramSpec::new("SortSam", Partitioning::ByRange).producing(Partitioning::ByRange),
-        ProgramSpec::new("HaplotypeCaller", Partitioning::ByRange),
-    ]
-}
+pub use crate::stage_data::StageData;
 
 // ---------------------------------------------------------------------
 // Parallel platform driver
@@ -450,12 +341,12 @@ impl GesallPlatform {
 
     /// The DAG executor. Walks the stage table ([`crate::stages`]) top
     /// to bottom; each stage's output is keyed by its content hash (code
-    /// version + config slice + parent keys, rooted at a hash of the
-    /// read pairs and reference) and committed to the content-addressed
-    /// store under `{cas_root}/cas/{key}`. A key that hits is decoded
-    /// instead of executed (`dag.stages.cache_hit` vs `dag.stages.run`),
-    /// so re-running with one changed stage re-executes exactly that
-    /// stage and its descendants. A partition stage's entry is its
+    /// version + the settings its body reads + parent keys, rooted at a
+    /// hash of the read pairs and reference) and committed to the
+    /// content-addressed store under `{cas_root}/cas/{key}`. A key that
+    /// hits is decoded instead of executed (`dag.stages.cache_hit` vs
+    /// `dag.stages.run`), so re-running with one changed stage
+    /// re-executes exactly that stage and its descendants. A partition stage's entry is its
     /// partition bytes, written by the stage's tasks: hit or run, the
     /// partitions are windows of the entry, placed on the DFS once, and
     /// become its consumers' input splits — store, blocks and splits
@@ -479,7 +370,7 @@ impl GesallPlatform {
             .as_deref()
             .map(|c| c.trim_end_matches('/').to_string())
             .unwrap_or(ns);
-        let rows = pipeline_stages(&self.config);
+        let rows = pipeline_stages(&self.config, aligner);
         let run = self
             .resolve_stages(&mut cx, &rows, &cas_root, dag_opts)
             .and_then(|(resolved, stages)| Ok((self.collect(&cx, &rows, resolved)?, stages)));
@@ -499,28 +390,14 @@ impl GesallPlatform {
     fn resolve_stages(
         &self,
         cx: &mut StageCtx<'_>,
-        rows: &[Stage],
+        rows: &[Stage<'_>],
         cas_root: &str,
         dag_opts: &DagRunOptions,
     ) -> Result<(Vec<Resolved>, Vec<StageReport>)> {
-        // Root content key: the external inputs every stage chain hangs
-        // off — the read pairs, the reference sequences, their names.
-        let root_key = {
-            let mut buf = Vec::new();
-            let pairs = cx.pairs.as_deref().unwrap_or_default();
-            wire::put_u64(&mut buf, checksum::xxh64(&pairs_to_interleaved_bytes(pairs)));
-            for r in cx.references.iter() {
-                wire::put_u64(&mut buf, checksum::xxh64(r));
-            }
-            for n in cx.chrom_names.iter() {
-                wire::put_str(&mut buf, n);
-            }
-            checksum::xxh64(&buf)
-        };
         // Rejects a malformed table and a mistyped invalidation before
         // any stage resolves.
         let keys = stages::graph(rows)
-            .stage_keys(root_key, &dag_opts.invalidate)
+            .stage_keys(stages::root_key(cx), &dag_opts.invalidate)
             .map_err(|e| PlatformError::Invariant(e.to_string()))?;
 
         let mut resolved: Vec<Resolved> = Vec::with_capacity(rows.len());
@@ -554,7 +431,7 @@ impl GesallPlatform {
                     let out = match cached {
                         Some(d) => d,
                         None => {
-                            let mut d = (row.body)(self, cx, &Inputs::of(rows, &resolved, row)?)?;
+                            let mut d = row.body.run(self, cx, &Inputs::of(rows, &resolved, row)?)?;
                             if dag_opts.cache {
                                 // Built once, exactly sized; partitions
                                 // go on from here as windows of what the
@@ -634,7 +511,7 @@ impl GesallPlatform {
     fn collect(
         &self,
         cx: &StageCtx<'_>,
-        rows: &[Stage],
+        rows: &[Stage<'_>],
         mut resolved: Vec<Resolved>,
     ) -> Result<(Vec<SamRecord>, Vec<VariantRecord>)> {
         let last = rows.last().expect("the stage table is never empty");
@@ -669,10 +546,10 @@ impl GesallPlatform {
         opts: &RunOptions,
     ) -> Result<PipelineOutput> {
         let (mut cx, pipeline_span, pipeline_name, _ns) = self.begin_run(aligner, pairs, opts);
-        let rows = pipeline_stages(&self.config);
+        let rows = pipeline_stages(&self.config, aligner);
         let mut resolved = Vec::new();
         for row in &rows {
-            let out = (row.body)(self, &mut cx, &Inputs::of(&rows, &resolved, row)?)?;
+            let out = row.body.run(self, &mut cx, &Inputs::of(&rows, &resolved, row)?)?;
             resolved.push(self.resolve(&cx, &row.spec.name, out)?);
         }
         let (records, variants) = self.collect(&cx, &rows, resolved)?;
@@ -684,7 +561,7 @@ impl GesallPlatform {
     /// facts every stage needs.
     fn begin_run<'a>(
         &self,
-        aligner: &'a Aligner,
+        aligner: &Aligner,
         pairs: Vec<ReadPair>,
         opts: &'a RunOptions,
     ) -> (StageCtx<'a>, OpenSpan, String, String) {
@@ -718,7 +595,6 @@ impl GesallPlatform {
                 .collect(),
         );
         let cx = StageCtx {
-            aligner,
             opts,
             pairs: Some(pairs),
             counters: Counters::new(),
@@ -768,124 +644,6 @@ pub(crate) fn sort_by_site(variants: &mut [VariantRecord]) {
         (&v.chrom, v.pos, &v.ref_allele, &v.alt_allele)
     }
     variants.sort_by(|a, b| site(a).cmp(&site(b)));
-}
-
-/// A stage's committed output, as stored in the content-addressed
-/// intermediate store. The lossless wire codec matters: VCF *text*
-/// round-trips qualities through `{:.2}` formatting, so cached variants
-/// are stored as wire records, never as rendered text.
-#[derive(Debug, Clone)]
-pub enum StageData {
-    /// BAM logical partitions (most stages), each the encoded bytes the
-    /// next round's wrapped programs read — what the paper's rounds
-    /// leave on HDFS.
-    Parts(Vec<SharedBytes>),
-    /// The `MarkDup_opt` bloom filter.
-    Bloom(BloomFilter),
-    /// The merged base-recalibration table.
-    Recal(RecalTable),
-    /// Round-5 calls, sorted by site.
-    Variants(Vec<VariantRecord>),
-}
-
-impl StageData {
-    /// Wire framing proves nothing about the partition bytes inside it,
-    /// and a mapper handed a torn partition has no error to return. So
-    /// a cached entry counts only if every partition is a header frame
-    /// followed by whole record frames with nothing dangling — frame
-    /// headers only, nothing is decompressed.
-    fn parts_are_whole(&self) -> bool {
-        let StageData::Parts(parts) = self else {
-            return true;
-        };
-        parts.iter().all(|part| {
-            let mut pos = 0;
-            while pos < part.len() {
-                match FrameHeader::parse(&part[pos..]) {
-                    Ok(fh) if (fh.kind == bam::KIND_HEADER) == (pos == 0) => pos += fh.frame_len(),
-                    _ => return false,
-                }
-            }
-            pos == part.len() && pos > 0
-        })
-    }
-
-    /// Decode a store entry. Partitions come back as windows of `entry`
-    /// — nothing is copied, so whatever they are handed to shares the
-    /// entry's backing; the small side outputs decode as usual.
-    pub(crate) fn from_entry(entry: &SharedBytes) -> gesall_formats::error::Result<StageData> {
-        let mut cur = wire::Cursor::new(entry);
-        if cur.get_varint()? != PARTS_TAG {
-            return StageData::from_wire_bytes(entry);
-        }
-        let n = cur.get_count::<SharedBytes>()?;
-        let mut parts = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = cur.get_bytes()?.len();
-            let end = entry.len() - cur.remaining();
-            parts.push(entry.slice(end - len..end));
-        }
-        if !cur.is_empty() {
-            return Err(gesall_formats::error::FormatError::Bam(format!(
-                "{} trailing bytes after the partitions",
-                cur.remaining()
-            )));
-        }
-        Ok(StageData::Parts(parts))
-    }
-}
-
-const PARTS_TAG: u64 = 0;
-
-impl Wire for StageData {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            StageData::Parts(p) => {
-                wire::put_varint(buf, PARTS_TAG);
-                p.encode(buf);
-            }
-            StageData::Bloom(b) => {
-                wire::put_varint(buf, 1);
-                b.encode(buf);
-            }
-            StageData::Recal(t) => {
-                wire::put_varint(buf, 2);
-                t.encode(buf);
-            }
-            StageData::Variants(v) => {
-                wire::put_varint(buf, 3);
-                v.encode(buf);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        // Every tag is one byte.
-        1 + match self {
-            StageData::Parts(p) => p.encoded_len(),
-            StageData::Bloom(b) => b.encoded_len(),
-            StageData::Recal(t) => t.encoded_len(),
-            StageData::Variants(v) => v.encoded_len(),
-        }
-    }
-
-    fn decode(cur: &mut wire::Cursor<'_>) -> gesall_formats::error::Result<StageData> {
-        match cur.get_varint()? {
-            // From borrowed bytes each partition is a copy; the executor
-            // reads entries through [`StageData::from_entry`].
-            PARTS_TAG => {
-                #[cfg(test)]
-                tests::PARTS_COPIED.with(|n| n.set(n.get() + 1));
-                Ok(StageData::Parts(Vec::<SharedBytes>::decode(cur)?))
-            }
-            1 => Ok(StageData::Bloom(BloomFilter::decode(cur)?)),
-            2 => Ok(StageData::Recal(RecalTable::decode(cur)?)),
-            3 => Ok(StageData::Variants(Vec::<VariantRecord>::decode(cur)?)),
-            t => Err(gesall_formats::error::FormatError::Bam(format!(
-                "unknown stage-data tag {t}"
-            ))),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -953,55 +711,8 @@ pub fn serial_tail_from_markdup(
 mod tests {
     use super::*;
     use crate::rounds::BamParts;
+    use gesall_formats::bam;
     use gesall_telemetry::Recorder;
-
-    #[test]
-    fn planner_reproduces_the_papers_round_structure() {
-        let rounds = plan_rounds(Partitioning::ByReadName, &gatk_best_practices_specs());
-        // Round 1: Bwa + SamToBam (+ the next two Any steps fuse into the
-        // map side of round 2 in the paper; the planner fuses them into
-        // round 1 since no shuffle is needed — both are valid fusions,
-        // what matters is WHERE shuffles land).
-        let shuffles: Vec<&RoundPlan> = rounds.iter().filter(|r| r.needs_shuffle).collect();
-        // Shuffles must land exactly before MarkDuplicates and SortSam.
-        assert_eq!(
-            shuffles.len(),
-            2,
-            "expected 2 rearrangements, got {rounds:#?}"
-        );
-        assert_eq!(shuffles[0].programs[0], "MarkDuplicates");
-        assert_eq!(shuffles[1].programs[0], "SortSam");
-        // HaplotypeCaller fuses with SortSam's arrangement.
-        assert!(shuffles[1].programs.contains(&"HaplotypeCaller".to_string()));
-        // FixMateInformation runs without a shuffle (input grouped by
-        // name from alignment).
-        let first = &rounds[0];
-        assert!(first.programs.contains(&"FixMateInformation".to_string()));
-        assert!(!first.needs_shuffle);
-    }
-
-    #[test]
-    fn planner_inserts_shuffle_on_incompatibility() {
-        let programs = vec![
-            ProgramSpec::new("A", Partitioning::ByRange).producing(Partitioning::ByRange),
-            ProgramSpec::new("B", Partitioning::ByReadName),
-            ProgramSpec::new("C", Partitioning::ByReadName),
-            ProgramSpec::new("D", Partitioning::Any),
-        ];
-        let rounds = plan_rounds(Partitioning::ByReadName, &programs);
-        assert_eq!(rounds.len(), 2, "{rounds:#?}");
-        assert!(rounds[0].needs_shuffle); // ByReadName -> ByRange
-        assert!(rounds[1].needs_shuffle); // ByRange -> ByReadName
-        // C fuses (same requirement); D fuses (no requirement).
-        assert_eq!(rounds[1].programs, vec!["B", "C", "D"]);
-    }
-
-    #[test]
-    fn partitioning_compatibility() {
-        assert!(Partitioning::Any.satisfied_by(&Partitioning::ByRange));
-        assert!(Partitioning::ByRange.satisfied_by(&Partitioning::ByRange));
-        assert!(!Partitioning::ByReadName.satisfied_by(&Partitioning::ByRange));
-    }
 
     #[test]
     fn config_structs_state_every_field() {
@@ -1028,14 +739,6 @@ mod tests {
             merge_factor: _,
             seed: _,
         } = PlatformConfig::default();
-    }
-
-    thread_local! {
-        /// Store entries whose partitions this thread decoded by copy
-        /// ([`Wire::decode`]) instead of windowing them
-        /// ([`StageData::from_entry`]).
-        pub(super) static PARTS_COPIED: std::cell::Cell<usize> =
-            const { std::cell::Cell::new(0) };
     }
 
     /// Partitions `f` encodes or decodes on this thread — the driver's:
@@ -1137,6 +840,11 @@ mod tests {
         );
         // The stage report renders with critical-path attribution.
         assert!(dag.dag_report().contains("round4a-recal-table"));
+        // Each row shuffles exactly where its declared §3.2 contract says.
+        for row in pipeline_stages(&recalibrating_platform().config, &aligner) {
+            let round = dag.rounds.iter().find(|r| r.name == row.spec.name).unwrap();
+            assert_eq!(round.n_reduce_tasks > 0, row.body.contract().1, "{}", round.name);
+        }
     }
 
     #[test]
@@ -1290,7 +998,7 @@ mod tests {
     ) -> (PipelineOutput, std::collections::HashMap<String, Vec<SharedBytes>>) {
         let opts = RunOptions::default();
         let (mut cx, span, name, ns) = p.begin_run(aligner, pairs.to_vec(), &opts);
-        let rows = pipeline_stages(&p.config);
+        let rows = pipeline_stages(&p.config, aligner);
         let (resolved, stages) = p
             .resolve_stages(&mut cx, &rows, &ns, &DagRunOptions::default())
             .unwrap();
@@ -1325,10 +1033,10 @@ mod tests {
         for block_size in [64 << 20, 64 << 10] {
             let p = platform_on(block_size, MapReduceEngine::new(cluster()));
             for (run, warm) in [("run0", false), ("run1", true)] {
-                PARTS_COPIED.with(|n| n.set(0));
+                crate::stage_data::PARTS_COPIED.with(|n| n.set(0));
                 let (out, splits) = run_keeping_splits(&p, &aligner, &pairs, n_chroms);
                 assert_eq!(out.cache_hits(), if warm { 8 } else { 0 });
-                assert_eq!(PARTS_COPIED.with(|n| n.get()), 0, "a partition was copied out of its entry");
+                assert_eq!(crate::stage_data::PARTS_COPIED.with(|n| n.get()), 0, "a partition was copied out of its entry");
                 for (stage, payloads) in &splits {
                     let key = out.stages.iter().find(|s| s.name == *stage).unwrap().key;
                     let entry = p.dfs.cas_get("/pipeline", key).unwrap().unwrap();

@@ -2,7 +2,7 @@
 //! (reduce), shuffled by read name.
 
 use super::decode_bam;
-use crate::pipeline::read_group;
+use gesall_formats::sam::header::ReadGroup;
 use gesall_formats::sam::SamRecord;
 use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::{keys, Counters};
@@ -16,6 +16,8 @@ use std::time::Instant;
 /// Round-2 mapper: data cleaning over a BAM partition, shuffled by read
 /// name.
 pub struct Round2CleanMapper {
+    /// The read group AddReplaceReadGroups stamps on every record.
+    pub read_group: ReadGroup,
     pub references: Arc<Vec<Vec<u8>>>,
     pub counters: Counters,
 }
@@ -37,7 +39,7 @@ impl Mapper for Round2CleanMapper {
         gesall_tools::add_read_groups::add_or_replace_read_groups(
             &mut header,
             &mut records,
-            &read_group(),
+            &self.read_group,
         );
         clean_sam(&mut records, RefView::new(&self.references));
         self.counters

@@ -2,15 +2,20 @@
 //!
 //! [`pipeline_stages`] is the only place that says which stages a
 //! configuration runs, what each is called, which stages feed it and
-//! what its content key fingerprints. Everything else is a reading of
-//! that table: [`dag::pipeline_dag`] projects it onto [`StageSpec`]s
-//! (graph, content keys, reports), the executor in [`crate::pipeline`]
-//! walks it top to bottom, resolves each row's declared parents and hands
-//! them to the row's body **by position** ([`Inputs`]), and the final
-//! records and calls are the last row's first parent and output. A body
-//! therefore names no stage — not its parents, not itself.
+//! what its body reads. A row's [`Body`] holds every setting the body
+//! reads besides its parents' outputs and the run's root inputs, which
+//! [`root_key`] hashes; the body gets its settings from that value alone,
+//! and the value's `Debug` text is the row's content-key fingerprint. So
+//! a setting a body reads is in its key, and one it does not read is
+//! not. Everything else is a reading of the table:
+//! [`crate::dag::pipeline_dag`] projects it onto [`StageSpec`]s (graph,
+//! content keys, reports), the executor in [`crate::pipeline`] walks it
+//! top to bottom, resolves each row's declared parents and hands them to
+//! the row's body **by position** ([`Inputs`]), and the final records and
+//! calls are the last row's first parent and output. A body therefore
+//! names no stage — not its parents, not itself.
 
-use crate::dag::{self, DagSpec, StageSpec};
+use crate::dag::{DagSpec, StageSpec};
 use crate::error::{PlatformError, Result};
 use crate::gdpt::{chromosome_partition, BloomFilter, MarkDupKey, OverlappingRanges, RangeKey};
 use crate::pipeline::{
@@ -23,17 +28,20 @@ use crate::rounds::{
     Round3MarkDupReducer, Round4SortMapper, Round4SortReducer, Round5Caller, SpanSource,
 };
 use gesall_aligner::Aligner;
+use gesall_dfs::checksum::xxh64;
 use gesall_formats::bam::{self, BamWriter};
 use gesall_formats::fastq::{pairs_to_interleaved_bytes, split_pairs_into_partitions, ReadPair};
+use gesall_formats::sam::header::ReadGroup;
 use gesall_formats::sam::SamHeader;
 use gesall_formats::vcf::VariantRecord;
+use gesall_formats::wire;
 use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::runtime::{AttemptOutcome, InputSplit, JobOutput, TaskKind};
 use gesall_mapreduce::task::{FnPartitioner, HashPartitioner};
 use gesall_telemetry::{Recorder, SpanId};
 use gesall_tools::haplotype_caller::{call_range, HaplotypeCallerConfig};
-use gesall_tools::recalibration::RecalTable;
+use gesall_tools::recalibration::{RecalConfig, RecalTable};
 use gesall_tools::unified_genotyper::{call_region, GenotyperConfig};
 use std::sync::Arc;
 
@@ -41,65 +49,112 @@ use std::sync::Arc;
 /// over.
 pub(crate) type Split = InputSplit<String, SharedBytes>;
 
-/// A stage body: run the row's round(s) over its parents' outputs.
-pub(crate) type StageBody = fn(&GesallPlatform, &mut StageCtx<'_>, &Inputs<'_>) -> Result<StageData>;
-
-/// One row of the table.
-pub(crate) struct Stage {
-    pub spec: StageSpec,
-    pub body: StageBody,
+/// What a row's body reads besides its parents' outputs and the run's
+/// root inputs — and, through its `Debug` text, what the row's content
+/// key fingerprints.
+#[derive(Debug)]
+pub(crate) enum Body<'a> {
+    /// Round 1: `bwa mem | samtobam` over `partitions` FASTQ partitions.
+    Align { partitions: usize, aligner: &'a Aligner },
+    /// Round 2: read groups and CleanSam, then FixMate behind a read-name
+    /// shuffle.
+    CleanFixMate { read_group: ReadGroup, reducers: usize },
+    /// Round 2½: the `MarkDup_opt` bloom filter.
+    Bloom,
+    /// Round 3: MarkDuplicates, behind the bloom filter when the row
+    /// names one as its second parent.
+    MarkDup { seed: u64, reducers: usize },
+    /// Round 4: the coordinate sort, one reducer per chromosome plus the
+    /// unmapped partition.
+    Sort,
+    /// Round 4½a: BaseRecalibrator.
+    RecalTable(RecalConfig),
+    /// Round 4½b: PrintReads.
+    PrintReads(RecalConfig),
+    /// Round 5: UnifiedGenotyper per chromosome.
+    Genotype(GenotyperConfig),
+    /// Round 5: HaplotypeCaller under `partitioning`.
+    Haplotypes { config: HaplotypeCallerConfig, partitioning: HcPartitioning },
 }
 
-/// The stage table for `config`, in execution order. `row` hands back the
-/// name it pushed, so a row can only name parents declared above it; each
-/// row fingerprints only its own config slice.
-pub(crate) fn pipeline_stages(config: &PlatformConfig) -> Vec<Stage> {
-    fn row(
-        rows: &mut Vec<Stage>,
+/// One row of the table.
+pub(crate) struct Stage<'a> {
+    pub spec: StageSpec,
+    pub body: Body<'a>,
+}
+
+/// The stage table for `config` and `aligner`, in execution order. `row`
+/// hands back the name it pushed, so a row can only name parents declared
+/// above it.
+pub(crate) fn pipeline_stages<'a>(config: &PlatformConfig, aligner: &'a Aligner) -> Vec<Stage<'a>> {
+    fn row<'a>(
+        rows: &mut Vec<Stage<'a>>,
         name: &'static str,
         parents: &[&'static str],
-        config_fp: u64,
-        body: StageBody,
+        body: Body<'a>,
     ) -> &'static str {
-        rows.push(Stage {
-            spec: StageSpec::new(name, parents).config_fp(config_fp),
-            body,
-        });
+        let spec = StageSpec {
+            config_fp: xxh64(format!("{body:?}").as_bytes()),
+            ..StageSpec::new(name, parents)
+        };
+        rows.push(Stage { spec, body });
         name
     }
-    let fp = dag::config_fingerprint;
-    let align_fp = fp(&[&config.n_round1_partitions]);
-    let clean_fp = fp(&[&read_group(), &config.n_reducers]);
-    let markdup_fp = fp(&[&config.markdup_opt, &config.seed, &config.n_reducers]);
-    let hc_fp = fp(&[&HaplotypeCallerConfig::default(), &config.hc_partitioning]);
-
+    let reducers = config.n_reducers;
     let mut rows = Vec::new();
-    let align = row(&mut rows, "round1-align", &[], align_fp, stage_round1);
-    let clean = row(&mut rows, "round2-clean-fixmate", &[align], clean_fp, stage_round2);
+    let partitions = config.n_round1_partitions;
+    let align = row(&mut rows, "round1-align", &[], Body::Align { partitions, aligner });
+    let read_group = read_group();
+    let clean = row(&mut rows, "round2-clean-fixmate", &[align], Body::CleanFixMate { read_group, reducers });
     let mut markdup_parents = vec![clean];
     if config.markdup_opt {
-        markdup_parents.push(row(&mut rows, "round2b-bloom", &[clean], 0, stage_round2b));
+        markdup_parents.push(row(&mut rows, "round2b-bloom", &[clean], Body::Bloom));
     }
-    let markdup = row(&mut rows, "round3-markdup", &markdup_parents, markdup_fp, stage_round3);
-    let sort = row(&mut rows, "round4-sort", &[markdup], 0, stage_round4);
+    let seed = config.seed;
+    let markdup = row(&mut rows, "round3-markdup", &markdup_parents, Body::MarkDup { seed, reducers });
+    let sort = row(&mut rows, "round4-sort", &[markdup], Body::Sort);
     let tail = if config.recalibrate {
-        let table = row(&mut rows, "round4a-recal-table", &[sort], 0, stage_round4a);
-        row(&mut rows, "round4b-print-reads", &[sort, table], 0, stage_round4b)
+        let table = row(&mut rows, "round4a-recal-table", &[sort], Body::RecalTable(RecalConfig::default()));
+        row(&mut rows, "round4b-print-reads", &[sort, table], Body::PrintReads(RecalConfig::default()))
     } else {
         sort
     };
-    let (call, call_fp) = match (config.caller, config.hc_partitioning) {
-        (CallerChoice::UnifiedGenotyper, _) => ("round5-unifiedgenotyper", 0),
-        (_, HcPartitioning::Chromosome) => ("round5-haplotypecaller", hc_fp),
-        (_, HcPartitioning::FineGrained { .. }) => ("round5-hc-finegrained", hc_fp),
+    let (call, body) = match (config.caller, config.hc_partitioning) {
+        (CallerChoice::UnifiedGenotyper, _) => {
+            ("round5-unifiedgenotyper", Body::Genotype(GenotyperConfig::default()))
+        }
+        (CallerChoice::HaplotypeCaller, partitioning) => {
+            let name = match partitioning {
+                HcPartitioning::Chromosome => "round5-haplotypecaller",
+                HcPartitioning::FineGrained { .. } => "round5-hc-finegrained",
+            };
+            let config = HaplotypeCallerConfig::default();
+            (name, Body::Haplotypes { config, partitioning })
+        }
     };
-    row(&mut rows, call, &[tail], call_fp, stage_round5);
+    row(&mut rows, call, &[tail], body);
     rows
+}
+
+/// The root content key: the run's inputs every stage chain hangs off —
+/// the read pairs, the reference sequences, their names. The headers a
+/// body reads are built from these.
+pub(crate) fn root_key(cx: &StageCtx<'_>) -> u64 {
+    let mut buf = Vec::new();
+    let pairs = cx.pairs.as_deref().unwrap_or_default();
+    wire::put_u64(&mut buf, xxh64(&pairs_to_interleaved_bytes(pairs)));
+    for r in cx.references.iter() {
+        wire::put_u64(&mut buf, xxh64(r));
+    }
+    for n in cx.chrom_names.iter() {
+        wire::put_str(&mut buf, n);
+    }
+    xxh64(&buf)
 }
 
 /// The table's projection onto specs: the graph that content keys,
 /// reports and validation read.
-pub(crate) fn graph(rows: &[Stage]) -> DagSpec {
+pub(crate) fn graph(rows: &[Stage<'_>]) -> DagSpec {
     DagSpec {
         stages: rows.iter().map(|row| row.spec.clone()).collect(),
     }
@@ -126,7 +181,7 @@ pub(crate) struct Inputs<'a> {
 impl<'a> Inputs<'a> {
     /// `row`'s inputs out of `resolved`, the outputs of the rows above it
     /// in table order.
-    pub(crate) fn of(rows: &'a [Stage], resolved: &'a [Resolved], row: &'a Stage) -> Result<Inputs<'a>> {
+    pub(crate) fn of(rows: &'a [Stage<'_>], resolved: &'a [Resolved], row: &'a Stage<'_>) -> Result<Inputs<'a>> {
         let parents = row.spec.parents.iter().map(|parent| {
             let above = rows.iter().position(|r| r.spec.name == *parent);
             above.and_then(|i| resolved.get(i)).ok_or_else(|| {
@@ -169,11 +224,12 @@ impl<'a> Inputs<'a> {
     }
 }
 
-/// Everything a stage body needs besides its inputs: the run's external
-/// input and namespace, span parentage, cumulative counters, reference
-/// facts, and the growing round-summary list.
+/// Everything a stage body needs besides its row's [`Body`] and its
+/// inputs: plumbing (the run's options and namespace, span parentage,
+/// cumulative counters, the growing round-summary list) and the run's
+/// root inputs — the reads, the references, their names and the headers
+/// built from them.
 pub(crate) struct StageCtx<'a> {
-    pub aligner: &'a Aligner,
     pub opts: &'a RunOptions,
     /// The read pairs, until round 1 takes them.
     pub pairs: Option<Vec<ReadPair>>,
@@ -231,182 +287,182 @@ fn mapper_parts(outputs: Vec<Vec<(String, Vec<u8>)>>) -> Result<Vec<SharedBytes>
         .collect()
 }
 
-/// Round 1: alignment (map-only over FASTQ logical partitions). The
-/// mappers emit BAM bytes: they are the output partitions.
-fn stage_round1(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
-    let pairs = cx.pairs.take().ok_or_else(|| {
-        PlatformError::Invariant(format!("{} executed twice in one run", inputs.stage))
-    })?;
-    let parts = split_pairs_into_partitions(pairs, p.config.n_round1_partitions.max(1));
-    let mut splits = Vec::with_capacity(parts.len());
-    for (i, part) in parts.iter().enumerate() {
-        let path = format!("{}/fastq/part-{i:05}", cx.base);
-        let bytes = SharedBytes::from_vec(pairs_to_interleaved_bytes(part));
-        splits.push(p.place(&path, path.clone(), bytes)?);
-    }
-    let r1 = p.engine.run_map_only(
-        p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
-        &Round1Align {
-            aligner: cx.aligner,
-            counters: cx.counters.clone(),
-        },
-        splits,
-    )?;
-    // Already grouped by name (pairs adjacent).
-    Ok(StageData::Parts(mapper_parts(cx.close_round(inputs.stage, r1))?))
-}
-
-/// Round 2: clean (map) + fix-mate (reduce), shuffled by read name.
-fn stage_round2(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
-    let splits = inputs.splits(0)?;
-    let r2 = p.engine.run_job_to(
-        p.job_config(cx.opts, inputs.stage, p.config.n_reducers, cx.stage_span),
-        &Round2CleanMapper {
-            references: cx.references.clone(),
-            counters: cx.counters.clone(),
-        },
-        &Round2FixMateReducer {
-            counters: cx.counters.clone(),
-        },
-        &HashPartitioner,
-        splits,
-        &BamParts { header: &cx.header },
-    )?;
-    Ok(StageData::Parts(cx.close_round(inputs.stage, r2)))
-}
-
-/// Round 2½: bloom-filter build over the cleaned parts (`MarkDup_opt`
-/// only). The mappers emit the 5′-end keys; the driver unions them.
-fn stage_round2b(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
-    let splits = inputs.splits(0)?;
-    let rb = p.engine.run_map_only(
-        p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
-        &BloomBuildMapper {
-            counters: cx.counters.clone(),
-        },
-        splits,
-    )?;
-    let outputs = cx.close_round(inputs.stage, rb);
-    let n_keys: usize = outputs.iter().map(Vec::len).sum();
-    let mut bloom = BloomFilter::with_capacity(n_keys.max(64));
-    for (_, key) in outputs.iter().flatten() {
-        if let MarkDupKey::Single(end) = key {
-            bloom.insert(end);
+impl Body<'_> {
+    /// Run the row's round over its parents' outputs. Its settings come
+    /// from `self` alone; `cx` holds plumbing and the run's root inputs.
+    pub(crate) fn run(&self, p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
+        let stage = inputs.stage;
+        match self {
+            // Map-only over FASTQ logical partitions. The mappers emit BAM
+            // bytes: they are the output partitions, already grouped by
+            // name (pairs adjacent).
+            Body::Align { partitions, aligner } => {
+                let pairs = cx.pairs.take().ok_or_else(|| {
+                    PlatformError::Invariant(format!("{stage} executed twice in one run"))
+                })?;
+                let parts = split_pairs_into_partitions(pairs, (*partitions).max(1));
+                let mut splits = Vec::with_capacity(parts.len());
+                for (i, part) in parts.iter().enumerate() {
+                    let path = format!("{}/fastq/part-{i:05}", cx.base);
+                    let bytes = SharedBytes::from_vec(pairs_to_interleaved_bytes(part));
+                    splits.push(p.place(&path, path.clone(), bytes)?);
+                }
+                let r1 = p.engine.run_map_only(
+                    p.job_config(cx.opts, stage, 1, cx.stage_span),
+                    &Round1Align {
+                        aligner,
+                        counters: cx.counters.clone(),
+                    },
+                    splits,
+                )?;
+                Ok(StageData::Parts(mapper_parts(cx.close_round(stage, r1))?))
+            }
+            // Clean (map) + fix-mate (reduce), shuffled by read name.
+            Body::CleanFixMate { read_group, reducers } => {
+                let r2 = p.engine.run_job_to(
+                    p.job_config(cx.opts, stage, *reducers, cx.stage_span),
+                    &Round2CleanMapper {
+                        read_group: read_group.clone(),
+                        references: cx.references.clone(),
+                        counters: cx.counters.clone(),
+                    },
+                    &Round2FixMateReducer {
+                        counters: cx.counters.clone(),
+                    },
+                    &HashPartitioner,
+                    inputs.splits(0)?,
+                    &BamParts { header: &cx.header },
+                )?;
+                Ok(StageData::Parts(cx.close_round(stage, r2)))
+            }
+            // The mappers emit the 5′-end keys; the driver unions them.
+            Body::Bloom => {
+                let rb = p.engine.run_map_only(
+                    p.job_config(cx.opts, stage, 1, cx.stage_span),
+                    &BloomBuildMapper {
+                        counters: cx.counters.clone(),
+                    },
+                    inputs.splits(0)?,
+                )?;
+                let outputs = cx.close_round(stage, rb);
+                let n_keys: usize = outputs.iter().map(Vec::len).sum();
+                let mut bloom = BloomFilter::with_capacity(n_keys.max(64));
+                for (_, key) in outputs.iter().flatten() {
+                    if let MarkDupKey::Single(end) = key {
+                        bloom.insert(end);
+                    }
+                }
+                Ok(StageData::Bloom(bloom))
+            }
+            // Under the compound 5′-end shuffle.
+            Body::MarkDup { seed, reducers } => {
+                let (variant, bloom) = if inputs.parents.len() > 1 {
+                    ("opt", Some(inputs.bloom(1)?))
+                } else {
+                    ("reg", None)
+                };
+                let r3 = p.engine.run_job_to(
+                    p.job_config(cx.opts, &format!("{stage}-{variant}"), *reducers, cx.stage_span),
+                    &Round3MarkDupMapper {
+                        bloom,
+                        counters: cx.counters.clone(),
+                    },
+                    &Round3MarkDupReducer {
+                        seed: *seed,
+                        counters: cx.counters.clone(),
+                    },
+                    &HashPartitioner,
+                    inputs.splits(0)?,
+                    &BamParts { header: &cx.header },
+                )?;
+                Ok(StageData::Parts(cx.close_round(stage, r3)))
+            }
+            Body::Sort => {
+                let r4 = p.engine.run_job_to(
+                    p.job_config(cx.opts, stage, cx.chrom_names.len() + 1, cx.stage_span),
+                    &Round4SortMapper {
+                        counters: cx.counters.clone(),
+                    },
+                    &Round4SortReducer,
+                    &FnPartitioner::new(|k: &RangeKey, n| chromosome_partition(k, n)),
+                    inputs.splits(0)?,
+                    &BamParts { header: &cx.sorted_header },
+                )?;
+                Ok(StageData::Parts(cx.close_round(stage, r4)))
+            }
+            // Per-partition covariate tables, merged into the whole-dataset
+            // table — the tally is distributive.
+            Body::RecalTable(config) => {
+                let mut splits = inputs.splits(0)?;
+                splits.truncate(cx.chrom_names.len());
+                let ra = p.engine.run_map_only(
+                    p.job_config(cx.opts, stage, 1, cx.stage_span),
+                    &RecalTableMapper {
+                        references: cx.references.clone(),
+                        known_sites: Arc::default(),
+                        config: config.clone(),
+                        counters: cx.counters.clone(),
+                    },
+                    splits,
+                )?;
+                let mut table = RecalTable::default();
+                for (_, partial) in cx.close_round(stage, ra).iter().flatten() {
+                    table.merge(partial);
+                }
+                Ok(StageData::Recal(table))
+            }
+            // The full partition set: recalibrated chromosome parts plus
+            // round 4's unmapped partition, handed on as the bytes it
+            // already is.
+            Body::PrintReads(config) => {
+                let mut splits = inputs.splits(0)?;
+                let unmapped = splits.split_off(cx.chrom_names.len());
+                let rb2 = p.engine.run_map_only(
+                    p.job_config(cx.opts, stage, 1, cx.stage_span),
+                    &PrintReadsMapper {
+                        table: inputs.recal_table(1)?,
+                        config: config.clone(),
+                        header: cx.sorted_header.clone(),
+                        counters: cx.counters.clone(),
+                    },
+                    splits,
+                )?;
+                let mut parts = mapper_parts(cx.close_round(stage, rb2))?;
+                parts.extend(unmapped.into_iter().flat_map(|s| s.records).map(|(_, bytes)| bytes));
+                Ok(StageData::Parts(parts))
+            }
+            Body::Genotype(config) => {
+                let call: &CallRange<'_> =
+                    &|recs, id, chrom, start, end, rv| call_region(recs, id, chrom, start, end, rv, config);
+                call_variants(p, cx, inputs, call, HcPartitioning::Chromosome)
+            }
+            Body::Haplotypes { config, partitioning } => {
+                let call: &CallRange<'_> = &|recs, id, chrom, start, end, rv| {
+                    call_range(recs, id, chrom, start, end, rv, config).variants
+                };
+                call_variants(p, cx, inputs, call, *partitioning)
+            }
         }
     }
-    Ok(StageData::Bloom(bloom))
 }
 
-/// Round 3: MarkDuplicates under the compound 5′-end shuffle, behind the
-/// bloom filter when the table declares one (`MarkDup_opt`).
-fn stage_round3(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
-    let splits = inputs.splits(0)?;
-    let (variant, bloom) = if p.config.markdup_opt {
-        ("opt", Some(inputs.bloom(1)?))
-    } else {
-        ("reg", None)
-    };
-    let job_name = format!("{}-{variant}", inputs.stage);
-    let r3 = p.engine.run_job_to(
-        p.job_config(cx.opts, &job_name, p.config.n_reducers, cx.stage_span),
-        &Round3MarkDupMapper {
-            bloom,
-            counters: cx.counters.clone(),
-        },
-        &Round3MarkDupReducer {
-            seed: p.config.seed,
-            counters: cx.counters.clone(),
-        },
-        &HashPartitioner,
-        splits,
-        &BamParts { header: &cx.header },
-    )?;
-    Ok(StageData::Parts(cx.close_round(inputs.stage, r3)))
-}
-
-/// Round 4: range-partitioned coordinate sort (one reducer per
-/// chromosome plus the unmapped partition).
-fn stage_round4(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
-    let splits = inputs.splits(0)?;
-    let r4 = p.engine.run_job_to(
-        p.job_config(cx.opts, inputs.stage, cx.chrom_names.len() + 1, cx.stage_span),
-        &Round4SortMapper {
-            counters: cx.counters.clone(),
-        },
-        &Round4SortReducer,
-        &FnPartitioner::new(|k: &RangeKey, n| chromosome_partition(k, n)),
-        splits,
-        &BamParts { header: &cx.sorted_header },
-    )?;
-    Ok(StageData::Parts(cx.close_round(inputs.stage, r4)))
-}
-
-/// Round 4½a: per-partition covariate tables (BaseRecalibrator),
-/// merged into the whole-dataset table — the tally is distributive.
-fn stage_round4a(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
+/// Round 5: variant calling with `call` under `partitioning`. The
+/// unmapped partition (index `n_chroms`) is skipped.
+fn call_variants(
+    p: &GesallPlatform,
+    cx: &mut StageCtx<'_>,
+    inputs: &Inputs<'_>,
+    call: &CallRange<'_>,
+    partitioning: HcPartitioning,
+) -> Result<StageData> {
     let mut splits = inputs.splits(0)?;
     splits.truncate(cx.chrom_names.len());
-    let ra = p.engine.run_map_only(
-        p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
-        &RecalTableMapper {
-            references: cx.references.clone(),
-            known_sites: Arc::default(),
-            config: Default::default(),
-            counters: cx.counters.clone(),
-        },
-        splits,
-    )?;
-    let mut table = RecalTable::default();
-    for (_, partial) in cx.close_round(inputs.stage, ra).iter().flatten() {
-        table.merge(partial);
-    }
-    Ok(StageData::Recal(table))
-}
-
-/// Round 4½b: apply the merged table (PrintReads). Returns the full
-/// partition set: recalibrated chromosome parts plus round 4's
-/// unmapped partition, handed on as the bytes it already is.
-fn stage_round4b(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
-    let mut splits = inputs.splits(0)?;
-    let unmapped = splits.split_off(cx.chrom_names.len());
-    let rb2 = p.engine.run_map_only(
-        p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
-        &PrintReadsMapper {
-            table: inputs.recal_table(1)?,
-            config: Default::default(),
-            header: cx.sorted_header.clone(),
-            counters: cx.counters.clone(),
-        },
-        splits,
-    )?;
-    let mut parts = mapper_parts(cx.close_round(inputs.stage, rb2))?;
-    parts.extend(unmapped.into_iter().flat_map(|s| s.records).map(|(_, bytes)| bytes));
-    Ok(StageData::Parts(parts))
-}
-
-/// Round 5: variant calling under the configured caller and
-/// partitioning scheme. The unmapped partition (index `n_chroms`)
-/// is skipped.
-fn stage_round5(p: &GesallPlatform, cx: &mut StageCtx<'_>, inputs: &Inputs<'_>) -> Result<StageData> {
-    let mut splits = inputs.splits(0)?;
-    splits.truncate(cx.chrom_names.len());
-    let ug_config = GenotyperConfig::default();
-    let hc_config = HaplotypeCallerConfig::default();
-    let ug: &CallRange<'_> =
-        &|recs, id, chrom, start, end, rv| call_region(recs, id, chrom, start, end, rv, &ug_config);
-    let hc: &CallRange<'_> = &|recs, id, chrom, start, end, rv| {
-        call_range(recs, id, chrom, start, end, rv, &hc_config).variants
-    };
-    let call = match p.config.caller {
-        CallerChoice::UnifiedGenotyper => ug,
-        CallerChoice::HaplotypeCaller => hc,
-    };
-    let span = match (p.config.caller, p.config.hc_partitioning) {
-        (CallerChoice::HaplotypeCaller, HcPartitioning::FineGrained { segment_len, overlap }) => {
+    let span = match partitioning {
+        HcPartitioning::FineGrained { segment_len, overlap } => {
             splits = cut_segments(p, cx, &splits, segment_len, overlap)?;
             SpanSource::Label
         }
-        _ => SpanSource::Chromosome,
+        HcPartitioning::Chromosome => SpanSource::Chromosome,
     };
     let r5 = p.engine.run_map_only(
         p.job_config(cx.opts, inputs.stage, 1, cx.stage_span),
@@ -464,4 +520,163 @@ fn cut_segments(
         }
     }
     Ok(segments)
+}
+
+/// The paper's §3.2 partitioning categories: how a row's programs need
+/// their input arranged.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Partitioning {
+    /// Grouped by read name.
+    ByReadName,
+    /// The MarkDuplicates compound 5′-end keys.
+    ByDuplicateKeys,
+    /// Coordinate ranges (per chromosome).
+    ByRange,
+    /// No requirement (works on any subset).
+    Any,
+}
+
+#[cfg(test)]
+impl Partitioning {
+    /// Can a program with requirement `self` run directly on data
+    /// arranged as `arrangement`, without a shuffle?
+    pub(crate) fn satisfied_by(self, arrangement: Partitioning) -> bool {
+        self == Partitioning::Any || self == arrangement
+    }
+}
+
+#[cfg(test)]
+impl Body<'_> {
+    /// The row's §3.2 contract: the arrangement its programs need their
+    /// input in, and whether its job shuffles to get it.
+    pub(crate) fn contract(&self) -> (Partitioning, bool) {
+        use Partitioning::*;
+        match self {
+            // `split_pairs_into_partitions` never splits a pair, and
+            // bwa mem reads pairs.
+            Body::Align { .. } => (ByReadName, false),
+            // FixMate, on the reduce side, sees both mates of a pair.
+            Body::CleanFixMate { .. } => (ByReadName, true),
+            Body::Bloom => (Any, false),
+            Body::MarkDup { .. } => (ByDuplicateKeys, true),
+            Body::Sort => (ByRange, true),
+            // The covariate tally is distributive: partial tables merge
+            // exactly. PrintReads rewrites one record at a time.
+            Body::RecalTable(_) | Body::PrintReads(_) => (Any, false),
+            Body::Genotype(_) | Body::Haplotypes { .. } => (ByRange, false),
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use gesall_aligner::{AlignerConfig, ReferenceIndex};
+    use std::collections::HashMap;
+
+    /// The default aligner over one small chromosome. A row keys the
+    /// aligner's configuration, not its index, so any index does.
+    pub(crate) fn aligner() -> Aligner {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let seq: Vec<u8> = (0..2_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                b"ACGT"[(x >> 62) as usize]
+            })
+            .collect();
+        Aligner::new(ReferenceIndex::build(&[("chrT".into(), seq)]), AlignerConfig::default())
+    }
+
+    /// The 12 graph shapes: `markdup_opt` × `recalibrate` × round-5
+    /// variant, in that nesting order.
+    pub(crate) fn config_shapes() -> Vec<PlatformConfig> {
+        let mut shapes = Vec::new();
+        for markdup_opt in [true, false] {
+            for recalibrate in [false, true] {
+                for (caller, hc_partitioning) in [
+                    (CallerChoice::UnifiedGenotyper, HcPartitioning::Chromosome),
+                    (CallerChoice::HaplotypeCaller, HcPartitioning::Chromosome),
+                    (
+                        CallerChoice::HaplotypeCaller,
+                        HcPartitioning::FineGrained { segment_len: 20_000, overlap: 2_000 },
+                    ),
+                ] {
+                    shapes.push(PlatformConfig {
+                        markdup_opt,
+                        recalibrate,
+                        caller,
+                        hc_partitioning,
+                        ..PlatformConfig::default()
+                    });
+                }
+            }
+        }
+        shapes
+    }
+
+    /// What the §3.2 rule says of a row's shuffle, given how its input
+    /// is arranged.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Verdict {
+        /// The row shuffles, and its programs need it.
+        Required,
+        /// The row shuffles into the arrangement its input already has.
+        Redundant,
+        /// The row's programs need an arrangement its input lacks, and it
+        /// does not shuffle.
+        Missing,
+        /// No shuffle, and none needed.
+        None,
+    }
+
+    /// The paper's rule (a new round, with a shuffle, only where the next
+    /// program's requirement does not hold of the current arrangement)
+    /// applied to the table: each row's verdict, in table order. A row's
+    /// input is its first parent's partitions; round 1's are the FASTQ
+    /// split by pair.
+    fn verdicts<'r>(rows: &'r [Stage<'_>]) -> Vec<(&'r str, Verdict)> {
+        let mut arranged: HashMap<&str, Partitioning> = HashMap::new();
+        rows.iter()
+            .map(|row| {
+                let input = row.spec.parents.first().map_or(Partitioning::ByReadName, |p| arranged[p.as_str()]);
+                let (requires, shuffles) = row.body.contract();
+                let verdict = match (shuffles, requires.satisfied_by(input)) {
+                    (true, false) => Verdict::Required,
+                    (true, true) => Verdict::Redundant,
+                    (false, false) => Verdict::Missing,
+                    (false, true) => Verdict::None,
+                };
+                arranged.insert(&row.spec.name, if shuffles { requires } else { input });
+                (row.spec.name.as_str(), verdict)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_papers_round_rule_finds_one_redundant_shuffle_in_the_table() {
+        let aligner = aligner();
+        for config in config_shapes() {
+            let rows = pipeline_stages(&config, &aligner);
+            let verdicts = verdicts(&rows);
+            let of = |stage: &str| &verdicts.iter().find(|(n, _)| *n == stage).expect(stage).1;
+            assert_eq!(of("round3-markdup"), &Verdict::Required, "{config:?}");
+            assert_eq!(of("round4-sort"), &Verdict::Required, "{config:?}");
+            assert!(verdicts.iter().all(|(_, v)| *v != Verdict::Missing), "{verdicts:?}");
+            // Round 1's output is already grouped by read name, so round
+            // 2's read-name shuffle moves every record for nothing.
+            let redundant: Vec<&str> =
+                verdicts.iter().filter(|(_, v)| *v == Verdict::Redundant).map(|(n, _)| *n).collect();
+            assert_eq!(redundant, ["round2-clean-fixmate"], "{config:?}");
+        }
+    }
+
+    #[test]
+    fn partitioning_compatibility() {
+        assert!(Partitioning::Any.satisfied_by(Partitioning::ByRange));
+        assert!(Partitioning::ByRange.satisfied_by(Partitioning::ByRange));
+        assert!(!Partitioning::ByReadName.satisfied_by(Partitioning::ByRange));
+    }
 }

@@ -655,6 +655,130 @@ fn invalidating_a_stage_the_graph_lacks_fails_before_any_stage_resolves() {
     assert_eq!(p.dfs.metrics().counter(gesall_core::dag::keys::STAGES_RUN).get(), 0);
 }
 
+/// An aligner over `w`'s reference under `config`.
+fn aligner_with(w: &World, config: AlignerConfig) -> Aligner {
+    let chroms: Vec<(String, Vec<u8>)> =
+        w.chrom_names.iter().cloned().zip(w.references.iter().cloned()).collect();
+    Aligner::new(ReferenceIndex::build(&chroms), config)
+}
+
+#[test]
+fn a_platform_does_not_serve_another_aligners_alignments() {
+    let w = build_world(600);
+    // Batch composition sets the insert-size statistics round 1 pairs
+    // reads with (the paper's Table 8 / Fig 11c).
+    let other = aligner_with(
+        &w,
+        AlignerConfig {
+            batch_size: 100,
+            seed: 12345,
+            ..AlignerConfig::default()
+        },
+    );
+    let shared = platform(PlatformConfig::default());
+    let first = shared.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
+    let got = shared.run_pipeline(&other, w.pairs.clone()).unwrap();
+    let want = platform(PlatformConfig::default()).run_pipeline(&other, w.pairs.clone()).unwrap();
+    assert_ne!(want.records, first.records, "the two aligners must disagree for this to show anything");
+    let round1 = got.stages.iter().find(|s| s.name == "round1-align").unwrap();
+    assert!(!round1.cache_hit, "round 1 served the first aligner's alignments");
+    assert_eq!(got.records, want.records);
+    assert_eq!(got.variants, want.variants);
+}
+
+#[test]
+fn a_shared_platform_serves_every_perturbed_config_what_a_fresh_one_computes() {
+    use gesall_aligner::pairing::PairConfig;
+    use gesall_aligner::single::SingleConfig;
+    use gesall_core::pipeline::{CallerChoice, HcPartitioning};
+
+    let w = build_world(600);
+    let base = PlatformConfig::default();
+    // Exhaustive: a new field of either config fails to compile here
+    // until it is perturbed below.
+    let PlatformConfig {
+        n_round1_partitions,
+        n_reducers,
+        markdup_opt,
+        recalibrate,
+        caller,
+        hc_partitioning,
+        io_sort_bytes,
+        merge_factor,
+        seed,
+    } = base.clone();
+    let AlignerConfig {
+        single,
+        pairing,
+        batch_size,
+        seed: aligner_seed,
+    } = AlignerConfig::default();
+    let other_caller = match caller {
+        CallerChoice::HaplotypeCaller => CallerChoice::UnifiedGenotyper,
+        CallerChoice::UnifiedGenotyper => CallerChoice::HaplotypeCaller,
+    };
+    let other_partitioning = match hc_partitioning {
+        HcPartitioning::Chromosome => HcPartitioning::FineGrained {
+            segment_len: 20_000,
+            overlap: 2_000,
+        },
+        HcPartitioning::FineGrained { .. } => HcPartitioning::Chromosome,
+    };
+    // (field, platform config, aligner config, whether some stage's body
+    // reads it). Every field but the sort buffer and the merge fan-in is
+    // read, so it is keyed; those two move the work, never the bytes.
+    let with = |c: PlatformConfig| (c, AlignerConfig::default());
+    let cases = [
+        ("n_round1_partitions", with(PlatformConfig { n_round1_partitions: n_round1_partitions + 1, ..base.clone() }), true),
+        ("n_reducers", with(PlatformConfig { n_reducers: n_reducers + 1, ..base.clone() }), true),
+        ("markdup_opt", with(PlatformConfig { markdup_opt: !markdup_opt, ..base.clone() }), true),
+        ("recalibrate", with(PlatformConfig { recalibrate: !recalibrate, ..base.clone() }), true),
+        ("caller", with(PlatformConfig { caller: other_caller, ..base.clone() }), true),
+        ("hc_partitioning", with(PlatformConfig { hc_partitioning: other_partitioning, ..base.clone() }), true),
+        ("io_sort_bytes", with(PlatformConfig { io_sort_bytes: io_sort_bytes / 1024, ..base.clone() }), false),
+        ("merge_factor", with(PlatformConfig { merge_factor: merge_factor.min(4) / 2, ..base.clone() }), false),
+        ("seed", with(PlatformConfig { seed: seed + 1, ..base.clone() }), true),
+        ("single.max_seed_hits", (base.clone(), AlignerConfig {
+            single: SingleConfig { max_seed_hits: single.max_seed_hits.min(8) / 4, ..single.clone() },
+            ..AlignerConfig::default()
+        }), true),
+        ("pairing.z_range", (base.clone(), AlignerConfig {
+            pairing: PairConfig { z_range: pairing.z_range / 2.0, ..pairing.clone() },
+            ..AlignerConfig::default()
+        }), true),
+        ("batch_size", (base.clone(), AlignerConfig { batch_size: batch_size.min(200) / 4, ..AlignerConfig::default() }), true),
+        ("aligner seed", (base.clone(), AlignerConfig { seed: aligner_seed + 1, ..AlignerConfig::default() }), true),
+    ];
+
+    // Spills and merge passes: the work the two may move.
+    let merge_work = |out: &PipelineOutput| {
+        use gesall_mapreduce::counters::keys::{MAP_SPILLS, REDUCE_MERGE_PASSES};
+        (round_counter_sum(out, MAP_SPILLS), round_counter_sum(out, REDUCE_MERGE_PASSES))
+    };
+
+    let mut shared = platform(base.clone());
+    let first = shared.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
+    for (field, (config, aligner_config), keyed) in cases {
+        let aligner = aligner_with(&w, aligner_config);
+        shared.config = config.clone();
+        let got = shared.run_pipeline(&aligner, w.pairs.clone()).unwrap();
+        let want = platform(config).run_pipeline(&aligner, w.pairs.clone()).unwrap();
+        assert_eq!(output_digests(&w, &got), output_digests(&w, &want), "{field}");
+        if keyed {
+            // Some perturbations move no byte on this world (the caller
+            // at this depth, `markdup_opt` by design); a hit would still
+            // be one more key too narrow for a world where they do.
+            assert!(got.stages_run() > 0, "{field} is not in any stage's key");
+        } else {
+            // Keys no broader than the output: a field that moves no
+            // byte keeps every stage a hit.
+            assert_eq!(output_digests(&w, &want), output_digests(&w, &first), "{field}");
+            assert_ne!(merge_work(&want), merge_work(&first), "{field} must change the work");
+            assert_eq!(got.stages_run(), 0, "{field}");
+        }
+    }
+}
+
 /// xxh64 of the SAM text of the records and of the VCF text of the
 /// calls — the two byte streams a user of the pipeline receives.
 fn output_digests(w: &World, out: &PipelineOutput) -> [u64; 2] {

@@ -7,9 +7,7 @@ use gesall::datagen::reads::ReadSimConfig;
 use gesall::datagen::{DonorGenome, GenomeConfig, ReadSimulator, ReferenceGenome};
 use gesall::dfs::{Dfs, DfsConfig};
 use gesall::mapreduce::{ClusterResources, MapReduceEngine};
-use gesall::platform::pipeline::{
-    gatk_best_practices_specs, plan_rounds, serial_pipeline, Partitioning,
-};
+use gesall::platform::pipeline::serial_pipeline;
 use gesall::platform::{GesallPlatform, PlatformConfig};
 
 fn world(n_pairs: usize) -> (ReferenceGenome, DonorGenome, Vec<gesall::formats::fastq::ReadPair>, Aligner) {
@@ -60,13 +58,6 @@ fn facade_serial_baseline_flow() {
     assert!(gesall::tools::sort_sam::is_coordinate_sorted(&records));
     // Read groups stamped by the pipeline.
     assert!(records.iter().all(|r| r.read_group == "rg1"));
-}
-
-#[test]
-fn facade_round_planner() {
-    let rounds = plan_rounds(Partitioning::ByReadName, &gatk_best_practices_specs());
-    assert!(rounds.len() >= 3);
-    assert_eq!(rounds.iter().filter(|r| r.needs_shuffle).count(), 2);
 }
 
 #[test]
