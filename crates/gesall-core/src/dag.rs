@@ -39,7 +39,7 @@ pub mod keys {
     /// Stages served from the content-addressed intermediate store.
     pub const STAGES_CACHE_HIT: &str = "dag.stages.cache_hit";
     /// BAM partitions encoded by a job's committed attempts: one per
-    /// reducer of rounds 2–4, one per mapper of round 4b.
+    /// mapper of rounds 2 and 4b, one per reducer of rounds 3 and 4.
     pub const PARTS_ENCODED: &str = "dag.parts.encoded";
     /// Final-stage partitions decoded into `PipelineOutput::records`.
     pub const PARTS_DECODED: &str = "dag.parts.decoded";
@@ -345,23 +345,26 @@ mod tests {
     /// configuration joined round 1's key, `RecalConfig` rounds 4½a and
     /// 4½b's, and `GenotyperConfig` the UnifiedGenotyper row's — with
     /// those fingerprints substituted by the old hand-built ones, the
-    /// table gives the earlier digests. A renamed stage, a reordered
+    /// table gives the earlier digests. Re-pinned again when round 2 went
+    /// map-only: its body no longer reads `n_reducers`, so
+    /// `CleanFixMate`'s fingerprint lost its `reducers` field, and every
+    /// key below round 1 chains through it. A renamed stage, a reordered
     /// parent list or a drifted fingerprint cold-starts every tenant's
     /// cache; it has to fail here first.
     const PINNED_ROOT: u64 = 0x6765_7361_6c6c;
     const PINNED_STAGE_KEY_DIGESTS: [u64; 12] = [
-        8277776937052255398,
-        3250144338526238353,
-        12276648472528498472,
-        3811622417388937047,
-        12123912153962628621,
-        14653005186307220086,
-        15710333442084086079,
-        14768701416573785281,
-        10146272087909233726,
-        14772205796384309270,
-        1372283775823403831,
-        13709533881607035438,
+        7403865457005350855,
+        8246273078534334673,
+        17278386244189314343,
+        6881583808151275373,
+        5553708989728825427,
+        15350436997533002987,
+        966147924271192200,
+        14366671725756268955,
+        12557417459499002104,
+        5817342788721385367,
+        6771653882487946684,
+        1587950080568415439,
     ];
 
     #[test]

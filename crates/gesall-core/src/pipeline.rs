@@ -62,7 +62,8 @@ pub enum HcPartitioning {
 pub struct PlatformConfig {
     /// Logical partitions fed to the alignment round.
     pub n_round1_partitions: usize,
-    /// Reducers for the shuffling rounds (2 and 3).
+    /// Reducers for round 3, the MarkDuplicates shuffle (round 4 has one
+    /// per chromosome plus the unmapped partition).
     pub n_reducers: usize,
     /// Use the bloom-filter MarkDup_opt variant.
     pub markdup_opt: bool,
@@ -806,7 +807,7 @@ mod tests {
         let (n_r1, n_red) = (p.config.n_round1_partitions, p.config.n_reducers);
         [
             ("round1-align", n_r1),
-            ("round2-clean-fixmate", n_red),
+            ("round2-clean-fixmate", n_r1),
             ("round3-markdup", n_red),
             ("round4-sort", n_chroms + 1),
             ("round4b-print-reads", n_chroms + 1),
@@ -840,10 +841,13 @@ mod tests {
         );
         // The stage report renders with critical-path attribution.
         assert!(dag.dag_report().contains("round4a-recal-table"));
-        // Each row shuffles exactly where its declared §3.2 contract says.
+        // Each row shuffles exactly where its declared §3.2 contract says:
+        // a row that does not has no reduce task and moves no record.
         for row in pipeline_stages(&recalibrating_platform().config, &aligner) {
             let round = dag.rounds.iter().find(|r| r.name == row.spec.name).unwrap();
+            let shuffled = counter_of(round, gesall_mapreduce::counters::keys::SHUFFLE_RECORDS);
             assert_eq!(round.n_reduce_tasks > 0, row.body.contract().1, "{}", round.name);
+            assert_eq!(shuffled > 0, row.body.contract().1, "{}", round.name);
         }
     }
 
@@ -860,7 +864,8 @@ mod tests {
         for stage in ["round2b-bloom", "round3-markdup", "round4-sort", "round4b-print-reads"] {
             assert_eq!(wire(stage), (0, 0), "{stage}");
         }
-        // Round 2 converts every record both ways until it is folded away.
+        // Round 2 hands its records to the tools as owned records, so it
+        // converts every one both ways.
         let n = out.records.len() as u64;
         assert_eq!(wire("round2-clean-fixmate"), (n, n));
     }
@@ -920,7 +925,7 @@ mod tests {
         assert_eq!(coded_here, 0, "the driver encodes and decodes no partition");
         assert_eq!(
             round_counter(&cold, dag::keys::PARTS_ENCODED) as usize,
-            n_red + n_red + (n_chroms + 1) + n_chroms
+            n_r1 + n_red + (n_chroms + 1) + n_chroms
         );
         assert_eq!(decoded_by_tasks() as usize, n_chroms + 1);
         assert_eq!(cold.rounds.len(), 8, "the decode wave is not a round");

@@ -14,7 +14,7 @@
 //! | Round | Map | Shuffle | Reduce |
 //! |---|---|---|---|
 //! | 1 | Bwa \| SamToBam via streaming | — (map-only) | — |
-//! | 2 | AddReplaceReadGroups + CleanSam | by read name | FixMateInformation |
+//! | 2 | AddReplaceReadGroups + CleanSam + FixMateInformation | — (map-only: round 1's partitions hold whole pairs) | — |
 //! | 2½ | collect partial-matching 5′ ends | — | (bloom built by driver) |
 //! | 3 | MarkDup key generation (+ filter/bloom) | compound keys | SortSam + MarkDuplicates |
 //! | 4 | extract coordinates | range by chromosome | sort + index |
@@ -38,7 +38,7 @@ mod sort;
 
 pub use align::Round1Align;
 pub use call::{fine_segment_label, CallRange, Range, Round5Caller, SpanSource};
-pub use clean::{Round2CleanMapper, Round2FixMateReducer};
+pub use clean::Round2CleanMapper;
 pub use markdup::{BloomBuildMapper, Round3MarkDupMapper, Round3MarkDupReducer};
 pub use recal::{PrintReadsMapper, RecalTableMapper};
 pub use sort::{Round4SortMapper, Round4SortReducer};
@@ -72,7 +72,7 @@ fn window_bam(timers: &Counters, bytes: &[u8]) -> Vec<SamView> {
 // Partition bytes: what the tasks of a partition round leave behind
 // ---------------------------------------------------------------------
 
-/// The output format of rounds 2–4: a reducer's output is one BAM
+/// The output format of rounds 3 and 4: a reducer's output is one BAM
 /// logical partition, each record encoded as the reducer emits it — the
 /// paper's reducers writing through a BAM record writer. The same bytes
 /// as [`bam::write_bam`] of the emitted records; the shuffle key is not

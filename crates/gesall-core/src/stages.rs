@@ -24,8 +24,8 @@ use crate::pipeline::{
 };
 use crate::rounds::{
     fine_segment_label, BamParts, BloomBuildMapper, CallRange, PrintReadsMapper, RecalTableMapper,
-    Round1Align, Round2CleanMapper, Round2FixMateReducer, Round3MarkDupMapper,
-    Round3MarkDupReducer, Round4SortMapper, Round4SortReducer, Round5Caller, SpanSource,
+    Round1Align, Round2CleanMapper, Round3MarkDupMapper, Round3MarkDupReducer, Round4SortMapper,
+    Round4SortReducer, Round5Caller, SpanSource,
 };
 use gesall_aligner::Aligner;
 use gesall_dfs::checksum::xxh64;
@@ -56,9 +56,9 @@ pub(crate) type Split = InputSplit<String, SharedBytes>;
 pub(crate) enum Body<'a> {
     /// Round 1: `bwa mem | samtobam` over `partitions` FASTQ partitions.
     Align { partitions: usize, aligner: &'a Aligner },
-    /// Round 2: read groups and CleanSam, then FixMate behind a read-name
-    /// shuffle.
-    CleanFixMate { read_group: ReadGroup, reducers: usize },
+    /// Round 2, map-only: read groups, CleanSam and FixMate over each of
+    /// round 1's partitions, which hold both mates of every pair.
+    CleanFixMate { read_group: ReadGroup },
     /// Round 2½: the `MarkDup_opt` bloom filter.
     Bloom,
     /// Round 3: MarkDuplicates, behind the bloom filter when the row
@@ -100,17 +100,16 @@ pub(crate) fn pipeline_stages<'a>(config: &PlatformConfig, aligner: &'a Aligner)
         rows.push(Stage { spec, body });
         name
     }
-    let reducers = config.n_reducers;
     let mut rows = Vec::new();
     let partitions = config.n_round1_partitions;
     let align = row(&mut rows, "round1-align", &[], Body::Align { partitions, aligner });
     let read_group = read_group();
-    let clean = row(&mut rows, "round2-clean-fixmate", &[align], Body::CleanFixMate { read_group, reducers });
+    let clean = row(&mut rows, "round2-clean-fixmate", &[align], Body::CleanFixMate { read_group });
     let mut markdup_parents = vec![clean];
     if config.markdup_opt {
         markdup_parents.push(row(&mut rows, "round2b-bloom", &[clean], Body::Bloom));
     }
-    let seed = config.seed;
+    let (seed, reducers) = (config.seed, config.n_reducers);
     let markdup = row(&mut rows, "round3-markdup", &markdup_parents, Body::MarkDup { seed, reducers });
     let sort = row(&mut rows, "round4-sort", &[markdup], Body::Sort);
     let tail = if config.recalibrate {
@@ -317,23 +316,20 @@ impl Body<'_> {
                 )?;
                 Ok(StageData::Parts(mapper_parts(cx.close_round(stage, r1))?))
             }
-            // Clean (map) + fix-mate (reduce), shuffled by read name.
-            Body::CleanFixMate { read_group, reducers } => {
-                let r2 = p.engine.run_job_to(
-                    p.job_config(cx.opts, stage, *reducers, cx.stage_span),
+            // Map-only over round 1's partitions: each mapper emits its
+            // cleaned, mate-fixed partition, pairs still adjacent.
+            Body::CleanFixMate { read_group } => {
+                let r2 = p.engine.run_map_only(
+                    p.job_config(cx.opts, stage, 1, cx.stage_span),
                     &Round2CleanMapper {
                         read_group: read_group.clone(),
                         references: cx.references.clone(),
+                        header: cx.header.clone(),
                         counters: cx.counters.clone(),
                     },
-                    &Round2FixMateReducer {
-                        counters: cx.counters.clone(),
-                    },
-                    &HashPartitioner,
                     inputs.splits(0)?,
-                    &BamParts { header: &cx.header },
                 )?;
-                Ok(StageData::Parts(cx.close_round(stage, r2)))
+                Ok(StageData::Parts(mapper_parts(cx.close_round(stage, r2))?))
             }
             // The mappers emit the 5′-end keys; the driver unions them.
             Body::Bloom => {
@@ -556,8 +552,8 @@ impl Body<'_> {
             // `split_pairs_into_partitions` never splits a pair, and
             // bwa mem reads pairs.
             Body::Align { .. } => (ByReadName, false),
-            // FixMate, on the reduce side, sees both mates of a pair.
-            Body::CleanFixMate { .. } => (ByReadName, true),
+            // FixMate sees both mates of a pair in round 1's partitions.
+            Body::CleanFixMate { .. } => (ByReadName, false),
             Body::Bloom => (Any, false),
             Body::MarkDup { .. } => (ByDuplicateKeys, true),
             Body::Sort => (ByRange, true),
@@ -656,20 +652,23 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn the_papers_round_rule_finds_one_redundant_shuffle_in_the_table() {
+    fn the_papers_round_rule_finds_no_redundant_or_missing_shuffle_in_the_table() {
         let aligner = aligner();
         for config in config_shapes() {
             let rows = pipeline_stages(&config, &aligner);
             let verdicts = verdicts(&rows);
             let of = |stage: &str| &verdicts.iter().find(|(n, _)| *n == stage).expect(stage).1;
-            assert_eq!(of("round3-markdup"), &Verdict::Required, "{config:?}");
-            assert_eq!(of("round4-sort"), &Verdict::Required, "{config:?}");
-            assert!(verdicts.iter().all(|(_, v)| *v != Verdict::Missing), "{verdicts:?}");
             // Round 1's output is already grouped by read name, so round
-            // 2's read-name shuffle moves every record for nothing.
-            let redundant: Vec<&str> =
-                verdicts.iter().filter(|(_, v)| *v == Verdict::Redundant).map(|(n, _)| *n).collect();
-            assert_eq!(redundant, ["round2-clean-fixmate"], "{config:?}");
+            // 2's FixMate needs no shuffle; the shuffles before MarkDup
+            // and SortSam are the only ones, and both are needed.
+            assert_eq!(of("round2-clean-fixmate"), &Verdict::None, "{config:?}");
+            let shuffles: Vec<(&str, &Verdict)> =
+                verdicts.iter().filter(|(_, v)| *v != Verdict::None).map(|(n, v)| (*n, v)).collect();
+            assert_eq!(
+                shuffles,
+                [("round3-markdup", &Verdict::Required), ("round4-sort", &Verdict::Required)],
+                "{config:?}"
+            );
         }
     }
 

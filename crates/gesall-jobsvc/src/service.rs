@@ -131,8 +131,6 @@ pub enum JobSvcError {
     TenantUnknown(String),
     /// The job was cancelled before completing.
     Cancelled,
-    /// The service is shutting down and no longer admits work.
-    ShuttingDown,
     /// The job's work function returned an error or panicked.
     Failed(String),
 }
@@ -147,7 +145,6 @@ impl fmt::Display for JobSvcError {
             } => write!(f, "tenant {tenant} exceeded {quota} quota (limit {limit})"),
             JobSvcError::TenantUnknown(t) => write!(f, "unknown tenant {t}"),
             JobSvcError::Cancelled => write!(f, "job cancelled"),
-            JobSvcError::ShuttingDown => write!(f, "job service shutting down"),
             JobSvcError::Failed(msg) => write!(f, "job failed: {msg}"),
         }
     }
@@ -230,7 +227,6 @@ struct SvcState {
     /// The runner of the job that finished last. It let go of `state`
     /// with nothing left to do but return; the next pass joins it.
     exited: Option<JoinHandle<()>>,
-    shutdown: bool,
 }
 
 struct Svc {
@@ -368,7 +364,6 @@ impl JobService {
                 retired: Vec::new(),
                 runners: Vec::new(),
                 exited: None,
-                shutdown: false,
             }),
         });
         JobService { svc }
@@ -396,9 +391,10 @@ impl JobService {
         self.svc.total_slots
     }
 
-    /// Stop admitting work, drain queued + running jobs, join their
-    /// threads and sweep the namespaces live handles still retain.
-    /// Dropping the service does the same.
+    /// Wait until every queued and running job has finished, join their
+    /// runner threads, then sweep the namespaces of finished jobs whose
+    /// handles outlive the service. It takes the service by value, so no
+    /// submit can follow it; dropping the service does the same.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -407,7 +403,6 @@ impl JobService {
 impl Drop for JobService {
     fn drop(&mut self) {
         let svc = &self.svc;
-        svc.state.lock().unpoisoned().shutdown = true;
         // A queued job always waits behind a running one, whose
         // finishing pass dispatches it; so once no runner is left, the
         // queue is empty too.
@@ -446,9 +441,6 @@ impl fmt::Debug for JobService {
 impl Svc {
     fn submit(self: &Arc<Self>, tenant: &str, spec: JobSpec) -> Result<JobHandle, JobSvcError> {
         let mut st = self.state.lock().unpoisoned();
-        if st.shutdown {
-            return Err(JobSvcError::ShuttingDown);
-        }
         let Some(rt) = st.rt.get_mut(tenant) else {
             self.registry.counter(keys::JOBS_REJECTED).add(1);
             return Err(JobSvcError::TenantUnknown(tenant.to_string()));

@@ -110,7 +110,10 @@ impl Segment {
             &self.data
         };
         let mut cur = Cursor::new(raw);
-        let mut out = Vec::with_capacity(self.records as usize);
+        // The count is the frame header's, untrusted: reserve no more
+        // pairs than the payload can hold, as `Cursor::get_count` does.
+        let fit = raw.len() / <(K, V)>::MIN_ENCODED_LEN.max(1);
+        let mut out = Vec::with_capacity(usize::try_from(self.records).map_or(fit, |n| n.min(fit)));
         for _ in 0..self.records {
             let k = K::decode(&mut cur).expect("segment key corrupt");
             let v = V::decode(&mut cur).expect("segment value corrupt");
@@ -279,5 +282,20 @@ mod tests {
         assert!(err.to_string().contains("truncated segment frame payload"), "{err}");
         // Nor may an offset near usize::MAX wrap the header check.
         assert!(read_frame(&SharedBytes::from_vec(wire), usize::MAX - 3).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "segment key corrupt")]
+    fn a_forged_record_count_fails_on_the_first_missing_key_not_in_the_allocator() {
+        // Eight one-byte pairs (16 bytes of payload) under a header
+        // claiming 2^40 records: decoding reserves what 16 bytes can hold
+        // and panics — an attempt failure — when the ninth key is absent.
+        let pairs: Vec<(u64, u64)> = (0..8).map(|i| (i, i)).collect();
+        let mut wire = Vec::new();
+        write_frame(&Segment::from_pairs(&pairs, Codec::Raw), &mut wire);
+        wire[1..9].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let (seg, _) = read_frame(&SharedBytes::from_vec(wire), 0).unwrap();
+        assert_eq!((seg.records, seg.wire_len()), (1 << 40, 16));
+        seg.to_pairs::<u64, u64>();
     }
 }
