@@ -24,28 +24,28 @@ pub struct FixMateStats {
 /// of every pair (the logical-partitioning contract).
 pub fn fix_mate_information(records: &mut [SamRecord]) -> FixMateStats {
     let mut stats = FixMateStats::default();
-    // Index primary records by name.
-    let mut by_name: HashMap<String, Vec<usize>> = HashMap::new();
+    // Per name: how many primary reads, the first one's index, the last's.
+    let mut by_name: HashMap<&str, (usize, usize, usize)> = HashMap::with_capacity(records.len() / 2);
     for (i, r) in records.iter().enumerate() {
         if r.flags.is_paired() && r.flags.is_primary() {
-            by_name.entry(r.name.clone()).or_default().push(i);
+            let (n, _, last) = by_name.entry(r.name.as_str()).or_insert((0, i, i));
+            *n += 1;
+            *last = i;
         }
     }
-    for (_, idxs) in by_name {
-        if idxs.len() != 2 {
-            stats.widowed += idxs.len();
-            continue;
-        }
-        let (i, j) = (idxs[0], idxs[1]);
-        // Split the borrow.
-        let (a, b) = if i < j {
-            let (lo, hi) = records.split_at_mut(j);
-            (&mut lo[i], &mut hi[0])
+    let mut pairs = Vec::with_capacity(by_name.len());
+    for (n, first, last) in by_name.into_values() {
+        if n == 2 {
+            pairs.push((first, last));
         } else {
-            let (lo, hi) = records.split_at_mut(i);
-            (&mut hi[0], &mut lo[j])
-        };
-        sync_pair(a, b);
+            stats.widowed += n;
+        }
+    }
+    // In record order: mates written together stay together in memory.
+    pairs.sort_unstable();
+    for (i, j) in pairs {
+        let (lo, hi) = records.split_at_mut(j);
+        sync_pair(&mut lo[i], &mut hi[0]);
         stats.pairs_fixed += 1;
     }
     stats
