@@ -12,22 +12,21 @@ use gesall_bench::real_experiments::{self, ExperimentWorld, Scale};
 use gesall_bench::sim_experiments as sim;
 
 fn print_sim(id: &str) -> bool {
-    let report = match id {
-        "table2" => sim::table2(),
-        "table4" => sim::table4(),
-        "fig5a" => sim::fig5a(),
-        "fig5b" => sim::fig5b(),
-        "fig5c" => sim::fig5c(),
-        "table5" => sim::table5(),
-        "table6" => sim::table6(),
-        "fig6b" => sim::fig6b(),
-        "fig7" => sim::fig7(),
-        "table7" => sim::table7(),
-        "fig10" => sim::fig10(),
-        "round45" => sim::round45_note(),
+    match id {
+        "table2" => println!("{}", sim::table2()),
+        "table4" => println!("{}", sim::table4()),
+        "fig5a" => println!("{}", sim::fig5a()),
+        "fig5b" => println!("{}", sim::fig5b()),
+        "fig5c" => println!("{}", sim::fig5c()),
+        "table5" => println!("{}", sim::table5()),
+        "table6" => println!("{}", sim::table6()),
+        "fig6b" => println!("{}", sim::fig6b()),
+        "fig7" => println!("{}", sim::fig7()),
+        "table7" => println!("{}", sim::table7()),
+        "fig10" => println!("{}", sim::fig10()),
+        "round45" => println!("{}", sim::round45_note()),
         _ => return false,
-    };
-    println!("{report}");
+    }
     true
 }
 
@@ -42,18 +41,14 @@ fn run_real(ids: &[&str]) {
         world.genome.total_len()
     );
     for id in ids {
-        let report = match *id {
-            "table8" => real_experiments::table8(&world),
-            "fig11" => real_experiments::fig11(&world),
-            "table9_10" => real_experiments::table9_10(&world),
-            "substrate" => real_experiments::substrate(&world),
-            "fig6a" => real_experiments::fig6a(&world),
-            other => {
-                eprintln!("unknown real experiment {other}");
-                continue;
-            }
-        };
-        println!("{report}");
+        match *id {
+            "table8" => println!("{}", real_experiments::table8(&world)),
+            "fig11" => println!("{}", real_experiments::fig11(&world)),
+            "table9_10" => println!("{}", real_experiments::table9_10(&world)),
+            "substrate" => println!("{}", real_experiments::substrate(&world)),
+            "fig6a" => println!("{}", real_experiments::fig6a(&world)),
+            other => unreachable!("{other} is not in REAL_IDS"),
+        }
     }
 }
 
@@ -74,22 +69,16 @@ fn main() {
     let mut reals: Vec<&str> = Vec::new();
     for arg in &args {
         match arg.as_str() {
-            "all" => {
+            "all" | "sim" => {
                 for id in SIM_IDS {
                     print_sim(id);
                 }
-                reals.extend(REAL_IDS);
-            }
-            "sim" => {
-                for id in SIM_IDS {
-                    print_sim(id);
+                if arg == "all" {
+                    reals.extend(REAL_IDS);
                 }
             }
             "real" => reals.extend(REAL_IDS),
-            id if REAL_IDS.contains(&id) => {
-                let owned = REAL_IDS.iter().find(|r| **r == id).unwrap();
-                reals.push(owned);
-            }
+            id if REAL_IDS.contains(&id) => reals.push(id),
             id => {
                 if !print_sim(id) {
                     eprintln!("unknown experiment id {id:?}");

@@ -1,7 +1,8 @@
 //! # gesall-bench
 //!
 //! The experiment harness: one function per table/figure of the paper's
-//! evaluation (§4 + appendices), each returning a printable report.
+//! evaluation (§4 + appendices), each returning its numbers as a value
+//! whose `Display` is the report.
 //!
 //! Two kinds of experiments:
 //!

@@ -14,63 +14,6 @@ pub fn hms(seconds: f64) -> String {
     }
 }
 
-/// A plain-text table builder with aligned columns.
-pub struct Table {
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    pub fn new(headers: &[&str]) -> Table {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    pub fn row(&mut self, cells: &[String]) -> &mut Table {
-        assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
-        self.rows.push(cells.to_vec());
-        self
-    }
-
-    pub fn render(&self) -> String {
-        let n = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
-        for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.chars().count());
-            }
-        }
-        let line = |cells: &[String]| -> String {
-            let mut out = String::new();
-            for i in 0..n {
-                let pad = widths[i] - cells[i].chars().count();
-                out.push_str("| ");
-                out.push_str(&cells[i]);
-                out.push_str(&" ".repeat(pad + 1));
-            }
-            out.push('|');
-            out
-        };
-        let mut out = line(&self.headers);
-        out.push('\n');
-        let mut sep = String::new();
-        for w in &widths {
-            sep.push_str("|-");
-            sep.push_str(&"-".repeat(w + 1));
-        }
-        sep.push('|');
-        out.push_str(&sep);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&line(row));
-            out.push('\n');
-        }
-        out
-    }
-}
-
 /// Render an ASCII sparkline-ish bar chart row: label + proportional bar.
 pub fn bar(label: &str, value: f64, max: f64, width: usize) -> String {
     let n = if max > 0.0 {
@@ -92,19 +35,6 @@ mod tests {
         assert_eq!(hms(61.0), "1m 01s");
         assert_eq!(hms(3600.0 + 125.0), "1h 02m 05s");
         assert_eq!(hms(17_016.0), "4h 43m 36s");
-    }
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(&["name", "value"]);
-        t.row(&["short".into(), "1".into()]);
-        t.row(&["a much longer name".into(), "12345".into()]);
-        let out = t.render();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4);
-        // All lines equal length.
-        assert!(lines.iter().all(|l| l.chars().count() == lines[0].chars().count()));
-        assert!(out.contains("| name"));
     }
 
     #[test]

@@ -150,12 +150,18 @@ pub fn diff_alignments(serial: &[SamRecord], parallel: &[SamRecord]) -> Alignmen
 /// The variant-level diff: D-impact Ψ and its weighted version.
 #[derive(Debug, Clone)]
 pub struct VariantDiff {
-    pub concordant: usize,
+    /// Calls in both sets (the serial set's records).
+    pub intersection: Vec<VariantRecord>,
     pub only_serial: Vec<VariantRecord>,
     pub only_parallel: Vec<VariantRecord>,
 }
 
 impl VariantDiff {
+    /// Calls in both sets.
+    pub fn concordant(&self) -> usize {
+        self.intersection.len()
+    }
+
     /// D-impact: |Ψ| = discordant variant count.
     pub fn d_impact(&self) -> usize {
         self.only_serial.len() + self.only_parallel.len()
@@ -163,32 +169,24 @@ impl VariantDiff {
 
     /// Quality-weighted D-impact (logistic weight over variant QUAL; the
     /// paper uses a companion weighting for variant quality scores).
+    /// Folded from +0.0: `f64`'s `Sum` starts at -0.0, and a report
+    /// would print an empty discordant set's impact as "-0.0".
     pub fn weighted_d_impact(&self) -> f64 {
         let w = LogisticWeight::new(30.0, 100.0);
-        self.only_serial
-            .iter()
-            .chain(&self.only_parallel)
-            .map(|v| w.weight(v.qual))
-            .sum::<f64>()
-            + 0.0
+        (self.only_serial.iter().chain(&self.only_parallel)).fold(0.0, |sum, v| sum + w.weight(v.qual))
     }
 
     /// Weighted D-impact as a percentage of all calls.
     pub fn weighted_d_impact_pct(&self) -> f64 {
-        let total = self.concordant + self.d_impact();
+        let total = self.concordant() + self.d_impact();
         100.0 * self.weighted_d_impact() / total.max(1) as f64
     }
 
     /// Quality-metric rows for (intersection, serial-only,
     /// parallel-only) — the paper's Tables 9/10.
-    pub fn metric_rows(
-        &self,
-        serial_all: &[VariantRecord],
-        parallel_all: &[VariantRecord],
-    ) -> (VariantSetMetrics, VariantSetMetrics, VariantSetMetrics) {
-        let split = split_call_sets(serial_all, parallel_all);
+    pub fn metric_rows(&self) -> (VariantSetMetrics, VariantSetMetrics, VariantSetMetrics) {
         (
-            variant_set_metrics(&split.intersection),
+            variant_set_metrics(&self.intersection),
             variant_set_metrics(&self.only_serial),
             variant_set_metrics(&self.only_parallel),
         )
@@ -199,7 +197,7 @@ impl VariantDiff {
 pub fn diff_variants(serial: &[VariantRecord], parallel: &[VariantRecord]) -> VariantDiff {
     let split = split_call_sets(serial, parallel);
     VariantDiff {
-        concordant: split.intersection.len(),
+        intersection: split.intersection,
         only_serial: split.only_a,
         only_parallel: split.only_b,
     }
@@ -301,7 +299,7 @@ mod tests {
         let serial = vec![var(1, 200.0), var(2, 200.0), var(3, 15.0)];
         let parallel = vec![var(1, 200.0), var(4, 200.0)];
         let d = diff_variants(&serial, &parallel);
-        assert_eq!(d.concordant, 1);
+        assert_eq!(d.concordant(), 1);
         assert_eq!(d.d_impact(), 3); // pos 2, 3 serial-only; pos 4 parallel-only
         // pos-3 call is low quality → weight ~0; two confident ones → ~2.
         let w = d.weighted_d_impact();
@@ -315,7 +313,7 @@ mod tests {
         let serial = vec![var(1, 200.0), var(2, 50.0)];
         let parallel = vec![var(1, 200.0), var(9, 40.0)];
         let d = diff_variants(&serial, &parallel);
-        let (inter, s_only, p_only) = d.metric_rows(&serial, &parallel);
+        let (inter, s_only, p_only) = d.metric_rows();
         assert_eq!(inter.n, 1);
         assert_eq!(s_only.n, 1);
         assert_eq!(p_only.n, 1);

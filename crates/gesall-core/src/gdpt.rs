@@ -3,31 +3,30 @@
 //! Encodes the logical partitioning schemes that let unmodified analysis
 //! programs run correctly on subsets of a genomic dataset:
 //!
-//! * **Group partitioning** by read name (Bwa, FixMateInformation);
 //! * **Compound group partitioning** for MarkDuplicates: the two
 //!   partitioning functions over 5′-unclipped-end keys, the map-side
 //!   filter, and the bloom-filter optimisation (`MarkDup_opt`);
 //! * **Range partitioning** by chromosome (UnifiedGenotyper,
 //!   HaplotypeCaller) and the **overlapping** fine-grained scheme.
+//!
+//! Group partitioning by read name (Bwa, FixMateInformation) needs no
+//! scheme here: round 1 splits its input into partitions that each hold
+//! whole pairs, and round 2 runs map-only over them.
 
 use gesall_formats::error::{FormatError, Result as FmtResult};
 use gesall_formats::sam::SamView;
 use gesall_formats::wire::{Cursor, Wire};
 use gesall_tools::mark_duplicates::EndKey;
 
-// ---------------------------------------------------------------------
-// Group partitioning (by read name)
-// ---------------------------------------------------------------------
-
-/// Stable hash of a read name → partition. Both reads of a pair share
-/// the name, hence the partition — the §3.2 Group Partitioning contract.
-pub fn name_partition(name: &str, n_partitions: usize) -> usize {
+/// Stable (FNV-1a) hash of a read name: the key that spreads pairs with
+/// both reads unmapped ([`MarkDupKey::Unplaced`]).
+pub fn name_hash(name: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in name.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
     }
-    (h % n_partitions.max(1) as u64) as usize
+    h
 }
 
 // ---------------------------------------------------------------------
@@ -212,7 +211,7 @@ pub fn markdup_map_pair(
             out.push((MarkDupKey::Single(key), value(MarkDupRole::PartialMate, mate)));
         }
         (false, false) => {
-            let h = name_partition(a.name(), usize::MAX) as u64;
+            let h = name_hash(a.name());
             for r in [a, b] {
                 out.push((MarkDupKey::Unplaced(h), value(MarkDupRole::Unplaced, r)));
             }
@@ -413,14 +412,10 @@ mod tests {
     }
 
     #[test]
-    fn name_partition_pairs_together() {
-        for n in [1usize, 2, 7, 90] {
-            for i in 0..50 {
-                let name = format!("read{i}");
-                assert_eq!(name_partition(&name, n), name_partition(&name, n));
-                assert!(name_partition(&name, n) < n);
-            }
-        }
+    fn name_hash_is_fnv1a() {
+        assert_eq!(name_hash(""), 0xcbf29ce484222325);
+        assert_eq!(name_hash("a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(name_hash("foobar"), 0x85944171f73967e8);
     }
 
     #[test]

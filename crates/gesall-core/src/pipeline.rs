@@ -872,6 +872,7 @@ mod tests {
 
     #[test]
     fn the_part_writer_writes_the_bytes_write_bam_writes() {
+        use gesall_formats::sam::SamView;
         use gesall_mapreduce::task::{OutputFormat, RecordWriter};
         let (aligner, pairs) = world();
         let header = aligner.index().sam_header();
@@ -880,16 +881,17 @@ mod tests {
             .into_iter()
             .flat_map(|(a, b)| [a, b])
             .collect();
+        let views = bam::read_bam_views(&bam::write_bam(&header, &records), |_| {}).unwrap().1;
         let format = BamParts { header: &header };
         // Several chunks, one chunk, and the empty partition.
-        for (out, several_chunks) in [(&records[..], true), (&records[..7], false), (&[], false)] {
+        for (n, several_chunks) in [(records.len(), true), (7, false), (0, false)] {
             let bag = Counters::new();
-            let mut w = OutputFormat::<u64, SamRecord>::writer(&format, &bag);
-            for r in out {
-                w.write(0u64, r.clone());
+            let mut w = OutputFormat::<u64, SamView>::writer(&format, &bag);
+            for v in &views[..n] {
+                w.write(0u64, v.clone());
             }
-            let part = RecordWriter::<u64, SamRecord>::finish(w);
-            assert!(part == bam::write_bam(&header, out));
+            let part = RecordWriter::<u64, SamView>::finish(w);
+            assert!(part == bam::write_bam(&header, &records[..n]));
             assert_eq!(bam::split_frames(&part).unwrap().len() > 2, several_chunks);
             assert_eq!(bag.get(dag::keys::PARTS_ENCODED), 1);
         }

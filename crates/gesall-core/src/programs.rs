@@ -120,7 +120,8 @@ mod tests {
     #[test]
     fn bwa_pipe_to_samtobam_produces_valid_bam() {
         let (aligner, pairs) = world();
-        let harness = StreamingHarness::new(Counters::new());
+        let timers = Counters::new();
+        let harness = StreamingHarness::new(timers.clone());
         let input = fastq::pairs_to_interleaved_bytes(&pairs);
         let kernels = Counters::new();
         let bwa = BwaMemProgram {
@@ -142,7 +143,7 @@ mod tests {
         assert_ne!(tally, KernelStats::default());
         assert_eq!(KernelStats::from_snapshot(&kernels.snapshot()), tally);
         // Timings recorded for both programs.
-        assert!(harness.timings().external_nanos > 0);
+        assert!(timers.get(keys::EXTERNAL_PROGRAM_NANOS) > 0);
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn window_bam(timers: &Counters, bytes: &[u8]) -> Vec<SamView> {
 // ---------------------------------------------------------------------
 
 /// The output format of rounds 3 and 4: a reducer's output is one BAM
-/// logical partition, each record encoded as the reducer emits it — the
+/// logical partition, each record appended as the reducer emits it — the
 /// paper's reducers writing through a BAM record writer. The same bytes
 /// as [`bam::write_bam`] of the emitted records; the shuffle key is not
 /// part of them.
@@ -85,26 +85,11 @@ pub struct BamParts<'a> {
 pub struct BamPartWriter {
     bam: BamWriter,
     counters: Counters,
-    /// Owned records encoded so far.
-    encoded: u64,
 }
 
 impl BamParts<'_> {
     fn part_writer(&self, counters: &Counters) -> BamPartWriter {
-        BamPartWriter {
-            bam: BamWriter::new(self.header),
-            counters: counters.clone(),
-            encoded: 0,
-        }
-    }
-}
-
-impl<K> OutputFormat<K, SamRecord> for BamParts<'_> {
-    type Output = SharedBytes;
-    type Writer = BamPartWriter;
-
-    fn writer(&self, counters: &Counters) -> BamPartWriter {
-        self.part_writer(counters)
+        BamPartWriter { bam: BamWriter::new(self.header), counters: counters.clone() }
     }
 }
 
@@ -119,22 +104,8 @@ impl<K> OutputFormat<K, SamView> for BamParts<'_> {
 
 impl BamPartWriter {
     fn finish(self) -> SharedBytes {
-        self.counters.add(keys::WIRE_RECORDS_ENCODED, self.encoded);
         note_part(&self.counters, crate::dag::keys::PARTS_ENCODED);
         SharedBytes::from_vec(self.bam.finish().0)
-    }
-}
-
-impl<K> RecordWriter<K, SamRecord> for BamPartWriter {
-    type Output = SharedBytes;
-
-    fn write(&mut self, _key: K, record: SamRecord) {
-        self.bam.write_record(&record);
-        self.encoded += 1;
-    }
-
-    fn finish(self) -> SharedBytes {
-        BamPartWriter::finish(self)
     }
 }
 
@@ -187,3 +158,15 @@ thread_local! {
         const { std::cell::Cell::new(0) };
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transform_timer_accumulates() {
+        let c = Counters::new();
+        let v: u64 = timed(&c, || (0..10_000u64).sum());
+        assert_eq!(v, 49995000);
+        assert!(c.get(keys::DATA_TRANSFORM_NANOS) > 0);
+    }
+}

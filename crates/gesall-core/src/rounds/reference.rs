@@ -10,14 +10,14 @@
 //! round's partitions to the same duplicates but for quality-sum ties.
 
 use super::markdup::key_seed;
-use super::{decode_bam, note_part};
-use crate::gdpt::{name_partition, BloomFilter, MarkDupKey, MarkDupRole, MarkDupValue, RangeKey};
+use super::{decode_bam, note_part, BamPartWriter, BamParts};
+use crate::gdpt::{name_hash, BloomFilter, MarkDupKey, MarkDupRole, MarkDupValue, RangeKey};
 use gesall_formats::bam;
 use gesall_formats::sam::header::ReadGroup;
 use gesall_formats::sam::{SamHeader, SamRecord};
 use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::{keys, Counters};
-use gesall_mapreduce::task::{MapContext, Mapper, ReduceContext, Reducer};
+use gesall_mapreduce::task::{MapContext, Mapper, OutputFormat, RecordWriter, ReduceContext, Reducer};
 use gesall_tools::clean_sam::clean_sam;
 use gesall_tools::fix_mate::sync_pair;
 use gesall_tools::mark_duplicates::{end_key, pair_key, EndKey};
@@ -171,7 +171,7 @@ fn markdup_map_pair(
             }
         }
         (false, false) => {
-            let h = name_partition(&a.name, usize::MAX) as u64;
+            let h = name_hash(&a.name);
             for r in [a, b] {
                 out.push((
                     MarkDupKey::Unplaced(h),
@@ -380,11 +380,34 @@ impl Mapper for PrintReadsMapper {
     }
 }
 
+/// The owned rounds write through the production [`BamParts`], encoding
+/// and counting each record.
+impl<K> OutputFormat<K, SamRecord> for BamParts<'_> {
+    type Output = SharedBytes;
+    type Writer = BamPartWriter;
+
+    fn writer(&self, counters: &Counters) -> BamPartWriter {
+        self.part_writer(counters)
+    }
+}
+
+impl<K> RecordWriter<K, SamRecord> for BamPartWriter {
+    type Output = SharedBytes;
+
+    fn write(&mut self, _key: K, record: SamRecord) {
+        self.bam.write_record(&record);
+        self.counters.add(keys::WIRE_RECORDS_ENCODED, 1);
+    }
+
+    fn finish(self) -> SharedBytes {
+        BamPartWriter::finish(self)
+    }
+}
+
 mod tests {
     use super::*;
     use crate::gdpt::chromosome_partition;
     use crate::pipeline::{GesallPlatform, PlatformConfig};
-    use crate::rounds::BamParts;
     use gesall_aligner::{Aligner, AlignerConfig, ReferenceIndex};
     use gesall_datagen::donor::DonorConfig;
     use gesall_datagen::reads::ReadSimConfig;
@@ -392,7 +415,7 @@ mod tests {
     use gesall_dfs::{Dfs, DfsConfig};
     use gesall_formats::wire::Wire;
     use gesall_mapreduce::runtime::{InputSplit, JobConfig};
-    use gesall_mapreduce::task::{FnPartitioner, HashPartitioner, OutputFormat, Partitioner};
+    use gesall_mapreduce::task::{FnPartitioner, HashPartitioner, Partitioner};
     use gesall_mapreduce::{JobOutput, JobResult, MapReduceEngine};
     use gesall_tools::recalibration::{base_recalibrator, RecalConfig};
     use gesall_tools::refview::RefView;

@@ -146,11 +146,11 @@ fn parallel_matches_serial_except_low_quality_fringe() {
     // Variant-level D-impact: overwhelmingly concordant.
     let vdiff = diff_variants(&serial_variants, &parallel.variants);
     let impact_frac =
-        vdiff.d_impact() as f64 / (vdiff.concordant + vdiff.d_impact()).max(1) as f64;
+        vdiff.d_impact() as f64 / (vdiff.concordant() + vdiff.d_impact()).max(1) as f64;
     assert!(
         impact_frac < 0.12,
         "variant discordance {impact_frac} too high: {} concordant, {} serial-only, {} parallel-only",
-        vdiff.concordant,
+        vdiff.concordant(),
         vdiff.only_serial.len(),
         vdiff.only_parallel.len()
     );
@@ -298,7 +298,7 @@ fn unified_genotyper_round_calls_variants() {
     let p2 = platform(PlatformConfig::default());
     let hc = p2.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
     let d = gesall_core::diagnosis::diff_variants(&out.variants, &hc.variants);
-    let agree = d.concordant as f64 / (d.concordant + d.d_impact()).max(1) as f64;
+    let agree = d.concordant() as f64 / (d.concordant() + d.d_impact()).max(1) as f64;
     assert!(
         agree > 0.6,
         "UG and HC should mostly agree, got {agree} ({} vs {} calls)",
@@ -339,13 +339,13 @@ fn fine_grained_hc_matches_chromosome_level_closely() {
     assert!(fine_tasks > 2, "expected many segment tasks, got {fine_tasks}");
     // Bounded error: the call sets agree except near window boundaries.
     let d = gesall_core::diagnosis::diff_variants(&coarse.variants, &fine.variants);
-    let frac = d.d_impact() as f64 / (d.concordant + d.d_impact()).max(1) as f64;
+    let frac = d.d_impact() as f64 / (d.concordant() + d.d_impact()).max(1) as f64;
     assert!(
         frac < 0.10,
         "fine-grained discordance {frac} too high ({} vs {} calls, {} concordant)",
         coarse.variants.len(),
         fine.variants.len(),
-        d.concordant
+        d.concordant()
     );
     // No duplicated call sites from the overlap zones.
     let mut keys: Vec<_> = fine.variants.iter().map(|v| v.site_key()).collect();

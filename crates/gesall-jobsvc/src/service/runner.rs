@@ -7,7 +7,6 @@
 //! handle is dropped or when the service shuts down. A file a CAS pin
 //! still holds is left to the DFS, which removes it at its last unpin.
 
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -15,6 +14,7 @@ use std::thread::JoinHandle;
 
 use gesall_core::{GesallPlatform, RunOptions};
 use gesall_dfs::{Dfs, SweepReason};
+use gesall_mapreduce::error::panic_message;
 use gesall_mapreduce::lease::SlotLease;
 use gesall_mapreduce::{GesallError, JobConfig};
 use gesall_telemetry::Unpoisoned;
@@ -147,7 +147,7 @@ impl Svc {
             match result {
                 Ok(Ok(out)) => (JobStatus::Completed, Some(out), None),
                 Ok(Err(e)) => (JobStatus::Failed, None, Some(e.to_string())),
-                Err(payload) => (JobStatus::Failed, None, Some(panic_text(&*payload))),
+                Err(payload) => (JobStatus::Failed, None, Some(panic_message(&*payload))),
             }
         };
         // Retention: cancelled jobs sweep now; finished jobs whose
@@ -241,16 +241,6 @@ impl Svc {
                 .dfs
                 .sweep_prefix(&shared.namespace, SweepReason::Released);
         }
-    }
-}
-
-fn panic_text(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "job panicked".to_string()
     }
 }
 

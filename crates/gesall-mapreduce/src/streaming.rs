@@ -5,8 +5,10 @@
 //! e.g. the aligner posing as `bwa mem`) reads bytes from stdin and
 //! writes bytes to stdout. The framework side performs explicit **data
 //! transformation** — typed records to text and back — which the paper
-//! measures at 12–49% of task time (Fig. 6a). The harness times the two
-//! halves separately so the wrapper rounds can report the same split.
+//! measures at 12–49% of task time (Fig. 6a). The harness times each
+//! program into `wrapper.external.nanos`; the rounds time their
+//! conversions into `wrapper.transform.nanos`, so they report the same
+//! split.
 //!
 //! A pipeline runs on the caller's thread, one program after another:
 //! the wrapped programs read stdin to EOF before they write (`bwa mem`
@@ -210,16 +212,6 @@ pub trait ExternalProgram: Send + Sync {
     fn run(&self, stdin: PipeReader, stdout: PipeWriter) -> std::io::Result<()>;
 }
 
-/// Per-run timing split, feeding the Fig. 6a breakdown.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamingTimings {
-    /// Wall nanoseconds spent inside external programs, each timed alone.
-    pub external_nanos: u64,
-    /// Wall nanoseconds the caller spent in data transformation
-    /// (accounted by [`StreamingHarness::transform`]).
-    pub transform_nanos: u64,
-}
-
 /// Runs a chain of external programs connected by pipes
 /// (e.g. `bwa | samtobam`, Fig. 8).
 pub struct StreamingHarness {
@@ -229,16 +221,6 @@ pub struct StreamingHarness {
 impl StreamingHarness {
     pub fn new(counters: Counters) -> StreamingHarness {
         StreamingHarness { counters }
-    }
-
-    /// Time a data-transformation closure (record ↔ byte conversion) and
-    /// account it to the wrapper-transform counter.
-    pub fn transform<T>(&self, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.counters
-            .add(keys::DATA_TRANSFORM_NANOS, t0.elapsed().as_nanos() as u64);
-        out
     }
 
     /// Feed `input` through `programs[0] | programs[1] | ...` and return
@@ -281,14 +263,6 @@ impl StreamingHarness {
             stdin = next;
         }
         stdin.read_to_end_vec()
-    }
-
-    /// Timing snapshot from the counters.
-    pub fn timings(&self) -> StreamingTimings {
-        StreamingTimings {
-            external_nanos: self.counters.get(keys::EXTERNAL_PROGRAM_NANOS),
-            transform_nanos: self.counters.get(keys::DATA_TRANSFORM_NANOS),
-        }
     }
 }
 
@@ -388,10 +362,11 @@ mod tests {
 
     #[test]
     fn single_program_pipeline() {
-        let h = StreamingHarness::new(Counters::new());
+        let c = Counters::new();
+        let h = StreamingHarness::new(c.clone());
         let out = h.run_pipeline(&[&Upper], b"acgt\n").unwrap();
         assert_eq!(out, b"ACGT\n");
-        assert!(h.timings().external_nanos > 0);
+        assert!(c.get(keys::EXTERNAL_PROGRAM_NANOS) > 0);
     }
 
     #[test]
@@ -410,15 +385,6 @@ mod tests {
         let out = h.run_pipeline(&[&DoubleBytes], &input).unwrap();
         assert_eq!(out.len(), 600_000);
         assert!(out.iter().all(|&b| b == 7));
-    }
-
-    #[test]
-    fn transform_timer_accumulates() {
-        let c = Counters::new();
-        let h = StreamingHarness::new(c.clone());
-        let v: u64 = h.transform(|| (0..10_000u64).sum());
-        assert_eq!(v, 49995000);
-        assert!(c.get(keys::DATA_TRANSFORM_NANOS) > 0);
     }
 
     /// Panics mid-stream, as a segfaulting wrapped binary would.

@@ -398,7 +398,10 @@ pub fn shuffle_matrix(cells: &[ShuffleCell]) -> String {
 // Shared table renderer
 // ---------------------------------------------------------------------
 
-fn render_aligned(headers: &[String], rows: &[Vec<String>]) -> String {
+/// A plain-text table: `| cell |` columns padded to their widest cell,
+/// a `|---|` rule under the header row, one line per row.
+pub fn render_aligned<H: AsRef<str>>(headers: &[H], rows: &[Vec<String>]) -> String {
+    let headers: Vec<String> = headers.iter().map(|h| h.as_ref().to_string()).collect();
     let n = headers.len();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.chars().count()).collect();
     for row in rows {
@@ -417,7 +420,7 @@ fn render_aligned(headers: &[String], rows: &[Vec<String>]) -> String {
         out.push('|');
         out
     };
-    let mut out = line(headers);
+    let mut out = line(&headers);
     out.push('\n');
     let mut sep = String::new();
     for w in &widths {
@@ -581,5 +584,18 @@ mod tests {
         assert!(m.contains("20 "), "raw cell unmarked: {m}");
         assert!(m.contains("10~"), "mixed cell marked: {m}");
         assert!(m.contains("travelled compressed"), "legend present: {m}");
+    }
+
+    #[test]
+    fn table_renders_aligned() {
+        let rows = [vec!["short".into(), "1".into()], vec!["a much longer name".into(), "12345".into()]];
+        let out = render_aligned(&["name", "value"], &rows);
+        assert_eq!(
+            out,
+            "| name               | value |\n\
+             |--------------------|-------|\n\
+             | short              | 1     |\n\
+             | a much longer name | 12345 |\n"
+        );
     }
 }

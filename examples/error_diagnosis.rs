@@ -95,11 +95,11 @@ fn main() {
         cfg.seed,
     );
     let vd = diff_variants(&v_serial, &v_hybrid);
-    println!("concordant variants  : {}", vd.concordant);
+    println!("concordant variants  : {}", vd.concordant());
     println!("discordant (D impact): {} ({} serial-only, {} hybrid-only)", vd.d_impact(), vd.only_serial.len(), vd.only_parallel.len());
     println!("weighted D impact    : {:.2} ({:.3}% of calls)", vd.weighted_d_impact(), vd.weighted_d_impact_pct());
     if vd.d_impact() > 0 {
-        let (inter, s_only, h_only) = vd.metric_rows(&v_serial, &v_hybrid);
+        let (inter, s_only, h_only) = vd.metric_rows();
         println!(
             "mean QUAL: intersection {:.0} vs serial-only {:.0} / hybrid-only {:.0}\n  (discordant calls are the low-confidence ones — the paper's conclusion)",
             inter.mean_qual, s_only.mean_qual, h_only.mean_qual

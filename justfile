@@ -9,8 +9,13 @@
 # formatter and parser held to the parent's code and its Lz parse to
 # count gates, the stage outputs to their pinned digests, the map-only
 # round 2 to the records of the shuffled reference round
-# (`rounds::reference`), and every DUPLICATE bit round 3 moves over the
-# two rounds' partitions to a recomputed quality-sum tie group. Release
+# (`rounds::reference`), every DUPLICATE bit round 3 moves over the
+# two rounds' partitions to a recomputed quality-sum tie group, every
+# sim report of the `experiments` binary to rendering, and the
+# standard-scale real run to the integers EXPERIMENTS.md quotes
+# (`real_integers_are_pinned_at_standard_scale`; the tier-1 run pins the
+# same integers on four tiny worlds in
+# `real_integers_are_pinned_for_one_to_eight_partitions`). Release
 # matters: with overflow checks off a kernel can disagree with its
 # reference where the debug run never reaches. The line counter is held to its
 # fixtures first, the aligner to no process-global counter, the DFS
@@ -42,6 +47,8 @@ smoke:
     scripts/test-some.sh --release --offline -q -p gesall-formats --lib compress::tests::the_parse_cuts_fewer_tokens_and_probes_less_than_the_reference -- --exact
     scripts/test-some.sh --release --offline -q -p gesall-formats --test proptest_formats sam_text_formats_and_parses_as_the_parent -- --exact
     cargo test --release --offline -q -p gesall-core
+    cargo run --release --offline -q -p gesall-bench --bin experiments -- sim > /dev/null
+    scripts/test-some.sh --release --offline -q -p gesall-bench --lib real_experiments::tests::real_integers_are_pinned_at_standard_scale -- --ignored --exact
 
 # The benchmark of record (benchmark/README.md): all four workloads,
 # untraced, each in its own process; every end-to-end metric and the
