@@ -150,13 +150,14 @@ impl Aligner {
 
         // Phase 3: pair resolution with per-pair RNG streams.
         let batch_seed = splitmix(self.config.seed ^ splitmix(batch_ord));
+        let (pairing, min_score) = (&self.config.pairing, self.config.single.min_score);
         batch
             .iter()
             .zip(candidates)
             .enumerate()
             .map(|(i, (pair, (c1, c2)))| {
                 let mut rng = StdRng::seed_from_u64(splitmix(batch_seed ^ (i as u64)));
-                let choice = select_pair(&c1, &c2, &stats, &self.config.pairing, &mut rng);
+                let choice = select_pair(&c1, &c2, &stats, pairing, min_score, &mut rng);
                 self.emit_pair(pair, &choice)
             })
             .collect()
@@ -253,9 +254,9 @@ impl Aligner {
     }
 }
 
-/// Fill mate fields and pair flags in both records of a pair. Also public
-/// machinery for FixMateInformation to reuse.
-pub fn cross_link_mates(a: &mut SamRecord, b: &mut SamRecord, proper: bool) {
+/// Fill a new pair's mate fields, TLEN and mate flags, and PROPER_PAIR from
+/// the pairing's `proper`; an unmapped end is placed at its mate's position.
+pub(crate) fn cross_link_mates(a: &mut SamRecord, b: &mut SamRecord, proper: bool) {
     let a_mapped = a.is_mapped();
     let b_mapped = b.is_mapped();
     a.flags.set(Flags::MATE_UNMAPPED, !b_mapped);
@@ -494,7 +495,7 @@ mod tests {
             .map(|seq| {
                 let last = seq.len().saturating_sub(cfg.seed_len);
                 (0..last)
-                    .step_by(cfg.seed_stride)
+                    .step_by(single::SEED_STRIDE)
                     .chain([last])
                     .filter(|&off| {
                         seq.get(off..off + cfg.seed_len)

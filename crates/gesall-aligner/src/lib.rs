@@ -20,6 +20,8 @@
 //!   statistics estimated from the batch itself, a step-function pair
 //!   score, and seeded random tie-breaking.
 //!
+//! [`AlignerConfig`] holds bwa mem's user settings; search internals are constants.
+//!
 //! The last two items are deliberate reproductions of the Bwa behaviours
 //! the paper traces parallel/serial discordance to (Appendix B.2):
 //! *batch statistics change with data partitions* and *random choice among

@@ -12,6 +12,9 @@
 //! 2. **Random choice among equal pair scores** — common around
 //!    repetitive regions, resolved by a seeded RNG whose stream position
 //!    depends on where the read sits in its batch.
+//!
+//! How the search runs (observations needed, proper range, candidates
+//! per end) is constants; [`PairConfig`] holds the prior and penalty.
 
 use crate::single::{mapping_quality, Candidate};
 use rand::rngs::StdRng;
@@ -26,33 +29,27 @@ pub struct InsertStats {
     pub n: usize,
 }
 
+/// Confident observations a batch needs to replace the insert prior.
+const MIN_OBSERVATIONS: usize = 8;
+/// Pairs within `mean ± Z_RANGE * sd` are "proper" (the step's cliff).
+const Z_RANGE: f64 = 4.0;
+/// Candidates per end that pairing considers, best first.
+const CANDIDATE_CAP: usize = 8;
+
 /// Pairing parameters.
 #[derive(Debug, Clone)]
 pub struct PairConfig {
     /// Prior (mean, sd) used when a batch yields too few observations.
     pub insert_prior: (f64, f64),
-    /// Minimum confident observations before trusting batch statistics.
-    pub min_observations: usize,
-    /// Pairs within `mean ± z_range * sd` are "proper" (the step
-    /// function's cliff).
-    pub z_range: f64,
     /// Score penalty for a combo that is not a proper pair.
     pub unpaired_penalty: i32,
-    /// Consider at most this many candidates per end when pairing.
-    pub candidate_cap: usize,
-    /// Min single-end score (forwarded to mapq computation).
-    pub min_score: i32,
 }
 
 impl Default for PairConfig {
     fn default() -> PairConfig {
         PairConfig {
             insert_prior: (400.0, 100.0),
-            min_observations: 8,
-            z_range: 4.0,
             unpaired_penalty: 17,
-            candidate_cap: 8,
-            min_score: 30,
         }
     }
 }
@@ -95,7 +92,7 @@ pub fn estimate_insert_stats(
             }
         }
     }
-    if observations.len() < cfg.min_observations {
+    if observations.len() < MIN_OBSERVATIONS {
         return InsertStats {
             mean: cfg.insert_prior.0,
             sd: cfg.insert_prior.1,
@@ -107,7 +104,7 @@ pub fn estimate_insert_stats(
     let lo = mean - 4.0 * sd;
     let hi = mean + 4.0 * sd;
     observations.retain(|&x| (lo..=hi).contains(&x));
-    if observations.len() >= cfg.min_observations {
+    if observations.len() >= MIN_OBSERVATIONS {
         (mean, sd) = mean_sd(&observations);
     }
     InsertStats {
@@ -140,11 +137,11 @@ pub struct PairChoice {
 }
 
 /// Is the combo a proper pair under the batch statistics?
-fn is_proper(a: &Candidate, b: &Candidate, stats: &InsertStats, z: f64) -> bool {
+fn is_proper(a: &Candidate, b: &Candidate, stats: &InsertStats) -> bool {
     match observed_insert(a, b) {
         Some(ins) => {
             let dev = (ins as f64 - stats.mean).abs();
-            dev <= z * stats.sd
+            dev <= Z_RANGE * stats.sd
         }
         None => false,
     }
@@ -152,16 +149,18 @@ fn is_proper(a: &Candidate, b: &Candidate, stats: &InsertStats, z: f64) -> bool 
 
 /// Select the best joint placement for one read pair. `rng` breaks exact
 /// score ties — the stream position (and hence the choice) depends on the
-/// read's location within its batch.
+/// read's location within its batch. Mapping quality measures a lone
+/// placement against `min_score`, bwa's `-T` (`SingleConfig::min_score`).
 pub fn select_pair(
     c1: &[Candidate],
     c2: &[Candidate],
     stats: &InsertStats,
     cfg: &PairConfig,
+    min_score: i32,
     rng: &mut StdRng,
 ) -> PairChoice {
-    let c1 = &c1[..c1.len().min(cfg.candidate_cap)];
-    let c2 = &c2[..c2.len().min(cfg.candidate_cap)];
+    let c1 = &c1[..c1.len().min(CANDIDATE_CAP)];
+    let c2 = &c2[..c2.len().min(CANDIDATE_CAP)];
 
     match (c1.is_empty(), c2.is_empty()) {
         (true, true) => {
@@ -175,7 +174,7 @@ pub fn select_pair(
             }
         }
         (false, true) => {
-            let (chosen, mapq, tie) = pick_single(c1, cfg, rng);
+            let (chosen, mapq, tie) = pick_single(c1, min_score, rng);
             return PairChoice {
                 c1: Some(chosen),
                 c2: None,
@@ -186,7 +185,7 @@ pub fn select_pair(
             };
         }
         (true, false) => {
-            let (chosen, mapq, tie) = pick_single(c2, cfg, rng);
+            let (chosen, mapq, tie) = pick_single(c2, min_score, rng);
             return PairChoice {
                 c1: None,
                 c2: Some(chosen),
@@ -205,7 +204,7 @@ pub fn select_pair(
     let mut best: Vec<(usize, usize, bool)> = Vec::new();
     for (i, a) in c1.iter().enumerate() {
         for (j, b) in c2.iter().enumerate() {
-            let proper = is_proper(a, b, stats, cfg.z_range);
+            let proper = is_proper(a, b, stats);
             let score = a.score + b.score - if proper { 0 } else { cfg.unpaired_penalty };
             match score.cmp(&best_score) {
                 std::cmp::Ordering::Greater => {
@@ -232,7 +231,7 @@ pub fn select_pair(
             .filter(|&(k, _)| k != pick)
             .map(|(_, c)| c.score)
             .max();
-        mapping_quality(cs[pick].score, alt, cfg.min_score)
+        mapping_quality(cs[pick].score, alt, min_score)
     };
     let mut mapq1 = mapq_for(c1, i);
     let mut mapq2 = mapq_for(c2, j);
@@ -251,7 +250,7 @@ pub fn select_pair(
     }
 }
 
-fn pick_single(cs: &[Candidate], cfg: &PairConfig, rng: &mut StdRng) -> (Candidate, u8, bool) {
+fn pick_single(cs: &[Candidate], min_score: i32, rng: &mut StdRng) -> (Candidate, u8, bool) {
     let top = cs[0].score;
     let ties: Vec<&Candidate> = cs.iter().filter(|c| c.score == top).collect();
     let tie = ties.len() > 1;
@@ -260,7 +259,7 @@ fn pick_single(cs: &[Candidate], cfg: &PairConfig, rng: &mut StdRng) -> (Candida
     let mapq = if tie {
         0
     } else {
-        mapping_quality(top, alt, cfg.min_score)
+        mapping_quality(top, alt, min_score)
     };
     (chosen, mapq, tie)
 }
@@ -284,6 +283,10 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(1)
+    }
+
+    fn min_score() -> i32 {
+        crate::single::SingleConfig::default().min_score
     }
 
     #[test]
@@ -355,7 +358,7 @@ mod tests {
             cand(0, 900_000, true, 100),
             cand(0, 1301, true, 95),
         ];
-        let choice = select_pair(&c1, &c2, &stats, &cfg, &mut rng());
+        let choice = select_pair(&c1, &c2, &stats, &cfg, min_score(), &mut rng());
         assert!(choice.proper);
         assert_eq!(choice.c2.as_ref().unwrap().pos, 1301);
         // 100+95+0 > 100+100-17.
@@ -374,7 +377,7 @@ mod tests {
             cand(0, 900_000, true, 100),
             cand(0, 1301, true, 70),
         ];
-        let choice = select_pair(&c1, &c2, &stats, &cfg, &mut rng());
+        let choice = select_pair(&c1, &c2, &stats, &cfg, min_score(), &mut rng());
         assert!(!choice.proper);
         assert_eq!(choice.c2.as_ref().unwrap().pos, 900_000);
     }
@@ -384,7 +387,7 @@ mod tests {
         let cfg = PairConfig::default();
         let stats = estimate_insert_stats(&[], &cfg);
         let c1 = vec![cand(0, 1000, false, 100)];
-        let choice = select_pair(&c1, &[], &stats, &cfg, &mut rng());
+        let choice = select_pair(&c1, &[], &stats, &cfg, min_score(), &mut rng());
         assert!(choice.c1.is_some());
         assert!(choice.c2.is_none());
         assert!(!choice.proper);
@@ -406,7 +409,7 @@ mod tests {
         let mut choices = std::collections::HashSet::new();
         for seed in 0..32 {
             let mut r = StdRng::seed_from_u64(seed);
-            let choice = select_pair(&c1, &c2, &stats, &cfg, &mut r);
+            let choice = select_pair(&c1, &c2, &stats, &cfg, min_score(), &mut r);
             assert!(choice.tie_broken);
             choices.insert(choice.c1.unwrap().pos);
         }
@@ -419,9 +422,8 @@ mod tests {
 
     #[test]
     fn tied_singles_get_mapq_zero() {
-        let cfg = PairConfig::default();
         let c = vec![cand(0, 10, false, 80), cand(0, 999, false, 80)];
-        let (_, mapq, tie) = pick_single(&c, &cfg, &mut rng());
+        let (_, mapq, tie) = pick_single(&c, min_score(), &mut rng());
         assert!(tie);
         assert_eq!(mapq, 0);
     }
@@ -438,7 +440,7 @@ mod tests {
         // disambiguates.
         let c1 = vec![cand(0, 1000, false, 100)];
         let c2 = vec![cand(0, 1301, true, 100), cand(0, 77_000, true, 99)];
-        let choice = select_pair(&c1, &c2, &stats, &cfg, &mut rng());
+        let choice = select_pair(&c1, &c2, &stats, &cfg, min_score(), &mut rng());
         assert!(choice.proper);
         assert!(choice.mapq2 >= 6);
     }

@@ -7,22 +7,24 @@ use gesall_formats::sam::cigar::Cigar;
 use gesall_telemetry::KernelStats;
 use std::collections::hash_map::{Entry, HashMap};
 
-/// Seeding/alignment parameters for a single read.
+/// Stride between seed start offsets (the last window is a seed too).
+pub(crate) const SEED_STRIDE: usize = 12;
+/// Reference bases each side of a seed's implied window; the band's slack.
+const WINDOW_MARGIN: usize = 16;
+/// Candidates a read keeps over both strands, best first.
+const MAX_CANDIDATES: usize = 16;
+
+/// Seeding/alignment parameters for a single read: bwa mem's `-k`, `-c`,
+/// `-T` and scoring.
 #[derive(Debug, Clone)]
 pub struct SingleConfig {
     /// Exact-match seed length.
     pub seed_len: usize,
-    /// Stride between seed start offsets.
-    pub seed_stride: usize,
     /// Seeds hitting more than this many locations are discarded
     /// (repeat-region bail-out — those reads end up mapq 0 or unmapped).
     pub max_seed_hits: usize,
-    /// Extra reference bases on each side of the implied window.
-    pub window_margin: usize,
     /// Minimum Smith–Waterman score to keep a candidate.
     pub min_score: i32,
-    /// Keep at most this many candidates per strand pass.
-    pub max_candidates: usize,
     pub scoring: Scoring,
 }
 
@@ -30,11 +32,8 @@ impl Default for SingleConfig {
     fn default() -> SingleConfig {
         SingleConfig {
             seed_len: 19,
-            seed_stride: 12,
             max_seed_hits: 64,
-            window_margin: 16,
             min_score: 30,
-            max_candidates: 16,
             scoring: Scoring::default(),
         }
     }
@@ -100,7 +99,7 @@ pub(crate) fn find_candidates_counted(
     });
     out.dedup_by(|a, b| a.chrom == b.chrom && a.pos == b.pos && a.reverse == b.reverse);
     out.sort_by(|a, b| b.score.cmp(&a.score).then(a.pos.cmp(&b.pos)));
-    out.truncate(cfg.max_candidates);
+    out.truncate(MAX_CANDIDATES);
     out
 }
 
@@ -142,9 +141,8 @@ fn gather_anchors(
     }
     // Seed offsets: 0, stride, 2*stride, ..., and always the final window;
     // every pass's first seed before any pass's others.
-    let stride = cfg.seed_stride.max(1);
     let last = m - k;
-    let seed_offsets = || (0..last).step_by(stride).chain([last]);
+    let seed_offsets = || (0..last).step_by(SEED_STRIDE).chain([last]);
     let seeds = [(0, 0), (1, 0)]
         .into_iter()
         .chain(seed_offsets().skip(1).map(|off| (0, off)))
@@ -219,15 +217,15 @@ fn extend_anchors(
     let m = s.len();
     // Seed extension runs the banded Smith–Waterman kernel. The band is
     // centered on the read's expected diagonal inside the window — the
-    // read should start `anchor - gstart` columns in (≈ window_margin,
+    // read should start `anchor - gstart` columns in (≈ `WINDOW_MARGIN`,
     // less when the window was clamped at a chromosome edge) — with
-    // `window_margin` diagonals of slack each side; the kernel falls
+    // `WINDOW_MARGIN` diagonals of slack each side; the kernel falls
     // back to the full DP whenever the band can't prove its answer, so
     // the result is the full DP's unless an alignment lies wholly
     // outside the band (DESIGN.md §13) — which is why the band offset
     // is part of the reuse key below.
     let extend = |window: &[u8], off: isize, stats: &mut KernelStats| {
-        let band = Band::around_offset(off, cfg.window_margin);
+        let band = Band::around_offset(off, WINDOW_MARGIN);
         sw::with_workspace(|ws| {
             sw::local_align_banded_counted(s, window, &cfg.scoring, band, ws, stats)
         })
@@ -236,8 +234,8 @@ fn extend_anchors(
     // hashed on the bytes, confirmed by comparing them.
     let mut extended: HashMap<(&[u8], isize), Option<LocalAlignment>> = HashMap::new();
     for &anchor in anchors {
-        let start = anchor - cfg.window_margin as i64;
-        let end = anchor + m as i64 + cfg.window_margin as i64;
+        let start = anchor - WINDOW_MARGIN as i64;
+        let end = anchor + m as i64 + WINDOW_MARGIN as i64;
         let anchor_probe = anchor.clamp(0, index.text_len() as i64 - 1) as usize;
         let Some((window, gstart, chrom)) =
             index.window_within_chromosome(anchor_probe, start, end)
@@ -340,7 +338,7 @@ pub(crate) mod reference {
         });
         out.dedup_by(|a, b| a.chrom == b.chrom && a.pos == b.pos && a.reverse == b.reverse);
         out.sort_by(|a, b| b.score.cmp(&a.score).then(a.pos.cmp(&b.pos)));
-        out.truncate(cfg.max_candidates);
+        out.truncate(MAX_CANDIDATES);
         out
     }
 
@@ -358,9 +356,8 @@ pub(crate) mod reference {
             return;
         }
         // Seed offsets: 0, stride, 2*stride, ..., and always the final window.
-        let stride = cfg.seed_stride.max(1);
         let last = m - cfg.seed_len;
-        let seed_offsets = (0..last).step_by(stride).chain([last]);
+        let seed_offsets = (0..last).step_by(SEED_STRIDE).chain([last]);
 
         // Gather implied window anchor positions (a seed too repetitive to
         // locate contributes none).
@@ -379,8 +376,8 @@ pub(crate) mod reference {
         anchors.dedup_by(|a, b| (*a - *b).abs() <= 8);
 
         for &anchor in anchors.iter() {
-            let start = anchor - cfg.window_margin as i64;
-            let end = anchor + m as i64 + cfg.window_margin as i64;
+            let start = anchor - WINDOW_MARGIN as i64;
+            let end = anchor + m as i64 + WINDOW_MARGIN as i64;
             let anchor_probe = anchor.clamp(0, index.text_len() as i64 - 1) as usize;
             let Some((window, gstart, chrom)) =
                 index.window_within_chromosome(anchor_probe, start, end)
@@ -390,13 +387,13 @@ pub(crate) mod reference {
             // Seed extension runs the banded Smith–Waterman kernel. The band
             // is centered on the read's expected diagonal inside the window
             // — the read should start `anchor - gstart` columns in
-            // (≈ window_margin, less when the window was clamped at a
-            // chromosome edge) — with `window_margin` diagonals of slack
+            // (≈ `WINDOW_MARGIN`, less when the window was clamped at a
+            // chromosome edge) — with `WINDOW_MARGIN` diagonals of slack
             // each side; the kernel falls back to the full DP whenever the
             // band can't prove its answer, so the result is the full DP's.
             let aln = sw::with_workspace(|ws| {
                 let off = (anchor - gstart as i64) as isize;
-                let band = Band::around_offset(off, cfg.window_margin);
+                let band = Band::around_offset(off, WINDOW_MARGIN);
                 sw::local_align_banded_counted(s, window, &cfg.scoring, band, ws, stats)
             });
             let Some(aln) = aln else {
@@ -576,11 +573,11 @@ mod tests {
             let (window, gstart, _) = idx
                 .window_within_chromosome(
                     *origin,
-                    anchor - cfg.window_margin as i64,
-                    anchor + read.len() as i64 + cfg.window_margin as i64,
+                    anchor - WINDOW_MARGIN as i64,
+                    anchor + read.len() as i64 + WINDOW_MARGIN as i64,
                 )
                 .unwrap();
-            let band = Band::around_offset((anchor - gstart as i64) as isize, cfg.window_margin);
+            let band = Band::around_offset((anchor - gstart as i64) as isize, WINDOW_MARGIN);
             let banded = sw::with_workspace(|ws| {
                 sw::local_align_banded(read, window, &cfg.scoring, band, ws)
             })

@@ -212,6 +212,7 @@ impl fmt::Display for Table8 {
         let headers =
             ["Stage", "D count", "Weighted D count", "Weighted D count (%)", "D impact", "Weighted D impact"];
         let t = render_aligned(&headers, &rows);
+        let cut = if self.fine_grained.d_impact() == 0 { "moves no call here" } else { "moves calls" };
         write!(
             f,
             "== Table 8: discordance of the parallel pipeline (real mini-scale run) ==\n\
@@ -221,9 +222,9 @@ impl fmt::Display for Table8 {
              Low-quality fraction of Bwa discordants: {:.0}%\n\
              Fine-grained HC partitioning probe (chr1 halved mid-chromosome):\n\
                {} active windows whole-chromosome; {} concordant, {} discordant calls\n\
-               vs the sequential walk — positional cuts perturb the greedy\n\
-               segmentation, which is why the paper only accepts chromosome-level\n\
-               partitioning for HaplotypeCaller (§3.2).\n",
+               vs the sequential walk — the cut {cut}. The paper\n\
+               accepts only chromosome-level partitioning for HaplotypeCaller (§3.2):\n\
+               a positional cut can move the greedy segmentation's windows.\n",
             self.total_reads,
             self.hc.concordant(),
             100.0 * self.bwa.low_quality_fraction(),

@@ -348,23 +348,27 @@ mod tests {
     /// table gives the earlier digests. Re-pinned again when round 2 went
     /// map-only: its body no longer reads `n_reducers`, so
     /// `CleanFixMate`'s fingerprint lost its `reducers` field, and every
-    /// key below round 1 chains through it. A renamed stage, a reordered
-    /// parent list or a drifted fingerprint cold-starts every tenant's
-    /// cache; it has to fail here first.
+    /// key below round 1 chains through it. Re-pinned when the aligner's
+    /// search internals, pairing's own `min_score` and the callers'
+    /// pileup tiles became constants: round 1's and round 5's
+    /// fingerprints lost those fields at unchanged values, and written
+    /// back into the text they give the earlier digests. A renamed
+    /// stage, a reordered parent list or a drifted fingerprint
+    /// cold-starts every tenant's cache; it has to fail here first.
     const PINNED_ROOT: u64 = 0x6765_7361_6c6c;
     const PINNED_STAGE_KEY_DIGESTS: [u64; 12] = [
-        7403865457005350855,
-        8246273078534334673,
-        17278386244189314343,
-        6881583808151275373,
-        5553708989728825427,
-        15350436997533002987,
-        966147924271192200,
-        14366671725756268955,
-        12557417459499002104,
-        5817342788721385367,
-        6771653882487946684,
-        1587950080568415439,
+        14536559268252806469,
+        5693517734781502154,
+        433565587599675909,
+        13136413297729253491,
+        15973540744224766829,
+        2407010505645071247,
+        7541262967082638301,
+        3996647222416542599,
+        4982011812852876958,
+        18300632200577731752,
+        1531884876791743928,
+        14016406992368219190,
     ];
 
     #[test]

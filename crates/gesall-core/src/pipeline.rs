@@ -627,7 +627,7 @@ impl GesallPlatform {
             pipeline_span,
             pipeline_name,
             vec![("n_rounds".to_string(), cx.rounds.len().to_string())],
-            cx.counters.snapshot(),
+            cx.counters.counter_snapshot(),
         );
         cx.recorder.flush();
         PipelineOutput {

@@ -16,13 +16,12 @@ use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::streaming::{ExternalProgram, PipeReader, PipeWriter};
 use std::io::Read;
 
-/// The aligner posing as multi-threaded `bwa mem`: interleaved FASTQ in,
-/// SAM text (with header) out.
+/// The aligner posing as `bwa mem` with one thread: interleaved FASTQ
+/// in, SAM text (with header) out. A task attempt holds one slot, so
+/// its alignment runs on the attempt's own thread; the output does not
+/// depend on the thread count.
 pub struct BwaMemProgram<'a> {
     pub aligner: &'a Aligner,
-    /// Compute threads used per batch (the paper's
-    /// mappers-per-node × threads-per-mapper knob).
-    pub threads: usize,
     /// Where the aligner's kernel tally goes: the task attempt's own
     /// counters, so only a committed attempt's work reaches the job.
     pub counters: &'a Counters,
@@ -39,7 +38,7 @@ impl ExternalProgram for BwaMemProgram<'_> {
         let pairs = fastq::pairs_from_interleaved_bytes(&input)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         let header = self.aligner.index().sam_header();
-        let (aligned, kernels) = self.aligner.align_pairs_counted(&pairs, self.threads);
+        let (aligned, kernels) = self.aligner.align_pairs_counted(&pairs, 1);
         kernels.add_to(self.counters);
         // The header and every record formatted into one buffer, sized
         // for a line of seq, qual, name and ~128 bytes of other fields,
@@ -126,7 +125,6 @@ mod tests {
         let kernels = Counters::new();
         let bwa = BwaMemProgram {
             aligner: &aligner,
-            threads: 2,
             counters: &kernels,
         };
         let out = harness
@@ -141,7 +139,7 @@ mod tests {
         let flat: Vec<_> = direct.into_iter().flat_map(|(a, b)| [a, b]).collect();
         assert_eq!(records, flat);
         assert_ne!(tally, KernelStats::default());
-        assert_eq!(KernelStats::from_snapshot(&kernels.snapshot()), tally);
+        assert_eq!(KernelStats::from_snapshot(&kernels.counter_snapshot()), tally);
         // Timings recorded for both programs.
         assert!(timers.get(keys::EXTERNAL_PROGRAM_NANOS) > 0);
     }
@@ -154,7 +152,6 @@ mod tests {
             let (pipes, kernels) = (Counters::new(), Counters::new());
             let bwa = BwaMemProgram {
                 aligner: &aligner,
-                threads: 2,
                 counters: &kernels,
             };
             let chain: [&dyn ExternalProgram; 2] = [&bwa, &SamToBamProgram];
@@ -166,7 +163,7 @@ mod tests {
             (
                 out.unwrap(),
                 pipes.get(keys::WRAPPER_BYTES_COPIED),
-                KernelStats::from_snapshot(&kernels.snapshot()),
+                KernelStats::from_snapshot(&kernels.counter_snapshot()),
             )
         };
         let (out, copied, tally) = run(false);
@@ -191,7 +188,6 @@ mod tests {
         let counters = Counters::new();
         let bwa = BwaMemProgram {
             aligner: &aligner,
-            threads: 1,
             counters: &counters,
         };
         let msg = failure(&[&bwa], b"not fastq at all");

@@ -24,7 +24,6 @@ impl Mapper for Round1Align<'_> {
         let harness = StreamingHarness::new(pipes.clone());
         let bwa = crate::programs::BwaMemProgram {
             aligner: self.aligner,
-            threads: 1,
             counters: ctx.counters(),
         };
         let bam_bytes = harness

@@ -265,7 +265,7 @@ impl StageCtx<'_> {
             wall_ms: job.wall_ms,
             n_map_tasks: committed(TaskKind::Map),
             n_reduce_tasks: committed(TaskKind::Reduce),
-            counters: job.counters.snapshot(),
+            counters: job.counters.counter_snapshot(),
         };
         self.rounds.push(s);
         job.outputs

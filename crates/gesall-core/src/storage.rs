@@ -196,13 +196,7 @@ pub fn read_region_from_dfs(
 ) -> Result<Vec<SamRecord>> {
     let index_bytes = dfs.read_file_shared(&format!("{path}.idx"))?;
     let index = gesall_formats::bam::BamIndex::from_bytes(&index_bytes)?;
-    let mut out = Vec::new();
-    for (offset, len) in index.chunks_for_region(ref_id, start, end) {
-        let frame = read_byte_range(dfs, path, offset, len)?;
-        let (chunk, _) = bam::decode_frame(&frame)?;
-        chunk.records_overlapping(ref_id, start, end, &mut out)?;
-    }
-    Ok(out)
+    bam::read_region(&index, ref_id, start, end, |offset, len| read_byte_range(dfs, path, offset, len))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! The [`ChunkScanner`] here does the frame arithmetic; the DFS-aware
 //! record reader in `gesall-core` feeds it bytes from block lists.
 
-use crate::compress::{compress_append, crc32, decompress, take};
+use crate::compress::{compress_append, crc32, decompress};
 use crate::error::{FormatError, Result};
 use crate::sam::record::NO_REF;
 use crate::sam::view::Layout;
@@ -452,24 +452,21 @@ pub fn write_bam_indexed(header: &SamHeader, records: &[SamRecord]) -> (Vec<u8>,
     (bytes, index)
 }
 
-/// Region query over an in-memory indexed BAM: all records overlapping
-/// `[start, end]` (1-based inclusive) on `ref_id`, touching only the
-/// chunks the index selects.
-pub fn read_region(
-    data: &[u8],
+/// Region query over an indexed BAM: all records overlapping `[start,
+/// end]` (1-based inclusive) on `ref_id`, decoding only the frames the
+/// index selects. `frame_at(offset, len)` returns those bytes of the
+/// file — a slice of a file in memory, a range read of a stored one.
+pub fn read_region<B: AsRef<[u8]>, E: From<FormatError>>(
     index: &BamIndex,
     ref_id: i32,
     start: i64,
     end: i64,
-) -> Result<Vec<SamRecord>> {
+    mut frame_at: impl FnMut(u64, u64) -> std::result::Result<B, E>,
+) -> std::result::Result<Vec<SamRecord>, E> {
     let mut out = Vec::new();
     for (offset, len) in index.chunks_for_region(ref_id, start, end) {
-        let frame = usize::try_from(offset)
-            .ok()
-            .zip(usize::try_from(len).ok())
-            .and_then(|(offset, len)| take(data, offset, len))
-            .ok_or_else(|| FormatError::Bam("index points past end of file".into()))?;
-        let (chunk, _) = decode_frame(frame)?;
+        let frame = frame_at(offset, len)?;
+        let (chunk, _) = decode_frame(frame.as_ref())?;
         chunk.records_overlapping(ref_id, start, end, &mut out)?;
     }
     Ok(out)
@@ -811,7 +808,7 @@ mod tests {
         let (bytes, index) = write_bam_indexed(&h, &recs);
         assert!(index.entries.len() > 3, "want several chunks");
         for (start, end) in [(1i64, 500i64), (40_000, 41_000), (110_000, 120_000)] {
-            let got = read_region(&bytes, &index, 0, start, end).unwrap();
+            let got = region(&bytes, &index, 0, start, end).unwrap();
             let expect: Vec<SamRecord> = recs
                 .iter()
                 .filter(|r| r.overlaps(0, start, end))
@@ -820,7 +817,7 @@ mod tests {
             assert_eq!(got, expect, "region {start}..{end}");
         }
         // A region on a nonexistent chromosome matches nothing.
-        assert!(read_region(&bytes, &index, 5, 1, 1000).unwrap().is_empty());
+        assert!(region(&bytes, &index, 5, 1, 1000).unwrap().is_empty());
     }
 
     #[test]
@@ -988,10 +985,18 @@ mod tests {
             (e.offset, e.len) = (offset, len);
         }
         for (ref_id, start) in [(0, 1), (0, 20_000), (1, 60_000), (1, 122_500), (0, 130_000)] {
-            let got = read_region(&old, &index, ref_id, start, start + 500).unwrap();
+            let got = region(&old, &index, ref_id, start, start + 500).unwrap();
             assert!(!got.is_empty() || start == 130_000);
             assert_eq!(got, brute_force(&recs, ref_id, start, start + 500), "{ref_id}:{start}");
         }
+    }
+
+    /// [`read_region`] over a file in memory.
+    fn region(bytes: &[u8], index: &BamIndex, ref_id: i32, start: i64, end: i64) -> Result<Vec<SamRecord>> {
+        read_region(index, ref_id, start, end, |offset, len| {
+            crate::compress::take(bytes, offset as usize, len as usize)
+                .ok_or_else(|| FormatError::Bam("index points past end of file".into()))
+        })
     }
 
     fn brute_force(recs: &[SamRecord], ref_id: i32, start: i64, end: i64) -> Vec<SamRecord> {
@@ -1018,7 +1023,7 @@ mod tests {
         assert!(index.entries.len() > 3 && index.entries[0].max_key == (0, recs[long].pos));
         let mut found_long = false;
         for start in [recs[long].pos + 1_500, recs[long].pos + 2_099, 15_000, 20_470, 20_471] {
-            let got = read_region(&bytes, &index, 0, start, start + 50).unwrap();
+            let got = region(&bytes, &index, 0, start, start + 50).unwrap();
             assert_eq!(got, brute_force(&recs, 0, start, start + 50), "region at {start}");
             found_long |= got.contains(&recs[long]);
         }

@@ -11,6 +11,7 @@ use gesall_formats::sam::header::{ReferenceSeq, SamHeader};
 use gesall_formats::sam::text as sam_text;
 use gesall_formats::sam::{Flags, SamRecord, SamView};
 use gesall_formats::wire::{Cursor, Wire};
+use gesall_formats::FormatError;
 use proptest::prelude::*;
 
 /// The parent commit's SAM text formatter and parser.
@@ -261,7 +262,11 @@ fn drive_bam_readers(file: &[u8], index: &[u8]) -> Option<Vec<SamRecord>> {
     let _ = bam::Chunk { kind: bam::KIND_HEADER, raw: file.to_vec() }.header();
     if let Ok(index) = bam::BamIndex::from_bytes(index) {
         for (ref_id, start, end) in [(0, 1, 1 << 40), (0, i64::MIN, i64::MAX), (-1, 0, 0)] {
-            if let Ok(hits) = bam::read_region(file, &index, ref_id, start, end) {
+            let frame_at = |offset: u64, len: u64| {
+                let frame = file.get(offset as usize..).and_then(|f| f.get(..len as usize));
+                frame.ok_or_else(|| FormatError::Bam("index points past end of file".into()))
+            };
+            if let Ok(hits) = bam::read_region(&index, ref_id, start, end, frame_at) {
                 assert!(hits.iter().all(|r| r.overlaps(ref_id, start, end)));
             }
         }

@@ -2,11 +2,11 @@
 //! ("72 million more records than the input are shuffled", "1.92× the
 //! input data", spill counts, merge passes).
 //!
-//! The bag itself now lives in `gesall-telemetry`, backed by its
+//! The bag is `gesall-telemetry`'s
 //! [`MetricsRegistry`](gesall_telemetry::MetricsRegistry): every `add`
-//! is a lock-free atomic increment, and snapshots/`Debug` output are
-//! deterministically sorted by key. This module keeps the well-known
-//! key names and re-exports the type so engine code is unchanged.
+//! is an atomic increment after a name lookup, and snapshots and
+//! `Debug` output are sorted by key. This module names the well-known
+//! keys and re-exports the type.
 
 pub use gesall_telemetry::Counters;
 
@@ -118,7 +118,7 @@ mod tests {
         c.add(keys::MAP_INPUT_RECORDS, 2);
         c.add(keys::MAP_SPILLS, 1);
         assert_eq!(c.get(keys::MAP_INPUT_RECORDS), 7);
-        let snap = c.snapshot();
+        let snap = c.counter_snapshot();
         let mut sorted = snap.clone();
         sorted.sort();
         assert_eq!(snap, sorted, "snapshot must be key-sorted");

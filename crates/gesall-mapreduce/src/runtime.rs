@@ -585,7 +585,7 @@ impl JobFrame {
         let mut events = self.events.into_inner().unpoisoned();
         events.sort_by_key(|e| (e.kind == TaskKind::Reduce, e.task_id, e.attempt));
         let wall_ms = self.t0.elapsed().as_secs_f64() * 1e3;
-        recorder.end_with(self.span, &self.config.name, meta, self.counters.snapshot());
+        recorder.end_with(self.span, &self.config.name, meta, self.counters.counter_snapshot());
         JobOutput {
             outputs,
             counters: self.counters,
@@ -721,7 +721,7 @@ mod tests {
                 || k == keys::REDUCE_PEAK_RESIDENT
         };
         let got: Vec<(String, u64)> =
-            res.counters.snapshot().into_iter().filter(|(k, _)| pinned(k)).collect();
+            res.counters.counter_snapshot().into_iter().filter(|(k, _)| pinned(k)).collect();
         let want = [
             ("map.input.records", 900),
             ("map.merge.segments", 48),

@@ -589,7 +589,7 @@ impl<T> WaveCtx<'_, T> {
             start_ms: e.start_ms + offset,
             end_ms: e.end_ms + offset,
             meta,
-            metrics: bag.snapshot(),
+            metrics: bag.counter_snapshot(),
         });
     }
 }

@@ -209,7 +209,7 @@ mod tests {
         assert_eq!(counters.get(keys::OCC_WORDS_POPCOUNTED), 21);
         assert_eq!(counters.get(keys::SW_WINDOW_REUSES), 3);
         assert_eq!(counters.get("unrelated"), 5);
-        let snapshot = counters.snapshot();
+        let snapshot = counters.counter_snapshot();
         assert!(
             snapshot.iter().all(|(k, _)| k != keys::SORT_RADIX_PASSES),
             "a zero count adds no key: {snapshot:?}"

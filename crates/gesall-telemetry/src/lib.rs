@@ -5,8 +5,8 @@
 //!
 //! * [`metrics`] — a low-overhead **metrics registry**: named counters,
 //!   gauges, and log-scale histograms behind atomics, addressable
-//!   through labeled scopes (`job/wave/task`). The engine's venerable
-//!   [`metrics::Counters`] bag is a thin veneer over this registry.
+//!   through labeled scopes (`job/wave/task`). The engine's job
+//!   counters ([`metrics::Counters`]) are this registry's counters.
 //! * [`phase`] — the six execution phases of a MapReduce round the
 //!   paper's Tables 4–7 break wall-clock time into: map, sort-spill,
 //!   map-merge, shuffle, reduce-merge, reduce.

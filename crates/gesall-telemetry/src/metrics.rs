@@ -179,6 +179,30 @@ impl MetricsRegistry {
         w.entry(name.to_string()).or_default().clone()
     }
 
+    /// Add `delta` to counter `name`.
+    pub fn add(&self, name: &str, delta: u64) {
+        self.counter(name).add(delta);
+    }
+
+    /// Current value of counter `name` (0 if never touched; a read does
+    /// not create it).
+    pub fn get(&self, name: &str) -> u64 {
+        self.inner
+            .counters
+            .read().unpoisoned()
+            .get(name)
+            .map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+
+    /// Add every non-zero counter of `other` into this registry's.
+    pub fn merge(&self, other: &MetricsRegistry) {
+        for (k, v) in other.counter_snapshot() {
+            if v > 0 {
+                self.add(&k, v);
+            }
+        }
+    }
+
     /// All counters, sorted by name.
     pub fn counter_snapshot(&self) -> Vec<(String, u64)> {
         self.inner
@@ -223,72 +247,14 @@ impl MetricsRegistry {
     }
 }
 
-// ---------------------------------------------------------------------
-// Counters — the engine's job-counter bag, now registry-backed
-// ---------------------------------------------------------------------
+/// The Hadoop job-counter bag the engine threads through every task:
+/// the registry's counters.
+pub type Counters = MetricsRegistry;
 
-/// A concurrent bag of named `u64` counters — the Hadoop job-counter
-/// abstraction the engine threads through every task. Since the
-/// telemetry refactor this is a veneer over [`MetricsRegistry`]: `add`
-/// is one atomic increment after a cached-handle lookup, and snapshots
-/// are sorted by key.
-#[derive(Clone, Default)]
-pub struct Counters {
-    registry: MetricsRegistry,
-}
-
-impl Counters {
-    pub fn new() -> Counters {
-        Counters::default()
-    }
-
-    /// The registry backing this bag (for gauges/histograms/scopes).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Add `delta` to counter `name`.
-    pub fn add(&self, name: &str, delta: u64) {
-        self.registry.counter(name).add(delta);
-    }
-
-    /// Current value of `name` (0 if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.registry
-            .inner
-            .counters
-            .read().unpoisoned()
-            .get(name)
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Snapshot of all counters, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.registry.counter_snapshot()
-    }
-
-    /// Merge another counter bag into this one.
-    pub fn merge(&self, other: &Counters) {
-        for (k, v) in other.snapshot() {
-            if v > 0 {
-                self.add(&k, v);
-            }
-        }
-    }
-
-    /// One `key = value` line per counter, sorted by key.
-    pub fn render(&self) -> String {
-        self.snapshot()
-            .into_iter()
-            .map(|(k, v)| format!("{k} = {v}\n"))
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for Counters {
+/// The counters, sorted by key.
+impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_map().entries(self.snapshot()).finish()
+        f.debug_map().entries(self.counter_snapshot()).finish()
     }
 }
 
@@ -305,7 +271,7 @@ mod tests {
         assert_eq!(c.get("a"), 7);
         assert_eq!(c.get("missing"), 0);
         assert_eq!(
-            c.snapshot(),
+            c.counter_snapshot(),
             vec![("a".to_string(), 7), ("b".to_string(), 1)]
         );
     }

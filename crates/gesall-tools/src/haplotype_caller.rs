@@ -11,7 +11,7 @@
 //! depend on the sequential walk, so cutting the genome mid-walk can
 //! shift windows and flip borderline calls.
 
-use crate::pileup::Pileup;
+use crate::pileup::{self, Pileup};
 use crate::refview::RefView;
 use crate::unified_genotyper::{call_region, GenotyperConfig};
 use gesall_formats::sam::SamRecord;
@@ -33,9 +33,6 @@ pub struct HaplotypeCallerConfig {
     pub pad: i64,
     /// Pileup/genotyping parameters used inside windows.
     pub genotyper: GenotyperConfig,
-    /// Chromosome is walked in tiles of this size (memory bound); the
-    /// walk state carries across tiles so segmentation stays sequential.
-    pub tile: usize,
 }
 
 impl Default for HaplotypeCallerConfig {
@@ -47,7 +44,6 @@ impl Default for HaplotypeCallerConfig {
             max_window: 300,
             pad: 10,
             genotyper: GenotyperConfig::default(),
-            tile: 1 << 16,
         }
     }
 }
@@ -179,9 +175,7 @@ pub fn call_range(
     assert!(start >= 1 && end >= start, "bad range");
     // Phase 1: sequential walk computing activity and segmentation.
     let mut walker = WindowWalker::new(cfg);
-    let mut tile_start = start;
-    while tile_start <= end {
-        let tile_end = (tile_start + cfg.tile as i64 - 1).min(end);
+    for (tile_start, tile_end) in pileup::tiles(start, end) {
         let mut pileup = Pileup::build(records, ref_id, tile_start, tile_end, &cfg.genotyper.pileup);
         let ref_slice = reference.slice(ref_id, tile_start, tile_end);
         if ref_slice.len() == pileup.columns.len() {
@@ -194,7 +188,6 @@ pub fn call_range(
                 walker.step(tile_start + off as i64, activity(col));
             }
         }
-        tile_start = tile_end + 1;
     }
     walker.finish();
     let windows = std::mem::take(&mut walker.windows);
@@ -314,7 +307,8 @@ mod reference {
         let mut walker = WindowWalker::new(cfg);
         let mut tile_start = start;
         while tile_start <= end {
-            let tile_end = (tile_start + cfg.tile as i64 - 1).min(end);
+            let tile = pileup::tests::SMALL_TILE.with(|t| t.get()).unwrap_or(pileup::TILE);
+            let tile_end = (tile_start + tile as i64 - 1).min(end);
             let mut pileup =
                 Pileup::build(records, ref_id, tile_start, tile_end, &cfg.genotyper.pileup);
             let ref_slice = reference.slice(ref_id, tile_start, tile_end);
@@ -740,13 +734,13 @@ mod tests {
             small_tiles in any::<bool>(),
         ) {
             let (seqs, reads) = slice;
-            let mut cfg = HaplotypeCallerConfig::default();
-            if small_tiles {
-                (cfg.tile, cfg.genotyper.tile) = (128, 48);
-            }
+            let cfg = HaplotypeCallerConfig::default();
+            let small_tile = |tile| crate::pileup::tests::SMALL_TILE.with(|t| t.set(tile));
+            small_tile(small_tiles.then_some(48));
             let rv = RefView::new(&seqs);
             let ours = call_range(&reads, 0, "chr1", lo, hi, rv, &cfg);
             let parents = reference::call_range(&reads, 0, "chr1", lo, hi, rv, &cfg);
+            small_tile(None);
             prop_assert_eq!(ours.windows, parents.windows);
             prop_assert_eq!(ours.variants, parents.variants);
         }

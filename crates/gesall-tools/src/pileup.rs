@@ -104,6 +104,20 @@ impl Default for PileupFilter {
     }
 }
 
+/// The callers pile a region up in tiles of this many bases, a bound on
+/// pileup memory over a long chromosome. HaplotypeCaller's walk state
+/// carries across tiles, so its segmentation stays sequential.
+pub const TILE: usize = 1 << 16;
+
+/// `[start, end]` as consecutive `(tile_start, tile_end)` tiles of
+/// [`TILE`] bases, or of the smaller tile a test set on this thread.
+pub(crate) fn tiles(start: i64, end: i64) -> impl Iterator<Item = (i64, i64)> {
+    let tile = TILE;
+    #[cfg(test)]
+    let tile = tests::SMALL_TILE.with(|t| t.get()).unwrap_or(tile);
+    (start..=end).step_by(tile).map(move |s| (s, (s + tile as i64 - 1).min(end)))
+}
+
 /// A pileup over one chromosome region `[start, end]` (1-based,
 /// inclusive).
 pub struct Pileup {
@@ -259,6 +273,10 @@ pub(crate) mod tests {
         /// (the callers' count gates read it).
         pub(crate) static RECORDS_ENTERED: std::cell::Cell<u64> =
             const { std::cell::Cell::new(0) };
+        /// The tile [`tile`] returns on this thread in place of [`TILE`],
+        /// so that a test's short regions span several tiles.
+        pub(crate) static SMALL_TILE: std::cell::Cell<Option<usize>> =
+            const { std::cell::Cell::new(None) };
     }
 
     fn read(name: &str, pos: i64, cigar: &str, seq: &[u8]) -> SamRecord {

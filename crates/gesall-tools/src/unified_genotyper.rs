@@ -5,7 +5,7 @@
 //! partitioning by chromosome** (§3.2): each chromosome's reads can be
 //! genotyped independently.
 
-use crate::pileup::{IndelAllele, Pileup, PileupColumn, PileupFilter};
+use crate::pileup::{self, IndelAllele, Pileup, PileupColumn, PileupFilter};
 use crate::refview::RefView;
 use gesall_formats::vcf::{Genotype, VariantRecord};
 use gesall_formats::sam::SamRecord;
@@ -20,9 +20,6 @@ pub struct GenotyperConfig {
     /// Heterozygosity prior (human ≈ 1e-3).
     pub het_prior: f64,
     pub pileup: PileupFilter,
-    /// Genotype the region in tiles of this many bases (bounds pileup
-    /// memory on long chromosomes).
-    pub tile: usize,
 }
 
 impl Default for GenotyperConfig {
@@ -33,7 +30,6 @@ impl Default for GenotyperConfig {
             min_qual: 30.0,
             het_prior: 1e-3,
             pileup: PileupFilter::default(),
-            tile: 1 << 16,
         }
     }
 }
@@ -290,9 +286,7 @@ pub fn call_region(
     cfg: &GenotyperConfig,
 ) -> Vec<VariantRecord> {
     let mut calls = Vec::new();
-    let mut tile_start = start;
-    while tile_start <= end {
-        let tile_end = (tile_start + cfg.tile as i64 - 1).min(end);
+    for (tile_start, tile_end) in pileup::tiles(start, end) {
         let pileup = Pileup::build(records, ref_id, tile_start, tile_end, &cfg.pileup);
         for (off, col) in pileup.columns.iter().enumerate() {
             let pos = tile_start + off as i64;
@@ -306,7 +300,6 @@ pub fn call_region(
                 calls.push(v);
             }
         }
-        tile_start = tile_end + 1;
     }
     calls
 }

@@ -96,7 +96,7 @@ fn main() {
 
     // 4. Per-phase breakdown from the job's counters (Tables 4–7 shape).
     println!("\n== six-phase breakdown ==");
-    let row = PhaseRow::from_snapshot("wordcount", result.wall_ms, &result.counters.snapshot());
+    let row = PhaseRow::from_snapshot("wordcount", result.wall_ms, &result.counters.counter_snapshot());
     assert!(row.covers_all_phases(), "all six phases timed");
     print!("{}", phase_table(&[row]));
     for phase in Phase::ALL {
