@@ -892,7 +892,9 @@ mod tests {
             }
             let part = RecordWriter::<u64, SamView>::finish(w);
             assert!(part == bam::write_bam(&header, &records[..n]));
-            assert_eq!(bam::split_frames(&part).unwrap().len() > 2, several_chunks);
+            let mut walker = bam::FrameWalker::default();
+            walker.push(part.clone());
+            assert_eq!(walker.finish().unwrap().len() > 2, several_chunks);
             assert_eq!(bag.get(dag::keys::PARTS_ENCODED), 1);
         }
     }

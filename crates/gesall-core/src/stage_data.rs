@@ -2,7 +2,7 @@
 //! content-addressed intermediate store (`{cas_root}/cas/{key}`).
 
 use crate::gdpt::BloomFilter;
-use gesall_formats::bam::{self, FrameHeader};
+use gesall_formats::bam;
 use gesall_formats::vcf::VariantRecord;
 use gesall_formats::wire::{self, Wire};
 use gesall_formats::SharedBytes;
@@ -36,16 +36,7 @@ impl StageData {
         let StageData::Parts(parts) = self else {
             return true;
         };
-        parts.iter().all(|part| {
-            let mut pos = 0;
-            while pos < part.len() {
-                match FrameHeader::parse(&part[pos..]) {
-                    Ok(fh) if (fh.kind == bam::KIND_HEADER) == (pos == 0) => pos += fh.frame_len(),
-                    _ => return false,
-                }
-            }
-            pos == part.len() && pos > 0
-        })
+        parts.iter().all(|part| bam::is_whole_file(part))
     }
 
     /// Decode a store entry. Partitions come back as windows of `entry`
@@ -133,4 +124,39 @@ thread_local! {
     /// ([`StageData::from_entry`]).
     pub(crate) static PARTS_COPIED: std::cell::Cell<usize> =
         const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gesall_formats::sam::SamHeader;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn a_store_entry_of_hostile_bytes_decodes_or_errs_and_is_checked_without_a_panic(
+            tag in 0u8..5,
+            bytes in vec(any::<u8>(), 0..300),
+            parts in vec(vec(any::<u8>(), 0..64), 0..4),
+            cut in any::<usize>(),
+        ) {
+            // Arbitrary bytes, alone and behind each tag, and a
+            // well-formed list of arbitrary partitions.
+            let mut tagged = vec![tag];
+            tagged.extend_from_slice(&bytes);
+            let listed = StageData::Parts(parts.into_iter().map(SharedBytes::from_vec).collect());
+            for entry in [bytes, tagged, listed.to_wire_bytes()] {
+                if let Ok(data) = StageData::from_entry(&SharedBytes::from_vec(entry)) {
+                    data.parts_are_whole();
+                }
+            }
+            // A real partition is whole, and no cut of it is.
+            let file = bam::write_bam(&SamHeader::new(Vec::new()), &[]);
+            let cut = cut % (file.len() + 1);
+            let entry = StageData::Parts(vec![SharedBytes::copy_from_slice(&file[..cut])]).to_wire_bytes();
+            let data = StageData::from_entry(&SharedBytes::from_vec(entry)).unwrap();
+            prop_assert_eq!(data.parts_are_whole(), cut == file.len());
+        }
+    }
 }

@@ -4,9 +4,11 @@
 //!
 //! 1. **Chunk-aware reading over blocks.** The DFS splits a BAM byte
 //!    stream at block boundaries with no knowledge of chunk framing, so
-//!    the last chunk in a block may continue in the next block. The
-//!    [`BlockFrameReader`] reassembles complete chunk frames from a block
-//!    sequence — the custom `RecordReader` of the paper.
+//!    the last chunk in a block may continue in the next block.
+//!    [`read_bam_from_dfs`] hands a file's blocks, in order, to
+//!    [`bam::FrameWalker`] — the custom `RecordReader` of the paper —
+//!    which windows the frames inside a block and stitches those that
+//!    straddle two; the container's format stays inside `bam`.
 //! 2. **Logical partitions.** [`upload_indexed_bam_partition`] writes a
 //!    partition file whose blocks are pinned to one node (the custom
 //!    `BlockPlacementPolicy`), so a wrapped single-node program can read
@@ -15,138 +17,23 @@
 
 use crate::error::{PlatformError, Result};
 use gesall_dfs::Dfs;
-use gesall_formats::bam::{self, ChunkSetReader, FrameHeader, FRAME_HEADER_LEN};
+use gesall_formats::bam;
 use gesall_formats::sam::{SamHeader, SamRecord};
 use gesall_formats::SharedBytes;
 
-/// Reassembles chunk frames from a sequence of DFS blocks, tolerating
-/// frames that straddle block boundaries.
-///
-/// Frames wholly inside one block are returned as zero-copy slices of
-/// that block's shared backing; only frames that straddle a boundary
-/// are stitched through the carry buffer (and charged to
-/// [`BlockFrameReader::bytes_copied`]).
-pub struct BlockFrameReader {
-    carry: Vec<u8>,
-    frames: Vec<SharedBytes>,
-    /// Number of frames that straddled a block boundary.
-    pub straddled: usize,
-    /// Payload bytes memcpy'd while reassembling (carry buffering of
-    /// straddling frames only). Callers surface this into the DFS's
-    /// `mem.bytes.copied` gauge.
-    pub bytes_copied: u64,
-}
-
-impl BlockFrameReader {
-    pub fn new() -> BlockFrameReader {
-        BlockFrameReader {
-            carry: Vec::new(),
-            frames: Vec::new(),
-            straddled: 0,
-            bytes_copied: 0,
-        }
-    }
-
-    /// Feed the next block.
-    pub fn push_block(&mut self, block: SharedBytes) {
-        let mut pos = 0usize;
-        if !self.carry.is_empty() {
-            // A frame left straddling by the previous block: top the
-            // carry up until the frame (or the block) runs out. An
-            // unparseable carry swallows the rest so `finish` reports it.
-            loop {
-                let need = if self.carry.len() < FRAME_HEADER_LEN {
-                    FRAME_HEADER_LEN
-                } else {
-                    match FrameHeader::parse(&self.carry) {
-                        Ok(fh) => fh.frame_len(),
-                        Err(_) => usize::MAX,
-                    }
-                };
-                if self.carry.len() >= need {
-                    let frame: Vec<u8> = self.carry.drain(..need).collect();
-                    self.bytes_copied += need as u64;
-                    self.straddled += 1;
-                    self.frames.push(SharedBytes::from_vec(frame));
-                    break;
-                }
-                let take = need
-                    .saturating_sub(self.carry.len())
-                    .min(block.len() - pos);
-                if take == 0 {
-                    return; // block exhausted, frame still incomplete
-                }
-                self.carry.extend_from_slice(&block[pos..pos + take]);
-                self.bytes_copied += take as u64;
-                pos += take;
-            }
-        }
-        // Complete frames inside this block: zero-copy slices of its
-        // shared backing.
-        while pos < block.len() {
-            let rest = &block[pos..];
-            if rest.len() < FRAME_HEADER_LEN {
-                break;
-            }
-            let Ok(fh) = FrameHeader::parse(rest) else {
-                break;
-            };
-            let total = fh.frame_len();
-            if rest.len() < total {
-                break; // frame continues in the next block
-            }
-            self.frames.push(block.slice(pos..pos + total));
-            pos += total;
-        }
-        if pos < block.len() {
-            self.carry.extend_from_slice(&block[pos..]);
-            self.bytes_copied += (block.len() - pos) as u64;
-        }
-    }
-
-    /// Finish, returning the complete frames. Errors if bytes remain
-    /// (truncated trailing frame).
-    pub fn finish(self) -> Result<Vec<SharedBytes>> {
-        if !self.carry.is_empty() {
-            return Err(PlatformError::Invariant(format!(
-                "{} dangling bytes after the last block",
-                self.carry.len()
-            )));
-        }
-        Ok(self.frames)
-    }
-}
-
-impl Default for BlockFrameReader {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Read a BAM file back from the DFS through the block-aware frame
-/// reader (exercising the straddle path), returning header + records.
+/// Read a BAM file back from the DFS block by block, returning header +
+/// records. Frames inside one block are windows of it; only those that
+/// straddle blocks are stitched, and the bytes that copies are charged
+/// to the DFS's `mem.bytes.copied`.
 pub fn read_bam_from_dfs(dfs: &Dfs, path: &str) -> Result<(SamHeader, Vec<SamRecord>)> {
-    let frames = read_frames_from_dfs(dfs, path)?;
-    let reader = ChunkSetReader::new(&frames)?;
-    let header = reader.header().clone();
-    let records: Vec<SamRecord> = reader.collect();
-    Ok((header, records))
-}
-
-/// Read the chunk frames of a DFS BAM file block by block. In-block
-/// frames come back as zero-copy slices of the stored blocks; only
-/// boundary-straddling frames are stitched (and counted) through the
-/// reader's carry buffer.
-pub fn read_frames_from_dfs(dfs: &Dfs, path: &str) -> Result<Vec<SharedBytes>> {
-    let info = dfs.stat(path)?;
-    let mut reader = BlockFrameReader::new();
-    for b in &info.blocks {
-        reader.push_block(dfs.read_block(b)?);
+    let mut walker = bam::FrameWalker::default();
+    for block in &dfs.stat(path)?.blocks {
+        walker.push(dfs.read_block(block)?);
     }
     dfs.metrics()
         .counter(gesall_dfs::metrics_keys::BYTES_COPIED)
-        .add(reader.bytes_copied);
-    reader.finish()
+        .add(walker.bytes_copied);
+    Ok(bam::read_chunk_set(&walker.finish()?)?)
 }
 
 /// Read an arbitrary byte range of a DFS file, touching only the blocks
@@ -262,15 +149,27 @@ mod tests {
         // Verify blocks are plural and frames straddle.
         let info = dfs.stat("/data/sample.bam").unwrap();
         assert!(info.blocks.len() > 5);
-        let mut reader = BlockFrameReader::new();
-        for b in &info.blocks {
-            reader.push_block(dfs.read_block(b).unwrap());
+        let blocks: Vec<SharedBytes> = info.blocks.iter().map(|b| dfs.read_block(b).unwrap()).collect();
+        let mut walker = bam::FrameWalker::default();
+        for b in &blocks {
+            walker.push(b.clone());
         }
+        let (straddled, stitched_bytes) = (walker.straddled, walker.bytes_copied);
         assert!(
-            reader.straddled > 0,
+            straddled > 0,
             "4 KiB blocks with ~64 KiB chunks must straddle"
         );
+        // Each straddling frame is stitched once, into its own buffer;
+        // every other frame is a window of the stored blocks.
+        let stitched: Vec<SharedBytes> =
+            walker.finish().unwrap().into_iter().filter(|f| !f.same_backing(&blocks[0])).collect();
+        assert_eq!(stitched.len(), straddled);
+        assert_eq!(stitched.iter().map(|f| f.len() as u64).sum::<u64>(), stitched_bytes);
+        // The scan charges the DFS what stitching them copied, no more.
+        let copied = || dfs.metrics().counter(gesall_dfs::metrics_keys::BYTES_COPIED).get();
+        let before = copied();
         let (h2, r2) = read_bam_from_dfs(&dfs, "/data/sample.bam").unwrap();
+        assert_eq!(copied() - before, stitched_bytes);
         assert_eq!(h2, h);
         assert_eq!(r2, recs);
     }
@@ -281,7 +180,7 @@ mod tests {
         let h = header();
         let bytes = bam::write_bam(&h, &records(500));
         dfs.write_file("/trunc", &bytes[..bytes.len() - 10]).unwrap();
-        assert!(read_frames_from_dfs(&dfs, "/trunc").is_err());
+        assert!(read_bam_from_dfs(&dfs, "/trunc").is_err());
     }
 
     #[test]
@@ -404,19 +303,24 @@ mod tests {
         for r in &recs {
             w.write_record(r);
         }
-        let (bytes, offsets, n) = w.finish();
-        assert_eq!(n, 2000);
+        let (bytes, index) = w.finish();
         assert!(bytes == bam::write_bam(&h, &recs));
         // The cut points are the writer's, not the codec's: records per
         // chunk are what they were under the earlier parse.
-        let mut chunks = bam::ChunkScanner::new(&bytes);
-        chunks.next_chunk().unwrap().expect("a header chunk");
-        let mut per_chunk = Vec::new();
-        while let Some(c) = chunks.next_chunk().unwrap() {
-            per_chunk.push(c.records().unwrap().len());
-        }
+        let mut walker = bam::FrameWalker::default();
+        walker.push(SharedBytes::copy_from_slice(&bytes));
+        let frames = walker.finish().unwrap();
+        assert_eq!(bam::decode_frame(&frames[0]).unwrap().header().unwrap(), h);
+        let per_chunk: Vec<usize> = frames[1..]
+            .iter()
+            .map(|f| bam::decode_frame(f).unwrap().records().unwrap().len())
+            .collect();
         assert_eq!(per_chunk, [245, 244, 244, 244, 244, 244, 244, 244, 47]);
-        let offset_bytes: Vec<u8> = offsets.iter().flat_map(|o| o.to_le_bytes()).collect();
+        assert_eq!(per_chunk.iter().sum::<usize>(), 2000);
+        // The chunks start at 0, the header chunk, and at each index
+        // entry's offset.
+        let offsets = std::iter::once(0).chain(index.entries.iter().map(|e| e.offset));
+        let offset_bytes: Vec<u8> = offsets.flat_map(|o: u64| o.to_le_bytes()).collect();
         let digests = (xxh64(&bytes), xxh64(&offset_bytes));
         assert_eq!(digests, (0x27c0_4bc8_45a5_1382, 0xd145_6e01_3720_cea0), "{digests:#x?}");
     }
@@ -462,37 +366,5 @@ mod tests {
         let replica = (home + 1) % 4;
         dfs.kill_node(replica);
         assert!(read_bam_from_dfs(&dfs, "/repl/part-0").is_err());
-    }
-
-    #[test]
-    fn frame_reader_single_push() {
-        // Whole file in one "block" still works — and every frame is a
-        // zero-copy window onto that block, with nothing memcpy'd.
-        let h = header();
-        let block = SharedBytes::from_vec(bam::write_bam(&h, &records(50)));
-        let mut reader = BlockFrameReader::new();
-        reader.push_block(block.clone());
-        assert_eq!(reader.bytes_copied, 0);
-        let frames = reader.finish().unwrap();
-        assert!(frames.len() >= 2);
-        assert!(frames.iter().all(|f| f.same_backing(&block)));
-        let reader = ChunkSetReader::new(&frames).unwrap();
-        assert_eq!(reader.header(), &h);
-    }
-
-    #[test]
-    fn frame_reader_byte_at_a_time() {
-        // Pathological splitting: every byte its own block.
-        let h = header();
-        let recs = records(20);
-        let bytes = bam::write_bam(&h, &recs);
-        let mut reader = BlockFrameReader::new();
-        for b in &bytes {
-            reader.push_block(SharedBytes::copy_from_slice(std::slice::from_ref(b)));
-        }
-        let frames = reader.finish().unwrap();
-        let cr = ChunkSetReader::new(&frames).unwrap();
-        let got: Vec<SamRecord> = cr.collect();
-        assert_eq!(got, recs);
     }
 }

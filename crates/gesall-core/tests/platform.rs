@@ -113,7 +113,7 @@ fn parallel_pipeline_runs_all_five_rounds() {
 
 #[test]
 fn parallel_matches_serial_except_low_quality_fringe() {
-    let w = build_world(600);
+    let w = build_world(2024);
     let cfg = PlatformConfig {
         n_round1_partitions: 3,
         n_reducers: 3,
@@ -131,16 +131,19 @@ fn parallel_matches_serial_except_low_quality_fringe() {
     let adiff = diff_alignments(&serial_records, &parallel.records);
     assert_eq!(adiff.missing, 0, "partitioning must not lose reads");
     let total = serial_records.len() as u64;
-    assert_eq!((adiff.d_count(), total), (54, 1200), "discordant read ends of all");
+    assert_eq!((adiff.d_count(), total), (202, 4048), "discordant read ends of all");
     // The weighted (quality-aware) discordance is nil: every discordant
     // end is a low-quality mapping — the paper's core claim.
     assert_eq!(adiff.weighted_d_count(), 0.0);
 
-    // Variant-level D-impact: the one call this depth makes is concordant.
+    // Variant-level D-impact: 2 024 pairs is the smallest depth at
+    // which the serial pipeline calls 20 variants, and all 20 are
+    // concordant.
     let vdiff = diff_variants(&serial_variants, &parallel.variants);
+    assert_eq!(serial_variants.len(), 20);
     assert_eq!(
         (vdiff.concordant(), vdiff.d_impact()),
-        (1, 0),
+        (20, 0),
         "concordant calls and D-impact: {} serial-only, {} parallel-only",
         vdiff.only_serial.len(),
         vdiff.only_parallel.len()

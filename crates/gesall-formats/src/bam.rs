@@ -14,8 +14,13 @@
 //! variable-length compressed chunks, so when the DFS splits the byte
 //! stream into fixed-size blocks, a chunk may straddle a block boundary —
 //! exactly the situation the paper's custom `RecordReader` handles (§3.1).
-//! The [`ChunkScanner`] here does the frame arithmetic; the DFS-aware
-//! record reader in `gesall-core` feeds it bytes from block lists.
+//! The frame format is read in this module alone: one function parses
+//! the frame at the head of a buffer, a whole buffer is walked frame by
+//! frame ([`read_bam`], [`is_whole_file`]), and [`FrameWalker`] finds
+//! the frames of a file held as pieces — a stored file's DFS blocks —
+//! windowing a frame inside one piece and stitching one that straddles
+//! two. [`read_chunk_set`] decodes the header frame plus any subset of
+//! record frames.
 
 use crate::compress::{compress_append, crc32, decompress};
 use crate::error::{FormatError, Result};
@@ -30,45 +35,152 @@ use crate::SharedBytes;
 pub const CHUNK_TARGET_RAW: usize = 64 * 1024;
 
 /// Frame header length in bytes: kind + comp_len + raw_len + crc.
-pub const FRAME_HEADER_LEN: usize = 1 + 4 + 4 + 4;
+const FRAME_HEADER_LEN: usize = 1 + 4 + 4 + 4;
 
 /// Chunk kinds.
 pub const KIND_HEADER: u8 = 0;
 pub const KIND_RECORDS: u8 = 1;
 
 /// A parsed chunk frame header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameHeader {
-    pub kind: u8,
-    pub comp_len: u32,
-    pub raw_len: u32,
-    pub crc: u32,
+#[derive(Debug, Clone, Copy)]
+struct FrameHeader {
+    kind: u8,
+    /// The whole frame's length, header included.
+    len: usize,
+    raw_len: u32,
+    crc: u32,
 }
 
-impl FrameHeader {
-    /// Parse the 13-byte frame prefix.
-    pub fn parse(bytes: &[u8]) -> Result<FrameHeader> {
-        if bytes.len() < FRAME_HEADER_LEN {
-            return Err(FormatError::Bam(format!(
-                "frame header needs {FRAME_HEADER_LEN} bytes, got {}",
-                bytes.len()
-            )));
-        }
-        let kind = bytes[0];
-        if kind != KIND_HEADER && kind != KIND_RECORDS {
-            return Err(FormatError::Bam(format!("bad chunk kind {kind}")));
-        }
-        Ok(FrameHeader {
-            kind,
-            comp_len: u32::from_le_bytes(bytes[1..5].try_into().unwrap()),
-            raw_len: u32::from_le_bytes(bytes[5..9].try_into().unwrap()),
-            crc: u32::from_le_bytes(bytes[9..13].try_into().unwrap()),
+/// Why a buffer does not start with a whole frame.
+enum NotWhole {
+    /// The buffer holds `have` bytes of a frame `need` bytes long (of
+    /// its header, while that is short).
+    Short { need: usize, have: usize },
+    /// The kind byte names no chunk kind.
+    BadKind(u8),
+}
+
+impl From<NotWhole> for FormatError {
+    fn from(e: NotWhole) -> FormatError {
+        FormatError::Bam(match e {
+            NotWhole::Short { need, have } if have < FRAME_HEADER_LEN => {
+                format!("frame header needs {need} bytes, got {have}")
+            }
+            NotWhole::Short { need, have } => format!("truncated frame: need {need} bytes, have {have}"),
+            NotWhole::BadKind(kind) => format!("bad chunk kind {kind}"),
         })
     }
+}
 
-    /// Total frame length including the header.
-    pub fn frame_len(&self) -> usize {
-        FRAME_HEADER_LEN + self.comp_len as usize
+/// The frame at the head of `data`, if `data` holds all of it: the one
+/// parse of a frame header.
+fn frame_at_head(data: &[u8]) -> std::result::Result<FrameHeader, NotWhole> {
+    let have = data.len();
+    let Some(head) = data.first_chunk::<FRAME_HEADER_LEN>() else {
+        return Err(NotWhole::Short { need: FRAME_HEADER_LEN, have });
+    };
+    let word = |at: usize| u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+    let kind = head[0];
+    if kind != KIND_HEADER && kind != KIND_RECORDS {
+        return Err(NotWhole::BadKind(kind));
+    }
+    let len = FRAME_HEADER_LEN + word(1) as usize;
+    if have < len {
+        return Err(NotWhole::Short { need: len, have });
+    }
+    Ok(FrameHeader { kind, len, raw_len: word(5), crc: word(9) })
+}
+
+/// The frames of a whole buffer, in order: each one's kind and bytes.
+/// The first that is not whole ends the walk with its error.
+fn frames(data: &[u8]) -> impl Iterator<Item = std::result::Result<(u8, &[u8]), NotWhole>> {
+    let mut rest = data;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let frame = frame_at_head(rest).map(|fh| {
+            let (frame, tail) = rest.split_at(fh.len);
+            rest = tail;
+            (fh.kind, frame)
+        });
+        if frame.is_err() {
+            rest = &[];
+        }
+        Some(frame)
+    })
+}
+
+/// Whether `data` is a whole file by its frame headers alone: a header
+/// frame, then whole record frames, with nothing dangling. Nothing is
+/// decompressed, so a whole file may still fail to decode.
+pub fn is_whole_file(data: &[u8]) -> bool {
+    let mut kinds = frames(data).map(|frame| frame.ok().map(|(kind, _)| kind));
+    kinds.next() == Some(Some(KIND_HEADER)) && kinds.all(|kind| kind == Some(KIND_RECORDS))
+}
+
+/// Finds the frames of a file held as a sequence of pieces — a stored
+/// file's DFS blocks, cut with no regard for its frames (the paper's
+/// chunk-aware `RecordReader`, §3.1). Push the pieces in file order,
+/// then [`FrameWalker::finish`].
+///
+/// A frame inside one piece comes back as a window of that piece's
+/// backing. A frame that straddles pieces is stitched once into a buffer
+/// of its own, and the bytes that copies are counted.
+#[derive(Debug, Default)]
+pub struct FrameWalker {
+    /// The first bytes of a frame that continues in the next piece.
+    carry: Vec<u8>,
+    frames: Vec<SharedBytes>,
+    /// Frames that straddled a piece boundary.
+    pub straddled: usize,
+    /// Bytes copied to stitch them; a caller surfaces this into its
+    /// copy gauge (the DFS's `mem.bytes.copied`).
+    pub bytes_copied: u64,
+}
+
+impl FrameWalker {
+    /// Walk the next piece.
+    pub fn push(&mut self, piece: SharedBytes) {
+        let mut pos = 0;
+        // Top the carried frame up from the piece. A carry of no known
+        // kind takes the rest of the file, for `finish` to report.
+        while !self.carry.is_empty() {
+            let need = match frame_at_head(&self.carry) {
+                Ok(_) => {
+                    self.frames.push(SharedBytes::from_vec(std::mem::take(&mut self.carry)));
+                    self.straddled += 1;
+                    break;
+                }
+                Err(NotWhole::Short { need, have }) => need - have,
+                Err(NotWhole::BadKind(_)) => usize::MAX,
+            };
+            let take = need.min(piece.len() - pos);
+            if take == 0 {
+                return;
+            }
+            self.carry.extend_from_slice(&piece[pos..pos + take]);
+            self.bytes_copied += take as u64;
+            pos += take;
+        }
+        for (_, frame) in frames(&piece[pos..]).map_while(|frame| frame.ok()) {
+            self.frames.push(piece.slice(pos..pos + frame.len()));
+            pos += frame.len();
+        }
+        self.carry.extend_from_slice(&piece[pos..]);
+        self.bytes_copied += (piece.len() - pos) as u64;
+    }
+
+    /// The frames found, in file order. Errs when the pieces end inside
+    /// a frame (a truncated file) or on bytes that are no frame.
+    pub fn finish(self) -> Result<Vec<SharedBytes>> {
+        if !self.carry.is_empty() {
+            return Err(FormatError::Bam(format!(
+                "{} dangling bytes after the last piece",
+                self.carry.len()
+            )));
+        }
+        Ok(self.frames)
     }
 }
 
@@ -104,20 +216,13 @@ impl Chunk {
 
     /// Decode the records in a `KIND_RECORDS` chunk.
     pub fn records(&self) -> Result<Vec<SamRecord>> {
-        let mut out = Vec::new();
-        self.records_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Decode the chunk's records onto the end of `out` (which holds a
-    /// prefix of them on error).
-    pub fn records_into(&self, out: &mut Vec<SamRecord>) -> Result<()> {
         let (mut cur, n) = self.open_records()?;
-        out.reserve(n);
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(SamRecord::decode(&mut cur)?);
         }
-        Chunk::close_records(&cur)
+        Chunk::close_records(&cur)?;
+        Ok(out)
     }
 
     /// Append to `out` the chunk's records that overlap `[start, end]`
@@ -200,31 +305,17 @@ fn append_frame(out: &mut Vec<u8>, kind: u8, raw: &[u8]) -> usize {
     out.len() - at
 }
 
-/// Decode one frame starting at `data[0]`, returning the chunk and the
-/// total frame length consumed.
-pub fn decode_frame(data: &[u8]) -> Result<(Chunk, usize)> {
-    let fh = FrameHeader::parse(data)?;
-    let total = fh.frame_len();
-    if data.len() < total {
-        return Err(FormatError::Bam(format!(
-            "truncated frame: need {total} bytes, have {}",
-            data.len()
-        )));
-    }
-    let raw = decompress(&data[FRAME_HEADER_LEN..total])?;
+/// Decode the frame at the head of `data` into its chunk.
+pub fn decode_frame(data: &[u8]) -> Result<Chunk> {
+    let fh = frame_at_head(data)?;
+    let raw = decompress(&data[FRAME_HEADER_LEN..fh.len])?;
     if raw.len() != fh.raw_len as usize {
         return Err(FormatError::Bam("raw length mismatch".into()));
     }
     if crc32(&raw) != fh.crc {
         return Err(FormatError::Bam("crc mismatch (corrupt chunk)".into()));
     }
-    Ok((
-        Chunk {
-            kind: fh.kind,
-            raw,
-        },
-        total,
-    ))
+    Ok(Chunk { kind: fh.kind, raw })
 }
 
 /// One entry of the coordinate index: a record chunk's byte span and the
@@ -354,10 +445,6 @@ impl PendingChunk {
 pub struct BamWriter {
     out: Vec<u8>,
     pending: PendingChunk,
-    /// Byte offset of every emitted chunk (header chunk included) — the
-    /// "chunk index" a DFS-aware reader uses to stitch blocks.
-    chunk_offsets: Vec<u64>,
-    records_written: u64,
     index: BamIndex,
 }
 
@@ -369,8 +456,6 @@ impl BamWriter {
         BamWriter {
             out,
             pending: PendingChunk::empty(Vec::new()),
-            chunk_offsets: vec![0],
-            records_written: 0,
             index: BamIndex::default(),
         }
     }
@@ -404,7 +489,6 @@ impl BamWriter {
         if let Some(end) = end {
             chunk.max_end = chunk.max_end.max(end);
         }
-        self.records_written += 1;
         if self.pending.raw_estimate >= CHUNK_TARGET_RAW {
             self.flush_chunk();
         }
@@ -415,7 +499,6 @@ impl BamWriter {
             return;
         }
         let offset = self.out.len() as u64;
-        self.chunk_offsets.push(offset);
         let len = append_frame(&mut self.out, KIND_RECORDS, self.pending.payload());
         self.index.entries.push(ChunkIndexEntry {
             offset,
@@ -427,17 +510,12 @@ impl BamWriter {
         self.pending = PendingChunk::empty(std::mem::take(&mut self.pending.payload));
     }
 
-    /// Finish the file, returning (bytes, chunk offsets, record count).
-    pub fn finish(mut self) -> (Vec<u8>, Vec<u64>, u64) {
+    /// Finish the file, returning its bytes and its coordinate index
+    /// (Round 4's "build the BAM file index"). The file's chunks start at
+    /// 0, the header chunk, and at each index entry's offset.
+    pub fn finish(mut self) -> (Vec<u8>, BamIndex) {
         self.flush_chunk();
-        (self.out, self.chunk_offsets, self.records_written)
-    }
-
-    /// Finish, also returning the coordinate index (Round 4's "build the
-    /// BAM file index").
-    pub fn finish_indexed(mut self) -> (Vec<u8>, BamIndex, u64) {
-        self.flush_chunk();
-        (self.out, self.index, self.records_written)
+        (self.out, self.index)
     }
 }
 
@@ -448,8 +526,7 @@ pub fn write_bam_indexed(header: &SamHeader, records: &[SamRecord]) -> (Vec<u8>,
     for r in records {
         w.write_record(r);
     }
-    let (bytes, index, _) = w.finish_indexed();
-    (bytes, index)
+    w.finish()
 }
 
 /// Region query over an indexed BAM: all records overlapping `[start,
@@ -466,61 +543,40 @@ pub fn read_region<B: AsRef<[u8]>, E: From<FormatError>>(
     let mut out = Vec::new();
     for (offset, len) in index.chunks_for_region(ref_id, start, end) {
         let frame = frame_at(offset, len)?;
-        let (chunk, _) = decode_frame(frame.as_ref())?;
-        chunk.records_overlapping(ref_id, start, end, &mut out)?;
+        decode_frame(frame.as_ref())?.records_overlapping(ref_id, start, end, &mut out)?;
     }
     Ok(out)
 }
 
 /// Serialize a header and records into a complete BAM byte buffer.
 pub fn write_bam(header: &SamHeader, records: &[SamRecord]) -> Vec<u8> {
-    let mut w = BamWriter::new(header);
-    for r in records {
-        w.write_record(r);
-    }
-    w.finish().0
+    write_bam_indexed(header, records).0
 }
 
-/// Scanner over a contiguous BAM byte buffer, yielding chunks.
-pub struct ChunkScanner<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ChunkScanner<'a> {
-    pub fn new(data: &'a [u8]) -> ChunkScanner<'a> {
-        ChunkScanner { data, pos: 0 }
+/// The one header-then-record-chunks loop: the first of `frames` is the
+/// header chunk, and `decode` turns each later one, a record chunk, into
+/// records or views.
+fn decode_chunks<'a, T, E>(
+    frames: impl IntoIterator<Item = std::result::Result<&'a [u8], E>>,
+    mut decode: impl FnMut(Chunk) -> Result<Vec<T>>,
+) -> Result<(SamHeader, Vec<T>)>
+where
+    FormatError: From<E>,
+{
+    let mut frames = frames.into_iter();
+    let first = frames.next().ok_or_else(|| FormatError::Bam("empty bam file".into()))??;
+    let header = decode_frame(first)?.header()?;
+    let mut out = Vec::new();
+    for frame in frames {
+        out.extend(decode(decode_frame(frame?)?)?);
     }
-
-    /// Byte offset of the next frame.
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
-    /// Next chunk, or `Ok(None)` at end of buffer.
-    pub fn next_chunk(&mut self) -> Result<Option<Chunk>> {
-        if self.pos >= self.data.len() {
-            return Ok(None);
-        }
-        let (chunk, consumed) = decode_frame(&self.data[self.pos..])?;
-        self.pos += consumed;
-        Ok(Some(chunk))
-    }
+    Ok((header, out))
 }
 
 /// Parse a complete BAM buffer into (header, records). The mirror of
 /// [`write_bam`].
 pub fn read_bam(data: &[u8]) -> Result<(SamHeader, Vec<SamRecord>)> {
-    let mut scanner = ChunkScanner::new(data);
-    let header = scanner
-        .next_chunk()?
-        .ok_or_else(|| FormatError::Bam("empty bam file".into()))?
-        .header()?;
-    let mut records = Vec::new();
-    while let Some(chunk) = scanner.next_chunk()? {
-        chunk.records_into(&mut records)?;
-    }
-    Ok((header, records))
+    decode_chunks(frames(data).map(|f| f.map(|(_, frame)| frame)), |chunk| chunk.records())
 }
 
 /// [`read_bam`] as views: each record chunk is decompressed once and its
@@ -531,74 +587,17 @@ pub fn read_bam_views(
     data: &[u8],
     mut rewrite: impl FnMut(&mut dyn Iterator<Item = QualitiesMut<'_>>),
 ) -> Result<(SamHeader, Vec<SamView>)> {
-    let mut scanner = ChunkScanner::new(data);
-    let header = scanner
-        .next_chunk()?
-        .ok_or_else(|| FormatError::Bam("empty bam file".into()))?
-        .header()?;
-    let mut views = Vec::new();
-    while let Some(chunk) = scanner.next_chunk()? {
-        views.extend(chunk.into_views(&mut rewrite)?);
-    }
-    Ok((header, views))
+    decode_chunks(frames(data).map(|f| f.map(|(_, frame)| frame)), |chunk| {
+        chunk.into_views(&mut rewrite)
+    })
 }
 
-/// The utility the paper describes in §3.1: given the header chunk's frame
-/// plus an arbitrary *subset* of record-chunk frames (as handed out by the
-/// DFS record reader), iterate the contained records with the header
-/// available — "one-line modification" semantics for single-node programs.
-pub struct ChunkSetReader {
-    header: SamHeader,
-    records: std::vec::IntoIter<SamRecord>,
-}
-
-impl ChunkSetReader {
-    /// `frames` are raw frame byte strings (`Vec<u8>`, `SharedBytes`, or
-    /// any other byte container); the first must be the header chunk of
-    /// the file (fetched from the file's first block).
-    pub fn new<T: AsRef<[u8]>>(frames: &[T]) -> Result<ChunkSetReader> {
-        let first = frames
-            .first()
-            .ok_or_else(|| FormatError::Bam("no chunks supplied".into()))?;
-        let (hc, _) = decode_frame(first.as_ref())?;
-        let header = hc.header()?;
-        let mut records = Vec::new();
-        for frame in &frames[1..] {
-            let (chunk, _) = decode_frame(frame.as_ref())?;
-            chunk.records_into(&mut records)?;
-        }
-        Ok(ChunkSetReader {
-            header,
-            records: records.into_iter(),
-        })
-    }
-
-    pub fn header(&self) -> &SamHeader {
-        &self.header
-    }
-}
-
-impl Iterator for ChunkSetReader {
-    type Item = SamRecord;
-    fn next(&mut self) -> Option<SamRecord> {
-        self.records.next()
-    }
-}
-
-/// Extract the raw frame byte strings of a BAM buffer (header frame first).
-pub fn split_frames(data: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let mut frames = Vec::new();
-    let mut pos = 0usize;
-    while pos < data.len() {
-        let fh = FrameHeader::parse(&data[pos..])?;
-        let end = pos + fh.frame_len();
-        if end > data.len() {
-            return Err(FormatError::Bam("truncated trailing frame".into()));
-        }
-        frames.push(data[pos..end].to_vec());
-        pos = end;
-    }
-    Ok(frames)
+/// The utility the paper describes in §3.1: decode a file's header
+/// frame, first, plus an arbitrary *subset* of its record frames (as a
+/// DFS record reader hands them out), so a single-node program has its
+/// records with the header — "one-line modification" semantics.
+pub fn read_chunk_set<F: AsRef<[u8]>>(frames: &[F]) -> Result<(SamHeader, Vec<SamRecord>)> {
+    decode_chunks(frames.iter().map(|f| Ok::<_, FormatError>(f.as_ref())), |chunk| chunk.records())
 }
 
 /// The writer this module shipped before records were encoded into the
@@ -725,7 +724,7 @@ mod tests {
         // to force many chunks.
         let recs = records(2000);
         let bytes = write_bam(&h, &recs);
-        let frames = split_frames(&bytes).unwrap();
+        let frames = walk(&bytes);
         assert!(
             frames.len() > 3,
             "expected several chunks, got {}",
@@ -751,13 +750,18 @@ mod tests {
         for r in &records(1500) {
             w.write_record(r);
         }
-        let (bytes, offsets, n) = w.finish();
-        assert_eq!(n, 1500);
-        let frames = split_frames(&bytes).unwrap();
+        let (bytes, index) = w.finish();
+        assert_eq!(read_bam(&bytes).unwrap().1.len(), 1500);
+        let offsets = chunk_offsets(&index);
+        let frames = walk(&bytes);
         assert_eq!(offsets.len(), frames.len());
-        // Every recorded offset is the start of a parseable frame.
-        for &off in &offsets {
-            FrameHeader::parse(&bytes[off as usize..]).unwrap();
+        // Every recorded offset is the start of a whole frame, the one
+        // the walker found there.
+        let mut at = 0;
+        for (&off, frame) in offsets.iter().zip(&frames) {
+            assert_eq!(off, at);
+            assert_eq!(frame_at_head(&bytes[off as usize..]).ok().map(|fh| fh.len), Some(frame.len()));
+            at += frame.len() as u64;
         }
     }
 
@@ -766,13 +770,11 @@ mod tests {
         let h = header();
         let recs = records(2000);
         let bytes = write_bam(&h, &recs);
-        let frames = split_frames(&bytes).unwrap();
+        let frames = walk(&bytes);
         // Take the header frame + only the 3rd record frame — a "logical
         // partition" of the file.
-        let subset = vec![frames[0].clone(), frames[3].clone()];
-        let reader = ChunkSetReader::new(&subset).unwrap();
-        assert_eq!(reader.header(), &h);
-        let got: Vec<SamRecord> = reader.collect();
+        let (got_header, got) = read_chunk_set(&[&frames[0], &frames[3]]).unwrap();
+        assert_eq!(got_header, h);
         assert!(!got.is_empty());
         // Those records appear contiguously in the full set.
         let start = recs.iter().position(|r| r == &got[0]).unwrap();
@@ -899,9 +901,9 @@ mod tests {
             for v in &views {
                 w.write_view(v);
             }
-            let (rewritten, got_index, n) = w.finish_indexed();
+            let (rewritten, got_index) = w.finish();
             assert!(rewritten == bytes, "a view writes the bytes its record writes");
-            assert_eq!((got_index, n), (index, recs.len() as u64));
+            assert_eq!((got_index, views.len()), (index, recs.len()));
         }
     }
 
@@ -942,10 +944,10 @@ mod tests {
             for r in &recs {
                 w.write_record(r);
             }
-            let (streamed, got_offsets, n) = w.finish();
+            let (streamed, streamed_index) = w.finish();
             assert!(streamed == bytes);
-            assert_eq!(got_offsets, offsets);
-            assert_eq!(n, recs.len() as u64);
+            assert_eq!(chunk_offsets(&streamed_index), offsets);
+            assert_eq!(read_bam(&streamed).unwrap().1.len(), recs.len());
             let (indexed, index) = write_bam_indexed(&h, &recs);
             assert!(indexed == bytes);
             let got: Vec<reference::Entry> = index
@@ -957,7 +959,7 @@ mod tests {
             // `max_end` is the rightmost reach of the chunk's own records.
             for e in &index.entries {
                 let frame = &bytes[e.offset as usize..(e.offset + e.len) as usize];
-                let reach = decode_frame(frame).unwrap().0.records().unwrap().iter()
+                let reach = decode_frame(frame).unwrap().records().unwrap().iter()
                     .filter(|r| r.is_mapped())
                     .map(|r| (r.ref_id, r.end_pos()))
                     .max()
@@ -1011,7 +1013,7 @@ mod tests {
             let (bytes, index) = write_bam_indexed(&h, &recs);
             let e = index.entries[0];
             let frame = &bytes[e.offset as usize..(e.offset + e.len) as usize];
-            decode_frame(frame).unwrap().0.records().unwrap().len()
+            decode_frame(frame).unwrap().records().unwrap().len()
         };
         // The last record of chunk 0 spans 2 100 bases, and an early one
         // is spliced across 20 000: both reach far past their chunk's
@@ -1039,10 +1041,10 @@ mod tests {
         let h = header();
         for recs in [sorted(mixed_records(2500)), mixed_records(2500)] {
             let bytes = write_bam(&h, &recs);
-            let frames = split_frames(&bytes).unwrap();
+            let frames = walk(&bytes);
             assert!(frames.len() > 3);
             for frame in &frames[1..] {
-                let (chunk, _) = decode_frame(frame).unwrap();
+                let chunk = decode_frame(frame).unwrap();
                 let all = chunk.records().unwrap();
                 for (ref_id, start, end) in [
                     (0, 1, 500),
@@ -1060,7 +1062,7 @@ mod tests {
                 }
             }
             // A header chunk has no records to offer.
-            let (hc, _) = decode_frame(&frames[0]).unwrap();
+            let hc = decode_frame(&frames[0]).unwrap();
             assert!(hc.records_overlapping(0, 1, 10, &mut Vec::new()).is_err());
         }
     }
@@ -1095,6 +1097,52 @@ mod tests {
         let mut frame = Vec::new();
         append_frame(&mut frame, KIND_RECORDS, b"x");
         frame[0] = 9;
-        assert!(FrameHeader::parse(&frame).is_err());
+        assert!(matches!(frame_at_head(&frame), Err(NotWhole::BadKind(9))));
+    }
+
+    /// The frames of `bytes` as [`FrameWalker`] finds them in one piece.
+    fn walk(bytes: &[u8]) -> Vec<SharedBytes> {
+        let mut walker = FrameWalker::default();
+        walker.push(SharedBytes::copy_from_slice(bytes));
+        walker.finish().unwrap()
+    }
+
+    /// Where a file's chunks start: the header chunk at 0, then the
+    /// record chunk of each index entry.
+    fn chunk_offsets(index: &BamIndex) -> Vec<u64> {
+        std::iter::once(0).chain(index.entries.iter().map(|e| e.offset)).collect()
+    }
+
+    #[test]
+    fn frame_reader_single_push() {
+        // Whole file in one piece still works — and every frame is a
+        // zero-copy window onto that piece, with nothing memcpy'd.
+        let h = header();
+        let piece = SharedBytes::from_vec(write_bam(&h, &records(50)));
+        let mut walker = FrameWalker::default();
+        walker.push(piece.clone());
+        assert_eq!((walker.bytes_copied, walker.straddled), (0, 0));
+        let frames = walker.finish().unwrap();
+        assert!(frames.len() >= 2);
+        assert!(frames.iter().all(|f| f.same_backing(&piece)));
+        assert_eq!(read_chunk_set(&frames).unwrap().0, h);
+    }
+
+    #[test]
+    fn frame_reader_byte_at_a_time() {
+        // Pathological splitting: every byte its own piece, so every
+        // frame straddles and each byte is copied once, to stitch it.
+        let h = header();
+        let recs = records(20);
+        let bytes = write_bam(&h, &recs);
+        let mut walker = FrameWalker::default();
+        for b in &bytes {
+            walker.push(SharedBytes::copy_from_slice(std::slice::from_ref(b)));
+        }
+        let straddled = walker.straddled;
+        assert_eq!(walker.bytes_copied, bytes.len() as u64);
+        let frames = walker.finish().unwrap();
+        assert_eq!(straddled, frames.len());
+        assert_eq!(read_chunk_set(&frames).unwrap(), (h, recs));
     }
 }

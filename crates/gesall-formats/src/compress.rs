@@ -22,6 +22,7 @@
 //! (see [`crate::bam`]), not here, so the codec itself stays minimal.
 
 use crate::error::{FormatError, Result};
+use crate::wire::put_varint;
 
 /// The codec a byte payload is encoded with — the tag that lets a
 /// compressed window travel DFS → shuffle → reduce fetch *by reference*
@@ -154,22 +155,6 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
         n += 8;
     }
     n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
-}
-
-pub(crate) fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    if v < 0x80 {
-        buf.push(v as u8);
-        return;
-    }
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(b);
-            return;
-        }
-        buf.push(b | 0x80);
-    }
 }
 
 pub(crate) fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64> {

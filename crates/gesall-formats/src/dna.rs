@@ -5,56 +5,6 @@
 //! alphabet mapping, complementation, and the 2-bit packing used by the
 //! FM-index.
 
-/// The four nucleotides plus the ambiguity code `N`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Base {
-    A,
-    C,
-    G,
-    T,
-    /// Ambiguous / unknown base (sequencer no-call or reference gap).
-    N,
-}
-
-impl Base {
-    /// Parse an ASCII byte (case-insensitive). Anything outside `ACGT`
-    /// maps to [`Base::N`], matching common aligner behaviour.
-    #[inline]
-    pub fn from_ascii(b: u8) -> Base {
-        match b | 0x20 {
-            b'a' => Base::A,
-            b'c' => Base::C,
-            b'g' => Base::G,
-            b't' => Base::T,
-            _ => Base::N,
-        }
-    }
-
-    /// Upper-case ASCII representation.
-    #[inline]
-    pub fn to_ascii(self) -> u8 {
-        match self {
-            Base::A => b'A',
-            Base::C => b'C',
-            Base::G => b'G',
-            Base::T => b'T',
-            Base::N => b'N',
-        }
-    }
-
-    /// Watson–Crick complement; `N` complements to `N`.
-    #[inline]
-    pub fn complement(self) -> Base {
-        match self {
-            Base::A => Base::T,
-            Base::C => Base::G,
-            Base::G => Base::C,
-            Base::T => Base::A,
-            Base::N => Base::N,
-        }
-    }
-}
-
 /// Map an ASCII base to its 2-bit code, or `None` for non-ACGT bytes.
 #[inline]
 pub fn ascii_code2(b: u8) -> Option<u8> {
@@ -248,17 +198,17 @@ mod tests {
 
     #[test]
     fn base_roundtrip_and_complement() {
-        for (c, comp) in [(b'A', b'T'), (b'C', b'G'), (b'G', b'C'), (b'T', b'A')] {
-            assert_eq!(Base::from_ascii(c).to_ascii(), c);
-            assert_eq!(Base::from_ascii(c).complement().to_ascii(), comp);
+        for (code, (c, comp)) in [(b'A', b'T'), (b'C', b'G'), (b'G', b'C'), (b'T', b'A')].into_iter().enumerate() {
+            assert_eq!(ascii_code2(c), Some(code as u8));
+            assert_eq!(complement_ascii(c), comp);
+            assert_eq!(complement_ascii(comp), c);
         }
-        assert_eq!(Base::from_ascii(b'x'), Base::N);
-        assert_eq!(Base::N.complement(), Base::N);
+        assert_eq!(ascii_code2(b'x'), None);
+        assert_eq!(complement_ascii(b'N'), b'N');
     }
 
     #[test]
     fn lowercase_accepted() {
-        assert_eq!(Base::from_ascii(b'a'), Base::A);
         assert_eq!(complement_ascii(b'g'), b'C');
         assert_eq!(ascii_code2(b't'), Some(3));
     }

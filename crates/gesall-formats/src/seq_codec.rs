@@ -37,9 +37,9 @@
 //! seq:   [varint token_len] [tokens] [lz container of the literal blob]
 //! ```
 
-use crate::compress::{self, get_len, get_raw_len, get_varint, put_varint, take};
+use crate::compress::{self, get_len, get_raw_len, get_varint, take};
 use crate::error::{FormatError, Result};
-use crate::wire::varint_len;
+use crate::wire::{put_varint, varint_len};
 
 const METHOD_STORE: u8 = 0;
 const METHOD_SEQ: u8 = 2;

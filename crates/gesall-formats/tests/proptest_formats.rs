@@ -11,7 +11,7 @@ use gesall_formats::sam::header::{ReferenceSeq, SamHeader};
 use gesall_formats::sam::text as sam_text;
 use gesall_formats::sam::{Flags, SamRecord, SamView};
 use gesall_formats::wire::{Cursor, Wire};
-use gesall_formats::FormatError;
+use gesall_formats::{FormatError, SharedBytes};
 use proptest::prelude::*;
 
 /// The parent commit's SAM text formatter and parser.
@@ -242,13 +242,14 @@ proptest! {
 // ---- The BAM container on hostile bytes: `Ok | Err(FormatError)`, never
 // a panic, never a reservation the input does not justify.
 
-/// Drive every BAM reader over `file` (as a whole file, as one frame, as
-/// a frame list and as a record-chunk payload) and over `index`.
-/// Returning at all is the property; what came back is for the caller.
-fn drive_bam_readers(file: &[u8], index: &[u8]) -> Option<Vec<SamRecord>> {
+/// Drive every BAM reader over `file` (as a whole file, as pieces cut at
+/// `cuts`, as one frame, as a frame list and as a record-chunk payload)
+/// and over `index`. Returning at all is the property; what came back
+/// is for the caller.
+fn drive_bam_readers(file: &[u8], index: &[u8], cuts: &[usize]) -> Option<Vec<SamRecord>> {
     let _ = bam::decode_frame(file);
-    let _ = bam::split_frames(file).map(|frames| bam::ChunkSetReader::new(&frames).map(Iterator::count));
-    let _ = bam::ChunkSetReader::new(&[file, file]).map(Iterator::count);
+    let _ = bam::read_chunk_set(&[file, file]);
+    let _ = bam::is_whole_file(file);
     let payload = bam::Chunk { kind: bam::KIND_RECORDS, raw: file.to_vec() };
     let mut hits = Vec::new();
     let _ = payload.records_overlapping(0, 1, 1 << 40, &mut hits);
@@ -271,10 +272,34 @@ fn drive_bam_readers(file: &[u8], index: &[u8]) -> Option<Vec<SamRecord>> {
             }
         }
     }
-    let records = bam::read_bam(file).ok().map(|(_, records)| records);
+    let read = bam::read_bam(file).ok();
+    // The walker over the file in pieces finds the frames `read_bam`
+    // walks, whatever straddles the cuts.
+    assert_eq!(walk_pieces(file, cuts), read, "cut at {cuts:?}");
+    let records = read.map(|(_, records)| records);
     let views = bam::read_bam_views(file, |_| {}).ok().map(|(_, views)| views);
     assert_eq!(views.map(|v| v.iter().map(SamView::to_record).collect()), records);
     records
+}
+
+/// `file` cut at `cuts` (each taken modulo the file's length plus one;
+/// repeats make empty pieces) and read back through `bam::FrameWalker`.
+fn walk_pieces(file: &[u8], cuts: &[usize]) -> Option<(SamHeader, Vec<SamRecord>)> {
+    let mut at: Vec<usize> = cuts.iter().map(|c| c % (file.len() + 1)).collect();
+    at.extend([0, file.len()]);
+    at.sort_unstable();
+    let mut walker = bam::FrameWalker::default();
+    for piece in at.windows(2) {
+        walker.push(SharedBytes::copy_from_slice(&file[piece[0]..piece[1]]));
+    }
+    bam::read_chunk_set(&walker.finish().ok()?).ok()
+}
+
+/// A file's frames as the walker finds them in one piece, or its error.
+fn walk(file: &[u8]) -> Result<Vec<SharedBytes>, FormatError> {
+    let mut walker = bam::FrameWalker::default();
+    walker.push(SharedBytes::copy_from_slice(file));
+    walker.finish()
 }
 
 /// `SamView::decode` against `SamRecord::decode` on one buffer: the same
@@ -345,16 +370,18 @@ fn two_chunk_file() -> (Vec<u8>, bam::BamIndex, Vec<SamRecord>) {
 fn bam_readers_are_total_on_every_flip_and_cut_of_a_file_and_its_index() {
     let (file, index, records) = two_chunk_file();
     let index = index.to_bytes();
-    assert_eq!(drive_bam_readers(&file, &index), Some(records.clone()));
+    assert_eq!(drive_bam_readers(&file, &index, &[]), Some(records.clone()));
     for at in 0..file.len() {
+        // Pieces cut at, around and well away from the changed byte.
+        let cuts = [at, at + 1, at / 2, at + 13, at * 7 + 3];
         for flip in [0x01, 0x80, 0xff] {
             let mut bad = file.clone();
             bad[at] ^= flip;
             // The CRC, the lengths and the grammar between them leave no
             // byte of a file free to change unnoticed.
-            assert_eq!(drive_bam_readers(&bad, &index), None, "byte {at} ^ {flip:#x}");
+            assert_eq!(drive_bam_readers(&bad, &index, &cuts), None, "byte {at} ^ {flip:#x}");
         }
-        if let Some(cut) = drive_bam_readers(&file[..at], &index) {
+        if let Some(cut) = drive_bam_readers(&file[..at], &index, &cuts) {
             // A cut on a frame boundary is a shorter valid file.
             assert!(records.starts_with(&cut), "cut at {at}");
         }
@@ -363,16 +390,16 @@ fn bam_readers_are_total_on_every_flip_and_cut_of_a_file_and_its_index() {
         for flip in [0x01, 0x80, 0xff] {
             let mut bad = index.clone();
             bad[at] ^= flip;
-            drive_bam_readers(&file, &bad);
+            drive_bam_readers(&file, &bad, &[at]);
         }
-        drive_bam_readers(&file, &index[..at]);
+        drive_bam_readers(&file, &index[..at], &[at]);
     }
 }
 
 #[test]
 fn forged_frame_lengths_are_errors_before_they_are_allocations() {
-    let (file, _, _) = two_chunk_file();
-    let header_len = bam::FrameHeader::parse(&file).unwrap().frame_len();
+    let (file, index, _) = two_chunk_file();
+    let header_len = index.entries[0].offset as usize;
     for forged_len in [u32::MAX, 1 << 30, (1 << 30) + 1] {
         // raw_len, then comp_len, of the first record chunk.
         for field in [5, 1] {
@@ -380,7 +407,8 @@ fn forged_frame_lengths_are_errors_before_they_are_allocations() {
             bad[header_len + field..header_len + field + 4].copy_from_slice(&forged_len.to_le_bytes());
             assert!(bam::read_bam(&bad).is_err());
             assert!(bam::decode_frame(&bad[header_len..]).is_err());
-            assert!(bam::split_frames(&bad).is_err() || field == 5);
+            assert!(walk(&bad).is_err() || field == 5);
+            assert!(walk_pieces(&bad, &[header_len + 3, header_len + 9]).is_none());
         }
     }
 }
@@ -392,17 +420,18 @@ proptest! {
     fn bam_readers_are_total_on_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..400),
         kind in 0u8..3,
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
     ) {
-        drive_bam_readers(&bytes, &bytes);
+        drive_bam_readers(&bytes, &bytes, &cuts);
         // The same bytes as the payload of a frame that checks out, alone
         // and behind a real header chunk.
         let framed = frame_around(kind, &bytes);
-        drive_bam_readers(&framed, &bytes);
-        let (file, _, _) = two_chunk_file();
-        let header_len = bam::FrameHeader::parse(&file).unwrap().frame_len();
+        drive_bam_readers(&framed, &bytes, &cuts);
+        let (file, index, _) = two_chunk_file();
+        let header_len = index.entries[0].offset as usize;
         let mut behind_header = file[..header_len].to_vec();
         behind_header.extend_from_slice(&framed);
-        drive_bam_readers(&behind_header, &bytes);
+        drive_bam_readers(&behind_header, &bytes, &cuts);
     }
 
     #[test]
@@ -411,15 +440,16 @@ proptest! {
         at in any::<usize>(),
         byte in any::<u8>(),
         count in 0u64..9,
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
     ) {
         // A chunk payload with one byte, or its record count, forged —
         // inside a frame whose CRC vouches for it.
         let mut raw = records.to_wire_bytes();
         let at = at % raw.len();
         raw[at] = byte;
-        drive_bam_readers(&frame_around(bam::KIND_RECORDS, &raw), &raw);
+        drive_bam_readers(&frame_around(bam::KIND_RECORDS, &raw), &raw, &cuts);
         raw[0] = count as u8;
-        drive_bam_readers(&raw, &raw);
+        drive_bam_readers(&raw, &raw, &cuts);
     }
 }
 

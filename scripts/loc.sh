@@ -8,8 +8,9 @@
 #                            vendor/ directory outside the build is not
 #                            counted), the ten largest files under
 #                            crates/*/src and the public field count of
-#                            every `*Config` struct; tests/ and examples/
-#                            directories are not counted
+#                            every `*Config` and `*Options` struct (the
+#                            settings a caller can turn); tests/ and
+#                            examples/ directories are not counted
 #   scripts/loc.sh FILE...   one number: the non-test lines of FILEs
 #
 # Every line counts, blank and comment lines included, except the lines
@@ -164,8 +165,8 @@ done
 printf '%-22s %8d\n\n' total "$total"
 printf '%-46s %8s\n' 'largest files' 'src LoC'
 per_file crates/*/src | sort -rn | awk 'NR <= 10 { printf "%-46s %8d\n", $2, $1 } END { print "" }'
-printf '%-22s %8s\n' 'config struct' 'pub fields'
-grep -rn --include='*.rs' -E '^pub struct [A-Za-z]*Config\b' crates src \
+printf '%-22s %8s\n' 'settings struct' 'pub fields'
+grep -rn --include='*.rs' -E '^pub struct [A-Za-z]*(Config|Options)\b' crates src \
     | while IFS=: read -r file line decl; do
         name=$(echo "$decl" | sed -E 's/^pub struct ([A-Za-z]+).*/\1/')
         n=$(awk -v start="$line" 'NR>start && /^}/{exit} NR>start && /^    pub [a-z0-9_]+:/{n++} END{print n+0}' "$file")
