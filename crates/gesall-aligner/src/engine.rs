@@ -485,6 +485,23 @@ mod tests {
             k.occ_words_popcounted,
             pl.occ_words_popcounted
         );
+        // Paired rank steps: a step whose ends share a checkpoint block
+        // walks once. The parent commit's two walks read 753 340 words.
+        assert!(k.occ_words_popcounted * 10 <= 753_340 * 9);
+        assert_eq!(k.occ_words_popcounted, 521_975, "rank words");
+
+        // Survivors first: the same SAM, anchors and kernel calls as
+        // building a candidate for every scoring anchor, and a CIGAR
+        // cloned only for the candidates a read keeps.
+        let (built_all, _, pe) = single::reference::with_parent_extension(|| run(false, false));
+        assert_eq!(built_all, parents);
+        assert_eq!(
+            (pe.seed_rows_located, sw_calls(&pe), pe.sw_window_reuses),
+            (k.seed_rows_located, sw_calls(&k), k.sw_window_reuses)
+        );
+        let reads = 2 * pairs.len() as u64;
+        assert!(k.candidates_built <= single::MAX_CANDIDATES as u64 * reads);
+        assert_eq!((k.candidates_built, pe.candidates_built), (6_817, 7_021), "candidates built");
 
         // Known-answer seeding: every seed of both strands of every read
         // that is all ACGT could have been searched.
@@ -531,6 +548,58 @@ mod tests {
             seeded_work.cells,
             parent_work.cells
         );
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release only: 8 000 pairs through the reference kernels")]
+    fn the_wgs_hc_world_aligns_as_under_the_parents_seeding_and_kernels() {
+        // The benchmark's pipeline world: two chromosomes of 200 000 and
+        // 150 000 bp with the default annotations (centromeric tandem
+        // repeats, segmental duplications), 8 000 pairs, 5 % duplicates,
+        // one fixed seed. Every read's candidates are the parent seed
+        // loop's, and the SAM is what the parent's seeding and kernels
+        // write — and what building every scoring anchor's candidate
+        // writes, for the same anchors and kernel calls.
+        use crate::{single, sw};
+        const SEED: u64 = 20170514;
+        let genome = ReferenceGenome::generate(&GenomeConfig {
+            chromosome_lengths: vec![200_000, 150_000],
+            seed: SEED,
+            ..GenomeConfig::default()
+        });
+        let donor = DonorGenome::generate(&genome, &DonorConfig { seed: SEED, ..DonorConfig::default() });
+        let simcfg =
+            ReadSimConfig { n_pairs: 8_000, duplicate_rate: 0.05, seed: SEED, ..ReadSimConfig::default() };
+        let (pairs, _) = ReadSimulator::new(&genome, &donor, simcfg).simulate();
+        let chroms: Vec<(String, Vec<u8>)> =
+            genome.chromosomes.iter().map(|c| (c.name.clone(), c.seq.clone())).collect();
+        let aligner = Aligner::new(ReferenceIndex::build(&chroms), AlignerConfig::default());
+        let (index, cfg) = (aligner.index(), &aligner.config().single);
+
+        for seq in pairs.iter().flat_map(|p| [&p.r1.seq, &p.r2.seq]) {
+            let mut work = KernelStats::default();
+            let ours = single::find_candidates_counted(index, cfg, seq, &mut work);
+            let parents = single::reference::find_candidates(index, cfg, seq, &mut KernelStats::default());
+            assert_eq!(ours, parents, "read {}", String::from_utf8_lossy(seq));
+            assert_eq!(work.candidates_built, ours.len() as u64);
+            assert!(ours.len() <= single::MAX_CANDIDATES);
+        }
+
+        let (sam, k) = aligner.align_pairs_counted(&pairs, 1);
+        let (parents, _) = single::reference::with_parent_seeding(|| {
+            sw::reference::measure(true, || aligner.align_pairs_counted(&pairs, 1)).0
+        });
+        assert!(sam == parents, "round 1's records moved");
+        let (built_all, pe) =
+            single::reference::with_parent_extension(|| aligner.align_pairs_counted(&pairs, 1));
+        assert!(built_all == sam);
+        let calls = |k: &KernelStats| k.sw_extensions() - k.sw_window_reuses;
+        assert_eq!(
+            (pe.seed_rows_located, calls(&pe), pe.sw_window_reuses),
+            (k.seed_rows_located, calls(&k), k.sw_window_reuses)
+        );
+        assert!(k.candidates_built < pe.candidates_built);
+        eprintln!("kernel ledger {k:?}; building every candidate: {}", pe.candidates_built);
     }
 
     #[test]

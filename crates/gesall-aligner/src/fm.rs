@@ -9,11 +9,13 @@
 //! packer records its row out-of-band (`n_positions()[0]`) and its
 //! packed slot holds code 0 — rank queries for `A` subtract it back
 //! out. `occ()` — the innermost loop of every backward-search step —
-//! counts whole words with XOR-splat + popcount
-//! ([`count_code_in_word`]) from a checkpoint aligned to a word
-//! boundary, instead of the historical byte-at-a-time scan (which
-//! survives as [`FmIndex::occ_scalar`], the reference the tests
-//! compare against). The sampled suffix array is a bit per BWT row
+//! counts whole words with XOR-splat match bits
+//! ([`count_code_in_word`]'s) from a checkpoint aligned to a word
+//! boundary, summed across the walk's words once (`Slots`), instead of
+//! the historical byte-at-a-time scan (which survives as
+//! [`FmIndex::occ_scalar`], the reference the tests compare against).
+//! A search step whose two ends share a checkpoint block ranks both in
+//! one walk (`occ_pair_words`, bwa's `bwt_2occ`). The sampled suffix array is a bit per BWT row
 //! (is this row sampled?) with a running rank per 64-row word, over a
 //! plain vec of the sampled positions in row order: each LF step of
 //! `locate_row` pays one word load and a bit test, and the one hit per
@@ -225,28 +227,59 @@ impl FmIndex {
     #[inline]
     pub fn occ_words(&self, c: u8, i: usize) -> (u64, u32) {
         debug_assert!((1..=4).contains(&c));
-        let c2 = (c - 1) as u64;
         let cp = i / OCC_SAMPLE;
-        let mut count = self.checkpoints[cp][c2 as usize] as u64;
-        let words = self.bwt.words();
-        let end_w = i / 32;
-        let mut touched = 0u32;
-        for &word in &words[cp * WORDS_PER_CP..end_w] {
-            count += count_code_in_word(word, c2, !0) as u64;
-            touched += 1;
+        let slots = self.slots(c, cp * WORDS_PER_CP, i);
+        (self.rank(c, cp, i, slots), (i.div_ceil(32) - cp * WORDS_PER_CP) as u32)
+    }
+
+    /// Both ends of a backward-search step at once: the occurrences of
+    /// `c` in `bwt[0..l)` and in `bwt[0..r)`, `l ≤ r`, plus the distinct
+    /// words popcounted. When `l` and `r` share a checkpoint block (bwa's
+    /// `bwt_2occ`) one walk from its checkpoint answers both: the words
+    /// before `l`'s serve the two ends, and `l`'s partial word is read
+    /// under each end's mask. Otherwise each end walks from its own
+    /// checkpoint, as [`FmIndex::occ_words`] does.
+    #[inline]
+    fn occ_pair_words(&self, c: u8, l: usize, r: usize) -> ((u64, u64), u32) {
+        debug_assert!((1..=4).contains(&c) && l <= r);
+        let cp = l / OCC_SAMPLE;
+        if r / OCC_SAMPLE != cp {
+            let (lc, lw) = self.occ_words(c, l);
+            let (rc, rw) = self.occ_words(c, r);
+            return ((lc, rc), lw + rw);
+        }
+        let l_w = l / 32;
+        let shared = self.slots(c, cp * WORDS_PER_CP, 32 * l_w);
+        let lc = self.rank(c, cp, l, shared.plus(self.slots(c, l_w, l)));
+        let rc = self.rank(c, cp, r, shared.plus(self.slots(c, l_w, r)));
+        // Every word `r`'s walk reads, `l`'s among them.
+        ((lc, rc), (r.div_ceil(32) - cp * WORDS_PER_CP) as u32)
+    }
+
+    /// The slots holding `c` in `bwt[32·from_w .. i)`: the whole words
+    /// from word `from_w` up to `i`'s, then `i`'s word below `i`.
+    #[inline]
+    fn slots(&self, c: u8, from_w: usize, i: usize) -> Slots {
+        let (c2, words) = ((c - 1) as u64, self.bwt.words());
+        let mut slots = Slots::default();
+        for &word in &words[from_w..i / 32] {
+            slots.add(word, c2, !0);
         }
         let rem = i % 32;
         if rem != 0 {
-            let mask = (1u64 << (rem * 2)) - 1;
-            count += count_code_in_word(words[end_w], c2, mask) as u64;
-            touched += 1;
+            slots.add(words[i / 32], c2, (1u64 << (rem * 2)) - 1);
         }
+        slots
+    }
+
+    /// Occurrences of `c` in `bwt[0..i)`, given `slots`, the occurrences
+    /// between checkpoint `cp` and `i`.
+    #[inline]
+    fn rank(&self, c: u8, cp: usize, i: usize, slots: Slots) -> u64 {
+        let count = self.checkpoints[cp][(c - 1) as usize] as u64 + slots.total();
         // The sentinel slot is packed as code 0 and so was absorbed into
         // the `A` bucket; subtract it back out.
-        if c == 1 && (self.sentinel_row as usize) < i {
-            count -= 1;
-        }
-        (count, touched)
+        count - u64::from(c == 1 && (self.sentinel_row as usize) < i)
     }
 
     /// Scalar rank reference: symbol-at-a-time scan from the checkpoint.
@@ -314,9 +347,8 @@ impl FmIndex {
                 valid = false;
                 break;
             };
-            let (lc, lw) = self.occ_words(c, l as usize);
-            let (rc, rw) = self.occ_words(c, r as usize);
-            words += (lw + rw) as u64;
+            let ((lc, rc), w) = self.occ_pair_words(c, l as usize, r as usize);
+            words += w as u64;
             l = self.c_table[c as usize] + lc;
             r = self.c_table[c as usize] + rc;
             if l >= r {
@@ -415,6 +447,40 @@ impl FmIndex {
         self.locate_each(pattern, max_hits, &mut KernelStats::default(), |pos| hits.push(pos))?;
         hits.sort_unstable();
         Some(hits)
+    }
+}
+
+/// A rank walk's count of one code over the few packed words it reads,
+/// added across the words once. Each word's match bits — one per 2-bit
+/// slot holding the code, as [`count_code_in_word`] forms them — fold
+/// into 4-bit fields, at most 2 a field a word, so up to seven words sum
+/// without a carry between fields (a walk, shared prefix included,
+/// reads at most [`WORDS_PER_CP`]); [`Slots::total`] then adds the fields
+/// once, where a popcount per word would add them for each.
+#[derive(Clone, Copy, Default)]
+struct Slots(u64);
+
+const _: () = assert!(WORDS_PER_CP <= 7, "Slots' 4-bit fields hold seven words");
+
+impl Slots {
+    #[inline]
+    fn add(&mut self, word: u64, c2: u64, valid: u64) {
+        const SLOT_LOW: u64 = 0x5555_5555_5555_5555;
+        const PAIRS: u64 = 0x3333_3333_3333_3333;
+        let x = word ^ (c2 * SLOT_LOW);
+        let bits = !(x | x >> 1) & SLOT_LOW & valid;
+        self.0 += (bits & PAIRS) + (bits >> 2 & PAIRS);
+    }
+
+    #[inline]
+    fn plus(self, other: Slots) -> Slots {
+        Slots(self.0 + other.0)
+    }
+
+    #[inline]
+    fn total(self) -> u64 {
+        const NIBBLES: u64 = 0x0f0f_0f0f_0f0f_0f0f;
+        ((self.0 & NIBBLES) + (self.0 >> 4 & NIBBLES)).wrapping_mul(0x0101_0101_0101_0101) >> 56
     }
 }
 
@@ -695,33 +761,83 @@ mod tests {
     fn rank_kernel_reports_words_popcounted() {
         let text = pseudo_dna(4000, 29);
         let fm = FmIndex::build(&text);
-        let pat = &text[1000..1020];
-        let mut stats = KernelStats::default();
-        let (l, r) = fm.search_counted(pat, &mut stats).unwrap();
-        assert!(r > l);
-        // The last KMER bases are a table lookup; each of the other 12
-        // steps ranks both ends: the whole words between each end's
-        // checkpoint and the end, plus a partial word.
-        let (head, tail) = pat.split_at(pat.len() - KMER);
-        let start = fm.kmer_interval(tail).unwrap();
-        let words: u64 = head
-            .iter()
-            .rev()
-            .scan((start.0 as usize, start.1 as usize), |(l, r), &b| {
+        // Each LF step ranks both ends. Ends in one checkpoint block share
+        // a walk: the words `r`'s rank reads, `l`'s being a prefix of
+        // them. Ends in two blocks each walk from their own checkpoint.
+        // Returns the words so counted, the words two separate ranks
+        // read, and the steps whose ends shared a block or did not.
+        let derive = |pat: &[u8]| {
+            let (head, start) = match pat.len().checked_sub(KMER) {
+                Some(split) => (&pat[..split], fm.kmer_interval(&pat[split..]).unwrap()),
+                None => (pat, (0, fm.bwt.len() as u64)),
+            };
+            let (mut l, mut r) = (start.0 as usize, start.1 as usize);
+            let (mut words, mut unpaired, mut shared, mut apart) = (0, 0, 0, 0);
+            for &b in head.iter().rev() {
                 let c = code(b).unwrap();
-                let (lc, lw) = fm.occ_words(c, *l);
-                let (rc, rw) = fm.occ_words(c, *r);
-                *l = (fm.c_table[c as usize] + lc) as usize;
-                *r = (fm.c_table[c as usize] + rc) as usize;
-                Some((lw + rw) as u64)
-            })
-            .sum();
-        assert!(words > 0);
-        assert_eq!(stats, KernelStats { occ_words_popcounted: words, ..KernelStats::default() });
-        // The parent's search stepped all 20 bases.
-        let mut plain = KernelStats::default();
-        assert_eq!(reference::search_counted(&fm, pat, &mut plain), Some((l, r)));
-        assert!(plain.occ_words_popcounted > words);
+                let (lc, lw) = fm.occ_words(c, l);
+                let (rc, rw) = fm.occ_words(c, r);
+                if l / OCC_SAMPLE == r / OCC_SAMPLE {
+                    (words, shared) = (words + rw as u64, shared + 1);
+                } else {
+                    (words, apart) = (words + (lw + rw) as u64, apart + 1);
+                }
+                unpaired += (lw + rw) as u64;
+                l = (fm.c_table[c as usize] + lc) as usize;
+                r = (fm.c_table[c as usize] + rc) as usize;
+            }
+            (words, unpaired, shared, apart)
+        };
+        // 20 bases: the last KMER are a table lookup, and an 8-mer's
+        // interval in 4 001 rows is a row or two, so all 12 steps share a
+        // block (half the words: both ends sit in one word). 6 bases: no
+        // table, so the first steps' intervals span blocks.
+        for (pat, pinned) in [(&text[1000..1020], (29, 58, 12, 0)), (&text[1000..1006], (17, 22, 3, 3))] {
+            let mut stats = KernelStats::default();
+            let (l, r) = fm.search_counted(pat, &mut stats).unwrap();
+            assert!(r > l);
+            let (words, ..) = derive(pat);
+            assert_eq!(derive(pat), pinned, "words, unpaired words, shared and apart steps");
+            assert_eq!(stats, KernelStats { occ_words_popcounted: words, ..KernelStats::default() });
+            // The parent's search stepped every base, unpaired.
+            let mut plain = KernelStats::default();
+            assert_eq!(reference::search_counted(&fm, pat, &mut plain), Some((l, r)));
+            assert!(plain.occ_words_popcounted > words);
+        }
+    }
+
+    /// The paired rank answers both ends as two [`FmIndex::occ_words`]
+    /// calls do, and reads `r`'s words alone when the ends share a block.
+    fn assert_pair_rank(fm: &FmIndex, c: u8, l: usize, r: usize) {
+        let (lc, lw) = fm.occ_words(c, l);
+        let (rc, rw) = fm.occ_words(c, r);
+        let words = if l / OCC_SAMPLE == r / OCC_SAMPLE { rw } else { lw + rw };
+        assert_eq!(
+            fm.occ_pair_words(c, l, r),
+            ((lc, rc), words),
+            "occ({c}) at {l} and {r} of {} rows, sentinel at {}",
+            fm.bwt.len(),
+            fm.sentinel_row
+        );
+    }
+
+    #[test]
+    fn paired_rank_is_two_ranks_at_every_pair_of_rows() {
+        // Every code at every l ≤ r (l == r included), so every word and
+        // block boundary, the sentinel's row and the text's end: row
+        // counts of one, inside the first word, one short of a word and
+        // of a block, past one block, and past two.
+        for n in [0usize, 1, 30, 31, 127, 130, 300] {
+            let fm = FmIndex::build(&pseudo_dna(n, n as u64 + 7));
+            let m = fm.bwt.len();
+            for c in 1..=4 {
+                for r in 0..=m {
+                    for l in 0..=r {
+                        assert_pair_rank(&fm, c, l, r);
+                    }
+                }
+            }
+        }
     }
 
     /// The table search answers `pat` as the parent's plain search does.
@@ -799,6 +915,32 @@ mod tests {
                 text = text[..unit.min(n)].iter().copied().cycle().take(n).collect();
             }
             reference::assert_same_sampled_rows(&FmIndex::build(&text), &text);
+        }
+
+        #[test]
+        fn paired_rank_is_two_ranks(
+            n in prop_oneof![0usize..300, 300usize..5_000],
+            seed in any::<u64>(),
+            probes in proptest::collection::vec((any::<u64>(), 0usize..4, 0usize..400), 1..64),
+        ) {
+            // `l` one below, at, or one or two above a random row, a word
+            // or block boundary, the sentinel's row or the text end; `r`
+            // 0–399 rows past it, or the text end.
+            let fm = FmIndex::build(&pseudo_dna(n, seed));
+            let m = fm.bwt.len();
+            for (r, kind, delta) in probes {
+                let at = match kind {
+                    0 => r as usize % (m + 1),
+                    1 => (r as usize % (m / 32 + 1)) * 32,
+                    2 => fm.sentinel_row as usize,
+                    _ => m,
+                };
+                let l = (at + (r >> 62) as usize).saturating_sub(1).min(m);
+                let end = if r >> 61 & 1 == 1 { m } else { (l + delta).min(m) };
+                for c in 1..=4 {
+                    assert_pair_rank(&fm, c, l, end);
+                }
+            }
         }
 
         #[test]

@@ -172,6 +172,14 @@ impl ReferenceIndex {
 /// absent when that code is not in the ascending list, which one merge
 /// against the sorted reverse-complement codes of those k-mers decides.
 fn unique_kmers(text: &[u8], sa: &[u32]) -> Vec<u64> {
+    unique_kmers_with(text, sa, sort_by_code)
+}
+
+/// `(reverse-complement code, position)` pairs of once-occurring k-mers.
+type CodedPositions = Vec<(u64, u32)>;
+
+/// [`unique_kmers`], sorting the coded positions by code with `sort`.
+fn unique_kmers_with(text: &[u8], sa: &[u32], sort: fn(CodedPositions) -> CodedPositions) -> Vec<u64> {
     let n = text.len();
     let mut bits = vec![0u64; n.div_ceil(64)];
     if n < UNIQUE_K || !text.iter().all(|b| matches!(b, b'A' | b'C' | b'G' | b'T')) {
@@ -191,13 +199,16 @@ fn unique_kmers(text: &[u8], sa: &[u32]) -> Vec<u64> {
     let rows: Vec<u32> = sa.iter().copied().filter(|&q| (q as usize) < fwd.len()).collect();
     let codes: Vec<u64> = rows.iter().map(|&q| fwd[q as usize]).collect();
     debug_assert!(codes.is_sorted());
-    let mut once: Vec<(u64, u32)> = (0..codes.len())
+    let once: CodedPositions = (0..codes.len())
         .filter(|&i| {
             (i == 0 || codes[i - 1] != codes[i]) && codes.get(i + 1) != Some(&codes[i])
         })
         .map(|i| (reverse_complement_code(codes[i]), rows[i]))
         .collect();
-    once.sort_unstable_by_key(|&(rc, _)| rc);
+    // Free the text-order codes and the rows before the radix sort's
+    // second buffer is allocated.
+    drop((fwd, rows));
+    let once = sort(once);
     let mut codes = codes.into_iter().peekable();
     for (rc, q) in once {
         while codes.next_if(|&c| c < rc).is_some() {}
@@ -206,6 +217,35 @@ fn unique_kmers(text: &[u8], sa: &[u32]) -> Vec<u64> {
         }
     }
     bits
+}
+
+/// `pairs` in ascending code order, in linear time: an LSD radix sort,
+/// three stable passes over 13-bit digits of the 38-bit codes. The codes
+/// are distinct (each is a once-occurring k-mer's reverse complement),
+/// so this is the order any sort by code gives.
+fn sort_by_code(mut pairs: CodedPositions) -> CodedPositions {
+    const BITS: usize = 13;
+    const _: () = assert!(3 * BITS >= 2 * UNIQUE_K);
+    let mut sorted = vec![(0, 0); pairs.len()];
+    let mut starts = vec![0usize; 1 << BITS];
+    for pass in 0..3 {
+        let digit = |code: u64| (code >> (pass * BITS)) as usize & ((1 << BITS) - 1);
+        starts.fill(0);
+        for &(code, _) in &pairs {
+            starts[digit(code)] += 1;
+        }
+        let mut before = 0;
+        for start in &mut starts {
+            (*start, before) = (before, before + *start);
+        }
+        for &pair in &pairs {
+            let slot = &mut starts[digit(pair.0)];
+            sorted[*slot] = pair;
+            *slot += 1;
+        }
+        std::mem::swap(&mut pairs, &mut sorted);
+    }
+    pairs
 }
 
 /// The code of the reverse complement of the [`UNIQUE_K`]-mer coded
@@ -319,6 +359,51 @@ mod tests {
             }
         }
         assert_eq!(idx.unique.len(), text.len().div_ceil(64));
+        assert_eq!(idx.unique, comparison_sorted_unique(&text), "the comparison sort's bits");
+    }
+
+    /// The parent commit's uniqueness bits: the pairs sorted by
+    /// comparison.
+    fn comparison_sorted_unique(text: &[u8]) -> Vec<u64> {
+        unique_kmers_with(text, &suffix_array(text), |mut pairs| {
+            pairs.sort_unstable_by_key(|&(rc, _)| rc);
+            pairs
+        })
+    }
+
+    #[test]
+    fn the_radix_sort_sets_the_comparison_sorts_bits() {
+        // Random text long enough that every 13-bit digit of the codes
+        // varies; tandem repeats, whose only once-occurring k-mers are at
+        // the flanks around them (a bare one has none); and two
+        // chromosomes, one a tandem repeat.
+        let random = pseudo_text(30_000, 41, b"ACGT");
+        let tandem: Vec<u8> = pseudo_text(171, 42, b"ACGT").repeat(40);
+        let edged = [pseudo_text(300, 43, b"ACGT"), tandem.clone(), pseudo_text(300, 44, b"ACGT")].concat();
+        for (chromosomes, any_unique) in [
+            (vec![random], true),
+            (vec![tandem.clone()], false),
+            (vec![edged.clone()], true),
+            (vec![edged, tandem], true),
+        ] {
+            let named: Vec<(String, Vec<u8>)> =
+                chromosomes.iter().enumerate().map(|(i, c)| (format!("chr{i}"), c.clone())).collect();
+            let idx = ReferenceIndex::build(&named);
+            let bits = comparison_sorted_unique(&chromosomes.concat());
+            assert_eq!(bits.iter().any(|&w| w != 0), any_unique);
+            assert_eq!(idx.unique, bits);
+        }
+        // The sort alone, on codes drawn from all 38 bits.
+        let mut x = 7u64;
+        let pairs: Vec<(u64, u32)> = (0..5_000u32)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 26, i)
+            })
+            .collect();
+        let mut expected = pairs.clone();
+        expected.sort_unstable_by_key(|&(code, _)| code);
+        assert_eq!(sort_by_code(pairs), expected);
     }
 
     #[test]

@@ -2,17 +2,17 @@
 
 use crate::index::{ReferenceIndex, UNIQUE_K};
 use crate::sw::{self, Band, LocalAlignment, Scoring};
-use gesall_formats::dna::reverse_complement;
+use gesall_formats::dna::reverse_complement_in_place;
 use gesall_formats::sam::cigar::Cigar;
 use gesall_telemetry::KernelStats;
-use std::collections::hash_map::{Entry, HashMap};
+use std::cell::RefCell;
 
 /// Stride between seed start offsets (the last window is a seed too).
 pub(crate) const SEED_STRIDE: usize = 12;
 /// Reference bases each side of a seed's implied window; the band's slack.
 const WINDOW_MARGIN: usize = 16;
 /// Candidates a read keeps over both strands, best first.
-const MAX_CANDIDATES: usize = 16;
+pub(crate) const MAX_CANDIDATES: usize = 16;
 
 /// Seeding/alignment parameters for a single read: bwa mem's `-k`, `-c`,
 /// `-T` and scoring.
@@ -74,6 +74,11 @@ pub fn find_candidates(
 
 /// [`find_candidates`], tallying the seeding and extension kernels' work
 /// into `stats`.
+///
+/// *Survivors first* (DESIGN.md §13): extension records each scoring
+/// anchor as a [`Found`] naming its distinct window's alignment, and the
+/// dedup, the sort and the cut to [`MAX_CANDIDATES`] run on those, as
+/// they ran on candidates; only the survivors clone a CIGAR.
 pub(crate) fn find_candidates_counted(
     index: &ReferenceIndex,
     cfg: &SingleConfig,
@@ -84,30 +89,69 @@ pub(crate) fn find_candidates_counted(
     if reference::in_use() {
         return reference::find_candidates(index, cfg, seq, stats);
     }
-    let mut out: Vec<Candidate> = Vec::new();
-    let rc = reverse_complement(seq);
-    let strands = [seq, rc.as_slice()];
-    let anchors = gather_anchors(index, cfg, strands, stats);
-    for (t, anchors) in anchors.iter().enumerate() {
-        extend_anchors(index, cfg, strands[t], t == 1, anchors, &mut out, stats);
-    }
-    // Dedup by (chrom, pos, strand), keep best score.
-    out.sort_by(|a, b| {
-        (a.chrom, a.pos, a.reverse)
-            .cmp(&(b.chrom, b.pos, b.reverse))
-            .then(b.score.cmp(&a.score))
-    });
-    out.dedup_by(|a, b| a.chrom == b.chrom && a.pos == b.pos && a.reverse == b.reverse);
-    out.sort_by(|a, b| b.score.cmp(&a.score).then(a.pos.cmp(&b.pos)));
-    out.truncate(MAX_CANDIDATES);
-    out
+    SCRATCH.with(|scratch| {
+        let Scratch { rc, anchors, located, extension } = &mut *scratch.borrow_mut();
+        rc.clear();
+        rc.extend_from_slice(seq);
+        reverse_complement_in_place(rc);
+        let strands = [seq, rc.as_slice()];
+        gather_anchors(index, cfg, strands, anchors, located, stats);
+        #[cfg(test)]
+        if reference::parent_extension() {
+            return reference::extend_and_keep(index, cfg, strands, anchors, stats);
+        }
+        extension.windows.clear();
+        extension.found.clear();
+        for (t, anchors) in anchors.iter().enumerate() {
+            extension.extend_anchors(index, cfg, strands[t], t == 1, anchors, stats);
+        }
+        extension.survivors(stats)
+    })
+}
+
+/// A read's search scratch, one per thread: kept between reads so a read
+/// allocates only the CIGARs of its kernel answers and its candidates,
+/// and bounded by the largest read's.
+#[derive(Default)]
+struct Scratch {
+    /// The read's reverse complement.
+    rc: Vec<u8>,
+    /// Each strand pass's anchors, and the distinct anchors it located.
+    anchors: [Vec<i64>; 2],
+    located: [Vec<i64>; 2],
+    extension: Extension,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// A distinct window one pass extended: its place in the text, its band
+/// offset, its first bytes (the cheap half of the reuse key) and the
+/// kernel's answer.
+struct Extended {
+    gstart: usize,
+    len: usize,
+    off: isize,
+    head: u64,
+    aln: Option<LocalAlignment>,
+}
+
+/// A scoring anchor's candidate, less its CIGAR and edit distance, which
+/// its window's alignment holds.
+struct Found {
+    chrom: usize,
+    pos: i64,
+    reverse: bool,
+    score: i32,
+    window: usize,
 }
 
 /// The anchors of both strand passes — `strands` is the read and its
 /// reverse complement; an anchor is a text position where a seed hit
 /// implies that strand starts — each sorted, with anchors within 8 of
-/// each other collapsed (same implied alignment). A seed too repetitive
-/// to locate contributes none.
+/// each other collapsed (same implied alignment), into `anchors`. A seed
+/// too repetitive to locate contributes none.
 ///
 /// The anchors are the parent seed loop's, found with less work.
 /// *Known-answer seeding* (DESIGN.md §13): when the seeds are
@@ -121,23 +165,23 @@ pub(crate) fn find_candidates_counted(
 /// to ask early, each pass's first seed goes first.
 ///
 /// A seed still searched, with `n` hits, is checked against the distinct
-/// anchors its pass has already located (*Repeat-aware seeding*): each
-/// that puts the seed's bytes at its offset in the text is an
-/// occurrence, and distinct anchors are distinct occurrences, so when
-/// `n` of them verify they are the FM-index's whole answer and its `n`
-/// LF walks are skipped. Otherwise the rows are located as before.
+/// anchors its pass has already located (`located`, *Repeat-aware
+/// seeding*): each that puts the seed's bytes at its offset in the text
+/// is an occurrence, and distinct anchors are distinct occurrences, so
+/// when `n` of them verify they are the FM-index's whole answer and its
+/// `n` LF walks are skipped. Otherwise the rows are located as before.
 fn gather_anchors(
     index: &ReferenceIndex,
     cfg: &SingleConfig,
     strands: [&[u8]; 2],
+    anchors: &mut [Vec<i64>; 2],
+    located: &mut [Vec<i64>; 2],
     stats: &mut KernelStats,
-) -> [Vec<i64>; 2] {
-    let mut anchors = [Vec::new(), Vec::new()];
-    // The distinct anchors each pass has located.
-    let mut located: [Vec<i64>; 2] = [Vec::new(), Vec::new()];
+) {
+    anchors.iter_mut().chain(located.iter_mut()).for_each(Vec::clear);
     let (m, k) = (strands[0].len(), cfg.seed_len);
     if m < k {
-        return anchors;
+        return;
     }
     // Seed offsets: 0, stride, 2*stride, ..., and always the final window;
     // every pass's first seed before any pass's others.
@@ -193,88 +237,134 @@ fn gather_anchors(
         located.sort_unstable();
         located.dedup();
     }
-    for anchors in &mut anchors {
+    for anchors in anchors {
         anchors.sort_unstable();
         anchors.dedup_by(|a, b| (*a - *b).abs() <= 8);
     }
-    anchors
 }
 
-/// Extend every anchor of one strand pass and keep the candidates that
-/// score. Anchors in a repeat often clamp to byte-identical windows at
-/// the same band offset; the kernel is a pure function of those (and
-/// the read and scoring), so such a window is extended once and its
-/// alignment reused, placed at each anchor's own window start.
-fn extend_anchors(
-    index: &ReferenceIndex,
-    cfg: &SingleConfig,
-    s: &[u8],
-    reverse: bool,
-    anchors: &[i64],
-    out: &mut Vec<Candidate>,
-    stats: &mut KernelStats,
-) {
-    let m = s.len();
-    // Seed extension runs the banded Smith–Waterman kernel. The band is
-    // centered on the read's expected diagonal inside the window — the
-    // read should start `anchor - gstart` columns in (≈ `WINDOW_MARGIN`,
-    // less when the window was clamped at a chromosome edge) — with
-    // `WINDOW_MARGIN` diagonals of slack each side; the kernel falls
-    // back to the full DP whenever the band can't prove its answer, so
-    // the result is the full DP's unless an alignment lies wholly
-    // outside the band (DESIGN.md §13) — which is why the band offset
-    // is part of the reuse key below.
-    let extend = |window: &[u8], off: isize, stats: &mut KernelStats| {
-        let band = Band::around_offset(off, WINDOW_MARGIN);
-        sw::with_workspace(|ws| {
-            sw::local_align_banded_counted(s, window, &cfg.scoring, band, ws, stats)
-        })
-    };
-    // Windows already extended in this pass, by (bytes, band offset):
-    // hashed on the bytes, confirmed by comparing them.
-    let mut extended: HashMap<(&[u8], isize), Option<LocalAlignment>> = HashMap::new();
-    for &anchor in anchors {
-        let start = anchor - WINDOW_MARGIN as i64;
-        let end = anchor + m as i64 + WINDOW_MARGIN as i64;
-        let anchor_probe = anchor.clamp(0, index.text_len() as i64 - 1) as usize;
-        let Some((window, gstart, chrom)) =
-            index.window_within_chromosome(anchor_probe, start, end)
-        else {
-            continue;
-        };
-        let off = (anchor - gstart as i64) as isize;
-        let aln = if anchors.len() == 1 {
-            extend(window, off, stats)
-        } else {
-            match extended.entry((window, off)) {
-                Entry::Occupied(prev) => {
+/// What a read's strand passes extended: the distinct windows, and the
+/// anchors that scored, which [`Extension::survivors`] cuts to the kept.
+#[derive(Default)]
+struct Extension {
+    windows: Vec<Extended>,
+    found: Vec<Found>,
+}
+
+impl Extension {
+    /// Extend every anchor of one strand pass, recording in `found` each
+    /// that scores. Anchors in a repeat often clamp to byte-identical windows
+    /// at the same band offset; the kernel is a pure function of those (and
+    /// the read and scoring), so such a window is extended once, as one of
+    /// `windows`, and its alignment reused, placed at each anchor's own
+    /// window start. A window is looked up among this pass's by band
+    /// offset, length and first eight bytes, and confirmed by comparing its
+    /// bytes.
+    fn extend_anchors(
+        &mut self,
+        index: &ReferenceIndex,
+        cfg: &SingleConfig,
+        s: &[u8],
+        reverse: bool,
+        anchors: &[i64],
+        stats: &mut KernelStats,
+    ) {
+        let Extension { windows, found } = self;
+        let m = s.len();
+        let text = index.text();
+        let pass = windows.len();
+        for &anchor in anchors {
+            let start = anchor - WINDOW_MARGIN as i64;
+            let end = anchor + m as i64 + WINDOW_MARGIN as i64;
+            let anchor_probe = anchor.clamp(0, index.text_len() as i64 - 1) as usize;
+            let Some((window, gstart, chrom)) =
+                index.window_within_chromosome(anchor_probe, start, end)
+            else {
+                continue;
+            };
+            // Seed extension runs the banded Smith–Waterman kernel. The band
+            // is centered on the read's expected diagonal inside the window —
+            // the read should start `anchor - gstart` columns in
+            // (≈ `WINDOW_MARGIN`, less when the window was clamped at a
+            // chromosome edge) — with `WINDOW_MARGIN` diagonals of slack each
+            // side; the kernel falls back to the full DP whenever the band
+            // can't prove its answer, so the result is the full DP's unless
+            // an alignment lies wholly outside the band (DESIGN.md §13) —
+            // which is why the band offset is part of the reuse key.
+            let off = (anchor - gstart as i64) as isize;
+            let head = window_head(window);
+            let same = |e: &Extended| {
+                (e.off, e.len, e.head) == (off, window.len(), head)
+                    && text[e.gstart..e.gstart + e.len] == *window
+            };
+            let slot = match windows[pass..].iter().position(same) {
+                Some(i) => {
                     stats.sw_window_reuses += 1;
-                    prev.get().clone()
+                    pass + i
                 }
-                Entry::Vacant(slot) => slot.insert(extend(window, off, stats)).clone(),
+                None => {
+                    let band = Band::around_offset(off, WINDOW_MARGIN);
+                    let aln = sw::with_workspace(|ws| {
+                        sw::local_align_banded_counted(s, window, &cfg.scoring, band, ws, stats)
+                    });
+                    windows.push(Extended { gstart, len: window.len(), off, head, aln });
+                    windows.len() - 1
+                }
+            };
+            let Some(aln) = &windows[slot].aln else {
+                continue;
+            };
+            if aln.score < cfg.min_score {
+                continue;
             }
-        };
-        let Some(aln) = aln else {
-            continue;
-        };
-        if aln.score < cfg.min_score {
-            continue;
+            let global_pos = gstart + aln.ref_start;
+            let (c2, local) = match index.global_to_local(global_pos) {
+                Some(v) => v,
+                None => continue,
+            };
+            debug_assert_eq!(c2, chrom);
+            found.push(Found { chrom, pos: local as i64 + 1, reverse, score: aln.score, window: slot });
         }
-        let global_pos = gstart + aln.ref_start;
-        let (c2, local) = match index.global_to_local(global_pos) {
-            Some(v) => v,
-            None => continue,
-        };
-        debug_assert_eq!(c2, chrom);
-        out.push(Candidate {
-            chrom,
-            pos: local as i64 + 1,
-            reverse,
-            score: aln.score,
-            cigar: aln.cigar,
-            edit_distance: aln.edit_distance,
-        });
     }
+
+    /// The candidates the read keeps, best first: the scoring anchors
+    /// deduplicated by (chrom, pos, strand), keeping the best score, and
+    /// cut to [`MAX_CANDIDATES`], then built — a CIGAR cloned each.
+    fn survivors(&mut self, stats: &mut KernelStats) -> Vec<Candidate> {
+        let Extension { windows, found } = self;
+        found.sort_by(|a, b| {
+            (a.chrom, a.pos, a.reverse)
+                .cmp(&(b.chrom, b.pos, b.reverse))
+                .then(b.score.cmp(&a.score))
+        });
+        found.dedup_by(|a, b| a.chrom == b.chrom && a.pos == b.pos && a.reverse == b.reverse);
+        found.sort_by(|a, b| b.score.cmp(&a.score).then(a.pos.cmp(&b.pos)));
+        found.truncate(MAX_CANDIDATES);
+        stats.candidates_built += found.len() as u64;
+        found
+            .iter()
+            .map(|f| {
+                let aln = windows[f.window].aln.as_ref().expect("a found anchor's window aligned");
+                Candidate {
+                    chrom: f.chrom,
+                    pos: f.pos,
+                    reverse: f.reverse,
+                    score: f.score,
+                    cigar: aln.cigar.clone(),
+                    edit_distance: aln.edit_distance,
+                }
+            })
+            .collect()
+    }
+}
+
+/// A window's first eight bytes as a word (zero-padded when shorter).
+#[inline]
+fn window_head(window: &[u8]) -> u64 {
+    let mut head = [0u8; 8];
+    let k = window.len().min(8);
+    head[..k].copy_from_slice(&window[..k]);
+    u64::from_le_bytes(head)
 }
 
 /// Mapping quality from the best and second-best candidate scores, in the
@@ -298,10 +388,13 @@ pub fn mapping_quality(best: i32, second: Option<i32>, min_score: i32) -> u8 {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use gesall_formats::dna::reverse_complement;
     use std::cell::Cell;
+    use std::collections::hash_map::{Entry, HashMap};
 
     thread_local! {
         static IN_USE: Cell<bool> = const { Cell::new(false) };
+        static PARENT_EXTENSION: Cell<bool> = const { Cell::new(false) };
     }
 
     pub(crate) fn in_use() -> bool {
@@ -315,6 +408,116 @@ pub(crate) mod reference {
         let r = f();
         IN_USE.with(|u| u.set(false));
         r
+    }
+
+    pub(crate) fn parent_extension() -> bool {
+        PARENT_EXTENSION.with(|u| u.get())
+    }
+
+    /// Run `f` with this thread's [`super::find_candidates`] calls
+    /// extending the anchors they gather as the parent commit did: a
+    /// candidate, CIGAR and all, for every scoring anchor, then the dedup
+    /// and the cut.
+    pub(crate) fn with_parent_extension<R>(f: impl FnOnce() -> R) -> R {
+        PARENT_EXTENSION.with(|u| u.set(true));
+        let r = f();
+        PARENT_EXTENSION.with(|u| u.set(false));
+        r
+    }
+
+    /// The parent commit's extension and cut, verbatim but for the tally
+    /// of the candidates it builds.
+    pub(crate) fn extend_and_keep(
+        index: &ReferenceIndex,
+        cfg: &SingleConfig,
+        strands: [&[u8]; 2],
+        anchors: &[Vec<i64>; 2],
+        stats: &mut KernelStats,
+    ) -> Vec<Candidate> {
+        let mut out: Vec<Candidate> = Vec::new();
+        for (t, anchors) in anchors.iter().enumerate() {
+            extend_anchors(index, cfg, strands[t], t == 1, anchors, &mut out, stats);
+        }
+        stats.candidates_built += out.len() as u64;
+        // Dedup by (chrom, pos, strand), keep best score.
+        out.sort_by(|a, b| {
+            (a.chrom, a.pos, a.reverse)
+                .cmp(&(b.chrom, b.pos, b.reverse))
+                .then(b.score.cmp(&a.score))
+        });
+        out.dedup_by(|a, b| a.chrom == b.chrom && a.pos == b.pos && a.reverse == b.reverse);
+        out.sort_by(|a, b| b.score.cmp(&a.score).then(a.pos.cmp(&b.pos)));
+        out.truncate(MAX_CANDIDATES);
+        out
+    }
+
+
+    /// Extend every anchor of one strand pass and keep the candidates that
+    /// score. Anchors in a repeat often clamp to byte-identical windows at
+    /// the same band offset; the kernel is a pure function of those (and
+    /// the read and scoring), so such a window is extended once and its
+    /// alignment reused, placed at each anchor's own window start.
+    fn extend_anchors(
+        index: &ReferenceIndex,
+        cfg: &SingleConfig,
+        s: &[u8],
+        reverse: bool,
+        anchors: &[i64],
+        out: &mut Vec<Candidate>,
+        stats: &mut KernelStats,
+    ) {
+        let m = s.len();
+        let extend = |window: &[u8], off: isize, stats: &mut KernelStats| {
+            let band = Band::around_offset(off, WINDOW_MARGIN);
+            sw::with_workspace(|ws| {
+                sw::local_align_banded_counted(s, window, &cfg.scoring, band, ws, stats)
+            })
+        };
+        // Windows already extended in this pass, by (bytes, band offset):
+        // hashed on the bytes, confirmed by comparing them.
+        let mut extended: HashMap<(&[u8], isize), Option<LocalAlignment>> = HashMap::new();
+        for &anchor in anchors {
+            let start = anchor - WINDOW_MARGIN as i64;
+            let end = anchor + m as i64 + WINDOW_MARGIN as i64;
+            let anchor_probe = anchor.clamp(0, index.text_len() as i64 - 1) as usize;
+            let Some((window, gstart, chrom)) =
+                index.window_within_chromosome(anchor_probe, start, end)
+            else {
+                continue;
+            };
+            let off = (anchor - gstart as i64) as isize;
+            let aln = if anchors.len() == 1 {
+                extend(window, off, stats)
+            } else {
+                match extended.entry((window, off)) {
+                    Entry::Occupied(prev) => {
+                        stats.sw_window_reuses += 1;
+                        prev.get().clone()
+                    }
+                    Entry::Vacant(slot) => slot.insert(extend(window, off, stats)).clone(),
+                }
+            };
+            let Some(aln) = aln else {
+                continue;
+            };
+            if aln.score < cfg.min_score {
+                continue;
+            }
+            let global_pos = gstart + aln.ref_start;
+            let (c2, local) = match index.global_to_local(global_pos) {
+                Some(v) => v,
+                None => continue,
+            };
+            debug_assert_eq!(c2, chrom);
+            out.push(Candidate {
+                chrom,
+                pos: local as i64 + 1,
+                reverse,
+                score: aln.score,
+                cigar: aln.cigar,
+                edit_distance: aln.edit_distance,
+            });
+        }
     }
 
     /// Find candidate alignments of `seq` on both strands, best first.
@@ -423,6 +626,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gesall_formats::dna::reverse_complement;
 
     fn pseudo_dna(len: usize, seed: u64) -> Vec<u8> {
         let mut x = seed;

@@ -93,9 +93,13 @@ pub(super) fn exact_diagonal(
 ///
 /// A diagonal is dropped once `h + (m − i)·match` falls below the best
 /// so far: nothing further down it, run or edge potential, can reach
-/// `S` (ties are kept, they may come first). The band centre goes
-/// first, so the best is high early. Declines (`None`) leave the call
-/// to the fill, exactly as before.
+/// `S` (ties are kept, they may come first). Before its scan, a diagonal
+/// that is not a band edge is skipped when its equal bytes × `match`
+/// fall below the best so far ([`may_reach`]): no run on it can reach
+/// the best, let alone tie it, and only the edge diagonals feed
+/// `edge_potential`, so those two are always scanned. The band centre
+/// goes first, so the best is high early. Declines (`None`) leave the
+/// call to the fill, exactly as before.
 #[inline]
 pub(super) fn gapless_run(
     query: &[u8],
@@ -122,6 +126,9 @@ pub(super) fn gapless_run(
         // Diagonal d starts at row q0 + 1, column w0 + 1.
         let (q0, w0) = ((-d).max(0) as usize, d.max(0) as usize);
         let n = (m - q0).min(w - w0);
+        if !edge && !may_reach(&query[q0..q0 + n], &window[w0..w0 + n], best, mat) {
+            continue;
+        }
         let (mut h, mut stop, mut edit) = (0i32, q0, 0u32);
         let cells = query[q0..q0 + n].iter().zip(&window[w0..w0 + n]);
         for (i, (&qc, &wc)) in (q0 + 1..).zip(cells) {
@@ -154,4 +161,172 @@ pub(super) fn gapless_run(
     let ops = vec![CigarOp::Match((best_i - best_stop) as u32)];
     let ref_start = (best_stop as isize + best_d) as usize;
     Some(assemble(m, ops, best_edit, best_stop, ref_start, best, best_i))
+}
+
+/// Could a gapless run on the diagonal pairing `query` with `window`
+/// (equal lengths) reach `best`? Not when its equal bytes × `mat` fall
+/// below it. The bytes are compared eight to a XOR'd `u64`, and the scan
+/// stops as soon as the unequal bytes found prove the bound; bytes past
+/// the last whole word count as equal, which keeps the bound sound.
+#[inline]
+fn may_reach(query: &[u8], window: &[u8], best: i32, mat: i32) -> bool {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("an 8-byte chunk"));
+    let mut equal = query.len() as i32;
+    for (q, w) in query.chunks_exact(8).zip(window.chunks_exact(8)) {
+        if equal * mat < best {
+            return false;
+        }
+        // The high bit of each byte of `x`'s nonzero bytes, summed by a
+        // multiply into the top byte.
+        let x = word(q) ^ word(w);
+        let unequal = (((x & LOW7) + LOW7) | x) >> 7 & 0x0101_0101_0101_0101;
+        equal -= (unequal.wrapping_mul(0x0101_0101_0101_0101) >> 56) as i32;
+    }
+    equal * mat >= best
+}
+
+/// The parent commit's gapless scan, verbatim: what the proptests hold
+/// [`gapless_run`] to.
+#[cfg(test)]
+pub(super) mod reference {
+    use super::*;
+
+    #[inline]
+    pub(crate) fn gapless_run(
+        query: &[u8],
+        window: &[u8],
+        scoring: &Scoring,
+        band: Band,
+    ) -> Option<LocalAlignment> {
+        if !sound(scoring) {
+            return None;
+        }
+        let (m, w) = (query.len(), window.len());
+        let mat = scoring.match_score;
+        let gapped_max = m as i32 * mat + scoring.gap_open + scoring.gap_extend;
+        let lo = band.d_min.max(1 - m as isize);
+        let hi = band.d_max.min(w as isize - 1);
+        let centre = ((band.d_min + band.d_max) / 2).clamp(lo, hi);
+        // The best run so far: score, last row, diagonal, the row before its
+        // first (the traceback's stop) and its mismatches.
+        let (mut best, mut best_i, mut best_d) = (0, 0, 0);
+        let (mut best_stop, mut best_edit) = (0, 0);
+        let mut edge_potential = NEG;
+        for d in std::iter::once(centre).chain((lo..=hi).filter(|&d| d != centre)) {
+            let edge = d == band.d_min || d == band.d_max;
+            // Diagonal d starts at row q0 + 1, column w0 + 1.
+            let (q0, w0) = ((-d).max(0) as usize, d.max(0) as usize);
+            let n = (m - q0).min(w - w0);
+            let (mut h, mut stop, mut edit) = (0i32, q0, 0u32);
+            let cells = query[q0..q0 + n].iter().zip(&window[w0..w0 + n]);
+            for (i, (&qc, &wc)) in (q0 + 1..).zip(cells) {
+                let hit = qc == wc;
+                h += if hit { mat } else { scoring.mismatch };
+                if h <= 0 {
+                    (h, stop, edit) = (0, i, 0);
+                } else {
+                    edit += !hit as u32;
+                    if h > best || (h == best && (i, d) < (best_i, best_d)) {
+                        (best, best_i, best_d, best_stop, best_edit) = (h, i, d, stop, edit);
+                    }
+                }
+                let rest = (m - i) as i32 * mat;
+                if edge && h >= band.edge_cutoff {
+                    edge_potential = edge_potential.max(h + rest);
+                }
+                if h + rest < best {
+                    break;
+                }
+            }
+        }
+        if best <= gapped_max.max(0)
+            || best_d == band.d_min
+            || best_d == band.d_max
+            || edge_potential >= best
+        {
+            return None;
+        }
+        let ops = vec![CigarOp::Match((best_i - best_stop) as u32)];
+        let ref_start = (best_stop as isize + best_d) as usize;
+        Some(assemble(m, ops, best_edit, best_stop, ref_start, best, best_i))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn pruned_gapless_scan_is_the_parents(
+            query in proptest::collection::vec(0usize..4, 1..100),
+            letters in 1usize..5,
+            flanks in (0usize..40, 0usize..40, any::<u64>()),
+            copies in (proptest::collection::vec(any::<u16>(), 0..6), 0usize..3, 0isize..20),
+            clamp in (prop_oneof![Just(0usize), 0usize..40], prop_oneof![Just(0usize), 0usize..40]),
+            band in (-60isize..60, prop_oneof![Just(32isize), 0isize..80], prop_oneof![Just(16i32), 0i32..60]),
+            scoring in (1i32..4, -6i32..0, -9i32..=0, -3i32..=0),
+        ) {
+            // The read over an alphabet of 1–4 letters (few letters: many
+            // equal runs, so ties); the window is random flanks around a
+            // copy of it with 0–5 substitutions, and 0–2 more copies at a
+            // shift (equal runs on two diagonals), trimmed at either end
+            // (the band clamped at a window edge). The band may be narrower
+            // or wider than the window; the scoring is any sound one.
+            let base = |x: usize| b"ACGT"[x % letters];
+            let query: Vec<u8> = query.into_iter().map(base).collect();
+            let (lead, trail, noise) = flanks;
+            let mut window: Vec<u8> =
+                (0..lead + query.len() + trail).map(|i| base((noise >> (i % 31 * 2)) as usize ^ i)).collect();
+            let (subs, extra, shift) = copies;
+            for k in 0..=extra {
+                let at = (lead as isize + k as isize * shift).clamp(0, (window.len() - query.len()) as isize) as usize;
+                window[at..at + query.len()].copy_from_slice(&query);
+            }
+            for s in subs {
+                let i = s as usize % window.len();
+                window[i] = if window[i] == b'A' { b'C' } else { b'A' };
+            }
+            let (front, back) = clamp;
+            let window = &window[front.min(window.len() - 1)..];
+            let window = &window[..window.len() - back.min(window.len() - 1)];
+            let (m, w) = (query.len() as isize, window.len() as isize);
+            let (d_min, width, edge_cutoff) = band;
+            let d_min = d_min.clamp(-m - 5, w - 1);
+            let band = Band { d_min, d_max: (d_min + width).max(1 - m), edge_cutoff };
+            let (match_score, mismatch, gap_open, gap_extend) = scoring;
+            let scoring = Scoring { match_score, mismatch, gap_open, gap_extend };
+            if !sound(&scoring) {
+                return Ok(());
+            }
+            prop_assert_eq!(
+                gapless_run(&query, window, &scoring, band),
+                reference::gapless_run(&query, window, &scoring, band),
+                "{:?} over {} of {} window bytes", band, String::from_utf8_lossy(&query), window.len()
+            );
+        }
+    }
+
+    #[test]
+    fn the_equal_byte_bound_counts_only_whole_words_and_stops_early() {
+        let a = b"ACGTACGTACGTACGTAC";
+        let mut b = *a;
+        // 18 bytes: two whole words and a 2-byte tail, which counts as
+        // equal. Three unequal bytes in the words leave a bound of 15.
+        b[0] = b'T';
+        b[9] = b'T';
+        b[15] = b'A';
+        b[17] = b'A';
+        assert!(may_reach(a, &b, 15, 1));
+        assert!(!may_reach(a, &b, 16, 1));
+        assert!(may_reach(a, &b, 30, 2));
+        assert!(!may_reach(a, &b, 31, 2));
+        // Shorter than a word: every byte may be equal.
+        assert!(may_reach(&a[..7], &b[..7], 7, 1));
+        assert!(!may_reach(&a[..7], &b[..7], 8, 1));
+    }
 }

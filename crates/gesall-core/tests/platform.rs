@@ -994,6 +994,7 @@ fn copy_accounting_ignores_discarded_speculative_attempts() {
         k::SW_BANDED_HITS,
         k::SW_FULL_FALLBACKS,
         k::SW_WINDOW_REUSES,
+        k::CANDIDATES_BUILT,
     ];
 
     let w = build_world(600);

@@ -47,6 +47,10 @@ pub mod keys {
     /// window at the same band offset was already extended for the same
     /// read and strand (copies of a repeat).
     pub const SW_WINDOW_REUSES: &str = "kernel.sw.window_reuses";
+    /// Candidate alignments built, a CIGAR cloned for each: a read's
+    /// search builds only those that survive its dedup and its cut to
+    /// the best few.
+    pub const CANDIDATES_BUILT: &str = "kernel.candidates.built";
     /// LSD radix passes executed by the spill sort (constant-byte passes
     /// are skipped and not counted).
     pub const SORT_RADIX_PASSES: &str = "kernel.sort.radix_passes";
@@ -67,13 +71,14 @@ pub struct KernelStats {
     pub sw_banded_hits: u64,
     pub sw_full_fallbacks: u64,
     pub sw_window_reuses: u64,
+    pub candidates_built: u64,
     pub sort_radix_passes: u64,
     pub sort_comparison_fallbacks: u64,
 }
 
 impl KernelStats {
     /// Every counter with its key.
-    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 10] {
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 11] {
         [
             (keys::OCC_WORDS_POPCOUNTED, &mut self.occ_words_popcounted),
             (keys::SEED_ROWS_LOCATED, &mut self.seed_rows_located),
@@ -83,6 +88,7 @@ impl KernelStats {
             (keys::SW_BANDED_HITS, &mut self.sw_banded_hits),
             (keys::SW_FULL_FALLBACKS, &mut self.sw_full_fallbacks),
             (keys::SW_WINDOW_REUSES, &mut self.sw_window_reuses),
+            (keys::CANDIDATES_BUILT, &mut self.candidates_built),
             (keys::SORT_RADIX_PASSES, &mut self.sort_radix_passes),
             (keys::SORT_COMPARISON_FALLBACKS, &mut self.sort_comparison_fallbacks),
         ]
@@ -160,6 +166,7 @@ mod tests {
             ("kernel.sw.banded_hits".to_string(), 90),
             ("kernel.sw.full_fallbacks".to_string(), 10),
             ("kernel.sw.window_reuses".to_string(), 40),
+            ("kernel.candidates.built".to_string(), 30),
             ("kernel.seed.rows_located".to_string(), 500),
             ("kernel.seed.searches_answered".to_string(), 70),
             ("kernel.sort.radix_passes".to_string(), 24),
@@ -172,6 +179,7 @@ mod tests {
         assert_eq!(k.sw_banded_hits, 90);
         assert_eq!(k.sw_full_fallbacks, 10);
         assert_eq!(k.sw_window_reuses, 40);
+        assert_eq!(k.candidates_built, 30);
         assert_eq!(k.seed_rows_located, 500);
         assert_eq!(k.seed_searches_answered, 70);
         assert_eq!(k.sort_radix_passes, 24);
@@ -192,6 +200,7 @@ mod tests {
             sw_banded_hits: 1,
             sw_full_fallbacks: 1,
             sw_window_reuses: 1,
+            candidates_built: 3,
             sort_radix_passes: 0,
             sort_comparison_fallbacks: 2,
         };

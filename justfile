@@ -4,7 +4,10 @@
 # Build, test, and lint exactly as CI does, then run every program
 # under examples/ (~10 s together; clippy only compiles them), so the
 # README's quickstart cannot rot, and run CI's release-mode reference
-# suites: the aligner kernels, the recalibration passes and
+# suites: the aligner kernels (and, by name, every read of the
+# `wgs_hc`-shaped world against the parent's seeding and kernels,
+# `the_wgs_hc_world_aligns_as_under_the_parents_seeding_and_kernels`,
+# which a debug run skips), the recalibration passes and
 # HaplotypeCaller, the codec's decoder, the BAM writer and the SAM text
 # formatter and parser held to the parent's code and its Lz parse to
 # count gates, the stage outputs to their pinned digests, the map-only
@@ -42,6 +45,7 @@ smoke:
     cargo clippy --offline --workspace --all-targets -- -D warnings
     for ex in quickstart variant_calling error_diagnosis telemetry cluster_tuning; do cargo run --release --offline -q --example "$ex" > /dev/null || exit 1; done
     cargo test --release --offline -q -p gesall-aligner
+    scripts/test-some.sh --release --offline -q -p gesall-aligner --lib engine::tests::the_wgs_hc_world_aligns_as_under_the_parents_seeding_and_kernels -- --exact
     cargo test --release --offline -q -p gesall-tools
     cargo test --release --offline -q -p gesall-formats
     scripts/test-some.sh --release --offline -q -p gesall-formats --lib compress::tests::the_parse_cuts_fewer_tokens_and_probes_less_than_the_reference -- --exact

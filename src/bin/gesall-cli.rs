@@ -294,7 +294,8 @@ fn cmd_pipeline(opts: &Opts) -> Result<(), AnyError> {
         println!(
             "Kernels: {} occ words popcounted, {} seed searches answered, {} rows located; \
              {}/{} extensions exact, {} gapless and {} reused windows, no DP ({:.0}% exact); \
-             banded SW {}/{} in-band ({:.0}% hit rate); {} radix passes, {} comparison fallbacks",
+             banded SW {}/{} in-band ({:.0}% hit rate); {} candidates built; \
+             {} radix passes, {} comparison fallbacks",
             k.occ_words_popcounted,
             k.seed_searches_answered,
             k.seed_rows_located,
@@ -306,6 +307,7 @@ fn cmd_pipeline(opts: &Opts) -> Result<(), AnyError> {
             k.sw_banded_hits,
             k.sw_banded_hits + k.sw_full_fallbacks,
             k.banded_hit_ratio() * 100.0,
+            k.candidates_built,
             k.sort_radix_passes,
             k.sort_comparison_fallbacks
         );
