@@ -15,7 +15,7 @@
 //!   rooted at a hash of the external inputs), so a re-run with one
 //!   changed stage re-executes exactly that stage and its descendants
 //!   while every unchanged upstream output is served from the
-//!   content-addressed store (`Dfs::cas_get`/`cas_put`);
+//!   content-addressed store (`stage_data.rs`);
 //! * lets the report attribute wall-clock to the critical path
 //!   ([`gesall_telemetry::report::critical_path`]).
 

@@ -28,8 +28,8 @@
 //!   below its parents), content keys chained through ancestry;
 //!   [`dag::pipeline_dag`] is the stage table's projection.
 //! * [`pipeline`] — the DAG executor over the stage table, and the
-//!   serial/hybrid baselines; a stage's stored output
-//!   ([`pipeline::StageData`]) is encoded in `stage_data`.
+//!   serial/hybrid baselines; a stage's output
+//!   ([`pipeline::StageData`]) is stored and read in `stage_data`.
 //! * [`diagnosis`] — the error-diagnosis toolkit (§3.4/§4.5.2):
 //!   concordant/discordant sets, D-count, D-impact, logistic quality
 //!   weighting — in memory, on one node.

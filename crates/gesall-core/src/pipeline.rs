@@ -12,6 +12,7 @@
 use crate::dag;
 use crate::error::{PlatformError, Result};
 use crate::rounds::DecodePartMapper;
+use crate::stage_data::{self, Stored};
 use crate::stages::{self, pipeline_stages, Inputs, Resolved, Split, Stage, StageCtx};
 use gesall_aligner::Aligner;
 use gesall_dfs::{Dfs, LogicalPartitionPlacement, SweepReason};
@@ -19,7 +20,6 @@ use gesall_formats::fastq::ReadPair;
 use gesall_formats::sam::header::ReadGroup;
 use gesall_formats::sam::{SamHeader, SamRecord, SortOrder};
 use gesall_formats::vcf::VariantRecord;
-use gesall_formats::wire::Wire;
 use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::Counters;
 use gesall_mapreduce::lease::SlotLease;
@@ -153,7 +153,7 @@ impl PipelineOutput {
     /// Per-stage rows for the telemetry DAG / critical-path report: the
     /// stage's wall next to the wall of the MapReduce job it ran (0 on a
     /// hit). The difference is what the driver thread did around the job
-    /// while every slot idled — resolve, commit, place.
+    /// while every slot idled — the store read or write, and the pins.
     pub fn stage_rows(&self) -> Vec<report::DagStageRow> {
         self.stages
             .iter()
@@ -177,15 +177,14 @@ impl PipelineOutput {
         report::dag_report(&self.stage_rows())
     }
 
-    /// A partition stage's partitions as the store holds them: windows
-    /// of its entry under `{cas_root}/cas/`.
+    /// A partition stage's partitions as the store holds them: its part
+    /// files under `{cas_root}/cas/`.
     #[cfg(test)]
     pub(crate) fn stored_parts(&self, dfs: &Dfs, cas_root: &str, stage: &str) -> Vec<SharedBytes> {
         let key = self.stages.iter().find(|s| s.name == stage).expect(stage).key;
-        let entry = dfs.cas_get(cas_root, key).unwrap().expect("a stored entry");
-        match StageData::from_entry(&entry).unwrap() {
-            StageData::Parts(parts) => parts,
-            _ => panic!("{stage} is not a partition stage"),
+        match stage_data::get(dfs, cas_root, key).expect("a stored entry") {
+            Stored::Parts(parts) => parts.into_iter().map(|p| p.bytes).collect(),
+            Stored::Side(_) => panic!("{stage} is not a partition stage"),
         }
     }
 }
@@ -204,7 +203,7 @@ pub struct RunOptions {
     /// so one `Dfs::sweep_prefix` call retires the whole run.
     pub namespace: Option<String>,
     /// DFS prefix for the content-addressed intermediate store
-    /// (`{cas_root}/cas/{key}`). Defaults to the run namespace; a
+    /// (`{cas_root}/cas/{key}[/part-NNNNN]`). Defaults to the run namespace; a
     /// multi-job driver should point it at a prefix shared across the
     /// tenant's jobs (e.g. `/{tenant}`) so successive jobs hit each
     /// other's cache instead of each getting a private one.
@@ -214,8 +213,8 @@ pub struct RunOptions {
 /// Controls for the DAG executor beyond [`RunOptions`].
 #[derive(Debug, Clone)]
 pub struct DagRunOptions {
-    /// Read/write the content-addressed intermediate store. Off, the
-    /// executor still walks the graph but every stage executes.
+    /// Read/write the content-addressed intermediate store. Off, every
+    /// stage executes and its entry goes under the run's own directory.
     pub cache: bool,
     /// Per-stage invalidation salts: the named stage's content key is
     /// perturbed, forcing it — and, through key chaining, exactly its
@@ -241,8 +240,8 @@ pub struct StageReport {
     pub parents: Vec<String>,
     /// Served from the content-addressed store (the body never ran).
     pub cache_hit: bool,
-    /// Resolution wall time: decode-and-pin for a hit, full execution
-    /// for a miss.
+    /// Resolution wall time: read-and-pin for a hit, which writes
+    /// nothing; execution and the store write for a miss.
     pub wall_ms: f64,
 }
 
@@ -287,34 +286,33 @@ impl GesallPlatform {
         }
     }
 
-    /// Write one logical partition — every block on one node — and return
-    /// the input split for it. One backing serves both the DFS blocks
-    /// and the mapper's input: placing copies nothing and nothing is
-    /// read back.
+    /// Write an input a row builds itself (round 1's FASTQ, HC segments)
+    /// as one logical partition — every block on one node — and return
+    /// its input split. One backing serves both the DFS blocks and the
+    /// mapper's input: placing copies nothing and reads nothing back.
     pub(crate) fn place(&self, path: &str, label: String, bytes: SharedBytes) -> Result<Split> {
         let info =
             self.dfs
                 .write_shared_with_policy(path, bytes.clone(), &LogicalPartitionPlacement)?;
-        let split = InputSplit::new(label.clone(), vec![(label, bytes)]);
-        Ok(match info.single_home() {
-            Some(node) => split.at_node(node % self.engine.cluster().n_nodes()),
-            None => split,
-        })
+        Ok(self.split(label, bytes, info.single_home()))
     }
 
-    /// A stage's output as the rows below it will see it: partitions are
-    /// placed under `{base}/{stage}/part-NNNNN` and become input splits,
-    /// a side value is handed on as it is.
-    fn resolve(&self, cx: &StageCtx<'_>, stage: &str, out: StageData) -> Result<Resolved> {
-        let StageData::Parts(parts) = out else {
-            return Ok(Resolved::Side(out));
-        };
-        let mut splits = Vec::with_capacity(parts.len());
-        for (i, bytes) in parts.into_iter().enumerate() {
-            let path = format!("{}/{stage}/part-{i:05}", cx.base);
-            splits.push(self.place(&path, path.clone(), bytes)?);
+    /// The input split over a partition, preferring its `home` node.
+    fn split(&self, label: String, bytes: SharedBytes, home: Option<usize>) -> Split {
+        let split = InputSplit::new(label.clone(), vec![(label, bytes)]);
+        match home {
+            Some(node) => split.at_node(node % self.engine.cluster().n_nodes()),
+            None => split,
         }
-        Ok(Resolved::Splits(splits))
+    }
+
+    /// A stored entry as the rows below it see it: a split per part
+    /// file, or the side value as it is.
+    fn resolved(&self, stored: Stored) -> Resolved {
+        match stored {
+            Stored::Parts(parts) => Resolved::Splits(parts.into_iter().map(|p| self.split(p.path, p.bytes, p.home)).collect()),
+            Stored::Side(side) => Resolved::Side(side),
+        }
     }
 
     /// Run the full pipeline on interleaved read pairs, through the
@@ -345,19 +343,19 @@ impl GesallPlatform {
     /// version + the settings its body reads + parent keys, rooted at a
     /// hash of the read pairs and reference) and committed to the
     /// content-addressed store under `{cas_root}/cas/{key}`. A key that
-    /// hits is decoded instead of executed (`dag.stages.cache_hit` vs
+    /// hits is read instead of executed (`dag.stages.cache_hit` vs
     /// `dag.stages.run`), so re-running with one changed stage
-    /// re-executes exactly that stage and its descendants. A partition stage's entry is its
-    /// partition bytes, written by the stage's tasks: hit or run, the
-    /// partitions are windows of the entry, placed on the DFS once, and
-    /// become its consumers' input splits — store, blocks and splits
-    /// share one backing, and a stage that re-executes into bytes the
-    /// store already holds shares that entry's backing instead. Every
-    /// entry touched is pinned until the run finishes, so a retention
-    /// sweep can never delete a live intermediate out from under a
-    /// dependent stage. Without a [`RunOptions::namespace`] the run's
-    /// directory (`/pipeline/run{N}/`: round 1's FASTQ and the placed
-    /// partitions) is retired when the run ends.
+    /// re-executes exactly that stage and its descendants. A partition
+    /// stage's entry is a directory of part files, one per partition,
+    /// each placed whole on one node (§3.1) and read there by its
+    /// consumers' tasks: hit or run, store blocks and splits share one
+    /// backing, a hit writes nothing, and a stage that re-executes into
+    /// stored bytes shares their backing. Every file of every entry
+    /// touched is pinned until the run finishes, so a retention sweep
+    /// can never delete a live intermediate out from under a dependent
+    /// stage. Without a [`RunOptions::namespace`] the run's directory
+    /// (`/pipeline/run{N}/`: round 1's FASTQ, HC segments, entries
+    /// written with the cache off) is retired when the run ends.
     pub fn run_pipeline_dag(
         &self,
         aligner: &Aligner,
@@ -375,10 +373,9 @@ impl GesallPlatform {
         let run = self
             .resolve_stages(&mut cx, &rows, &cas_root, dag_opts)
             .and_then(|(resolved, stages)| Ok((self.collect(&cx, &rows, resolved)?, stages)));
-        // The run's own directory goes with it, run or failed: its
-        // placed partitions are windows of store entries, which live
-        // under `{cas_root}/cas/`. A namespace handed in is its owner's
-        // to retire.
+        // The run's own directory goes with it, run or failed: the
+        // store's entries live under `{cas_root}/cas/`. A namespace
+        // handed in is its owner's to retire.
         if opts.namespace.is_none() {
             self.dfs.sweep_prefix(&cx.base, SweepReason::Completed);
         }
@@ -409,54 +406,30 @@ impl GesallPlatform {
                 for row in rows {
                     let name = &row.spec.name;
                     let key = keys[name.as_str()];
-                    let cas_path = Dfs::cas_path(cas_root, key);
+                    let root = if dag_opts.cache { cas_root.to_string() } else { cx.base.clone() };
                     let t0 = Instant::now();
                     let sspan = cx.recorder.start(SpanKind::Stage, name, cx.pipeline_span);
                     cx.stage_span = sspan.id;
                     let rounds_before = cx.rounds.len();
-                    let mut cached = None;
-                    if dag_opts.cache {
-                        // An entry that cannot be read (its blocks died
-                        // with a node), or is torn or garbled, is a miss:
-                        // the stage re-runs, and `cas_put` on the same
-                        // key degrades to a hit on the entry as it
-                        // stands, so it stays a miss until retention
-                        // sweeps it.
-                        if let Some(entry) = self.dfs.cas_get(cas_root, key).ok().flatten() {
-                            cached = StageData::from_entry(&entry)
-                                .ok()
-                                .filter(StageData::parts_are_whole);
-                        }
-                    }
+                    // An entry with a file unreadable, torn or garbled is
+                    // a miss: the stage re-runs, and its put writes only
+                    // the files that are not there.
+                    let cached = dag_opts.cache.then(|| stage_data::get(&self.dfs, &root, key)).flatten();
                     let cache_hit = cached.is_some();
-                    let out = match cached {
-                        Some(d) => d,
+                    let stored = match cached {
+                        Some(stored) => stored,
                         None => {
-                            let mut d = row.body.run(self, cx, &Inputs::of(rows, &resolved, row)?)?;
-                            if dag_opts.cache {
-                                // Built once, exactly sized; partitions
-                                // go on from here as windows of what the
-                                // store keeps — a stored copy of the same
-                                // bytes, if it held one, and this buffer
-                                // is freed.
-                                let fresh = SharedBytes::from_vec(d.to_wire_bytes());
-                                let entry = self.dfs.cas_put(cas_root, key, fresh)?;
-                                if let StageData::Parts(_) = d {
-                                    d = StageData::from_entry(&entry)?;
-                                }
-                            }
-                            d
+                            let out = row.body.run(self, cx, &Inputs::of(rows, &resolved, row)?)?;
+                            stage_data::put(&self.dfs, &root, key, out)?
                         }
                     };
-                    resolved.push(self.resolve(cx, name, out)?);
-                    if dag_opts.cache {
-                        // Pinned for the rest of the run: a dependent
-                        // stage may range-read this entry long after a
-                        // retention sweep of the namespace would
-                        // otherwise have deleted it.
-                        self.dfs.pin(&cas_path)?;
-                        pinned.push(cas_path);
+                    // Pinned for the rest of the run, past any retention
+                    // sweep of the namespace.
+                    for path in stored.files(&root, key) {
+                        self.dfs.pin(&path)?;
+                        pinned.push(path);
                     }
+                    resolved.push(self.resolved(stored));
                     let counter = if cache_hit {
                         dag::keys::STAGES_CACHE_HIT
                     } else {
@@ -537,8 +510,9 @@ impl GesallPlatform {
     }
 
     /// The DAG executor's test reference: a plain loop over the same
-    /// rows, with no keys, no store and no stage spans — its jobs nest
-    /// under the pipeline span.
+    /// rows, with no keys, no store reads and no stage spans — its jobs
+    /// nest under the pipeline span, and each row's output is written
+    /// under the run's directory, keyed by the row's position.
     #[cfg(test)]
     fn run_pipeline_sequential(
         &self,
@@ -549,9 +523,9 @@ impl GesallPlatform {
         let (mut cx, pipeline_span, pipeline_name, _ns) = self.begin_run(aligner, pairs, opts);
         let rows = pipeline_stages(&self.config, aligner);
         let mut resolved = Vec::new();
-        for row in &rows {
+        for (i, row) in rows.iter().enumerate() {
             let out = row.body.run(self, &mut cx, &Inputs::of(&rows, &resolved, row)?)?;
-            resolved.push(self.resolve(&cx, &row.spec.name, out)?);
+            resolved.push(self.resolved(stage_data::put(&self.dfs, &cx.base, i as u64, out)?));
         }
         let (records, variants) = self.collect(&cx, &rows, resolved)?;
         Ok(self.finish_run(cx, pipeline_span, &pipeline_name, records, variants, Vec::new()))
@@ -962,41 +936,36 @@ mod tests {
         assert_eq!(decoded_by_tasks() as usize, 2 * (n_chroms + 1));
         assert_eq!(warm.records, cold.records);
 
-        // Each partition stage's dir exists once with its partition
-        // count, although rounds 2 and 4 each feed two consumers — on a
-        // cold run stopped short of its end, when the directory goes —
-        // and §3.1's reader reassembles what sits there.
+        // Each partition stage's entry is a directory holding its
+        // partition count of part files, although rounds 2 and 4 each
+        // feed two consumers; the run's own directory holds only round
+        // 1's FASTQ — on a cold run stopped short of its end, when the
+        // directory goes — and §3.1's reader reassembles what the store
+        // holds.
         let q = platform_on(64 * 1024, MapReduceEngine::new(cluster()));
-        run_keeping_splits(&q, &aligner, &pairs, n_chroms);
-        let mut dirs: std::collections::BTreeMap<String, usize> = Default::default();
-        for path in q.dfs.list("/pipeline/run0/") {
-            let dir = path["/pipeline/run0/".len()..].rsplit_once('/').unwrap().0;
-            *dirs.entry(dir.to_string()).or_default() += 1;
+        let (out, _) = run_keeping_splits(&q, &aligner, &pairs, n_chroms);
+        let in_dir = |dir: &str| q.dfs.list(&format!("{dir}/")).len();
+        assert_eq!(in_dir("/pipeline/run0"), n_r1);
+        assert_eq!(in_dir("/pipeline/run0/fastq"), n_r1);
+        for (stage, n) in partition_stages(&q, n_chroms) {
+            let key = out.stages.iter().find(|s| s.name == stage).unwrap().key;
+            assert_eq!(in_dir(&Dfs::cas_path("/pipeline", key)), n, "{stage}");
         }
-        let mut expect = vec![("fastq".to_string(), n_r1)];
-        expect.extend(partition_stages(&q, n_chroms).map(|(d, n)| (d.to_string(), n)));
-        assert_eq!(dirs.into_iter().collect::<Vec<_>>(), expect);
-        let placed = crate::storage::read_bam_from_dfs(&q.dfs, "/pipeline/run0/round4b-print-reads/part-00000");
-        assert_eq!(placed.unwrap().1, read("round4b-print-reads", 0).1);
+        let key = out.stages.iter().find(|s| s.name == "round4b-print-reads").unwrap().key;
+        let stored = format!("{}/part-00000", Dfs::cas_path("/pipeline", key));
+        let read_back = crate::storage::read_bam_from_dfs(&q.dfs, &stored);
+        assert_eq!(read_back.unwrap().1, read("round4b-print-reads", 0).1);
 
         // Placing reads nothing back: the split is the bytes it was
         // handed, not a copy fetched from the blocks.
-        let opts = RunOptions::default();
-        let (cx, span, name, _) = p.begin_run(&aligner, Vec::new(), &opts);
-        let part = SharedBytes::from_vec(bam::write_bam(&cx.header, &cold.records));
+        let part = SharedBytes::from_vec(bam::write_bam(&aligner.index().sam_header(), &cold.records));
         let blocks_read = p.dfs.metrics().counter(BLOCKS_READ).get();
-        let Resolved::Splits(splits) =
-            p.resolve(&cx, "probe", StageData::Parts(vec![part.clone()])).unwrap()
-        else {
-            panic!("partitions resolve to splits");
-        };
+        let split = p.place("/probe/part-00000", "probe".into(), part.clone()).unwrap();
         assert_eq!(p.dfs.metrics().counter(BLOCKS_READ).get(), blocks_read);
-        let (_, payload) = &splits[0].records[0];
-        assert!(payload.same_backing(&part));
-        p.finish_run(cx, span, &name, Vec::new(), Vec::new(), Vec::new());
+        assert!(split.records[0].1.same_backing(&part));
     }
 
-    /// One run of the DAG on `p`, handing back the placed splits of
+    /// One run of the DAG on `p`, handing back the input splits of
     /// every partition stage — what the next stage's mappers read. It
     /// stops short of the run-end sweep, so the run's directory stays.
     fn run_keeping_splits(
@@ -1004,7 +973,7 @@ mod tests {
         aligner: &Aligner,
         pairs: &[ReadPair],
         n_chroms: usize,
-    ) -> (PipelineOutput, std::collections::HashMap<String, Vec<SharedBytes>>) {
+    ) -> (PipelineOutput, std::collections::HashMap<String, Vec<Split>>) {
         let opts = RunOptions::default();
         let (mut cx, span, name, ns) = p.begin_run(aligner, pairs.to_vec(), &opts);
         let rows = pipeline_stages(&p.config, aligner);
@@ -1018,10 +987,8 @@ mod tests {
                 let Resolved::Splits(splits) = &resolved[row] else {
                     panic!("{stage} is a partition stage");
                 };
-                let payloads: Vec<SharedBytes> =
-                    splits.iter().map(|s| s.records[0].1.clone()).collect();
-                assert_eq!(payloads.len(), *n, "{stage}");
-                (stage.to_string(), payloads)
+                assert_eq!(splits.len(), *n, "{stage}");
+                (stage.to_string(), splits.clone())
             })
             .collect();
         let (records, variants) = p.collect(&cx, &rows, resolved).unwrap();
@@ -1032,29 +999,25 @@ mod tests {
     fn a_stage_output_is_one_buffer_shared_by_store_blocks_and_splits() {
         let (aligner, pairs) = world();
         let n_chroms = aligner.index().n_chromosomes();
-        let first_block = |p: &GesallPlatform, path: &str| {
-            p.dfs.read_block(&p.dfs.stat(path).unwrap().blocks[0]).unwrap()
-        };
-        // Whether an entry fits one block or spans several, `cas_get`
-        // is one window of the stored backing, so the whole chain —
-        // entry, blocks, splits, placed blocks — is held to one backing,
-        // cold and warm.
+        // Whether a part file fits one block or spans several, reading
+        // it back is one window of the stored backing, so the chain —
+        // blocks, stored part, split — is held to one backing, cold and
+        // warm, and the split prefers the node that holds its part.
         for block_size in [64 << 20, 64 << 10] {
             let p = platform_on(block_size, MapReduceEngine::new(cluster()));
-            for (run, warm) in [("run0", false), ("run1", true)] {
-                crate::stage_data::PARTS_COPIED.with(|n| n.set(0));
+            for (run, warm) in [("cold", false), ("warm", true)] {
                 let (out, splits) = run_keeping_splits(&p, &aligner, &pairs, n_chroms);
                 assert_eq!(out.cache_hits(), if warm { 8 } else { 0 });
-                assert_eq!(crate::stage_data::PARTS_COPIED.with(|n| n.get()), 0, "a partition was copied out of its entry");
-                for (stage, payloads) in &splits {
-                    let key = out.stages.iter().find(|s| s.name == *stage).unwrap().key;
-                    let entry = p.dfs.cas_get("/pipeline", key).unwrap().unwrap();
-                    assert!(entry.same_backing(&first_block(&p, &Dfs::cas_path("/pipeline", key))));
-                    for (i, payload) in payloads.iter().enumerate() {
+                for (stage, splits) in &splits {
+                    let stored = out.stored_parts(&p.dfs, "/pipeline", stage);
+                    for (i, split) in splits.iter().enumerate() {
                         let what = format!("{block_size}-byte blocks, {run}, {stage} part {i}");
-                        assert!(payload.same_backing(&entry), "split ≠ entry: {what}");
-                        let placed = first_block(&p, &format!("/pipeline/{run}/{stage}/part-{i:05}"));
-                        assert!(placed.same_backing(payload), "block ≠ split: {what}");
+                        let (path, payload) = &split.records[0];
+                        let info = p.dfs.stat(path).unwrap();
+                        let block = p.dfs.read_block(&info.blocks[0]).unwrap();
+                        assert!(block.same_backing(payload), "block ≠ split: {what}");
+                        assert!(stored[i].same_backing(payload), "stored ≠ split: {what}");
+                        assert_eq!(split.preferred_node, info.single_home(), "{what}");
                     }
                 }
             }
@@ -1064,41 +1027,81 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_stage_feeds_its_consumers_where_its_parts_lie() {
+        let (aligner, pairs) = world();
+        let recorder = Recorder::new();
+        let p = platform_on(64 * 1024, MapReduceEngine::new(cluster()).with_recorder(recorder.clone()));
+        // Map attempts of the runs so far, each with its `data_local`.
+        let local = || -> Vec<bool> {
+            let attempts = recorder.spans_of_kind(SpanKind::TaskAttempt);
+            let maps = attempts.iter().filter(|s| s.name.starts_with("map-"));
+            maps.map(|s| s.meta.iter().any(|(k, v)| k == "data_local" && v == "true")).collect()
+        };
+        p.run_pipeline(&aligner, pairs.clone()).unwrap();
+        let cold = local();
+        assert!(cold.iter().all(|&l| l), "a cold run's map tasks read where their input lies");
+        // Round 1 hits; round 2 onward reads its parts where the store
+        // placed them.
+        let salted = DagRunOptions {
+            invalidate: vec![("round2-clean-fixmate".to_string(), 1)],
+            ..DagRunOptions::default()
+        };
+        let out = p.run_pipeline_dag(&aligner, pairs, &RunOptions::default(), &salted).unwrap();
+        assert_eq!((out.cache_hits(), out.stages_run()), (1, 7));
+        let rerun = &local()[cold.len()..];
+        assert!(!rerun.is_empty() && rerun.iter().all(|&l| l), "{rerun:?}");
+    }
+
+    #[test]
     fn a_store_entry_lost_with_its_node_is_a_miss_and_its_stage_reruns() {
         let (aligner, pairs) = world();
-        let p = platform_on(64 * 1024, MapReduceEngine::new(cluster()));
-        let cold = p.run_pipeline(&aligner, pairs.clone()).unwrap();
-        // Entries are unreplicated: the node takes every entry with a
-        // block on it.
-        p.dfs.fail_node(0);
-        let lost = cold
-            .stages
-            .iter()
-            .filter(|s| !p.dfs.file_available(&Dfs::cas_path("/pipeline", s.key)))
-            .count();
-        assert!(lost > 0, "node 0 held a block of some entry");
-        let warm = p.run_pipeline(&aligner, pairs).unwrap();
-        assert_eq!(warm.stages_run(), lost);
-        assert_eq!(warm.records, cold.records);
-        assert_eq!(warm.variants, cold.variants);
+        let n_chroms = aligner.index().n_chromosomes();
+        // A node declared dead, and one wiped silently, whose blocks the
+        // metadata still lists.
+        let fail: fn(&Dfs) = |dfs| drop(dfs.fail_node(0));
+        let wipe: fn(&Dfs) = |dfs| dfs.kill_node(0);
+        for (how, lose_node_0) in [("failed", fail), ("wiped", wipe)] {
+            let p = platform_on(64 * 1024, MapReduceEngine::new(cluster()));
+            let cold = p.run_pipeline(&aligner, pairs.clone()).unwrap();
+            // Entries are unreplicated: the node takes every entry with a
+            // block of its manifest or of a part file on it.
+            lose_node_0(&p.dfs);
+            let lost = cold
+                .stages
+                .iter()
+                .filter(|s| p.dfs.list(&Dfs::cas_path("/pipeline", s.key)).iter().any(|f| !p.dfs.file_available(f)))
+                .count();
+            assert!(lost > 0, "{how}: node 0 held a block of some entry");
+            let (warm, splits) = run_keeping_splits(&p, &aligner, &pairs, n_chroms);
+            assert_eq!(warm.stages_run(), lost, "{how}");
+            assert_eq!(warm.records, cold.records, "{how}");
+            assert_eq!(warm.variants, cold.variants, "{how}");
+            // The re-run's put meets each lost part file where it was: the
+            // split carries the fresh bytes and prefers no node.
+            let lost_parts: Vec<&Split> =
+                splits.values().flatten().filter(|s| !p.dfs.file_available(&s.records[0].0)).collect();
+            assert!(!lost_parts.is_empty(), "{how}: node 0 held a part file");
+            assert!(lost_parts.iter().all(|s| s.preferred_node.is_none()), "{how}");
+        }
     }
 
     #[test]
     fn a_store_entry_of_partitions_the_earlier_lz_parse_wrote_is_still_a_hit() {
         use gesall_dfs::checksum::xxh64;
+        use gesall_formats::wire::Wire;
         // 500 coordinate-sorted records in three record chunks, as the
         // codec's min-4 greedy parse wrote them, before the 8-byte one.
         let file = include_bytes!("../testdata/min4_parse_500_records.bam");
         assert_eq!(xxh64(file), 0x870c_eab4_56f2_53d8);
+        let dfs = Dfs::new(gesall_dfs::DfsConfig::default());
         let part = SharedBytes::copy_from_slice(file);
-        let entry = SharedBytes::from_vec(StageData::Parts(vec![part.clone(), part]).to_wire_bytes());
-        let cached = StageData::from_entry(&entry).ok().filter(StageData::parts_are_whole);
-        let Some(StageData::Parts(parts)) = cached else {
+        stage_data::put(&dfs, "/t", 1, StageData::Parts(vec![part.clone(), part])).unwrap();
+        let Some(Stored::Parts(parts)) = stage_data::get(&dfs, "/t", 1) else {
             panic!("the entry is a miss");
         };
         assert_eq!(parts.len(), 2);
         for part in &parts {
-            let (header, recs) = bam::read_bam(part).unwrap();
+            let (header, recs) = bam::read_bam(&part.bytes).unwrap();
             let mut wire = Vec::new();
             for r in &recs {
                 r.encode(&mut wire);

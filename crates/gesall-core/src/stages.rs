@@ -45,8 +45,7 @@ use gesall_tools::recalibration::{RecalConfig, RecalTable};
 use gesall_tools::unified_genotyper::{call_region, GenotyperConfig};
 use std::sync::Arc;
 
-/// A placed logical partition: what a partition stage's consumers map
-/// over.
+/// A logical partition as a map task's input, preferring its home node.
 pub(crate) type Split = InputSplit<String, SharedBytes>;
 
 /// What a row's body reads besides its parents' outputs and the run's
@@ -161,9 +160,9 @@ pub(crate) fn graph(rows: &[Stage<'_>]) -> DagSpec {
 
 /// A resolved stage's output as the rows below it see it.
 pub(crate) enum Resolved {
-    /// A partition stage: its partitions, placed. Sibling consumers
-    /// (round2b + round3, round4a + round4b) clone the same splits — the
-    /// payloads are refcounted, so the clone is pointer-sized.
+    /// A partition stage: a split per part file of its entry. Sibling
+    /// consumers (round2b + round3, round4a + round4b) clone the same
+    /// splits — the payloads are refcounted, so the clone is pointer-sized.
     Splits(Vec<Split>),
     /// A side stage's value: bloom filter, recalibration table, calls.
     Side(StageData),
@@ -200,7 +199,7 @@ impl<'a> Inputs<'a> {
         PlatformError::Invariant(format!("stage {}: parent {i} is not {want}", self.stage))
     }
 
-    /// Parent `i`'s placed partitions.
+    /// Parent `i`'s partitions, as splits.
     pub(crate) fn splits(&self, i: usize) -> Result<Vec<Split>> {
         match self.parents.get(i) {
             Some(Resolved::Splits(splits)) => Ok(splits.clone()),

@@ -867,12 +867,21 @@ fn pipeline_output_digests_are_pinned() {
         });
         assert_eq!(partial.cache_hits(), 1, "{what}: only round 1 survives");
         assert_eq!(output_digests(w, &partial), pinned, "{what}: invalidated rerun");
+        // Off, the cache writes its entries under the run's directory,
+        // which goes with the run: the store gains nothing, and nothing
+        // is left behind.
+        let store = p.dfs.list("/pipeline/cas/");
+        let puts = || p.dfs.metrics().counter(gesall_dfs::metrics_keys::CAS_PUTS).get();
+        let puts_before = puts();
         let uncached = run(&DagRunOptions {
             cache: false,
             ..DagRunOptions::default()
         });
         assert_eq!(uncached.cache_hits(), 0, "{what}: cache off");
         assert_eq!(output_digests(w, &uncached), pinned, "{what}: cache-off run");
+        assert_eq!(p.dfs.list("/pipeline/cas/"), store, "{what}: cache off");
+        assert!(puts() > puts_before, "{what}: the cache-off run stored its outputs");
+        assert_eq!(p.dfs.list("/pipeline/run3/"), Vec::<String>::new(), "{what}: cache off");
     }
 }
 
@@ -899,8 +908,8 @@ fn no_record_is_encoded_to_learn_its_length() {
 
 #[test]
 fn torn_or_garbled_cas_entry_is_a_miss_never_a_panic() {
-    use gesall_core::pipeline::{DagRunOptions, RunOptions, StageData};
-    use gesall_formats::wire::Wire;
+    use gesall_core::pipeline::{DagRunOptions, RunOptions};
+    use gesall_dfs::metrics_keys::CAS_PUTS;
     let w = build_world(600);
     let p = platform(PlatformConfig::default());
     let run = || {
@@ -913,8 +922,10 @@ fn torn_or_garbled_cas_entry_is_a_miss_never_a_panic() {
 
     let victim = "round3-markdup";
     let key = cold.stages.iter().find(|s| s.name == victim).unwrap().key;
-    let path = Dfs::cas_path("/pipeline", key);
-    let intact = p.dfs.read_file_shared(&path).unwrap().to_vec();
+    let manifest = Dfs::cas_path("/pipeline", key);
+    let part = format!("{manifest}/part-00001");
+    let read = |path: &str| p.dfs.read_file_shared(path).map(|b| b.to_vec());
+    let (intact, intact_part) = (read(&manifest).unwrap(), read(&part).unwrap());
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
     let random: Vec<u8> = (0..intact.len())
         .map(|_| {
@@ -924,37 +935,47 @@ fn torn_or_garbled_cas_entry_is_a_miss_never_a_panic() {
             state as u8
         })
         .collect();
-    // Valid wire framing around a partition that stops mid-frame: only
-    // walking the frames can tell.
-    let cut_mid_frame = {
-        let Ok(StageData::Parts(mut parts)) = StageData::from_wire_bytes(&intact) else {
-            panic!("{victim}'s entry is its partitions");
-        };
-        let last = parts.last_mut().unwrap();
-        *last = last.slice(..last.len() - 5);
-        StageData::Parts(parts).to_wire_bytes()
+    // A manifest that agrees with the part cut below: only walking the
+    // part's frames can tell.
+    let cut = intact_part.len() - 5;
+    let agreeing = {
+        use gesall_formats::wire::{put_varint, Cursor};
+        let mut cur = Cursor::new(&intact);
+        let mut fields = Vec::new(); // tag, part count, one length per part
+        while !cur.is_empty() {
+            fields.push(cur.get_varint().unwrap());
+        }
+        fields[3] = cut as u64;
+        let mut bytes = Vec::new();
+        fields.into_iter().for_each(|f| put_varint(&mut bytes, f));
+        bytes
     };
-    for (what, garbled) in [
-        ("random bytes", random),
-        ("truncated copy", intact[..intact.len() / 2].to_vec()),
-        ("partition cut mid-frame", cut_mid_frame),
+    // (case, what it leaves in the manifest and in part 1 — `None`: the
+    // file is deleted — and the files the re-run writes again).
+    for (what, damaged_manifest, damaged_part, rewritten) in [
+        ("random manifest", Some(random), Some(intact_part.clone()), 0),
+        ("truncated manifest", Some(intact[..intact.len() / 2].to_vec()), Some(intact_part.clone()), 0),
+        ("a part file deleted", Some(intact.clone()), None, 1),
+        ("a part cut mid-frame", Some(agreeing), Some(intact_part[..cut].to_vec()), 0),
     ] {
-        p.dfs.delete(&path).unwrap();
-        p.dfs.write_file(&path, &garbled).unwrap();
-        let puts = p.dfs.metrics().counter(gesall_dfs::metrics_keys::CAS_PUTS).get();
+        for (path, bytes) in [(&manifest, &damaged_manifest), (&part, &damaged_part)] {
+            let _ = p.dfs.delete(path);
+            if let Some(bytes) = bytes {
+                p.dfs.write_file(path, bytes).unwrap();
+            }
+        }
+        let puts = p.dfs.metrics().counter(CAS_PUTS).get();
         let rerun = run();
         for s in &rerun.stages {
             assert_eq!(s.cache_hit, s.name != victim, "{what}: stage {}", s.name);
         }
         assert_eq!(output_digests(&w, &rerun), PINNED_DEFAULT, "{what}");
-        // The re-executed stage's `cas_put` degrades to a hit on the
-        // entry as it stands: nothing is written over it.
-        assert_eq!(
-            p.dfs.metrics().counter(gesall_dfs::metrics_keys::CAS_PUTS).get(),
-            puts,
-            "{what}"
-        );
-        assert!(p.dfs.read_file_shared(&path).unwrap() == garbled, "{what}");
+        // The re-executed stage's put degrades to a hit on each file as
+        // it stands: nothing is written over one, and only a missing
+        // file is written again.
+        assert_eq!(p.dfs.metrics().counter(CAS_PUTS).get() - puts, rewritten, "{what}");
+        assert!(read(&manifest).unwrap() == damaged_manifest.unwrap(), "{what}");
+        assert!(read(&part).unwrap() == damaged_part.unwrap_or_else(|| intact_part.clone()), "{what}");
         assert!(!p.dfs.any_pinned("/"), "{what}: a pin outlived the run");
     }
 }
@@ -1119,7 +1140,10 @@ fn a_finished_run_leaves_only_store_entries() {
             p.dfs.list("").into_iter().filter(|f| !f.starts_with("/pipeline/cas/")).collect();
         assert!(stray.is_empty(), "salt {salt:?} left {stray:?}");
     }
-    assert_eq!(p.dfs.list("/pipeline/cas/").len(), 8 + 3 * 7);
+    // Each entry is its manifest and, for a partition stage, one part
+    // file per partition: 8 manifests and 4 + 4 + 4 + 3 + 3 parts cold,
+    // and 7 manifests and the 14 parts of rounds 2 to 4b per salt.
+    assert_eq!(p.dfs.list("/pipeline/cas/").len(), 8 + 18 + 3 * (7 + 14));
     p.dfs.check_namespace().unwrap();
 }
 
@@ -1129,37 +1153,49 @@ fn salted_reruns_keep_each_content_once_and_warm_reruns_copy_nothing() {
     let w = build_world(600);
     let p = small_block_platform();
     let count = |key: &str| p.dfs.metrics().counter(key).get();
-    let entry = |key: u64| p.dfs.cas_get("/pipeline", key).unwrap().unwrap();
+    // Every file of an entry: its manifest, then its part files.
+    let files = |key: u64| p.dfs.list(&Dfs::cas_path("/pipeline", key));
+    let read = |path: &str| p.dfs.read_file_shared(path).unwrap();
 
     let prime = rerun(&p, &w, None);
     assert_eq!(output_digests(&w, &prime), PINNED_RECAL_UG);
     // What was put under each unsalted key, and where the store keeps it.
-    let put: Vec<(String, u64, Vec<u8>)> =
-        prime.stages.iter().map(|s| (s.name.clone(), s.key, entry(s.key).to_vec())).collect();
+    let put: Vec<(String, Vec<String>, Vec<Vec<u8>>)> = prime
+        .stages
+        .iter()
+        .map(|s| (s.name.clone(), files(s.key), files(s.key).iter().map(|f| read(f).to_vec()).collect()))
+        .collect();
     for stage in ["round1-align", "round2-clean-fixmate", "round3-markdup", "round4-sort"] {
         let key = prime.stages.iter().find(|s| s.name == stage).unwrap().key;
-        let blocks = p.dfs.stat(&Dfs::cas_path("/pipeline", key)).unwrap().blocks.len();
-        assert!(blocks > 1, "{stage}'s entry is {blocks} block(s)");
+        let blocks = files(key)[1..].iter().map(|f| p.dfs.stat(f).unwrap().blocks.len()).max();
+        assert!(blocks > Some(1), "{stage}'s largest part is {blocks:?} block(s)");
     }
     let resident = p.dfs.resident_bytes();
-    assert_eq!(count(CAS_DEDUP_HITS), 0, "a cold run stores distinct contents");
+    // Round 4b hands on round 4's unmapped partition as it is, so its
+    // part file keeps round 4's bytes once.
+    assert_eq!(count(CAS_DEDUP_HITS), 1, "a cold run stores one content twice");
 
     for salt in 1..=3u64 {
         let dedup = count(CAS_DEDUP_HITS);
         let out = rerun(&p, &w, Some(salt));
         assert_eq!((out.cache_hits(), out.stages_run()), (1, 7), "salt {salt}");
         assert_eq!(output_digests(&w, &out), PINNED_RECAL_UG, "salt {salt}");
-        // Every re-executed stage reproduced stored bytes, and its salted
-        // entry windows the unsalted one's backing: nothing new is held.
-        assert_eq!(count(CAS_DEDUP_HITS) - dedup, 7, "salt {salt}");
+        // Every re-executed stage reproduced stored bytes, and each file
+        // of its salted entry windows the unsalted one's backing:
+        // nothing new is held.
+        let rerun_files: usize = put[1..].iter().map(|(_, f, _)| f.len()).sum();
+        assert_eq!(count(CAS_DEDUP_HITS) - dedup, rerun_files as u64, "salt {salt}");
         assert_eq!(p.dfs.resident_bytes(), resident, "salt {salt}");
         for (s, (name, unsalted, bytes)) in out.stages.iter().zip(&put) {
             assert_eq!(&s.name, name);
-            let got = entry(s.key);
-            assert!(got == bytes[..], "salt {salt}: {name}'s entry");
-            if !s.cache_hit {
-                assert_ne!(s.key, *unsalted);
-                assert!(got.same_backing(&entry(*unsalted)), "salt {salt}: {name} holds a second copy");
+            let got = files(s.key);
+            assert_eq!(got.len(), unsalted.len(), "salt {salt}: {name}");
+            for ((file, was), bytes) in got.iter().zip(unsalted).zip(bytes) {
+                assert!(read(file) == bytes[..], "salt {salt}: {file}");
+                if !s.cache_hit {
+                    assert_ne!(file, was);
+                    assert!(read(file).same_backing(&read(was)), "salt {salt}: {file} holds a second copy");
+                }
             }
         }
     }
@@ -1172,4 +1208,84 @@ fn salted_reruns_keep_each_content_once_and_warm_reruns_copy_nothing() {
     assert_eq!(count(BYTES_COPIED), copied, "a warm re-run copied out of the store");
     assert_eq!(p.dfs.resident_bytes(), resident);
     p.dfs.check_namespace().unwrap();
+}
+
+/// Every file under `dir`, with its length.
+fn files_on_disk(dir: &std::path::Path) -> Vec<(std::path::PathBuf, u64)> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap().flatten() {
+        let path = entry.path();
+        if path.is_dir() {
+            out.extend(files_on_disk(&path));
+        } else {
+            out.push((path.clone(), entry.metadata().unwrap().len()));
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn an_all_hit_rerun_writes_no_byte_and_no_block_file() {
+    use gesall_dfs::metrics_keys::{BLOCKS_WRITTEN, BYTES_WRITTEN};
+    // 3 000 pairs, 4 nodes, 256 KiB blocks, no replication; the default
+    // and the recalibrating table, on the heap store and on disk.
+    let w = build_world(3_000);
+    let recal = PlatformConfig {
+        recalibrate: true,
+        ..PlatformConfig::default()
+    };
+    for (what, config) in [("default", PlatformConfig::default()), ("recalibrating", recal)] {
+        for on_disk in [false, true] {
+            let dir = std::env::temp_dir().join(format!("gesall-castwice-{}-{what}", std::process::id()));
+            let dfs = Dfs::new(DfsConfig {
+                n_nodes: 4,
+                block_size: 256 * 1024,
+                replication: 1,
+                block_store_dir: on_disk.then(|| dir.clone()),
+                ..DfsConfig::default()
+            });
+            let engine = MapReduceEngine::new(ClusterResources::uniform(4, 2, 8192));
+            let p = GesallPlatform::new(dfs, engine, config.clone());
+            let written = || [BYTES_WRITTEN, BLOCKS_WRITTEN].map(|k| p.dfs.metrics().counter(k).get());
+            let cold = p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
+            let (before, on_disk_before) = (written(), on_disk.then(|| files_on_disk(&dir)));
+            let warm = p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
+            let what = format!("{what}, on disk: {on_disk}");
+            assert_eq!(warm.stages_run(), 0, "{what}");
+            assert_eq!(output_digests(&w, &warm), output_digests(&w, &cold), "{what}");
+            assert_eq!(written(), before, "{what}: [bytes, blocks] written by the warm re-run");
+            assert_eq!(on_disk.then(|| files_on_disk(&dir)), on_disk_before, "{what}: block files");
+            drop(p);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+#[test]
+fn racing_runs_of_one_stage_key_commit_one_whole_entry() {
+    let w = build_world(600);
+    let p = platform(PlatformConfig::default());
+    // Two runs share the store's root and commit the same keys at once.
+    let barrier = std::sync::Barrier::new(2);
+    let outs: Vec<PipelineOutput> = std::thread::scope(|s| {
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap()
+                })
+            })
+            .collect();
+        runs.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for out in &outs {
+        assert_eq!(output_digests(&w, out), PINNED_DEFAULT);
+    }
+    p.dfs.check_namespace().unwrap();
+    assert!(!p.dfs.any_pinned("/"), "a pin outlived its run");
+    // Each key holds one whole entry: a third run hits every stage.
+    let warm = p.run_pipeline(&w.aligner, w.pairs.clone()).unwrap();
+    assert_eq!(warm.stages_run(), 0);
+    assert_eq!(output_digests(&w, &warm), PINNED_DEFAULT);
 }

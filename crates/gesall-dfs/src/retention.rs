@@ -4,8 +4,8 @@
 
 use crate::fs::Dfs;
 use crate::namespace::ContentId;
-use crate::placement::DefaultPlacement;
-use crate::types::{metrics_keys, DfsError, SweepReason, SweepReport};
+use crate::placement::{BlockPlacementPolicy, DefaultPlacement};
+use crate::types::{metrics_keys, DfsError, FileInfo, SweepReason, SweepReport};
 use gesall_formats::SharedBytes;
 use gesall_telemetry::Unpoisoned;
 
@@ -96,40 +96,46 @@ impl Dfs {
         format!("{root}/cas/{key:016x}")
     }
 
-    /// Store `data` under content key `key` in `root`'s cache. Naturally
-    /// idempotent: the path is derived from the content key, so an
-    /// already-present entry means an identical payload was committed by
-    /// an earlier (or racing) writer and the put degrades to a hit — a
-    /// write commits its metadata last and insert-if-absent, so a
-    /// visible entry is always complete and a racing put stores nothing
-    /// over it.
+    /// Store `data` under content key `key` in `root`'s cache: a
+    /// [`Dfs::put_once`] at [`Dfs::cas_path`], placed by default.
+    pub fn cas_put(&self, root: &str, key: u64, data: SharedBytes) -> Result<SharedBytes, DfsError> {
+        self.put_once(&Dfs::cas_path(root, key), data, &DefaultPlacement).map(|(bytes, _)| bytes)
+    }
+
+    /// Write `data` at `path` once, under `policy` — the write of a path
+    /// that names its content. An existing file means an earlier (or
+    /// racing) writer committed that content, and the put degrades to a
+    /// hit ([`metrics_keys::CAS_HITS`]) that writes nothing: a write
+    /// commits its metadata last and insert-if-absent, so a visible file
+    /// is whole and a racing put stores nothing over it.
     ///
     /// Each content is kept once: when a live file already holds
     /// exactly `data`'s bytes (same length and block checksums, read
     /// back through the verifying read path, equal byte for byte), the
-    /// new entry's blocks are windows of that file's backing and `data`
-    /// is not kept ([`metrics_keys::CAS_DEDUP_HITS`]). Returns the bytes
-    /// the new entry's blocks window — `data` itself unless it was
-    /// deduplicated — or `data` on a hit.
-    pub fn cas_put(&self, root: &str, key: u64, data: SharedBytes) -> Result<SharedBytes, DfsError> {
-        let path = Dfs::cas_path(root, key);
-        if self.exists(&path) {
+    /// new file's blocks are windows of its backing and `data` is not
+    /// kept ([`metrics_keys::CAS_DEDUP_HITS`]). Returns the bytes the
+    /// file's blocks window — `data` on a hit — and its metadata.
+    pub fn put_once(&self, path: &str, data: SharedBytes, policy: &dyn BlockPlacementPolicy) -> Result<(SharedBytes, FileInfo), DfsError> {
+        if let Ok(info) = self.stat(path) {
             self.count(metrics_keys::CAS_HITS, 1);
-            return Ok(data);
+            return Ok((data, info));
         }
         let checksums = self.block_checksums(&data);
         let stored = self.stored_copy(ContentId::of(data.len(), checksums.iter().copied()), &data);
         let deduped = stored.is_some();
         let bytes = stored.unwrap_or(data);
-        match self.store_file(&path, bytes.clone(), &checksums, &DefaultPlacement) {
-            Ok(_) => {
+        match self.store_file(path, bytes.clone(), &checksums, policy) {
+            Ok(info) => {
                 self.count(metrics_keys::CAS_PUTS, 1);
                 self.count(metrics_keys::CAS_DEDUP_HITS, u64::from(deduped));
+                Ok((bytes, info))
             }
-            Err(DfsError::FileExists(_)) => self.count(metrics_keys::CAS_HITS, 1),
-            Err(e) => return Err(e),
+            Err(DfsError::FileExists(_)) => {
+                self.count(metrics_keys::CAS_HITS, 1);
+                Ok((bytes, self.stat(path)?))
+            }
+            Err(e) => Err(e),
         }
-        Ok(bytes)
     }
 
     /// A live file's bytes equal to `data`, as one window of its
@@ -151,12 +157,9 @@ impl Dfs {
     /// [`metrics_keys::CAS_HITS`] / [`metrics_keys::CAS_MISSES`].
     pub fn cas_get(&self, root: &str, key: u64) -> Result<Option<SharedBytes>, DfsError> {
         let path = Dfs::cas_path(root, key);
-        if !self.exists(&path) {
-            self.count(metrics_keys::CAS_MISSES, 1);
-            return Ok(None);
-        }
-        self.count(metrics_keys::CAS_HITS, 1);
-        self.read_file_shared(&path).map(Some)
+        let hit = self.exists(&path);
+        self.count(if hit { metrics_keys::CAS_HITS } else { metrics_keys::CAS_MISSES }, 1);
+        hit.then(|| self.read_file_shared(&path)).transpose()
     }
 }
 
@@ -385,6 +388,29 @@ mod tests {
     fn cas_counts(dfs: &Dfs) -> [u64; 3] {
         let get = |k: &str| dfs.metrics().counter(k).get();
         [get(metrics_keys::CAS_PUTS), get(metrics_keys::CAS_HITS), get(metrics_keys::CAS_DEDUP_HITS)]
+    }
+
+    #[test]
+    fn put_once_places_by_its_policy_and_a_hit_writes_nothing() {
+        use crate::placement::{DefaultPlacement, LogicalPartitionPlacement};
+        let dfs = small_dfs();
+        let path = "/t/cas/0000000000000001/part-00000";
+        let data = SharedBytes::from_vec(payload(3000));
+        let (stored, info) = dfs.put_once(path, data.clone(), &LogicalPartitionPlacement).unwrap();
+        assert!(stored.same_backing(&data));
+        assert_eq!(info.blocks.len(), 3);
+        let home = info.single_home().expect("every block on one node");
+        // The path is taken: whatever the bytes and the policy, the put
+        // is a hit that writes nothing and hands back the caller's bytes
+        // with the stored file's metadata.
+        let written = dfs.metrics().counter(metrics_keys::BYTES_WRITTEN).get();
+        let again = SharedBytes::from_vec(payload(3000));
+        let (got, hit) = dfs.put_once(path, again.clone(), &DefaultPlacement).unwrap();
+        assert!(got.same_backing(&again));
+        assert_eq!((hit.single_home(), hit.len), (Some(home), 3000));
+        assert_eq!(dfs.metrics().counter(metrics_keys::BYTES_WRITTEN).get(), written);
+        assert_eq!(cas_counts(&dfs), [1, 1, 0]);
+        dfs.check_namespace().unwrap();
     }
 
     #[test]

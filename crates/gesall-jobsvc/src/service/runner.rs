@@ -401,17 +401,15 @@ mod tests {
 
     #[test]
     fn pinned_cas_entries_defer_namespace_sweep() {
+        // A stage's entry is a directory: its manifest and a part file.
         let svc = service(2, vec![TenantConfig::new("a", 1)]);
         let h = svc
             .submit(
                 "a",
                 JobSpec::new("w", 1, |ctx: &JobCtx| {
-                    ctx.dfs()
-                        .write_file(
-                            &format!("{}/cas/0000000000000001", ctx.namespace()),
-                            b"entry",
-                        )
-                        .unwrap();
+                    let entry = format!("{}/cas/0000000000000001", ctx.namespace());
+                    ctx.dfs().write_file(&format!("{entry}/part-00000"), b"part").unwrap();
+                    ctx.dfs().write_file(&entry, b"manifest").unwrap();
                     Ok(Box::new(()) as JobOutput)
                 }),
             )
@@ -419,16 +417,16 @@ mod tests {
         h.wait().unwrap();
         let ns = h.namespace().to_string();
         let dfs = svc.platform().dfs.clone();
-        let path = format!("{ns}/cas/0000000000000001");
-        // A dependent stage still range-reading the entry holds a pin.
-        dfs.pin(&path).unwrap();
-        // Handle drop releases retention — but the pinned entry must
+        let part = format!("{ns}/cas/0000000000000001/part-00000");
+        // A dependent stage still reading the part holds a pin.
+        dfs.pin(&part).unwrap();
+        // Handle drop releases retention — but the pinned part must
         // survive the release sweep instead of racing the reader.
         drop(h);
         assert_eq!(
             dfs.list(&ns),
-            vec![path.clone()],
-            "pinned CAS entry was swept by the handle-drop release"
+            vec![part.clone()],
+            "pinned part file was swept by the handle-drop release"
         );
         assert_eq!(
             dfs.metrics()
@@ -436,11 +434,11 @@ mod tests {
                 .get(),
             1
         );
-        // The pin's release removes the entry at once.
-        dfs.unpin(&path);
+        // The pin's release removes the part at once.
+        dfs.unpin(&part);
         assert!(
             dfs.list(&ns).is_empty(),
-            "the last unpin left the entry behind"
+            "the last unpin left the part behind"
         );
         dfs.check_namespace().unwrap();
         svc.shutdown();

@@ -96,6 +96,7 @@ deflake N="25":
         scripts/test-some.sh --offline -q -p gesall-core --lib pipeline::tests::faulted_reduce_attempts_commit_one_writers_bytes_per_partition -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib fs::tests::racing_writers_of_one_path_commit_exactly_one_copy -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib retention::tests::racing_cas_puts_of_one_key_store_it_once -- --exact
+        scripts/test-some.sh --offline -q -p gesall-core --test platform racing_runs_of_one_stage_key_commit_one_whole_entry -- --exact
         scripts/test-some.sh --offline -q -p gesall-dfs --lib retention::tests::a_pin_that_returned_ok_keeps_its_file_until_unpin -- --exact
         scripts/test-some.sh --offline -q -p gesall-jobsvc --lib service::dispatch::tests::elastic_borrow_then_reclaim_for_late_tenant -- --exact
         scripts/test-some.sh --offline -q -p gesall-jobsvc --lib service::dispatch::tests::the_permit_drop_that_frees_a_starved_tenants_slot_dispatches_its_job -- --exact

@@ -499,8 +499,17 @@ fn a_tenants_jobs_share_its_stage_cache_and_other_tenants_do_not() {
         pipeline_output(&svc.submit(tenant, job).unwrap())
     };
 
+    let dfs = svc.platform().dfs.clone();
+    let written = || dfs.metrics().counter(gesall::dfs::metrics_keys::BYTES_WRITTEN).get();
     let cold = run("a");
-    let warm = run("a");
+    // a's second job reads every stage where a's store holds it: it
+    // writes nothing, and its namespace is empty before its sweep.
+    let before = written();
+    let h = svc.submit("a", pipeline_job(aligner.clone(), pairs.clone(), None)).unwrap();
+    let warm = pipeline_output(&h);
+    assert_eq!(dfs.list(&format!("{}/", h.namespace())), Vec::<String>::new());
+    drop(h);
+    assert_eq!(written(), before, "a's second job wrote to the DFS");
     assert_eq!(warm.stages_run(), 0, "a's second job re-ran a stage");
     assert_eq!(warm.cache_hits(), 6);
     assert_eq!(warm.records, cold.records);
@@ -508,7 +517,6 @@ fn a_tenants_jobs_share_its_stage_cache_and_other_tenants_do_not() {
     let other = run("b");
     assert_eq!(other.cache_hits(), 0, "b was served from a's cache");
 
-    let dfs = svc.platform().dfs.clone();
     svc.shutdown();
     let residue: Vec<String> = dfs
         .list("/")
