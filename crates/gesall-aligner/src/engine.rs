@@ -99,7 +99,6 @@ impl Aligner {
         pairs: &[ReadPair],
         threads: usize,
     ) -> (Vec<(SamRecord, SamRecord)>, KernelStats) {
-        let threads = threads.max(1);
         let mut out = Vec::with_capacity(pairs.len());
         let mut stats = KernelStats::default();
         for (batch_ord, batch) in pairs.chunks(self.config.batch_size.max(1)).enumerate() {
@@ -108,7 +107,12 @@ impl Aligner {
         (out, stats)
     }
 
-    fn align_batch(
+    /// Align one batch: the `batch_ord`-th `batch_size` pairs of the
+    /// input (the last batch may be shorter), whose insert statistics
+    /// and RNG streams are the batch's own. Its kernels' work is added
+    /// to `stats`. A caller that hands in its input one batch at a time
+    /// gets what [`Aligner::align_pairs_counted`] returns for all of it.
+    pub fn align_batch(
         &self,
         batch: &[ReadPair],
         batch_ord: u64,

@@ -1066,22 +1066,27 @@ mod tests {
             // Entries are unreplicated: the node takes every entry with a
             // block of its manifest or of a part file on it.
             lose_node_0(&p.dfs);
-            let lost = cold
-                .stages
-                .iter()
-                .filter(|s| p.dfs.list(&Dfs::cas_path("/pipeline", s.key)).iter().any(|f| !p.dfs.file_available(f)))
+            let entries = cold.stages.iter().map(|s| p.dfs.list(&Dfs::cas_path("/pipeline", s.key)));
+            let lost_files: Vec<String> = entries.flatten().filter(|f| !p.dfs.file_available(f)).collect();
+            let lost = (cold.stages.iter())
+                .filter(|s| lost_files.iter().any(|f| f.starts_with(&Dfs::cas_path("/pipeline", s.key))))
                 .count();
             assert!(lost > 0, "{how}: node 0 held a block of some entry");
             let (warm, splits) = run_keeping_splits(&p, &aligner, &pairs, n_chroms);
             assert_eq!(warm.stages_run(), lost, "{how}");
             assert_eq!(warm.records, cold.records, "{how}");
             assert_eq!(warm.variants, cold.variants, "{how}");
-            // The re-run's put meets each lost part file where it was: the
-            // split carries the fresh bytes and prefers no node.
+            // The re-run's put replaces each lost part file (a wiped node
+            // still takes writes; a failed one does not): the split reads
+            // it on the node that now holds it.
             let lost_parts: Vec<&Split> =
-                splits.values().flatten().filter(|s| !p.dfs.file_available(&s.records[0].0)).collect();
+                splits.values().flatten().filter(|s| lost_files.contains(&s.records[0].0)).collect();
             assert!(!lost_parts.is_empty(), "{how}: node 0 held a part file");
-            assert!(lost_parts.iter().all(|s| s.preferred_node.is_none()), "{how}");
+            for split in lost_parts {
+                let info = p.dfs.stat(&split.records[0].0).unwrap();
+                assert!(p.dfs.file_available(&info.path), "{how}");
+                assert!(split.preferred_node.is_some() && split.preferred_node == info.single_home(), "{how}");
+            }
         }
     }
 

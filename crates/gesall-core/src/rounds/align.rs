@@ -1,5 +1,8 @@
-//! Round 1: alignment (map-only, Hadoop Streaming).
+//! Round 1: alignment (map-only, Hadoop Streaming): each partition's
+//! interleaved FASTQ steps through `bwa-mem | samtobam` on the task
+//! attempt's thread, a batch at a time.
 
+use crate::programs::{BwaMemProgram, SamToBamProgram};
 use gesall_aligner::Aligner;
 use gesall_formats::SharedBytes;
 use gesall_mapreduce::counters::{keys, Counters};
@@ -22,20 +25,16 @@ impl Mapper for Round1Align<'_> {
     fn map(&self, label: &String, fastq_bytes: &SharedBytes, ctx: &mut MapContext<'_, String, Vec<u8>>) {
         let pipes = Counters::new();
         let harness = StreamingHarness::new(pipes.clone());
-        let bwa = crate::programs::BwaMemProgram {
-            aligner: self.aligner,
-            counters: ctx.counters(),
-        };
+        let mut bwa = BwaMemProgram::new(self.aligner, ctx.counters());
         let bam_bytes = harness
-            .run_pipeline(&[&bwa, &crate::programs::SamToBamProgram], fastq_bytes)
+            .run_pipeline(&mut [&mut bwa, &mut SamToBamProgram::default()], fastq_bytes)
             .expect("alignment streaming pipeline failed");
-        // The wrapper timers stay on the pipeline-cumulative bag. The
-        // pipe copies go on the attempt's own bag, so a byte count read
+        // The program timer stays on the pipeline-cumulative bag. The
+        // pipe bytes go on the attempt's own bag, so a byte count read
         // off the job counters covers committed attempts only — a
         // speculative attempt that loses its race copied for nothing.
-        for key in [keys::DATA_TRANSFORM_NANOS, keys::EXTERNAL_PROGRAM_NANOS] {
-            self.counters.add(key, pipes.get(key));
-        }
+        self.counters
+            .add(keys::EXTERNAL_PROGRAM_NANOS, pipes.get(keys::EXTERNAL_PROGRAM_NANOS));
         ctx.counters()
             .add(keys::WRAPPER_BYTES_COPIED, pipes.get(keys::WRAPPER_BYTES_COPIED));
         ctx.emit(label.clone(), bam_bytes);

@@ -55,8 +55,9 @@ impl Stored {
 }
 
 /// Store `data` as the entry for `key` under `root`: each partition once,
-/// as its part file, then the manifest. A file already there is a hit
-/// that writes nothing, and its partition goes on as the fresh bytes.
+/// as its part file, then the manifest. A file already there holding
+/// the same bytes is a hit that writes nothing, and its partition goes
+/// on as the fresh bytes; a damaged one is replaced ([`Dfs::put_once`]).
 /// Each part is stored as an exact copy made here: the buffer its task
 /// grew amid its working memory, pinned for the entry's life, bloats RSS.
 pub(crate) fn put(dfs: &Dfs, root: &str, key: u64, data: StageData) -> Result<Stored, DfsError> {

@@ -953,10 +953,10 @@ fn torn_or_garbled_cas_entry_is_a_miss_never_a_panic() {
     // (case, what it leaves in the manifest and in part 1 — `None`: the
     // file is deleted — and the files the re-run writes again).
     for (what, damaged_manifest, damaged_part, rewritten) in [
-        ("random manifest", Some(random), Some(intact_part.clone()), 0),
-        ("truncated manifest", Some(intact[..intact.len() / 2].to_vec()), Some(intact_part.clone()), 0),
+        ("random manifest", Some(random), Some(intact_part.clone()), 1),
+        ("truncated manifest", Some(intact[..intact.len() / 2].to_vec()), Some(intact_part.clone()), 1),
         ("a part file deleted", Some(intact.clone()), None, 1),
-        ("a part cut mid-frame", Some(agreeing), Some(intact_part[..cut].to_vec()), 0),
+        ("a part cut mid-frame", Some(agreeing), Some(intact_part[..cut].to_vec()), 2),
     ] {
         for (path, bytes) in [(&manifest, &damaged_manifest), (&part, &damaged_part)] {
             let _ = p.dfs.delete(path);
@@ -970,13 +970,16 @@ fn torn_or_garbled_cas_entry_is_a_miss_never_a_panic() {
             assert_eq!(s.cache_hit, s.name != victim, "{what}: stage {}", s.name);
         }
         assert_eq!(output_digests(&w, &rerun), PINNED_DEFAULT, "{what}");
-        // The re-executed stage's put degrades to a hit on each file as
-        // it stands: nothing is written over one, and only a missing
-        // file is written again.
+        // The re-executed stage's put writes each damaged or missing
+        // file again, and is a hit on each intact one.
         assert_eq!(p.dfs.metrics().counter(CAS_PUTS).get() - puts, rewritten, "{what}");
-        assert!(read(&manifest).unwrap() == damaged_manifest.unwrap(), "{what}");
-        assert!(read(&part).unwrap() == damaged_part.unwrap_or_else(|| intact_part.clone()), "{what}");
+        assert!(read(&manifest).unwrap() == intact, "{what}");
+        assert!(read(&part).unwrap() == intact_part, "{what}");
         assert!(!p.dfs.any_pinned("/"), "{what}: a pin outlived the run");
+        // The entry is mended: a third run hits every stage.
+        let third = run();
+        assert!(third.stages.iter().all(|s| s.cache_hit), "{what}: {:?}", third.stages);
+        assert_eq!(output_digests(&w, &third), PINNED_DEFAULT, "{what}");
     }
 }
 

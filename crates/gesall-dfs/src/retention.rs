@@ -103,11 +103,15 @@ impl Dfs {
     }
 
     /// Write `data` at `path` once, under `policy` — the write of a path
-    /// that names its content. An existing file means an earlier (or
-    /// racing) writer committed that content, and the put degrades to a
-    /// hit ([`metrics_keys::CAS_HITS`]) that writes nothing: a write
-    /// commits its metadata last and insert-if-absent, so a visible file
-    /// is whole and a racing put stores nothing over it.
+    /// that names its content. An existing file that reads back as
+    /// exactly `data` means an earlier (or racing) writer committed that
+    /// content, and the put degrades to a hit ([`metrics_keys::CAS_HITS`])
+    /// that writes nothing: a write commits its metadata last and
+    /// insert-if-absent, so a visible file is whole and a racing put
+    /// stores nothing over it. An existing file that cannot be read whole
+    /// (its blocks died with a node, or fail their checksums) or holds
+    /// other bytes is damaged: the put replaces it, unless it is pinned,
+    /// when the put is a hit as well.
     ///
     /// Each content is kept once: when a live file already holds
     /// exactly `data`'s bytes (same length and block checksums, read
@@ -117,8 +121,11 @@ impl Dfs {
     /// file's blocks window — `data` on a hit — and its metadata.
     pub fn put_once(&self, path: &str, data: SharedBytes, policy: &dyn BlockPlacementPolicy) -> Result<(SharedBytes, FileInfo), DfsError> {
         if let Ok(info) = self.stat(path) {
-            self.count(metrics_keys::CAS_HITS, 1);
-            return Ok((data, info));
+            let intact = self.read_file_shared(path).is_ok_and(|stored| stored == data);
+            if intact || matches!(self.delete(path), Err(DfsError::Pinned(_))) {
+                self.count(metrics_keys::CAS_HITS, 1);
+                return Ok((data, info));
+            }
         }
         let checksums = self.block_checksums(&data);
         let stored = self.stored_copy(ContentId::of(data.len(), checksums.iter().copied()), &data);
@@ -410,6 +417,40 @@ mod tests {
         assert_eq!((hit.single_home(), hit.len), (Some(home), 3000));
         assert_eq!(dfs.metrics().counter(metrics_keys::BYTES_WRITTEN).get(), written);
         assert_eq!(cas_counts(&dfs), [1, 1, 0]);
+        dfs.check_namespace().unwrap();
+    }
+
+    #[test]
+    fn a_put_replaces_a_damaged_file_unless_it_is_pinned() {
+        use crate::placement::LogicalPartitionPlacement;
+        let dfs = small_dfs();
+        let data = SharedBytes::from_vec(payload(3000));
+        let mut other = payload(3000);
+        other[7] ^= 1;
+        let put = |path: &str| dfs.put_once(path, data.clone(), &LogicalPartitionPlacement).unwrap();
+        // Other bytes; a block that fails its checksum; every block on
+        // a failed node: each is replaced by a put that writes `data`.
+        dfs.write_file("/other", &other).unwrap();
+        dfs.write_file("/corrupt", &data).unwrap();
+        dfs.corrupt_block("/corrupt", 1, 0).unwrap();
+        write_pinned(&dfs, "/lost", &data, 2);
+        dfs.fail_node(2);
+        for path in ["/other", "/corrupt", "/lost"] {
+            let before = cas_counts(&dfs);
+            let (stored, info) = put(path);
+            assert!(stored.same_backing(&data), "{path}");
+            assert_eq!(cas_counts(&dfs)[0], before[0] + 1, "{path}: written again");
+            assert!(info.single_home().is_some_and(|n| n != 2), "{path}");
+            assert_eq!(dfs.read_file_shared(path).unwrap(), data, "{path}");
+        }
+        // A pinned damaged file stays, and the put is a hit.
+        dfs.write_file("/pinned", &other).unwrap();
+        dfs.pin("/pinned").unwrap();
+        let before = cas_counts(&dfs);
+        put("/pinned");
+        assert_eq!(cas_counts(&dfs), [before[0], before[1] + 1, before[2]]);
+        assert_eq!(dfs.read_file_shared("/pinned").unwrap(), other);
+        dfs.unpin("/pinned");
         dfs.check_namespace().unwrap();
     }
 

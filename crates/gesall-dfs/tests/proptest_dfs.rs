@@ -331,12 +331,23 @@ proptest! {
                 0..=3 => {
                     let data = &pool[a % pool.len()];
                     match dfs.cas_put(&root, key, SharedBytes::from_vec(data.clone())) {
-                        // A hit hands the payload back; the entry keeps its own.
+                        // A hit hands the payload back. An unpinned entry
+                        // holding other bytes, or unreadable since a node
+                        // died, is replaced; a pinned one keeps its own.
                         Ok(bytes) => {
                             prop_assert_eq!(bytes.as_slice(), data.as_slice());
-                            files.entry(path).or_insert_with(|| data.clone());
+                            if !pins.contains_key(&path) {
+                                files.insert(path, data.clone());
+                            }
                         }
-                        Err(e) => prop_assert_eq!(e, DfsError::NoLiveNodes),
+                        // With every node dead, an unpinned entry is
+                        // unreadable, and the put removes it.
+                        Err(e) => {
+                            prop_assert_eq!(e, DfsError::NoLiveNodes);
+                            if !pins.contains_key(&path) {
+                                files.remove(&path);
+                            }
+                        }
                     }
                 }
                 4 => {

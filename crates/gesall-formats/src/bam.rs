@@ -444,6 +444,8 @@ impl PendingChunk {
 /// Streaming writer that batches records into chunks.
 pub struct BamWriter {
     out: Vec<u8>,
+    /// Bytes of the file already moved out by [`BamWriter::drain_into`].
+    drained: u64,
     pending: PendingChunk,
     index: BamIndex,
 }
@@ -455,6 +457,7 @@ impl BamWriter {
         append_frame(&mut out, KIND_HEADER, header.to_text().as_bytes());
         BamWriter {
             out,
+            drained: 0,
             pending: PendingChunk::empty(Vec::new()),
             index: BamIndex::default(),
         }
@@ -498,7 +501,7 @@ impl BamWriter {
         if self.pending.records == 0 {
             return;
         }
-        let offset = self.out.len() as u64;
+        let offset = self.drained + self.out.len() as u64;
         let len = append_frame(&mut self.out, KIND_RECORDS, self.pending.payload());
         self.index.entries.push(ChunkIndexEntry {
             offset,
@@ -510,9 +513,17 @@ impl BamWriter {
         self.pending = PendingChunk::empty(std::mem::take(&mut self.pending.payload));
     }
 
-    /// Finish the file, returning its bytes and its coordinate index
-    /// (Round 4's "build the BAM file index"). The file's chunks start at
-    /// 0, the header chunk, and at each index entry's offset.
+    /// Move the file's bytes written so far — its finished chunks — onto
+    /// `out`, so the writer holds only the chunk it is filling.
+    pub fn drain_into(&mut self, out: &mut Vec<u8>) {
+        self.drained += self.out.len() as u64;
+        out.append(&mut self.out);
+    }
+
+    /// Finish the file, returning its bytes — those not yet drained —
+    /// and its coordinate index (Round 4's "build the BAM file index").
+    /// The file's chunks start at 0, the header chunk, and at each index
+    /// entry's offset.
     pub fn finish(mut self) -> (Vec<u8>, BamIndex) {
         self.flush_chunk();
         (self.out, self.index)
@@ -947,6 +958,18 @@ mod tests {
             let (streamed, streamed_index) = w.finish();
             assert!(streamed == bytes);
             assert_eq!(chunk_offsets(&streamed_index), offsets);
+            // Drained as it is written: the same file and index.
+            let (mut w, mut drained) = (BamWriter::new(&h), Vec::new());
+            for (i, r) in recs.iter().enumerate() {
+                w.write_record(r);
+                if i % 97 == 0 {
+                    w.drain_into(&mut drained);
+                }
+            }
+            let (rest, drained_index) = w.finish();
+            drained.extend(rest);
+            assert!(drained == bytes);
+            assert_eq!(chunk_offsets(&drained_index), offsets);
             assert_eq!(read_bam(&streamed).unwrap().1.len(), recs.len());
             let (indexed, index) = write_bam_indexed(&h, &recs);
             assert!(indexed == bytes);

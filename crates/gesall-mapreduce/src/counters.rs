@@ -29,8 +29,10 @@ pub mod keys {
     pub const DATA_TRANSFORM_NANOS: &str = "wrapper.transform.nanos";
     /// Nanoseconds spent inside wrapped external programs.
     pub const EXTERNAL_PROGRAM_NANOS: &str = "wrapper.external.nanos";
-    /// Payload bytes memcpy'd inside the streaming pipes (writer buffer
-    /// fills, chunk churn, reader copy-outs). The wrapped-aligner mapper
+    /// Payload bytes written into the streaming pipes: every byte a
+    /// wrapped program writes, and every unused tail the harness moves
+    /// to the front of a pipe (the input is handed on as slices and
+    /// counts nothing). The wrapped-aligner mapper
     /// charges it through [`MapContext::counters`](crate::MapContext::counters),
     /// so — unlike the pipeline-cumulative wrapper timers — it is a
     /// per-job counter covering committed attempts only.

@@ -20,21 +20,17 @@
 //! * `wave` (crate-private) — the scheduler one wave of tasks runs
 //!   under: placement, retries, speculative backups, node-loss
 //!   recovery. Its slot workers are the engine's only threads;
-//! * [`streaming`] — the Hadoop-Streaming analogue: byte pipes with
-//!   64 KiB chunks connecting the framework to "external" programs,
-//!   which run in turn on the task's own thread, with the
-//!   data-transformation steps separately timed (Fig. 6a/6b);
+//! * [`streaming`] — the Hadoop-Streaming analogue: "external"
+//!   programs stepped on the task's own thread, the first handed its
+//!   input 64 KiB at a time and each later one what its predecessor
+//!   wrote, with the data-transformation steps separately timed
+//!   (Fig. 6a/6b);
 //! * [`counters`] — job counters (records/bytes shuffled, spills, merge
 //!   passes, transformation time).
 //!
 //! Scale note: this engine runs *mini-scale* workloads for correctness
 //! and accuracy experiments. Paper-scale timing behaviour (220 GB input,
 //! 15 nodes) is modelled by `gesall-sim` using the same phase structure.
-
-// `streaming::reference` names the crate the way `gesall-core`'s tests,
-// which compile the same file, do.
-#[cfg(test)]
-extern crate self as gesall_mapreduce;
 
 pub mod cluster;
 pub mod counters;

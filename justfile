@@ -29,7 +29,8 @@
 # wait on state), the streaming harness, the wrapped programs, round 1
 # and the job service's admission and scheduling files to no spawned
 # thread (the scheduling pass runs on the thread whose event changed
-# the schedule), every crate to no file over 700
+# the schedule) and the first three to no channel, every crate to no
+# file over 700
 # non-test lines, and the workspace build to exactly two
 # external packages, proptest and rand, as in CI.
 smoke:
