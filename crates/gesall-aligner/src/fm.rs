@@ -22,7 +22,7 @@
 //! walk a popcount — no search.
 //!
 //! Backward search starts from a table: the BWT row interval of every
-//! [`KMER`]-mer, so a pattern's last `KMER` bases cost one lookup and
+//! `KMER`-mer, so a pattern's last `KMER` bases cost one lookup and
 //! only the bases before them pay LF steps.
 
 use crate::suffix::{bwt_from_sa, suffix_array};

@@ -5,7 +5,7 @@
 //! suffixes in their buckets, induce the L and then the S suffixes from
 //! them, name the now-sorted LMS substrings, sort the string of names by
 //! recursion, and induce once more from the LMS suffixes in their final
-//! order. Below [`NAIVE_BELOW`] symbols a comparison sort is cheaper. The
+//! order. Below `NAIVE_BELOW` symbols a comparison sort is cheaper. The
 //! prefix-doubling construction this replaced survives as
 //! `reference::suffix_array`, the oracle the tests hold it to.
 

@@ -408,8 +408,8 @@ pub fn local_align_with(
 /// Banded local alignment, exact-with-fallback: fills only cells with
 /// `j − i` inside `band`, treating out-of-band neighbors as −∞. A read
 /// that equals the window on a band diagonal is answered before any
-/// fill ([`shortcut::exact_diagonal`]), and so is one whose best gapless
-/// run outscores every path with a gap ([`shortcut::gapless_run`]).
+/// fill (`shortcut::exact_diagonal`), and so is one whose best gapless
+/// run outscores every path with a gap (`shortcut::gapless_run`).
 /// Otherwise the call transparently re-runs the full DP when the band
 /// can't prove its answer: no positive cell found, the best path's
 /// traceback touches a band-edge diagonal, or any edge cell scored ≥

@@ -19,14 +19,13 @@
 //! * [`rounds`] — the five MapReduce rounds of the paper's pipeline
 //!   (Appendix A.2), as `Mapper`/`Reducer` implementations.
 //! * `stages` (crate-private) — the pipeline declared once: one row per
-//!   stage (name, parents, and a typed value holding every setting the
-//!   row's body reads, whose `Debug` text is the row's content-key
-//!   fingerprint), plus the root key over the run's inputs. The graph,
-//!   the content keys, the executor and the reports all read it; the
-//!   paper's §3.2 round rule is a test over it.
-//! * [`dag`] — stage graphs: the declaration-order check (every stage
-//!   below its parents), content keys chained through ancestry;
-//!   [`dag::pipeline_dag`] is the stage table's projection.
+//!   stage (name, the rows above it that feed it, and a typed value
+//!   holding every setting the row's body reads, whose `Debug` text is
+//!   the row's fingerprint), the root key over the run's inputs, and the
+//!   content keys chained through the rows in one forward pass. The
+//!   executor and the reports read it; the paper's §3.2 round rule is a
+//!   test over it.
+//! * [`dag`] — the DAG executor's counter names.
 //! * [`pipeline`] — the DAG executor over the stage table, and the
 //!   serial/hybrid baselines; a stage's output
 //!   ([`pipeline::StageData`]) is stored and read in `stage_data`.
@@ -45,7 +44,6 @@ mod stage_data;
 mod stages;
 pub mod storage;
 
-pub use dag::{DagError, DagSpec, StageSpec};
 pub use error::PlatformError;
 pub use pipeline::{
     DagRunOptions, GesallPlatform, PipelineOutput, PlatformConfig, RunOptions, StageReport,

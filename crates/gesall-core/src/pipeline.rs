@@ -1,9 +1,11 @@
 //! End-to-end drivers.
 //!
 //! * [`GesallPlatform`] — the parallel driver: its DAG executor walks
-//!   the stage table (`stages.rs`, one row per stage) over DFS +
-//!   MapReduce, resolving each row from the content-addressed store or
-//!   by running its body on its parents' outputs.
+//!   the stage table (`stages.rs`, one row per stage, each naming its
+//!   parents by their row index) top to bottom over DFS + MapReduce,
+//!   resolving each row under its content key from the store or by
+//!   running its body on its parents' outputs. The table is the only
+//!   graph: keys, inputs and reports are read off it in that one pass.
 //! * [`serial_pipeline`] — the GATK-best-practices single-node baseline
 //!   (the gold standard of §4).
 //! * [`serial_tail_from_aligned`] / [`serial_tail_from_markdup`] — the
@@ -338,11 +340,11 @@ impl GesallPlatform {
         self.run_pipeline_dag(aligner, pairs, opts, &DagRunOptions::default())
     }
 
-    /// The DAG executor. Walks the stage table ([`crate::stages`]) top
-    /// to bottom; each stage's output is keyed by its content hash (code
-    /// version + the settings its body reads + parent keys, rooted at a
-    /// hash of the read pairs and reference) and committed to the
-    /// content-addressed store under `{cas_root}/cas/{key}`. A key that
+    /// The DAG executor. Walks the stage table (`stages.rs`) top to
+    /// bottom; each stage's output is keyed by its content hash (the key
+    /// format's version + the settings its body reads + parent keys,
+    /// rooted at a hash of the read pairs and reference) and committed
+    /// to the content-addressed store under `{cas_root}/cas/{key}`. A key that
     /// hits is read instead of executed (`dag.stages.cache_hit` vs
     /// `dag.stages.run`), so re-running with one changed stage
     /// re-executes exactly that stage and its descendants. A partition
@@ -392,34 +394,31 @@ impl GesallPlatform {
         cas_root: &str,
         dag_opts: &DagRunOptions,
     ) -> Result<(Vec<Resolved>, Vec<StageReport>)> {
-        // Rejects a malformed table and a mistyped invalidation before
-        // any stage resolves.
-        let keys = stages::graph(rows)
-            .stage_keys(stages::root_key(cx), &dag_opts.invalidate)
-            .map_err(|e| PlatformError::Invariant(e.to_string()))?;
+        // Rejects a mistyped invalidation before any stage resolves.
+        let keys = stages::stage_keys(rows, stages::root_key(cx), &dag_opts.invalidate)?;
 
         let mut resolved: Vec<Resolved> = Vec::with_capacity(rows.len());
         let mut pinned: Vec<String> = Vec::new();
         let mut stage_reports: Vec<StageReport> = Vec::new();
         let outcome = {
             let mut walk = || -> Result<()> {
-                for row in rows {
-                    let name = &row.spec.name;
-                    let key = keys[name.as_str()];
+                for (row, &key) in rows.iter().zip(&keys) {
+                    let name = row.name;
+                    let parents = row.parent_names(rows);
                     let root = if dag_opts.cache { cas_root.to_string() } else { cx.base.clone() };
                     let t0 = Instant::now();
                     let sspan = cx.recorder.start(SpanKind::Stage, name, cx.pipeline_span);
                     cx.stage_span = sspan.id;
                     let rounds_before = cx.rounds.len();
                     // An entry with a file unreadable, torn or garbled is
-                    // a miss: the stage re-runs, and its put writes only
-                    // the files that are not there.
+                    // a miss: the stage re-runs, and its put writes the
+                    // files that are missing or damaged.
                     let cached = dag_opts.cache.then(|| stage_data::get(&self.dfs, &root, key)).flatten();
                     let cache_hit = cached.is_some();
                     let stored = match cached {
                         Some(stored) => stored,
                         None => {
-                            let out = row.body.run(self, cx, &Inputs::of(rows, &resolved, row)?)?;
+                            let out = row.body.run(self, cx, &Inputs::of(&resolved, row))?;
                             stage_data::put(&self.dfs, &root, key, out)?
                         }
                     };
@@ -441,7 +440,7 @@ impl GesallPlatform {
                     cx.counters.add(counter, 1);
                     self.dfs.metrics().counter(counter).add(1);
                     let mut meta = vec![
-                        ("parents".to_string(), row.spec.parents.join(",")),
+                        ("parents".to_string(), parents.join(",")),
                         ("cached".to_string(), cache_hit.to_string()),
                         ("key".to_string(), format!("{key:016x}")),
                     ];
@@ -458,9 +457,9 @@ impl GesallPlatform {
                     }
                     cx.recorder.end_with(sspan, name, meta, metrics);
                     stage_reports.push(StageReport {
-                        name: name.clone(),
+                        name: name.to_string(),
                         key,
-                        parents: row.spec.parents.clone(),
+                        parents,
                         cache_hit,
                         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
                     });
@@ -489,7 +488,7 @@ impl GesallPlatform {
         mut resolved: Vec<Resolved>,
     ) -> Result<(Vec<SamRecord>, Vec<VariantRecord>)> {
         let last = rows.last().expect("the stage table is never empty");
-        let splits = Inputs::of(rows, &resolved, last)?.splits(0)?;
+        let splits = Inputs::of(&resolved, last).splits(0)?;
         let Some(Resolved::Side(StageData::Variants(variants))) = resolved.pop() else {
             return Err(PlatformError::Invariant(
                 "the last stage did not produce variants".into(),
@@ -524,7 +523,7 @@ impl GesallPlatform {
         let rows = pipeline_stages(&self.config, aligner);
         let mut resolved = Vec::new();
         for (i, row) in rows.iter().enumerate() {
-            let out = row.body.run(self, &mut cx, &Inputs::of(&rows, &resolved, row)?)?;
+            let out = row.body.run(self, &mut cx, &Inputs::of(&resolved, row))?;
             resolved.push(self.resolved(stage_data::put(&self.dfs, &cx.base, i as u64, out)?));
         }
         let (records, variants) = self.collect(&cx, &rows, resolved)?;
@@ -818,7 +817,7 @@ mod tests {
         // Each row shuffles exactly where its declared §3.2 contract says:
         // a row that does not has no reduce task and moves no record.
         for row in pipeline_stages(&recalibrating_platform().config, &aligner) {
-            let round = dag.rounds.iter().find(|r| r.name == row.spec.name).unwrap();
+            let round = dag.rounds.iter().find(|r| r.name == row.name).unwrap();
             let shuffled = counter_of(round, gesall_mapreduce::counters::keys::SHUFFLE_RECORDS);
             assert_eq!(round.n_reduce_tasks > 0, row.body.contract().1, "{}", round.name);
             assert_eq!(shuffled > 0, row.body.contract().1, "{}", round.name);
@@ -983,7 +982,7 @@ mod tests {
         let splits = partition_stages(p, n_chroms)
             .iter()
             .map(|(stage, n)| {
-                let row = rows.iter().position(|r| r.spec.name == *stage).unwrap();
+                let row = rows.iter().position(|r| r.name == *stage).unwrap();
                 let Resolved::Splits(splits) = &resolved[row] else {
                     panic!("{stage} is a partition stage");
                 };

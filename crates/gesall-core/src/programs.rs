@@ -45,8 +45,8 @@ pub struct BwaMemProgram<'a> {
     /// The pairs of the batch being filled, the `batch_ord`-th.
     batch: Vec<ReadPair>,
     batch_ord: u64,
-    /// A blank line where a record should start ends the FASTQ, as it
-    /// ends a `FastqReader`: what follows is used and not read.
+    /// A blank line stood where a record should start: as in a
+    /// `FastqReader`, only blank lines may follow it.
     ended: bool,
 }
 
@@ -114,6 +114,9 @@ impl ExternalProgram for BwaMemProgram<'_> {
             }
         }
         if self.ended {
+            if stdin[used..].iter().any(|&b| b != b'\n' && b != b'\r') {
+                return Err(invalid("a record follows a blank line"));
+            }
             used = stdin.len();
         }
         let last = eof && used == stdin.len();
@@ -492,6 +495,26 @@ mod tests {
         let counters = Counters::new();
         let msg = failure(&mut [&mut BwaMemProgram::new(&aligner, &counters)], b"not fastq at all");
         assert!(msg.contains("'bwa-mem'"), "unexpected error: {msg}");
+    }
+
+    #[test]
+    fn bwa_rejects_a_record_after_a_blank_line() {
+        let aligner = aligner(AlignerConfig::default().batch_size);
+        let fastq = fastq_of(3);
+        let second = fastq.iter().enumerate().filter(|&(_, &b)| b == b'\n').nth(7).unwrap().0 + 1;
+        // The blank line's record parses with it, or (six blank lines)
+        // arrives after the FASTQ has ended.
+        for blanks in [&b"\n"[..], b"\r\n", b"\n\n\n\n\n\n"] {
+            let input = [&fastq[..second], blanks, &fastq[second..]].concat();
+            let counters = Counters::new();
+            let msg = failure(&mut [&mut BwaMemProgram::new(&aligner, &counters)], &input);
+            assert!(msg.contains("'bwa-mem'"), "unexpected error: {msg}");
+        }
+        // Blank lines at the very end are no records.
+        let (want, _) = round_one(&aligner, &fastq);
+        for tail in [&b"\n\n"[..], b"\r\n\r\n\n\n\n\n"] {
+            assert!(round_one(&aligner, &[&fastq[..], tail].concat()).0 == want, "{tail:?}");
+        }
     }
 
     #[test]

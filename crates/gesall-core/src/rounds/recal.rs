@@ -46,7 +46,7 @@ impl Mapper for RecalTableMapper {
 }
 
 /// Pass-2 mapper (PrintReads): rewrite base qualities from the merged
-/// table; map-only, partition-parallel. Like [`Round1Align`] it emits
+/// table; map-only, partition-parallel. Like [`Round1Align`](super::Round1Align) it emits
 /// its output partition as bytes, one `(label, BAM)` pair. Each record's
 /// qualities are rewritten in place, in the chunk it was decompressed
 /// into, and the records are written on as the bytes they then are.

@@ -2,20 +2,21 @@
 //!
 //! [`pipeline_stages`] is the only place that says which stages a
 //! configuration runs, what each is called, which stages feed it and
-//! what its body reads. A row's [`Body`] holds every setting the body
-//! reads besides its parents' outputs and the run's root inputs, which
-//! [`root_key`] hashes; the body gets its settings from that value alone,
-//! and the value's `Debug` text is the row's content-key fingerprint. So
-//! a setting a body reads is in its key, and one it does not read is
-//! not. Everything else is a reading of the table:
-//! [`crate::dag::pipeline_dag`] projects it onto [`StageSpec`]s (graph,
-//! content keys, reports), the executor in [`crate::pipeline`] walks it
-//! top to bottom, resolves each row's declared parents and hands them to
-//! the row's body **by position** ([`Inputs`]), and the final records and
-//! calls are the last row's first parent and output. A body therefore
-//! names no stage — not its parents, not itself.
+//! what its body reads. A row names its parents by the index `row`
+//! handed back when it pushed them, so every parent is a row above it:
+//! the table is in execution order, and there is no other graph to
+//! check. A row's [`Body`] holds every setting the body reads besides
+//! its parents' outputs and the run's root inputs, which [`root_key`]
+//! hashes; the body gets its settings from that value alone, and the
+//! value's `Debug` text is the row's fingerprint. So a setting a body
+//! reads is in its key, and one it does not read is not. Everything else
+//! is a forward pass over the table: [`stage_keys`] chains the content
+//! keys through the parents, and the executor in [`crate::pipeline`]
+//! walks the rows top to bottom and hands each row's body its parents'
+//! outputs **by position** ([`Inputs`]). The final records and calls are
+//! the last row's first parent and output. A body therefore names no
+//! stage — not its parents, not itself.
 
-use crate::dag::{DagSpec, StageSpec};
 use crate::error::{PlatformError, Result};
 use crate::gdpt::{chromosome_partition, BloomFilter, MarkDupKey, OverlappingRanges, RangeKey};
 use crate::pipeline::{
@@ -78,26 +79,30 @@ pub(crate) enum Body<'a> {
 
 /// One row of the table.
 pub(crate) struct Stage<'a> {
-    pub spec: StageSpec,
+    pub name: &'static str,
+    /// The rows whose outputs this row consumes, as indices into the
+    /// table, in declared order: every one is a row above it.
+    pub parents: Vec<usize>,
+    /// `xxh64` of the body's `Debug` text.
+    pub fingerprint: u64,
     pub body: Body<'a>,
 }
 
+impl Stage<'_> {
+    /// The names of the row's parents in `rows`, its table.
+    pub(crate) fn parent_names(&self, rows: &[Stage<'_>]) -> Vec<String> {
+        self.parents.iter().map(|&p| rows[p].name.to_string()).collect()
+    }
+}
+
 /// The stage table for `config` and `aligner`, in execution order. `row`
-/// hands back the name it pushed, so a row can only name parents declared
-/// above it.
+/// hands back the index of the row it pushed, so a row can only name
+/// parents declared above it.
 pub(crate) fn pipeline_stages<'a>(config: &PlatformConfig, aligner: &'a Aligner) -> Vec<Stage<'a>> {
-    fn row<'a>(
-        rows: &mut Vec<Stage<'a>>,
-        name: &'static str,
-        parents: &[&'static str],
-        body: Body<'a>,
-    ) -> &'static str {
-        let spec = StageSpec {
-            config_fp: xxh64(format!("{body:?}").as_bytes()),
-            ..StageSpec::new(name, parents)
-        };
-        rows.push(Stage { spec, body });
-        name
+    fn row<'a>(rows: &mut Vec<Stage<'a>>, name: &'static str, parents: &[usize], body: Body<'a>) -> usize {
+        let fingerprint = xxh64(format!("{body:?}").as_bytes());
+        rows.push(Stage { name, parents: parents.to_vec(), fingerprint, body });
+        rows.len() - 1
     }
     let mut rows = Vec::new();
     let partitions = config.n_round1_partitions;
@@ -150,12 +155,41 @@ pub(crate) fn root_key(cx: &StageCtx<'_>) -> u64 {
     xxh64(&buf)
 }
 
-/// The table's projection onto specs: the graph that content keys,
-/// reports and validation read.
-pub(crate) fn graph(rows: &[Stage<'_>]) -> DagSpec {
-    DagSpec {
-        stages: rows.iter().map(|row| row.spec.clone()).collect(),
+/// The content-key format's version, hashed in every key after the
+/// row's name. Bumped when a body's output changes for unchanged
+/// settings and inputs, which no fingerprint sees.
+const KEY_FORMAT: u32 = 1;
+
+/// Every row's content key, in table order: `xxh64` over the row's name,
+/// [`KEY_FORMAT`], its fingerprint, `root_key` for a row without
+/// parents, and its parents' keys in declared order. An entry of
+/// `invalidate` salts that row's key, and its descendants' keys move
+/// with it through the parent keys, so invalidating one stage re-runs
+/// exactly that stage and its descendants. An entry
+/// naming no row is an error: salting nothing would serve the whole run
+/// from cache and report success.
+pub(crate) fn stage_keys(rows: &[Stage<'_>], root_key: u64, invalidate: &[(String, u64)]) -> Result<Vec<u64>> {
+    if let Some((ghost, _)) = invalidate.iter().find(|(n, _)| !rows.iter().any(|r| r.name == n)) {
+        return Err(PlatformError::Invariant(format!("invalidation names unknown stage {ghost}")));
     }
+    let mut keys: Vec<u64> = Vec::with_capacity(rows.len());
+    for row in rows {
+        let mut buf = Vec::new();
+        wire::put_str(&mut buf, row.name);
+        wire::put_u32(&mut buf, KEY_FORMAT);
+        wire::put_u64(&mut buf, row.fingerprint);
+        if row.parents.is_empty() {
+            wire::put_u64(&mut buf, root_key);
+        }
+        for &p in &row.parents {
+            wire::put_u64(&mut buf, keys[p]);
+        }
+        if let Some((_, salt)) = invalidate.iter().find(|(n, _)| n == row.name) {
+            wire::put_u64(&mut buf, *salt);
+        }
+        keys.push(xxh64(&buf));
+    }
+    Ok(keys)
 }
 
 /// A resolved stage's output as the rows below it see it.
@@ -172,27 +206,18 @@ pub(crate) enum Resolved {
 /// the job and the summary — and the outputs of the row's
 /// declared parents, in declared order.
 pub(crate) struct Inputs<'a> {
-    pub stage: &'a str,
+    pub stage: &'static str,
     pub parents: Vec<&'a Resolved>,
 }
 
 impl<'a> Inputs<'a> {
     /// `row`'s inputs out of `resolved`, the outputs of the rows above it
     /// in table order.
-    pub(crate) fn of(rows: &'a [Stage<'_>], resolved: &'a [Resolved], row: &'a Stage<'_>) -> Result<Inputs<'a>> {
-        let parents = row.spec.parents.iter().map(|parent| {
-            let above = rows.iter().position(|r| r.spec.name == *parent);
-            above.and_then(|i| resolved.get(i)).ok_or_else(|| {
-                PlatformError::Invariant(format!(
-                    "stage {} names parent {parent}, which no row above it resolved",
-                    row.spec.name
-                ))
-            })
-        });
-        Ok(Inputs {
-            stage: &row.spec.name,
-            parents: parents.collect::<Result<_>>()?,
-        })
+    pub(crate) fn of(resolved: &'a [Resolved], row: &Stage<'_>) -> Inputs<'a> {
+        Inputs {
+            stage: row.name,
+            parents: row.parents.iter().map(|&p| &resolved[p]).collect(),
+        }
     }
 
     fn mismatch(&self, i: usize, want: &str) -> PlatformError {
@@ -568,7 +593,6 @@ impl Body<'_> {
 pub(crate) mod tests {
     use super::*;
     use gesall_aligner::{AlignerConfig, ReferenceIndex};
-    use std::collections::HashMap;
 
     /// The default aligner over one small chromosome. A row keys the
     /// aligner's configuration, not its index, so any index does.
@@ -633,10 +657,10 @@ pub(crate) mod tests {
     /// input is its first parent's partitions; round 1's are the FASTQ
     /// split by pair.
     fn verdicts<'r>(rows: &'r [Stage<'_>]) -> Vec<(&'r str, Verdict)> {
-        let mut arranged: HashMap<&str, Partitioning> = HashMap::new();
+        let mut arranged: Vec<Partitioning> = Vec::with_capacity(rows.len());
         rows.iter()
             .map(|row| {
-                let input = row.spec.parents.first().map_or(Partitioning::ByReadName, |p| arranged[p.as_str()]);
+                let input = row.parents.first().map_or(Partitioning::ByReadName, |&p| arranged[p]);
                 let (requires, shuffles) = row.body.contract();
                 let verdict = match (shuffles, requires.satisfied_by(input)) {
                     (true, false) => Verdict::Required,
@@ -644,8 +668,8 @@ pub(crate) mod tests {
                     (false, false) => Verdict::Missing,
                     (false, true) => Verdict::None,
                 };
-                arranged.insert(&row.spec.name, if shuffles { requires } else { input });
-                (row.spec.name.as_str(), verdict)
+                arranged.push(if shuffles { requires } else { input });
+                (row.name, verdict)
             })
             .collect()
     }
@@ -668,6 +692,18 @@ pub(crate) mod tests {
                 [("round3-markdup", &Verdict::Required), ("round4-sort", &Verdict::Required)],
                 "{config:?}"
             );
+        }
+    }
+
+    #[test]
+    fn stage_names_are_unique_in_every_shape() {
+        let aligner = aligner();
+        for config in config_shapes() {
+            let rows = pipeline_stages(&config, &aligner);
+            let mut names: Vec<&str> = rows.iter().map(|r| r.name).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), rows.len(), "{config:?}");
         }
     }
 

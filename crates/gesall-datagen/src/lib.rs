@@ -6,7 +6,7 @@
 //! pairs, 64× coverage) which we cannot ship; this crate generates the
 //! closest synthetic equivalent that exercises the same code paths:
 //!
-//! * [`reference`] — reference genomes with the genomic features the
+//! * [`reference`](mod@reference) — reference genomes with the genomic features the
 //!   accuracy study hinges on: **centromeres** (long tandem repeats),
 //!   **blacklisted** low-mappability regions, and **segmental
 //!   duplications** that make reads multi-map (paper Fig. 11a shows

@@ -145,11 +145,24 @@ impl<R: BufRead> FastqReader<R> {
         Ok(Some(self.buf.trim_end_matches(['\n', '\r'])))
     }
 
-    /// Read the next record, or `Ok(None)` at clean end-of-file.
+    /// Read the next record, or `Ok(None)` at clean end-of-file. Blank
+    /// lines may end the input; a blank line with more input after it is
+    /// an error, not an end that drops every record below it.
     pub fn read_record(&mut self) -> Result<Option<FastqRecord>> {
         let header = match self.next_line()? {
             None => return Ok(None),
-            Some("") => return Ok(None),
+            Some("") => {
+                let blank = self.line_no;
+                while let Some(line) = self.next_line()? {
+                    if !line.is_empty() {
+                        return Err(FormatError::Fastq(format!(
+                            "line {blank}: blank line where a record should start, with more input at line {}",
+                            self.line_no
+                        )));
+                    }
+                }
+                return Ok(None);
+            }
             Some(l) => l.to_string(),
         };
         if !header.starts_with('@') {
@@ -338,6 +351,27 @@ mod tests {
     fn truncation_detected() {
         assert!(from_bytes(b"@rX\nACGT\n").is_err());
         assert!(from_bytes(b"@rX\nACGT\n+\n").is_err());
+    }
+
+    #[test]
+    fn a_blank_line_before_more_input_is_an_error_naming_it() {
+        let two = b"@r1\nACGT\n+\nIIII\n@r2\nACGT\n+\nIIII\n";
+        for blanks in [&b"\n"[..], b"\n\n", b"\r\n\n\n\n\n"] {
+            let data = [&two[..16], blanks, &two[16..]].concat();
+            let FormatError::Fastq(msg) = from_bytes(&data).unwrap_err() else { panic!("not a FASTQ error") };
+            assert!(msg.starts_with("line 5: blank line"), "{msg}");
+            assert!(msg.ends_with(&format!("line {}", 5 + blanks.iter().filter(|&&b| b == b'\n').count())), "{msg}");
+        }
+    }
+
+    #[test]
+    fn trailing_blank_lines_end_the_input() {
+        let two = b"@r1\nACGT\n+\nIIII\n@r2\nACGT\n+\nIIII\n";
+        let want = from_bytes(two).unwrap();
+        assert_eq!(want.len(), 2);
+        for tail in [&b"\n"[..], b"\n\n", b"\r\n\r\n", b"\n\r"] {
+            assert_eq!(from_bytes(&[&two[..], tail].concat()).unwrap(), want, "{tail:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`SamView`] is the record type of the shuffle rounds that only key,
 //! route and flag records (DESIGN.md "Records as views"). Its bytes *are*
-//! [`SamRecord`]'s wire form — a window into the decompressed chunk (or
+//! [`SamRecord`](crate::sam::SamRecord)'s wire form — a window into the decompressed chunk (or
 //! the shuffle segment) the record arrived in — plus what one validating
 //! walk learnt of it: the fixed fields the rounds read and where the
 //! variable-length ones sit. Nothing is allocated for a field; writing

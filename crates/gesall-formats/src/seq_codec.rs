@@ -378,7 +378,7 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Decompress a container produced by [`compress`]/[`compress_append`].
+/// Decompress a container produced by [`compress()`]/[`compress_append`].
 /// Corrupt input is a typed [`FormatError::Compress`], never a panic,
 /// and never an allocation past [`compress::MAX_DECODED_LEN`].
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {

@@ -3,7 +3,7 @@
 //!
 //! A map task's segments serialize into ONE DFS file: an index header
 //! (`[n u64]` then `n` end offsets, relative to the frame area) followed
-//! by `n` codec-tagged frames ([`write_frame`](crate::shuffle::write_frame)).
+//! by `n` codec-tagged frames ([`write_frame`]).
 //! The reduce-side fetch resolves its partition through the index and
 //! reads ONLY that frame's byte range
 //! ([`Dfs::read_file_range_shared`]): for a range inside one block the

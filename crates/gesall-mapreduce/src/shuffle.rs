@@ -12,7 +12,7 @@
 //!
 //! Reduce side: each reducer fetches its partition's segment from every
 //! map output and runs a **multipass merge** bounded by `merge_factor`
-//! — the quadratic-in-data-per-disk behaviour of Li et al. [15] that
+//! — the quadratic-in-data-per-disk behaviour of Li et al. \[15\] that
 //! explains the paper's disk findings (Appendix B.1).
 //!
 //! This module holds what travels between the two sides — the

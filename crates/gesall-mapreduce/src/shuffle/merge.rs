@@ -115,7 +115,7 @@ fn merge_with<K: Ord, V>(
 }
 
 /// Stable k-way merge of sorted runs by key (ties broken by run order,
-/// then intra-run order — deterministic). Runs on the [`LoserTree`]
+/// then intra-run order — deterministic). Runs on the `LoserTree`
 /// kernel.
 pub fn merge_runs<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
     let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
@@ -287,7 +287,7 @@ fn merge_streams<K: Wire + Ord + Clone, V: Wire>(
 /// supplier that yields every segment in map order — in the engine the
 /// supplier *is* the fetch, one DFS range read per call — so a source
 /// run is fetched only when a pass activates it. Runs are consumed
-/// through lazy [`RunCursor`]s that decode one record at a time from the
+/// through lazy `RunCursor`s that decode one record at a time from the
 /// segment's (possibly mmap-backed) byte window, so at most
 /// `merge_factor` run heads — plus the output run an intermediate pass
 /// is writing — are in flight at once, and reducer peak memory does not
@@ -295,7 +295,7 @@ fn merge_streams<K: Wire + Ord + Clone, V: Wire>(
 /// through the [`SpillArena`] (raw wire encoding, counted under
 /// [`keys::REDUCE_MERGE_BYTES`]) and queue it as storage-layer bytes.
 /// The decoded-side peak lands on [`keys::REDUCE_PEAK_RESIDENT`]; see
-/// [`ResidentGauge`] for what counts.
+/// `ResidentGauge` for what counts.
 ///
 /// `n_runs` must be promised because the multipass queue discipline
 /// (pop `merge_factor` runs from the front, append the rewritten run at

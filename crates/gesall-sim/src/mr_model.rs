@@ -4,7 +4,7 @@
 //! Encoded observations from the paper:
 //!
 //! * **Quadratic reduce-side merge** (Appendix B.1, citing Li et al.
-//!   [15]): bytes read/written during the multipass merge grow with the
+//!   \[15\]): bytes read/written during the multipass merge grow with the
 //!   square of intermediate data per disk; "one disk can sustain up to
 //!   100 GB of shuffled and merged data".
 //! * **Map-side merge contention** (Fig. 5b): concurrent map tasks with

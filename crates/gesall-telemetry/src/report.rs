@@ -135,9 +135,9 @@ pub fn gantt(rows: &[GanttRow], width: usize) -> String {
 // Pipeline DAG: stage table + critical-path attribution
 // ---------------------------------------------------------------------
 
-/// One executed (or cache-served) stage node of a pipeline DAG, as
-/// reconstructed from `SpanKind::Stage` spans or an executor's stage
-/// report.
+/// One executed (or cache-served) stage of a pipeline DAG, as an
+/// executor's stage report gives it. A report's rows come in execution
+/// order: every stage below the stages it names as parents.
 #[derive(Debug, Clone)]
 pub struct DagStageRow {
     pub name: String,
@@ -156,69 +156,35 @@ pub struct DagStageRow {
 /// The chain of stages that bounds the DAG's wall-clock: the
 /// root-to-sink path maximizing summed stage duration. Returns the
 /// stage names along the path (source first) and the path's total
-/// milliseconds. Parents not present in `rows` contribute nothing;
-/// a (malformed) cyclic input breaks the cycle rather than recursing
-/// forever.
+/// milliseconds. One pass over `rows` in execution order: a parent not
+/// above its stage in `rows` contributes nothing, so a (malformed)
+/// cyclic input still ends. Ties go to the later row, and to the later
+/// of a stage's parents.
 pub fn critical_path(rows: &[DagStageRow]) -> (Vec<String>, f64) {
-    use std::collections::HashMap;
-    let by_name: HashMap<&str, &DagStageRow> =
-        rows.iter().map(|r| (r.name.as_str(), r)).collect();
-    // cost[name] = duration + max(cost(parents)); memoized DFS with an
-    // in-progress marker so a cycle terminates instead of overflowing.
-    fn cost<'a>(
-        name: &'a str,
-        by_name: &HashMap<&'a str, &'a DagStageRow>,
-        memo: &mut HashMap<&'a str, Option<f64>>,
-    ) -> f64 {
-        match memo.get(name) {
-            Some(Some(c)) => return *c,
-            Some(None) => return 0.0, // on the stack: cycle guard
-            None => {}
-        }
-        let Some(row) = by_name.get(name) else { return 0.0 };
-        memo.insert(name, None);
-        let upstream = row
+    // cost[i]: row i's duration plus its heaviest parent's cost, the
+    // parent being via[i].
+    let mut cost: Vec<f64> = Vec::with_capacity(rows.len());
+    let mut via: Vec<Option<usize>> = Vec::with_capacity(rows.len());
+    for (i, row) in rows.iter().enumerate() {
+        let heaviest = row
             .parents
             .iter()
-            .map(|p| cost(p.as_str(), by_name, memo))
-            .fold(0.0f64, f64::max);
-        let c = row.duration_ms + upstream;
-        memo.insert(name, Some(c));
-        c
+            .filter_map(|p| rows[..i].iter().rposition(|r| r.name == *p))
+            .max_by(|&a, &b| cost[a].total_cmp(&cost[b]));
+        cost.push(row.duration_ms + heaviest.map_or(0.0, |p| cost[p]));
+        via.push(heaviest);
     }
-    let mut memo = HashMap::new();
-    let Some(sink) = rows
-        .iter()
-        .max_by(|a, b| {
-            cost(a.name.as_str(), &by_name, &mut memo)
-                .total_cmp(&cost(b.name.as_str(), &by_name, &mut memo))
-        })
-    else {
+    let Some(sink) = (0..rows.len()).max_by(|&a, &b| cost[a].total_cmp(&cost[b])) else {
         return (Vec::new(), 0.0);
     };
-    let total = cost(sink.name.as_str(), &by_name, &mut memo);
-    // Walk back from the sink along the max-cost parent at each step.
-    let mut path = vec![sink.name.clone()];
+    let mut path = vec![rows[sink].name.clone()];
     let mut cur = sink;
-    loop {
-        let next = cur
-            .parents
-            .iter()
-            .filter_map(|p| by_name.get(p.as_str()).copied())
-            .max_by(|a, b| {
-                cost(a.name.as_str(), &by_name, &mut memo)
-                    .total_cmp(&cost(b.name.as_str(), &by_name, &mut memo))
-            });
-        match next {
-            Some(p) if !path.contains(&p.name) => {
-                path.push(p.name.clone());
-                cur = p;
-            }
-            _ => break,
-        }
+    while let Some(p) = via[cur] {
+        path.push(rows[p].name.clone());
+        cur = p;
     }
     path.reverse();
-    (path, total)
+    (path, cost[sink])
 }
 
 /// Render the stage table — parents, duration, cache status, and a `*`
@@ -437,6 +403,76 @@ pub fn render_aligned<H: AsRef<str>>(headers: &[H], rows: &[Vec<String>]) -> Str
     out
 }
 
+/// The memoised depth-first search the forward pass replaced, kept as
+/// the test oracle: it finds each stage's parents by name wherever they
+/// sit in the rows.
+#[cfg(test)]
+mod reference {
+    use super::DagStageRow;
+
+    pub(crate) fn critical_path(rows: &[DagStageRow]) -> (Vec<String>, f64) {
+        use std::collections::HashMap;
+        let by_name: HashMap<&str, &DagStageRow> =
+            rows.iter().map(|r| (r.name.as_str(), r)).collect();
+        // cost[name] = duration + max(cost(parents)); memoized DFS with an
+        // in-progress marker so a cycle terminates instead of overflowing.
+        fn cost<'a>(
+            name: &'a str,
+            by_name: &HashMap<&'a str, &'a DagStageRow>,
+            memo: &mut HashMap<&'a str, Option<f64>>,
+        ) -> f64 {
+            match memo.get(name) {
+                Some(Some(c)) => return *c,
+                Some(None) => return 0.0, // on the stack: cycle guard
+                None => {}
+            }
+            let Some(row) = by_name.get(name) else { return 0.0 };
+            memo.insert(name, None);
+            let upstream = row
+                .parents
+                .iter()
+                .map(|p| cost(p.as_str(), by_name, memo))
+                .fold(0.0f64, f64::max);
+            let c = row.duration_ms + upstream;
+            memo.insert(name, Some(c));
+            c
+        }
+        let mut memo = HashMap::new();
+        let Some(sink) = rows
+            .iter()
+            .max_by(|a, b| {
+                cost(a.name.as_str(), &by_name, &mut memo)
+                    .total_cmp(&cost(b.name.as_str(), &by_name, &mut memo))
+            })
+        else {
+            return (Vec::new(), 0.0);
+        };
+        let total = cost(sink.name.as_str(), &by_name, &mut memo);
+        // Walk back from the sink along the max-cost parent at each step.
+        let mut path = vec![sink.name.clone()];
+        let mut cur = sink;
+        loop {
+            let next = cur
+                .parents
+                .iter()
+                .filter_map(|p| by_name.get(p.as_str()).copied())
+                .max_by(|a, b| {
+                    cost(a.name.as_str(), &by_name, &mut memo)
+                        .total_cmp(&cost(b.name.as_str(), &by_name, &mut memo))
+                });
+            match next {
+                Some(p) if !path.contains(&p.name) => {
+                    path.push(p.name.clone());
+                    cur = p;
+                }
+                _ => break,
+            }
+        }
+        path.reverse();
+        (path, total)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,6 +564,37 @@ mod tests {
         ];
         let (_, t) = critical_path(&cyc);
         assert!(t.is_finite());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random rows in execution order — each parent a row above, or
+        /// a name no row has — with durations drawn from three values so
+        /// that paths tie: the forward pass picks the depth-first
+        /// search's path and total.
+        #[test]
+        fn critical_path_is_the_depth_first_searchs(
+            picks in proptest::collection::vec(
+                (0u8..3, proptest::collection::vec(0usize..64, 0..4)), 1..12
+            ),
+        ) {
+            let rows: Vec<DagStageRow> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, (duration, parents))| DagStageRow {
+                    name: format!("s{i}"),
+                    parents: parents
+                        .iter()
+                        .map(|&p| if i == 0 || p % 8 == 7 { "ghost".to_string() } else { format!("s{}", p % i) })
+                        .collect(),
+                    duration_ms: f64::from(*duration) * 10.0,
+                    job_ms: 0.0,
+                    cached: false,
+                })
+                .collect();
+            proptest::prop_assert_eq!(critical_path(&rows), reference::critical_path(&rows));
+        }
     }
 
     #[test]

@@ -269,7 +269,7 @@ impl<'a, Row: Copy + Default> ReadGroups<'a, Row> {
 /// (ref_id, 1-based pos) positions to exclude (known variants must not
 /// count as sequencing errors).
 ///
-/// Bases are tallied under [`pack`]ed keys and the `BTreeMap`s are
+/// Bases are tallied under `pack`ed keys and the `BTreeMap`s are
 /// materialised once at the end (~1.6 k covariates against ~1 M bases
 /// per partition). The table stays a `BTreeMap` at rest because its
 /// iteration order *is* its wire encoding.
@@ -358,7 +358,7 @@ pub fn print_reads(records: &mut [SamRecord], table: &RecalTable, config: &Recal
 
 /// PrintReads' per-read kernel. The finished qualities of the entries
 /// with `min_observations` are worked out once, at construction — fine
-/// ones under their [`pack`]ed key, coarse ones in a row per read group
+/// ones under their `pack`ed key, coarse ones in a row per read group
 /// — so a base is a probe, else a row lookup, else unchanged, and
 /// `empirical_quality`'s `log10` runs per table entry, not per base.
 pub struct QualityRewriter<'a> {

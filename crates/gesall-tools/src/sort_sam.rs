@@ -1,5 +1,5 @@
 //! SortSam (paper Table 2, step 7 companion): coordinate sort, the
-//! arrangement variant callers require. NovoSort [24] plays this role in
+//! arrangement variant callers require. NovoSort \[24\] plays this role in
 //! the paper's single-node pipeline.
 
 use gesall_formats::sam::{SamHeader, SamRecord, SortOrder};

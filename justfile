@@ -1,7 +1,8 @@
 # Development shortcuts. `just smoke` is the CI gate — run it before
 # pushing; it must pass with zero warnings.
 
-# Build, test, and lint exactly as CI does, then run every program
+# Build, test, and lint (clippy and rustdoc, warnings denied) exactly
+# as CI does, then run every program
 # under examples/ (~10 s together; clippy only compiles them), so the
 # README's quickstart cannot rot, and run CI's release-mode reference
 # suites: the aligner kernels (and, by name, every read of the
@@ -44,6 +45,7 @@ smoke:
     cargo build --release --offline --workspace
     cargo test -q --offline --workspace
     cargo clippy --offline --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --keep-going
     for ex in quickstart variant_calling error_diagnosis telemetry cluster_tuning; do cargo run --release --offline -q --example "$ex" > /dev/null || exit 1; done
     cargo test --release --offline -q -p gesall-aligner
     scripts/test-some.sh --release --offline -q -p gesall-aligner --lib engine::tests::the_wgs_hc_world_aligns_as_under_the_parents_seeding_and_kernels -- --exact
@@ -115,6 +117,7 @@ test:
 # Lint only.
 lint:
     cargo clippy --offline --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline --keep-going
 
 # Format (requires rustfmt).
 fmt:
